@@ -211,12 +211,14 @@ class ActionHistoryGraph:
     def to_snapshot(self) -> dict:
         return self.store.to_snapshot()
 
-    def restore_snapshot(self, data: dict) -> None:
-        """Replace the backing store with one rebuilt from ``data`` (the
-        graph object keeps its identity, so wired-up components — server,
-        extensions, controllers — see the restored records)."""
+    def restore_snapshot(self, data: dict, records=()) -> None:
+        """Replace the backing store with one rebuilt from a snapshot's
+        ``graph`` object and its stream of record lines (see
+        :meth:`RecordStore.from_snapshot`); the graph object keeps its
+        identity, so wired-up components — server, extensions,
+        controllers — see the restored records."""
         from repro.store.recordstore import RecordStore
 
         self.store = RecordStore.from_snapshot(
-            data, wal=self.store.wal, lock_mode=self.store.lock_mode
+            data, wal=self.store.wal, lock_mode=self.store.lock_mode, records=records
         )

@@ -6,17 +6,24 @@ actions and dependency edges.
 
 Each record type round-trips through ``to_dict``/``from_dict`` with only
 JSON-representable values, which is what the store layer's write-ahead
-log and snapshots (:mod:`repro.store`) persist.  Tuple-shaped fields are
-encoded as lists and rebuilt on decode; recorded values themselves are
-JSON scalars by construction.
+log and snapshots (:mod:`repro.store`) persist.  Tuple-shaped fields
+become JSON arrays and are rebuilt on decode; recorded values themselves
+are JSON scalars by construction.
+
+A run has **one codec**: :meth:`AppRunRecord.encode` is its compact JSON
+text, and that text is the ``data`` of its WAL line *and* of its snapshot
+line, byte for byte.  The store encodes a run once, when it is appended,
+and keeps the text on the record (``json_text``) so a snapshot splices it
+instead of walking the record again.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.serialize import decode_key_set, decode_tree, encode_key_set, encode_tree
+from repro.core.serialize import COMPACT, decode_key_set, decode_tree, encode_key_set
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
 
@@ -51,29 +58,10 @@ class QueryRecord:
     def is_write(self) -> bool:
         return self.kind != "select"
 
-    def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "run_id": self.run_id,
-            "seq": self.seq,
-            "ts": self.ts,
-            "sql": self.sql,
-            "params": encode_tree(self.params),
-            "kind": self.kind,
-            "table": self.table,
-            "read_set": self.read_set.to_dict(),
-            "written_row_ids": encode_tree(self.written_row_ids),
-            "written_partitions": encode_key_set(self.written_partitions),
-            "full_table_write": self.full_table_write,
-            "snapshot": encode_tree(self.snapshot),
-            "read_row_ids": list(self.read_row_ids),
-        }
-
     def to_wire(self) -> dict:
-        """``to_dict`` minus the Python-level tuple→list walks, for the
-        per-request WAL journal: ``json.dumps`` flattens tuples to JSON
-        arrays natively, so the serialized bytes (and ``from_dict`` round
-        trip) are identical — only frozensets still need converting."""
+        """The tree ``json.dumps`` turns into this query's JSON: tuples
+        are left for the encoder to flatten into arrays (no Python-level
+        walk) — only frozensets need converting."""
         return {
             "qid": self.qid,
             "run_id": self.run_id,
@@ -120,7 +108,7 @@ class NondetRecord:
     value: object
 
     def to_dict(self) -> dict:
-        return {"func": self.func, "seq": self.seq, "value": encode_tree(self.value)}
+        return {"func": self.func, "seq": self.seq, "value": self.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NondetRecord":
@@ -147,33 +135,21 @@ class AppRunRecord:
     request_id: Optional[int] = None
     #: Set during repair when the request was undone.
     canceled: bool = False
+    #: ``encode()`` of this run as last written by the store (None until
+    #: then).  Runs are immutable once appended, so the text stays true;
+    #: ``RecordStore.mark_run_canceled`` — the one in-place mutation —
+    #: drops it.  Owned by the store; not part of the record's value.
+    json_text: Optional[str] = field(default=None, repr=False, compare=False)
 
     def browser_key(self) -> Optional[Tuple[str, int]]:
         if self.client_id is not None and self.visit_id is not None:
             return (self.client_id, self.visit_id)
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "ts_start": self.ts_start,
-            "ts_end": self.ts_end,
-            "script": self.script,
-            "loaded_files": dict(self.loaded_files),
-            "request": self.request.to_dict(),
-            "response": self.response.to_dict(),
-            "queries": [query.to_dict() for query in self.queries],
-            "nondet": [record.to_dict() for record in self.nondet],
-            "client_id": self.client_id,
-            "visit_id": self.visit_id,
-            "request_id": self.request_id,
-            "canceled": self.canceled,
-        }
-
     def to_wire(self) -> dict:
-        """JSON-equivalent of ``to_dict`` without defensive copies or tuple
-        walks (see :meth:`QueryRecord.to_wire`); for write-once consumers
-        like the WAL journal that serialize the result immediately."""
+        """The tree :meth:`encode` serializes — no defensive copies, tuples
+        left for the encoder (see :meth:`QueryRecord.to_wire`); for
+        consumers that serialize the result immediately."""
         return {
             "run_id": self.run_id,
             "ts_start": self.ts_start,
@@ -190,8 +166,20 @@ class AppRunRecord:
             "canceled": self.canceled,
         }
 
+    def encode(self) -> str:
+        """This run's compact JSON text: the ``data`` of its WAL line and
+        of its snapshot line."""
+        return json.dumps(self.to_wire(), separators=COMPACT)
+
+    def to_dict(self) -> dict:
+        """Plain-JSON view (lists, fresh containers): the codec's text,
+        decoded."""
+        return json.loads(self.json_text or self.encode())
+
     @classmethod
-    def from_dict(cls, data: dict) -> "AppRunRecord":
+    def from_dict(cls, data: dict, json_text: Optional[str] = None) -> "AppRunRecord":
+        """Rebuild a run from its decoded JSON; ``json_text`` is the text
+        ``data`` was decoded from, when the caller still has it."""
         return cls(
             run_id=data["run_id"],
             ts_start=data["ts_start"],
@@ -206,6 +194,7 @@ class AppRunRecord:
             visit_id=data.get("visit_id"),
             request_id=data.get("request_id"),
             canceled=data.get("canceled", False),
+            json_text=json_text,
         )
 
 
@@ -320,6 +309,11 @@ class VisitRecord:
             "request_ids": list(self.request_ids),
         }
 
+    def encode(self) -> str:
+        """Compact JSON text of this visit as it stands (visit logs grow
+        while the visit is live, so nothing is kept)."""
+        return json.dumps(self.to_dict(), separators=COMPACT)
+
     @classmethod
     def from_dict(cls, data: dict) -> "VisitRecord":
         return cls(
@@ -348,6 +342,9 @@ class PatchRecord:
 
     def to_dict(self) -> dict:
         return {"file": self.file, "new_version": self.new_version, "apply_ts": self.apply_ts}
+
+    def encode(self) -> str:
+        return json.dumps(self.to_dict(), separators=COMPACT)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatchRecord":

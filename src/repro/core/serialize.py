@@ -9,28 +9,11 @@ expects and call the matching decoder.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Iterable, List, Tuple
 
-
-def write_json_atomically(path: str, payload) -> None:
-    """Dump ``payload`` to ``path`` via a temp file + rename, so a crash
-    mid-write never destroys the previous good file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+#: ``json.dumps`` separators of everything persisted line by line (WAL
+#: entries, snapshot lines): written far more often than read by a human.
+COMPACT = (",", ":")
 
 
 def encode_tree(value):

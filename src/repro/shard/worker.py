@@ -31,7 +31,9 @@ import hashlib
 import importlib
 import json
 import os
+import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -211,9 +213,14 @@ def worker_main(config_json: str, address: str) -> None:
                     return
                 if reply.get("bye"):
                     stop.set()
-                    # Unblock accept() so the main loop can exit.
+                    # Unblock accept() so the main loop can exit.  Closing
+                    # the listener from this thread does not wake a thread
+                    # already blocked in accept() on Linux; a throwaway
+                    # connection does (its handshake fails, the loop sees
+                    # ``stop`` and leaves).
                     try:
-                        listener.close()
+                        with socket.socket(socket.AF_UNIX) as waker:
+                            waker.connect(address)
                     except OSError:
                         pass
                     return
@@ -229,7 +236,7 @@ def worker_main(config_json: str, address: str) -> None:
             try:
                 conn = listener.accept()
             except (OSError, EOFError):
-                break  # listener closed by the shutdown path
+                break  # the shutdown path's waker (its handshake fails)
             thread = threading.Thread(
                 target=serve_connection, args=(conn,), daemon=True
             )
@@ -241,8 +248,11 @@ def worker_main(config_json: str, address: str) -> None:
             listener.close()
         except OSError:
             pass
+        # Connection threads are daemons blocked in recv() until their peer
+        # hangs up; give them one shared second, not one each.
+        deadline = time.monotonic() + 1.0
         for thread in threads:
-            thread.join(timeout=1.0)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         worker.close()
 
 

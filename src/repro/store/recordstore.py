@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
+import itertools
 import os
 import threading
 import time as _time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ahg.records import (
     AppRunRecord,
@@ -40,11 +40,11 @@ from repro.ahg.records import (
     replay_clone,
 )
 from repro.core.errors import DurabilityError, ReproError
-from repro.core.serialize import write_json_atomically
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest
-from repro.store.wal import CommitTicket, RecordWal
+from repro.store.snapshot import FORMAT, SnapshotReader, gc_paused, write_snapshot
+from repro.store.wal import CommitTicket, RecordWal, entry_line
 
 PartitionKey = Tuple[str, str, object]
 
@@ -454,8 +454,11 @@ class RecordStore:
             self._insert_run(run)
             # Journaled under the records stripe so WAL order equals store
             # order; the fsync wait happens in _finish, outside every lock.
+            # The run is encoded here, once: the text is the WAL line's
+            # data now and the snapshot line's data later.
             if self.wal is not None:
-                return self.wal.append("run", run.to_wire())
+                run.json_text = run.encode()
+                return self.wal.append("run", text=run.json_text)
         return None
 
     def _insert_run(self, run: AppRunRecord) -> None:
@@ -577,6 +580,9 @@ class RecordStore:
             if run is None or run.canceled:
                 return
             run.canceled = True
+            # The one in-place mutation of an appended run, hence the one
+            # place its kept text goes stale; the next save re-encodes it.
+            run.json_text = None
             if self.wal is not None:
                 ticket = self.wal.append("cancel_run", {"run_id": run_id})
         self._finish(ticket)
@@ -738,7 +744,8 @@ class RecordStore:
                 for query in record.queries:
                     self.touch.index_query(query, run_id)
             if self.wal is not None:
-                ticket = self.wal.append("replace_run", record.to_wire())
+                record.json_text = record.encode()
+                ticket = self.wal.append("replace_run", text=record.json_text)
         self._finish(ticket)
         return old
 
@@ -1015,30 +1022,38 @@ class RecordStore:
 
     # ------------------------------------------------------------------ durability
 
+    def _pending_snapshot(self) -> dict:
+        """The non-record state a snapshot carries (queued gate requests,
+        interrupted repair jobs, incidents).  Caller holds ``records``."""
+        pending = {}
+        if self.pending_gate_queue:
+            pending["gate_queue"] = [
+                self.pending_gate_queue[ticket]
+                for ticket in sorted(self.pending_gate_queue)
+            ]
+        if self.pending_repair_jobs:
+            pending["repair_jobs"] = [
+                self.pending_repair_jobs[job_id]
+                for job_id in sorted(self.pending_repair_jobs)
+            ]
+        if self.incidents:
+            pending["incidents"] = [
+                self.incidents[incident_id] for incident_id in sorted(self.incidents)
+            ]
+        return pending
+
     def to_snapshot(self) -> dict:
-        """Serializable image of all primary records (indexes are derived
-        state and are rebuilt on load)."""
+        """Image of all primary records as one plain-JSON dict (indexes
+        are derived state and are rebuilt on load).  This is the view
+        tests and tools compare; :meth:`commit_snapshot` persists the same
+        content without ever building it."""
         with self._lock:
             snapshot = {
                 "runs": [self.runs[run_id].to_dict() for run_id in self._run_order],
                 "visits": [visit.to_dict() for visit in self.visits.values()],
                 "patches": [patch.to_dict() for patch in self.patches],
             }
-            if self.pending_gate_queue:
-                snapshot["gate_queue"] = [
-                    self.pending_gate_queue[ticket]
-                    for ticket in sorted(self.pending_gate_queue)
-                ]
-            if self.pending_repair_jobs:
-                snapshot["repair_jobs"] = [
-                    self.pending_repair_jobs[job_id]
-                    for job_id in sorted(self.pending_repair_jobs)
-                ]
-            if self.incidents:
-                snapshot["incidents"] = [
-                    self.incidents[incident_id]
-                    for incident_id in sorted(self.incidents)
-                ]
+            snapshot.update(self._pending_snapshot())
             return snapshot
 
     @classmethod
@@ -1047,14 +1062,28 @@ class RecordStore:
         data: dict,
         wal: Optional[RecordWal] = None,
         lock_mode: str = "striped",
+        records: Iterable[Tuple[str, dict, Optional[str]]] = (),
     ) -> "RecordStore":
+        """Build a store from a snapshot's ``graph`` object plus its
+        stream of ``(kind, data, text)`` record lines, inserting one record
+        at a time.  A format-1 ``data`` nests the records inside itself
+        (``records`` is then empty); either way visits come first, then
+        runs, then patches."""
         store = cls(lock_mode=lock_mode)
-        for item in data.get("visits", ()):
-            store.add_visit(VisitRecord.from_dict(item))
-        for item in data.get("runs", ()):
-            store.add_run(AppRunRecord.from_dict(item))
-        for item in data.get("patches", ()):
-            store.add_patch(PatchRecord.from_dict(item))
+        nested = (
+            (kind, item, None)
+            for kind, key in (("visit", "visits"), ("run", "runs"), ("patch", "patches"))
+            for item in data.get(key, ())
+        )
+        for kind, item, text in itertools.chain(nested, records):
+            if kind == "run":
+                store.add_run(AppRunRecord.from_dict(item, json_text=text))
+            elif kind == "visit":
+                store.add_visit(VisitRecord.from_dict(item))
+            elif kind == "patch":
+                store.add_patch(PatchRecord.from_dict(item))
+            else:
+                raise ReproError(f"snapshot holds a record of unknown kind {kind!r}")
         for item in data.get("gate_queue", ()):
             store.pending_gate_queue[item["ticket"]] = item
         for item in data.get("repair_jobs", ()):
@@ -1067,11 +1096,28 @@ class RecordStore:
     def save_snapshot(self, path: str) -> None:
         """Write a snapshot; the attached WAL (if any) is truncated since
         the snapshot now covers everything it journaled."""
-        self.commit_snapshot(path, self.to_snapshot())
+        self.commit_snapshot(path, {})
+
+    def _record_lines(self) -> Iterator[str]:
+        """Every record as its snapshot line.  A run's line is spliced
+        from the text kept since it was appended — its bytes are written
+        once — and a run that has none yet (appended without a WAL, cache
+        hit journaled as a reference, canceled since) is encoded now."""
+        for visit in self.visits.values():
+            yield entry_line("visit", visit.encode())
+        for run_id in self._run_order:
+            run = self.runs[run_id]
+            if run.json_text is None:
+                run.json_text = run.encode()
+            yield entry_line("run", run.json_text)
+        for patch in self.patches:
+            yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write ``payload`` (stamped with a fresh ``snapshot_id``) under
-        the marker pairing protocol: the id is journaled before the write
+        """Write a format-2 snapshot (:mod:`repro.store.snapshot`) — the
+        header is ``payload`` plus a fresh ``snapshot_id``, the pending
+        state and the record counts, the lines are the records — under the
+        marker pairing protocol: the id is journaled before the write
         and again after the WAL truncation, so ``replay_wal`` can refuse a
         WAL truncated against a different snapshot and a crash anywhere in
         between replays nothing the snapshot already covers.  The id
@@ -1083,17 +1129,18 @@ class RecordStore:
         Runs under the records stripe so no mutation can journal between
         the pre-write marker and the truncation — an entry landing in that
         window would be dropped by the truncate without being in the
-        snapshot (this is what makes mid-traffic WAL rotation safe).  The
-        pre-write marker is waited durable *before* the snapshot file is
-        written: under group commit, a crash after the snapshot lands but
-        before the marker reaches disk would otherwise leave a WAL whose
-        tail predates the snapshot with no marker tying them together, and
-        recovery would refuse the pair."""
+        snapshot (this is what makes mid-traffic WAL rotation safe) — and
+        the records are read under the same hold, so the file is exactly
+        the store the markers bracket.  The pre-write marker is waited
+        durable *before* the snapshot file is written: under group commit,
+        a crash after the snapshot lands but before the marker reaches
+        disk would otherwise leave a WAL whose tail predates the snapshot
+        with no marker tying them together, and recovery would refuse the
+        pair."""
         with self._records_lock:
             snapshot_id = (
                 f"{len(self._run_order)}-{len(self.visits)}-{os.urandom(8).hex()}"
             )
-            payload["snapshot_id"] = snapshot_id
             if self.wal is not None:
                 marker = self.wal.append(
                     "snapshot_marker", {"snapshot_id": snapshot_id}
@@ -1106,7 +1153,18 @@ class RecordStore:
                         "snapshot marker did not reach the log; snapshot aborted"
                     )
             self.faults.fire("store.snapshot", path=path)
-            write_json_atomically(path, payload)
+            header = {
+                "version": FORMAT,
+                **payload,
+                "snapshot_id": snapshot_id,
+                "graph": self._pending_snapshot(),
+                "records": {
+                    "visit": len(self.visits),
+                    "run": len(self._run_order),
+                    "patch": len(self.patches),
+                },
+            }
+            write_snapshot(path, header, self._record_lines())
             if self.wal is not None:
                 self.wal.truncate()
                 # Waited durable so the truncated WAL is never observable
@@ -1128,16 +1186,19 @@ class RecordStore:
         cls, snapshot_path: Optional[str] = None, wal_path: Optional[str] = None
     ) -> "RecordStore":
         """Rebuild a store from the last snapshot plus WAL replay."""
-        snapshot_id = None
-        if snapshot_path is not None and os.path.exists(snapshot_path):
-            with open(snapshot_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            snapshot_id = data.get("snapshot_id")
-            store = cls.from_snapshot(data)
-        else:
-            store = cls()
-        if wal_path is not None:
-            store.replay_wal(wal_path, snapshot_id=snapshot_id)
+        with gc_paused():
+            snapshot_id = None
+            if snapshot_path is not None and os.path.exists(snapshot_path):
+                with SnapshotReader(snapshot_path) as snapshot:
+                    header = snapshot.header
+                    store = cls.from_snapshot(
+                        header.get("graph", header), records=snapshot.records()
+                    )
+                snapshot_id = header.get("snapshot_id")
+            else:
+                store = cls()
+            if wal_path is not None:
+                store.replay_wal(wal_path, snapshot_id=snapshot_id)
         return store
 
     def replay_wal(
@@ -1160,7 +1221,9 @@ class RecordStore:
         truncation replays only the entries after the marker — the ones
         the snapshot does not already contain.
         """
-        entries = list(RecordWal.entries(wal_path))
+        # One decoding pass: the read that yields the entries also finds
+        # where the intact prefix ends, which is all the attach needs.
+        entries, intact_size = RecordWal.read(wal_path)
         start = 0
         marker_indexes = [
             index for index, (kind, _) in enumerate(entries) if kind == "snapshot_marker"
@@ -1183,7 +1246,7 @@ class RecordStore:
                 continue
             self.apply_logged(kind, data)
             applied += 1
-        self.wal = RecordWal(wal_path, **(wal_options or {}))
+        self.wal = RecordWal(wal_path, intact_size=intact_size, **(wal_options or {}))
         return applied
 
     def apply_logged(self, kind: str, data: dict) -> None:

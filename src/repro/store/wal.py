@@ -65,13 +65,27 @@ from time import monotonic as _monotonic
 from time import sleep as _sleep
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.serialize import COMPACT
 from repro.faults.plane import FaultPlane, SimulatedCrash, TornWrite
 from repro.faults.plane import active as _active_plane
 
 _DURABILITY_MODES = ("always", "group", "none")
 
-#: Compact separators: the WAL is written far more often than read.
-_COMPACT = (",", ":")
+
+def entry_line(kind: str, text: str) -> str:
+    """One journal line around ``text``, the compact JSON of the entry's
+    data — exactly ``json.dumps({"kind": kind, "data": data})`` with
+    compact separators (kinds are plain identifiers).  Snapshot record
+    lines are built by the same function, so a run's WAL line and its
+    snapshot line are the same bytes."""
+    return f'{{"kind":"{kind}","data":{text}}}\n'
+
+
+def decode_line(line) -> Tuple[str, dict]:
+    """``(kind, data)`` of one journal or snapshot line (str or bytes).
+    Raises ValueError / KeyError / TypeError when it is not an entry."""
+    entry = json.loads(line)
+    return entry["kind"], entry["data"]
 
 
 class CommitTicket:
@@ -117,6 +131,7 @@ class RecordWal:
         io_retries: int = 2,
         io_backoff: float = 0.0005,
         io_backoff_cap: float = 0.05,
+        intact_size: Optional[int] = None,
     ) -> None:
         if durability is None:
             durability = os.environ.get("REPRO_WAL_DURABILITY", "always")
@@ -142,7 +157,12 @@ class RecordWal:
         # Never append after a torn fragment: a valid entry concatenated
         # onto it would produce one permanently unparseable line, and every
         # later recovery would stop there and lose everything after it.
-        self.repair(path)
+        # ``intact_size`` is that check already done by a caller that just
+        # read the log (``read``); a long log is then decoded once, not twice.
+        if intact_size is None:
+            self.repair(path)
+        else:
+            self._drop_tail(path, intact_size)
         self._fh = open(path, "a", encoding="utf-8")
         #: Bytes appended since open/truncate — the store's size-triggered
         #: rotation watches this, not the file (truncate resets it).
@@ -180,8 +200,15 @@ class RecordWal:
 
     # ------------------------------------------------------------------ append
 
-    def append(self, kind: str, data: dict) -> CommitTicket:
-        line = json.dumps({"kind": kind, "data": data}, separators=_COMPACT) + "\n"
+    def append(
+        self, kind: str, data: Optional[dict] = None, *, text: Optional[str] = None
+    ) -> CommitTicket:
+        """Journal one entry.  ``text`` is ``data`` already encoded (a
+        run's codec text, which the store keeps for the snapshot): it is
+        spliced into the line instead of encoding ``data`` again."""
+        if text is None:
+            text = json.dumps(data, separators=COMPACT)
+        line = entry_line(kind, text)
         if self.durability != "group":
             with self._io_lock:
                 with self._lock:
@@ -607,53 +634,66 @@ class RecordWal:
     # ------------------------------------------------------------------ recovery
 
     @staticmethod
-    def repair(path: str) -> int:
-        """Truncate a torn tail (crash mid-append) to the last intact
-        entry.  Returns the number of bytes removed."""
+    def _intact_lines(path: str) -> Iterator[Tuple[Optional[Tuple[str, dict]], int]]:
+        """``(entry, end)`` for each intact line of ``path``: ``entry`` is
+        ``(kind, data)`` (None for a blank line) and ``end`` the byte
+        offset just past the line.  A line is intact only if it ends with
+        a newline *and* decodes: a crash can cut a write at the closing
+        brace — valid JSON, no newline — and replay and repair must agree
+        on dropping it, which they do by both reading through here."""
         if not os.path.exists(path):
-            return 0
-        valid = 0
+            return
+        end = 0
         with open(path, "rb") as fh:
             for line in fh:
                 if not line.endswith(b"\n"):
-                    break
-                stripped = line.strip()
-                if stripped:
+                    return  # torn tail from a crash mid-append
+                entry = None
+                if not line.isspace():
                     try:
-                        json.loads(stripped)
-                    except ValueError:
-                        break
-                valid += len(line)
-        size = os.path.getsize(path)
-        if valid < size:
+                        entry = decode_line(line)
+                    except (ValueError, KeyError, TypeError):
+                        return
+                end += len(line)
+                yield entry, end
+
+    @staticmethod
+    def _drop_tail(path: str, intact_size: int) -> int:
+        """Truncate ``path`` to its intact prefix; returns bytes removed."""
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        if intact_size < size:
             with open(path, "rb+") as fh:
-                fh.truncate(valid)
-        return size - valid
+                fh.truncate(intact_size)
+        return max(0, size - intact_size)
+
+    @staticmethod
+    def read(path: str) -> Tuple[List[Tuple[str, dict]], int]:
+        """Every intact entry of ``path`` plus the size of the intact
+        prefix, from one decoding pass — hand the size to the constructor
+        (``intact_size``) when attaching the log that was just replayed."""
+        entries: List[Tuple[str, dict]] = []
+        intact = 0
+        for entry, intact in RecordWal._intact_lines(path):
+            if entry is not None:
+                entries.append(entry)
+        return entries, intact
+
+    @staticmethod
+    def repair(path: str) -> int:
+        """Truncate a torn tail (crash mid-append) to the last intact
+        entry.  Returns the number of bytes removed."""
+        intact = 0
+        for _, intact in RecordWal._intact_lines(path):
+            pass
+        return RecordWal._drop_tail(path, intact)
 
     @staticmethod
     def entries(path: str) -> Iterator[Tuple[str, dict]]:
-        """Yield ``(kind, data)`` for every intact entry in ``path``.
-
-        "Intact" must mean exactly what :meth:`repair` keeps: a line is
-        only an entry if it ends with a newline.  A crash can cut a write
-        at the closing brace — valid JSON, no newline — and if replay
-        accepted it while repair truncated it, two recoveries of the same
-        file would diverge.
-        """
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    break  # torn tail: repair() will truncate this line
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash mid-append
-                yield entry["kind"], entry["data"]
+        """Yield ``(kind, data)`` for every intact entry in ``path`` —
+        "intact" meaning exactly what :meth:`repair` keeps."""
+        for entry, _ in RecordWal._intact_lines(path):
+            if entry is not None:
+                yield entry
 
 
 def open_wal(path: Optional[str], **options) -> Optional[RecordWal]:

@@ -29,7 +29,6 @@ documented in API.md.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import threading
@@ -63,6 +62,7 @@ from repro.repair.gate import RepairGate
 from repro.repair.jobs import RepairJobManager
 from repro.repair.replay import ReplayConfig
 from repro.store.recordstore import RecordStore
+from repro.store.snapshot import SnapshotReader, gc_paused
 from repro.store.wal import RecordWal, open_wal
 from repro.ttdb.timetravel import TimeTravelDB
 
@@ -426,11 +426,15 @@ class WarpSystem:
         routes (e.g. ``WikiApp.register_code``) before serving or
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
+
+        The file is a format-2 snapshot (:mod:`repro.store.snapshot`):
+        the state below is its header line, and the store appends the
+        graph — pending state into the header, one line per record after
+        it — under its records stripe.
         """
         if self.ttdb.repair_gen is not None:
             raise RepairError("cannot save while a repair is in progress")
         state = {
-            "version": 1,
             "origin": self.origin,
             "enabled": self.enabled,
             "clock": self.clock.now(),
@@ -438,7 +442,6 @@ class WarpSystem:
             "rng_state": encode_tree(self.rng.getstate()),
             "ttdb": self.ttdb.state_dict(),
             "database": self.database.to_dict(),
-            "graph": self.graph.to_snapshot(),
             "routes": dict(self.server.routes),
             "script_versions": self._script_versions_for_save(),
             "conflicts": self.conflicts.state_list(),
@@ -522,12 +525,19 @@ class WarpSystem:
         shard's storage layout.  With a snapshot they are refused: the
         snapshot's own repair/storage/serving config wins, and a silently
         ignored override would be a debugging trap.
+
+        The history is built with the cyclic collector paused
+        (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
+        are streamed in one line at a time.  A file that is not a format
+        1 or 2 snapshot, or does not hold the records its header
+        promises, raises :class:`~repro.core.errors.ReproError` naming it.
         """
         if path is None:
             if wal_path is None:
                 raise RepairError("load needs a snapshot path, a wal_path, or both")
             warp = cls(replay_config=replay_config, **ctor_kwargs)
-            warp.graph.store.replay_wal(wal_path)
+            with gc_paused():
+                warp.graph.store.replay_wal(wal_path)
             warp._wire_wal_health()
             warp._sync_id_counters()
             warp._sync_clock()
@@ -537,8 +547,17 @@ class WarpSystem:
                 "load from a snapshot takes its configuration from the "
                 f"snapshot; unexpected overrides: {sorted(ctor_kwargs)}"
             )
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
+        with gc_paused(), SnapshotReader(path) as snapshot:
+            return cls._from_snapshot(snapshot, replay_config, wal_path)
+
+    @classmethod
+    def _from_snapshot(
+        cls,
+        snapshot: SnapshotReader,
+        replay_config: Optional[ReplayConfig],
+        wal_path: Optional[str],
+    ) -> "WarpSystem":
+        state = snapshot.header
         serving = state.get("serving_config", {})
         storage = state.get("storage_config", {})
         warp = cls(
@@ -556,12 +575,15 @@ class WarpSystem:
             response_cache_entries=serving.get("response_cache_entries", 1024),
             statement_cache=serving.get("statement_cache", True),
         )
+        # The graph first: reading its record lines to the end is what
+        # proves the file whole, and a refused snapshot must not already
+        # have replaced the (possibly on-disk) database.
+        warp.graph.restore_snapshot(state["graph"], snapshot.records())
         warp.clock.restore(state["clock"])
         warp.ids.restore(state["ids"])
         warp.rng.setstate(decode_tree(state["rng_state"]))
         warp.database.restore(state["database"])
         warp.ttdb.restore_state(state["ttdb"])
-        warp.graph.restore_snapshot(state["graph"])
         if wal_path is not None:
             warp.graph.store.replay_wal(
                 wal_path,

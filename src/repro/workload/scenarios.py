@@ -173,15 +173,18 @@ def run_scenario(
     seed: int = 0,
     replay_config: Optional[ReplayConfig] = None,
     victim_upload: bool = True,
+    **warp_kwargs,
 ) -> ScenarioOutcome:
-    """Stage one §8.2 scenario and return the outcome handle (unrepaired)."""
+    """Stage one §8.2 scenario and return the outcome handle (unrepaired).
+    ``warp_kwargs`` go to the deployment's :class:`WarpSystem` (e.g.
+    ``wal_path``/``durability`` to stage the scenario over a WAL)."""
     import time as _time
 
     if attack_type not in ATTACK_TYPES:
         raise ValueError(f"unknown attack type {attack_type!r}")
     started = _time.perf_counter()
     deployment = WikiDeployment(
-        n_users=n_users, seed=seed, replay_config=replay_config
+        n_users=n_users, seed=seed, replay_config=replay_config, **warp_kwargs
     )
     if attack_type == "acl-error":
         outcome = _run_acl_scenario(deployment, n_users)

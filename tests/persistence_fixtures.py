@@ -1,0 +1,169 @@
+"""What the committed persistence fixtures hold, and how they were made.
+
+``golden_run()`` is the fixed run whose journal lines are pinned byte for
+byte in ``fixtures/wal_run_lines.golden``; ``format1_workload()`` is the
+small wiki deployment whose format-1 snapshot is
+``fixtures/warp_format1.json`` (with the ``RepairStats`` counters its
+common.php repair produced in ``fixtures/warp_format1.counters.json``).  Both files were written by the last
+commit that wrote format 1 (PR 11, ebe3011) by running this module there:
+
+    PYTHONPATH=<that checkout>/src python tests/persistence_fixtures.py
+
+Tests import the builders from here so the inputs cannot drift from the
+files; re-running this module on a later commit would defeat the point.
+"""
+
+import json
+import os
+
+from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord
+from repro.apps.wiki.app import WikiApp
+from repro.apps.wiki.common import make_common
+from repro.http.message import HttpRequest, HttpResponse
+from repro.store.recordstore import RecordStore
+from repro.store.wal import RecordWal
+from repro.ttdb.partitions import ReadSet
+from repro.warp import WarpSystem
+
+HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
+FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
+FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
+
+COUNTERS = (
+    "visits_reexecuted",
+    "runs_reexecuted",
+    "runs_pruned",
+    "runs_canceled",
+    "queries_reexecuted",
+    "nondet_misses",
+    "conflicts",
+    "total_visits",
+    "total_runs",
+    "total_queries",
+)
+
+
+def golden_run() -> AppRunRecord:
+    """Every shape the codec has to flatten: tuples inside tuples,
+    frozensets of key tuples, a multi-disjunct and an ALL read set, floats,
+    None, non-ASCII text, quotes and newlines."""
+    select = QueryRecord(
+        qid=11,
+        run_id=7,
+        seq=0,
+        ts=41,
+        sql="SELECT text FROM pages WHERE title = ? OR title = ?",
+        params=("Home", "Café ☃"),
+        kind="select",
+        table="pages",
+        read_set=ReadSet(
+            "pages",
+            disjuncts=(
+                frozenset({("title", "Home")}),
+                frozenset({("title", "Café ☃"), ("owner", 3)}),
+            ),
+        ),
+        written_row_ids=(),
+        written_partitions=frozenset(),
+        full_table_write=False,
+        snapshot=("select", True, (("Home", 1.5, None), ("say \"hi\"\n", 2, True))),
+        read_row_ids=(4, 9),
+    )
+    update = QueryRecord(
+        qid=12,
+        run_id=7,
+        seq=1,
+        ts=42,
+        sql="UPDATE pages SET text = ? WHERE 1",
+        params=("new\ttext", 0.25),
+        kind="update",
+        table="pages",
+        read_set=ReadSet("pages", disjuncts=None),
+        written_row_ids=(("pages", 4), ("pages", 9)),
+        written_partitions=frozenset(
+            {("pages", "title", "Home"), ("pages", "title", "Zed"), ("pages", "owner", 3)}
+        ),
+        full_table_write=True,
+        snapshot=("write", 2),
+    )
+    return AppRunRecord(
+        run_id=7,
+        ts_start=40,
+        ts_end=42,
+        script="edit.php",
+        loaded_files={"edit.php": 2, "common.php": 0},
+        request=HttpRequest(
+            "POST",
+            "/edit.php",
+            params={"title": "Home", "append": "\nlínea"},
+            cookies={"sess": "tok-1"},
+            headers={"X-Warp-Client": "c1", "X-Warp-Visit": "3", "X-Warp-Request": "1"},
+        ),
+        response=HttpResponse(status=200, body="<p>ok ✓</p>", set_cookies={"sess": None}),
+        queries=[select, update],
+        nondet=[NondetRecord("time", 0, 1234.5), NondetRecord("token", 0, ("a", ("b", 1)))],
+        client_id="c1",
+        visit_id=3,
+        request_id=1,
+    )
+
+
+def golden_lines(directory: str) -> bytes:
+    """The journal bytes of ``add_run(golden_run())`` followed by a
+    ``replace_run`` with the same record."""
+    wal_path = os.path.join(directory, "golden.wal")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    store.add_run(golden_run())
+    store.replace_run(7, golden_run())
+    store.wal.close()
+    with open(wal_path, "rb") as fh:
+        return fh.read()
+
+
+def format1_workload(wal_path=None):
+    """Browsing, editing and login traffic on a two-user wiki."""
+    warp = WarpSystem(wal_path=wal_path, db_backend="python")
+    wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+    wiki.install()
+    wiki.seed_user("alice", "alicepw")
+    wiki.seed_user("bob", "bobpw", admin=True)
+    wiki.seed_page("Home", "welcome", "bob", editors=["alice"])
+    wiki.seed_page("News", "nothing yet", "bob")
+    alice = warp.client("alice-laptop")
+    alice.open("http://wiki.test/login.php")
+    alice.type_into("input[name=wpName]", "alice")
+    alice.type_into("input[name=wpPassword]", "alicepw")
+    alice.submit("#loginform")
+    alice.open("http://wiki.test/index.php?title=Home")
+    alice.open("http://wiki.test/edit.php?title=Home")
+    alice.type_into("textarea", "welcome, edited by alice")
+    alice.submit("form")
+    bob = warp.client("bob-desktop")
+    bob.open("http://wiki.test/index.php?title=News")
+    bob.open("http://wiki.test/index.php?title=Home")
+    return warp, wiki
+
+
+def repair_counters(warp) -> dict:
+    """Retroactively patch common.php (every run loaded it) and return
+    the RepairStats counters."""
+    result = warp.retroactive_patch("common.php", make_common(send_frame_options=True))
+    return {name: getattr(result.stats, name) for name in COUNTERS}
+
+
+def main() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        with open(GOLDEN_LINES, "wb") as fh:
+            fh.write(golden_lines(directory))
+    warp, _ = format1_workload()
+    warp.save(FORMAT1_SNAPSHOT)
+    with open(FORMAT1_COUNTERS, "w", encoding="utf-8") as fh:
+        json.dump(repair_counters(warp), fh, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

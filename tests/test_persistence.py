@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
+from repro.store.snapshot import read_snapshot_header
 from repro.warp import WarpSystem
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -335,7 +336,7 @@ class TestWarpSystemPersistence:
         p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")
         warp.save(p1)
         warp.save(p2)  # no state change in between
-        ids = {json.load(open(p))["snapshot_id"] for p in (p1, p2)}
+        ids = {read_snapshot_header(p)["snapshot_id"] for p in (p1, p2)}
         assert len(ids) == 2
 
     def test_snapshotless_load_recovers_action_log_from_wal(self, tmp_path):

@@ -11,6 +11,7 @@ fault, not the workload's.
 
 import json
 import random
+import time
 
 import pytest
 
@@ -623,4 +624,10 @@ def test_process_transport_end_to_end(tmp_path):
         for tenant in (0, 4):
             assert "DEFACED" not in page_text(cluster, tenant)
     finally:
+        started = time.perf_counter()
         cluster.close()
+        closing_s = time.perf_counter() - started
+    # A clean shutdown wakes each worker's accept loop instead of waiting
+    # out the 10 s join (closing a listener does not wake accept()).
+    assert closing_s < 2.0
+    assert [process.exitcode for process in cluster.processes] == [0, 0]

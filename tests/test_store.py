@@ -10,6 +10,7 @@ import pytest
 from repro.ahg.records import AppRunRecord, QueryRecord, VisitRecord, PatchRecord
 from repro.http.message import HttpRequest, HttpResponse
 from repro.store.recordstore import RecordStore
+from repro.store.snapshot import read_snapshot_header
 from repro.store.wal import RecordWal
 from repro.ttdb.partitions import ReadSet
 
@@ -341,8 +342,8 @@ class TestDurability:
         store.save_snapshot(path)
         # No stray temp files; the snapshot parses.
         assert os.listdir(str(tmp_path)) == ["snapshot.json"]
-        with open(path, encoding="utf-8") as fh:
-            assert len(json.load(fh)["runs"]) == 1
+        assert read_snapshot_header(path)["records"]["run"] == 1
+        assert len(RecordStore.recover(snapshot_path=path).runs) == 1
 
     def test_recover_refuses_wal_truncated_against_other_snapshot(self, tmp_path):
         from repro.core.errors import ReproError
