@@ -19,6 +19,7 @@ import os
 from conftest import once, print_table
 
 from repro.apps.wiki.patches import patch_for
+from repro.repair.api import PatchSpec
 from repro.workload.scenarios import run_scenario
 
 N_USERS = int(os.environ.get("REPRO_ABL_USERS", "50"))
@@ -39,7 +40,7 @@ def repair_with(attack, *, partitions=True, nondet=True, pruning=True, victims_a
     controller.use_nondet_replay = nondet
     controller.use_pruning = pruning
     spec = patch_for(attack)
-    result = controller.retroactive_patch(spec.file, spec.build())
+    result = controller.repair_batch([PatchSpec(spec.file, exports=spec.build())])
     assert result.ok
     stats = result.stats
     return {
@@ -135,7 +136,9 @@ def _pruning_scenario(pruning: bool):
 
     controller = warp._controller()
     controller.use_pruning = pruning
-    result = controller.retroactive_patch("beacon_page.php", make_beacon_page("v2"))
+    result = controller.repair_batch(
+        [PatchSpec("beacon_page.php", exports=make_beacon_page("v2"))]
+    )
     assert result.ok
     return result.stats
 

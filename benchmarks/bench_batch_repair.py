@@ -69,7 +69,9 @@ def run_sequential():
     gc.collect()
     started = time.perf_counter()
     results = [
-        outcome.warp.cancel_visit(outcome.attacker_client, visit_id)
+        outcome.warp.repair.submit(
+            CancelVisitSpec(outcome.attacker_client, visit_id)
+        ).result()
         for visit_id in visits
     ]
     wall = time.perf_counter() - started

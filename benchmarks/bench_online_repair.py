@@ -22,6 +22,7 @@ import time
 
 from conftest import emit_bench_json, once, print_table
 
+from repro.repair.api import CancelClientSpec
 from repro.workload.loadgen import LoadGen, make_load_clients
 from repro.workload.scenarios import run_multi_tenant_scenario
 
@@ -62,7 +63,7 @@ def run_one(policy, seed):
     loader.start()
     time.sleep(HEAD_START)
     started = time.perf_counter()
-    result = warp.cancel_client(outcome.attacker_client)
+    result = warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
     repair_seconds = time.perf_counter() - started
     stop.set()
     loader.join()

@@ -18,6 +18,7 @@ from conftest import emit_bench_json, once, print_table
 from repro.core.clock import LogicalClock
 from repro.db.engine import create_database
 from repro.db.storage import Column, TableSchema
+from repro.repair.api import PatchSpec
 from repro.ttdb.timetravel import TimeTravelDB
 from repro.workload.metrics import (
     measure_overhead,
@@ -57,7 +58,7 @@ def measure_during_repair():
     from repro.apps.wiki.patches import patch_for
 
     spec = patch_for("csrf")
-    controller.retroactive_patch(spec.file, spec.build())
+    controller.repair_batch([PatchSpec(spec.file, exports=spec.build())])
     if served["seconds"] == 0:
         return float("inf"), served["count"]
     return served["count"] / served["seconds"], served["count"]

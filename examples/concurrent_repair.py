@@ -21,6 +21,7 @@ Run:  python examples/concurrent_repair.py
 import threading
 import time
 
+from repro.repair.api import CancelClientSpec
 from repro.workload.loadgen import LoadGen, make_load_clients
 from repro.workload.scenarios import run_multi_tenant_scenario
 
@@ -53,7 +54,7 @@ def main() -> None:
     time.sleep(0.05)  # let traffic build up before the repair starts
 
     started = time.perf_counter()
-    result = warp.cancel_client(outcome.attacker_client)
+    result = warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
     repair_ms = (time.perf_counter() - started) * 1e3
     stop.set()
     loader.join()

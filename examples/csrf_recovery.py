@@ -18,6 +18,7 @@ Run:  python examples/csrf_recovery.py
 
 from repro.apps.wiki import WikiApp, patch_for
 from repro.http.message import HttpResponse
+from repro.repair.api import PatchSpec
 from repro.warp import WarpSystem
 
 WIKI = "http://wiki.test"
@@ -73,7 +74,7 @@ def main() -> None:
     # Retroactively patch login.php with the r64677-style login token.
     patch = patch_for("csrf")
     print(f"\nretroactively applying {patch.cve}: {patch.fix}")
-    result = warp.retroactive_patch(patch.file, patch.build())
+    result = warp.repair.submit(PatchSpec(patch.file, exports=patch.build())).result()
 
     print(f"\nrepaired: {result.ok}, conflicts: {len(result.conflicts)}")
     print(f"TeamPlan text:   {wiki.page_text('TeamPlan')!r}")

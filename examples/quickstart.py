@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.apps.wiki import WikiApp, patch_for
+from repro.repair.api import PatchSpec
 from repro.warp import WarpSystem
 
 WIKI = "http://wiki.test"
@@ -68,7 +69,7 @@ def main() -> None:
     # -- 4. retroactive patching ----------------------------------------------
     patch = patch_for("stored-xss")
     print(f"\nadministrator retroactively applies {patch.cve}: {patch.fix}")
-    result = warp.retroactive_patch(patch.file, patch.build())
+    result = warp.repair.submit(PatchSpec(patch.file, exports=patch.build())).result()
 
     # -- 5. verify ---------------------------------------------------------------
     repaired = wiki.page_text("alice_notes")

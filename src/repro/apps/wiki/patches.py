@@ -1,7 +1,7 @@
 """Security patches for the wiki (paper Table 2).
 
 Each patch is a rebuilt exports table for one script file; applying it via
-:meth:`repro.warp.WarpSystem.retroactive_patch` registers the new version
+``warp.repair.submit(PatchSpec(file, exports=...))`` registers the new version
 and triggers re-execution of every run that loaded the old one.
 """
 

@@ -166,8 +166,9 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
         wal_flush_interval=30.0,
         fault_plane=plane,
         response_cache=bool(schedule.get("response_cache")),
-        online_gate=bool(schedule.get("online_gate")),
     )
+    if schedule.get("online_gate"):
+        warp.enable_online_repair()
     # Never hang a schedule on a sick log: a group commit that cannot
     # complete surfaces as DurabilityError within the timeout.
     warp.graph.store.durability_timeout = 5.0

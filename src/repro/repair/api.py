@@ -1,9 +1,9 @@
-"""Repair Job API v2: declarative repair specs and dry-run plans.
+"""Repair API: declarative repair specs and dry-run plans.
 
 The paper's administrator "initiates repair by selecting the offending
-actions" (§2.1); the v1 surface exposed that as four ad-hoc blocking
-methods on :class:`~repro.warp.WarpSystem`.  This module is the
-declarative half of the v2 redesign:
+actions" (§2.1).  This module is the declarative half of that act — a
+spec names the actions, ``warp.repair.submit(spec)`` is the one way a
+repair starts:
 
 * a :class:`RepairSpec` hierarchy — :class:`PatchSpec`,
   :class:`CancelVisitSpec`, :class:`CancelClientSpec`, :class:`DbFixSpec`
@@ -19,7 +19,9 @@ declarative half of the v2 redesign:
   re-execution counts, and whether the clustering futility bailout would
   trip, computed **read-only** from the record store's
   :class:`~repro.store.recordstore.TouchIndex` — no repair generation is
-  created and nothing is mutated.
+  created and nothing is mutated;
+* :func:`spec_seed_runs` — which recorded runs a patch or cancel spec
+  damages, the one lookup the preview and the controller's staging share.
 
 Specs are *descriptions*, not handles: submit one via
 ``warp.repair.submit(spec)`` (:mod:`repro.repair.jobs`) to get an
@@ -52,6 +54,7 @@ __all__ = [
     "RepairBatch",
     "RepairPlan",
     "parse_spec",
+    "spec_seed_runs",
     "compute_plan",
 ]
 
@@ -404,17 +407,39 @@ class RepairPlan:
 _PLAN_KEY_SAMPLE = 16
 
 
+def spec_seed_runs(graph, spec: RepairSpec) -> List[int]:
+    """Ids of the recorded runs a patch or cancel spec damages directly,
+    read from the graph's indexes without mutating anything: the runs
+    that loaded the patched file (the patch itself is *not* applied), the
+    runs of a canceled visit and its descendants, every run of a canceled
+    client.  The one lookup both the preview (:func:`compute_plan`) and
+    the controller's staging (``repair_batch``) seed clustering from.  A
+    database fix damages partitions, not recorded runs, and is not
+    handled here."""
+    if isinstance(spec, PatchSpec):
+        return [
+            run.run_id for run in graph.runs_loading_file(spec.file, spec.apply_ts)
+        ]
+    if isinstance(spec, CancelVisitSpec):
+        return [
+            run.run_id
+            for visit_id in graph.visit_and_descendants(spec.client_id, spec.visit_id)
+            for run in graph.runs_of_visit(spec.client_id, visit_id)
+        ]
+    if isinstance(spec, CancelClientSpec):
+        return [run.run_id for run in graph.client_runs(spec.client_id)]
+    raise RepairError(f"cannot repair spec of kind {getattr(spec, 'kind', '?')!r}")
+
+
 def _spec_seeds(graph, ttdb, spec: RepairSpec):
     """Read-only seed extraction: (run_seeds, key_seed_groups) where each
     key seed group is (keys, full_tables, ts) for one db-fix statement.
 
-    Mirrors what the corresponding entry point damages, without mutating
-    anything: a patch's damaged runs come straight from the file index
-    (the patch itself is *not* applied), a cancelation's from the
-    visit/client indexes, and a database fix's partitions are derived
-    **symbolically** from the statement (WHERE-clause equality constraints
-    on partition columns; INSERT values) rather than by executing it —
-    an approximation of the keys the real fix's rollback would touch.
+    Run seeds come from :func:`spec_seed_runs`; a database fix's
+    partitions are derived **symbolically** from the statement
+    (WHERE-clause equality constraints on partition columns; INSERT
+    values) rather than by executing it — an approximation of the keys
+    the real fix's rollback would touch.
     """
     from repro.db.sql import ast
     from repro.db.sql.parser import parse
@@ -427,17 +452,6 @@ def _spec_seeds(graph, ttdb, spec: RepairSpec):
             member_runs, member_keys = _spec_seeds(graph, ttdb, member)
             run_seeds.extend(member_runs)
             key_groups.extend(member_keys)
-    elif isinstance(spec, PatchSpec):
-        run_seeds.extend(
-            run.run_id for run in graph.runs_loading_file(spec.file, spec.apply_ts)
-        )
-    elif isinstance(spec, CancelVisitSpec):
-        for visit_id in graph.visit_and_descendants(spec.client_id, spec.visit_id):
-            run_seeds.extend(
-                run.run_id for run in graph.runs_of_visit(spec.client_id, visit_id)
-            )
-    elif isinstance(spec, CancelClientSpec):
-        run_seeds.extend(run.run_id for run in graph.client_runs(spec.client_id))
     elif isinstance(spec, DbFixSpec):
         keys: List[Tuple[str, str, object]] = []
         full_tables: List[str] = []
@@ -470,7 +484,7 @@ def _spec_seeds(graph, ttdb, spec: RepairSpec):
                         keys.append((table, column, value))
         key_groups.append((sorted(set(keys), key=repr), sorted(set(full_tables)), spec.ts))
     else:
-        raise RepairError(f"cannot plan spec of kind {spec.kind!r}")
+        run_seeds.extend(spec_seed_runs(graph, spec))
     return run_seeds, key_groups
 
 

@@ -60,6 +60,13 @@ from repro.db.sql.parser import parse
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.server import HttpServer
+from repro.repair.api import (
+    CancelVisitSpec,
+    DbFixSpec,
+    PatchSpec,
+    RepairBatch,
+    spec_seed_runs,
+)
 from repro.repair.clusters import (
     ClusteringFutile,
     RepairGroup,
@@ -243,68 +250,10 @@ class RepairController:
 
     # ------------------------------------------------------------------ entry points
 
-    # The four v1 entry points are batches of one: staging, planning and
-    # processing live in repair_batch only, so "batch ≡ sequential" is
-    # structural — there is a single staging implementation to diverge
-    # from.  (The spec imports are deferred: repro.repair.api imports
-    # from this module.)
-
-    def retroactive_patch(
-        self, file: str, exports: Dict, apply_ts: int = 0
-    ) -> RepairResult:
-        """Apply a security patch to the past (paper §3.2)."""
-        from repro.repair.api import PatchSpec
-
-        return self.repair_batch(
-            [PatchSpec(file=file, exports=exports, apply_ts=apply_ts)]
-        )
-
-    def cancel_visit(
-        self,
-        client_id: str,
-        visit_id: int,
-        initiated_by_admin: bool = True,
-        allow_conflicts: bool = False,
-    ) -> RepairResult:
-        """Undo a past page visit (paper §5.5).
-
-        A regular user's undo aborts if it would create conflicts for
-        *other* users, unless it resolves a conflict already reported to
-        this user (``allow_conflicts``).
-        """
-        from repro.repair.api import CancelVisitSpec
-
-        return self.repair_batch(
-            [
-                CancelVisitSpec(
-                    client_id=client_id,
-                    visit_id=visit_id,
-                    initiated_by_admin=initiated_by_admin,
-                    allow_conflicts=allow_conflicts,
-                )
-            ]
-        )
-
-    def cancel_client(self, client_id: str) -> RepairResult:
-        """Undo *every* action of one client (paper §2: when credentials
-        were stolen, administrators can revert just the attacker's actions
-        if they can identify the attacker's browser/IP)."""
-        from repro.repair.api import CancelClientSpec
-
-        return self.repair_batch([CancelClientSpec(client_id=client_id)])
-
-    def retroactive_db_fix(
-        self, sql: str, params: Tuple[object, ...], ts: int
-    ) -> RepairResult:
-        """Retroactively fix past database state (paper §2: e.g. change the
-        password of a user whose credentials leaked, *as of* the leak time,
-        at the risk of undoing legitimate changes made with it)."""
-        from repro.repair.api import DbFixSpec
-
-        return self.repair_batch([DbFixSpec(sql=sql, params=tuple(params), ts=ts)])
-
     def repair_batch(self, specs) -> RepairResult:
-        """Repair N intrusions in **one** generation pass (Repair API v2).
+        """Run a repair: N intrusions in **one** generation pass.  The
+        only way a repair starts — ``warp.repair.submit(spec)`` ends here,
+        a single spec as a batch of one.
 
         The member specs' damage sets are unioned before cluster
         discovery, so one planning pass computes the taint components of
@@ -313,9 +262,10 @@ class RepairController:
         graph merges, and re-execute any action reached by several
         attacks once per attack.
 
-        Per-spec staging mirrors the dedicated entry points: patches are
-        applied and their damaged runs escalated, canceled visits/clients
-        have their runs undone, and database fixes execute with
+        Per-spec staging: patches are applied and their damaged runs
+        escalated, canceled visits/clients have their runs undone (both
+        seeded by :func:`repro.repair.api.spec_seed_runs`, the lookup
+        preview uses), and database fixes execute with
         propagation deferred (their footprint seeds clustering, one key
         group per statement).  A run both canceled and patched stays
         canceled.  If any cancel spec is a non-admin undo, the §5.5 guard
@@ -324,14 +274,6 @@ class RepairController:
         ``PatchSpec``s must arrive with ``exports`` materialized — the
         job manager resolves ``patch_name`` through its catalog first.
         """
-        from repro.repair.api import (
-            CancelClientSpec,
-            CancelVisitSpec,
-            DbFixSpec,
-            PatchSpec,
-            RepairBatch,
-        )
-
         flat = []
         for spec in specs:
             if isinstance(spec, RepairBatch):
@@ -360,45 +302,7 @@ class RepairController:
             deferred_all: List[Tuple[str, Set, int, bool]] = []
             undo_guards: Set[str] = set()
             for spec in flat:
-                if isinstance(spec, PatchSpec):
-                    if spec.exports is None:
-                        raise RepairError(
-                            f"PatchSpec for {spec.file!r} has no exports — "
-                            "resolve patch_name through the job manager's "
-                            "registered patch catalog before execution"
-                        )
-                    new_version = self.scripts.patch(spec.file, spec.exports)
-                    staged_patches.append((spec.file, new_version, spec.apply_ts))
-                    damaged = [
-                        run.run_id
-                        for run in self.graph.runs_loading_file(
-                            spec.file, spec.apply_ts
-                        )
-                    ]
-                    run_seeds.extend(damaged)
-                    escalate_runs.extend(damaged)
-                elif isinstance(spec, CancelVisitSpec):
-                    targets = self.graph.visit_and_descendants(
-                        spec.client_id, spec.visit_id
-                    )
-                    for target_id in targets:
-                        for run in self.graph.runs_of_visit(
-                            spec.client_id, target_id
-                        ):
-                            run_seeds.append(run.run_id)
-                            cancel_run_ids.append(run.run_id)
-                        cancel_visit_keys.append((spec.client_id, target_id))
-                    gate_clients.append(spec.client_id)
-                    if not spec.initiated_by_admin and not spec.allow_conflicts:
-                        undo_guards.add(spec.client_id)
-                elif isinstance(spec, CancelClientSpec):
-                    for run in self.graph.client_runs(spec.client_id):
-                        run_seeds.append(run.run_id)
-                        cancel_run_ids.append(run.run_id)
-                    for visit in self.graph.client_visits(spec.client_id):
-                        cancel_visit_keys.append((spec.client_id, visit.visit_id))
-                    gate_clients.append(spec.client_id)
-                elif isinstance(spec, DbFixSpec):
+                if isinstance(spec, DbFixSpec):
                     # Footprint known only after execution: run with
                     # propagation deferred, seed clustering from the
                     # collected keys, replay the notes post-planning.
@@ -426,10 +330,36 @@ class RepairController:
                         )
                     )
                     deferred_all.extend(deferred)
+                    continue
+                # Same lookup preview uses (RepairError on an unknown kind).
+                damaged = spec_seed_runs(self.graph, spec)
+                run_seeds.extend(damaged)
+                if isinstance(spec, PatchSpec):
+                    if spec.exports is None:
+                        raise RepairError(
+                            f"PatchSpec for {spec.file!r} has no exports — "
+                            "resolve patch_name through the job manager's "
+                            "registered patch catalog before execution"
+                        )
+                    new_version = self.scripts.patch(spec.file, spec.exports)
+                    staged_patches.append((spec.file, new_version, spec.apply_ts))
+                    escalate_runs.extend(damaged)
+                    continue
+                cancel_run_ids.extend(damaged)
+                gate_clients.append(spec.client_id)
+                if isinstance(spec, CancelVisitSpec):
+                    cancel_visit_keys.extend(
+                        (spec.client_id, target_id)
+                        for target_id in self.graph.visit_and_descendants(
+                            spec.client_id, spec.visit_id
+                        )
+                    )
+                    if not spec.initiated_by_admin and not spec.allow_conflicts:
+                        undo_guards.add(spec.client_id)
                 else:
-                    raise RepairError(
-                        f"cannot execute repair spec of kind "
-                        f"{getattr(spec, 'kind', '?')!r}"
+                    cancel_visit_keys.extend(
+                        (spec.client_id, visit.visit_id)
+                        for visit in self.graph.client_visits(spec.client_id)
                     )
             groups = self._plan_groups(
                 run_seeds=run_seeds, key_seed_groups=key_seed_groups

@@ -51,9 +51,6 @@ from repro.core.errors import (
 from repro.faults.plane import InjectedFault, SimulatedCrash
 from repro.http.message import HttpRequest, HttpResponse
 from repro.repair.api import (
-    CancelClientSpec,
-    CancelVisitSpec,
-    DbFixSpec,
     PatchSpec,
     RepairBatch,
     RepairPlan,
@@ -294,7 +291,7 @@ class RepairJobManager:
         """Validate ``spec`` and enqueue it; returns the observable job.
 
         The job executes asynchronously — ``submit(spec).result()`` is
-        the blocking v1-equivalent call.
+        the blocking call.
         """
         spec.validate()
         # Fail fast with full resolution semantics (unknown patch_name,
@@ -302,11 +299,11 @@ class RepairJobManager:
         # re-resolves against the catalog as of its own start time.
         self._resolve(spec)
         if threading.current_thread() is self._executing_thread:
-            # A v1 wrapper (or submit().result()) called from repair
-            # context — a step hook, event subscriber, or controller
-            # listener runs on this very worker thread.  The FIFO queue
-            # can never reach the nested job while its submitter blocks,
-            # so keep the v1 fail-fast instead of deadlocking.
+            # submit().result() called from repair context — a step hook,
+            # event subscriber, or controller listener runs on this very
+            # worker thread.  The FIFO queue can never reach the nested
+            # job while its submitter blocks, so fail fast instead of
+            # deadlocking.
             raise RepairError(
                 "cannot submit a repair from inside a running repair job "
                 "(a repair is already in progress)"
@@ -437,9 +434,7 @@ class RepairJobManager:
                 # SimulatedCrash is a BaseException by contract and sails
                 # past this handler to _drive's interrupted-job path.
                 controller = job._controller
-                if controller is not None and getattr(
-                    controller, "post_switch_failure", False
-                ):
+                if controller is not None and controller.post_switch_failure:
                     # The generation switch was already live when the fault
                     # fired (repair.finalized, gate-queue drain): the
                     # repaired state is committed and kept, so re-running
@@ -471,7 +466,7 @@ class RepairJobManager:
                 # unwound; retry unless the budget is spent or the admin
                 # asked for cancellation in the meantime.
                 attempts += 1
-                limit = getattr(self._warp, "repair_retry_limit", 0)
+                limit = self._warp.repair_retry_limit
                 if attempts <= limit and not job._cancel_requested:
                     job._on_event(
                         "retrying",
@@ -499,38 +494,15 @@ class RepairJobManager:
             pass
 
     def _execute(self, job: RepairJob) -> RepairResult:
-        warp = self._warp
         spec = self._resolve(job.spec)
-        controller = warp._controller()
+        controller = self._warp._controller()
         controller.listeners.append(job._on_event)
         with job._lock:
             job._controller = controller
             job._stats = controller.stats
             if job._cancel_requested:
                 controller.cancel_requested = True
-        if isinstance(spec, RepairBatch):
-            result = controller.repair_batch(spec.specs)
-        elif isinstance(spec, PatchSpec):
-            result = controller.retroactive_patch(
-                spec.file, spec.exports, spec.apply_ts
-            )
-        elif isinstance(spec, CancelVisitSpec):
-            result = controller.cancel_visit(
-                spec.client_id,
-                spec.visit_id,
-                spec.initiated_by_admin,
-                spec.allow_conflicts,
-            )
-        elif isinstance(spec, CancelClientSpec):
-            result = controller.cancel_client(spec.client_id)
-        elif isinstance(spec, DbFixSpec):
-            result = controller.retroactive_db_fix(
-                spec.sql, tuple(spec.params), spec.ts
-            )
-        else:
-            raise RepairError(f"cannot execute spec of kind {spec.kind!r}")
-        warp.last_repair = result
-        return result
+        return controller.repair_batch([spec])
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +591,13 @@ class AdminApi:
 
     def _route(self, request: HttpRequest, tail: str) -> HttpResponse:
         manager = self._manager
-        health = getattr(manager._warp, "health", None)
+        health = manager._warp.health
         if tail == "/health":
             if request.method != "GET":
                 return _error(405, "health is GET")
-            if health is None:
-                return _error(404, "no health monitor on this deployment")
             doc = health.to_dict()
             return _json_response(doc, 200 if doc["mode"] == "normal" else 503)
-        if (
-            request.method == "POST"
-            and health is not None
-            and not tail.endswith("/cancel")
-        ):
+        if request.method == "POST" and not tail.endswith("/cancel"):
             # Probe-on-write, same as the serving path: a cleared fault
             # heals here instead of bouncing the operator.
             health.try_heal()
@@ -666,6 +632,8 @@ class AdminApi:
             plan = manager.preview(self._spec_from(request))
             return _json_response(plan.to_dict())
         if tail == "/conflicts":
+            if request.method != "GET":
+                return _error(405, "conflicts listing is GET")
             conflicts = manager._warp.conflicts
             return _json_response(
                 {"pending": [c.to_dict() for c in conflicts.pending()]}
@@ -753,6 +721,8 @@ class AdminApi:
                     return _error(405, "job status is GET")
                 return _json_response(job.to_dict())
             if action == "preview":
+                if request.method != "GET":
+                    return _error(405, "job preview is GET")
                 return _json_response(manager.preview(job.spec).to_dict())
             if action == "cancel":
                 if request.method != "POST":

@@ -271,8 +271,6 @@ class RecordStore:
         else:
             self._touch_lock = threading.RLock()
             self._qindex_lock = threading.RLock()
-        # Legacy alias (pre-stripe code and tests reach for ``_lock``).
-        self._lock = self._records_lock
 
         self.wal = wal
         #: Size-triggered rotation: when the WAL grows past ``rotate_bytes``
@@ -1047,7 +1045,7 @@ class RecordStore:
         are derived state and are rebuilt on load).  This is the view
         tests and tools compare; :meth:`commit_snapshot` persists the same
         content without ever building it."""
-        with self._lock:
+        with self._records_lock:
             snapshot = {
                 "runs": [self.runs[run_id].to_dict() for run_id in self._run_order],
                 "visits": [visit.to_dict() for visit in self.visits.values()],

@@ -13,18 +13,16 @@ This is the public API a downstream user programs against::
     alice = warp.client("alice-laptop")
     alice.open("http://wiki.test/index.php?title=Main_Page")
     ...
-    # Repair API v2 (see API.md): declarative specs, async jobs,
+    # Repair API (see API.md): declarative specs, async jobs,
     # dry-run previews, batched multi-intrusion repair.
     plan = warp.repair.preview(PatchSpec("login.php", exports=patched))
     job = warp.repair.submit(PatchSpec("login.php", exports=patched))
     result = job.result()
 
-The four v1 entry points (``retroactive_patch``, ``cancel_visit``,
-``cancel_client``, ``retroactive_db_fix``) remain as deprecated blocking
-wrappers over ``warp.repair.submit(spec).result()``.  The full v2
-surface — spec JSON, job lifecycle, progress events, the
-``/warp/admin/repair`` HTTP endpoints, and the deprecation policy — is
-documented in API.md.
+``warp.repair.submit(spec)`` is the only way a repair starts
+(``.result()`` blocks for the outcome).  The full surface — spec JSON,
+job lifecycle, progress events and the ``/warp/admin/repair`` HTTP
+endpoints — is documented in API.md.
 """
 
 from __future__ import annotations
@@ -51,12 +49,7 @@ from repro.faults.health import HealthMonitor
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
-from repro.repair.api import (
-    CancelClientSpec,
-    CancelVisitSpec,
-    DbFixSpec,
-    PatchSpec,
-)
+from repro.repair.api import CancelVisitSpec
 from repro.repair.controller import RepairController, RepairResult
 from repro.repair.gate import RepairGate
 from repro.repair.jobs import RepairJobManager
@@ -78,8 +71,6 @@ class WarpSystem:
         replay_config: Optional[ReplayConfig] = None,
         wal_path: Optional[str] = None,
         cluster_mode: str = "sequential",
-        online_gate: bool = False,
-        gate_policy: str = "partition",
         admin_token: Optional[str] = None,
         durability: Optional[str] = None,
         wal_flush_interval: float = 0.002,
@@ -188,7 +179,6 @@ class WarpSystem:
         if wal_rotate_bytes is not None:
             self._arm_rotation(wal_path)
         self.replay_config = replay_config if replay_config is not None else ReplayConfig()
-        self.last_repair: Optional[RepairResult] = None
         #: Repair API v2 (see API.md): ``warp.repair.submit(spec)`` /
         #: ``preview(spec)`` / ``register_patch(...)``; also the backing
         #: for the ``/warp/admin/repair`` HTTP endpoints.
@@ -219,8 +209,6 @@ class WarpSystem:
         #: when this system is one shard of a multi-process deployment.
         self.shard_id: Optional[int] = None
         self.shard_snapshot_path: Optional[str] = None
-        if online_gate:
-            self.enable_online_repair(policy=gate_policy)
 
     def _wire_wal_health(self) -> None:
         """Point the store's current WAL at the health monitor.  Called at
@@ -357,62 +345,6 @@ class WarpSystem:
         controller.cluster_mode = self.cluster_mode
         controller.faults = self.faults
         return controller
-
-    def retroactive_patch(
-        self, file: str, exports: Dict, apply_ts: int = 0
-    ) -> RepairResult:
-        """Retroactively apply a security patch (paper §3).
-
-        .. deprecated:: Repair API v2 — equivalent blocking wrapper over
-           ``warp.repair.submit(PatchSpec(file, exports=...)).result()``;
-           prefer the spec form, which adds previews, progress, and
-           batching (see API.md).
-        """
-        return self.repair.submit(
-            PatchSpec(file=file, exports=exports, apply_ts=apply_ts)
-        ).result()
-
-    def cancel_visit(
-        self,
-        client_id: str,
-        visit_id: int,
-        initiated_by_admin: bool = True,
-        allow_conflicts: bool = False,
-    ) -> RepairResult:
-        """Undo a past page visit (paper §5.5).
-
-        .. deprecated:: Repair API v2 — equivalent blocking wrapper over
-           ``warp.repair.submit(CancelVisitSpec(...)).result()``.
-        """
-        return self.repair.submit(
-            CancelVisitSpec(
-                client_id=client_id,
-                visit_id=visit_id,
-                initiated_by_admin=initiated_by_admin,
-                allow_conflicts=allow_conflicts,
-            )
-        ).result()
-
-    def cancel_client(self, client_id: str) -> RepairResult:
-        """Undo every recorded action of one client (paper §2).
-
-        .. deprecated:: Repair API v2 — equivalent blocking wrapper over
-           ``warp.repair.submit(CancelClientSpec(client_id)).result()``.
-        """
-        return self.repair.submit(CancelClientSpec(client_id=client_id)).result()
-
-    def retroactive_db_fix(
-        self, sql: str, params: tuple, ts: int
-    ) -> RepairResult:
-        """Fix past database state (e.g. retroactively change a leaked
-        password) and repair everything that depended on it (paper §2).
-
-        .. deprecated:: Repair API v2 — equivalent blocking wrapper over
-           ``warp.repair.submit(DbFixSpec(sql, params, ts)).result()``.
-        """
-        return self.repair.submit(
-            DbFixSpec(sql=sql, params=tuple(params), ts=ts)
-        ).result()
 
     # -- durability ---------------------------------------------------------------
 
@@ -763,12 +695,14 @@ class WarpSystem:
 
         Allowed to cascade conflicts to other users because it resolves a
         conflict already reported to this user (§5.5)."""
-        result = self.cancel_visit(
-            conflict.client_id,
-            conflict.visit_id,
-            initiated_by_admin=False,
-            allow_conflicts=True,
-        )
+        result = self.repair.submit(
+            CancelVisitSpec(
+                conflict.client_id,
+                conflict.visit_id,
+                initiated_by_admin=False,
+                allow_conflicts=True,
+            )
+        ).result()
         # Canceling the visit moots every conflict queued against it, even
         # ones different repairs reported for the same visit.
         self.conflicts.resolve_visit(conflict.client_id, conflict.visit_id)

@@ -20,6 +20,7 @@ from repro.apps.drupal.app import DrupalApp, make_node_edit, make_vote
 from repro.apps.gallery.app import GalleryApp, make_perm_edit, make_resize
 from repro.baselines.taint import TaintAnalysis, TaintReport
 from repro.http.message import build_url
+from repro.repair.api import PatchSpec
 from repro.warp import WarpSystem
 
 Row = Tuple[str, int]
@@ -55,7 +56,9 @@ class CorruptionOutcome:
         return analysis.analyze(self.buggy_run_ids, self.corrupted)
 
     def warp_repair(self):
-        return self.warp.retroactive_patch(self.patch_file, self.patch_exports)
+        return self.warp.repair.submit(
+            PatchSpec(self.patch_file, exports=self.patch_exports)
+        ).result()
 
 
 def run_corruption_scenario(

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 from repro.apps.wiki import WikiApp, patch_for
 from repro.browser.browser import Browser
 from repro.http.message import HttpResponse, build_url
+from repro.repair.api import CancelClientSpec, CancelVisitSpec, PatchSpec
 from repro.repair.replay import ReplayConfig
 from repro.warp import WarpSystem
 
@@ -129,7 +130,9 @@ class WikiDeployment:
 
     def patch(self, attack_type: str):
         spec = patch_for(attack_type)
-        return self.warp.retroactive_patch(spec.file, spec.build())
+        return self.warp.repair.submit(
+            PatchSpec(spec.file, exports=spec.build())
+        ).result()
 
 
 @dataclass
@@ -159,9 +162,9 @@ class ScenarioOutcome:
 
     def repair(self):
         if self.attack_type == "acl-error":
-            return self.warp.cancel_visit(
-                self.admin_client, self.acl_grant_visit, initiated_by_admin=True
-            )
+            return self.warp.repair.submit(
+                CancelVisitSpec(self.admin_client, self.acl_grant_visit)
+            ).result()
         return self.deployment.patch(self.attack_type)
 
 
@@ -268,7 +271,9 @@ class MultiTenantOutcome:
 
     def repair(self):
         """Undo every action of the attacker's browser (paper §2)."""
-        return self.warp.cancel_client(self.attacker_client)
+        return self.warp.repair.submit(
+            CancelClientSpec(self.attacker_client)
+        ).result()
 
     def repair_by_patch(self):
         """Re-register edit.php unchanged as a retroactive 'patch': every
@@ -276,7 +281,9 @@ class MultiTenantOutcome:
         repair group per tenant."""
         from repro.apps.wiki.pages import make_edit
 
-        return self.warp.retroactive_patch("edit.php", make_edit())
+        return self.warp.repair.submit(
+            PatchSpec("edit.php", exports=make_edit())
+        ).result()
 
 
 def run_multi_tenant_scenario(

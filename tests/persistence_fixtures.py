@@ -20,6 +20,7 @@ from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
 from repro.http.message import HttpRequest, HttpResponse
+from repro.repair.api import PatchSpec
 from repro.store.recordstore import RecordStore
 from repro.store.wal import RecordWal
 from repro.ttdb.partitions import ReadSet
@@ -148,7 +149,9 @@ def format1_workload(wal_path=None):
 def repair_counters(warp) -> dict:
     """Retroactively patch common.php (every run loaded it) and return
     the RepairStats counters."""
-    result = warp.retroactive_patch("common.php", make_common(send_frame_options=True))
+    result = warp.repair.submit(
+        PatchSpec("common.php", exports=make_common(send_frame_options=True))
+    ).result()
     return {name: getattr(result.stats, name) for name in COUNTERS}
 
 

@@ -5,6 +5,7 @@ fixes (§2)."""
 import pytest
 
 from repro.ahg.records import VisitRecord
+from repro.repair.api import CancelClientSpec, DbFixSpec
 from repro.repair.replay import ReplayConfig
 from repro.workload.scenarios import WIKI, WikiDeployment
 
@@ -104,7 +105,9 @@ class TestCancelClient:
         deployment.login(user)
         deployment.append_to_page(user, f"{user}_notes", "\nlegit")
 
-        result = deployment.warp.cancel_client(deployment.client_id("attacker"))
+        result = deployment.warp.repair.submit(
+            CancelClientSpec(deployment.client_id("attacker"))
+        ).result()
         assert result.ok
         assert "spam one" not in deployment.wiki.page_text("Main_Page")
         assert "spam two" not in deployment.wiki.page_text("Projects")
@@ -132,11 +135,13 @@ class TestRetroactiveDbFix:
         assert deployment.wiki.page_text("Main_Page") == "stolen-credentials vandalism"
 
         # Retroactively rotate the password as of the leak time.
-        result = warp.retroactive_db_fix(
-            "UPDATE users SET password = ? WHERE name = ?",
-            ("rotated-password", "user1"),
-            ts=leak_ts + 1,
-        )
+        result = warp.repair.submit(
+            DbFixSpec(
+                "UPDATE users SET password = ? WHERE name = ?",
+                ("rotated-password", "user1"),
+                ts=leak_ts + 1,
+            )
+        ).result()
         assert result.ok
         # The thief's login re-executes with the rotated password, fails,
         # and the vandalism unravels.

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.http.message import HttpRequest
+from repro.repair.api import CancelClientSpec
 from repro.repair.gate import RepairGate
 from repro.workload.loadgen import LoadClient, LoadGen, make_load_clients
 from repro.workload.scenarios import run_multi_tenant_scenario
@@ -96,7 +97,7 @@ class TestGateClassification:
 
         controller = warp._controller()
         controller.step_hook = hook
-        result = controller.cancel_client(outcome.attacker_client)
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok
         assert statuses and all(status == 200 for status in statuses)
         assert result.stats.gate["served"] >= len(statuses)
@@ -118,7 +119,7 @@ class TestGateClassification:
 
         controller = warp._controller()
         controller.step_hook = hook
-        result = controller.cancel_client(outcome.attacker_client)
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok and tickets
         # Re-applied exactly once, after the switch, onto the repaired text.
         text = outcome.wiki.page_text(pages[0])
@@ -165,7 +166,7 @@ class TestGateClassification:
 
         controller = warp._controller()
         controller.step_hook = hook
-        result = controller.cancel_client(outcome.attacker_client)
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok, "a raising queued script must not wedge finalize"
         boom_response = gate.response_for(tickets[0])
         assert boom_response.status == 500
@@ -191,12 +192,12 @@ class TestGateClassification:
 
         controller = warp._controller()
         controller.step_hook = hook
-        first = controller.cancel_client(outcome.attacker_client)
+        first = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert first.ok and first.stats.gate["served"] > 0
 
         # Second repair: a quiet one (no traffic at all).
         victim = outcome.tenant_users[1][0]
-        second = warp.cancel_client(f"{victim}-browser")
+        second = warp.repair.submit(CancelClientSpec(f"{victim}-browser")).result()
         assert second.ok
         assert second.stats.gate == {
             "served": 0,
@@ -220,7 +221,7 @@ class TestGateClassification:
 
         controller = warp._controller()
         controller.step_hook = hook
-        result = controller.cancel_client(outcome.attacker_client)
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok
         assert statuses and all(status == 202 for status in statuses)
         assert result.stats.gate["served"] == 0
@@ -392,7 +393,7 @@ def _online_run(seed, **warp_kwargs):
     schedule = CoopSchedule(seed * 17 + 3, ops, clients)
     controller = warp._controller()
     controller.step_hook = schedule.hook
-    result = controller.cancel_client(outcome.attacker_client)
+    result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
     schedule.drain()
     responses = {}
     for op in schedule.served:
@@ -407,7 +408,9 @@ def _online_run(seed, **warp_kwargs):
 
 def _reference_run(seed, shape, serialization):
     outcome, clients, cookies, pages, names = _stage(seed, **shape)
-    result = outcome.warp.cancel_client(outcome.attacker_client)
+    result = outcome.warp.repair.submit(
+        CancelClientSpec(outcome.attacker_client)
+    ).result()
     responses = {}
     for op in serialization:
         response = clients[op.client_name].send(op.request.copy())
@@ -513,7 +516,7 @@ class TestThreadStress:
         loader = threading.Thread(target=drive)
         loader.start()
         time.sleep(0.03)
-        result = warp.cancel_client(outcome.attacker_client)
+        result = warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
         stop.set()
         loader.join()
         stats = box["stats"]

@@ -1,7 +1,7 @@
 """Durability: a persisted WarpSystem keeps its repair capability.
 
 The acceptance bar (ISSUE 1): a deployment saved to disk and reloaded in
-a *fresh process* must run ``retroactive_patch`` and produce the same
+a *fresh process* must run a retroactive patch and produce the same
 ``RepairStats`` counters as the original in-memory instance.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
+from repro.repair.api import CancelClientSpec, CancelVisitSpec, PatchSpec
 from repro.store.snapshot import read_snapshot_header
 from repro.warp import WarpSystem
 
@@ -68,11 +69,14 @@ import json, sys
 from repro.warp import WarpSystem
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
+from repro.repair.api import PatchSpec
 
 warp = WarpSystem.load(sys.argv[1])
 wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
 wiki.register_code()
-result = warp.retroactive_patch("common.php", make_common(send_frame_options=True))
+result = warp.repair.submit(
+    PatchSpec("common.php", exports=make_common(send_frame_options=True))
+).result()
 names = %r
 print(json.dumps({name: getattr(result.stats, name) for name in names}))
 """ % (COUNTERS,)
@@ -84,9 +88,9 @@ class TestWarpSystemPersistence:
         path = str(tmp_path / "warp.json")
         warp.save(path)
 
-        original = warp.retroactive_patch(
-            "common.php", make_common(send_frame_options=True)
-        )
+        original = warp.repair.submit(
+            PatchSpec("common.php", exports=make_common(send_frame_options=True))
+        ).result()
         assert original.ok
 
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -108,12 +112,12 @@ class TestWarpSystemPersistence:
         wiki2 = WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server)
         wiki2.register_code()
 
-        original = warp.retroactive_patch(
-            "common.php", make_common(send_frame_options=True)
-        )
-        again = reloaded.retroactive_patch(
-            "common.php", make_common(send_frame_options=True)
-        )
+        original = warp.repair.submit(
+            PatchSpec("common.php", exports=make_common(send_frame_options=True))
+        ).result()
+        again = reloaded.repair.submit(
+            PatchSpec("common.php", exports=make_common(send_frame_options=True))
+        ).result()
         assert counters(again) == counters(original)
         # The repaired database state matches too.
         assert wiki2.page_text("Home") == "welcome, edited by alice"
@@ -175,7 +179,7 @@ class TestWarpSystemPersistence:
     def test_wal_preserves_cancellations(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
-        result = warp.cancel_visit("bob-desktop", 1)
+        result = warp.repair.submit(CancelVisitSpec("bob-desktop", 1)).result()
         assert result.ok and result.stats.runs_canceled > 0
 
         from repro.store.recordstore import RecordStore
@@ -214,9 +218,9 @@ class TestWarpSystemPersistence:
         from repro.core.errors import RepairError
 
         warp, _ = build_workload()
-        assert warp.retroactive_patch(
-            "common.php", make_common(send_frame_options=True)
-        ).ok
+        assert warp.repair.submit(
+            PatchSpec("common.php", exports=make_common(send_frame_options=True))
+        ).result().ok
         p1 = str(tmp_path / "one.json")
         warp.save(p1)
 
@@ -227,7 +231,7 @@ class TestWarpSystemPersistence:
         final = WarpSystem.load(p2)
         WikiApp(final.ttdb, final.scripts, final.server).register_code()
         with pytest.raises(RepairError, match="re-apply"):
-            final.cancel_client("bob-desktop")
+            final.repair.submit(CancelClientSpec("bob-desktop")).result()
 
     def test_conflicts_and_cookie_invalidation_survive_reload(self, tmp_path):
         from repro.repair.conflicts import Conflict
@@ -408,7 +412,7 @@ class TestWarpSystemPersistence:
         )
         controller = warp._controller()
         controller.step_hook = hook
-        result = controller.cancel_client(attacker.client_id)
+        result = controller.repair_batch([CancelClientSpec(attacker.client_id)])
         assert result.ok and queued_tickets
         assert warp.graph.store.pending_gate_queue  # journaled, undrained
         monkeypatch.undo()
@@ -420,7 +424,7 @@ class TestWarpSystemPersistence:
         assert [ticket for ticket, _ in recovered] == queued_tickets
         # The database is only as fresh as the snapshot: re-run the repair,
         # then re-apply the recovered queue exactly once.
-        assert reloaded.cancel_client(attacker.client_id).ok
+        assert reloaded.repair.submit(CancelClientSpec(attacker.client_id)).result().ok
         responses = reloaded.reapply_recovered_requests()
         assert responses[queued_tickets[0]].status == 200
         text = WikiApp(
@@ -481,7 +485,7 @@ class TestWarpSystemPersistence:
         )
         controller = warp._controller()
         controller.step_hook = hook
-        assert controller.cancel_client(attacker.client_id).ok
+        assert controller.repair_batch([CancelClientSpec(attacker.client_id)]).ok
         assert queued_tickets
         assert warp.graph.store.pending_gate_queue
         monkeypatch.undo()
@@ -517,17 +521,17 @@ class TestWarpSystemPersistence:
         reloaded = WarpSystem.load(path)
         # No register_code(): repairing would re-execute with missing code.
         with pytest.raises(RepairError, match="missing"):
-            reloaded.retroactive_patch(
-                "common.php", make_common(send_frame_options=True)
-            )
+            reloaded.repair.submit(
+                PatchSpec("common.php", exports=make_common(send_frame_options=True))
+            ).result()
 
     def test_repair_refuses_stale_script_versions_after_load(self, tmp_path):
         from repro.core.errors import RepairError
 
         warp, _ = build_workload()
-        patched = warp.retroactive_patch(
-            "common.php", make_common(send_frame_options=True)
-        )
+        patched = warp.repair.submit(
+            PatchSpec("common.php", exports=make_common(send_frame_options=True))
+        ).result()
         assert patched.ok
         path = str(tmp_path / "warp.json")
         warp.save(path)
@@ -536,7 +540,7 @@ class TestWarpSystemPersistence:
         wiki2 = WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server)
         wiki2.register_code()  # baseline code only: common.php back at v0
         with pytest.raises(RepairError, match="re-apply"):
-            reloaded.cancel_client("bob-desktop")
+            reloaded.repair.submit(CancelClientSpec("bob-desktop")).result()
         # Re-applying the pre-save patch restores repair capability.
         reloaded.scripts.patch("common.php", make_common(send_frame_options=True))
-        assert reloaded.cancel_client("bob-desktop").ok
+        assert reloaded.repair.submit(CancelClientSpec("bob-desktop")).result().ok

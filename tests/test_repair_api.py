@@ -4,11 +4,6 @@ surface.
 Acceptance coverage (ISSUE 5):
 
 * spec JSON round-trip for every kind, including nested batches;
-* the legacy entry points are *equivalent wrappers*: over ≥10 seeded
-  scenarios, ``warp.retroactive_patch(...)`` ≡
-  ``warp.repair.submit(PatchSpec(...)).result()`` on RepairStats
-  counters, canonically renumbered graph records, and the final version
-  store (and likewise for the other three entry points);
 * ``preview()`` provably mutates nothing — version-store and graph dumps
   are byte-identical before/after;
 * a ``RepairBatch`` of a multi-intrusion attack set re-executes each
@@ -47,25 +42,7 @@ from repro.workload.scenarios import (
     run_scenario,
 )
 
-from test_online_repair import _canonical_db, _canonical_graph
-
-COUNTERS = (
-    "visits_reexecuted",
-    "runs_reexecuted",
-    "runs_pruned",
-    "runs_canceled",
-    "queries_reexecuted",
-    "nondet_misses",
-    "conflicts",
-    "total_visits",
-    "total_runs",
-    "total_queries",
-)
-
-
-def counters(result):
-    return {name: getattr(result.stats, name) for name in COUNTERS}
-
+from test_online_repair import _canonical_db
 
 def dumps(warp):
     """Byte-comparable dumps of the version store and the graph."""
@@ -128,119 +105,6 @@ class TestSpecSerialization:
     def test_empty_batch_rejected(self):
         with pytest.raises(RepairError):
             RepairBatch(specs=[]).validate()
-
-
-# ---------------------------------------------------------------------------
-# legacy entry points are equivalent wrappers (acceptance: ≥10 scenarios)
-# ---------------------------------------------------------------------------
-
-#: (scenario kind, attack/seed) — 11 seeded scenarios across all four
-#: legacy entry points.
-EQUIVALENCE_CASES = [
-    ("patch", "stored-xss", 0),
-    ("patch", "stored-xss", 1),
-    ("patch", "reflected-xss", 2),
-    ("patch", "sql-injection", 3),
-    ("patch", "clickjacking", 4),
-    ("patch", "csrf", 5),
-    ("cancel_visit", "acl-error", 6),
-    ("cancel_client", None, 7),
-    ("cancel_client", None, 8),
-    ("db_fix", None, 9),
-    ("db_fix", None, 10),
-]
-
-
-def _stage_pair(kind, attack, seed):
-    """Two identically staged deployments and the (legacy, v2) runners."""
-    if kind in ("patch", "cancel_visit"):
-        a = run_scenario(attack, n_users=5, n_victims=2, seed=seed)
-        b = run_scenario(attack, n_users=5, n_victims=2, seed=seed)
-        if kind == "patch":
-            spec_info = patch_for(attack)
-
-            def legacy(outcome):
-                return outcome.warp.retroactive_patch(
-                    spec_info.file, spec_info.build()
-                )
-
-            def v2(outcome):
-                return outcome.warp.repair.submit(
-                    PatchSpec(file=spec_info.file, exports=spec_info.build())
-                ).result()
-
-        else:
-
-            def legacy(outcome):
-                return outcome.warp.cancel_visit(
-                    outcome.admin_client,
-                    outcome.acl_grant_visit,
-                    initiated_by_admin=True,
-                )
-
-            def v2(outcome):
-                return outcome.warp.repair.submit(
-                    CancelVisitSpec(
-                        client_id=outcome.admin_client,
-                        visit_id=outcome.acl_grant_visit,
-                    )
-                ).result()
-
-        return a, b, legacy, v2
-    a = run_multi_tenant_scenario(
-        n_tenants=3, users_per_tenant=2, attacked_tenants=1, seed=seed
-    )
-    b = run_multi_tenant_scenario(
-        n_tenants=3, users_per_tenant=2, attacked_tenants=1, seed=seed
-    )
-    if kind == "cancel_client":
-
-        def legacy(outcome):
-            return outcome.warp.cancel_client(outcome.attacker_client)
-
-        def v2(outcome):
-            return outcome.warp.repair.submit(
-                CancelClientSpec(client_id=outcome.attacker_client)
-            ).result()
-
-        return a, b, legacy, v2
-
-    page = a.tenant_page(0)
-    fix_sql = "UPDATE pagecontent SET old_text = ? WHERE title = ?"
-    fix_params = ("rewritten from the past", page)
-    fix_ts = 5
-
-    def legacy(outcome):
-        return outcome.warp.retroactive_db_fix(fix_sql, fix_params, fix_ts)
-
-    def v2(outcome):
-        return outcome.warp.repair.submit(
-            DbFixSpec(sql=fix_sql, params=fix_params, ts=fix_ts)
-        ).result()
-
-    return a, b, legacy, v2
-
-
-class TestLegacyWrapperEquivalence:
-    @pytest.mark.parametrize("kind,attack,seed", EQUIVALENCE_CASES)
-    def test_wrapper_equals_submit(self, kind, attack, seed):
-        a, b, legacy, v2 = _stage_pair(kind, attack, seed)
-        result_legacy = legacy(a)
-        result_v2 = v2(b)
-        assert counters(result_legacy) == counters(result_v2)
-        assert result_legacy.ok == result_v2.ok
-        assert _canonical_graph(a.warp.graph) == _canonical_graph(b.warp.graph)
-        assert _canonical_db(a.warp) == _canonical_db(b.warp)
-
-    def test_wrapper_propagates_failures(self):
-        warp = WarpSystem(enabled=False)
-        with pytest.raises(RepairError):
-            warp.retroactive_patch("x.php", {"handle": lambda ctx: None})
-
-    def test_wrapper_sets_last_repair(self):
-        outcome = run_scenario("stored-xss", n_users=4, n_victims=1)
-        result = outcome.repair()
-        assert outcome.warp.last_repair is result
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +203,7 @@ class TestPreview:
         )
         warp = outcome.warp
         plan = warp.repair.preview(CancelClientSpec(outcome.attacker_client))
-        result = warp.cancel_client(outcome.attacker_client)
+        result = warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
         touched = (
             result.stats.runs_reexecuted
             + result.stats.runs_pruned
@@ -396,10 +260,12 @@ class TestRepairBatch:
 
         # -- sequential reference: patch, then cancel the defacement.
         ref, ref_visit, witness = _stage_two_intrusions(seed)
-        assert ref.warp.retroactive_patch(spec_info.file, spec_info.build()).ok
-        assert ref.warp.cancel_visit(
-            ref.deployment.client_id("attacker"), ref_visit
-        ).ok
+        assert ref.warp.repair.submit(
+            PatchSpec(spec_info.file, exports=spec_info.build())
+        ).result().ok
+        assert ref.warp.repair.submit(
+            CancelVisitSpec(ref.deployment.client_id("attacker"), ref_visit)
+        ).result().ok
         assert ref.warp.ttdb.current_gen == 2
 
         # -- batch: both intrusions in one pass, with re-execution counted
@@ -450,10 +316,12 @@ class TestRepairBatch:
         (overlapping actions re-execute once instead of once per attack)."""
         spec_info = patch_for("stored-xss")
         ref, ref_visit, _ = _stage_two_intrusions(21)
-        first = ref.warp.retroactive_patch(spec_info.file, spec_info.build())
-        second = ref.warp.cancel_visit(
-            ref.deployment.client_id("attacker"), ref_visit
-        )
+        first = ref.warp.repair.submit(
+            PatchSpec(spec_info.file, exports=spec_info.build())
+        ).result()
+        second = ref.warp.repair.submit(
+            CancelVisitSpec(ref.deployment.client_id("attacker"), ref_visit)
+        ).result()
         sequential_total = (
             first.stats.runs_reexecuted
             + first.stats.visits_reexecuted
@@ -558,29 +426,34 @@ class TestRepairBatch:
             outcome.warp.repair.submit(RepairBatch(specs=[]))
 
     def test_nested_submit_from_repair_context_fails_fast(self):
-        """Regression: a v1 wrapper called from a step hook / listener on
-        the job's worker thread must raise (the v1 fail-fast), never
-        deadlock on the FIFO queue."""
+        """Regression: ``submit(...).result()`` called from a step hook on
+        the job's worker thread must raise, never deadlock on the FIFO
+        queue."""
         outcome = run_scenario("stored-xss", n_users=4, n_victims=1, seed=14)
         warp = outcome.warp
         spec_info = patch_for("stored-xss")
         nested_error = []
-        job = warp.repair.submit(
-            PatchSpec(file=spec_info.file, exports=spec_info.build())
-        )
 
-        def on_event(event, payload):
-            if event == "groups_planned" and not nested_error:
+        def nested_submit():
+            if not nested_error:
                 try:
-                    warp.cancel_client("nobody-browser")
+                    warp.repair.submit(CancelClientSpec("nobody-browser")).result()
                 except RepairError as exc:
                     nested_error.append(exc)
 
-        job.subscribe(on_event)
-        result = job.result(timeout=30)
+        make_controller = warp._controller
+
+        def hooked_controller():
+            controller = make_controller()
+            controller.step_hook = nested_submit
+            return controller
+
+        warp._controller = hooked_controller
+        result = warp.repair.submit(
+            PatchSpec(file=spec_info.file, exports=spec_info.build())
+        ).result(timeout=30)
         assert result.ok
-        if nested_error:  # listener may race the worker past planning
-            assert "already in progress" in str(nested_error[0])
+        assert "already in progress" in str(nested_error[0])
 
     def test_aborted_batch_reverts_staged_patch(self):
         """Regression: an aborted batch (§5.5 guard) must leave no
@@ -619,7 +492,9 @@ class TestRepairBatch:
         assert len(warp.graph.patches) == patches_before
         # The rollback is complete: a later admin repair starts from a
         # clean slate (no stale version, no orphaned record) and works.
-        redo = warp.retroactive_patch(spec_info.file, spec_info.build())
+        redo = warp.repair.submit(
+            PatchSpec(spec_info.file, exports=spec_info.build())
+        ).result()
         assert redo.ok
         assert warp.scripts.version(spec_info.file) == version_before + 1
         assert len(warp.graph.patches) == patches_before + 1
@@ -664,7 +539,9 @@ class TestRepairBatch:
         assert not warp.server.repair_active
         # Retry with the real patch succeeds.
         spec_info = patch_for("stored-xss")
-        assert warp.retroactive_patch(spec_info.file, spec_info.build()).ok
+        assert warp.repair.submit(
+            PatchSpec(spec_info.file, exports=spec_info.build())
+        ).result().ok
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +550,14 @@ class TestRepairBatch:
 
 
 class TestRepairJobs:
+    def test_submit_result_raises_when_recording_disabled(self):
+        """The job's failure reaches the blocking caller."""
+        warp = WarpSystem(enabled=False)
+        with pytest.raises(RepairError):
+            warp.repair.submit(
+                PatchSpec("x.php", exports={"handle": lambda ctx: None})
+            ).result()
+
     def test_job_lifecycle_and_events(self):
         outcome = run_scenario("stored-xss", n_users=4, n_victims=1, seed=2)
         spec_info = patch_for("stored-xss")
@@ -763,7 +648,9 @@ class TestRepairJobs:
             assert warp.ttdb.current_gen == 0  # generation discarded
             assert not warp.server.repair_active
             # The attack is still there; a fresh repair succeeds.
-            result = warp.retroactive_patch(spec_info.file, spec_info.build())
+            result = warp.repair.submit(
+                PatchSpec(spec_info.file, exports=spec_info.build())
+            ).result()
             assert result.ok
             assert warp.ttdb.current_gen == 1
         else:
@@ -1028,6 +915,11 @@ class TestAdminHttpSurface:
             == 400
         )
         assert _admin(warp, "PUT", "/warp/admin/repair").status == 405
+        assert _admin(warp, "POST", "/warp/admin/conflicts").status == 405
+        job = warp.repair.submit(CancelClientSpec("nobody-browser"))
+        job.wait(timeout=30)
+        preview = f"/warp/admin/repair/{job.job_id}/preview"
+        assert _admin(warp, "POST", preview).status == 405
         # Admin paths are control plane: not recorded as runs.
         assert warp.graph.n_runs == 0
 
@@ -1075,7 +967,9 @@ class TestAdminHttpSurface:
         controller = warp._controller()
         controller.step_hook = poll
         spec_info = patch_for("stored-xss")
-        result = controller.retroactive_patch(spec_info.file, spec_info.build())
+        result = controller.repair_batch(
+            [PatchSpec(spec_info.file, exports=spec_info.build())]
+        )
         assert result.ok
         assert statuses and all(status == 200 for status in statuses)
 
@@ -1104,7 +998,9 @@ class TestRepairConfigPersistence:
         assert reloaded.server.gate is not None
         assert reloaded.server.gate.policy == "global"
         # And a repair actually gates: gate counters appear in the stats.
-        result = reloaded.cancel_client(outcome.attacker_client)
+        result = reloaded.repair.submit(
+            CancelClientSpec(outcome.attacker_client)
+        ).result()
         assert result.ok
         assert result.stats.gate  # populated only when a gate is installed
 

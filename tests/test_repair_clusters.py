@@ -24,6 +24,7 @@ import pytest
 
 from repro.apps.wiki import WikiApp
 from repro.http.message import HttpRequest
+from repro.repair.api import CancelVisitSpec, DbFixSpec, PatchSpec
 from repro.repair.clusters import ClusteringFutile, compute_repair_groups
 from repro.warp import WarpSystem
 from repro.workload.scenarios import (
@@ -71,17 +72,21 @@ class TestStaleConflictScoping:
             deployment.users[3],
         )
         visit_a = _entangle(deployment, user_a, user_b)
-        first = deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=True
-        )
+        first = deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a)
+        ).result()
         stale = deployment.warp.conflicts.pending(deployment.client_id(user_b))
         assert stale, "admin undo should have queued a conflict for user_b"
 
         deployment.append_to_page(bystander, f"{bystander}_notes", "\noops")
         form_visit = deployment.browser(bystander).current.parent_visit
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(bystander), form_visit, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(bystander),
+                form_visit,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.ok and not result.aborted
         assert "oops" not in deployment.wiki.page_text(f"{bystander}_notes")
         # The unrelated undo neither resolved nor counted the stale conflict.
@@ -95,16 +100,20 @@ class TestStaleConflictScoping:
         user_a, user_b = deployment.users[0], deployment.users[1]
         user_c, user_d = deployment.users[2], deployment.users[3]
         visit_a = _entangle(deployment, user_a, user_b)
-        deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=True
-        )
+        deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a)
+        ).result()
         stale = deployment.warp.conflicts.pending(deployment.client_id(user_b))
         assert stale
 
         visit_c = _entangle(deployment, user_c, user_d, page="Standup")
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_c), visit_c, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user_c),
+                visit_c,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.aborted
         # The stale conflict is untouched; the aborted repair's own conflict
         # was resolved (it never happened).
@@ -130,9 +139,13 @@ class TestStaleConflictScoping:
             reason="left by an earlier repair",
         )
         deployment.warp.conflicts.add(stale)
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user_a),
+                visit_a,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.aborted, "the new conflict must abort the user undo"
         assert result.conflicts and all(c is not stale for c in result.conflicts)
         assert {c.client_id for c in result.conflicts} == {
@@ -149,9 +162,9 @@ class TestStaleConflictScoping:
         it, even when two repairs each reported one."""
         user_a, user_b = deployment.users[0], deployment.users[1]
         visit_a = _entangle(deployment, user_a, user_b)
-        deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=True
-        )
+        deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a)
+        ).result()
         conflicts = deployment.warp.conflicts.pending(deployment.client_id(user_b))
         assert conflicts
         deployment.warp.resolve_conflict_by_cancel(conflicts[0])
@@ -163,9 +176,13 @@ class TestStaleConflictScoping:
         them."""
         user_a, user_b = deployment.users[0], deployment.users[1]
         visit_a = _entangle(deployment, user_a, user_b)
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user_a),
+                visit_a,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.aborted
         assert result.conflicts, "the conflicts that caused the abort must be reported"
         assert result.stats.conflicts == len(result.conflicts)
@@ -240,7 +257,9 @@ class TestRaisingScriptMidRepair:
             raise RuntimeError("patched script is broken")
 
         with pytest.raises(RuntimeError, match="patched script is broken"):
-            warp.retroactive_patch("edit.php", {"handle": exploding})
+            warp.repair.submit(
+                PatchSpec("edit.php", exports={"handle": exploding})
+            ).result()
         # The failed repair aborted its generation and unwound the server
         # flags: live state untouched, traffic served normally, and a
         # retry with fixed code simply works.
@@ -251,7 +270,7 @@ class TestRaisingScriptMidRepair:
         assert warp._wiki.page_text("P") == "edited"
         from repro.apps.wiki.pages import make_edit
 
-        retry = warp.retroactive_patch("edit.php", make_edit())
+        retry = warp.repair.submit(PatchSpec("edit.php", exports=make_edit())).result()
         assert retry.ok
         assert warp._wiki.page_text("P") == "edited"
 
@@ -487,11 +506,13 @@ class TestGroupedRepairOnMultiTenant:
                 for query in run.queries
             )
         )
-        result = warp.retroactive_db_fix(
-            "UPDATE pagecontent SET old_text = ? WHERE title = ?",
-            ("rewritten from the past", page),
-            ts=created.ts_end + 1,
-        )
+        result = warp.repair.submit(
+            DbFixSpec(
+                "UPDATE pagecontent SET old_text = ? WHERE title = ?",
+                ("rewritten from the past", page),
+                ts=created.ts_end + 1,
+            )
+        ).result()
         assert result.ok
         assert result.stats.n_groups == 1
         assert "rewritten from the past" in outcome.wiki.page_text(page)

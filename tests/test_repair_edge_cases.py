@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps.wiki import WikiApp, patch_for
 from repro.http.message import HttpRequest
+from repro.repair.api import CancelClientSpec, PatchSpec
 from repro.warp import WarpSystem
 from repro.workload.scenarios import WIKI, WikiDeployment
 
@@ -39,7 +40,9 @@ class TestInsertUniquenessDependency:
         assert not any(q.table == "objectcache" and q.is_write for q in user_run.queries)
 
         # Cancel everything the attacker did.
-        result = warp.cancel_client(deployment.client_id("attacker"))
+        result = warp.repair.submit(
+            CancelClientSpec(deployment.client_id("attacker"))
+        ).result()
         assert result.ok
         # The cache row exists again — re-created by the user's re-executed
         # view, not the attacker's canceled one.
@@ -67,7 +70,9 @@ class TestInsertUniquenessDependency:
         # (edit of existing page = update path, so force a creation race
         # by checking current state instead)
         assert deployment.wiki.page_text("Disputed") == "user content"
-        result = warp.cancel_client(deployment.client_id("attacker"))
+        result = warp.repair.submit(
+            CancelClientSpec(deployment.client_id("attacker"))
+        ).result()
         assert result.ok
         # The user's edit survives; the page exists under their authorship
         # (their UPDATE became the page state after the attacker's INSERT
@@ -96,7 +101,9 @@ class TestReplayMatching:
             original(ctx)
             ctx.echo(f"<script>http_get('{WIKI}/index.php?title=Projects');</script>")
 
-        result = warp.retroactive_patch("index.php", {"handle": new_handle})
+        result = warp.repair.submit(
+            PatchSpec("index.php", exports={"handle": new_handle})
+        ).result()
         assert result.ok
         # Replay issued the new Projects request as a fresh run, merged
         # into the graph at finalize.

@@ -28,6 +28,7 @@ from repro.core.ids import IdAllocator
 from repro.db.storage import Column, Database, TableSchema
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.pool import ServerPool
+from repro.repair.api import CancelClientSpec
 from repro.store.wal import RecordWal
 from repro.ttdb.timetravel import TimeTravelDB
 from repro.warp import WarpSystem
@@ -409,7 +410,9 @@ class TestResponseCache:
         assert len(cache) == 1
         deployment.login("attacker")
         deployment.append_to_page("attacker", "Main_Page", "\nSPAM")
-        result = deployment.warp.cancel_client(deployment.client_id("attacker"))
+        result = deployment.warp.repair.submit(
+            CancelClientSpec(deployment.client_id("attacker"))
+        ).result()
         assert result.ok
         assert len(cache) == 0, "repair must flush the response cache"
         fresh = self._serve(

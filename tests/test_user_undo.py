@@ -8,6 +8,7 @@ is allowed.  Administrators may always proceed.
 
 import pytest
 
+from repro.repair.api import CancelVisitSpec
 from repro.workload.scenarios import WIKI, WikiDeployment
 
 
@@ -27,9 +28,13 @@ class TestOwnActionUndo:
         # The edit-form visit is the one whose events produced the save.
         browser = deployment.browser(user)
         form_visit_id = browser.current.parent_visit
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user), form_visit_id, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user),
+                form_visit_id,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.ok and not result.aborted
         assert "regret this" not in deployment.wiki.page_text(f"{user}_notes")
 
@@ -39,9 +44,13 @@ class TestOwnActionUndo:
         deployment.append_to_page(user_b, f"{user_b}_notes", "\ntheirs")
         browser_b = deployment.browser(user_b)
         form_visit_id = browser_b.current.parent_visit
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_b), form_visit_id, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user_b),
+                form_visit_id,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.ok
         assert "mine" in deployment.wiki.page_text(f"{user_a}_notes")
         assert "theirs" not in deployment.wiki.page_text(f"{user_b}_notes")
@@ -66,9 +75,13 @@ class TestAbortOnCascade:
     def test_user_undo_aborts_when_it_conflicts_others(self, deployment):
         user_a, user_b, visit_a = self._entangle(deployment)
         before = deployment.wiki.page_text("Projects")
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=False
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(
+                deployment.client_id(user_a),
+                visit_a,
+                initiated_by_admin=False,
+            )
+        ).result()
         assert result.aborted
         # Nothing changed: the repair generation was discarded.
         assert deployment.wiki.page_text("Projects") == before
@@ -76,9 +89,9 @@ class TestAbortOnCascade:
 
     def test_admin_undo_proceeds_despite_conflicts(self, deployment):
         user_a, user_b, visit_a = self._entangle(deployment)
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=True
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a)
+        ).result()
         assert result.ok and not result.aborted
         assert deployment.warp.conflicts.pending(deployment.client_id(user_b))
 
@@ -86,9 +99,9 @@ class TestAbortOnCascade:
         """§5.5's exception: resolving one's own reported conflict may
         propagate conflicts to others."""
         user_a, user_b, visit_a = self._entangle(deployment)
-        deployment.warp.cancel_visit(
-            deployment.client_id(user_a), visit_a, initiated_by_admin=True
-        )
+        deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a)
+        ).result()
         conflicts = deployment.warp.conflicts.pending(deployment.client_id(user_b))
         assert conflicts
         result = deployment.warp.resolve_conflict_by_cancel(conflicts[0])

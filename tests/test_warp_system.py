@@ -4,6 +4,7 @@ concurrent-repair re-application, repeated repairs, and log GC."""
 import pytest
 
 from repro.apps.wiki import WikiApp, patch_for
+from repro.repair.api import CancelVisitSpec, PatchSpec
 from repro.warp import WarpSystem
 from repro.workload.scenarios import WIKI, WikiDeployment, run_scenario
 
@@ -30,7 +31,9 @@ class TestClients:
         from repro.core.errors import RepairError
 
         with pytest.raises(RepairError):
-            warp.retroactive_patch("x.php", {"handle": lambda ctx: None})
+            warp.repair.submit(
+                PatchSpec("x.php", exports={"handle": lambda ctx: None})
+            ).result()
 
 
 class TestRepeatedRepairs:
@@ -42,7 +45,9 @@ class TestRepeatedRepairs:
         assert outcome.warp.ttdb.current_gen == 1
         # A second, unrelated retroactive patch over the repaired history.
         spec = patch_for("clickjacking")
-        second = outcome.warp.retroactive_patch(spec.file, spec.build())
+        second = outcome.warp.repair.submit(
+            PatchSpec(spec.file, exports=spec.build())
+        ).result()
         assert second.ok
         assert outcome.warp.ttdb.current_gen == 2
         # The first repair's effect persists through the second.
@@ -57,12 +62,14 @@ class TestRepeatedRepairs:
         deployment.login(user)
         deployment.append_to_page(user, f"{user}_notes", "\nkeep me")
         spec = patch_for("clickjacking")
-        assert deployment.warp.retroactive_patch(spec.file, spec.build()).ok
+        assert deployment.warp.repair.submit(
+            PatchSpec(spec.file, exports=spec.build())
+        ).result().ok
         browser = deployment.browser(user)
         form_visit = browser.current.parent_visit
-        result = deployment.warp.cancel_visit(
-            deployment.client_id(user), form_visit, initiated_by_admin=True
-        )
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user), form_visit)
+        ).result()
         assert result.ok
         assert "keep me" not in deployment.wiki.page_text(f"{user}_notes")
 
@@ -87,7 +94,7 @@ class TestConcurrentRepair:
         controller = outcome.warp._controller()
         controller.step_hook = live_traffic
         spec = patch_for("csrf")
-        result = controller.retroactive_patch(spec.file, spec.build())
+        result = controller.repair_batch([PatchSpec(spec.file, exports=spec.build())])
         assert result.ok
         assert served and all(status == 200 for status in served)
         assert "mid-repair edit" in outcome.wiki.page_text("Main_Page")
