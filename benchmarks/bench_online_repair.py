@@ -3,13 +3,9 @@
 A 32-tenant deployment (1 tenant attacked → footprint ~3% of the page
 partitions, well under the 25% bar) is repaired by ``cancel_client``
 while 8 real threads hammer all tenants' pages through the partition-
-scoped write gate.  Measured, per gate policy:
-
-* ``partition`` (the online-repair subsystem): requests disjoint from the
-  repair are served live; conflicting ones are queued (202) and
-  re-applied exactly once after the generation switch;
-* ``global`` (the old whole-application suspend as a baseline): every
-  request conflicts while the repair is active — served fraction ~0.
+scoped write gate: requests disjoint from the repair are served live;
+conflicting ones are queued (202) and re-applied exactly once after the
+generation switch.
 
 Acceptance: ≥90% of live requests served (not 503'd/queued) during the
 partition-gated repair window, every queued request re-applied exactly
@@ -29,19 +25,15 @@ from repro.workload.scenarios import run_multi_tenant_scenario
 N_TENANTS = 32
 N_THREADS = 8
 LOAD_SECONDS = 2.0
-#: The global-suspend baseline queues *every* request, and the FIFO drain
-#: keeps the gate active until the queue empties — so its load is bounded
-#: by request count, not duration, to keep the drain finite.
-GLOBAL_BUDGET = 250
 HEAD_START = 0.05
 
 
-def run_one(policy, seed):
+def run_one(seed):
     outcome = run_multi_tenant_scenario(
         n_tenants=N_TENANTS, users_per_tenant=1, attacked_tenants=1, seed=seed
     )
     warp = outcome.warp
-    warp.enable_online_repair(policy=policy)
+    warp.enable_online_repair()
     clients = make_load_clients(
         outcome.wiki, warp.server, [f"lg{i}" for i in range(N_TENANTS)]
     )
@@ -52,12 +44,7 @@ def run_one(policy, seed):
     box = {}
 
     def drive():
-        if policy == "global":
-            box["stats"] = gen.run_threads(
-                N_THREADS, requests_per_thread=GLOBAL_BUDGET, stop=stop
-            )
-        else:
-            box["stats"] = gen.run_threads(N_THREADS, duration=LOAD_SECONDS, stop=stop)
+        box["stats"] = gen.run_threads(N_THREADS, duration=LOAD_SECONDS, stop=stop)
 
     loader = threading.Thread(target=drive)
     loader.start()
@@ -77,7 +64,6 @@ def run_one(policy, seed):
     assert result.ok
     assert "DEFACED" not in text[pages[0]]
     return {
-        "policy": policy,
         "repair_s": repair_seconds,
         "window_requests": window,
         "served": gate["served"],
@@ -97,25 +83,21 @@ def run_one(policy, seed):
 
 def test_online_repair_availability(benchmark):
     def measure():
-        # Best-of-3 for the gated row: the served fraction depends on how
-        # the OS schedules the 8 load threads against the repair thread,
-        # so one noisy-neighbour run on a shared CI box must not fail the
+        # Best-of-3: the served fraction depends on how the OS schedules
+        # the 8 load threads against the repair thread, so one
+        # noisy-neighbour run on a shared CI box must not fail the
         # availability gate.
-        attempts = [run_one("partition", seed=41 + i) for i in range(3)]
+        attempts = [run_one(seed=41 + i) for i in range(3)]
         best = max(attempts, key=lambda row: row["served_fraction"])
         best["attempts_served_fraction"] = [
             round(row["served_fraction"], 4) for row in attempts
         ]
-        return {
-            "partition": best,
-            "global": run_one("global", seed=41),
-        }
+        return {"partition": best}
 
     rows = once(benchmark, measure)
     print_table(
         f"Online repair: {N_TENANTS} tenants, 1 attacked, {N_THREADS} threads",
         [
-            "policy",
             "repair_s",
             "window_reqs",
             "served%",
@@ -128,7 +110,6 @@ def test_online_repair_availability(benchmark):
         ],
         [
             (
-                row["policy"],
                 f"{row['repair_s']:.3f}",
                 row["window_requests"],
                 f"{row['served_fraction'] * 100:.1f}",
@@ -143,7 +124,7 @@ def test_online_repair_availability(benchmark):
         ],
     )
 
-    part, glob = rows["partition"], rows["global"]
+    part = rows["partition"]
     payload = {
         "n_tenants": N_TENANTS,
         "n_threads": N_THREADS,
@@ -167,11 +148,7 @@ def test_online_repair_availability(benchmark):
         f"only {part['served_fraction']:.1%} of live requests served during "
         "the partition-gated repair window"
     )
-    assert part["rejected_503"] == 0 and glob["rejected_503"] == 0
+    assert part["rejected_503"] == 0
     assert part["applied"] == part["queued"], "a queued request was dropped"
     assert part["apply_errors"] == 0
     assert part["lost_writes"] == 0, "a write was lost or duplicated"
-    assert glob["lost_writes"] == 0
-    assert glob["applied"] == glob["queued"]
-    # The old global suspend serves ~nothing while repair is active.
-    assert glob["served_fraction"] <= 0.05

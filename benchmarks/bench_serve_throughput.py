@@ -1,32 +1,33 @@
-"""High-throughput serving path (PR 6): sustained req/s, two-arm ratio.
+"""High-throughput serving path: sustained req/s, two deployment tiers.
 
 Both arms run in the same process against the same wiki workload (the
 ``bench_online_repair`` mix: 5× GET the edit form / 3× POST an append,
-32 pinned clients over 32 pages):
+32 pinned clients over 32 pages) and differ only in options a
+deployment really chooses between:
 
-* **baseline** — the pre-PR serving path, reproduced by knobs: per-append
-  ``fsync`` (``durability="always"``), one coarse store lock
-  (``lock_mode="coarse"``), no response cache, no statement cache;
-* **serving** — the PR 6 path: leader-based group commit
-  (``durability="group"``), striped store locks, the dependency-
-  invalidated response cache and the per-partition statement cache.
+* **baseline** — the conservative tier: per-append ``fsync``
+  (``durability="always"``), no response cache;
+* **serving** — the throughput tier: leader-based group commit
+  (``durability="group"``) and the dependency-invalidated response
+  cache.
 
-The CI gate is the **machine-relative ratio** ``serve_speedup`` (new ÷
-baseline sustained req/s at 8 threads), not an absolute figure: shared
-runners vary wildly, and on a single-core box (CI and the dev container
-both report ``cpu_count = 1``) thread-level parallelism cannot multiply
-throughput at all — every arm is GIL-serialized, so the ratio measures
-exactly the per-request work the new path removes (fsync batching +
-cache hits), which is the portable part of the win.  Absolute rps, p99,
-cache hit rates and ``cpu_count`` are recorded as context.
+Striped store locks and the statement cache are on in both arms (they
+are not options); what either of them bought against the commit before
+it is a commit-against-commit question for ``benchmarks/e2e``.
 
-Acceptance posture vs the ISSUE's ≥5× target: on multi-core hardware the
-striped locks and group commit compound with real parallelism; on this
-single-core container the honest measured envelope is ~1.8–2.1× (see
-DESIGN.md "High-throughput serving path" for the breakdown), so the CI
-gate is the committed-baseline ratio with the standard tolerance, and
-the bench hard-fails only if the new path stops beating the baseline at
-all (ratio ≤ 1.2) or drops writes.
+The CI gate is the **machine-relative ratio** ``serve_speedup`` (serving
+÷ baseline sustained req/s at 8 threads), not an absolute figure: shared
+runners vary wildly, and request handling is GIL-serialized whatever
+``cpu_count`` says, so the ratio measures the per-request work the
+throughput tier removes (fsync batching + cache hits), which is the
+portable part of the win.  Absolute rps, p99, cache hit rates and
+``cpu_count`` are recorded as context.
+
+The measured envelope on the dev container is ~1.8–2.0× (see DESIGN.md
+"High-throughput serving path"), so the CI gate is the committed-
+baseline ratio with the standard tolerance, and the bench hard-fails
+only if the throughput tier stops beating the conservative one at all
+(ratio ≤ 1.2) or drops writes.
 """
 
 import os
@@ -45,12 +46,8 @@ LOAD_SECONDS = 1.2
 WARMUP_SECONDS = 0.3
 SEED = 21
 
-BASELINE_KNOBS = dict(
-    durability="always", lock_mode="coarse", statement_cache=False
-)
-SERVING_KNOBS = dict(
-    durability="group", lock_mode="striped", response_cache=True
-)
+BASELINE_KNOBS = dict(durability="always")
+SERVING_KNOBS = dict(durability="group", response_cache=True)
 
 
 def _build(tmp_path, arm, knobs):
@@ -141,17 +138,17 @@ def test_serve_throughput(benchmark, tmp_path):
     )
 
     print_table(
-        "Serving throughput: pre-PR knobs vs group commit + stripes + caches",
+        "Serving throughput: fsync-per-append vs group commit + response cache",
         ["threads", "base rps", "new rps", "speedup", "base p99ms", "new p99ms"],
         rows,
     )
 
     speedup = payload[f"t{GATE_THREADS}"]["speedup"]
-    # Hard floor: the new path must clearly beat the pre-PR path even on
-    # the noisiest single-core runner; the committed-baseline ratio gate
+    # Hard floor: the throughput tier must clearly beat the conservative
+    # one even on the noisiest runner; the committed-baseline ratio gate
     # (check_regression.py) polices the rest of the envelope.
     assert speedup >= 1.2, (
-        f"serving path only {speedup:.2f}x over pre-PR knobs at "
+        f"serving path only {speedup:.2f}x over durability=always at "
         f"{GATE_THREADS} threads"
     )
     assert payload["response_cache"]["hit_rate"] > 0.2, (

@@ -220,5 +220,5 @@ class ActionHistoryGraph:
         from repro.store.recordstore import RecordStore
 
         self.store = RecordStore.from_snapshot(
-            data, wal=self.store.wal, lock_mode=self.store.lock_mode, records=records
+            data, wal=self.store.wal, records=records
         )

@@ -710,8 +710,3 @@ def _stmt_table(stmt: ast.Statement) -> str:
     if not name:
         raise SqlError("statement has no target table")
     return name
-
-
-# Backwards-compatible aliases (historical home of these helpers).
-_default_name = default_name
-_sort_key = sort_key

@@ -43,6 +43,8 @@ from repro.http.message import HttpRequest
 #: How many committed writes ``put`` can look back across; a fill whose
 #: token predates the window is refused (never served stale).
 _RECENT_WRITES = 256
+#: Cached responses held before the least recently used is evicted.
+_MAX_ENTRIES = 1024
 
 
 class _Entry:
@@ -110,11 +112,10 @@ class ResponseCache:
     """LRU response cache keyed by ``(script, method, path, params, cookies)``
     and invalidated by partition-level write dependencies."""
 
-    def __init__(self, runtime, graph, max_entries: int = 1024) -> None:
+    def __init__(self, runtime, graph) -> None:
         self.runtime = runtime
         self.graph = graph
         self.faults = _active_plane()
-        self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         #: (table, column, value) -> entry keys whose footprint constrains it.
@@ -266,7 +267,7 @@ class ResponseCache:
                     not disjunct for disjunct in read_set.disjuncts or ()
                 ):
                     self._all_readers.setdefault(read_set.table, set()).add(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > _MAX_ENTRIES:
                 self._evict(next(iter(self._entries.values())))
         return True
 

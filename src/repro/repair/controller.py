@@ -22,20 +22,16 @@ component runs as its own worklist — own ``ModifiedPartitions``, run and
 visit state, scheduled-qid set, and a group-scoped partition index —
 against the shared repair generation.  ``cluster_mode`` selects
 ``"sequential"`` (default: groups processed one after another in
-deterministic damage-time order), ``"parallel"`` (one worker thread per
-group, item execution serialized by a controller lock — for the
-escape-free repairs the static components describe, groups are
-independent and the interleaving cannot change the outcome), or
-``"off"`` (the original monolithic global worklist, kept as the
-reference for the equivalence property test).  See DESIGN.md for the
-one bounded deviation escapes can introduce.
+deterministic damage-time order) or ``"off"`` (the original monolithic
+global worklist, kept as the reference for the equivalence property
+test).  See DESIGN.md for the one bounded deviation escapes can
+introduce.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import threading
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -211,7 +207,7 @@ class RepairController:
         #: users who have not logged in yet): never resolved, never counted,
         #: and never a reason to abort an unrelated user undo.
         self._prior_conflict_ids: Set[int] = set()
-        #: How to schedule repair groups: "sequential" | "parallel" | "off".
+        #: How to schedule repair groups: "sequential" | "off".
         self.cluster_mode = "sequential"
         #: Ablation switches (see DESIGN.md / benchmarks/bench_ablations.py).
         #: §3.3 calls nondeterminism replay "strictly an optimization";
@@ -590,23 +586,17 @@ class RepairController:
 
     def _process(self) -> None:
         self._emit("phase_started", phase="process")
-        scoped = [group for group in self._groups if group.scoped]
-        if self.cluster_mode == "parallel" and len(scoped) > 1:
-            self._process_parallel()
-        else:
-            ordered = sorted(
-                self._groups, key=lambda g: (g.first_damage_ts, g.group_id)
-            )
-            # Escaped propagation can feed a group that already drained (its
-            # damage reached a query of an earlier group): keep sweeping until
-            # every heap settles.  Per-group qid dedup bounds the loop.
-            while any(group.heap for group in ordered):
-                for group in ordered:
-                    if group.heap:
-                        self._process_group(group)
+        ordered = sorted(self._groups, key=lambda g: (g.first_damage_ts, g.group_id))
+        # Escaped propagation can feed a group that already drained (its
+        # damage reached a query of an earlier group): keep sweeping until
+        # every heap settles.  Per-group qid dedup bounds the loop.
+        while any(group.heap for group in ordered):
+            for group in ordered:
+                if group.heap:
+                    self._process_group(group)
         # Progress contract: exactly one group_done per scoped group per
         # repair — including groups whose heap was empty from the start.
-        for group in scoped:
+        for group in self._groups:
             self._emit_group_done(group)
 
     def _emit_group_done(self, group: RepairGroup) -> None:
@@ -634,49 +624,6 @@ class RepairController:
             self._g = previous
             group.seconds += _time.perf_counter() - started
         self._emit_group_done(group)
-
-    def _process_parallel(self) -> None:
-        """One worker per group; item execution serialized by a controller
-        lock (the runtime, database and stats are shared).  On escape-free
-        repairs the groups are independent components, so the cross-group
-        interleaving cannot change the outcome — this is the structural
-        scaffold that later sharded/multi-process repair slots into."""
-        lock = threading.Lock()
-        errors: List[BaseException] = []
-
-        def drain(group: RepairGroup) -> None:
-            while True:
-                with lock:
-                    if errors or not group.heap:
-                        return
-                    started = _time.perf_counter()
-                    self._g = group
-                    _, _, kind, payload = heapq.heappop(group.heap)
-                    try:
-                        self._dispatch(kind, payload)
-                        if self.step_hook is not None:
-                            self.step_hook()
-                    except BaseException as exc:  # re-raised on the caller
-                        errors.append(exc)
-                    finally:
-                        group.seconds += _time.perf_counter() - started
-
-        # Sweep until every heap settles: escaped propagation may refill a
-        # group whose worker already exited.
-        while True:
-            threads = [
-                threading.Thread(target=drain, args=(group,), daemon=True)
-                for group in self._groups
-                if group.heap
-            ]
-            if not threads:
-                break
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
 
     def _dispatch(self, kind: str, payload) -> None:
         if self.cancel_requested:
@@ -750,9 +697,8 @@ class RepairController:
             # (§4.3), in a fresh global-scope worklist context (they are
             # new traffic, not members of any damage component).  Contract:
             # re-application happens in arrival-timestamp order — the list
-            # is appended by request threads (and, under cluster_mode
-            # "parallel", interleaved across groups' step hooks), so list
-            # order carries no guarantee.
+            # is appended by request threads, so list order carries no
+            # guarantee.
             pending_group = RepairGroup(-1, mods=self.mods)
             self._groups.append(pending_group)
             self._g = pending_group

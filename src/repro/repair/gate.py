@@ -405,38 +405,25 @@ class GateStats:
     queued: int = 0
     applied: int = 0
     apply_errors: int = 0
-    #: Served requests whose predicted footprint was unknown (no recorded
-    #: runs of the script) — impossible while gating, kept for symmetry.
-    no_footprint: int = 0
 
 
 class RepairGate:
-    """Decides, per request, whether live service can proceed during repair.
+    """Decides, per request, whether live service can proceed during
+    repair: a footprint-vs-owned-partitions check."""
 
-    ``policy`` selects the gating granularity:
-
-    * ``"partition"`` — footprint-vs-owned-partitions check (the point of
-      this subsystem);
-    * ``"global"`` — every request conflicts while repair is active: the
-      old whole-application suspend, kept as the benchmark baseline.
-    """
-
-    def __init__(self, ttdb, graph, policy: str = "partition") -> None:
-        if policy not in ("partition", "global"):
-            raise ValueError(f"unknown gate policy {policy!r}")
+    def __init__(self, ttdb, graph) -> None:
         self.ttdb = ttdb
         self.graph = graph
-        self.policy = policy
         #: Fault plane (repro.faults); WarpSystem points this at its own.
         self.faults = _active_plane()
         self.footprints = FootprintIndex(graph, ttdb)
         self.stats = GateStats()
         self.active = False
         #: Set once the repair's damage components are planned; before
-        #: that, the partition policy *serves* everything (the repair has
-        #: made no modification yet, so every request is trivially
-        #: disjoint — the finalize re-application pass covers any request
-        #: that touched what the repair later owns).
+        #: that, the gate *serves* everything (the repair has made no
+        #: modification yet, so every request is trivially disjoint — the
+        #: finalize re-application pass covers any request that touched
+        #: what the repair later owns).
         self.scoped = False
         self.own_all = True
         self.owned_keys: Set[PartitionKey] = set()
@@ -487,9 +474,6 @@ class RepairGate:
         """
         with self._lock:
             self.scoped = True
-            if self.policy == "global":
-                self.own_all = True
-                return
             scoped = [group for group in groups if group.scoped]
             if not scoped or len(scoped) != len(groups):
                 self.own_all = True
@@ -596,8 +580,6 @@ class RepairGate:
 
     def _conflict(self, script_name: str, request: HttpRequest) -> Optional[str]:
         with self._lock:
-            if self.policy == "global":
-                return "repair owns the whole application"
             if not self.scoped:
                 # Damage components not planned yet: nothing has been
                 # modified, so nothing can conflict.

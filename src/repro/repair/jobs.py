@@ -68,6 +68,11 @@ _TERMINAL = frozenset({"done", "aborted", "failed", "canceled"})
 #: How many trailing events a status document carries.
 _EVENT_TAIL = 50
 
+#: Bounded retry for jobs hitting transient faults (DurabilityError /
+#: OSError / injected errors); each retry re-runs the spec from scratch
+#: after the abort path unwound.
+_RETRIES = 2
+
 
 class RepairJob:
     """Handle for one submitted repair.
@@ -412,8 +417,8 @@ class RepairJobManager:
                 self._turnstile.notify_all()
 
     def _run_with_retry(self, job: RepairJob, store) -> None:
-        """Execute ``job``, retrying transient faults up to the system's
-        ``repair_retry_limit``.  Only attempts that unwound through the
+        """Execute ``job``, retrying transient faults up to
+        ``_RETRIES`` times.  Only attempts that unwound through the
         controller's abort path (generation discarded, scripts restored)
         are retried — a fault that escaped *after* the generation switch
         left the repair committed, so the job settles as done-with-warning
@@ -466,11 +471,10 @@ class RepairJobManager:
                 # unwound; retry unless the budget is spent or the admin
                 # asked for cancellation in the meantime.
                 attempts += 1
-                limit = self._warp.repair_retry_limit
-                if attempts <= limit and not job._cancel_requested:
+                if attempts <= _RETRIES and not job._cancel_requested:
                     job._on_event(
                         "retrying",
-                        {"attempt": attempts, "limit": limit, "error": repr(exc)},
+                        {"attempt": attempts, "limit": _RETRIES, "error": repr(exc)},
                     )
                     continue
                 job._settle("failed", error=exc)

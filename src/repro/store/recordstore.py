@@ -185,7 +185,6 @@ class RecordStore:
     def __init__(
         self,
         wal: Optional[RecordWal] = None,
-        lock_mode: str = "striped",
         fault_plane: Optional[FaultPlane] = None,
     ) -> None:
         self.faults = fault_plane if fault_plane is not None else _active_plane()
@@ -256,21 +255,11 @@ class RecordStore:
         # stripes is fine, acquiring backwards is not).  Readers take the
         # narrowest stripe covering every structure they read: TouchIndex
         # walks need only ``touch``, partition-bucket merges need ``records``
-        # + ``qindex`` (the lazy build iterates runs).  ``coarse`` aliases
-        # all three names to one RLock — the pre-stripe ablation reference;
-        # any interleaving legal under striped is legal under coarse, which
-        # is what the equivalence smoke test exercises.  Reentrant: replay/
+        # + ``qindex`` (the lazy build iterates runs).  Reentrant: replay/
         # gc call other mutators.
-        if lock_mode not in ("striped", "coarse"):
-            raise ValueError(f"lock_mode must be 'striped' or 'coarse', got {lock_mode!r}")
-        self.lock_mode = lock_mode
         self._records_lock = threading.RLock()
-        if lock_mode == "coarse":
-            self._touch_lock = self._records_lock
-            self._qindex_lock = self._records_lock
-        else:
-            self._touch_lock = threading.RLock()
-            self._qindex_lock = threading.RLock()
+        self._touch_lock = threading.RLock()
+        self._qindex_lock = threading.RLock()
 
         self.wal = wal
         #: Size-triggered rotation: when the WAL grows past ``rotate_bytes``
@@ -297,8 +286,7 @@ class RecordStore:
         """The store's primary (``records``) mutation lock, for read paths
         that must iterate runs/indexes consistently while request threads
         append (e.g. the repair-plan preview, which runs ungated during
-        live traffic).  Every writer holds it for the whole mutation, in
-        both lock modes."""
+        live traffic).  Every writer holds it for the whole mutation."""
         return self._records_lock
 
     def touch_summary(self) -> dict:
@@ -1059,7 +1047,6 @@ class RecordStore:
         cls,
         data: dict,
         wal: Optional[RecordWal] = None,
-        lock_mode: str = "striped",
         records: Iterable[Tuple[str, dict, Optional[str]]] = (),
     ) -> "RecordStore":
         """Build a store from a snapshot's ``graph`` object plus its
@@ -1067,7 +1054,7 @@ class RecordStore:
         at a time.  A format-1 ``data`` nests the records inside itself
         (``records`` is then empty); either way visits come first, then
         runs, then patches."""
-        store = cls(lock_mode=lock_mode)
+        store = cls()
         nested = (
             (kind, item, None)
             for kind, key in (("visit", "visits"), ("run", "runs"), ("patch", "patches"))

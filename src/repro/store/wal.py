@@ -70,6 +70,9 @@ from repro.faults.plane import FaultPlane, SimulatedCrash, TornWrite
 from repro.faults.plane import active as _active_plane
 
 _DURABILITY_MODES = ("always", "group", "none")
+#: Group mode: buffered entries at which the background flusher stops
+#: absorbing its batch window and commits.
+_FLUSH_MAX_ENTRIES = 128
 
 
 def entry_line(kind: str, text: str) -> str:
@@ -126,7 +129,6 @@ class RecordWal:
         path: str,
         durability: Optional[str] = None,
         flush_interval: float = 0.002,
-        flush_max_entries: int = 128,
         fault_plane: Optional[FaultPlane] = None,
         io_retries: int = 2,
         io_backoff: float = 0.0005,
@@ -146,7 +148,6 @@ class RecordWal:
         #: restored to this on heal/truncate.
         self.configured_durability = durability
         self.flush_interval = flush_interval
-        self.flush_max_entries = flush_max_entries
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         self.io_retries = io_retries
         self.io_backoff = io_backoff
@@ -527,7 +528,7 @@ class RecordWal:
                     while (
                         self._buffer
                         and not self._closed
-                        and len(self._buffer) < self.flush_max_entries
+                        and len(self._buffer) < _FLUSH_MAX_ENTRIES
                     ):
                         remaining = deadline - _monotonic()
                         if remaining <= 0:

@@ -70,19 +70,13 @@ class WarpSystem:
         enabled: bool = True,
         replay_config: Optional[ReplayConfig] = None,
         wal_path: Optional[str] = None,
-        cluster_mode: str = "sequential",
         admin_token: Optional[str] = None,
         durability: Optional[str] = None,
         wal_flush_interval: float = 0.002,
-        wal_flush_max_entries: int = 128,
         wal_rotate_bytes: Optional[int] = None,
         wal_rotate_snapshot: Optional[str] = None,
-        lock_mode: str = "striped",
         response_cache: bool = False,
-        response_cache_entries: int = 1024,
-        statement_cache: bool = True,
         fault_plane: Optional[FaultPlane] = None,
-        repair_retry_limit: int = 2,
         db_backend: Optional[str] = None,
         db_path: Optional[str] = None,
     ) -> None:
@@ -93,25 +87,19 @@ class WarpSystem:
         #: plane.  Defaults to the process-wide plane, which is inert
         #: unless a test arms rules on it.
         self.faults = fault_plane if fault_plane is not None else _active_plane()
-        #: Bounded retry for repair jobs hitting transient faults
-        #: (DurabilityError / OSError / injected errors); each retry
-        #: re-runs the spec from scratch after the abort path unwound.
-        self.repair_retry_limit = repair_retry_limit
         #: Serving-path configuration (API.md "High-throughput serving").
         #: ``durability=None`` defers to ``REPRO_WAL_DURABILITY``/"always".
         self.durability = durability
         self.wal_flush_interval = wal_flush_interval
-        self.wal_flush_max_entries = wal_flush_max_entries
         self.wal_rotate_bytes = wal_rotate_bytes
         self._wal_options = {
             "durability": durability,
             "flush_interval": wal_flush_interval,
-            "flush_max_entries": wal_flush_max_entries,
             "fault_plane": self.faults,
         }
-        #: Repair-group scheduling: "sequential" (default), "parallel", or
-        #: "off" (monolithic reference worklist); see repro.repair.clusters.
-        self.cluster_mode = cluster_mode
+        #: Repair-group scheduling: "sequential", or "off" (monolithic
+        #: reference worklist); see repro.repair.clusters.
+        self.cluster_mode = "sequential"
         self.clock = LogicalClock()
         self.ids = IdAllocator()
         self.rng = random.Random(seed)
@@ -142,14 +130,9 @@ class WarpSystem:
         self.ttdb = TimeTravelDB(
             self.database, self.clock, enabled=enabled, fault_plane=self.faults
         )
-        #: Read-through SELECT cache (repro.ttdb): on unless the deployment
-        #: opts out (the pre-group-commit baseline in benchmarks does).
-        self.statement_cache = statement_cache and enabled
-        self.ttdb.use_statement_cache = self.statement_cache
         self.graph = ActionHistoryGraph(
             RecordStore(
                 wal=open_wal(wal_path, **self._wal_options),
-                lock_mode=lock_mode,
                 fault_plane=self.faults,
             )
         )
@@ -166,9 +149,7 @@ class WarpSystem:
         self.server.conflict_lookup = self.conflicts.pending_count
         self.response_cache: Optional[ResponseCache] = None
         if response_cache:
-            self.response_cache = ResponseCache(
-                self.runtime, self.graph, max_entries=response_cache_entries
-            )
+            self.response_cache = ResponseCache(self.runtime, self.graph)
             self.response_cache.faults = self.faults
             self.server.response_cache = self.response_cache
             # Invalidation fires at write-commit time, inside the TTDB
@@ -176,8 +157,7 @@ class WarpSystem:
             self.ttdb.write_hook = self.response_cache.on_write
         self._rotate_lock = threading.Lock()
         self._rotate_snapshot_path = wal_rotate_snapshot
-        if wal_rotate_bytes is not None:
-            self._arm_rotation(wal_path)
+        self._arm_rotation(wal_path)
         self.replay_config = replay_config if replay_config is not None else ReplayConfig()
         #: Repair API v2 (see API.md): ``warp.repair.submit(spec)`` /
         #: ``preview(spec)`` / ``register_patch(...)``; also the backing
@@ -221,7 +201,9 @@ class WarpSystem:
         """Install size-triggered WAL rotation: once the log grows past
         ``wal_rotate_bytes`` appended bytes, the next acknowledged mutation
         snapshots the whole system (which truncates the log) so reload
-        never replays an unbounded WAL."""
+        never replays an unbounded WAL.  No-op without a bound."""
+        if self.wal_rotate_bytes is None:
+            return
         if self._rotate_snapshot_path is None:
             if wal_path is None:
                 return
@@ -252,15 +234,14 @@ class WarpSystem:
         finally:
             self._rotate_lock.release()
 
-    def enable_online_repair(self, policy: str = "partition") -> RepairGate:
+    def enable_online_repair(self) -> RepairGate:
         """Install the partition-scoped write gate (repro.repair.gate):
         while a repair runs, requests whose footprint is disjoint from the
         repair are served live and conflicting ones are queued (202) and
-        re-applied exactly once after the generation switch.  ``policy``
-        is ``"partition"`` or ``"global"`` (the conservative queue-all
-        baseline).  Without this, repairs keep the legacy behavior: serve
-        everything live and re-apply affected runs at finalize."""
-        self.server.gate = RepairGate(self.ttdb, self.graph, policy=policy)
+        re-applied exactly once after the generation switch.  Without
+        this, repairs keep the legacy behavior: serve everything live and
+        re-apply affected runs at finalize."""
+        self.server.gate = RepairGate(self.ttdb, self.graph)
         self.server.gate.faults = self.faults
         return self.server.gate
 
@@ -384,13 +365,7 @@ class WarpSystem:
             # (The snapshot already holds the full database — seeded user
             # passwords included — so the token adds no new secrecy tier.)
             "repair_config": {
-                "cluster_mode": self.cluster_mode,
                 "online_gate": self.server.gate is not None,
-                "gate_policy": (
-                    self.server.gate.policy
-                    if self.server.gate is not None
-                    else "partition"
-                ),
                 "admin_token": self.server.admin_token,
             },
             # The storage engine underneath survives reload too: a
@@ -417,16 +392,8 @@ class WarpSystem:
             "serving_config": {
                 "durability": self.durability,
                 "wal_flush_interval": self.wal_flush_interval,
-                "wal_flush_max_entries": self.wal_flush_max_entries,
                 "wal_rotate_bytes": self.wal_rotate_bytes,
-                "lock_mode": self.graph.store.lock_mode,
                 "response_cache": self.response_cache is not None,
-                "response_cache_entries": (
-                    self.response_cache.max_entries
-                    if self.response_cache is not None
-                    else 1024
-                ),
-                "statement_cache": self.statement_cache,
             },
         }
         self.graph.store.commit_snapshot(path, state)
@@ -500,12 +467,8 @@ class WarpSystem:
             db_path=storage.get("db_path"),
             durability=serving.get("durability"),
             wal_flush_interval=serving.get("wal_flush_interval", 0.002),
-            wal_flush_max_entries=serving.get("wal_flush_max_entries", 128),
             wal_rotate_bytes=serving.get("wal_rotate_bytes"),
-            lock_mode=serving.get("lock_mode", "striped"),
             response_cache=serving.get("response_cache", False),
-            response_cache_entries=serving.get("response_cache_entries", 1024),
-            statement_cache=serving.get("statement_cache", True),
         )
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already
@@ -523,8 +486,7 @@ class WarpSystem:
                 wal_options=warp._wal_options,
             )
             warp._wire_wal_health()
-            if warp.wal_rotate_bytes is not None:
-                warp._arm_rotation(wal_path)
+            warp._arm_rotation(wal_path)
         warp._sync_id_counters()
         warp._sync_clock()
         warp.server.routes.update(state.get("routes", {}))
@@ -532,11 +494,8 @@ class WarpSystem:
         warp.conflicts.restore(state.get("conflicts", []))
         warp.server.cookie_invalidation.update(state.get("cookie_invalidation", ()))
         repair_config = state.get("repair_config", {})
-        warp.cluster_mode = repair_config.get("cluster_mode", warp.cluster_mode)
         if repair_config.get("online_gate"):
-            warp.enable_online_repair(
-                policy=repair_config.get("gate_policy", "partition")
-            )
+            warp.enable_online_repair()
         warp.server.admin_token = repair_config.get("admin_token")
         detection_config = state.get("detection_config", {})
         if detection_config.get("enabled"):
@@ -578,7 +537,8 @@ class WarpSystem:
         graph still supports repair.  ``kwargs`` configure fresh
         construction (storage backend, durability, admin token, ...);
         ``db_path`` defaults into the shard's layout so the SQLite engine
-        lands inside the shard directory.
+        lands inside the shard directory, and WAL rotation always saves
+        to the layout's snapshot — the only one the next start looks for.
         """
         layout = cls.shard_layout(root, shard_id)
         os.makedirs(layout["dir"], exist_ok=True)
@@ -593,6 +553,8 @@ class WarpSystem:
         else:
             warp = cls(wal_path=wal_path, **kwargs)
             fresh = True
+        warp._rotate_snapshot_path = snapshot_path
+        warp._arm_rotation(wal_path)
         warp.shard_id = shard_id
         warp.shard_snapshot_path = snapshot_path
         warp.server.shard_id = shard_id

@@ -30,6 +30,8 @@ HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
+#: The six config keys PR 14 stopped persisting, at non-default values.
+REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
 
 COUNTERS = (
     "visits_reexecuted",

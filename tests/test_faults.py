@@ -42,6 +42,7 @@ from repro.faults.plane import (
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.pool import ServerPool
 from repro.apps.wiki import pages as wiki_pages
+from repro.repair import jobs as jobs_mod
 from repro.repair.api import CancelClientSpec, PatchSpec
 from repro.store.wal import CommitTicket, RecordWal
 from repro.warp import WarpSystem
@@ -572,7 +573,7 @@ class TestRepairUnderFaults:
         assert job.status == "failed"
         assert isinstance(job.error, InjectedFault)
         retries = [event for event, _ in job.events if event == "retrying"]
-        assert len(retries) == warp.repair_retry_limit
+        assert len(retries) == jobs_mod._RETRIES
         # The job end was journaled: nothing reported as interrupted.
         assert warp.repair.interrupted_jobs() == []
 

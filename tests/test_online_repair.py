@@ -207,9 +207,11 @@ class TestGateClassification:
         }
 
     def test_global_policy_queues_disjoint_requests(self):
+        """An unscoped (monolithic) worklist cannot be bounded, so the
+        gate owns the whole application and queues every request."""
         outcome, clients, cookies, pages, names = _stage(seed=14)
         warp = outcome.warp
-        warp.enable_online_repair(policy="global")
+        warp.enable_online_repair()
         statuses = []
 
         def hook():
@@ -220,6 +222,7 @@ class TestGateClassification:
                 statuses.append(response.status)
 
         controller = warp._controller()
+        controller.cluster_mode = "off"
         controller.step_hook = hook
         result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok
@@ -279,8 +282,7 @@ class TestGateClassification:
 class TestPendingReapplicationOrder:
     def test_reapplied_in_arrival_ts_order_even_if_list_is_shuffled(self):
         """The §4.3 re-application pass must follow arrival-ts order: the
-        list is appended by request threads (and interleaved across groups
-        under cluster_mode='parallel'), so list order carries no
+        list is appended by request threads, so list order carries no
         guarantee.  Two appends to one page re-applied out of order would
         resurrect the first append's text over the second's."""
         outcome, clients, cookies, pages, names = _stage(seed=17)

@@ -10,6 +10,7 @@ fault, not the workload's.
 """
 
 import json
+import os
 import random
 import time
 
@@ -29,6 +30,7 @@ from repro.shard import (
 from repro.shard.plan import merge_touch_summaries
 from repro.shard.routing import SHARD_HEADER, TENANT_HEADER
 from repro.shard.wire import ShardWireError
+from repro.store.snapshot import read_snapshot_header
 from repro.warp import WarpSystem
 
 # Tenant numbers chosen so crc32 spreads them over 2 shards: 0,1 -> one
@@ -275,6 +277,44 @@ class TestWireAndWorker:
             "GET", "/warp/admin/shard/info"
         )
         assert status == 200 and info["shard_id"] == 0
+
+    def test_wal_rotation_keeps_the_shard_history(self, tmp_path):
+        """Regression: rotation saved beside the WAL, where the next start
+        never looks — the truncated log alone then came back as a fresh
+        shard and the app factory reinstalled over the data."""
+        config = ShardConfig(
+            shard_id=0,
+            data_dir=str(tmp_path),
+            app_args={"tenants": [0], "shared_users": [ATTACKER]},
+            warp_kwargs={"wal_rotate_bytes": 4096},
+        )
+        snapshot = WarpSystem.shard_layout(str(tmp_path), 0)["snapshot"]
+
+        def serve_past_the_bound(worker):
+            before = worker.warp.graph.n_runs
+            session = Session("t0_user1", worker)
+            session.login(0)
+            for i in range(24):
+                response = session.send(
+                    "POST", "/edit.php", 0, title="tenant0_wiki", append=f"\nrot{i}"
+                )
+                assert response.status == 200
+            assert os.path.exists(snapshot), "traffic never triggered rotation"
+            assert read_snapshot_header(snapshot)["records"]["run"] > before
+            worker.close()
+            return worker.warp.graph.n_runs
+
+        n_runs = serve_past_the_bound(ShardWorker(config))
+        # The second start takes the snapshot branch, which must keep
+        # rotating into the layout too.
+        reborn = ShardWorker(config)
+        assert reborn.warp.graph.n_runs == n_runs
+        n_runs = serve_past_the_bound(reborn)
+        warp, fresh = WarpSystem.load_or_create_shard(
+            config.data_dir, 0, **config.warp_kwargs
+        )
+        assert fresh is False
+        assert warp.graph.n_runs == n_runs
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.ahg.records import AppRunRecord
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
 from repro.faults.plane import FaultPlane, SimulatedCrash
+from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec
 from repro.store import wal as wal_module
 from repro.store.recordstore import RecordStore
@@ -202,6 +203,34 @@ def saved(tmp_path):
 def rewrite(path, lines):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
+
+
+def test_removed_config_keys_in_a_header_are_ignored(saved):
+    """A snapshot written before the six options went still loads, on the
+    one path each of them now has."""
+    warp, path, _ = saved
+    warp.enable_online_repair()
+    warp.save(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0])
+    with open(fixtures.REMOVED_CONFIG_KEYS, "r", encoding="utf-8") as fh:
+        for section, removed in json.load(fh).items():
+            header[section].update(removed)
+    rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+
+    loaded = WarpSystem.load(path)
+    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+    store = loaded.graph.store
+    assert store._touch_lock is not store._records_lock
+    assert store._qindex_lock is not store._records_lock
+    assert loaded.ttdb.use_statement_cache is True
+    assert loaded.cluster_mode == "sequential"
+    # A partition gate serves until the repair has planned its scope; the
+    # queue-everything policy refused from the first request.
+    gate = loaded.server.gate
+    gate.begin()
+    assert gate._conflict("index.php", HttpRequest("GET", "/index.php")) is None
 
 
 class TestRefusedSnapshots:
