@@ -100,6 +100,7 @@ def test_table6_overhead(benchmark):
         "BENCH_table6.json",
         "overhead",
         {
+            "cpu_count": os.cpu_count(),
             "n_visits": N_VISITS,
             "read": {
                 "no_warp_rate": read.no_warp_rate,
@@ -240,6 +241,7 @@ def test_table6_hotpath(benchmark):
         "BENCH_table6.json",
         "hotpath",
         {
+            "cpu_count": os.cpu_count(),
             "rows": HOTPATH_ROWS,
             "depth": HOTPATH_DEPTH,
             "planned": planned,

@@ -70,7 +70,12 @@ def test_table8_scale(benchmark):
         ],
     )
     gates = {}
-    payload = {"n_small": N_SMALL, "n_large": N_LARGE, "scenarios": {}}
+    payload = {
+        "cpu_count": os.cpu_count(),
+        "n_small": N_SMALL,
+        "n_large": N_LARGE,
+        "scenarios": {},
+    }
     for attack in SCENARIOS:
         ratio = (
             large[attack]["repair_s"] / large[attack]["orig_s"]

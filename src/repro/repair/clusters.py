@@ -12,11 +12,11 @@ history graph instead: a union-find joining clients and ``(table,
 partition-key)`` nodes through the queries that read/write them, walked
 outward from the initial damage set through the record store's eagerly
 maintained :class:`~repro.store.recordstore.TouchIndex`.  Each component
-becomes an independent :class:`RepairGroup` — its own time-ordered
-worklist, its own ``ModifiedPartitions``, run/visit state, scheduled-qid
-set, and a **group-scoped partition query index** built from the group's
-runs only, so both discovery and propagation are O(component), never
-O(workload).
+becomes a :class:`RepairGroup`: an **index scope** — a partition query
+index built from the group's runs only, so both discovery and propagation
+are O(component), never O(workload) — plus the attribution row the
+group's work is counted on.  The worklist itself (one heap, one set of
+run/visit state, one ``ModifiedPartitions``) belongs to the controller.
 
 Edges (the connectivity relation; an undirected over-approximation of the
 time-directed dependencies repair actually follows):
@@ -34,23 +34,22 @@ time-directed dependencies repair actually follows):
 **Coverage and the escape hatch.**  A group records the partition keys
 its member runs statically write (``covered_keys``).  By construction the
 component is closed over those keys: every run touching a covered key is
-a member, so group-local propagation lookups are complete.  Re-execution
-can *escape* — write a key the original timeline never wrote (a repaired
-page saved under a new title).  Propagation for uncovered keys falls back
-to the graph's global index (paying its lazy build only when an escape
-actually happens) and the group counts the escape in its stats.
+a member, so the group's index is complete for them.  Re-execution can
+*escape* — write a key the original timeline never wrote (a repaired
+page saved under a new title).  Uncovered keys are looked up in the
+graph's global index instead (paying its lazy build only when an escape
+actually happens) and the group counts the escape in its stats; either
+way the candidates are the ones the global index alone would return.
 """
 
 from __future__ import annotations
 
-import heapq
 import time as _time
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ahg.records import QueryRecord
 from repro.store.recordstore import merge_bucket_tails, partition_index_keys
-from repro.ttdb.partitions import ModifiedPartitions
 
 PartitionKey = Tuple[str, str, object]
 
@@ -112,12 +111,12 @@ class GroupQueryIndex:
 
 
 class RepairGroup:
-    """One independent repair worklist over one taint component.
+    """The index scope and attribution row of one taint component.
 
-    ``run_ids is None`` means *global scope*: the monolithic worklist the
-    controller always starts with (and keeps when clustering is off) —
-    every lookup goes straight to the graph's global index and nothing is
-    considered an escape.
+    ``run_ids is None`` means *global scope*: what the controller starts
+    with (and keeps when clustering is off, and uses for runs in no
+    component) — every lookup goes straight to the graph's global index
+    and nothing is considered an escape.
     """
 
     def __init__(
@@ -127,7 +126,6 @@ class RepairGroup:
         clients: Optional[Set[str]] = None,
         covered_keys: Optional[Set[PartitionKey]] = None,
         covered_tables: Optional[Set[str]] = None,
-        mods: Optional[ModifiedPartitions] = None,
     ) -> None:
         self.group_id = group_id
         self.run_ids = run_ids
@@ -139,22 +137,12 @@ class RepairGroup:
         self.seed_keys: List[PartitionKey] = []
         self.first_damage_ts: int = 0
 
-        # -- worklist state (what the monolithic controller kept flat) -----
-        self.mods = mods if mods is not None else ModifiedPartitions()
-        self.heap: List[Tuple[int, int, str, object]] = []
-        self.heap_seq = 0
-        self.run_state: Dict[int, str] = {}
-        self.visit_state: Dict[Tuple[str, int], str] = {}
-        self.scheduled_qids: Set[int] = set()
-        self.counted_visits: Set[Tuple[str, int]] = set()
-        #: Clients whose replay hit a conflict (paper §5.4): scoped to the
-        #: group because a client belongs to exactly one component.
-        self.conflicted_clients: Set[str] = set()
-
         # -- accounting -----------------------------------------------------
         self.counters: Dict[str, int] = {name: 0 for name in GROUP_COUNTER_FIELDS}
-        #: Progress bookkeeping: a ``group_done`` event fires at most once
-        #: per group (re-sweeps after escaped propagation must not double-count).
+        #: Progress bookkeeping: worklist items queued in this scope and not
+        #: yet run.  ``group_done`` fires the first time it returns to zero,
+        #: and at most once (an escape may queue more afterwards).
+        self.pending = 0
         self.done_emitted = False
         self.escaped_keys = 0
         self.seconds = 0.0
@@ -165,15 +153,8 @@ class RepairGroup:
     def scoped(self) -> bool:
         return self.run_ids is not None
 
-    def schedule(self, ts: int, kind: str, payload) -> None:
-        self.heap_seq += 1
-        heapq.heappush(self.heap, (ts, self.heap_seq, kind, payload))
-
     def covers(self, key: PartitionKey) -> bool:
         return key in self.covered_keys or key[0] in self.covered_tables
-
-    def member_run(self, run_id: int) -> bool:
-        return self.run_ids is None or run_id in self.run_ids
 
     def _ensure_index(self, graph) -> GroupQueryIndex:
         if self._index is None:
@@ -279,29 +260,24 @@ class _Build:
 class ClusteringFutile(Exception):
     """A component is about to swallow most of the workload: group-scoped
     repair would only duplicate the global index.  Callers should fall
-    back to the monolithic worklist (distinct from the empty-damage case,
+    back to the global scope (distinct from the empty-damage case,
     where :func:`compute_repair_groups` returns ``[]``)."""
 
 
 def compute_repair_groups(
     graph,
     run_seeds: Iterable[int] = (),
-    key_seeds: Iterable[PartitionKey] = (),
-    full_table_seeds: Iterable[str] = (),
-    damage_ts: int = 0,
     futility_limit: Optional[int] = None,
     key_seed_groups: Iterable[Tuple[Iterable[PartitionKey], Iterable[str], int]] = (),
 ) -> List[RepairGroup]:
     """Partition the damage set into taint-connected repair groups.
 
     ``run_seeds`` are initially damaged run ids (a patched file's runs, a
-    canceled visit's or client's runs); ``key_seeds``/``full_table_seeds``
-    are the partitions a retroactive database fix writes directly.  All
-    key/table seeds belong to one statement and therefore one group —
-    batched repairs with several independent fix statements pass
-    ``key_seed_groups`` instead, one ``(keys, full_tables, damage_ts)``
-    entry per statement, so two fixes touching unrelated partitions keep
-    their own components (they still merge if taint connects them).
+    canceled visit's or client's runs); ``key_seed_groups`` are the
+    partitions retroactive database fixes write directly, one ``(keys,
+    full_tables, damage_ts)`` entry per statement, so two fixes touching
+    unrelated partitions keep their own components (they still merge if
+    taint connects them).
 
     Deterministic: groups come back ordered by earliest damage timestamp
     (ties by smallest seed run id), with members discovered by BFS whose
@@ -314,7 +290,7 @@ def compute_repair_groups(
     partition whose table has thousands of ALL-partition readers trips
     this within a few expansions — the whole point is to detect
     "everything is connected" *without* paying for the full walk, and let
-    the caller keep the monolithic worklist whose lazy global index is
+    the caller keep the global scope, whose lazy global index is
     already the right tool there.  Returns ``[]`` only for an empty
     damage set.
     """
@@ -440,7 +416,7 @@ def compute_repair_groups(
 
     for run_id in run_seeds:
         run = graph.runs.get(run_id)
-        seed_ts = run.ts_start if run is not None else damage_ts
+        seed_ts = run.ts_start if run is not None else 0
         owner = run_owner.get(run_id)
         if owner is not None:
             build = builds[find(owner)]
@@ -455,18 +431,12 @@ def compute_repair_groups(
         parent.append(len(builds) - 1)
         grow(len(builds) - 1, deque([run_id]))
 
-    statement_seeds = [
-        (list(keys), list(tables), ts) for keys, tables, ts in key_seed_groups
-    ]
-    key_seeds = list(key_seeds)
-    full_table_seeds = list(full_table_seeds)
-    if key_seeds or full_table_seeds:
-        statement_seeds.append((key_seeds, full_table_seeds, damage_ts))
-    for stmt_keys, stmt_tables, stmt_ts in statement_seeds:
+    for stmt_keys, stmt_tables, stmt_ts in key_seed_groups:
+        stmt_keys, stmt_tables = list(stmt_keys), list(stmt_tables)
         if not stmt_keys and not stmt_tables:
             continue
         build = _Build()
-        build.seed_keys = list(stmt_keys)
+        build.seed_keys = stmt_keys
         build.first_ts = stmt_ts
         builds.append(build)
         root = len(builds) - 1

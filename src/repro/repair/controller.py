@@ -16,16 +16,17 @@ All re-execution happens at original logical timestamps inside the repair
 generation, so the live generation keeps serving traffic untouched until
 ``finalize`` atomically switches generations (§4.3).
 
-The worklist is **dependency-clustered** (:mod:`repro.repair.clusters`):
-the initial damage set is split into taint-connected components, and each
-component runs as its own worklist — own ``ModifiedPartitions``, run and
-visit state, scheduled-qid set, and a group-scoped partition index —
-against the shared repair generation.  ``cluster_mode`` selects
-``"sequential"`` (default: groups processed one after another in
-deterministic damage-time order) or ``"off"`` (the original monolithic
-global worklist, kept as the reference for the equivalence property
-test).  See DESIGN.md for the one bounded deviation escapes can
-introduce.
+There is one worklist: one heap in global ``(ts, seq)`` order, one set of
+run / visit state, one ``ModifiedPartitions``.  What is
+**dependency-clustered** (:mod:`repro.repair.clusters`) is the index it
+consults: the initial damage set is split into taint-connected components,
+and each heap entry carries the component (*scope*) its run belongs to, so
+propagation looks candidates up in a partition index built over that
+component's runs only.  ``cluster_mode`` selects ``"sequential"`` (default:
+components computed) or ``"off"`` (never computed: every entry runs in
+global scope against the store's index — the reference the equivalence
+property test compares against).  Both pop the same items in the same
+order.
 """
 
 from __future__ import annotations
@@ -179,21 +180,30 @@ class RepairController:
         #: Fault plane (repro.faults); WarpSystem points this at its own.
         self.faults = _active_plane()
 
-        #: Union of every group's modified partitions (the repair-wide
-        #: view used by finalize-time input-change checks and pruning).
+        #: Every partition this repair modified (affects-gating of queued
+        #: queries, finalize-time input-change checks, pruning).
         self.mods = ModifiedPartitions()
         self.stats = RepairStats()
-        #: Worklist groups.  Until an entry point plans clusters there is a
-        #: single global-scope group, which is also what ``cluster_mode ==
-        #: "off"`` and the manual ``_escalate``/``_process`` flow use.
-        self._groups: List[RepairGroup] = [RepairGroup(0, mods=self.mods)]
-        self._g: RepairGroup = self._groups[0]
-        #: qids of scheduled queries whose runs belong to *no* group
-        #: (untainted runs reached through the escape fallback); shared so
-        #: two escaping groups cannot schedule the same query twice.
-        self._orphan_qids: Set[int] = set()
-        #: O(1) ownership maps derived from the computed groups (kept in
-        #: sync by _plan_groups): which group a run / client belongs to.
+        #: The worklist: ``(ts, seq, scope, kind, payload)`` in global
+        #: timestamp order, and the state of everything it has touched.
+        self._heap: List[Tuple[int, int, RepairGroup, str, object]] = []
+        self._heap_seq = 0
+        self._run_state: Dict[int, str] = {}
+        self._visit_state: Dict[Tuple[str, int], str] = {}
+        self._scheduled_qids: Set[int] = set()
+        self._counted_visits: Set[Tuple[str, int]] = set()
+        #: Clients whose replay hit a conflict (paper §5.4).
+        self._conflicted_clients: Set[str] = set()
+        #: Index scopes.  Until an entry point plans clusters there is only
+        #: the global scope, which is also what ``cluster_mode == "off"``
+        #: uses throughout and what a run in no component gets.
+        self._global = RepairGroup(0)
+        self._groups: List[RepairGroup] = [self._global]
+        #: Scope of the item being processed: which index answers
+        #: ``queries_touching`` and whose counters ``_bump`` feeds.
+        self._g: RepairGroup = self._global
+        #: Which scope a run / client's items are queued in (filled by
+        #: _plan_groups from the computed groups).
         self._run_home: Dict[int, RepairGroup] = {}
         self._client_home: Dict[str, RepairGroup] = {}
         #: When set, _note_modification defers propagation and collects the
@@ -357,9 +367,7 @@ class RepairController:
                         (spec.client_id, visit.visit_id)
                         for visit in self.graph.client_visits(spec.client_id)
                     )
-            groups = self._plan_groups(
-                run_seeds=run_seeds, key_seed_groups=key_seed_groups
-            )
+            self._plan_groups(run_seeds=run_seeds, key_seed_groups=key_seed_groups)
             if self.server.gate is not None:
                 for client_id in gate_clients:
                     self.server.gate.note_client(client_id)
@@ -375,18 +383,15 @@ class RepairController:
                 run = self.graph.runs.get(run_id)
                 if run is None:
                     continue
-                self._g = self._run_home.get(run_id, groups[0])
+                self._g = self._run_home.get(run_id, self._global)
                 self.cancel_run(run)
-            for client_id, visit_id in cancel_visit_keys:
-                home = self._client_home.get(client_id, groups[0])
-                home.visit_state[(client_id, visit_id)] = "canceled"
+            for key in cancel_visit_keys:
+                self._visit_state[key] = "canceled"
             for run_id in escalate_runs:
-                self._g = self._run_home.get(run_id, groups[0])
                 self._escalate(run_id)
             for table, keys, mod_ts, whole_table in deferred_all:
-                self._g = self._group_covering(groups, table, keys, whole_table)
+                self._g = self._group_covering(table, keys, whole_table)
                 self._note_modification(table, keys, mod_ts, whole_table)
-            self._g = groups[0]
             self.stats.timer.pop()
             self._process()
             if undo_guards:
@@ -427,11 +432,11 @@ class RepairController:
         for file, new_version, _apply_ts in reversed(staged_patches):
             self.scripts.revert_patch(file, new_version)
 
-    def _group_covering(self, groups, table, keys, whole_table):
-        """Home group for a deferred db-fix modification: the component
-        whose coverage holds the statement's keys (each statement seeded
-        exactly one build, so first match is the only match)."""
-        for group in groups:
+    def _group_covering(self, table, keys, whole_table) -> RepairGroup:
+        """Scope for a deferred db-fix modification: the component whose
+        coverage holds the statement's keys (each statement seeded exactly
+        one build, so first match is the only match)."""
+        for group in self._groups:
             if not group.scoped:
                 continue
             if whole_table and table in group.covered_tables:
@@ -440,7 +445,7 @@ class RepairController:
                 full = key if len(key) == 3 else (table,) + tuple(key)
                 if group.covers(full):
                     return group
-        return groups[0]
+        return self._global
 
     def _result(
         self,
@@ -484,13 +489,16 @@ class RepairController:
                 "applied": gate_stats.applied,
                 "apply_errors": gate_stats.apply_errors,
             }
-        if scoped_any and attributed < len(repair_conflicts):
-            # Conflicts for orphan clients (reached only through escaped
-            # propagation) belong to no component; record them so the
-            # per-group fold-in still reconciles with stats.conflicts.
-            self.stats.groups.append(
-                {"group": 0, "orphan": True, "conflicts": len(repair_conflicts) - attributed}
-            )
+        orphan = self._global
+        if scoped_any and (attributed < len(repair_conflicts) or any(orphan.counters.values())):
+            # Work in no component — a db-fix statement itself, runs and
+            # clients reached only through escaped propagation, §4.3
+            # re-applied arrivals — gets one row, so the per-group fold-in
+            # still reconciles with the repair-wide stats.
+            row = {"group": 0, "orphan": True, "seconds": round(orphan.seconds, 6)}
+            row.update(orphan.counters)
+            row["conflicts"] = len(repair_conflicts) - attributed
+            self.stats.groups.append(row)
         return RepairResult(
             ok=not aborted,
             aborted=aborted,
@@ -523,58 +531,39 @@ class RepairController:
             if id(c) not in self._prior_conflict_ids
         ]
 
-    def _plan_groups(
-        self,
-        run_seeds=(),
-        key_seeds=(),
-        full_table_seeds=(),
-        damage_ts: int = 0,
-        key_seed_groups=(),
-    ) -> List[RepairGroup]:
+    def _plan_groups(self, run_seeds=(), key_seed_groups=()) -> List[RepairGroup]:
         """Split the damage set into repair groups (honoring cluster_mode).
 
         Always returns at least one group; with clustering off (or an empty
-        damage set) that is the controller's global-scope worklist."""
+        damage set) that is the controller's global scope."""
         run_seeds = list(run_seeds)
         key_seed_groups = list(key_seed_groups)
-        global_group = self._groups[0]
-        if self.cluster_mode == "off" or not (
-            run_seeds or key_seeds or full_table_seeds or key_seed_groups
-        ):
-            global_group.seed_runs.extend(run_seeds)
-            self._sync_gate_scope([global_group])
-            self._emit("groups_planned", n_groups=0, futile=False)
-            return [global_group]
-        started = _time.perf_counter()
-        try:
-            groups = compute_repair_groups(
-                self.graph,
-                run_seeds=run_seeds,
-                key_seeds=key_seeds,
-                full_table_seeds=full_table_seeds,
-                damage_ts=damage_ts,
-                key_seed_groups=key_seed_groups,
-            )
-        except ClusteringFutile:
-            groups = []
-        self.stats.clusters_seconds += _time.perf_counter() - started
+        groups: List[RepairGroup] = []
+        futile = False
+        if self.cluster_mode != "off" and (run_seeds or key_seed_groups):
+            started = _time.perf_counter()
+            try:
+                groups = compute_repair_groups(
+                    self.graph, run_seeds=run_seeds, key_seed_groups=key_seed_groups
+                )
+            except ClusteringFutile:
+                # The damage component spans most of the workload: keep the
+                # global scope and the store's index.
+                futile = True
+            self.stats.clusters_seconds += _time.perf_counter() - started
         if not groups:
-            # Clustering was futile (the damage component spans most of the
-            # workload): keep the monolithic worklist and its global index.
-            global_group.seed_runs.extend(run_seeds)
-            self._sync_gate_scope([global_group])
-            self._emit("groups_planned", n_groups=0, futile=True)
-            return [global_group]
-        self._groups = groups
-        self._g = groups[0]
-        self.stats.n_groups = len(groups)
-        for group in groups:
-            for run_id in group.run_ids or ():
-                self._run_home[run_id] = group
-            for client_id in group.clients:
-                self._client_home[client_id] = group
+            self._global.seed_runs.extend(run_seeds)
+            groups = [self._global]
+        else:
+            self._groups = groups
+            self.stats.n_groups = len(groups)
+            for group in groups:
+                for run_id in group.run_ids or ():
+                    self._run_home[run_id] = group
+                for client_id in group.clients:
+                    self._client_home[client_id] = group
         self._sync_gate_scope(groups)
-        self._emit("groups_planned", n_groups=len(groups), futile=False)
+        self._emit("groups_planned", n_groups=self.stats.n_groups, futile=futile)
         return groups
 
     def _sync_gate_scope(self, groups) -> None:
@@ -586,21 +575,32 @@ class RepairController:
 
     def _process(self) -> None:
         self._emit("phase_started", phase="process")
-        ordered = sorted(self._groups, key=lambda g: (g.first_damage_ts, g.group_id))
-        # Escaped propagation can feed a group that already drained (its
-        # damage reached a query of an earlier group): keep sweeping until
-        # every heap settles.  Per-group qid dedup bounds the loop.
-        while any(group.heap for group in ordered):
-            for group in ordered:
-                if group.heap:
-                    self._process_group(group)
+        while self._heap:
+            if self.cancel_requested:
+                raise RepairCanceled("repair job canceled by administrator")
+            _, _, scope, kind, payload = heapq.heappop(self._heap)
+            self._g = scope
+            started = _time.perf_counter()
+            try:
+                if kind == "query":
+                    self._process_query(payload)
+                elif kind == "run":
+                    self._process_run(payload)
+                elif kind == "visit":
+                    self._process_visit(payload)
+                if self.step_hook is not None:
+                    self.step_hook()
+            finally:
+                scope.seconds += _time.perf_counter() - started
+            scope.pending -= 1
+            self._emit_group_done(scope)
         # Progress contract: exactly one group_done per scoped group per
-        # repair — including groups whose heap was empty from the start.
+        # repair — including groups that never had an item queued.
         for group in self._groups:
             self._emit_group_done(group)
 
     def _emit_group_done(self, group: RepairGroup) -> None:
-        if not group.scoped or group.done_emitted or group.heap:
+        if not group.scoped or group.done_emitted or group.pending:
             return
         group.done_emitted = True
         self._emit(
@@ -610,82 +610,6 @@ class RepairController:
             seconds=round(group.seconds, 6),
         )
 
-    def _process_group(self, group: RepairGroup) -> None:
-        started = _time.perf_counter()
-        previous = self._g
-        self._g = group
-        try:
-            while group.heap:
-                _, _, kind, payload = heapq.heappop(group.heap)
-                self._dispatch(kind, payload)
-                if self.step_hook is not None:
-                    self.step_hook()
-        finally:
-            self._g = previous
-            group.seconds += _time.perf_counter() - started
-        self._emit_group_done(group)
-
-    def _dispatch(self, kind: str, payload) -> None:
-        if self.cancel_requested:
-            raise RepairCanceled("repair job canceled by administrator")
-        if kind == "query":
-            self._process_query(payload)
-        elif kind == "run":
-            self._process_run(payload)
-        elif kind == "visit":
-            self._process_visit(payload)
-
-    def _run_state_anywhere(self, run_id: int) -> Optional[str]:
-        for group in self._groups:
-            state = group.run_state.get(run_id)
-            if state is not None:
-                return state
-        return None
-
-    # Escaped propagation can hand a group a *foreign* run — one outside
-    # its static component.  State checks for foreign runs must consult
-    # every group (the run's home group may already have re-executed,
-    # replayed, or conflict-silenced it); member runs keep the group-local
-    # fast path, which is also exactly the monolithic behavior for the
-    # global-scope group.
-
-    def _effective_run_state(self, run_id: int) -> Optional[str]:
-        group = self._g
-        state = group.run_state.get(run_id)
-        if state is not None or group.member_run(run_id):
-            return state
-        home = self._run_home.get(run_id)
-        if home is not None:
-            return home.run_state.get(run_id)
-        # Orphan run (no home group): any escaping group may have touched it.
-        return self._run_state_anywhere(run_id)
-
-    def _effective_visit_state(self, client_id, visit_id) -> Optional[str]:
-        group = self._g
-        key = (client_id, visit_id)
-        state = group.visit_state.get(key)
-        if state is not None or not group.scoped or client_id in group.clients:
-            return state
-        home = self._client_home.get(client_id)
-        if home is not None:
-            return home.visit_state.get(key)
-        for other in self._groups:
-            state = other.visit_state.get(key)
-            if state is not None:
-                return state
-        return None
-
-    def _client_conflicted(self, client_id) -> bool:
-        group = self._g
-        if client_id in group.conflicted_clients:
-            return True
-        if client_id is None or not group.scoped or client_id in group.clients:
-            return False
-        home = self._client_home.get(client_id)
-        if home is not None:
-            return client_id in home.conflicted_clients
-        return any(client_id in other.conflicted_clients for other in self._groups)
-
     def _finalize(self) -> None:
         self._emit("phase_started", phase="finalize")
         # Briefly suspend: new arrivals block (or 503 without a gate) and
@@ -694,14 +618,11 @@ class RepairController:
         self.server.begin_switch()
         try:
             # Re-apply requests that arrived while repair was running
-            # (§4.3), in a fresh global-scope worklist context (they are
-            # new traffic, not members of any damage component).  Contract:
-            # re-application happens in arrival-timestamp order — the list
-            # is appended by request threads, so list order carries no
-            # guarantee.
-            pending_group = RepairGroup(-1, mods=self.mods)
-            self._groups.append(pending_group)
-            self._g = pending_group
+            # (§4.3), in global scope (they are new traffic, not members
+            # of any damage component).  Contract: re-application happens
+            # in arrival-timestamp order — the list is appended by request
+            # threads, so list order carries no guarantee.
+            self._g = self._global
             pending = [
                 run
                 for run in (
@@ -712,7 +633,7 @@ class RepairController:
             ]
             pending.sort(key=lambda run: (run.ts_start, run.run_id))
             for run in pending:
-                if self._run_state_anywhere(run.run_id) in ("done", "canceled"):
+                if self._run_state.get(run.run_id) in ("done", "canceled"):
                     continue
                 if self._inputs_changed(run):
                     self._reexec_run(run, run.request, conflict_on_change=False)
@@ -814,25 +735,32 @@ class RepairController:
             counters[name] += n
 
     def _schedule(self, ts: int, kind: str, payload) -> None:
-        self._g.schedule(ts, kind, payload)
+        """Queue an item in its run's (a visit: its client's) component
+        scope; a run in no component gets the global scope."""
+        if kind == "visit":
+            scope = self._client_home.get(payload.client_id, self._global)
+        else:
+            scope = self._run_home.get(payload.run_id, self._global)
+        scope.pending += 1
+        self._heap_seq += 1
+        heapq.heappush(self._heap, (ts, self._heap_seq, scope, kind, payload))
 
     def _escalate(self, run_id: int) -> None:
         """A run's inputs (or outputs) changed: queue it for re-execution,
         at the browser level when a client-side log exists."""
-        group = self._g
         run = self.graph.runs.get(run_id)
-        if run is None or self._effective_run_state(run_id) in (
+        if run is None or self._run_state.get(run_id) in (
             "queued",
             "done",
             "canceled",
         ):
             return
         visit = self.graph.visit_of_run(run)
-        if self._client_conflicted(run.client_id):
+        if run.client_id in self._conflicted_clients:
             # §5.4: after a conflict, this browser is no longer replayed —
             # its requests are assumed unchanged, so affected runs
             # re-execute server-side with the recorded request.
-            group.run_state[run_id] = "queued"
+            self._run_state[run_id] = "queued"
             self._schedule(run.ts_start, "run", run)
             return
         if self.replayer.can_replay(visit):
@@ -842,15 +770,15 @@ class RepairController:
             # fresh CSRF tokens flow into the re-executed request).
             for candidate in self._replay_chain(visit):
                 key = (candidate.client_id, candidate.visit_id)
-                state = self._effective_visit_state(*key)
+                state = self._visit_state.get(key)
                 if state == "queued":
                     return
                 if state is None:
-                    group.visit_state[key] = "queued"
+                    self._visit_state[key] = "queued"
                     self._schedule(candidate.ts, "visit", candidate)
                     return
             # Entire chain already replayed: fall through to the run level.
-        group.run_state[run_id] = "queued"
+        self._run_state[run_id] = "queued"
         self._schedule(run.ts_start, "run", run)
 
     def _replay_chain(self, visit: VisitRecord) -> List[VisitRecord]:
@@ -870,25 +798,22 @@ class RepairController:
     def note_visit_replayed(self, client_id: str, visit_id: int) -> None:
         """Called by the replay session when a visit gets mapped into a
         clone: its standalone queue entry (if any) must become a no-op."""
-        group = self._g
         key = (client_id, visit_id)
-        group.visit_state[key] = "done"
-        if key not in group.counted_visits:
-            group.counted_visits.add(key)
+        self._visit_state[key] = "done"
+        if key not in self._counted_visits:
+            self._counted_visits.add(key)
             self._bump("visits_reexecuted")
 
     # ------------------------------------------------------------------ worklist items
 
     def _process_query(self, query: QueryRecord) -> None:
-        group = self._g
-        run_state = self._effective_run_state(query.run_id)
-        if run_state in ("queued", "done", "canceled"):
+        if self._run_state.get(query.run_id) in ("queued", "done", "canceled"):
             return
         run = self.graph.runs.get(query.run_id)
         if run is None or run.canceled:
             return
-        if run.client_id is not None and self._effective_visit_state(
-            run.client_id, run.visit_id
+        if run.client_id is not None and self._visit_state.get(
+            (run.client_id, run.visit_id)
         ) in (
             "queued",
             "done",
@@ -896,9 +821,9 @@ class RepairController:
             "canceled",
         ):
             return
-        affected = group.mods.affects(query.read_set, query.ts) or (
+        affected = self.mods.affects(query.read_set, query.ts) or (
             query.is_write
-            and group.mods.affects_keys(
+            and self.mods.affects_keys(
                 query.table, query.written_partitions, query.ts
             )
         )
@@ -911,19 +836,18 @@ class RepairController:
             self._escalate(query.run_id)
 
     def _process_run(self, run: AppRunRecord) -> None:
-        if self._effective_run_state(run.run_id) in ("done", "canceled"):
+        if self._run_state.get(run.run_id) in ("done", "canceled"):
             return
-        already_conflicted = self._client_conflicted(run.client_id)
+        already_conflicted = run.client_id in self._conflicted_clients
         self._reexec_run(run, run.request, conflict_on_change=not already_conflicted)
 
     def _process_visit(self, visit: VisitRecord) -> None:
-        group = self._g
         key = (visit.client_id, visit.visit_id)
-        if self._effective_visit_state(*key) == "done":
+        if self._visit_state.get(key) == "done":
             return
-        if self._client_conflicted(visit.client_id):
+        if visit.client_id in self._conflicted_clients:
             return
-        group.visit_state[key] = "done"
+        self._visit_state[key] = "done"
         self.stats.timer.push("firefox")
         self.replayer.replay_visit(visit)
         self.stats.timer.pop()
@@ -978,10 +902,9 @@ class RepairController:
 
     def cancel_run(self, run: AppRunRecord) -> None:
         """Undo every write of a canceled request (paper §5.4, §5.5)."""
-        group = self._g
-        if self._effective_run_state(run.run_id) == "canceled":
+        if self._run_state.get(run.run_id) == "canceled":
             return
-        group.run_state[run.run_id] = "canceled"
+        self._run_state[run.run_id] = "canceled"
         self.graph.mark_run_canceled(run.run_id)
         self._bump("runs_canceled")
         for query in run.queries:
@@ -994,20 +917,14 @@ class RepairController:
         if self._pending_damage is not None:
             # Staging a retroactive fix: collect the damage footprint,
             # cluster first, propagate after.  Replaying the deferred notes
-            # records them into the chosen group's mods *and* the
-            # repair-wide union, so nothing is recorded here.
+            # records them, so nothing is recorded here.
             if keys or whole_table:
                 self._pending_damage.append((table, set(keys), ts, whole_table))
             return
-        group = self._g
-        targets = [group.mods]
-        if group.mods is not self.mods:
-            targets.append(self.mods)
-        for mods in targets:
-            if whole_table:
-                mods.record_all(table, ts)
-            if keys:
-                mods.record(table, keys, ts)
+        if whole_table:
+            self.mods.record_all(table, ts)
+        if keys:
+            self.mods.record(table, keys, ts)
         if not keys and not whole_table:
             return
         if self.server.gate is not None:
@@ -1017,58 +934,17 @@ class RepairController:
             self.server.gate.note_modification(table, keys, whole_table)
         self._propagate(table, keys, ts, whole_table)
 
-    def _home_group(self, run_id: int) -> Optional[RepairGroup]:
-        return self._run_home.get(run_id)
-
     def _propagate(self, table: str, keys, ts: int, whole_table: bool) -> None:
-        group = self._g
-        if group.scoped:
-            self._broadcast_escaped_mods(group, table, keys, ts, whole_table)
-        candidates = group.queries_touching(self.graph, table, keys, ts, whole_table)
-        for query in candidates:
-            qid = query.qid
-            if group.member_run(query.run_id):
-                target = group
-            else:
-                # Escaped past the static component: route the query to its
-                # home group so it is evaluated once, in its own worklist's
-                # time order, against its own group's modification state.
-                target = self._home_group(query.run_id)
-                if target is None:
-                    # Untainted run (no home): evaluate here, deduped
-                    # controller-wide so two escaping groups cannot both
-                    # schedule it.
-                    if qid in self._orphan_qids:
-                        continue
-                    self._orphan_qids.add(qid)
-                    target = group
-            if qid in target.scheduled_qids:
-                continue
-            target.scheduled_qids.add(qid)
-            target.schedule(query.ts, "query", query)
-
-    def _broadcast_escaped_mods(
-        self, group: RepairGroup, table: str, keys, ts: int, whole_table: bool
-    ) -> None:
-        """A modification outside the group's static footprint must be
-        visible to every other group's affects-gating (their queries may
-        read it); the repair-wide union in ``self.mods`` already has it for
-        finalize-time checks.  Escapes are rare, so the fan-out is cheap."""
-        uncovered = [
-            key if len(key) == 3 else (table,) + tuple(key)
-            for key in keys
-            if not group.covers(key if len(key) == 3 else (table,) + tuple(key))
-        ]
-        escaped_whole = whole_table and table not in group.covered_tables
-        if not uncovered and not escaped_whole:
-            return
-        for other in self._groups:
-            if other is group or not other.scoped:
-                continue
-            if escaped_whole:
-                other.mods.record_all(table, ts)
-            if uncovered:
-                other.mods.record(table, uncovered, ts)
+        """Queue every recorded query the modification may affect, each at
+        most once per repair.  The active scope's index answers for the
+        keys it covers and the store's for the rest (an escape), so the
+        candidates are the same with or without groups."""
+        for query in self._g.queries_touching(
+            self.graph, table, keys, ts, whole_table
+        ):
+            if query.qid not in self._scheduled_qids:
+                self._scheduled_qids.add(query.qid)
+                self._schedule(query.ts, "query", query)
 
     # ------------------------------------------------------------------ run re-execution
 
@@ -1078,11 +954,10 @@ class RepairController:
         request: HttpRequest,
         conflict_on_change: bool,
     ) -> HttpResponse:
-        group = self._g
         self.stats.timer.push("app")
         script_name = self.server.script_for(request.path)
         if script_name is None:
-            group.run_state[run.run_id] = "done"
+            self._run_state[run.run_id] = "done"
             self.stats.timer.pop()
             return HttpResponse(status=404, body=f"no route for {request.path}")
         if self.use_nondet_replay:
@@ -1103,13 +978,13 @@ class RepairController:
             # "done" over a half-mutated generation: record the failure as
             # a conflict for the affected user and re-raise so the caller
             # can abort the repair generation cleanly.
-            group.run_state[run.run_id] = "failed"
+            self._run_state[run.run_id] = "failed"
             self.stats.timer.pop()
             self.report_conflict_for_run(
                 run, f"script raised during repair re-execution: {exc!r}"
             )
             raise
-        group.run_state[run.run_id] = "done"
+        self._run_state[run.run_id] = "done"
         runner.undo_unmatched()
         self._bump("runs_reexecuted")
         self.stats.nondet_misses += nondet.misses
@@ -1163,8 +1038,7 @@ class RepairController:
         run, ts = session.match_request(clone_visit_id, request)
         if run is None:
             return self._exec_new_run(request, ts)
-        group = self._g
-        state = self._effective_run_state(run.run_id)
+        state = self._run_state.get(run.run_id)
         if state == "done":
             replacement = self._replacements.get(run.run_id)
             return replacement.response if replacement else run.response
@@ -1176,7 +1050,7 @@ class RepairController:
             and not self._inputs_changed(run)
         ):
             # Prune: identical request with unchanged inputs (§5.3).
-            group.run_state[run.run_id] = "done"
+            self._run_state[run.run_id] = "done"
             self._bump("runs_pruned")
             return run.response
         return self._reexec_run(run, request, conflict_on_change=False)
@@ -1210,8 +1084,8 @@ class RepairController:
             ),
             ignore_ids=self._prior_conflict_ids,
         )
-        self._g.visit_state[(visit.client_id, visit.visit_id)] = "conflict"
-        self._g.conflicted_clients.add(visit.client_id)
+        self._visit_state[(visit.client_id, visit.visit_id)] = "conflict"
+        self._conflicted_clients.add(visit.client_id)
         self._emit(
             "conflict_found",
             client_id=visit.client_id,
@@ -1230,7 +1104,7 @@ class RepairController:
             ignore_ids=self._prior_conflict_ids,
         )
         if run.client_id is not None:
-            self._g.conflicted_clients.add(run.client_id)
+            self._conflicted_clients.add(run.client_id)
         self._emit(
             "conflict_found",
             client_id=run.client_id or "?",

@@ -215,6 +215,12 @@ class RepairJob:
                 self._n_groups = payload.get("n_groups")
             elif event == "group_done":
                 self._groups_done += 1
+            elif event == "retrying":
+                # The next attempt runs on a fresh controller and reports
+                # its phases and groups from the start.
+                self._phase = None
+                self._n_groups = None
+                self._groups_done = 0
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             try:

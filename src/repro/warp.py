@@ -97,8 +97,8 @@ class WarpSystem:
             "flush_interval": wal_flush_interval,
             "fault_plane": self.faults,
         }
-        #: Repair-group scheduling: "sequential", or "off" (monolithic
-        #: reference worklist); see repro.repair.clusters.
+        #: Repair groups: "sequential" (computed), or "off" (never computed —
+        #: the reference); see repro.repair.clusters.
         self.cluster_mode = "sequential"
         self.clock = LogicalClock()
         self.ids = IdAllocator()

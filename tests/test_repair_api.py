@@ -607,6 +607,32 @@ class TestRepairJobs:
         assert sorted(done_groups) == [1, 2, 3]
         assert job.progress()["groups_done"] == 3
 
+    def test_progress_restarts_with_a_retried_attempt(self):
+        """A transient fault after the worklist drained (the finalize phase
+        boundary) makes the manager re-run the spec on a fresh controller:
+        progress must describe the attempt that finished, not the sum of
+        both (it used to report groups_done 6 of n_groups 3)."""
+        from repro.apps.wiki.pages import make_edit
+        from repro.faults.plane import FaultPlane
+
+        plane = FaultPlane()
+        outcome = run_multi_tenant_scenario(
+            n_tenants=3,
+            users_per_tenant=2,
+            attacked_tenants=1,
+            seed=12,
+            fault_plane=plane,
+        )
+        plane.arm(point="repair.phase_started", kind="error", after=2, times=1)
+        job = outcome.warp.repair.submit(
+            PatchSpec(file="edit.php", exports=make_edit())
+        )
+        assert job.result(timeout=30).ok
+        assert job.status == "done"
+        assert [event for event, _ in job.events].count("retrying") == 1
+        progress = job.progress()
+        assert progress["groups_done"] == progress["n_groups"] == 3
+
     def test_conflict_found_event(self):
         """A repair that queues a conflict emits conflict_found."""
         outcome = run_scenario(
