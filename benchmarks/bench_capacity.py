@@ -10,9 +10,9 @@ in-memory engine (measured from a small probe load) would blow the same
 bound by an order of magnitude.
 
 Gates are machine-relative ratios (rows per MB of RSS growth, lowered
-vs. naive query speedup), so the committed baseline stays comparable
-across machines.  They are loose: capacity, not micro-latency, is the
-contract here.
+vs. naive query speedup) plus point lookups per millisecond, where a
+seek and a scan are four orders of magnitude apart.  They are loose:
+capacity and the access path, not micro-latency, are the contract here.
 
 Env knobs::
 
@@ -27,7 +27,7 @@ from conftest import emit_bench_json, once, print_table
 
 from repro.core.clock import LogicalClock
 from repro.db.engine import create_database
-from repro.db.storage import INFINITY, Column, RowVersion, TableSchema
+from repro.db.storage import INFINITY, Column, TableSchema
 from repro.ttdb.timetravel import TimeTravelDB
 
 CAPACITY_ROWS = int(os.environ.get("CAPACITY_ROWS", "1000000"))
@@ -85,16 +85,21 @@ def version_rows(n):
 
 
 def load_engine(backend, n, path=None):
+    """Load through ``restore`` — the path a reload takes: on SQLite the
+    rows are bulk-inserted first and the indexes built once over them."""
     engine = create_database(backend, path=path)
+    engine.restore(
+        {
+            "tables": [
+                {
+                    "schema": SCHEMA.to_dict(),
+                    "versions": version_rows(n),
+                    "next_row_id": n + 1,
+                }
+            ]
+        }
+    )
     tt = TimeTravelDB(engine, LogicalClock())
-    tt.create_table(SCHEMA)
-    table = engine.table("events")
-    if hasattr(table, "bulk_load"):
-        table.bulk_load(version_rows(n))
-    else:  # in-memory engine: no bulk path, add one version at a time
-        for row in version_rows(n):
-            table.add_version(RowVersion(*row))
-    table.note_row_id(n)
     tt.clock.advance(n + 10)
     return engine, tt
 
@@ -126,10 +131,12 @@ def test_capacity_sqlite_million_rows(benchmark, tmp_path):
 
         assert engine.total_versions() == CAPACITY_ROWS
 
-        mid = CAPACITY_ROWS // 2
+        # A different row each time, so it is the engine's index answering
+        # and not the statement cache.
+        ids = iter(range(CAPACITY_ROWS // 2, CAPACITY_ROWS))
         point = timed(
             lambda: tt.execute(
-                "SELECT * FROM events WHERE event_id = ?", [mid]
+                "SELECT * FROM events WHERE event_id = ?", [next(ids)]
             ).result.rows
         )
         # Pure range predicate: no equality column, so the fallback path
@@ -150,9 +157,10 @@ def test_capacity_sqlite_million_rows(benchmark, tmp_path):
         assert rows, "range query must hit data"
 
         # Ablation arm: same engine, planner off — the range predicate
-        # runs as a Python closure over a full visible_rows scan.  (Point
-        # and equality lookups use index candidates in both modes, so the
-        # index-free range query is the honest lowering comparison.)
+        # runs as a Python closure over a full visible_rows scan.  (With
+        # the planner off SQLite has no access path at all —
+        # ``candidate_row_ids`` is None there and even a point lookup
+        # scans — so the arm is timed on the range query only, 3 times.)
         tt.executor.use_planner = False
         tt.use_read_set_cache = False
         naive_range = timed(
@@ -208,6 +216,12 @@ def test_capacity_sqlite_million_rows(benchmark, tmp_path):
             "lowered_range_speedup": {
                 "value": payload["naive_range_query_ms"]
                 / max(payload["range_query_ms"], 1e-6),
+                "higher_is_better": True,
+            },
+            # An index seek is tens of microseconds at any table size; a
+            # scan of 1M rows is hundreds of milliseconds.
+            "point_lookups_per_ms": {
+                "value": 1.0 / max(payload["point_query_ms"], 1e-6),
                 "higher_is_better": True,
             },
         },

@@ -43,6 +43,7 @@ import sqlite3
 import tempfile
 import threading
 import weakref
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
@@ -134,8 +135,8 @@ class SqliteTable:
             for index, col in enumerate(schema.columns)
         }
         self._columns = [col.name for col in schema.columns]
-        #: Same set the in-memory engine indexes — the planner consults it
-        #: when extracting access paths (unused here, but harmless).
+        #: Same set the in-memory engine indexes: the planner consults it
+        #: when extracting access paths and ``_index_ddl`` indexes it.
         indexed = set(schema.partition_columns)
         for key in schema.unique_keys:
             indexed.update(key)
@@ -158,7 +159,6 @@ class SqliteTable:
         shadow = "".join(
             f", {self._states[name].ident}" for name in self._columns
         )
-        base = _safe_name(self.schema.name)
         return [
             f"CREATE TABLE IF NOT EXISTS {self._sql_name} ("
             "__vid INTEGER PRIMARY KEY AUTOINCREMENT, "
@@ -168,11 +168,30 @@ class SqliteTable:
             "__start_gen INTEGER NOT NULL, "
             "__end_gen INTEGER NOT NULL, "
             "__open_seq INTEGER NOT NULL DEFAULT 0, "
-            f"__data TEXT NOT NULL{shadow})",
-            f'CREATE INDEX IF NOT EXISTS "ix_{base}_row" '
-            f"ON {self._sql_name} (__row_id, __start_ts)",
-            f'CREATE INDEX IF NOT EXISTS "ix_{base}_endgen" '
-            f"ON {self._sql_name} (__end_gen)",
+            f"__data TEXT NOT NULL{shadow})"
+        ]
+
+    def _index_ddl(self) -> List[str]:
+        """Idempotent index list, mirroring the memory engine's access
+        paths: beside the two bookkeeping indexes, the open versions by
+        row id (its ``_live`` map) and one index per ``_indexed_columns``
+        member's shadow column (its equality index).  ``__end_ts`` rides
+        along so a current read seeks straight to the open versions
+        however long the matching rows' history is."""
+        specs = {
+            "row": "(__row_id, __start_ts)",
+            "endgen": "(__end_gen)",
+            "open": f"(__row_id) WHERE __end_ts = {INFINITY}",
+        }
+        for name in self._columns:
+            if name in self._indexed_columns:
+                ident = self._states[name].ident
+                specs[ident.strip('"')] = f"({ident}, __end_ts)"
+        base = _safe_name(self.schema.name)
+        return [
+            f'CREATE INDEX IF NOT EXISTS "ix_{base}_{suffix}" '
+            f"ON {self._sql_name} {spec}"
+            for suffix, spec in specs.items()
         ]
 
     def _meta_dict(self) -> dict:
@@ -554,7 +573,15 @@ class SqliteTable:
             binds: List[object] = list(vis_binds)
             if where_sql is not None:
                 if winner_first:
+                    # Only rows with a visible version satisfying the WHERE
+                    # can have a winner that does: partition those rows
+                    # (each with all its visible versions), not the table.
+                    inner.append(
+                        f"__row_id IN (SELECT __row_id FROM {self._sql_name} "
+                        f"WHERE {' AND '.join(inner + [f'({where_sql})'])})"
+                    )
                     outer.append(f"({where_sql})")
+                    binds.extend((*vis_binds, *where_binds))
                 else:
                     inner.append(where_sql)
                 binds.extend(where_binds)
@@ -731,7 +758,7 @@ class SqliteTable:
     def bulk_load(self, versions: Sequence[Sequence[object]]) -> None:
         """Load ``[row_id, data, start_ts, end_ts, start_gen, end_gen]``
         tuples (the persisted shape) in chunked transactions — the path
-        ``restore`` and the capacity benchmark use for millions of rows."""
+        ``restore`` uses for millions of rows."""
         chunk: List[tuple] = []
         for row_id, data, start_ts, end_ts, start_gen, end_gen in versions:
             version = RowVersion(
@@ -744,6 +771,9 @@ class SqliteTable:
                 chunk = []
         if chunk:
             self._flush_chunk(chunk)
+        # Built once over the loaded rows when the table came without them
+        # (``restore``) instead of maintained per insert; a no-op otherwise.
+        self.engine._run_ddl(self.group, self._index_ddl())
         if not self._multi_open:
             row = self._exec(
                 f"SELECT 1 FROM {self._sql_name} WHERE __end_ts = {INFINITY} "
@@ -792,9 +822,15 @@ class SqliteEngine:
             self._dir = path
         self.path = self._dir
         self._conns: Dict[str, sqlite3.Connection] = {}
-        #: One lock serializes all SQLite access: connections are shared
-        #: across request threads (check_same_thread=False) and the layers
-        #: above already serialize statements, so contention is nil.
+        #: Connections are shared across request threads
+        #: (check_same_thread=False).  The lock makes connection setup, a
+        #: statement with the lastrowid / rowcount its cursor captures, and
+        #: a whole BEGIN…COMMIT atomic.  Callers fetch from the returned
+        #: cursor *outside* it, which is safe because SQLite runs
+        #: serialized (``sqlite3.threadsafety == 3``: every API call takes
+        #: the connection mutex) and each cursor is its own statement;
+        #: isolating one statement's reads from another thread's write is
+        #: ``TimeTravelDB.statement_lock``'s job, as on the memory engine.
         self._lock = threading.RLock()
         self._finalizer = weakref.finalize(
             self, _release, self._conns, self._dir, self.persistent
@@ -832,11 +868,22 @@ class SqliteEngine:
 
     def execute_many(self, group: str, sql: str, rows: List[tuple]) -> None:
         self.faults.fire("sqlite.exec", op="INSERT", rows=len(rows))
+        with self._transaction(group) as conn:
+            conn.executemany(sql, rows)
+
+    def _run_ddl(self, group: str, statements: Sequence[str]) -> None:
+        """One commit per table, however many indexes it carries."""
+        with self._transaction(group):
+            for ddl in statements:
+                self.execute(group, ddl)
+
+    @contextmanager
+    def _transaction(self, group: str) -> Iterator[sqlite3.Connection]:
         with self._lock:
             conn = self._connect(group)
             conn.execute("BEGIN")
             try:
-                conn.executemany(sql, rows)
+                yield conn
                 conn.execute("COMMIT")
             except BaseException:
                 try:
@@ -869,6 +916,9 @@ class SqliteEngine:
                 table = SqliteTable(self, schema, group)
                 table._load_meta(meta)
                 self.tables[schema.name] = table
+                # Directories written before the column indexes existed
+                # gain them on first open; a no-op afterwards.
+                self._run_ddl(group, table._index_ddl())
         if self.tables:
             self.ddl_epoch += 1
 
@@ -906,12 +956,15 @@ class SqliteEngine:
     # -- DDL ----------------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> SqliteTable:
+        return self._create(schema, indexed=True)
+
+    def _create(self, schema: TableSchema, indexed: bool) -> SqliteTable:
         if schema.name in self.tables:
             raise StorageError(f"table {schema.name!r} already exists")
         group = self._groups.get(schema.name, schema.name)
         table = SqliteTable(self, schema, group)
-        for ddl in table._create_ddl():
-            self.execute(group, ddl)
+        ddl = table._create_ddl()
+        self._run_ddl(group, ddl + table._index_ddl() if indexed else ddl)
         self.tables[schema.name] = table
         self._write_meta(table)
         self.ddl_epoch += 1
@@ -958,7 +1011,7 @@ class SqliteEngine:
             self.drop_table(name)
         for item in data["tables"]:
             schema = TableSchema.from_dict(item["schema"])
-            table = self.create_table(schema)
+            table = self._create(schema, indexed=False)  # bulk_load indexes
             table.bulk_load(item["versions"])
             table._next_row_id = item["next_row_id"]
             self._write_meta(table)

@@ -360,6 +360,11 @@ def test_planned_equals_naive_seed_4():
 # abort/finalize behaviour and GC counts must all agree.
 
 
+#: seed -> whether its workload left some SQLite table ``_multi_open``
+#: (a row with two open versions: the winner-first window query ran).
+_SEED_REACHED_MULTI_OPEN = {}
+
+
 @pytest.mark.parametrize("seed", CROSS_BACKEND_SEEDS)
 def test_python_equals_sqlite(seed):
     dbs = [
@@ -368,3 +373,14 @@ def test_python_equals_sqlite(seed):
         make_db(seed, backend="sqlite", planner=False),
     ]
     run_workload(seed, n_statements=110, dbs=dbs)
+    _SEED_REACHED_MULTI_OPEN[seed] = any(
+        table._multi_open for table in dbs[1].database.tables.values()
+    )
+
+
+def test_cross_backend_seeds_reach_the_window_query():
+    """The property above is only evidence for the SQLite engine's
+    winner-first branch if some seeds get there."""
+    if len(_SEED_REACHED_MULTI_OPEN) < len(CROSS_BACKEND_SEEDS):
+        pytest.skip("needs every cross-backend seed to have run in this session")
+    assert sum(_SEED_REACHED_MULTI_OPEN.values()) > 0, _SEED_REACHED_MULTI_OPEN

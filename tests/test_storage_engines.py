@@ -11,6 +11,9 @@ the WarpSystem round trip that records the backend choice.
 """
 
 import math
+import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.core.clock import LogicalClock
 from repro.core.errors import StorageError
 from repro.db.engine import create_database, resolve_backend, snapshot_backend
 from repro.db.sqlite_engine import SqliteEngine
-from repro.db.storage import Column, Database, TableSchema
+from repro.db.storage import INFINITY, Column, Database, RowVersion, TableSchema
 from repro.faults.plane import FAULT_POINTS, FaultPlane, InjectedIOError
 from repro.ttdb.timetravel import TimeTravelDB
 
@@ -196,6 +199,25 @@ class TestDescCollation:
 # ---------------------------------------------------------------------------
 
 
+def _renamed(name):
+    return TableSchema(
+        name=name,
+        columns=SCHEMA.columns,
+        row_id_column=SCHEMA.row_id_column,
+        partition_columns=SCHEMA.partition_columns,
+        unique_keys=SCHEMA.unique_keys,
+    )
+
+
+def _index_columns(engine, table):
+    """Leading column of every index on ``table``'s shadow table."""
+    conn = engine._connect(table.group)
+    return {
+        conn.execute(f'PRAGMA index_info("{index[1]}")').fetchone()[2]
+        for index in conn.execute(f"PRAGMA index_list({table._sql_name})").fetchall()
+    }
+
+
 class TestFilePersistence:
     def test_checkpoint_reattach_round_trip(self, tmp_path):
         path = str(tmp_path / "store")
@@ -222,6 +244,52 @@ class TestFilePersistence:
         assert [row["id"] for row in rows] == [1, 2]
         assert rows[0]["b"] == 2**70 and rows[1]["b"] == 6
 
+    def test_reopen_upgrades_a_directory_written_without_column_indexes(
+        self, tmp_path
+    ):
+        """A directory from before the shadow-column indexes existed gains
+        them on first open — ``t`` and ``u`` coalesced into one group
+        file, ``w`` in its own — and answers what it answered."""
+        path = str(tmp_path / "old")
+        names = ("t", "u", "w")
+        engine = SqliteEngine(path=path, groups={"t": "shared", "u": "shared"})
+        tt = TimeTravelDB(engine, LogicalClock())
+        for name in names:
+            tt.create_table(_renamed(name))
+            tt.execute(f"INSERT INTO {name} (id, a, b, c) VALUES (1, 'x', 1, 'k1')")
+            tt.execute(f"INSERT INTO {name} (id, a, b, c) VALUES (2, 'y', 2, 'k2')")
+            tt.execute(f"UPDATE {name} SET a = 'x', b = 3 WHERE id = 2")
+        assert [engine.table(name).group for name in names] == ["shared", "shared", "w"]
+        reads = [f"SELECT * FROM {name} WHERE a = 'x' ORDER BY b DESC" for name in names]
+        before = [tt.execute(sql).result.rows for sql in reads]
+        assert [[row["id"] for row in rows] for rows in before] == [[2, 1]] * 3
+
+        # The pre-index layout: only the two bookkeeping indexes.
+        for name in names:
+            table = engine.table(name)
+            assert _index_columns(engine, table) >= {"c0", "c1", "c3"}
+            conn = engine._connect(table.group)
+            for index in conn.execute(f"PRAGMA index_list({table._sql_name})").fetchall():
+                if not index[1].endswith(("_row", "_endgen")):
+                    conn.execute(f'DROP INDEX "{index[1]}"')
+            assert _index_columns(engine, table) == {"__row_id", "__end_gen"}
+        engine.close()
+
+        again = SqliteEngine(path=path)
+        for name in names:
+            table = again.table(name)
+            assert table._indexed_columns == {"id", "a", "c"}
+            assert _index_columns(again, table) >= {
+                table._states[column].ident.strip('"')
+                for column in table._indexed_columns
+            }
+        assert [again.table(name).group for name in names] == ["shared", "shared", "w"]
+        tt2 = TimeTravelDB(again, LogicalClock())
+        tt2.clock.advance(100)
+        assert [tt2.execute(sql).result.rows for sql in reads] == before
+        again.close()
+        SqliteEngine(path=path).close()  # a second open is a no-op upgrade
+
     def test_fresh_engine_uses_temp_dir_and_cleans_up(self):
         engine = create_database("sqlite")
         directory = engine.path
@@ -239,6 +307,82 @@ class TestFilePersistence:
         import os
 
         assert os.path.isdir(path)
+
+
+# ---------------------------------------------------------------------------
+# two tables sharing one group file (one connection) under eight threads
+# ---------------------------------------------------------------------------
+
+
+class TestSharedConnectionThreads:
+    def test_two_tables_in_one_group_read_write_smoke(self):
+        """``SqliteEngine.execute`` hands back a cursor that callers fetch
+        outside the engine lock (see the lock's comment for why that is
+        safe).  Four writers and four readers of two tables share one
+        connection: every insert must land exactly once under its own
+        vid, and a reader only ever sees whole rows."""
+        assert sqlite3.threadsafety == 3  # serialized: what the lock relies on
+        engine = SqliteEngine(groups={"t": "shared", "u": "shared"})
+        tables = [engine.create_table(SCHEMA), engine.create_table(_renamed("u"))]
+        assert tables[0].group == tables[1].group == "shared"
+        per_writer = 150
+        errors = []
+        vids = ([], [])
+        stop = threading.Event()
+
+        def row(n):
+            return {"id": n, "a": f"a{n % 7}", "b": n, "c": f"k{n}"}
+
+        def writer(which, offset):
+            try:
+                for n in range(offset, offset + per_writer):
+                    version = RowVersion(n, row(n), n)
+                    tables[which].add_version(version)
+                    vids[which].append(version.vid)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def reader(which):
+            try:
+                table, seen = tables[which], 0
+                while not stop.is_set():
+                    rows = list(table.visible_rows(INFINITY - 1, 0))
+                    assert len(rows) >= seen
+                    seen = len(rows)
+                    for version in rows:
+                        assert version.data == row(version.row_id)
+                    probe = table.visible_version(1, INFINITY - 1, 0)
+                    assert probe is None or probe.data == row(1)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        writers = [
+            threading.Thread(target=writer, args=(which, 1 + slot * per_writer))
+            for which in (0, 1)
+            for slot in (0, 1)
+        ]
+        readers = [threading.Thread(target=reader, args=(w,)) for w in (0, 1, 0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers + writers)
+        assert not errors, errors
+        for which, table in enumerate(tables):
+            assert table.version_count == 2 * per_writer
+            assert len(set(vids[which])) == 2 * per_writer
+            stored = sorted(v.row_id for v in table.all_versions())
+            assert stored == list(range(1, 2 * per_writer + 1))
+            assert not table._multi_open
 
 
 # ---------------------------------------------------------------------------
