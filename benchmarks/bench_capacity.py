@@ -162,7 +162,6 @@ def test_capacity_sqlite_million_rows(benchmark, tmp_path):
         # ``candidate_row_ids`` is None there and even a point lookup
         # scans — so the arm is timed on the range query only, 3 times.)
         tt.executor.use_planner = False
-        tt.use_read_set_cache = False
         naive_range = timed(
             lambda: tt.execute(
                 "SELECT event_id, score FROM events WHERE score < 50",
@@ -170,7 +169,6 @@ def test_capacity_sqlite_million_rows(benchmark, tmp_path):
             repeat=3,
         )
         tt.executor.use_planner = True
-        tt.use_read_set_cache = True
 
         engine.close()
         return {

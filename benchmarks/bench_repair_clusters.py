@@ -7,16 +7,20 @@ grows: with dependency-clustered repair groups (the default), discovery
 and propagation touch only the attacked component, so repair wall-clock
 must stay roughly flat — the acceptance bar is **≤2× when tenants grow
 8×** — with re-executed action counts unchanged.  The monolithic
-reference worklist (``cluster_mode="off"``) is measured alongside to show
-what the clustering buys (its partition-index builds scan the whole log).
+reference worklist (discovery forced futile, so the repair keeps the
+global scope) is measured alongside to show what the clustering buys (its
+partition-index builds scan the whole log).
 """
 
+import contextlib
 import gc
 import os
 import time
+from unittest import mock
 
 from conftest import emit_bench_json, once, print_table
 
+from repro.repair.clusters import ClusteringFutile
 from repro.workload.scenarios import run_multi_tenant_scenario
 
 TENANT_COUNTS = tuple(
@@ -34,11 +38,21 @@ def run_one(n_tenants, mode):
         edits_per_user=EDITS_PER_USER,
         seed=1,
     )
-    outcome.warp.cluster_mode = mode
     # Keep cyclic-GC pauses from the staged workload out of the window.
     gc.collect()
     started = time.perf_counter()
-    result = outcome.repair()
+    # The reference arm: the forced-futility patch the equivalence
+    # property uses (tests/conftest.py ``futile_clustering``).
+    forced = (
+        mock.patch(
+            "repro.repair.controller.compute_repair_groups",
+            side_effect=ClusteringFutile,
+        )
+        if mode == "off"
+        else contextlib.nullcontext()
+    )
+    with forced:
+        result = outcome.repair()
     wall = time.perf_counter() - started
     stats = result.stats
     return {

@@ -141,7 +141,6 @@ def _build_deep_hotpath_db(planned: bool) -> TimeTravelDB:
     tt = TimeTravelDB(create_database(), LogicalClock())
     if not planned:
         tt.executor.use_planner = False
-        tt.use_read_set_cache = False
     tt.create_table(
         TableSchema(
             name="items",

@@ -77,12 +77,10 @@ class Browser:
         network: Network,
         extension=None,
         transport: Optional[Callable[[str, HttpRequest], HttpResponse]] = None,
-        run_scripts: bool = True,
     ) -> None:
         self.network = network
         self.extension = extension  # WarpExtension or None
         self._transport = transport if transport is not None else network.request
-        self.run_scripts = run_scripts
         self.cookies: Dict[str, Dict[str, str]] = {}
         self.current: Optional[PageVisit] = None
         self.visits: Dict[int, PageVisit] = {}
@@ -161,8 +159,7 @@ class Browser:
             self.extension.note_cookies(self, visit)
         if not visit.blocked:
             self._load_subframes(visit)
-            if self.run_scripts:
-                self._run_page_scripts(visit)
+            self._run_page_scripts(visit)
         return visit
 
     def _issue_request(

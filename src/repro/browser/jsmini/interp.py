@@ -16,6 +16,10 @@ from repro.browser.jsmini.parser import parse_program
 from repro.core.errors import ReproError
 
 
+#: Evaluation steps one interpreter may take before a script is stopped.
+_STEP_BUDGET = 100_000
+
+
 class JsError(ReproError):
     """Raised inside script evaluation (caught at the page boundary)."""
 
@@ -23,15 +27,10 @@ class JsError(ReproError):
 class Interpreter:
     """Evaluates jsmini programs against host-provided builtins."""
 
-    def __init__(
-        self,
-        builtins: Dict[str, Callable],
-        max_steps: int = 100_000,
-    ) -> None:
+    def __init__(self, builtins: Dict[str, Callable]) -> None:
         self._builtins = dict(builtins)
         self._builtins.setdefault("len", lambda value: len(str(value)))
         self._builtins.setdefault("str", lambda value: _to_text(value))
-        self._max_steps = max_steps
         self._steps = 0
         self.errors: List[str] = []
 
@@ -155,7 +154,7 @@ class Interpreter:
 
     def _step(self) -> None:
         self._steps += 1
-        if self._steps > self._max_steps:
+        if self._steps > _STEP_BUDGET:
             raise JsError("script exceeded execution budget")
 
 

@@ -16,9 +16,12 @@ versioned, which is what a stock database would do.
 
 Execution runs through cached, compiled :class:`repro.db.planner.ExecPlan`
 objects by default (``use_planner=True``).  Setting ``use_planner=False``
-switches to the naive tree-walking reference paths, which are kept
-byte-for-byte equivalent — ``tests/test_executor_property.py`` proves
-result, dependency and version-store parity between the two.
+— the one reference switch; the time-travel layer also reads it to walk
+``read_partitions`` per execution instead of instantiating the plan's
+template — switches to the naive tree-walking reference paths, which are
+kept byte-for-byte equivalent: ``tests/test_executor_property.py`` proves
+result, dependency (read sets included) and version-store parity between
+the two.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.errors import SqlError, StorageError
 from repro.db.planner import MISSING, ExecPlan, build_plan, default_name, sort_key
 from repro.db.sql import ast
 from repro.db.sql.eval import aggregate, evaluate, truthy
+from repro.db.sql.parser import parse
 from repro.db.storage import Database, RowVersion, Table, order_key
 
 PartitionKey = Tuple[str, str, object]  # (table, column, value)
@@ -126,9 +130,14 @@ class Executor:
         stmt: ast.Statement,
         params: Sequence[object],
         ctx: ExecContext,
-        sql: Optional[str] = None,
+        plan: Optional[ExecPlan] = None,
     ) -> QueryResult:
-        plan = self.plan_for(stmt, sql) if self.use_planner else None
+        """Run ``stmt``; ``plan`` is its prepared statement when the caller
+        already holds it (``prepare``), else it is looked up by AST."""
+        if not self.use_planner:
+            plan = None
+        elif plan is None:
+            plan = self.plan_for(stmt)
         if isinstance(stmt, ast.Select):
             return self._select(stmt, params, ctx, plan)
         if isinstance(stmt, ast.Insert):
@@ -138,6 +147,21 @@ class Executor:
         if isinstance(stmt, ast.Delete):
             return self._delete(stmt, params, ctx, plan)
         raise SqlError(f"cannot execute {type(stmt).__name__}")
+
+    def prepare(self, sql: str) -> ExecPlan:
+        """The prepared statement for ``sql``: parsed and planned once per
+        statement text, one dict lookup thereafter.  A statement whose
+        parsing or planning raises is never cached.
+
+        Callers need not hold the statement lock: the cache is a plain
+        dict whose get / set / clear are each atomic under the GIL and a
+        plan is immutable once built (``read_plan`` is attached whole and
+        is the same whoever attaches it), so the worst a race does is
+        build one text's plan twice or overshoot the bound by a thread."""
+        plan = self._plan_cache.get(sql)
+        if plan is None or plan.epoch != self.database.ddl_epoch:
+            plan = self.plan_for(parse(sql), sql)
+        return plan
 
     def plan_for(self, stmt: ast.Statement, sql: Optional[str] = None) -> ExecPlan:
         """Cached compiled plan for ``stmt`` (keyed by SQL text when given,
@@ -494,7 +518,7 @@ class Executor:
             if ctx.repair and ctx.journal is not None:
                 ctx.journal.note_created(table, version)
             inserted.append(row_id)
-            partitions |= _partition_keys(schema, data)
+            partitions |= schema.partition_keys(data)
         return QueryResult(
             kind="insert",
             table=stmt.table,
@@ -559,10 +583,10 @@ class Executor:
         affected = []
         for version, new_data in updates:
             if partitions_once:
-                partitions |= _partition_keys(schema, new_data)
+                partitions |= schema.partition_keys(new_data)
             else:
-                partitions |= _partition_keys(schema, version.data)
-                partitions |= _partition_keys(schema, new_data)
+                partitions |= schema.partition_keys(version.data)
+                partitions |= schema.partition_keys(new_data)
             affected.append(version.row_id)
             if not self.versioned:
                 table.set_plain_data(version, new_data, reindex=index_new_data)
@@ -601,7 +625,7 @@ class Executor:
         partitions = set()
         affected = []
         for version in matched:
-            partitions |= _partition_keys(table.schema, version.data)
+            partitions |= table.schema.partition_keys(version.data)
             affected.append(version.row_id)
             if not self.versioned:
                 table.remove_version(version)
@@ -618,22 +642,18 @@ class Executor:
     # -- repair support -----------------------------------------------------------
 
     def matching_rows(
-        self,
-        table_name: str,
-        where: Optional[ast.Expr],
-        params: Sequence[object],
-        ctx: ExecContext,
-        stmt: Optional[ast.Statement] = None,
-        sql: Optional[str] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> List[RowVersion]:
-        """Rows a WHERE clause selects at (ts, gen) — used by two-phase
-        write re-execution to find the *new* matching row IDs (§4.2).
-        Hits the same compiled plans as normal execution when available."""
-        table = self.database.table(table_name)
-        plan = None
-        if self.use_planner and stmt is not None:
-            plan = self.plan_for(stmt, sql)
-        return self._matching(table, where, params, ctx, plan)
+        """Rows the prepared statement's WHERE clause selects at (ts, gen)
+        — used by two-phase write re-execution to find the *new* matching
+        row IDs (§4.2), through the plan normal execution uses."""
+        return self._matching(
+            self.database.table(plan.table),
+            plan.stmt.where,
+            params,
+            ctx,
+            plan if self.use_planner else None,
+        )
 
     # -- write plumbing ---------------------------------------------------------
 
@@ -693,16 +713,6 @@ def _equality_conjuncts(expr: ast.Expr, params: Sequence[object]):
                         params
                     ):
                         yield (column_side.name, params[value_side.index])
-
-
-def _partition_keys(schema, data: Dict[str, object]) -> set:
-    """The (table, column, value) partition keys a concrete row belongs to."""
-    keys = set()
-    for column in schema.partition_columns:
-        value = data.get(column)
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            keys.add((schema.name, column, value))
-    return keys
 
 
 def _stmt_table(stmt: ast.Statement) -> str:

@@ -13,9 +13,13 @@ computed once and cached:
 * compiled UPDATE assignments, INSERT row builders, ORDER BY sort keys
   and aggregate reducers.
 
-Plans are cached by the executor keyed on the SQL text (or the statement
-AST) and invalidated by comparing the plan's ``epoch`` against
-``Database.ddl_epoch`` (bumped on create/drop/restore).
+An :class:`ExecPlan` is the prepared statement: it also keeps the parsed
+statement, ``is_write`` / ``full_table_write`` and (attached by the
+time-travel layer) the partition read-set template, so the executor's
+plan cache — keyed on the SQL text (``Executor.prepare``; the statement
+AST for callers that hold no text) and invalidated by comparing the
+plan's ``epoch`` against ``Database.ddl_epoch`` (bumped on
+create/drop/restore) — is the one per-statement cache in the system.
 
 **Equivalence contract:** planned execution must be observably identical
 to the naive tree-walking reference — same ``QueryResult.snapshot()``,
@@ -49,12 +53,19 @@ Getter = Callable[[Sequence[object]], object]
 
 
 class ExecPlan:
-    """Everything the executor needs that does not depend on parameters."""
+    """The prepared statement: everything derivable from ``(sql, schema)``
+    alone — what the executor runs, and what the time-travel layer, the
+    repair controller, the preview and the online gate ask about a
+    statement before its parameters are known."""
 
     __slots__ = (
         "epoch",
         "kind",
         "table",
+        "stmt",
+        "is_write",
+        "full_table_write",
+        "read_plan",
         "pred",
         "eq_probes",
         "range_probe",
@@ -71,10 +82,21 @@ class ExecPlan:
         "referenced",
     )
 
-    def __init__(self, kind: str, table: str, epoch: int) -> None:
+    def __init__(self, kind: str, stmt: ast.Statement, epoch: int) -> None:
         self.kind = kind
-        self.table = table
+        self.table = stmt.table
         self.epoch = epoch
+        #: The parsed statement this plan was built from.
+        self.stmt = stmt
+        self.is_write = kind != "select"
+        #: A write with no WHERE clause modifies the whole table.
+        self.full_table_write = (
+            kind in ("update", "delete") and stmt.where is None
+        )
+        #: Partition read-set template (paper §4.1).  ``repro.db`` must
+        #: not import ``repro.ttdb``, so ``TimeTravelDB.prepare`` attaches
+        #: it; it lives and dies with the plan (one cache, one epoch rule).
+        self.read_plan = None
         self.pred = None
         self.eq_probes: Tuple[Tuple[str, Getter], ...] = ()
         self.range_probe: Optional[Tuple] = None
@@ -101,7 +123,7 @@ class ExecPlan:
 def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
     schema = table.schema
     if isinstance(stmt, ast.Select):
-        plan = ExecPlan("select", stmt.table, epoch)
+        plan = ExecPlan("select", stmt, epoch)
         _plan_where(plan, stmt.where, table)
         if stmt.is_aggregate:
             items = []
@@ -148,7 +170,7 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
         return plan
 
     if isinstance(stmt, ast.Update):
-        plan = ExecPlan("update", stmt.table, epoch)
+        plan = ExecPlan("update", stmt, epoch)
         for column, _ in stmt.assignments:
             if not schema.has_column(column):
                 raise StorageError(f"table {schema.name!r} has no column {column!r}")
@@ -166,7 +188,7 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
         return plan
 
     if isinstance(stmt, ast.Delete):
-        plan = ExecPlan("delete", stmt.table, epoch)
+        plan = ExecPlan("delete", stmt, epoch)
         _plan_where(plan, stmt.where, table)
         if getattr(table, "sql_lowering", False):
             from repro.db.sql.lower import build_lowering
@@ -175,7 +197,7 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
         return plan
 
     if isinstance(stmt, ast.Insert):
-        plan = ExecPlan("insert", stmt.table, epoch)
+        plan = ExecPlan("insert", stmt, epoch)
         for column in stmt.columns:
             if not schema.has_column(column):
                 raise StorageError(f"table {schema.name!r} has no column {column!r}")

@@ -1,13 +1,12 @@
 """Recursive-descent parser for the SQL subset.
 
-``parse(sql)`` returns a :class:`repro.db.sql.ast.Statement`.  Parsed
-statements are cached (the applications issue the same query shapes with
-``?`` parameters over and over, and repair re-parses every logged query).
+``parse(sql)`` returns a :class:`repro.db.sql.ast.Statement`.  It keeps
+no cache of its own: the serving and repair paths reach it through
+``Executor.prepare``, whose plan cache holds the parsed statement.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Tuple
 
 from repro.core.errors import SqlError
@@ -18,7 +17,6 @@ _AGGREGATES = {"COUNT", "SUM", "MAX", "MIN", "AVG"}
 _SCALAR_FUNCS = {"LOWER", "UPPER", "LENGTH", "COALESCE", "ABS", "SUBSTR"}
 
 
-@functools.lru_cache(maxsize=4096)
 def parse(sql: str) -> ast.Statement:
     """Parse one SQL statement (a trailing semicolon is tolerated)."""
     return _Parser(tokenize(sql)).parse_statement()

@@ -100,6 +100,15 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return any(col.name == name for col in self.columns)
 
+    def partition_keys(self, data: Dict[str, object]) -> set:
+        """The (table, column, value) partition keys a concrete row belongs to."""
+        keys = set()
+        for column in self.partition_columns:
+            value = data.get(column)
+            if isinstance(value, (str, int, float, bool)) or value is None:
+                keys.add((self.name, column, value))
+        return keys
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,

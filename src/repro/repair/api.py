@@ -36,10 +36,11 @@ time — the catalog is how an operator drives a patch repair over HTTP.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.errors import RepairError
+from repro.core.errors import RepairError, SqlError
 from repro.repair.clusters import (
     ClusteringFutile,
     compute_repair_groups,
@@ -54,6 +55,7 @@ __all__ = [
     "RepairBatch",
     "RepairPlan",
     "parse_spec",
+    "spec_from_request",
     "spec_seed_runs",
     "compute_plan",
 ]
@@ -339,6 +341,19 @@ def parse_spec(data: dict) -> RepairSpec:
     return spec
 
 
+def spec_from_request(request) -> RepairSpec:
+    """The spec an admin request carries in its JSON ``spec`` parameter
+    (worker and coordinator admin surfaces alike)."""
+    raw = request.params.get("spec")
+    if raw is None:
+        raise RepairError("missing 'spec' parameter (JSON-encoded repair spec)")
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise RepairError(f"spec is not valid JSON: {exc}") from exc
+    return parse_spec(data)
+
+
 # ---------------------------------------------------------------------------
 # dry-run preview
 # ---------------------------------------------------------------------------
@@ -441,10 +456,6 @@ def _spec_seeds(graph, ttdb, spec: RepairSpec):
     values) rather than by executing it — an approximation of the keys
     the real fix's rollback would touch.
     """
-    from repro.db.sql import ast
-    from repro.db.sql.parser import parse
-    from repro.ttdb.partitions import read_partitions
-
     run_seeds: List[int] = []
     key_groups: List[Tuple[List, List, int]] = []
     if isinstance(spec, RepairBatch):
@@ -456,26 +467,26 @@ def _spec_seeds(graph, ttdb, spec: RepairSpec):
         keys: List[Tuple[str, str, object]] = []
         full_tables: List[str] = []
         try:
-            stmt = parse(spec.sql)
-        except Exception as exc:
+            plan = ttdb.prepare(spec.sql)
+        except SqlError as exc:
             raise RepairError(f"cannot plan db fix: {exc}") from exc
-        if not ast.is_write(stmt):
+        if not plan.is_write:
             raise RepairError("DbFixSpec must be a write statement")
-        table = stmt.table  # type: ignore[attr-defined]
-        schema = ttdb.database.table(table).schema
-        partition_cols = set(schema.partition_columns)
-        if isinstance(stmt, ast.Insert):
-            for row in stmt.rows:
-                for column, expr in zip(stmt.columns, row):
+        table = plan.table
+        if plan.kind == "insert":
+            partition_cols = set(ttdb.schema(table).partition_columns)
+            for row in plan.insert_rows:
+                for column, value_fn in row:
                     if column not in partition_cols:
                         continue
-                    value = _literal_value(expr, spec.params)
-                    if value is _NOT_LITERAL:
+                    try:
+                        keys.append((table, column, value_fn({}, spec.params)))
+                    except SqlError:
+                        # Not computable without a row (a missing
+                        # parameter, a column reference): whole table.
                         full_tables.append(table)
-                    else:
-                        keys.append((table, column, value))
         else:
-            read = read_partitions(stmt, spec.params, schema)
+            read = plan.read_plan.instantiate(spec.params)
             if read.is_all:
                 full_tables.append(table)
             else:
@@ -486,20 +497,6 @@ def _spec_seeds(graph, ttdb, spec: RepairSpec):
     else:
         run_seeds.extend(spec_seed_runs(graph, spec))
     return run_seeds, key_groups
-
-
-_NOT_LITERAL = object()
-
-
-def _literal_value(expr, params: Sequence[object]):
-    from repro.db.sql import ast
-
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        if expr.index < len(params):
-            return params[expr.index]
-    return _NOT_LITERAL
 
 
 def compute_plan(

@@ -182,8 +182,7 @@ class RepairGroup:
         covered: List[PartitionKey] = []
         uncovered: List[PartitionKey] = []
         for key in keys:
-            full = key if len(key) == 3 else (table,) + tuple(key)
-            (covered if self.covers(full) else uncovered).append(full)
+            (covered if self.covers(key) else uncovered).append(key)
         out: List[QueryRecord] = []
         if covered or not uncovered:
             out.extend(self._ensure_index(graph).touching(table, covered, since_ts))

@@ -22,11 +22,11 @@ run / visit state, one ``ModifiedPartitions``.  What is
 consults: the initial damage set is split into taint-connected components,
 and each heap entry carries the component (*scope*) its run belongs to, so
 propagation looks candidates up in a partition index built over that
-component's runs only.  ``cluster_mode`` selects ``"sequential"`` (default:
-components computed) or ``"off"`` (never computed: every entry runs in
-global scope against the store's index — the reference the equivalence
-property test compares against).  Both pop the same items in the same
-order.
+component's runs only.  Discovery is always attempted; when it is futile
+(:class:`~repro.repair.clusters.ClusteringFutile`) every entry runs in
+global scope against the store's index — the fallback the equivalence
+property test forces as its reference.  Both pop the same items in the
+same order.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from repro.browser.browser import Network
 from repro.core.clock import LogicalClock
 from repro.core.errors import RepairCanceled, RepairError
 from repro.core.ids import IdAllocator
-from repro.db.sql import ast
-from repro.db.sql.parser import parse
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.server import HttpServer
@@ -195,8 +193,8 @@ class RepairController:
         #: Clients whose replay hit a conflict (paper §5.4).
         self._conflicted_clients: Set[str] = set()
         #: Index scopes.  Until an entry point plans clusters there is only
-        #: the global scope, which is also what ``cluster_mode == "off"``
-        #: uses throughout and what a run in no component gets.
+        #: the global scope, which is also what futile clustering keeps
+        #: throughout and what a run in no component gets.
         self._global = RepairGroup(0)
         self._groups: List[RepairGroup] = [self._global]
         #: Scope of the item being processed: which index answers
@@ -217,8 +215,6 @@ class RepairController:
         #: users who have not logged in yet): never resolved, never counted,
         #: and never a reason to abort an unrelated user undo.
         self._prior_conflict_ids: Set[int] = set()
-        #: How to schedule repair groups: "sequential" | "off".
-        self.cluster_mode = "sequential"
         #: Ablation switches (see DESIGN.md / benchmarks/bench_ablations.py).
         #: §3.3 calls nondeterminism replay "strictly an optimization";
         #: pruning is the §5.3 identical-request short-circuit.
@@ -325,9 +321,7 @@ class RepairController:
                     for table, keys, _mod_ts, whole_table in deferred:
                         if whole_table:
                             stmt_tables.add(table)
-                        for key in keys:
-                            full = key if len(key) == 3 else (table,) + tuple(key)
-                            stmt_keys.add(full)
+                        stmt_keys |= keys
                     key_seed_groups.append(
                         (
                             sorted(stmt_keys, key=repr),
@@ -442,8 +436,7 @@ class RepairController:
             if whole_table and table in group.covered_tables:
                 return group
             for key in keys:
-                full = key if len(key) == 3 else (table,) + tuple(key)
-                if group.covers(full):
+                if group.covers(key):
                     return group
         return self._global
 
@@ -532,15 +525,15 @@ class RepairController:
         ]
 
     def _plan_groups(self, run_seeds=(), key_seed_groups=()) -> List[RepairGroup]:
-        """Split the damage set into repair groups (honoring cluster_mode).
+        """Split the damage set into repair groups.
 
-        Always returns at least one group; with clustering off (or an empty
-        damage set) that is the controller's global scope."""
+        Always returns at least one group; when clustering is futile (or
+        the damage set empty) that is the controller's global scope."""
         run_seeds = list(run_seeds)
         key_seed_groups = list(key_seed_groups)
         groups: List[RepairGroup] = []
         futile = False
-        if self.cluster_mode != "off" and (run_seeds or key_seed_groups):
+        if run_seeds or key_seed_groups:
             started = _time.perf_counter()
             try:
                 groups = compute_repair_groups(
@@ -868,18 +861,18 @@ class RepairController:
         ``ts``, then execute.
         """
         self._bump("queries_reexecuted")
-        stmt = parse(sql)
-        if not ast.is_write(stmt):
+        plan = self.ttdb.prepare(sql)
+        if not plan.is_write:
             return self.ttdb.execute_at(sql, params, ts)
 
-        table = stmt.table  # type: ignore[attr-defined]
+        table = plan.table
         targets: Set[Tuple[str, int]] = set()
         forced: Tuple[int, ...] = ()
         if original is not None:
             targets |= set(original.written_row_ids)
             if original.kind == "insert":
                 forced = tuple(rid for _, rid in original.written_row_ids)
-        if isinstance(stmt, (ast.Update, ast.Delete)):
+        if plan.kind != "insert":
             for row_id in self.ttdb.matching_row_ids(sql, params, max(ts - 1, 0)):
                 targets.add((table, row_id))
         touched = set()

@@ -16,10 +16,10 @@ Classification needs the request's *footprint* before executing it.  The
 :class:`FootprintIndex` learns one footprint template per entry script
 from the recorded runs in the action history graph:
 
-* each recorded SQL statement is re-analysed **symbolically** with the
-  PR 2 read-set machinery (:func:`repro.ttdb.partitions.read_partitions`
-  over parameter tokens), so literal constraints stay precise and
-  parameter slots become template holes;
+* each recorded SQL statement's **symbolic** read set is read off its
+  prepared statement (``TimeTravelDB.prepare(sql).read_plan``, the
+  template normal execution instantiates), so literal constraints stay
+  precise and parameter slots become template holes;
 * each hole is tied to a *source* observed in the recorded executions —
   a request parameter, a cookie, a prefix/suffix around a parameter
   (``'page:' + title``), or a one-hop **lookup** through a recorded
@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
-from repro.ttdb.partitions import _ParamToken, _SafetyFlag, read_partitions
+from repro.ttdb.partitions import ParamToken
 
 PartitionKey = Tuple[str, str, object]
 
@@ -156,7 +156,6 @@ class FootprintIndex:
         self._graph = graph
         self._ttdb = ttdb
         self._templates: Dict[str, Optional[ScriptFootprint]] = {}
-        self._sql_reads: Dict[str, Optional[List]] = {}
 
     def template_for(self, script: str) -> Optional[ScriptFootprint]:
         if script not in self._templates:
@@ -176,27 +175,18 @@ class FootprintIndex:
         return template
 
     def _symbolic_reads(self, query) -> Optional[List[Tuple[str, object]]]:
-        """Token-level disjuncts for one SQL shape (cached per SQL text):
-        a list of conjunctions of (column, literal-or-_ParamToken), or
-        ``None`` when the analysis gives up (ALL partitions)."""
-        sql = query.sql
-        if sql in self._sql_reads:
-            return self._sql_reads[sql]
-        result: Optional[List] = None
+        """Token-level disjuncts for one SQL shape, from the statement's
+        own read-set template: a list of conjunctions of (column,
+        literal-or-ParamToken), or ``None`` when the analysis gives up
+        (ALL partitions, value-dependent, or the statement cannot be
+        prepared)."""
         try:
-            from repro.db.sql.parser import parse
-
-            stmt = parse(sql)
-            schema = self._ttdb.database.table(query.table).schema
-            flag = _SafetyFlag()
-            tokens = tuple(_ParamToken(i, flag) for i in range(len(query.params)))
-            symbolic = read_partitions(stmt, tokens, schema)
-            if not flag.unsafe and symbolic.disjuncts is not None:
-                result = [tuple(sorted(d, key=repr)) for d in symbolic.disjuncts]
+            disjuncts = self._ttdb.prepare(query.sql).read_plan.disjuncts
         except Exception:
-            result = None
-        self._sql_reads[sql] = result
-        return result
+            return None
+        if disjuncts is None:
+            return None
+        return [tuple(sorted(d, key=repr)) for d in disjuncts]
 
     def _learn_run(self, template: ScriptFootprint, run) -> None:
         env = _RequestEnv(run)
@@ -222,7 +212,7 @@ class FootprintIndex:
         for disjunct in symbolic:
             constraints = []
             for column, value in disjunct:
-                if isinstance(value, _ParamToken):
+                if isinstance(value, ParamToken):
                     source = env.source_for(query.params[value.index])
                     constraints.append((column, source if source else DYNAMIC))
                 else:
@@ -233,7 +223,7 @@ class FootprintIndex:
         table = query.table
         probe = self._write_probe(template, query, env)
         for key in query.written_partitions:
-            _, column, value = key if len(key) == 3 else (table,) + tuple(key)
+            _, column, value = key
             slot = template.write_columns.setdefault((table, column), _WriteColumn())
             source = env.source_for(value)
             if source is not None:
@@ -254,7 +244,7 @@ class FootprintIndex:
             return None
         constraints = []
         for column, value in symbolic[0]:
-            if isinstance(value, _ParamToken):
+            if isinstance(value, ParamToken):
                 source = env.source_for(query.params[value.index])
                 if source is None:
                     return None
@@ -492,12 +482,7 @@ class RepairGate:
                         if query.full_table_write:
                             self.owned_tables.add(query.table)
                         for key in query.written_partitions:
-                            full = (
-                                key
-                                if len(key) == 3
-                                else (query.table,) + tuple(key)
-                            )
-                            self._own_key(full)
+                            self._own_key(key)
 
     def note_modification(self, table: str, keys, whole_table: bool = False) -> None:
         """Repair touched partitions outside the static scope (escapes,
@@ -509,8 +494,7 @@ class RepairGate:
             if whole_table:
                 self.owned_tables.add(table)
             for key in keys:
-                full = key if len(key) == 3 else (table,) + tuple(key)
-                self._own_key(full)
+                self._own_key(key)
 
     def note_client(self, client_id: str) -> None:
         if client_id is None:

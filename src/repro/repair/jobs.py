@@ -57,13 +57,14 @@ from repro.repair.api import (
     RepairSpec,
     compute_plan,
     parse_spec,
+    spec_from_request,
 )
 from repro.repair.controller import RepairResult
 
 __all__ = ["RepairJob", "RepairJobManager", "AdminApi", "ADMIN_PREFIX"]
 
 #: Terminal job statuses.
-_TERMINAL = frozenset({"done", "aborted", "failed", "canceled"})
+TERMINAL_STATUSES = frozenset({"done", "aborted", "failed", "canceled"})
 
 #: How many trailing events a status document carries.
 _EVENT_TAIL = 50
@@ -622,7 +623,7 @@ class AdminApi:
                 )
         if tail == "/repair":
             if request.method == "POST":
-                spec = self._spec_from(request)
+                spec = spec_from_request(request)
                 job = manager.submit(spec)
                 return _json_response({"job_id": job.job_id, "status": job.status}, 202)
             if request.method == "GET":
@@ -639,7 +640,7 @@ class AdminApi:
         if tail == "/repair/preview":
             if request.method != "POST":
                 return _error(405, "preview is POST (spec JSON in the spec param)")
-            plan = manager.preview(self._spec_from(request))
+            plan = manager.preview(spec_from_request(request))
             return _json_response(plan.to_dict())
         if tail == "/conflicts":
             if request.method != "GET":
@@ -779,17 +780,7 @@ class AdminApi:
         if entry.get("status") != "repairing" or not entry.get("job_id"):
             return entry
         job = self._manager.get(entry["job_id"])
-        if job is None or job.status not in _TERMINAL:
+        if job is None or job.status not in TERMINAL_STATUSES:
             return entry
         self.incident_manager.resolve(entry["incident_id"], job.status == "done")
         return self.incident_manager.get(entry["incident_id"]) or entry
-
-    def _spec_from(self, request: HttpRequest) -> RepairSpec:
-        raw = request.params.get("spec")
-        if raw is None:
-            raise RepairError("missing 'spec' parameter (JSON-encoded repair spec)")
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise RepairError(f"spec is not valid JSON: {exc}") from exc
-        return parse_spec(data)

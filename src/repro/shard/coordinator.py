@@ -37,23 +37,25 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ReproError
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
-from repro.repair.api import RepairSpec, parse_spec
+from repro.repair.api import RepairSpec, parse_spec, spec_from_request
+from repro.repair.jobs import TERMINAL_STATUSES
 from repro.repair.stats import merge_stats_dicts
 from repro.shard.plan import merge_touch_summaries
 from repro.shard.routing import SHARD_HEADER, RoutingTable, default_route_key
 from repro.shard.wire import ShardClient, ShardWireError
 
-#: Job states that end a worker-side repair job (mirrors jobs._TERMINAL).
-_TERMINAL = {"done", "aborted", "failed", "canceled"}
-
 #: Coordinator's own admin surface, layered over the worker admin prefix.
 _SHARD_ADMIN_PREFIX = "/warp/admin/shard"
+
+#: How often a dispatched job is polled, and how long it may take to settle.
+_POLL_INTERVAL = 0.005
+_POLL_TIMEOUT = 120.0
 
 
 class DistributedRepairError(ReproError):
@@ -97,8 +99,6 @@ class ShardCoordinator:
         routing: Optional[RoutingTable] = None,
         journal_path: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
-        poll_interval: float = 0.005,
-        poll_timeout: float = 120.0,
     ) -> None:
         if not clients:
             raise ValueError("coordinator needs at least one shard client")
@@ -107,8 +107,6 @@ class ShardCoordinator:
         self.route_key = route_key or default_route_key
         self.journal_path = journal_path
         self.faults = fault_plane if fault_plane is not None else _active_plane()
-        self.poll_interval = poll_interval
-        self.poll_timeout = poll_timeout
         self._journal_lock = threading.Lock()
         self._dist_lock = threading.Lock()
         self._dist_seq = 0
@@ -234,6 +232,14 @@ class ShardCoordinator:
 
     def repair(self, spec: RepairSpec) -> DistributedRepairResult:
         """Plan, dispatch, and merge one distributed repair (synchronous)."""
+        dist_id, plan = self._start(spec)
+        result = self._drive(dist_id, spec, plan, resumed={})
+        self._results[dist_id] = result
+        return result
+
+    def _start(self, spec: RepairSpec) -> Tuple[str, dict]:
+        """Plan ``spec``, allocate its ``dist-N`` id and journal the start
+        intent — the opening of the synchronous and asynchronous fan-out."""
         plan = self.plan(spec)
         with self._dist_lock:
             self._dist_seq += 1
@@ -246,9 +252,7 @@ class ShardCoordinator:
                 "targets": plan["targets"],
             }
         )
-        result = self._drive(dist_id, spec, plan, resumed={})
-        self._results[dist_id] = result
-        return result
+        return dist_id, plan
 
     def _drive(
         self,
@@ -376,24 +380,23 @@ class ShardCoordinator:
         return result
 
     def _poll_job(self, client: ShardClient, shard: int, job_id: str) -> dict:
-        deadline = time.monotonic() + self.poll_timeout
+        deadline = time.monotonic() + _POLL_TIMEOUT
         while time.monotonic() < deadline:
             status, payload = client.admin_json(
                 "GET", f"/warp/admin/repair/{job_id}"
             )
             if status != 200:
                 return {"status": "failed", "error": payload.get("error")}
-            if payload.get("status") in _TERMINAL:
+            if payload.get("status") in TERMINAL_STATUSES:
                 return {
                     "status": payload["status"],
                     "stats": (payload.get("result") or {}).get("stats")
                     or payload.get("stats"),
                     "error": payload.get("error"),
                 }
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_INTERVAL)
         raise DistributedRepairError(
-            f"shard {shard} job {job_id} did not settle within "
-            f"{self.poll_timeout}s"
+            f"shard {shard} job {job_id} did not settle within {_POLL_TIMEOUT}s"
         )
 
     def _find_job_by_spec(
@@ -492,7 +495,7 @@ class ShardCoordinator:
         if tail == "/plan":
             if request.method != "POST":
                 return _json(405, {"error": "plan is POST"})
-            return _json(200, self.plan(self._spec_from(request)))
+            return _json(200, self.plan(spec_from_request(request)))
         if tail == "/incidents":
             # Union view over every worker's detector incidents; shard
             # identity is stamped onto each entry so the operator can
@@ -546,7 +549,7 @@ class ShardCoordinator:
         if tail == "/repair":
             if request.method != "POST":
                 return _json(405, {"error": "distributed repair is POST"})
-            spec = self._spec_from(request)
+            spec = spec_from_request(request)
             if request.params.get("sync"):
                 return _json(200, self.repair(spec).to_dict())
             dist_id = self._start_async(spec)
@@ -589,18 +592,7 @@ class ShardCoordinator:
         return _json(404, {"error": f"unknown coordinator path {tail!r}"})
 
     def _start_async(self, spec: RepairSpec) -> str:
-        plan = self.plan(spec)
-        with self._dist_lock:
-            self._dist_seq += 1
-            dist_id = f"dist-{self._dist_seq}"
-        self._journal(
-            {
-                "event": "start",
-                "dist": dist_id,
-                "spec": spec.to_dict(),
-                "targets": plan["targets"],
-            }
-        )
+        dist_id, plan = self._start(spec)
 
         def run() -> None:
             try:
@@ -615,17 +607,6 @@ class ShardCoordinator:
         self._async_threads[dist_id] = thread
         thread.start()
         return dist_id
-
-    @staticmethod
-    def _spec_from(request: HttpRequest) -> RepairSpec:
-        raw = request.params.get("spec")
-        if raw is None:
-            raise ReproError("missing 'spec' parameter (JSON-encoded repair spec)")
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"spec is not valid JSON: {exc}") from exc
-        return parse_spec(data)
 
     # -- journal -------------------------------------------------------------
 

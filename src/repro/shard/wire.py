@@ -133,20 +133,17 @@ class ProcShardClient(ShardClient):
         authkey: bytes,
         shard_id: int,
         admin_token: Optional[str] = None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(shard_id, admin_token=admin_token)
         self.address = address
         self.authkey = authkey
         self._lock = threading.Lock()
-        self._conn = self._connect(
-            connect_timeout if connect_timeout is not None else self.CONNECT_TIMEOUT
-        )
+        self._conn = self._connect()
 
-    def _connect(self, timeout: float):
+    def _connect(self):
         from multiprocessing.connection import Client
 
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self.CONNECT_TIMEOUT
         last: Optional[BaseException] = None
         while time.monotonic() < deadline:
             try:

@@ -86,7 +86,6 @@ class ShardConfig:
     secret: str = "dev"
     #: >0 installs a ServerPool of that many threads (worker mode).
     pool_workers: int = 0
-    pool_queue_depth: int = 64
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +96,6 @@ class ShardConfig:
             "warp_kwargs": dict(self.warp_kwargs),
             "secret": self.secret,
             "pool_workers": self.pool_workers,
-            "pool_queue_depth": self.pool_queue_depth,
         }
 
     @classmethod
@@ -110,7 +108,6 @@ class ShardConfig:
             warp_kwargs=dict(data.get("warp_kwargs") or {}),
             secret=data.get("secret", "dev"),
             pool_workers=int(data.get("pool_workers", 0)),
-            pool_queue_depth=int(data.get("pool_queue_depth", 64)),
         )
 
 
@@ -133,7 +130,6 @@ class ShardWorker:
             self.pool = ServerPool(
                 self.warp.server,
                 workers=config.pool_workers,
-                queue_depth=config.pool_queue_depth,
                 fault_plane=self.warp.faults,
             )
             self.warp.serving_pool = self.pool

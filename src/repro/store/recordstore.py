@@ -66,8 +66,7 @@ def partition_index_keys(query: QueryRecord) -> Tuple[List[PartitionKey], bool]:
     table = query.table
     keys = set(query.written_partitions)
     keys |= {(table,) + tuple(k) for k in query.read_set.keys()}
-    full_keys = [key if len(key) == 3 else (table,) + tuple(key) for key in keys]
-    return full_keys, bool(query.read_set.is_all or query.full_table_write)
+    return list(keys), bool(query.read_set.is_all or query.full_table_write)
 
 
 def merge_bucket_tails(buckets, since_ts: int) -> List[QueryRecord]:
@@ -305,12 +304,9 @@ class RecordStore:
         with self.lock:
             clients: Dict[str, dict] = {}
 
-            def bucket(run_id: int) -> Optional[dict]:
-                run = self.runs.get(run_id)
-                if run is None or run.client_id is None:
-                    return None
+            def bucket(client_id: str) -> dict:
                 return clients.setdefault(
-                    run.client_id,
+                    client_id,
                     {
                         "runs": 0,
                         "writes": set(),
@@ -323,42 +319,20 @@ class RecordStore:
 
             for client_id, run_ids in self._client_runs.items():
                 if run_ids:
-                    clients.setdefault(
-                        client_id,
-                        {
-                            "runs": 0,
-                            "writes": set(),
-                            "reads": set(),
-                            "all_reads": set(),
-                            "full_writes": set(),
-                            "tables_written": set(),
-                        },
-                    )["runs"] = len(run_ids)
-            for key, run_ids in self.touch.key_writers.items():
-                for run_id in run_ids:
-                    entry = bucket(run_id)
-                    if entry is not None:
-                        entry["writes"].add(key)
-            for key, run_ids in self.touch.key_touchers.items():
-                for run_id in run_ids:
-                    entry = bucket(run_id)
-                    if entry is not None:
-                        entry["reads"].add(key)
-            for table, run_ids in self.touch.table_all.items():
-                for run_id in run_ids:
-                    entry = bucket(run_id)
-                    if entry is not None:
-                        entry["all_reads"].add(table)
-            for table, run_ids in self.touch.table_fullw.items():
-                for run_id in run_ids:
-                    entry = bucket(run_id)
-                    if entry is not None:
-                        entry["full_writes"].add(table)
-            for table, run_ids in self.touch.table_writers.items():
-                for run_id in run_ids:
-                    entry = bucket(run_id)
-                    if entry is not None:
-                        entry["tables_written"].add(table)
+                    bucket(client_id)["runs"] = len(run_ids)
+            touch = self.touch
+            for field, index in (
+                ("writes", touch.key_writers),
+                ("reads", touch.key_touchers),
+                ("all_reads", touch.table_all),
+                ("full_writes", touch.table_fullw),
+                ("tables_written", touch.table_writers),
+            ):
+                for key, run_ids in index.items():
+                    for run_id in run_ids:
+                        run = self.runs.get(run_id)
+                        if run is not None and run.client_id is not None:
+                            bucket(run.client_id)[field].add(key)
             return {
                 "n_runs": len(self.runs),
                 "clients": {

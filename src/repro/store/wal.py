@@ -34,7 +34,7 @@ the fsync schedule differs.
 
 Failure model (see DESIGN.md "Failure model").  ``append`` never raises
 I/O errors.  A write or fsync failure is first retried with capped
-exponential backoff (``io_retries`` × ``io_backoff``); if the disk stays
+exponential backoff (``_IO_RETRIES`` × ``_IO_BACKOFF``); if the disk stays
 sick the affected lines are **parked** in memory, the log is marked
 ``failed``, and — escalation ladder, middle rung — ``group`` durability
 escalates to ``always`` so every subsequent append probes the disk
@@ -73,6 +73,11 @@ _DURABILITY_MODES = ("always", "group", "none")
 #: Group mode: buffered entries at which the background flusher stops
 #: absorbing its batch window and commits.
 _FLUSH_MAX_ENTRIES = 128
+#: A failed write or fsync is retried this many times, sleeping
+#: ``_IO_BACKOFF`` doubled per attempt and capped, before it is parked.
+_IO_RETRIES = 2
+_IO_BACKOFF = 0.0005
+_IO_BACKOFF_CAP = 0.05
 
 
 def entry_line(kind: str, text: str) -> str:
@@ -130,9 +135,6 @@ class RecordWal:
         durability: Optional[str] = None,
         flush_interval: float = 0.002,
         fault_plane: Optional[FaultPlane] = None,
-        io_retries: int = 2,
-        io_backoff: float = 0.0005,
-        io_backoff_cap: float = 0.05,
         intact_size: Optional[int] = None,
     ) -> None:
         if durability is None:
@@ -149,9 +151,6 @@ class RecordWal:
         self.configured_durability = durability
         self.flush_interval = flush_interval
         self.faults = fault_plane if fault_plane is not None else _active_plane()
-        self.io_retries = io_retries
-        self.io_backoff = io_backoff
-        self.io_backoff_cap = io_backoff_cap
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -372,10 +371,10 @@ class RecordWal:
             except OSError:
                 attempt += 1
                 self._rewind_to_good()
-                if attempt > self.io_retries:
+                if attempt > _IO_RETRIES:
                     raise
                 self.retried_writes += 1
-                delay = min(self.io_backoff * (2 ** (attempt - 1)), self.io_backoff_cap)
+                delay = min(_IO_BACKOFF * (2 ** (attempt - 1)), _IO_BACKOFF_CAP)
                 if delay > 0:
                     _sleep(delay)
 

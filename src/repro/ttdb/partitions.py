@@ -219,7 +219,7 @@ def _equality_constraint(
     return None
 
 
-class _ParamToken:
+class ParamToken:
     """Placeholder for an unknown parameter value during symbolic analysis.
 
     Identity-equal only: comparing two *different* tokens (or a token with
@@ -290,110 +290,67 @@ def _max_param_index(expr: Optional[ast.Expr]) -> int:
     return best
 
 
-class _ReadSetPlan:
-    """Cached analysis for one statement shape.
+class ReadSetPlan:
+    """The read-set template of one statement: :func:`read_partitions`
+    run once, symbolically, over parameter tokens, so each execution only
+    substitutes parameter values.  It hangs off the statement's
+    ``ExecPlan.read_plan`` (attached by ``TimeTravelDB.prepare``) and so
+    shares the plan cache's key, bound and ``ddl_epoch`` invalidation.
 
     ``mode`` is ``const`` (parameter-independent result), ``template``
     (disjuncts with token slots to substitute per execution), or
     ``dynamic`` (analysis outcome depends on parameter values; recompute
-    every time)."""
+    every time).  ``disjuncts`` is the symbolic read set either way —
+    conjunctions of ``(column, literal-or-ParamToken)`` — or ``None``
+    when it is ALL partitions or value-dependent."""
 
-    __slots__ = ("epoch", "mode", "read_set", "disjuncts", "n_params")
+    __slots__ = ("stmt", "schema", "mode", "read_set", "disjuncts", "n_params")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.mode = "dynamic"
+    def __init__(self, stmt: ast.Statement, schema: TableSchema) -> None:
+        self.stmt = stmt
+        self.schema = schema
+        self.mode = "const"
         self.read_set: Optional[ReadSet] = None
-        self.disjuncts: Tuple[Tuple[Constraint, ...], ...] = ()
+        self.disjuncts = None
         self.n_params = 0
+        max_index = -1
+        if schema.partition_columns:
+            max_index = _max_param_index(getattr(stmt, "where", None))
+        if max_index < 0:
+            self.read_set = read_partitions(stmt, (), schema)
+            self.disjuncts = self.read_set.disjuncts
+            return
+        flag = _SafetyFlag()
+        tokens = tuple(ParamToken(i, flag) for i in range(max_index + 1))
+        symbolic = read_partitions(stmt, tokens, schema)
+        if flag.unsafe:
+            self.mode = "dynamic"
+        elif symbolic.disjuncts is None:
+            # ALL partitions regardless of parameter values.
+            self.read_set = symbolic
+        else:
+            self.mode = "template"
+            self.n_params = max_index + 1
+            self.disjuncts = symbolic.disjuncts
 
-    def instantiate(
-        self, stmt: ast.Statement, params: Sequence[object], schema: TableSchema
-    ) -> ReadSet:
+    def instantiate(self, params: Sequence[object]) -> ReadSet:
         if self.mode == "const":
             assert self.read_set is not None
             return self.read_set
-        if self.mode == "template":
-            if self.n_params > len(params):
-                # A referenced parameter is missing: the seed analysis
-                # treats it as non-constant, which the template cannot
-                # express — recompute.
-                return read_partitions(stmt, params, schema)
-            table = getattr(stmt, "table")
+        if self.mode == "template" and self.n_params <= len(params):
             out = []
             for disjunct in self.disjuncts:
                 items = []
                 for column, value in disjunct:
-                    if isinstance(value, _ParamToken):
+                    if isinstance(value, ParamToken):
                         items.append((column, params[value.index]))
                     else:
                         items.append((column, value))
                 out.append(frozenset(items))
-            return ReadSet(table, tuple(out))
-        return read_partitions(stmt, params, schema)
-
-
-class ReadSetPlanner:
-    """Per-statement-shape cache for :func:`read_partitions`.
-
-    The analysis walks the WHERE AST on every execution in the seed; here
-    it runs once per ``(sql, table)`` shape — symbolically, with parameter
-    tokens — and each execution only substitutes parameter values.
-    Invalidated by ``Database.ddl_epoch`` (schema changes)."""
-
-    _CACHE_MAX = 4096
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, str], _ReadSetPlan] = {}
-
-    def read_set_for(
-        self,
-        sql: str,
-        stmt: ast.Statement,
-        params: Sequence[object],
-        schema: TableSchema,
-        epoch: int,
-    ) -> ReadSet:
-        key = (sql, schema.name)
-        plan = self._cache.get(key)
-        if plan is None or plan.epoch != epoch:
-            plan = self._build(stmt, schema, epoch)
-            if len(self._cache) >= self._CACHE_MAX:
-                self._cache.clear()
-            self._cache[key] = plan
-        return plan.instantiate(stmt, params, schema)
-
-    def _build(
-        self, stmt: ast.Statement, schema: TableSchema, epoch: int
-    ) -> _ReadSetPlan:
-        plan = _ReadSetPlan(epoch)
-        where = getattr(stmt, "where", None)
-        if isinstance(stmt, ast.Insert) or where is None or not schema.partition_columns:
-            plan.mode = "const"
-            plan.read_set = read_partitions(stmt, (), schema)
-            return plan
-        max_index = _max_param_index(where)
-        if max_index < 0:
-            plan.mode = "const"
-            plan.read_set = read_partitions(stmt, (), schema)
-            return plan
-        flag = _SafetyFlag()
-        tokens = tuple(_ParamToken(i, flag) for i in range(max_index + 1))
-        symbolic = read_partitions(stmt, tokens, schema)
-        if flag.unsafe:
-            plan.mode = "dynamic"
-            return plan
-        if symbolic.disjuncts is None:
-            # ALL partitions regardless of parameter values.
-            plan.mode = "const"
-            plan.read_set = symbolic
-            return plan
-        plan.mode = "template"
-        plan.n_params = max_index + 1
-        plan.disjuncts = tuple(
-            tuple(disjunct) for disjunct in symbolic.disjuncts
-        )
-        return plan
+            return ReadSet(self.stmt.table, tuple(out))
+        # Dynamic, or a referenced parameter is missing: the seed analysis
+        # treats that as non-constant, which the template cannot express.
+        return read_partitions(self.stmt, params, self.schema)
 
 
 class ModifiedPartitions:
@@ -412,10 +369,9 @@ class ModifiedPartitions:
 
     def record(self, table: str, keys, ts: int) -> None:
         for key in keys:
-            full = key if len(key) == 3 else (table,) + tuple(key)
-            prior = self._keys.get(full)
+            prior = self._keys.get(key)
             if prior is None or ts < prior:
-                self._keys[full] = ts
+                self._keys[key] = ts
         if keys:
             prior = self._tables_any.get(table)
             if prior is None or ts < prior:
@@ -458,8 +414,7 @@ class ModifiedPartitions:
         if all_ts is not None and all_ts <= ts:
             return True
         for key in keys:
-            full = key if len(key) == 3 else (table,) + tuple(key)
-            mod_ts = self._keys.get(full)
+            mod_ts = self._keys.get(key)
             if mod_ts is not None and mod_ts <= ts:
                 return True
         return False

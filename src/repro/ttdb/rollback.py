@@ -16,7 +16,7 @@ given) so ``abort_repair`` can undo the repair in O(footprint).
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.core.clock import INFINITY
 from repro.db.storage import RowVersion, Table
@@ -47,7 +47,7 @@ def rollback_row(
             continue
         if version.start_ts >= ts:
             _exclude_from_gen(table, version, current_gen, repair_gen, journal)
-            touched |= _partition_keys(schema, version.data)
+            touched |= schema.partition_keys(version.data)
         else:
             survivors.append(version)
 
@@ -70,13 +70,8 @@ def rollback_row(
             journal.note_fenced(table, latest)
     else:
         table.reopen_version(latest)
-    touched |= _partition_keys(schema, latest.data)
+    touched |= schema.partition_keys(latest.data)
     return touched
-
-
-def version_at(table: Table, row_id: int, ts: int, gen: int) -> Optional[RowVersion]:
-    """The version of ``row_id`` visible at ``(ts, gen)``, if any."""
-    return table.visible_version(row_id, ts, gen)
 
 
 def _exclude_from_gen(
@@ -89,12 +84,3 @@ def _exclude_from_gen(
         table.fence_version(version, current_gen)
         if journal is not None:
             journal.note_fenced(table, version)
-
-
-def _partition_keys(schema, data) -> Set[Tuple[str, str, object]]:
-    keys = set()
-    for column in schema.partition_columns:
-        value = data.get(column)
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            keys.add((schema.name, column, value))
-    return keys

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clock import INFINITY, LogicalClock
-from repro.core.errors import RepairError, SqlError
+from repro.core.errors import RepairError
 from repro.faults.plane import active as _active_plane
 from repro.db.executor import ExecContext, Executor, QueryResult
-from repro.db.sql import ast
-from repro.db.sql.parser import parse
+from repro.db.planner import ExecPlan
 from repro.db.storage import Database, Table, TableSchema
 from repro.db.storage import RowVersion
-from repro.ttdb.partitions import ReadSet, ReadSetPlanner, read_partitions
+from repro.ttdb.partitions import ReadSet, ReadSetPlan, read_partitions
 from repro.ttdb.rollback import rollback_row as _rollback_row
 
 #: Statement-cache bounds: entry count (LRU-evicted) and the largest
@@ -35,9 +34,9 @@ from repro.ttdb.rollback import rollback_row as _rollback_row
 _STMT_CACHE_MAX = 2048
 _STMT_CACHE_MAX_ROWS = 8
 
-#: Partition-key value types the write side tracks (db.executor
-#: ``_partition_keys``): reads constrained to anything else must fall
-#: back to the table-level any-write counter.
+#: Partition-key value types the write side tracks
+#: (``TableSchema.partition_keys``): reads constrained to anything else
+#: must fall back to the table-level any-write counter.
 _SCALAR = (str, int, float, bool)
 
 
@@ -148,11 +147,6 @@ class TimeTravelDB:
         #: Ablation switch: with partition analysis off, every query reads
         #: ALL partitions of its table (whole-table dependencies).
         self.partition_analysis = True
-        #: Ablation switch: with the cache off, partition analysis walks
-        #: the WHERE AST on every execution (the seed behavior) instead of
-        #: instantiating a per-statement-shape template.
-        self.use_read_set_cache = True
-        self._read_set_planner = ReadSetPlanner()
         #: Versions created/fenced by the active repair generation; makes
         #: ``abort_repair`` O(repair footprint).
         self._journal: Optional[RepairJournal] = None
@@ -177,8 +171,8 @@ class TimeTravelDB:
         #: snapshot, read rows, read set; fresh ts).  Reads that cannot be
         #: narrowed (ALL-partition, non-scalar constraint values) fall
         #: back to the per-table any-write counter.  Only normal execution
-        #: uses the cache; repair re-execution always runs for real.
-        self.use_statement_cache = enabled
+        #: of a versioned (``enabled``) database uses the cache; repair
+        #: re-execution always runs for real.
         self._stmt_cache: "OrderedDict[Tuple[str, Tuple[object, ...]], Tuple[TTResult, int, int, Tuple, Tuple[int, ...]]]" = (
             OrderedDict()
         )
@@ -210,21 +204,32 @@ class TimeTravelDB:
 
     # -- normal execution --------------------------------------------------------
 
+    def prepare(self, sql: str) -> ExecPlan:
+        """The prepared statement for ``sql`` — parse, plan, ``is_write``,
+        target table and the partition read-set template — from the
+        executor's plan cache: one dict lookup by statement text, one
+        bound, one ``ddl_epoch`` rule.  The template is attached here
+        because ``repro.db`` cannot import this layer."""
+        plan = self.executor.prepare(sql)
+        if plan.read_plan is None:
+            plan.read_plan = ReadSetPlan(plan.stmt, self.schema(plan.table))
+        return plan
+
     def execute(self, sql: str, params: Sequence[object] = ()) -> TTResult:
         """Execute one statement in the current generation, now."""
-        stmt = parse(sql)
-        if self.use_statement_cache and isinstance(stmt, ast.Select):
-            return self._execute_select(stmt, sql, tuple(params))
+        plan = self.prepare(sql)
+        if self.enabled and not plan.is_write:
+            return self._execute_select(plan, sql, tuple(params))
         ts = self.clock.tick()
         ctx = ExecContext(
             ts=ts, gen=self.current_gen, current_gen=self.current_gen, repair=False
         )
-        return self._run(stmt, sql, tuple(params), ctx)
+        return self._run(plan, sql, tuple(params), ctx)
 
     # -- statement cache ---------------------------------------------------------
 
     def _execute_select(
-        self, stmt: ast.Select, sql: str, params: Tuple[object, ...]
+        self, plan: ExecPlan, sql: str, params: Tuple[object, ...]
     ) -> TTResult:
         """Serve a normal-execution SELECT through the statement cache.
 
@@ -255,7 +260,7 @@ class TimeTravelDB:
                 current_gen=self.current_gen,
                 repair=False,
             )
-            tt_result = self._run_locked(stmt, sql, params, ctx)
+            tt_result = self._run_locked(plan, sql, params, ctx)
             result = tt_result.result
             if result.ok and result.rows is not None and len(result.rows) <= _STMT_CACHE_MAX_ROWS:
                 vkeys = _validation_keys(tt_result.read_set)
@@ -328,7 +333,6 @@ class TimeTravelDB:
         generation')."""
         if self.repair_gen is None:
             raise RepairError("no repair generation is active")
-        stmt = parse(sql)
         ctx = ExecContext(
             ts=ts,
             gen=self.repair_gen,
@@ -337,16 +341,15 @@ class TimeTravelDB:
             forced_row_ids=forced_row_ids,
             journal=self._journal,
         )
-        return self._run(stmt, sql, tuple(params), ctx)
+        return self._run(self.prepare(sql), sql, tuple(params), ctx)
 
     def matching_row_ids(self, sql: str, params: Sequence[object], ts: int) -> Tuple[int, ...]:
         """Row IDs a write's WHERE clause selects at (ts, repair_gen), for
         two-phase re-execution of multi-row writes (paper §4.2)."""
         if self.repair_gen is None:
             raise RepairError("no repair generation is active")
-        stmt = parse(sql)
-        where = getattr(stmt, "where", None)
-        if isinstance(stmt, ast.Insert):
+        plan = self.prepare(sql)
+        if plan.kind == "insert":
             return ()
         ctx = ExecContext(
             ts=ts,
@@ -356,9 +359,7 @@ class TimeTravelDB:
             journal=self._journal,
         )
         with self._lock:
-            rows = self.executor.matching_rows(
-                _table_of(stmt), where, tuple(params), ctx, stmt=stmt, sql=sql
-            )
+            rows = self.executor.matching_rows(plan, tuple(params), ctx)
         return tuple(version.row_id for version in rows)
 
     def peek(self, sql: str, params: Sequence[object] = ()) -> TTResult:
@@ -369,8 +370,8 @@ class TimeTravelDB:
         (e.g. the session's user) before deciding whether to serve a
         request; a probe must not perturb the logical timeline.
         """
-        stmt = parse(sql)
-        if ast.is_write(stmt):
+        plan = self.prepare(sql)
+        if plan.is_write:
             raise RepairError("peek only executes read-only statements")
         ctx = ExecContext(
             ts=self.clock.now(),
@@ -379,35 +380,34 @@ class TimeTravelDB:
             repair=False,
         )
         with self._lock:
-            result = self.executor.execute(stmt, tuple(params), ctx, sql=sql)
+            result = self.executor.execute(plan.stmt, tuple(params), ctx, plan)
         return TTResult(
             sql=sql,
             params=tuple(params),
             ts=ctx.ts,
             gen=ctx.gen,
             result=result,
-            read_set=ReadSet(_table_of(stmt), disjuncts=None),
+            read_set=ReadSet(plan.table, disjuncts=None),
         )
 
     def _run(
-        self, stmt: ast.Statement, sql: str, params: Tuple[object, ...], ctx: ExecContext
+        self, plan: ExecPlan, sql: str, params: Tuple[object, ...], ctx: ExecContext
     ) -> TTResult:
         with self._lock:
-            return self._run_locked(stmt, sql, params, ctx)
+            return self._run_locked(plan, sql, params, ctx)
 
     def _run_locked(
-        self, stmt: ast.Statement, sql: str, params: Tuple[object, ...], ctx: ExecContext
+        self, plan: ExecPlan, sql: str, params: Tuple[object, ...], ctx: ExecContext
     ) -> TTResult:
-        schema = self.database.table(_table_of(stmt)).schema
         if not self.partition_analysis:
-            read_set = ReadSet(_table_of(stmt), disjuncts=None)
-        elif self.use_read_set_cache:
-            read_set = self._read_set_planner.read_set_for(
-                sql, stmt, params, schema, self.database.ddl_epoch
-            )
+            read_set = ReadSet(plan.table, disjuncts=None)
+        elif self.executor.use_planner:
+            read_set = plan.read_plan.instantiate(params)
         else:
-            read_set = read_partitions(stmt, params, schema)
-        result = self.executor.execute(stmt, params, ctx, sql=sql)
+            # The reference arm walks the WHERE AST on every execution, so
+            # planned ≡ naive checks the template against it.
+            read_set = read_partitions(plan.stmt, params, self.schema(plan.table))
+        result = self.executor.execute(plan.stmt, params, ctx, plan)
         self.statements_executed += 1
         if result.kind != "select":
             # Any write (normal or repair — the latter is conservative but
@@ -419,9 +419,6 @@ class TimeTravelDB:
             counts[table] = counts.get(table, 0) + 1
             for key in result.written_partitions:
                 counts[key] = counts.get(key, 0) + 1
-        full_table_write = (
-            isinstance(stmt, (ast.Update, ast.Delete)) and stmt.where is None
-        )
         tt_result = TTResult(
             sql=sql,
             params=params,
@@ -429,7 +426,7 @@ class TimeTravelDB:
             gen=ctx.gen,
             result=result,
             read_set=read_set,
-            full_table_write=full_table_write,
+            full_table_write=plan.full_table_write,
         )
         if (
             self.write_hook is not None
@@ -572,14 +569,6 @@ class TimeTravelDB:
 
     def total_versions(self) -> int:
         return self.database.total_versions()
-
-
-def _table_of(stmt: ast.Statement) -> str:
-    for attr in ("table",):
-        name = getattr(stmt, attr, None)
-        if name:
-            return name
-    raise SqlError("statement has no target table")
 
 
 def split_statements(sql: str) -> List[str]:

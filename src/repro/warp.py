@@ -97,9 +97,6 @@ class WarpSystem:
             "flush_interval": wal_flush_interval,
             "fault_plane": self.faults,
         }
-        #: Repair groups: "sequential" (computed), or "off" (never computed —
-        #: the reference); see repro.repair.clusters.
-        self.cluster_mode = "sequential"
         self.clock = LogicalClock()
         self.ids = IdAllocator()
         self.rng = random.Random(seed)
@@ -323,7 +320,6 @@ class WarpSystem:
             ids=self.ids,
             replay_config=self.replay_config,
         )
-        controller.cluster_mode = self.cluster_mode
         controller.faults = self.faults
         return controller
 

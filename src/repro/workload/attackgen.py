@@ -54,6 +54,7 @@ from repro.apps.gallery.app import GalleryApp
 from repro.apps.wiki import WikiApp
 from repro.appserver.context import htmlspecialchars
 from repro.http.message import HttpRequest, HttpResponse, build_url
+from repro.repair.jobs import TERMINAL_STATUSES
 from repro.warp import WarpSystem
 
 WIKI = "http://wiki.test"
@@ -645,8 +646,6 @@ _STAGERS = {
 # the recovery drive: incident -> preview -> repair job
 # ---------------------------------------------------------------------------
 
-_TERMINAL = ("done", "aborted", "failed", "canceled")
-
 
 def _admin(warp: WarpSystem, method: str, path: str, **params) -> HttpResponse:
     return warp.server.handle(HttpRequest(method, path, params=params))
@@ -681,7 +680,7 @@ def repair_via_incidents(
             doc = json.loads(
                 _admin(warp, "GET", f"/warp/admin/repair/{job_id}").body
             )
-            if doc["status"] in _TERMINAL:
+            if doc["status"] in TERMINAL_STATUSES:
                 job_status = doc["status"]
                 break
             time.sleep(0.01)

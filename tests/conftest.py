@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.db.engine import BACKEND_ENV, resolve_backend
+from repro.repair.clusters import ClusteringFutile
 
 
 def pytest_report_header(config):
@@ -25,3 +26,38 @@ def pytest_report_header(config):
 def db_backend():
     """The storage backend name the suite is running against."""
     return resolve_backend()
+
+
+@pytest.fixture
+def statement_analyses(monkeypatch):
+    """Every per-statement analysis from here on, in order: ``"plan"`` for
+    each ``build_plan`` call, ``"template"`` for each read-set template
+    constructed."""
+    import repro.db.executor as executor_module
+    import repro.ttdb.timetravel as timetravel_module
+
+    analyses = []
+    build_plan = executor_module.build_plan
+
+    def counted_build(*args):
+        analyses.append("plan")
+        return build_plan(*args)
+
+    class CountedTemplate(timetravel_module.ReadSetPlan):
+        def __init__(self, *args):
+            analyses.append("template")
+            super().__init__(*args)
+
+    monkeypatch.setattr(executor_module, "build_plan", counted_build)
+    monkeypatch.setattr(timetravel_module, "ReadSetPlan", CountedTemplate)
+    return analyses
+
+
+@pytest.fixture
+def futile_clustering(monkeypatch):
+    """Forces the fallback ``wiki_py`` takes unasked: cluster discovery
+    reports futility, so the repair keeps the global scope — the reference
+    arm of off ≡ clustered (``monkeypatch.undo()`` restores discovery)."""
+    def futile(*args, **kwargs):
+        raise ClusteringFutile
+    monkeypatch.setattr("repro.repair.controller.compute_repair_groups", futile)

@@ -59,7 +59,6 @@ def make_db(variant: int, backend=None, planner: bool = True) -> TimeTravelDB:
     tt = TimeTravelDB(create_database(backend), LogicalClock())
     if not planner:
         tt.executor.use_planner = False
-        tt.use_read_set_cache = False
     tt.create_table(make_schema(variant))
     return tt
 

@@ -428,7 +428,7 @@ class TestDegradedServing:
         warp, _, client = _wiki_warp(tmp_path, plane)
         assert _append(client, "ok1.").status == 200
         # Budget: every failed write/probe burns 3 fsync hits (attempt +
-        # io_retries).  1 triggering write + 3 GET park-probes + 1 refused
+        # _IO_RETRIES).  1 triggering write + 3 GET park-probes + 1 refused
         # write's heal-probe = 15 hits; the 16th probe succeeds.
         plane.arm(point="wal.fsync", kind="io", times=15)
 

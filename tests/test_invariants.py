@@ -8,8 +8,11 @@ no-op.
 
 import pytest
 
+import persistence_fixtures as fixtures
+from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.patches import patch_for
-from repro.workload.scenarios import run_scenario
+from repro.warp import WarpSystem
+from repro.workload.scenarios import ATTACK_TYPES, run_scenario
 
 
 class TestDeterminism:
@@ -89,3 +92,52 @@ class TestGenerationIsolation:
         assert outcome.warp.ttdb.total_versions() == version_count
         assert outcome.warp.ttdb.repair_gen is None
         assert outcome.warp.ttdb.current_gen == 0
+
+
+class TestPartitionKeyShape:
+    """Every producer emits ``(table, column, value)``: no consumer
+    converts a two-element key any more, so none may ever appear."""
+
+    @pytest.mark.parametrize("source", [*ATTACK_TYPES, "format-1 snapshot"])
+    def test_every_partition_key_is_a_triple(self, source, monkeypatch):
+        if source in ATTACK_TYPES:
+            outcome = run_scenario(source, n_users=6, n_victims=2, seed=5)
+            warp, repair = outcome.warp, outcome.repair
+        else:
+            warp = WarpSystem.load(fixtures.FORMAT1_SNAPSHOT)
+            WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
+
+            def repair():
+                fixtures.repair_counters(warp)
+
+        gate = warp.enable_online_repair()
+        controllers = []
+        make_controller = warp._controller
+
+        def recording_controller():
+            controllers.append(make_controller())
+            return controllers[-1]
+
+        monkeypatch.setattr(warp, "_controller", recording_controller)
+        repair()
+        (controller,) = controllers
+
+        produced = {
+            "written_partitions": [
+                key
+                for run in warp.graph.runs.values()
+                for query in run.queries
+                for key in query.written_partitions
+            ],
+            "covered_keys": [
+                key for group in controller._groups for key in group.covered_keys
+            ],
+            "owned_keys": list(gate.owned_keys),
+            "ModifiedPartitions": list(controller.mods.snapshot_keys()),
+        }
+        assert produced["written_partitions"] and produced["ModifiedPartitions"]
+        for name, keys in produced.items():
+            for key in keys:
+                assert isinstance(key, tuple), (name, key)
+                shape = [len(key), type(key[0]), type(key[1])]
+                assert shape == [3, str, str], (name, key)

@@ -206,7 +206,7 @@ class TestGateClassification:
             "apply_errors": 0,
         }
 
-    def test_global_policy_queues_disjoint_requests(self):
+    def test_global_policy_queues_disjoint_requests(self, futile_clustering):
         """An unscoped (monolithic) worklist cannot be bounded, so the
         gate owns the whole application and queues every request."""
         outcome, clients, cookies, pages, names = _stage(seed=14)
@@ -222,7 +222,6 @@ class TestGateClassification:
                 statuses.append(response.status)
 
         controller = warp._controller()
-        controller.cluster_mode = "off"
         controller.step_hook = hook
         result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok
@@ -272,6 +271,92 @@ class TestGateClassification:
         }
         assert editors, "editor partition keys must be predicted, not dynamic"
         assert ("pagecontent", "editor") not in predicted.dynamic_columns
+
+
+    def test_symbolic_reads_come_from_the_prepared_statement(self, statement_analyses):
+        """Gate unchanged: the token disjuncts the gate reads off each
+        statement's own read-set template equal an independent symbolic
+        analysis (``read_partitions`` over fresh tokens, what the gate ran
+        privately before), predicted footprints are equal for a fixed set
+        of requests, and a second ``gate.begin()`` re-analyses nothing."""
+        import types
+
+        from repro.db.sql.parser import parse
+        from repro.repair.gate import FootprintIndex
+        from repro.ttdb.partitions import ParamToken, read_partitions
+
+        outcome, clients, cookies, pages, names = _stage(seed=16, users=2, edits=2)
+        warp = outcome.warp
+
+        def shape(disjuncts):
+            # Tokens are identity-equal only: compare them by slot index.
+            if disjuncts is None:
+                return None
+            return [
+                tuple(
+                    (column, ("?", value.index) if isinstance(value, ParamToken) else value)
+                    for column, value in disjunct
+                )
+                for disjunct in disjuncts
+            ]
+
+        def oracle(query):
+            flag = types.SimpleNamespace(unsafe=False)
+            tokens = tuple(ParamToken(i, flag) for i in range(len(query.params)))
+            schema = warp.ttdb.schema(query.table)
+            symbolic = read_partitions(parse(query.sql), tokens, schema)
+            if flag.unsafe or symbolic.disjuncts is None:
+                return None
+            return [tuple(sorted(d, key=repr)) for d in symbolic.disjuncts]
+
+        class OracleIndex(FootprintIndex):
+            def _symbolic_reads(self, query):
+                return oracle(query)
+
+        by_sql = {}
+        for run in warp.graph.runs.values():
+            for query in run.queries:
+                by_sql.setdefault(query.sql, query)
+        assert len(by_sql) > 5
+        index = FootprintIndex(warp.graph, warp.ttdb)
+        templated = 0
+        for query in by_sql.values():
+            got = index._symbolic_reads(query)
+            assert shape(got) == shape(oracle(query)), query.sql
+            templated += bool(got) and any(
+                isinstance(value, ParamToken) for d in got for _, value in d
+            )
+        assert templated > 0
+
+        requests = [
+            ("edit.php", _request("lg1", cookies, pages[1], append="\nx.")),
+            ("edit.php", _request("lg0", cookies, pages[0], marker="m")),
+            ("login.php", HttpRequest("GET", "/login.php", cookies=dict(cookies["lg2"]))),
+        ]
+        reference = OracleIndex(warp.graph, warp.ttdb)
+        def canon(predicted):
+            return (
+                sorted(predicted.read_disjuncts, key=repr),
+                predicted.write_keys,
+                predicted.dynamic_columns,
+                predicted.tables_all,
+            )
+
+        for script, request in requests:
+            got = index.predict(script, request)
+            assert got is not None
+            assert canon(got) == canon(reference.predict(script, request))
+
+        del statement_analyses[:]
+        gate = warp.enable_online_repair()
+        for _ in range(2):
+            gate.begin()
+            for script, request in requests:
+                gate.footprints.predict(script, request)
+        gate.active = False
+        assert statement_analyses == []
+        warp.ttdb.prepare("SELECT * FROM pagecontent WHERE title = 'unseen'")
+        assert statement_analyses == ["plan", "template"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.db.sql.compile import compile_expr, compile_predicate
 from repro.db.sql.eval import evaluate, truthy
 from repro.db.sql.parser import parse
 from repro.db.storage import Column, Database, TableSchema
-from repro.ttdb.partitions import ReadSetPlanner, read_partitions
+from repro.ttdb.partitions import ReadSetPlan, read_partitions
 from repro.ttdb.timetravel import TimeTravelDB
 
 
@@ -232,12 +232,9 @@ class TestReadSetTemplates:
     def check(self, sql, params, schema=None):
         schema = schema or pages_schema()
         stmt = parse(sql)
-        planner = ReadSetPlanner()
-        templated = planner.read_set_for(sql, stmt, params, schema, epoch=1)
+        templated = ReadSetPlan(stmt, schema).instantiate(params)
         reference = read_partitions(stmt, params, schema)
         assert templated.to_dict() == reference.to_dict(), sql
-        # Second execution with different parameters still matches.
-        return planner
 
     def test_const_shapes(self):
         self.check("SELECT * FROM pages", ())
@@ -247,16 +244,17 @@ class TestReadSetTemplates:
 
     def test_templated_params(self):
         schema = pages_schema(partition_columns=("title", "score"))
-        planner = ReadSetPlanner()
         sql = "SELECT * FROM pages WHERE title = ? AND score = ?"
         stmt = parse(sql)
+        template = ReadSetPlan(stmt, schema)
         for params in (("A", 1), ("B", 2), ("B", None)):
-            got = planner.read_set_for(sql, stmt, params, schema, epoch=1)
+            got = template.instantiate(params)
             assert got.to_dict() == read_partitions(stmt, params, schema).to_dict()
         sql_in = "SELECT * FROM pages WHERE title IN (?, ?, 'C')"
         stmt_in = parse(sql_in)
+        template_in = ReadSetPlan(stmt_in, schema)
         for params in (("A", "B"), ("A", "A")):
-            got = planner.read_set_for(sql_in, stmt_in, params, schema, epoch=1)
+            got = template_in.instantiate(params)
             assert (
                 got.to_dict() == read_partitions(stmt_in, params, schema).to_dict()
             )
@@ -267,30 +265,90 @@ class TestReadSetTemplates:
         # must not be trusted.
         sql = "SELECT * FROM pages WHERE title = ? AND title = ?"
         stmt = parse(sql)
-        planner = ReadSetPlanner()
         schema = pages_schema()
+        template = ReadSetPlan(stmt, schema)
         for params in (("A", "A"), ("A", "B")):
-            got = planner.read_set_for(sql, stmt, params, schema, epoch=1)
+            got = template.instantiate(params)
             assert got.to_dict() == read_partitions(stmt, params, schema).to_dict()
-        assert planner._cache[(sql, "pages")].mode == "dynamic"
+        assert template.mode == "dynamic"
 
     def test_missing_params_fall_back(self):
         sql = "SELECT * FROM pages WHERE title = ?"
         stmt = parse(sql)
-        planner = ReadSetPlanner()
         schema = pages_schema()
-        got = planner.read_set_for(sql, stmt, (), schema, epoch=1)
+        got = ReadSetPlan(stmt, schema).instantiate(())
         assert got.to_dict() == read_partitions(stmt, (), schema).to_dict()
 
-    def test_epoch_invalidates_template(self):
+    def test_epoch_rebuilds_plan_and_template_together(self):
+        """One invalidation: a schema change (``ddl_epoch`` bump) makes the
+        next execution rebuild the plan *and* its read-set template, and
+        the rebuilt template still agrees with the per-execution walk."""
+        tt = make_ttdb()
         sql = "SELECT * FROM pages WHERE title = ?"
-        stmt = parse(sql)
-        planner = ReadSetPlanner()
-        schema = pages_schema()
-        planner.read_set_for(sql, stmt, ("A",), schema, epoch=1)
-        first = planner._cache[(sql, "pages")]
-        planner.read_set_for(sql, stmt, ("A",), schema, epoch=2)
-        assert planner._cache[(sql, "pages")] is not first
+        tt.execute(sql, ("A",))
+        first = tt.prepare(sql)
+        assert tt.prepare(sql) is first and first.read_plan is not None
+        tt.create_table(pages_schema(name="other"))
+        result = tt.execute(sql, ("B",))
+        second = tt.prepare(sql)
+        assert second is not first
+        assert second.read_plan is not first.read_plan
+        assert second.epoch == tt.database.ddl_epoch
+        reference = read_partitions(parse(sql), ("B",), tt.schema("pages"))
+        assert result.read_set.to_dict() == reference.to_dict()
+
+
+# -- the prepared statement ------------------------------------------------------
+
+
+def test_each_statement_text_is_prepared_once(monkeypatch, statement_analyses):
+    """Prepared once: while a wiki deployment serves a mixed read/write
+    stream and then repairs it, plans built and read-set templates
+    constructed each equal the number of distinct statement texts — the
+    plan cache is the only thing keyed by SQL text — and re-executing a
+    recorded write prepares nothing."""
+    from repro.repair.api import CancelClientSpec
+    from repro.workload.scenarios import run_multi_tenant_scenario
+
+    texts = set()
+    write_reexecs = []
+    prepare = Executor.prepare
+    matching_row_ids = TimeTravelDB.matching_row_ids
+
+    def noting_prepare(self, sql):
+        texts.add(sql)
+        return prepare(self, sql)
+
+    def counted_matching(self, sql, *args):
+        write_reexecs.append(sql)
+        return matching_row_ids(self, sql, *args)
+
+    def prepared():
+        return [statement_analyses.count(kind) for kind in ("plan", "template")]
+
+    monkeypatch.setattr(Executor, "prepare", noting_prepare)
+    monkeypatch.setattr(TimeTravelDB, "matching_row_ids", counted_matching)
+
+    outcome = run_multi_tenant_scenario(
+        n_tenants=3, users_per_tenant=2, attacked_tenants=1, seed=3
+    )
+    kinds = {
+        query.kind
+        for run in outcome.warp.graph.runs.values()
+        for query in run.queries
+    }
+    assert {"select", "insert", "update"} <= kinds
+    served = len(texts)
+    assert served > 1
+    assert prepared() == [served, served]
+
+    result = outcome.warp.repair.submit(
+        CancelClientSpec(outcome.attacker_client)
+    ).result()
+    assert result.ok and result.stats.queries_reexecuted > 0
+    assert write_reexecs
+    assert len(texts) == served
+    assert prepared() == [served, served]
 
 
 # -- bounded value index -------------------------------------------------------

@@ -1033,7 +1033,6 @@ class TestRepairConfigPersistence:
         path = str(tmp_path / "warp.json")
         warp.save(path)
         reloaded = WarpSystem.load(path)
-        assert reloaded.cluster_mode == "sequential"
         assert reloaded.server.gate is None
 
 

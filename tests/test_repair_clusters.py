@@ -553,8 +553,7 @@ def _stage(seed, rng_shape):
     )
 
 
-def _run_repair(outcome, mode, kind):
-    outcome.warp.cluster_mode = mode
+def _run_repair(outcome, kind):
     # "patch" forces the patch repair; anything else is the scenario's own.
     result = outcome.repair_by_patch() if kind == "patch" else outcome.repair()
     # The raw snapshot, qids included: both modes pop the same items in the
@@ -574,7 +573,7 @@ def _run_repair(outcome, mode, kind):
 
 
 @pytest.mark.parametrize("case", [*range(8), "csrf"])
-def test_clustered_repair_identical_to_monolithic(case):
+def test_clustered_repair_identical_to_monolithic(case, futile_clustering, monkeypatch):
     if case == "csrf":
         # The escaping input: replayed victims write keys the original
         # timeline never wrote, and reach runs that are in no component.
@@ -596,7 +595,11 @@ def test_clustered_repair_identical_to_monolithic(case):
             if case == "csrf"
             else _stage(case, shape)
         )
-        results[mode], states[mode] = _run_repair(outcome, mode, kind)
+        results[mode], states[mode] = _run_repair(outcome, kind)
+        # The reference arm ran with discovery forced futile (n_groups 0);
+        # the second arm clusters for real.
+        assert (results[mode].stats.n_groups == 0) == (mode == "off")
+        monkeypatch.undo()
 
     stats = results["sequential"].stats
     assert stats.n_groups >= 1

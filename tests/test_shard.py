@@ -278,6 +278,18 @@ class TestWireAndWorker:
         )
         assert status == 200 and info["shard_id"] == 0
 
+    def test_config_written_by_the_previous_commit_still_loads(self):
+        """``ShardConfig.to_dict`` of PR 16 carried one more key (the pool
+        queue depth, now ``ServerPool``'s own default): ``from_dict`` must
+        keep ignoring it."""
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "shard_config_pr16.json")
+        with open(path, "r", encoding="utf-8") as fh:
+            written = json.load(fh)
+        config = ShardConfig.from_dict(written)
+        kept = config.to_dict()
+        assert len(set(written) - set(kept)) == 1
+        assert kept == {key: written[key] for key in kept}
+
     def test_wal_rotation_keeps_the_shard_history(self, tmp_path):
         """Regression: rotation saved beside the WAL, where the next start
         never looks — the truncated log alone then came back as a fresh
@@ -335,6 +347,65 @@ class TestPlanning:
         assert entry["runs"] >= 2
         assert ["pagecontent", "title", "tenant0_wiki"] in entry["writes"]
         assert entry["tables_written"]
+
+    def test_touch_summary_is_the_document_the_runs_describe(self):
+        """The summary, byte for byte, recomputed from ``store.runs``
+        alone: per client (in first-appearance order) its run count, the
+        keys it wrote, every key it touched, and the tables it read or
+        wrote whole / wrote at all."""
+        from repro.workload.scenarios import run_multi_tenant_scenario
+
+        outcome = run_multi_tenant_scenario(
+            n_tenants=3, users_per_tenant=2, attacked_tenants=1, seed=4
+        )
+        store = outcome.warp.graph.store
+        clients = {}
+        for run in store.runs.values():
+            if run.client_id is None:
+                continue
+            entry = clients.setdefault(
+                run.client_id,
+                {
+                    "runs": 0,
+                    "writes": set(),
+                    "reads": set(),
+                    "all_reads": set(),
+                    "full_writes": set(),
+                    "tables_written": set(),
+                },
+            )
+            entry["runs"] += 1
+            for query in run.queries:
+                if query.is_write:
+                    entry["tables_written"].add(query.table)
+                    entry["writes"] |= set(query.written_partitions)
+                    entry["reads"] |= set(query.written_partitions)
+                    if query.full_table_write:
+                        entry["full_writes"].add(query.table)
+                if query.read_set.is_all:
+                    entry["all_reads"].add(query.table)
+                else:
+                    entry["reads"] |= {
+                        (query.table, column, value)
+                        for column, value in query.read_set.keys()
+                    }
+        expected = {
+            "n_runs": len(store.runs),
+            "clients": {
+                client_id: {
+                    "runs": entry["runs"],
+                    "writes": sorted((list(k) for k in entry["writes"]), key=repr),
+                    "reads": sorted((list(k) for k in entry["reads"]), key=repr),
+                    "all_reads": sorted(entry["all_reads"]),
+                    "full_writes": sorted(entry["full_writes"]),
+                    "tables_written": sorted(entry["tables_written"]),
+                }
+                for client_id, entry in clients.items()
+            },
+        }
+        assert len(expected["clients"]) > 3
+        assert all(entry["writes"] for entry in expected["clients"].values())
+        assert json.dumps(store.touch_summary()) == json.dumps(expected)
 
     def test_union_joins_shards_only_through_shared_clients(self):
         summaries = {

@@ -224,8 +224,6 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     store = loaded.graph.store
     assert store._touch_lock is not store._records_lock
     assert store._qindex_lock is not store._records_lock
-    assert loaded.ttdb.use_statement_cache is True
-    assert loaded.cluster_mode == "sequential"
     # A partition gate serves until the repair has planned its scope; the
     # queue-everything policy refused from the first request.
     gate = loaded.server.gate

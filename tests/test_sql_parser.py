@@ -195,6 +195,3 @@ class TestErrors:
     def test_dangling_not(self):
         with pytest.raises(SqlError):
             parse("SELECT * FROM t WHERE a NOT 5")
-
-    def test_parse_is_cached(self):
-        assert parse("SELECT * FROM t") is parse("SELECT * FROM t")
