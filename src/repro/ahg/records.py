@@ -15,17 +15,57 @@ text, and that text is the ``data`` of its WAL line *and* of its snapshot
 line, byte for byte.  The store encodes a run once, when it is appended,
 and keeps the text on the record (``json_text``) so a snapshot splices it
 instead of walking the record again.
+
+The text says each fact once: a run's queries are positional rows
+(:data:`QUERY_ROW` names the positions once, not once per query), a row
+leaves out what the enclosing run already says, and a field at its default
+is not written.  ``from_dict`` also reads the keyed objects written before
+snapshot format 3 — per item, so old and new lines mix; nothing writes them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.serialize import COMPACT, decode_key_set, decode_tree, encode_key_set
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
+
+
+#: Position of each field in a query's row: the one place the layout is
+#: written — writer, reader and keyed view all go through it.  ``run_id``,
+#: ``seq`` and the read set's table are not in it: the enclosing run, the
+#: row's index in ``queries`` and the row's own ``table`` say them.
+QUERY_ROW = (
+    "qid", "ts", "sql", "params", "kind", "table", "disjuncts", "snapshot",
+    "read_row_ids", "written_row_ids", "written_partitions", "full_table_write",
+)  # fmt: skip
+#: A row may stop anywhere after ``snapshot``: a trailing field that is empty
+#: or false is not written — decided by value, so a write that touched
+#: nothing is as short as a SELECT.
+_ROW_REQUIRED = QUERY_ROW.index("snapshot") + 1
+#: The two fields a record holds in another form than its row does; the
+#: writer fetches the rest from the record by the names above.
+_DISJUNCTS, _PARTITIONS = map(QUERY_ROW.index, ("disjuncts", "written_partitions"))
+_row_attributes = attrgetter(
+    *QUERY_ROW[:_DISJUNCTS], "read_set", *QUERY_ROW[_DISJUNCTS + 1 :]
+)
+NONDET_ROW = ("func", "seq", "value")
+_nondet_row = attrgetter(*NONDET_ROW)
+
+
+def _keyed_query(row: list, run_id: int, seq: int) -> dict:
+    """The self-describing form of a row: all fourteen fields by name."""
+    data = {
+        "run_id": run_id, "seq": seq, "read_row_ids": [], "written_row_ids": [],
+        "written_partitions": [], "full_table_write": False,
+    }  # fmt: skip
+    data.update(zip(QUERY_ROW, row))
+    data["read_set"] = {"table": data["table"], "disjuncts": data.pop("disjuncts")}
+    return data
 
 
 @dataclass
@@ -58,50 +98,51 @@ class QueryRecord:
     def is_write(self) -> bool:
         return self.kind != "select"
 
-    def to_wire(self) -> dict:
-        """The tree ``json.dumps`` turns into this query's JSON: tuples
-        are left for the encoder to flatten into arrays (no Python-level
-        walk) — only frozensets need converting."""
-        return {
-            "qid": self.qid,
-            "run_id": self.run_id,
-            "seq": self.seq,
-            "ts": self.ts,
-            "sql": self.sql,
-            "params": self.params,
-            "kind": self.kind,
-            "table": self.table,
-            "read_set": self.read_set.to_dict(),
-            "written_row_ids": self.written_row_ids,
-            "written_partitions": encode_key_set(self.written_partitions),
-            "full_table_write": self.full_table_write,
-            "snapshot": self.snapshot,
-            "read_row_ids": self.read_row_ids,
-        }
+    def to_row(self) -> list:
+        """This query's :data:`QUERY_ROW` row, as the tree ``json.dumps``
+        serializes: fields go in as they are — tuples are left for the
+        encoder to flatten into arrays (no Python-level walk) — except the
+        two that need converting, the second only if the row gets that far."""
+        row = list(_row_attributes(self))
+        while len(row) > _ROW_REQUIRED and not row[-1]:
+            row.pop()
+        row[_DISJUNCTS] = row[_DISJUNCTS].to_dict()["disjuncts"]
+        if len(row) > _PARTITIONS:
+            row[_PARTITIONS] = encode_key_set(row[_PARTITIONS])
+        return row
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QueryRecord":
+    def from_wire(cls, item, run_id: int, seq: int) -> "QueryRecord":
+        """Rebuild a query from one item of a run's ``queries``: a row —
+        ``run_id`` and ``seq`` are then the enclosing run's id and the
+        item's index — or a keyed object, which names them itself."""
+        if isinstance(item, dict):
+            run_id, seq, read_set = item["run_id"], item["seq"], item["read_set"]
+        else:
+            item = read_set = dict(zip(QUERY_ROW, item))
+        get = item.get
         return cls(
-            qid=data["qid"],
-            run_id=data["run_id"],
-            seq=data["seq"],
-            ts=data["ts"],
-            sql=data["sql"],
-            params=decode_tree(data["params"]),
-            kind=data["kind"],
-            table=data["table"],
-            read_set=ReadSet.from_dict(data["read_set"]),
-            written_row_ids=decode_tree(data["written_row_ids"]),
-            written_partitions=decode_key_set(data["written_partitions"]),
-            full_table_write=data["full_table_write"],
-            snapshot=decode_tree(data["snapshot"]),
-            read_row_ids=tuple(data.get("read_row_ids", ())),
+            qid=item["qid"],
+            run_id=run_id,
+            seq=seq,
+            ts=item["ts"],
+            sql=item["sql"],
+            params=decode_tree(item["params"]),
+            kind=item["kind"],
+            table=item["table"],
+            read_set=ReadSet.from_dict(read_set),
+            written_row_ids=decode_tree(get("written_row_ids", ())),
+            written_partitions=decode_key_set(get("written_partitions", ())),
+            full_table_write=get("full_table_write", False),
+            snapshot=decode_tree(item["snapshot"]),
+            read_row_ids=tuple(get("read_row_ids", ())),
         )
 
 
 @dataclass
 class NondetRecord:
-    """A recorded non-deterministic function call (paper §3.1)."""
+    """A recorded non-deterministic function call (paper §3.1); on the
+    wire a :data:`NONDET_ROW` row."""
 
     func: str  # 'time' | 'rand' | 'token' | ...
     seq: int  # occurrence index of this func within the run
@@ -148,9 +189,10 @@ class AppRunRecord:
 
     def to_wire(self) -> dict:
         """The tree :meth:`encode` serializes — no defensive copies, tuples
-        left for the encoder (see :meth:`QueryRecord.to_wire`); for
-        consumers that serialize the result immediately."""
-        return {
+        left for the encoder (see :meth:`QueryRecord.to_row`); for
+        consumers that serialize the result immediately.  The five keys
+        after ``queries`` are written only when they say something."""
+        wire = {
             "run_id": self.run_id,
             "ts_start": self.ts_start,
             "ts_end": self.ts_end,
@@ -158,13 +200,16 @@ class AppRunRecord:
             "loaded_files": self.loaded_files,
             "request": self.request.to_dict(),
             "response": self.response.to_dict(),
-            "queries": [query.to_wire() for query in self.queries],
-            "nondet": [record.to_dict() for record in self.nondet],
-            "client_id": self.client_id,
-            "visit_id": self.visit_id,
-            "request_id": self.request_id,
-            "canceled": self.canceled,
+            "queries": [query.to_row() for query in self.queries],
         }
+        if self.nondet:
+            wire["nondet"] = [list(_nondet_row(record)) for record in self.nondet]
+        for name in ("client_id", "visit_id", "request_id"):
+            if (value := getattr(self, name)) is not None:
+                wire[name] = value
+        if self.canceled:
+            wire["canceled"] = True
+        return wire
 
     def encode(self) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
@@ -172,30 +217,61 @@ class AppRunRecord:
         return json.dumps(self.to_wire(), separators=COMPACT)
 
     def to_dict(self) -> dict:
-        """Plain-JSON view (lists, fresh containers): the codec's text,
-        decoded."""
-        return json.loads(self.json_text or self.encode())
+        """The keyed, self-describing view (plain JSON, fresh containers):
+        what the text says with every field by name — all thirteen run
+        keys, all fourteen of each query — whether or not the text spells
+        them out."""
+        data = {
+            "nondet": [], "client_id": None, "visit_id": None,
+            "request_id": None, "canceled": False,
+        }  # fmt: skip
+        data.update(json.loads(self.json_text or self.encode()))
+        data["queries"] = [
+            _keyed_query(row, self.run_id, seq) for seq, row in enumerate(data["queries"])
+        ]
+        data["nondet"] = [dict(zip(NONDET_ROW, row)) for row in data["nondet"]]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict, json_text: Optional[str] = None) -> "AppRunRecord":
-        """Rebuild a run from its decoded JSON; ``json_text`` is the text
-        ``data`` was decoded from, when the caller still has it."""
+        """Rebuild a run from its decoded text or its :meth:`to_dict`: each
+        query and nondet entry is a row or a keyed object, whichever the
+        item is.  ``json_text`` is the text ``data`` was decoded from, when
+        the caller still has it."""
+        run_id = data["run_id"]
         return cls(
-            run_id=data["run_id"],
+            run_id=run_id,
             ts_start=data["ts_start"],
             ts_end=data["ts_end"],
             script=data["script"],
             loaded_files=dict(data["loaded_files"]),
             request=HttpRequest.from_dict(data["request"]),
             response=HttpResponse.from_dict(data["response"]),
-            queries=[QueryRecord.from_dict(item) for item in data.get("queries", ())],
-            nondet=[NondetRecord.from_dict(item) for item in data.get("nondet", ())],
+            queries=[
+                QueryRecord.from_wire(item, run_id, seq)
+                for seq, item in enumerate(data.get("queries", ()))
+            ],
+            nondet=[
+                NondetRecord.from_dict(
+                    item if isinstance(item, dict) else dict(zip(NONDET_ROW, item))
+                )
+                for item in data.get("nondet", ())
+            ],
             client_id=data.get("client_id"),
             visit_id=data.get("visit_id"),
             request_id=data.get("request_id"),
             canceled=data.get("canceled", False),
             json_text=json_text,
         )
+
+
+def in_written_shape(data: dict) -> bool:
+    """Whether ``data`` is a run line as :meth:`AppRunRecord.encode` writes
+    it, so that its text may be kept as ``json_text``.  Before format 3 every
+    run line had a ``nondet`` key, empty or of keyed entries; this writer
+    leaves the key out unless it holds rows."""
+    nondet = data.get("nondet")
+    return nondet is None or (bool(nondet) and not isinstance(nondet[0], dict))
 
 
 def replay_clone(

@@ -67,12 +67,15 @@ class WarpExtension:
 
     def note_cookies(self, browser, visit) -> None:
         record = self._records.get(visit.visit_id)
-        if record is not None:
-            record.cookies_after = browser.jar_snapshot()
+        if record is None:
+            return
+        cookies = browser.jar_snapshot()
+        # Journaled when the jar changed, not when it was looked at: the
+        # entry is the whole jar, so repeating it tells replay nothing.
+        if cookies != record.cookies_after:
+            record.cookies_after = cookies
             if self.upload:
-                self.graph.log_visit_cookies(
-                    self.client_id, record.visit_id, record.cookies_after
-                )
+                self.graph.log_visit_cookies(self.client_id, record.visit_id, cookies)
 
     # -- request annotation ----------------------------------------------------------
 

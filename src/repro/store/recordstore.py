@@ -37,6 +37,7 @@ from repro.ahg.records import (
     PatchRecord,
     QueryRecord,
     VisitRecord,
+    in_written_shape,
     replay_clone,
 )
 from repro.core.errors import DurabilityError, ReproError
@@ -197,6 +198,11 @@ class RecordStore:
         self.patches: List[PatchRecord] = []
         #: Running total of recorded queries (kept so ``n_queries`` is O(1)).
         self.query_count = 0
+        #: Highest timestamp and query id of any record ever inserted: what
+        #: a reloaded deployment's clock and id counter must move past,
+        #: kept here so a load need not walk the history again to find them.
+        self.max_ts = 0
+        self.max_qid = 0
 
         # -- eagerly maintained secondary indexes -----------------------------
         self._runs_by_visit: Dict[Tuple[str, int], List[int]] = {}
@@ -435,6 +441,7 @@ class RecordStore:
         if run.client_id is not None:
             self._client_runs.setdefault(run.client_id, []).append(run.run_id)
         self._index_run_files(run)
+        self._note_high_water(run)
         with self._touch_lock:
             for query in run.queries:
                 self.touch.index_query(query, run.run_id)
@@ -443,6 +450,15 @@ class RecordStore:
             for query in run.queries:
                 if query.table in self._qindex_built:
                     self._index_query(query)
+
+    def _note_high_water(self, run: AppRunRecord) -> None:
+        ts, qid = max(self.max_ts, run.ts_end), self.max_qid
+        for query in run.queries:
+            if query.ts > ts:
+                ts = query.ts
+            if query.qid > qid:
+                qid = query.qid
+        self.max_ts, self.max_qid = ts, qid
 
     def add_runs(self, runs: Iterable[AppRunRecord]) -> None:
         """Bulk append: journal every run, wait once on the last ticket —
@@ -483,6 +499,7 @@ class RecordStore:
         ticket = None
         with self._records_lock:
             self.visits[(visit.client_id, visit.visit_id)] = visit
+            self.max_ts = max(self.max_ts, visit.ts)
             self._client_visits.setdefault(visit.client_id, []).append(visit.visit_id)
             self._note_visit_id(visit.client_id, visit.visit_id)
             if visit.parent_visit is not None:
@@ -551,6 +568,7 @@ class RecordStore:
         ticket = None
         with self._records_lock:
             self.patches.append(patch)
+            self.max_ts = max(self.max_ts, patch.apply_ts)
             if self.wal is not None:
                 ticket = self.wal.append("patch", patch.to_dict())
         self._finish(ticket)
@@ -699,6 +717,7 @@ class RecordStore:
             self.query_count += len(record.queries) - len(old.queries)
             self._unindex_run_files(old)
             self._index_run_files(record)
+            self._note_high_water(record)
             with self._touch_lock:
                 self.touch.unindex_run(old)
                 for query in record.queries:
@@ -1036,7 +1055,10 @@ class RecordStore:
         )
         for kind, item, text in itertools.chain(nested, records):
             if kind == "run":
-                store.add_run(AppRunRecord.from_dict(item, json_text=text))
+                # Kept text must be what encode() writes; a line from before
+                # format 3 is not, and the next save re-encodes its run.
+                keep = text if in_written_shape(item) else None
+                store.add_run(AppRunRecord.from_dict(item, json_text=keep))
             elif kind == "visit":
                 store.add_visit(VisitRecord.from_dict(item))
             elif kind == "patch":
@@ -1073,7 +1095,7 @@ class RecordStore:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-2 snapshot (:mod:`repro.store.snapshot`) — the
+        """Write a format-3 snapshot (:mod:`repro.store.snapshot`) — the
         header is ``payload`` plus a fresh ``snapshot_id``, the pending
         state and the record counts, the lines are the records — under the
         marker pairing protocol: the id is journaled before the write

@@ -1,8 +1,8 @@
 """Snapshot files: one header line, then one journal-shaped line per record.
 
-**Format 2** (what :meth:`RecordStore.commit_snapshot` writes)::
+**Format 3** (what :meth:`RecordStore.commit_snapshot` writes)::
 
-    {"version":2,...everything but the records...,"records":{"visit":V,"run":R,"patch":P}}
+    {"version":3,...everything but the records...,"records":{"visit":V,"run":R,"patch":P}}
     {"kind":"visit","data":{...}}
     {"kind":"run","data":{...}}
     {"kind":"patch","data":{...}}
@@ -15,9 +15,13 @@ writer splices kept text, the reader decodes and inserts one record at a
 time.  ``records`` counts the lines that must follow, per kind — a file
 cut short at a line boundary is refused like one cut mid-line.
 
-**Format 1** (one JSON document with the records nested inside, as the
-releases before this one wrote) still loads: its whole document is the
-header and no record lines follow.  Nothing writes it any more.
+**Format 2** is the same file with every run line in the keyed shape
+(:mod:`repro.ahg.records` reads a line of either shape); the number
+went up so that a build which only knows keyed lines refuses a new file
+by version.  **Format 1** (one JSON document with the records nested
+inside) still loads too: its whole document is the header and no record
+lines follow.  Nothing writes either any more; the first save after
+loading one writes format 3.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT
 from repro.store.wal import decode_line
 
-FORMAT = 2
+FORMAT = 3
 
 
 def write_snapshot(path: str, header: dict, lines: Iterable[str]) -> None:
@@ -82,7 +86,7 @@ class SnapshotReader:
             raise self._refuse("the header line is not a JSON object")
         # Only a bare store's format-1 image predates the version field.
         version = header.get("version", 1)
-        if version not in (1, FORMAT):
+        if version not in (1, 2, FORMAT):
             raise self._refuse(f"unsupported format version {version!r}")
         return header
 

@@ -336,7 +336,7 @@ class WarpSystem:
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
 
-        The file is a format-2 snapshot (:mod:`repro.store.snapshot`):
+        The file is a format-3 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
         it — under its records stripe.
@@ -424,7 +424,7 @@ class WarpSystem:
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
         are streamed in one line at a time.  A file that is not a format
-        1 or 2 snapshot, or does not hold the records its header
+        1, 2 or 3 snapshot, or does not hold the records its header
         promises, raises :class:`~repro.core.errors.ReproError` naming it.
         """
         if path is None:
@@ -589,17 +589,7 @@ class WarpSystem:
         replay restores records that postdate the snapshot's clock, and a
         reused timestamp would interleave new actions into the middle of
         the already-recorded timeline."""
-        store = self.graph.store
-        max_ts = self.clock.now()
-        for run in store.runs.values():
-            max_ts = max(max_ts, run.ts_end)
-            for query in run.queries:
-                max_ts = max(max_ts, query.ts)
-        for visit in store.visits.values():
-            max_ts = max(max_ts, visit.ts)
-        for patch in store.patches:
-            max_ts = max(max_ts, patch.apply_ts)
-        self.clock.restore(max_ts)
+        self.clock.restore(max(self.clock.now(), self.graph.store.max_ts))
 
     def _sync_id_counters(self) -> None:
         """Advance run/query id allocation past every restored record —
@@ -608,13 +598,7 @@ class WarpSystem:
         overwrite that record in the graph."""
         store = self.graph.store
         self.ids.advance_to("run", max(store.runs, default=0))
-        self.ids.advance_to(
-            "query",
-            max(
-                (query.qid for run in store.runs.values() for query in run.queries),
-                default=0,
-            ),
-        )
+        self.ids.advance_to("query", store.max_qid)
 
     # -- crash recovery of gate-queued requests ----------------------------------
 

@@ -2,10 +2,10 @@
 
 Two workloads — reading pages and editing pages — run against three server
 configurations: WARP disabled (plain execution), WARP enabled, and WARP
-enabled while a repair is concurrently underway.  Storage cost is measured
-by serializing (and compressing, like the paper) the dependency records
-each page visit produced: the browser event log, the application run log,
-and the database query log plus row-version deltas.
+enabled while a repair is concurrently underway.  Storage cost is the
+size of the lines the record store writes for each page visit — raw, and
+compressed like the paper's: the browser's visit log, the application run
+log, and the database query log (the run line's ``queries`` rows).
 """
 
 from __future__ import annotations
@@ -14,82 +14,44 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.ahg.records import AppRunRecord, VisitRecord
+from repro.core.serialize import COMPACT
+from repro.store.wal import entry_line
 from repro.workload.scenarios import WIKI, WikiDeployment
 
-
-def _compressed_size(payload) -> int:
-    text = json.dumps(payload, default=repr, sort_keys=True)
-    return len(zlib.compress(text.encode("utf-8")))
+#: The three logs of Table 6's storage column.
+LAYERS = ("browser", "app", "db")
 
 
-def visit_log_bytes(record: VisitRecord) -> int:
-    return _compressed_size(
-        {
-            "url": record.url,
-            "method": record.method,
-            "post": record.post_params,
-            "parent": record.parent_visit,
-            "framed": record.framed,
-            "events": [
-                {"t": e.etype, "x": e.xpath, "d": e.data} for e in record.events
-            ],
-            "cookies_before": record.cookies_before,
-            "cookies_after": record.cookies_after,
-            "requests": record.request_ids,
-        }
-    )
-
-
-def run_log_bytes(record: AppRunRecord) -> int:
-    app_part = _compressed_size(
-        {
-            "script": record.script,
-            "files": record.loaded_files,
-            "request": {
-                "m": record.request.method,
-                "p": record.request.path,
-                "params": record.request.params,
-                "cookies": record.request.cookies,
-            },
-            "response": {
-                "s": record.response.status,
-                "b": record.response.body,
-                "h": record.response.headers,
-                "c": record.response.set_cookies,
-            },
-            "nondet": [(n.func, n.seq, n.value) for n in record.nondet],
-        }
-    )
-    return app_part
-
-
-def query_log_bytes(record: AppRunRecord) -> int:
-    return _compressed_size(
-        [
-            {
-                "sql": q.sql,
-                "params": q.params,
-                "ts": q.ts,
-                "reads": sorted(map(repr, q.read_set.keys())),
-                "writes": q.written_row_ids,
-                "snapshot": q.snapshot,
-            }
-            for q in record.queries
-        ]
-    )
+def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
+    """``(layer, text)`` for every byte the store writes for ``graph``'s
+    visits and runs — their snapshot lines, which are their WAL lines.  A
+    visit's line is the browser log; a run's line is split where the
+    codec splits it: the ``queries`` member (the rows) is the database
+    log, the line around it the application log."""
+    for visit in graph.visits.values():
+        yield "browser", entry_line("visit", visit.encode())
+    for run in graph.runs_in_order():
+        wire = run.to_wire()
+        rows = json.dumps(wire.pop("queries"), separators=COMPACT)
+        yield "app", entry_line("run", json.dumps(wire, separators=COMPACT))
+        # The member, and the comma that joined it to its neighbours.
+        yield "db", f'"queries":{rows},'
 
 
 @dataclass
 class StorageReport:
-    """Per-page-visit dependency-log sizes in KB (Table 6 right half)."""
+    """Per-page-visit dependency-log sizes in KB (Table 6 right half):
+    what the store writes, zlib-compressed record by record as the paper
+    compresses its logs.  ``raw_bytes`` is the same text uncompressed,
+    per layer, over all visits."""
 
     browser_kb: float
     app_kb: float
     db_kb: float
     n_visits: int
+    raw_bytes: Dict[str, int]
 
     @property
     def total_kb(self) -> float:
@@ -104,14 +66,18 @@ class StorageReport:
 def storage_report(deployment: WikiDeployment) -> StorageReport:
     graph = deployment.warp.graph
     n_visits = max(1, graph.n_visits)
-    browser_bytes = sum(visit_log_bytes(v) for v in graph.visits.values())
-    app_bytes = sum(run_log_bytes(r) for r in graph.runs_in_order())
-    db_bytes = sum(query_log_bytes(r) for r in graph.runs_in_order())
+    raw = dict.fromkeys(LAYERS, 0)
+    compressed = dict.fromkeys(LAYERS, 0)
+    for layer, text in record_log_texts(graph):
+        data = text.encode("utf-8")
+        raw[layer] += len(data)
+        compressed[layer] += len(zlib.compress(data))
     return StorageReport(
-        browser_kb=browser_bytes / n_visits / 1024,
-        app_kb=app_bytes / n_visits / 1024,
-        db_kb=db_bytes / n_visits / 1024,
+        browser_kb=compressed["browser"] / n_visits / 1024,
+        app_kb=compressed["app"] / n_visits / 1024,
+        db_kb=compressed["db"] / n_visits / 1024,
         n_visits=n_visits,
+        raw_bytes=raw,
     )
 
 

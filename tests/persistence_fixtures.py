@@ -1,20 +1,37 @@
 """What the committed persistence fixtures hold, and how they were made.
 
 ``golden_run()`` is the fixed run whose journal lines are pinned byte for
-byte in ``fixtures/wal_run_lines.golden``; ``format1_workload()`` is the
-small wiki deployment whose format-1 snapshot is
-``fixtures/warp_format1.json`` (with the ``RepairStats`` counters its
-common.php repair produced in ``fixtures/warp_format1.counters.json``).  Both files were written by the last
-commit that wrote format 1 (PR 11, ebe3011) by running this module there:
+byte, once per shape the codec has written:
 
-    PYTHONPATH=<that checkout>/src python tests/persistence_fixtures.py
+* ``fixtures/wal_run_lines.format3.golden`` — the row-shaped lines this
+  build writes.  The one fixture this module can still write:
+  ``python tests/persistence_fixtures.py`` regenerates it, and ``--check``
+  (a tier-1 CI step) regenerates it into a temporary directory and fails,
+  naming the file, unless it is byte-identical to the committed one — so
+  a codec change cannot land without its golden, nor a golden without a
+  codec change.
+* ``fixtures/wal_run_lines.golden`` — the keyed lines PRs 11–17 wrote
+  (written at PR 11, ebe3011).  Nothing can write them any more;
+  ``--check`` replays them and fails unless they still read as
+  ``golden_run()``.
+
+``format1_workload()`` is the small wiki deployment whose snapshot is
+committed in both retired formats — ``fixtures/warp_format1.json`` (written
+at PR 11, ebe3011) and ``fixtures/warp_format2.json`` (written at PR 17,
+29d2bb9, the last commit that wrote keyed lines), each by running
+``format1_workload()[0].save(...)`` on a checkout of that commit — with the
+``RepairStats`` counters its common.php repair produced in
+``fixtures/warp_format1.counters.json``.  ``--check`` loads both and fails
+unless each holds the graph ``format1_workload()`` builds today.
 
 Tests import the builders from here so the inputs cannot drift from the
-files; re-running this module on a later commit would defeat the point.
+files.
 """
 
 import json
 import os
+import sys
+import tempfile
 
 from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord
 from repro.apps.wiki.app import WikiApp
@@ -27,8 +44,12 @@ from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+#: ``golden_lines()`` as this build writes it (rows) ...
+GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
+#: ... and as PRs 11-17 wrote it (keyed objects).
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
+FORMAT2_SNAPSHOT = os.path.join(HERE, "warp_format2.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
 #: The six config keys PR 14 stopped persisting, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
@@ -112,16 +133,30 @@ def golden_run() -> AppRunRecord:
     )
 
 
-def golden_lines(directory: str) -> bytes:
-    """The journal bytes of ``add_run(golden_run())`` followed by a
-    ``replace_run`` with the same record."""
-    wal_path = os.path.join(directory, "golden.wal")
-    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+def golden_store(wal=None) -> RecordStore:
+    """``add_run(golden_run())`` followed by a ``replace_run`` with the
+    same record."""
+    store = RecordStore(wal=wal)
     store.add_run(golden_run())
     store.replace_run(7, golden_run())
-    store.wal.close()
+    return store
+
+
+def golden_lines(directory: str) -> bytes:
+    """The journal bytes of ``golden_store()``."""
+    wal_path = os.path.join(directory, "golden.wal")
+    golden_store(RecordWal(wal_path, durability="none")).wal.close()
     with open(wal_path, "rb") as fh:
         return fh.read()
+
+
+def replay(wal_path: str) -> RecordStore:
+    """A store holding what the journal at ``wal_path`` says (the file is
+    only read, never attached)."""
+    store = RecordStore()
+    for kind, data in RecordWal.entries(wal_path):
+        store.apply_logged(kind, data)
+    return store
 
 
 def format1_workload(wal_path=None):
@@ -157,18 +192,35 @@ def repair_counters(warp) -> dict:
     return {name: getattr(result.stats, name) for name in COUNTERS}
 
 
-def main() -> None:
-    import tempfile
+def check(directory: str) -> list:
+    """Every way the committed fixtures disagree with the code, by name."""
+    problems = []
+    with open(GOLDEN_ROWS, "rb") as fh:
+        if fh.read() != golden_lines(directory):
+            problems.append(
+                f"{GOLDEN_ROWS}: not the bytes the codec writes for golden_run(); "
+                "a codec change needs `python tests/persistence_fixtures.py`, "
+                "a regenerated golden needs a codec change"
+            )
+    if replay(GOLDEN_LINES).to_snapshot() != golden_store().to_snapshot():
+        problems.append(f"{GOLDEN_LINES}: no longer replays to golden_run()")
+    expected = format1_workload()[0].graph.to_snapshot()
+    for path in (FORMAT1_SNAPSHOT, FORMAT2_SNAPSHOT):
+        if WarpSystem.load(path).graph.to_snapshot() != expected:
+            problems.append(f"{path}: no longer loads as format1_workload()")
+    return problems
 
+
+def main(argv) -> int:
     with tempfile.TemporaryDirectory() as directory:
-        with open(GOLDEN_LINES, "wb") as fh:
+        if argv == ["--check"]:
+            problems = check(directory)
+            print("\n".join(problems) or "persistence fixtures match the code")
+            return 1 if problems else 0
+        with open(GOLDEN_ROWS, "wb") as fh:
             fh.write(golden_lines(directory))
-    warp, _ = format1_workload()
-    warp.save(FORMAT1_SNAPSHOT)
-    with open(FORMAT1_COUNTERS, "w", encoding="utf-8") as fh:
-        json.dump(repair_counters(warp), fh, sort_keys=True)
-        fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -176,6 +176,55 @@ class TestWarpSystemPersistence:
         assert restored.request_ids == live.request_ids
         assert restored.cookies_after == live.cookies_after
 
+    def test_cookie_snapshots_are_journaled_on_change_and_replay_equal(self, tmp_path):
+        """The extension journals a visit's jar when it changed, not each
+        time it looked: a browser scenario reloaded from snapshot + WAL
+        tail holds every visit's cookies exactly as the live store does."""
+        from repro.store.wal import RecordWal
+        from repro.workload.scenarios import run_scenario
+
+        wal_path = str(tmp_path / "records.wal")
+        path = str(tmp_path / "warp.json")
+        warp, _ = build_workload(wal_path=wal_path)
+        warp.save(path)
+        # The WAL tail: bob logs in (the jar changes) and browses on (it
+        # does not).  Beside it a whole attack scenario, recovered from its
+        # WAL alone.
+        csrf_wal = str(tmp_path / "csrf.wal")
+        outcome = run_scenario(
+            "csrf", n_users=3, n_victims=1, wal_path=csrf_wal, durability="none"
+        )
+        bob = warp.client("bob-desktop")
+        bob.open("http://wiki.test/login.php")
+        bob.type_into("input[name=wpName]", "bob")
+        bob.type_into("input[name=wpPassword]", "bobpw")
+        bob.submit("#loginform")
+        bob.open("http://wiki.test/index.php?title=Home")
+        bob.open("http://wiki.test/edit.php?title=News")
+        bob.type_into("textarea", "news, by bob")
+        bob.submit("form")
+
+        for live, snapshot, wal in (
+            (warp, path, wal_path),
+            (outcome.warp, None, csrf_wal),
+        ):
+            live.graph.store.wal.sync()
+            jars = {}
+            for kind, data in RecordWal.entries(wal):
+                if kind == "visit_cookies":
+                    key = (data["client_id"], data["visit_id"])
+                    assert jars.get(key) != data["cookies_after"], "a repeated jar"
+                    jars[key] = data["cookies_after"]
+            assert jars
+            reloaded = WarpSystem.load(snapshot, wal_path=wal)
+            assert set(reloaded.graph.visits) == set(live.graph.visits)
+            for key, visit in live.graph.visits.items():
+                restored = reloaded.graph.visits[key]
+                assert restored.cookies_before == visit.cookies_before, key
+                assert restored.cookies_after == visit.cookies_after, key
+            assert any(v.cookies_after != v.cookies_before for v in live.graph.visits.values())
+            reloaded.graph.store.wal.close()
+
     def test_wal_preserves_cancellations(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)

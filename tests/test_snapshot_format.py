@@ -1,10 +1,13 @@
-"""Snapshot format 2 and the one-codec contract behind it.
+"""Snapshot format 3 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
-of its WAL line (byte-identical to what PR 11 wrote) and of its snapshot
-line.  These tests pin the bytes, the kept-text invariant across every
-mutation the store offers, format-1 compatibility, and the refusal of
-files that are not whole.
+of its WAL line and of its snapshot line, and it says each fact once:
+queries as positional rows, nothing the enclosing run says, no defaults.
+These tests pin the bytes (the rows this build writes, and the keyed
+lines PRs 11-17 wrote, which must keep reading), the round trip of both
+views, the kept-text invariant across every mutation the store offers,
+format-1 and format-2 compatibility and the upgrade on the next save, the
+bytes one request may cost, and the refusal of files that are not whole.
 """
 
 import gc
@@ -13,9 +16,11 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persistence_fixtures as fixtures
-from repro.ahg.records import AppRunRecord
+from repro.ahg.records import QUERY_ROW, AppRunRecord, NondetRecord, QueryRecord
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
 from repro.faults.plane import FaultPlane, SimulatedCrash
@@ -24,19 +29,20 @@ from repro.repair.api import CancelClientSpec
 from repro.store import wal as wal_module
 from repro.store.recordstore import RecordStore
 from repro.store.snapshot import read_snapshot_header
-from repro.store.wal import RecordWal
+from repro.store.wal import RecordWal, entry_line
+from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
 from repro.workload.loadgen import make_load_clients
 from repro.workload.scenarios import run_scenario
 
 
 # ---------------------------------------------------------------------------
-# (b) the WAL line is byte-for-byte what the parent commit wrote
+# (b) the bytes: what this build writes is pinned, what PRs 11-17 wrote reads
 # ---------------------------------------------------------------------------
 
 
 def test_wal_lines_match_golden_bytes(tmp_path):
-    with open(fixtures.GOLDEN_LINES, "rb") as fh:
+    with open(fixtures.GOLDEN_ROWS, "rb") as fh:
         golden = fh.read()
     assert fixtures.golden_lines(str(tmp_path)) == golden
     # ... and the snapshot line of the same run is the WAL line.
@@ -47,14 +53,165 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     store.save_snapshot(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert fh.readlines()[1] == run_line
+    # Each fact once: no field name inside a query, no default spelled out.
+    assert '"sql"' not in run_line and run_line.count('"run_id"') == 1
+    assert '"canceled"' not in run_line and "false" not in run_line
 
 
-def test_codec_views_agree():
+def test_keyed_golden_lines_still_replay():
+    """The lines PRs 11-17 wrote (keyed queries, every default spelled
+    out) read as the run they were written from."""
+    entries = list(RecordWal.entries(fixtures.GOLDEN_LINES))
+    assert [kind for kind, _ in entries] == ["run", "replace_run"]
+    for _, data in entries:
+        assert isinstance(data["queries"][0], dict) and data["canceled"] is False
+        assert AppRunRecord.from_dict(data) == fixtures.golden_run()
+        # The keyed view of today's record is, key for key, the old line.
+        assert fixtures.golden_run().to_dict() == data
+    replayed = fixtures.replay(fixtures.GOLDEN_LINES)
+    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
+    assert replayed.runs[7] == fixtures.golden_run()
+
+
+def test_wal_mixing_keyed_and_row_lines_replays(tmp_path):
+    """A log begun by an older build and continued by this one: a keyed
+    ``run`` line, then a row-shaped ``replace_run`` of the same run, then a
+    row-shaped ``run`` — each line is read in the shape it has."""
+    with open(fixtures.GOLDEN_LINES, "r", encoding="utf-8", newline="") as fh:
+        keyed_run_line = fh.readline()
+    replacement = fixtures.golden_run()
+    replacement.response.body = "<p>replaced</p>"
+    replacement.queries.pop()
+    newcomer = fixtures.golden_run()
+    newcomer.run_id = 8
+    for query in newcomer.queries:
+        query.run_id = 8
+    wal_path = str(tmp_path / "mixed.wal")
+    with open(wal_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(keyed_run_line)
+        fh.write(entry_line("replace_run", replacement.encode()))
+        fh.write(entry_line("run", newcomer.encode()))
+    store = RecordStore.recover(wal_path=wal_path)
+    store.wal.close()
+    assert store.runs == {7: replacement, 8: newcomer}
+    assert store.query_count == 3
+
+
+# -- round trip, as a property -------------------------------------------------
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),  # any unicode: control characters, astral plane, quotes
+)
+#: Tuples all the way down, as params, snapshots and nondet values are.
+trees = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8
+)
+names = st.text("abcdefgh_", min_size=1, max_size=6)
+constraints = st.frozensets(st.tuples(names, scalars), min_size=1, max_size=3)
+
+
+@st.composite
+def query_records(draw):
+    table = draw(names)
+    return QueryRecord(
+        qid=draw(st.integers(1, 10**6)),
+        run_id=0,  # set by run_records: a row does not carry them
+        seq=0,
+        ts=draw(st.integers(0, 10**6)),
+        sql=draw(st.text(max_size=30)),
+        params=draw(st.lists(trees, max_size=3).map(tuple)),
+        kind=draw(st.sampled_from(["select", "insert", "update", "delete"])),
+        table=table,
+        read_set=ReadSet(
+            table,
+            # ALL partitions / none (an INSERT) / one or several conjunctions
+            draw(st.one_of(st.none(), st.lists(constraints, max_size=3).map(tuple))),
+        ),
+        # Independent of ``kind``: a write with an empty written set, a
+        # SELECT row with every trailing field present, and all between.
+        written_row_ids=draw(
+            st.lists(st.tuples(st.just(table), st.integers(1, 99)), max_size=2).map(tuple)
+        ),
+        written_partitions=draw(
+            st.frozensets(st.tuples(st.just(table), names, scalars), max_size=2)
+        ),
+        full_table_write=draw(st.booleans()),
+        snapshot=draw(st.lists(trees, min_size=1, max_size=3).map(tuple)),
+        read_row_ids=draw(st.lists(st.integers(1, 99), max_size=3).map(tuple)),
+    )
+
+
+@st.composite
+def run_records(draw):
     run = fixtures.golden_run()
+    run.run_id = draw(st.integers(1, 10**6))
+    run.queries = draw(st.lists(query_records(), max_size=3))
+    for seq, query in enumerate(run.queries):
+        query.run_id, query.seq = run.run_id, seq
+    run.nondet = draw(
+        st.lists(st.builds(NondetRecord, names, st.integers(0, 9), trees), max_size=2)
+    )
+    run.client_id = draw(st.none() | st.text(max_size=8))
+    run.visit_id = draw(st.none() | st.integers(0, 99))
+    run.request_id = draw(st.none() | st.integers(0, 99))
+    run.canceled = draw(st.booleans())
+    run.request.params["q"] = run.response.body = draw(st.text(max_size=20))
+    return run
+
+
+RUN_KEYS = {
+    "run_id", "ts_start", "ts_end", "script", "loaded_files", "request", "response",
+    "queries", "nondet", "client_id", "visit_id", "request_id", "canceled",
+}  # fmt: skip
+QUERY_KEYS = (set(QUERY_ROW) - {"disjuncts"}) | {"run_id", "seq", "read_set"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=run_records())
+@example(run=fixtures.golden_run())
+def test_codec_views_agree(run):
+    """Both views of a run — the text (rows, elided defaults) and the
+    keyed ``to_dict()`` — rebuild it, and the keyed view names every field
+    whether or not the text spells it out."""
     text = run.encode()
-    assert run.to_dict() == json.loads(text)
     again = AppRunRecord.from_dict(json.loads(text), json_text=text)
     assert again == run and again.encode() == text == again.json_text
+    keyed = run.to_dict()
+    assert AppRunRecord.from_dict(keyed) == run
+    assert again.to_dict() == keyed  # from kept text or a fresh encode: one view
+    assert keyed == json.loads(json.dumps(keyed))  # plain JSON
+    assert set(keyed) == RUN_KEYS and len(RUN_KEYS) == 13
+    assert len(QUERY_KEYS) == 14
+    for seq, (query, item) in enumerate(zip(run.queries, keyed["queries"])):
+        assert set(item) == QUERY_KEYS
+        assert set(item["read_set"]) == {"table", "disjuncts"}
+        assert (item["run_id"], item["seq"]) == (run.run_id, seq)
+        assert item["read_set"]["table"] == item["table"] == query.table
+        assert item["full_table_write"] is query.full_table_write
+        assert (item["read_set"]["disjuncts"] is None) == query.read_set.is_all
+    for record, item in zip(run.nondet, keyed["nondet"]):
+        assert set(item) == {"func", "seq", "value"} and item["func"] == record.func
+    # What the text may leave out, and only that.
+    line = json.loads(text)
+    assert set(line) == RUN_KEYS - {
+        name
+        for name, default in [
+            ("nondet", []), ("client_id", None), ("visit_id", None),
+            ("request_id", None), ("canceled", False),
+        ]  # fmt: skip
+        if keyed[name] == default
+    }
+    for row, item in zip(line["queries"], keyed["queries"]):
+        assert isinstance(row, list) and 8 <= len(row) <= len(QUERY_ROW)
+        assert len(row) == 8 or row[-1] not in ([], False)
+        for name, value in list(zip(QUERY_ROW, row))[8:]:
+            assert item[name] == value
+        for name in QUERY_ROW[len(row):]:
+            assert item[name] in ([], False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +323,142 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_format1_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    assert read_snapshot_header(fixtures.FORMAT1_SNAPSHOT)["version"] == 1
+def run_lines(path):
+    """The decoded ``data`` of every run line of the snapshot at ``path``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        entries = [json.loads(line) for line in fh.readlines()[1:]]
+    return [entry["data"] for entry in entries if entry["kind"] == "run"]
+
+
+def loads_repairs_and_upgrades(fixture, version, tmp_path):
+    assert read_snapshot_header(fixture)["version"] == version
     with open(fixtures.FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     original, _ = fixtures.format1_workload()
 
-    warp = WarpSystem.load(fixtures.FORMAT1_SNAPSHOT)
+    warp = WarpSystem.load(fixture)
     assert warp.graph.to_snapshot() == original.graph.to_snapshot()
+    # No text of an older shape is kept: the next save re-encodes the run.
+    assert all(run.json_text is None for run in warp.graph.runs.values())
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     assert fixtures.repair_counters(warp) == expected
 
-    # Loaded from format 1, saved as format 2, loaded again: same graph.
+    # Loaded from the old format, saved as format 3 — rows only, and the
+    # text kept from now on is the text a fresh encode gives — loaded
+    # again: same graph.
     upgraded = str(tmp_path / "upgraded.json")
-    again = WarpSystem.load(fixtures.FORMAT1_SNAPSHOT)
+    again = WarpSystem.load(fixture)
     again.save(upgraded)
-    assert read_snapshot_header(upgraded)["version"] == 2
-    assert WarpSystem.load(upgraded).graph.to_snapshot() == original.graph.to_snapshot()
+    assert read_snapshot_header(upgraded)["version"] == 3
+    lines = run_lines(upgraded)
+    assert len(lines) == original.graph.n_runs and any(d["queries"] for d in lines)
+    for data in lines:
+        assert all(isinstance(q, list) for q in data["queries"])
+        assert all(isinstance(n, list) for n in data.get("nondet", ()))
+    assert_kept_text_is_fresh(again.graph.store)
+    reloaded = WarpSystem.load(upgraded)
+    assert reloaded.graph.to_snapshot() == original.graph.to_snapshot()
+    assert all(run.json_text is not None for run in reloaded.graph.runs.values())
+    assert_kept_text_is_fresh(reloaded.graph.store)
+
+
+def test_format1_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    loads_repairs_and_upgrades(fixtures.FORMAT1_SNAPSHOT, 1, tmp_path)
+
+
+def test_format2_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written by the parent commit (PR 17): header + keyed record lines."""
+    keyed = run_lines(fixtures.FORMAT2_SNAPSHOT)
+    assert all(isinstance(q, dict) for d in keyed for q in d["queries"])
+    # Among them the case only an exact rule catches: no query to tell the
+    # shape by, the defaults spelled out all the same.
+    assert any(not d["queries"] and d["nondet"] == [] for d in keyed)
+    loads_repairs_and_upgrades(fixtures.FORMAT2_SNAPSHOT, 2, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the clock and the id counters after a load come from the store's running
+# maxima; the two history-wide walks they replaced are the oracle
+# ---------------------------------------------------------------------------
+
+
+def walked_maxima(store):
+    max_ts = 0
+    for run in store.runs.values():
+        max_ts = max(max_ts, run.ts_end)
+        for query in run.queries:
+            max_ts = max(max_ts, query.ts)
+    for visit in store.visits.values():
+        max_ts = max(max_ts, visit.ts)
+    for patch in store.patches:
+        max_ts = max(max_ts, patch.apply_ts)
+    max_qid = max(
+        (query.qid for run in store.runs.values() for query in run.queries), default=0
+    )
+    return max_ts, max(store.runs, default=0), max_qid
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, version):
+    snapshot = {1: fixtures.FORMAT1_SNAPSHOT, 2: fixtures.FORMAT2_SNAPSHOT}.get(version)
+    if snapshot is None:
+        snapshot = str(tmp_path / "format3.json")
+        fixtures.format1_workload()[0].save(snapshot)
+    assert read_snapshot_header(snapshot)["version"] == version
+    loaded = WarpSystem.load(snapshot)
+    store = loaded.graph.store
+    assert (store.max_ts, max(store.runs), store.max_qid) == walked_maxima(store)
+    at_snapshot = (loaded.clock.now(), loaded.ids.peek("run"), loaded.ids.peek("query"))
+
+    # Grow a WAL tail past the snapshot: traffic, a repair (replace_run
+    # with fresh query ids and a patch record) and more traffic.
+    wal_path = str(tmp_path / "tail.wal")
+    live = WarpSystem.load(snapshot, wal_path=wal_path)
+    WikiApp(live.ttdb, live.scripts, live.server).register_code()
+    live.client("eve-tablet").open("http://wiki.test/index.php?title=Home")
+    fixtures.repair_counters(live)
+    live.client("eve-tablet").open("http://wiki.test/index.php?title=News")
+    live.graph.store.wal.close()
+
+    tailed = WarpSystem.load(snapshot, wal_path=wal_path)
+    store = tailed.graph.store
+    assert tailed.graph.to_snapshot() == live.graph.to_snapshot()
+    max_ts, max_run_id, max_qid = walked_maxima(store)
+    assert (store.max_ts, store.max_qid) == (max_ts, max_qid)
+    assert (tailed.clock.now(), tailed.ids.peek("run"), tailed.ids.peek("query")) == (
+        max(at_snapshot[0], max_ts),
+        max(at_snapshot[1], max_run_id),
+        max(at_snapshot[2], max_qid),
+    )
+    assert max_ts > at_snapshot[0] and max_qid > at_snapshot[2]  # the tail moved them
+    tailed.graph.store.wal.close()
+
+
+# ---------------------------------------------------------------------------
+# (e) the bytes one request may cost
+# ---------------------------------------------------------------------------
+
+
+def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
+    """Exact counts on a fixed deployment, so a field that bloats the run
+    line fails here and not in a benchmark run.  (At the parent commit,
+    keyed queries with every default spelled out: 2330 and 3111.)"""
+    warp = WarpSystem(seed=7, wal_path=str(tmp_path / "records.wal"), durability="none")
+    wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+    wiki.install()
+    wiki.seed_page("P", "seed\n", owner="admin")
+    (client,) = make_load_clients(wiki, warp.server, ["u"])
+    wal = warp.graph.store.wal
+
+    def cost(request):
+        before = wal.appended_bytes
+        assert client.send(request).status == 200
+        return wal.appended_bytes - before
+
+    assert cost(client.request("GET", "/edit.php", {"title": "P"})) == 1461
+    append = {"title": "P", "append": "\none more line."}
+    assert cost(client.request("POST", "/edit.php", append)) == 1839
+    wal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +511,7 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert header["records"] == {
             "visit": warp.graph.n_visits,
             "run": warp.graph.n_runs,
@@ -270,13 +546,15 @@ class TestRefusedSnapshots:
         with pytest.raises(ReproError, match="line 4"):
             RecordStore.recover(snapshot_path=path)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    @pytest.mark.parametrize("version", [0, 4, "3", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])
         header["version"] = version
         rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
-        with pytest.raises(ReproError, match="unsupported format version"):
+        with pytest.raises(
+            ReproError, match=rf"warp\.json.*unsupported format version {version!r}$"
+        ):
             WarpSystem.load(path)
 
     @pytest.mark.parametrize("content", ["", "[1, 2]\n", "{\"version\": 2"])

@@ -155,7 +155,7 @@ class TestGarbageCollection:
 
 
 class TestMetricsModule:
-    def test_storage_report_shapes(self):
+    def test_storage_report_shapes(self, tmp_path):
         from repro.workload.metrics import storage_report
 
         deployment = WikiDeployment(n_users=2)
@@ -169,6 +169,17 @@ class TestMetricsModule:
             report.browser_kb + report.app_kb + report.db_kb
         )
         assert report.gb_per_day(10.0) > 0
+        # It sizes what the store writes: raw, the three logs are exactly
+        # the record lines of a snapshot of the same deployment ...
+        path = str(tmp_path / "warp.json")
+        deployment.warp.save(path)
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n", 1)[1]
+        assert lines.count(b"\n") == deployment.warp.graph.n_visits + deployment.warp.graph.n_runs
+        assert set(report.raw_bytes) == {"browser", "app", "db"}
+        assert sum(report.raw_bytes.values()) == len(lines)
+        # ... and compressed (record by record, like the paper) they are smaller.
+        assert 0 < report.total_kb * 1024 * report.n_visits < len(lines)
 
     def test_overhead_report(self):
         from repro.workload.metrics import measure_overhead
