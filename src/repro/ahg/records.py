@@ -26,11 +26,12 @@ snapshot format 3 — per item, so old and new lines mix; nothing writes them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.serialize import COMPACT, decode_key_set, decode_tree, encode_key_set
+from repro.core.serialize import COMPACT, DecodeMemo, exact_key
+from repro.core.serialize import decode_key_set, decode_tree, encode_key_set
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
 
@@ -47,12 +48,19 @@ QUERY_ROW = (
 #: or false is not written — decided by value, so a write that touched
 #: nothing is as short as a SELECT.
 _ROW_REQUIRED = QUERY_ROW.index("snapshot") + 1
-#: The two fields a record holds in another form than its row does; the
-#: writer fetches the rest from the record by the names above.
+#: What the reader takes such a field to be when the row stops before it.
+_ROW_DEFAULTS = {**dict.fromkeys(QUERY_ROW[_ROW_REQUIRED:], ()), "full_table_write": False}
+_ROW_PAD = [_ROW_DEFAULTS[name] for name in QUERY_ROW[_ROW_REQUIRED:]]
+#: The two fields a record holds in another form than its row does, and the
+#: record's attribute at each position: its read set where the disjuncts go.
 _DISJUNCTS, _PARTITIONS = map(QUERY_ROW.index, ("disjuncts", "written_partitions"))
-_row_attributes = attrgetter(
-    *QUERY_ROW[:_DISJUNCTS], "read_set", *QUERY_ROW[_DISJUNCTS + 1 :]
-)
+_ROW_FIELDS = tuple("read_set" if name == "disjuncts" else name for name in QUERY_ROW)
+_row_attributes = attrgetter(*_ROW_FIELDS)
+#: How the reader decodes the others (positions are looked up, never written):
+#: as shared texts, as tuples all the way down, or not at all.
+_QID, _TS, _TABLE = map(QUERY_ROW.index, ("qid", "ts", "table"))
+_TEXTS = list(map(QUERY_ROW.index, ("sql", "kind", "table")))
+_TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "written_row_ids")))
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
 
@@ -68,7 +76,7 @@ def _keyed_query(row: list, run_id: int, seq: int) -> dict:
     return data
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """One SQL statement executed by an application run.
 
@@ -112,31 +120,41 @@ class QueryRecord:
         return row
 
     @classmethod
-    def from_wire(cls, item, run_id: int, seq: int) -> "QueryRecord":
+    def from_wire(cls, item, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
         """Rebuild a query from one item of a run's ``queries``: a row —
         ``run_id`` and ``seq`` are then the enclosing run's id and the
-        item's index — or a keyed object, which names them itself."""
+        item's index — or a keyed object, which names them itself.  Queries
+        decoded through one ``memo`` share everything but their identity."""
         if isinstance(item, dict):
-            run_id, seq, read_set = item["run_id"], item["seq"], item["read_set"]
+            run_id, seq = item["run_id"], item["seq"]
+            item = {**_ROW_DEFAULTS, **item, "disjuncts": item["read_set"]["disjuncts"]}
+            row = [item[name] for name in QUERY_ROW]
         else:
-            item = read_set = dict(zip(QUERY_ROW, item))
-        get = item.get
-        return cls(
-            qid=item["qid"],
-            run_id=run_id,
-            seq=seq,
-            ts=item["ts"],
-            sql=item["sql"],
-            params=decode_tree(item["params"]),
-            kind=item["kind"],
-            table=item["table"],
-            read_set=ReadSet.from_dict(read_set),
-            written_row_ids=decode_tree(get("written_row_ids", ())),
-            written_partitions=decode_key_set(get("written_partitions", ())),
-            full_table_write=get("full_table_write", False),
-            snapshot=decode_tree(item["snapshot"]),
-            read_row_ids=tuple(get("read_row_ids", ())),
-        )
+            row = item + _ROW_PAD[len(item) - _ROW_REQUIRED :]
+        # Without these two a row says nothing about which query it is, and
+        # most rows of a history say what an earlier one said.
+        qid, ts = row[_QID], row[_TS]
+        row[_QID] = row[_TS] = None
+        key = (cls, exact_key(row))
+        payload = memo.built.get(key)
+        if payload is None:
+            for at in _TEXTS:
+                row[at] = memo.text(row[at])
+            for at in _TREES:
+                row[at] = decode_tree(row[at])
+            row[_DISJUNCTS] = memo.once(ReadSet.from_wire, row[_TABLE], row[_DISJUNCTS])
+            row[_PARTITIONS] = memo.once(decode_key_set, row[_PARTITIONS])
+            payload = memo.built[key] = _row_payload(row)
+        return cls(qid, run_id, seq, ts, *payload)
+
+
+#: A query's fields after the four that say which query it is, in the
+#: constructor's order: immutable values, shared by queries that say the
+#: same thing — a replay clone and its base, reloaded queries with each other.
+_PAYLOAD = [f.name for f in fields(QueryRecord)][4:]
+_payload = attrgetter(*_PAYLOAD)
+#: The same of a decoded row, which has the read set where its disjuncts were.
+_row_payload = itemgetter(*map(_ROW_FIELDS.index, _PAYLOAD))
 
 
 @dataclass
@@ -233,22 +251,26 @@ class AppRunRecord:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict, json_text: Optional[str] = None) -> "AppRunRecord":
+    def from_dict(
+        cls, data: dict, json_text: Optional[str] = None, memo: Optional[DecodeMemo] = None
+    ) -> "AppRunRecord":
         """Rebuild a run from its decoded text or its :meth:`to_dict`: each
         query and nondet entry is a row or a keyed object, whichever the
         item is.  ``json_text`` is the text ``data`` was decoded from, when
-        the caller still has it."""
-        run_id = data["run_id"]
+        the caller still has it.  ``memo`` is the caller's when it decodes
+        many records, which then share what they have in common."""
+        memo = memo or DecodeMemo()
+        text, run_id = memo.text, data["run_id"]
         return cls(
             run_id=run_id,
             ts_start=data["ts_start"],
             ts_end=data["ts_end"],
-            script=data["script"],
-            loaded_files=dict(data["loaded_files"]),
-            request=HttpRequest.from_dict(data["request"]),
-            response=HttpResponse.from_dict(data["response"]),
+            script=text(data["script"]),
+            loaded_files=memo.texts(data["loaded_files"]),
+            request=HttpRequest.from_dict(data["request"], memo.texts),
+            response=HttpResponse.from_dict(data["response"], memo.texts),
             queries=[
-                QueryRecord.from_wire(item, run_id, seq)
+                QueryRecord.from_wire(item, run_id, seq, memo)
                 for seq, item in enumerate(data.get("queries", ()))
             ],
             nondet=[
@@ -257,11 +279,11 @@ class AppRunRecord:
                 )
                 for item in data.get("nondet", ())
             ],
-            client_id=data.get("client_id"),
+            client_id=text(data.get("client_id")),
             visit_id=data.get("visit_id"),
             request_id=data.get("request_id"),
             canceled=data.get("canceled", False),
-            json_text=json_text,
+            json_text=json_text if in_written_shape(data) else None,
         )
 
 
@@ -295,22 +317,7 @@ def replay_clone(
     lives here and not in the cache.
     """
     queries = [
-        QueryRecord(
-            qid=qid,
-            run_id=run_id,
-            seq=query.seq,
-            ts=ts,
-            sql=query.sql,
-            params=query.params,
-            kind=query.kind,
-            table=query.table,
-            read_set=query.read_set,
-            written_row_ids=query.written_row_ids,
-            written_partitions=query.written_partitions,
-            full_table_write=query.full_table_write,
-            snapshot=query.snapshot,
-            read_row_ids=query.read_row_ids,
-        )
+        QueryRecord(qid, run_id, query.seq, ts, *_payload(query))
         for query, qid, ts in zip(base.queries, qids, ts_list)
     ]
     return AppRunRecord(
@@ -346,8 +353,13 @@ class EventRecord:
         return {"etype": self.etype, "xpath": self.xpath, "data": dict(self.data)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EventRecord":
-        return cls(etype=data["etype"], xpath=data["xpath"], data=dict(data.get("data", {})))
+    def from_dict(cls, data: dict, memo: Optional[DecodeMemo] = None) -> "EventRecord":
+        memo = memo or DecodeMemo()
+        return cls(
+            etype=memo.text(data["etype"]),
+            xpath=memo.text(data["xpath"]),
+            data=memo.texts(data.get("data", {})),
+        )
 
 
 @dataclass
@@ -391,19 +403,21 @@ class VisitRecord:
         return json.dumps(self.to_dict(), separators=COMPACT)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "VisitRecord":
+    def from_dict(cls, data: dict, memo: Optional[DecodeMemo] = None) -> "VisitRecord":
+        memo = memo or DecodeMemo()
+        text, texts = memo.text, memo.texts
         return cls(
-            client_id=data["client_id"],
+            client_id=text(data["client_id"]),
             visit_id=data["visit_id"],
             ts=data["ts"],
-            url=data["url"],
-            method=data.get("method", "GET"),
-            post_params=dict(data.get("post_params", {})),
+            url=text(data["url"]),
+            method=text(data.get("method", "GET")),
+            post_params=texts(data.get("post_params", {})),
             parent_visit=data.get("parent_visit"),
             framed=data.get("framed", False),
-            events=[EventRecord.from_dict(item) for item in data.get("events", ())],
-            cookies_before={k: dict(v) for k, v in data.get("cookies_before", {}).items()},
-            cookies_after={k: dict(v) for k, v in data.get("cookies_after", {}).items()},
+            events=[EventRecord.from_dict(item, memo) for item in data.get("events", ())],
+            cookies_before={k: texts(v) for k, v in data.get("cookies_before", {}).items()},
+            cookies_after={k: texts(v) for k, v in data.get("cookies_after", {}).items()},
             request_ids=list(data.get("request_ids", ())),
         )
 

@@ -128,13 +128,15 @@ class HttpRequest:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HttpRequest":
+    def from_dict(cls, data: dict, texts=dict) -> "HttpRequest":
+        """``texts`` copies a mapping of strings; a bulk decode passes its
+        ``DecodeMemo.texts``, which shares the strings as it copies."""
         return cls(
             method=data["method"],
             path=data["path"],
-            params=dict(data.get("params", {})),
-            cookies=dict(data.get("cookies", {})),
-            headers=dict(data.get("headers", {})),
+            params=texts(data.get("params", {})),
+            cookies=texts(data.get("cookies", {})),
+            headers=texts(data.get("headers", {})),
         )
 
 
@@ -178,10 +180,10 @@ class HttpResponse:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HttpResponse":
+    def from_dict(cls, data: dict, texts=dict) -> "HttpResponse":
         return cls(
             status=data["status"],
             body=data["body"],
-            headers=dict(data.get("headers", {})),
-            set_cookies=dict(data.get("set_cookies", {})),
+            headers=texts(data.get("headers", {})),
+            set_cookies=texts(data.get("set_cookies", {})),
         )

@@ -37,10 +37,10 @@ from repro.ahg.records import (
     PatchRecord,
     QueryRecord,
     VisitRecord,
-    in_written_shape,
     replay_clone,
 )
 from repro.core.errors import DurabilityError, ReproError
+from repro.core.serialize import DecodeMemo
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest
@@ -1046,8 +1046,9 @@ class RecordStore:
         stream of ``(kind, data, text)`` record lines, inserting one record
         at a time.  A format-1 ``data`` nests the records inside itself
         (``records`` is then empty); either way visits come first, then
-        runs, then patches."""
+        runs, then patches; one :class:`DecodeMemo` spans the build."""
         store = cls()
+        memo = DecodeMemo()
         nested = (
             (kind, item, None)
             for kind, key in (("visit", "visits"), ("run", "runs"), ("patch", "patches"))
@@ -1055,12 +1056,9 @@ class RecordStore:
         )
         for kind, item, text in itertools.chain(nested, records):
             if kind == "run":
-                # Kept text must be what encode() writes; a line from before
-                # format 3 is not, and the next save re-encodes its run.
-                keep = text if in_written_shape(item) else None
-                store.add_run(AppRunRecord.from_dict(item, json_text=keep))
+                store.add_run(AppRunRecord.from_dict(item, text, memo))
             elif kind == "visit":
-                store.add_visit(VisitRecord.from_dict(item))
+                store.add_visit(VisitRecord.from_dict(item, memo))
             elif kind == "patch":
                 store.add_patch(PatchRecord.from_dict(item))
             else:
@@ -1207,7 +1205,7 @@ class RecordStore:
         entries, intact_size = RecordWal.read(wal_path)
         start = 0
         marker_indexes = [
-            index for index, (kind, _) in enumerate(entries) if kind == "snapshot_marker"
+            index for index, (kind, _, _) in enumerate(entries) if kind == "snapshot_marker"
         ]
         if snapshot_id is not None and marker_indexes:
             matching = [
@@ -1222,20 +1220,24 @@ class RecordStore:
                 )
             start = matching[-1] + 1
         applied = 0
-        for kind, data in entries[start:]:
+        memo = DecodeMemo()
+        for kind, data, text in entries[start:]:
             if kind == "snapshot_marker":
                 continue
-            self.apply_logged(kind, data)
+            self.apply_logged(kind, data, text, memo)
             applied += 1
         self.wal = RecordWal(wal_path, intact_size=intact_size, **(wal_options or {}))
         return applied
 
-    def apply_logged(self, kind: str, data: dict) -> None:
+    def apply_logged(
+        self, kind: str, data: dict, text: Optional[str] = None, memo: Optional[DecodeMemo] = None
+    ) -> None:
         """Replay one WAL entry.  Replay must be idempotent: a crash
         between snapshot write and WAL truncation leaves entries in the
-        log that the snapshot already covers."""
+        log that the snapshot already covers.  ``text`` is the JSON ``data``
+        was decoded from (a run keeps it), ``memo`` the replay's."""
         if kind == "run":
-            record = AppRunRecord.from_dict(data)
+            record = AppRunRecord.from_dict(data, text, memo)
             if record.run_id not in self.runs:
                 self.add_run(record)
         elif kind == "run_replay":
@@ -1261,7 +1263,7 @@ class RecordStore:
             # Upsert: over a snapshot that already holds the visit, replay
             # resets it to the base record and the delta entries that
             # follow rebuild the accumulated state — convergent either way.
-            record = VisitRecord.from_dict(data)
+            record = VisitRecord.from_dict(data, memo)
             key = (record.client_id, record.visit_id)
             if key in self.visits:
                 self.visits[key] = record
@@ -1270,7 +1272,7 @@ class RecordStore:
         elif kind == "visit_event":
             record = self.visits.get((data["client_id"], data["visit_id"]))
             if record is not None:
-                record.events.append(EventRecord.from_dict(data["event"]))
+                record.events.append(EventRecord.from_dict(data["event"], memo))
         elif kind == "visit_request":
             record = self.visits.get((data["client_id"], data["visit_id"]))
             if record is not None:
@@ -1293,7 +1295,7 @@ class RecordStore:
             ):
                 self.add_patch(record)
         elif kind == "replace_run":
-            record = AppRunRecord.from_dict(data)
+            record = AppRunRecord.from_dict(data, text, memo)
             if self.replace_run(record.run_id, record) is None:
                 self.add_run(record)
         elif kind == "quota":

@@ -91,9 +91,8 @@ class SnapshotReader:
         return header
 
     def records(self) -> Iterator[Tuple[str, dict, Optional[str]]]:
-        """``(kind, data, text)`` per record line; ``text`` is the JSON
-        ``data`` was decoded from (None if the line is not framed the way
-        :func:`~repro.store.wal.entry_line` frames it).  Raises
+        """``(kind, data, text)`` per record line, as
+        :func:`~repro.store.wal.decode_line` reads it.  Raises
         :class:`ReproError` on a line that is cut short or not an entry,
         and — after the last line — if the file does not hold the records
         its header promises."""
@@ -102,13 +101,11 @@ class SnapshotReader:
             try:
                 if not line.endswith("\n"):
                     raise ValueError("cut short")
-                kind, data = decode_line(line)
+                kind, data, text = decode_line(line)
             except (ValueError, KeyError, TypeError):
                 raise self._refuse(f"line {number} is not a complete record") from None
             seen[kind] = seen.get(kind, 0) + 1
-            prefix = f'{{"kind":"{kind}","data":'
-            framed = line.startswith(prefix) and line.endswith("}\n")
-            yield kind, data, (line[len(prefix) : -2] if framed else None)
+            yield kind, data, text
         expected = {k: n for k, n in self.header.get("records", {}).items() if n}
         if seen != expected:
             raise self._refuse(
@@ -134,15 +131,19 @@ def read_snapshot_header(path: str) -> dict:
 
 @contextlib.contextmanager
 def gc_paused():
-    """Pause the cyclic collector for a bulk build.  Loading a history
-    allocates millions of long-lived containers and frees almost none;
-    every collection in between re-walks the growing heap to find nothing
-    (measured: ~45 % of load time).  Restored on the way out, also when
-    the load raises."""
+    """Pause the cyclic collector for a bulk build, and keep it off what
+    was built.  Loading a history allocates millions of long-lived
+    containers and frees almost none; every collection in between re-walks
+    the growing heap to find nothing (measured: ~45 % of load time), and so
+    would the first one after it and every full one from then on — so a
+    build that succeeds ends with ``gc.freeze()``.  Reference counting still
+    frees what was alive then; only what of it later becomes *cyclic* garbage
+    stays.  The collector is restored on the way out, also when the load raises."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        gc.freeze()
     finally:
         if was_enabled:
             gc.enable()

@@ -89,11 +89,18 @@ def entry_line(kind: str, text: str) -> str:
     return f'{{"kind":"{kind}","data":{text}}}\n'
 
 
-def decode_line(line) -> Tuple[str, dict]:
-    """``(kind, data)`` of one journal or snapshot line (str or bytes).
-    Raises ValueError / KeyError / TypeError when it is not an entry."""
+def decode_line(line) -> Tuple[str, dict, Optional[str]]:
+    """``(kind, data, text)`` of one journal or snapshot line (str or
+    bytes), :func:`entry_line` undone: ``text`` is the JSON ``data`` was
+    decoded from — None if the line is framed any other way (spaces, key
+    order).  Raises ValueError / KeyError / TypeError when it is not an entry."""
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
     entry = json.loads(line)
-    return entry["kind"], entry["data"]
+    kind, data = entry["kind"], entry["data"]
+    head = entry_line(kind, "")[:-2]  # up to the text; "}\n" follows it
+    framed = line.startswith(head) and line.endswith("}\n")
+    return kind, data, (line[len(head) : -2] if framed else None)
 
 
 class CommitTicket:
@@ -634,9 +641,9 @@ class RecordWal:
     # ------------------------------------------------------------------ recovery
 
     @staticmethod
-    def _intact_lines(path: str) -> Iterator[Tuple[Optional[Tuple[str, dict]], int]]:
+    def _intact_lines(path: str) -> Iterator[Tuple[Optional[tuple], int]]:
         """``(entry, end)`` for each intact line of ``path``: ``entry`` is
-        ``(kind, data)`` (None for a blank line) and ``end`` the byte
+        :func:`decode_line`'s (None for a blank line) and ``end`` the byte
         offset just past the line.  A line is intact only if it ends with
         a newline *and* decodes: a crash can cut a write at the closing
         brace — valid JSON, no newline — and replay and repair must agree
@@ -667,11 +674,11 @@ class RecordWal:
         return max(0, size - intact_size)
 
     @staticmethod
-    def read(path: str) -> Tuple[List[Tuple[str, dict]], int]:
-        """Every intact entry of ``path`` plus the size of the intact
-        prefix, from one decoding pass — hand the size to the constructor
-        (``intact_size``) when attaching the log that was just replayed."""
-        entries: List[Tuple[str, dict]] = []
+    def read(path: str) -> Tuple[List[Tuple[str, dict, Optional[str]]], int]:
+        """Every intact entry of ``path`` (as :func:`decode_line` reads it)
+        plus the size of the intact prefix, from one decoding pass — hand the
+        size to the constructor (``intact_size``) when attaching that log."""
+        entries: List[Tuple[str, dict, Optional[str]]] = []
         intact = 0
         for entry, intact in RecordWal._intact_lines(path):
             if entry is not None:
@@ -693,7 +700,7 @@ class RecordWal:
         "intact" meaning exactly what :meth:`repair` keeps."""
         for entry, _ in RecordWal._intact_lines(path):
             if entry is not None:
-                yield entry
+                yield entry[:2]
 
 
 def open_wal(path: Optional[str], **options) -> Optional[RecordWal]:

@@ -24,7 +24,7 @@ precise) necessary condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.serialize import decode_pairs, encode_pairs
@@ -37,13 +37,15 @@ _MAX_DISJUNCTS = 64
 Constraint = Tuple[str, object]  # (column, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadSet:
     """The partitions of one table a query may read."""
 
     table: str
     #: ``None`` means ALL partitions; otherwise a list of conjunctions.
     disjuncts: Optional[Tuple[FrozenSet[Constraint], ...]]
+    #: What :meth:`keys` found, kept; not part of the value.
+    _keys: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_all(self) -> bool:
@@ -52,8 +54,8 @@ class ReadSet:
     def keys(self) -> FrozenSet[Constraint]:
         """Flat union of all constrained keys (empty when ALL).  Memoized:
         the touch index walks this on every run append, and replayed-run
-        clones share their base's ReadSet instances."""
-        cached = self.__dict__.get("_keys")
+        clones and reloaded queries share their ReadSet instances."""
+        cached = self._keys
         if cached is not None:
             return cached
         if self.disjuncts is None:
@@ -75,12 +77,12 @@ class ReadSet:
         return {"table": self.table, "disjuncts": disjuncts}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ReadSet":
-        raw = data["disjuncts"]
-        disjuncts = None
-        if raw is not None:
-            disjuncts = tuple(decode_pairs(disjunct) for disjunct in raw)
-        return cls(table=data["table"], disjuncts=disjuncts)
+    def from_wire(cls, table: str, raw: Optional[list]) -> "ReadSet":
+        """Rebuild a read set from its table and the ``disjuncts`` of
+        :meth:`to_dict` (a query's row carries just those)."""
+        if raw is None:
+            return cls(table, None)
+        return cls(table, tuple([decode_pairs(disjunct) for disjunct in raw]))
 
 
 def read_partitions(

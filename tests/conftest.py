@@ -7,6 +7,7 @@ selected engine, so CI can execute the same suites across the storage
 matrix without test changes.
 """
 
+import gc
 import os
 
 import pytest
@@ -20,6 +21,16 @@ def pytest_report_header(config):
     resolved = resolve_backend()
     suffix = f" ({BACKEND_ENV}={raw})" if raw else " (default)"
     return f"repro storage backend: {resolved}{suffix}"
+
+
+@pytest.fixture(autouse=True)
+def thaw_loaded_histories():
+    """A load ends with ``gc.freeze()`` (``repro.store.snapshot.gc_paused``):
+    what is alive then is never visited by the collector again, so what of
+    it later becomes cyclic garbage — the deployment itself, once dropped —
+    stays.  A process loads one deployment; this one loads hundreds."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

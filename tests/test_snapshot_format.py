@@ -100,6 +100,8 @@ def test_wal_mixing_keyed_and_row_lines_replays(tmp_path):
 # -- round trip, as a property -------------------------------------------------
 
 scalars = st.one_of(
+    # Equal and hashing alike, or nearly: what a memo keyed by ``==`` conflates.
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, "1", "0"]),
     st.none(),
     st.booleans(),
     st.integers(-(2**40), 2**40),
@@ -212,6 +214,59 @@ def test_codec_views_agree(run):
             assert item[name] == value
         for name in QUERY_ROW[len(row):]:
             assert item[name] in ([], False)
+
+
+#: Each value's look-alike: equal to it (and hashing alike), of another type
+#: or sign — what a memo keyed by ``==`` hands back in its place.
+LOOK_ALIKES = [(1, True), (True, 1.0), (1.0, 1), (0, False), (False, 0.0), (0.0, -0.0), (-0.0, 0)]
+
+
+def look_alike(value):
+    """``value`` with every scalar that has a look-alike swapped for it,
+    through tuples and frozensets; equal to ``value`` all the same."""
+    if isinstance(value, (tuple, frozenset)):
+        return type(value)(look_alike(item) for item in value)
+    for original, other in LOOK_ALIKES:
+        if type(value) is type(original) and repr(value) == repr(original):
+            return other
+    return value
+
+
+def look_alike_run(run, run_id):
+    """A second run whose queries equal ``run``'s, look-alike for value, in
+    params, read-set values, partition values and snapshot cells."""
+    twin = AppRunRecord.from_dict(run.to_dict())
+    twin.run_id = run_id
+    for query in twin.queries:
+        query.run_id = run_id
+        query.params = look_alike(query.params)
+        query.snapshot = look_alike(query.snapshot)
+        query.written_partitions = look_alike(query.written_partitions)
+        if not query.read_set.is_all:
+            query.read_set = ReadSet(query.table, look_alike(query.read_set.disjuncts))
+    return twin
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=run_records())
+def test_reload_is_type_exact_across_records(tmp_path_factory, run):
+    """One memo decodes a whole snapshot.  Were it keyed by equality, the
+    second of ``1`` / ``1.0`` / ``True`` to arrive would come back as the
+    first — in a param, a partition value, a read-set value or a snapshot
+    cell — and re-encode differently."""
+    twin = look_alike_run(run, run.run_id + 1)
+    assert [query.params for query in twin.queries] == [query.params for query in run.queries]
+    directory = tmp_path_factory.mktemp("exact")
+    source = RecordStore(wal=RecordWal(str(directory / "records.wal"), durability="none"))
+    source.add_runs([run, twin])
+    path = str(directory / "snapshot.json")
+    source.save_snapshot(path)
+    source.wal.close()
+    reloaded = RecordStore.recover(snapshot_path=path)
+    assert reloaded.to_snapshot() == source.to_snapshot()
+    for run_id, kept in source.runs.items():
+        again = reloaded.runs[run_id]
+        assert again.encode() == again.json_text == kept.json_text
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +700,42 @@ class TestPreviousSnapshotSurvives:
 
 
 # ---------------------------------------------------------------------------
-# WAL replay decodes each line once; run_scenario takes a WAL
+# WAL replay decodes each line once and keeps its text; run_scenario takes a WAL
 # ---------------------------------------------------------------------------
+
+
+def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
+    """Crash before the first save: the runs exist only as WAL lines.  The
+    first save after recovery splices those bytes; it encodes nothing."""
+    wal_path = str(tmp_path / "records.wal")
+    warp = WarpSystem(wal_path=wal_path, durability="none")
+    wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+    wiki.install()
+    wiki.seed_page("P", "seed\n", owner="admin")
+    (client,) = make_load_clients(wiki, warp.server, ["u"])
+    for n in range(3):
+        assert edit(client, "P", f"edit {n}.").status == 200
+    twin = AppRunRecord.from_dict(warp.graph.runs[2].to_dict())
+    twin.response.body += "<!-- replaced -->"
+    warp.graph.replace_run(2, twin)
+    warp.graph.store.wal.close()
+    texts = {}  # run id -> the text of its last run / replace_run line
+    with open(wal_path, "r", encoding="utf-8", newline="") as fh:
+        for kind, data, text in map(wal_module.decode_line, fh):
+            if kind in ("run", "replace_run"):
+                texts[data["run_id"]] = text
+    assert len(texts) == 4 and "<!-- replaced -->" in texts[2]
+
+    recovered = WarpSystem.load(None, wal_path=wal_path)
+    assert {run_id: run.json_text for run_id, run in recovered.graph.runs.items()} == texts
+    monkeypatch.setattr(
+        AppRunRecord, "encode", lambda self: pytest.fail(f"run {self.run_id} re-encoded")
+    )
+    path = str(tmp_path / "warp.json")
+    recovered.save(path)
+    recovered.graph.store.wal.close()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        assert fh.readlines()[1:] == [entry_line("run", text) for text in texts.values()]
 
 
 def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
