@@ -11,15 +11,10 @@ log storage split across browser/app/DB components.
 """
 
 import os
-import time
 
 from conftest import emit_bench_json, once, print_table
 
-from repro.core.clock import LogicalClock
-from repro.db.engine import create_database
-from repro.db.storage import Column, TableSchema
 from repro.repair.api import PatchSpec
-from repro.ttdb.timetravel import TimeTravelDB
 from repro.workload.metrics import (
     measure_overhead,
     run_read_workload,
@@ -28,8 +23,6 @@ from repro.workload.metrics import (
 from repro.workload.scenarios import WIKI, WikiDeployment, run_scenario
 
 N_VISITS = int(os.environ.get("REPRO_T6_VISITS", "400"))
-HOTPATH_ROWS = int(os.environ.get("REPRO_T6_HOTPATH_ROWS", "20000"))
-HOTPATH_DEPTH = int(os.environ.get("REPRO_T6_HOTPATH_DEPTH", "5"))
 
 
 def measure_during_repair():
@@ -131,129 +124,6 @@ def test_table6_overhead(benchmark):
     assert read.storage.total_kb > 0.1
     assert edit.storage.total_kb >= read.storage.total_kb * 0.8
     assert served > 0
-
-
-def _build_deep_hotpath_db(planned: bool) -> TimeTravelDB:
-    """A table at Table-6 hot-path scale: HOTPATH_ROWS visible rows, each
-    with HOTPATH_DEPTH dead versions of history underneath."""
-    # Backend-aware: honors REPRO_DB_BACKEND so the hot-path numbers can
-    # be taken on either engine (the regression gates stay ratio-based).
-    tt = TimeTravelDB(create_database(), LogicalClock())
-    if not planned:
-        tt.executor.use_planner = False
-    tt.create_table(
-        TableSchema(
-            name="items",
-            columns=(
-                Column("item_id", "int"),
-                Column("title"),
-                Column("owner"),
-                Column("score", "int"),
-            ),
-            row_id_column="item_id",
-            partition_columns=("title", "owner"),
-        )
-    )
-    n_titles = max(1, HOTPATH_ROWS // 50)
-    for index in range(HOTPATH_ROWS):
-        tt.execute(
-            "INSERT INTO items (item_id, title, owner, score) VALUES (?, ?, ?, ?)",
-            (index + 1, f"t{index % n_titles}", f"u{index % 97}", index % 1000),
-        )
-    for depth in range(HOTPATH_DEPTH):
-        for index in range(0, HOTPATH_ROWS, 1 + depth % 2):
-            tt.execute(
-                "UPDATE items SET score = ? WHERE item_id = ?",
-                ((index + depth) % 1000, index + 1),
-            )
-    return tt
-
-
-def _measure_hotpath(tt: TimeTravelDB) -> dict:
-    n_titles = max(1, HOTPATH_ROWS // 50)
-
-    def rate(n, fn):
-        start = time.perf_counter()
-        for index in range(n):
-            fn(index)
-        return n / (time.perf_counter() - start)
-
-    out = {}
-    out["select_eq_qps"] = rate(
-        2000,
-        lambda i: tt.execute(
-            "SELECT item_id, score FROM items WHERE title = ?", (f"t{i % n_titles}",)
-        ),
-    )
-    out["select_range_qps"] = rate(
-        30,
-        lambda i: tt.execute(
-            "SELECT COUNT(*) FROM items WHERE score >= ? AND score < ?",
-            (i % 900, i % 900 + 40),
-        ),
-    )
-    out["select_order_qps"] = rate(
-        20,
-        lambda i: tt.execute("SELECT item_id FROM items ORDER BY owner LIMIT 10"),
-    )
-    out["update_eq_qps"] = rate(
-        500,
-        lambda i: tt.execute(
-            "UPDATE items SET score = ? WHERE title = ?",
-            (i % 1000, f"t{i % n_titles}"),
-        ),
-    )
-    return out
-
-
-def test_table6_hotpath(benchmark):
-    """Planned vs naive executor at 20k+ visible rows with deep history.
-
-    The speedup ratios are the regression-gated metrics (machine-relative,
-    unlike absolute qps); the ISSUE-2 acceptance bar is >=25% improvement
-    on hot-path SELECT/UPDATE throughput.
-    """
-
-    def measure():
-        planned = _measure_hotpath(_build_deep_hotpath_db(planned=True))
-        naive = _measure_hotpath(_build_deep_hotpath_db(planned=False))
-        return planned, naive
-
-    planned, naive = once(benchmark, measure)
-    speedups = {
-        key.replace("_qps", "_speedup"): planned[key] / naive[key] for key in planned
-    }
-    print_table(
-        f"Table 6 hot path: {HOTPATH_ROWS} rows x {HOTPATH_DEPTH} history",
-        ["metric", "naive/s", "planned/s", "speedup"],
-        [
-            (
-                key.replace("_qps", ""),
-                f"{naive[key]:.0f}",
-                f"{planned[key]:.0f}",
-                f"{planned[key] / naive[key]:.2f}x",
-            )
-            for key in planned
-        ],
-    )
-    emit_bench_json(
-        "BENCH_table6.json",
-        "hotpath",
-        {
-            "cpu_count": os.cpu_count(),
-            "rows": HOTPATH_ROWS,
-            "depth": HOTPATH_DEPTH,
-            "planned": planned,
-            "naive": naive,
-            "speedups": speedups,
-        },
-        gates={
-            key: {"value": value, "higher_is_better": True}
-            for key, value in speedups.items()
-        },
-    )
-    assert speedups["select_eq_speedup"] > 1.0
-    assert speedups["update_eq_speedup"] > 1.0
 
 
 def test_table6_storage_grows_with_activity(benchmark):

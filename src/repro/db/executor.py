@@ -14,14 +14,13 @@ It also supports a *plain* mode (``versioned=False``) used by the
 "No WARP" baseline in Table 6: updates mutate rows in place and nothing is
 versioned, which is what a stock database would do.
 
-Execution runs through cached, compiled :class:`repro.db.planner.ExecPlan`
-objects by default (``use_planner=True``).  Setting ``use_planner=False``
-— the one reference switch; the time-travel layer also reads it to walk
-``read_partitions`` per execution instead of instantiating the plan's
-template — switches to the naive tree-walking reference paths, which are
-kept byte-for-byte equivalent: ``tests/test_executor_property.py`` proves
-result, dependency (read sets included) and version-store parity between
-the two.
+The executor runs prepared statements and nothing else:
+:meth:`Executor.prepare` turns SQL text into a cached, compiled
+:class:`repro.db.planner.ExecPlan` and :meth:`Executor.execute` runs one.
+The tree-walking reference it is held to lives on the test side
+(``tests/naive_executor.py``, a subclass sharing only the write plumbing
+below); ``tests/test_executor_property.py`` proves result, dependency
+(read sets included) and version-store parity between the two.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
-from repro.core.errors import SqlError, StorageError
-from repro.db.planner import MISSING, ExecPlan, build_plan, default_name, sort_key
-from repro.db.sql import ast
-from repro.db.sql.eval import aggregate, evaluate, truthy
+from repro.db.planner import MISSING, ExecPlan, build_plan, sort_key
 from repro.db.sql.parser import parse
 from repro.db.storage import Database, RowVersion, Table, order_key
 
@@ -111,42 +107,32 @@ class QueryResult:
 
 
 class Executor:
-    """Executes parsed statements against a :class:`Database`."""
+    """Executes prepared statements against a :class:`Database`."""
 
-    def __init__(
-        self, database: Database, versioned: bool = True, use_planner: bool = True
-    ) -> None:
+    def __init__(self, database: Database, versioned: bool = True) -> None:
         self.database = database
         self.versioned = versioned
-        #: Planner switch: False falls back to the naive tree-walking
-        #: reference (used by the equivalence property test and ablations).
-        self.use_planner = use_planner
-        self._plan_cache: Dict[object, ExecPlan] = {}
+        self._plan_cache: Dict[str, ExecPlan] = {}
 
     # -- dispatch -------------------------------------------------------------
 
     def execute(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
-        """Run ``stmt``; ``plan`` is its prepared statement when the caller
-        already holds it (``prepare``), else it is looked up by AST."""
-        if not self.use_planner:
-            plan = None
-        elif plan is None:
-            plan = self.plan_for(stmt)
-        if isinstance(stmt, ast.Select):
-            return self._select(stmt, params, ctx, plan)
-        if isinstance(stmt, ast.Insert):
-            return self._insert(stmt, params, ctx, plan)
-        if isinstance(stmt, ast.Update):
-            return self._update(stmt, params, ctx, plan)
-        if isinstance(stmt, ast.Delete):
-            return self._delete(stmt, params, ctx, plan)
-        raise SqlError(f"cannot execute {type(stmt).__name__}")
+        """Run the prepared statement ``plan`` (from :meth:`prepare`)."""
+        kind = getattr(plan, "kind", None)
+        if kind == "select":
+            return self._select(plan, params, ctx)
+        if kind == "insert":
+            return self._insert(plan, params, ctx)
+        if kind == "update":
+            return self._update(plan, params, ctx)
+        if kind == "delete":
+            return self._delete(plan, params, ctx)
+        raise TypeError(
+            "Executor.execute runs a prepared statement (Executor.prepare(sql)), "
+            f"not {type(plan).__name__}"
+        )
 
     def prepare(self, sql: str) -> ExecPlan:
         """The prepared statement for ``sql``: parsed and planned once per
@@ -158,23 +144,14 @@ class Executor:
         plan is immutable once built (``read_plan`` is attached whole and
         is the same whoever attaches it), so the worst a race does is
         build one text's plan twice or overshoot the bound by a thread."""
-        plan = self._plan_cache.get(sql)
-        if plan is None or plan.epoch != self.database.ddl_epoch:
-            plan = self.plan_for(parse(sql), sql)
-        return plan
-
-    def plan_for(self, stmt: ast.Statement, sql: Optional[str] = None) -> ExecPlan:
-        """Cached compiled plan for ``stmt`` (keyed by SQL text when given,
-        else by the statement AST), invalidated on any schema change."""
-        key = sql if sql is not None else stmt
         epoch = self.database.ddl_epoch
-        plan = self._plan_cache.get(key)
+        plan = self._plan_cache.get(sql)
         if plan is None or plan.epoch != epoch:
-            table = self.database.table(_stmt_table(stmt))
-            plan = build_plan(stmt, table, epoch)
+            stmt = parse(sql)
+            plan = build_plan(stmt, self.database.table(stmt.table), epoch)
             if len(self._plan_cache) >= _PLAN_CACHE_MAX:
                 self._plan_cache.clear()
-            self._plan_cache[key] = plan
+            self._plan_cache[sql] = plan
         return plan
 
     # -- visibility -----------------------------------------------------------
@@ -191,42 +168,23 @@ class Executor:
         chain = table.row_versions(row_id)
         return chain[0] if chain else None
 
-    def _matching(
-        self,
-        table: Table,
-        where: Optional[ast.Expr],
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
-    ) -> List[RowVersion]:
-        if plan is not None:
-            fetch = getattr(table, "fetch_plan", None)
-            if fetch is not None:
-                # SQL-lowering engines fetch matched rows natively (lowered
-                # WHERE plus visibility in one query); order is row-ID order.
-                matched, _ = fetch(plan, params, ctx, self.versioned, False)
-                return matched
-            candidates = self._plan_candidates(table, plan, params)
-            if candidates is not None:
-                return self._match_candidates(table, candidates, plan, params, ctx)
-            return self._plan_scan(table, plan, params, ctx)
-        candidates = self._index_candidates(table, where, params)
-        if candidates is not None:
-            matched = []
-            for row_id in sorted(candidates):
-                version = self._version_of(table, row_id, ctx)
-                if version is not None and (
-                    where is None or truthy(evaluate(where, version.data, params))
-                ):
-                    matched.append(version)
-            return matched
-        matched = []
-        for version in self._visible(table, ctx):
-            if where is None or truthy(evaluate(where, version.data, params)):
-                matched.append(version)
-        return matched
+    # -- access paths -----------------------------------------------------------
 
-    # -- planned access paths ---------------------------------------------------
+    def _matching(
+        self, table: Table, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
+    ) -> List[RowVersion]:
+        """Rows ``plan``'s WHERE clause selects at (ts, gen), in row-ID
+        order."""
+        fetch = getattr(table, "fetch_plan", None)
+        if fetch is not None:
+            # SQL-lowering engines fetch matched rows natively (lowered
+            # WHERE plus visibility in one query).
+            matched, _ = fetch(plan, params, ctx, self.versioned, False)
+            return matched
+        candidates = self._plan_candidates(table, plan, params)
+        if candidates is not None:
+            return self._match_candidates(table, candidates, plan, params, ctx)
+        return self._plan_scan(table, plan, params, ctx)
 
     def _plan_candidates(
         self, table: Table, plan: ExecPlan, params: Sequence[object]
@@ -307,42 +265,15 @@ class Executor:
                     matched.append(version)
         return matched
 
-    def _index_candidates(
-        self,
-        table: Table,
-        where: Optional[ast.Expr],
-        params: Sequence[object],
-    ):
-        """Candidate row IDs from the equality index, or None to full-scan
-        (naive reference path).
-
-        Only top-level AND-ed ``col = const`` conjuncts are considered; the
-        index is a superset, so every candidate is still visibility- and
-        WHERE-checked.
-        """
-        if where is None:
-            return None
-        best = None
-        for column, value in _equality_conjuncts(where, params):
-            rows = table.candidate_row_ids(column, value)
-            if rows is None:
-                continue
-            if best is None or len(rows) < len(best):
-                best = rows
-        return best
-
     # -- SELECT ---------------------------------------------------------------
 
     def _select(
-        self,
-        stmt: ast.Select,
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
-        table = self.database.table(stmt.table)
+        stmt = plan.stmt
+        table = self.database.table(plan.table)
         pre_sorted = False
-        fetch = getattr(table, "fetch_plan", None) if plan is not None else None
+        fetch = getattr(table, "fetch_plan", None)
         if fetch is not None:
             matched, pre_sorted = fetch(
                 plan,
@@ -351,7 +282,7 @@ class Executor:
                 self.versioned,
                 bool(stmt.order_by) and not stmt.is_aggregate,
             )
-        elif plan is not None:
+        else:
             candidates = self._plan_candidates(table, plan, params)
             if candidates is not None:
                 matched = self._match_candidates(table, candidates, plan, params, ctx)
@@ -364,24 +295,12 @@ class Executor:
                     matched = self._plan_scan(table, plan, params, ctx)
             else:
                 matched = self._plan_scan(table, plan, params, ctx)
-        else:
-            matched = self._matching(table, stmt.where, params, ctx)
 
         if stmt.is_aggregate:
             datas = [version.data for version in matched]
             row: Dict[str, object] = {}
-            if plan is not None:
-                for name, agg_fn in plan.agg_items:
-                    row[name] = agg_fn(datas, params)
-            else:
-                for index, item in enumerate(stmt.items):
-                    name = item.alias or default_name(item.expr, index)
-                    if isinstance(item.expr, ast.Aggregate):
-                        row[name] = aggregate(
-                            item.expr.name, item.expr.arg, datas, params
-                        )
-                    else:
-                        raise SqlError("cannot mix aggregates and plain columns")
+            for name, agg_fn in plan.agg_items:
+                row[name] = agg_fn(datas, params)
             return QueryResult(
                 kind="select",
                 table=stmt.table,
@@ -391,40 +310,23 @@ class Executor:
             )
 
         if stmt.order_by and not pre_sorted:
-            if plan is not None:
-                sort_items = plan.sort_items
-                matched.sort(
-                    key=lambda v: tuple(
-                        sort_key(fn(v.data, params), descending)
-                        for fn, descending in sort_items
-                    )
+            sort_items = plan.sort_items
+            matched.sort(
+                key=lambda v: tuple(
+                    sort_key(fn(v.data, params), descending)
+                    for fn, descending in sort_items
                 )
-            else:
-                matched.sort(
-                    key=lambda v: tuple(
-                        sort_key(evaluate(o.expr, v.data, params), o.descending)
-                        for o in stmt.order_by
-                    )
-                )
+            )
 
         rows: List[Dict[str, object]] = []
         if stmt.is_star:
             for version in matched:
                 rows.append(dict(version.data))
-        elif plan is not None:
+        else:
             select_items = plan.select_items
             for version in matched:
                 data = version.data
-                rows.append(
-                    {name: fn(data, params) for name, fn in select_items}
-                )
-        else:
-            for version in matched:
-                projected: Dict[str, object] = {}
-                for index, item in enumerate(stmt.items):
-                    name = item.alias or default_name(item.expr, index)
-                    projected[name] = evaluate(item.expr, version.data, params)
-                rows.append(projected)
+                rows.append({name: fn(data, params) for name, fn in select_items})
 
         if stmt.distinct:
             seen = set()
@@ -450,33 +352,22 @@ class Executor:
     # -- INSERT ---------------------------------------------------------------
 
     def _insert(
-        self,
-        stmt: ast.Insert,
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
-        table = self.database.table(stmt.table)
-        schema = table.schema
+        table = self.database.table(plan.table)
+        columns = table.schema.columns
         new_rows: List[Dict[str, object]] = []
-        if plan is not None:
-            for row_builder in plan.insert_rows:
-                data = {col.name: None for col in schema.columns}
-                for column, value_fn in row_builder:
-                    data[column] = value_fn({}, params)
-                new_rows.append(data)
-        else:
-            for column in stmt.columns:
-                if not schema.has_column(column):
-                    raise StorageError(
-                        f"table {schema.name!r} has no column {column!r}"
-                    )
-            for value_tuple in stmt.rows:
-                data = {col.name: None for col in schema.columns}
-                for column, expr in zip(stmt.columns, value_tuple):
-                    data[column] = evaluate(expr, {}, params)
-                new_rows.append(data)
+        for row_builder in plan.insert_rows:
+            data = {col.name: None for col in columns}
+            for column, value_fn in row_builder:
+                data[column] = value_fn({}, params)
+            new_rows.append(data)
+        return self._store_inserts(table, new_rows, ctx)
 
+    def _store_inserts(
+        self, table: Table, new_rows: List[Dict[str, object]], ctx: ExecContext
+    ) -> QueryResult:
+        schema = table.schema
         # Uniqueness among rows visible *now* (plus the batch itself).
         for index, data in enumerate(new_rows):
             violated = table.unique_conflict(data, ctx.ts, ctx.gen)
@@ -485,7 +376,7 @@ class Executor:
             if violated is not None:
                 return QueryResult(
                     kind="insert",
-                    table=stmt.table,
+                    table=schema.name,
                     ok=False,
                     error=f"unique constraint {violated} violated",
                 )
@@ -521,7 +412,7 @@ class Executor:
             partitions |= schema.partition_keys(data)
         return QueryResult(
             kind="insert",
-            table=stmt.table,
+            table=schema.name,
             rowcount=len(inserted),
             inserted_row_ids=tuple(inserted),
             written_partitions=frozenset(partitions),
@@ -530,37 +421,36 @@ class Executor:
     # -- UPDATE ---------------------------------------------------------------
 
     def _update(
-        self,
-        stmt: ast.Update,
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
-        table = self.database.table(stmt.table)
-        schema = table.schema
-        if plan is None:
-            for column, _ in stmt.assignments:
-                if not schema.has_column(column):
-                    raise StorageError(
-                        f"table {schema.name!r} has no column {column!r}"
-                    )
-        matched = self._matching(table, stmt.where, params, ctx, plan)
-
+        table = self.database.table(plan.table)
+        assignments = plan.assignments
         updates: List[Tuple[RowVersion, Dict[str, object]]] = []
-        if plan is not None:
-            assignments = plan.assignments
-            for version in matched:
-                new_data = dict(version.data)
-                for column, value_fn in assignments:
-                    new_data[column] = value_fn(version.data, params)
-                updates.append((version, new_data))
-        else:
-            for version in matched:
-                new_data = dict(version.data)
-                for column, expr in stmt.assignments:
-                    new_data[column] = evaluate(expr, version.data, params)
-                updates.append((version, new_data))
+        for version in self._matching(table, plan, params, ctx):
+            new_data = dict(version.data)
+            for column, value_fn in assignments:
+                new_data[column] = value_fn(version.data, params)
+            updates.append((version, new_data))
+        # When no assignment writes a partition (resp. indexed) column, the
+        # old and new rows have identical partition keys (index entries), so
+        # one computation covers both — observably identical, half the work.
+        return self._store_updates(
+            table,
+            updates,
+            ctx,
+            partitions_once=not plan.touches_partitions,
+            index_new_data=plan.touches_indexed,
+        )
 
+    def _store_updates(
+        self,
+        table: Table,
+        updates: List[Tuple[RowVersion, Dict[str, object]]],
+        ctx: ExecContext,
+        partitions_once: bool,
+        index_new_data: bool,
+    ) -> QueryResult:
+        schema = table.schema
         # Uniqueness check before mutating anything.
         for version, new_data in updates:
             violated = table.unique_conflict(
@@ -569,16 +459,11 @@ class Executor:
             if violated is not None:
                 return QueryResult(
                     kind="update",
-                    table=stmt.table,
+                    table=schema.name,
                     ok=False,
                     error=f"unique constraint {violated} violated",
                 )
 
-        # When no assignment writes a partition (resp. indexed) column, the
-        # old and new rows have identical partition keys (index entries), so
-        # one computation covers both — observably identical, half the work.
-        partitions_once = plan is not None and not plan.touches_partitions
-        index_new_data = plan.touches_indexed if plan is not None else True
         partitions = set()
         affected = []
         for version, new_data in updates:
@@ -605,7 +490,7 @@ class Executor:
                 ctx.journal.note_created(table, replacement)
         return QueryResult(
             kind="update",
-            table=stmt.table,
+            table=schema.name,
             rowcount=len(affected),
             affected_row_ids=tuple(affected),
             written_partitions=frozenset(partitions),
@@ -614,14 +499,16 @@ class Executor:
     # -- DELETE ---------------------------------------------------------------
 
     def _delete(
-        self,
-        stmt: ast.Delete,
-        params: Sequence[object],
-        ctx: ExecContext,
-        plan: Optional[ExecPlan] = None,
+        self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
-        table = self.database.table(stmt.table)
-        matched = self._matching(table, stmt.where, params, ctx, plan)
+        table = self.database.table(plan.table)
+        return self._store_deletes(
+            table, self._matching(table, plan, params, ctx), ctx
+        )
+
+    def _store_deletes(
+        self, table: Table, matched: List[RowVersion], ctx: ExecContext
+    ) -> QueryResult:
         partitions = set()
         affected = []
         for version in matched:
@@ -633,7 +520,7 @@ class Executor:
             self._supersede(table, version, ctx)
         return QueryResult(
             kind="delete",
-            table=stmt.table,
+            table=table.schema.name,
             rowcount=len(affected),
             affected_row_ids=tuple(affected),
             written_partitions=frozenset(partitions),
@@ -647,13 +534,7 @@ class Executor:
         """Rows the prepared statement's WHERE clause selects at (ts, gen)
         — used by two-phase write re-execution to find the *new* matching
         row IDs (§4.2), through the plan normal execution uses."""
-        return self._matching(
-            self.database.table(plan.table),
-            plan.stmt.where,
-            params,
-            ctx,
-            plan if self.use_planner else None,
-        )
+        return self._matching(self.database.table(plan.table), plan, params, ctx)
 
     # -- write plumbing ---------------------------------------------------------
 
@@ -691,32 +572,3 @@ def _batch_conflict(
             if tuple(other.get(col) for col in key) == candidate:
                 return key
     return None
-
-
-def _equality_conjuncts(expr: ast.Expr, params: Sequence[object]):
-    """Yield (column, value) for top-level AND-ed equality comparisons."""
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op == "AND":
-            yield from _equality_conjuncts(expr.left, params)
-            yield from _equality_conjuncts(expr.right, params)
-            return
-        if expr.op == "=":
-            pairs = (
-                (expr.left, expr.right),
-                (expr.right, expr.left),
-            )
-            for column_side, value_side in pairs:
-                if isinstance(column_side, ast.ColumnRef):
-                    if isinstance(value_side, ast.Literal):
-                        yield (column_side.name, value_side.value)
-                    elif isinstance(value_side, ast.Param) and value_side.index < len(
-                        params
-                    ):
-                        yield (column_side.name, params[value_side.index])
-
-
-def _stmt_table(stmt: ast.Statement) -> str:
-    name = getattr(stmt, "table", None)
-    if not name:
-        raise SqlError("statement has no target table")
-    return name

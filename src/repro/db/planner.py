@@ -16,17 +16,18 @@ computed once and cached:
 An :class:`ExecPlan` is the prepared statement: it also keeps the parsed
 statement, ``is_write`` / ``full_table_write`` and (attached by the
 time-travel layer) the partition read-set template, so the executor's
-plan cache — keyed on the SQL text (``Executor.prepare``; the statement
-AST for callers that hold no text) and invalidated by comparing the
-plan's ``epoch`` against ``Database.ddl_epoch`` (bumped on
-create/drop/restore) — is the one per-statement cache in the system.
+plan cache — keyed on the SQL text (``Executor.prepare`` is the only way
+to get a plan) and invalidated by comparing the plan's ``epoch`` against
+``Database.ddl_epoch`` (bumped on create/drop/restore) — is the one
+per-statement cache in the system.
 
-**Equivalence contract:** planned execution must be observably identical
-to the naive tree-walking reference — same ``QueryResult.snapshot()``,
-same read/written partitions and row IDs, same row order — so dependency
-tracking and repair escalation behave byte-for-byte the same.  The index
-access paths return candidate *supersets*; every candidate is still
-visibility- and WHERE-checked.  (One documented exception, inherited
+**Equivalence contract:** a plan's execution must be observably identical
+to the tree-walking, scanning oracle in ``tests/naive_executor.py`` —
+same ``QueryResult.snapshot()``, same read/written partitions and row
+IDs, same row order — so dependency tracking and repair escalation do
+not depend on which access path ran.  The index access paths return
+candidate *supersets*; every candidate is still visibility- and
+WHERE-checked.  (One documented exception, inherited
 from the seed's equality index: a predicate that would *raise* on some
 row — e.g. comparing incompatible types — may not raise under any index
 plan that never evaluates that row, and index-ordered traversal may
@@ -315,7 +316,7 @@ def _value_getter(expr: ast.Expr) -> Optional[Getter]:
     return None
 
 
-# -- shared helpers (also used by the naive reference executor) ----------------
+# -- result shaping -------------------------------------------------------------
 
 
 def default_name(expr: ast.Expr, index: int) -> str:

@@ -2,8 +2,12 @@
 
 The paper implements its time-travel database by *rewriting SQL queries*
 issued by the application against PostgreSQL (§4.4, §6).  This package is
-the substrate that replaces PostgreSQL: a lexer, parser, expression
-evaluator and statement executor for the SQL subset the applications use.
+the front half of the substrate that replaces PostgreSQL, for the SQL
+subset the applications use: a lexer, a parser, the AST, the compiler
+from expressions to Python closures (:mod:`repro.db.sql.compile`, the one
+in-process evaluator) and the lowering of WHERE clauses to SQLite
+(:mod:`repro.db.sql.lower`).  Statements are planned and executed one
+level up (:mod:`repro.db.planner`, :mod:`repro.db.executor`).
 
 Supported statements::
 

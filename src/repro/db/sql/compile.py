@@ -1,31 +1,35 @@
-"""Closure compilation for SQL expressions.
+"""Closure compilation for SQL expressions — the in-process evaluator.
 
 ``compile_expr`` turns an AST node into a plain Python closure
-``(row, params) -> value`` once, so hot statements stop tree-walking the
-AST for every row (the per-row ``isinstance`` dispatch in
-:mod:`repro.db.sql.eval` dominates WHERE evaluation on large scans).
+``(row, params) -> value`` once per prepared statement, so a statement
+never walks its AST per row.  SQL three-valued logic is implemented to
+the extent the applications need: any comparison involving NULL yields
+NULL, ``AND`` / ``OR`` propagate NULL, and a WHERE clause accepts a row
+only when the predicate is truthy (NULL is false at the filter boundary).
+COALESCE evaluates all its arguments; comparing incompatible types
+raises ``SqlError``.
 
-The compiled closures are **observably identical** to
-:func:`repro.db.sql.eval.evaluate` — same three-valued NULL logic, same
-error types and messages, same evaluation order, same quirks (COALESCE
-evaluates all arguments, comparisons of incompatible types raise
-``SqlError``).  The property test in ``tests/test_executor_property.py``
-enforces this against the tree-walking reference.
+This module also owns the LIKE and text-coercion helpers the SQLite
+lowering (:mod:`repro.db.sql.lower`) shares with it.  The reference it
+is held to is a tree-walking evaluator kept on the test side
+(``tests/naive_executor.py``): ``tests/test_sql_eval.py`` runs the same
+unit cases through both and ``tests/test_executor_property.py`` compares
+whole workloads.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.errors import SqlError
 from repro.db.sql import ast
-from repro.db.sql.eval import _as_text, _like_regex
 
 CompiledExpr = Callable[[Dict[str, object], Sequence[object]], object]
 
 
 def compile_expr(expr: ast.Expr) -> CompiledExpr:
-    """Compile ``expr`` into a closure mirroring ``evaluate`` exactly."""
+    """Compile ``expr`` into a ``(row, params) -> value`` closure."""
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda row, params: value
@@ -177,8 +181,8 @@ def compile_predicate(where: Optional[ast.Expr]) -> Optional[CompiledExpr]:
 
 
 def compile_aggregate(name: str, arg: Optional[ast.Expr]):
-    """Compile an aggregate into ``(datas, params) -> value`` matching
-    :func:`repro.db.sql.eval.aggregate`."""
+    """Compile an aggregate into ``(datas, params) -> value``; NULLs are
+    skipped and an empty (or all-NULL) input yields NULL, COUNT aside."""
     if name == "COUNT":
         if arg is None:
             return lambda datas, params: len(datas)
@@ -214,6 +218,40 @@ def _raiser(make_error) -> CompiledExpr:
         raise make_error()
 
     return fn
+
+
+#: Bound on compiled LIKE patterns, with the plan cache's policy and for
+#: its reason: pattern texts arrive from outside (an injected
+#: ``LIKE '...'``, a ``LIKE ?`` over a request parameter), so the cache is
+#: cleared whole when full.
+_LIKE_CACHE_MAX = 4096
+
+_LIKE_CACHE: Dict[str, "re.Pattern[str]"] = {}
+
+
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    cached = _LIKE_CACHE.get(pattern)
+    if cached is not None:
+        return cached
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    compiled = re.compile("^" + "".join(out) + "$", re.DOTALL)
+    if len(_LIKE_CACHE) >= _LIKE_CACHE_MAX:
+        _LIKE_CACHE.clear()
+    _LIKE_CACHE[pattern] = compiled
+    return compiled
+
+
+def _as_text(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
 
 
 def _compile_binary(expr: ast.BinaryOp) -> CompiledExpr:
@@ -347,8 +385,8 @@ def _compile_func(expr: ast.FuncCall) -> CompiledExpr:
     if name == "COALESCE":
 
         def coalesce_fn(row, params):
-            # eval.py evaluates every argument before picking (no
-            # short-circuit); keep that observable order.
+            # Every argument is evaluated before picking (no
+            # short-circuit): an erroring later argument still raises.
             args = [fn(row, params) for fn in arg_fns]
             for arg in args:
                 if arg is not None:
@@ -368,7 +406,7 @@ def _compile_func(expr: ast.FuncCall) -> CompiledExpr:
             post = abs
 
         def unary_func_fn(row, params):
-            # Evaluate all args first, like eval.py does.
+            # All args first, as COALESCE does.
             args = [fn(row, params) for fn in arg_fns]
             return None if args[0] is None else post(args[0])
 

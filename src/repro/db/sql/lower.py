@@ -3,8 +3,8 @@
 The SQLite engine (:mod:`repro.db.sqlite_engine`) stores versioned rows in
 shadow tables with one untyped column per schema column.  For a predicate
 to run *inside* SQLite instead of as a Python closure over materialized
-rows, the lowered SQL must be observably equivalent to
-:mod:`repro.db.sql.eval` — including its three-valued logic, its Python
+rows, the lowered SQL must be observably equivalent to that closure
+(:mod:`repro.db.sql.compile`) — including its three-valued logic, its Python
 ``==`` equality (``1 = True``), its "cannot compare" type errors, and the
 seed's DESC negated-char-code string collation.
 
@@ -30,7 +30,8 @@ prefilter already excluded that row.  Two shapes raise *unconditionally*
 when evaluated — references to columns the table does not have, and
 out-of-range parameters — so those abort the entire lowering instead of
 dropping: the executor then scans every visible row with the Python
-predicate, which raises exactly where the naive reference does.
+predicate, which raises exactly where the scanning oracle
+(``tests/naive_executor.py``) does.
 
 Exactness rules (``exact=True`` means the SQL is 3VL-identical to the
 Python predicate, so the re-check is skipped):
@@ -60,7 +61,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.db.sql import ast
-from repro.db.sql.eval import _like_regex
+from repro.db.sql.compile import _like_regex
 from repro.db.storage import order_key
 
 _INT64_MIN = -(2**63)
@@ -114,7 +115,8 @@ class _Drop(Exception):
 class _Abort(Exception):
     """Evaluating this node raises on *every* row (unknown column,
     missing parameter, constant type-mismatch): the whole lowering is
-    abandoned so the full-scan re-check raises exactly like naive."""
+    abandoned so the full-scan re-check raises exactly as the oracle's
+    scan does."""
 
 
 def bindable(value) -> bool:
@@ -152,7 +154,7 @@ class _Col:
     def state(self, states: Dict[str, ColumnState]) -> ColumnState:
         state = states.get(self.name)
         if state is None:
-            # Unknown column: naive raises per evaluated row — abort.
+            # Unknown column: a scan raises per evaluated row — abort.
             raise _Abort()
         return state
 
@@ -167,7 +169,7 @@ def _value_side(expr: ast.Expr) -> Optional[_Value]:
         def getter(params):
             if index < len(params):
                 return params[index]
-            raise _Abort()  # naive raises on every evaluated row
+            raise _Abort()  # a scan raises on every evaluated row
 
         return _Value(getter)
     if (
@@ -270,7 +272,7 @@ class _In:
             raise _Drop()
         if not self.items:
             # SQLite defines `x IN ()` as constant false even for NULL x;
-            # eval returns NULL for NULL needles — not 3VL-identical.
+            # the closure returns NULL for NULL needles — not 3VL-identical.
             raise _Drop()
         binds = []
         for item in self.items:
@@ -479,7 +481,7 @@ class _Between:
         low = self.low.resolve(params)
         high = self.high.resolve(params)
         if low is None or high is None:
-            # eval returns NULL whenever any of the three operands is
+            # The closure returns NULL whenever any of the three operands is
             # NULL; SQL's desugared (c >= lo AND c <= hi) can yield plain
             # false instead — truthy-equal, but not 3VL-exact.
             raise _Drop()
@@ -597,7 +599,7 @@ def _collect_columns(expr: ast.Expr, out: set) -> None:
 
 
 def warp_like(pattern, operand):
-    """SQL function with :func:`repro.db.sql.eval` LIKE semantics —
+    """SQL function with :mod:`repro.db.sql.compile`'s LIKE semantics —
     ``re.DOTALL``, case-sensitive, ``str()`` coercion of both sides —
     which SQLite's native LIKE (case-insensitive ASCII) does not share."""
     if pattern is None or operand is None:

@@ -477,6 +477,8 @@ class ShardCoordinator:
 
     def _admin_route(self, request: HttpRequest, tail: str) -> HttpResponse:
         if tail == "/status":
+            if request.method != "GET":
+                return _json(405, {"error": "status is GET"})
             pings = {}
             for shard, client in sorted(self.clients.items()):
                 try:
@@ -563,6 +565,8 @@ class ShardCoordinator:
                 return _json(200, self.resubmit(dist_id).to_dict())
             if action:
                 return _json(404, {"error": f"unknown action {action!r}"})
+            if request.method != "GET":
+                return _json(405, {"error": "distributed repair status is GET"})
             result = self._results.get(dist_id)
             if result is not None:
                 return _json(200, result.to_dict())

@@ -25,7 +25,7 @@ from repro.db.executor import ExecContext, Executor, QueryResult
 from repro.db.planner import ExecPlan
 from repro.db.storage import Database, Table, TableSchema
 from repro.db.storage import RowVersion
-from repro.ttdb.partitions import ReadSet, ReadSetPlan, read_partitions
+from repro.ttdb.partitions import ReadSet, ReadSetPlan
 from repro.ttdb.rollback import rollback_row as _rollback_row
 
 #: Statement-cache bounds: entry count (LRU-evicted) and the largest
@@ -380,7 +380,7 @@ class TimeTravelDB:
             repair=False,
         )
         with self._lock:
-            result = self.executor.execute(plan.stmt, tuple(params), ctx, plan)
+            result = self.executor.execute(plan, tuple(params), ctx)
         return TTResult(
             sql=sql,
             params=tuple(params),
@@ -399,15 +399,11 @@ class TimeTravelDB:
     def _run_locked(
         self, plan: ExecPlan, sql: str, params: Tuple[object, ...], ctx: ExecContext
     ) -> TTResult:
-        if not self.partition_analysis:
-            read_set = ReadSet(plan.table, disjuncts=None)
-        elif self.executor.use_planner:
+        if self.partition_analysis:
             read_set = plan.read_plan.instantiate(params)
         else:
-            # The reference arm walks the WHERE AST on every execution, so
-            # planned ≡ naive checks the template against it.
-            read_set = read_partitions(plan.stmt, params, self.schema(plan.table))
-        result = self.executor.execute(plan.stmt, params, ctx, plan)
+            read_set = ReadSet(plan.table, disjuncts=None)
+        result = self.executor.execute(plan, params, ctx)
         self.statements_executed += 1
         if result.kind != "select":
             # Any write (normal or repair — the latter is conservative but
@@ -491,8 +487,7 @@ class TimeTravelDB:
         ``end_gen == current_gen`` (re-extended) — the live generation never
         observes either.  The repair journal records exactly those versions,
         so abort is O(repair footprint), not a scan of every version of
-        every table; the scan remains as a fallback for restored states
-        with no journal.
+        every table.
         """
         with self._lock:
             self._abort_repair_locked()
@@ -500,20 +495,10 @@ class TimeTravelDB:
     def _abort_repair_locked(self) -> None:
         if self.repair_gen is None:
             raise RepairError("no repair generation is active")
-        repair_gen = self.repair_gen
-        journal = self._journal
-        if journal is not None:
-            for table, version in journal.created:
-                table.discard_version(version)
-            for table, version in journal.fenced:
-                table.unfence_version(version, self.current_gen)
-        else:  # pragma: no cover - defensive fallback
-            for table in self.database.tables.values():
-                for version in list(table.all_versions()):
-                    if version.start_gen >= repair_gen:
-                        table.remove_version(version)
-                    else:
-                        table.unfence_version(version, self.current_gen)
+        for table, version in self._journal.created:
+            table.discard_version(version)
+        for table, version in self._journal.fenced:
+            table.unfence_version(version, self.current_gen)
         self.repair_gen = None
         self._journal = None
         self._flush_statement_cache()

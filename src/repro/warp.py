@@ -482,6 +482,10 @@ class WarpSystem:
                 wal_options=warp._wal_options,
             )
             warp._wire_wal_health()
+            # Rotation saves into the file this deployment was loaded
+            # from: the WAL is truncated against that save, and it is
+            # the file the next start will be given.
+            warp._rotate_snapshot_path = snapshot.path
             warp._arm_rotation(wal_path)
         warp._sync_id_counters()
         warp._sync_clock()

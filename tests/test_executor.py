@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.clock import INFINITY
 from repro.db.executor import ExecContext, Executor
-from repro.db.sql.parser import parse
 from repro.db.storage import Column, Database, TableSchema
 
 
@@ -36,7 +35,7 @@ def ctx(ts, gen=0, current_gen=0, repair=False):
 
 
 def run(executor, sql, params=(), at=None):
-    return executor.execute(parse(sql), params, at)
+    return executor.execute(executor.prepare(sql), params, at)
 
 
 class TestInsertSelect:

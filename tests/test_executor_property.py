@@ -3,13 +3,13 @@ and the Python memory engine == the SQLite engine.
 
 A seeded-random workload of schemas, data and statements (normal
 execution, repair-generation re-execution, rollback, abort/finalize, GC)
-is run against several TimeTravelDB instances: one with the query
-planner and read-set cache enabled (the default), one forced onto the
-naive tree-walking reference paths, and — in the cross-backend tests —
-the same pair again on the SQLite storage engine.  Every observable —
-result snapshots, row order, read/written row IDs and partitions, read
-sets, error outcomes, and the full version store — must be identical
-across every instance.
+is run against several TimeTravelDB instances: one as production builds
+it (prepared statements, read-set templates), one whose executor is the
+tree-walking, scanning oracle of ``tests/naive_executor.py``, and — in
+the cross-backend tests — the same pair again on the SQLite storage
+engine.  Every observable — result snapshots, row order, read/written
+row IDs and partitions, read sets, error outcomes, and the full version
+store — must be identical across every instance.
 
 This is the snapshot-equivalence contract the planner and the storage
 engines document in DESIGN.md: dependency tracking and repair escalation
@@ -29,6 +29,8 @@ from repro.core.clock import LogicalClock
 from repro.db.engine import create_database
 from repro.db.storage import Column, TableSchema
 from repro.ttdb.timetravel import TimeTravelDB
+
+from naive_executor import use_naive_executor
 
 TEXT_POOL = ("x", "y", "z", "wiki", "a%b", "a_b", "", "Home")
 
@@ -58,7 +60,7 @@ def make_schema(variant: int) -> TableSchema:
 def make_db(variant: int, backend=None, planner: bool = True) -> TimeTravelDB:
     tt = TimeTravelDB(create_database(backend), LogicalClock())
     if not planner:
-        tt.executor.use_planner = False
+        use_naive_executor(tt)
     tt.create_table(make_schema(variant))
     return tt
 

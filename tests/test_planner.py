@@ -8,11 +8,12 @@ from repro.core.clock import INFINITY, LogicalClock
 from repro.core.errors import SqlError
 from repro.db.executor import ExecContext, Executor
 from repro.db.sql.compile import compile_expr, compile_predicate
-from repro.db.sql.eval import evaluate, truthy
 from repro.db.sql.parser import parse
 from repro.db.storage import Column, Database, TableSchema
 from repro.ttdb.partitions import ReadSetPlan, read_partitions
 from repro.ttdb.timetravel import TimeTravelDB
+
+from naive_executor import evaluate, truthy, use_naive_executor
 
 
 def pages_schema(**overrides):
@@ -89,13 +90,15 @@ class TestPlanCache:
         finally:
             executor_module._PLAN_CACHE_MAX = old_max
 
-    def test_plan_keyed_by_statement_without_sql(self):
+    def test_plan_keyed_by_statement_text_only(self):
         db = Database()
         db.create_table(pages_schema())
         ex = Executor(db)
-        stmt = parse("SELECT * FROM pages WHERE title = 'A'")
-        ex.execute(stmt, (), ctx(1))
-        assert stmt in ex._plan_cache
+        sql = "SELECT * FROM pages WHERE title = 'A'"
+        plan = ex.prepare(sql)
+        ex.execute(plan, (), ctx(1))
+        assert ex.prepare(sql) is plan
+        assert list(ex._plan_cache) == [sql]
 
 
 # -- compiled expressions ------------------------------------------------------
@@ -165,7 +168,7 @@ class TestAccessPaths:
                 "INSERT INTO pages (page_id, title, score) VALUES (?, ?, ?)",
                 (index + 1, f"T{index % 5}", index),
             )
-        plan = tt.executor.plan_for(parse("SELECT * FROM pages WHERE title = ?"))
+        plan = tt.executor.prepare("SELECT * FROM pages WHERE title = ?")
         assert [column for column, _ in plan.eq_probes] == ["title"]
         res = tt.execute("SELECT page_id FROM pages WHERE title = ?", ("T2",))
         assert sorted(r["page_id"] for r in res.rows) == [3, 8, 13, 18]
@@ -177,8 +180,8 @@ class TestAccessPaths:
                 "INSERT INTO pages (page_id, title, score) VALUES (?, ?, ?)",
                 (index + 1, f"T{index}", index),
             )
-        plan = tt.executor.plan_for(
-            parse("SELECT * FROM pages WHERE score >= 5 AND score < 8")
+        plan = tt.executor.prepare(
+            "SELECT * FROM pages WHERE score >= 5 AND score < 8"
         )
         assert plan.range_probe is not None
         assert plan.range_probe[0] == "score"
@@ -197,8 +200,7 @@ class TestAccessPaths:
 
     def test_order_by_index_parity_with_limit(self):
         tt = make_ttdb()
-        naive = make_ttdb()
-        naive.executor.use_planner = False
+        naive = use_naive_executor(make_ttdb())
         for db in (tt, naive):
             for index in range(30):
                 db.execute(
@@ -391,16 +393,18 @@ class TestValueIndexPurge:
         db.create_table(pages_schema())
         ex = Executor(db, versioned=False)
         ex.execute(
-            parse("INSERT INTO pages (page_id, title) VALUES (1, 'old')"), (), ctx(1)
+            ex.prepare("INSERT INTO pages (page_id, title) VALUES (1, 'old')"),
+            (),
+            ctx(1),
         )
         ex.execute(
-            parse("UPDATE pages SET title = 'new' WHERE page_id = 1"), (), ctx(2)
+            ex.prepare("UPDATE pages SET title = 'new' WHERE page_id = 1"), (), ctx(2)
         )
         table = db.table("pages")
         assert table.candidate_row_ids("title", "new") == {1}
         assert table.candidate_row_ids("title", "old") == set()
         res = ex.execute(
-            parse("SELECT page_id FROM pages WHERE title = 'new'"), (), ctx(3)
+            ex.prepare("SELECT page_id FROM pages WHERE title = 'new'"), (), ctx(3)
         )
         assert res.rows == [{"page_id": 1}]
 
@@ -449,10 +453,16 @@ class TestJournaledAbort:
         scenario(journaled)
         journaled.abort_repair()
 
+        # The reference abort: scan every version of every table, drop
+        # what the repair generation created, re-extend what it fenced.
         scanned = make_ttdb()
         scenario(scanned)
-        scanned._journal = None  # force the fallback full scan
-        scanned.abort_repair()
+        for table in scanned.database.tables.values():
+            for version in list(table.all_versions()):
+                if version.start_gen >= scanned.repair_gen:
+                    table.remove_version(version)
+                else:
+                    table.unfence_version(version, scanned.current_gen)
 
         def dump(tt):
             return sorted(

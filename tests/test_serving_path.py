@@ -23,12 +23,14 @@ import threading
 
 import pytest
 
+from repro.apps.wiki.app import WikiApp
 from repro.core.clock import LogicalClock
 from repro.core.ids import IdAllocator
 from repro.db.storage import Column, Database, TableSchema
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.pool import ServerPool
 from repro.repair.api import CancelClientSpec
+from repro.store.snapshot import read_snapshot_header
 from repro.store.wal import RecordWal
 from repro.ttdb.timetravel import TimeTravelDB
 from repro.warp import WarpSystem
@@ -636,6 +638,21 @@ class TestStripedLocksUnderContention:
 # ---------------------------------------------------------------------------
 
 
+def post_appends(client, count):
+    """``count`` acknowledged appends to Main_Page through ``client``."""
+    for i in range(count):
+        response = client.send(
+            HttpRequest(
+                "POST",
+                "/edit.php",
+                params={"title": "Main_Page", "append": f"\nrot{i}."},
+                cookies=dict(client.cookies),
+                headers={"X-Warp-Client": "c0-load"},
+            )
+        )
+        assert response.status == 200
+
+
 class TestRotationAndPersistence:
     def test_rotation_mid_traffic_reloads_identically(self, tmp_path):
         wal_path = str(tmp_path / "serve.wal")
@@ -649,17 +666,7 @@ class TestRotationAndPersistence:
             durability="group",
         )
         (client,) = make_load_clients(deployment.wiki, deployment.warp.server, ["c0"])
-        for i in range(24):
-            response = client.send(
-                HttpRequest(
-                    "POST",
-                    "/edit.php",
-                    params={"title": "Main_Page", "append": f"\nrot{i}."},
-                    cookies=dict(client.cookies),
-                    headers={"X-Warp-Client": "c0-load"},
-                )
-            )
-            assert response.status == 200
+        post_appends(client, 24)
         assert os.path.exists(snapshot), "traffic never triggered rotation"
         wal = deployment.warp.graph.store.wal
         assert wal.sync(5.0)
@@ -667,6 +674,34 @@ class TestRotationAndPersistence:
         live = deployment.warp.graph.to_snapshot()
         assert reloaded.graph.to_snapshot() == live
         assert reloaded.durability == "group"
+
+    def test_reloaded_deployment_rotates_into_the_file_it_loaded(self, tmp_path):
+        wal_path = str(tmp_path / "serve.wal")
+        snapshot = str(tmp_path / "serve.snapshot.json")
+        deployment = WikiDeployment(
+            n_users=1,
+            seed=13,
+            wal_path=wal_path,
+            wal_rotate_bytes=4096,
+            wal_rotate_snapshot=snapshot,
+        )
+        deployment.warp.save(snapshot)
+        deployment.warp.graph.store.wal.close()
+        saved_id = read_snapshot_header(snapshot)["snapshot_id"]
+
+        reloaded = WarpSystem.load(snapshot, wal_path=wal_path)
+        wiki = WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server)
+        wiki.register_code()
+        (client,) = make_load_clients(wiki, reloaded.server, ["c0"])
+        post_appends(client, 40)
+        assert read_snapshot_header(snapshot)["snapshot_id"] != saved_id, (
+            "traffic never rotated into the loaded snapshot"
+        )
+        assert not os.path.exists(wal_path + ".snapshot.json")
+        live = reloaded.graph.to_snapshot()
+        reloaded.graph.store.wal.close()
+        again = WarpSystem.load(snapshot, wal_path=wal_path)
+        assert again.graph.to_snapshot() == live
 
     def test_serving_config_round_trips(self, tmp_path):
         snapshot = str(tmp_path / "cfg.json")

@@ -603,6 +603,8 @@ class TestCoordinator:
         assert doc["n_shards"] == 2
         assert set(doc["shards"]) == {"0", "1"}
         assert all(ping["ok"] for ping in doc["shards"].values())
+        response = cluster.handle(HttpRequest("POST", "/warp/admin/shard/status"))
+        assert response.status == 405
 
     def test_plan_targets_only_damaged_shards(self, cluster):
         apply_workload(cluster, generate_workload(5))
@@ -666,6 +668,10 @@ class TestCoordinator:
         )
         doc = json.loads(response.body)
         assert doc["status"] == "done" and doc["ok"]
+        response = cluster.handle(
+            HttpRequest("POST", f"/warp/admin/shard/repair/{dist_id}")
+        )
+        assert response.status == 405
 
 
 # ---------------------------------------------------------------------------

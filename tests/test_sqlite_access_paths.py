@@ -10,7 +10,8 @@ timing.
     the history the table keeps.
 (c) The window query that runs once a row has had two open versions —
     narrowed to the rows with a visible version satisfying the WHERE —
-    returns what the memory engine and the naive executor return.
+    returns what the memory engine and the naive executor
+    (``tests/naive_executor.py``) return.
 """
 
 import re
@@ -22,8 +23,9 @@ from repro.core.clock import INFINITY
 from repro.db.engine import create_database
 from repro.db.executor import ExecContext, Executor
 from repro.db.sql.lower import render_where
-from repro.db.sql.parser import parse
 from repro.db.storage import Column, RowVersion, TableSchema
+
+from naive_executor import NaiveExecutor
 
 
 def record_statements(engine):
@@ -110,7 +112,7 @@ def test_equality_on_an_indexed_column_searches(schema, column, mode, multi_open
     statements = record_statements(engine)
     executor = Executor(engine, versioned=mode != "plain")
     result = executor.execute(
-        parse(f"SELECT * FROM {schema.name} WHERE {column} = ?"),
+        executor.prepare(f"SELECT * FROM {schema.name} WHERE {column} = ?"),
         (sample_row(schema, 1)[column],),
         ExecContext(ts=ts, gen=0, current_gen=0),
     )
@@ -205,9 +207,10 @@ def lookup_steps(versions_per_page, multi_open):
 
     conn = engine._connect(table.group)
     conn.set_progress_handler(count, 1)
+    executor = Executor(engine)
     try:
-        result = Executor(engine).execute(
-            parse("SELECT old_text FROM pagecontent WHERE title = ?"),
+        result = executor.execute(
+            executor.prepare("SELECT old_text FROM pagecontent WHERE title = ?"),
             ("Page7",),
             ExecContext(ts=table._max_ts + 1, gen=0, current_gen=0),
         )
@@ -290,8 +293,7 @@ def test_narrowed_window_matches_the_memory_engine():
     memory, sqlite = build("python"), build("sqlite")
     table = sqlite.table("t")
     assert table._multi_open
-    inexact = parse("SELECT id FROM t WHERE b = ?")
-    plan = Executor(sqlite).plan_for(inexact)
+    plan = Executor(sqlite).prepare("SELECT id FROM t WHERE b = ?")
     assert render_where(plan.lowered, (HUGE,), table._states)[2] is False
 
     windows = 0
@@ -299,9 +301,9 @@ def test_narrowed_window_matches_the_memory_engine():
     for versioned in (True, False):
         arms = (
             Executor(memory, versioned=versioned),
-            Executor(memory, versioned=versioned, use_planner=False),
+            NaiveExecutor(memory, versioned=versioned),
             Executor(sqlite, versioned=versioned),
-            Executor(sqlite, versioned=versioned, use_planner=False),
+            NaiveExecutor(sqlite, versioned=versioned),
         )
         # Current (only open versions), ts 9 (rows 1 and 2 each show two
         # versions), ts 4 (before most rows exist); both generations.
@@ -309,9 +311,10 @@ def test_narrowed_window_matches_the_memory_engine():
             for gen in (0, 1):
                 ctx = ExecContext(ts=ts, gen=gen, current_gen=gen)
                 for sql, params in QUERIES:
-                    stmt = parse(sql)
                     del statements[:]
-                    results = [arm.execute(stmt, params, ctx) for arm in arms]
+                    results = [
+                        arm.execute(arm.prepare(sql), params, ctx) for arm in arms
+                    ]
                     windows += any("ROW_NUMBER" in s for _, s, _ in statements)
                     context = f"{sql!r} {params!r} versioned={versioned} {ctx!r}"
                     for other in results[1:]:
@@ -322,7 +325,9 @@ def test_narrowed_window_matches_the_memory_engine():
     # Spot checks of the contract itself, not only of agreement.
     def ids(sql, params, ts, gen=0):
         ctx = ExecContext(ts=ts, gen=gen, current_gen=gen)
-        return [r["id"] for r in Executor(sqlite).execute(parse(sql), params, ctx).rows]
+        executor = Executor(sqlite)
+        result = executor.execute(executor.prepare(sql), params, ctx)
+        return [r["id"] for r in result.rows]
 
     now = table._max_ts + 1
     assert ids("SELECT id FROM t WHERE a = ?", ("y",), now) == []  # non-winner
