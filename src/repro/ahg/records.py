@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -61,8 +62,14 @@ _row_attributes = attrgetter(*_ROW_FIELDS)
 _QID, _TS, _TABLE = map(QUERY_ROW.index, ("qid", "ts", "table"))
 _TEXTS = list(map(QUERY_ROW.index, ("sql", "kind", "table")))
 _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "written_row_ids")))
+#: A row says which query it is in its first two positions only: what
+#: follows is the same text for every hit on one statement-cache entry.
+assert QUERY_ROW[:2] == ("qid", "ts")
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
+#: ``json.dumps(tree, separators=COMPACT)``, the encoder built once and with no
+#: cycle check (a third of a small call; a cycle is a RecursionError either way).
+_dumps = json.JSONEncoder(separators=COMPACT, check_circular=False).encode
 
 
 def _keyed_query(row: list, run_id: int, seq: int) -> dict:
@@ -152,7 +159,7 @@ class QueryRecord:
 #: constructor's order: immutable values, shared by queries that say the
 #: same thing — a replay clone and its base, reloaded queries with each other.
 _PAYLOAD = [f.name for f in fields(QueryRecord)][4:]
-_payload = attrgetter(*_PAYLOAD)
+query_payload = attrgetter(*_PAYLOAD)
 #: The same of a decoded row, which has the read set where its disjuncts were.
 _row_payload = itemgetter(*map(_ROW_FIELDS.index, _PAYLOAD))
 
@@ -199,18 +206,21 @@ class AppRunRecord:
     #: ``RecordStore.mark_run_canceled`` — the one in-place mutation —
     #: drops it.  Owned by the store; not part of the record's value.
     json_text: Optional[str] = field(default=None, repr=False, compare=False)
+    #: Per query, the statement-cache payload it was recorded from (None
+    #: where there was none), whose ``text`` :meth:`encode` splices.  Set by
+    #: the runtime recording the run, dropped by the store inserting it.
+    payloads: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def browser_key(self) -> Optional[Tuple[str, int]]:
         if self.client_id is not None and self.visit_id is not None:
             return (self.client_id, self.visit_id)
         return None
 
-    def to_wire(self) -> dict:
-        """The tree :meth:`encode` serializes — no defensive copies, tuples
-        left for the encoder (see :meth:`QueryRecord.to_row`); for
-        consumers that serialize the result immediately.  The five keys
-        after ``queries`` are written only when they say something."""
-        wire = {
+    def _frame(self, rows: list) -> Tuple[dict, dict]:
+        """The line's members up to ``queries`` — which is ``rows`` — and
+        the five after it, written only when they say something: the one
+        place a run's key order is written."""
+        head = {
             "run_id": self.run_id,
             "ts_start": self.ts_start,
             "ts_end": self.ts_end,
@@ -218,21 +228,44 @@ class AppRunRecord:
             "loaded_files": self.loaded_files,
             "request": self.request.to_dict(),
             "response": self.response.to_dict(),
-            "queries": [query.to_row() for query in self.queries],
+            "queries": rows,
         }
+        tail = {}
         if self.nondet:
-            wire["nondet"] = [list(_nondet_row(record)) for record in self.nondet]
+            tail["nondet"] = [list(_nondet_row(record)) for record in self.nondet]
         for name in ("client_id", "visit_id", "request_id"):
             if (value := getattr(self, name)) is not None:
-                wire[name] = value
+                tail[name] = value
         if self.canceled:
-            wire["canceled"] = True
-        return wire
+            tail["canceled"] = True
+        return head, tail
+
+    def to_wire(self) -> dict:
+        """The tree whose ``json.dumps`` is :meth:`encode` — no defensive
+        copies, tuples left for the encoder (see :meth:`QueryRecord.to_row`);
+        for consumers that want the line's members apart."""
+        head, tail = self._frame([query.to_row() for query in self.queries])
+        return {**head, **tail}
 
     def encode(self) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
-        of its snapshot line."""
-        return json.dumps(self.to_wire(), separators=COMPACT)
+        of its snapshot line.  Assembled: a row is its qid and ts, then a
+        text that queries recorded from one statement-cache payload share —
+        encoded for the first, kept with the payload — and the rows are
+        spliced between the members around ``queries``."""
+        head, tail = self._frame([])
+        texts = []
+        pairs = zip(self.queries, self.payloads or repeat(None))
+        for plain, group in groupby(pairs, lambda pair: pair[1] is None):
+            if plain:  # neighbours with no payload to keep a text with: one call
+                texts.append(_dumps([query.to_row() for query, _ in group])[1:-1])
+                continue
+            for query, payload in group:
+                if payload.text is None:
+                    payload.text = _dumps(query.to_row()[2:])[1:]
+                texts.append(f"[{query.qid},{query.ts},{payload.text}")
+        line = _dumps(head)[:-2] + ",".join(texts)  # head ends ``"queries":[]}``
+        return line + ("]," + _dumps(tail)[1:] if tail else "]}")
 
     def to_dict(self) -> dict:
         """The keyed, self-describing view (plain JSON, fresh containers):
@@ -317,7 +350,7 @@ def replay_clone(
     lives here and not in the cache.
     """
     queries = [
-        QueryRecord(qid, run_id, query.seq, ts, *_payload(query))
+        QueryRecord(qid, run_id, query.seq, ts, *query_payload(query))
         for query, qid, ts in zip(base.queries, qids, ts_list)
     ]
     return AppRunRecord(

@@ -11,9 +11,9 @@ vs. the recorded log).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord
+from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord, query_payload
 from repro.appserver.context import AppContext
 from repro.appserver.nondet import NondetSource
 from repro.appserver.scripts import ScriptStore
@@ -84,6 +84,8 @@ class AppRuntime:
             visit_id=request.visit_id,
             request_id=request.request_id,
         )
+        record.payloads = []
+        nondet_calls: Dict[str, int] = {}
 
         recording = self.recording
 
@@ -108,7 +110,7 @@ class AppRuntime:
         def nondet_fn(func: str):
             value = nondet_src.call(func)
             if recording:
-                seq = sum(1 for n in record.nondet if n.func == func)
+                seq = nondet_calls[func] = nondet_calls.get(func, -1) + 1
                 record.nondet.append(NondetRecord(func=func, seq=seq, value=value))
             return value
 
@@ -137,26 +139,32 @@ class AppRuntime:
         return response, record
 
     def _record_query(self, record: AppRunRecord, result: TTResult) -> None:
-        written: List[Tuple[str, int]] = []
-        for row_id in result.result.affected_row_ids:
-            written.append((result.result.table, row_id))
-        for row_id in result.result.inserted_row_ids:
-            written.append((result.result.table, row_id))
-        record.queries.append(
-            QueryRecord(
-                qid=self.ids.next("query"),
+        """Append ``result``'s query to ``record``.  A statement-cache hit is
+        recorded by reference: its identity and timestamp, then the entry's
+        payload — built here by whichever run records the entry first."""
+        qid, seq, payload = self.ids.next("query"), len(record.queries), result.payload
+        if payload is not None and payload.fields is not None:
+            query = QueryRecord(qid, record.run_id, seq, result.ts, *payload.fields)
+        else:
+            outcome = result.result
+            table, written = outcome.table, outcome.affected_row_ids + outcome.inserted_row_ids
+            query = QueryRecord(
+                qid=qid,
                 run_id=record.run_id,
-                seq=len(record.queries),
+                seq=seq,
                 ts=result.ts,
                 sql=result.sql,
                 params=result.params,
-                kind=result.result.kind,
-                table=result.result.table,
+                kind=outcome.kind,
+                table=table,
                 read_set=result.read_set,
-                written_row_ids=tuple(written),
-                written_partitions=result.result.written_partitions,
+                written_row_ids=tuple([(table, row_id) for row_id in written]),
+                written_partitions=outcome.written_partitions,
                 full_table_write=result.full_table_write,
-                snapshot=result.result.snapshot(),
-                read_row_ids=result.result.read_row_ids,
+                snapshot=outcome.snapshot(),
+                read_row_ids=outcome.read_row_ids,
             )
-        )
+            if payload is not None:
+                payload.fields = query_payload(query)
+        record.queries.append(query)
+        record.payloads.append(payload)

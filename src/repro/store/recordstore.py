@@ -416,19 +416,21 @@ class RecordStore:
         self._finish(self._add_run_nowait(run), relaxed)
 
     def _add_run_nowait(self, run: AppRunRecord) -> Optional[CommitTicket]:
+        # The run is immutable by now: encoded before the stripe is taken, and
+        # once — the text is the WAL line's data now, the snapshot line's later.
+        if self.wal is not None:
+            run.json_text = run.encode()
         with self._records_lock:
             self._insert_run(run)
             # Journaled under the records stripe so WAL order equals store
             # order; the fsync wait happens in _finish, outside every lock.
-            # The run is encoded here, once: the text is the WAL line's
-            # data now and the snapshot line's data later.
             if self.wal is not None:
-                run.json_text = run.encode()
                 return self.wal.append("run", text=run.json_text)
         return None
 
     def _insert_run(self, run: AppRunRecord) -> None:
         self.faults.fire("store.insert_run", run_id=run.run_id)
+        run.payloads = None  # encoded or not: a stored run refers into no cache
         self.runs[run.run_id] = run
         self._run_order.append(run.run_id)
         self.query_count += len(run.queries)
@@ -714,6 +716,7 @@ class RecordStore:
                     f"replacement record has run_id {record.run_id}, expected {run_id}"
                 )
             self.runs[run_id] = record
+            record.payloads = None
             self.query_count += len(record.queries) - len(old.queries)
             self._unindex_run_files(old)
             self._index_run_files(record)

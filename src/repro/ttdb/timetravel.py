@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clock import INFINITY, LogicalClock
 from repro.core.errors import RepairError
+from repro.core.serialize import exact_key
 from repro.faults.plane import active as _active_plane
 from repro.db.executor import ExecContext, Executor, QueryResult
 from repro.db.planner import ExecPlan
@@ -86,6 +87,20 @@ class RepairJournal:
         self.fenced.append((table, version))
 
 
+class RecordedPayload:
+    """What every hit on one statement-cache entry records alike, built once
+    (DESIGN.md "Recording path"): ``fields`` — a ``QueryRecord``'s constructor
+    arguments after the four that say which query it is — filled by whoever
+    records the entry first, and ``text``, those fields' share of the run's
+    line, filled by the first ``AppRunRecord.encode`` that needs it.  The
+    entry, and the results and runs in flight, are all that refer to it."""
+
+    __slots__ = ("fields", "text")
+
+    def __init__(self) -> None:
+        self.fields = self.text = None
+
+
 @dataclass
 class TTResult:
     """One executed statement plus everything dependency tracking needs."""
@@ -98,6 +113,9 @@ class TTResult:
     read_set: ReadSet
     #: True when a write had no WHERE clause (modifies the whole table).
     full_table_write: bool = False
+    #: Set on a SELECT the statement cache holds (the miss that filled the
+    #: entry and every hit on it): the entry's recording payload.
+    payload: Optional[RecordedPayload] = None
 
     @property
     def rows(self) -> Optional[List[dict]]:
@@ -161,7 +179,8 @@ class TimeTravelDB:
         #: *inside* the statement lock — the response cache subscribes so
         #: invalidation is atomic with the commit (repro.http.cache).
         self.write_hook = None
-        #: Read-through SELECT cache: a repeated ``(sql, params)`` read
+        #: Read-through SELECT cache: a repeated ``(sql, params)`` read (the
+        #: same type for type, see ``_execute_select``)
         #: whose *read partitions* have not been written since (write
         #: counters per partition key, checked under the statement lock)
         #: replays the cached rows/snapshot at a fresh timestamp instead
@@ -173,7 +192,7 @@ class TimeTravelDB:
         #: back to the per-table any-write counter.  Only normal execution
         #: of a versioned (``enabled``) database uses the cache; repair
         #: re-execution always runs for real.
-        self._stmt_cache: "OrderedDict[Tuple[str, Tuple[object, ...]], Tuple[TTResult, int, int, Tuple, Tuple[int, ...]]]" = (
+        self._stmt_cache: "OrderedDict[Tuple[str, bytes], Tuple[TTResult, int, int, Tuple, Tuple[int, ...]]]" = (
             OrderedDict()
         )
         #: Write counters: a table name keys "any write to the table"; a
@@ -238,8 +257,16 @@ class TimeTravelDB:
         same visible version set a re-execution at that timestamp would:
         the write counters prove no write touching a partition the read
         depends on committed between the cached execution and now.
+
+        The key is type-exact — ``1``, ``1.0`` and ``True`` are three entries:
+        a hit returns, and records, the entry's ``params`` — and total: a
+        parameter needs no hash, and a statement with one that cannot be
+        keyed at all (marshal refuses it) runs uncached.
         """
-        key = (sql, params)
+        try:
+            key = (sql, exact_key(params))
+        except ValueError:
+            key = None
         with self._lock:
             counts = self._write_counts
             cached = self._stmt_cache.get(key)
@@ -248,7 +275,7 @@ class TimeTravelDB:
                 if (
                     gen == self.current_gen
                     and epoch == self.database.ddl_epoch
-                    and versions == tuple(counts.get(k, 0) for k in vkeys)
+                    and versions == tuple(map(counts.get, vkeys))
                 ):
                     self._stmt_cache.move_to_end(key)
                     self.statements_executed += 1
@@ -262,14 +289,16 @@ class TimeTravelDB:
             )
             tt_result = self._run_locked(plan, sql, params, ctx)
             result = tt_result.result
-            if result.ok and result.rows is not None and len(result.rows) <= _STMT_CACHE_MAX_ROWS:
+            small = result.rows is not None and len(result.rows) <= _STMT_CACHE_MAX_ROWS
+            if key is not None and result.ok and small:
+                tt_result.payload = RecordedPayload()
                 vkeys = _validation_keys(tt_result.read_set)
                 self._stmt_cache[key] = (
                     self._replay_select(tt_result, tt_result.ts),
                     ctx.gen,
                     self.database.ddl_epoch,
                     vkeys,
-                    tuple(counts.get(k, 0) for k in vkeys),
+                    tuple(map(counts.get, vkeys)),
                 )
                 if len(self._stmt_cache) > _STMT_CACHE_MAX:
                     self._stmt_cache.popitem(last=False)
@@ -282,20 +311,15 @@ class TimeTravelDB:
         dicts, so the cached copy must stay pristine."""
         source = entry.result
         result = QueryResult(
-            kind="select",
-            table=source.table,
-            rows=[dict(row) for row in source.rows],
-            rowcount=source.rowcount,
+            "select",
+            source.table,
+            [dict(row) for row in source.rows],
+            source.rowcount,
             read_row_ids=source.read_row_ids,
         )
         result._snapshot = source.snapshot()
         return TTResult(
-            sql=entry.sql,
-            params=entry.params,
-            ts=ts,
-            gen=entry.gen,
-            result=result,
-            read_set=entry.read_set,
+            entry.sql, entry.params, ts, entry.gen, result, entry.read_set, payload=entry.payload
         )
 
     def _flush_statement_cache(self) -> None:

@@ -23,6 +23,7 @@ import threading
 
 import pytest
 
+from repro.ahg.records import AppRunRecord
 from repro.apps.wiki.app import WikiApp
 from repro.core.clock import LogicalClock
 from repro.core.ids import IdAllocator
@@ -583,9 +584,18 @@ class TestServerPool:
 
 
 class TestStripedLocksUnderContention:
-    def test_sixteen_threads_lose_no_append(self):
-        deployment = WikiDeployment(n_users=0, seed=41)
+    def test_sixteen_threads_lose_no_append(self, tmp_path, monkeypatch):
+        # With a WAL, so that every append encodes its run: a run is immutable
+        # by then, and no encode may hold the records stripe the others wait on.
+        deployment = WikiDeployment(n_users=0, seed=41, wal_path=str(tmp_path / "records.wal"))
         wiki, warp = deployment.wiki, deployment.warp
+        stripe, encode, under_stripe = warp.graph.store.lock, AppRunRecord.encode, []
+
+        def observed_encode(run):
+            under_stripe.append(stripe._is_owned())
+            return encode(run)
+
+        monkeypatch.setattr(AppRunRecord, "encode", observed_encode)
         n_threads, per_thread = 16, 6
         for worker in range(n_threads):
             wiki.seed_user(f"w{worker}", f"pw-w{worker}")
@@ -621,6 +631,7 @@ class TestStripedLocksUnderContention:
         for t in threads:
             t.join()
         assert not errors
+        assert len(under_stripe) >= n_threads * per_thread and not any(under_stripe)
         bodies = {}
         for worker in range(n_threads):
             res = warp.ttdb.execute(

@@ -20,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persistence_fixtures as fixtures
-from repro.ahg.records import QUERY_ROW, AppRunRecord, NondetRecord, QueryRecord
+from repro.ahg.records import QUERY_ROW, AppRunRecord, NondetRecord, QueryRecord, query_payload
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
+from repro.core.serialize import COMPACT
 from repro.faults.plane import FaultPlane, SimulatedCrash
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec
@@ -31,6 +32,7 @@ from repro.store.recordstore import RecordStore
 from repro.store.snapshot import read_snapshot_header
 from repro.store.wal import RecordWal, entry_line
 from repro.ttdb.partitions import ReadSet
+from repro.ttdb.timetravel import RecordedPayload
 from repro.warp import WarpSystem
 from repro.workload.loadgen import make_load_clients
 from repro.workload.scenarios import run_scenario
@@ -214,6 +216,50 @@ def test_codec_views_agree(run):
             assert item[name] == value
         for name in QUERY_ROW[len(row):]:
             assert item[name] in ([], False)
+
+
+@st.composite
+def recorded_runs(draw):
+    """A run as the runtime hands it to the store: each query recorded from
+    no payload (a write, a SELECT too large to cache), from a fresh one (the
+    miss that filled a statement-cache entry) or from an earlier query's (a
+    hit) — some payloads with their text already encoded, by an earlier run."""
+    run = draw(run_records())
+    queries, run.payloads = [], []
+    for seq, query in enumerate(run.queries):
+        role = draw(st.sampled_from(["write", "miss", "hit"]))
+        earlier = [payload for payload in run.payloads if payload is not None]
+        if role == "write":
+            payload = None
+        elif role == "hit" and earlier:
+            payload = draw(st.sampled_from(earlier))
+            query = QueryRecord(query.qid, run.run_id, seq, query.ts, *payload.fields)
+        else:
+            payload = RecordedPayload()
+            payload.fields = query_payload(query)
+            if draw(st.booleans()):
+                payload.text = json.dumps(query.to_row()[2:], separators=COMPACT)[1:]
+        queries.append(query)
+        run.payloads.append(payload)
+    run.queries = queries
+    return run
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=recorded_runs())
+def test_encode_is_the_dump_of_to_wire(run):
+    """``encode()`` assembles the line — members around ``queries`` encoded,
+    rows spliced from their payloads' texts; ``to_wire()`` is the tree.  The
+    oracle: the assembled line is the dump of the tree, whichever rows had a
+    text to splice, and stays so once every payload has one and once the
+    store has dropped them."""
+    oracle = json.dumps(run.to_wire(), separators=COMPACT)
+    assert run.encode() == oracle
+    assert all(payload.text for payload in run.payloads if payload is not None)
+    assert run.encode() == oracle  # every payload-bearing row spliced
+    run.payloads = None
+    assert run.encode() == oracle  # every row walked
+    assert AppRunRecord.from_dict(json.loads(oracle)) == run
 
 
 #: Each value's look-alike: equal to it (and hashing alike), of another type
