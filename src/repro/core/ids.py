@@ -20,6 +20,14 @@ def random_token(rng: random.Random, length: int = 24) -> str:
     return "".join(rng.choice(_ALPHABET) for _ in range(length))
 
 
+def trailing_seq(ident: str) -> int:
+    """The integer after the last ``-`` of ``job-7`` / ``inc-12`` /
+    ``dist-3``, 0 when there is none — how id allocation finds the
+    highest sequence number already used after a recovery."""
+    _, _, tail = ident.rpartition("-")
+    return int(tail) if tail.isdigit() else 0
+
+
 class IdAllocator:
     """Per-namespace monotonic counters.
 

@@ -29,15 +29,18 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.core.errors import ReproError
+from repro.core.errors import RepairError, ReproError
+from repro.core.ids import trailing_seq
 from repro.faults.plane import FaultPlane, InjectedFault
 from repro.faults.plane import active as _active_plane
+from repro.http.routes import NotFound
 from repro.repair.api import (
     CancelClientSpec,
     CancelVisitSpec,
     _compute_plan_locked,
     parse_spec,
 )
+from repro.repair.jobs import TERMINAL_STATUSES
 
 from repro.detect.rules import DetectionResult
 
@@ -65,11 +68,20 @@ class IncidentManager:
     """Owns the incident records in the graph's store: opening, preview
     refresh, lifecycle transitions, and spec derivation."""
 
-    def __init__(self, graph, ttdb, fault_plane: Optional[FaultPlane] = None):
+    def __init__(
+        self, graph, ttdb, repair, table, fault_plane: Optional[FaultPlane] = None
+    ):
+        """``repair`` is the job manager the one-click repair submits to;
+        the four incident rows (API.md §9) are mounted on ``table``."""
         self.graph = graph
         self.ttdb = ttdb
+        self._repair = repair
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         self._open_lock = threading.Lock()
+        table.add("GET", "/incidents", self._list_route)
+        table.add("GET", "/incidents/<incident_id>", self._incident_route)
+        table.add("POST", "/incidents/<incident_id>/repair", self._repair_route)
+        table.add("POST", "/incidents/<incident_id>/dismiss", self._dismiss_route)
 
     @property
     def store(self):
@@ -153,17 +165,13 @@ class IncidentManager:
             return dict(entry) if entry is not None else None
 
     def list(self, status: Optional[str] = None) -> List[dict]:
-        def seq(incident_id: str) -> int:
-            _, _, tail = incident_id.rpartition("-")
-            return int(tail) if tail.isdigit() else 0
-
         with self.store.lock:
             entries = [
                 dict(entry)
                 for entry in self.store.incidents.values()
                 if status is None or entry.get("status") == status
             ]
-        entries.sort(key=lambda e: seq(e["incident_id"]))
+        entries.sort(key=lambda e: trailing_seq(e["incident_id"]))
         return entries
 
     def open_incidents(self) -> List[dict]:
@@ -241,6 +249,72 @@ class IncidentManager:
                     counts.get(entry.get("status", "open"), 0) + 1
                 )
         return {"incidents": sum(counts.values()), "by_status": counts}
+
+    # -- admin rows ------------------------------------------------------------
+
+    def _list_route(self, request):
+        if request.params.get("refresh"):
+            self.refresh_once(force=bool(request.params.get("force")))
+        entries = [
+            self._reconciled(entry)
+            for entry in self.list(status=request.params.get("status"))
+        ]
+        status = self.status()
+        return 200, {
+            "incidents": entries,
+            "n_incidents": status["incidents"],
+            "by_status": status["by_status"],
+        }
+
+    def _known(self, incident_id: str) -> dict:
+        entry = self.get(incident_id)
+        if entry is None:
+            raise NotFound(f"unknown incident {incident_id!r}")
+        return entry
+
+    def _incident_route(self, request, incident_id: str):
+        return 200, self._reconciled(self._known(incident_id))
+
+    def _repair_route(self, request, incident_id: str):
+        entry = self._reconciled(self._known(incident_id))
+        job_id = entry.get("job_id")
+        if entry.get("status") == "repairing" and job_id:
+            # Idempotent: the suspect is already under repair.
+            return 202, {
+                "incident_id": incident_id,
+                "job_id": job_id,
+                "status": "repairing",
+            }
+        if not entry.get("spec"):
+            raise RepairError(
+                f"incident {incident_id!r} has no derivable repair "
+                "spec (no client identity on the flagged request)"
+            )
+        job = self._repair.submit(parse_spec(entry["spec"]))
+        self.mark_repairing(incident_id, job.job_id)
+        return 202, {
+            "incident_id": incident_id,
+            "job_id": job.job_id,
+            "status": job.status,
+        }
+
+    def _dismiss_route(self, request, incident_id: str):
+        self._known(incident_id)
+        self.dismiss(incident_id)
+        return 200, {"incident_id": incident_id, "status": "dismissed"}
+
+    def _reconciled(self, entry: dict) -> dict:
+        """Lazy lifecycle reconciliation on read: an incident whose
+        repair job reached a terminal state flips to ``resolved`` (job
+        done) or back to ``open`` (job failed/aborted/canceled — the
+        suspect damage is still there)."""
+        if entry.get("status") != "repairing" or not entry.get("job_id"):
+            return entry
+        job = self._repair.get(entry["job_id"])
+        if job is None or job.status not in TERMINAL_STATUSES:
+            return entry
+        self.resolve(entry["incident_id"], job.status == "done")
+        return self.get(entry["incident_id"]) or entry
 
 
 class PreviewRefresher:

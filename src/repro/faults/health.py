@@ -46,6 +46,10 @@ class HealthMonitor:
         self.durability_errors = 0
         self.heals = 0
         self.last_error: Optional[str] = None
+        # The admin table consults this monitor before a mutating row and
+        # when a storage fault reaches the HTTP boundary.
+        warp.server.admin.health = self
+        warp.server.admin.add("GET", "/health", self._health_route)
 
     # -- transitions -----------------------------------------------------------
 
@@ -115,6 +119,10 @@ class HealthMonitor:
         )
 
     # -- reporting -------------------------------------------------------------
+
+    def _health_route(self, request):
+        doc = self.to_dict()
+        return (200 if doc["mode"] == "normal" else 503), doc
 
     def to_dict(self) -> dict:
         """The ``/warp/admin/health`` document: mode, WAL lag, pool depth,

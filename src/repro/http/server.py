@@ -24,6 +24,7 @@ from repro.ahg.graph import ActionHistoryGraph
 from repro.appserver.runtime import AppRuntime
 from repro.core.errors import DurabilityError
 from repro.http.message import HttpRequest, HttpResponse
+from repro.http.routes import RouteTable
 
 if TYPE_CHECKING:
     from repro.repair.gate import RepairGate
@@ -62,11 +63,11 @@ class HttpServer:
         self.recording = True
         #: Online-repair gate; None keeps the legacy serve-everything flow.
         self.gate: Optional["RepairGate"] = None
-        #: Privileged control-plane surface (repro.repair.jobs.AdminApi):
-        #: requests under ``admin_prefix`` are dispatched here — never
-        #: recorded, never gated, served even during a repair.
-        self.admin_handler: Optional[Callable[[HttpRequest], HttpResponse]] = None
-        self.admin_prefix = "/warp/admin"
+        #: Privileged control-plane surface: each subsystem mounts its
+        #: rows here (API.md §4) and requests the table owns are
+        #: dispatched to it — never recorded, never gated, served even
+        #: during a repair.
+        self.admin = RouteTable("/warp/admin")
         #: When set, admin requests must carry it in X-Warp-Admin-Token.
         self.admin_token: Optional[str] = None
         #: Shard identity in worker mode (repro.shard): requests stamped
@@ -188,9 +189,7 @@ class HttpServer:
                     f"this is shard {self.shard_id}",
                     headers={"X-Warp-Shard": str(self.shard_id)},
                 )
-        if self.admin_handler is not None and request.path.startswith(
-            self.admin_prefix
-        ):
+        if self.admin.owns(request.path):
             # Control plane: privileged, unrecorded, ungated — and served
             # outside the suspend window so status polls work mid-switch.
             # compare_digest keeps the comparison constant-time: the token
@@ -203,7 +202,7 @@ class HttpServer:
                 return HttpResponse(
                     status=403, body="admin endpoints require X-Warp-Admin-Token"
                 )
-            return self.admin_handler(request)
+            return self.admin.dispatch(request)
         refused = self._enter()
         if refused is not None:
             if refused == "switch":

@@ -118,6 +118,10 @@ class PatchSpec(RepairSpec):
     kind = "patch"
 
     def validate(self) -> None:
+        if not isinstance(self.file, str) or not isinstance(
+            self.patch_name, (str, type(None))
+        ):
+            raise RepairError("PatchSpec file and patch_name must be strings")
         if (self.exports is None) == (self.patch_name is None):
             raise RepairError(
                 "PatchSpec needs exactly one of exports (in-process) or "
@@ -160,7 +164,7 @@ class PatchSpec(RepairSpec):
         return cls(
             file=data.get("file", ""),
             patch_name=data.get("patch_name"),
-            apply_ts=data.get("apply_ts", 0),
+            apply_ts=int(data.get("apply_ts", 0)),
         )
 
 
@@ -176,7 +180,11 @@ class CancelVisitSpec(RepairSpec):
     kind = "cancel_visit"
 
     def validate(self) -> None:
-        if not self.client_id or int(self.visit_id) <= 0:
+        if (
+            not isinstance(self.client_id, str)
+            or not self.client_id
+            or int(self.visit_id) <= 0
+        ):
             raise RepairError("CancelVisitSpec needs a client_id and visit_id")
 
     def to_dict(self) -> dict:
@@ -210,7 +218,7 @@ class CancelClientSpec(RepairSpec):
     kind = "cancel_client"
 
     def validate(self) -> None:
-        if not self.client_id:
+        if not isinstance(self.client_id, str) or not self.client_id:
             raise RepairError("CancelClientSpec needs a client_id")
 
     def to_dict(self) -> dict:
@@ -239,7 +247,7 @@ class DbFixSpec(RepairSpec):
         self.params = tuple(self.params)
 
     def validate(self) -> None:
-        if not self.sql:
+        if not isinstance(self.sql, str) or not self.sql:
             raise RepairError("DbFixSpec needs a SQL statement")
 
     def to_dict(self) -> dict:
@@ -335,7 +343,7 @@ def parse_spec(data: dict) -> RepairSpec:
         spec = cls._from_dict(data)  # type: ignore[attr-defined]
     except RepairError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise RepairError(f"malformed {kind!r} spec: {exc!r}") from exc
     spec.validate()
     return spec
@@ -348,10 +356,11 @@ def spec_from_request(request) -> RepairSpec:
     if raw is None:
         raise RepairError("missing 'spec' parameter (JSON-encoded repair spec)")
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return parse_spec(json.loads(raw))
+    except (TypeError, ValueError, RecursionError) as exc:
+        # A JSONDecodeError is a ValueError, a non-text parameter a
+        # TypeError, and hostile nesting exhausts the stack in either step.
         raise RepairError(f"spec is not valid JSON: {exc}") from exc
-    return parse_spec(data)
 
 
 # ---------------------------------------------------------------------------

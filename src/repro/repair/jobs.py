@@ -30,38 +30,33 @@ The manager also hosts the **patch catalog**: script exports are Python
 callables and cannot ride in JSON, so an operator registers named
 patches in-process (``register_patch``) and references them from
 :class:`~repro.repair.api.PatchSpec.patch_name`` — which is how a patch
-repair is driven over the HTTP admin surface (:class:`AdminApi`).
+repair is driven over the HTTP admin surface: the manager mounts the six
+``/warp/admin/repair`` rows of API.md §4 on the server's route table
+(:mod:`repro.http.routes`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import deque
 from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import (
-    DurabilityError,
-    RepairCanceled,
-    RepairError,
-    ReproError,
-)
+from repro.core.errors import DurabilityError, RepairCanceled, RepairError
 from repro.faults.plane import InjectedFault, SimulatedCrash
-from repro.http.message import HttpRequest, HttpResponse
+from repro.http.message import HttpRequest
+from repro.http.routes import NotFound
 from repro.repair.api import (
     PatchSpec,
     RepairBatch,
     RepairPlan,
     RepairSpec,
     compute_plan,
-    parse_spec,
     spec_from_request,
 )
 from repro.repair.controller import RepairResult
 
-__all__ = ["RepairJob", "RepairJobManager", "AdminApi", "ADMIN_PREFIX"]
+__all__ = ["RepairJob", "RepairJobManager"]
 
 #: Terminal job statuses.
 TERMINAL_STATUSES = frozenset({"done", "aborted", "failed", "canceled"})
@@ -264,7 +259,16 @@ class RepairJobManager:
         self._executing: Optional[str] = None
         self._executing_thread: Optional[threading.Thread] = None
         self._patch_catalog: Dict[str, Tuple[str, Dict]] = {}
-        self.admin = AdminApi(self)
+        table = warp.server.admin
+        table.add("POST", "/repair", self._submit_route)
+        table.add("GET", "/repair", self._list_route)
+        table.add("POST", "/repair/preview", self._preview_route)
+        table.add("GET", "/repair/<job_id>", self._job_route)
+        table.add("GET", "/repair/<job_id>/preview", self._job_preview_route)
+        # An operator needs cancel precisely when things are going wrong.
+        table.add(
+            "POST", "/repair/<job_id>/cancel", self._cancel_route, degraded_ok=True
+        )
 
     # -- patch catalog -----------------------------------------------------
 
@@ -515,272 +519,36 @@ class RepairJobManager:
                 controller.cancel_requested = True
         return controller.repair_batch([spec])
 
+    # -- admin rows (API.md §4; spec JSON travels in the ``spec`` param) ------
 
-# ---------------------------------------------------------------------------
-# the HTTP admin surface
-# ---------------------------------------------------------------------------
+    def _submit_route(self, request: HttpRequest):
+        job = self.submit(spec_from_request(request))
+        return 202, {"job_id": job.job_id, "status": job.status}
 
-ADMIN_PREFIX = "/warp/admin"
+    def _list_route(self, request: HttpRequest):
+        return 200, {
+            "jobs": [
+                {"job_id": job.job_id, "status": job.status} for job in self.jobs()
+            ],
+            "interrupted": self.interrupted_jobs(),
+        }
 
+    def _preview_route(self, request: HttpRequest):
+        return 200, self.preview(spec_from_request(request)).to_dict()
 
-def _json_response(payload, status: int = 200) -> HttpResponse:
-    return HttpResponse(
-        status=status,
-        body=json.dumps(payload, sort_keys=True),
-        headers={"Content-Type": "application/json"},
-    )
+    def _known_job(self, job_id: str) -> RepairJob:
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise NotFound(f"unknown repair job {job_id!r}")
+        return job
 
+    def _job_route(self, request: HttpRequest, job_id: str):
+        return 200, self._known_job(job_id).to_dict()
 
-def _error(status: int, message: str) -> HttpResponse:
-    return _json_response({"error": message}, status=status)
+    def _job_preview_route(self, request: HttpRequest, job_id: str):
+        return 200, self.preview(self._known_job(job_id).spec).to_dict()
 
-
-class AdminApi:
-    """Privileged repair endpoints, mounted under ``/warp/admin`` on the
-    logged :class:`~repro.http.server.HttpServer`.
-
-    Routes (spec JSON travels in the ``spec`` request parameter)::
-
-        POST /warp/admin/repair               submit  -> 202 {job_id}
-        GET  /warp/admin/repair               list jobs
-        POST /warp/admin/repair/preview       dry-run a spec -> plan
-        GET  /warp/admin/repair/<id>          status / progress / result
-        GET  /warp/admin/repair/<id>/preview  dry-run the job's spec
-        POST /warp/admin/repair/<id>/cancel   cooperative cancel
-        GET  /warp/admin/conflicts            pending conflict queue
-        GET  /warp/admin/incidents            detector incidents + previews
-                                              (?status= filter, ?refresh=1
-                                              recompute previews first)
-        GET  /warp/admin/incidents/<id>       one incident's full record
-        POST /warp/admin/incidents/<id>/repair   submit its spec -> 202
-        POST /warp/admin/incidents/<id>/dismiss  close a false positive
-        GET  /warp/admin/health               serving mode, WAL lag, pool
-                                              depth, last fault (503 body
-                                              while degraded)
-        GET  /warp/admin/shard/info           shard identity + backend
-        GET  /warp/admin/shard/touch-summary  compact TouchIndex image for
-                                              coordinator repair planning
-        POST /warp/admin/shard/save           persist this shard's snapshot
-
-    While the system is degraded (read-only serving after a durability
-    failure), mutating admin requests are refused with a structured 503
-    carrying the current health document — except ``cancel``, which an
-    operator needs precisely when things are going wrong.
-
-    Admin requests are control plane: never recorded into the action
-    history graph, never gated (status polls must work *during* a
-    repair).  When the server has an ``admin_token``, requests must carry
-    it in the ``X-Warp-Admin-Token`` header (403 otherwise).
-    """
-
-    def __init__(self, manager: RepairJobManager) -> None:
-        self._manager = manager
-        #: Incident surface (repro.detect.IncidentManager); installed by
-        #: ``WarpSystem.enable_detection``, 404s until then.
-        self.incident_manager = None
-
-    def handle(self, request: HttpRequest) -> HttpResponse:
-        path = request.path
-        if not path.startswith(ADMIN_PREFIX):
-            return _error(404, f"not an admin path: {path}")
-        tail = path[len(ADMIN_PREFIX):].rstrip("/")
-        try:
-            return self._route(request, tail)
-        except ReproError as exc:
-            # Malformed specs, unknown tables in a fix, bad SQL: the
-            # caller's fault, reported as JSON (StorageError/SqlError
-            # included — a preview of a bogus statement must not crash
-            # the serving thread).
-            return _error(400, str(exc))
-        except Exception as exc:
-            # Catch-all for the HTTP boundary only: submit() returns before
-            # the job runs, so no repair outcome (cancellation included)
-            # ever unwinds through here, and SimulatedCrash passes by as a
-            # BaseException.  Everything this catches is a server-side bug
-            # reported as a 500.
-            return _error(500, f"admin handler failed: {exc!r}")
-
-    def _route(self, request: HttpRequest, tail: str) -> HttpResponse:
-        manager = self._manager
-        health = manager._warp.health
-        if tail == "/health":
-            if request.method != "GET":
-                return _error(405, "health is GET")
-            doc = health.to_dict()
-            return _json_response(doc, 200 if doc["mode"] == "normal" else 503)
-        if request.method == "POST" and not tail.endswith("/cancel"):
-            # Probe-on-write, same as the serving path: a cleared fault
-            # heals here instead of bouncing the operator.
-            health.try_heal()
-            if health.mode != "normal":
-                return _json_response(
-                    {
-                        "error": "system is degraded (read-only); "
-                        "mutating admin operations are refused",
-                        "health": health.to_dict(),
-                    },
-                    503,
-                )
-        if tail == "/repair":
-            if request.method == "POST":
-                spec = spec_from_request(request)
-                job = manager.submit(spec)
-                return _json_response({"job_id": job.job_id, "status": job.status}, 202)
-            if request.method == "GET":
-                return _json_response(
-                    {
-                        "jobs": [
-                            {"job_id": job.job_id, "status": job.status}
-                            for job in manager.jobs()
-                        ],
-                        "interrupted": manager.interrupted_jobs(),
-                    }
-                )
-            return _error(405, f"{request.method} not allowed on {tail}")
-        if tail == "/repair/preview":
-            if request.method != "POST":
-                return _error(405, "preview is POST (spec JSON in the spec param)")
-            plan = manager.preview(spec_from_request(request))
-            return _json_response(plan.to_dict())
-        if tail == "/conflicts":
-            if request.method != "GET":
-                return _error(405, "conflicts listing is GET")
-            conflicts = manager._warp.conflicts
-            return _json_response(
-                {"pending": [c.to_dict() for c in conflicts.pending()]}
-            )
-        if tail == "/incidents":
-            if request.method != "GET":
-                return _error(405, "incidents listing is GET")
-            incidents = self.incident_manager
-            if incidents is None:
-                return _error(404, "detection is not enabled on this deployment")
-            if request.params.get("refresh"):
-                incidents.refresh_once(force=bool(request.params.get("force")))
-            entries = [
-                self._reconcile_incident(entry)
-                for entry in incidents.list(status=request.params.get("status"))
-            ]
-            status = incidents.status()
-            return _json_response(
-                {
-                    "incidents": entries,
-                    "n_incidents": status["incidents"],
-                    "by_status": status["by_status"],
-                }
-            )
-        if tail.startswith("/incidents/"):
-            incidents = self.incident_manager
-            if incidents is None:
-                return _error(404, "detection is not enabled on this deployment")
-            rest = tail[len("/incidents/"):]
-            incident_id, _, action = rest.partition("/")
-            entry = incidents.get(incident_id)
-            if entry is None:
-                return _error(404, f"unknown incident {incident_id!r}")
-            if not action:
-                if request.method != "GET":
-                    return _error(405, "incident status is GET")
-                return _json_response(self._reconcile_incident(entry))
-            if action == "repair":
-                if request.method != "POST":
-                    return _error(405, "incident repair is POST")
-                entry = self._reconcile_incident(entry)
-                if entry.get("status") == "repairing" and entry.get("job_id"):
-                    # Idempotent: the suspect is already under repair.
-                    return _json_response(
-                        {
-                            "incident_id": incident_id,
-                            "job_id": entry["job_id"],
-                            "status": "repairing",
-                        },
-                        202,
-                    )
-                spec_data = entry.get("spec")
-                if not spec_data:
-                    return _error(
-                        400,
-                        f"incident {incident_id!r} has no derivable repair "
-                        "spec (no client identity on the flagged request)",
-                    )
-                job = manager.submit(parse_spec(spec_data))
-                incidents.mark_repairing(incident_id, job.job_id)
-                return _json_response(
-                    {
-                        "incident_id": incident_id,
-                        "job_id": job.job_id,
-                        "status": job.status,
-                    },
-                    202,
-                )
-            if action == "dismiss":
-                if request.method != "POST":
-                    return _error(405, "dismiss is POST")
-                incidents.dismiss(incident_id)
-                return _json_response(
-                    {"incident_id": incident_id, "status": "dismissed"}
-                )
-            return _error(404, f"unknown incident action {action!r}")
-        if tail.startswith("/repair/"):
-            rest = tail[len("/repair/"):]
-            job_id, _, action = rest.partition("/")
-            job = manager.get(job_id)
-            if job is None:
-                return _error(404, f"unknown repair job {job_id!r}")
-            if not action:
-                if request.method != "GET":
-                    return _error(405, "job status is GET")
-                return _json_response(job.to_dict())
-            if action == "preview":
-                if request.method != "GET":
-                    return _error(405, "job preview is GET")
-                return _json_response(manager.preview(job.spec).to_dict())
-            if action == "cancel":
-                if request.method != "POST":
-                    return _error(405, "cancel is POST")
-                accepted = job.cancel()
-                return _json_response(
-                    {"job_id": job.job_id, "canceled": accepted, "status": job.status}
-                )
-            return _error(404, f"unknown job action {action!r}")
-        # -- shard control plane (repro.shard): what a coordinator asks a
-        # worker over the same wire as every other admin operation.
-        if tail == "/shard/info":
-            if request.method != "GET":
-                return _error(405, "shard info is GET")
-            warp = manager._warp
-            return _json_response(
-                {
-                    "shard_id": warp.shard_id,
-                    "backend": warp.db_backend,
-                    "n_runs": warp.graph.n_runs,
-                    "pid": os.getpid(),
-                }
-            )
-        if tail == "/shard/touch-summary":
-            if request.method != "GET":
-                return _error(405, "touch-summary is GET")
-            return _json_response(manager._warp.graph.store.touch_summary())
-        if tail == "/shard/save":
-            if request.method != "POST":
-                return _error(405, "shard save is POST")
-            warp = manager._warp
-            path = request.params.get("path") or warp.shard_snapshot_path
-            if not path:
-                return _error(400, "no snapshot path: not a shard and no 'path' param")
-            warp.save(path)
-            return _json_response({"saved": path})
-        return _error(404, f"unknown admin path {ADMIN_PREFIX}{tail}")
-
-    def _reconcile_incident(self, entry: dict) -> dict:
-        """Lazy lifecycle reconciliation on read: an incident whose
-        repair job reached a terminal state flips to ``resolved`` (job
-        done) or back to ``open`` (job failed/aborted/canceled — the
-        suspect damage is still there)."""
-        if entry.get("status") != "repairing" or not entry.get("job_id"):
-            return entry
-        job = self._manager.get(entry["job_id"])
-        if job is None or job.status not in TERMINAL_STATUSES:
-            return entry
-        self.incident_manager.resolve(entry["incident_id"], job.status == "done")
-        return self.incident_manager.get(entry["incident_id"]) or entry
+    def _cancel_route(self, request: HttpRequest, job_id: str):
+        job = self._known_job(job_id)
+        accepted = job.cancel()
+        return 200, {"job_id": job.job_id, "canceled": accepted, "status": job.status}

@@ -40,18 +40,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ReproError
+from repro.core.ids import trailing_seq
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest, HttpResponse
+from repro.http.routes import NotFound, RouteTable
 from repro.repair.api import RepairSpec, parse_spec, spec_from_request
 from repro.repair.jobs import TERMINAL_STATUSES
 from repro.repair.stats import merge_stats_dicts
 from repro.shard.plan import merge_touch_summaries
 from repro.shard.routing import SHARD_HEADER, RoutingTable, default_route_key
 from repro.shard.wire import ShardClient, ShardWireError
-
-#: Coordinator's own admin surface, layered over the worker admin prefix.
-_SHARD_ADMIN_PREFIX = "/warp/admin/shard"
 
 #: How often a dispatched job is polled, and how long it may take to settle.
 _POLL_INTERVAL = 0.005
@@ -113,11 +112,23 @@ class ShardCoordinator:
         #: dist_id -> latest known DistributedRepairResult (incl. async).
         self._results: Dict[str, DistributedRepairResult] = {}
         self._async_threads: Dict[str, threading.Thread] = {}
+        #: The coordinator's own views, layered over the worker admin
+        #: prefix; a path no row matches is forwarded to one worker.
+        table = self.admin = RouteTable("/warp/admin")
+        table.add("GET", "/shard/status", self._status_route)
+        table.add("POST", "/shard/plan", self._plan_route)
+        table.add("GET", "/shard/incidents", self._incidents_route)
+        table.add("POST", "/shard/save", self._save_route)
+        table.add("POST", "/shard/repair", self._repair_route)
+        table.add("GET", "/shard/repair/<dist_id>", self._repair_status_route)
+        table.add("POST", "/shard/repair/<dist_id>/resubmit", self._resubmit_route)
+        table.miss = self._forward_to_shard
         if journal_path is not None:
             for entry in self._journal_entries():
                 if entry.get("event") == "start":
-                    seq = int(str(entry.get("dist", "dist-0")).split("-")[-1] or 0)
-                    self._dist_seq = max(self._dist_seq, seq)
+                    self._dist_seq = max(
+                        self._dist_seq, trailing_seq(str(entry.get("dist")))
+                    )
 
     # -- request routing -----------------------------------------------------
 
@@ -129,36 +140,8 @@ class ShardCoordinator:
         addressed worker admin, or data-plane forwarding by routing key.
         Forwarded requests are stamped with the target shard so the
         worker's 421 check catches a routing-table mismatch."""
-        path = request.path
-        if path.startswith(_SHARD_ADMIN_PREFIX):
-            tail = path[len(_SHARD_ADMIN_PREFIX):].rstrip("/")
-            try:
-                return self._admin_route(request, tail)
-            except ReproError as exc:
-                return _json(400, {"error": str(exc)})
-            except Exception as exc:  # HTTP boundary, same as AdminApi
-                return _json(500, {"error": f"coordinator failed: {exc!r}"})
-        if path.startswith("/warp/admin"):
-            # Worker admin is shard-local; an explicit target is required
-            # because "list repair jobs" is a different question on every
-            # shard.  (Distributed views live under /warp/admin/shard/.)
-            raw = request.params.get("shard")
-            if raw is None:
-                return _json(
-                    400,
-                    {
-                        "error": "admin requests through the coordinator need "
-                        "a 'shard' parameter (or use /warp/admin/shard/*)"
-                    },
-                )
-            try:
-                shard = int(raw)
-            except (TypeError, ValueError):
-                return _json(400, {"error": f"bad shard parameter {raw!r}"})
-            client = self.clients.get(shard)
-            if client is None:
-                return _json(404, {"error": f"no shard {shard}"})
-            return client.request(self._stamped(request, shard))
+        if self.admin.owns(request.path):
+            return self.admin.dispatch(request)
         shard = self.shard_for(request)
         return self.clients[shard].request(self._stamped(request, shard))
 
@@ -473,127 +456,109 @@ class ShardCoordinator:
         self._results[dist_id] = result
         return result
 
-    # -- coordinator admin surface ------------------------------------------
+    # -- coordinator admin rows (API.md §8) -----------------------------------
 
-    def _admin_route(self, request: HttpRequest, tail: str) -> HttpResponse:
-        if tail == "/status":
-            if request.method != "GET":
-                return _json(405, {"error": "status is GET"})
-            pings = {}
-            for shard, client in sorted(self.clients.items()):
-                try:
-                    pings[str(shard)] = client.ping()
-                except ShardWireError as exc:
-                    pings[str(shard)] = {"ok": False, "error": str(exc)}
-            return _json(
-                200,
-                {
-                    "n_shards": len(self.clients),
-                    "routing": self.routing.to_dict(),
-                    "shards": pings,
-                    "interrupted": self.interrupted(),
-                },
+    def _status_route(self, request: HttpRequest):
+        pings = {}
+        for shard, client in sorted(self.clients.items()):
+            try:
+                pings[str(shard)] = client.ping()
+            except ShardWireError as exc:
+                pings[str(shard)] = {"ok": False, "error": str(exc)}
+        return 200, {
+            "n_shards": len(self.clients),
+            "routing": self.routing.to_dict(),
+            "shards": pings,
+            "interrupted": self.interrupted(),
+        }
+
+    def _plan_route(self, request: HttpRequest):
+        return 200, self.plan(spec_from_request(request))
+
+    def _incidents_route(self, request: HttpRequest):
+        """Union view over every worker's detector incidents; shard
+        identity is stamped onto each entry so the operator can address
+        the owning worker (?shard=N) for the repair click."""
+        params = {
+            key: request.params[key]
+            for key in ("status", "refresh", "force")
+            if key in request.params
+        }
+        incidents: List[dict] = []
+        per_shard: Dict[str, dict] = {}
+        for shard, client in sorted(self.clients.items()):
+            status, payload = client.admin_json(
+                "GET", "/warp/admin/incidents", params or None
             )
-        if tail == "/plan":
-            if request.method != "POST":
-                return _json(405, {"error": "plan is POST"})
-            return _json(200, self.plan(spec_from_request(request)))
-        if tail == "/incidents":
-            # Union view over every worker's detector incidents; shard
-            # identity is stamped onto each entry so the operator can
-            # address the owning worker (?shard=N) for the repair click.
-            if request.method != "GET":
-                return _json(405, {"error": "incidents view is GET"})
-            params = {
-                key: request.params[key]
-                for key in ("status", "refresh", "force")
-                if key in request.params
-            }
-            incidents: List[dict] = []
-            per_shard: Dict[str, dict] = {}
-            for shard, client in sorted(self.clients.items()):
-                status, payload = client.admin_json(
-                    "GET", "/warp/admin/incidents", params or None
-                )
-                if status != 200:
-                    per_shard[str(shard)] = {
-                        "status": status,
-                        "error": payload.get("error"),
-                    }
-                    continue
-                entries = payload.get("incidents", [])
-                for entry in entries:
-                    entry = dict(entry)
-                    entry["shard"] = shard
-                    incidents.append(entry)
+            if status != 200:
                 per_shard[str(shard)] = {
                     "status": status,
-                    "incidents": len(entries),
+                    "error": payload.get("error"),
                 }
-            return _json(
-                200,
-                {
-                    "incidents": incidents,
-                    "per_shard": per_shard,
-                    "n_incidents": len(incidents),
-                },
-            )
-        if tail == "/save":
-            if request.method != "POST":
-                return _json(405, {"error": "save is POST"})
-            saved = {}
-            for shard, client in sorted(self.clients.items()):
-                status, payload = client.admin_json(
-                    "POST", "/warp/admin/shard/save"
-                )
-                saved[str(shard)] = {"status": status, **payload}
-            return _json(200, {"saved": saved})
-        if tail == "/repair":
-            if request.method != "POST":
-                return _json(405, {"error": "distributed repair is POST"})
-            spec = spec_from_request(request)
-            if request.params.get("sync"):
-                return _json(200, self.repair(spec).to_dict())
-            dist_id = self._start_async(spec)
-            return _json(202, {"dist_id": dist_id, "status": "running"})
-        if tail.startswith("/repair/"):
-            rest = tail[len("/repair/"):]
-            dist_id, _, action = rest.partition("/")
-            if action == "resubmit":
-                if request.method != "POST":
-                    return _json(405, {"error": "resubmit is POST"})
-                return _json(200, self.resubmit(dist_id).to_dict())
-            if action:
-                return _json(404, {"error": f"unknown action {action!r}"})
-            if request.method != "GET":
-                return _json(405, {"error": "distributed repair status is GET"})
-            result = self._results.get(dist_id)
-            if result is not None:
-                return _json(200, result.to_dict())
-            thread = self._async_threads.get(dist_id)
-            if thread is not None and thread.is_alive():
-                return _json(200, {"dist_id": dist_id, "status": "running"})
-            for record in self.interrupted():
-                if record["dist_id"] == dist_id:
-                    return _json(
-                        200, {"dist_id": dist_id, "status": "interrupted"}
-                    )
-            return _json(404, {"error": f"unknown distributed repair {dist_id!r}"})
-        # Not a coordinator view.  The workers mount their own routes under
-        # the same /warp/admin/shard prefix (/info, /touch-summary, /save);
-        # an explicit shard parameter addresses one of them through the
-        # coordinator instead of 404ing in its shadow.
+                continue
+            entries = payload.get("incidents", [])
+            for entry in entries:
+                entry = dict(entry)
+                entry["shard"] = shard
+                incidents.append(entry)
+            per_shard[str(shard)] = {
+                "status": status,
+                "incidents": len(entries),
+            }
+        return 200, {
+            "incidents": incidents,
+            "per_shard": per_shard,
+            "n_incidents": len(incidents),
+        }
+
+    def _save_route(self, request: HttpRequest):
+        saved = {}
+        for shard, client in sorted(self.clients.items()):
+            status, payload = client.admin_json("POST", "/warp/admin/shard/save")
+            saved[str(shard)] = {"status": status, **payload}
+        return 200, {"saved": saved}
+
+    def _repair_route(self, request: HttpRequest):
+        spec = spec_from_request(request)
+        if request.params.get("sync"):
+            return 200, self.repair(spec).to_dict()
+        return 202, {"dist_id": self._start_async(spec), "status": "running"}
+
+    def _repair_status_route(self, request: HttpRequest, dist_id: str):
+        result = self._results.get(dist_id)
+        if result is not None:
+            return 200, result.to_dict()
+        thread = self._async_threads.get(dist_id)
+        if thread is not None and thread.is_alive():
+            return 200, {"dist_id": dist_id, "status": "running"}
+        if any(record["dist_id"] == dist_id for record in self.interrupted()):
+            return 200, {"dist_id": dist_id, "status": "interrupted"}
+        raise NotFound(f"unknown distributed repair {dist_id!r}")
+
+    def _resubmit_route(self, request: HttpRequest, dist_id: str):
+        return 200, self.resubmit(dist_id).to_dict()
+
+    def _forward_to_shard(self, request: HttpRequest) -> HttpResponse:
+        """The table's miss path: everything else under ``/warp/admin`` is
+        a worker's route.  Worker admin is shard-local — "list repair
+        jobs" is a different question on every shard — so an explicit
+        target is required (distributed views are the rows above)."""
         raw = request.params.get("shard")
-        if raw is not None:
-            try:
-                shard = int(raw)
-            except (TypeError, ValueError):
-                return _json(400, {"error": f"bad shard parameter {raw!r}"})
-            client = self.clients.get(shard)
-            if client is None:
-                return _json(404, {"error": f"no shard {shard}"})
-            return client.request(self._stamped(request, shard))
-        return _json(404, {"error": f"unknown coordinator path {tail!r}"})
+        if raw is None:
+            if request.path.startswith("/warp/admin/shard/"):
+                raise NotFound(f"unknown coordinator path {request.path}")
+            raise ReproError(
+                "admin requests through the coordinator need a 'shard' "
+                "parameter (or use /warp/admin/shard/*)"
+            )
+        try:
+            shard = int(raw)
+        except (TypeError, ValueError):
+            raise ReproError(f"bad shard parameter {raw!r}") from None
+        client = self.clients.get(shard)
+        if client is None:
+            raise NotFound(f"no shard {shard}")
+        return client.request(self._stamped(request, shard))
 
     def _start_async(self, spec: RepairSpec) -> str:
         dist_id, plan = self._start(spec)
@@ -647,11 +612,3 @@ class ShardCoordinator:
                 client.close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-
-
-def _json(status: int, payload: dict) -> HttpResponse:
-    return HttpResponse(
-        status=status,
-        body=json.dumps(payload),
-        headers={"Content-Type": "application/json"},
-    )

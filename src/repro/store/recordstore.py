@@ -40,6 +40,7 @@ from repro.ahg.records import (
     replay_clone,
 )
 from repro.core.errors import DurabilityError, ReproError
+from repro.core.ids import trailing_seq
 from repro.core.serialize import DecodeMemo
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
@@ -637,20 +638,9 @@ class RecordStore:
     def next_repair_job_seq(self) -> int:
         """First job sequence number not used by a pending or ended job
         (ids must stay unique across crash recovery)."""
-
-        def seq_of(job_id: str) -> int:
-            _, _, tail = job_id.rpartition("-")
-            return int(tail) if tail.isdigit() else 0
-
         with self._records_lock:
-            highest = max(
-                (seq_of(job_id) for job_id in self.pending_repair_jobs), default=0
-            )
-            highest = max(
-                highest,
-                max((seq_of(job_id) for job_id in self._ended_repair_jobs), default=0),
-            )
-            return highest + 1
+            used = itertools.chain(self.pending_repair_jobs, self._ended_repair_jobs)
+            return max(map(trailing_seq, used), default=0) + 1
 
     # ------------------------------------------------------------------ incidents
 
@@ -659,17 +649,19 @@ class RecordStore:
         entry must carry ``incident_id``; everything else (suspect visit,
         rule, derived spec, preview) is opaque to the store."""
         ticket = None
+        relaxed = self.relaxed_durability  # before journaling, as add_run
         with self._records_lock:
             self.incidents[entry["incident_id"]] = dict(entry)
             if self.wal is not None:
                 ticket = self.wal.append("incident", entry)
-        self._finish(ticket)
+        self._finish(ticket, relaxed)
 
     def log_incident_update(self, incident_id: str, fields: dict) -> None:
         """Journal a partial update (status flip, refreshed preview)
         merged over the stored incident.  Unknown ids are ignored — an
         update can race a snapshot that never saw the incident."""
         ticket = None
+        relaxed = self.relaxed_durability  # before journaling, as add_run
         with self._records_lock:
             record = self.incidents.get(incident_id)
             if record is None:
@@ -680,20 +672,13 @@ class RecordStore:
                     "incident_update",
                     {"incident_id": incident_id, "fields": fields},
                 )
-        self._finish(ticket)
+        self._finish(ticket, relaxed)
 
     def next_incident_seq(self) -> int:
         """First incident sequence number not used by any recorded
         incident (ids must stay unique across crash recovery)."""
-
-        def seq_of(incident_id: str) -> int:
-            _, _, tail = incident_id.rpartition("-")
-            return int(tail) if tail.isdigit() else 0
-
         with self._records_lock:
-            return max(
-                (seq_of(incident_id) for incident_id in self.incidents), default=0
-            ) + 1
+            return max(map(trailing_seq, self.incidents), default=0) + 1
 
     def replace_run(self, run_id: int, record: AppRunRecord) -> Optional[AppRunRecord]:
         """Swap the stored record for ``run_id`` with ``record`` in place.

@@ -144,6 +144,7 @@ class WarpSystem:
         self.network.register(origin, self.server.handle)
         self.conflicts = ConflictQueue()
         self.server.conflict_lookup = self.conflicts.pending_count
+        self.server.admin.add("GET", "/conflicts", self._conflicts_route)
         self.response_cache: Optional[ResponseCache] = None
         if response_cache:
             self.response_cache = ResponseCache(self.runtime, self.graph)
@@ -160,7 +161,6 @@ class WarpSystem:
         #: ``preview(spec)`` / ``register_patch(...)``; also the backing
         #: for the ``/warp/admin/repair`` HTTP endpoints.
         self.repair = RepairJobManager(self)
-        self.server.admin_handler = self.repair.admin.handle
         self.server.admin_token = admin_token
         #: Degraded-mode state machine + ``/warp/admin/health`` payload
         #: (repro.faults.health).  The WAL reports durability failures to
@@ -186,6 +186,34 @@ class WarpSystem:
         #: when this system is one shard of a multi-process deployment.
         self.shard_id: Optional[int] = None
         self.shard_snapshot_path: Optional[str] = None
+        # What a coordinator asks a worker, over the same wire as every
+        # other admin operation (API.md §8, worker-side routes).
+        self.server.admin.add("GET", "/shard/info", self._shard_info_route)
+        self.server.admin.add(
+            "GET", "/shard/touch-summary", self._shard_touch_summary_route
+        )
+        self.server.admin.add("POST", "/shard/save", self._shard_save_route)
+
+    def _conflicts_route(self, request: HttpRequest):
+        return 200, {"pending": [c.to_dict() for c in self.conflicts.pending()]}
+
+    def _shard_info_route(self, request: HttpRequest):
+        return 200, {
+            "shard_id": self.shard_id,
+            "backend": self.db_backend,
+            "n_runs": self.graph.n_runs,
+            "pid": os.getpid(),
+        }
+
+    def _shard_touch_summary_route(self, request: HttpRequest):
+        return 200, self.graph.store.touch_summary()
+
+    def _shard_save_route(self, request: HttpRequest):
+        path = request.params.get("path") or self.shard_snapshot_path
+        if not path:
+            raise RepairError("no snapshot path: not a shard and no 'path' param")
+        self.save(path)
+        return 200, {"saved": path}
 
     def _wire_wal_health(self) -> None:
         """Point the store's current WAL at the health monitor.  Called at
@@ -261,11 +289,14 @@ class WarpSystem:
 
         self.detector = Detector(rules=rules, threshold=threshold)
         self.incidents = IncidentManager(
-            self.graph, self.ttdb, fault_plane=self.faults
+            self.graph,
+            self.ttdb,
+            self.repair,
+            self.server.admin,
+            fault_plane=self.faults,
         )
         self.server.detector = self.detector
         self.server.incident_manager = self.incidents
-        self.repair.admin.incident_manager = self.incidents
         self.detection_refresh_interval = refresh_interval
         if refresh_interval is not None:
             self.preview_refresher = PreviewRefresher(

@@ -220,7 +220,7 @@ class TestIncidentPipeline:
         warp = WarpSystem()
         status, payload = _admin_json(warp, "GET", "/warp/admin/incidents")
         assert status == 404
-        assert "not enabled" in payload["error"]
+        assert "/warp/admin/incidents" in payload["error"]  # unmounted = unknown
 
     def test_flagged_requests_open_and_merge_incidents(self):
         warp, _, clients = _detect_warp()
