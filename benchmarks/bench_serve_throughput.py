@@ -1,33 +1,36 @@
-"""High-throughput serving path: sustained req/s, two deployment tiers.
+"""High-throughput serving path: sustained req/s with and without the
+response cache.
 
 Both arms run in the same process against the same wiki workload (the
 ``bench_online_repair`` mix: 5× GET the edit form / 3× POST an append,
-32 pinned clients over 32 pages) and differ only in options a
+32 pinned clients over 32 pages) and differ only in the one option a
 deployment really chooses between:
 
-* **baseline** — the conservative tier: per-append ``fsync``
-  (``durability="always"``), no response cache;
-* **serving** — the throughput tier: leader-based group commit
-  (``durability="group"``) and the dependency-invalidated response
-  cache.
+* **baseline** — the shipped default: group commit, no response cache;
+* **serving** — the same plus the dependency-invalidated response cache.
 
-Striped store locks and the statement cache are on in both arms (they
-are not options); what either of them bought against the commit before
-it is a commit-against-commit question for ``benchmarks/e2e``.
+Group commit, striped store locks and the statement cache are on in both
+arms (they are not options); what any of them bought against the commit
+before it is a commit-against-commit question for ``benchmarks/e2e``.
 
 The CI gate is the **machine-relative ratio** ``serve_speedup`` (serving
 ÷ baseline sustained req/s at 8 threads), not an absolute figure: shared
 runners vary wildly, and request handling is GIL-serialized whatever
-``cpu_count`` says, so the ratio measures the per-request work the
-throughput tier removes (fsync batching + cache hits), which is the
-portable part of the win.  Absolute rps, p99, cache hit rates and
-``cpu_count`` are recorded as context.
+``cpu_count`` says, so the ratio measures the per-request work cache hits
+remove, which is the portable part of the win.  Absolute rps, p99, cache
+hit rates and ``cpu_count`` are recorded as context.
 
-The measured envelope on the dev container is ~1.8–2.0× (see DESIGN.md
-"High-throughput serving path"), so the CI gate is the committed-
-baseline ratio with the standard tolerance, and the bench hard-fails
-only if the throughput tier stops beating the conservative one at all
-(ratio ≤ 1.2) or drops writes.
+On a 2-CPU host the cache alone reads 0.82–1.12× at 8 threads over
+twenty runs (median 0.99×, DESIGN.md "Measured envelope"): a hit costs
+about half a miss, but every append invalidates its page, so only ~63%
+of GETs hit, and the appends and the fsync wait every request pays
+dominate.  The cache does not pay for itself on this mix, so no
+throughput floor holds here: the bench hard-fails only on what the cache
+must never do — lose or double an acknowledged write, error, or stay
+cold — and CI's committed-baseline gate (check_regression.py) catches
+the ratio falling well below the parity it measures today.  Whether the
+cache stays, and on which mix a floor above 1.0 would hold, is ROADMAP
+item 3(f).
 """
 
 import os
@@ -46,8 +49,8 @@ LOAD_SECONDS = 1.2
 WARMUP_SECONDS = 0.3
 SEED = 21
 
-BASELINE_KNOBS = dict(durability="always")
-SERVING_KNOBS = dict(durability="group", response_cache=True)
+BASELINE_KNOBS = dict()
+SERVING_KNOBS = dict(response_cache=True)
 
 
 def _build(tmp_path, arm, knobs):
@@ -138,19 +141,12 @@ def test_serve_throughput(benchmark, tmp_path):
     )
 
     print_table(
-        "Serving throughput: fsync-per-append vs group commit + response cache",
+        "Serving throughput: group commit vs group commit + response cache",
         ["threads", "base rps", "new rps", "speedup", "base p99ms", "new p99ms"],
         rows,
     )
 
     speedup = payload[f"t{GATE_THREADS}"]["speedup"]
-    # Hard floor: the throughput tier must clearly beat the conservative
-    # one even on the noisiest runner; the committed-baseline ratio gate
-    # (check_regression.py) polices the rest of the envelope.
-    assert speedup >= 1.2, (
-        f"serving path only {speedup:.2f}x over durability=always at "
-        f"{GATE_THREADS} threads"
-    )
     assert payload["response_cache"]["hit_rate"] > 0.2, (
         "response cache never warmed up under the view-heavy mix"
     )

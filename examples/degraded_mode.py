@@ -13,8 +13,8 @@ serving path must not crash and must not lie —
 * ``GET /warp/admin/health`` reports the degradation with the WAL's
   parked-entry backlog;
 * when the disk recovers, the first write **probes, heals, and
-  succeeds** — the parked backlog is flushed in order, durability is
-  restored, no operator action needed;
+  succeeds** — the parked backlog is flushed in seq order ahead of it,
+  no operator action needed;
 * a crash during a snapshot save is recovered by replaying the WAL:
   every acknowledged write survives.
 
@@ -54,12 +54,7 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="warp-degraded-")
     wal_path = os.path.join(workdir, "warp.wal")
     plane = FaultPlane(seed=7)
-    warp = WarpSystem(
-        wal_path=wal_path,
-        durability="always",
-        wal_flush_interval=30.0,
-        fault_plane=plane,
-    )
+    warp = WarpSystem(wal_path=wal_path, fault_plane=plane)
     warp.graph.store.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()

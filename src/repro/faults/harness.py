@@ -24,8 +24,8 @@ default plane): the property under test is that *whatever* state an
 injected failure left on disk, recovery rebuilds a consistent deployment.
 
 Determinism: schedules are generated from a seed, the workload is driven
-sequentially from a seeded RNG, the group-commit safety-net flusher is
-parked (30 s interval — every committed batch is led by its waiter), and
+sequentially from a seeded RNG, every WAL batch is committed by the
+waiter that holds the log's I/O lock (the log starts no thread), and
 degraded-mode transitions are probe-on-write.  Replaying a schedule
 reproduces the same fault firings byte-for-byte.
 """
@@ -68,10 +68,9 @@ _REQUEST_RATE_POINTS = ("wal.append", "wal.fsync", "store.insert_run")
 
 
 def generate_schedule(seed: int) -> dict:
-    """One reproducible fault schedule.  Biased toward ``group``
-    durability (the interesting crash windows live in the group-commit
-    leader's write) and toward WAL-level faults (every schedule exercises
-    the journal; higher-level points ride along)."""
+    """One reproducible fault schedule.  Biased toward WAL-level faults
+    (every schedule exercises the journal; higher-level points ride
+    along)."""
     rng = random.Random(seed)
     points = sorted(_POINT_KINDS)
     faults = []
@@ -93,7 +92,6 @@ def generate_schedule(seed: int) -> dict:
         faults.append(fault)
     return {
         "seed": seed,
-        "durability": rng.choice(("group", "group", "always")),
         "online_gate": rng.random() < 0.3,
         "response_cache": rng.random() < 0.5,
         "repair_at": rng.randint(8, 20) if rng.random() < 0.6 else None,
@@ -157,13 +155,10 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
 
     plane = FaultPlane.from_schedule(schedule)
     report = HarnessReport(seed=seed, schedule=schedule)
+    # A schedule saved when durability was drawn still carries the key;
+    # every schedule runs on the default group commit.
     warp = WarpSystem(
         wal_path=wal_path,
-        durability=schedule.get("durability", "group"),
-        # Park the safety-net flusher: every committed batch is led by its
-        # waiter, so the fault hit sequence is a pure function of the
-        # request sequence.
-        wal_flush_interval=30.0,
         fault_plane=plane,
         response_cache=bool(schedule.get("response_cache")),
     )
@@ -249,8 +244,9 @@ def _drive(warp, schedule, clients, report, snap_path, interrupted_job_ids):
             raise
         except Exception as exc:
             # A handler-level injected error: the request failed, nothing
-            # was acked.  A closed WAL means an earlier crash landed in a
-            # background committer — stop driving, the process is dead.
+            # was acked.  A closed WAL means an earlier crash landed on
+            # another thread (a repair job's commit) — stop driving, the
+            # process is dead.
             report.notes.append(f"step {step}: {exc!r}")
             wal = warp.graph.store.wal
             if wal is not None and wal._closed:

@@ -14,8 +14,8 @@ Two modes, deterministic transitions (DESIGN.md "Failure model"):
     of raising.
 
 Self-healing is **probe-on-write**: every refused write first attempts
-``RecordWal.heal()`` — truncate torn garbage, replay the parked backlog,
-restore the configured durability.  The first write after the fault
+``RecordWal.heal()`` — truncate torn garbage, replay the parked backlog
+in seq order.  The first write after the fault
 clears therefore both flushes the backlog and succeeds itself.  No
 background thread: transitions happen only on request/admin activity, so
 every fault schedule replays deterministically.

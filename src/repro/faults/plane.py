@@ -60,7 +60,7 @@ FAULT_KINDS = ("io", "disk_full", "error", "crash", "torn", "stall")
 #: "Failure model" section of DESIGN.md; tests assert membership so a
 #: renamed point cannot silently orphan its schedules.
 FAULT_POINTS = (
-    "wal.append",  # WAL line write (inline or group-commit leader batch)
+    "wal.append",  # WAL batch write (by the waiter holding the I/O lock)
     "wal.fsync",  # fsync after a WAL write
     "store.insert_run",  # record-store run insertion under stripe locks
     "store.snapshot",  # snapshot file write (between marker and payload)

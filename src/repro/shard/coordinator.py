@@ -123,8 +123,14 @@ class ShardCoordinator:
         table.add("GET", "/shard/repair/<dist_id>", self._repair_status_route)
         table.add("POST", "/shard/repair/<dist_id>/resubmit", self._resubmit_route)
         table.miss = self._forward_to_shard
-        if journal_path is not None:
-            for entry in self._journal_entries():
+        if journal_path is not None and os.path.exists(journal_path):
+            entries, intact = self._read_journal()
+            # A coordinator that died mid-append left a torn fragment: cut
+            # it before anything is appended, or the next entry would be
+            # glued onto it and that line — and every line after it —
+            # would never read back.
+            os.truncate(journal_path, intact)
+            for entry in entries:
                 if entry.get("event") == "start":
                     self._dist_seq = max(
                         self._dist_seq, trailing_seq(str(entry.get("dist")))
@@ -408,7 +414,7 @@ class ShardCoordinator:
         rebuilt coordinator must :meth:`resubmit`.  Mirrors the worker-side
         ``interrupted_jobs`` report."""
         started: Dict[str, dict] = {}
-        for entry in self._journal_entries():
+        for entry in self._read_journal()[0]:
             dist = entry.get("dist")
             event = entry.get("event")
             if event == "start":
@@ -588,21 +594,24 @@ class ShardCoordinator:
                 fh.flush()
                 os.fsync(fh.fileno())
 
-    def _journal_entries(self) -> List[dict]:
-        if self.journal_path is None or not os.path.exists(self.journal_path):
-            return []
+    def _read_journal(self) -> Tuple[List[dict], int]:
+        """Every intact entry and the byte length of the intact prefix."""
         entries: List[dict] = []
-        with open(self.journal_path, "r", encoding="utf-8") as fh:
+        intact = 0
+        if self.journal_path is None or not os.path.exists(self.journal_path):
+            return entries, intact
+        with open(self.journal_path, "rb") as fh:
             for line in fh:
                 # A torn tail line (coordinator died mid-append) is not an
                 # entry, same contract as the record WAL.
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     break
                 try:
                     entries.append(json.loads(line))
-                except json.JSONDecodeError:
+                except ValueError:
                     break
-        return entries
+                intact += len(line)
+        return entries, intact
 
     def close(self) -> None:
         for thread in self._async_threads.values():

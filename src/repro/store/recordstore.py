@@ -366,8 +366,9 @@ class RecordStore:
     ) -> None:
         """Wait (outside every stripe) until the mutation's journal entry
         is durable, then fire size-triggered rotation if the log has grown
-        past its bound.  With group commit this wait is where concurrent
-        writers share one fsync; the stripes are never held across it.
+        past its bound.  This wait is where the entry is written and where
+        concurrent writers share one fsync; the stripes are never held
+        across it.
 
         A False from ``wait`` — timed-out group commit, closed log, or a
         write parked behind a disk failure — means the entry is NOT on
@@ -378,7 +379,7 @@ class RecordStore:
 
         ``relaxed`` is the caller's snapshot of ``relaxed_durability``
         taken *before* journaling.  The WAL's degrade callback fires from
-        inside the failing append, so by the time the triggering
+        inside the failing commit, so by the time the triggering
         mutation's wait returns False the live flag is already True —
         reading it here would falsely acknowledge the very write that
         broke the log.  Degradation only excuses mutations that started
@@ -1177,7 +1178,7 @@ class RecordStore:
         """Replay journaled entries onto this store, then attach the WAL
         for future appends (attachment must come last so replayed entries
         are not re-journaled).  ``wal_options`` are passed to the fresh
-        :class:`RecordWal` (durability / flush knobs survive a reload).
+        :class:`RecordWal` (its durability survives a reload).
         Returns the number of entries applied.
 
         ``snapshot_id`` ties replay to the snapshot the store was built

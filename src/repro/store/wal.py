@@ -6,46 +6,34 @@ replays the log over the most recent snapshot; ``truncate`` is called
 after a snapshot has been written, because the snapshot supersedes every
 entry logged so far.
 
-Durability is configurable per log (``REPRO_WAL_DURABILITY`` overrides
-the default for a whole process, which is how the crash-injection suite
-is re-run under group commit):
+One commit path.  ``append`` assigns the entry a seq, buffers its line
+and returns a :class:`CommitTicket`; it never writes.  An entry is
+durable once its ticket's ``wait()`` returns True.  ``wait`` queues on
+the I/O lock, and the waiter holding it commits the whole buffer — its
+own entry and every entry appended before it — as one write and one
+fsync; the waiters queued behind it then find their entries durable and
+return.  A lone committer pays exactly one fsync, N concurrent
+committers share one, and the log starts no thread: an entry nobody
+waits on is written by the next waiter's commit or by ``close()``.  The
+record store waits on every ticket before acknowledging a mutation, so
+an acknowledged mutation is on disk.
 
-* ``always`` — every ``append`` writes, flushes and fsyncs inline before
-  returning.  One fsync per entry: the seed behavior, kept as the
-  conservative reference.
-* ``group``  — appends are buffered; ``append`` returns a
-  :class:`CommitTicket` and an entry is only *durable* once its ticket's
-  ``wait()`` returns True.  Commit is **leader-based**: the first waiter
-  to take the I/O lock writes and fsyncs the whole buffer — its own entry
-  plus every concurrent committer's — inline, and the followers it
-  covered wake durable.  A lone committer therefore pays exactly one
-  inline fsync (``always`` latency, no thread handoff), while N
-  concurrent committers share one.  A background flusher thread remains
-  as the safety net that bounds the durability lag of entries nobody
-  waits on (one batch per ``flush_interval``).
-* ``none``   — write + flush only (survives process death via the OS page
-  cache, not power loss).  For benchmarks and ablations.
-
-Crash window under ``group``: entries whose tickets were never waited on
-may be lost on power failure — exactly the classic group-commit contract.
-The record store waits on every ticket before acknowledging a mutation to
-its caller, so *acknowledged* durability is identical across modes; only
-the fsync schedule differs.
+``durability`` decides only the fsync: ``"group"`` (the default) fsyncs
+every commit; ``"none"`` writes and flushes only (survives process death
+via the OS page cache, not power loss) — for benchmarks and tests.
 
 Failure model (see DESIGN.md "Failure model").  ``append`` never raises
 I/O errors.  A write or fsync failure is first retried with capped
 exponential backoff (``_IO_RETRIES`` × ``_IO_BACKOFF``); if the disk stays
-sick the affected lines are **parked** in memory, the log is marked
-``failed``, and — escalation ladder, middle rung — ``group`` durability
-escalates to ``always`` so every subsequent append probes the disk
-inline instead of batching behind a broken leader.  Parked entries make
-their tickets' ``wait()`` return False, which the record store surfaces
-as a :class:`~repro.core.errors.DurabilityError` (top rung: the serving
-layer flips to read-only).  ``heal()`` truncates any torn garbage back
-to the last known-good byte, replays the parked lines — merged, in seq
-order, with anything still sitting in the group-commit buffer from the
-failure window — through the normal write path, and restores the
-configured durability: self-healing once the fault clears.
+sick the batch is **parked** in memory and the log is marked ``failed``.
+Parked entries make their tickets' ``wait()`` return False, which the
+record store surfaces as a :class:`~repro.core.errors.DurabilityError`
+(the serving layer flips to read-only).  A commit on a failed log heals
+first: ``heal()`` truncates any torn garbage back to the last known-good
+byte and replays the parked lines — merged, in seq order, with the
+buffered ones — through the normal write path, so the log heals itself
+once the fault clears; while the disk stays sick the commit parks its
+batch behind the earlier ones.
 
 Fault points fired here: ``wal.append`` (before each physical write) and
 ``wal.fsync`` (before each fsync).  A ``torn`` fault persists a prefix
@@ -61,7 +49,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from time import monotonic as _monotonic
 from time import sleep as _sleep
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
@@ -69,10 +56,7 @@ from repro.core.serialize import COMPACT
 from repro.faults.plane import FaultPlane, SimulatedCrash, TornWrite
 from repro.faults.plane import active as _active_plane
 
-_DURABILITY_MODES = ("always", "group", "none")
-#: Group mode: buffered entries at which the background flusher stops
-#: absorbing its batch window and commits.
-_FLUSH_MAX_ENTRIES = 128
+_DURABILITY_MODES = ("group", "none")
 #: A failed write or fsync is retried this many times, sleeping
 #: ``_IO_BACKOFF`` doubled per attempt and capped, before it is parked.
 _IO_RETRIES = 2
@@ -105,31 +89,25 @@ def decode_line(line) -> Tuple[str, dict, Optional[str]]:
 
 class CommitTicket:
     """Handle for one appended entry; ``wait()`` blocks until the entry is
-    durable per the log's policy.  Tickets from a detached store are
-    pre-resolved."""
+    durable."""
 
     __slots__ = ("seq", "_wal")
 
-    def __init__(self, seq: int, wal: Optional["RecordWal"]) -> None:
+    def __init__(self, seq: int, wal: "RecordWal") -> None:
         self.seq = seq
         self._wal = wal
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until durable.  Returns False when the entry cannot be
-        made durable: a timed-out group commit, a closed log, or a write
-        parked behind a disk failure.  Callers MUST NOT acknowledge the
-        mutation on False (see ``RecordStore._finish``)."""
-        if self._wal is None:
-            return True
+        made durable: the wait timed out queueing for the log, the log is
+        closed, or the write is parked behind a disk failure.  Callers
+        MUST NOT acknowledge the mutation on False (see
+        ``RecordStore._finish``)."""
         return self._wal.wait_durable(self.seq, timeout)
 
     @property
     def done(self) -> bool:
-        return self._wal is None or self._wal.is_durable(self.seq)
-
-
-#: Shared pre-resolved ticket (detached stores, tests).
-_RESOLVED = CommitTicket(0, None)
+        return self._wal.is_durable(self.seq)
 
 
 class RecordWal:
@@ -139,24 +117,16 @@ class RecordWal:
     def __init__(
         self,
         path: str,
-        durability: Optional[str] = None,
-        flush_interval: float = 0.002,
+        durability: str = "group",
         fault_plane: Optional[FaultPlane] = None,
         intact_size: Optional[int] = None,
     ) -> None:
-        if durability is None:
-            durability = os.environ.get("REPRO_WAL_DURABILITY", "always")
         if durability not in _DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {_DURABILITY_MODES}, got {durability!r}"
             )
         self.path = path
         self.durability = durability
-        #: The policy asked for at construction; ``durability`` may be
-        #: escalated (group → always) while the log is failed and is
-        #: restored to this on heal/truncate.
-        self.configured_durability = durability
-        self.flush_interval = flush_interval
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         directory = os.path.dirname(path)
         if directory:
@@ -179,19 +149,16 @@ class RecordWal:
         #: back to it before rewriting (JSON is ASCII, so str len == bytes).
         self._good_size = os.path.getsize(path)
 
-        # Group-commit state.  Lock order: _io_lock before _lock.  Every
-        # committer (leader or flusher) captures the buffer *under the I/O
-        # lock* — with multiple committers that is what keeps the file in
-        # append (seq) order and makes a batch atomic against truncation.
+        # Commit state.  Lock order: _io_lock before _lock.  The I/O lock
+        # is the commit queue: whoever holds it is the only writer, and it
+        # captures the buffer *under* it — that keeps the file in append
+        # (seq) order and makes a batch atomic against truncation.
         self._lock = threading.Lock()
-        self._flush_cond = threading.Condition(self._lock)
-        self._durable_cond = threading.Condition(self._lock)
         self._io_lock = threading.RLock()
         self._buffer: List[Tuple[int, str]] = []
         self._next_seq = 1
         self._durable_seq = 0
         self._closed = False
-        self._flusher: Optional[threading.Thread] = None
 
         # Degradation state (guarded by _lock unless noted).
         self.failed = False
@@ -210,52 +177,13 @@ class RecordWal:
     def append(
         self, kind: str, data: Optional[dict] = None, *, text: Optional[str] = None
     ) -> CommitTicket:
-        """Journal one entry.  ``text`` is ``data`` already encoded (a
+        """Buffer one entry and return its ticket; a ticket's ``wait`` (or
+        ``close``) writes it.  ``text`` is ``data`` already encoded (a
         run's codec text, which the store keeps for the snapshot): it is
         spliced into the line instead of encoding ``data`` again."""
         if text is None:
             text = json.dumps(data, separators=COMPACT)
         line = entry_line(kind, text)
-        if self.durability != "group":
-            with self._io_lock:
-                with self._lock:
-                    if self._closed:
-                        raise ValueError("append to a closed WAL")
-                    seq = self._next_seq
-                    self._next_seq = seq + 1
-                    self.appended_bytes += len(line)
-                # Probe-on-write: a failed log tries to heal before taking
-                # new work, so the first write after the fault clears both
-                # flushes the parked backlog and succeeds itself.
-                if self.failed and not self._heal_locked():
-                    self._park([(seq, line)])
-                    return CommitTicket(seq, self)
-                # Entries still sitting in the group-commit buffer (queued
-                # during a flusher's failure window before escalation, or
-                # by a concurrent append racing a heal's durability
-                # restore) all predate this seq and are not on disk yet:
-                # commit them first so the file stays in seq order and the
-                # watermark advance below cannot cover an unwritten entry.
-                with self._lock:
-                    drain = bool(self._buffer)
-                if drain:
-                    self._commit_buffer()
-                    if self.failed:
-                        # The drain parked its batch: queue behind it in
-                        # seq order instead of writing ahead of it.
-                        self._park([(seq, line)])
-                        return CommitTicket(seq, self)
-                try:
-                    # configured, not current: a heal above may have just
-                    # restored group durability, but this entry is being
-                    # written inline and acked, so it must reach disk now.
-                    self._write_payload(line, fsync=self.configured_durability != "none")
-                except OSError as exc:
-                    self._park([(seq, line)], exc)
-                    return CommitTicket(seq, self)
-                with self._lock:
-                    self._advance_durable_locked(seq)
-            return CommitTicket(seq, self)
         with self._lock:
             if self._closed:
                 raise ValueError("append to a closed WAL")
@@ -263,55 +191,28 @@ class RecordWal:
             self._next_seq = seq + 1
             self._buffer.append((seq, line))
             self.appended_bytes += len(line)
-            if self._flusher is None:
-                self._flusher = threading.Thread(
-                    target=self._flush_loop, name="wal-flusher", daemon=True
-                )
-                self._flusher.start()
-            elif len(self._buffer) == 1:
-                # Wake the safety-net flusher only on empty→non-empty: it
-                # bounds the durability lag of unwaited entries, and one
-                # wakeup per batch is enough for that.
-                self._flush_cond.notify()
         return CommitTicket(seq, self)
 
     def wait_durable(self, seq: int, timeout: Optional[float] = None) -> bool:
-        deadline = None if timeout is None else _monotonic() + timeout
-        while True:
-            with self._lock:
-                if self._durable_seq >= seq:
-                    return True
-                if seq in self._parked_seqs:
-                    return False
-                if self._closed:
-                    return False
-            if deadline is not None and _monotonic() >= deadline:
-                with self._lock:
-                    return self._durable_seq >= seq
-            # Leader election: the first committer to take the I/O lock
-            # commits the whole buffer inline (everyone's entries, one
-            # fsync); the rest become followers and block below until the
-            # leader's notify — or, if their entry arrived after the
-            # leader captured the buffer, loop and lead the next batch.
-            if self._io_lock.acquire(blocking=False):
-                try:
-                    self._commit_buffer()
-                finally:
-                    self._io_lock.release()
-                continue
-            with self._lock:
-                if (
-                    self._durable_seq >= seq
-                    or self._closed
-                    or seq in self._parked_seqs
-                ):
-                    continue
-                if deadline is None:
-                    self._durable_cond.wait()
-                else:
-                    remaining = deadline - _monotonic()
-                    if remaining > 0:
-                        self._durable_cond.wait(remaining)
+        """Block until entry ``seq`` is durable.  Waiters queue on the I/O
+        lock; the holder commits the buffer unless a commit ahead of it
+        already covered its entry.  A waiter blocked in ``acquire`` cannot
+        miss the release that follows that commit, so nobody sleeps past
+        their own entry.  ``timeout`` bounds the queueing; a commit once
+        started runs to the end (its retries are bounded)."""
+        if not self._io_lock.acquire(timeout=-1 if timeout is None else timeout):
+            return self.is_durable(seq)
+        try:
+            # The watermark, the parked set and the closed flag change
+            # only under the I/O lock, which this thread now holds: no
+            # ``_lock`` needed to read them.
+            if not (
+                self._durable_seq >= seq or self._closed or seq in self._parked_seqs
+            ):
+                self._commit_buffer()
+            return self._durable_seq >= seq
+        finally:
+            self._io_lock.release()
 
     def is_durable(self, seq: int) -> bool:
         with self._lock:
@@ -321,17 +222,16 @@ class RecordWal:
         """Advance the durable watermark to ``candidate``, clamped below
         any parked *or still-buffered* entry.  Caller holds ``_lock``.
         ``_durable_seq`` is a watermark — every seq at or below it must
-        be on disk — so an entry sitting in the group-commit buffer
-        (written by nobody yet) bounds it exactly like a parked one;
-        landing above it would falsely resolve the buffered entry's
-        ticket and ack a mutation that was never fsynced."""
+        be on disk — so an entry sitting in the buffer (written by nobody
+        yet) bounds it exactly like a parked one; landing above it would
+        falsely resolve the buffered entry's ticket and ack a mutation
+        that was never written."""
         if self._parked_seqs:
             candidate = min(candidate, min(self._parked_seqs) - 1)
         if self._buffer:
             candidate = min(candidate, min(seq for seq, _ in self._buffer) - 1)
         if candidate > self._durable_seq:
             self._durable_seq = candidate
-            self._durable_cond.notify_all()
 
     def sync(self, timeout: Optional[float] = None) -> bool:
         """Wait until everything appended so far is durable.  False when
@@ -342,13 +242,52 @@ class RecordWal:
 
     # ------------------------------------------------------------------ physical I/O
 
-    def _write_payload(self, data: str, fsync: bool = True) -> None:
-        """Write + flush (+ fsync) under ``_io_lock``, firing the WAL fault
-        points and retrying transient I/O errors with capped exponential
-        backoff.  On persistent failure the file is rewound to the last
-        known-good byte (no torn garbage survives) and the error is raised
-        for the caller to park.  Raises ``SimulatedCrash`` on injected
-        process death."""
+    def _commit_buffer(self) -> None:
+        """Write everything buffered as one batch, fsynced unless
+        ``durability`` is ``"none"``.  Caller holds ``_io_lock``:
+        capturing the buffer under the I/O lock is what keeps the file in
+        seq order, and makes the batch atomic against ``truncate`` (which
+        also holds it) — a captured batch can never straddle a
+        truncation, so no entry is ever resurrected into the fresh file
+        after its snapshot.
+
+        A failed log heals first, which replays the parked and buffered
+        lines in seq order; if the disk is still sick the batch is parked
+        behind the earlier failures.  Never raises I/O errors: a failed
+        batch is parked and its waiters observe False through their
+        tickets.  ``SimulatedCrash`` does propagate — it models process
+        death, not an error to handle."""
+        healthy = not self.failed or self._heal_locked()
+        with self._lock:
+            batch = self._buffer
+            self._buffer = []
+        if not batch:
+            # Nothing captured — do NOT advance the durable watermark.  An
+            # empty buffer does not mean everything is durable: a commit
+            # that crashed took its captured batch down with it
+            # (_mark_crashed cleared the buffer), and advancing here would
+            # mark those never-written entries durable and falsely ack
+            # their waiters.
+            return
+        if not healthy:
+            self._park(batch)
+            return
+        try:
+            self._write_payload("".join([line for _, line in batch]))
+        except OSError as exc:
+            self._park(batch, exc)
+            return
+        with self._lock:
+            self._advance_durable_locked(max(seq for seq, _ in batch))
+
+    def _write_payload(self, data: str) -> None:
+        """Write + flush (+ fsync unless ``durability`` is ``"none"``)
+        under ``_io_lock``, firing the WAL fault points and retrying
+        transient I/O errors with capped exponential backoff.  On
+        persistent failure the file is rewound to the last known-good byte
+        (no torn garbage survives) and the error is raised for the caller
+        to park.  Raises ``SimulatedCrash`` on injected process death."""
+        fsync = self.durability != "none"
         attempt = 0
         while True:
             try:
@@ -407,22 +346,18 @@ class RecordWal:
             self._fh = open(os.devnull, "a", encoding="utf-8")
 
     def _mark_crashed(self) -> None:
-        """Injected process death: unflushed buffered entries are lost and
-        every waiter unblocks with False, exactly as if the process had
-        been killed."""
+        """Injected process death: buffered entries are lost and every
+        waiter gets False, exactly as if the process had been killed."""
         with self._lock:
             self._closed = True
             self._buffer = []
-            self._flush_cond.notify_all()
-            self._durable_cond.notify_all()
 
     # ------------------------------------------------------------------ degradation
 
     def _park(self, entries: List[Tuple[int, str]], exc: Optional[BaseException] = None) -> None:
-        """Retries exhausted: hold the lines in memory, mark the log
-        failed, and escalate ``group`` durability to ``always``.  Never
-        raises — durability failures surface through tickets (False), not
-        through ``append``."""
+        """Retries exhausted: hold the lines in memory and mark the log
+        failed.  Never raises — durability failures surface through
+        tickets (False), not through ``append``."""
         callback = None
         with self._lock:
             self._parked.extend(entries)
@@ -432,13 +367,7 @@ class RecordWal:
             if not self.failed:
                 self.failed = True
                 self.degraded_events += 1
-                if self.durability == "group":
-                    # Escalation ladder, middle rung: batching behind a
-                    # broken leader would just grow the parked backlog;
-                    # inline appends probe the disk on every write instead.
-                    self.durability = "always"
                 callback = self.on_degrade
-            self._durable_cond.notify_all()
         if callback is not None:
             try:
                 callback(self.last_error)
@@ -447,9 +376,9 @@ class RecordWal:
 
     def heal(self) -> bool:
         """Probe the disk and flush the parked backlog; True when the log
-        is healthy again.  Called by the health monitor's probe-on-write
-        and by inline appends that find the log failed.  Safe to call on a
-        healthy log (no-op probe)."""
+        is healthy again.  Called by the health monitor's probe-on-write;
+        every commit on a failed log does the same first.  Safe to call on
+        a healthy log (no-op probe)."""
         with self._io_lock:
             return self._heal_locked()
 
@@ -473,17 +402,14 @@ class RecordWal:
         except OSError:
             pass
         self._fh = fresh
-        # Replay the parked lines *and* anything still sitting in the
-        # group-commit buffer, merged in seq order: an inline park can
-        # carry a higher seq than entries buffered during the flusher's
-        # failure window (and a leader batch parked behind an inline park
-        # lands out of list order), so replaying the parked list alone —
-        # or in list order — would put entries on disk out of seq order
-        # and recovery would replay the mutations in the wrong order.
+        # Replay the parked lines *and* the buffered ones, merged in seq
+        # order: parking happens batch by batch, so replaying the parked
+        # list alone — or in list order — could put entries on disk out of
+        # seq order and recovery would replay the mutations in the wrong
+        # order.
         pending = sorted(parked + buffered)
-        payload = "".join(line for _, line in pending)
         try:
-            self._write_payload(payload, fsync=self.configured_durability != "none")
+            self._write_payload("".join(line for _, line in pending))
         except OSError as exc:
             self.last_error = exc
             return False
@@ -495,7 +421,6 @@ class RecordWal:
             if not self._parked:
                 self.failed = False
                 self.last_error = None
-                self.durability = self.configured_durability
                 self.healed_events += 1
             if pending:
                 self._advance_durable_locked(max(seq for seq, _ in pending))
@@ -507,7 +432,6 @@ class RecordWal:
             return {
                 "path": self.path,
                 "durability": self.durability,
-                "configured_durability": self.configured_durability,
                 "failed": self.failed,
                 "parked_entries": len(self._parked),
                 "buffered_entries": len(self._buffer),
@@ -517,77 +441,6 @@ class RecordWal:
                 "healed_events": self.healed_events,
                 "last_error": repr(self.last_error) if self.last_error else None,
             }
-
-    # ------------------------------------------------------------------ flusher
-
-    def _flush_loop(self) -> None:
-        """Safety net for entries nobody waits on: absorb a batch window,
-        then commit whatever the leaders have not already taken."""
-        while True:
-            with self._lock:
-                while not self._buffer and not self._closed:
-                    self._flush_cond.wait()
-                if self._closed and not self._buffer:
-                    return
-                if self.flush_interval > 0 and not self._closed:
-                    deadline = _monotonic() + self.flush_interval
-                    while (
-                        self._buffer
-                        and not self._closed
-                        and len(self._buffer) < _FLUSH_MAX_ENTRIES
-                    ):
-                        remaining = deadline - _monotonic()
-                        if remaining <= 0:
-                            break
-                        self._flush_cond.wait(remaining)
-            try:
-                with self._io_lock:
-                    self._commit_buffer()
-            except SimulatedCrash:
-                # Injected process death on the flusher thread: the waiters
-                # were already unblocked by _mark_crashed; the thread exits
-                # like the process it is standing in for.
-                return
-
-    def _commit_buffer(self) -> None:
-        """Write and fsync everything buffered, as one batch.  Caller must
-        hold ``_io_lock``: capturing the buffer under the I/O lock is what
-        keeps the file in seq order with concurrent committers, and makes
-        the batch atomic against ``truncate`` (which also holds it) — a
-        captured batch can never straddle a truncation, so no entry is
-        ever resurrected into the fresh file after its snapshot.
-
-        Never raises I/O errors (the flusher must survive a sick disk): a
-        failed batch is parked and its waiters observe False through their
-        tickets.  ``SimulatedCrash`` does propagate — it models process
-        death, not an error to handle."""
-        with self._lock:
-            batch = self._buffer
-            self._buffer = []
-        if not batch:
-            # Nothing captured — do NOT advance the durable watermark.  An
-            # empty buffer does not mean everything is durable: a leader
-            # that crashed mid-commit took its captured batch down with it
-            # (_mark_crashed cleared the buffer), and advancing here would
-            # mark those never-fsynced entries durable and falsely ack
-            # their waiters.
-            return
-        if self.failed:
-            # Already degraded: park behind the earlier failures so
-            # heal replays everything in seq order.
-            self._park(batch)
-            return
-        try:
-            self._write_payload("".join(line for _, line in batch), fsync=True)
-        except OSError as exc:
-            self._park(batch, exc)
-            return
-        with self._lock:
-            # Advance to the batch's own top seq, not _next_seq - 1: an
-            # inline append may have allocated a higher seq it has not
-            # written yet (its write happens under the _io_lock we hold,
-            # after this drain).
-            self._advance_durable_locked(max(seq for seq, _ in batch))
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -604,11 +457,8 @@ class RecordWal:
                 self._parked_seqs.clear()
                 self._durable_seq = self._next_seq - 1
                 self.appended_bytes = 0
-                if self.failed:
-                    self.failed = False
-                    self.last_error = None
-                    self.durability = self.configured_durability
-                self._durable_cond.notify_all()
+                self.failed = False
+                self.last_error = None
             try:
                 self._fh.close()
             except OSError:
@@ -617,21 +467,12 @@ class RecordWal:
             self._good_size = 0
 
     def close(self) -> None:
-        flusher = None
-        with self._lock:
-            self._closed = True
-            self._flush_cond.notify_all()
-            self._durable_cond.notify_all()
-            flusher = self._flusher
-        if flusher is not None:
-            flusher.join(timeout=5.0)
-        # Drain anything the flusher did not get to (e.g. it was never
-        # started, or timed out above), then close the file.  A failed log
-        # gets one last heal attempt so parked entries are not silently
-        # dropped when the fault has already cleared.
+        """Refuse further appends, commit what is buffered — a failed log
+        gets one last heal first, so parked entries are not silently
+        dropped when the fault has already cleared — and close the file."""
         with self._io_lock:
-            if self.failed:
-                self._heal_locked()
+            with self._lock:
+                self._closed = True
             self._commit_buffer()
             try:
                 self._fh.close()

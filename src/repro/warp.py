@@ -71,8 +71,7 @@ class WarpSystem:
         replay_config: Optional[ReplayConfig] = None,
         wal_path: Optional[str] = None,
         admin_token: Optional[str] = None,
-        durability: Optional[str] = None,
-        wal_flush_interval: float = 0.002,
+        durability: str = "group",
         wal_rotate_bytes: Optional[int] = None,
         wal_rotate_snapshot: Optional[str] = None,
         response_cache: bool = False,
@@ -88,15 +87,9 @@ class WarpSystem:
         #: unless a test arms rules on it.
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         #: Serving-path configuration (API.md "High-throughput serving").
-        #: ``durability=None`` defers to ``REPRO_WAL_DURABILITY``/"always".
         self.durability = durability
-        self.wal_flush_interval = wal_flush_interval
         self.wal_rotate_bytes = wal_rotate_bytes
-        self._wal_options = {
-            "durability": durability,
-            "flush_interval": wal_flush_interval,
-            "fault_plane": self.faults,
-        }
+        self._wal_options = {"durability": durability, "fault_plane": self.faults}
         self.clock = LogicalClock()
         self.ids = IdAllocator()
         self.rng = random.Random(seed)
@@ -164,8 +157,9 @@ class WarpSystem:
         self.server.admin_token = admin_token
         #: Degraded-mode state machine + ``/warp/admin/health`` payload
         #: (repro.faults.health).  The WAL reports durability failures to
-        #: it directly so unwaited (flusher-committed) entries also flip
-        #: serving read-only, not just acknowledged writes.
+        #: it directly, from inside the failing commit, so serving flips
+        #: read-only on the fault itself — whichever waiter's commit hit
+        #: it — not only when an acknowledged write's wait surfaces it.
         self.health = HealthMonitor(self)
         self.server.health = self.health
         self._wire_wal_health()
@@ -418,7 +412,6 @@ class WarpSystem:
             # tuned for group commit + caching keeps that envelope.
             "serving_config": {
                 "durability": self.durability,
-                "wal_flush_interval": self.wal_flush_interval,
                 "wal_rotate_bytes": self.wal_rotate_bytes,
                 "response_cache": self.response_cache is not None,
             },
@@ -486,14 +479,20 @@ class WarpSystem:
         state = snapshot.header
         serving = state.get("serving_config", {})
         storage = state.get("storage_config", {})
+        # An older header may name the removed fsync-per-append policy or
+        # null (the default then): both load on group commit.  Any other
+        # value goes to the WAL as written, which refuses what it does not
+        # know.
+        durability = serving.get("durability")
+        if durability in (None, "always"):
+            durability = "group"
         warp = cls(
             origin=state["origin"],
             enabled=state["enabled"],
             replay_config=replay_config,
             db_backend=snapshot_backend(state),
             db_path=storage.get("db_path"),
-            durability=serving.get("durability"),
-            wal_flush_interval=serving.get("wal_flush_interval", 0.002),
+            durability=durability,
             wal_rotate_bytes=serving.get("wal_rotate_bytes"),
             response_cache=serving.get("response_cache", False),
         )

@@ -51,7 +51,7 @@ GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
 FORMAT2_SNAPSHOT = os.path.join(HERE, "warp_format2.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
-#: The six config keys PR 14 stopped persisting, at non-default values.
+#: Config keys a snapshot no longer persists, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
 
 COUNTERS = (

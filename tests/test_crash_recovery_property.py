@@ -73,6 +73,15 @@ def test_report_serializes(tmp_path):
     assert "violations" in doc and not doc["violations"]
 
 
+def test_saved_schedule_with_a_durability_key_still_runs(tmp_path):
+    # Schedules no longer draw a durability; one saved when they did runs
+    # on the one commit path.
+    schedule = generate_schedule(5)
+    assert "durability" not in schedule
+    schedule["durability"] = "always"
+    assert run_schedule(schedule, str(tmp_path)).ok
+
+
 # ---------------------------------------------------------------------------
 # coordinator crash mid-fan-out (repro.shard): the distributed analogue of
 # the interrupted-job invariant — a coordinator that dies between shard
@@ -85,6 +94,7 @@ from repro.faults.plane import FaultPlane, SimulatedCrash  # noqa: E402
 from repro.http.message import HttpRequest  # noqa: E402
 from repro.repair.api import CancelClientSpec  # noqa: E402
 from repro.shard import ShardCluster  # noqa: E402
+from repro.shard.coordinator import ShardCoordinator  # noqa: E402
 
 
 def _shard_jobs(cluster, shard):
@@ -235,3 +245,30 @@ def test_unacknowledged_dispatch_reconciles_against_worker_journal(tmp_path):
         _assert_ground_truth_clean(cluster)
     finally:
         cluster.close()
+
+
+def test_reborn_coordinator_drops_a_torn_journal_tail(tmp_path):
+    """A coordinator that died mid-append left a torn fragment.  The
+    reborn coordinator must not glue its entries onto it: that line, and
+    every entry after it, would be invisible to the next reader — which
+    would then miss the repair started after the crash and reissue its
+    dist id."""
+    journal = str(tmp_path / "coordinator.journal")
+    spec = CancelClientSpec(client_id="mallory-c").to_dict()
+
+    def coordinator():
+        return ShardCoordinator({0: None}, journal_path=journal)
+
+    crashed = coordinator()
+    crashed._journal({"event": "start", "dist": "dist-1", "spec": spec, "targets": [0]})
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write('{"event": "dispatching", "dist": "dist-1", "sh')  # torn
+    reborn = coordinator()
+    reborn._journal({"event": "start", "dist": "dist-2", "spec": spec, "targets": [0]})
+    reborn._journal({"event": "shard_done", "dist": "dist-2", "shard": 0, "status": "done"})
+
+    reader = coordinator()
+    assert [r["dist_id"] for r in reader.interrupted()] == ["dist-1", "dist-2"]
+    assert reader.interrupted()[1]["shards"] == {0: {"status": "done"}}
+    # The next repair this coordinator starts is dist-3.
+    assert reader._dist_seq == 2

@@ -303,9 +303,7 @@ class TestIncidentPipeline:
 
 class TestIncidentDurability:
     def test_incidents_and_previews_survive_save_load(self, tmp_path):
-        warp, _, clients = _detect_warp(
-            wal_path=str(tmp_path / "wal.jsonl"), durability="always"
-        )
+        warp, _, clients = _detect_warp(wal_path=str(tmp_path / "wal.jsonl"))
         _inject(clients["alice"])
         assert warp.incidents.refresh_once(force=True) == 1
         before = warp.incidents.list()
@@ -335,7 +333,7 @@ class TestIncidentDurability:
     def test_incidents_survive_crash_reload_from_wal(self, tmp_path):
         plane = FaultPlane()
         warp, _, clients = _detect_warp(
-            plane=plane, wal_path=str(tmp_path / "wal.jsonl"), durability="always"
+            plane=plane, wal_path=str(tmp_path / "wal.jsonl")
         )
         _inject(clients["alice"])
         _inject(clients["bob"], UNION_PAYLOAD)

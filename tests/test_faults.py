@@ -3,9 +3,9 @@
 Covers the PR 7 robustness plane:
 
 * :class:`FaultPlane` / :class:`FaultRule` semantics and JSON schedules;
-* WAL degradation: inline retry with backoff, parked writes, the
-  ``group -> always -> read-only`` escalation ladder, ``heal()``;
-* torn group-commit leader writes and snapshot-marker mismatches
+* WAL degradation: retry with backoff, parked writes, heal-on-commit,
+  ``heal()``;
+* torn group-commit batch writes and snapshot-marker mismatches
   (the documented crash windows of DESIGN.md "Failure model");
 * degraded-mode serving: writes 503 read-only, reads keep flowing,
   probe-on-write self-healing, the ``/warp/admin/health`` endpoint and
@@ -44,20 +44,16 @@ from repro.http.pool import ServerPool
 from repro.apps.wiki import pages as wiki_pages
 from repro.repair import jobs as jobs_mod
 from repro.repair.api import CancelClientSpec, PatchSpec
-from repro.store.wal import CommitTicket, RecordWal
+from repro.store.wal import RecordWal
 from repro.warp import WarpSystem
 from repro.workload.loadgen import LoadClient, LoadStats
 
 PAGE = "Sandbox"
 
 
-def _wiki_warp(tmp_path, plane, durability="always", **kwargs):
+def _wiki_warp(tmp_path, plane, **kwargs):
     warp = WarpSystem(
-        wal_path=str(tmp_path / "wal.jsonl"),
-        durability=durability,
-        wal_flush_interval=30.0,
-        fault_plane=plane,
-        **kwargs,
+        wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane, **kwargs
     )
     warp.graph.store.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
@@ -186,9 +182,7 @@ class TestWalDegradation:
     def test_transient_io_error_is_retried_inline(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.append", kind="io", times=1)
-        wal = RecordWal(
-            str(tmp_path / "w.wal"), durability="always", fault_plane=plane
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         ticket = wal.append("mark", {"n": 1})
         assert ticket.wait(5.0)
         assert wal.retried_writes >= 1
@@ -196,27 +190,21 @@ class TestWalDegradation:
         wal.close()
         assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
 
-    def test_exhausted_retries_park_and_escalate(self, tmp_path):
+    def test_exhausted_retries_park_then_heal(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.append", kind="io", times=None)
         degraded = []
-        wal = RecordWal(
-            str(tmp_path / "w.wal"), durability="group", fault_plane=plane
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         wal.on_degrade = degraded.append
         ticket = wal.append("mark", {"n": 1})
         assert ticket.wait(5.0) is False
         assert wal.failed
-        # Escalation ladder: group -> always while the log is sick.
-        assert wal.durability == "always"
-        assert wal.configured_durability == "group"
         assert wal.status()["parked_entries"] == 1
         assert degraded and isinstance(degraded[0], OSError)
         # The fault clears; the next probe heals and flushes the backlog.
         plane.clear()
         assert wal.heal()
         assert not wal.failed
-        assert wal.durability == "group"
         assert ticket.wait(5.0)
         wal.close()
         assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
@@ -224,9 +212,7 @@ class TestWalDegradation:
     def test_disk_full_reports_enospc(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.fsync", kind="disk_full", times=None)
-        wal = RecordWal(
-            str(tmp_path / "w.wal"), durability="always", fault_plane=plane
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         assert wal.append("mark", {"n": 1}).wait(5.0) is False
         assert wal.failed
         assert isinstance(wal.last_error, OSError)
@@ -238,9 +224,7 @@ class TestWalDegradation:
     def test_heal_replays_parked_entries_in_order(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.append", kind="io", times=None)
-        wal = RecordWal(
-            str(tmp_path / "w.wal"), durability="always", fault_plane=plane
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         tickets = [wal.append("mark", {"n": i}) for i in range(3)]
         assert all(t.wait(5.0) is False for t in tickets)
         plane.clear()
@@ -249,61 +233,41 @@ class TestWalDegradation:
         wal.close()
         assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [0, 1, 2]
 
-    def test_heal_and_inline_append_never_ack_buffered_entries(self, tmp_path):
-        """Regression: an entry that raced into the group-commit buffer
-        during the flusher's failure window (after the leader captured
-        its doomed batch, before durability escalated to ``always``) is
-        neither parked nor written.  A later heal or inline append must
-        not advance the durable watermark over it — its ticket would ack
-        a mutation that never reached disk."""
+    def test_commit_on_a_failed_log_heals_first_in_seq_order(self, tmp_path):
+        """A commit that finds the log failed heals before it writes: the
+        parked lines and the buffered ones reach disk merged in seq order,
+        and no ticket resolves before its line is written.  While the disk
+        stays sick the commit parks its batch behind the earlier ones."""
         plane = FaultPlane()
-        wal = RecordWal(
-            str(tmp_path / "w.wal"),
-            durability="group",
-            flush_interval=30.0,
-            fault_plane=plane,
-        )
         plane.arm(point="wal.append", kind="io", times=None)
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         first = wal.append("mark", {"n": 1})
-        assert first.wait(5.0) is False  # leader fails: seq 1 parked
-        assert wal.failed and wal.durability == "always"
-        # The racing entry: buffered between capture and escalation.
-        with wal._lock:
-            buffered_seq = wal._next_seq
-            wal._next_seq += 1
-            wal._buffer.append(
-                (
-                    buffered_seq,
-                    json.dumps({"kind": "mark", "data": {"n": 2}}) + "\n",
-                )
-            )
-        buffered = CommitTicket(buffered_seq, wal)
-        plane.clear()
-        # Fault cleared: the next inline append heals — replaying parked
-        # AND buffered lines in seq order — then writes itself.
+        assert first.wait(5.0) is False  # seq 1 parked
+        unwaited = wal.append("mark", {"n": 2})
         third = wal.append("mark", {"n": 3})
-        assert third.wait(5.0)
-        assert first.wait(5.0)
-        assert buffered.wait(5.0)
+        assert third.wait(5.0) is False  # heal failed: seqs 2-3 parked too
+        assert wal.status()["parked_entries"] == 3
+        buffered = wal.append("mark", {"n": 4})
+        plane.clear()
+        fifth = wal.append("mark", {"n": 5})
+        assert not (first.done or unwaited.done or buffered.done)
+        assert fifth.wait(5.0)  # heals, then commits
+        assert all(t.done for t in (first, unwaited, third, buffered))
+        assert not wal.failed and wal.healed_events == 1
         wal.close()
-        assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [1, 2, 3]
+        assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [1, 2, 3, 4, 5]
 
     def test_torn_group_commit_leader_write(self, tmp_path):
-        """Satellite: a torn write during the group-commit *leader's*
-        batch write leaves a parseable prefix; ``RecordWal.repair`` drops
-        the torn tail and recovery sees every earlier entry."""
+        """A torn write during the batch write of the waiter holding the
+        I/O lock leaves a parseable prefix; ``RecordWal.repair`` drops the
+        torn tail and recovery sees every earlier entry."""
         plane = FaultPlane()
-        wal = RecordWal(
-            str(tmp_path / "w.wal"),
-            durability="group",
-            flush_interval=30.0,
-            fault_plane=plane,
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         assert wal.append("mark", {"n": 1}).wait(5.0)
         plane.arm(point="wal.append", kind="torn", times=1, fraction=0.5)
         ticket = wal.append("mark", {"n": 2})
         with pytest.raises(SimulatedCrash):
-            # The waiter elects itself leader and performs the batch write
+            # The waiter takes the I/O lock and performs the batch write
             # — the crash window under test.
             ticket.wait(5.0)
         # The file now ends in a torn fragment of entry 2.
@@ -316,12 +280,7 @@ class TestWalDegradation:
     def test_crash_unblocks_other_waiters_with_false(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.fsync", kind="crash", times=1)
-        wal = RecordWal(
-            str(tmp_path / "w.wal"),
-            durability="group",
-            flush_interval=30.0,
-            fault_plane=plane,
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
         tickets = [wal.append("mark", {"n": 1}), wal.append("mark", {"n": 2})]
         outcomes = [None, None]
 
@@ -339,18 +298,17 @@ class TestWalDegradation:
             thread.start()
         for thread in waiters:
             thread.join(5.0)
-        # Whichever waiter elected itself leader took the crash; the other
-        # unblocked with False — nobody hangs on a dead log.
+        # Whichever waiter took the I/O lock first took the crash; the
+        # other unblocked with False — nobody hangs on a dead log.
         assert sorted(outcomes, key=str) == [False, "crashed"]
 
     def test_append_after_crash_is_refused(self, tmp_path):
         plane = FaultPlane()
         plane.arm(point="wal.append", kind="crash", times=1)
-        wal = RecordWal(
-            str(tmp_path / "w.wal"), durability="always", fault_plane=plane
-        )
+        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
+        ticket = wal.append("mark", {"n": 1})  # buffered: nothing written yet
         with pytest.raises(SimulatedCrash):
-            wal.append("mark", {"n": 1})
+            ticket.wait(5.0)
         with pytest.raises(ValueError):
             wal.append("mark", {"n": 2})
 
@@ -363,7 +321,7 @@ class TestWalDegradation:
 class TestSnapshotMarkerWindows:
     def test_pre_marker_failure_aborts_before_snapshot_write(self, tmp_path):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane, durability="group")
+        warp, _, client = _wiki_warp(tmp_path, plane)
         assert _append(client, "m1.").status == 200
         snap = str(tmp_path / "snap.json")
         plane.arm(point="wal.append", kind="io", times=None)
@@ -382,7 +340,7 @@ class TestSnapshotMarkerWindows:
         but the snapshot file never lands.  Recovery ignores the dangling
         marker and replays the full log."""
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane, durability="group")
+        warp, _, client = _wiki_warp(tmp_path, plane)
         assert _append(client, "m1.").status == 200
         runs_before = len(warp.graph.store.runs)
         snap = str(tmp_path / "snap.json")
@@ -401,7 +359,7 @@ class TestSnapshotMarkerWindows:
         the durability failure, yet the written snapshot + truncated WAL
         still load (replaying nothing)."""
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane, durability="group")
+        warp, _, client = _wiki_warp(tmp_path, plane)
         assert _append(client, "m1.").status == 200
         runs_before = len(warp.graph.store.runs)
         snap = str(tmp_path / "snap.json")

@@ -3,8 +3,9 @@
 Unit and integration coverage for the three tentpole layers and their
 satellites:
 
-* group-commit WAL semantics: commit tickets, leader-based batching,
-  truncate/close interaction with the buffer, torn-tail repair;
+* group-commit WAL semantics: commit tickets, batching by the waiter
+  that holds the I/O lock, truncate/close interaction with the buffer,
+  torn-tail repair;
 * the per-partition statement cache: hits are indistinguishable from
   re-execution, invalidation is partition-precise, every visibility
   transition flushes;
@@ -20,6 +21,7 @@ satellites:
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.apps.wiki.app import WikiApp
 from repro.core.clock import LogicalClock
 from repro.core.ids import IdAllocator
 from repro.db.storage import Column, Database, TableSchema
+from repro.faults.plane import FaultPlane
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.pool import ServerPool
 from repro.repair.api import CancelClientSpec
@@ -45,19 +48,15 @@ from repro.workload.scenarios import WikiDeployment
 
 
 class TestGroupCommitWal:
-    def test_always_mode_tickets_are_preresolved(self, tmp_path):
-        wal = RecordWal(str(tmp_path / "a.wal"), durability="always")
-        ticket = wal.append("mark", {"n": 1})
-        assert ticket.done
-        assert ticket.wait(0)
-        wal.close()
-        assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
-
     def test_none_mode_skips_fsync_but_still_logs(self, tmp_path):
-        wal = RecordWal(str(tmp_path / "n.wal"), durability="none")
-        assert wal.append("mark", {"n": 1}).done
+        plane = FaultPlane()
+        plane.arm(point="wal.fsync", kind="error", times=None)
+        wal = RecordWal(str(tmp_path / "n.wal"), durability="none", fault_plane=plane)
+        assert wal.append("mark", {"n": 1}).wait(5.0)
+        wal.append("mark", {"n": 2})
         wal.close()
-        assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
+        assert plane.fired == []
+        assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1}), ("mark", {"n": 2})]
 
     def test_group_ticket_resolves_on_wait(self, tmp_path):
         wal = RecordWal(str(tmp_path / "g.wal"), durability="group")
@@ -77,10 +76,22 @@ class TestGroupCommitWal:
         assert [d["n"] for _, d in RecordWal.entries(wal.path)] == list(range(10))
         wal.close()
 
+    def test_unwaited_entry_is_written_by_the_next_commit_and_close(self, tmp_path):
+        threads_before = set(threading.enumerate())
+        wal = RecordWal(str(tmp_path / "u.wal"))
+        unwaited = wal.append("mark", {"n": 1})
+        assert not unwaited.done
+        assert list(RecordWal.entries(wal.path)) == []  # append never writes
+        assert wal.append("mark", {"n": 2}).wait(5.0)
+        assert unwaited.done  # the next waiter's commit took it along
+        last = wal.append("mark", {"n": 3})  # nobody waits on this one
+        assert set(threading.enumerate()) <= threads_before  # no flusher
+        wal.close()
+        assert last.done
+        assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [1, 2, 3]
+
     def test_concurrent_committers_share_batches_in_seq_order(self, tmp_path):
-        wal = RecordWal(
-            str(tmp_path / "c.wal"), durability="group", flush_interval=60.0
-        )
+        wal = RecordWal(str(tmp_path / "c.wal"), durability="group")
         n_threads, per_thread = 8, 25
         failures = []
 
@@ -106,22 +117,44 @@ class TestGroupCommitWal:
             assert mine == list(range(per_thread))
         wal.close()
 
-    def test_flusher_commits_unwaited_entries(self, tmp_path):
-        wal = RecordWal(
-            str(tmp_path / "f.wal"), durability="group", flush_interval=0.005
+    def test_waiter_behind_a_commit_that_missed_its_entry(self, tmp_path):
+        """An entry appended after the commit ahead of it took the buffer
+        is written by its own waiter as soon as that commit releases the
+        I/O lock.  The waiter must neither sleep to its timeout nor wait
+        for a background thread to notice the entry: every commit runs on
+        a thread that is waiting for it."""
+        wal = RecordWal(str(tmp_path / "q.wal"), durability="group")
+        committers = []
+        first_committed = threading.Event()
+        commit = wal._commit_buffer
+
+        def commit_then_pause_in_first():
+            committers.append(threading.current_thread().name)
+            commit()
+            if threading.current_thread().name == "first":
+                first_committed.set()
+                time.sleep(0.1)  # still holding the I/O lock
+
+        wal._commit_buffer = commit_then_pause_in_first
+        first = wal.append("mark", {"n": 1})
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(first=first.wait(5.0)), name="first"
         )
-        ticket = wal.append("mark", {"n": 1})  # nobody waits
-        deadline = 50
-        while not ticket.done and deadline:
-            threading.Event().wait(0.01)
-            deadline -= 1
-        assert ticket.done, "background flusher never committed the buffer"
+        thread.start()
+        assert first_committed.wait(5.0)
+        second = wal.append("mark", {"n": 2})  # the buffer was already taken
+        started = time.monotonic()
+        assert second.wait(3.0)
+        assert time.monotonic() - started < 2.0
+        thread.join(5.0)
+        assert not thread.is_alive() and outcome["first"]
+        assert set(committers) == {"first", threading.current_thread().name}
         wal.close()
+        assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [1, 2]
 
     def test_truncate_drops_buffer_and_resolves_tickets(self, tmp_path):
-        wal = RecordWal(
-            str(tmp_path / "t.wal"), durability="group", flush_interval=60.0
-        )
+        wal = RecordWal(str(tmp_path / "t.wal"), durability="group")
         ticket = wal.append("mark", {"n": 1})
         wal.truncate()
         # The entry was intentionally discarded; waiters must not hang.
@@ -133,16 +166,14 @@ class TestGroupCommitWal:
         wal.close()
 
     def test_close_drains_buffer(self, tmp_path):
-        wal = RecordWal(
-            str(tmp_path / "d.wal"), durability="group", flush_interval=60.0
-        )
+        wal = RecordWal(str(tmp_path / "d.wal"), durability="group")
         wal.append("mark", {"n": 1})
         wal.close()
         assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
 
     def test_torn_tail_repaired_and_never_replayed(self, tmp_path):
         path = str(tmp_path / "torn.wal")
-        wal = RecordWal(path, durability="always")
+        wal = RecordWal(path)
         wal.append("mark", {"n": 1})
         wal.close()
         with open(path, "a", encoding="utf-8") as fh:
@@ -151,7 +182,7 @@ class TestGroupCommitWal:
         removed = RecordWal.repair(path)
         assert removed > 0
         # Re-opening repairs too, so appends never follow a torn fragment.
-        wal2 = RecordWal(path, durability="always")
+        wal2 = RecordWal(path)
         wal2.append("mark", {"n": 3})
         wal2.close()
         assert list(RecordWal.entries(path)) == [
@@ -718,14 +749,12 @@ class TestRotationAndPersistence:
         snapshot = str(tmp_path / "cfg.json")
         warp = WarpSystem(
             seed=7,
-            durability="group",
-            wal_flush_interval=0.004,
+            durability="none",
             wal_rotate_bytes=1 << 20,
             response_cache=True,
         )
         warp.save(snapshot)
         reloaded = WarpSystem.load(snapshot)
-        assert reloaded.durability == "group"
-        assert reloaded.wal_flush_interval == 0.004
+        assert reloaded.durability == "none"
         assert reloaded.wal_rotate_bytes == 1 << 20
         assert reloaded.response_cache is not None

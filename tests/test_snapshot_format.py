@@ -583,8 +583,8 @@ def rewrite(path, lines):
 
 
 def test_removed_config_keys_in_a_header_are_ignored(saved):
-    """A snapshot written before the six options went still loads, on the
-    one path each of them now has."""
+    """A snapshot written before the removed options went still loads, on
+    the one path each of them now has."""
     warp, path, _ = saved
     warp.enable_online_repair()
     warp.save(path)
@@ -606,6 +606,30 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     gate = loaded.server.gate
     gate.begin()
     assert gate._conflict("index.php", HttpRequest("GET", "/index.php")) is None
+
+
+@pytest.mark.parametrize("durability", ["always", None])
+def test_retired_durability_in_a_header_loads_as_group_commit(saved, durability):
+    """Headers once carried the fsync-per-append policy, or null for the
+    default of the day; both load on the one commit path."""
+    warp, path, lines = saved
+    header = json.loads(lines[0])
+    header["serving_config"]["durability"] = durability
+    rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+    loaded = WarpSystem.load(path)
+    assert loaded.durability == "group"
+    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+
+
+def test_unknown_durability_in_a_header_is_refused(saved, tmp_path):
+    """Only the retired values are mapped: a corrupt or misspelt policy
+    reaches the WAL as written and is refused, not run on group commit."""
+    _, path, lines = saved
+    header = json.loads(lines[0])
+    header["serving_config"]["durability"] = "bogus"
+    rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+    with pytest.raises(ValueError, match="durability"):
+        WarpSystem.load(path, wal_path=str(tmp_path / "warp.wal"))
 
 
 class TestRefusedSnapshots:
