@@ -211,7 +211,7 @@ class ActionHistoryGraph:
     def to_snapshot(self) -> dict:
         return self.store.to_snapshot()
 
-    def restore_snapshot(self, data: dict, records=()) -> None:
+    def restore_snapshot(self, data: dict, records=(), last_text_id: int = 0) -> None:
         """Replace the backing store with one rebuilt from a snapshot's
         ``graph`` object and its stream of record lines (see
         :meth:`RecordStore.from_snapshot`); the graph object keeps its
@@ -220,5 +220,5 @@ class ActionHistoryGraph:
         from repro.store.recordstore import RecordStore
 
         self.store = RecordStore.from_snapshot(
-            data, wal=self.store.wal, records=records
+            data, wal=self.store.wal, records=records, last_text_id=last_text_id
         )

@@ -21,6 +21,16 @@ The text says each fact once: a run's queries are positional rows
 leaves out what the enclosing run already says, and a field at its default
 is not written.  ``from_dict`` also reads the keyed objects written before
 snapshot format 3 — per item, so old and new lines mix; nothing writes them.
+
+**Format 4** says each fact once across runs too.  Encoded against the
+store's :class:`~repro.core.serialize.TextTable`, a line holds an integer
+where the response body and each query's SQL text were: the id of a
+``text`` entry the store writes once, before the first line that needs it,
+in the same segment (the snapshot plus the WAL after its marker).  The
+reader decides per item — a string is the text, an int an id — so
+format-3 and format-4 lines mix in one log.  Records hold the full strings
+in memory; only the lines refer.  Encoded with no table, a run is its
+format-3 line.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.serialize import COMPACT, DecodeMemo, exact_key
+from repro.core.serialize import COMPACT, DecodeMemo, TextTable, exact_key
 from repro.core.serialize import decode_key_set, decode_tree, encode_key_set
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
@@ -59,8 +69,8 @@ _ROW_FIELDS = tuple("read_set" if name == "disjuncts" else name for name in QUER
 _row_attributes = attrgetter(*_ROW_FIELDS)
 #: How the reader decodes the others (positions are looked up, never written):
 #: as shared texts, as tuples all the way down, or not at all.
-_QID, _TS, _TABLE = map(QUERY_ROW.index, ("qid", "ts", "table"))
-_TEXTS = list(map(QUERY_ROW.index, ("sql", "kind", "table")))
+_QID, _TS, _SQL, _TABLE = map(QUERY_ROW.index, ("qid", "ts", "sql", "table"))
+_TEXTS = list(map(QUERY_ROW.index, ("kind", "table")))
 _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "written_row_ids")))
 #: A row says which query it is in its first two positions only: what
 #: follows is the same text for every hit on one statement-cache entry.
@@ -113,12 +123,15 @@ class QueryRecord:
     def is_write(self) -> bool:
         return self.kind != "select"
 
-    def to_row(self) -> list:
+    def to_row(self, texts: Optional[TextTable] = None) -> list:
         """This query's :data:`QUERY_ROW` row, as the tree ``json.dumps``
         serializes: fields go in as they are — tuples are left for the
         encoder to flatten into arrays (no Python-level walk) — except the
-        two that need converting, the second only if the row gets that far."""
+        two that need converting, the second only if the row gets that far,
+        and the SQL text, which is its id in ``texts`` when there is one."""
         row = list(_row_attributes(self))
+        if texts is not None:
+            row[_SQL] = texts.ref(row[_SQL])
         while len(row) > _ROW_REQUIRED and not row[-1]:
             row.pop()
         row[_DISJUNCTS] = row[_DISJUNCTS].to_dict()["disjuncts"]
@@ -145,6 +158,7 @@ class QueryRecord:
         key = (cls, exact_key(row))
         payload = memo.built.get(key)
         if payload is None:
+            row[_SQL] = memo.literal(row[_SQL])
             for at in _TEXTS:
                 row[at] = memo.text(row[at])
             for at in _TREES:
@@ -216,10 +230,13 @@ class AppRunRecord:
             return (self.client_id, self.visit_id)
         return None
 
-    def _frame(self, rows: list) -> Tuple[dict, dict]:
+    def _frame(self, rows: list, texts: Optional[TextTable]) -> Tuple[dict, dict]:
         """The line's members up to ``queries`` — which is ``rows`` — and
         the five after it, written only when they say something: the one
         place a run's key order is written."""
+        response = self.response.to_dict()
+        if texts is not None:
+            response["body"] = texts.ref(response["body"])
         head = {
             "run_id": self.run_id,
             "ts_start": self.ts_start,
@@ -227,7 +244,7 @@ class AppRunRecord:
             "script": self.script,
             "loaded_files": self.loaded_files,
             "request": self.request.to_dict(),
-            "response": self.response.to_dict(),
+            "response": response,
             "queries": rows,
         }
         tail = {}
@@ -240,31 +257,33 @@ class AppRunRecord:
             tail["canceled"] = True
         return head, tail
 
-    def to_wire(self) -> dict:
+    def to_wire(self, texts: Optional[TextTable] = None) -> dict:
         """The tree whose ``json.dumps`` is :meth:`encode` — no defensive
-        copies, tuples left for the encoder (see :meth:`QueryRecord.to_row`);
-        for consumers that want the line's members apart."""
-        head, tail = self._frame([query.to_row() for query in self.queries])
+        copies, tuples left for the encoder (see :meth:`QueryRecord.to_row`)."""
+        head, tail = self._frame(rows := [], texts)  # the body's id first, as encode
+        rows.extend(query.to_row(texts) for query in self.queries)
         return {**head, **tail}
 
-    def encode(self) -> str:
+    def encode(self, texts: Optional[TextTable] = None) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
-        of its snapshot line.  Assembled: a row is its qid and ts, then a
-        text that queries recorded from one statement-cache payload share —
-        encoded for the first, kept with the payload — and the rows are
-        spliced between the members around ``queries``."""
-        head, tail = self._frame([])
-        texts = []
+        of its snapshot line — format 4 against the store's ``texts``, the
+        literal format-3 line without.  Assembled: a row is its qid, ts and
+        SQL, then a text that queries recorded from one statement-cache
+        payload share — encoded for the first, kept with the payload — and
+        the rows are spliced between the members around ``queries``."""
+        head, tail = self._frame([], texts)
+        parts = []
         pairs = zip(self.queries, self.payloads or repeat(None))
         for plain, group in groupby(pairs, lambda pair: pair[1] is None):
             if plain:  # neighbours with no payload to keep a text with: one call
-                texts.append(_dumps([query.to_row() for query, _ in group])[1:-1])
+                parts.append(_dumps([query.to_row(texts) for query, _ in group])[1:-1])
                 continue
             for query, payload in group:
                 if payload.text is None:
-                    payload.text = _dumps(query.to_row()[2:])[1:]
-                texts.append(f"[{query.qid},{query.ts},{payload.text}")
-        line = _dumps(head)[:-2] + ",".join(texts)  # head ends ``"queries":[]}``
+                    payload.text = _dumps(query.to_row()[_SQL + 1 :])[1:]
+                sql = _dumps(query.sql) if texts is None else texts.ref(query.sql)
+                parts.append(f"[{query.qid},{query.ts},{sql},{payload.text}")
+        line = _dumps(head)[:-2] + ",".join(parts)  # head ends ``"queries":[]}``
         return line + ("]," + _dumps(tail)[1:] if tail else "]}")
 
     def to_dict(self) -> dict:
@@ -277,9 +296,11 @@ class AppRunRecord:
             "request_id": None, "canceled": False,
         }  # fmt: skip
         data.update(json.loads(self.json_text or self.encode()))
-        data["queries"] = [
-            _keyed_query(row, self.run_id, seq) for seq, row in enumerate(data["queries"])
-        ]
+        data["response"]["body"] = self.response.body
+        rows = data["queries"]
+        for row, query in zip(rows, self.queries):
+            row[_SQL] = query.sql
+        data["queries"] = [_keyed_query(row, self.run_id, seq) for seq, row in enumerate(rows)]
         data["nondet"] = [dict(zip(NONDET_ROW, row)) for row in data["nondet"]]
         return data
 
@@ -291,9 +312,12 @@ class AppRunRecord:
         query and nondet entry is a row or a keyed object, whichever the
         item is.  ``json_text`` is the text ``data`` was decoded from, when
         the caller still has it.  ``memo`` is the caller's when it decodes
-        many records, which then share what they have in common."""
+        many records, which then share what they have in common — and
+        holds the ``text`` entries a format-4 line refers to."""
         memo = memo or DecodeMemo()
         text, run_id = memo.text, data["run_id"]
+        response = HttpResponse.from_dict(data["response"], memo.texts)
+        response.body = memo.literal(response.body)
         return cls(
             run_id=run_id,
             ts_start=data["ts_start"],
@@ -301,7 +325,7 @@ class AppRunRecord:
             script=text(data["script"]),
             loaded_files=memo.texts(data["loaded_files"]),
             request=HttpRequest.from_dict(data["request"], memo.texts),
-            response=HttpResponse.from_dict(data["response"], memo.texts),
+            response=response,
             queries=[
                 QueryRecord.from_wire(item, run_id, seq, memo)
                 for seq, item in enumerate(data.get("queries", ()))
@@ -321,10 +345,13 @@ class AppRunRecord:
 
 
 def in_written_shape(data: dict) -> bool:
-    """Whether ``data`` is a run line as :meth:`AppRunRecord.encode` writes
-    it, so that its text may be kept as ``json_text``.  Before format 3 every
-    run line had a ``nondet`` key, empty or of keyed entries; this writer
-    leaves the key out unless it holds rows."""
+    """Whether ``data`` is a run line as the store's
+    :meth:`AppRunRecord.encode` writes it, so that its text may be kept as
+    ``json_text``.  Before format 4 a line held its response body as a
+    string; before format 3 every run line had a ``nondet`` key, empty or of
+    keyed entries; this writer leaves the key out unless it holds rows."""
+    if type(data["response"]["body"]) is not int:
+        return False
     nondet = data.get("nondet")
     return nondet is None or (bool(nondet) and not isinstance(nondet[0], dict))
 

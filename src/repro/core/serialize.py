@@ -10,7 +10,8 @@ expects and call the matching decoder.
 from __future__ import annotations
 
 import marshal
-from typing import Iterable, List, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: ``json.dumps`` separators of everything persisted line by line (WAL
 #: entries, snapshot lines): written far more often than read by a human.
@@ -62,6 +63,72 @@ def exact_key(raw) -> bytes:
     return marshal.dumps(raw, 2)
 
 
+class TextTable:
+    """The ``text`` entries of one log segment (snapshot format 4, DESIGN.md
+    "Durability"): each distinct response body and SQL text a run line needs,
+    under an integer id.  A segment — a snapshot plus the WAL after its
+    marker — writes each entry once, before the first line that refers to
+    it; every line after that writes the id where the text was.
+
+    Ids come from ``last_id``, which only grows: a run keeps the text it was
+    written with, so an id once written must keep its meaning for as long
+    as that text can be spliced.  Not locked: the record store touches it
+    under its records stripe only."""
+
+    __slots__ = ("by_id", "ids", "last_id", "fresh")
+
+    def __init__(self, last_id: int = 0) -> None:
+        #: id -> text, and back, for every entry the segment holds.
+        self.by_id: Dict[int, str] = {}
+        self.ids: Dict[str, int] = {}
+        self.last_id = last_id
+        #: Ids defined by :meth:`ref` whose entries nobody has written yet.
+        self.fresh: List[int] = []
+
+    def ref(self, text: str) -> int:
+        """The id of ``text``, defined now — and listed in ``fresh`` — if
+        the segment has no entry for it."""
+        ident = self.ids.get(text)
+        if ident is None:
+            ident = self.last_id = self.last_id + 1
+            self.ids[text] = ident
+            self.by_id[ident] = text
+            self.fresh.append(ident)
+        return ident
+
+    def shared(self, text: str) -> str:
+        """The table's own copy of ``text``, which has an entry."""
+        return self.by_id[self.ids[text]]
+
+    def define(self, ident: int, text: str) -> None:
+        """Take in an entry read back from a snapshot or a WAL."""
+        self.by_id[ident] = text
+        self.ids.setdefault(text, ident)
+        self.last_id = max(self.last_id, ident)
+
+    def take_fresh(self) -> List[int]:
+        """The ids whose entries must be written now, in definition order."""
+        fresh, self.fresh = self.fresh, []
+        return fresh
+
+    def keep(self, idents: Iterable[int]) -> None:
+        """Start a new segment holding exactly the entries ``idents``; all
+        of them are written with it, so none is fresh."""
+        self.by_id = {ident: self.by_id[ident] for ident in sorted(idents)}
+        self.ids = {text: ident for ident, text in self.by_id.items()}
+        self.fresh = []
+
+    def copy(self) -> "TextTable":
+        clone = TextTable(self.last_id)
+        clone.by_id, clone.ids = dict(self.by_id), dict(self.ids)
+        return clone
+
+    def entry(self, ident: int) -> str:
+        """The compact JSON ``data`` of entry ``ident``'s journal line — what
+        ``json.dumps`` gives, from one C call on the text."""
+        return f'{{"id":{ident},"text":{_quote(self.by_id[ident])}}}'
+
+
 class DecodeMemo:
     """Builds each distinct immutable thing once while records are decoded
     (DESIGN.md "Durability").  Whoever decodes many records — a snapshot
@@ -69,9 +136,14 @@ class DecodeMemo:
     without one opens its own.  Only immutable objects go through it
     (``str``, ``tuple``, ``frozenset``, frozen dataclasses — never a dict or
     list) and only under type-exact keys: a memo keyed by equality would
-    hand ``1`` back for ``True``, and the next encode write it so."""
+    hand ``1`` back for ``True``, and the next encode write it so.
 
-    def __init__(self) -> None:
+    ``table`` holds the ``text`` entries read so far (the store's own, so a
+    WAL replayed over a snapshot resolves the snapshot's ids); every record
+    that refers to one id gets the one string the table holds for it."""
+
+    def __init__(self, table: Optional[TextTable] = None) -> None:
+        self.table = table if table is not None else TextTable()
         self._texts: dict = {}
         #: ``(what, ..., exact_key(raw))`` -> what :meth:`once`, or a decoder
         #: whose building needs the memo, built from ``raw``.
@@ -82,6 +154,13 @@ class DecodeMemo:
         if type(value) is str and len(value) <= SHARED_TEXT_MAX:
             return self._texts.setdefault(value, value)
         return value
+
+    def literal(self, value):
+        """A response body or SQL text as a line holds it: a string is the
+        text itself (formats 1-3) and an int the id of a ``text`` entry."""
+        if type(value) is int:
+            return self.table.by_id[value]
+        return self.text(value)
 
     def texts(self, mapping: dict) -> dict:
         """A fresh dict of ``mapping``, keys and values through :meth:`text`."""

@@ -19,6 +19,12 @@ Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
 :class:`~repro.store.wal.RecordWal` is attached, each one is journaled so
 the store can be rebuilt after a crash from snapshot + WAL replay.
+
+The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
+format 4): a run is encoded against it under the records stripe, and the
+``text`` entries the encoding defined are journaled just before the run's
+line, so WAL order always puts an entry ahead of every line that refers to
+it, however many threads first-use the same body or SQL text at once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import itertools
 import os
 import threading
 import time as _time
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ahg.records import (
@@ -41,7 +48,7 @@ from repro.ahg.records import (
 )
 from repro.core.errors import DurabilityError, ReproError
 from repro.core.ids import trailing_seq
-from repro.core.serialize import DecodeMemo
+from repro.core.serialize import DecodeMemo, TextTable
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
 from repro.http.message import HttpRequest
@@ -54,6 +61,8 @@ PartitionKey = Tuple[str, str, object]
 _AFTER_ANY_QID = float("inf")
 
 _EMPTY_SET: frozenset = frozenset()
+
+_body, _sql, _queries = map(attrgetter, ("response.body", "sql", "queries"))
 
 
 def partition_index_keys(query: QueryRecord) -> Tuple[List[PartitionKey], bool]:
@@ -268,6 +277,15 @@ class RecordStore:
         self._qindex_lock = threading.RLock()
 
         self.wal = wal
+        #: The ``text`` entries of the current log segment (snapshot format
+        #: 4): guarded by ``records``, rebuilt by every snapshot to exactly
+        #: the entries its runs refer to.
+        self.texts = TextTable()
+        #: Whether every entry of ``texts`` is one a stored run refers to —
+        #: so that a snapshot need not look the runs' texts up to know which
+        #: entries to write.  Dropped by whatever may leave an entry unused
+        #: (runs removed, entries replayed), restored by the next snapshot.
+        self._texts_exact = True
         #: Size-triggered rotation: when the WAL grows past ``rotate_bytes``
         #: appended bytes, ``rotate_hook`` is invoked (outside all store
         #: locks) after the triggering mutation commits.  The hook —
@@ -418,21 +436,37 @@ class RecordStore:
         self._finish(self._add_run_nowait(run), relaxed)
 
     def _add_run_nowait(self, run: AppRunRecord) -> Optional[CommitTicket]:
-        # The run is immutable by now: encoded before the stripe is taken, and
-        # once — the text is the WAL line's data now, the snapshot line's later.
-        if self.wal is not None:
-            run.json_text = run.encode()
         with self._records_lock:
             self._insert_run(run)
+            # Encoded once — the text is the WAL line's data now, the
+            # snapshot line's later — under the stripe, so the text entries
+            # it defines are journaled before any line using them, and after
+            # the insert, so an entry is never defined for a run not stored.
+            if self.wal is not None:
+                self._encode(run)
+            run.payloads = None  # encoded or not: a stored run refers into no cache
             # Journaled under the records stripe so WAL order equals store
             # order; the fsync wait happens in _finish, outside every lock.
             if self.wal is not None:
-                return self.wal.append("run", text=run.json_text)
+                return self._journal_run("run", run.json_text)
         return None
+
+    def _encode(self, run: AppRunRecord) -> None:
+        """Give ``run`` its text, and its body the table's copy: one string
+        per distinct body, live as after a reload (and a save's lookup of
+        it finds the very key).  Caller holds ``records``."""
+        run.json_text = run.encode(self.texts)
+        run.response.body = self.texts.shared(run.response.body)
+
+    def _journal_run(self, kind: str, text: str) -> CommitTicket:
+        """Append a run line and, first, the ``text`` entries its encoding
+        defined.  Caller holds ``records``."""
+        for ident in self.texts.take_fresh():
+            self.wal.append("text", text=self.texts.entry(ident))
+        return self.wal.append(kind, text=text)
 
     def _insert_run(self, run: AppRunRecord) -> None:
         self.faults.fire("store.insert_run", run_id=run.run_id)
-        run.payloads = None  # encoded or not: a stored run refers into no cache
         self.runs[run.run_id] = run
         self._run_order.append(run.run_id)
         self.query_count += len(run.queries)
@@ -703,6 +737,7 @@ class RecordStore:
                 )
             self.runs[run_id] = record
             record.payloads = None
+            self._texts_exact = False  # the old record's texts may go unused
             self.query_count += len(record.queries) - len(old.queries)
             self._unindex_run_files(old)
             self._index_run_files(record)
@@ -712,8 +747,8 @@ class RecordStore:
                 for query in record.queries:
                     self.touch.index_query(query, run_id)
             if self.wal is not None:
-                record.json_text = record.encode()
-                ticket = self.wal.append("replace_run", text=record.json_text)
+                self._encode(record)
+                ticket = self._journal_run("replace_run", record.json_text)
         self._finish(ticket)
         return old
 
@@ -941,6 +976,8 @@ class RecordStore:
             else:
                 keep_order.append(run_id)
         self._run_order = keep_order
+        if dead_runs:
+            self._texts_exact = False
         dead_runs_by_client: Dict[str, Set[int]] = {}
         for run in dead_runs:
             removed += 1
@@ -1030,14 +1067,18 @@ class RecordStore:
         data: dict,
         wal: Optional[RecordWal] = None,
         records: Iterable[Tuple[str, dict, Optional[str]]] = (),
+        last_text_id: int = 0,
     ) -> "RecordStore":
         """Build a store from a snapshot's ``graph`` object plus its
         stream of ``(kind, data, text)`` record lines, inserting one record
         at a time.  A format-1 ``data`` nests the records inside itself
         (``records`` is then empty); either way visits come first, then
-        runs, then patches; one :class:`DecodeMemo` spans the build."""
+        text entries, then runs, then patches; one :class:`DecodeMemo`
+        spans the build.  ``last_text_id`` is the header's ``ids.text``:
+        the table's counter, which entries dropped since may have passed."""
         store = cls()
-        memo = DecodeMemo()
+        store.texts.last_id = last_text_id
+        memo = DecodeMemo(store.texts)
         nested = (
             (kind, item, None)
             for kind, key in (("visit", "visits"), ("run", "runs"), ("patch", "patches"))
@@ -1050,6 +1091,8 @@ class RecordStore:
                 store.add_visit(VisitRecord.from_dict(item, memo))
             elif kind == "patch":
                 store.add_patch(PatchRecord.from_dict(item))
+            elif kind == "text":
+                store.texts.define(item["id"], item["text"])
             else:
                 raise ReproError(f"snapshot holds a record of unknown kind {kind!r}")
         for item in data.get("gate_queue", ()):
@@ -1066,25 +1109,42 @@ class RecordStore:
         the snapshot now covers everything it journaled."""
         self.commit_snapshot(path, {})
 
-    def _record_lines(self) -> Iterator[str]:
-        """Every record as its snapshot line.  A run's line is spliced
-        from the text kept since it was appended — its bytes are written
-        once — and a run that has none yet (appended without a WAL, cache
-        hit journaled as a reference, canceled since) is encoded now."""
+    def _snapshot_texts(self) -> List[int]:
+        """Give every run its text — a run that has none yet (appended
+        without a WAL, cache hit journaled as a reference, canceled since)
+        is encoded now — and return the ids of exactly the text entries
+        the runs refer to, in order.  Caller holds ``records``."""
+        runs = self.runs.values()
+        for run in runs:
+            if run.json_text is None:
+                self._encode(run)
+        if self._texts_exact:
+            return sorted(self.texts.by_id)
+        # Every body and SQL text looked up, iterated in C: a save after
+        # gc, replace_run or a replay visits each query of the history here.
+        id_of = self.texts.ids.__getitem__
+        used = set(map(id_of, map(_body, runs)))
+        used.update(map(id_of, map(_sql, itertools.chain.from_iterable(map(_queries, runs)))))
+        return sorted(used)
+
+    def _record_lines(self, text_ids: List[int]) -> Iterator[str]:
+        """Every record as its snapshot line: visits, the text entries
+        ``text_ids``, then the runs, each spliced from the text kept since
+        it was appended — its bytes are written once — then patches."""
         for visit in self.visits.values():
             yield entry_line("visit", visit.encode())
+        for ident in text_ids:
+            yield entry_line("text", self.texts.entry(ident))
         for run_id in self._run_order:
-            run = self.runs[run_id]
-            if run.json_text is None:
-                run.json_text = run.encode()
-            yield entry_line("run", run.json_text)
+            yield entry_line("run", self.runs[run_id].json_text)
         for patch in self.patches:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-3 snapshot (:mod:`repro.store.snapshot`) — the
-        header is ``payload`` plus a fresh ``snapshot_id``, the pending
-        state and the record counts, the lines are the records — under the
+        """Write a format-4 snapshot (:mod:`repro.store.snapshot`) — the
+        header is ``payload`` plus a fresh ``snapshot_id``, the text-id
+        counter (``ids.text``), the pending state and the record counts,
+        the lines are the records — under the
         marker pairing protocol: the id is journaled before the write
         and again after the WAL truncation, so ``replay_wal`` can refuse a
         WAL truncated against a different snapshot and a crash anywhere in
@@ -1121,18 +1181,25 @@ class RecordStore:
                         "snapshot marker did not reach the log; snapshot aborted"
                     )
             self.faults.fire("store.snapshot", path=path)
+            text_ids = self._snapshot_texts()
             header = {
                 "version": FORMAT,
                 **payload,
+                "ids": {**payload.get("ids", {}), "text": self.texts.last_id},
                 "snapshot_id": snapshot_id,
                 "graph": self._pending_snapshot(),
                 "records": {
                     "visit": len(self.visits),
+                    "text": len(text_ids),
                     "run": len(self._run_order),
                     "patch": len(self.patches),
                 },
             }
-            write_snapshot(path, header, self._record_lines())
+            write_snapshot(path, header, self._record_lines(text_ids))
+            # The file holds a new segment's entries: the table follows only
+            # now, so a failed write leaves every entry the WAL still needs.
+            self.texts.keep(text_ids)
+            self._texts_exact = True
             if self.wal is not None:
                 self.wal.truncate()
                 # Waited durable so the truncated WAL is never observable
@@ -1160,7 +1227,9 @@ class RecordStore:
                 with SnapshotReader(snapshot_path) as snapshot:
                     header = snapshot.header
                     store = cls.from_snapshot(
-                        header.get("graph", header), records=snapshot.records()
+                        header.get("graph", header),
+                        records=snapshot.records(),
+                        last_text_id=header.get("ids", {}).get("text", 0),
                     )
                 snapshot_id = header.get("snapshot_id")
             else:
@@ -1209,7 +1278,7 @@ class RecordStore:
                 )
             start = matching[-1] + 1
         applied = 0
-        memo = DecodeMemo()
+        memo = DecodeMemo(self.texts)
         for kind, data, text in entries[start:]:
             if kind == "snapshot_marker":
                 continue
@@ -1225,7 +1294,12 @@ class RecordStore:
         between snapshot write and WAL truncation leaves entries in the
         log that the snapshot already covers.  ``text`` is the JSON ``data``
         was decoded from (a run keeps it), ``memo`` the replay's."""
-        if kind == "run":
+        memo = memo or DecodeMemo(self.texts)
+        if kind == "text":
+            # The line that refers to it may be torn off, or skipped.
+            self.texts.define(data["id"], data["text"])
+            self._texts_exact = False
+        elif kind == "run":
             record = AppRunRecord.from_dict(data, text, memo)
             if record.run_id not in self.runs:
                 self.add_run(record)

@@ -33,7 +33,10 @@ first: ``heal()`` truncates any torn garbage back to the last known-good
 byte and replays the parked lines — merged, in seq order, with the
 buffered ones — through the normal write path, so the log heals itself
 once the fault clears; while the disk stays sick the commit parks its
-batch behind the earlier ones.
+batch behind the earlier ones.  A commit that fails any other way (an
+injected in-process error) raises to its waiter and leaves its batch
+buffered, so no entry is ever dropped while the process lives — a later
+line may refer to it (a ``text`` entry, snapshot format 4).
 
 Fault points fired here: ``wal.append`` (before each physical write) and
 ``wal.fsync`` (before each fsync).  A ``torn`` fault persists a prefix
@@ -277,6 +280,15 @@ class RecordWal:
         except OSError as exc:
             self._park(batch, exc)
             return
+        except Exception:
+            # Not the disk (an injected in-process error): the commit fails,
+            # the entries do not.  Back at the head of the buffer — no
+            # entry appended after them may reach the file first — for the
+            # next commit to write.
+            self._rewind_to_good()
+            with self._lock:
+                self._buffer[:0] = batch
+            raise
         with self._lock:
             self._advance_durable_locked(max(seq for seq, _ in batch))
 

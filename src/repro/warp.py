@@ -361,7 +361,7 @@ class WarpSystem:
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
 
-        The file is a format-3 snapshot (:mod:`repro.store.snapshot`):
+        The file is a format-4 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
         it — under its records stripe.
@@ -448,7 +448,7 @@ class WarpSystem:
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
         are streamed in one line at a time.  A file that is not a format
-        1, 2 or 3 snapshot, or does not hold the records its header
+        1, 2, 3 or 4 snapshot, or does not hold the records its header
         promises, raises :class:`~repro.core.errors.ReproError` naming it.
         """
         if path is None:
@@ -499,7 +499,9 @@ class WarpSystem:
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already
         # have replaced the (possibly on-disk) database.
-        warp.graph.restore_snapshot(state["graph"], snapshot.records())
+        warp.graph.restore_snapshot(
+            state["graph"], snapshot.records(), state["ids"].get("text", 0)
+        )
         warp.clock.restore(state["clock"])
         warp.ids.restore(state["ids"])
         warp.rng.setstate(decode_tree(state["rng_state"]))

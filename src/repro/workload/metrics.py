@@ -26,18 +26,29 @@ LAYERS = ("browser", "app", "db")
 
 def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     """``(layer, text)`` for every byte the store writes for ``graph``'s
-    visits and runs — their snapshot lines, which are their WAL lines.  A
-    visit's line is the browser log; a run's line is split where the
-    codec splits it: the ``queries`` member (the rows) is the database
-    log, the line around it the application log."""
+    visits and runs — their snapshot lines, which are their WAL lines, and
+    each ``text`` entry they refer to, once.  A visit's line is the browser
+    log; a run's line is split where the codec splits it: the ``queries``
+    member (the rows) is the database log, the line around it the
+    application log.  A response body's entry is billed to the application
+    log, an SQL text's to the database log."""
     for visit in graph.visits.values():
         yield "browser", entry_line("visit", visit.encode())
+    # A copy: a run the store has not written yet is encoded as it would
+    # be, without defining entries in the store's own table.
+    texts = graph.store.texts.copy()
+    billed: Dict[int, str] = {}
     for run in graph.runs_in_order():
-        wire = run.to_wire()
-        rows = json.dumps(wire.pop("queries"), separators=COMPACT)
-        yield "app", entry_line("run", json.dumps(wire, separators=COMPACT))
+        line = json.loads(run.json_text or run.encode(texts))
+        rows = json.dumps(line.pop("queries"), separators=COMPACT)
+        yield "app", entry_line("run", json.dumps(line, separators=COMPACT))
         # The member, and the comma that joined it to its neighbours.
         yield "db", f'"queries":{rows},'
+        billed.setdefault(texts.ids[run.response.body], "app")
+        for query in run.queries:
+            billed.setdefault(texts.ids[query.sql], "db")
+    for ident, layer in billed.items():
+        yield layer, entry_line("text", texts.entry(ident))
 
 
 @dataclass

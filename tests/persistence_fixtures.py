@@ -3,26 +3,33 @@
 ``golden_run()`` is the fixed run whose journal lines are pinned byte for
 byte, once per shape the codec has written:
 
-* ``fixtures/wal_run_lines.format3.golden`` — the row-shaped lines this
-  build writes.  The one fixture this module can still write:
+* ``fixtures/wal_run_lines.format4.golden`` — the lines this build writes:
+  the ``text`` entries of the body and the two SQL texts, then rows that
+  refer to them by id.  The one fixture this module can still write:
   ``python tests/persistence_fixtures.py`` regenerates it, and ``--check``
   (a tier-1 CI step) regenerates it into a temporary directory and fails,
   naming the file, unless it is byte-identical to the committed one — so
   a codec change cannot land without its golden, nor a golden without a
   codec change.
-* ``fixtures/wal_run_lines.golden`` — the keyed lines PRs 11–17 wrote
-  (written at PR 11, ebe3011).  Nothing can write them any more;
-  ``--check`` replays them and fails unless they still read as
-  ``golden_run()``.
+* ``fixtures/wal_run_lines.format3.golden`` — the row-shaped lines with
+  every text inline that format 3 wrote (written at 27bc1cf, which
+  introduced it, and unchanged up to 881a392, the last commit to write it).
+* ``fixtures/wal_run_lines.golden`` — the keyed lines ebe3011–29d2bb9
+  wrote (written at ebe3011).
+
+Nothing can write the last two any more; ``--check`` replays each and fails
+unless it still reads as ``golden_run()``.
 
 ``format1_workload()`` is the small wiki deployment whose snapshot is
-committed in both retired formats — ``fixtures/warp_format1.json`` (written
-at PR 11, ebe3011) and ``fixtures/warp_format2.json`` (written at PR 17,
-29d2bb9, the last commit that wrote keyed lines), each by running
-``format1_workload()[0].save(...)`` on a checkout of that commit — with the
-``RepairStats`` counters its common.php repair produced in
-``fixtures/warp_format1.counters.json``.  ``--check`` loads both and fails
-unless each holds the graph ``format1_workload()`` builds today.
+committed in the three retired formats — ``fixtures/warp_format1.json``
+(written at ebe3011), ``fixtures/warp_format2.json`` (written at
+29d2bb9, the last commit that wrote keyed lines) and
+``fixtures/warp_format3.json`` (written at 881a392, the last commit that
+wrote every text inline), each by running ``format1_workload()[0].save(...)``
+on a checkout of that commit — with the ``RepairStats`` counters its
+common.php repair produced in ``fixtures/warp_format1.counters.json``.
+``--check`` loads all three and fails unless each holds the graph
+``format1_workload()`` builds today.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -44,12 +51,17 @@ from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-#: ``golden_lines()`` as this build writes it (rows) ...
+#: ``golden_lines()`` as this build writes it (text entries, rows of ids) ...
+GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format4.golden")
+#: ... as format 3 wrote it (rows, every text inline) ...
 GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 #: ... and as PRs 11-17 wrote it (keyed objects).
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
 FORMAT2_SNAPSHOT = os.path.join(HERE, "warp_format2.json")
+FORMAT3_SNAPSHOT = os.path.join(HERE, "warp_format3.json")
+#: Every retired snapshot format's fixture, by version.
+OLD_SNAPSHOTS = {1: FORMAT1_SNAPSHOT, 2: FORMAT2_SNAPSHOT, 3: FORMAT3_SNAPSHOT}
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
 #: Config keys a snapshot no longer persists, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
@@ -159,6 +171,42 @@ def replay(wal_path: str) -> RecordStore:
     return store
 
 
+def text_refs(kind: str, data: dict) -> set:
+    """The text ids a journal entry refers to (format 4): a run line's
+    body and SQL texts, when they are ids."""
+    if kind not in ("run", "replace_run"):
+        return set()
+    items = [data["response"]["body"]] + [row[2] for row in data["queries"]]
+    return {item for item in items if type(item) is int}
+
+
+def undefined_refs(entries) -> list:
+    """``(index, id)`` for every id an entry of ``entries`` — one segment's
+    ``(kind, data)`` in file order — refers to before a ``text`` entry
+    has defined it: the segment invariant's violations."""
+    defined, missing = set(), []
+    for index, (kind, data) in enumerate(entries):
+        if kind == "text":
+            defined.add(data["id"])
+        missing += [(index, ident) for ident in sorted(text_refs(kind, data) - defined)]
+    return missing
+
+
+def segment(snapshot_path: str, wal_path: str) -> list:
+    """The ``(kind, data)`` entries of the segment a snapshot and its WAL
+    form: the snapshot's record lines, then the WAL after its marker."""
+    with open(snapshot_path, "r", encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        entries = [(entry["kind"], entry["data"]) for entry in map(json.loads, fh)]
+    tail = list(RecordWal.entries(wal_path))
+    markers = [
+        index
+        for index, (kind, data) in enumerate(tail)
+        if kind == "snapshot_marker" and data["snapshot_id"] == header["snapshot_id"]
+    ]
+    return entries + tail[markers[-1] + 1 :]
+
+
 def format1_workload(wal_path=None):
     """Browsing, editing and login traffic on a two-user wiki."""
     warp = WarpSystem(wal_path=wal_path, db_backend="python")
@@ -195,17 +243,18 @@ def repair_counters(warp) -> dict:
 def check(directory: str) -> list:
     """Every way the committed fixtures disagree with the code, by name."""
     problems = []
-    with open(GOLDEN_ROWS, "rb") as fh:
+    with open(GOLDEN_TEXTS, "rb") as fh:
         if fh.read() != golden_lines(directory):
             problems.append(
-                f"{GOLDEN_ROWS}: not the bytes the codec writes for golden_run(); "
+                f"{GOLDEN_TEXTS}: not the bytes the codec writes for golden_run(); "
                 "a codec change needs `python tests/persistence_fixtures.py`, "
                 "a regenerated golden needs a codec change"
             )
-    if replay(GOLDEN_LINES).to_snapshot() != golden_store().to_snapshot():
-        problems.append(f"{GOLDEN_LINES}: no longer replays to golden_run()")
+    for path in (GOLDEN_ROWS, GOLDEN_LINES):
+        if replay(path).to_snapshot() != golden_store().to_snapshot():
+            problems.append(f"{path}: no longer replays to golden_run()")
     expected = format1_workload()[0].graph.to_snapshot()
-    for path in (FORMAT1_SNAPSHOT, FORMAT2_SNAPSHOT):
+    for path in OLD_SNAPSHOTS.values():
         if WarpSystem.load(path).graph.to_snapshot() != expected:
             problems.append(f"{path}: no longer loads as format1_workload()")
     return problems
@@ -217,7 +266,7 @@ def main(argv) -> int:
             problems = check(directory)
             print("\n".join(problems) or "persistence fixtures match the code")
             return 1 if problems else 0
-        with open(GOLDEN_ROWS, "wb") as fh:
+        with open(GOLDEN_TEXTS, "wb") as fh:
             fh.write(golden_lines(directory))
     return 0
 

@@ -272,3 +272,143 @@ def test_reborn_coordinator_drops_a_torn_journal_tail(tmp_path):
     assert reader.interrupted()[1]["shards"] == {0: {"status": "done"}}
     # The next repair this coordinator starts is dist-3.
     assert reader._dist_seq == 2
+
+
+# ---------------------------------------------------------------------------
+# text entries (snapshot format 4): an entry precedes, in WAL order, every
+# line that refers to it — under concurrency and at every crash point
+# ---------------------------------------------------------------------------
+
+import random  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+
+import persistence_fixtures as fixtures  # noqa: E402
+from repro.db.storage import Column, TableSchema  # noqa: E402
+from repro.store.recordstore import RecordStore  # noqa: E402
+from repro.store.wal import RecordWal  # noqa: E402
+from repro.warp import WarpSystem  # noqa: E402
+
+
+@pytest.fixture
+def eager_thread_switches():
+    """Hand the GIL over as often as the interpreter will, for the test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
+    tmp_path, eager_thread_switches
+):
+    """Round after round, every thread's run is the first to need the same
+    new body and the same new SQL text, all at once, while another thread
+    saves — and so starts a new segment — as fast as it can.  In the final
+    segment each entry is written once, ahead of every line that refers to
+    it; the snapshot and its WAL load as the live graph."""
+    wal_path = str(tmp_path / "records.wal")
+    snap_path = str(tmp_path / "warp.json")
+    warp = WarpSystem(wal_path=wal_path, durability="none")
+    warp.ttdb.create_table(
+        TableSchema("t", (Column("k", "int"), Column("v")), partition_columns=("k",))
+    )
+    warp.ttdb.execute("INSERT INTO t (k, v) VALUES (?, ?)", (1, "one"))
+    n_threads, n_rounds = 16, 6
+    arrived = threading.Barrier(n_threads)
+
+    def probe(ctx):
+        round_ = ctx.param("round")
+        ctx.query(f"SELECT v FROM t WHERE k = ? AND v <> ? -- round {round_}", (1, ctx.param("n")))
+        arrived.wait(10.0)  # every run recorded before any is appended
+        ctx.echo(f"<p>round {round_}: " + "the same new body, " * 12 + "</p>")
+
+    warp.scripts.register("probe.php", {"handle": probe})
+    warp.server.route("/probe.php", "probe.php")
+    statuses, serving = [], True
+
+    def request(n):
+        for round_ in range(n_rounds):
+            params = {"n": str(n), "round": str(round_)}
+            statuses.append(warp.server.handle(HttpRequest("GET", "/probe.php", params=params)).status)
+
+    def save():
+        while serving:
+            warp.save(snap_path)
+
+    threads = [threading.Thread(target=request, args=(n,)) for n in range(n_threads)]
+    saver = threading.Thread(target=save)
+    saver.start()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    serving = False
+    saver.join(60.0)
+    assert not any(thread.is_alive() for thread in threads + [saver])
+    warp.graph.store.wal.close()
+    assert statuses == [200] * n_threads * n_rounds
+
+    entries = fixtures.segment(snap_path, wal_path)
+    assert fixtures.undefined_refs(entries) == []
+    texts = [data["text"] for kind, data in entries if kind == "text"]
+    assert len(set(texts)) == len(texts)  # each once
+    loaded = WarpSystem.load(snap_path, wal_path=wal_path)
+    loaded.graph.store.wal.close()
+    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+    assert loaded.graph.n_runs == n_threads * n_rounds
+
+
+def _variant(run_id, rng):
+    """``golden_run()`` as run ``run_id``, its body and SQL texts drawn from
+    small pools — so some lines first-use a text and some repeat one."""
+    run = fixtures.golden_run()
+    run.run_id = run_id
+    run.response.body = f"<p>page {rng.randrange(4)}</p>"
+    for query in run.queries:
+        query.run_id = run_id
+        query.sql = f"{query.sql} -- variant {rng.randrange(3)}"
+    return run
+
+
+def test_every_crash_point_recovers_the_acked_prefix_with_every_id_defined(tmp_path):
+    """Cut the log at every entry boundary and in the middle of every line:
+    recovery keeps exactly the runs acknowledged before the cut, every id a
+    recovered line refers to resolves, and a run appended after recovery
+    that needs a text whose entry was cut off defines it again."""
+    rng = random.Random(11)
+    wal_path = str(tmp_path / "records.wal")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    acked = [(0, store.to_snapshot())]  # (bytes on disk, store) per ack
+    for run_id in range(1, 13):
+        store.add_run(_variant(run_id, rng))
+        acked.append((os.path.getsize(wal_path), store.to_snapshot()))
+        if run_id % 5 == 0:
+            store.replace_run(run_id, _variant(run_id, rng))
+            acked.append((os.path.getsize(wal_path), store.to_snapshot()))
+    store.wal.close()
+    with open(wal_path, "rb") as fh:
+        data = fh.read()
+    boundaries = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    cuts = boundaries + [(a + b) // 2 for a, b in zip(boundaries, boundaries[1:])]
+    assert len(cuts) > 40
+    for cut in sorted(cuts):
+        path = str(tmp_path / f"cut-{cut}.wal")
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        recovered = RecordStore.recover(wal_path=path)
+        expected = [snapshot for size, snapshot in acked if size <= cut][-1]
+        assert recovered.to_snapshot() == expected, cut
+        for run in recovered.runs.values():
+            assert fixtures.text_refs("run", json.loads(run.json_text)) <= set(recovered.texts.by_id)
+        # Every body and SQL text again: each must resolve in the reopened log.
+        for run_id in range(101, 105):
+            recovered.add_run(_variant(run_id, rng))
+        recovered.wal.close()
+        assert fixtures.undefined_refs(list(RecordWal.entries(path))) == []
+        again = RecordStore.recover(wal_path=path)
+        again.wal.close()
+        assert again.to_snapshot() == recovered.to_snapshot()

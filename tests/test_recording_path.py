@@ -26,9 +26,10 @@ from repro.workload.loadgen import make_load_clients
 from repro.workload.scenarios import WikiDeployment
 
 
-def walked(run) -> str:
-    """``run``'s line encoded from scratch: the tree walk, no fragment."""
-    return json.dumps(run.to_wire(), separators=COMPACT)
+def walked(run, warp) -> str:
+    """``run``'s line encoded from scratch against ``warp``'s text table:
+    the tree walk, no fragment."""
+    return json.dumps(run.to_wire(warp.graph.store.texts), separators=COMPACT)
 
 
 def wal_run_texts(path):
@@ -108,7 +109,7 @@ class TestCacheKey:
             response = kv.get(k=1)
             assert response.status == 200 and response.body == "[]"
         run = kv.graph.runs_in_order()[-1]
-        assert run.queries[0].params[0] == param and run.json_text == walked(run)
+        assert run.queries[0].params[0] == param and run.json_text == walked(run, kv)
 
     def test_param_that_cannot_be_keyed_runs_uncached(self, kv):
         tt = kv.ttdb
@@ -146,7 +147,7 @@ class TestPayloadSharing:
         assert payload.fields[1] is queries[0].params
         for run in (first, second):
             assert run.payloads is None  # a stored run refers into no cache
-            assert run.json_text == walked(run)
+            assert run.json_text == walked(run, kv)
             assert run.json_text.count(payload.text) == 2
 
     def test_write_between_identical_selects_yields_a_fresh_payload(self, kv):
@@ -167,7 +168,7 @@ class TestPayloadSharing:
         assert old is same is hit and fresh is later is again and old is not fresh
         assert '"one"' in old.text and '"uno"' in fresh.text and '"one"' not in fresh.text
         for run in kv.graph.runs_in_order()[-3:]:
-            assert run.json_text == walked(run)
+            assert run.json_text == walked(run, kv)
         stale_run = kv.graph.runs_in_order()[-2]
         assert [query.snapshot[2] for query in stale_run.queries if not query.is_write] == [
             ((("v", "one"),),),
@@ -187,7 +188,7 @@ class TestPayloadSharing:
         kv.probe = probe
         assert [kv.get().body for _ in range(3)] == ["one"] * 3  # the miss, two hits
         for run in kv.graph.runs_in_order()[-3:]:
-            assert "defaced" not in run.json_text and run.json_text == walked(run)
+            assert "defaced" not in run.json_text and run.json_text == walked(run, kv)
             assert run.queries[0].snapshot == ("select", True, ((("v", "one"),),))
 
     def test_canceled_run_is_reencoded_in_full(self, kv, tmp_path):
@@ -201,10 +202,10 @@ class TestPayloadSharing:
         assert run.json_text is None and run.payloads is None
         path = str(tmp_path / "snapshot.json")
         kv.save(path)
-        assert run.json_text == walked(run) == kept[:-1] + ',"canceled":true}'
+        assert run.json_text == walked(run, kv) == kept[:-1] + ',"canceled":true}'
         reloaded = WarpSystem.load(path)
         again = reloaded.graph.store.runs[run.run_id]
-        assert again.canceled and again.json_text == run.json_text == again.encode()
+        assert again.canceled and again.json_text == run.json_text == again.encode(reloaded.graph.store.texts)
 
     def test_a_run_with_fifty_nondet_calls_numbers_them_per_function(self, kv):
         def probe(ctx):
@@ -217,7 +218,7 @@ class TestPayloadSharing:
         assert len(run.nondet) == 60
         for func, count in (("time", 20), ("rand", 40)):
             assert [n.seq for n in run.nondet if n.func == func] == list(range(count))
-        assert run.json_text == walked(run)
+        assert run.json_text == walked(run, kv)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
     assert len(lines) == len(store.runs) > 60
     for run_id, run in store.runs.items():
         assert run.payloads is None
-        assert lines[run_id] == run.json_text == walked(run)
+        assert lines[run_id] == run.json_text == walked(run, warp)
     kept_texts = [
         entry[0].payload.text for entry in warp.ttdb._stmt_cache.values() if entry[0].payload.text
     ]
@@ -260,10 +261,12 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
 
     assert warp.repair.submit(CancelClientSpec(f"{names[0]}-load")).result().ok
     for run in store.runs.values():
-        assert run.json_text is None or run.json_text == walked(run)
+        assert run.json_text is None or run.json_text == walked(run, warp)
     snapshot = str(tmp_path / "snapshot.json")
     warp.save(snapshot)
     store.wal.close()
     reloaded = WarpSystem.load(snapshot)
+    texts = reloaded.graph.store.texts
     for run_id, run in reloaded.graph.store.runs.items():
-        assert run.encode() == run.json_text == store.runs[run_id].json_text == walked(run)
+        assert run.encode(texts) == run.json_text == store.runs[run_id].json_text
+        assert run.json_text == walked(run, reloaded)

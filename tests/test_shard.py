@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import persistence_fixtures as fixtures
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec, RepairBatch, parse_spec
 from repro.repair.stats import merge_stats_dicts
@@ -293,14 +294,25 @@ class TestWireAndWorker:
     def test_wal_rotation_keeps_the_shard_history(self, tmp_path):
         """Regression: rotation saved beside the WAL, where the next start
         never looks — the truncated log alone then came back as a fresh
-        shard and the app factory reinstalled over the data."""
+        shard and the app factory reinstalled over the data.  Each rotation
+        starts a segment of text entries (snapshot format 4): every id the
+        snapshot and the WAL after it refer to resolves within them."""
         config = ShardConfig(
             shard_id=0,
             data_dir=str(tmp_path),
             app_args={"tenants": [0], "shared_users": [ATTACKER]},
             warp_kwargs={"wal_rotate_bytes": 4096},
         )
-        snapshot = WarpSystem.shard_layout(str(tmp_path), 0)["snapshot"]
+        layout = WarpSystem.shard_layout(str(tmp_path), 0)
+        snapshot = layout["snapshot"]
+
+        def assert_ids_resolve(warp):
+            assert fixtures.undefined_refs(fixtures.segment(snapshot, layout["wal"])) == []
+            store = warp.graph.store
+            for run in store.runs.values():
+                if run.json_text is not None:
+                    refs = fixtures.text_refs("run", json.loads(run.json_text))
+                    assert refs <= set(store.texts.by_id)
 
         def serve_past_the_bound(worker):
             before = worker.warp.graph.n_runs
@@ -314,6 +326,7 @@ class TestWireAndWorker:
             assert os.path.exists(snapshot), "traffic never triggered rotation"
             assert read_snapshot_header(snapshot)["records"]["run"] > before
             worker.close()
+            assert_ids_resolve(worker.warp)
             return worker.warp.graph.n_runs
 
         n_runs = serve_past_the_bound(ShardWorker(config))
@@ -327,6 +340,7 @@ class TestWireAndWorker:
         )
         assert fresh is False
         assert warp.graph.n_runs == n_runs
+        assert_ids_resolve(warp)
 
 
 # ---------------------------------------------------------------------------

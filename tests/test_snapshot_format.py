@@ -1,19 +1,23 @@
-"""Snapshot format 3 and the one-codec contract behind it.
+"""Snapshot format 4 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
 of its WAL line and of its snapshot line, and it says each fact once:
-queries as positional rows, nothing the enclosing run says, no defaults.
-These tests pin the bytes (the rows this build writes, and the keyed
-lines PRs 11-17 wrote, which must keep reading), the round trip of both
-views, the kept-text invariant across every mutation the store offers,
-format-1 and format-2 compatibility and the upgrade on the next save, the
-bytes one request may cost, and the refusal of files that are not whole.
+queries as positional rows, nothing the enclosing run says, no defaults —
+and no response body or SQL text another line of the segment already
+wrote: those are ``text`` entries, referred to by id.  These tests pin the
+bytes (what this build writes, and the inline rows and keyed lines older
+builds wrote, which must keep reading), the round trip of both views, the
+kept-text invariant across every mutation the store offers, format-1, -2
+and -3 compatibility and the upgrade on the next save, the text entries a
+snapshot holds, the bytes one request may cost, and the refusal of files
+that are not whole.
 """
 
 import gc
 import json
 import os
 import random
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +27,8 @@ import persistence_fixtures as fixtures
 from repro.ahg.records import QUERY_ROW, AppRunRecord, NondetRecord, QueryRecord, query_payload
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
-from repro.core.serialize import COMPACT
+from repro.core.serialize import COMPACT, DecodeMemo, TextTable
+from repro.db.storage import Column, TableSchema
 from repro.faults.plane import FaultPlane, SimulatedCrash
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec
@@ -39,25 +44,31 @@ from repro.workload.scenarios import run_scenario
 
 
 # ---------------------------------------------------------------------------
-# (b) the bytes: what this build writes is pinned, what PRs 11-17 wrote reads
+# (b) the bytes: what this build writes is pinned, what older builds wrote reads
 # ---------------------------------------------------------------------------
 
 
 def test_wal_lines_match_golden_bytes(tmp_path):
-    with open(fixtures.GOLDEN_ROWS, "rb") as fh:
+    with open(fixtures.GOLDEN_TEXTS, "rb") as fh:
         golden = fh.read()
     assert fixtures.golden_lines(str(tmp_path)) == golden
-    # ... and the snapshot line of the same run is the WAL line.
-    run_line = golden.splitlines(keepends=True)[0].decode("utf-8")
+    # ... and the snapshot lines of the same run — its three text entries,
+    # then the run — are the WAL lines.
+    lines = golden.decode("utf-8").splitlines(keepends=True)
+    assert [json.loads(line)["kind"] for line in lines] == ["text"] * 3 + ["run", "replace_run"]
+    run_line = lines[3]
     store = RecordStore()
     store.add_run(fixtures.golden_run())
     path = str(tmp_path / "snapshot.json")
     store.save_snapshot(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        assert fh.readlines()[1] == run_line
-    # Each fact once: no field name inside a query, no default spelled out.
+        assert fh.readlines()[1:] == lines[:4]
+    # Each fact once: no field name inside a query, no default spelled out,
+    # no body or SQL text — a text entry says each.
     assert '"sql"' not in run_line and run_line.count('"run_id"') == 1
     assert '"canceled"' not in run_line and "false" not in run_line
+    assert "<p>ok" not in run_line and "SELECT" not in run_line and "UPDATE" not in run_line
+    assert '"body":1,' in run_line
 
 
 def test_keyed_golden_lines_still_replay():
@@ -73,6 +84,54 @@ def test_keyed_golden_lines_still_replay():
     replayed = fixtures.replay(fixtures.GOLDEN_LINES)
     assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
     assert replayed.runs[7] == fixtures.golden_run()
+
+
+def test_format3_golden_lines_still_replay():
+    """The lines format 3 wrote (rows, every text inline) read as the run
+    they were written from; the text of none is kept, so the next write of
+    the run is in this build's shape."""
+    entries = list(RecordWal.entries(fixtures.GOLDEN_ROWS))
+    assert [kind for kind, _ in entries] == ["run", "replace_run"]
+    for _, data in entries:
+        assert isinstance(data["response"]["body"], str)
+        assert all(isinstance(row[2], str) for row in data["queries"])
+        assert AppRunRecord.from_dict(data) == fixtures.golden_run()
+    replayed = fixtures.replay(fixtures.GOLDEN_ROWS)
+    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
+    assert replayed.runs[7].json_text is None
+
+
+def test_wal_mixing_format3_and_format4_lines_replays(tmp_path):
+    """A log begun by the previous build and continued by this one, with no
+    version switch between: format-3 lines (texts inline), then format-4
+    lines whose ids refer to text entries — one of them the same SQL text a
+    format-3 line held inline.  It replays to the store a live one builds."""
+    newcomer = fixtures.golden_run()
+    newcomer.run_id = 8
+    for query in newcomer.queries:
+        query.run_id = 8
+    newcomer.response.body = "<p>new</p>"
+    wal_path = str(tmp_path / "mixed.wal")
+    shutil.copy(fixtures.GOLDEN_ROWS, wal_path)
+    texts = TextTable()
+    line = newcomer.encode(texts)
+    with open(wal_path, "a", encoding="utf-8", newline="") as fh:
+        for ident in texts.take_fresh():
+            fh.write(entry_line("text", texts.entry(ident)))
+        fh.write(entry_line("run", line))
+    assert '"body":1,' in line and '"<p>new</p>"' not in line
+
+    recovered = RecordStore.recover(wal_path=wal_path)
+    live = fixtures.golden_store()
+    live.add_run(newcomer)
+    assert recovered.to_snapshot() == live.to_snapshot()
+    assert recovered.runs == {7: fixtures.golden_run(), 8: newcomer}
+    # The format-4 line is kept, the format-3 ones are re-encoded from now on.
+    assert recovered.runs[8].json_text == line and recovered.runs[7].json_text is None
+    recovered.add_run(AppRunRecord.from_dict(dict(newcomer.to_dict(), run_id=9)))
+    recovered.wal.close()
+    kinds = [kind for kind, _ in RecordWal.entries(wal_path)]
+    assert kinds[-1] == "run" and kinds.count("text") == 3  # run 9 needed no new entry
 
 
 def test_wal_mixing_keyed_and_row_lines_replays(tmp_path):
@@ -178,12 +237,17 @@ QUERY_KEYS = (set(QUERY_ROW) - {"disjuncts"}) | {"run_id", "seq", "read_set"}
 @given(run=run_records())
 @example(run=fixtures.golden_run())
 def test_codec_views_agree(run):
-    """Both views of a run — the text (rows, elided defaults) and the
-    keyed ``to_dict()`` — rebuild it, and the keyed view names every field
-    whether or not the text spells it out."""
-    text = run.encode()
-    again = AppRunRecord.from_dict(json.loads(text), json_text=text)
-    assert again == run and again.encode() == text == again.json_text
+    """Both views of a run — the text (rows, elided defaults, ids for its
+    body and SQL texts) and the keyed ``to_dict()`` — rebuild it, and the
+    keyed view names every field whether or not the text spells it out.
+    Encoded with no table, the text is the format-3 line: it rebuilds the
+    run too, and is not kept."""
+    texts = TextTable()
+    text = run.encode(texts)
+    again = AppRunRecord.from_dict(json.loads(text), text, DecodeMemo(texts))
+    assert again == run and again.encode(texts) == text == again.json_text
+    inline = AppRunRecord.from_dict(json.loads(run.encode()), run.encode())
+    assert inline == run and inline.json_text is None
     keyed = run.to_dict()
     assert AppRunRecord.from_dict(keyed) == run
     assert again.to_dict() == keyed  # from kept text or a fresh encode: one view
@@ -199,8 +263,10 @@ def test_codec_views_agree(run):
         assert (item["read_set"]["disjuncts"] is None) == query.read_set.is_all
     for record, item in zip(run.nondet, keyed["nondet"]):
         assert set(item) == {"func", "seq", "value"} and item["func"] == record.func
-    # What the text may leave out, and only that.
+    # What the text may leave out, and only that; the texts it refers to.
     line = json.loads(text)
+    assert texts.by_id[line["response"]["body"]] == run.response.body
+    assert [texts.by_id[row[2]] for row in line["queries"]] == [q.sql for q in run.queries]
     assert set(line) == RUN_KEYS - {
         name
         for name, default in [
@@ -238,7 +304,7 @@ def recorded_runs(draw):
             payload = RecordedPayload()
             payload.fields = query_payload(query)
             if draw(st.booleans()):
-                payload.text = json.dumps(query.to_row()[2:], separators=COMPACT)[1:]
+                payload.text = json.dumps(query.to_row()[3:], separators=COMPACT)[1:]
         queries.append(query)
         run.payloads.append(payload)
     run.queries = queries
@@ -252,14 +318,20 @@ def test_encode_is_the_dump_of_to_wire(run):
     rows spliced from their payloads' texts; ``to_wire()`` is the tree.  The
     oracle: the assembled line is the dump of the tree, whichever rows had a
     text to splice, and stays so once every payload has one and once the
-    store has dropped them."""
+    store has dropped them — with a text table (ids, defined in the same
+    order by both) and without (every text inline)."""
     oracle = json.dumps(run.to_wire(), separators=COMPACT)
+    with_ids = json.dumps(run.to_wire(TextTable()), separators=COMPACT)
     assert run.encode() == oracle
     assert all(payload.text for payload in run.payloads if payload is not None)
     assert run.encode() == oracle  # every payload-bearing row spliced
+    texts = TextTable()
+    assert run.encode(texts) == with_ids
     run.payloads = None
     assert run.encode() == oracle  # every row walked
+    assert run.encode(texts) == with_ids
     assert AppRunRecord.from_dict(json.loads(oracle)) == run
+    assert AppRunRecord.from_dict(json.loads(with_ids), memo=DecodeMemo(texts)) == run
 
 
 #: Each value's look-alike: equal to it (and hashing alike), of another type
@@ -312,7 +384,7 @@ def test_reload_is_type_exact_across_records(tmp_path_factory, run):
     assert reloaded.to_snapshot() == source.to_snapshot()
     for run_id, kept in source.runs.items():
         again = reloaded.runs[run_id]
-        assert again.encode() == again.json_text == kept.json_text
+        assert again.encode(reloaded.texts) == again.json_text == kept.json_text
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +395,7 @@ def test_reload_is_type_exact_across_records(tmp_path_factory, run):
 def assert_kept_text_is_fresh(store):
     for run in store.runs.values():
         if run.json_text is not None:
-            assert run.json_text == run.encode(), run.run_id
+            assert run.json_text == run.encode(store.texts), run.run_id
 
 
 def edit(client, page, text):
@@ -391,7 +463,7 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
 
     warp.save(snap_path)
     # Every live run has been written now, so every one keeps its text.
-    assert all(run.json_text == run.encode() for run in store.runs.values())
+    assert all(run.json_text == run.encode(store.texts) for run in store.runs.values())
     reloaded = WarpSystem.load(snap_path)
     assert reloaded.graph.to_snapshot() == warp.graph.to_snapshot()
     assert_kept_text_is_fresh(reloaded.graph.store)
@@ -411,7 +483,7 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
 def test_canceling_a_run_drops_its_kept_text(tmp_path):
     store = RecordStore(wal=RecordWal(str(tmp_path / "w.wal"), durability="none"))
     store.add_run(fixtures.golden_run())
-    assert store.runs[7].json_text == fixtures.golden_run().encode()
+    assert store.runs[7].json_text == fixtures.golden_run().encode(store.texts)
     store.mark_run_canceled(7)
     assert store.runs[7].json_text is None
     path = str(tmp_path / "snapshot.json")
@@ -420,15 +492,26 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# (c) a format-1 file written by the parent commit still loads and repairs
+# (c) files written by older builds still load, repair, and upgrade
 # ---------------------------------------------------------------------------
 
 
-def run_lines(path):
-    """The decoded ``data`` of every run line of the snapshot at ``path``."""
+def record_lines(path, kind):
+    """The decoded ``data`` of every ``kind`` line of the snapshot at ``path``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         entries = [json.loads(line) for line in fh.readlines()[1:]]
-    return [entry["data"] for entry in entries if entry["kind"] == "run"]
+    return [entry["data"] for entry in entries if entry["kind"] == kind]
+
+
+def run_lines(path):
+    return record_lines(path, "run")
+
+
+def referenced_ids(lines):
+    """Every text id the run lines ``lines`` refer to."""
+    return {line["response"]["body"] for line in lines} | {
+        row[2] for line in lines for row in line["queries"]
+    }
 
 
 def loads_repairs_and_upgrades(fixture, version, tmp_path):
@@ -444,18 +527,22 @@ def loads_repairs_and_upgrades(fixture, version, tmp_path):
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     assert fixtures.repair_counters(warp) == expected
 
-    # Loaded from the old format, saved as format 3 — rows only, and the
-    # text kept from now on is the text a fresh encode gives — loaded
-    # again: same graph.
+    # Loaded from the old format, saved as format 4 — rows only, ids for
+    # every body and SQL text, each text entry once, and the text kept from
+    # now on is the text a fresh encode gives — loaded again: same graph.
     upgraded = str(tmp_path / "upgraded.json")
     again = WarpSystem.load(fixture)
     again.save(upgraded)
-    assert read_snapshot_header(upgraded)["version"] == 3
+    assert read_snapshot_header(upgraded)["version"] == 4
     lines = run_lines(upgraded)
     assert len(lines) == original.graph.n_runs and any(d["queries"] for d in lines)
     for data in lines:
-        assert all(isinstance(q, list) for q in data["queries"])
+        assert all(isinstance(q, list) and type(q[2]) is int for q in data["queries"])
         assert all(isinstance(n, list) for n in data.get("nondet", ()))
+        assert type(data["response"]["body"]) is int
+    entries = record_lines(upgraded, "text")
+    assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(lines))
+    assert len({entry["text"] for entry in entries}) == len(entries)
     assert_kept_text_is_fresh(again.graph.store)
     reloaded = WarpSystem.load(upgraded)
     assert reloaded.graph.to_snapshot() == original.graph.to_snapshot()
@@ -475,6 +562,15 @@ def test_format2_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     # shape by, the defaults spelled out all the same.
     assert any(not d["queries"] and d["nondet"] == [] for d in keyed)
     loads_repairs_and_upgrades(fixtures.FORMAT2_SNAPSHOT, 2, tmp_path)
+
+
+def test_format3_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written at 881a392: rows, every body and SQL text inline."""
+    inline = run_lines(fixtures.FORMAT3_SNAPSHOT)
+    assert not record_lines(fixtures.FORMAT3_SNAPSHOT, "text")
+    assert all(isinstance(d["response"]["body"], str) for d in inline)
+    assert all(isinstance(q, list) and isinstance(q[2], str) for d in inline for q in d["queries"])
+    loads_repairs_and_upgrades(fixtures.FORMAT3_SNAPSHOT, 3, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +595,11 @@ def walked_maxima(store):
     return max_ts, max(store.runs, default=0), max_qid
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, version):
-    snapshot = {1: fixtures.FORMAT1_SNAPSHOT, 2: fixtures.FORMAT2_SNAPSHOT}.get(version)
+    snapshot = fixtures.OLD_SNAPSHOTS.get(version)
     if snapshot is None:
-        snapshot = str(tmp_path / "format3.json")
+        snapshot = str(tmp_path / "format4.json")
         fixtures.format1_workload()[0].save(snapshot)
     assert read_snapshot_header(snapshot)["version"] == version
     loaded = WarpSystem.load(snapshot)
@@ -536,14 +632,142 @@ def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, 
 
 
 # ---------------------------------------------------------------------------
+# (f) text entries: a snapshot holds exactly what its runs refer to, ids are
+# never reused, and an entry a segment lacks is written again when needed
+# ---------------------------------------------------------------------------
+
+
+def bodied_run(run_id, body, ts):
+    """``golden_run()`` as run ``run_id`` at ``ts``, answering ``body``."""
+    run = fixtures.golden_run()
+    run.run_id, run.ts_start, run.response.body = run_id, ts, body
+    for query in run.queries:
+        query.run_id, query.ts = run_id, ts
+    run.ts_end = ts
+    return run
+
+
+def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path):
+    wal_path = str(tmp_path / "records.wal")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    for run_id in range(1, 9):
+        store.add_run(bodied_run(run_id, f"<p>body {run_id % 5}</p>", ts=run_id * 10))
+    assert len(store.texts.by_id) == 5 + 2
+    store.gc(horizon_ts=45)  # runs 1-4 go; bodies 1-4 live on in runs 6-8
+    path = str(tmp_path / "snapshot.json")
+    store.save_snapshot(path)
+    entries = record_lines(path, "text")
+    assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
+    assert {entry["text"] for entry in entries} == {
+        "<p>body 0</p>", "<p>body 1</p>", "<p>body 2</p>", "<p>body 3</p>",
+        fixtures.golden_run().queries[0].sql, fixtures.golden_run().queries[1].sql,
+    }  # fmt: skip
+    assert set(store.texts.by_id) == {entry["id"] for entry in entries}
+    # The WAL starts the segment empty: the next run refers into the snapshot.
+    store.add_run(bodied_run(9, "<p>body 1</p>", ts=90))
+    store.wal.close()
+    assert [kind for kind, _ in RecordWal.entries(wal_path)] == ["snapshot_marker", "run"]
+    recovered = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
+    recovered.wal.close()
+    assert recovered.to_snapshot() == store.to_snapshot()
+
+
+def test_save_after_replace_run_drops_the_replaced_body(tmp_path):
+    """A save finds the referenced entries without a lookup per query until
+    something may have left one unused; a replacement does."""
+    store = RecordStore(wal=RecordWal(str(tmp_path / "records.wal"), durability="none"))
+    store.add_run(bodied_run(1, "<p>before</p>", ts=10))
+    path = str(tmp_path / "snapshot.json")
+    store.save_snapshot(path)
+    assert "<p>before</p>" in {entry["text"] for entry in record_lines(path, "text")}
+    store.replace_run(1, bodied_run(1, "<p>after</p>", ts=10))
+    store.save_snapshot(path)
+    store.wal.close()
+    entries = record_lines(path, "text")
+    assert "<p>before</p>" not in {entry["text"] for entry in entries}
+    assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
+
+
+def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
+    """The last entries defined leave with their runs; the header's counter
+    keeps their ids from coming back, through a reload and a second save."""
+    wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "snapshot.json")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    store.add_run(bodied_run(1, "<p>kept</p>", ts=10))
+    store.add_run(bodied_run(2, "<p>dropped</p>", ts=5))
+    dropped = store.texts.ids["<p>dropped</p>"]
+    assert dropped == store.texts.last_id == 4
+    store.gc(horizon_ts=8)
+    store.save_snapshot(path)
+    store.wal.close()
+    assert read_snapshot_header(path)["ids"] == {"text": 4}
+    assert dropped not in {entry["id"] for entry in record_lines(path, "text")}
+    for last in (4, 5):
+        reloaded = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
+        assert reloaded.texts.last_id == last
+        body, ts = f"<p>new {last}</p>", reloaded.max_ts + 1
+        reloaded.add_run(bodied_run(ts, body, ts=ts))
+        assert reloaded.texts.ids[body] == last + 1
+        reloaded.save_snapshot(path)
+        reloaded.wal.close()
+    ids = [entry["id"] for entry in record_lines(path, "text")]
+    assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 6 and len(ids) == len(set(ids))
+
+
+def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_path):
+    """The statement cache outlives the runs: after they are collected and
+    the log rotated, a hit on the entry is the first line of the segment to
+    need the SQL text, and it journals the text entry first."""
+    wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "warp.json")
+    warp = WarpSystem(wal_path=wal_path, durability="none")
+    warp.ttdb.create_table(
+        TableSchema("t", (Column("k", "int"), Column("v")), partition_columns=("k",))
+    )
+    warp.ttdb.execute("INSERT INTO t (k, v) VALUES (?, ?)", (1, "one"))
+    sql = "SELECT v FROM t WHERE k = ?"
+    results = []
+    warp.scripts.register(
+        "probe.php", {"handle": lambda ctx: results.append(ctx.query_result(sql, (1,)))}
+    )
+    warp.server.route("/probe.php", "probe.php")
+
+    def probe():
+        assert warp.server.handle(HttpRequest("GET", "/probe.php")).status == 200
+
+    probe()
+    probe()  # a hit: the payload has its text now
+    payload = results[0].payload
+    assert results[1].payload is payload and payload.text is not None
+    warp.graph.gc(warp.clock.now() + 1)
+    warp.save(path)
+    assert warp.graph.n_runs == 0 and sql not in warp.graph.store.texts.ids
+    assert not record_lines(path, "text")
+
+    probe()  # a hit again — on a payload whose SQL text the segment lacks
+    assert results[2].payload is payload
+    warp.graph.store.wal.close()
+    tail = [(kind, data) for kind, data in RecordWal.entries(wal_path) if kind != "snapshot_marker"]
+    assert [kind for kind, _ in tail] == ["text", "text", "run"]  # body, SQL, run
+    assert tail[1][1]["text"] == sql
+    assert fixtures.undefined_refs(fixtures.segment(path, wal_path)) == []
+    loaded = WarpSystem.load(path, wal_path=wal_path)
+    loaded.graph.store.wal.close()
+    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+
+
+# ---------------------------------------------------------------------------
 # (e) the bytes one request may cost
 # ---------------------------------------------------------------------------
 
 
 def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
     """Exact counts on a fixed deployment, so a field that bloats the run
-    line fails here and not in a benchmark run.  (At the parent commit,
-    keyed queries with every default spelled out: 2330 and 3111.)"""
+    line fails here and not in a benchmark run.  The first request of a
+    kind pays for the text entries of its body and SQL texts; its repeat
+    pays for neither when the body is the same (the form) and for the new
+    body alone when it is not (each edit's page).  (Format 3, every text
+    inline: 1461, 1464, 1842, 1841; before it, keyed queries with every
+    default spelled out: 2330 for the form and 3111 for an edit.)"""
     warp = WarpSystem(seed=7, wal_path=str(tmp_path / "records.wal"), durability="none")
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -556,9 +780,10 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
         assert client.send(request).status == 200
         return wal.appended_bytes - before
 
-    assert cost(client.request("GET", "/edit.php", {"title": "P"})) == 1461
-    append = {"title": "P", "append": "\none more line."}
-    assert cost(client.request("POST", "/edit.php", append)) == 1839
+    form = client.request("GET", "/edit.php", {"title": "P"})
+    assert [cost(form), cost(form)] == [1573, 867]
+    append = client.request("POST", "/edit.php", {"title": "P", "append": "\none more line."})
+    assert [cost(append), cost(append)] == [1767, 1236]
     wal.close()
 
 
@@ -636,13 +861,16 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 3
+        assert header["version"] == 4
+        n_texts = len(record_lines(path, "text"))
+        assert n_texts == len(referenced_ids(run_lines(path))) > 0
         assert header["records"] == {
             "visit": warp.graph.n_visits,
+            "text": n_texts,
             "run": warp.graph.n_runs,
             "patch": 0,
         }
-        assert len(lines) == 1 + warp.graph.n_visits + warp.graph.n_runs
+        assert len(lines) == 1 + warp.graph.n_visits + n_texts + warp.graph.n_runs
         assert "runs" not in header["graph"]
 
     def test_cut_mid_line(self, saved):
@@ -671,7 +899,7 @@ class TestRefusedSnapshots:
         with pytest.raises(ReproError, match="line 4"):
             RecordStore.recover(snapshot_path=path)
 
-    @pytest.mark.parametrize("version", [0, 4, "3", None])
+    @pytest.mark.parametrize("version", [0, 5, "4", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])
@@ -748,8 +976,8 @@ class TestPreviousSnapshotSurvives:
         warp, path, good = self._deployment(tmp_path, FaultPlane())
         real_lines = RecordStore._record_lines
 
-        def dying_lines(self):
-            for index, line in enumerate(real_lines(self)):
+        def dying_lines(self, *args):
+            for index, line in enumerate(real_lines(self, *args)):
                 if index == 1:
                     raise SimulatedCrash("died mid-write")
                 yield line
@@ -790,22 +1018,34 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
     warp.graph.replace_run(2, twin)
     warp.graph.store.wal.close()
     texts = {}  # run id -> the text of its last run / replace_run line
+    entries = {}  # text id -> its entry's line
     with open(wal_path, "r", encoding="utf-8", newline="") as fh:
-        for kind, data, text in map(wal_module.decode_line, fh):
+        for line in fh:
+            kind, data, text = wal_module.decode_line(line)
             if kind in ("run", "replace_run"):
                 texts[data["run_id"]] = text
-    assert len(texts) == 4 and "<!-- replaced -->" in texts[2]
+            elif kind == "text":
+                entries[data["id"]] = line
+    assert len(texts) == 4
+    replaced_body = json.loads(texts[2])["response"]["body"]
+    assert "<!-- replaced -->" in entries[replaced_body]
 
     recovered = WarpSystem.load(None, wal_path=wal_path)
     assert {run_id: run.json_text for run_id, run in recovered.graph.runs.items()} == texts
     monkeypatch.setattr(
-        AppRunRecord, "encode", lambda self: pytest.fail(f"run {self.run_id} re-encoded")
+        AppRunRecord,
+        "encode",
+        lambda self, texts=None: pytest.fail(f"run {self.run_id} re-encoded"),
     )
     path = str(tmp_path / "warp.json")
     recovered.save(path)
     recovered.graph.store.wal.close()
+    # The entries the runs refer to, then the runs, spliced.
+    used = sorted(referenced_ids([json.loads(text) for text in texts.values()]))
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        assert fh.readlines()[1:] == [entry_line("run", text) for text in texts.values()]
+        assert fh.readlines()[1:] == [entries[ident] for ident in used] + [
+            entry_line("run", text) for text in texts.values()
+        ]
 
 
 def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
@@ -829,13 +1069,16 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
     monkeypatch.setattr(wal_module, "decode_line", counting_decode)
     recovered = RecordStore.recover(wal_path=wal_path)
     assert sorted(recovered.runs) == [1, 2, 3, 4, 5]
-    assert len(decoded) == 5  # once each (the torn line has no newline to get that far)
+    # Once each (the torn line has no newline to get that far): the three
+    # text entries the first run defined, the five runs.
+    assert len(decoded) == 3 + 5
     monkeypatch.undo()
     # The attach dropped the torn tail without a second pass.
     assert RecordWal.repair(wal_path) == 0
     recovered.add_run(AppRunRecord.from_dict(dict(fixtures.golden_run().to_dict(), run_id=6)))
     recovered.wal.close()
-    assert [data["run_id"] for _, data in RecordWal.entries(wal_path)] == [1, 2, 3, 4, 5, 6]
+    runs = [data["run_id"] for kind, data in RecordWal.entries(wal_path) if kind == "run"]
+    assert runs == [1, 2, 3, 4, 5, 6]
 
 
 def test_run_scenario_passes_warp_kwargs(tmp_path):

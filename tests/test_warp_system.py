@@ -1,6 +1,8 @@
 """Tests for the WarpSystem facade: clients, repair entry points,
 concurrent-repair re-application, repeated repairs, and log GC."""
 
+import json
+
 import pytest
 
 from repro.apps.wiki import WikiApp, patch_for
@@ -170,12 +172,16 @@ class TestMetricsModule:
         )
         assert report.gb_per_day(10.0) > 0
         # It sizes what the store writes: raw, the three logs are exactly
-        # the record lines of a snapshot of the same deployment ...
+        # the record lines of a snapshot of the same deployment — the text
+        # entries included, each once ...
         path = str(tmp_path / "warp.json")
         deployment.warp.save(path)
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n", 1)[1]
-        assert lines.count(b"\n") == deployment.warp.graph.n_visits + deployment.warp.graph.n_runs
+            header, lines = fh.read().split(b"\n", 1)
+        n_texts = json.loads(header)["records"]["text"]
+        assert n_texts > 0
+        graph = deployment.warp.graph
+        assert lines.count(b"\n") == graph.n_visits + n_texts + graph.n_runs
         assert set(report.raw_bytes) == {"browser", "app", "db"}
         assert sum(report.raw_bytes.values()) == len(lines)
         # ... and compressed (record by record, like the paper) they are smaller.
