@@ -8,8 +8,10 @@ and propagation touch only the attacked component, so repair wall-clock
 must stay roughly flat — the acceptance bar is **≤2× when tenants grow
 8×** — with re-executed action counts unchanged.  The monolithic
 reference worklist (discovery forced futile, so the repair keeps the
-global scope) is measured alongside to show what the clustering buys (its
-partition-index builds scan the whole log).
+global scope) is measured alongside.  Both arms look candidates up in the
+record store's partition buckets, built per key on first lookup, so
+neither pays for the other tenants' history and clustered repair must be
+no slower than the monolithic reference.
 """
 
 import contextlib
@@ -28,6 +30,14 @@ TENANT_COUNTS = tuple(
 )
 USERS_PER_TENANT = int(os.environ.get("REPRO_CLUSTER_USERS", "3"))
 EDITS_PER_USER = int(os.environ.get("REPRO_CLUSTER_EDITS", "2"))
+#: Each arm's row is its fastest of this many staged repairs, arms
+#: alternating: single millisecond repair windows spread by ±40 %.
+REPEATS = 3
+#: How far clustered repair may trail monolithic at the largest scale.
+#: Both arms do the same lookups, so the ratio is parity plus noise:
+#: fifteen best-of-3 runs on a 2-vCPU Xeon VM read 0.61–1.06.  Past
+#: 1.25× is a clustered-only slowdown, not noise.
+PARITY_MARGIN = 0.25
 
 
 def run_one(n_tenants, mode):
@@ -75,9 +85,13 @@ def test_repair_clusters_scaling(benchmark):
     def measure():
         rows = {}
         for n in TENANT_COUNTS:
+            runs = {"clustered": [], "monolithic": []}
+            for _ in range(REPEATS):
+                runs["clustered"].append(run_one(n, "sequential"))
+                runs["monolithic"].append(run_one(n, "off"))
             rows[n] = {
-                "clustered": run_one(n, "sequential"),
-                "monolithic": run_one(n, "off"),
+                arm: min(arm_runs, key=lambda row: row["repair_s"])
+                for arm, arm_runs in runs.items()
             }
         return rows
 
@@ -112,7 +126,7 @@ def test_repair_clusters_scaling(benchmark):
     scaling = clustered_large / clustered_small if clustered_small > 0 else 0.0
     # Machine-relative ratio: clustered repair vs the workload growth it
     # must *not* track.  Also gate the clustered/monolithic ratio at the
-    # largest scale (clustering must never be slower than the global scan).
+    # largest scale: clustered repair must be no slower than monolithic.
     vs_mono = (
         rows[large]["clustered"]["repair_s"] / rows[large]["monolithic"]["repair_s"]
         if rows[large]["monolithic"]["repair_s"] > 0
@@ -144,4 +158,9 @@ def test_repair_clusters_scaling(benchmark):
     assert scaling <= 2.0, (
         f"1-tenant repair grew {scaling:.2f}× when tenants grew "
         f"{large // small}× — not footprint-proportional"
+    )
+    # Clustered repair must be no slower than the monolithic reference.
+    assert vs_mono <= 1.0 + PARITY_MARGIN, (
+        f"clustered repair took {vs_mono:.2f}× the monolithic reference "
+        f"at {large} tenants"
     )

@@ -2,21 +2,22 @@
 
 The paper's central scaling claim (§8.5, Table 8) is that repair cost is
 proportional to the *attack's footprint*, not the workload.  A single
-global worklist gets most of the way there, but two costs still scale
-with the workload: discovering which actions the damage can reach, and
-building the per-table partition indexes that propagation consults (the
-Table 7 "Graph" column) — both scan the full run log.
+global worklist gets most of the way there; what remains is to know
+which actions the damage can reach without scanning the run log.
 
 This module computes **taint-connected components** over the action
-history graph instead: a union-find joining clients and ``(table,
+history graph: a union-find joining clients and ``(table,
 partition-key)`` nodes through the queries that read/write them, walked
 outward from the initial damage set through the record store's eagerly
-maintained :class:`~repro.store.recordstore.TouchIndex`.  Each component
-becomes a :class:`RepairGroup`: an **index scope** — a partition query
-index built from the group's runs only, so both discovery and propagation
-are O(component), never O(workload) — plus the attribution row the
-group's work is counted on.  The worklist itself (one heap, one set of
-run/visit state, one ``ModifiedPartitions``) belongs to the controller.
+maintained :class:`~repro.store.recordstore.TouchIndex`, so discovery is
+O(component), never O(workload).  Each component becomes a
+:class:`RepairGroup`: the coverage that tells an escape from a covered
+key, plus the attribution row the group's work is counted on.  The
+worklist itself (one heap, one set of run/visit state, one
+``ModifiedPartitions``) belongs to the controller, and every candidate
+lookup goes to the store's partition buckets, each built per key on its
+first lookup from the same TouchIndex — O(runs touching the key), which
+for a covered key is at most O(group).
 
 Edges (the connectivity relation; an undirected over-approximation of the
 time-directed dependencies repair actually follows):
@@ -31,25 +32,21 @@ time-directed dependencies repair actually follows):
 * ALL-partition reader of table T ↔ every writer of T;
 * full-table writer of T ↔ everything touching T.
 
-**Coverage and the escape hatch.**  A group records the partition keys
-its member runs statically write (``covered_keys``).  By construction the
-component is closed over those keys: every run touching a covered key is
-a member, so the group's index is complete for them.  Re-execution can
+**Coverage and escapes.**  A group records the partition keys its member
+runs statically write (``covered_keys``); the component is closed over
+them, so every run touching a covered key is a member.  Re-execution can
 *escape* — write a key the original timeline never wrote (a repaired
-page saved under a new title).  Uncovered keys are looked up in the
-graph's global index instead (paying its lazy build only when an escape
-actually happens) and the group counts the escape in its stats; either
-way the candidates are the ones the global index alone would return.
+page saved under a new title).  The lookup is the same either way; the
+group counts the escape in its stats, the measure of how far repair
+strayed from the statically planned footprint.
 """
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ahg.records import QueryRecord
-from repro.store.recordstore import merge_bucket_tails, partition_index_keys
 
 PartitionKey = Tuple[str, str, object]
 
@@ -62,61 +59,12 @@ GROUP_COUNTER_FIELDS = (
     "queries_reexecuted",
 )
 
-class GroupQueryIndex:
-    """Partition buckets over one group's runs only.
-
-    Same bucket structure and lookup contract as the record store's
-    global index (`RecordStore.queries_touching`) — key derivation and
-    the merge lookup are shared helpers, since the escape path mixes
-    results from both — but built from the group's member runs:
-    O(group queries) to build, so a small repair group never pays for
-    indexing the whole table's history.
-    """
-
-    def __init__(self, graph, run_ids: Iterable[int]) -> None:
-        started = _time.perf_counter()
-        self._keys: Dict[PartitionKey, List] = {}
-        self._all: Dict[str, List] = {}
-        self._table: Dict[str, List] = {}
-        for run_id in run_ids:
-            run = graph.runs.get(run_id)
-            if run is None:
-                continue
-            for query in run.queries:
-                entry = (query.ts, query.qid, query)
-                self._table.setdefault(query.table, []).append(entry)
-                keys, in_all_bucket = partition_index_keys(query)
-                if in_all_bucket:
-                    self._all.setdefault(query.table, []).append(entry)
-                for key in keys:
-                    self._keys.setdefault(key, []).append(entry)
-        for buckets in (self._keys, self._all, self._table):
-            for bucket in buckets.values():
-                bucket.sort()
-        self.build_seconds = _time.perf_counter() - started
-
-    def touching(
-        self,
-        table: str,
-        keys: Iterable[PartitionKey],
-        since_ts: int,
-        whole_table: bool = False,
-    ) -> List[QueryRecord]:
-        if whole_table:
-            buckets = [self._table.get(table, [])]
-        else:
-            buckets = [self._keys.get(key, []) for key in keys]
-            buckets.append(self._all.get(table, []))
-        return merge_bucket_tails(buckets, since_ts)
-
-
 class RepairGroup:
-    """The index scope and attribution row of one taint component.
+    """The coverage and attribution row of one taint component.
 
     ``run_ids is None`` means *global scope*: what the controller starts
     with (and keeps when clustering is off, and uses for runs in no
-    component) — every lookup goes straight to the graph's global index
-    and nothing is considered an escape.
+    component) — nothing is considered an escape.
     """
 
     def __init__(
@@ -146,8 +94,6 @@ class RepairGroup:
         self.done_emitted = False
         self.escaped_keys = 0
         self.seconds = 0.0
-        self.index_build_seconds = 0.0
-        self._index: Optional[GroupQueryIndex] = None
 
     @property
     def scoped(self) -> bool:
@@ -155,12 +101,6 @@ class RepairGroup:
 
     def covers(self, key: PartitionKey) -> bool:
         return key in self.covered_keys or key[0] in self.covered_tables
-
-    def _ensure_index(self, graph) -> GroupQueryIndex:
-        if self._index is None:
-            self._index = GroupQueryIndex(graph, self.run_ids or ())
-            self.index_build_seconds += self._index.build_seconds
-        return self._index
 
     def queries_touching(
         self,
@@ -170,29 +110,14 @@ class RepairGroup:
         since_ts: int,
         whole_table: bool = False,
     ) -> List[QueryRecord]:
-        """Candidate queries for a modification, preferring the group-local
-        index; uncovered (escaped) keys consult the global one."""
-        if not self.scoped:
-            return graph.queries_touching(table, keys, since_ts, whole_table)
-        if whole_table:
-            if table in self.covered_tables:
-                return self._ensure_index(graph).touching(table, (), since_ts, True)
-            self.escaped_keys += 1
-            return graph.queries_touching(table, (), since_ts, True)
-        covered: List[PartitionKey] = []
-        uncovered: List[PartitionKey] = []
-        for key in keys:
-            (covered if self.covers(key) else uncovered).append(key)
-        out: List[QueryRecord] = []
-        if covered or not uncovered:
-            out.extend(self._ensure_index(graph).touching(table, covered, since_ts))
-        if uncovered:
-            self.escaped_keys += len(uncovered)
-            seen = {query.qid for query in out}
-            for query in graph.queries_touching(table, uncovered, since_ts):
-                if query.qid not in seen:
-                    out.append(query)
-        return out
+        """Candidate queries for a modification, from the graph's partition
+        buckets; a key outside the group's coverage counts as an escape."""
+        if self.scoped:
+            if whole_table:
+                self.escaped_keys += table not in self.covered_tables
+            else:
+                self.escaped_keys += sum(not self.covers(key) for key in keys)
+        return graph.queries_touching(table, keys, since_ts, whole_table)
 
     def describe(self) -> Dict[str, object]:
         """One JSON-friendly per-group stats row."""
@@ -203,7 +128,6 @@ class RepairGroup:
             "seed_runs": len(self.seed_runs),
             "escaped_keys": self.escaped_keys,
             "seconds": round(self.seconds, 6),
-            "index_build_seconds": round(self.index_build_seconds, 6),
         }
         row.update(self.counters)
         return row
@@ -289,8 +213,7 @@ def compute_repair_groups(
     partition whose table has thousands of ALL-partition readers trips
     this within a few expansions — the whole point is to detect
     "everything is connected" *without* paying for the full walk, and let
-    the caller keep the global scope, whose lazy global index is
-    already the right tool there.  Returns ``[]`` only for an empty
+    the caller keep the global scope.  Returns ``[]`` only for an empty
     damage set.
     """
     touch = graph.touch
@@ -401,11 +324,10 @@ def compute_repair_groups(
                 frontier.extend(r.run_id for r in graph.client_runs(client_id))
             for query in run.queries:
                 table = query.table
-                if query.is_write:
-                    if query.full_table_write:
-                        expand_full_write(build, table, frontier)
-                    for key in query.written_partitions:
-                        expand_write_key(build, key, frontier)
+                if query.full_table_write:
+                    expand_full_write(build, table, frontier)
+                for key in query.written_partitions:
+                    expand_write_key(build, key, frontier)
                 if query.read_set.is_all:
                     expand_all_read(build, table, frontier)
                 else:

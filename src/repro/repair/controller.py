@@ -17,16 +17,16 @@ generation, so the live generation keeps serving traffic untouched until
 ``finalize`` atomically switches generations (§4.3).
 
 There is one worklist: one heap in global ``(ts, seq)`` order, one set of
-run / visit state, one ``ModifiedPartitions``.  What is
-**dependency-clustered** (:mod:`repro.repair.clusters`) is the index it
-consults: the initial damage set is split into taint-connected components,
-and each heap entry carries the component (*scope*) its run belongs to, so
-propagation looks candidates up in a partition index built over that
-component's runs only.  Discovery is always attempted; when it is futile
+run / visit state, one ``ModifiedPartitions``, and one partition index —
+the store's, whose buckets are built per key on first lookup.  What is
+**dependency-clustered** (:mod:`repro.repair.clusters`) is the accounting:
+the initial damage set is split into taint-connected components, and each
+heap entry carries the component (*scope*) its run belongs to, which
+counts the item's work and the keys it escapes to.  Discovery is always
+attempted; when it is futile
 (:class:`~repro.repair.clusters.ClusteringFutile`) every entry runs in
-global scope against the store's index — the fallback the equivalence
-property test forces as its reference.  Both pop the same items in the
-same order.
+global scope — the fallback the equivalence property test forces as its
+reference.  Both pop the same items in the same order.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ class RepairController:
         self._counted_visits: Set[Tuple[str, int]] = set()
         #: Clients whose replay hit a conflict (paper §5.4).
         self._conflicted_clients: Set[str] = set()
-        #: Index scopes.  Until an entry point plans clusters there is only
+        #: Scopes.  Until an entry point plans clusters there is only
         #: the global scope, which is also what futile clustering keeps
         #: throughout and what a run in no component gets.
         self._global = RepairGroup(0)
         self._groups: List[RepairGroup] = [self._global]
-        #: Scope of the item being processed: which index answers
-        #: ``queries_touching`` and whose counters ``_bump`` feeds.
+        #: Scope of the item being processed: which coverage its lookups
+        #: escape from and whose counters ``_bump`` feeds.
         self._g: RepairGroup = self._global
         #: Which scope a run / client's items are queued in (filled by
         #: _plan_groups from the computed groups).
@@ -473,7 +473,6 @@ class RepairController:
             attributed += row["conflicts"]
             self.stats.groups.append(row)
             self.stats.escaped_keys += group.escaped_keys
-            self.stats.clusters_seconds += group.index_build_seconds
         if self.server.gate is not None:
             gate_stats = self.server.gate.stats
             self.stats.gate = {
@@ -541,7 +540,7 @@ class RepairController:
                 )
             except ClusteringFutile:
                 # The damage component spans most of the workload: keep the
-                # global scope and the store's index.
+                # global scope.
                 futile = True
             self.stats.clusters_seconds += _time.perf_counter() - started
         if not groups:
@@ -929,12 +928,14 @@ class RepairController:
 
     def _propagate(self, table: str, keys, ts: int, whole_table: bool) -> None:
         """Queue every recorded query the modification may affect, each at
-        most once per repair.  The active scope's index answers for the
-        keys it covers and the store's for the rest (an escape), so the
-        candidates are the same with or without groups."""
-        for query in self._g.queries_touching(
-            self.graph, table, keys, ts, whole_table
-        ):
+        most once per repair.  The store's buckets answer in every scope, so
+        the candidates are the same with or without groups.  The buckets a
+        lookup builds are timed as Table 7's "Graph", so that time is taken
+        out of the phase the lookup ran in."""
+        built = self.graph.graph_load_seconds
+        candidates = self._g.queries_touching(self.graph, table, keys, ts, whole_table)
+        self.stats.timer.carve(self.graph.graph_load_seconds - built)
+        for query in candidates:
             if query.qid not in self._scheduled_qids:
                 self._scheduled_qids.add(query.qid)
                 self._schedule(query.ts, "query", query)

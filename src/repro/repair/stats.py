@@ -32,6 +32,12 @@ class PhaseTimer:
         if self._stack:
             self._stack[-1][2] += elapsed
 
+    def carve(self, seconds: float) -> None:
+        """Take ``seconds``, measured and reported apart, out of the open
+        phase's self time."""
+        if self._stack:
+            self._stack[-1][2] += seconds
+
     def get(self, name: str) -> float:
         return self.buckets.get(name, 0.0)
 
@@ -55,9 +61,9 @@ class RepairStats:
     graph_seconds: float = 0.0
     #: Dependency-clustered repair (repro.repair.clusters): how many
     #: independent repair groups the damage set split into (0 = the
-    #: monolithic global worklist), time spent discovering components and
-    #: building group-scoped partition indexes, keys whose propagation had
-    #: to fall back to the global index, and one counter row per group.
+    #: monolithic global worklist), time spent discovering components,
+    #: keys propagation reached outside the static footprint, and one
+    #: counter row per group.
     n_groups: int = 0
     clusters_seconds: float = 0.0
     escaped_keys: int = 0

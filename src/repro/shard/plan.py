@@ -13,8 +13,8 @@ as the connective tissue:
   physically cannot cross a shard boundary — the only cross-shard edge
   is a *client identity* active on both sides (the attacker logging into
   two tenants that hash to different shards).  That is the same escape
-  the single-process planner routes through its global index when a key
-  leaks out of a group (``escaped_keys``); here the escape *is* the
+  the single-process planner counts when a key leaks out of a group
+  (``escaped_keys``); here the escape *is* the
   shard-handoff edge, and the plan records it as a handoff so operators
   see which client stitched the shards together.
 

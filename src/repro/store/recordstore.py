@@ -6,14 +6,17 @@ index the repair controller's dependency questions need:
 * ``(client_id, visit_id) -> run ids`` — ``runs_of_visit`` in O(answers);
 * ``source file -> (ts_end, run_id)`` sorted by time — ``runs_loading_file``
   in O(log n + answers) via bisect;
-* per-table partition-key buckets of ``(ts, qid, query)`` kept in time
-  order — ``queries_touching`` merges pre-sorted buckets with a heap and
-  never re-sorts.
+* partition buckets of ``(ts, qid, query)`` kept in time order —
+  ``queries_touching`` merges pre-sorted buckets with a heap and never
+  re-sorts.
 
-Partition buckets are built lazily per table and the build time is
-accounted in ``index_build_seconds`` (the paper's Table 7 "Graph" column:
-loading the action history graph is part of repair cost).  Everything
-else is maintained eagerly at append time.
+A partition bucket is built on its first lookup, per key, from exactly the
+runs the eagerly maintained :class:`TouchIndex` lists for it, so a repair's
+index cost follows the keys it reaches, not the table's history.  The build
+time is accounted in ``index_build_seconds`` (the paper's Table 7 "Graph"
+column: loading the action history graph is part of repair cost).  An
+append updates only the buckets already built; everything else is
+maintained eagerly at append time.
 
 Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
@@ -65,19 +68,29 @@ _EMPTY_SET: frozenset = frozenset()
 _body, _sql, _queries = map(attrgetter, ("response.body", "sql", "queries"))
 
 
-def partition_index_keys(query: QueryRecord) -> Tuple[List[PartitionKey], bool]:
-    """The full ``(table, column, value)`` keys a query's partition-bucket
-    entries live under, plus whether it belongs in the ALL bucket.
+# Which buckets a query belongs in: the key bucket of each of its written
+# partitions and read keys, whatever the statement's kind, and its table's
+# ALL bucket when ``in_all_bucket``.  A bucket built from the TouchIndex must
+# find every query an append would have put in it, so ``TouchIndex.
+# index_query`` / ``unindex_run``, the two helpers below and
+# ``RecordStore._index_query`` all follow this rule.  Each spells it out for
+# speed (deriving the TouchIndex from one shared key set cost 2.7x on the
+# append path); ``test_indexed_lookups_match_naive_reference`` checks that
+# they agree.
 
-    Single source of truth for both the store's global partition index and
-    the per-group indexes in :mod:`repro.repair.clusters` — the escape
-    path mixes lookups from both, so their key derivation must never
-    drift.
-    """
-    table = query.table
-    keys = set(query.written_partitions)
-    keys |= {(table,) + tuple(k) for k in query.read_set.keys()}
-    return list(keys), bool(query.read_set.is_all or query.full_table_write)
+
+def in_all_bucket(query: QueryRecord) -> bool:
+    """Whether a query is a candidate for every key of its table: its read
+    set cannot be narrowed, or it writes the whole table."""
+    return query.read_set.is_all or query.full_table_write
+
+
+def touches_key(query: QueryRecord, key: PartitionKey) -> bool:
+    """Whether ``key``'s bucket holds ``query``: it writes that partition or
+    reads that key of its table."""
+    return key in query.written_partitions or (
+        key[0] == query.table and key[1:] in query.read_set.keys()
+    )
 
 
 def merge_bucket_tails(buckets, since_ts: int) -> List[QueryRecord]:
@@ -129,20 +142,26 @@ class TouchIndex:
         self.table_fullw: Dict[str, Set[int]] = {}
 
     def index_query(self, query: QueryRecord, run_id: int) -> None:
+        """List ``run_id`` under every key whose bucket holds the query —
+        written partitions whatever the statement's kind, and read keys —
+        and, when the query belongs in its table's ALL bucket, in
+        ``table_all`` (an un-narrowable read) or ``table_fullw`` (a
+        full-table write flag, again whatever the kind), which is what the
+        store's buckets are built from."""
         table = query.table
+        touchers = self.key_touchers
         self.table_touchers.setdefault(table, set()).add(run_id)
         if query.is_write:
             self.table_writers.setdefault(table, set()).add(run_id)
-            for key in query.written_partitions:
-                self.key_writers.setdefault(key, set()).add(run_id)
-                self.key_touchers.setdefault(key, set()).add(run_id)
-            if query.full_table_write:
-                self.table_fullw.setdefault(table, set()).add(run_id)
+        for key in query.written_partitions:
+            self.key_writers.setdefault(key, set()).add(run_id)
+            touchers.setdefault(key, set()).add(run_id)
+        if query.full_table_write:
+            self.table_fullw.setdefault(table, set()).add(run_id)
         if query.read_set.is_all:
             self.table_all.setdefault(table, set()).add(run_id)
-        else:
-            for column, value in query.read_set.keys():
-                self.key_touchers.setdefault((table, column, value), set()).add(run_id)
+        for column, value in query.read_set.keys():
+            touchers.setdefault((table, column, value), set()).add(run_id)
 
     def unindex_run(self, run: AppRunRecord) -> None:
         """Drop every edge contributed by ``run`` (gc, replace_run)."""
@@ -156,9 +175,8 @@ class TouchIndex:
             for key in query.written_partitions:
                 self._discard(self.key_writers, key, run_id)
                 self._discard(self.key_touchers, key, run_id)
-            if not query.read_set.is_all:
-                for column, value in query.read_set.keys():
-                    self._discard(self.key_touchers, (table, column, value), run_id)
+            for column, value in query.read_set.keys():
+                self._discard(self.key_touchers, (table, column, value), run_id)
 
     @staticmethod
     def _discard(buckets: Dict, key, run_id: int) -> None:
@@ -233,13 +251,15 @@ class RecordStore:
         #: scanning the run log.
         self.touch = TouchIndex()
 
-        # -- lazily built partition indexes (time-ordered buckets) ------------
-        self._qindex_built: Set[str] = set()
-        self._qindex_keys: Dict[PartitionKey, List[Tuple[int, int, QueryRecord]]] = {}
-        self._qindex_all: Dict[str, List[Tuple[int, int, QueryRecord]]] = {}
-        self._qindex_table: Dict[str, List[Tuple[int, int, QueryRecord]]] = {}
-        #: Wall-clock seconds spent building partition indexes (Table 7).
+        # -- partition buckets, each built on its first lookup ----------------
+        #: Time-ordered ``(ts, qid, query)`` lists, keyed by what they hold:
+        #: a ``(table, column, value)`` key's queries, a table's ALL bucket
+        #: under ``(table,)`` and all of its queries under ``table``.
+        self._buckets: Dict[object, List[Tuple[int, int, QueryRecord]]] = {}
+        #: Wall-clock seconds spent building buckets (Table 7 "Graph"), and
+        #: the queries those builds looked at.
         self.index_build_seconds = 0.0
+        self.index_build_queries = 0
 
         #: Requests the online-repair gate queued but has not re-applied
         #: yet (ticket -> journaled entry); normally drained at finalize,
@@ -270,8 +290,9 @@ class RecordStore:
         # stripes is fine, acquiring backwards is not).  Readers take the
         # narrowest stripe covering every structure they read: TouchIndex
         # walks need only ``touch``, partition-bucket merges need ``records``
-        # + ``qindex`` (the lazy build iterates runs).  Reentrant: replay/
-        # gc call other mutators.
+        # + ``qindex`` (a bucket build reads the TouchIndex and the runs,
+        # which only ``records`` holders mutate).  Reentrant: replay/gc
+        # call other mutators.
         self._records_lock = threading.RLock()
         self._touch_lock = threading.RLock()
         self._qindex_lock = threading.RLock()
@@ -483,10 +504,12 @@ class RecordStore:
         with self._touch_lock:
             for query in run.queries:
                 self.touch.index_query(query, run.run_id)
-        # Keep partition buckets fresh for tables already indexed.
-        with self._qindex_lock:
-            for query in run.queries:
-                if query.table in self._qindex_built:
+        # Keep the buckets built so far fresh; one built later finds the
+        # run through the TouchIndex.  Tested outside ``qindex``: a bucket
+        # is only built under ``records``, which this holds.
+        if self._buckets:
+            with self._qindex_lock:
+                for query in run.queries:
                     self._index_query(query)
 
     def _note_high_water(self, run: AppRunRecord) -> None:
@@ -753,13 +776,10 @@ class RecordStore:
         return old
 
     def invalidate_partition_indexes(self) -> None:
-        """Drop the lazily built partition buckets (records changed under
-        them); the next ``queries_touching`` rebuilds on demand."""
+        """Drop the partition buckets (records changed under them); the
+        next ``queries_touching`` rebuilds the ones it asks for."""
         with self._qindex_lock:
-            self._qindex_built.clear()
-            self._qindex_keys.clear()
-            self._qindex_all.clear()
-            self._qindex_table.clear()
+            self._buckets.clear()
 
     # ------------------------------------------------------------------ lookups
 
@@ -844,58 +864,58 @@ class RecordStore:
         time-ordered, so this is a heap merge of pre-sorted runs of
         answers — no per-call sort.  Callers re-check precisely.
 
-        Takes ``records`` before ``qindex`` (lock-order contract): the
-        lazy build iterates the run log, and acquiring records *after*
-        qindex would deadlock against a writer holding records."""
+        Takes ``records`` before ``qindex`` (lock-order contract): a bucket
+        build reads the TouchIndex and the runs, and acquiring records
+        *after* qindex would deadlock against a writer holding records."""
         with self._records_lock, self._qindex_lock:
-            self._build_index(table)
             if whole_table:
-                buckets = [self._qindex_table.get(table, [])]
+                buckets = [self._bucket(table)]
             else:
-                buckets = [self._qindex_keys.get(key, []) for key in keys]
-                buckets.append(self._qindex_all.get(table, []))
+                buckets = [self._bucket(key) for key in keys]
+                buckets.append(self._bucket((table,)))
             return merge_bucket_tails(buckets, since_ts)
 
-    def _build_index(self, table: str) -> None:
-        if table in self._qindex_built:
-            return
-        start = _time.perf_counter()
-        self._qindex_built.add(table)
-        # Bulk load: plain appends, then one sort per touched bucket.
-        # Entries arrive nearly in ts order, so the sorts are close to
-        # linear — cheaper than per-entry binary insertion, and immune to
-        # the quadratic worst case of inserting out-of-order timestamps.
-        touched: Dict[int, List] = {}
-        for run_id in self._run_order:
-            for query in self.runs[run_id].queries:
-                if query.table == table:
-                    self._index_query(query, touched=touched)
-        for bucket in touched.values():
-            bucket.sort()
-        self.index_build_seconds += _time.perf_counter() - start
+    def _bucket(self, name) -> List[Tuple[int, int, QueryRecord]]:
+        """The bucket ``name`` (a partition key, ``(table,)`` or ``table``),
+        built on first use from the queries of exactly the runs the
+        TouchIndex lists for it, then sorted once."""
+        bucket = self._buckets.get(name)
+        if bucket is not None:
+            return bucket
+        started = _time.perf_counter()
+        touch = self.touch
+        if isinstance(name, str):
+            run_ids = touch.touchers_of_table(name)
+            wanted = lambda query: query.table == name
+        elif len(name) == 1:
+            table = name[0]
+            run_ids = touch.all_readers_of_table(table) | touch.full_writers_of_table(table)
+            wanted = lambda query: query.table == table and in_all_bucket(query)
+        else:
+            run_ids = touch.touchers_of_key(name)
+            wanted = lambda query: touches_key(query, name)
+        bucket = []
+        for run_id in run_ids:
+            queries = self.runs[run_id].queries
+            self.index_build_queries += len(queries)
+            bucket += [(query.ts, query.qid, query) for query in queries if wanted(query)]
+        bucket.sort()
+        self._buckets[name] = bucket
+        self.index_build_seconds += _time.perf_counter() - started
+        return bucket
 
-    def _index_query(
-        self, query: QueryRecord, touched: Optional[Dict[int, List]] = None
-    ) -> None:
-        """Add one query to the partition buckets.  With ``touched`` (bulk
-        build), entries are appended and the caller sorts each touched
-        bucket once; without it, sorted order is maintained in place."""
+    def _index_query(self, query: QueryRecord) -> None:
+        """Insert one query, in order, into the buckets already built."""
         table = query.table
+        names = {table, *query.written_partitions}
+        names.update([(table,) + k for k in query.read_set.keys()])
+        if in_all_bucket(query):
+            names.add((table,))
         entry = (query.ts, query.qid, query)
-
-        def insert(bucket: List) -> None:
-            if touched is None:
+        for name in names:
+            bucket = self._buckets.get(name)
+            if bucket is not None:
                 bisect.insort(bucket, entry)
-            else:
-                bucket.append(entry)
-                touched[id(bucket)] = bucket
-
-        insert(self._qindex_table.setdefault(table, []))
-        keys, in_all_bucket = partition_index_keys(query)
-        if in_all_bucket:
-            insert(self._qindex_all.setdefault(table, []))
-        for key in keys:
-            insert(self._qindex_keys.setdefault(key, []))
 
     # ------------------------------------------------------------------ file index
 

@@ -1,5 +1,7 @@
 """Unit tests for the action history graph: indexes, lookups, GC."""
 
+import dataclasses
+
 import pytest
 
 from repro.ahg.graph import ActionHistoryGraph
@@ -156,6 +158,50 @@ class TestQueryIndex:
         graph.add_run(second)
         hits = graph.queries_touching("pages", {("pages", "title", "A")}, 0)
         assert [q.qid for q in hits] == [1, 2]
+
+    def test_lookup_builds_only_its_keys_buckets(self):
+        """A lookup for K builds K's bucket and its table's ALL bucket, from
+        the runs the TouchIndex lists for K — no other run is looked at."""
+        graph = ActionHistoryGraph()
+        store = graph.store
+        ts = 10
+        for run_id in range(1, 41):
+            run = make_run(run_id, ts)
+            title = "A" if run_id % 10 == 0 else f"p{run_id}"
+            run.queries = [
+                make_query(2 * run_id, run_id, ts + 1, reads=[title]),
+                make_query(2 * run_id + 1, run_id, ts + 2, table="users", all_reads=True),
+            ]
+            graph.add_run(run)
+            ts += 10
+        key = ("pages", "title", "A")
+        hits = graph.queries_touching("pages", {key}, since_ts=0)
+        assert [q.run_id for q in hits] == [10, 20, 30, 40]
+        assert set(store._buckets) == {key, ("pages",)}
+        assert store._buckets[("pages",)] == []
+        touchers = store.touch.touchers_of_key(key)
+        assert touchers == {10, 20, 30, 40}
+        assert store.index_build_queries == sum(
+            len(store.runs[run_id].queries) for run_id in touchers
+        )
+        # A second lookup of the same key builds nothing.
+        graph.queries_touching("pages", {key}, since_ts=0)
+        assert store.index_build_queries == 8
+
+    def test_select_flagged_full_table_write_is_in_the_all_bucket(self):
+        """The TouchIndex and the buckets derive a query's keys alike: a
+        non-write flagged ``full_table_write`` is a candidate for every key
+        of its table, whether its bucket was built before or after it."""
+        graph = ActionHistoryGraph()
+        flagged = dataclasses.replace(
+            make_query(1, 1, 11, reads=["B"]), full_table_write=True
+        )
+        run = make_run(1, 10)
+        run.queries = [flagged]
+        graph.add_run(run)
+        assert graph.touch.full_writers_of_table("pages") == {1}
+        hits = graph.queries_touching("pages", {("pages", "title", "A")}, 0)
+        assert [q.qid for q in hits] == [1]
 
     def test_graph_load_time_accounted(self):
         graph = ActionHistoryGraph()

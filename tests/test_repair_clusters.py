@@ -19,17 +19,19 @@ to the monolithic reference worklist.
 """
 
 import random
+import time
 
 import pytest
 
 from repro.apps.wiki import WikiApp
 from repro.http.message import HttpRequest
-from repro.repair.api import CancelVisitSpec, DbFixSpec, PatchSpec
+from repro.repair.api import CancelClientSpec, CancelVisitSpec, DbFixSpec, PatchSpec
 from repro.repair.clusters import (
     GROUP_COUNTER_FIELDS,
     ClusteringFutile,
     compute_repair_groups,
 )
+from repro.store import recordstore
 from repro.warp import WarpSystem
 from repro.workload.scenarios import (
     WIKI,
@@ -536,6 +538,78 @@ class TestGroupedRepairOnMultiTenant:
         # The untouched tenants' pages kept their full edit history.
         for tenant in (1, 2):
             assert "post-" in outcome.wiki.page_text(outcome.tenant_page(tenant))
+
+
+class TestIndexCostFollowsDamage:
+    """The store builds a partition bucket per key on its first lookup, so
+    what a repair indexes follows the keys it reaches, not the history."""
+
+    def test_inspected_queries_do_not_grow_with_unrelated_tenants(self):
+        inspected = {}
+        for n_tenants in (2, 16):
+            outcome = run_multi_tenant_scenario(
+                n_tenants=n_tenants, users_per_tenant=2, attacked_tenants=1, seed=1
+            )
+            store = outcome.warp.graph.store
+            assert store.index_build_queries == 0
+            assert outcome.repair().ok
+            inspected[n_tenants] = store.index_build_queries
+        assert inspected[2] > 0
+        assert inspected[16] == inspected[2]
+
+    def test_rebuild_after_invalidation_builds_only_reached_keys(self, monkeypatch):
+        outcome = run_multi_tenant_scenario(
+            n_tenants=4, users_per_tenant=2, attacked_tenants=1, seed=3
+        )
+        store = outcome.warp.graph.store
+        assert outcome.repair().ok
+        assert store._buckets == {}  # finalize dropped them
+
+        reached = set()
+        lookup = store.queries_touching
+
+        def spy_lookup(table, keys, since_ts, whole_table=False):
+            keys = list(keys)
+            reached.update([table] if whole_table else [*keys, (table,)])
+            return lookup(table, keys, since_ts, whole_table)
+
+        built = []
+        invalidate = store.invalidate_partition_indexes
+
+        def spy_invalidate():
+            built.append(set(store._buckets))
+            invalidate()
+
+        monkeypatch.setattr(store, "queries_touching", spy_lookup)
+        monkeypatch.setattr(store, "invalidate_partition_indexes", spy_invalidate)
+        victim = outcome.tenant_users[2][0]
+        spec = CancelClientSpec(outcome.deployment.client_id(victim))
+        assert outcome.warp.repair.submit(spec).result().ok
+        assert built and built[0] == reached
+        pages = {outcome.tenant_page(t) for t in range(outcome.n_tenants)}
+        reached_pages = {name[2] for name in reached if len(name) == 3} & pages
+        assert reached_pages == {outcome.tenant_page(2)}
+        assert len(reached) < len(store.touch.key_touchers) // 2
+
+    def test_breakdown_sums_to_total_when_the_index_builds_in_init(self, monkeypatch):
+        """Canceling the attacker's client undoes its writes during init,
+        so the first bucket builds run inside that phase; "graph" must not
+        be counted in it a second time."""
+        outcome = run_multi_tenant_scenario(
+            n_tenants=2, users_per_tenant=2, attacked_tenants=1, seed=1
+        )
+        touches_key = recordstore.touches_key
+
+        def slow_touches_key(query, key):
+            time.sleep(0.001)
+            return touches_key(query, key)
+
+        monkeypatch.setattr(recordstore, "touches_key", slow_touches_key)
+        breakdown = outcome.repair().stats.breakdown()
+        total = breakdown.pop("total")
+        assert breakdown["graph"] > 0.05
+        assert all(seconds >= 0 for seconds in breakdown.values()), breakdown
+        assert sum(breakdown.values()) == pytest.approx(total), breakdown
 
 
 # ---------------------------------------------------------------------------
