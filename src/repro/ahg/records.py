@@ -26,10 +26,15 @@ snapshot format 3 — per item, so old and new lines mix; nothing writes them.
 store's :class:`~repro.core.serialize.TextTable`, a line holds an integer
 where the response body and each query's SQL text were: the id of a
 ``text`` entry the store writes once, before the first line that needs it,
-in the same segment (the snapshot plus the WAL after its marker).  The
-reader decides per item — a string is the text, an int an id — so
-format-3 and format-4 lines mix in one log.  Records hold the full strings
-in memory; only the lines refer.  Encoded with no table, a run is its
+in the same segment (the snapshot plus the WAL after its marker).
+**Format 5** does the same for the rest of each row, its *payload* (params
+to write sets): a row is ``[qid, ts, <sql id>, <row id>]``, and the row id
+names the entry whose text is the payload's compact JSON array — so the
+session lookups, ACL checks and page reads a history repeats are written
+once per segment, not once per run.  The reader decides per item — a
+string is the text, an int an id, a four-item row a format-5 row — so
+format-3, -4 and -5 lines mix in one log.  Records hold the full values in
+memory; only the lines refer.  Encoded with no table, a run is its
 format-3 line.
 """
 
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -75,6 +80,11 @@ _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "writt
 #: A row says which query it is in its first two positions only: what
 #: follows is the same text for every hit on one statement-cache entry.
 assert QUERY_ROW[:2] == ("qid", "ts")
+#: The length of a format-5 row, ``[qid, ts, <sql id>, <row id>]``: the row
+#: id names the ``text`` entry of the payload — every field after the SQL,
+#: as the JSON array a format-3 row spells out inline.  An inline row has
+#: at least ``_ROW_REQUIRED`` items, so the length tells the two apart.
+_REF_ROW = _SQL + 2
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
 #: ``json.dumps(tree, separators=COMPACT)``, the encoder built once and with no
@@ -127,30 +137,41 @@ class QueryRecord:
         """This query's :data:`QUERY_ROW` row, as the tree ``json.dumps``
         serializes: fields go in as they are — tuples are left for the
         encoder to flatten into arrays (no Python-level walk) — except the
-        two that need converting, the second only if the row gets that far,
-        and the SQL text, which is its id in ``texts`` when there is one."""
+        two that need converting, the second only if the row gets that far.
+        Against ``texts`` it is the format-5 row: the SQL text's id and the
+        payload's (:func:`payload_text`)."""
         row = list(_row_attributes(self))
-        if texts is not None:
-            row[_SQL] = texts.ref(row[_SQL])
         while len(row) > _ROW_REQUIRED and not row[-1]:
             row.pop()
         row[_DISJUNCTS] = row[_DISJUNCTS].to_dict()["disjuncts"]
         if len(row) > _PARTITIONS:
             row[_PARTITIONS] = encode_key_set(row[_PARTITIONS])
-        return row
+        if texts is None:
+            return row
+        return [*row[:_SQL], texts.ref(row[_SQL]), texts.ref(_dumps(row[_SQL + 1 :]))]
 
     @classmethod
     def from_wire(cls, item, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
         """Rebuild a query from one item of a run's ``queries``: a row —
         ``run_id`` and ``seq`` are then the enclosing run's id and the
         item's index — or a keyed object, which names them itself.  Queries
-        decoded through one ``memo`` share everything but their identity."""
+        decoded through one ``memo`` share everything but their identity:
+        a format-5 row's payload is parsed and built once per distinct
+        ``(sql id, row id)``, an inline row's once per distinct value."""
         if isinstance(item, dict):
             run_id, seq = item["run_id"], item["seq"]
             item = {**_ROW_DEFAULTS, **item, "disjuncts": item["read_set"]["disjuncts"]}
             row = [item[name] for name in QUERY_ROW]
+        elif len(item) == _REF_ROW:
+            qid, ts, sql, ref = item
+            key = (cls, sql, ref)
+            payload = memo.built.get(key)
+            if payload is None:
+                row = [qid, ts, sql, *json.loads(memo.table.by_id[ref])]
+                payload = memo.built[key] = _decode_payload(row, memo)
+            return cls(qid, run_id, seq, ts, *payload)
         else:
-            row = item + _ROW_PAD[len(item) - _ROW_REQUIRED :]
+            row = list(item)
         # Without these two a row says nothing about which query it is, and
         # most rows of a history say what an earlier one said.
         qid, ts = row[_QID], row[_TS]
@@ -158,15 +179,29 @@ class QueryRecord:
         key = (cls, exact_key(row))
         payload = memo.built.get(key)
         if payload is None:
-            row[_SQL] = memo.literal(row[_SQL])
-            for at in _TEXTS:
-                row[at] = memo.text(row[at])
-            for at in _TREES:
-                row[at] = decode_tree(row[at])
-            row[_DISJUNCTS] = memo.once(ReadSet.from_wire, row[_TABLE], row[_DISJUNCTS])
-            row[_PARTITIONS] = memo.once(decode_key_set, row[_PARTITIONS])
-            payload = memo.built[key] = _row_payload(row)
+            payload = memo.built[key] = _decode_payload(row, memo)
         return cls(qid, run_id, seq, ts, *payload)
+
+
+def payload_text(query: QueryRecord) -> str:
+    """The text of ``query``'s payload — its row after the SQL, as a
+    compact JSON array: a format-5 row's ``text`` entry, and what a
+    statement-cache hit's ``RecordedPayload`` keeps."""
+    return _dumps(query.to_row()[_SQL + 1 :])
+
+
+def _decode_payload(row: list, memo: DecodeMemo) -> tuple:
+    """The payload fields of an inline row — its trailing defaults padded
+    on, each field decoded through ``memo`` — in the constructor's order."""
+    row += _ROW_PAD[len(row) - _ROW_REQUIRED :]
+    row[_SQL] = memo.literal(row[_SQL])
+    for at in _TEXTS:
+        row[at] = memo.text(row[at])
+    for at in _TREES:
+        row[at] = decode_tree(row[at])
+    row[_DISJUNCTS] = memo.once(ReadSet.from_wire, row[_TABLE], row[_DISJUNCTS])
+    row[_PARTITIONS] = memo.once(decode_key_set, row[_PARTITIONS])
+    return _row_payload(row)
 
 
 #: A query's fields after the four that say which query it is, in the
@@ -266,24 +301,27 @@ class AppRunRecord:
 
     def encode(self, texts: Optional[TextTable] = None) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
-        of its snapshot line — format 4 against the store's ``texts``, the
+        of its snapshot line — format 5 against the store's ``texts``, the
         literal format-3 line without.  Assembled: a row is its qid, ts and
-        SQL, then a text that queries recorded from one statement-cache
-        payload share — encoded for the first, kept with the payload — and
-        the rows are spliced between the members around ``queries``."""
+        SQL, then its payload text — which queries recorded from one
+        statement-cache payload share: encoded for the first, kept with the
+        payload, so a hit encodes nothing — and the rows are spliced
+        between the members around ``queries``."""
         head, tail = self._frame([], texts)
         parts = []
-        pairs = zip(self.queries, self.payloads or repeat(None))
-        for plain, group in groupby(pairs, lambda pair: pair[1] is None):
-            if plain:  # neighbours with no payload to keep a text with: one call
-                parts.append(_dumps([query.to_row(texts) for query, _ in group])[1:-1])
-                continue
-            for query, payload in group:
-                if payload.text is None:
-                    payload.text = _dumps(query.to_row()[_SQL + 1 :])[1:]
-                sql = _dumps(query.sql) if texts is None else texts.ref(query.sql)
-                parts.append(f"[{query.qid},{query.ts},{sql},{payload.text}")
-        line = _dumps(head)[:-2] + ",".join(parts)  # head ends ``"queries":[]}``
+        for query, payload in zip(self.queries, self.payloads or repeat(None)):
+            if payload is None:
+                text = payload_text(query)
+            elif payload.text is None:
+                text = payload.text = payload_text(query)
+            else:
+                text = payload.text
+            if texts is None:
+                parts.append(f"[{query.qid},{query.ts},{_dumps(query.sql)},{text[1:]}")
+            else:
+                sql = texts.ref(query.sql)
+                parts.append(f"[{query.qid},{query.ts},{sql},{texts.ref(text)}]")
+        line = _dumps(head)[:-2] + ",".join(parts)  # head ends with an empty queries member
         return line + ("]," + _dumps(tail)[1:] if tail else "]}")
 
     def to_dict(self) -> dict:
@@ -295,11 +333,8 @@ class AppRunRecord:
             "nondet": [], "client_id": None, "visit_id": None,
             "request_id": None, "canceled": False,
         }  # fmt: skip
-        data.update(json.loads(self.json_text or self.encode()))
-        data["response"]["body"] = self.response.body
+        data.update(json.loads(self.encode()))
         rows = data["queries"]
-        for row, query in zip(rows, self.queries):
-            row[_SQL] = query.sql
         data["queries"] = [_keyed_query(row, self.run_id, seq) for seq, row in enumerate(rows)]
         data["nondet"] = [dict(zip(NONDET_ROW, row)) for row in data["nondet"]]
         return data
@@ -313,7 +348,7 @@ class AppRunRecord:
         item is.  ``json_text`` is the text ``data`` was decoded from, when
         the caller still has it.  ``memo`` is the caller's when it decodes
         many records, which then share what they have in common — and
-        holds the ``text`` entries a format-4 line refers to."""
+        holds the ``text`` entries a format-4 or -5 line refers to."""
         memo = memo or DecodeMemo()
         text, run_id = memo.text, data["run_id"]
         response = HttpResponse.from_dict(data["response"], memo.texts)
@@ -347,13 +382,28 @@ class AppRunRecord:
 def in_written_shape(data: dict) -> bool:
     """Whether ``data`` is a run line as the store's
     :meth:`AppRunRecord.encode` writes it, so that its text may be kept as
-    ``json_text``.  Before format 4 a line held its response body as a
-    string; before format 3 every run line had a ``nondet`` key, empty or of
-    keyed entries; this writer leaves the key out unless it holds rows."""
+    ``json_text``.  Before format 5 a line held each query's payload inline
+    (the first row tells: all rows of a line have one shape); before format
+    4 its response body as a string; before format 3 every run line had a
+    ``nondet`` key, empty or of keyed entries; this writer leaves the key out
+    unless it holds rows."""
     if type(data["response"]["body"]) is not int:
+        return False
+    queries = data.get("queries")
+    if queries and len(queries[0]) != _REF_ROW:
         return False
     nondet = data.get("nondet")
     return nondet is None or (bool(nondet) and not isinstance(nondet[0], dict))
+
+
+def text_refs(data: dict) -> List[int]:
+    """The ids of the ``text`` entries run line ``data`` refers to, as the
+    store writes it (format 5): its body's, then each row's SQL text's and
+    payload's — read off the line, nothing re-encoded."""
+    refs = [data["response"]["body"]]
+    for row in data["queries"]:
+        refs += row[_SQL:]
+    return refs
 
 
 def replay_clone(

@@ -64,8 +64,9 @@ def exact_key(raw) -> bytes:
 
 
 class TextTable:
-    """The ``text`` entries of one log segment (snapshot format 4, DESIGN.md
-    "Durability"): each distinct response body and SQL text a run line needs,
+    """The ``text`` entries of one log segment (snapshot format 5, DESIGN.md
+    "Durability"): each distinct response body, SQL text and row payload (a
+    query's fields after its SQL, as a compact JSON array) a run line needs,
     under an integer id.  A segment — a snapshot plus the WAL after its
     marker — writes each entry once, before the first line that refers to
     it; every line after that writes the id where the text was.
@@ -75,7 +76,7 @@ class TextTable:
     as that text can be spliced.  Not locked: the record store touches it
     under its records stripe only."""
 
-    __slots__ = ("by_id", "ids", "last_id", "fresh")
+    __slots__ = ("by_id", "ids", "last_id", "fresh", "_entries")
 
     def __init__(self, last_id: int = 0) -> None:
         #: id -> text, and back, for every entry the segment holds.
@@ -84,6 +85,10 @@ class TextTable:
         self.last_id = last_id
         #: Ids defined by :meth:`ref` whose entries nobody has written yet.
         self.fresh: List[int] = []
+        #: id -> :meth:`entry`, kept from the first time it was asked for
+        #: (when the WAL journals it): escaping every payload's JSON again
+        #: at each save cost ~20 % of a save.
+        self._entries: Dict[int, str] = {}
 
     def ref(self, text: str) -> int:
         """The id of ``text``, defined now — and listed in ``fresh`` — if
@@ -116,6 +121,8 @@ class TextTable:
         of them are written with it, so none is fresh."""
         self.by_id = {ident: self.by_id[ident] for ident in sorted(idents)}
         self.ids = {text: ident for ident, text in self.by_id.items()}
+        entries = self._entries
+        self._entries = {ident: entries[ident] for ident in self.by_id if ident in entries}
         self.fresh = []
 
     def copy(self) -> "TextTable":
@@ -125,8 +132,11 @@ class TextTable:
 
     def entry(self, ident: int) -> str:
         """The compact JSON ``data`` of entry ``ident``'s journal line — what
-        ``json.dumps`` gives, from one C call on the text."""
-        return f'{{"id":{ident},"text":{_quote(self.by_id[ident])}}}'
+        ``json.dumps`` gives, from one C call on the text, made once."""
+        line = self._entries.get(ident)
+        if line is None:
+            line = self._entries[ident] = f'{{"id":{ident},"text":{_quote(self.by_id[ident])}}}'
+        return line
 
 
 class DecodeMemo:
@@ -140,13 +150,16 @@ class DecodeMemo:
 
     ``table`` holds the ``text`` entries read so far (the store's own, so a
     WAL replayed over a snapshot resolves the snapshot's ids); every record
-    that refers to one id gets the one string the table holds for it."""
+    that refers to one id gets the one string the table holds for it, and
+    every query whose row refers to one ``(sql id, row id)`` pair the one
+    payload built for it (``built``), parsed from the entry once per load."""
 
     def __init__(self, table: Optional[TextTable] = None) -> None:
         self.table = table if table is not None else TextTable()
         self._texts: dict = {}
         #: ``(what, ..., exact_key(raw))`` -> what :meth:`once`, or a decoder
-        #: whose building needs the memo, built from ``raw``.
+        #: whose building needs the memo, built from ``raw``; a format-5
+        #: row's payload under ``(QueryRecord, sql id, row id)``.
         self.built: dict = {}
 
     def text(self, value):

@@ -22,6 +22,13 @@ A storage engine is a ``Database``-shaped object:
     :class:`repro.db.storage.Database`.  ``to_dict``/``restore`` use the
     backend-independent JSON shape, so snapshots are portable across
     engines.
+``atomic()``
+    A context manager: the version mutations made inside it — one write
+    statement, row rollback, repair abort or gc, as the time-travel layer
+    scopes them — all happen or none do, and the engine's counters
+    (``version_count`` and the like) say which.  Empty on the memory
+    engine, which cannot fail halfway; one transaction per group file on
+    SQLite, rolled back on any exception.
 
 Each table it returns is a ``Table``-shaped object providing:
 

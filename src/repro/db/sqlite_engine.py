@@ -28,6 +28,13 @@ reattaches to existing files via the ``__warp_meta`` table (schema,
 row-id counter, lowering flags), which is flushed by ``checkpoint()`` /
 ``to_dict()`` / ``close()``.
 
+Writes are atomic per operation: the time-travel layer runs each write
+statement, row rollback, repair abort and gc inside :meth:`SqliteEngine.
+atomic`, one transaction per group file it touches — one commit instead of
+one per engine statement, and a failure anywhere inside rolls the files
+back and restores the tables' counters, so a statement either happened or
+did not.  ``execute_many`` (bulk loads) and DDL go through the same scope.
+
 Fault points (see :mod:`repro.faults.plane`): ``sqlite.exec`` fires before
 every statement the engine executes, ``sqlite.commit`` before a
 checkpoint — so schedules can inject I/O errors or crashes at the SQL
@@ -44,6 +51,7 @@ import tempfile
 import threading
 import weakref
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
@@ -74,6 +82,11 @@ _BULK_CHUNK = 20000
 #: Winner order for non-versioned ("plain") reads: the memory engine's
 #: ``chain[0]`` — lowest start_ts, earliest inserted on ties.
 _PLAIN_WINNER = "__start_ts ASC, __vid ASC"
+
+#: What a table keeps in Python about its rows, restored when an
+#: ``atomic`` scope rolls the file back.
+_COUNTERS = ("version_count", "_next_row_id", "_max_ts", "_open_seq", "_multi_open")
+_counters = attrgetter(*_COUNTERS)
 
 
 def _safe_name(name: str) -> str:
@@ -832,6 +845,10 @@ class SqliteEngine:
         #: isolating one statement's reads from another thread's write is
         #: ``TimeTravelDB.statement_lock``'s job, as on the memory engine.
         self._lock = threading.RLock()
+        #: Connections holding a transaction of the open ``atomic`` scope
+        #: (None outside one).  Only the thread holding ``_lock`` — which
+        #: the scope holds throughout — reads or writes it.
+        self._scope: Optional[List[sqlite3.Connection]] = None
         self._finalizer = weakref.finalize(
             self, _release, self._conns, self._dir, self.persistent
         )
@@ -864,33 +881,58 @@ class SqliteEngine:
     def execute(self, group: str, sql: str, binds: Sequence[object] = ()):
         self.faults.fire("sqlite.exec", op=sql.split(None, 1)[0])
         with self._lock:
-            return self._connect(group).execute(sql, tuple(binds))
+            return self._joined(group).execute(sql, tuple(binds))
 
     def execute_many(self, group: str, sql: str, rows: List[tuple]) -> None:
         self.faults.fire("sqlite.exec", op="INSERT", rows=len(rows))
-        with self._transaction(group) as conn:
-            conn.executemany(sql, rows)
+        with self.atomic():
+            self._joined(group).executemany(sql, rows)
 
     def _run_ddl(self, group: str, statements: Sequence[str]) -> None:
         """One commit per table, however many indexes it carries."""
-        with self._transaction(group):
+        with self.atomic():
             for ddl in statements:
                 self.execute(group, ddl)
 
-    @contextmanager
-    def _transaction(self, group: str) -> Iterator[sqlite3.Connection]:
-        with self._lock:
-            conn = self._connect(group)
+    def _joined(self, group: str) -> sqlite3.Connection:
+        """``group``'s connection, in the open scope's transaction if there
+        is a scope (begun by the scope's first statement on the file).
+        Caller holds ``_lock``."""
+        conn = self._connect(group)
+        if self._scope is not None and not conn.in_transaction:
             conn.execute("BEGIN")
+            self._scope.append(conn)
+        return conn
+
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """All of the scope's statements or none: each group file it
+        touches is one transaction, committed when the scope ends and
+        rolled back — with every table's counters — when anything inside
+        raises (a fault, a crash, a caller's error).  Holds the engine lock
+        throughout; a scope opened inside another joins it."""
+        with self._lock:
+            if self._scope is not None:
+                yield
+                return
+            saved = [(table, _counters(table)) for table in self.tables.values()]
+            self._scope = opened = []
             try:
-                yield conn
-                conn.execute("COMMIT")
+                yield
+                for conn in opened:
+                    conn.execute("COMMIT")
             except BaseException:
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
+                for conn in opened:
+                    try:
+                        conn.execute("ROLLBACK")
+                    except sqlite3.Error:
+                        pass
+                for table, values in saved:
+                    for name, value in zip(_COUNTERS, values):
+                        setattr(table, name, value)
                 raise
+            finally:
+                self._scope = None
 
     # -- attach / meta ------------------------------------------------------------
 

@@ -32,6 +32,7 @@ Access paths (used by the query planner in :mod:`repro.db.planner`):
 from __future__ import annotations
 
 import bisect
+import contextlib
 import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -843,6 +844,15 @@ class Database:
     def gc(self, horizon_ts: int) -> int:
         return sum(table.gc(horizon_ts) for table in self.tables.values())
 
+    def atomic(self) -> contextlib.AbstractContextManager:
+        """The scope in which one write statement, row rollback, repair
+        abort or gc applies all of its version mutations or none (the
+        engine contract, :mod:`repro.db.engine`).  Empty here: the executor
+        evaluates everything before it mutates, and a mutation of Python
+        objects cannot fail halfway on I/O.  The SQLite engine makes it one
+        transaction per group file."""
+        return _NO_SCOPE
+
     # -- persistence ------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -856,3 +866,6 @@ class Database:
             table = Table.from_dict(item)
             self.tables[table.schema.name] = table
         self.ddl_epoch += 1
+
+
+_NO_SCOPE = contextlib.nullcontext()

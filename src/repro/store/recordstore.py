@@ -24,10 +24,11 @@ Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 the store can be rebuilt after a crash from snapshot + WAL replay.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
-format 4): a run is encoded against it under the records stripe, and the
+format 5): a run is encoded against it under the records stripe, and the
 ``text`` entries the encoding defined are journaled just before the run's
 line, so WAL order always puts an entry ahead of every line that refers to
-it, however many threads first-use the same body or SQL text at once.
+it, however many threads first-use the same body, SQL text or row payload
+at once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import json
 import os
 import threading
 import time as _time
@@ -48,6 +50,7 @@ from repro.ahg.records import (
     QueryRecord,
     VisitRecord,
     replay_clone,
+    text_refs,
 )
 from repro.core.errors import DurabilityError, ReproError
 from repro.core.ids import trailing_seq
@@ -65,7 +68,7 @@ _AFTER_ANY_QID = float("inf")
 
 _EMPTY_SET: frozenset = frozenset()
 
-_body, _sql, _queries = map(attrgetter, ("response.body", "sql", "queries"))
+_json_text = attrgetter("json_text")
 
 
 # Which buckets a query belongs in: the key bucket of each of its written
@@ -299,11 +302,11 @@ class RecordStore:
 
         self.wal = wal
         #: The ``text`` entries of the current log segment (snapshot format
-        #: 4): guarded by ``records``, rebuilt by every snapshot to exactly
+        #: 5): guarded by ``records``, rebuilt by every snapshot to exactly
         #: the entries its runs refer to.
         self.texts = TextTable()
         #: Whether every entry of ``texts`` is one a stored run refers to —
-        #: so that a snapshot need not look the runs' texts up to know which
+        #: so that a snapshot need not read the runs' lines to know which
         #: entries to write.  Dropped by whatever may leave an entry unused
         #: (runs removed, entries replayed), restored by the next snapshot.
         self._texts_exact = True
@@ -1140,11 +1143,11 @@ class RecordStore:
                 self._encode(run)
         if self._texts_exact:
             return sorted(self.texts.by_id)
-        # Every body and SQL text looked up, iterated in C: a save after
-        # gc, replace_run or a replay visits each query of the history here.
-        id_of = self.texts.ids.__getitem__
-        used = set(map(id_of, map(_body, runs)))
-        used.update(map(id_of, map(_sql, itertools.chain.from_iterable(map(_queries, runs)))))
+        # Read off the kept lines (one C parse each), not re-encoded: a save
+        # after gc, replace_run or a replay visits each line of the history.
+        used = set()
+        for line in map(json.loads, map(_json_text, runs)):
+            used.update(text_refs(line))
         return sorted(used)
 
     def _record_lines(self, text_ids: List[int]) -> Iterator[str]:
@@ -1161,7 +1164,7 @@ class RecordStore:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-4 snapshot (:mod:`repro.store.snapshot`) — the
+        """Write a format-5 snapshot (:mod:`repro.store.snapshot`) — the
         header is ``payload`` plus a fresh ``snapshot_id``, the text-id
         counter (``ids.text``), the pending state and the record counts,
         the lines are the records — under the

@@ -1,11 +1,12 @@
 """Snapshot files: one header line, then one journal-shaped line per record.
 
-**Format 4** (what :meth:`RecordStore.commit_snapshot` writes)::
+**Format 5** (what :meth:`RecordStore.commit_snapshot` writes)::
 
-    {"version":4,...,"ids":{...,"text":N},...,"records":{"visit":V,"text":T,"run":R,"patch":P}}
+    {"version":5,...,"ids":{...,"text":N},...,"records":{"visit":V,"text":T,"run":R,"patch":P}}
     {"kind":"visit","data":{...}}
     {"kind":"text","data":{"id":1,"text":"<html>..."}}
-    {"kind":"run","data":{...,"response":{"status":200,"body":1,...},"queries":[[q,ts,2,...]]}}
+    {"kind":"text","data":{"id":3,"text":"[[\\"Home\\"],\\"select\\",...]"}}
+    {"kind":"run","data":{...,"response":{"status":200,"body":1,...},"queries":[[q,ts,2,3]]}}
     {"kind":"patch","data":{...}}
 
 The header is an ordinary JSON object (the C ``json.dumps``, one call);
@@ -16,27 +17,32 @@ writer splices kept text, the reader decodes and inserts one record at a
 time.  ``records`` counts the lines that must follow, per kind — a file
 cut short at a line boundary is refused like one cut mid-line.
 
-Each response body and SQL text is written once, as a ``text`` entry, and
-a run line holds its id instead (:mod:`repro.ahg.records`).  The
-**segment invariant**: every id a line refers to is defined by an entry
-earlier in the same segment — the snapshot plus the WAL after its marker.
-The snapshot holds exactly the entries its runs refer to, before the run
-lines; the WAL journals an entry just before the first line after the
-marker that needs it.  Ids are never reused: ``ids.text`` in the header
-is the counter, which entries dropped with their runs may have passed.
-On the ``wiki_py`` benchmark workload this took the WAL from 1,898 to
-1,356 bytes per request and the snapshot from 1,955 to 1,434 bytes per
-run.
+Each response body, SQL text and row payload is written once, as a
+``text`` entry, and a run line holds its id instead
+(:mod:`repro.ahg.records`): a row is ``[qid, ts, <sql id>, <row id>]``,
+the row id naming the entry whose text is the payload's compact JSON
+array.  The **segment invariant**: every id a line refers to is defined
+by an entry earlier in the same segment — the snapshot plus the WAL after
+its marker.  The snapshot holds exactly the entries its runs refer to,
+before the run lines; the WAL journals an entry just before the first
+line after the marker that needs it.  Ids are never reused: ``ids.text``
+in the header is the counter, which entries dropped with their runs may
+have passed.  On the ``wiki_py`` benchmark workload format 4 took the WAL
+from 1,898 to 1,356 bytes per request, and format 5 to 899 (the snapshot
+from 1,434 to 998 bytes per run); the repeats format 5 removes are
+session, user and ACL lookups and page reads, whose cached SELECT hits
+wrote their whole payload — page text included — once per run.
 
-**Format 3** is the same file with every body and SQL text inline and no
-``text`` entries; its lines still read, in a snapshot or mixed with
-format-4 lines in one WAL (the reader takes a string as the text and an
-int as an id).  **Format 2** has every run line in the keyed shape; the
-number went up each time so that a build which cannot read the new lines
-refuses the file by version.  **Format 1** (one JSON document with the
-records nested inside) still loads too: its whole document is the header
-and no record lines follow.  Nothing writes formats 1-3 any more; the
-first save after loading one writes format 4.
+**Format 4** is the same file with every row payload inline (a row of at
+least eight items); **format 3** has every body and SQL text inline too
+and no ``text`` entries.  Their lines still read, in a snapshot or mixed
+with format-5 lines in one WAL (the reader takes a string as the text, an
+int as an id, a four-item row as a format-5 row).  **Format 2** has every
+run line in the keyed shape; the number went up each time so that a build
+which cannot read the new lines refuses the file by version.  **Format 1**
+(one JSON document with the records nested inside) still loads too: its
+whole document is the header and no record lines follow.  Nothing writes
+formats 1-4 any more; the first save after loading one writes format 5.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT
 from repro.store.wal import decode_line
 
-FORMAT = 4
+FORMAT = 5
 
 
 def write_snapshot(path: str, header: dict, lines: Iterable[str]) -> None:
@@ -101,7 +107,7 @@ class SnapshotReader:
             raise self._refuse("the header line is not a JSON object")
         # Only a bare store's format-1 image predates the version field.
         version = header.get("version", 1)
-        if version not in (1, 2, 3, FORMAT):
+        if version not in (1, 2, 3, 4, FORMAT):
             raise self._refuse(f"unsupported format version {version!r}")
         return header
 

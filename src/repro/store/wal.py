@@ -36,7 +36,7 @@ once the fault clears; while the disk stays sick the commit parks its
 batch behind the earlier ones.  A commit that fails any other way (an
 injected in-process error) raises to its waiter and leaves its batch
 buffered, so no entry is ever dropped while the process lives — a later
-line may refer to it (a ``text`` entry, snapshot format 4).
+line may refer to it (a ``text`` entry, snapshot format 5).
 
 Fault points fired here: ``wal.append`` (before each physical write) and
 ``wal.fsync`` (before each fsync).  A ``torn`` fault persists a prefix

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -34,6 +35,9 @@ from repro.ttdb.rollback import rollback_row as _rollback_row
 #: to the memory they would hold live.
 _STMT_CACHE_MAX = 2048
 _STMT_CACHE_MAX_ROWS = 8
+
+#: The scope of a read: nothing to make atomic.
+_READ = nullcontext()
 
 #: Partition-key value types the write side tracks
 #: (``TableSchema.partition_keys``): reads constrained to anything else
@@ -427,7 +431,8 @@ class TimeTravelDB:
             read_set = plan.read_plan.instantiate(params)
         else:
             read_set = ReadSet(plan.table, disjuncts=None)
-        result = self.executor.execute(plan, params, ctx)
+        with self._atomic() if plan.is_write else _READ:
+            result = self.executor.execute(plan, params, ctx)
         self.statements_executed += 1
         if result.kind != "select":
             # Any write (normal or repair — the latter is conservative but
@@ -455,6 +460,26 @@ class TimeTravelDB:
         ):
             self.write_hook(tt_result)
         return tt_result
+
+    @contextmanager
+    def _atomic(self):
+        """One write's version mutations, all or none: the engine's
+        :meth:`~repro.db.storage.Database.atomic` scope, and with it the
+        repair journal's notes of versions the scope created or fenced — a
+        rolled-back version must not be discarded or unfenced by an abort
+        (its id may be a live version's).  Caller holds the statement lock."""
+        journal = self._journal
+        if journal is None:
+            with self.database.atomic():
+                yield
+            return
+        created, fenced = len(journal.created), len(journal.fenced)
+        try:
+            with self.database.atomic():
+                yield
+        except BaseException:
+            del journal.created[created:], journal.fenced[fenced:]
+            raise
 
     # -- generations -----------------------------------------------------------------
 
@@ -519,10 +544,11 @@ class TimeTravelDB:
     def _abort_repair_locked(self) -> None:
         if self.repair_gen is None:
             raise RepairError("no repair generation is active")
-        for table, version in self._journal.created:
-            table.discard_version(version)
-        for table, version in self._journal.fenced:
-            table.unfence_version(version, self.current_gen)
+        with self.database.atomic():
+            for table, version in self._journal.created:
+                table.discard_version(version)
+            for table, version in self._journal.fenced:
+                table.unfence_version(version, self.current_gen)
         self.repair_gen = None
         self._journal = None
         self._flush_statement_cache()
@@ -557,7 +583,7 @@ class TimeTravelDB:
         if self.repair_gen is None:
             raise RepairError("rollback requires an active repair generation")
         table = self.database.table(table_name)
-        with self._lock:
+        with self._lock, self._atomic():
             self._flush_statement_cache()
             return _rollback_row(
                 table, row_id, ts, self.current_gen, self.repair_gen, self._journal
@@ -569,7 +595,7 @@ class TimeTravelDB:
         """Drop row versions unreachable from ``horizon_ts`` onwards, plus
         versions stranded in superseded generations (paper §4.2)."""
         removed = 0
-        with self._lock:
+        with self._lock, self.database.atomic():
             self._flush_statement_cache()
             for table in self.database.tables.values():
                 removed += table.gc_superseded(self.current_gen)

@@ -361,7 +361,7 @@ class WarpSystem:
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
 
-        The file is a format-4 snapshot (:mod:`repro.store.snapshot`):
+        The file is a format-5 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
         it — under its records stripe.

@@ -16,6 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.ahg.records import text_refs
 from repro.core.serialize import COMPACT
 from repro.store.wal import entry_line
 from repro.workload.scenarios import WIKI, WikiDeployment
@@ -31,7 +32,7 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     log; a run's line is split where the codec splits it: the ``queries``
     member (the rows) is the database log, the line around it the
     application log.  A response body's entry is billed to the application
-    log, an SQL text's to the database log."""
+    log; an SQL text's and a row payload's to the database log."""
     for visit in graph.visits.values():
         yield "browser", entry_line("visit", visit.encode())
     # A copy: a run the store has not written yet is encoded as it would
@@ -40,13 +41,14 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     billed: Dict[int, str] = {}
     for run in graph.runs_in_order():
         line = json.loads(run.json_text or run.encode(texts))
+        body, *refs = text_refs(line)
+        billed.setdefault(body, "app")
+        for ident in refs:
+            billed.setdefault(ident, "db")
         rows = json.dumps(line.pop("queries"), separators=COMPACT)
         yield "app", entry_line("run", json.dumps(line, separators=COMPACT))
         # The member, and the comma that joined it to its neighbours.
         yield "db", f'"queries":{rows},'
-        billed.setdefault(texts.ids[run.response.body], "app")
-        for query in run.queries:
-            billed.setdefault(texts.ids[query.sql], "db")
     for ident, layer in billed.items():
         yield layer, entry_line("text", texts.entry(ident))
 

@@ -71,11 +71,13 @@ def shared_between_records(store: RecordStore) -> Iterable[object]:
 
 def heap_bytes(store: RecordStore) -> int:
     """``sys.getsizeof`` summed over every distinct object reachable from
-    the store's runs (queries, requests, responses and all) and its touch
-    index — an instance counted with its ``__dict__`` if it has one."""
+    the store's runs (queries, requests, responses and all), its touch
+    index and its text table (the segment's entries: bodies and SQL texts
+    the runs hold too, and row payloads only it holds) — an instance
+    counted with its ``__dict__`` if it has one."""
     seen: Set[int] = set()
     total = 0
-    for root in (store.runs, store.touch):
+    for root in (store.runs, store.touch, store.texts):
         for key, obj in reachable(root).items():
             if key not in seen:
                 seen.add(key)

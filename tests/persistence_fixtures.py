@@ -3,33 +3,38 @@
 ``golden_run()`` is the fixed run whose journal lines are pinned byte for
 byte, once per shape the codec has written:
 
-* ``fixtures/wal_run_lines.format4.golden`` — the lines this build writes:
-  the ``text`` entries of the body and the two SQL texts, then rows that
-  refer to them by id.  The one fixture this module can still write:
-  ``python tests/persistence_fixtures.py`` regenerates it, and ``--check``
-  (a tier-1 CI step) regenerates it into a temporary directory and fails,
-  naming the file, unless it is byte-identical to the committed one — so
-  a codec change cannot land without its golden, nor a golden without a
-  codec change.
+* ``fixtures/wal_run_lines.format5.golden`` — the lines this build writes:
+  the ``text`` entries of the body, the two SQL texts and the two row
+  payloads, then rows of ids that refer to them.  The one fixture this
+  module can still write: ``python tests/persistence_fixtures.py``
+  regenerates it, and ``--check`` (a tier-1 CI step) regenerates it into a
+  temporary directory and fails, naming the file, unless it is
+  byte-identical to the committed one — so a codec change cannot land
+  without its golden, nor a golden without a codec change.
+* ``fixtures/wal_run_lines.format4.golden`` — the rows format 4 wrote:
+  body and SQL texts as ids, every payload inline (written at da5cbfd,
+  which introduced it, and unchanged up to 4c487be, the last commit to
+  write it).
 * ``fixtures/wal_run_lines.format3.golden`` — the row-shaped lines with
   every text inline that format 3 wrote (written at 27bc1cf, which
   introduced it, and unchanged up to 881a392, the last commit to write it).
 * ``fixtures/wal_run_lines.golden`` — the keyed lines ebe3011–29d2bb9
   wrote (written at ebe3011).
 
-Nothing can write the last two any more; ``--check`` replays each and fails
-unless it still reads as ``golden_run()``.
+Nothing can write the last three any more; ``--check`` replays each and
+fails unless it still reads as ``golden_run()``.
 
 ``format1_workload()`` is the small wiki deployment whose snapshot is
-committed in the three retired formats — ``fixtures/warp_format1.json``
+committed in the four retired formats — ``fixtures/warp_format1.json``
 (written at ebe3011), ``fixtures/warp_format2.json`` (written at
-29d2bb9, the last commit that wrote keyed lines) and
+29d2bb9, the last commit that wrote keyed lines),
 ``fixtures/warp_format3.json`` (written at 881a392, the last commit that
-wrote every text inline), each by running ``format1_workload()[0].save(...)``
-on a checkout of that commit — with the ``RepairStats`` counters its
-common.php repair produced in ``fixtures/warp_format1.counters.json``.
-``--check`` loads all three and fails unless each holds the graph
-``format1_workload()`` builds today.
+wrote every text inline) and ``fixtures/warp_format4.json`` (written at
+4c487be, the last commit that wrote row payloads inline), each by running
+``format1_workload()[0].save(...)`` on a checkout of that commit — with
+the ``RepairStats`` counters its common.php repair produced in
+``fixtures/warp_format1.counters.json``.  ``--check`` loads all four and
+fails unless each holds the graph ``format1_workload()`` builds today.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -52,7 +57,9 @@ from repro.warp import WarpSystem
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 #: ``golden_lines()`` as this build writes it (text entries, rows of ids) ...
-GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format4.golden")
+GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format5.golden")
+#: ... as format 4 wrote it (body and SQL ids, payloads inline) ...
+GOLDEN_FORMAT4 = os.path.join(HERE, "wal_run_lines.format4.golden")
 #: ... as format 3 wrote it (rows, every text inline) ...
 GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 #: ... and as PRs 11-17 wrote it (keyed objects).
@@ -60,8 +67,11 @@ GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
 FORMAT2_SNAPSHOT = os.path.join(HERE, "warp_format2.json")
 FORMAT3_SNAPSHOT = os.path.join(HERE, "warp_format3.json")
+FORMAT4_SNAPSHOT = os.path.join(HERE, "warp_format4.json")
 #: Every retired snapshot format's fixture, by version.
-OLD_SNAPSHOTS = {1: FORMAT1_SNAPSHOT, 2: FORMAT2_SNAPSHOT, 3: FORMAT3_SNAPSHOT}
+OLD_SNAPSHOTS = {
+    1: FORMAT1_SNAPSHOT, 2: FORMAT2_SNAPSHOT, 3: FORMAT3_SNAPSHOT, 4: FORMAT4_SNAPSHOT,
+}  # fmt: skip
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
 #: Config keys a snapshot no longer persists, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
@@ -172,11 +182,14 @@ def replay(wal_path: str) -> RecordStore:
 
 
 def text_refs(kind: str, data: dict) -> set:
-    """The text ids a journal entry refers to (format 4): a run line's
-    body and SQL texts, when they are ids."""
+    """The text ids a journal entry refers to (formats 4 and 5): a run
+    line's body and SQL texts, when they are ids, and the payload of each
+    four-item row."""
     if kind not in ("run", "replace_run"):
         return set()
-    items = [data["response"]["body"]] + [row[2] for row in data["queries"]]
+    items = [data["response"]["body"]]
+    for row in data["queries"]:
+        items += row[2:] if len(row) == 4 else row[2:3]
     return {item for item in items if type(item) is int}
 
 
@@ -250,7 +263,7 @@ def check(directory: str) -> list:
                 "a codec change needs `python tests/persistence_fixtures.py`, "
                 "a regenerated golden needs a codec change"
             )
-    for path in (GOLDEN_ROWS, GOLDEN_LINES):
+    for path in (GOLDEN_FORMAT4, GOLDEN_ROWS, GOLDEN_LINES):
         if replay(path).to_snapshot() != golden_store().to_snapshot():
             problems.append(f"{path}: no longer replays to golden_run()")
     expected = format1_workload()[0].graph.to_snapshot()

@@ -275,7 +275,7 @@ def test_reborn_coordinator_drops_a_torn_journal_tail(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# text entries (snapshot format 4): an entry precedes, in WAL order, every
+# text entries (snapshot format 5): an entry precedes, in WAL order, every
 # line that refers to it — under concurrency and at every crash point
 # ---------------------------------------------------------------------------
 
@@ -306,10 +306,11 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
     tmp_path, eager_thread_switches
 ):
     """Round after round, every thread's run is the first to need the same
-    new body and the same new SQL text, all at once, while another thread
-    saves — and so starts a new segment — as fast as it can.  In the final
-    segment each entry is written once, ahead of every line that refers to
-    it; the snapshot and its WAL load as the live graph."""
+    new body, the same new SQL texts and the same new row payload, all at
+    once, while another thread saves — and so starts a new segment — as fast
+    as it can.  In the final segment each entry is written once, ahead of
+    every line that refers to it; the snapshot and its WAL load as the live
+    graph."""
     wal_path = str(tmp_path / "records.wal")
     snap_path = str(tmp_path / "warp.json")
     warp = WarpSystem(wal_path=wal_path, durability="none")
@@ -323,6 +324,7 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
     def probe(ctx):
         round_ = ctx.param("round")
         ctx.query(f"SELECT v FROM t WHERE k = ? AND v <> ? -- round {round_}", (1, ctx.param("n")))
+        ctx.query(f"SELECT v FROM t WHERE k = ? -- shared {round_}", (1,))  # one row for all
         arrived.wait(10.0)  # every run recorded before any is appended
         ctx.echo(f"<p>round {round_}: " + "the same new body, " * 12 + "</p>")
 
@@ -360,17 +362,25 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
     loaded.graph.store.wal.close()
     assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
     assert loaded.graph.n_runs == n_threads * n_rounds
+    shared = [
+        run.json_text for run in loaded.graph.runs.values() if "shared" in run.queries[1].sql
+    ]
+    assert len(shared) == n_threads * n_rounds
+    rows = {json.dumps(json.loads(text)["queries"][1][2:]) for text in shared}
+    assert len(rows) == n_rounds  # per round one SQL text and one payload, shared
 
 
 def _variant(run_id, rng):
-    """``golden_run()`` as run ``run_id``, its body and SQL texts drawn from
-    small pools — so some lines first-use a text and some repeat one."""
+    """``golden_run()`` as run ``run_id``, its body, SQL texts and params
+    drawn from small pools — so some lines first-use a text or a payload
+    and some repeat one."""
     run = fixtures.golden_run()
     run.run_id = run_id
     run.response.body = f"<p>page {rng.randrange(4)}</p>"
     for query in run.queries:
         query.run_id = run_id
         query.sql = f"{query.sql} -- variant {rng.randrange(3)}"
+        query.params = (f"p{rng.randrange(3)}",)
     return run
 
 

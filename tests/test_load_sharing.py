@@ -80,9 +80,11 @@ def history(tmp_path_factory):
     return wiki_history(tmp_path_factory.mktemp("history"))
 
 
-@pytest.mark.parametrize("golden", [fixtures.GOLDEN_TEXTS, fixtures.GOLDEN_ROWS])
+@pytest.mark.parametrize(
+    "golden", [fixtures.GOLDEN_TEXTS, fixtures.GOLDEN_FORMAT4, fixtures.GOLDEN_ROWS]
+)
 def test_committed_fixture_shares_only_immutables(tmp_path, golden):
-    """The format-4 and format-3 lines: a ``run`` and a ``replace_run`` of
+    """The format-5, -4 and -3 lines: a ``run`` and a ``replace_run`` of
     one run, so the replacement is decoded through the memo the original
     filled."""
     wal_path = str(tmp_path / "golden.wal")
@@ -129,22 +131,24 @@ def test_reloaded_runs_with_equal_bodies_share_one_string(history, tmp_path):
         assert max(map(len, by_body)) > SHARED_TEXT_MAX
 
 
-#: ``heapcensus.heap_bytes`` per run of the ``history`` fixture (509 runs) at
-#: commit 881a392 (2026-10-15), the last to write every text inline: bodies
-#: unshared, a run line of 1,801 B kept per run.  Deterministic — object
-#: sizes, not the process's RSS.  Format 4 measured 5,049 B.
-HEAP_BYTES_PER_RUN_AT_FORMAT3 = 6044
+#: ``heapcensus.heap_bytes`` per run of the ``history`` fixture (509 runs) in
+#: format 5, on CPython 3.11 (4,565 B on 3.12), rounded up: kept run lines
+#: of row ids, and the text table's row payloads counted with the runs.
+#: Deterministic — object sizes, not the process's RSS.  Format 4 measured
+#: 5,065 B (5,049 B without its table), format 3 (881a392) 6,044 B.
+HEAP_BYTES_PER_RUN_AT_FORMAT5 = 4660
 
 
-def test_heap_per_run_stays_under_the_format3_measure(history):
+def test_heap_per_run_stays_under_the_format5_measure(history):
     """The memory guard, in absolute bytes: a bound relative to the line
     (once ``4 × line``) would tighten as lines shrink while checking less.
     Decoded one record at a time this history took 13.9 KB per run (every
     query its own SQL text, read set, params); through the memo, 6.0 KB at
-    format 3; sharing bodies and keeping ~37 % shorter lines, less."""
+    format 3; sharing bodies and keeping shorter lines, 5.1 KB at format
+    4; keeping each distinct row payload once, in the text table, less."""
     _, path = history
     store = WarpSystem.load(path).graph.store
-    assert heapcensus.heap_bytes(store) <= HEAP_BYTES_PER_RUN_AT_FORMAT3 * len(store.runs)
+    assert heapcensus.heap_bytes(store) <= HEAP_BYTES_PER_RUN_AT_FORMAT5 * len(store.runs)
 
 
 def repaired_graph(path):

@@ -93,7 +93,8 @@ class TestCacheKey:
         for name in order:
             assert kv.get(**{"as": name}).status == 200
         lines = [json.loads(text) for text in wal_run_texts(kv.graph.store.wal.path)]
-        written = [line["queries"][0][3] for line in lines[-len(order) :]]
+        payloads = [kv.graph.store.texts.by_id[line["queries"][0][3]] for line in lines[-len(order) :]]
+        written = [json.loads(text)[0] for text in payloads]
         assert [repr(params) for params in written] == [
             repr([self.LOOK_ALIKES[name]]) for name in order
         ]
@@ -148,7 +149,8 @@ class TestPayloadSharing:
         for run in (first, second):
             assert run.payloads is None  # a stored run refers into no cache
             assert run.json_text == walked(run, kv)
-            assert run.json_text.count(payload.text) == 2
+            row_id = kv.graph.store.texts.ids[payload.text]
+            assert [row[3] for row in json.loads(run.json_text)["queries"]] == [row_id] * 2
 
     def test_write_between_identical_selects_yields_a_fresh_payload(self, kv):
         seen = []
@@ -253,10 +255,12 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
     for run_id, run in store.runs.items():
         assert run.payloads is None
         assert lines[run_id] == run.json_text == walked(run, warp)
-    kept_texts = [
-        entry[0].payload.text for entry in warp.ttdb._stmt_cache.values() if entry[0].payload.text
-    ]
-    spliced = sum(text.count(kept) for kept in kept_texts for text in lines.values())
+    kept_ids = {
+        store.texts.ids[entry[0].payload.text]
+        for entry in warp.ttdb._stmt_cache.values()
+        if entry[0].payload.text in store.texts.ids
+    }
+    spliced = sum(row[3] in kept_ids for text in lines.values() for row in json.loads(text)["queries"])
     assert spliced > 50  # the traffic did hit the statement cache
 
     assert warp.repair.submit(CancelClientSpec(f"{names[0]}-load")).result().ok

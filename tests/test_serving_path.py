@@ -618,7 +618,7 @@ class TestStripedLocksUnderContention:
     def test_sixteen_threads_lose_no_append(self, tmp_path, monkeypatch):
         # With a WAL, so that every append encodes its run — under the records
         # stripe, where the text entries it defines are journaled ahead of
-        # every line that uses them (snapshot format 4).
+        # every line that uses them (snapshot format 5).
         deployment = WikiDeployment(n_users=0, seed=41, wal_path=str(tmp_path / "records.wal"))
         wiki, warp = deployment.wiki, deployment.warp
         stripe, encode, under_stripe = warp.graph.store.lock, AppRunRecord.encode, []

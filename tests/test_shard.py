@@ -295,7 +295,7 @@ class TestWireAndWorker:
         """Regression: rotation saved beside the WAL, where the next start
         never looks — the truncated log alone then came back as a fresh
         shard and the app factory reinstalled over the data.  Each rotation
-        starts a segment of text entries (snapshot format 4): every id the
+        starts a segment of text entries (snapshot format 5): every id the
         snapshot and the WAL after it refer to resolves within them."""
         config = ShardConfig(
             shard_id=0,

@@ -1,16 +1,16 @@
-"""Snapshot format 4 and the one-codec contract behind it.
+"""Snapshot format 5 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
 of its WAL line and of its snapshot line, and it says each fact once:
 queries as positional rows, nothing the enclosing run says, no defaults —
-and no response body or SQL text another line of the segment already
-wrote: those are ``text`` entries, referred to by id.  These tests pin the
-bytes (what this build writes, and the inline rows and keyed lines older
-builds wrote, which must keep reading), the round trip of both views, the
-kept-text invariant across every mutation the store offers, format-1, -2
-and -3 compatibility and the upgrade on the next save, the text entries a
-snapshot holds, the bytes one request may cost, and the refusal of files
-that are not whole.
+and no response body, SQL text or row payload another line of the segment
+already wrote: those are ``text`` entries, referred to by id.  These tests
+pin the bytes (what this build writes, and the inline payloads, inline
+texts and keyed lines older builds wrote, which must keep reading), the
+round trip of both views, the kept-text invariant across every mutation
+the store offers, format-1 to -4 compatibility and the upgrade on the next
+save, the text entries a snapshot holds, the bytes one request may cost,
+and the refusal of files that are not whole.
 """
 
 import gc
@@ -24,7 +24,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persistence_fixtures as fixtures
-from repro.ahg.records import QUERY_ROW, AppRunRecord, NondetRecord, QueryRecord, query_payload
+from repro.ahg.records import (
+    QUERY_ROW,
+    AppRunRecord,
+    NondetRecord,
+    QueryRecord,
+    payload_text,
+    query_payload,
+)
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT, DecodeMemo, TextTable
@@ -52,23 +59,26 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     with open(fixtures.GOLDEN_TEXTS, "rb") as fh:
         golden = fh.read()
     assert fixtures.golden_lines(str(tmp_path)) == golden
-    # ... and the snapshot lines of the same run — its three text entries,
+    # ... and the snapshot lines of the same run — its five text entries,
     # then the run — are the WAL lines.
     lines = golden.decode("utf-8").splitlines(keepends=True)
-    assert [json.loads(line)["kind"] for line in lines] == ["text"] * 3 + ["run", "replace_run"]
-    run_line = lines[3]
+    assert [json.loads(line)["kind"] for line in lines] == ["text"] * 5 + ["run", "replace_run"]
+    run_line = lines[5]
     store = RecordStore()
     store.add_run(fixtures.golden_run())
     path = str(tmp_path / "snapshot.json")
     store.save_snapshot(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        assert fh.readlines()[1:] == lines[:4]
+        assert fh.readlines()[1:] == lines[:6]
     # Each fact once: no field name inside a query, no default spelled out,
-    # no body or SQL text — a text entry says each.
+    # no body, SQL text or payload — a text entry says each.
     assert '"sql"' not in run_line and run_line.count('"run_id"') == 1
     assert '"canceled"' not in run_line and "false" not in run_line
     assert "<p>ok" not in run_line and "SELECT" not in run_line and "UPDATE" not in run_line
-    assert '"body":1,' in run_line
+    assert '"select"' not in run_line and "pages" not in run_line and "1.5" not in run_line
+    assert '"body":1,' in run_line and '"queries":[[11,41,2,3],[12,42,4,5]]' in run_line
+    payloads = [json.loads(line)["data"]["text"] for line in lines[2:5:2]]
+    assert payloads == [payload_text(query) for query in fixtures.golden_run().queries]
 
 
 def test_keyed_golden_lines_still_replay():
@@ -86,6 +96,22 @@ def test_keyed_golden_lines_still_replay():
     assert replayed.runs[7] == fixtures.golden_run()
 
 
+def test_format4_golden_lines_still_replay():
+    """The lines format 4 wrote (body and SQL text ids, every payload inline)
+    read as the run they were written from; the text of none is kept, so
+    the next write of the run is in this build's shape."""
+    entries = list(RecordWal.entries(fixtures.GOLDEN_FORMAT4))
+    assert [kind for kind, _ in entries] == ["text"] * 3 + ["run", "replace_run"]
+    texts = fixtures.replay(fixtures.GOLDEN_FORMAT4).texts
+    for _, data in entries[3:]:
+        assert type(data["response"]["body"]) is int
+        assert all(type(row[2]) is int and len(row) >= 8 for row in data["queries"])
+        assert AppRunRecord.from_dict(data, memo=DecodeMemo(texts)) == fixtures.golden_run()
+    replayed = fixtures.replay(fixtures.GOLDEN_FORMAT4)
+    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
+    assert replayed.runs[7] == fixtures.golden_run() and replayed.runs[7].json_text is None
+
+
 def test_format3_golden_lines_still_replay():
     """The lines format 3 wrote (rows, every text inline) read as the run
     they were written from; the text of none is kept, so the next write of
@@ -101,16 +127,50 @@ def test_format3_golden_lines_still_replay():
     assert replayed.runs[7].json_text is None
 
 
-def test_wal_mixing_format3_and_format4_lines_replays(tmp_path):
-    """A log begun by the previous build and continued by this one, with no
-    version switch between: format-3 lines (texts inline), then format-4
-    lines whose ids refer to text entries — one of them the same SQL text a
-    format-3 line held inline.  It replays to the store a live one builds."""
+def newcomer_run(body):
+    """``golden_run()`` as run 8, answering ``body``."""
     newcomer = fixtures.golden_run()
     newcomer.run_id = 8
     for query in newcomer.queries:
         query.run_id = 8
-    newcomer.response.body = "<p>new</p>"
+    newcomer.response.body = body
+    return newcomer
+
+
+def test_wal_mixing_format4_and_format5_lines_replays(tmp_path):
+    """A log begun by the previous build and continued by this one, with no
+    version switch between: format-4 lines (payloads inline), then a
+    format-5 line whose table continues the log's — its SQL ids are the
+    format-4 entries', its payloads new entries.  It replays to the store a
+    live one builds; the format-5 line is kept, the format-4 one is not."""
+    newcomer = newcomer_run("<p>new</p>")
+    wal_path = str(tmp_path / "mixed.wal")
+    shutil.copy(fixtures.GOLDEN_FORMAT4, wal_path)
+    texts = fixtures.replay(fixtures.GOLDEN_FORMAT4).texts
+    line = newcomer.encode(texts)
+    fresh = texts.take_fresh()
+    assert fresh == [4, 5, 6]  # the body and the two payloads; the SQL texts exist
+    with open(wal_path, "a", encoding="utf-8", newline="") as fh:
+        for ident in fresh:
+            fh.write(entry_line("text", texts.entry(ident)))
+        fh.write(entry_line("run", line))
+    assert '"queries":[[11,41,2,5],[12,42,3,6]]' in line
+
+    recovered = RecordStore.recover(wal_path=wal_path)
+    recovered.wal.close()
+    live = fixtures.golden_store()
+    live.add_run(newcomer_run("<p>new</p>"))
+    assert recovered.to_snapshot() == live.to_snapshot()
+    assert recovered.runs == {7: fixtures.golden_run(), 8: newcomer}
+    assert recovered.runs[8].json_text == line and recovered.runs[7].json_text is None
+
+
+def test_wal_mixing_format3_and_format5_lines_replays(tmp_path):
+    """A log begun by an older build and continued by this one, with no
+    version switch between: format-3 lines (texts inline), then format-5
+    lines whose ids refer to text entries — one of them the same SQL text a
+    format-3 line held inline.  It replays to the store a live one builds."""
+    newcomer = newcomer_run("<p>new</p>")
     wal_path = str(tmp_path / "mixed.wal")
     shutil.copy(fixtures.GOLDEN_ROWS, wal_path)
     texts = TextTable()
@@ -126,12 +186,12 @@ def test_wal_mixing_format3_and_format4_lines_replays(tmp_path):
     live.add_run(newcomer)
     assert recovered.to_snapshot() == live.to_snapshot()
     assert recovered.runs == {7: fixtures.golden_run(), 8: newcomer}
-    # The format-4 line is kept, the format-3 ones are re-encoded from now on.
+    # The format-5 line is kept, the format-3 ones are re-encoded from now on.
     assert recovered.runs[8].json_text == line and recovered.runs[7].json_text is None
     recovered.add_run(AppRunRecord.from_dict(dict(newcomer.to_dict(), run_id=9)))
     recovered.wal.close()
     kinds = [kind for kind, _ in RecordWal.entries(wal_path)]
-    assert kinds[-1] == "run" and kinds.count("text") == 3  # run 9 needed no new entry
+    assert kinds[-1] == "run" and kinds.count("text") == 5  # run 9 needed no new entry
 
 
 def test_wal_mixing_keyed_and_row_lines_replays(tmp_path):
@@ -241,7 +301,8 @@ def test_codec_views_agree(run):
     body and SQL texts) and the keyed ``to_dict()`` — rebuild it, and the
     keyed view names every field whether or not the text spells it out.
     Encoded with no table, the text is the format-3 line: it rebuilds the
-    run too, and is not kept."""
+    run too, and is not kept.  A row of the text is its qid, ts and two ids:
+    the payload entry holds what a format-3 row spells out after the SQL."""
     texts = TextTable()
     text = run.encode(texts)
     again = AppRunRecord.from_dict(json.loads(text), text, DecodeMemo(texts))
@@ -275,8 +336,11 @@ def test_codec_views_agree(run):
         ]  # fmt: skip
         if keyed[name] == default
     }
-    for row, item in zip(line["queries"], keyed["queries"]):
-        assert isinstance(row, list) and 8 <= len(row) <= len(QUERY_ROW)
+    for row, item, query in zip(line["queries"], keyed["queries"], run.queries):
+        assert row[:2] == [query.qid, query.ts] and len(row) == 4
+        assert texts.by_id[row[3]] == payload_text(query)
+        row = row[:3] + json.loads(texts.by_id[row[3]])
+        assert 8 <= len(row) <= len(QUERY_ROW)
         assert len(row) == 8 or row[-1] not in ([], False)
         for name, value in list(zip(QUERY_ROW, row))[8:]:
             assert item[name] == value
@@ -304,7 +368,7 @@ def recorded_runs(draw):
             payload = RecordedPayload()
             payload.fields = query_payload(query)
             if draw(st.booleans()):
-                payload.text = json.dumps(query.to_row()[3:], separators=COMPACT)[1:]
+                payload.text = json.dumps(query.to_row()[3:], separators=COMPACT)
         queries.append(query)
         run.payloads.append(payload)
     run.queries = queries
@@ -509,9 +573,7 @@ def run_lines(path):
 
 def referenced_ids(lines):
     """Every text id the run lines ``lines`` refer to."""
-    return {line["response"]["body"] for line in lines} | {
-        row[2] for line in lines for row in line["queries"]
-    }
+    return set().union(*(fixtures.text_refs("run", line) for line in lines))
 
 
 def loads_repairs_and_upgrades(fixture, version, tmp_path):
@@ -523,21 +585,25 @@ def loads_repairs_and_upgrades(fixture, version, tmp_path):
     warp = WarpSystem.load(fixture)
     assert warp.graph.to_snapshot() == original.graph.to_snapshot()
     # No text of an older shape is kept: the next save re-encodes the run.
-    assert all(run.json_text is None for run in warp.graph.runs.values())
+    # (A format-4 line with no query is the line format 5 writes.)
+    assert all(
+        run.json_text is None for run in warp.graph.runs.values() if version < 4 or run.queries
+    )
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     assert fixtures.repair_counters(warp) == expected
 
-    # Loaded from the old format, saved as format 4 — rows only, ids for
-    # every body and SQL text, each text entry once, and the text kept from
-    # now on is the text a fresh encode gives — loaded again: same graph.
+    # Loaded from the old format, saved as format 5 — rows of ids only, for
+    # every body, SQL text and payload, each text entry once, and the text
+    # kept from now on is the text a fresh encode gives — loaded again:
+    # same graph.
     upgraded = str(tmp_path / "upgraded.json")
     again = WarpSystem.load(fixture)
     again.save(upgraded)
-    assert read_snapshot_header(upgraded)["version"] == 4
+    assert read_snapshot_header(upgraded)["version"] == 5
     lines = run_lines(upgraded)
     assert len(lines) == original.graph.n_runs and any(d["queries"] for d in lines)
     for data in lines:
-        assert all(isinstance(q, list) and type(q[2]) is int for q in data["queries"])
+        assert all(len(q) == 4 and {type(x) for x in q} == {int} for q in data["queries"])
         assert all(isinstance(n, list) for n in data.get("nondet", ()))
         assert type(data["response"]["body"]) is int
     entries = record_lines(upgraded, "text")
@@ -573,6 +639,14 @@ def test_format3_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     loads_repairs_and_upgrades(fixtures.FORMAT3_SNAPSHOT, 3, tmp_path)
 
 
+def test_format4_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written at 4c487be: body and SQL text ids, every payload inline."""
+    inline = run_lines(fixtures.FORMAT4_SNAPSHOT)
+    assert all(type(d["response"]["body"]) is int for d in inline)
+    assert all(len(q) >= 8 and type(q[2]) is int for d in inline for q in d["queries"])
+    loads_repairs_and_upgrades(fixtures.FORMAT4_SNAPSHOT, 4, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # the clock and the id counters after a load come from the store's running
 # maxima; the two history-wide walks they replaced are the oracle
@@ -595,11 +669,11 @@ def walked_maxima(store):
     return max_ts, max(store.runs, default=0), max_qid
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, version):
     snapshot = fixtures.OLD_SNAPSHOTS.get(version)
     if snapshot is None:
-        snapshot = str(tmp_path / "format4.json")
+        snapshot = str(tmp_path / "format5.json")
         fixtures.format1_workload()[0].save(snapshot)
     assert read_snapshot_header(snapshot)["version"] == version
     loaded = WarpSystem.load(snapshot)
@@ -647,20 +721,26 @@ def bodied_run(run_id, body, ts):
     return run
 
 
-def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path):
+def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch):
+    """The save after a gc finds the entries its runs refer to in their kept
+    lines: it encodes no query (``to_row`` is never called) and writes
+    exactly those entries."""
     wal_path = str(tmp_path / "records.wal")
     store = RecordStore(wal=RecordWal(wal_path, durability="none"))
     for run_id in range(1, 9):
         store.add_run(bodied_run(run_id, f"<p>body {run_id % 5}</p>", ts=run_id * 10))
-    assert len(store.texts.by_id) == 5 + 2
+    assert len(store.texts.by_id) == 5 + 2 + 2
     store.gc(horizon_ts=45)  # runs 1-4 go; bodies 1-4 live on in runs 6-8
     path = str(tmp_path / "snapshot.json")
+    monkeypatch.setattr(QueryRecord, "to_row", lambda *args: pytest.fail("a query re-encoded"))
     store.save_snapshot(path)
+    monkeypatch.undo()
     entries = record_lines(path, "text")
     assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
+    golden = fixtures.golden_run().queries
     assert {entry["text"] for entry in entries} == {
         "<p>body 0</p>", "<p>body 1</p>", "<p>body 2</p>", "<p>body 3</p>",
-        fixtures.golden_run().queries[0].sql, fixtures.golden_run().queries[1].sql,
+        golden[0].sql, golden[1].sql, payload_text(golden[0]), payload_text(golden[1]),
     }  # fmt: skip
     assert set(store.texts.by_id) == {entry["id"] for entry in entries}
     # The WAL starts the segment empty: the next run refers into the snapshot.
@@ -696,13 +776,13 @@ def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
     store.add_run(bodied_run(1, "<p>kept</p>", ts=10))
     store.add_run(bodied_run(2, "<p>dropped</p>", ts=5))
     dropped = store.texts.ids["<p>dropped</p>"]
-    assert dropped == store.texts.last_id == 4
+    assert dropped == store.texts.last_id == 6  # a body, two SQL texts, two payloads first
     store.gc(horizon_ts=8)
     store.save_snapshot(path)
     store.wal.close()
-    assert read_snapshot_header(path)["ids"] == {"text": 4}
+    assert read_snapshot_header(path)["ids"] == {"text": 6}
     assert dropped not in {entry["id"] for entry in record_lines(path, "text")}
-    for last in (4, 5):
+    for last in (6, 7):
         reloaded = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
         assert reloaded.texts.last_id == last
         body, ts = f"<p>new {last}</p>", reloaded.max_ts + 1
@@ -711,13 +791,14 @@ def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
         reloaded.save_snapshot(path)
         reloaded.wal.close()
     ids = [entry["id"] for entry in record_lines(path, "text")]
-    assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 6 and len(ids) == len(set(ids))
+    assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 8 and len(ids) == len(set(ids))
 
 
 def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_path):
     """The statement cache outlives the runs: after they are collected and
     the log rotated, a hit on the entry is the first line of the segment to
-    need the SQL text, and it journals the text entry first."""
+    need the SQL text and the payload, and it journals their text entries
+    first — the payload's from the text the cache entry kept."""
     wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "warp.json")
     warp = WarpSystem(wal_path=wal_path, durability="none")
     warp.ttdb.create_table(
@@ -743,12 +824,12 @@ def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_pat
     assert warp.graph.n_runs == 0 and sql not in warp.graph.store.texts.ids
     assert not record_lines(path, "text")
 
-    probe()  # a hit again — on a payload whose SQL text the segment lacks
+    probe()  # a hit again — on a payload whose texts the segment lacks
     assert results[2].payload is payload
     warp.graph.store.wal.close()
     tail = [(kind, data) for kind, data in RecordWal.entries(wal_path) if kind != "snapshot_marker"]
-    assert [kind for kind, _ in tail] == ["text", "text", "run"]  # body, SQL, run
-    assert tail[1][1]["text"] == sql
+    assert [kind for kind, _ in tail] == ["text"] * 3 + ["run"]  # body, SQL, payload, run
+    assert [data["text"] for _, data in tail[1:3]] == [sql, payload.text]
     assert fixtures.undefined_refs(fixtures.segment(path, wal_path)) == []
     loaded = WarpSystem.load(path, wal_path=wal_path)
     loaded.graph.store.wal.close()
@@ -763,11 +844,13 @@ def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_pat
 def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
     """Exact counts on a fixed deployment, so a field that bloats the run
     line fails here and not in a benchmark run.  The first request of a
-    kind pays for the text entries of its body and SQL texts; its repeat
-    pays for neither when the body is the same (the form) and for the new
-    body alone when it is not (each edit's page).  (Format 3, every text
-    inline: 1461, 1464, 1842, 1841; before it, keyed queries with every
-    default spelled out: 2330 for the form and 3111 for an edit.)"""
+    kind pays for the text entries of its body, SQL texts and row payloads;
+    its repeat pays for none when it reads what it read before (the form)
+    and for the new body and the payloads that saw the new page text when
+    it does not (each edit).  (Format 4, payloads inline: 1573, 867, 1767,
+    1236; format 3, every text inline: 1461, 1464, 1842, 1841; before it,
+    keyed queries with every default spelled out: 2330 for the form and
+    3111 for an edit.)"""
     warp = WarpSystem(seed=7, wal_path=str(tmp_path / "records.wal"), durability="none")
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -781,9 +864,9 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
         return wal.appended_bytes - before
 
     form = client.request("GET", "/edit.php", {"title": "P"})
-    assert [cost(form), cost(form)] == [1573, 867]
+    assert [cost(form), cost(form)] == [1626, 424]
     append = client.request("POST", "/edit.php", {"title": "P", "append": "\none more line."})
-    assert [cost(append), cost(append)] == [1767, 1236]
+    assert [cost(append), cost(append)] == [1476, 942]
     wal.close()
 
 
@@ -861,7 +944,7 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 4
+        assert header["version"] == 5
         n_texts = len(record_lines(path, "text"))
         assert n_texts == len(referenced_ids(run_lines(path))) > 0
         assert header["records"] == {
@@ -899,7 +982,7 @@ class TestRefusedSnapshots:
         with pytest.raises(ReproError, match="line 4"):
             RecordStore.recover(snapshot_path=path)
 
-    @pytest.mark.parametrize("version", [0, 5, "4", None])
+    @pytest.mark.parametrize("version", [0, 6, "5", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])
@@ -1069,9 +1152,9 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
     monkeypatch.setattr(wal_module, "decode_line", counting_decode)
     recovered = RecordStore.recover(wal_path=wal_path)
     assert sorted(recovered.runs) == [1, 2, 3, 4, 5]
-    # Once each (the torn line has no newline to get that far): the three
+    # Once each (the torn line has no newline to get that far): the five
     # text entries the first run defined, the five runs.
-    assert len(decoded) == 3 + 5
+    assert len(decoded) == 5 + 5
     monkeypatch.undo()
     # The attach dropped the torn tail without a second pass.
     assert RecordWal.repair(wal_path) == 0

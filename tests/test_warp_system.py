@@ -187,6 +187,39 @@ class TestMetricsModule:
         # ... and compressed (record by record, like the paper) they are smaller.
         assert 0 < report.total_kb * 1024 * report.n_visits < len(lines)
 
+    def test_layer_bytes_sum_to_the_journaled_bytes(self, tmp_path):
+        """Each ``text`` entry is billed to one log, once: the three logs'
+        raw bytes are exactly what the store journaled — every run line and
+        every entry, among them the row payloads the database log pays."""
+        from repro.store.wal import decode_line
+        from repro.workload.loadgen import make_load_clients
+        from repro.workload.metrics import record_log_texts
+
+        wal_path = str(tmp_path / "records.wal")
+        deployment = WikiDeployment(n_users=0, seed=5, wal_path=wal_path, durability="none")
+        wiki, warp = deployment.wiki, deployment.warp
+        wiki.seed_page("P", "seed\n", owner="admin")
+        clients = make_load_clients(wiki, warp.server, ["u", "v"])
+        for index in range(6):
+            client = clients[index % 2]
+            params = {"title": "P"} if index % 3 else {"title": "P", "append": f"\n{index}."}
+            method = "GET" if index % 3 else "POST"
+            assert client.send(client.request(method, "/edit.php", params)).status == 200
+        wal = warp.graph.store.wal
+        wal.sync()
+        raw = dict.fromkeys(("browser", "app", "db"), 0)
+        entries = {}
+        for layer, text in record_log_texts(warp.graph):
+            raw[layer] += len(text.encode("utf-8"))
+            kind, data, _ = decode_line(text) if text.startswith("{") else (None, None, None)
+            if kind == "text":
+                entries[data["id"]] = layer
+        assert sum(raw.values()) == wal.appended_bytes
+        texts = warp.graph.store.texts.by_id
+        payloads = [ident for ident in entries if texts[ident].startswith("[")]
+        assert payloads and all(entries[ident] == "db" for ident in payloads)
+        wal.close()
+
     def test_overhead_report(self):
         from repro.workload.metrics import measure_overhead
 
