@@ -117,12 +117,15 @@ class TextTable:
         return fresh
 
     def keep(self, idents: Iterable[int]) -> None:
-        """Start a new segment holding exactly the entries ``idents``; all
-        of them are written with it, so none is fresh."""
-        self.by_id = {ident: self.by_id[ident] for ident in sorted(idents)}
-        self.ids = {text: ident for ident, text in self.by_id.items()}
-        entries = self._entries
-        self._entries = {ident: entries[ident] for ident in self.by_id if ident in entries}
+        """Start a new segment holding exactly the entries ``idents`` (ids of
+        this table); all of them are written with it, so none is fresh.  A
+        segment that keeps every entry leaves the table as it is."""
+        idents = sorted(idents)
+        if len(idents) < len(self.by_id):
+            self.by_id = {ident: self.by_id[ident] for ident in idents}
+            self.ids = {text: ident for ident, text in self.by_id.items()}
+            entries = self._entries
+            self._entries = {ident: entries[ident] for ident in idents if ident in entries}
         self.fresh = []
 
     def copy(self) -> "TextTable":

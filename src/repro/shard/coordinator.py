@@ -36,6 +36,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -518,10 +519,17 @@ class ShardCoordinator:
         }
 
     def _save_route(self, request: HttpRequest):
-        saved = {}
-        for shard, client in sorted(self.clients.items()):
-            status, payload = client.admin_json("POST", "/warp/admin/shard/save")
-            saved[str(shard)] = {"status": status, **payload}
+        # Each worker writes its own snapshot, so all of them save at once:
+        # the broadcast takes as long as the slowest shard, not their sum.
+        shards = sorted(self.clients.items())
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            replies = pool.map(
+                lambda item: item[1].admin_json("POST", "/warp/admin/shard/save"), shards
+            )
+            saved = {
+                str(shard): {"status": status, **payload}
+                for (shard, _), (status, payload) in zip(shards, replies)
+            }
         return 200, {"saved": saved}
 
     def _repair_route(self, request: HttpRequest):

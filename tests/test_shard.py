@@ -12,6 +12,7 @@ fault, not the workload's.
 import json
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -619,6 +620,26 @@ class TestCoordinator:
         assert all(ping["ok"] for ping in doc["shards"].values())
         response = cluster.handle(HttpRequest("POST", "/warp/admin/shard/status"))
         assert response.status == 405
+
+    def test_save_broadcast_saves_every_shard_at_once(self, cluster):
+        """Each worker writes its own snapshot, so the broadcast runs the
+        saves side by side: neither passes the barrier until both are in."""
+        apply_workload(cluster, generate_workload(4))
+        barrier = threading.Barrier(len(cluster.workers), timeout=10)
+        for worker in cluster.workers:
+
+            def save(path, save=worker.warp.save):
+                barrier.wait()
+                save(path)
+
+            worker.warp.save = save
+        response = cluster.handle(HttpRequest("POST", "/warp/admin/shard/save"))
+        assert response.status == 200, response.body
+        saved = json.loads(response.body)["saved"]
+        assert sorted(saved) == ["0", "1"]
+        for reply in saved.values():
+            assert reply["status"] == 200
+            assert read_snapshot_header(reply["saved"])["records"]["run"] > 0
 
     def test_plan_targets_only_damaged_shards(self, cluster):
         apply_workload(cluster, generate_workload(5))

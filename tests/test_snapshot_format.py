@@ -768,6 +768,21 @@ def test_save_after_replace_run_drops_the_replaced_body(tmp_path):
     assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
 
 
+def test_save_that_keeps_every_entry_leaves_the_table_as_it_is(tmp_path):
+    """The common save — no gc, no replacement since the last — writes every
+    entry the table holds and does not rebuild the table to keep them."""
+    store = RecordStore(wal=RecordWal(str(tmp_path / "records.wal"), durability="none"))
+    for run_id in range(1, 5):
+        store.add_run(bodied_run(run_id, f"<p>body {run_id % 2}</p>", ts=run_id * 10))
+    by_id, ids = store.texts.by_id, store.texts.ids
+    path = str(tmp_path / "snapshot.json")
+    store.save_snapshot(path)
+    store.wal.close()
+    assert store.texts.by_id is by_id and store.texts.ids is ids
+    assert sorted(entry["id"] for entry in record_lines(path, "text")) == sorted(by_id)
+    assert store.texts.fresh == []
+
+
 def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
     """The last entries defined leave with their runs; the header's counter
     keeps their ids from coming back, through a reload and a second save."""
