@@ -81,12 +81,6 @@ class ActionHistoryGraph:
     def add_runs(self, runs: Iterable[AppRunRecord]) -> None:
         self.store.add_runs(runs)
 
-    def add_replayed_run(self, run: AppRunRecord, base_run_id: int) -> None:
-        """Record a response-cache hit: ``run`` shares payload with the run
-        ``base_run_id`` already in the graph, so the store journals a compact
-        reference entry instead of the full record."""
-        self.store.add_replayed_run(run, base_run_id)
-
     def add_visit(self, visit: VisitRecord) -> None:
         self.store.add_visit(visit)
 

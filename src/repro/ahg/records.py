@@ -414,17 +414,14 @@ def replay_clone(
     ts_list: List[int],
     request: HttpRequest,
 ) -> AppRunRecord:
-    """The synthetic run recorded for a response-cache hit.
+    """Rebuild a run from an old log's ``run_replay`` entry.
 
-    A cache hit must leave the graph exactly as an uncached execution
-    would have: same read sets, same result snapshots (the invalidation
-    rule guarantees the underlying partitions are untouched), fresh run
-    id / query ids / timestamps.  Payload fields (sql, params, read_set,
-    snapshot) are shared with the base record — they are immutable once
-    recorded — so a hit costs allocations proportional to the query
-    count, not the payload size.  The same constructor rebuilds the run
-    during WAL replay of a compact ``run_replay`` entry, which is why it
-    lives here and not in the cache.
+    Older builds served a repeated GET from a response cache and journaled
+    the hit as a reference to the base run it answered from, plus fresh
+    identity: run id, query ids and timestamps.  The rebuilt run has the
+    base's response, read sets and result snapshots under that identity.
+    Payload fields (sql, params, read_set, snapshot) are shared with the
+    base record — they are immutable once recorded.
     """
     queries = [
         QueryRecord(qid, run_id, query.seq, ts, *query_payload(query))

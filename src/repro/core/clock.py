@@ -42,8 +42,7 @@ class LogicalClock:
     def tick_many(self, count: int) -> int:
         """Advance by ``count`` and return the *first* of the ``count``
         consecutive fresh timestamps — one lock acquisition instead of
-        ``count`` (the response-cache hit path stamps a whole cloned run
-        at once).  Equivalent to ``count`` ``tick()`` calls."""
+        ``count``.  Equivalent to ``count`` ``tick()`` calls."""
         if count < 1:
             raise ValueError("must draw at least one timestamp")
         with self._lock:

@@ -52,8 +52,7 @@ class IdAllocator:
     def next_many(self, namespace: str, count: int) -> int:
         """Allocate ``count`` consecutive ids atomically and return the
         first — per-namespace sequences are identical to ``count``
-        ``next()`` calls, just one lock acquisition (hot-path batching for
-        replayed-run clones)."""
+        ``next()`` calls, just one lock acquisition."""
         if count < 1:
             raise ValueError("must allocate at least one id")
         with self._lock:

@@ -843,7 +843,8 @@ class SqliteEngine:
         #: serialized (``sqlite3.threadsafety == 3``: every API call takes
         #: the connection mutex) and each cursor is its own statement;
         #: isolating one statement's reads from another thread's write is
-        #: ``TimeTravelDB.statement_lock``'s job, as on the memory engine.
+        #: the job of ``TimeTravelDB``'s statement lock, as on the memory
+        #: engine.
         self._lock = threading.RLock()
         #: Connections holding a transaction of the open ``atomic`` scope
         #: (None outside one).  Only the thread holding ``_lock`` — which

@@ -274,8 +274,7 @@ class Detector:
 
     The serve path calls :meth:`score` once per routed request.  The
     inert cost is one lock acquisition plus the rule scans; flagged
-    requests additionally bypass the response cache and open (or merge
-    into) an incident downstream."""
+    requests additionally open (or merge into) an incident downstream."""
 
     def __init__(
         self, rules: Optional[Iterable[Rule]] = None, threshold: float = 1.0

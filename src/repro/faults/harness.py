@@ -48,7 +48,7 @@ from repro.workload.loadgen import LoadClient
 PAGE = "Sandbox"
 
 #: Which fault kinds make sense at which points (a torn write needs a
-#: payload to tear; repair/gate/cache points sit above the I/O boundary).
+#: payload to tear; repair/gate points sit above the I/O boundary).
 _POINT_KINDS = {
     "wal.append": ("io", "disk_full", "error", "crash", "torn"),
     "wal.fsync": ("io", "disk_full", "crash", "torn"),
@@ -59,7 +59,6 @@ _POINT_KINDS = {
     "repair.group_done": ("error", "crash"),
     "repair.finalized": ("error", "crash"),
     "gate.reapply": ("error",),
-    "cache.fill": ("error",),
 }
 
 #: Points hit once per request (or more): ``after`` must clear the two
@@ -93,7 +92,6 @@ def generate_schedule(seed: int) -> dict:
     return {
         "seed": seed,
         "online_gate": rng.random() < 0.3,
-        "response_cache": rng.random() < 0.5,
         "repair_at": rng.randint(8, 20) if rng.random() < 0.6 else None,
         "save_at": rng.randint(6, 24) if rng.random() < 0.5 else None,
         "requests": 36,
@@ -155,13 +153,10 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
 
     plane = FaultPlane.from_schedule(schedule)
     report = HarnessReport(seed=seed, schedule=schedule)
-    # A schedule saved when durability was drawn still carries the key;
-    # every schedule runs on the default group commit.
-    warp = WarpSystem(
-        wal_path=wal_path,
-        fault_plane=plane,
-        response_cache=bool(schedule.get("response_cache")),
-    )
+    # A schedule saved when durability or a response cache was drawn
+    # still carries the key; every schedule runs on the default group
+    # commit, without a cache.
+    warp = WarpSystem(wal_path=wal_path, fault_plane=plane)
     if schedule.get("online_gate"):
         warp.enable_online_repair()
     # Never hang a schedule on a sick log: a group commit that cannot
@@ -270,9 +265,10 @@ def _run_repair(warp, report, interrupted_job_ids) -> bool:
     if (
         job.status == "failed"
         and error is not None
-        and "crashed mid-repair" in str(error)
+        and "process crashed" in str(error)
     ):
-        interrupted_job_ids.append(job.job_id)
+        if "mid-repair" in str(error):
+            interrupted_job_ids.append(job.job_id)
         report.crashed = True
         return True
     if error is not None:

@@ -8,10 +8,9 @@ Two modes, deterministic transitions (DESIGN.md "Failure model"):
     Entered on the first durability failure (a journal entry that cannot
     reach disk — WAL write/fsync error, disk full, timed-out group
     commit).  Writes are refused with 503 + ``Retry-After`` +
-    ``X-Warp-Degraded: read-only``; reads keep flowing through the PR 6
-    cache path, with the store in *relaxed durability* so read-side
-    bookkeeping (visit logs, cache-hit clones) parks in the WAL instead
-    of raising.
+    ``X-Warp-Degraded: read-only``; reads keep flowing, with the store in
+    *relaxed durability* so read-side bookkeeping (the runs of reads,
+    visit logs) parks in the WAL instead of raising.
 
 Self-healing is **probe-on-write**: every refused write first attempts
 ``RecordWal.heal()`` — truncate torn garbage, replay the parked backlog

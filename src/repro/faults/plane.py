@@ -21,7 +21,7 @@ Error kinds and what they model:
     ``ENOSPC`` — the volume filled up; clears when the rule exhausts.
 ``error``
     A generic in-process failure (:class:`InjectedError`), for layers
-    above the I/O boundary (repair phases, cache fills, pool dispatch).
+    above the I/O boundary (repair phases, pool dispatch).
 ``crash``
     :class:`SimulatedCrash` — the process dies *here*.  Deliberately a
     ``BaseException`` so no ``except Exception`` recovery path can
@@ -71,7 +71,6 @@ FAULT_POINTS = (
     "repair.finalized",  # after the generation switch completes
     "repair.aborted",  # abort path completed
     "gate.reapply",  # queued-request re-application after repair
-    "cache.fill",  # response-cache fill after a served miss
     "pool.dispatch",  # server pool worker picking up a request
     "sqlite.exec",  # every statement the SQLite storage engine executes
     "sqlite.commit",  # SQLite engine checkpoint (meta flush + WAL truncate)

@@ -52,11 +52,9 @@ class HttpServer:
         self.cookie_invalidation: Set[str] = set()
         #: Optional hook returning the number of pending conflicts for a client.
         self.conflict_lookup: Optional[Callable[[str], int]] = None
-        #: Dependency-invalidated response cache (repro.http.cache); None
-        #: serves every request through the runtime.
-        self.response_cache = None
+        #: True while a repair is in progress.
+        self.repair_active = False
         #: Runs that executed while a repair was in progress.
-        self._repair_active = False
         self.pending_during_repair: List[int] = []
         self.suspended = False
         #: Toggle for recording (the "No WARP" baseline disables it).
@@ -78,7 +76,7 @@ class HttpServer:
         #: Front-line detector (repro.detect.Detector); None scores
         #: nothing.  Flagged requests are still served — WARP's promise
         #: is recording + retroactive repair, not blocking — but they
-        #: bypass the response cache and open an incident once recorded.
+        #: open an incident once recorded.
         self.detector = None
         #: Incident sink (repro.detect.IncidentManager) for flagged runs.
         self.incident_manager = None
@@ -94,19 +92,6 @@ class HttpServer:
         self._in_flight = 0
         self._state_lock = threading.Lock()
         self._state_cond = threading.Condition(self._state_lock)
-
-    @property
-    def repair_active(self) -> bool:
-        return self._repair_active
-
-    @repair_active.setter
-    def repair_active(self, value: bool) -> None:
-        """Repair transitions flush the response cache: entries cached in
-        the old generation must not survive into the repaired one, and the
-        cache stays cold (``_handle`` bypasses it) while a repair runs."""
-        self._repair_active = value
-        if self.response_cache is not None:
-            self.response_cache.flush()
 
     def route(self, path: str, script_name: str) -> None:
         self.routes[path] = script_name
@@ -138,10 +123,6 @@ class HttpServer:
                 )
 
     def end_switch(self) -> None:
-        if self.response_cache is not None:
-            # The generation just switched: every cached response reflects
-            # pre-repair data.
-            self.response_cache.flush()
         with self._state_cond:
             self.suspended = False
             self._state_cond.notify_all()
@@ -237,9 +218,8 @@ class HttpServer:
             return HttpResponse(status=404, body=f"no route for {request.path}")
 
         # Front-line detection scores the routed request up front (the
-        # rules only look at the request surface); the verdict is used
-        # twice below — flagged requests never touch the response cache,
-        # and their recorded runs open incidents.
+        # rules only look at the request surface); flagged requests are
+        # stamped, and their recorded runs open incidents.
         detector = self.detector
         detection = detector.score(request) if detector is not None else None
         flagged = detection is not None and detection.flagged
@@ -275,35 +255,9 @@ class HttpServer:
             request.cookies.clear()
             self.cookie_invalidation.discard(client_id)
 
-        # Pending conflicts stamp a per-client header on the response, so
-        # such responses are neither served from nor admitted to the cache.
         pending_conflicts = 0
         if self.conflict_lookup is not None and client_id is not None:
             pending_conflicts = self.conflict_lookup(client_id)
-
-        cache = self.response_cache
-        use_cache = (
-            cache is not None
-            and request.method == "GET"
-            and self.recording
-            and self.runtime.recording
-            and not bypass_gate
-            and not self._repair_active
-            and (gate is None or not gate.active)
-            and not invalidated
-            and not pending_conflicts
-            and not flagged
-        )
-        if use_cache:
-            hit = cache.begin_hit(script_name, request)
-            if hit is not None:
-                record, base_run_id = hit
-                try:
-                    self.graph.add_replayed_run(record, base_run_id)
-                except DurabilityError as exc:
-                    return self._durability_failure(exc)
-                return record.response
-            token = cache.write_token()
 
         try:
             response, record = self.runtime.execute(script_name, request)
@@ -330,25 +284,18 @@ class HttpServer:
                 self.graph.add_run(record)
             except DurabilityError as exc:
                 return self._durability_failure(exc)
-            if self._repair_active:
+            if self.repair_active:
                 # Under striped store locks nothing serializes concurrent
                 # handlers here, so the once GIL-atomic bare append moved
                 # under the state lock.
                 with self._state_lock:
-                    if self._repair_active:
+                    if self.repair_active:
                         self.pending_during_repair.append(record.run_id)
             if flagged and self.incident_manager is not None:
                 try:
                     self.incident_manager.open_incident(detection, record)
                 except DurabilityError as exc:
                     return self._durability_failure(exc)
-            if use_cache and cache.cacheable(record):
-                try:
-                    cache.put(script_name, request, record, token)
-                except Exception:
-                    # A failed fill must not fail a request the client
-                    # already has an answer for; the cache stays cold.
-                    pass
         return response
 
     def _durability_failure(self, exc: DurabilityError) -> HttpResponse:

@@ -405,17 +405,22 @@ class RepairJobManager:
             self._executing_thread = threading.current_thread()
             job._status = "running"
         store = self._warp.graph.store
+        started = False
         try:
             store.log_repair_job_start(
                 job.job_id, job.spec.describe(), self._warp.clock.now()
             )
+            started = True
             self._run_with_retry(job, store)
         except SimulatedCrash:
-            # Injected process death mid-repair.  Deliberately NO job-end
-            # journal entry: a reloaded deployment must report this job as
-            # interrupted (paper §6.2 — the admin is told what was
-            # mid-repair).  Settle so in-process waiters unblock.
-            job._settle("failed", error=RepairError("process crashed mid-repair"))
+            # Injected process death.  Deliberately NO job-end journal
+            # entry: a reloaded deployment must report a job whose start
+            # reached the log as interrupted (paper §6.2 — the admin is
+            # told what was mid-repair).  A crash while journaling the
+            # start leaves nothing to report: the repair never began.
+            # Settle so in-process waiters unblock.
+            where = "mid-repair" if started else "before the repair started"
+            job._settle("failed", error=RepairError(f"process crashed {where}"))
         except BaseException as exc:
             # Start-journaling failure (sick log) or anything else the
             # retry loop does not own: the waiter must still unblock.

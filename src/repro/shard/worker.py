@@ -80,7 +80,7 @@ class ShardConfig:
     #: Opaque JSON arguments handed to the factory (e.g. tenant lists).
     app_args: dict = field(default_factory=dict)
     #: Passed through to the WarpSystem constructor (db_backend,
-    #: durability, admin_token, response_cache, ...).
+    #: durability, admin_token, ...).
     warp_kwargs: dict = field(default_factory=dict)
     #: Cluster wire secret (authkey material for the process transport).
     secret: str = "dev"

@@ -319,7 +319,7 @@ class RecordStore:
         self.rotate_hook = None
         #: Degraded read-only serving (health monitor): journal entries
         #: that cannot reach disk are parked in the WAL instead of raising
-        #: — read-path bookkeeping (visit logs, cache-hit clones) keeps
+        #: — read-path bookkeeping (the runs of reads, visit logs) keeps
         #: flowing while writes are refused upstream.  ``_finish`` counts
         #: the entries it let through unsynced so the operator can see the
         #: exposure on the health endpoint.
@@ -534,30 +534,6 @@ class RecordStore:
             if ticket is not None:
                 last = ticket
         self._finish(last, relaxed)
-
-    def add_replayed_run(self, run: AppRunRecord, base_run_id: int) -> None:
-        """Record a response-cache hit's synthetic run (see
-        :func:`repro.ahg.records.replay_clone`).  Identical store state to
-        ``add_run``, but journaled as a compact ``run_replay`` entry —
-        fresh identity plus a pointer to the base run, instead of
-        re-serializing the full payload the base's WAL entry already
-        carries."""
-        ticket = None
-        with self._records_lock:
-            self._insert_run(run)
-            if self.wal is not None:
-                ticket = self.wal.append(
-                    "run_replay",
-                    {
-                        "base_run_id": base_run_id,
-                        "run_id": run.run_id,
-                        "ts_start": run.ts_start,
-                        "qids": [query.qid for query in run.queries],
-                        "ts": [query.ts for query in run.queries],
-                        "request": run.request.to_dict(),
-                    },
-                )
-        self._finish(ticket)
 
     def add_visit(self, visit: VisitRecord) -> None:
         ticket = None
@@ -1134,7 +1110,7 @@ class RecordStore:
 
     def _snapshot_texts(self) -> List[int]:
         """Give every run its text — a run that has none yet (appended
-        without a WAL, cache hit journaled as a reference, canceled since)
+        without a WAL, rebuilt from an old log's reference, canceled since)
         is encoded now — and return the ids of exactly the text entries
         the runs refer to, in order.  Caller holds ``records``."""
         runs = self.runs.values()
@@ -1327,11 +1303,11 @@ class RecordStore:
             if record.run_id not in self.runs:
                 self.add_run(record)
         elif kind == "run_replay":
-            # Compact journal entry for a response-cache hit: fresh
+            # Written only by older builds, for a response-cache hit: fresh
             # identity (run id, qids, timestamps) over the payload of the
             # base run, which WAL order guarantees was applied first (the
-            # cache refuses to serve a template whose base has been gc'd
-            # or replaced, so a well-formed log always resolves the base).
+            # cache never served a template whose base had been gc'd or
+            # replaced, so a well-formed old log always resolves the base).
             if data["run_id"] not in self.runs:
                 base = self.runs.get(data["base_run_id"])
                 if base is not None:

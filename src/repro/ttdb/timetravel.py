@@ -179,10 +179,6 @@ class TimeTravelDB:
         #: recorded per-query timestamps preserve the actual order for
         #: repair-time re-execution.
         self._lock = threading.RLock()
-        #: Called with the TTResult of every committed non-repair write,
-        #: *inside* the statement lock — the response cache subscribes so
-        #: invalidation is atomic with the commit (repro.http.cache).
-        self.write_hook = None
         #: Read-through SELECT cache: a repeated ``(sql, params)`` read (the
         #: same type for type, see ``_execute_select``)
         #: whose *read partitions* have not been written since (write
@@ -209,13 +205,6 @@ class TimeTravelDB:
         """Identifier of the storage engine underneath (``"python"``,
         ``"sqlite"``); recorded in :meth:`state_dict` for diagnostics."""
         return getattr(self.database, "backend", "python")
-
-    @property
-    def statement_lock(self) -> threading.RLock:
-        """The statement-granular execution lock; the response cache's hit
-        path holds it while validating an entry and drawing timestamps so
-        hits serialize against write commits exactly like real reads."""
-        return self._lock
 
     # -- schema ----------------------------------------------------------------
 
@@ -444,7 +433,7 @@ class TimeTravelDB:
             counts[table] = counts.get(table, 0) + 1
             for key in result.written_partitions:
                 counts[key] = counts.get(key, 0) + 1
-        tt_result = TTResult(
+        return TTResult(
             sql=sql,
             params=params,
             ts=ctx.ts,
@@ -453,13 +442,6 @@ class TimeTravelDB:
             read_set=read_set,
             full_table_write=plan.full_table_write,
         )
-        if (
-            self.write_hook is not None
-            and not ctx.repair
-            and result.kind != "select"
-        ):
-            self.write_hook(tt_result)
-        return tt_result
 
     @contextmanager
     def _atomic(self):

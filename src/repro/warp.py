@@ -40,7 +40,6 @@ from repro.browser.extension import WarpExtension
 from repro.core.clock import LogicalClock
 from repro.core.ids import IdAllocator, random_token
 from repro.db.engine import create_database, resolve_backend, snapshot_backend
-from repro.http.cache import ResponseCache
 from repro.http.server import HttpServer
 from repro.repair.conflicts import Conflict, ConflictQueue
 from repro.core.errors import DurabilityError, RepairError
@@ -74,7 +73,6 @@ class WarpSystem:
         durability: str = "group",
         wal_rotate_bytes: Optional[int] = None,
         wal_rotate_snapshot: Optional[str] = None,
-        response_cache: bool = False,
         fault_plane: Optional[FaultPlane] = None,
         db_backend: Optional[str] = None,
         db_path: Optional[str] = None,
@@ -138,14 +136,6 @@ class WarpSystem:
         self.conflicts = ConflictQueue()
         self.server.conflict_lookup = self.conflicts.pending_count
         self.server.admin.add("GET", "/conflicts", self._conflicts_route)
-        self.response_cache: Optional[ResponseCache] = None
-        if response_cache:
-            self.response_cache = ResponseCache(self.runtime, self.graph)
-            self.response_cache.faults = self.faults
-            self.server.response_cache = self.response_cache
-            # Invalidation fires at write-commit time, inside the TTDB
-            # statement lock (see repro.http.cache's concurrency contract).
-            self.ttdb.write_hook = self.response_cache.on_write
         self._rotate_lock = threading.Lock()
         self._rotate_snapshot_path = wal_rotate_snapshot
         self._arm_rotation(wal_path)
@@ -408,12 +398,10 @@ class WarpSystem:
                 ),
                 "refresh_interval": self.detection_refresh_interval,
             },
-            # Serving-path knobs survive reload the same way: a deployment
-            # tuned for group commit + caching keeps that envelope.
+            # Serving-path knobs survive reload the same way.
             "serving_config": {
                 "durability": self.durability,
                 "wal_rotate_bytes": self.wal_rotate_bytes,
-                "response_cache": self.response_cache is not None,
             },
         }
         self.graph.store.commit_snapshot(path, state)
@@ -448,7 +436,7 @@ class WarpSystem:
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
         are streamed in one line at a time.  A file that is not a format
-        1, 2, 3 or 4 snapshot, or does not hold the records its header
+        1–5 snapshot, or does not hold the records its header
         promises, raises :class:`~repro.core.errors.ReproError` naming it.
         """
         if path is None:
@@ -494,7 +482,6 @@ class WarpSystem:
             db_path=storage.get("db_path"),
             durability=durability,
             wal_rotate_bytes=serving.get("wal_rotate_bytes"),
-            response_cache=serving.get("response_cache", False),
         )
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already

@@ -14,9 +14,8 @@ page) against ``HttpServer.handle``:
 
 Each *write* carries a unique ``marker`` parameter appended to the page,
 so "applied exactly once" is checkable by counting marker occurrences in
-page text afterwards.  Reads are marker-free: identical GETs must stay
-byte-identical so the dependency-invalidated response cache
-(:mod:`repro.http.cache`) sees realistic repeat traffic.
+page text afterwards.  Reads are marker-free: identical GETs stay
+byte-identical, the repeat traffic a real wiki sees.
 
 The driver is deliberately headerless-browser traffic: requests carry the
 ``X-Warp-Client`` correlation header but no visit/event logs, modelling

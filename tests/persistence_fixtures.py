@@ -36,6 +36,17 @@ the ``RepairStats`` counters its common.php repair produced in
 ``fixtures/warp_format1.counters.json``.  ``--check`` loads all four and
 fails unless each holds the graph ``format1_workload()`` builds today.
 
+``fixtures/warp_run_replay.snapshot.json`` and its log
+``fixtures/warp_run_replay.wal.jsonl`` hold the ``run_replay`` lines the
+response cache journaled for a hit: a base run id plus the hit's fresh
+identity.  They were written at b944a31, the last commit with the cache,
+by a ``WikiDeployment(n_users=2, seed=5)`` with the cache on and a WAL:
+``save`` before the first request, then one load client serving, for
+``Main_Page`` and then ``Projects``, ``GET /edit.php`` three times, one
+``POST /edit.php`` that saves a line, and seven more GETs.  The log holds
+the whole history, sixteen ``run_replay`` lines among it, so it loads
+alone as well as over its snapshot.  Nothing can write them any more.
+
 Tests import the builders from here so the inputs cannot drift from the
 files.
 """
@@ -73,6 +84,9 @@ OLD_SNAPSHOTS = {
     1: FORMAT1_SNAPSHOT, 2: FORMAT2_SNAPSHOT, 3: FORMAT3_SNAPSHOT, 4: FORMAT4_SNAPSHOT,
 }  # fmt: skip
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
+#: A snapshot and the log after it, holding ``run_replay`` lines.
+RUN_REPLAY_SNAPSHOT = os.path.join(HERE, "warp_run_replay.snapshot.json")
+RUN_REPLAY_WAL = os.path.join(HERE, "warp_run_replay.wal.jsonl")
 #: Config keys a snapshot no longer persists, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
 

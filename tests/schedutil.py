@@ -76,9 +76,8 @@ def scripted_ops(
                 headers={"X-Warp-Client": f"{name}-load"},
             )
         else:
-            # Reads are marker-free: repeat GETs must be byte-identical so
-            # the response cache sees realistic repeat traffic (and cached
-            # vs uncached runs can be compared op-for-op).
+            # Reads are marker-free: repeat GETs are byte-identical, the
+            # repeat traffic a real wiki sees.
             request = HttpRequest(
                 "GET",
                 "/edit.php",

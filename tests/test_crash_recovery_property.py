@@ -82,6 +82,21 @@ def test_saved_schedule_with_a_durability_key_still_runs(tmp_path):
     assert run_schedule(schedule, str(tmp_path)).ok
 
 
+def test_saved_schedule_with_a_response_cache_still_runs(tmp_path):
+    # Seed 96 as schedules drew it while the response cache existed: cache
+    # on, and a fault armed at its fill point.  It runs without a cache,
+    # and a point nothing fires any more never fires.
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "schedule_response_cache.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        schedule = json.load(fh)
+    assert schedule["response_cache"] is True
+    assert "response_cache" not in generate_schedule(schedule["seed"])
+    report = run_schedule(schedule, str(tmp_path))
+    assert report.ok, report.violations
+    assert report.repair_status == "done"
+    assert [event["point"] for event in report.fired] == ["wal.fsync", "wal.fsync"]
+
+
 # ---------------------------------------------------------------------------
 # coordinator crash mid-fan-out (repro.shard): the distributed analogue of
 # the interrupted-job invariant — a coordinator that dies between shard

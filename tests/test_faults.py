@@ -12,7 +12,7 @@ Covers the PR 7 robustness plane:
   the structured 503 on mutating admin calls while degraded;
 * repair jobs under faults: bounded retry of transients, crash -> job
   reported as interrupted after reload;
-* fault points in the gate drain, cache fill, and pool dispatch —
+* fault points in the gate drain and pool dispatch —
   including the acceptance bar that a fault storm crashes zero serving
   threads;
 * per-request error classification in the load driver.
@@ -51,10 +51,8 @@ from repro.workload.loadgen import LoadClient, LoadStats
 PAGE = "Sandbox"
 
 
-def _wiki_warp(tmp_path, plane, **kwargs):
-    warp = WarpSystem(
-        wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane, **kwargs
-    )
+def _wiki_warp(tmp_path, plane):
+    warp = WarpSystem(wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane)
     warp.graph.store.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -503,8 +501,8 @@ class TestDegradedServing:
 # ---------------------------------------------------------------------------
 
 
-def _bob_runs(tmp_path, plane, **kwargs):
-    warp, wiki, alice = _wiki_warp(tmp_path, plane, **kwargs)
+def _bob_runs(tmp_path, plane):
+    warp, wiki, alice = _wiki_warp(tmp_path, plane)
     bob = LoadClient("bob", warp.server)
     assert bob.login("pw-bob").status == 200
     assert _append(bob, "bobwrite.").status == 200
@@ -576,9 +574,27 @@ class TestRepairUnderFaults:
         assert loaded.repair.interrupted_jobs() == []
         loaded.graph.store.wal.close()
 
+    def test_crash_journaling_the_start_leaves_no_interrupted_job(self, tmp_path):
+        """The process dies writing the job's start: the repair never
+        began, so a reload reports nothing interrupted and repaired
+        nothing."""
+        plane = FaultPlane()
+        warp, _ = _bob_runs(tmp_path, plane)
+        plane.arm(point="wal.append", kind="crash", times=1)
+        job = warp.repair.submit(CancelClientSpec(client_id="bob-load"))
+        assert job.wait(30.0)
+        assert job.status == "failed"
+        assert "crashed before the repair started" in str(job.error)
+        assert [event["point"] for event in plane.fired] == ["wal.append"]
+        loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
+        assert loaded.graph.store.pending_repair_jobs == {}
+        assert loaded.repair.interrupted_jobs() == []
+        assert not any(run.canceled for run in loaded.graph.runs.values())
+        loaded.graph.store.wal.close()
+
 
 # ---------------------------------------------------------------------------
-# gate / cache / pool fault points
+# gate / pool fault points
 # ---------------------------------------------------------------------------
 
 
@@ -596,18 +612,6 @@ class TestPointInstrumentation:
         # Nothing consumed: the drain retries and loses no queued request.
         assert gate.queue == ["sentinel"]
         assert gate.pop_next() == "sentinel"
-
-    def test_cache_fill_fault_never_breaks_the_response(self, tmp_path):
-        plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane, response_cache=True)
-        plane.arm(point="cache.fill", kind="error", times=None)
-        assert _read(client).status == 200
-        assert _read(client).status == 200
-        # Every fill was refused by the injected fault: no entries, and
-        # both requests executed as misses.
-        stats = warp.response_cache.stats()
-        assert stats["entries"] == 0
-        assert stats["hits"] == 0
 
     def test_pool_dispatch_fault_surfaces_to_waiter_not_worker(self, tmp_path):
         plane = FaultPlane()

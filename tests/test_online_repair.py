@@ -15,6 +15,9 @@ Covers the tentpole and its satellites:
   (canonically renumbered), re-execution counts and response bytes as
   quiesced repair followed by the same traffic in the induced serial
   order — across ≥20 seeds;
+* every request of those interleavings, whether served, queued or issued
+  after the repair, is recorded as exactly one run with the response its
+  client saw;
 * a real-thread stress smoke: 8 threads hammering the deployment during
   a repair, with every write applied exactly once and no 503s.
 """
@@ -38,7 +41,7 @@ from schedutil import CoopSchedule, scripted_ops
 # ---------------------------------------------------------------------------
 
 
-def _stage(seed, n_tenants=3, users=1, edits=1, n_load_clients=None, **warp_kwargs):
+def _stage(seed, n_tenants=3, users=1, edits=1, n_load_clients=None):
     """A multi-tenant deployment plus logged-in load clients (one per
     tenant by default, pinned to that tenant's page)."""
     outcome = run_multi_tenant_scenario(
@@ -47,7 +50,6 @@ def _stage(seed, n_tenants=3, users=1, edits=1, n_load_clients=None, **warp_kwar
         attacked_tenants=1,
         edits_per_user=edits,
         seed=seed,
-        **warp_kwargs,
     )
     warp = outcome.warp
     names = [f"lg{i}" for i in range(n_load_clients or n_tenants)]
@@ -468,10 +470,10 @@ def _counts(result):
     )
 
 
-def _online_run(seed, **warp_kwargs):
+def _online_run(seed):
     rng = random.Random(seed * 6151 + 7)
     shape = {"n_tenants": rng.randint(2, 4), "users": 1, "edits": rng.randint(1, 2)}
-    outcome, clients, cookies, pages, names = _stage(seed, **shape, **warp_kwargs)
+    outcome, clients, cookies, pages, names = _stage(seed, **shape)
     warp = outcome.warp
     warp.enable_online_repair()
     ops = scripted_ops(
@@ -529,52 +531,35 @@ def test_online_repair_equivalent_to_quiesced(seed):
     assert gate_stats["applied"] == gate_stats["queued"]
 
 
-# ---------------------------------------------------------------------------
-# cached ≡ uncached under randomized repair interleavings (PR 6 satellite)
-# ---------------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("seed", range(20))
-def test_cached_serving_equivalent_to_uncached(seed):
-    """The response cache must be invisible to the repair equivalence
-    property: the same seeded read/write/repair interleaving, replayed on
-    a deployment with the response cache enabled, produces byte-identical
-    responses, the same canonical graph records, and the same final
-    version store as the cache-disabled run.  A hit draws run/query
-    identity in uncached order and a cache flush brackets the repair, so
-    even the raw id streams line up — but we compare canonically anyway
-    so a future id-allocation change can't silently weaken the test."""
-    shape_p, plain, plain_result, plain_sched, plain_responses = _online_run(seed)
-    shape_c, cached, cached_result, cached_sched, cached_responses = _online_run(
-        seed, response_cache=True
-    )
-    assert shape_p == shape_c
-    assert plain_result.ok and cached_result.ok
-    # Same deterministic interleaving on both arms: the cooperative
-    # schedule is a pure function of the seed, so op-for-op comparison
-    # is meaningful.
-    assert [op.index for op in plain_sched.serialization()] == [
-        op.index for op in cached_sched.serialization()
+def test_every_online_request_is_one_recorded_run(seed):
+    """Served live, queued by the gate or issued after the repair, every
+    request of the interleaving ran its script once: the load clients'
+    runs in the final graph are exactly the scripted ops, each with the
+    response its client saw."""
+    _, outcome, result, schedule, responses = _online_run(seed)
+    assert result.ok
+    ops = schedule.serialization()
+    names = {f"{op.client_name}-load" for op in ops}
+
+    def entry(request, response_key):
+        return (
+            request.headers["X-Warp-Client"],
+            request.method,
+            sorted(request.params.items()),
+            response_key,
+        )
+
+    issued = sorted(entry(op.request, responses[op.index]) for op in ops)
+    runs = [
+        run
+        for run in outcome.warp.graph.runs.values()
+        if run.request.path == "/edit.php"
+        and run.request.headers.get("X-Warp-Client") in names
     ]
-    assert cached_responses == plain_responses, "a cached response diverged"
-    assert _counts(cached_result) == _counts(plain_result)
-    assert _canonical_db(cached.warp) == _canonical_db(plain.warp), (
-        "final version stores diverged with the response cache on"
-    )
-    assert _canonical_graph(cached.warp.graph) == _canonical_graph(plain.warp.graph), (
-        "graph records diverged with the response cache on"
-    )
-    assert cached.warp.graph.store.pending_gate_queue == {}
-
-
-def test_cached_interleavings_exercise_the_hit_path():
-    """Across the 20 equivalence seeds the cache must actually serve hits
-    — otherwise the sweep silently degenerates into 20 uncached runs."""
-    hits = 0
-    for seed in range(20):
-        _, outcome, _, _, _ = _online_run(seed, response_cache=True)
-        hits += outcome.warp.response_cache.stats()["hits"]
-    assert hits > 0
+    recorded = sorted(entry(run.request, run.response.key()) for run in runs)
+    assert recorded == issued
+    assert all(run.queries and not run.canceled for run in runs)
 
 
 # ---------------------------------------------------------------------------

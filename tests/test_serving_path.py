@@ -9,17 +9,21 @@ satellites:
 * the per-partition statement cache: hits are indistinguishable from
   re-execution, invalidation is partition-precise, every visibility
   transition flushes;
-* the dependency-invalidated response cache: keying, partition-precise
-  invalidation, script-patch eviction, token-guarded fills;
 * striped record-store locking loses no append under 16 real threads;
 * the bounded ``ServerPool`` (backpressure 503s, clean close);
 * identity batching (``tick_many`` / ``next_many``) equals repeated
   single draws;
+* one serving path: every request, repeat GETs included, runs its script
+  and records exactly one run, so writes, script patches and repairs
+  reach the next response;
 * size-triggered WAL rotation under live traffic reloads identically;
 * serving-path knobs persist through ``save``/``load``.
 """
 
+import importlib.util
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -348,199 +352,185 @@ class TestIdentityBatching:
 
 
 # ---------------------------------------------------------------------------
-# response cache
+# one serving path: every request runs the script and is recorded once
 # ---------------------------------------------------------------------------
 
 
-def _cached_wiki(**kwargs):
-    kwargs.setdefault("response_cache", True)
-    return WikiDeployment(n_users=2, seed=5, **kwargs)
-
-
-class TestResponseCache:
-    def _serve(self, deployment, client, method, path, params, append=None):
-        request = HttpRequest(
-            method,
-            path,
-            params=dict(params),
-            cookies=dict(client.cookies),
-            headers={"X-Warp-Client": f"{client.name}-load"},
-        )
-        return client.send(request)
-
-    def _deploy(self, **kwargs):
-        deployment = _cached_wiki(**kwargs)
+class TestOneServingPath:
+    def _deploy(self, n_users=2, seed=5):
+        deployment = WikiDeployment(n_users=n_users, seed=seed)
         clients = make_load_clients(
             deployment.wiki, deployment.warp.server, ["c0", "c1"]
         )
         return deployment, clients
 
-    def test_repeat_get_is_a_hit_with_identical_bytes(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        first = self._serve(
-            deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"}
+    def _send(self, client, method, title, append=None):
+        params = {"title": title}
+        if append is not None:
+            params["append"] = append
+        request = HttpRequest(
+            method,
+            "/edit.php",
+            params=params,
+            cookies=dict(client.cookies),
+            headers={"X-Warp-Client": f"{client.name}-load"},
         )
-        second = self._serve(
-            deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"}
-        )
+        return client.send(request)
+
+    def _new_runs(self, deployment, before):
+        return [
+            run
+            for run_id, run in sorted(deployment.warp.graph.runs.items())
+            if run_id not in before
+        ]
+
+    def test_repeat_get_runs_again_with_identical_bytes(self):
+        deployment, (client, _) = self._deploy()
+        before = set(deployment.warp.graph.runs)
+        first = self._send(client, "GET", "Main_Page")
+        second = self._send(client, "GET", "Main_Page")
         assert first.status == second.status == 200
         assert first.key() == second.key()
-        stats = cache.stats()
-        assert stats["hits"] >= 1
-        # The hit was journaled as a real run: the graph grew.
-        runs = deployment.warp.graph.runs
-        assert len(runs) >= 2
+        runs = self._new_runs(deployment, before)
+        assert len(runs) == 2
+        assert [run.response.key() for run in runs] == [first.key(), second.key()]
+        # Both executed: each drew its own queries at its own timestamps.
+        assert runs[0].queries and runs[1].queries
+        assert not {q.qid for q in runs[0].queries} & {q.qid for q in runs[1].queries}
+        assert runs[0].ts_end < runs[1].ts_start
 
-    def test_key_includes_params_and_cookies(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        # Different params: not a hit for the same script.
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Projects"})
-        # Different cookies (another session): not a hit either.
-        self._serve(deployment, clients[1], "GET", "/edit.php", {"title": "Main_Page"})
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["misses"] == 3
+    def test_params_and_cookies_reach_the_script(self):
+        deployment, (c0, c1) = self._deploy()
+        before = set(deployment.warp.graph.runs)
+        main = self._send(c0, "GET", "Main_Page")
+        projects = self._send(c0, "GET", "Projects")
+        other = self._send(c1, "GET", "Main_Page")
+        assert main.body != projects.body
+        assert "Editing Projects" in projects.body
+        runs = self._new_runs(deployment, before)
+        assert [run.request.params["title"] for run in runs] == [
+            "Main_Page",
+            "Projects",
+            "Main_Page",
+        ]
+        assert [run.request.cookies for run in runs] == [
+            c0.cookies,
+            c0.cookies,
+            c1.cookies,
+        ]
+        assert runs[2].response.key() == other.key()
 
-    def test_write_invalidates_only_its_partition(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Projects"})
-        before = len(cache)
-        assert before == 2
-        response = self._serve(
-            deployment,
-            clients[0],
-            "POST",
-            "/edit.php",
-            {"title": "Projects", "append": "\nmore."},
-        )
+    def test_a_write_reaches_the_next_read_of_its_page_only(self):
+        deployment, (client, _) = self._deploy()
+        main = self._send(client, "GET", "Main_Page")
+        self._send(client, "GET", "Projects")
+        response = self._send(client, "POST", "Projects", append="\nmore.")
         assert response.status == 200
-        # The Projects entry died; Main_Page survived and still hits.
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        assert cache.stats()["hits"] == 1
-        fresh = self._serve(
-            deployment, clients[0], "GET", "/edit.php", {"title": "Projects"}
-        )
-        assert "more." in fresh.body
-        assert cache.stats()["invalidations"] >= 1
+        assert self._send(client, "GET", "Main_Page").key() == main.key()
+        assert "more." in self._send(client, "GET", "Projects").body
 
-    def test_script_patch_evicts_cached_entries(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        assert len(cache) == 1
+    def test_a_script_patch_serves_the_next_request(self):
+        deployment, (client, _) = self._deploy()
+        before = set(deployment.warp.graph.runs)
+        self._send(client, "GET", "Main_Page")
         scripts = deployment.warp.scripts
-        scripts.patch("edit.php", dict(scripts.exports("edit.php")))
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        assert cache.stats()["hits"] == 0
+        handle = scripts.exports("edit.php")["handle"]
 
-    def test_repair_flushes_and_bypasses_the_cache(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        self._serve(deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"})
-        assert len(cache) == 1
+        def patched(ctx):
+            handle(ctx)
+            ctx.echo("<!-- patched -->")
+
+        version = scripts.patch("edit.php", {"handle": patched})
+        response = self._send(client, "GET", "Main_Page")
+        assert response.body.endswith("<!-- patched -->")
+        runs = self._new_runs(deployment, before)
+        assert [run.loaded_files["edit.php"] for run in runs] == [0, version]
+
+    def test_a_repair_leaves_the_next_read_clean(self):
+        deployment, (client, _) = self._deploy()
+        self._send(client, "GET", "Main_Page")
         deployment.login("attacker")
         deployment.append_to_page("attacker", "Main_Page", "\nSPAM")
+        assert "SPAM" in self._send(client, "GET", "Main_Page").body
         result = deployment.warp.repair.submit(
             CancelClientSpec(deployment.client_id("attacker"))
         ).result()
         assert result.ok
-        assert len(cache) == 0, "repair must flush the response cache"
-        fresh = self._serve(
-            deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"}
-        )
-        assert "SPAM" not in fresh.body
+        assert "SPAM" not in self._send(client, "GET", "Main_Page").body
 
-    def test_post_responses_never_cached(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        self._serve(
-            deployment,
-            clients[0],
-            "POST",
-            "/edit.php",
-            {"title": "Main_Page", "append": "\nx."},
-        )
-        assert len(cache) == 0
+    def test_runs_served_while_a_repair_is_active_are_noted(self):
+        deployment, (client, _) = self._deploy()
+        server = deployment.warp.server
+        before = set(deployment.warp.graph.runs)
+        self._send(client, "GET", "Main_Page")
+        server.repair_active = True
+        self._send(client, "GET", "Main_Page")
+        self._send(client, "POST", "Main_Page", append="\nduring.")
+        server.repair_active = False
+        self._send(client, "GET", "Main_Page")
+        runs = self._new_runs(deployment, before)
+        assert server.pending_during_repair == [runs[1].run_id, runs[2].run_id]
 
-    def test_stale_fill_token_refused(self):
-        deployment, clients = self._deploy()
-        cache = deployment.warp.response_cache
-        response = self._serve(
-            deployment, clients[0], "GET", "/edit.php", {"title": "Main_Page"}
-        )
-        assert response.status == 200
-        # Re-filling with a token older than an intersecting write refuses.
-        token = cache.write_token()
-        self._serve(
-            deployment,
-            clients[0],
-            "POST",
-            "/edit.php",
-            {"title": "Main_Page", "append": "\ny."},
-        )
-        get_record = None
-        for record in deployment.warp.graph.runs.values():
-            if record.request.method == "GET" and cache.cacheable(record):
-                get_record = record
-        assert get_record is not None
-        assert not cache.put(
-            "edit.php", get_record.request, get_record, token
-        ), "a fill racing an intersecting write must be refused"
-        assert cache.stats()["refused_fills"] >= 1
+    def test_end_switch_reopens_a_suspended_server(self):
+        deployment, (client, _) = self._deploy()
+        server = deployment.warp.server
+        server.begin_switch()
+        refused = self._send(client, "GET", "Main_Page")
+        assert refused.status == 503
+        server.end_switch()
+        assert self._send(client, "GET", "Main_Page").status == 200
 
+    def test_sequential_serving_is_deterministic(self):
+        """A request draws its run, query and timestamp ids in the order it
+        executes: the same sequence of requests on the same seed gives the
+        same bytes, graph, clock and id counters, one run per request."""
 
-# ---------------------------------------------------------------------------
-# sequential cached ≡ uncached (identity parity)
-# ---------------------------------------------------------------------------
-
-
-class TestCachedIdentityParity:
-    def test_sequential_cached_run_ids_match_uncached(self):
-        """With no concurrency, a cached deployment's id/timestamp streams
-        are *byte-identical* to an uncached one's — hits draw identity in
-        exactly the order an uncached execution would."""
-
-        def drive(response_cache):
-            deployment = WikiDeployment(
-                n_users=1, seed=9, response_cache=response_cache
-            )
+        def drive():
+            deployment = WikiDeployment(n_users=1, seed=9)
             (client,) = make_load_clients(
                 deployment.wiki, deployment.warp.server, ["c0"]
             )
-            responses = []
+            responses, grown = [], []
             for step in range(12):
+                before = len(deployment.warp.graph.runs)
                 if step % 4 == 3:
-                    request = HttpRequest(
-                        "POST",
-                        "/edit.php",
-                        params={"title": "Main_Page", "append": f"\nstep{step}."},
-                        cookies=dict(client.cookies),
-                        headers={"X-Warp-Client": "c0-load"},
+                    response = self._send(
+                        client, "POST", "Main_Page", append=f"\nstep{step}."
                     )
                 else:
-                    request = HttpRequest(
-                        "GET",
-                        "/edit.php",
-                        params={"title": "Main_Page"},
-                        cookies=dict(client.cookies),
-                        headers={"X-Warp-Client": "c0-load"},
-                    )
-                responses.append(client.send(request).key())
-            graph = deployment.warp.graph.to_snapshot()
-            clock = deployment.warp.clock.now()
-            ids = deployment.warp.ids.state_dict()
-            return responses, graph, clock, ids
+                    response = self._send(client, "GET", "Main_Page")
+                responses.append(response.key())
+                grown.append(len(deployment.warp.graph.runs) - before)
+            warp = deployment.warp
+            return (
+                responses,
+                grown,
+                warp.graph.to_snapshot(),
+                warp.clock.now(),
+                warp.ids.state_dict(),
+            )
 
-        cached = drive(True)
-        uncached = drive(False)
-        assert cached[0] == uncached[0], "responses diverged"
-        assert cached[2] == uncached[2], "clock diverged"
-        assert cached[3] == uncached[3], "id counters diverged"
-        assert cached[1] == uncached[1], "graph records diverged"
+        first, second = drive(), drive()
+        assert first[1] == [1] * 12, "every request records exactly one run"
+        assert first[0] == second[0], "responses diverged"
+        assert first[3] == second[3], "clock diverged"
+        assert first[4] == second[4], "id counters diverged"
+        assert first[2] == second[2], "graph records diverged"
+
+    def test_the_response_cache_is_gone(self):
+        with pytest.raises(TypeError):
+            WarpSystem(**{"response_cache": True})
+        probe = (
+            "import sys, repro.warp; "
+            "sys.exit('repro.http.cache' in sys.modules)"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        assert importlib.util.find_spec("repro.http.cache") is None
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +742,8 @@ class TestRotationAndPersistence:
             seed=7,
             durability="none",
             wal_rotate_bytes=1 << 20,
-            response_cache=True,
         )
         warp.save(snapshot)
         reloaded = WarpSystem.load(snapshot)
         assert reloaded.durability == "none"
         assert reloaded.wal_rotate_bytes == 1 << 20
-        assert reloaded.response_cache is not None

@@ -9,8 +9,9 @@ pin the bytes (what this build writes, and the inline payloads, inline
 texts and keyed lines older builds wrote, which must keep reading), the
 round trip of both views, the kept-text invariant across every mutation
 the store offers, format-1 to -4 compatibility and the upgrade on the next
-save, the text entries a snapshot holds, the bytes one request may cost,
-and the refusal of files that are not whole.
+save, the ``run_replay`` lines older logs hold, the text entries a snapshot
+holds, the bytes one request may cost, and the refusal of files that are
+not whole.
 """
 
 import gc
@@ -645,6 +646,47 @@ def test_format4_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     assert all(type(d["response"]["body"]) is int for d in inline)
     assert all(len(q) >= 8 and type(q[2]) is int for d in inline for q in d["queries"])
     loads_repairs_and_upgrades(fixtures.FORMAT4_SNAPSHOT, 4, tmp_path)
+
+
+def test_run_replay_lines_of_an_old_log_still_replay(tmp_path):
+    """A ``run_replay`` line names a base run and the fresh identity of a
+    run that answered with the base's response.  Nothing writes one any
+    more; the committed log's lines rebuild the same runs whether the log
+    is replayed over its snapshot or alone, and survive a save."""
+    snapshot, wal_path = str(tmp_path / "warp.json"), str(tmp_path / "warp.wal")
+    alone_path = str(tmp_path / "alone.wal")
+    shutil.copyfile(fixtures.RUN_REPLAY_SNAPSHOT, snapshot)
+    shutil.copyfile(fixtures.RUN_REPLAY_WAL, wal_path)
+    shutil.copyfile(fixtures.RUN_REPLAY_WAL, alone_path)
+    entries = list(RecordWal.entries(wal_path))
+    replays = [data for kind, data in entries if kind == "run_replay"]
+    journaled = {data["run_id"] for kind, data in entries if kind in ("run", "run_replay")}
+    assert len(replays) == 16
+
+    tailed = WarpSystem.load(snapshot, wal_path=wal_path)
+    alone = WarpSystem.load(None, wal_path=alone_path)
+    saved_again = str(tmp_path / "saved_again.json")
+    tailed.save(saved_again)
+    reloaded = WarpSystem.load(saved_again)
+    for warp in (tailed, alone, reloaded):
+        runs = warp.graph.runs
+        for data in replays:
+            run, base = runs[data["run_id"]], runs[data["base_run_id"]]
+            assert run.response.key() == base.response.key()
+            assert run.request.to_dict() == data["request"]
+            assert (run.ts_start, [q.ts for q in run.queries]) == (data["ts_start"], data["ts"])
+            assert [q.qid for q in run.queries] == data["qids"]
+            assert run.run_id != base.run_id
+            assert not {q.qid for q in run.queries} & {q.qid for q in base.queries}
+            assert not {q.ts for q in run.queries} & {q.ts for q in base.queries}
+
+    # The snapshot was saved before the first request: the log alone
+    # holds the whole history.
+    assert set(tailed.graph.runs) == journaled
+    assert alone.graph.to_snapshot() == tailed.graph.to_snapshot()
+    assert reloaded.graph.to_snapshot() == tailed.graph.to_snapshot()
+    for warp in (tailed, alone):
+        warp.graph.store.wal.close()
 
 
 # ---------------------------------------------------------------------------
