@@ -19,23 +19,23 @@ instead of walking the record again.
 The text says each fact once: a run's queries are positional rows
 (:data:`QUERY_ROW` names the positions once, not once per query), a row
 leaves out what the enclosing run already says, and a field at its default
-is not written.  ``from_dict`` also reads the keyed objects written before
-snapshot format 3 — per item, so old and new lines mix; nothing writes them.
+is not written.
 
-**Format 4** says each fact once across runs too.  Encoded against the
-store's :class:`~repro.core.serialize.TextTable`, a line holds an integer
-where the response body and each query's SQL text were: the id of a
-``text`` entry the store writes once, before the first line that needs it,
-in the same segment (the snapshot plus the WAL after its marker).
-**Format 5** does the same for the rest of each row, its *payload* (params
-to write sets): a row is ``[qid, ts, <sql id>, <row id>]``, and the row id
-names the entry whose text is the payload's compact JSON array — so the
-session lookups, ACL checks and page reads a history repeats are written
-once per segment, not once per run.  The reader decides per item — a
-string is the text, an int an id, a four-item row a format-5 row — so
-format-3, -4 and -5 lines mix in one log.  Records hold the full values in
-memory; only the lines refer.  Encoded with no table, a run is its
-format-3 line.
+It says each fact once across runs too (snapshot format 5).  Encoded
+against the store's :class:`~repro.core.serialize.TextTable`, a line holds
+an integer where the response body was, and each query is a row
+``[qid, ts, <sql id>, <row id>]``: ids of ``text`` entries the store writes
+once, before the first line that needs them, in the same segment (the
+snapshot plus the WAL after its marker).  The row id names the entry whose
+text is the row's *payload* (params to write sets) as a compact JSON array
+— so the session lookups, ACL checks and page reads a history repeats are
+written once per segment, not once per run.  Records hold the full values
+in memory; only the lines refer.
+
+The reader takes that shape and no other: :func:`check_written_shape`
+refuses the lines older builds wrote (keyed objects, inline texts, inline
+payloads) by name.  Encoded with no table, a run is its line with every
+text inline, which only the keyed view :meth:`AppRunRecord.to_dict` reads.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.serialize import COMPACT, DecodeMemo, TextTable, exact_key
+from repro.core.errors import ReproError
+from repro.core.serialize import COMPACT, UPGRADE_ROUTE, DecodeMemo, TextTable
 from repro.core.serialize import decode_key_set, decode_tree, encode_key_set
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
@@ -74,16 +75,16 @@ _ROW_FIELDS = tuple("read_set" if name == "disjuncts" else name for name in QUER
 _row_attributes = attrgetter(*_ROW_FIELDS)
 #: How the reader decodes the others (positions are looked up, never written):
 #: as shared texts, as tuples all the way down, or not at all.
-_QID, _TS, _SQL, _TABLE = map(QUERY_ROW.index, ("qid", "ts", "sql", "table"))
+_SQL, _TABLE = map(QUERY_ROW.index, ("sql", "table"))
 _TEXTS = list(map(QUERY_ROW.index, ("kind", "table")))
 _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "written_row_ids")))
 #: A row says which query it is in its first two positions only: what
 #: follows is the same text for every hit on one statement-cache entry.
 assert QUERY_ROW[:2] == ("qid", "ts")
-#: The length of a format-5 row, ``[qid, ts, <sql id>, <row id>]``: the row
-#: id names the ``text`` entry of the payload — every field after the SQL,
-#: as the JSON array a format-3 row spells out inline.  An inline row has
-#: at least ``_ROW_REQUIRED`` items, so the length tells the two apart.
+#: The length of a row as written, ``[qid, ts, <sql id>, <row id>]``: the
+#: row id names the ``text`` entry of the payload — every field after the
+#: SQL, as a JSON array.  A row with its payload inline (format 4 and
+#: before) has at least ``_ROW_REQUIRED`` items.
 _REF_ROW = _SQL + 2
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
@@ -151,34 +152,17 @@ class QueryRecord:
         return [*row[:_SQL], texts.ref(row[_SQL]), texts.ref(_dumps(row[_SQL + 1 :]))]
 
     @classmethod
-    def from_wire(cls, item, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
-        """Rebuild a query from one item of a run's ``queries``: a row —
-        ``run_id`` and ``seq`` are then the enclosing run's id and the
-        item's index — or a keyed object, which names them itself.  Queries
-        decoded through one ``memo`` share everything but their identity:
-        a format-5 row's payload is parsed and built once per distinct
-        ``(sql id, row id)``, an inline row's once per distinct value."""
-        if isinstance(item, dict):
-            run_id, seq = item["run_id"], item["seq"]
-            item = {**_ROW_DEFAULTS, **item, "disjuncts": item["read_set"]["disjuncts"]}
-            row = [item[name] for name in QUERY_ROW]
-        elif len(item) == _REF_ROW:
-            qid, ts, sql, ref = item
-            key = (cls, sql, ref)
-            payload = memo.built.get(key)
-            if payload is None:
-                row = [qid, ts, sql, *json.loads(memo.table.by_id[ref])]
-                payload = memo.built[key] = _decode_payload(row, memo)
-            return cls(qid, run_id, seq, ts, *payload)
-        else:
-            row = list(item)
-        # Without these two a row says nothing about which query it is, and
-        # most rows of a history say what an earlier one said.
-        qid, ts = row[_QID], row[_TS]
-        row[_QID] = row[_TS] = None
-        key = (cls, exact_key(row))
+    def from_wire(cls, row: list, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
+        """Rebuild a query from a row of a run's ``queries``,
+        ``[qid, ts, <sql id>, <row id>]``: ``run_id`` and ``seq`` are the
+        enclosing run's id and the row's index.  Queries decoded through
+        one ``memo`` share everything but their identity: the payload is
+        parsed and built once per distinct ``(sql id, row id)``."""
+        qid, ts, sql, ref = row
+        key = (cls, sql, ref)
         payload = memo.built.get(key)
         if payload is None:
+            row = [qid, ts, sql, *json.loads(memo.literal(ref))]
             payload = memo.built[key] = _decode_payload(row, memo)
         return cls(qid, run_id, seq, ts, *payload)
 
@@ -191,8 +175,9 @@ def payload_text(query: QueryRecord) -> str:
 
 
 def _decode_payload(row: list, memo: DecodeMemo) -> tuple:
-    """The payload fields of an inline row — its trailing defaults padded
-    on, each field decoded through ``memo`` — in the constructor's order."""
+    """The payload fields of a row with its payload spelled out — its
+    trailing defaults padded on, each field decoded through ``memo`` — in
+    the constructor's order."""
     row += _ROW_PAD[len(row) - _ROW_REQUIRED :]
     row[_SQL] = memo.literal(row[_SQL])
     for at in _TEXTS:
@@ -206,7 +191,7 @@ def _decode_payload(row: list, memo: DecodeMemo) -> tuple:
 
 #: A query's fields after the four that say which query it is, in the
 #: constructor's order: immutable values, shared by queries that say the
-#: same thing — a replay clone and its base, reloaded queries with each other.
+#: same thing — a statement-cache hit and its miss, reloaded queries.
 _PAYLOAD = [f.name for f in fields(QueryRecord)][4:]
 query_payload = attrgetter(*_PAYLOAD)
 #: The same of a decoded row, which has the read set where its disjuncts were.
@@ -221,13 +206,6 @@ class NondetRecord:
     func: str  # 'time' | 'rand' | 'token' | ...
     seq: int  # occurrence index of this func within the run
     value: object
-
-    def to_dict(self) -> dict:
-        return {"func": self.func, "seq": self.seq, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NondetRecord":
-        return cls(func=data["func"], seq=data["seq"], value=decode_tree(data["value"]))
 
 
 @dataclass
@@ -301,12 +279,13 @@ class AppRunRecord:
 
     def encode(self, texts: Optional[TextTable] = None) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
-        of its snapshot line — format 5 against the store's ``texts``, the
-        literal format-3 line without.  Assembled: a row is its qid, ts and
-        SQL, then its payload text — which queries recorded from one
-        statement-cache payload share: encoded for the first, kept with the
-        payload, so a hit encodes nothing — and the rows are spliced
-        between the members around ``queries``."""
+        of its snapshot line against the store's ``texts``; without, the
+        line with every text inline (what :meth:`to_dict` reads).
+        Assembled: a row is its qid, ts and SQL, then its payload text —
+        which queries recorded from one statement-cache payload share:
+        encoded for the first, kept with the payload, so a hit encodes
+        nothing — and the rows are spliced between the members around
+        ``queries``."""
         head, tail = self._frame([], texts)
         parts = []
         for query, payload in zip(self.queries, self.payloads or repeat(None)):
@@ -343,12 +322,14 @@ class AppRunRecord:
     def from_dict(
         cls, data: dict, json_text: Optional[str] = None, memo: Optional[DecodeMemo] = None
     ) -> "AppRunRecord":
-        """Rebuild a run from its decoded text or its :meth:`to_dict`: each
-        query and nondet entry is a row or a keyed object, whichever the
-        item is.  ``json_text`` is the text ``data`` was decoded from, when
-        the caller still has it.  ``memo`` is the caller's when it decodes
-        many records, which then share what they have in common — and
-        holds the ``text`` entries a format-4 or -5 line refers to."""
+        """Rebuild a run from its decoded line, which must be in the shape
+        :meth:`encode` writes against a text table
+        (:func:`check_written_shape`).  ``json_text`` is the text ``data``
+        was decoded from, when the caller still has it, and is kept.
+        ``memo`` is the caller's when it decodes many records, which then
+        share what they have in common — and holds the ``text`` entries the
+        line refers to."""
+        check_written_shape(data)
         memo = memo or DecodeMemo()
         text, run_id = memo.text, data["run_id"]
         response = HttpResponse.from_dict(data["response"], memo.texts)
@@ -362,38 +343,41 @@ class AppRunRecord:
             request=HttpRequest.from_dict(data["request"], memo.texts),
             response=response,
             queries=[
-                QueryRecord.from_wire(item, run_id, seq, memo)
-                for seq, item in enumerate(data.get("queries", ()))
+                QueryRecord.from_wire(row, run_id, seq, memo)
+                for seq, row in enumerate(data["queries"])
             ],
             nondet=[
-                NondetRecord.from_dict(
-                    item if isinstance(item, dict) else dict(zip(NONDET_ROW, item))
-                )
-                for item in data.get("nondet", ())
+                NondetRecord(func, seq, decode_tree(value))
+                for func, seq, value in data.get("nondet", ())
             ],
             client_id=text(data.get("client_id")),
             visit_id=data.get("visit_id"),
             request_id=data.get("request_id"),
             canceled=data.get("canceled", False),
-            json_text=json_text if in_written_shape(data) else None,
+            json_text=json_text,
         )
 
 
-def in_written_shape(data: dict) -> bool:
-    """Whether ``data`` is a run line as the store's
-    :meth:`AppRunRecord.encode` writes it, so that its text may be kept as
-    ``json_text``.  Before format 5 a line held each query's payload inline
-    (the first row tells: all rows of a line have one shape); before format
-    4 its response body as a string; before format 3 every run line had a
-    ``nondet`` key, empty or of keyed entries; this writer leaves the key out
-    unless it holds rows."""
+def check_written_shape(data: dict) -> None:
+    """Refuse run line ``data`` unless it is in the shape
+    :meth:`AppRunRecord.encode` writes against a text table.  Older builds
+    wrote each query's payload inline (format 4), the response body and SQL
+    texts inline too (format 3), and before that keyed queries and a
+    ``nondet`` key on every run line, empty or of keyed entries; this
+    writer leaves the key out unless it holds rows.  All rows of a line
+    have one shape, so the first tells.  Read as this shape, each would
+    fail on a bare lookup or — a line with no query and keyed nondet
+    entries — decode wrong, so each is refused here, by name."""
+    queries, nondet = data["queries"], data.get("nondet")
     if type(data["response"]["body"]) is not int:
-        return False
-    queries = data.get("queries")
-    if queries and len(queries[0]) != _REF_ROW:
-        return False
-    nondet = data.get("nondet")
-    return nondet is None or (bool(nondet) and not isinstance(nondet[0], dict))
+        why = "its response body is inline"
+    elif queries and len(queries[0]) != _REF_ROW:
+        why = "its queries are not rows of ids"
+    elif nondet is not None and (not nondet or isinstance(nondet[0], dict)):
+        why = "its nondet entries are keyed"
+    else:
+        return
+    raise ReproError(f"run {data['run_id']!r} is in a retired shape: {why}; {UPGRADE_ROUTE}")
 
 
 def text_refs(data: dict) -> List[int]:
@@ -404,43 +388,6 @@ def text_refs(data: dict) -> List[int]:
     for row in data["queries"]:
         refs += row[_SQL:]
     return refs
-
-
-def replay_clone(
-    base: AppRunRecord,
-    run_id: int,
-    ts_start: int,
-    qids: List[int],
-    ts_list: List[int],
-    request: HttpRequest,
-) -> AppRunRecord:
-    """Rebuild a run from an old log's ``run_replay`` entry.
-
-    Older builds served a repeated GET from a response cache and journaled
-    the hit as a reference to the base run it answered from, plus fresh
-    identity: run id, query ids and timestamps.  The rebuilt run has the
-    base's response, read sets and result snapshots under that identity.
-    Payload fields (sql, params, read_set, snapshot) are shared with the
-    base record — they are immutable once recorded.
-    """
-    queries = [
-        QueryRecord(qid, run_id, query.seq, ts, *query_payload(query))
-        for query, qid, ts in zip(base.queries, qids, ts_list)
-    ]
-    return AppRunRecord(
-        run_id=run_id,
-        ts_start=ts_start,
-        ts_end=max([ts_start] + ts_list),
-        script=base.script,
-        loaded_files=dict(base.loaded_files),
-        request=request,
-        response=base.response.copy(),
-        queries=queries,
-        nondet=[],
-        client_id=request.client_id,
-        visit_id=request.visit_id,
-        request_id=request.request_id,
-    )
 
 
 @dataclass

@@ -39,17 +39,6 @@ class LogicalClock:
             self._now += 1
             return self._now
 
-    def tick_many(self, count: int) -> int:
-        """Advance by ``count`` and return the *first* of the ``count``
-        consecutive fresh timestamps — one lock acquisition instead of
-        ``count``.  Equivalent to ``count`` ``tick()`` calls."""
-        if count < 1:
-            raise ValueError("must draw at least one timestamp")
-        with self._lock:
-            first = self._now + 1
-            self._now += count
-            return first
-
     def now(self) -> int:
         """Return the most recently issued timestamp."""
         return self._now

@@ -49,17 +49,6 @@ class IdAllocator:
             self._counters[namespace] = value
             return value
 
-    def next_many(self, namespace: str, count: int) -> int:
-        """Allocate ``count`` consecutive ids atomically and return the
-        first — per-namespace sequences are identical to ``count``
-        ``next()`` calls, just one lock acquisition."""
-        if count < 1:
-            raise ValueError("must allocate at least one id")
-        with self._lock:
-            value = self._counters.get(namespace, 0) + 1
-            self._counters[namespace] = value + count - 1
-            return value
-
     def peek(self, namespace: str) -> int:
         """Return the last allocated id in ``namespace`` (0 if none)."""
         return self._counters.get(namespace, 0)

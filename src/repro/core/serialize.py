@@ -4,7 +4,8 @@ The recorded values WARP persists are all JSON scalars (str, int, float,
 bool, None) arranged in tuples, frozensets and dicts.  JSON has no tuple
 or set, so encoding flattens both to lists and decoding rebuilds the
 original container shapes; the record types know *which* shape each field
-expects and call the matching decoder.
+expects and call the matching decoder.  The text table and decode memo
+below are snapshot format 5's, the one format a build reads.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def encode_pairs(pairs: Iterable[Tuple]) -> List[list]:
 def decode_pairs(items: Iterable[list]) -> frozenset:
     return frozenset([(item[0], item[1]) for item in items])
 
+
+#: What a refusal of a file or line in a retired shape says to do about it.
+UPGRADE_ROUTE = (
+    "this build reads format 5 only; to upgrade, load and save it once with "
+    "commit 812ecd4 or earlier, which reads formats 1-5 and writes format 5"
+)
 
 #: A :class:`DecodeMemo` shares strings up to this long.  Longer ones (page
 #: text, response bodies) rarely repeat and cost their length to hash.
@@ -171,12 +178,10 @@ class DecodeMemo:
             return self._texts.setdefault(value, value)
         return value
 
-    def literal(self, value):
-        """A response body or SQL text as a line holds it: a string is the
-        text itself (formats 1-3) and an int the id of a ``text`` entry."""
-        if type(value) is int:
-            return self.table.by_id[value]
-        return self.text(value)
+    def literal(self, ident: int) -> str:
+        """The response body, SQL text or row payload a line refers to by
+        the id of its ``text`` entry."""
+        return self.table.by_id[ident]
 
     def texts(self, mapping: dict) -> dict:
         """A fresh dict of ``mapping``, keys and values through :meth:`text`."""

@@ -124,15 +124,6 @@ def create_database(
     return SqliteEngine(path=path, fault_plane=fault_plane)
 
 
-def snapshot_backend(state: dict, default: Optional[str] = None) -> str:
-    """Backend recorded in a persisted system snapshot.
-
-    Pre-engine snapshots carry no ``storage_config``; they were produced
-    by the in-memory store but restore cleanly into any engine, so the
-    caller's default (usually the environment) wins for them.
-    """
-    config = state.get("storage_config") or {}
-    recorded = config.get("backend")
-    if recorded is None:
-        return resolve_backend(default)
-    return resolve_backend(recorded)
+def snapshot_backend(state: dict) -> str:
+    """Backend recorded in a persisted system snapshot."""
+    return resolve_backend(state["storage_config"]["backend"])

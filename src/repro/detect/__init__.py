@@ -1,11 +1,10 @@
 """Front-line detection: request scoring, durable incidents, and
-continuously refreshed blast-radius previews (detect → preview →
+blast-radius previews (detect → preview →
 one-click repair)."""
 
 from repro.detect.incidents import (
     OPEN_STATUSES,
     IncidentManager,
-    PreviewRefresher,
 )
 from repro.detect.rules import (
     AclSelfGrantRule,
@@ -28,7 +27,6 @@ __all__ = [
     "InjectionSignatureRule",
     "OPEN_STATUSES",
     "ParamShapeRule",
-    "PreviewRefresher",
     "Rule",
     "SessionMisuseRule",
     "default_rules",

@@ -1,5 +1,5 @@
-"""Incident lifecycle: flagged visits with continuously refreshed
-blast-radius previews.
+"""Incident lifecycle: flagged visits with blast-radius previews,
+refreshed on demand (:meth:`IncidentManager.refresh_once`).
 
 A flagged request opens an *incident* — one per suspect (client, visit)
 pair; repeated flagged requests in the same visit merge into it.  Every
@@ -12,7 +12,7 @@ Incidents are durable: records live in :class:`RecordStore.incidents`,
 journaled under the ``incident``/``incident_update`` WAL kinds, so they
 survive ``save``/``load`` and crash recovery exactly like runs do.
 
-Preview-refresh contract (the lock-starvation fix): the refresher takes
+Preview-refresh contract (the lock-starvation fix): ``refresh_once`` takes
 the store lock **per incident** — snapshot the open ids, then for each
 one acquire the lock, compute one plan, release, and only then move to
 the next.  The lock is never held across the whole sweep, so live
@@ -315,45 +315,3 @@ class IncidentManager:
             return entry
         self.resolve(entry["incident_id"], job.status == "done")
         return self.get(entry["incident_id"]) or entry
-
-
-class PreviewRefresher:
-    """Background daemon continuously materializing previews for open
-    incidents — the ``GET /warp/admin/incidents`` view is always at most
-    one interval stale."""
-
-    def __init__(self, manager: IncidentManager, interval: float = 0.1) -> None:
-        self.manager = manager
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.sweeps = 0
-
-    def start(self) -> "PreviewRefresher":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="incident-preview-refresher", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.manager.refresh_once()
-            except Exception:
-                # The refresher must never die to a single bad plan; the
-                # per-incident error capture above handles expected
-                # failures, this is the belt for unexpected ones.
-                pass
-            self.sweeps += 1
-            self._stop.wait(self.interval)

@@ -49,15 +49,13 @@ from repro.ahg.records import (
     PatchRecord,
     QueryRecord,
     VisitRecord,
-    replay_clone,
     text_refs,
 )
 from repro.core.errors import DurabilityError, ReproError
 from repro.core.ids import trailing_seq
-from repro.core.serialize import DecodeMemo, TextTable
+from repro.core.serialize import UPGRADE_ROUTE, DecodeMemo, TextTable
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
-from repro.http.message import HttpRequest
 from repro.store.snapshot import FORMAT, SnapshotReader, gc_paused, write_snapshot
 from repro.store.wal import CommitTicket, RecordWal, entry_line
 
@@ -1070,20 +1068,14 @@ class RecordStore:
     ) -> "RecordStore":
         """Build a store from a snapshot's ``graph`` object plus its
         stream of ``(kind, data, text)`` record lines, inserting one record
-        at a time.  A format-1 ``data`` nests the records inside itself
-        (``records`` is then empty); either way visits come first, then
-        text entries, then runs, then patches; one :class:`DecodeMemo`
-        spans the build.  ``last_text_id`` is the header's ``ids.text``:
-        the table's counter, which entries dropped since may have passed."""
+        at a time: visits come first, then text entries, then runs, then
+        patches; one :class:`DecodeMemo` spans the build.  ``last_text_id``
+        is the header's ``ids.text``: the table's counter, which entries
+        dropped since may have passed."""
         store = cls()
         store.texts.last_id = last_text_id
         memo = DecodeMemo(store.texts)
-        nested = (
-            (kind, item, None)
-            for kind, key in (("visit", "visits"), ("run", "runs"), ("patch", "patches"))
-            for item in data.get(key, ())
-        )
-        for kind, item, text in itertools.chain(nested, records):
+        for kind, item, text in records:
             if kind == "run":
                 store.add_run(AppRunRecord.from_dict(item, text, memo))
             elif kind == "visit":
@@ -1110,7 +1102,7 @@ class RecordStore:
 
     def _snapshot_texts(self) -> List[int]:
         """Give every run its text — a run that has none yet (appended
-        without a WAL, rebuilt from an old log's reference, canceled since)
+        without a WAL, canceled since)
         is encoded now — and return the ids of exactly the text entries
         the runs refer to, in order.  Caller holds ``records``."""
         runs = self.runs.values()
@@ -1226,7 +1218,7 @@ class RecordStore:
                 with SnapshotReader(snapshot_path) as snapshot:
                     header = snapshot.header
                     store = cls.from_snapshot(
-                        header.get("graph", header),
+                        header["graph"],
                         records=snapshot.records(),
                         last_text_id=header.get("ids", {}).get("text", 0),
                     )
@@ -1262,13 +1254,13 @@ class RecordStore:
         entries, intact_size = RecordWal.read(wal_path)
         start = 0
         marker_indexes = [
-            index for index, (kind, _, _) in enumerate(entries) if kind == "snapshot_marker"
+            index for index, (_, kind, _, _) in enumerate(entries) if kind == "snapshot_marker"
         ]
         if snapshot_id is not None and marker_indexes:
             matching = [
                 index
                 for index in marker_indexes
-                if entries[index][1].get("snapshot_id") == snapshot_id
+                if entries[index][2].get("snapshot_id") == snapshot_id
             ]
             if not matching:
                 raise ReproError(
@@ -1278,10 +1270,13 @@ class RecordStore:
             start = matching[-1] + 1
         applied = 0
         memo = DecodeMemo(self.texts)
-        for kind, data, text in entries[start:]:
+        for number, kind, data, text in entries[start:]:
             if kind == "snapshot_marker":
                 continue
-            self.apply_logged(kind, data, text, memo)
+            try:
+                self.apply_logged(kind, data, text, memo)
+            except ReproError as exc:
+                raise ReproError(f"write-ahead log {wal_path!r} line {number}: {exc}") from None
             applied += 1
         self.wal = RecordWal(wal_path, intact_size=intact_size, **(wal_options or {}))
         return applied
@@ -1302,25 +1297,6 @@ class RecordStore:
             record = AppRunRecord.from_dict(data, text, memo)
             if record.run_id not in self.runs:
                 self.add_run(record)
-        elif kind == "run_replay":
-            # Written only by older builds, for a response-cache hit: fresh
-            # identity (run id, qids, timestamps) over the payload of the
-            # base run, which WAL order guarantees was applied first (the
-            # cache never served a template whose base had been gc'd or
-            # replaced, so a well-formed old log always resolves the base).
-            if data["run_id"] not in self.runs:
-                base = self.runs.get(data["base_run_id"])
-                if base is not None:
-                    self.add_run(
-                        replay_clone(
-                            base,
-                            run_id=data["run_id"],
-                            ts_start=data["ts_start"],
-                            qids=list(data["qids"]),
-                            ts_list=list(data["ts"]),
-                            request=HttpRequest.from_dict(data["request"]),
-                        )
-                    )
         elif kind == "visit":
             # Upsert: over a snapshot that already holds the visit, replay
             # resets it to the base record and the delta entries that
@@ -1389,3 +1365,7 @@ class RecordStore:
             record = self.incidents.get(data["incident_id"])
             if record is not None:
                 record.update(data["fields"])
+        else:
+            # No build writes it; builds with the response cache wrote one
+            # more kind, for a hit.
+            raise ReproError(f"an entry of unknown kind {kind!r}; {UPGRADE_ROUTE}")

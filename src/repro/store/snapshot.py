@@ -33,16 +33,9 @@ from 1,434 to 998 bytes per run); the repeats format 5 removes are
 session, user and ACL lookups and page reads, whose cached SELECT hits
 wrote their whole payload — page text included — once per run.
 
-**Format 4** is the same file with every row payload inline (a row of at
-least eight items); **format 3** has every body and SQL text inline too
-and no ``text`` entries.  Their lines still read, in a snapshot or mixed
-with format-5 lines in one WAL (the reader takes a string as the text, an
-int as an id, a four-item row as a format-5 row).  **Format 2** has every
-run line in the keyed shape; the number went up each time so that a build
-which cannot read the new lines refuses the file by version.  **Format 1**
-(one JSON document with the records nested inside) still loads too: its
-whole document is the header and no record lines follow.  Nothing writes
-formats 1-4 any more; the first save after loading one writes format 5.
+A build reads the format it writes: formats 1-4 are refused by version.
+To upgrade an older file, load and save it once with commit 812ecd4 or
+earlier, which reads formats 1-5 and writes format 5.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ import tempfile
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.errors import ReproError
-from repro.core.serialize import COMPACT
+from repro.core.serialize import COMPACT, UPGRADE_ROUTE
 from repro.store.wal import decode_line
 
 FORMAT = 5
@@ -83,8 +76,8 @@ def write_snapshot(path: str, header: dict, lines: Iterable[str]) -> None:
 
 
 class SnapshotReader:
-    """Streaming reader for either format: ``header`` is available at
-    once, ``records()`` decodes the lines after it one at a time."""
+    """Streaming reader: ``header`` is available at once, ``records()``
+    decodes the lines after it one at a time."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -107,7 +100,9 @@ class SnapshotReader:
             raise self._refuse("the header line is not a JSON object")
         # Only a bare store's format-1 image predates the version field.
         version = header.get("version", 1)
-        if version not in (1, 2, 3, 4, FORMAT):
+        if version in (1, 2, 3, 4):
+            raise self._refuse(f"format {version} is retired; {UPGRADE_ROUTE}")
+        if version != FORMAT:
             raise self._refuse(f"unsupported format version {version!r}")
         return header
 
@@ -144,8 +139,7 @@ class SnapshotReader:
 
 
 def read_snapshot_header(path: str) -> dict:
-    """The header object of the snapshot at ``path`` (for format 1 that is
-    the whole document)."""
+    """The header object of the snapshot at ``path``."""
     with SnapshotReader(path) as reader:
         return reader.header
 

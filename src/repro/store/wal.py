@@ -527,15 +527,16 @@ class RecordWal:
         return max(0, size - intact_size)
 
     @staticmethod
-    def read(path: str) -> Tuple[List[Tuple[str, dict, Optional[str]]], int]:
-        """Every intact entry of ``path`` (as :func:`decode_line` reads it)
-        plus the size of the intact prefix, from one decoding pass — hand the
-        size to the constructor (``intact_size``) when attaching that log."""
-        entries: List[Tuple[str, dict, Optional[str]]] = []
+    def read(path: str) -> Tuple[List[Tuple[int, str, dict, Optional[str]]], int]:
+        """Every intact entry of ``path`` — its line number, then
+        :func:`decode_line`'s ``(kind, data, text)`` — plus the size of the
+        intact prefix, from one decoding pass — hand the size to the
+        constructor (``intact_size``) when attaching that log."""
+        entries: List[Tuple[int, str, dict, Optional[str]]] = []
         intact = 0
-        for entry, intact in RecordWal._intact_lines(path):
+        for number, (entry, intact) in enumerate(RecordWal._intact_lines(path), start=1):
             if entry is not None:
-                entries.append(entry)
+                entries.append((number, *entry))
         return entries, intact
 
     @staticmethod

@@ -161,8 +161,6 @@ class WarpSystem:
         #: path) until then.
         self.detector = None
         self.incidents = None
-        self.preview_refresher = None
-        self.detection_refresh_interval: Optional[float] = None
         #: Script versions the persisted deployment had (set by ``load``);
         #: repair refuses to run until re-registered code catches up.
         self._expected_script_versions: Dict[str, int] = {}
@@ -254,22 +252,15 @@ class WarpSystem:
         self.server.gate.faults = self.faults
         return self.server.gate
 
-    def enable_detection(
-        self,
-        rules=None,
-        threshold: float = 1.0,
-        refresh_interval: Optional[float] = None,
-    ):
+    def enable_detection(self, rules=None, threshold: float = 1.0):
         """Install the front-line detector (repro.detect): every routed
         request is scored against the rule chain, flagged runs open
         WAL-journaled incidents, and ``/warp/admin/incidents`` exposes
-        each suspect's continuously refreshed blast-radius preview with
-        one-click repair.  ``refresh_interval`` starts the background
-        :class:`~repro.detect.PreviewRefresher` (None = previews refresh
-        on admin reads only).  Custom ``rules`` are code and — like
+        each suspect's blast-radius preview (``refresh=1`` recomputes it)
+        with one-click repair.  Custom ``rules`` are code and — like
         application scripts — are not serialized; a reloaded deployment
         comes back with the default rule chain."""
-        from repro.detect import Detector, IncidentManager, PreviewRefresher
+        from repro.detect import Detector, IncidentManager
 
         self.detector = Detector(rules=rules, threshold=threshold)
         self.incidents = IncidentManager(
@@ -281,11 +272,6 @@ class WarpSystem:
         )
         self.server.detector = self.detector
         self.server.incident_manager = self.incidents
-        self.detection_refresh_interval = refresh_interval
-        if refresh_interval is not None:
-            self.preview_refresher = PreviewRefresher(
-                self.incidents, interval=refresh_interval
-            ).start()
         return self.detector
 
     # -- clients -----------------------------------------------------------------
@@ -396,7 +382,6 @@ class WarpSystem:
                 "threshold": (
                     self.detector.threshold if self.detector is not None else 1.0
                 ),
-                "refresh_interval": self.detection_refresh_interval,
             },
             # Serving-path knobs survive reload the same way.
             "serving_config": {
@@ -435,9 +420,11 @@ class WarpSystem:
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
-        are streamed in one line at a time.  A file that is not a format
-        1–5 snapshot, or does not hold the records its header
-        promises, raises :class:`~repro.core.errors.ReproError` naming it.
+        are streamed in one line at a time.  A file that is not a format-5
+        snapshot, or does not hold the records its header promises, and a
+        WAL line this build does not write raise
+        :class:`~repro.core.errors.ReproError` naming the file — an older
+        format with the upgrade route (:mod:`repro.store.snapshot`).
         """
         if path is None:
             if wal_path is None:
@@ -465,23 +452,15 @@ class WarpSystem:
         wal_path: Optional[str],
     ) -> "WarpSystem":
         state = snapshot.header
-        serving = state.get("serving_config", {})
-        storage = state.get("storage_config", {})
-        # An older header may name the removed fsync-per-append policy or
-        # null (the default then): both load on group commit.  Any other
-        # value goes to the WAL as written, which refuses what it does not
-        # know.
-        durability = serving.get("durability")
-        if durability in (None, "always"):
-            durability = "group"
+        serving = state["serving_config"]
         warp = cls(
             origin=state["origin"],
             enabled=state["enabled"],
             replay_config=replay_config,
             db_backend=snapshot_backend(state),
-            db_path=storage.get("db_path"),
-            durability=durability,
-            wal_rotate_bytes=serving.get("wal_rotate_bytes"),
+            db_path=state["storage_config"]["db_path"],
+            durability=serving["durability"],
+            wal_rotate_bytes=serving["wal_rotate_bytes"],
         )
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already
@@ -518,10 +497,7 @@ class WarpSystem:
         warp.server.admin_token = repair_config.get("admin_token")
         detection_config = state.get("detection_config", {})
         if detection_config.get("enabled"):
-            warp.enable_detection(
-                threshold=detection_config.get("threshold", 1.0),
-                refresh_interval=detection_config.get("refresh_interval"),
-            )
+            warp.enable_detection(threshold=detection_config.get("threshold", 1.0))
         return warp
 
     # -- per-shard persistence layout (repro.shard) --------------------------

@@ -726,6 +726,4 @@ def run_scenario_end_to_end(
         "repairs": repairs,
         "errors": errors,
     }
-    if staged.warp.preview_refresher is not None:
-        staged.warp.preview_refresher.stop()
     return report

@@ -21,31 +21,19 @@ byte, once per shape the codec has written:
 * ``fixtures/wal_run_lines.golden`` — the keyed lines ebe3011–29d2bb9
   wrote (written at ebe3011).
 
-Nothing can write the last three any more; ``--check`` replays each and
-fails unless it still reads as ``golden_run()``.
+Nothing writes the last three any more, and this build reads none of them:
+they are the inputs its refusal of a retired line shape is tested on.
 
-``format1_workload()`` is the small wiki deployment whose snapshot is
-committed in the four retired formats — ``fixtures/warp_format1.json``
-(written at ebe3011), ``fixtures/warp_format2.json`` (written at
-29d2bb9, the last commit that wrote keyed lines),
-``fixtures/warp_format3.json`` (written at 881a392, the last commit that
-wrote every text inline) and ``fixtures/warp_format4.json`` (written at
-4c487be, the last commit that wrote row payloads inline), each by running
-``format1_workload()[0].save(...)`` on a checkout of that commit — with
-the ``RepairStats`` counters its common.php repair produced in
-``fixtures/warp_format1.counters.json``.  ``--check`` loads all four and
-fails unless each holds the graph ``format1_workload()`` builds today.
-
-``fixtures/warp_run_replay.snapshot.json`` and its log
-``fixtures/warp_run_replay.wal.jsonl`` hold the ``run_replay`` lines the
-response cache journaled for a hit: a base run id plus the hit's fresh
-identity.  They were written at b944a31, the last commit with the cache,
-by a ``WikiDeployment(n_users=2, seed=5)`` with the cache on and a WAL:
-``save`` before the first request, then one load client serving, for
-``Main_Page`` and then ``Projects``, ``GET /edit.php`` three times, one
-``POST /edit.php`` that saves a line, and seven more GETs.  The log holds
-the whole history, sixteen ``run_replay`` lines among it, so it loads
-alone as well as over its snapshot.  Nothing can write them any more.
+``format1_workload()`` is the small wiki deployment whose format-5
+snapshot is committed as ``fixtures/warp_format5.json`` (written at
+812ecd4 by running ``format1_workload()[0].save(...)``), with the
+``RepairStats`` counters its common.php repair produced in
+``fixtures/warp_format1.counters.json`` — the counters the same workload
+has repaired to in every format since ebe3011 wrote it as format 1.
+``--check`` loads the snapshot and fails unless it holds the graph
+``format1_workload()`` builds today and repairs to those counters, so a
+change that stops a committed format-5 file from loading, or changes what
+it repairs to, fails by name.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -75,18 +63,8 @@ GOLDEN_FORMAT4 = os.path.join(HERE, "wal_run_lines.format4.golden")
 GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 #: ... and as PRs 11-17 wrote it (keyed objects).
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
-FORMAT1_SNAPSHOT = os.path.join(HERE, "warp_format1.json")
-FORMAT2_SNAPSHOT = os.path.join(HERE, "warp_format2.json")
-FORMAT3_SNAPSHOT = os.path.join(HERE, "warp_format3.json")
-FORMAT4_SNAPSHOT = os.path.join(HERE, "warp_format4.json")
-#: Every retired snapshot format's fixture, by version.
-OLD_SNAPSHOTS = {
-    1: FORMAT1_SNAPSHOT, 2: FORMAT2_SNAPSHOT, 3: FORMAT3_SNAPSHOT, 4: FORMAT4_SNAPSHOT,
-}  # fmt: skip
+FORMAT5_SNAPSHOT = os.path.join(HERE, "warp_format5.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
-#: A snapshot and the log after it, holding ``run_replay`` lines.
-RUN_REPLAY_SNAPSHOT = os.path.join(HERE, "warp_run_replay.snapshot.json")
-RUN_REPLAY_WAL = os.path.join(HERE, "warp_run_replay.wal.jsonl")
 #: Config keys a snapshot no longer persists, at non-default values.
 REMOVED_CONFIG_KEYS = os.path.join(HERE, "removed_config_keys.json")
 
@@ -186,25 +164,15 @@ def golden_lines(directory: str) -> bytes:
         return fh.read()
 
 
-def replay(wal_path: str) -> RecordStore:
-    """A store holding what the journal at ``wal_path`` says (the file is
-    only read, never attached)."""
-    store = RecordStore()
-    for kind, data in RecordWal.entries(wal_path):
-        store.apply_logged(kind, data)
-    return store
-
-
 def text_refs(kind: str, data: dict) -> set:
-    """The text ids a journal entry refers to (formats 4 and 5): a run
-    line's body and SQL texts, when they are ids, and the payload of each
-    four-item row."""
+    """The text ids a journal entry refers to: a run line's body, and the
+    SQL text and payload of each row."""
     if kind not in ("run", "replace_run"):
         return set()
-    items = [data["response"]["body"]]
+    items = {data["response"]["body"]}
     for row in data["queries"]:
-        items += row[2:] if len(row) == 4 else row[2:3]
-    return {item for item in items if type(item) is int}
+        items.update(row[2:])
+    return items
 
 
 def undefined_refs(entries) -> list:
@@ -277,13 +245,13 @@ def check(directory: str) -> list:
                 "a codec change needs `python tests/persistence_fixtures.py`, "
                 "a regenerated golden needs a codec change"
             )
-    for path in (GOLDEN_FORMAT4, GOLDEN_ROWS, GOLDEN_LINES):
-        if replay(path).to_snapshot() != golden_store().to_snapshot():
-            problems.append(f"{path}: no longer replays to golden_run()")
-    expected = format1_workload()[0].graph.to_snapshot()
-    for path in OLD_SNAPSHOTS.values():
-        if WarpSystem.load(path).graph.to_snapshot() != expected:
-            problems.append(f"{path}: no longer loads as format1_workload()")
+    warp = WarpSystem.load(FORMAT5_SNAPSHOT)
+    if warp.graph.to_snapshot() != format1_workload()[0].graph.to_snapshot():
+        problems.append(f"{FORMAT5_SNAPSHOT}: no longer loads as format1_workload()")
+    WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
+    with open(FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
+        if repair_counters(warp) != json.load(fh):
+            problems.append(f"{FORMAT5_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
     return problems
 
 

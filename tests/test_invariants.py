@@ -98,13 +98,13 @@ class TestPartitionKeyShape:
     """Every producer emits ``(table, column, value)``: no consumer
     converts a two-element key any more, so none may ever appear."""
 
-    @pytest.mark.parametrize("source", [*ATTACK_TYPES, "format-1 snapshot"])
+    @pytest.mark.parametrize("source", [*ATTACK_TYPES, "format-5 snapshot"])
     def test_every_partition_key_is_a_triple(self, source, monkeypatch):
         if source in ATTACK_TYPES:
             outcome = run_scenario(source, n_users=6, n_victims=2, seed=5)
             warp, repair = outcome.warp, outcome.repair
         else:
-            warp = WarpSystem.load(fixtures.FORMAT1_SNAPSHOT)
+            warp = WarpSystem.load(fixtures.FORMAT5_SNAPSHOT)
             WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
 
             def repair():

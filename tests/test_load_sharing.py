@@ -80,18 +80,24 @@ def history(tmp_path_factory):
     return wiki_history(tmp_path_factory.mktemp("history"))
 
 
-@pytest.mark.parametrize(
-    "golden", [fixtures.GOLDEN_TEXTS, fixtures.GOLDEN_FORMAT4, fixtures.GOLDEN_ROWS]
-)
-def test_committed_fixture_shares_only_immutables(tmp_path, golden):
-    """The format-5, -4 and -3 lines: a ``run`` and a ``replace_run`` of
-    one run, so the replacement is decoded through the memo the original
-    filled."""
-    wal_path = str(tmp_path / "golden.wal")
-    shutil.copy(golden, wal_path)
-    store = RecordStore.recover(wal_path=wal_path)
-    store.wal.close()
-    assert store.runs == {7: fixtures.golden_run()}
+@pytest.mark.parametrize("source", ["golden lines", "fixture via recover", "fixture via load"])
+def test_committed_fixture_shares_only_immutables(tmp_path, source):
+    """The format-5 golden lines — a ``run`` and a ``replace_run`` of one
+    run, so the replacement is decoded through the memo the original
+    filled — and the committed format-5 snapshot, through both of the
+    store's entry points."""
+    if source == "golden lines":
+        wal_path = str(tmp_path / "golden.wal")
+        shutil.copy(fixtures.GOLDEN_TEXTS, wal_path)
+        store = RecordStore.recover(wal_path=wal_path)
+        store.wal.close()
+        assert store.runs == {7: fixtures.golden_run()}
+    else:
+        if source == "fixture via recover":
+            store = RecordStore.recover(snapshot_path=fixtures.FORMAT5_SNAPSHOT)
+        else:
+            store = WarpSystem.load(fixtures.FORMAT5_SNAPSHOT).graph.store
+        assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
     assert_shares_only_immutables(store)
 
 

@@ -418,7 +418,7 @@ class TestComponentDiscovery:
                 f"{victim}_notes"
             )
 
-    def test_touch_index_survives_replace_and_gc(self):
+    def test_touch_index_survives_replace_and_gc(self, tmp_path):
         """The eager touch index stays consistent under replace_run/gc:
         discovery from a fresh seed matches a rebuilt-from-scratch store."""
         outcome = run_multi_tenant_scenario(
@@ -429,7 +429,9 @@ class TestComponentDiscovery:
         graph = warp.graph
         from repro.store.recordstore import RecordStore
 
-        rebuilt = RecordStore.from_snapshot(graph.to_snapshot())
+        path = str(tmp_path / "warp.json")
+        warp.save(path)
+        rebuilt = RecordStore.recover(snapshot_path=path)
         for key, runs in graph.touch.key_writers.items():
             assert rebuilt.touch.key_writers.get(key) == runs, key
         for key, runs in rebuilt.touch.key_touchers.items():

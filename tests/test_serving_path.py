@@ -11,8 +11,6 @@ satellites:
   transition flushes;
 * striped record-store locking loses no append under 16 real threads;
 * the bounded ``ServerPool`` (backpressure 503s, clean close);
-* identity batching (``tick_many`` / ``next_many``) equals repeated
-  single draws;
 * one serving path: every request, repeat GETs included, runs its script
   and records exactly one run, so writes, script patches and repairs
   reach the next response;
@@ -32,7 +30,6 @@ import pytest
 from repro.ahg.records import AppRunRecord
 from repro.apps.wiki.app import WikiApp
 from repro.core.clock import LogicalClock
-from repro.core.ids import IdAllocator
 from repro.db.storage import Column, Database, TableSchema
 from repro.faults.plane import FaultPlane
 from repro.http.message import HttpRequest, HttpResponse
@@ -319,36 +316,6 @@ class TestStatementCache:
         tt.execute("SELECT * FROM pages")
         tt.execute("SELECT * FROM pages")
         assert executions["n"] == 2, "a 20-row result must not be cached"
-
-
-# ---------------------------------------------------------------------------
-# identity batching
-# ---------------------------------------------------------------------------
-
-
-class TestIdentityBatching:
-    def test_tick_many_equals_repeated_ticks(self):
-        a, b = LogicalClock(), LogicalClock()
-        singles = [a.tick() for _ in range(5)]
-        first = b.tick_many(5)
-        assert list(range(first, first + 5)) == singles
-        assert a.now() == b.now()
-        # Interleaving batched and single draws stays strictly monotone.
-        assert b.tick() == singles[-1] + 1
-
-    def test_next_many_equals_repeated_next(self):
-        a, b = IdAllocator(), IdAllocator()
-        singles = [a.next("q") for _ in range(4)]
-        first = b.next_many("q", 4)
-        assert list(range(first, first + 4)) == singles
-        assert a.peek("q") == b.peek("q")
-        assert b.next("q") == singles[-1] + 1
-
-    def test_batched_draws_reject_non_positive_counts(self):
-        with pytest.raises(ValueError):
-            LogicalClock().tick_many(0)
-        with pytest.raises(ValueError):
-            IdAllocator().next_many("q", 0)
 
 
 # ---------------------------------------------------------------------------

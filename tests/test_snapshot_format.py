@@ -5,20 +5,21 @@ of its WAL line and of its snapshot line, and it says each fact once:
 queries as positional rows, nothing the enclosing run says, no defaults —
 and no response body, SQL text or row payload another line of the segment
 already wrote: those are ``text`` entries, referred to by id.  These tests
-pin the bytes (what this build writes, and the inline payloads, inline
-texts and keyed lines older builds wrote, which must keep reading), the
-round trip of both views, the kept-text invariant across every mutation
-the store offers, format-1 to -4 compatibility and the upgrade on the next
-save, the ``run_replay`` lines older logs hold, the text entries a snapshot
+pin the bytes this build writes, the round trip of both views, the
+kept-text invariant across every mutation the store offers, the committed
+format-5 snapshot, the refusal — by name, with the upgrade route — of every
+file and line in a shape older builds wrote, the text entries a snapshot
 holds, the bytes one request may cost, and the refusal of files that are
 not whole.
 """
 
+import copy
 import gc
 import json
 import os
 import random
-import shutil
+import re
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import persistence_fixtures as fixtures
 from repro.ahg.records import (
+    NONDET_ROW,
     QUERY_ROW,
     AppRunRecord,
     NondetRecord,
@@ -52,7 +54,7 @@ from repro.workload.scenarios import run_scenario
 
 
 # ---------------------------------------------------------------------------
-# (b) the bytes: what this build writes is pinned, what older builds wrote reads
+# (b) the bytes: what this build writes is pinned
 # ---------------------------------------------------------------------------
 
 
@@ -82,141 +84,15 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     assert payloads == [payload_text(query) for query in fixtures.golden_run().queries]
 
 
-def test_keyed_golden_lines_still_replay():
-    """The lines PRs 11-17 wrote (keyed queries, every default spelled
-    out) read as the run they were written from."""
+def test_the_keyed_view_is_the_keyed_golden_line():
+    """The keyed view names every field, whether or not the line spells it
+    out: key for key, it is what PRs 11-17 journaled — a shape this build
+    writes only as a view, and refuses to read (see (c))."""
     entries = list(RecordWal.entries(fixtures.GOLDEN_LINES))
     assert [kind for kind, _ in entries] == ["run", "replace_run"]
     for _, data in entries:
         assert isinstance(data["queries"][0], dict) and data["canceled"] is False
-        assert AppRunRecord.from_dict(data) == fixtures.golden_run()
-        # The keyed view of today's record is, key for key, the old line.
         assert fixtures.golden_run().to_dict() == data
-    replayed = fixtures.replay(fixtures.GOLDEN_LINES)
-    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
-    assert replayed.runs[7] == fixtures.golden_run()
-
-
-def test_format4_golden_lines_still_replay():
-    """The lines format 4 wrote (body and SQL text ids, every payload inline)
-    read as the run they were written from; the text of none is kept, so
-    the next write of the run is in this build's shape."""
-    entries = list(RecordWal.entries(fixtures.GOLDEN_FORMAT4))
-    assert [kind for kind, _ in entries] == ["text"] * 3 + ["run", "replace_run"]
-    texts = fixtures.replay(fixtures.GOLDEN_FORMAT4).texts
-    for _, data in entries[3:]:
-        assert type(data["response"]["body"]) is int
-        assert all(type(row[2]) is int and len(row) >= 8 for row in data["queries"])
-        assert AppRunRecord.from_dict(data, memo=DecodeMemo(texts)) == fixtures.golden_run()
-    replayed = fixtures.replay(fixtures.GOLDEN_FORMAT4)
-    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
-    assert replayed.runs[7] == fixtures.golden_run() and replayed.runs[7].json_text is None
-
-
-def test_format3_golden_lines_still_replay():
-    """The lines format 3 wrote (rows, every text inline) read as the run
-    they were written from; the text of none is kept, so the next write of
-    the run is in this build's shape."""
-    entries = list(RecordWal.entries(fixtures.GOLDEN_ROWS))
-    assert [kind for kind, _ in entries] == ["run", "replace_run"]
-    for _, data in entries:
-        assert isinstance(data["response"]["body"], str)
-        assert all(isinstance(row[2], str) for row in data["queries"])
-        assert AppRunRecord.from_dict(data) == fixtures.golden_run()
-    replayed = fixtures.replay(fixtures.GOLDEN_ROWS)
-    assert replayed.to_snapshot() == fixtures.golden_store().to_snapshot()
-    assert replayed.runs[7].json_text is None
-
-
-def newcomer_run(body):
-    """``golden_run()`` as run 8, answering ``body``."""
-    newcomer = fixtures.golden_run()
-    newcomer.run_id = 8
-    for query in newcomer.queries:
-        query.run_id = 8
-    newcomer.response.body = body
-    return newcomer
-
-
-def test_wal_mixing_format4_and_format5_lines_replays(tmp_path):
-    """A log begun by the previous build and continued by this one, with no
-    version switch between: format-4 lines (payloads inline), then a
-    format-5 line whose table continues the log's — its SQL ids are the
-    format-4 entries', its payloads new entries.  It replays to the store a
-    live one builds; the format-5 line is kept, the format-4 one is not."""
-    newcomer = newcomer_run("<p>new</p>")
-    wal_path = str(tmp_path / "mixed.wal")
-    shutil.copy(fixtures.GOLDEN_FORMAT4, wal_path)
-    texts = fixtures.replay(fixtures.GOLDEN_FORMAT4).texts
-    line = newcomer.encode(texts)
-    fresh = texts.take_fresh()
-    assert fresh == [4, 5, 6]  # the body and the two payloads; the SQL texts exist
-    with open(wal_path, "a", encoding="utf-8", newline="") as fh:
-        for ident in fresh:
-            fh.write(entry_line("text", texts.entry(ident)))
-        fh.write(entry_line("run", line))
-    assert '"queries":[[11,41,2,5],[12,42,3,6]]' in line
-
-    recovered = RecordStore.recover(wal_path=wal_path)
-    recovered.wal.close()
-    live = fixtures.golden_store()
-    live.add_run(newcomer_run("<p>new</p>"))
-    assert recovered.to_snapshot() == live.to_snapshot()
-    assert recovered.runs == {7: fixtures.golden_run(), 8: newcomer}
-    assert recovered.runs[8].json_text == line and recovered.runs[7].json_text is None
-
-
-def test_wal_mixing_format3_and_format5_lines_replays(tmp_path):
-    """A log begun by an older build and continued by this one, with no
-    version switch between: format-3 lines (texts inline), then format-5
-    lines whose ids refer to text entries — one of them the same SQL text a
-    format-3 line held inline.  It replays to the store a live one builds."""
-    newcomer = newcomer_run("<p>new</p>")
-    wal_path = str(tmp_path / "mixed.wal")
-    shutil.copy(fixtures.GOLDEN_ROWS, wal_path)
-    texts = TextTable()
-    line = newcomer.encode(texts)
-    with open(wal_path, "a", encoding="utf-8", newline="") as fh:
-        for ident in texts.take_fresh():
-            fh.write(entry_line("text", texts.entry(ident)))
-        fh.write(entry_line("run", line))
-    assert '"body":1,' in line and '"<p>new</p>"' not in line
-
-    recovered = RecordStore.recover(wal_path=wal_path)
-    live = fixtures.golden_store()
-    live.add_run(newcomer)
-    assert recovered.to_snapshot() == live.to_snapshot()
-    assert recovered.runs == {7: fixtures.golden_run(), 8: newcomer}
-    # The format-5 line is kept, the format-3 ones are re-encoded from now on.
-    assert recovered.runs[8].json_text == line and recovered.runs[7].json_text is None
-    recovered.add_run(AppRunRecord.from_dict(dict(newcomer.to_dict(), run_id=9)))
-    recovered.wal.close()
-    kinds = [kind for kind, _ in RecordWal.entries(wal_path)]
-    assert kinds[-1] == "run" and kinds.count("text") == 5  # run 9 needed no new entry
-
-
-def test_wal_mixing_keyed_and_row_lines_replays(tmp_path):
-    """A log begun by an older build and continued by this one: a keyed
-    ``run`` line, then a row-shaped ``replace_run`` of the same run, then a
-    row-shaped ``run`` — each line is read in the shape it has."""
-    with open(fixtures.GOLDEN_LINES, "r", encoding="utf-8", newline="") as fh:
-        keyed_run_line = fh.readline()
-    replacement = fixtures.golden_run()
-    replacement.response.body = "<p>replaced</p>"
-    replacement.queries.pop()
-    newcomer = fixtures.golden_run()
-    newcomer.run_id = 8
-    for query in newcomer.queries:
-        query.run_id = 8
-    wal_path = str(tmp_path / "mixed.wal")
-    with open(wal_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(keyed_run_line)
-        fh.write(entry_line("replace_run", replacement.encode()))
-        fh.write(entry_line("run", newcomer.encode()))
-    store = RecordStore.recover(wal_path=wal_path)
-    store.wal.close()
-    assert store.runs == {7: replacement, 8: newcomer}
-    assert store.query_count == 3
 
 
 # -- round trip, as a property -------------------------------------------------
@@ -298,20 +174,16 @@ QUERY_KEYS = (set(QUERY_ROW) - {"disjuncts"}) | {"run_id", "seq", "read_set"}
 @given(run=run_records())
 @example(run=fixtures.golden_run())
 def test_codec_views_agree(run):
-    """Both views of a run — the text (rows, elided defaults, ids for its
-    body and SQL texts) and the keyed ``to_dict()`` — rebuild it, and the
-    keyed view names every field whether or not the text spells it out.
-    Encoded with no table, the text is the format-3 line: it rebuilds the
-    run too, and is not kept.  A row of the text is its qid, ts and two ids:
-    the payload entry holds what a format-3 row spells out after the SQL."""
+    """The text of a run (rows, elided defaults, ids for its body, SQL
+    texts and payloads) rebuilds it and is kept; the keyed ``to_dict()``
+    names every field whether or not the text spells it out.  A row of the
+    text is its qid, ts and two ids: the payload entry holds what the row
+    says after the SQL."""
     texts = TextTable()
     text = run.encode(texts)
     again = AppRunRecord.from_dict(json.loads(text), text, DecodeMemo(texts))
     assert again == run and again.encode(texts) == text == again.json_text
-    inline = AppRunRecord.from_dict(json.loads(run.encode()), run.encode())
-    assert inline == run and inline.json_text is None
     keyed = run.to_dict()
-    assert AppRunRecord.from_dict(keyed) == run
     assert again.to_dict() == keyed  # from kept text or a fresh encode: one view
     assert keyed == json.loads(json.dumps(keyed))  # plain JSON
     assert set(keyed) == RUN_KEYS and len(RUN_KEYS) == 13
@@ -395,8 +267,19 @@ def test_encode_is_the_dump_of_to_wire(run):
     run.payloads = None
     assert run.encode() == oracle  # every row walked
     assert run.encode(texts) == with_ids
-    assert AppRunRecord.from_dict(json.loads(oracle)) == run
     assert AppRunRecord.from_dict(json.loads(with_ids), memo=DecodeMemo(texts)) == run
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=run_records())
+@example(run=fixtures.golden_run())
+def test_only_the_written_line_decodes(run):
+    """Whatever a run holds, the two other shapes it has — the line with
+    every text inline (what format 3 wrote) and the keyed view (what PRs
+    11-17 wrote) — are refused with the upgrade route, never decoded."""
+    for view in (json.loads(run.encode()), run.to_dict()):
+        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
+            AppRunRecord.from_dict(view, memo=DecodeMemo(TextTable()))
 
 
 #: Each value's look-alike: equal to it (and hashing alike), of another type
@@ -418,7 +301,7 @@ def look_alike(value):
 def look_alike_run(run, run_id):
     """A second run whose queries equal ``run``'s, look-alike for value, in
     params, read-set values, partition values and snapshot cells."""
-    twin = AppRunRecord.from_dict(run.to_dict())
+    twin = unwritten_copy(run)
     twin.run_id = run_id
     for query in twin.queries:
         query.run_id = run_id
@@ -455,6 +338,14 @@ def test_reload_is_type_exact_across_records(tmp_path_factory, run):
 # ---------------------------------------------------------------------------
 # (a) kept text == fresh encode through every mutation; save/load round trip
 # ---------------------------------------------------------------------------
+
+
+def unwritten_copy(run):
+    """A deep copy of ``run`` with no kept text, as the runtime hands a run
+    to the store."""
+    twin = copy.deepcopy(run)
+    twin.json_text = None
+    return twin
 
 
 def assert_kept_text_is_fresh(store):
@@ -500,7 +391,7 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
 
     def replace():
         run_id = rng.choice(sorted(store.runs))
-        twin = AppRunRecord.from_dict(store.runs[run_id].to_dict())
+        twin = unwritten_copy(store.runs[run_id])
         twin.response.body += "<!-- replaced -->"
         warp.graph.replace_run(run_id, twin)
         warp.graph.invalidate_partition_indexes()
@@ -557,7 +448,8 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# (c) files written by older builds still load, repair, and upgrade
+# (c) the committed format-5 snapshot loads and repairs; every file and line
+# in a retired shape is refused by name, with the upgrade route
 # ---------------------------------------------------------------------------
 
 
@@ -577,116 +469,139 @@ def referenced_ids(lines):
     return set().union(*(fixtures.text_refs("run", line) for line in lines))
 
 
-def loads_repairs_and_upgrades(fixture, version, tmp_path):
-    assert read_snapshot_header(fixture)["version"] == version
+def read_lines(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.readlines()
+
+
+def test_format5_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written at 812ecd4: it loads as the graph ``format1_workload()``
+    builds today, keeping every run's text; a save writes its record lines
+    back byte for byte; and its common.php repair gives the counters the
+    same workload has repaired to in every format since the first."""
+    fixture = fixtures.FORMAT5_SNAPSHOT
+    assert read_snapshot_header(fixture)["version"] == 5
     with open(fixtures.FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     original, _ = fixtures.format1_workload()
 
     warp = WarpSystem.load(fixture)
     assert warp.graph.to_snapshot() == original.graph.to_snapshot()
-    # No text of an older shape is kept: the next save re-encodes the run.
-    # (A format-4 line with no query is the line format 5 writes.)
-    assert all(
-        run.json_text is None for run in warp.graph.runs.values() if version < 4 or run.queries
-    )
+    assert all(run.json_text is not None for run in warp.graph.runs.values())
+    assert_kept_text_is_fresh(warp.graph.store)
+    saved_again = str(tmp_path / "saved_again.json")
+    warp.save(saved_again)
+    assert read_lines(saved_again)[1:] == read_lines(fixture)[1:]
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     assert fixtures.repair_counters(warp) == expected
 
-    # Loaded from the old format, saved as format 5 — rows of ids only, for
-    # every body, SQL text and payload, each text entry once, and the text
-    # kept from now on is the text a fresh encode gives — loaded again:
-    # same graph.
-    upgraded = str(tmp_path / "upgraded.json")
-    again = WarpSystem.load(fixture)
-    again.save(upgraded)
-    assert read_snapshot_header(upgraded)["version"] == 5
-    lines = run_lines(upgraded)
-    assert len(lines) == original.graph.n_runs and any(d["queries"] for d in lines)
-    for data in lines:
-        assert all(len(q) == 4 and {type(x) for x in q} == {int} for q in data["queries"])
-        assert all(isinstance(n, list) for n in data.get("nondet", ()))
-        assert type(data["response"]["body"]) is int
-    entries = record_lines(upgraded, "text")
-    assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(lines))
-    assert len({entry["text"] for entry in entries}) == len(entries)
-    assert_kept_text_is_fresh(again.graph.store)
-    reloaded = WarpSystem.load(upgraded)
-    assert reloaded.graph.to_snapshot() == original.graph.to_snapshot()
-    assert all(run.json_text is not None for run in reloaded.graph.runs.values())
-    assert_kept_text_is_fresh(reloaded.graph.store)
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, "missing"])
+def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
+    """Formats 1-4 — and a header with no version, which only format 1
+    wrote — are refused before anything is built, naming the file and the
+    commit that reads them and writes format 5."""
+    _, path, lines = saved
+    header = json.loads(lines[0])
+    if version == "missing":
+        del header["version"]
+    else:
+        header["version"] = version
+    rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+    number = 1 if version == "missing" else version
+    named = rf"warp\.json.*format {number} is retired.*commit 812ecd4"
+    with pytest.raises(ReproError, match=named):
+        WarpSystem.load(path)
+    with pytest.raises(ReproError, match=named):
+        RecordStore.recover(snapshot_path=path)
 
 
-def test_format1_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    loads_repairs_and_upgrades(fixtures.FORMAT1_SNAPSHOT, 1, tmp_path)
+def keyed_nondet_line(line, body=None):
+    """The run of journal ``line`` with no query and its nondet entries
+    keyed, as every run line before format 3 held them; ``body``, if given,
+    replaces its response body."""
+    entry = json.loads(line)
+    data = entry["data"]
+    data["queries"] = []
+    data["nondet"] = [
+        item if isinstance(item, dict) else dict(zip(NONDET_ROW, item)) for item in data["nondet"]
+    ]
+    if body is not None:
+        data["response"]["body"] = body
+    return json.dumps(entry) + "\n"
 
 
-def test_format2_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written by the parent commit (PR 17): header + keyed record lines."""
-    keyed = run_lines(fixtures.FORMAT2_SNAPSHOT)
-    assert all(isinstance(q, dict) for d in keyed for q in d["queries"])
-    # Among them the case only an exact rule catches: no query to tell the
-    # shape by, the defaults spelled out all the same.
-    assert any(not d["queries"] and d["nondet"] == [] for d in keyed)
-    loads_repairs_and_upgrades(fixtures.FORMAT2_SNAPSHOT, 2, tmp_path)
+def retired_log(shape):
+    """``(lines, number, why)``: a log holding a line in the retired
+    ``shape`` at line ``number``, and what the refusal says of it."""
+    keyed = read_lines(fixtures.GOLDEN_LINES)
+    written = read_lines(fixtures.GOLDEN_TEXTS)  # five text entries, a run, a replace_run
+    if shape == "keyed run line":
+        return keyed, 1, "its response body is inline"
+    if shape == "row with its body inline":
+        return read_lines(fixtures.GOLDEN_ROWS), 1, "its response body is inline"
+    if shape == "row with its payload inline":
+        return read_lines(fixtures.GOLDEN_FORMAT4), 4, "its queries are not rows of ids"
+    if shape == "keyed-era line with no queries":
+        return [keyed_nondet_line(keyed[0])], 1, "its response body is inline"
+    if shape == "no queries, keyed nondet, body an id":
+        # Decoded as rows, the keyed entries would zip their keys into
+        # func, seq and value without an error.
+        line = keyed_nondet_line(written[5], body=1)
+        return written[:5] + [line], 6, "its nondet entries are keyed"
+    run = fixtures.golden_run()
+    if shape == "run_replay entry":
+        # What builds with the response cache journaled for a hit: the base
+        # run's id and the fresh identity of the run that answered from it.
+        data = {
+            "run_id": 8, "base_run_id": 7, "ts_start": 50, "qids": [13, 14],
+            "ts": [51, 52], "request": run.request.to_dict(),
+        }  # fmt: skip
+        return written + [entry_line("run_replay", json.dumps(data))], 8, "'run_replay'"
+    assert shape == "entry of unknown kind"
+    return written + [entry_line("no_such_kind", "{}")], 8, "'no_such_kind'"
 
 
-def test_format3_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written at 881a392: rows, every body and SQL text inline."""
-    inline = run_lines(fixtures.FORMAT3_SNAPSHOT)
-    assert not record_lines(fixtures.FORMAT3_SNAPSHOT, "text")
-    assert all(isinstance(d["response"]["body"], str) for d in inline)
-    assert all(isinstance(q, list) and isinstance(q[2], str) for d in inline for q in d["queries"])
-    loads_repairs_and_upgrades(fixtures.FORMAT3_SNAPSHOT, 3, tmp_path)
+RETIRED_SHAPES = [
+    "keyed run line",
+    "row with its body inline",
+    "row with its payload inline",
+    "keyed-era line with no queries",
+    "no queries, keyed nondet, body an id",
+    "run_replay entry",
+    "entry of unknown kind",
+]
 
 
-def test_format4_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written at 4c487be: body and SQL text ids, every payload inline."""
-    inline = run_lines(fixtures.FORMAT4_SNAPSHOT)
-    assert all(type(d["response"]["body"]) is int for d in inline)
-    assert all(len(q) >= 8 and type(q[2]) is int for d in inline for q in d["queries"])
-    loads_repairs_and_upgrades(fixtures.FORMAT4_SNAPSHOT, 4, tmp_path)
+@pytest.mark.parametrize("shape", RETIRED_SHAPES)
+def test_a_retired_wal_line_is_refused_by_name(tmp_path, shape):
+    """Replaying a log stops at the first line this build does not write —
+    no entry dropped, no record decoded wrong — naming the log, the line
+    and the upgrade route, and leaves the log byte for byte as it was, for
+    the build that can still read it."""
+    lines, number, why = retired_log(shape)
+    path = str(tmp_path / "retired.wal")
+    rewrite(path, lines)
+    named = rf"retired\.wal'? line {number}: .*{re.escape(why)}.*commit 812ecd4"
+    with pytest.raises(ReproError, match=named):
+        RecordStore.recover(wal_path=path)
+    with pytest.raises(ReproError, match=named):
+        WarpSystem.load(None, wal_path=path)
+    assert read_lines(path) == lines
 
 
-def test_run_replay_lines_of_an_old_log_still_replay(tmp_path):
-    """A ``run_replay`` line names a base run and the fresh identity of a
-    run that answered with the base's response.  Nothing writes one any
-    more; the committed log's lines rebuild the same runs whether the log
-    is replayed over its snapshot or alone, and survive a save."""
-    snapshot, wal_path = str(tmp_path / "warp.json"), str(tmp_path / "warp.wal")
-    alone_path = str(tmp_path / "alone.wal")
-    shutil.copyfile(fixtures.RUN_REPLAY_SNAPSHOT, snapshot)
-    shutil.copyfile(fixtures.RUN_REPLAY_WAL, wal_path)
-    shutil.copyfile(fixtures.RUN_REPLAY_WAL, alone_path)
-    entries = list(RecordWal.entries(wal_path))
-    replays = [data for kind, data in entries if kind == "run_replay"]
-    journaled = {data["run_id"] for kind, data in entries if kind in ("run", "run_replay")}
-    assert len(replays) == 16
-
-    tailed = WarpSystem.load(snapshot, wal_path=wal_path)
-    alone = WarpSystem.load(None, wal_path=alone_path)
-    saved_again = str(tmp_path / "saved_again.json")
-    tailed.save(saved_again)
-    reloaded = WarpSystem.load(saved_again)
-    for warp in (tailed, alone, reloaded):
-        runs = warp.graph.runs
-        for data in replays:
-            run, base = runs[data["run_id"]], runs[data["base_run_id"]]
-            assert run.response.key() == base.response.key()
-            assert run.request.to_dict() == data["request"]
-            assert (run.ts_start, [q.ts for q in run.queries]) == (data["ts_start"], data["ts"])
-            assert [q.qid for q in run.queries] == data["qids"]
-            assert run.run_id != base.run_id
-            assert not {q.qid for q in run.queries} & {q.qid for q in base.queries}
-            assert not {q.ts for q in run.queries} & {q.ts for q in base.queries}
-
-    # The snapshot was saved before the first request: the log alone
-    # holds the whole history.
-    assert set(tailed.graph.runs) == journaled
-    assert alone.graph.to_snapshot() == tailed.graph.to_snapshot()
-    assert reloaded.graph.to_snapshot() == tailed.graph.to_snapshot()
-    for warp in (tailed, alone):
-        warp.graph.store.wal.close()
+def test_a_refused_entry_is_named_by_its_line_blank_ones_counted(tmp_path):
+    """The line number is the file's, not the entry's index: blank lines,
+    which replay skips, count."""
+    written = read_lines(fixtures.GOLDEN_TEXTS)
+    path = str(tmp_path / "records.wal")
+    rewrite(path, written[:5] + ["\n", "\n"] + written[5:] + [entry_line("no_such_kind", "{}")])
+    with pytest.raises(ReproError, match=r"records\.wal'? line 10: an entry of unknown kind"):
+        RecordStore.recover(wal_path=path)
+    rewrite(path, written)
+    store = RecordStore.recover(wal_path=path)
+    store.wal.close()
+    assert store.runs == {7: fixtures.golden_run()}
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +626,12 @@ def walked_maxima(store):
     return max_ts, max(store.runs, default=0), max_qid
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
-def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, version):
-    snapshot = fixtures.OLD_SNAPSHOTS.get(version)
-    if snapshot is None:
+@pytest.mark.parametrize("source", ["committed", "saved now"])
+def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, source):
+    snapshot = fixtures.FORMAT5_SNAPSHOT
+    if source == "saved now":
         snapshot = str(tmp_path / "format5.json")
         fixtures.format1_workload()[0].save(snapshot)
-    assert read_snapshot_header(snapshot)["version"] == version
     loaded = WarpSystem.load(snapshot)
     store = loaded.graph.store
     assert (store.max_ts, max(store.runs), store.max_qid) == walked_maxima(store)
@@ -952,6 +866,7 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     the one path each of them now has."""
     warp, path, _ = saved
     warp.enable_online_repair()
+    warp.enable_detection()
     warp.save(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.readlines()
@@ -971,24 +886,27 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     gate = loaded.server.gate
     gate.begin()
     assert gate._conflict("index.php", HttpRequest("GET", "/index.php")) is None
+    # Previews refresh on admin reads: no background refresher starts.
+    assert loaded.detector is not None
+    assert not [t for t in threading.enumerate() if "refresher" in t.name]
 
 
 @pytest.mark.parametrize("durability", ["always", None])
-def test_retired_durability_in_a_header_loads_as_group_commit(saved, durability):
-    """Headers once carried the fsync-per-append policy, or null for the
-    default of the day; both load on the one commit path."""
-    warp, path, lines = saved
+def test_retired_durability_in_a_header_is_refused(saved, tmp_path, durability):
+    """Headers before format 5 could carry the fsync-per-append policy, or
+    null for the default of the day; no format-5 header does, so neither is
+    mapped any more: each reaches the WAL as written and is refused."""
+    _, path, lines = saved
     header = json.loads(lines[0])
     header["serving_config"]["durability"] = durability
     rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
-    loaded = WarpSystem.load(path)
-    assert loaded.durability == "group"
-    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+    with pytest.raises(ValueError, match="durability"):
+        WarpSystem.load(path, wal_path=str(tmp_path / "warp.wal"))
 
 
 def test_unknown_durability_in_a_header_is_refused(saved, tmp_path):
-    """Only the retired values are mapped: a corrupt or misspelt policy
-    reaches the WAL as written and is refused, not run on group commit."""
+    """A corrupt or misspelt policy reaches the WAL as written and is
+    refused, not run on group commit."""
     _, path, lines = saved
     header = json.loads(lines[0])
     header["serving_config"]["durability"] = "bogus"
@@ -1038,6 +956,57 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         with pytest.raises(ReproError, match="line 4"):
             RecordStore.recover(snapshot_path=path)
+
+    def test_record_of_unknown_kind(self, saved):
+        """A snapshot line of a kind no build writes — ``run_replay``, what
+        the response cache journaled for a hit, included — is refused, not
+        skipped."""
+        _, path, lines = saved
+        rewrite(path, lines[:2] + [entry_line("run_replay", "{}")] + lines[3:])
+        with pytest.raises(ReproError, match="record of unknown kind 'run_replay'"):
+            WarpSystem.load(path)
+
+    def test_run_line_in_a_retired_shape(self, saved):
+        """A format-5 header over a run line as format 3 wrote it (every text
+        inline) is refused with the upgrade route, not decoded."""
+        warp, path, lines = saved
+        at = next(n for n, line in enumerate(lines) if line.startswith('{"kind":"run"'))
+        run = warp.graph.runs[json.loads(lines[at])["data"]["run_id"]]
+        inline = entry_line("run", run.encode())
+        rewrite(path, lines[:at] + [inline] + lines[at + 1 :])
+        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
+            WarpSystem.load(path)
+        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
+            RecordStore.recover(snapshot_path=path)
+
+    def test_a_refused_retired_file_leaves_the_sqlite_database_as_it_was(self, tmp_path):
+        """The upgrade route loads the same files with an older build: a
+        retired header is refused before anything touches the on-disk
+        database."""
+        db_path = str(tmp_path / "db")
+        warp = WarpSystem(db_backend="sqlite", db_path=db_path)
+        wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+        wiki.install()
+        wiki.seed_page("P", "seed\n", owner="admin")
+        path = str(tmp_path / "warp.json")
+        warp.save(path)
+        lines = read_lines(path)
+        header = json.loads(lines[0])
+        header["version"] = 4
+        rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+
+        def files():
+            found = {}
+            for name in sorted(os.listdir(db_path)):
+                with open(os.path.join(db_path, name), "rb") as fh:
+                    found[name] = fh.read()
+            return found
+
+        before = files()
+        assert before
+        with pytest.raises(ReproError, match="format 4 is retired"):
+            WarpSystem.load(path)
+        assert files() == before
 
     @pytest.mark.parametrize("version", [0, 6, "5", None])
     def test_unknown_version(self, saved, version):
@@ -1153,7 +1122,7 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
     (client,) = make_load_clients(wiki, warp.server, ["u"])
     for n in range(3):
         assert edit(client, "P", f"edit {n}.").status == 200
-    twin = AppRunRecord.from_dict(warp.graph.runs[2].to_dict())
+    twin = unwritten_copy(warp.graph.runs[2])
     twin.response.body += "<!-- replaced -->"
     warp.graph.replace_run(2, twin)
     warp.graph.store.wal.close()
@@ -1215,7 +1184,9 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     # The attach dropped the torn tail without a second pass.
     assert RecordWal.repair(wal_path) == 0
-    recovered.add_run(AppRunRecord.from_dict(dict(fixtures.golden_run().to_dict(), run_id=6)))
+    sixth = fixtures.golden_run()
+    sixth.run_id = 6
+    recovered.add_run(sixth)
     recovered.wal.close()
     runs = [data["run_id"] for kind, data in RecordWal.entries(wal_path) if kind == "run"]
     assert runs == [1, 2, 3, 4, 5, 6]

@@ -97,7 +97,8 @@ class TestBackendSelection:
     def test_snapshot_backend_reads_storage_config(self):
         state = {"storage_config": {"backend": "sqlite"}}
         assert snapshot_backend(state) == "sqlite"
-        assert snapshot_backend({}, default="python") == "python"
+        # A deployment that left it to the environment recorded null.
+        assert snapshot_backend({"storage_config": {"backend": None}}) == resolve_backend()
 
 
 # ---------------------------------------------------------------------------

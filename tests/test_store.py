@@ -1,6 +1,5 @@
 """Unit tests for the record-store layer: indexes, mutation API, WAL."""
 
-import json
 import os
 import subprocess
 import sys
@@ -326,8 +325,14 @@ class TestDurability:
         store.add_run(run)
         store.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
         store.add_patch(PatchRecord(file="a.php", new_version=1, apply_ts=3))
-        with open(snap_path, "w", encoding="utf-8") as fh:
-            json.dump(store.to_snapshot(), fh)  # crash before wal.truncate()
+        store.wal.sync()
+        with open(wal_path, "rb") as fh:
+            journal = fh.read()
+        store.save_snapshot(snap_path)
+        store.wal.close()
+        # Crash before wal.truncate(), the pre-write marker not yet on disk.
+        with open(wal_path, "wb") as fh:
+            fh.write(journal)
 
         recovered = RecordStore.recover(snapshot_path=snap_path, wal_path=wal_path)
         assert len(recovered.runs_in_order()) == 1
