@@ -193,9 +193,3 @@ class GalleryApp:
             "SELECT name, width, height, view_count FROM items WHERE name = ?",
             (name,),
         ).one()
-
-    def perms_for(self, name: str):
-        result = self.ttdb.execute(
-            "SELECT user_name FROM perms WHERE item_name = ?", (name,)
-        )
-        return sorted(row["user_name"] for row in result.rows or [])

@@ -206,9 +206,6 @@ class Document:
         body = self.root.find("body")
         return body.text_content() if body is not None else self.root.text_content()
 
-    def to_html(self) -> str:
-        return serialize(self.root)
-
 
 def parse_html(markup: str) -> Document:
     """Parse ``markup`` into a :class:`Document` (forgiving)."""

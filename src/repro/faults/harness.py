@@ -194,12 +194,6 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
     return report
 
 
-def run_many(seeds, workdir: str) -> List[HarnessReport]:
-    """The fault matrix: one report per seed (CI runs this over a pinned
-    seed set and fails on any violation)."""
-    return [run_schedule(generate_schedule(seed), workdir) for seed in seeds]
-
-
 # -- the drive ---------------------------------------------------------------
 
 

@@ -124,12 +124,11 @@ class HealthMonitor:
         return (200 if doc["mode"] == "normal" else 503), doc
 
     def to_dict(self) -> dict:
-        """The ``/warp/admin/health`` document: mode, WAL lag, pool depth,
-        last fault, and enough counters to see the degradation history."""
+        """The ``/warp/admin/health`` document: mode, WAL lag, last fault,
+        and enough counters to see the degradation history."""
         warp = self._warp
         store = warp.graph.store
         wal = store.wal
-        pool = getattr(warp, "serving_pool", None)
         with self._lock:
             doc = {
                 "mode": self.mode,
@@ -141,7 +140,6 @@ class HealthMonitor:
             }
         doc["unsynced_mutations"] = store.unsynced_mutations
         doc["wal"] = wal.status() if wal is not None else None
-        doc["pool"] = pool.stats() if pool is not None else None
         doc["faults"] = warp.faults.status()
         doc["repair"] = {
             "active": warp.ttdb.repair_gen is not None,

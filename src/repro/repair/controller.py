@@ -512,7 +512,8 @@ class RepairController:
         # one: they must survive an abort and never trigger one.
         self._prior_conflict_ids = {id(c) for c in self.conflicts.pending()}
         if self.server.gate is not None:
-            # Gate everything until the damage components are planned.
+            # Unscoped until the damage components are planned: the gate
+            # serves every request, since nothing has been modified yet.
             self.server.gate.begin()
 
     def _repair_conflicts(self) -> List[Conflict]:

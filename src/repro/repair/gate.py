@@ -115,15 +115,6 @@ class _RequestEnv:
 
 
 @dataclass
-class _SqlReadTemplate:
-    """Symbolic read set of one recorded statement shape."""
-
-    table: str
-    #: None -> reads ALL partitions of ``table``.
-    disjuncts: Optional[Tuple[Tuple[Tuple[str, Source], ...], ...]]
-
-
-@dataclass
 class _WriteColumn:
     """How one written partition column of one table resolves."""
 

@@ -20,7 +20,7 @@ construction.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.http.message import HttpRequest
 from repro.shard.coordinator import ShardCoordinator
@@ -48,8 +48,6 @@ class ShardCluster:
         users_per_tenant: int = 2,
         warp_kwargs: Optional[dict] = None,
         admin_token: Optional[str] = None,
-        route_key: Optional[Callable[[HttpRequest], str]] = None,
-        pool_workers: int = 0,
         secret: str = "dev",
         fault_plane=None,
     ) -> None:
@@ -92,7 +90,6 @@ class ShardCluster:
                 },
                 warp_kwargs=warp_kwargs,
                 secret=secret,
-                pool_workers=pool_workers,
             )
             for shard in range(n_shards)
         ]
@@ -120,7 +117,6 @@ class ShardCluster:
                     admin_token=admin_token,
                 )
         self.clients = clients
-        self._route_key = route_key
         self._fault_plane = fault_plane
         self.journal_path = os.path.join(root, "coordinator.journal")
         self.coordinator = self._make_coordinator()
@@ -135,7 +131,6 @@ class ShardCluster:
     def _make_coordinator(self) -> ShardCoordinator:
         return ShardCoordinator(
             self.clients,
-            route_key=self._route_key,
             routing=self.routing,
             journal_path=self.journal_path,
             fault_plane=self._fault_plane,
@@ -170,5 +165,3 @@ class ShardCluster:
             if process.is_alive():  # pragma: no cover - hung worker
                 process.terminate()
                 process.join(timeout=5.0)
-        for worker in self.workers:
-            worker.close()

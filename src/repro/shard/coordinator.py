@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.ids import trailing_seq
@@ -50,7 +50,7 @@ from repro.repair.api import RepairSpec, parse_spec, spec_from_request
 from repro.repair.jobs import TERMINAL_STATUSES
 from repro.repair.stats import merge_stats_dicts
 from repro.shard.plan import merge_touch_summaries
-from repro.shard.routing import SHARD_HEADER, RoutingTable, default_route_key
+from repro.shard.routing import SHARD_HEADER, RoutingTable
 from repro.shard.wire import ShardClient, ShardWireError
 
 #: How often a dispatched job is polled, and how long it may take to settle.
@@ -95,7 +95,6 @@ class ShardCoordinator:
     def __init__(
         self,
         clients: Dict[int, ShardClient],
-        route_key: Optional[Callable[[HttpRequest], str]] = None,
         routing: Optional[RoutingTable] = None,
         journal_path: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
@@ -104,7 +103,6 @@ class ShardCoordinator:
             raise ValueError("coordinator needs at least one shard client")
         self.clients: Dict[int, ShardClient] = dict(clients)
         self.routing = routing or RoutingTable(len(self.clients))
-        self.route_key = route_key or default_route_key
         self.journal_path = journal_path
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         self._journal_lock = threading.Lock()
@@ -140,7 +138,7 @@ class ShardCoordinator:
     # -- request routing -----------------------------------------------------
 
     def shard_for(self, request: HttpRequest) -> int:
-        return self.routing.shard_for_request(request, self.route_key)
+        return self.routing.shard_for_request(request)
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Serve one request: coordinator admin surface, explicitly

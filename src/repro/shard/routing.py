@@ -76,8 +76,8 @@ class RoutingTable:
             return pinned
         return zlib.crc32(str(key).encode("utf-8")) % self.n_shards
 
-    def shard_for_request(self, request: HttpRequest, route_key=None) -> int:
-        return self.shard_of((route_key or default_route_key)(request))
+    def shard_for_request(self, request: HttpRequest) -> int:
+        return self.shard_of(default_route_key(request))
 
     def to_dict(self) -> dict:
         return {"n_shards": self.n_shards, "pins": dict(self.pins)}

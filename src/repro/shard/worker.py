@@ -10,14 +10,9 @@ an importable ``module:callable`` factory, and serves wire frames
 directly through a :class:`~repro.shard.wire.LocalShardClient`) or from
 a real process (:func:`worker_main` + :func:`spawn_worker`).
 
-Worker mode on the serving stack:
-
-* the worker's :class:`~repro.http.server.HttpServer` carries the shard
-  identity and refuses mis-stamped requests with a 421 (the routing
-  contract's enforcement point);
-* an optional :class:`~repro.http.pool.ServerPool` bounds concurrent
-  handling across connection threads (admission control: overload answers
-  503 backpressure instead of unbounded queueing).
+The worker's :class:`~repro.http.server.HttpServer` carries the shard
+identity and refuses mis-stamped requests with a 421 (the routing
+contract's enforcement point).
 
 The **application factory** contract: ``factory(warp, fresh, args)``
 installs (``fresh=True``: create tables, register code, seed) or
@@ -35,10 +30,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.http.message import HttpRequest
-from repro.http.pool import ServerPool
 from repro.warp import WarpSystem
 
 #: Fixed authkey prefix; the per-cluster secret rides in ShardConfig.
@@ -84,8 +77,6 @@ class ShardConfig:
     warp_kwargs: dict = field(default_factory=dict)
     #: Cluster wire secret (authkey material for the process transport).
     secret: str = "dev"
-    #: >0 installs a ServerPool of that many threads (worker mode).
-    pool_workers: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +86,6 @@ class ShardConfig:
             "app_args": dict(self.app_args),
             "warp_kwargs": dict(self.warp_kwargs),
             "secret": self.secret,
-            "pool_workers": self.pool_workers,
         }
 
     @classmethod
@@ -107,7 +97,6 @@ class ShardConfig:
             app_args=dict(data.get("app_args") or {}),
             warp_kwargs=dict(data.get("warp_kwargs") or {}),
             secret=data.get("secret", "dev"),
-            pool_workers=int(data.get("pool_workers", 0)),
         )
 
 
@@ -125,20 +114,10 @@ class ShardWorker:
         self.warp.server.shard_id = config.shard_id
         factory = resolve_factory(config.app)
         self.app = factory(self.warp, fresh, dict(config.app_args))
-        self.pool: Optional[ServerPool] = None
-        if config.pool_workers > 0:
-            self.pool = ServerPool(
-                self.warp.server,
-                workers=config.pool_workers,
-                fault_plane=self.warp.faults,
-            )
-            self.warp.serving_pool = self.pool
 
     # -- request serving ---------------------------------------------------
 
     def handle(self, request: HttpRequest):
-        if self.pool is not None:
-            return self.pool.handle(request)
         return self.warp.server.handle(request)
 
     def handle_frame(self, frame: dict) -> dict:
@@ -169,10 +148,6 @@ class ShardWorker:
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"unknown wire op {op!r}"}
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +224,6 @@ def worker_main(config_json: str, address: str) -> None:
         deadline = time.monotonic() + 1.0
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        worker.close()
 
 
 def spawn_worker(config: ShardConfig):

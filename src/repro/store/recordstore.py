@@ -308,13 +308,6 @@ class RecordStore:
         #: entries to write.  Dropped by whatever may leave an entry unused
         #: (runs removed, entries replayed), restored by the next snapshot.
         self._texts_exact = True
-        #: Size-triggered rotation: when the WAL grows past ``rotate_bytes``
-        #: appended bytes, ``rotate_hook`` is invoked (outside all store
-        #: locks) after the triggering mutation commits.  The hook —
-        #: installed by :class:`repro.warp.WarpSystem` — snapshots the
-        #: deployment and truncates the log.
-        self.rotate_bytes: Optional[int] = None
-        self.rotate_hook = None
         #: Degraded read-only serving (health monitor): journal entries
         #: that cannot reach disk are parked in the WAL instead of raising
         #: — read-path bookkeeping (the runs of reads, visit logs) keeps
@@ -405,8 +398,7 @@ class RecordStore:
         self, ticket: Optional[CommitTicket], relaxed: Optional[bool] = None
     ) -> None:
         """Wait (outside every stripe) until the mutation's journal entry
-        is durable, then fire size-triggered rotation if the log has grown
-        past its bound.  This wait is where the entry is written and where
+        is durable.  This wait is where the entry is written and where
         concurrent writers share one fsync; the stripes are never held
         across it.
 
@@ -439,14 +431,6 @@ class RecordStore:
                     f"journal entry did not reach disk ({detail}); "
                     "mutation applied in memory but not acknowledged"
                 )
-        wal = self.wal
-        if (
-            self.rotate_hook is not None
-            and wal is not None
-            and self.rotate_bytes is not None
-            and wal.appended_bytes >= self.rotate_bytes
-        ):
-            self.rotate_hook()
 
     # ------------------------------------------------------------------ writes
 
@@ -1148,7 +1132,7 @@ class RecordStore:
         Runs under the records stripe so no mutation can journal between
         the pre-write marker and the truncation — an entry landing in that
         window would be dropped by the truncate without being in the
-        snapshot (this is what makes mid-traffic WAL rotation safe) — and
+        snapshot (this is what makes a save under live traffic safe) — and
         the records are read under the same hold, so the file is exactly
         the store the markers bracket.  The pre-write marker is waited
         durable *before* the snapshot file is written: under group commit,

@@ -144,8 +144,7 @@ class RecordWal:
         else:
             self._drop_tail(path, intact_size)
         self._fh = open(path, "a", encoding="utf-8")
-        #: Bytes appended since open/truncate — the store's size-triggered
-        #: rotation watches this, not the file (truncate resets it).
+        #: Bytes appended since open/truncate (truncate resets it).
         self.appended_bytes = 0
         #: Byte offset of the last known-good end of file.  Failed writes
         #: may leave partial garbage past it; retries and ``heal`` truncate

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.ahg.graph import ActionHistoryGraph
@@ -42,7 +41,7 @@ from repro.core.ids import IdAllocator, random_token
 from repro.db.engine import create_database, resolve_backend, snapshot_backend
 from repro.http.server import HttpServer
 from repro.repair.conflicts import Conflict, ConflictQueue
-from repro.core.errors import DurabilityError, RepairError
+from repro.core.errors import RepairError
 from repro.core.serialize import decode_tree, encode_tree
 from repro.faults.health import HealthMonitor
 from repro.faults.plane import FaultPlane
@@ -71,8 +70,6 @@ class WarpSystem:
         wal_path: Optional[str] = None,
         admin_token: Optional[str] = None,
         durability: str = "group",
-        wal_rotate_bytes: Optional[int] = None,
-        wal_rotate_snapshot: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
         db_backend: Optional[str] = None,
         db_path: Optional[str] = None,
@@ -86,7 +83,6 @@ class WarpSystem:
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         #: Serving-path configuration (API.md "High-throughput serving").
         self.durability = durability
-        self.wal_rotate_bytes = wal_rotate_bytes
         self._wal_options = {"durability": durability, "fault_plane": self.faults}
         self.clock = LogicalClock()
         self.ids = IdAllocator()
@@ -136,9 +132,6 @@ class WarpSystem:
         self.conflicts = ConflictQueue()
         self.server.conflict_lookup = self.conflicts.pending_count
         self.server.admin.add("GET", "/conflicts", self._conflicts_route)
-        self._rotate_lock = threading.Lock()
-        self._rotate_snapshot_path = wal_rotate_snapshot
-        self._arm_rotation(wal_path)
         self.replay_config = replay_config if replay_config is not None else ReplayConfig()
         #: Repair API v2 (see API.md): ``warp.repair.submit(spec)`` /
         #: ``preview(spec)`` / ``register_patch(...)``; also the backing
@@ -153,9 +146,6 @@ class WarpSystem:
         self.health = HealthMonitor(self)
         self.server.health = self.health
         self._wire_wal_health()
-        #: Optional bounded ServerPool serving this deployment; set by the
-        #: operator/benches so the health endpoint can report pool depth.
-        self.serving_pool = None
         #: Front-line detection (repro.detect), installed by
         #: :meth:`enable_detection`; inert (and zero-cost on the serve
         #: path) until then.
@@ -191,11 +181,14 @@ class WarpSystem:
         return 200, self.graph.store.touch_summary()
 
     def _shard_save_route(self, request: HttpRequest):
-        path = request.params.get("path") or self.shard_snapshot_path
-        if not path:
-            raise RepairError("no snapshot path: not a shard and no 'path' param")
-        self.save(path)
-        return 200, {"saved": path}
+        # The snapshot holds every table, the users' included: a client
+        # must not choose where it is written.
+        if "path" in request.params:
+            raise RepairError("shard save takes no 'path': it writes the shard layout")
+        if self.shard_snapshot_path is None:
+            raise RepairError("not a shard: no snapshot path in a shard layout")
+        self.save(self.shard_snapshot_path)
+        return 200, {"saved": self.shard_snapshot_path}
 
     def _wire_wal_health(self) -> None:
         """Point the store's current WAL at the health monitor.  Called at
@@ -203,43 +196,6 @@ class WarpSystem:
         wal = self.graph.store.wal
         if wal is not None:
             wal.on_degrade = self.health.on_wal_degrade
-
-    def _arm_rotation(self, wal_path: Optional[str]) -> None:
-        """Install size-triggered WAL rotation: once the log grows past
-        ``wal_rotate_bytes`` appended bytes, the next acknowledged mutation
-        snapshots the whole system (which truncates the log) so reload
-        never replays an unbounded WAL.  No-op without a bound."""
-        if self.wal_rotate_bytes is None:
-            return
-        if self._rotate_snapshot_path is None:
-            if wal_path is None:
-                return
-            self._rotate_snapshot_path = wal_path + ".snapshot.json"
-        store = self.graph.store
-        store.rotate_bytes = self.wal_rotate_bytes
-        store.rotate_hook = self._rotate_wal
-
-    def _rotate_wal(self) -> None:
-        """Fired by the store after a mutation pushed the WAL past the
-        rotation bound (outside every store lock).  Non-blocking: if a
-        rotation is already running on another thread, or a repair is in
-        progress (``save`` refuses then), this acknowledgement skips —
-        the next one past the bound retries."""
-        if not self._rotate_lock.acquire(blocking=False):
-            return
-        try:
-            if self.ttdb.repair_gen is not None or self.server.repair_active:
-                return
-            try:
-                self.save(self._rotate_snapshot_path)
-            except (RepairError, DurabilityError, OSError):
-                # A repair began between the check and the save, or the
-                # snapshot could not be made durable (sick disk — the
-                # health monitor handles the degradation); the next
-                # acknowledged mutation retries the rotation.
-                pass
-        finally:
-            self._rotate_lock.release()
 
     def enable_online_repair(self) -> RepairGate:
         """Install the partition-scoped write gate (repro.repair.gate):
@@ -386,7 +342,6 @@ class WarpSystem:
             # Serving-path knobs survive reload the same way.
             "serving_config": {
                 "durability": self.durability,
-                "wal_rotate_bytes": self.wal_rotate_bytes,
             },
         }
         self.graph.store.commit_snapshot(path, state)
@@ -460,7 +415,6 @@ class WarpSystem:
             db_backend=snapshot_backend(state),
             db_path=state["storage_config"]["db_path"],
             durability=serving["durability"],
-            wal_rotate_bytes=serving["wal_rotate_bytes"],
         )
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already
@@ -480,11 +434,6 @@ class WarpSystem:
                 wal_options=warp._wal_options,
             )
             warp._wire_wal_health()
-            # Rotation saves into the file this deployment was loaded
-            # from: the WAL is truncated against that save, and it is
-            # the file the next start will be given.
-            warp._rotate_snapshot_path = snapshot.path
-            warp._arm_rotation(wal_path)
         warp._sync_id_counters()
         warp._sync_clock()
         warp.server.routes.update(state.get("routes", {}))
@@ -532,8 +481,7 @@ class WarpSystem:
         graph still supports repair.  ``kwargs`` configure fresh
         construction (storage backend, durability, admin token, ...);
         ``db_path`` defaults into the shard's layout so the SQLite engine
-        lands inside the shard directory, and WAL rotation always saves
-        to the layout's snapshot — the only one the next start looks for.
+        lands inside the shard directory.
         """
         layout = cls.shard_layout(root, shard_id)
         os.makedirs(layout["dir"], exist_ok=True)
@@ -548,8 +496,6 @@ class WarpSystem:
         else:
             warp = cls(wal_path=wal_path, **kwargs)
             fresh = True
-        warp._rotate_snapshot_path = snapshot_path
-        warp._arm_rotation(wal_path)
         warp.shard_id = shard_id
         warp.shard_snapshot_path = snapshot_path
         warp.server.shard_id = shard_id

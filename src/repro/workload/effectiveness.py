@@ -10,7 +10,6 @@ conflict after retroactively patching the XSS vulnerability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.repair.replay import ReplayConfig
 from repro.workload.scenarios import WIKI, WikiDeployment
@@ -103,13 +102,3 @@ def _edit_first_line(deployment: WikiDeployment, user: str, title: str, note: st
     browser.type_into("textarea", "\n".join(lines))
     browser.click("input[name=save]")
 
-
-def effectiveness_table(n_victims: int = 8) -> Dict[str, Dict[str, int]]:
-    """The full Table 4 grid: attack action -> config -> conflict count."""
-    table: Dict[str, Dict[str, int]] = {}
-    for action in ATTACK_ACTIONS:
-        table[action] = {}
-        for config in CONFIGS:
-            cell = run_effectiveness(action, config, n_victims=n_victims)
-            table[action][config] = cell.victims_with_conflicts
-    return table

@@ -57,9 +57,8 @@ class LoadStats:
     errors: int = 0  # anything else
     #: Fine-grained error classes, keyed by what the 503/500 actually
     #: means operationally: ``503-degraded`` (read-only serving after a
-    #: durability failure — reads still flow), ``503-backpressure`` (pool
-    #: queue full — retry shortly), ``503-suspended`` (serving gate),
-    #: ``503-other``, ``500-server-error``.  Availability reporting needs
+    #: durability failure — reads still flow), ``503-suspended`` (serving
+    #: gate), ``503-other``, ``500-server-error``.  Availability reporting needs
     #: this split: a degraded system that keeps serving reads is a very
     #: different outcome from one returning 500s.
     error_classes: Dict[str, int] = field(default_factory=dict)
@@ -126,8 +125,6 @@ class LoadStats:
         if response.status == 503:
             if "X-Warp-Degraded" in response.headers:
                 return "503-degraded"
-            if "X-Warp-Overloaded" in response.headers:
-                return "503-backpressure"
             if "X-Warp-Suspended" in response.headers:
                 return "503-suspended"
             return "503-other"
@@ -190,7 +187,7 @@ class LoadStats:
         """Served-fraction report with the rejection reasons broken out.
 
         ``served_fraction`` counts straight successes; ``degraded_fraction``
-        is the share refused *softly* (read-only or backpressure 503s that
+        is the share refused *softly* (read-only or suspended 503s that
         a retrying client would eventually land); ``failed_fraction`` is
         hard failures (500s and unclassified errors)."""
         total = self.total

@@ -285,13 +285,22 @@ def test_unknown_admin_path_while_degraded_is_404(tmp_path):
     assert cancel.status == 404
 
 
+def _shard_warp(tmp_path):
+    """One shard's deployment in its layout, the one a worker runs, with a
+    fault plane of its own."""
+    plane = FaultPlane()
+    warp, _ = WarpSystem.load_or_create_shard(str(tmp_path), 0, fault_plane=plane)
+    WikiApp(warp.ttdb, warp.scripts, warp.server).install()
+    return warp, plane
+
+
+SHARD_SAVE = HttpRequest("POST", "/warp/admin/shard/save")
+
+
 def test_sick_log_on_shard_save_is_503_not_400(tmp_path):
-    warp, plane = _durable_warp(tmp_path)
+    warp, plane = _shard_warp(tmp_path)
     plane.arm(point="wal.append", kind="io", times=None)
-    save = HttpRequest(
-        "POST", "/warp/admin/shard/save", params={"path": str(tmp_path / "s.json")}
-    )
-    response = warp.server.handle(save)
+    response = warp.server.handle(SHARD_SAVE)
     assert response.status == 503
     assert response.headers["Retry-After"] == "1"
     payload = _json_body(response)
@@ -299,23 +308,34 @@ def test_sick_log_on_shard_save_is_503_not_400(tmp_path):
     assert payload["health"]["mode"] == "read_only"
     assert warp.health.mode == "read_only"
     plane.clear()
-    assert warp.server.handle(save).status == 200  # probe-on-write heals
+    assert warp.server.handle(SHARD_SAVE).status == 200  # probe-on-write heals
     assert warp.health.mode == "normal"
 
 
 def test_io_fault_writing_the_snapshot_is_503_not_500(tmp_path):
-    warp, plane = _durable_warp(tmp_path)
+    warp, plane = _shard_warp(tmp_path)
     plane.arm(point="store.snapshot", kind="io", times=None)
-    save = HttpRequest(
-        "POST", "/warp/admin/shard/save", params={"path": str(tmp_path / "s.json")}
-    )
-    response = warp.server.handle(save)
+    response = warp.server.handle(SHARD_SAVE)
     assert response.status == 503
     payload = _json_body(response)
     assert "InjectedIOError" in payload["error"] and "health" in payload
     plane.clear()
-    assert warp.server.handle(save).status == 200
+    assert warp.server.handle(SHARD_SAVE).status == 200
     assert warp.health.mode == "normal"
+
+
+@pytest.mark.parametrize("shard", [True, False])
+def test_a_client_cannot_choose_where_a_snapshot_is_written(tmp_path, shard):
+    """The snapshot holds every table, users and passwords included: a
+    ``path`` parameter is refused, on a shard and off one, and nothing is
+    written there."""
+    warp = _shard_warp(tmp_path)[0] if shard else _wiki_warp()
+    target = tmp_path / "elsewhere.json"
+    save = HttpRequest("POST", "/warp/admin/shard/save", params={"path": str(target)})
+    response = warp.server.handle(save)
+    assert response.status == 400
+    assert "path" in _json_body(response)["error"]
+    assert not target.exists()
 
 
 def test_incident_transition_that_breaks_the_log_is_not_acknowledged(tmp_path):

@@ -1,7 +1,7 @@
 """Randomized-but-seeded crash-recovery property (ISSUE 7 acceptance).
 
 Each seed deterministically generates a fault schedule (faults across the
-WAL, store, snapshot, repair, gate, cache, and pool layers), drives a
+WAL, store, snapshot, repair and gate layers), drives a
 live wiki workload against it, simulates process death, reloads from
 disk, and checks the recovery invariants:
 

@@ -12,9 +12,8 @@ Covers the PR 7 robustness plane:
   the structured 503 on mutating admin calls while degraded;
 * repair jobs under faults: bounded retry of transients, crash -> job
   reported as interrupted after reload;
-* fault points in the gate drain and pool dispatch —
-  including the acceptance bar that a fault storm crashes zero serving
-  threads;
+* fault points in the gate drain and the store, and the acceptance bar
+  that a fault storm crashes zero serving threads;
 * per-request error classification in the load driver.
 """
 
@@ -40,7 +39,6 @@ from repro.faults.plane import (
     TornWrite,
 )
 from repro.http.message import HttpRequest, HttpResponse
-from repro.http.pool import ServerPool
 from repro.apps.wiki import pages as wiki_pages
 from repro.repair import jobs as jobs_mod
 from repro.repair.api import CancelClientSpec, PatchSpec
@@ -461,39 +459,45 @@ class TestDegradedServing:
     def test_fault_storm_crashes_zero_serving_threads(self, tmp_path):
         plane = FaultPlane()
         warp, _, client = _wiki_warp(tmp_path, plane)
-        pool = ServerPool(warp.server, workers=4, queue_depth=64, fault_plane=plane)
-        warp.serving_pool = pool
         plane.arm(point="wal.fsync", kind="io", times=None)
         # Deterministic entry into read-only before the concurrent storm.
         assert _append(client, "trigger.").status == 503
         assert warp.health.mode == "read_only"
-        pending = []
-        for index in range(30):
-            if index % 3 == 0:
-                request = client.request(
-                    "POST", "/edit.php", {"title": PAGE, "append": f"\ns{index}."}
-                )
-            else:
-                request = client.request("GET", "/edit.php", {"title": PAGE})
-            pending.append(pool.submit(request))
-        responses = [p.wait(10.0) for p in pending]
-        stats = pool.stats()
-        assert stats["alive_workers"] == 4
-        reads = [r for i, r in enumerate(responses) if i % 3 != 0]
+        requests = [
+            client.request("POST", "/edit.php", {"title": PAGE, "append": f"\ns{index}."})
+            if index % 3 == 0
+            else client.request("GET", "/edit.php", {"title": PAGE})
+            for index in range(30)
+        ]
+        responses, died = {}, []
+
+        def serve(indexes):
+            try:
+                for index in indexes:
+                    responses[index] = warp.server.handle(requests[index])
+            except BaseException as exc:  # what would kill a serving thread
+                died.append(exc)
+
+        threads = [
+            threading.Thread(target=serve, args=(range(first, 30, 4),))
+            for first in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert died == [] and not any(thread.is_alive() for thread in threads)
+        reads = [responses[i] for i in range(30) if i % 3 != 0]
         assert all(r.status == 200 for r in reads)
-        writes = [r for i, r in enumerate(responses) if i % 3 == 0]
+        writes = [responses[i] for i in range(30) if i % 3 == 0]
         assert all(r.status == 503 for r in writes)
         assert all(
             r.headers.get("X-Warp-Degraded") == "read-only" for r in writes
         )
         # Storm over: the system self-heals on the next write.
         plane.clear()
-        assert pool.handle(
-            client.request("POST", "/edit.php", {"title": PAGE, "append": "\nafter."})
-        ).status == 200
+        assert _append(client, "after.").status == 200
         assert warp.health.mode == "normal"
-        assert pool.stats()["alive_workers"] == 4
-        pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +598,7 @@ class TestRepairUnderFaults:
 
 
 # ---------------------------------------------------------------------------
-# gate / pool fault points
+# gate / store fault points
 # ---------------------------------------------------------------------------
 
 
@@ -612,20 +616,6 @@ class TestPointInstrumentation:
         # Nothing consumed: the drain retries and loses no queued request.
         assert gate.queue == ["sentinel"]
         assert gate.pop_next() == "sentinel"
-
-    def test_pool_dispatch_fault_surfaces_to_waiter_not_worker(self, tmp_path):
-        plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
-        pool = ServerPool(warp.server, workers=2, fault_plane=plane)
-        plane.arm(point="pool.dispatch", kind="error", times=1)
-        pending = pool.submit(client.request("GET", "/edit.php", {"title": PAGE}))
-        with pytest.raises(InjectedError):
-            pending.wait(5.0)
-        assert pool.stats()["alive_workers"] == 2
-        assert pool.handle(
-            client.request("GET", "/edit.php", {"title": PAGE})
-        ).status == 200
-        pool.close()
 
     def test_store_insert_run_fault_fires_before_mutation(self, tmp_path):
         plane = FaultPlane()
@@ -656,10 +646,6 @@ class TestLoadStatsClassification:
             == "503-degraded"
         )
         assert (
-            classify(self._response(503, {"X-Warp-Overloaded": "queue"}))
-            == "503-backpressure"
-        )
-        assert (
             classify(self._response(503, {"X-Warp-Suspended": "1"}))
             == "503-suspended"
         )
@@ -672,14 +658,14 @@ class TestLoadStatsClassification:
         stats.note(self._response(200), 0.001)
         stats.note(self._response(200), 0.001)
         stats.note(self._response(503, {"X-Warp-Degraded": "read-only"}), 0.001)
-        stats.note(self._response(503, {"X-Warp-Overloaded": "queue"}), 0.001)
+        stats.note(self._response(503, {"X-Warp-Suspended": "1"}), 0.001)
         stats.note(self._response(500), 0.001)
         other = LoadStats()
         other.note(self._response(503, {"X-Warp-Degraded": "read-only"}), 0.001)
         stats.merge(other)
         assert stats.error_classes == {
             "503-degraded": 2,
-            "503-backpressure": 1,
+            "503-suspended": 1,
             "500-server-error": 1,
         }
         report = stats.availability()

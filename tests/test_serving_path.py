@@ -10,12 +10,11 @@ satellites:
   re-execution, invalidation is partition-precise, every visibility
   transition flushes;
 * striped record-store locking loses no append under 16 real threads;
-* the bounded ``ServerPool`` (backpressure 503s, clean close);
 * one serving path: every request, repeat GETs included, runs its script
   and records exactly one run, so writes, script patches and repairs
   reach the next response;
-* size-triggered WAL rotation under live traffic reloads identically;
-* serving-path knobs persist through ``save``/``load``.
+* serving-path knobs persist through ``save``/``load``, and the removed
+  ones (WAL rotation, the server pool, the shard route key) are refused.
 """
 
 import importlib.util
@@ -28,14 +27,12 @@ import time
 import pytest
 
 from repro.ahg.records import AppRunRecord
-from repro.apps.wiki.app import WikiApp
 from repro.core.clock import LogicalClock
 from repro.db.storage import Column, Database, TableSchema
 from repro.faults.plane import FaultPlane
-from repro.http.message import HttpRequest, HttpResponse
-from repro.http.pool import ServerPool
+from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec
-from repro.store.snapshot import read_snapshot_header
+from repro.shard import ShardCluster, ShardConfig, ShardCoordinator
 from repro.store.wal import RecordWal
 from repro.ttdb.timetravel import TimeTravelDB
 from repro.warp import WarpSystem
@@ -323,6 +320,19 @@ class TestStatementCache:
 # ---------------------------------------------------------------------------
 
 
+def assert_gone(module, imported_by):
+    """``module`` does not exist, and a fresh interpreter importing
+    ``imported_by`` loads nothing under its name."""
+    probe = f"import sys, {imported_by}; sys.exit({module!r} in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert importlib.util.find_spec(module) is None
+
+
 class TestOneServingPath:
     def _deploy(self, n_users=2, seed=5):
         deployment = WikiDeployment(n_users=n_users, seed=seed)
@@ -487,83 +497,7 @@ class TestOneServingPath:
     def test_the_response_cache_is_gone(self):
         with pytest.raises(TypeError):
             WarpSystem(**{"response_cache": True})
-        probe = (
-            "import sys, repro.warp; "
-            "sys.exit('repro.http.cache' in sys.modules)"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
-        assert importlib.util.find_spec("repro.http.cache") is None
-
-
-# ---------------------------------------------------------------------------
-# ServerPool backpressure
-# ---------------------------------------------------------------------------
-
-
-class _StubServer:
-    """Blocks every request on an event; counts entries."""
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.entered = threading.Semaphore(0)
-        self.served = 0
-        self._lock = threading.Lock()
-
-    def handle(self, request):
-        self.entered.release()
-        self.release.wait(10.0)
-        with self._lock:
-            self.served += 1
-        return HttpResponse(status=200, body="ok")
-
-
-class TestServerPool:
-    def test_serves_through_workers(self):
-        deployment = WikiDeployment(n_users=1, seed=3)
-        pool = ServerPool(deployment.warp.server, workers=2, queue_depth=8)
-        try:
-            (client,) = make_load_clients(deployment.wiki, pool, ["c0"])
-            response = client.send(
-                HttpRequest(
-                    "GET",
-                    "/edit.php",
-                    params={"title": "Main_Page"},
-                    cookies=dict(client.cookies),
-                    headers={"X-Warp-Client": "c0-load"},
-                )
-            )
-            assert response.status == 200
-        finally:
-            pool.close()
-
-    def test_full_queue_sheds_load_with_503(self):
-        stub = _StubServer()
-        pool = ServerPool(stub, workers=1, queue_depth=1)
-        try:
-            blocked = pool.submit(HttpRequest("GET", "/x", params={}))
-            assert stub.entered.acquire(timeout=5.0), "worker never picked up"
-            queued = pool.submit(HttpRequest("GET", "/x", params={}))
-            shed = pool.submit(HttpRequest("GET", "/x", params={}))
-            overflow = shed.wait(1.0)
-            assert overflow.status == 503
-            stub.release.set()
-            assert blocked.wait(5.0).status == 200
-            assert queued.wait(5.0).status == 200
-        finally:
-            stub.release.set()
-            pool.close()
-
-    def test_close_is_idempotent_and_stops_workers(self):
-        stub = _StubServer()
-        stub.release.set()
-        pool = ServerPool(stub, workers=2, queue_depth=4)
-        pool.close()
-        pool.close()
+        assert_gone("repro.http.cache", imported_by="repro.warp")
 
 
 # ---------------------------------------------------------------------------
@@ -634,83 +568,43 @@ class TestStripedLocksUnderContention:
 
 
 # ---------------------------------------------------------------------------
-# rotation under live traffic + serving-config persistence
+# serving-config persistence; removed serving options
 # ---------------------------------------------------------------------------
 
 
-def post_appends(client, count):
-    """``count`` acknowledged appends to Main_Page through ``client``."""
-    for i in range(count):
-        response = client.send(
-            HttpRequest(
-                "POST",
-                "/edit.php",
-                params={"title": "Main_Page", "append": f"\nrot{i}."},
-                cookies=dict(client.cookies),
-                headers={"X-Warp-Client": "c0-load"},
-            )
-        )
-        assert response.status == 200
+def test_serving_config_round_trips(tmp_path):
+    snapshot = str(tmp_path / "cfg.json")
+    WarpSystem(seed=7, durability="none").save(snapshot)
+    assert WarpSystem.load(snapshot).durability == "none"
 
 
-class TestRotationAndPersistence:
-    def test_rotation_mid_traffic_reloads_identically(self, tmp_path):
-        wal_path = str(tmp_path / "serve.wal")
-        snapshot = str(tmp_path / "serve.snapshot.json")
-        deployment = WikiDeployment(
-            n_users=1,
-            seed=13,
-            wal_path=wal_path,
-            wal_rotate_bytes=4096,
-            wal_rotate_snapshot=snapshot,
-            durability="group",
-        )
-        (client,) = make_load_clients(deployment.wiki, deployment.warp.server, ["c0"])
-        post_appends(client, 24)
-        assert os.path.exists(snapshot), "traffic never triggered rotation"
-        wal = deployment.warp.graph.store.wal
-        assert wal.sync(5.0)
-        reloaded = WarpSystem.load(snapshot, wal_path=wal_path)
-        live = deployment.warp.graph.to_snapshot()
-        assert reloaded.graph.to_snapshot() == live
-        assert reloaded.durability == "group"
+#: owner -> (how to build one under a root directory, its removed keywords)
+REMOVED_OPTIONS = {
+    "WarpSystem": (
+        lambda root, **kw: WarpSystem(**kw),
+        ("wal_rotate_bytes", "wal_rotate_snapshot"),
+    ),
+    "ShardConfig": (lambda root, **kw: ShardConfig(0, root, **kw), ("pool_workers",)),
+    "ShardCluster": (
+        lambda root, **kw: ShardCluster(1, root, **kw),
+        ("pool_workers", "route_key"),
+    ),
+    "ShardCoordinator": (
+        lambda root, **kw: ShardCoordinator({0: None}, **kw),
+        ("route_key",),
+    ),
+}
 
-    def test_reloaded_deployment_rotates_into_the_file_it_loaded(self, tmp_path):
-        wal_path = str(tmp_path / "serve.wal")
-        snapshot = str(tmp_path / "serve.snapshot.json")
-        deployment = WikiDeployment(
-            n_users=1,
-            seed=13,
-            wal_path=wal_path,
-            wal_rotate_bytes=4096,
-            wal_rotate_snapshot=snapshot,
-        )
-        deployment.warp.save(snapshot)
-        deployment.warp.graph.store.wal.close()
-        saved_id = read_snapshot_header(snapshot)["snapshot_id"]
 
-        reloaded = WarpSystem.load(snapshot, wal_path=wal_path)
-        wiki = WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server)
-        wiki.register_code()
-        (client,) = make_load_clients(wiki, reloaded.server, ["c0"])
-        post_appends(client, 40)
-        assert read_snapshot_header(snapshot)["snapshot_id"] != saved_id, (
-            "traffic never rotated into the loaded snapshot"
-        )
-        assert not os.path.exists(wal_path + ".snapshot.json")
-        live = reloaded.graph.to_snapshot()
-        reloaded.graph.store.wal.close()
-        again = WarpSystem.load(snapshot, wal_path=wal_path)
-        assert again.graph.to_snapshot() == live
+@pytest.mark.parametrize(
+    "owner, keyword",
+    [(owner, kw) for owner, (_, kws) in REMOVED_OPTIONS.items() for kw in kws],
+)
+def test_a_removed_serving_option_is_refused(tmp_path, owner, keyword):
+    build = REMOVED_OPTIONS[owner][0]
+    with pytest.raises(TypeError):
+        build(str(tmp_path), **{keyword: 1})
 
-    def test_serving_config_round_trips(self, tmp_path):
-        snapshot = str(tmp_path / "cfg.json")
-        warp = WarpSystem(
-            seed=7,
-            durability="none",
-            wal_rotate_bytes=1 << 20,
-        )
-        warp.save(snapshot)
-        reloaded = WarpSystem.load(snapshot)
-        assert reloaded.durability == "none"
-        assert reloaded.wal_rotate_bytes == 1 << 20
+
+def test_the_server_pool_is_gone():
+    assert_gone("repro.http.pool", imported_by="repro.shard")

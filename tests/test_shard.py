@@ -270,7 +270,6 @@ class TestWireAndWorker:
         )
         status, payload = client.admin_json("POST", "/warp/admin/shard/save")
         assert status == 200 and payload["saved"].endswith("snapshot.json")
-        worker.close()
 
         reborn = self.make_worker(tmp_path)
         assert "persisted" in page_text(reborn, 0)
@@ -281,66 +280,62 @@ class TestWireAndWorker:
         assert status == 200 and info["shard_id"] == 0
 
     def test_config_written_by_the_previous_commit_still_loads(self):
-        """``ShardConfig.to_dict`` of PR 16 carried one more key (the pool
-        queue depth, now ``ServerPool``'s own default): ``from_dict`` must
-        keep ignoring it."""
+        """``ShardConfig.to_dict`` of PR 16 carried two keys that are gone
+        (the server pool's size and queue depth): ``from_dict`` must keep
+        ignoring them."""
         path = os.path.join(os.path.dirname(__file__), "fixtures", "shard_config_pr16.json")
         with open(path, "r", encoding="utf-8") as fh:
             written = json.load(fh)
         config = ShardConfig.from_dict(written)
         kept = config.to_dict()
-        assert len(set(written) - set(kept)) == 1
+        assert len(set(written) - set(kept)) == 2
         assert kept == {key: written[key] for key in kept}
 
-    def test_wal_rotation_keeps_the_shard_history(self, tmp_path):
-        """Regression: rotation saved beside the WAL, where the next start
-        never looks — the truncated log alone then came back as a fresh
-        shard and the app factory reinstalled over the data.  Each rotation
-        starts a segment of text entries (snapshot format 5): every id the
-        snapshot and the WAL after it refer to resolves within them."""
+    def test_a_save_mid_traffic_keeps_the_shard_history(self, tmp_path):
+        """Writes before and after a shard save: the next start reloads the
+        snapshot plus the WAL tail behind it as the live graph, and every
+        text id the snapshot and that tail refer to resolves within them
+        (one segment of snapshot format 5)."""
         config = ShardConfig(
             shard_id=0,
             data_dir=str(tmp_path),
             app_args={"tenants": [0], "shared_users": [ATTACKER]},
-            warp_kwargs={"wal_rotate_bytes": 4096},
         )
         layout = WarpSystem.shard_layout(str(tmp_path), 0)
-        snapshot = layout["snapshot"]
 
         def assert_ids_resolve(warp):
-            assert fixtures.undefined_refs(fixtures.segment(snapshot, layout["wal"])) == []
+            assert fixtures.undefined_refs(fixtures.segment(layout["snapshot"], layout["wal"])) == []
             store = warp.graph.store
             for run in store.runs.values():
                 if run.json_text is not None:
                     refs = fixtures.text_refs("run", json.loads(run.json_text))
                     assert refs <= set(store.texts.by_id)
 
-        def serve_past_the_bound(worker):
-            before = worker.warp.graph.n_runs
+        def serve_around_a_save(worker):
             session = Session("t0_user1", worker)
             session.login(0)
             for i in range(24):
+                if i == 12:
+                    status, _ = LocalShardClient(worker).admin_json(
+                        "POST", "/warp/admin/shard/save"
+                    )
+                    assert status == 200
                 response = session.send(
-                    "POST", "/edit.php", 0, title="tenant0_wiki", append=f"\nrot{i}"
+                    "POST", "/edit.php", 0, title="tenant0_wiki", append=f"\nsave{i}"
                 )
                 assert response.status == 200
-            assert os.path.exists(snapshot), "traffic never triggered rotation"
-            assert read_snapshot_header(snapshot)["records"]["run"] > before
-            worker.close()
+            saved_runs = read_snapshot_header(layout["snapshot"])["records"]["run"]
+            assert 0 < saved_runs < worker.warp.graph.n_runs
             assert_ids_resolve(worker.warp)
-            return worker.warp.graph.n_runs
+            return worker.warp.graph.to_snapshot()
 
-        n_runs = serve_past_the_bound(ShardWorker(config))
-        # The second start takes the snapshot branch, which must keep
-        # rotating into the layout too.
+        live = serve_around_a_save(ShardWorker(config))
         reborn = ShardWorker(config)
-        assert reborn.warp.graph.n_runs == n_runs
-        n_runs = serve_past_the_bound(reborn)
-        warp, fresh = WarpSystem.load_or_create_shard(
-            config.data_dir, 0, **config.warp_kwargs
-        )
+        assert reborn.warp.graph.to_snapshot() == live
+        live = serve_around_a_save(reborn)
+        warp, fresh = WarpSystem.load_or_create_shard(config.data_dir, 0)
         assert fresh is False
-        assert warp.graph.n_runs == n_runs
+        assert warp.graph.to_snapshot() == live
         assert_ids_resolve(warp)
 
 
@@ -759,7 +754,6 @@ def test_process_transport_end_to_end(tmp_path):
         transport="proc",
         tenants=[0, 4],
         shared_users=[ATTACKER],
-        pool_workers=2,
     )
     try:
         pings = {shard: client.ping() for shard, client in cluster.clients.items()}

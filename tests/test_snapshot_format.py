@@ -861,13 +861,8 @@ def rewrite(path, lines):
         fh.writelines(lines)
 
 
-def test_removed_config_keys_in_a_header_are_ignored(saved):
-    """A snapshot written before the removed options went still loads, on
-    the one path each of them now has."""
-    warp, path, _ = saved
-    warp.enable_online_repair()
-    warp.enable_detection()
-    warp.save(path)
+def add_removed_config_keys(path):
+    """Put every removed option of the fixture back into a saved header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.readlines()
     header = json.loads(lines[0])
@@ -875,6 +870,16 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
         for section, removed in json.load(fh).items():
             header[section].update(removed)
     rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
+
+
+def test_removed_config_keys_in_a_header_are_ignored(saved):
+    """A snapshot written before the removed options went still loads, on
+    the one path each of them now has."""
+    warp, path, _ = saved
+    warp.enable_online_repair()
+    warp.enable_detection()
+    warp.save(path)
+    add_removed_config_keys(path)
 
     loaded = WarpSystem.load(path)
     assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
@@ -889,6 +894,33 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     # Previews refresh on admin reads: no background refresher starts.
     assert loaded.detector is not None
     assert not [t for t in threading.enumerate() if "refresher" in t.name]
+
+
+def test_a_rotation_bound_in_a_header_never_rotates_the_log(tmp_path):
+    """WAL rotation is gone: a loaded deployment whose header still names
+    a bound lets its log grow past it, and writes no snapshot."""
+    path, wal_path = str(tmp_path / "warp.json"), str(tmp_path / "records.wal")
+    warp, _ = fixtures.format1_workload(wal_path=wal_path)
+    warp.save(path)
+    warp.graph.store.wal.close()
+    add_removed_config_keys(path)
+    bound = read_snapshot_header(path)["serving_config"]["wal_rotate_bytes"]
+    with open(path, "rb") as fh:
+        snapshot = fh.read()
+
+    loaded = WarpSystem.load(path, wal_path=wal_path)
+    WikiApp(loaded.ttdb, loaded.scripts, loaded.server).register_code()
+    wal = loaded.graph.store.wal
+    read = HttpRequest("GET", "/index.php", params={"title": "Home"})
+    for _ in range(200):
+        if wal.appended_bytes > bound:
+            break
+        assert loaded.server.handle(read).status == 200
+    wal.close()
+    assert os.path.getsize(wal_path) > bound == 4096
+    with open(path, "rb") as fh:
+        assert fh.read() == snapshot
+    assert sorted(os.listdir(tmp_path)) == ["records.wal", "warp.json"]
 
 
 @pytest.mark.parametrize("durability", ["always", None])
