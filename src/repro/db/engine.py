@@ -27,7 +27,7 @@ A storage engine is a ``Database``-shaped object:
     statement, row rollback, repair abort or gc, as the time-travel layer
     scopes them — all happen or none do, and the engine's counters
     (``version_count`` and the like) say which.  Empty on the memory
-    engine, which cannot fail halfway; one transaction per group file on
+    engine, which cannot fail halfway; one transaction per table file on
     SQLite, rolled back on any exception.
 
 Each table it returns is a ``Table``-shaped object providing:
@@ -108,13 +108,13 @@ def create_database(
 ):
     """Instantiate a storage engine.
 
-    ``path`` only matters for file-backed engines: the SQLite engine puts
-    its WAL-mode database files there (and reattaches to existing ones);
-    when omitted it uses a self-cleaning temporary directory, which keeps
-    every existing suite hermetic under ``REPRO_DB_BACKEND=sqlite``.
-    ``fault_plane`` lets the deterministic fault-injection plane intercept
-    the engine's I/O boundary (see ``sqlite.exec`` / ``sqlite.commit`` in
-    :mod:`repro.faults.plane`).
+    ``path`` only matters for the SQLite engine: it makes its own
+    directory of WAL-mode scratch files under ``path`` (under the system
+    temp directory when omitted) and removes it when closed or collected,
+    so no engine ever reads another's files.  Both engines recover from a
+    snapshot image through ``restore``.  ``fault_plane`` lets the
+    deterministic fault-injection plane intercept the engine's I/O
+    boundary (see ``sqlite.exec`` in :mod:`repro.faults.plane`).
     """
     choice = resolve_backend(backend)
     if choice == "python":

@@ -73,9 +73,10 @@ _RANGE_OPS = ("<", "<=", ">", ">=")
 
 class ColumnState:
     """What a shadow column has ever stored — the monotone facts lowering
-    consults at render time.  Maintained by the engine on every write and
-    persisted with the table metadata (flags never reset, so a plan cached
-    before a poisoning write renders correctly after it)."""
+    consults at render time.  Maintained by the engine on every write
+    (flags never reset, so a plan cached before a poisoning write renders
+    correctly after it) and rebuilt from the rows by ``restore``'s bulk
+    load."""
 
     __slots__ = ("ident", "ranks", "lossy", "has_nan", "has_bool")
 
@@ -99,13 +100,6 @@ class ColumnState:
         """Shadow values are byte-identical to the stored Python values —
         safe to materialize row data from, bypassing the JSON blob."""
         return not (self.lossy or self.has_nan or self.has_bool)
-
-    def to_list(self) -> list:
-        return [sorted(self.ranks), self.lossy, self.has_nan, self.has_bool]
-
-    def load_list(self, data: list) -> None:
-        ranks, self.lossy, self.has_nan, self.has_bool = data
-        self.ranks = set(ranks)
 
 
 class _Drop(Exception):

@@ -20,25 +20,23 @@ write through by vid *and* update the materialized object's attributes, so
 the executor/repair/rollback code observes the same state it would on the
 in-memory engine.
 
-Files: one WAL-mode SQLite file per *partition group* (by default one
-group per table; a ``groups`` mapping can coalesce tables) under the
-engine's directory.  With no directory given the engine uses a
-self-cleaning temporary directory — hermetic for tests — and with one it
-reattaches to existing files via the ``__warp_meta`` table (schema,
-row-id counter, lowering flags), which is flushed by ``checkpoint()`` /
-``to_dict()`` / ``close()``.
+Files: one WAL-mode SQLite file per table, named after it, in the
+engine's private directory — made fresh under the ``path`` it is given
+(the system temp directory without one) and removed by ``close()`` or the
+finalizer.  The files are scratch space, never read back: a deployment is
+recovered from the snapshot image (``restore``) plus the record WAL, as on
+the in-memory engine.
 
 Writes are atomic per operation: the time-travel layer runs each write
 statement, row rollback, repair abort and gc inside :meth:`SqliteEngine.
-atomic`, one transaction per group file it touches — one commit instead of
+atomic`, one transaction per table file it touches — one commit instead of
 one per engine statement, and a failure anywhere inside rolls the files
 back and restores the tables' counters, so a statement either happened or
 did not.  ``execute_many`` (bulk loads) and DDL go through the same scope.
 
-Fault points (see :mod:`repro.faults.plane`): ``sqlite.exec`` fires before
-every statement the engine executes, ``sqlite.commit`` before a
-checkpoint — so schedules can inject I/O errors or crashes at the SQL
-boundary exactly like they do at the WAL's.
+Fault point (see :mod:`repro.faults.plane`): ``sqlite.exec`` fires before
+every statement the engine executes, so schedules can inject I/O errors
+or crashes at the SQL boundary exactly like they do at the WAL's.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import sqlite3
 import tempfile
 import threading
@@ -93,7 +92,7 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
 
 
-def _release(conns: dict, directory: str, persistent: bool) -> None:
+def _release(conns: dict, directory: str) -> None:
     """Engine finalizer — must not reference the engine itself."""
     for conn in list(conns.values()):
         try:
@@ -101,10 +100,7 @@ def _release(conns: dict, directory: str, persistent: bool) -> None:
         except Exception:
             pass
     conns.clear()
-    if not persistent:
-        import shutil
-
-        shutil.rmtree(directory, ignore_errors=True)
+    shutil.rmtree(directory, ignore_errors=True)
 
 
 def _json_encode(data: dict) -> str:
@@ -114,16 +110,15 @@ def _json_encode(data: dict) -> str:
 
 
 class SqliteTable:
-    """One application table's version store inside a group file."""
+    """One application table's version store, in a file of its own."""
 
     #: Capability flag: build_plan attaches lowering artifacts
     #: (plan.lowered / lowered_order / referenced) for this table.
     sql_lowering = True
 
-    def __init__(self, engine: "SqliteEngine", schema: TableSchema, group: str):
+    def __init__(self, engine: "SqliteEngine", schema: TableSchema):
         self.engine = engine
         self.schema = schema
-        self.group = group
         self.version_count = 0
         self._next_row_id = 1
         #: Highest recorded timestamp — reads at or after it can only see
@@ -166,7 +161,7 @@ class SqliteTable:
         )
         self._full_cols = f"{_BASE_COLS}, __data"
 
-    # -- DDL / meta ------------------------------------------------------------
+    # -- DDL ------------------------------------------------------------------
 
     def _create_ddl(self) -> List[str]:
         shadow = "".join(
@@ -206,31 +201,6 @@ class SqliteTable:
             f"ON {self._sql_name} {spec}"
             for suffix, spec in specs.items()
         ]
-
-    def _meta_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "schema": self.schema.to_dict(),
-            "next_row_id": self._next_row_id,
-            "version_count": self.version_count,
-            "max_ts": self._max_ts,
-            "open_seq": self._open_seq,
-            "multi_open": self._multi_open,
-            "flags": {
-                name: state.to_list() for name, state in self._states.items()
-            },
-        }
-
-    def _load_meta(self, meta: dict) -> None:
-        self._next_row_id = meta["next_row_id"]
-        self.version_count = meta["version_count"]
-        self._max_ts = meta.get("max_ts", 0)
-        self._open_seq = meta.get("open_seq", 0)
-        self._multi_open = meta.get("multi_open", False)
-        for name, flags in meta.get("flags", {}).items():
-            state = self._states.get(name)
-            if state is not None:
-                state.load_list(flags)
 
     # -- value encoding ----------------------------------------------------------
 
@@ -294,7 +264,7 @@ class SqliteTable:
     # -- execution plumbing ------------------------------------------------------
 
     def _exec(self, sql: str, binds: Sequence[object] = ()):
-        return self.engine.execute(self.group, sql, binds)
+        return self.engine.execute(self.schema.name, sql, binds)
 
     # -- row id management -------------------------------------------------------
 
@@ -786,7 +756,7 @@ class SqliteTable:
             self._flush_chunk(chunk)
         # Built once over the loaded rows when the table came without them
         # (``restore``) instead of maintained per insert; a no-op otherwise.
-        self.engine._run_ddl(self.group, self._index_ddl())
+        self.engine._run_ddl(self.schema.name, self._index_ddl())
         if not self._multi_open:
             row = self._exec(
                 f"SELECT 1 FROM {self._sql_name} WHERE __end_ts = {INFINITY} "
@@ -796,7 +766,7 @@ class SqliteTable:
                 self._multi_open = True
 
     def _flush_chunk(self, chunk: List[tuple]) -> None:
-        self.engine.execute_many(self.group, self._insert_sql, chunk)
+        self.engine.execute_many(self.schema.name, self._insert_sql, chunk)
         self.version_count += len(chunk)
 
     def to_dict(self) -> dict:
@@ -816,24 +786,19 @@ class SqliteEngine:
 
     backend = "sqlite"
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        fault_plane=None,
-        groups: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None, fault_plane=None) -> None:
         self.tables: Dict[str, SqliteTable] = {}
         self.ddl_epoch = 0
         self.faults = fault_plane if fault_plane is not None else _active_plane()
-        #: Table name -> partition-group name (default: its own group).
-        self._groups = dict(groups or {})
-        self.persistent = path is not None
-        if path is None:
-            self._dir = tempfile.mkdtemp(prefix="repro-sqlite-")
-        else:
+        if path is not None:
             os.makedirs(path, exist_ok=True)
-            self._dir = path
-        self.path = self._dir
+        #: This engine's own directory: two engines over one ``path`` never
+        #: share a file.  Absolute, so the finalizer removes this directory
+        #: whatever the working directory is by then.
+        self.path = os.path.abspath(
+            tempfile.mkdtemp(prefix="repro-sqlite-", dir=path)
+        )
+        #: Table name -> the connection to its file.
         self._conns: Dict[str, sqlite3.Connection] = {}
         #: Connections are shared across request threads
         #: (check_same_thread=False).  The lock makes connection setup, a
@@ -850,56 +815,47 @@ class SqliteEngine:
         #: (None outside one).  Only the thread holding ``_lock`` — which
         #: the scope holds throughout — reads or writes it.
         self._scope: Optional[List[sqlite3.Connection]] = None
-        self._finalizer = weakref.finalize(
-            self, _release, self._conns, self._dir, self.persistent
-        )
-        if self.persistent:
-            self._attach_existing()
+        self._finalizer = weakref.finalize(self, _release, self._conns, self.path)
 
     # -- connections -------------------------------------------------------------
 
-    def _connect(self, group: str) -> sqlite3.Connection:
-        conn = self._conns.get(group)
+    def _connect(self, name: str) -> sqlite3.Connection:
+        conn = self._conns.get(name)
         if conn is None:
-            file_path = os.path.join(self._dir, f"{_safe_name(group)}.sqlite")
             conn = sqlite3.connect(
-                file_path,
+                os.path.join(self.path, f"{_safe_name(name)}.sqlite"),
                 check_same_thread=False,
-                isolation_level=None,  # autocommit; WAL makes writes durable
+                isolation_level=None,  # autocommit outside an ``atomic`` scope
                 cached_statements=256,
             )
             conn.create_function("warp_like", 2, warp_like, deterministic=True)
             conn.create_collation("warp_desc", warp_desc_cmp)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS __warp_meta "
-                "(key TEXT PRIMARY KEY, value TEXT)"
-            )
-            self._conns[group] = conn
+            self._conns[name] = conn
         return conn
 
-    def execute(self, group: str, sql: str, binds: Sequence[object] = ()):
+    def execute(self, name: str, sql: str, binds: Sequence[object] = ()):
         self.faults.fire("sqlite.exec", op=sql.split(None, 1)[0])
         with self._lock:
-            return self._joined(group).execute(sql, tuple(binds))
+            return self._joined(name).execute(sql, tuple(binds))
 
-    def execute_many(self, group: str, sql: str, rows: List[tuple]) -> None:
+    def execute_many(self, name: str, sql: str, rows: List[tuple]) -> None:
         self.faults.fire("sqlite.exec", op="INSERT", rows=len(rows))
         with self.atomic():
-            self._joined(group).executemany(sql, rows)
+            self._joined(name).executemany(sql, rows)
 
-    def _run_ddl(self, group: str, statements: Sequence[str]) -> None:
+    def _run_ddl(self, name: str, statements: Sequence[str]) -> None:
         """One commit per table, however many indexes it carries."""
         with self.atomic():
             for ddl in statements:
-                self.execute(group, ddl)
+                self.execute(name, ddl)
 
-    def _joined(self, group: str) -> sqlite3.Connection:
-        """``group``'s connection, in the open scope's transaction if there
-        is a scope (begun by the scope's first statement on the file).
-        Caller holds ``_lock``."""
-        conn = self._connect(group)
+    def _joined(self, name: str) -> sqlite3.Connection:
+        """Table ``name``'s connection, in the open scope's transaction if
+        there is a scope (begun by the scope's first statement on the
+        file).  Caller holds ``_lock``."""
+        conn = self._connect(name)
         if self._scope is not None and not conn.in_transaction:
             conn.execute("BEGIN")
             self._scope.append(conn)
@@ -907,7 +863,7 @@ class SqliteEngine:
 
     @contextmanager
     def atomic(self) -> Iterator[None]:
-        """All of the scope's statements or none: each group file it
+        """All of the scope's statements or none: each table file it
         touches is one transaction, committed when the scope ends and
         rolled back — with every table's counters — when anything inside
         raises (a fault, a crash, a caller's error).  Holds the engine lock
@@ -935,66 +891,11 @@ class SqliteEngine:
             finally:
                 self._scope = None
 
-    # -- attach / meta ------------------------------------------------------------
-
-    def _attach_existing(self) -> None:
-        for filename in sorted(os.listdir(self._dir)):
-            if not filename.endswith(".sqlite"):
-                continue
-            group_key = filename[: -len(".sqlite")]
-            conn = self._connect(group_key)
-            rows = conn.execute(
-                "SELECT key, value FROM __warp_meta WHERE key LIKE 'table:%'"
-            ).fetchall()
-            for _, value in rows:
-                meta = json.loads(value)
-                schema = TableSchema.from_dict(meta["schema"])
-                if schema.name in self.tables:
-                    continue
-                group = meta.get("group", schema.name)
-                self._groups.setdefault(schema.name, group)
-                # The file was discovered under its sanitized name; alias
-                # the logical group to the same connection.
-                self._conns.setdefault(group, conn)
-                table = SqliteTable(self, schema, group)
-                table._load_meta(meta)
-                self.tables[schema.name] = table
-                # Directories written before the column indexes existed
-                # gain them on first open; a no-op afterwards.
-                self._run_ddl(group, table._index_ddl())
-        if self.tables:
-            self.ddl_epoch += 1
-
-    def _write_meta(self, table: SqliteTable) -> None:
-        with self._lock:
-            self._connect(table.group).execute(
-                "INSERT INTO __warp_meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (f"table:{table.schema.name}", json.dumps(table._meta_dict())),
-            )
-
-    def checkpoint(self) -> None:
-        """Flush table metadata (row-id counters, lowering flags) and
-        truncate each group file's WAL — the durability point for
-        file-backed deployments (``to_dict``/``close`` call it too)."""
-        self.faults.fire("sqlite.commit")
-        with self._lock:
-            for table in self.tables.values():
-                self._write_meta(table)
-            for conn in self._conns.values():
-                conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-
     def close(self) -> None:
+        """Close the connections and remove the engine's directory now —
+        the finalizer's work, done early."""
         with self._lock:
-            try:
-                self.checkpoint()
-            finally:
-                for conn in self._conns.values():
-                    try:
-                        conn.close()
-                    except Exception:
-                        pass
-                self._conns.clear()
+            self._finalizer()
 
     # -- DDL ----------------------------------------------------------------------
 
@@ -1004,12 +905,10 @@ class SqliteEngine:
     def _create(self, schema: TableSchema, indexed: bool) -> SqliteTable:
         if schema.name in self.tables:
             raise StorageError(f"table {schema.name!r} already exists")
-        group = self._groups.get(schema.name, schema.name)
-        table = SqliteTable(self, schema, group)
+        table = SqliteTable(self, schema)
         ddl = table._create_ddl()
-        self._run_ddl(group, ddl + table._index_ddl() if indexed else ddl)
+        self._run_ddl(schema.name, ddl + table._index_ddl() if indexed else ddl)
         self.tables[schema.name] = table
-        self._write_meta(table)
         self.ddl_epoch += 1
         return table
 
@@ -1026,10 +925,7 @@ class SqliteEngine:
         table = self.tables.pop(name, None)
         if table is None:
             raise StorageError(f"no such table {name!r}")
-        self.execute(table.group, f"DROP TABLE IF EXISTS {table._sql_name}")
-        self.execute(
-            table.group, "DELETE FROM __warp_meta WHERE key = ?", (f"table:{name}",)
-        )
+        self.execute(name, f"DROP TABLE IF EXISTS {table._sql_name}")
         self.ddl_epoch += 1
 
     # -- whole-database operations -------------------------------------------------
@@ -1043,9 +939,7 @@ class SqliteEngine:
     # -- persistence ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        state = {"tables": [table.to_dict() for table in self.tables.values()]}
-        self.checkpoint()
-        return state
+        return {"tables": [table.to_dict() for table in self.tables.values()]}
 
     def restore(self, data: dict) -> None:
         """Rebuild every table from a persisted image (engine-portable
@@ -1057,5 +951,4 @@ class SqliteEngine:
             table = self._create(schema, indexed=False)  # bulk_load indexes
             table.bulk_load(item["versions"])
             table._next_row_id = item["next_row_id"]
-            self._write_meta(table)
         self.ddl_epoch += 1

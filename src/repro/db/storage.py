@@ -850,7 +850,7 @@ class Database:
         engine contract, :mod:`repro.db.engine`).  Empty here: the executor
         evaluates everything before it mutates, and a mutation of Python
         objects cannot fail halfway on I/O.  The SQLite engine makes it one
-        transaction per group file."""
+        transaction per table file."""
         return _NO_SCOPE
 
     # -- persistence ------------------------------------------------------------

@@ -5,7 +5,7 @@ calls :meth:`Detector.score` once per routed request), so rules follow
 the reverse-proxy sanitization model: inspect the request *surface* —
 parameters, cookies, path — never the database.  Each rule returns zero
 or more :class:`Finding`\\ s with a score; the request is flagged when
-the summed score reaches the detector threshold.  Rules are deliberately
+the summed score reaches :data:`THRESHOLD`.  Rules are deliberately
 cheap (compiled regexes over parameter values, dict lookups for session
 state) because an unflagged request must cost almost nothing extra.
 
@@ -77,17 +77,20 @@ class Finding:
         return out
 
 
+#: Summed rule score at which a request is flagged.
+THRESHOLD = 1.0
+
+
 @dataclass
 class DetectionResult:
     """Summed outcome of all rules over one request."""
 
     score: float
-    threshold: float
     findings: List[Finding] = field(default_factory=list)
 
     @property
     def flagged(self) -> bool:
-        return self.score >= self.threshold
+        return self.score >= THRESHOLD
 
     @property
     def reasons(self) -> List[str]:
@@ -276,13 +279,10 @@ class Detector:
     inert cost is one lock acquisition plus the rule scans; flagged
     requests additionally open (or merge into) an incident downstream."""
 
-    def __init__(
-        self, rules: Optional[Iterable[Rule]] = None, threshold: float = 1.0
-    ) -> None:
+    def __init__(self, rules: Optional[Iterable[Rule]] = None) -> None:
         self.rules: List[Rule] = (
             list(rules) if rules is not None else default_rules()
         )
-        self.threshold = float(threshold)
         #: Shared mutable state for stateful rules (session bindings).
         self.state: dict = {}
         self._lock = threading.Lock()
@@ -299,7 +299,6 @@ class Detector:
                     findings.extend(found)
             result = DetectionResult(
                 score=sum(f.score for f in findings),
-                threshold=self.threshold,
                 findings=findings,
             )
             if result.flagged:
@@ -310,7 +309,7 @@ class Detector:
         with self._lock:
             return {
                 "rules": [rule.name for rule in self.rules],
-                "threshold": self.threshold,
+                "threshold": THRESHOLD,
                 "scored": self.scored,
                 "flagged": self.flagged,
             }

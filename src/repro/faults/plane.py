@@ -72,7 +72,6 @@ FAULT_POINTS = (
     "repair.aborted",  # abort path completed
     "gate.reapply",  # queued-request re-application after repair
     "sqlite.exec",  # every statement the SQLite storage engine executes
-    "sqlite.commit",  # SQLite engine checkpoint (meta flush + WAL truncate)
     "shard.dispatch",  # coordinator about to dispatch one shard's repair job
     "shard.merge",  # coordinator about to merge fan-out results
     "detect.preview",  # incident preview refresh about to compute one plan

@@ -103,9 +103,10 @@ class WarpSystem:
                 )
         #: Storage engine selection (repro.db.engine): explicit argument,
         #: then the ``REPRO_DB_BACKEND`` environment variable, then the
-        #: in-memory engine.  ``db_path`` points the SQLite engine at a
-        #: data directory (reattaching to existing group files); without
-        #: it the engine is backed by a self-cleaning temporary directory.
+        #: in-memory engine.  ``db_path`` picks where the SQLite engine
+        #: makes its private scratch directory (the system temp directory
+        #: without it); the files go with the engine, and recovery is the
+        #: snapshot plus the WAL on either engine.
         self.db_backend = resolve_backend(db_backend)
         self.db_path = db_path
         self.database = create_database(
@@ -208,17 +209,15 @@ class WarpSystem:
         self.server.gate.faults = self.faults
         return self.server.gate
 
-    def enable_detection(self, rules=None, threshold: float = 1.0):
+    def enable_detection(self):
         """Install the front-line detector (repro.detect): every routed
-        request is scored against the rule chain, flagged runs open
-        WAL-journaled incidents, and ``/warp/admin/incidents`` exposes
+        request is scored against the default rule chain, flagged runs
+        open WAL-journaled incidents, and ``/warp/admin/incidents`` exposes
         each suspect's blast-radius preview (``refresh=1`` recomputes it)
-        with one-click repair.  Custom ``rules`` are code and — like
-        application scripts — are not serialized; a reloaded deployment
-        comes back with the default rule chain."""
+        with one-click repair."""
         from repro.detect import Detector, IncidentManager
 
-        self.detector = Detector(rules=rules, threshold=threshold)
+        self.detector = Detector()
         self.incidents = IncidentManager(
             self.graph,
             self.ttdb,
@@ -331,13 +330,9 @@ class WarpSystem:
             },
             # Detection survives reload: a deployment that was flagging
             # requests keeps flagging (incident records themselves travel
-            # in the graph snapshot; custom rule *code* does not, same
-            # contract as application scripts).
+            # in the graph snapshot).
             "detection_config": {
                 "enabled": self.detector is not None,
-                "threshold": (
-                    self.detector.threshold if self.detector is not None else 1.0
-                ),
             },
             # Serving-path knobs survive reload the same way.
             "serving_config": {
@@ -369,7 +364,9 @@ class WarpSystem:
 
         ``ctor_kwargs`` configure the fresh system underneath WAL-only
         recovery (``path=None``) — e.g. ``db_backend``/``db_path`` for a
-        shard's storage layout.  With a snapshot they are refused: the
+        shard's storage layout; its database starts empty whatever
+        ``db_path`` holds, since an engine never reads files it did not
+        write.  With a snapshot they are refused: the
         snapshot's own repair/storage/serving config wins, and a silently
         ignored override would be a debugging trap.
 
@@ -418,7 +415,7 @@ class WarpSystem:
         )
         # The graph first: reading its record lines to the end is what
         # proves the file whole, and a refused snapshot must not already
-        # have replaced the (possibly on-disk) database.
+        # have replaced the database.
         warp.graph.restore_snapshot(
             state["graph"], snapshot.records(), state["ids"].get("text", 0)
         )
@@ -446,7 +443,7 @@ class WarpSystem:
         warp.server.admin_token = repair_config.get("admin_token")
         detection_config = state.get("detection_config", {})
         if detection_config.get("enabled"):
-            warp.enable_detection(threshold=detection_config.get("threshold", 1.0))
+            warp.enable_detection()
         return warp
 
     # -- per-shard persistence layout (repro.shard) --------------------------
@@ -480,8 +477,9 @@ class WarpSystem:
         :meth:`load`) — the install re-creates them, and the replayed
         graph still supports repair.  ``kwargs`` configure fresh
         construction (storage backend, durability, admin token, ...);
-        ``db_path`` defaults into the shard's layout so the SQLite engine
-        lands inside the shard directory.
+        ``db_path`` defaults into the shard's layout so the SQLite engine's
+        scratch directory lands inside the shard directory; a later boot
+        never reads it back — the snapshot and WAL are what it recovers.
         """
         layout = cls.shard_layout(root, shard_id)
         os.makedirs(layout["dir"], exist_ok=True)

@@ -216,6 +216,13 @@ class TestRules:
 
 
 class TestIncidentPipeline:
+    @pytest.mark.parametrize("option", [{"threshold": 1.5}, {"rules": []}])
+    def test_enable_detection_takes_no_options(self, option):
+        """The deployment detector runs the default rule chain at the one
+        threshold: neither is settable."""
+        with pytest.raises(TypeError):
+            WarpSystem().enable_detection(**option)
+
     def test_incidents_route_404_without_detection(self):
         warp = WarpSystem()
         status, payload = _admin_json(warp, "GET", "/warp/admin/incidents")

@@ -279,6 +279,33 @@ class TestWireAndWorker:
         )
         assert status == 200 and info["shard_id"] == 0
 
+    def test_a_sqlite_shard_restarts_from_its_wal_alone(self, tmp_path):
+        """A SQLite shard that dies before its first save boots again from
+        its WAL: the second boot installs into a database of its own (the
+        first boot's files are never read back) and its replayed graph
+        holds every run the first boot acknowledged."""
+        config = ShardConfig(
+            shard_id=0,
+            data_dir=str(tmp_path),
+            app_args={"tenants": [0], "shared_users": [ATTACKER]},
+            warp_kwargs={"db_backend": "sqlite"},
+        )
+        first = ShardWorker(config)
+        session = Session("t0_user1", first)
+        session.login(0)
+        response = session.send(
+            "POST", "/edit.php", 0, title="tenant0_wiki", append="\nbefore the crash"
+        )
+        assert response.status == 200
+        acknowledged = set(first.warp.graph.runs)
+        first.warp.graph.store.wal._mark_crashed()
+
+        reborn = ShardWorker(config)
+        assert reborn.warp.database.backend == "sqlite"
+        assert reborn.warp.database.path != first.warp.database.path
+        assert acknowledged <= set(reborn.warp.graph.runs)
+        assert Session("t0_user1", reborn).login(0).status == 200
+
     def test_config_written_by_the_previous_commit_still_loads(self):
         """``ShardConfig.to_dict`` of PR 16 carried two keys that are gone
         (the server pool's size and queue depth): ``from_dict`` must keep

@@ -893,6 +893,8 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     assert gate._conflict("index.php", HttpRequest("GET", "/index.php")) is None
     # Previews refresh on admin reads: no background refresher starts.
     assert loaded.detector is not None
+    # The detector flags at the one threshold there is.
+    assert loaded.detector.status()["threshold"] == 1.0
     assert not [t for t in threading.enumerate() if "refresher" in t.name]
 
 
@@ -1013,8 +1015,8 @@ class TestRefusedSnapshots:
 
     def test_a_refused_retired_file_leaves_the_sqlite_database_as_it_was(self, tmp_path):
         """The upgrade route loads the same files with an older build: a
-        retired header is refused before anything touches the on-disk
-        database."""
+        retired header is refused before anything touches the live
+        deployment's database files."""
         db_path = str(tmp_path / "db")
         warp = WarpSystem(db_backend="sqlite", db_path=db_path)
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
@@ -1029,9 +1031,11 @@ class TestRefusedSnapshots:
 
         def files():
             found = {}
-            for name in sorted(os.listdir(db_path)):
-                with open(os.path.join(db_path, name), "rb") as fh:
-                    found[name] = fh.read()
+            for directory, _, names in os.walk(warp.database.path):
+                for name in names:
+                    file_path = os.path.join(directory, name)
+                    with open(file_path, "rb") as fh:
+                        found[file_path] = fh.read()
             return found
 
         before = files()

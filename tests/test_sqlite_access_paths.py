@@ -29,13 +29,13 @@ from naive_executor import NaiveExecutor
 
 
 def record_statements(engine):
-    """Every ``(group, sql, binds)`` the engine executes from now on."""
+    """Every ``(table name, sql, binds)`` the engine executes from now on."""
     seen = []
     execute = engine.execute
 
-    def recording(group, sql, binds=()):
-        seen.append((group, sql, tuple(binds)))
-        return execute(group, sql, binds)
+    def recording(name, sql, binds=()):
+        seen.append((name, sql, tuple(binds)))
+        return execute(name, sql, binds)
 
     engine.execute = recording
     return seen
@@ -51,10 +51,10 @@ def assert_searches(engine, table, statements):
     ]
     assert selects, "the engine issued no SELECT on the shadow table"
     shadow = table._sql_name.strip('"')
-    for group, sql, binds in selects:
+    for name, sql, binds in selects:
         plan = [
             row[3]
-            for row in engine._connect(group).execute(
+            for row in engine._connect(name).execute(
                 "EXPLAIN QUERY PLAN " + sql, binds
             )
         ]
@@ -143,7 +143,7 @@ def test_indexes_cover_exactly_the_memory_engines_set():
         table = engine.create_table(schema)
         memory = create_database("python").create_table(schema)
         assert table._indexed_columns == memory._indexed_columns
-        conn = engine._connect(table.group)
+        conn = engine._connect(table.schema.name)
         leading = {
             conn.execute(f'PRAGMA index_info("{row[1]}")').fetchone()[2]
             for row in conn.execute(f"PRAGMA index_list({table._sql_name})")
@@ -205,7 +205,7 @@ def lookup_steps(versions_per_page, multi_open):
         steps += 1
         return 0
 
-    conn = engine._connect(table.group)
+    conn = engine._connect(table.schema.name)
     conn.set_progress_handler(count, 1)
     executor = Executor(engine)
     try:

@@ -2,13 +2,13 @@
 
 The time-travel layer runs each write statement, row rollback, repair abort
 and gc inside the engine's ``atomic`` scope — on SQLite one transaction per
-group file.  Pinned here:
+table file.  Pinned here:
 
 * a storage fault in the middle of a write statement leaves the live
   generation as it was (before the scope, the fault between the close of
   the old version and the insert of the new one deleted the row, and no
   run recorded the write, so repair could not bring it back);
-* one commit frame reaches the group file's ``-wal`` per write statement
+* one commit frame reaches the table file's ``-wal`` per write statement
   and per row rollback, on the normal and the repair path — counted in the
   file itself, with SQLite's automatic checkpoints off;
 * with ``sqlite.exec`` faults injected anywhere into the cross-backend
@@ -107,7 +107,7 @@ def test_a_fault_inside_a_repair_write_keeps_the_journal_to_what_happened():
 
 
 # ---------------------------------------------------------------------------
-# one commit per operation, counted in the group file's write-ahead log
+# one commit per operation, counted in the table file's write-ahead log
 # ---------------------------------------------------------------------------
 
 

@@ -1,16 +1,17 @@
 """Storage-engine seam tests: backend selection, the SQLite engine's
-file persistence, SQL-lowering fallbacks on envelope-breaking values,
+scratch directory, SQL-lowering fallbacks on envelope-breaking values,
 the DESC collation quirk, engine-portable snapshots, and the SQLite
-fault points.
+fault point.
 
 The cross-backend *workload* equivalence lives in
 ``test_executor_property.py``; this file covers the seams the random
 workload cannot reach — values outside the property-test envelope (huge
-ints, NaN, bools, mixed-type columns), explicit file-mode reattach, and
-the WarpSystem round trip that records the backend choice.
+ints, NaN, bools, mixed-type columns), the engine's private directory,
+and the WarpSystem round trip that records the backend choice.
 """
 
 import math
+import os
 import sqlite3
 import sys
 import threading
@@ -196,156 +197,73 @@ class TestDescCollation:
 
 
 # ---------------------------------------------------------------------------
-# file persistence / reattach
+# the engine's private scratch directory
 # ---------------------------------------------------------------------------
 
 
-def _renamed(name):
-    return TableSchema(
-        name=name,
-        columns=SCHEMA.columns,
-        row_id_column=SCHEMA.row_id_column,
-        partition_columns=SCHEMA.partition_columns,
-        unique_keys=SCHEMA.unique_keys,
-    )
-
-
-def _index_columns(engine, table):
-    """Leading column of every index on ``table``'s shadow table."""
-    conn = engine._connect(table.group)
-    return {
-        conn.execute(f'PRAGMA index_info("{index[1]}")').fetchone()[2]
-        for index in conn.execute(f"PRAGMA index_list({table._sql_name})").fetchall()
-    }
-
-
-class TestFilePersistence:
-    def test_checkpoint_reattach_round_trip(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = create_database("sqlite", path=path)
-        tt = TimeTravelDB(engine, LogicalClock())
-        tt.create_table(SCHEMA)
-        tt.execute("INSERT INTO t (id, a, b, c) VALUES (1, 'x', ?, 'k1')", [2**70])
-        tt.execute("INSERT INTO t (id, a, b, c) VALUES (2, 'y', 5, 'k2')")
-        tt.execute("UPDATE t SET b = 6 WHERE id = 2")
-        engine.close()
-
-        again = SqliteEngine(path=path)
-        assert again.has_table("t")
-        # Two inserts plus one update-supersede (close old, add new) = 3.
-        table = again.table("t")
-        assert table.version_count == 3
-        assert table._next_row_id == 3
-        # Lowering flags survived: the huge-int column must still refuse
-        # exact lowering (fall back to the Python predicate).
-        assert table._states["b"].lossy
-        tt2 = TimeTravelDB(again, LogicalClock())
-        tt2.clock.advance(100)
-        rows = tt2.execute("SELECT id, b FROM t ORDER BY id").result.rows
-        assert [row["id"] for row in rows] == [1, 2]
-        assert rows[0]["b"] == 2**70 and rows[1]["b"] == 6
-
-    def test_reopen_upgrades_a_directory_written_without_column_indexes(
-        self, tmp_path
-    ):
-        """A directory from before the shadow-column indexes existed gains
-        them on first open — ``t`` and ``u`` coalesced into one group
-        file, ``w`` in its own — and answers what it answered."""
-        path = str(tmp_path / "old")
-        names = ("t", "u", "w")
-        engine = SqliteEngine(path=path, groups={"t": "shared", "u": "shared"})
-        tt = TimeTravelDB(engine, LogicalClock())
-        for name in names:
-            tt.create_table(_renamed(name))
-            tt.execute(f"INSERT INTO {name} (id, a, b, c) VALUES (1, 'x', 1, 'k1')")
-            tt.execute(f"INSERT INTO {name} (id, a, b, c) VALUES (2, 'y', 2, 'k2')")
-            tt.execute(f"UPDATE {name} SET a = 'x', b = 3 WHERE id = 2")
-        assert [engine.table(name).group for name in names] == ["shared", "shared", "w"]
-        reads = [f"SELECT * FROM {name} WHERE a = 'x' ORDER BY b DESC" for name in names]
-        before = [tt.execute(sql).result.rows for sql in reads]
-        assert [[row["id"] for row in rows] for rows in before] == [[2, 1]] * 3
-
-        # The pre-index layout: only the two bookkeeping indexes.
-        for name in names:
-            table = engine.table(name)
-            assert _index_columns(engine, table) >= {"c0", "c1", "c3"}
-            conn = engine._connect(table.group)
-            for index in conn.execute(f"PRAGMA index_list({table._sql_name})").fetchall():
-                if not index[1].endswith(("_row", "_endgen")):
-                    conn.execute(f'DROP INDEX "{index[1]}"')
-            assert _index_columns(engine, table) == {"__row_id", "__end_gen"}
-        engine.close()
-
-        again = SqliteEngine(path=path)
-        for name in names:
-            table = again.table(name)
-            assert table._indexed_columns == {"id", "a", "c"}
-            assert _index_columns(again, table) >= {
-                table._states[column].ident.strip('"')
-                for column in table._indexed_columns
-            }
-        assert [again.table(name).group for name in names] == ["shared", "shared", "w"]
-        tt2 = TimeTravelDB(again, LogicalClock())
-        tt2.clock.advance(100)
-        assert [tt2.execute(sql).result.rows for sql in reads] == before
-        again.close()
-        SqliteEngine(path=path).close()  # a second open is a no-op upgrade
-
+class TestScratchDirectory:
     def test_fresh_engine_uses_temp_dir_and_cleans_up(self):
         engine = create_database("sqlite")
         directory = engine.path
-        import os
-
         assert os.path.isdir(directory)
         engine._finalizer()
         assert not os.path.exists(directory)
 
-    def test_persistent_dir_survives_finalizer(self, tmp_path):
+    def test_close_removes_the_engine_directory_and_keeps_db_path(self, tmp_path):
         path = str(tmp_path / "keep")
         engine = create_database("sqlite", path=path)
+        engine.create_table(SCHEMA)
+        assert os.path.dirname(engine.path) == path
+        assert os.listdir(engine.path)
         engine.close()
-        engine._finalizer()
-        import os
+        assert not os.path.exists(engine.path)
+        assert os.listdir(path) == []
 
-        assert os.path.isdir(path)
+    def test_two_engines_over_one_path_share_no_file(self, tmp_path):
+        path = str(tmp_path / "db")
+        first, second = (create_database("sqlite", path=path) for _ in range(2))
+        first.create_table(SCHEMA)
+        assert first.path != second.path
+        assert not second.has_table("t")
+        second.create_table(SCHEMA)  # no "already exists": its own file
 
 
 # ---------------------------------------------------------------------------
-# two tables sharing one group file (one connection) under eight threads
+# one table's connection shared by eight threads
 # ---------------------------------------------------------------------------
 
 
 class TestSharedConnectionThreads:
-    def test_two_tables_in_one_group_read_write_smoke(self):
+    def test_one_table_read_write_smoke(self):
         """``SqliteEngine.execute`` hands back a cursor that callers fetch
         outside the engine lock (see the lock's comment for why that is
-        safe).  Four writers and four readers of two tables share one
-        connection: every insert must land exactly once under its own
-        vid, and a reader only ever sees whole rows."""
+        safe).  Four writers and four readers of one table share its
+        connection: every insert must land exactly once under its own vid,
+        and a reader only ever sees whole rows."""
         assert sqlite3.threadsafety == 3  # serialized: what the lock relies on
-        engine = SqliteEngine(groups={"t": "shared", "u": "shared"})
-        tables = [engine.create_table(SCHEMA), engine.create_table(_renamed("u"))]
-        assert tables[0].group == tables[1].group == "shared"
+        engine = SqliteEngine()
+        table = engine.create_table(SCHEMA)
         per_writer = 150
+        writers_n = 4
         errors = []
-        vids = ([], [])
+        vids = []
         stop = threading.Event()
 
         def row(n):
             return {"id": n, "a": f"a{n % 7}", "b": n, "c": f"k{n}"}
 
-        def writer(which, offset):
+        def writer(offset):
             try:
                 for n in range(offset, offset + per_writer):
                     version = RowVersion(n, row(n), n)
-                    tables[which].add_version(version)
-                    vids[which].append(version.vid)
+                    table.add_version(version)
+                    vids.append(version.vid)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
-        def reader(which):
+        def reader():
             try:
-                table, seen = tables[which], 0
+                seen = 0
                 while not stop.is_set():
                     rows = list(table.visible_rows(INFINITY - 1, 0))
                     assert len(rows) >= seen
@@ -358,11 +276,10 @@ class TestSharedConnectionThreads:
                 errors.append(exc)
 
         writers = [
-            threading.Thread(target=writer, args=(which, 1 + slot * per_writer))
-            for which in (0, 1)
-            for slot in (0, 1)
+            threading.Thread(target=writer, args=(1 + slot * per_writer,))
+            for slot in range(writers_n)
         ]
-        readers = [threading.Thread(target=reader, args=(w,)) for w in (0, 1, 0, 1)]
+        readers = [threading.Thread(target=reader) for _ in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -378,12 +295,12 @@ class TestSharedConnectionThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in readers + writers)
         assert not errors, errors
-        for which, table in enumerate(tables):
-            assert table.version_count == 2 * per_writer
-            assert len(set(vids[which])) == 2 * per_writer
-            stored = sorted(v.row_id for v in table.all_versions())
-            assert stored == list(range(1, 2 * per_writer + 1))
-            assert not table._multi_open
+        total = writers_n * per_writer
+        assert table.version_count == total
+        assert len(set(vids)) == total
+        stored = sorted(v.row_id for v in table.all_versions())
+        assert stored == list(range(1, total + 1))
+        assert not table._multi_open
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +331,24 @@ def _dump(db):
 class TestPortability:
     def test_python_snapshot_restores_into_sqlite_and_back(self):
         py, sq = make_pair()
+        huge = 2**70
         for tt in (py, sq):
             tt.execute("INSERT INTO t (id, a, b, c) VALUES (1, 'x', 2, 'k1')")
             tt.execute("INSERT INTO t (id, a, b, c) VALUES (2, 'y', 3, 'k2')")
+            tt.execute("INSERT INTO t (id, a, b, c) VALUES (3, 'z', ?, 'k3')", [huge])
             tt.execute("UPDATE t SET b = 4 WHERE id = 1")
             tt.execute("DELETE FROM t WHERE id = 2")
         image = py.database.to_dict()
         target = create_database("sqlite")
         target.restore(image)
         assert _dump(target) == _dump(py.database)
+        # restore's bulk load rebuilds the lowering flags from the rows: the
+        # huge int marks ``b`` lossy, so its WHERE is re-checked in Python.
+        assert target.table("t")._states["b"].lossy
+        restored = TimeTravelDB(target, LogicalClock())
+        restored.clock.advance(100)
+        rows = restored.execute("SELECT id, b FROM t WHERE b = ?", [huge]).result.rows
+        assert rows == [{"id": 3, "b": huge}]
 
         back = create_database("python")
         back.restore(sq.database.to_dict())
@@ -438,7 +364,7 @@ class TestPortability:
 class TestSqliteFaultPoints:
     def test_points_are_cataloged(self):
         assert "sqlite.exec" in FAULT_POINTS
-        assert "sqlite.commit" in FAULT_POINTS
+        assert "sqlite.commit" not in FAULT_POINTS
 
     def test_exec_fault_surfaces_with_op_context(self):
         plane = FaultPlane()
@@ -455,16 +381,6 @@ class TestSqliteFaultPoints:
         # The rule exhausted — the engine serves again.
         result = tt.execute("INSERT INTO t (id, a, b, c) VALUES (1, 'x', 2, 'k1')")
         assert result.result.ok
-
-    def test_commit_fault_fires_on_checkpoint(self):
-        plane = FaultPlane()
-        engine = create_database("sqlite", fault_plane=plane)
-        tt = TimeTravelDB(engine, LogicalClock())
-        tt.create_table(SCHEMA)
-        plane.arm(point="sqlite.commit", kind="io", times=1)
-        with pytest.raises(InjectedIOError):
-            engine.checkpoint()
-        engine.checkpoint()  # cleared
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +408,31 @@ class TestWarpBackend:
         wiki2 = WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server)
         wiki2.register_code()
         assert "hello from sqlite" in wiki2.page_text("Home")
+
+    def test_a_loaded_copy_does_not_see_the_originals_later_writes(self, tmp_path):
+        """Two deployments over one ``db_path`` each keep their rows in a
+        directory of their own: a page the original writes after the save
+        is not in the copy loaded from that save."""
+        from repro.apps.wiki import WikiApp
+        from repro.warp import WarpSystem
+
+        db_path = str(tmp_path / "db")
+        warp = WarpSystem(db_backend="sqlite", db_path=db_path)
+        wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+        wiki.install()
+        wiki.seed_page("Home", "saved\n", owner="admin")
+        path = str(tmp_path / "snap.json")
+        warp.save(path)
+
+        copy = WarpSystem.load(path)
+        copy_wiki = WikiApp(copy.ttdb, copy.scripts, copy.server)
+        wiki.seed_page("Q", "q\n", owner="admin")
+        assert wiki.page_text("Q") == "q\n"
+        assert copy_wiki.page_text("Q") is None
+        assert copy_wiki.page_text("Home") == "saved\n"
+        paths = {warp.database.path, copy.database.path}
+        assert len(paths) == 2
+        assert {os.path.dirname(p) for p in paths} == {db_path}
 
     def test_default_backend_recorded_as_python(self, tmp_path, monkeypatch):
         from repro.apps.wiki import WikiApp
