@@ -16,26 +16,26 @@ line, byte for byte.  The store encodes a run once, when it is appended,
 and keeps the text on the record (``json_text``) so a snapshot splices it
 instead of walking the record again.
 
-The text says each fact once: a run's queries are positional rows
-(:data:`QUERY_ROW` names the positions once, not once per query), a row
-leaves out what the enclosing run already says, and a field at its default
-is not written.
+The text says each fact once: a run's queries, request and response are
+positional rows (:data:`QUERY_ROW`, :data:`REQUEST_ROW`, :data:`RESPONSE_ROW`
+name the positions once), a row leaves out what the enclosing run says, a
+field at its default is not written, and neither is what another field says:
+a run's ids are written only where its ``X-Warp-*`` headers say otherwise.
 
-It says each fact once across runs too (snapshot format 5).  Encoded
+It says each fact once across runs too (snapshot format 6).  Encoded
 against the store's :class:`~repro.core.serialize.TextTable`, a line holds
-an integer where the response body was, and each query is a row
-``[qid, ts, <sql id>, <row id>]``: ids of ``text`` entries the store writes
-once, before the first line that needs them, in the same segment (the
-snapshot plus the WAL after its marker).  The row id names the entry whose
-text is the row's *payload* (params to write sets) as a compact JSON array
-— so the session lookups, ACL checks and page reads a history repeats are
-written once per segment, not once per run.  Records hold the full values
-in memory; only the lines refer.
+ids where the response body and the loaded files were, and each query is a
+row ``[qid, ts, <sql id>, <row id>]``: ids of ``text`` entries the store
+writes once, before the first line that needs them, in the same segment
+(the snapshot plus the WAL after its marker).  The row id names the row
+entry holding the row's *payload* (params to write sets), a raw JSON array
+— so the lookups and page reads a history repeats are written once per
+segment, not once per run.  Records hold the full values; only lines refer.
 
 The reader takes that shape and no other: :func:`check_written_shape`
-refuses the lines older builds wrote (keyed objects, inline texts, inline
-payloads) by name.  Encoded with no table, a run is its line with every
-text inline, which only the keyed view :meth:`AppRunRecord.to_dict` reads.
+refuses the lines older builds wrote, all of which key the request.  Encoded
+with no table, a run is its line with every text inline, which only the
+keyed view :meth:`AppRunRecord.to_dict` reads.
 """
 
 from __future__ import annotations
@@ -81,16 +81,46 @@ _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "writt
 #: A row says which query it is in its first two positions only: what
 #: follows is the same text for every hit on one statement-cache entry.
 assert QUERY_ROW[:2] == ("qid", "ts")
-#: The length of a row as written, ``[qid, ts, <sql id>, <row id>]``: the
-#: row id names the ``text`` entry of the payload — every field after the
-#: SQL, as a JSON array.  A row with its payload inline (format 4 and
-#: before) has at least ``_ROW_REQUIRED`` items.
-_REF_ROW = _SQL + 2
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
 #: ``json.dumps(tree, separators=COMPACT)``, the encoder built once and with no
 #: cycle check (a third of a small call; a cycle is a RecursionError either way).
 _dumps = json.JSONEncoder(separators=COMPACT, check_circular=False).encode
+
+#: The positions of a run's request row and of its response row.  Like a
+#: query's row, each stops after its last member not at its default (what a
+#: fresh request or response holds): most responses are ``[<body id>]``.
+REQUEST_ROW = ("method", "path", "params", "cookies", "headers")
+RESPONSE_ROW = ("body", "status", "headers", "set_cookies")
+_request_row, _response_row = attrgetter(*REQUEST_ROW), attrgetter(*RESPONSE_ROW)
+_BODY = RESPONSE_ROW.index("body")
+_REQUEST_DEFAULTS = _request_row(HttpRequest("GET", "/"))[REQUEST_ROW.index("params") :]
+_RESPONSE_DEFAULTS = _response_row(HttpResponse())[_BODY + 1 :]
+#: The ids a line writes only where they differ from :func:`_header_ids`.
+_IDS = ("client_id", "visit_id", "request_id")
+
+
+def _same(value, default) -> bool:
+    """By type and value: ``200.0`` and ``0`` are not ``200`` and ``False``."""
+    return type(value) is type(default) and value == default
+
+
+def _trimmed(row: list, defaults: tuple) -> list:
+    """``row`` without the trailing members at their ``defaults`` (those of
+    its last positions)."""
+    required = len(row) - len(defaults)
+    while len(row) > required and _same(row[-1], defaults[len(row) - 1 - required]):
+        row.pop()
+    return row
+
+
+def _header_ids(request: HttpRequest) -> tuple:
+    """The client, visit and request ids ``request``'s headers say: none if
+    one of them is no id."""
+    try:
+        return request.client_id, request.visit_id, request.request_id
+    except (TypeError, ValueError):
+        return None, None, None
 
 
 def _keyed_query(row: list, run_id: int, seq: int) -> dict:
@@ -139,8 +169,8 @@ class QueryRecord:
         serializes: fields go in as they are — tuples are left for the
         encoder to flatten into arrays (no Python-level walk) — except the
         two that need converting, the second only if the row gets that far.
-        Against ``texts`` it is the format-5 row: the SQL text's id and the
-        payload's (:func:`payload_text`)."""
+        Against ``texts`` it is the format-6 row: the SQL text's id and the
+        payload's row entry's (:func:`payload_text`)."""
         row = list(_row_attributes(self))
         while len(row) > _ROW_REQUIRED and not row[-1]:
             row.pop()
@@ -149,7 +179,7 @@ class QueryRecord:
             row[_PARTITIONS] = encode_key_set(row[_PARTITIONS])
         if texts is None:
             return row
-        return [*row[:_SQL], texts.ref(row[_SQL]), texts.ref(_dumps(row[_SQL + 1 :]))]
+        return [*row[:_SQL], texts.ref(row[_SQL]), texts.ref(_dumps(row[_SQL + 1 :]), row=True)]
 
     @classmethod
     def from_wire(cls, row: list, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
@@ -157,19 +187,19 @@ class QueryRecord:
         ``[qid, ts, <sql id>, <row id>]``: ``run_id`` and ``seq`` are the
         enclosing run's id and the row's index.  Queries decoded through
         one ``memo`` share everything but their identity: the payload is
-        parsed and built once per distinct ``(sql id, row id)``."""
+        built once per distinct ``(sql id, row id)``."""
         qid, ts, sql, ref = row
         key = (cls, sql, ref)
         payload = memo.built.get(key)
         if payload is None:
-            row = [qid, ts, sql, *json.loads(memo.literal(ref))]
+            row = [qid, ts, sql, *memo.tree(ref)]
             payload = memo.built[key] = _decode_payload(row, memo)
         return cls(qid, run_id, seq, ts, *payload)
 
 
 def payload_text(query: QueryRecord) -> str:
     """The text of ``query``'s payload — its row after the SQL, as a
-    compact JSON array: a format-5 row's ``text`` entry, and what a
+    compact JSON array: a format-6 row's row entry, and what a
     statement-cache hit's ``RecordedPayload`` keeps."""
     return _dumps(query.to_row()[_SQL + 1 :])
 
@@ -245,26 +275,28 @@ class AppRunRecord:
 
     def _frame(self, rows: list, texts: Optional[TextTable]) -> Tuple[dict, dict]:
         """The line's members up to ``queries`` — which is ``rows`` — and
-        the five after it, written only when they say something: the one
-        place a run's key order is written."""
-        response = self.response.to_dict()
+        the five after it, written only when they say something the rest of
+        the line does not: the one place a run's key order is written."""
+        loaded = self.loaded_files
+        response = _trimmed(list(_response_row(self.response)), _RESPONSE_DEFAULTS)
         if texts is not None:
-            response["body"] = texts.ref(response["body"])
+            response[_BODY] = texts.ref(response[_BODY])
+            loaded = texts.ref(_dumps(loaded))
         head = {
             "run_id": self.run_id,
             "ts_start": self.ts_start,
             "ts_end": self.ts_end,
             "script": self.script,
-            "loaded_files": self.loaded_files,
-            "request": self.request.to_dict(),
+            "loaded_files": loaded,
+            "request": _trimmed(list(_request_row(self.request)), _REQUEST_DEFAULTS),
             "response": response,
             "queries": rows,
         }
         tail = {}
         if self.nondet:
             tail["nondet"] = [list(_nondet_row(record)) for record in self.nondet]
-        for name in ("client_id", "visit_id", "request_id"):
-            if (value := getattr(self, name)) is not None:
+        for name, said in zip(_IDS, _header_ids(self.request)):
+            if not _same(value := getattr(self, name), said):
                 tail[name] = value
         if self.canceled:
             tail["canceled"] = True
@@ -299,20 +331,19 @@ class AppRunRecord:
                 parts.append(f"[{query.qid},{query.ts},{_dumps(query.sql)},{text[1:]}")
             else:
                 sql = texts.ref(query.sql)
-                parts.append(f"[{query.qid},{query.ts},{sql},{texts.ref(text)}]")
+                parts.append(f"[{query.qid},{query.ts},{sql},{texts.ref(text, row=True)}]")
         line = _dumps(head)[:-2] + ",".join(parts)  # head ends with an empty queries member
         return line + ("]," + _dumps(tail)[1:] if tail else "]}")
 
     def to_dict(self) -> dict:
         """The keyed, self-describing view (plain JSON, fresh containers):
         what the text says with every field by name — all thirteen run
-        keys, all fourteen of each query — whether or not the text spells
-        them out."""
-        data = {
-            "nondet": [], "client_id": None, "visit_id": None,
-            "request_id": None, "canceled": False,
-        }  # fmt: skip
+        keys, all fourteen of each query, the request's and response's
+        members — whether or not the text spells them out."""
+        data = {"nondet": [], "canceled": False}
         data.update(json.loads(self.encode()))
+        data.update((name, getattr(self, name)) for name in _IDS)
+        data["request"], data["response"] = self.request.to_dict(), self.response.to_dict()
         rows = data["queries"]
         data["queries"] = [_keyed_query(row, self.run_id, seq) for seq, row in enumerate(rows)]
         data["nondet"] = [dict(zip(NONDET_ROW, row)) for row in data["nondet"]]
@@ -331,16 +362,20 @@ class AppRunRecord:
         line refers to."""
         check_written_shape(data)
         memo = memo or DecodeMemo()
-        text, run_id = memo.text, data["run_id"]
-        response = HttpResponse.from_dict(data["response"], memo.texts)
+        text, texts, run_id = memo.text, memo.texts, data["run_id"]
+        request = HttpRequest.from_dict(dict(zip(REQUEST_ROW, data["request"])), texts)
+        response = HttpResponse.from_dict(dict(zip(RESPONSE_ROW, data["response"])), texts)
         response.body = memo.literal(response.body)
+        client_id, visit_id, request_id = [
+            data.get(name, said) for name, said in zip(_IDS, _header_ids(request))
+        ]
         return cls(
             run_id=run_id,
             ts_start=data["ts_start"],
             ts_end=data["ts_end"],
             script=text(data["script"]),
-            loaded_files=memo.texts(data["loaded_files"]),
-            request=HttpRequest.from_dict(data["request"], memo.texts),
+            loaded_files=texts(memo.tree(data["loaded_files"])),
+            request=request,
             response=response,
             queries=[
                 QueryRecord.from_wire(row, run_id, seq, memo)
@@ -350,9 +385,9 @@ class AppRunRecord:
                 NondetRecord(func, seq, decode_tree(value))
                 for func, seq, value in data.get("nondet", ())
             ],
-            client_id=text(data.get("client_id")),
-            visit_id=data.get("visit_id"),
-            request_id=data.get("request_id"),
+            client_id=text(client_id),
+            visit_id=visit_id,
+            request_id=request_id,
             canceled=data.get("canceled", False),
             json_text=json_text,
         )
@@ -360,31 +395,21 @@ class AppRunRecord:
 
 def check_written_shape(data: dict) -> None:
     """Refuse run line ``data`` unless it is in the shape
-    :meth:`AppRunRecord.encode` writes against a text table.  Older builds
-    wrote each query's payload inline (format 4), the response body and SQL
-    texts inline too (format 3), and before that keyed queries and a
-    ``nondet`` key on every run line, empty or of keyed entries; this
-    writer leaves the key out unless it holds rows.  All rows of a line
-    have one shape, so the first tells.  Read as this shape, each would
-    fail on a bare lookup or — a line with no query and keyed nondet
-    entries — decode wrong, so each is refused here, by name."""
-    queries, nondet = data["queries"], data.get("nondet")
-    if type(data["response"]["body"]) is not int:
-        why = "its response body is inline"
-    elif queries and len(queries[0]) != _REF_ROW:
-        why = "its queries are not rows of ids"
-    elif nondet is not None and (not nondet or isinstance(nondet[0], dict)):
-        why = "its nondet entries are keyed"
-    else:
-        return
-    raise ReproError(f"run {data['run_id']!r} is in a retired shape: {why}; {UPGRADE_ROUTE}")
+    :meth:`AppRunRecord.encode` writes against a text table.  Every run
+    line of formats 1-5 keys its request; read as a row, its keys would be
+    taken for the method and the path."""
+    if isinstance(data["request"], dict):
+        raise ReproError(
+            f"run {data['run_id']!r} is in a retired shape: its request is keyed; "
+            f"{UPGRADE_ROUTE}"
+        )
 
 
 def text_refs(data: dict) -> List[int]:
     """The ids of the ``text`` entries run line ``data`` refers to, as the
-    store writes it (format 5): its body's, then each row's SQL text's and
-    payload's — read off the line, nothing re-encoded."""
-    refs = [data["response"]["body"]]
+    store writes it (format 6): its body's, its loaded files', then each
+    row's SQL text's and payload's — read off the line, nothing re-encoded."""
+    refs = [data["response"][_BODY], data["loaded_files"]]
     for row in data["queries"]:
         refs += row[_SQL:]
     return refs
@@ -414,6 +439,13 @@ class EventRecord:
             xpath=memo.text(data["xpath"]),
             data=memo.texts(data.get("data", {})),
         )
+
+
+#: What a visit line leaves out, and :meth:`VisitRecord.from_dict` reads.
+_VISIT_DEFAULTS = {
+    "method": "GET", "post_params": {}, "parent_visit": None,
+    "framed": False, "events": [], "cookies_before": {},
+}  # fmt: skip
 
 
 @dataclass
@@ -452,9 +484,13 @@ class VisitRecord:
         }
 
     def encode(self) -> str:
-        """Compact JSON text of this visit as it stands (visit logs grow
-        while the visit is live, so nothing is kept)."""
-        return json.dumps(self.to_dict(), separators=COMPACT)
+        """Compact JSON text of this visit as it stands, no field at its
+        default (visit logs grow while the visit is live: nothing is kept)."""
+        data = self.to_dict()
+        for name, default in _VISIT_DEFAULTS.items():
+            if _same(data[name], default):
+                del data[name]
+        return _dumps(data)
 
     @classmethod
     def from_dict(cls, data: dict, memo: Optional[DecodeMemo] = None) -> "VisitRecord":

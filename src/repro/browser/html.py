@@ -296,9 +296,12 @@ class _Parser:
         return element, self_closed
 
     def _consume_raw_text(self, element: Element) -> None:
-        close = f"</{element.tag}"
-        lower = self._text.lower()
-        end = lower.find(close, self._pos)
+        # The closer matches in any case: only the tag after each "</" is
+        # lowercased (the whole page per raw-text element was quadratic).
+        tag = element.tag
+        end = self._text.find("</", self._pos)
+        while end >= 0 and self._text[end + 2 : end + 2 + len(tag)].lower() != tag:
+            end = self._text.find("</", end + 2)
         if end < 0:
             end = len(self._text)
         raw = self._text[self._pos : end]

@@ -5,25 +5,19 @@ bool, None) arranged in tuples, frozensets and dicts.  JSON has no tuple
 or set, so encoding flattens both to lists and decoding rebuilds the
 original container shapes; the record types know *which* shape each field
 expects and call the matching decoder.  The text table and decode memo
-below are snapshot format 5's, the one format a build reads.
+below are snapshot format 6's, the one format a build reads.
 """
 
 from __future__ import annotations
 
+import json
 import marshal
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: ``json.dumps`` separators of everything persisted line by line (WAL
 #: entries, snapshot lines): written far more often than read by a human.
 COMPACT = (",", ":")
-
-
-def encode_tree(value):
-    """Recursively encode nested tuples/lists as JSON lists."""
-    if isinstance(value, (tuple, list)):
-        return [encode_tree(item) for item in value]
-    return value
 
 
 def decode_tree(value):
@@ -52,10 +46,11 @@ def decode_pairs(items: Iterable[list]) -> frozenset:
     return frozenset([(item[0], item[1]) for item in items])
 
 
-#: What a refusal of a file or line in a retired shape says to do about it.
+#: What a refusal of a file or line in a retired shape says about it: which
+#: build still reads it.  No build converts a file to format 6.
 UPGRADE_ROUTE = (
-    "this build reads format 5 only; to upgrade, load and save it once with "
-    "commit 812ecd4 or earlier, which reads formats 1-5 and writes format 5"
+    "this build reads format 6 only and converts no older file; commit 0226ea7 "
+    "is the last that reads format 5, commit 812ecd4 the last that reads formats 1-4"
 )
 
 #: A :class:`DecodeMemo` shares strings up to this long.  Longer ones (page
@@ -71,52 +66,60 @@ def exact_key(raw) -> bytes:
 
 
 class TextTable:
-    """The ``text`` entries of one log segment (snapshot format 5, DESIGN.md
-    "Durability"): each distinct response body, SQL text and row payload (a
-    query's fields after its SQL, as a compact JSON array) a run line needs,
-    under an integer id.  A segment — a snapshot plus the WAL after its
-    marker — writes each entry once, before the first line that refers to
-    it; every line after that writes the id where the text was.
+    """The ``text`` entries of one log segment (snapshot format 6, DESIGN.md
+    "Durability"): each distinct response body, set of loaded files, SQL
+    text and row payload (a query's fields after its SQL, as a compact JSON
+    array) a run line needs, under an integer id.  A segment — a snapshot
+    plus the WAL after its marker — writes each entry once, before the first
+    line that refers to it; every line after that writes the id where the
+    text was.  A payload's entry is a *row* entry, ``{"id":N,"row":[...]}``:
+    its text is a JSON array, written raw rather than escaped into a string.
 
     Ids come from ``last_id``, which only grows: a run keeps the text it was
     written with, so an id once written must keep its meaning for as long
     as that text can be spliced.  Not locked: the record store touches it
     under its records stripe only."""
 
-    __slots__ = ("by_id", "ids", "last_id", "fresh", "_entries")
+    __slots__ = ("by_id", "ids", "rows", "last_id", "fresh", "_entries")
 
     def __init__(self, last_id: int = 0) -> None:
         #: id -> text, and back, for every entry the segment holds.
         self.by_id: Dict[int, str] = {}
         self.ids: Dict[str, int] = {}
+        #: The ids of the row entries.
+        self.rows: Set[int] = set()
         self.last_id = last_id
         #: Ids defined by :meth:`ref` whose entries nobody has written yet.
         self.fresh: List[int] = []
         #: id -> :meth:`entry`, kept from the first time it was asked for
-        #: (when the WAL journals it): escaping every payload's JSON again
-        #: at each save cost ~20 % of a save.
+        #: (when the WAL journals it): escaping every entry again at each
+        #: save cost ~20 % of a save.
         self._entries: Dict[int, str] = {}
 
-    def ref(self, text: str) -> int:
+    def ref(self, text: str, row: bool = False) -> int:
         """The id of ``text``, defined now — and listed in ``fresh`` — if
-        the segment has no entry for it."""
+        the segment has no entry for it: a row entry if it is a ``row``."""
         ident = self.ids.get(text)
         if ident is None:
             ident = self.last_id = self.last_id + 1
             self.ids[text] = ident
             self.by_id[ident] = text
             self.fresh.append(ident)
+            if row:
+                self.rows.add(ident)
         return ident
 
     def shared(self, text: str) -> str:
         """The table's own copy of ``text``, which has an entry."""
         return self.by_id[self.ids[text]]
 
-    def define(self, ident: int, text: str) -> None:
+    def define(self, ident: int, text: str, row: bool = False) -> None:
         """Take in an entry read back from a snapshot or a WAL."""
         self.by_id[ident] = text
         self.ids.setdefault(text, ident)
         self.last_id = max(self.last_id, ident)
+        if row:
+            self.rows.add(ident)
 
     def take_fresh(self) -> List[int]:
         """The ids whose entries must be written now, in definition order."""
@@ -131,21 +134,24 @@ class TextTable:
         if len(idents) < len(self.by_id):
             self.by_id = {ident: self.by_id[ident] for ident in idents}
             self.ids = {text: ident for ident, text in self.by_id.items()}
+            self.rows.intersection_update(idents)
             entries = self._entries
             self._entries = {ident: entries[ident] for ident in idents if ident in entries}
         self.fresh = []
 
     def copy(self) -> "TextTable":
         clone = TextTable(self.last_id)
-        clone.by_id, clone.ids = dict(self.by_id), dict(self.ids)
+        clone.by_id, clone.ids, clone.rows = dict(self.by_id), dict(self.ids), set(self.rows)
         return clone
 
     def entry(self, ident: int) -> str:
         """The compact JSON ``data`` of entry ``ident``'s journal line — what
-        ``json.dumps`` gives, from one C call on the text, made once."""
+        ``json.dumps`` gives (a row entry's array raw), made once."""
         line = self._entries.get(ident)
         if line is None:
-            line = self._entries[ident] = f'{{"id":{ident},"text":{_quote(self.by_id[ident])}}}'
+            text = self.by_id[ident]
+            field = f'"row":{text}' if ident in self.rows else f'"text":{_quote(text)}'
+            line = self._entries[ident] = f'{{"id":{ident},{field}}}'
         return line
 
 
@@ -162,15 +168,29 @@ class DecodeMemo:
     WAL replayed over a snapshot resolves the snapshot's ids); every record
     that refers to one id gets the one string the table holds for it, and
     every query whose row refers to one ``(sql id, row id)`` pair the one
-    payload built for it (``built``), parsed from the entry once per load."""
+    payload built for it (``built``), from the array its entry's line
+    decoded to: a payload is parsed once per load."""
 
     def __init__(self, table: Optional[TextTable] = None) -> None:
         self.table = table if table is not None else TextTable()
         self._texts: dict = {}
         #: ``(what, ..., exact_key(raw))`` -> what :meth:`once`, or a decoder
-        #: whose building needs the memo, built from ``raw``; a format-5
+        #: whose building needs the memo, built from ``raw``; a format-6
         #: row's payload under ``(QueryRecord, sql id, row id)``.
         self.built: dict = {}
+        #: id -> the array a row entry's line decoded to, until it is used.
+        self._rows: dict = {}
+
+    def define(self, data: dict, text: Optional[str]) -> None:
+        """Take in the ``text`` entry ``data`` read back from a line that held
+        it as the JSON ``text``: a row entry's text is the array's slice."""
+        ident, row = data["id"], data.get("row")
+        if row is None:
+            self.table.define(ident, data["text"])
+        else:
+            text = text or json.dumps(data, separators=COMPACT)  # a line framed otherwise
+            self.table.define(ident, text[len(f'{{"id":{ident},"row":') : -1], row=True)
+            self._rows[ident] = row
 
     def text(self, value):
         """``value`` — the one shared copy of it, if it is a short string."""
@@ -182,6 +202,13 @@ class DecodeMemo:
         """The response body, SQL text or row payload a line refers to by
         the id of its ``text`` entry."""
         return self.table.by_id[ident]
+
+    def tree(self, ident: int):
+        """The decoded JSON of entry ``ident``'s text — a row payload, a
+        run's loaded files.  A row entry's is the array its line decoded to,
+        handed out once (kept, it would only raise the load's peak)."""
+        tree = self._rows.pop(ident, None)
+        return json.loads(self.table.by_id[ident]) if tree is None else tree
 
     def texts(self, mapping: dict) -> dict:
         """A fresh dict of ``mapping``, keys and values through :meth:`text`."""

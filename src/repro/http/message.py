@@ -182,7 +182,7 @@ class HttpResponse:
     @classmethod
     def from_dict(cls, data: dict, texts=dict) -> "HttpResponse":
         return cls(
-            status=data["status"],
+            status=data.get("status", 200),
             body=data["body"],
             headers=texts(data.get("headers", {})),
             set_cookies=texts(data.get("set_cookies", {})),

@@ -24,7 +24,7 @@ Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 the store can be rebuilt after a crash from snapshot + WAL replay.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
-format 5): a run is encoded against it under the records stripe, and the
+format 6): a run is encoded against it under the records stripe, and the
 ``text`` entries the encoding defined are journaled just before the run's
 line, so WAL order always puts an entry ahead of every line that refers to
 it, however many threads first-use the same body, SQL text or row payload
@@ -300,7 +300,7 @@ class RecordStore:
 
         self.wal = wal
         #: The ``text`` entries of the current log segment (snapshot format
-        #: 5): guarded by ``records``, rebuilt by every snapshot to exactly
+        #: 6): guarded by ``records``, rebuilt by every snapshot to exactly
         #: the entries its runs refer to.
         self.texts = TextTable()
         #: Whether every entry of ``texts`` is one a stored run refers to —
@@ -529,7 +529,7 @@ class RecordStore:
                     (visit.client_id, visit.parent_visit), []
                 ).append(visit.visit_id)
             if self.wal is not None:
-                ticket = self.wal.append("visit", visit.to_dict())
+                ticket = self.wal.append("visit", text=visit.encode())
         self._finish(ticket)
 
     # The extension keeps appending to an uploaded visit's record (events,
@@ -540,35 +540,19 @@ class RecordStore:
     # delta onto the base "visit" entry (or onto the snapshot's copy).
 
     def log_visit_event(self, client_id: str, visit_id: int, event: EventRecord) -> None:
-        if self.wal is not None and (client_id, visit_id) in self.visits:
-            self._finish(
-                self.wal.append(
-                    "visit_event",
-                    {"client_id": client_id, "visit_id": visit_id, "event": event.to_dict()},
-                )
-            )
+        self._log_visit_delta("visit_event", client_id, visit_id, event=event.to_dict())
 
     def log_visit_request(self, client_id: str, visit_id: int, request_id: int) -> None:
-        if self.wal is not None and (client_id, visit_id) in self.visits:
-            self._finish(
-                self.wal.append(
-                    "visit_request",
-                    {"client_id": client_id, "visit_id": visit_id, "request_id": request_id},
-                )
-            )
+        self._log_visit_delta("visit_request", client_id, visit_id, request_id=request_id)
 
     def log_visit_cookies(self, client_id: str, visit_id: int, cookies_after) -> None:
+        self._log_visit_delta("visit_cookies", client_id, visit_id, cookies_after=cookies_after)
+
+    def _log_visit_delta(self, kind: str, client_id: str, visit_id: int, **delta) -> None:
+        # Encoded by the append, so the live record may go on changing.
         if self.wal is not None and (client_id, visit_id) in self.visits:
-            self._finish(
-                self.wal.append(
-                    "visit_cookies",
-                    {
-                        "client_id": client_id,
-                        "visit_id": visit_id,
-                        "cookies_after": {k: dict(v) for k, v in cookies_after.items()},
-                    },
-                )
-            )
+            data = {"client_id": client_id, "visit_id": visit_id, **delta}
+            self._finish(self.wal.append(kind, data))
 
     def mark_run_canceled(self, run_id: int) -> None:
         """Record that repair canceled (undid) this run — journaled so the
@@ -592,7 +576,7 @@ class RecordStore:
             self.patches.append(patch)
             self.max_ts = max(self.max_ts, patch.apply_ts)
             if self.wal is not None:
-                ticket = self.wal.append("patch", patch.to_dict())
+                ticket = self.wal.append("patch", text=patch.encode())
         self._finish(ticket)
 
     # ------------------------------------------------------------------ gate queue
@@ -1067,7 +1051,7 @@ class RecordStore:
             elif kind == "patch":
                 store.add_patch(PatchRecord.from_dict(item))
             elif kind == "text":
-                store.texts.define(item["id"], item["text"])
+                memo.define(item, text)
             else:
                 raise ReproError(f"snapshot holds a record of unknown kind {kind!r}")
         for item in data.get("gate_queue", ()):
@@ -1116,7 +1100,7 @@ class RecordStore:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-5 snapshot (:mod:`repro.store.snapshot`) — the
+        """Write a format-6 snapshot (:mod:`repro.store.snapshot`) — the
         header is ``payload`` plus a fresh ``snapshot_id``, the text-id
         counter (``ids.text``), the pending state and the record counts,
         the lines are the records — under the
@@ -1275,7 +1259,7 @@ class RecordStore:
         memo = memo or DecodeMemo(self.texts)
         if kind == "text":
             # The line that refers to it may be torn off, or skipped.
-            self.texts.define(data["id"], data["text"])
+            memo.define(data, text)
             self._texts_exact = False
         elif kind == "run":
             record = AppRunRecord.from_dict(data, text, memo)
@@ -1309,12 +1293,7 @@ class RecordStore:
             self.mark_run_canceled(data["run_id"])
         elif kind == "patch":
             record = PatchRecord.from_dict(data)
-            if not any(
-                p.file == record.file
-                and p.new_version == record.new_version
-                and p.apply_ts == record.apply_ts
-                for p in self.patches
-            ):
+            if record not in self.patches:
                 self.add_patch(record)
         elif kind == "replace_run":
             record = AppRunRecord.from_dict(data, text, memo)

@@ -1,41 +1,39 @@
 """Snapshot files: one header line, then one journal-shaped line per record.
 
-**Format 5** (what :meth:`RecordStore.commit_snapshot` writes)::
+**Format 6** (what :meth:`RecordStore.commit_snapshot` writes)::
 
-    {"version":5,...,"ids":{...,"text":N},...,"records":{"visit":V,"text":T,"run":R,"patch":P}}
-    {"kind":"visit","data":{...}}
+    {"version":6,...,"ids":{...,"text":N},...,"records":{"visit":V,"text":T,"run":R,"patch":P}}
+    {"kind":"visit","data":{"client_id":"c","visit_id":1,"ts":4,"url":...}}
     {"kind":"text","data":{"id":1,"text":"<html>..."}}
-    {"kind":"text","data":{"id":3,"text":"[[\\"Home\\"],\\"select\\",...]"}}
-    {"kind":"run","data":{...,"response":{"status":200,"body":1,...},"queries":[[q,ts,2,3]]}}
+    {"kind":"text","data":{"id":2,"text":"{\\"edit.php\\":0}"}}
+    {"kind":"text","data":{"id":4,"row":[["Home"],"select",...]}}
+    {"kind":"run","data":{...,"loaded_files":2,"request":["GET","/edit.php",...],"response":[1],"queries":[[q,ts,3,4]]}}
     {"kind":"patch","data":{...}}
 
 The header is an ordinary JSON object (the C ``json.dumps``, one call);
 every following line has the write-ahead log's own shape
-(:func:`repro.store.wal.entry_line`), so a run's bytes are the ones its
+(:func:`repro.store.wal.entry_line`), so a record's bytes are the ones its
 WAL entry carried and neither side ever builds a whole-history tree: the
 writer splices kept text, the reader decodes and inserts one record at a
 time.  ``records`` counts the lines that must follow, per kind — a file
 cut short at a line boundary is refused like one cut mid-line.
 
-Each response body, SQL text and row payload is written once, as a
-``text`` entry, and a run line holds its id instead
-(:mod:`repro.ahg.records`): a row is ``[qid, ts, <sql id>, <row id>]``,
-the row id naming the entry whose text is the payload's compact JSON
-array.  The **segment invariant**: every id a line refers to is defined
-by an entry earlier in the same segment — the snapshot plus the WAL after
-its marker.  The snapshot holds exactly the entries its runs refer to,
-before the run lines; the WAL journals an entry just before the first
-line after the marker that needs it.  Ids are never reused: ``ids.text``
-in the header is the counter, which entries dropped with their runs may
-have passed.  On the ``wiki_py`` benchmark workload format 4 took the WAL
-from 1,898 to 1,356 bytes per request, and format 5 to 899 (the snapshot
-from 1,434 to 998 bytes per run); the repeats format 5 removes are
-session, user and ACL lookups and page reads, whose cached SELECT hits
-wrote their whole payload — page text included — once per run.
+Each response body, set of loaded files, SQL text and row payload is
+written once, as a ``text`` entry, and a run line holds its id instead
+(:mod:`repro.ahg.records`, which also leaves out whatever its reader can
+derive): a row is ``[qid, ts, <sql id>, <row id>]``, the row id naming the
+*row* entry whose array is the payload, written raw.  The **segment
+invariant**: every id a line refers to is defined by an entry earlier in
+the same segment — the snapshot plus the WAL after its marker.  The
+snapshot holds exactly the entries its runs refer to, before the run lines;
+the WAL journals an entry just before the first line after the marker that
+needs it.  Ids are never reused: ``ids.text`` in the header is the counter.
+On the ``wiki_py`` benchmark workload format 4 took the WAL from 1,898 to
+1,356 bytes per request, format 5 to 899 and format 6 to 724.
 
-A build reads the format it writes: formats 1-4 are refused by version.
-To upgrade an older file, load and save it once with commit 812ecd4 or
-earlier, which reads formats 1-5 and writes format 5.
+A build reads the format it writes: formats 1-5 are refused by version,
+and no build converts a file to format 6.  Commit 0226ea7 is the last that
+reads format 5; commit 812ecd4 the last that reads formats 1-4.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT, UPGRADE_ROUTE
 from repro.store.wal import decode_line
 
-FORMAT = 5
+FORMAT = 6
 
 
 def write_snapshot(path: str, header: dict, lines: Iterable[str]) -> None:
@@ -100,7 +98,7 @@ class SnapshotReader:
             raise self._refuse("the header line is not a JSON object")
         # Only a bare store's format-1 image predates the version field.
         version = header.get("version", 1)
-        if version in (1, 2, 3, 4):
+        if version in (1, 2, 3, 4, 5):
             raise self._refuse(f"format {version} is retired; {UPGRADE_ROUTE}")
         if version != FORMAT:
             raise self._refuse(f"unsupported format version {version!r}")

@@ -42,7 +42,7 @@ from repro.db.engine import create_database, resolve_backend, snapshot_backend
 from repro.http.server import HttpServer
 from repro.repair.conflicts import Conflict, ConflictQueue
 from repro.core.errors import RepairError
-from repro.core.serialize import decode_tree, encode_tree
+from repro.core.serialize import decode_tree
 from repro.faults.health import HealthMonitor
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
@@ -292,7 +292,7 @@ class WarpSystem:
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
 
-        The file is a format-5 snapshot (:mod:`repro.store.snapshot`):
+        The file is a format-6 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
         it — under its records stripe.
@@ -304,7 +304,7 @@ class WarpSystem:
             "enabled": self.enabled,
             "clock": self.clock.now(),
             "ids": self.ids.state_dict(),
-            "rng_state": encode_tree(self.rng.getstate()),
+            "rng_state": self.rng.getstate(),
             "ttdb": self.ttdb.state_dict(),
             "database": self.database.to_dict(),
             "routes": dict(self.server.routes),
@@ -372,11 +372,11 @@ class WarpSystem:
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
-        are streamed in one line at a time.  A file that is not a format-5
+        are streamed in one line at a time.  A file that is not a format-6
         snapshot, or does not hold the records its header promises, and a
         WAL line this build does not write raise
         :class:`~repro.core.errors.ReproError` naming the file — an older
-        format with the upgrade route (:mod:`repro.store.snapshot`).
+        format with the last commit that reads it (:mod:`repro.store.snapshot`).
         """
         if path is None:
             if wal_path is None:

@@ -31,8 +31,9 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     each ``text`` entry they refer to, once.  A visit's line is the browser
     log; a run's line is split where the codec splits it: the ``queries``
     member (the rows) is the database log, the line around it the
-    application log.  A response body's entry is billed to the application
-    log; an SQL text's and a row payload's to the database log."""
+    application log.  A response body's and a set of loaded files' entries
+    are billed to the application log; an SQL text's and a row payload's to
+    the database log."""
     for visit in graph.visits.values():
         yield "browser", entry_line("visit", visit.encode())
     # A copy: a run the store has not written yet is encoded as it would
@@ -41,8 +42,9 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     billed: Dict[int, str] = {}
     for run in graph.runs_in_order():
         line = json.loads(run.json_text or run.encode(texts))
-        body, *refs = text_refs(line)
+        body, loaded, *refs = text_refs(line)
         billed.setdefault(body, "app")
+        billed.setdefault(loaded, "app")
         for ident in refs:
             billed.setdefault(ident, "db")
         rows = json.dumps(line.pop("queries"), separators=COMPACT)

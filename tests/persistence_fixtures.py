@@ -3,14 +3,19 @@
 ``golden_run()`` is the fixed run whose journal lines are pinned byte for
 byte, once per shape the codec has written:
 
-* ``fixtures/wal_run_lines.format5.golden`` — the lines this build writes:
-  the ``text`` entries of the body, the two SQL texts and the two row
-  payloads, then rows of ids that refer to them.  The one fixture this
-  module can still write: ``python tests/persistence_fixtures.py``
+* ``fixtures/wal_run_lines.format6.golden`` — the lines this build writes:
+  the ``text`` entries of the body, the loaded files, the two SQL texts and
+  the two row payloads (row entries, their arrays raw), then a run line of
+  ids and rows that writes nothing its reader can derive.  The one fixture
+  this module can still write: ``python tests/persistence_fixtures.py``
   regenerates it, and ``--check`` (a tier-1 CI step) regenerates it into a
   temporary directory and fails, naming the file, unless it is
   byte-identical to the committed one — so a codec change cannot land
   without its golden, nor a golden without a codec change.
+* ``fixtures/wal_run_lines.format5.golden`` — the lines format 5 wrote:
+  keyed request and response, every id spelled out, payloads as escaped
+  strings (written at a3652cd, which introduced it, and unchanged up to
+  0226ea7, the last commit to write it).
 * ``fixtures/wal_run_lines.format4.golden`` — the rows format 4 wrote:
   body and SQL texts as ids, every payload inline (written at da5cbfd,
   which introduced it, and unchanged up to 4c487be, the last commit to
@@ -21,19 +26,20 @@ byte, once per shape the codec has written:
 * ``fixtures/wal_run_lines.golden`` — the keyed lines ebe3011–29d2bb9
   wrote (written at ebe3011).
 
-Nothing writes the last three any more, and this build reads none of them:
+Nothing writes the last four any more, and this build reads none of them:
 they are the inputs its refusal of a retired line shape is tested on.
 
-``format1_workload()`` is the small wiki deployment whose format-5
-snapshot is committed as ``fixtures/warp_format5.json`` (written at
-812ecd4 by running ``format1_workload()[0].save(...)``), with the
-``RepairStats`` counters its common.php repair produced in
-``fixtures/warp_format1.counters.json`` — the counters the same workload
-has repaired to in every format since ebe3011 wrote it as format 1.
-``--check`` loads the snapshot and fails unless it holds the graph
-``format1_workload()`` builds today and repairs to those counters, so a
-change that stops a committed format-5 file from loading, or changes what
-it repairs to, fails by name.
+``format1_workload()`` is the small wiki deployment whose format-6
+snapshot is committed as ``fixtures/warp_format6.json`` (written by
+running ``format1_workload()[0].save(...)`` with the build that
+introduced format 6), with the ``RepairStats`` counters its common.php
+repair produced in ``fixtures/warp_format1.counters.json`` — the counters
+the same workload has repaired to in every format since ebe3011 wrote it
+as format 1.  ``--check`` loads the snapshot and fails unless it holds the
+graph ``format1_workload()`` builds today and repairs to those counters,
+so a change that stops a committed format-6 file from loading, or changes
+what it repairs to, fails by name.  ``fixtures/warp_format5.json`` (the
+same workload saved at 812ecd4) is kept as a refusal input only.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -44,7 +50,7 @@ import os
 import sys
 import tempfile
 
-from repro.ahg.records import AppRunRecord, NondetRecord, QueryRecord
+from repro.ahg.records import RESPONSE_ROW, AppRunRecord, NondetRecord, QueryRecord
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
 from repro.http.message import HttpRequest, HttpResponse
@@ -56,13 +62,16 @@ from repro.warp import WarpSystem
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 #: ``golden_lines()`` as this build writes it (text entries, rows of ids) ...
-GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format5.golden")
+GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format6.golden")
+#: ... as format 5 wrote it (keyed request, payloads escaped) ...
+GOLDEN_FORMAT5 = os.path.join(HERE, "wal_run_lines.format5.golden")
 #: ... as format 4 wrote it (body and SQL ids, payloads inline) ...
 GOLDEN_FORMAT4 = os.path.join(HERE, "wal_run_lines.format4.golden")
 #: ... as format 3 wrote it (rows, every text inline) ...
 GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 #: ... and as PRs 11-17 wrote it (keyed objects).
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
+FORMAT6_SNAPSHOT = os.path.join(HERE, "warp_format6.json")
 FORMAT5_SNAPSHOT = os.path.join(HERE, "warp_format5.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
 #: Config keys a snapshot no longer persists, at non-default values.
@@ -165,14 +174,22 @@ def golden_lines(directory: str) -> bytes:
 
 
 def text_refs(kind: str, data: dict) -> set:
-    """The text ids a journal entry refers to: a run line's body, and the
-    SQL text and payload of each row."""
+    """The text ids a journal entry refers to: a run line's body and loaded
+    files, and the SQL text and payload of each row."""
     if kind not in ("run", "replace_run"):
         return set()
-    items = {data["response"]["body"]}
+    items = {data["response"][RESPONSE_ROW.index("body")], data["loaded_files"]}
     for row in data["queries"]:
         items.update(row[2:])
     return items
+
+
+def entry_text(data: dict) -> str:
+    """The text of a ``text`` entry's ``data``: its string, or its row's
+    array as compact JSON."""
+    if "row" in data:
+        return json.dumps(data["row"], separators=(",", ":"))
+    return data["text"]
 
 
 def undefined_refs(entries) -> list:
@@ -245,13 +262,13 @@ def check(directory: str) -> list:
                 "a codec change needs `python tests/persistence_fixtures.py`, "
                 "a regenerated golden needs a codec change"
             )
-    warp = WarpSystem.load(FORMAT5_SNAPSHOT)
+    warp = WarpSystem.load(FORMAT6_SNAPSHOT)
     if warp.graph.to_snapshot() != format1_workload()[0].graph.to_snapshot():
-        problems.append(f"{FORMAT5_SNAPSHOT}: no longer loads as format1_workload()")
+        problems.append(f"{FORMAT6_SNAPSHOT}: no longer loads as format1_workload()")
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     with open(FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         if repair_counters(warp) != json.load(fh):
-            problems.append(f"{FORMAT5_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
+            problems.append(f"{FORMAT6_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
     return problems
 
 

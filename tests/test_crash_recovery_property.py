@@ -290,7 +290,7 @@ def test_reborn_coordinator_drops_a_torn_journal_tail(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# text entries (snapshot format 5): an entry precedes, in WAL order, every
+# text entries (snapshot formats 5 and 6): an entry precedes, in WAL order, every
 # line that refers to it — under concurrency and at every crash point
 # ---------------------------------------------------------------------------
 
@@ -371,7 +371,7 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
 
     entries = fixtures.segment(snap_path, wal_path)
     assert fixtures.undefined_refs(entries) == []
-    texts = [data["text"] for kind, data in entries if kind == "text"]
+    texts = [fixtures.entry_text(data) for kind, data in entries if kind == "text"]
     assert len(set(texts)) == len(texts)  # each once
     loaded = WarpSystem.load(snap_path, wal_path=wal_path)
     loaded.graph.store.wal.close()

@@ -52,6 +52,15 @@ class TestParsing:
         assert len(scripts) == 1
         assert scripts[0].text_content() == "if (1 < 2) { go('x'); }"
 
+    def test_raw_text_closers_match_in_any_case(self):
+        doc = parse_html(
+            "<body><script>a = '</b>';</SCRIPT><p>between</p>"
+            "<style>p { x: 1 }</Style ><script>b()</sCrIpT><p>after</p></body>"
+        )
+        assert [s.text_content() for s in doc.scripts()] == ["a = '</b>';", "b()"]
+        assert doc.root.find("style").text_content() == "p { x: 1 }"
+        assert [p.text_content() for p in doc.root.find_all("p")] == ["between", "after"]
+
     def test_comment_skipped(self):
         doc = parse_html("<body><!-- secret --><p>x</p></body>")
         assert "secret" not in doc.select("body").text_content()

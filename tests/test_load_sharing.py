@@ -82,9 +82,9 @@ def history(tmp_path_factory):
 
 @pytest.mark.parametrize("source", ["golden lines", "fixture via recover", "fixture via load"])
 def test_committed_fixture_shares_only_immutables(tmp_path, source):
-    """The format-5 golden lines — a ``run`` and a ``replace_run`` of one
+    """The format-6 golden lines — a ``run`` and a ``replace_run`` of one
     run, so the replacement is decoded through the memo the original
-    filled — and the committed format-5 snapshot, through both of the
+    filled — and the committed format-6 snapshot, through both of the
     store's entry points."""
     if source == "golden lines":
         wal_path = str(tmp_path / "golden.wal")
@@ -94,9 +94,9 @@ def test_committed_fixture_shares_only_immutables(tmp_path, source):
         assert store.runs == {7: fixtures.golden_run()}
     else:
         if source == "fixture via recover":
-            store = RecordStore.recover(snapshot_path=fixtures.FORMAT5_SNAPSHOT)
+            store = RecordStore.recover(snapshot_path=fixtures.FORMAT6_SNAPSHOT)
         else:
-            store = WarpSystem.load(fixtures.FORMAT5_SNAPSHOT).graph.store
+            store = WarpSystem.load(fixtures.FORMAT6_SNAPSHOT).graph.store
         assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
     assert_shares_only_immutables(store)
 

@@ -1,16 +1,18 @@
-"""Snapshot format 5 and the one-codec contract behind it.
+"""Snapshot format 6 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
 of its WAL line and of its snapshot line, and it says each fact once:
-queries as positional rows, nothing the enclosing run says, no defaults —
-and no response body, SQL text or row payload another line of the segment
-already wrote: those are ``text`` entries, referred to by id.  These tests
-pin the bytes this build writes, the round trip of both views, the
-kept-text invariant across every mutation the store offers, the committed
-format-5 snapshot, the refusal — by name, with the upgrade route — of every
-file and line in a shape older builds wrote, the text entries a snapshot
-holds, the bytes one request may cost, and the refusal of files that are
-not whole.
+queries, request and response as positional rows, nothing the enclosing
+run or another field of the line says (ids its request headers carry), no
+defaults — and no response body, loaded files, SQL text or row payload
+another line of the segment already wrote: those are ``text`` entries,
+referred to by id, a payload's with its array raw.  These tests pin the
+bytes this build writes, the round trip of both views and of every
+derived field, the kept-text invariant across every mutation the store
+offers, the committed format-6 snapshot, the refusal — by name, with the
+last commit that reads it — of every file and line in a shape older builds
+wrote, the text entries a snapshot holds, the bytes one request may cost,
+and the refusal of files that are not whole.
 """
 
 import copy
@@ -29,9 +31,13 @@ import persistence_fixtures as fixtures
 from repro.ahg.records import (
     NONDET_ROW,
     QUERY_ROW,
+    REQUEST_ROW,
+    RESPONSE_ROW,
     AppRunRecord,
+    EventRecord,
     NondetRecord,
     QueryRecord,
+    VisitRecord,
     payload_text,
     query_payload,
 )
@@ -40,7 +46,8 @@ from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT, DecodeMemo, TextTable
 from repro.db.storage import Column, TableSchema
 from repro.faults.plane import FaultPlane, SimulatedCrash
-from repro.http.message import HttpRequest
+from repro.http.message import CLIENT_HEADER, REQUEST_HEADER, VISIT_HEADER
+from repro.http.message import HttpRequest, HttpResponse
 from repro.repair.api import CancelClientSpec
 from repro.store import wal as wal_module
 from repro.store.recordstore import RecordStore
@@ -62,26 +69,39 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     with open(fixtures.GOLDEN_TEXTS, "rb") as fh:
         golden = fh.read()
     assert fixtures.golden_lines(str(tmp_path)) == golden
-    # ... and the snapshot lines of the same run — its five text entries,
+    # ... and the snapshot lines of the same run — its six text entries,
     # then the run — are the WAL lines.
     lines = golden.decode("utf-8").splitlines(keepends=True)
-    assert [json.loads(line)["kind"] for line in lines] == ["text"] * 5 + ["run", "replace_run"]
-    run_line = lines[5]
+    assert [json.loads(line)["kind"] for line in lines] == ["text"] * 6 + ["run", "replace_run"]
+    run_line = lines[6]
     store = RecordStore()
     store.add_run(fixtures.golden_run())
     path = str(tmp_path / "snapshot.json")
     store.save_snapshot(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        assert fh.readlines()[1:] == lines[:6]
-    # Each fact once: no field name inside a query, no default spelled out,
-    # no body, SQL text or payload — a text entry says each.
+        assert fh.readlines()[1:] == lines[:7]
+    # Each fact once: no field name inside a query, the request or the
+    # response, no default spelled out, no id the request headers say, no
+    # body, loaded files, SQL text or payload — a text entry says each.
     assert '"sql"' not in run_line and run_line.count('"run_id"') == 1
     assert '"canceled"' not in run_line and "false" not in run_line
+    assert not re.search(DERIVED_OR_DEFAULT, golden.decode("utf-8"))
     assert "<p>ok" not in run_line and "SELECT" not in run_line and "UPDATE" not in run_line
     assert '"select"' not in run_line and "pages" not in run_line and "1.5" not in run_line
-    assert '"body":1,' in run_line and '"queries":[[11,41,2,3],[12,42,4,5]]' in run_line
-    payloads = [json.loads(line)["data"]["text"] for line in lines[2:5:2]]
-    assert payloads == [payload_text(query) for query in fixtures.golden_run().queries]
+    assert '"loaded_files":2,' in run_line and '"response":[1,200,{},{"sess":null}]' in run_line
+    assert '"request":["POST","/edit.php",{' in run_line
+    assert '"queries":[[11,41,3,4],[12,42,5,6]]' in run_line
+    # A payload's entry holds its array raw, not escaped into a string.
+    for ident, query in [(4, fixtures.golden_run().queries[0]), (6, fixtures.golden_run().queries[1])]:
+        assert lines[ident - 1] == entry_line("text", f'{{"id":{ident},"row":{payload_text(query)}}}')
+
+
+#: What no format-6 line of ``golden_run()`` may hold (the CI step greps the
+#: golden for it): its ids equal what its headers say, so a match is a
+#: derived field, or a default spelled out.
+DERIVED_OR_DEFAULT = (
+    r'"(params|cookies|headers|set_cookies)":\{\}|"status":200|"(client_id|visit_id|request_id)":'
+)
 
 
 def test_the_keyed_view_is_the_keyed_golden_line():
@@ -155,12 +175,54 @@ def run_records(draw):
     run.nondet = draw(
         st.lists(st.builds(NondetRecord, names, st.integers(0, 9), trees), max_size=2)
     )
-    run.client_id = draw(st.none() | st.text(max_size=8))
-    run.visit_id = draw(st.none() | st.integers(0, 99))
-    run.request_id = draw(st.none() | st.integers(0, 99))
+    # Ids equal to what their headers say (derived, not written), other
+    # ones, and None with and without a header.
+    run.request.headers = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                CLIENT_HEADER: st.sampled_from(["c1", "c2"]),
+                VISIT_HEADER: st.sampled_from(["3", "03", "x"]),
+                REQUEST_HEADER: st.sampled_from(["1", "2"]),
+                "Referer": st.text(max_size=4),
+            },
+        )
+    )
+    run.client_id = draw(st.none() | st.sampled_from(["c1", "c2"]) | st.text(max_size=8))
+    run.visit_id = draw(st.none() | st.integers(0, 5))
+    run.request_id = draw(st.none() | st.integers(0, 3))
     run.canceled = draw(st.booleans())
-    run.request.params["q"] = run.response.body = draw(st.text(max_size=20))
+    run.request.cookies = draw(st.dictionaries(names, st.text(max_size=4), max_size=2))
+    run.response = HttpResponse(
+        status=draw(st.sampled_from([200, 302, 403, 500])),
+        body=draw(st.text(max_size=20)),
+        headers=draw(st.dictionaries(names, st.text(max_size=4), max_size=2)),
+        set_cookies=draw(st.dictionaries(names, st.none() | st.text(max_size=4), max_size=2)),
+    )
+    run.request.params = draw(st.dictionaries(names, st.text(max_size=4), max_size=2))
+    if draw(st.booleans()):
+        run.request.params["q"] = run.response.body
     return run
+
+
+def said_ids(request):
+    """What ``request``'s correlation headers say the run's ids are, by
+    name — None for all three when a header is no id."""
+    try:
+        ids = (request.client_id, request.visit_id, request.request_id)
+    except ValueError:
+        ids = (None, None, None)
+    return dict(zip(["client_id", "visit_id", "request_id"], ids))
+
+
+def written_ids(run):
+    """The ids a run line must write: those its headers do not say."""
+    said = said_ids(run.request)
+    return {
+        name
+        for name, value in said.items()
+        if type(getattr(run, name)) is not type(value) or getattr(run, name) != value
+    }
 
 
 RUN_KEYS = {
@@ -199,19 +261,28 @@ def test_codec_views_agree(run):
         assert set(item) == {"func", "seq", "value"} and item["func"] == record.func
     # What the text may leave out, and only that; the texts it refers to.
     line = json.loads(text)
-    assert texts.by_id[line["response"]["body"]] == run.response.body
+    assert texts.by_id[line["response"][0]] == run.response.body
+    assert texts.by_id[line["loaded_files"]] == json.dumps(run.loaded_files, separators=COMPACT)
     assert [texts.by_id[row[2]] for row in line["queries"]] == [q.sql for q in run.queries]
     assert set(line) == RUN_KEYS - {
-        name
-        for name, default in [
-            ("nondet", []), ("client_id", None), ("visit_id", None),
-            ("request_id", None), ("canceled", False),
-        ]  # fmt: skip
-        if keyed[name] == default
-    }
+        name for name, default in [("nondet", []), ("canceled", False)] if keyed[name] == default
+    } - ({"client_id", "visit_id", "request_id"} - written_ids(run))
+    # The request and response rows: the keyed members in layout order,
+    # stopping after the last one that is not what a fresh object holds.
+    for row, names, item, fresh, required in [
+        (line["request"], REQUEST_ROW, keyed["request"], HttpRequest("GET", "/"), 2),
+        (line["response"], RESPONSE_ROW, keyed["response"], HttpResponse(), 1),
+    ]:
+        defaults = [getattr(fresh, name) for name in names]
+        assert required <= len(row) <= len(names)
+        assert len(row) == required or row[-1] != defaults[len(row) - 1]
+        for name, value in zip(names, row + defaults[len(row) :]):
+            if name != "body":  # an id, resolved above
+                assert item[name] == value
     for row, item, query in zip(line["queries"], keyed["queries"], run.queries):
         assert row[:2] == [query.qid, query.ts] and len(row) == 4
         assert texts.by_id[row[3]] == payload_text(query)
+        assert texts.entry(row[3]) == f'{{"id":{row[3]},"row":{payload_text(query)}}}'
         row = row[:3] + json.loads(texts.by_id[row[3]])
         assert 8 <= len(row) <= len(QUERY_ROW)
         assert len(row) == 8 or row[-1] not in ([], False)
@@ -274,12 +345,110 @@ def test_encode_is_the_dump_of_to_wire(run):
 @given(run=run_records())
 @example(run=fixtures.golden_run())
 def test_only_the_written_line_decodes(run):
-    """Whatever a run holds, the two other shapes it has — the line with
-    every text inline (what format 3 wrote) and the keyed view (what PRs
-    11-17 wrote) — are refused with the upgrade route, never decoded."""
-    for view in (json.loads(run.encode()), run.to_dict()):
-        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
-            AppRunRecord.from_dict(view, memo=DecodeMemo(TextTable()))
+    """Whatever a run holds, the two other shapes it has are never decoded:
+    the keyed view (a keyed request, as every older format wrote) is
+    refused by name, with the last commit that reads it; the line with
+    every text inline, which no build writes to a log, fails on the first
+    text where an id goes — even against a table holding every text."""
+    texts = TextTable()
+    run.encode(texts)
+    with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
+        AppRunRecord.from_dict(run.to_dict(), memo=DecodeMemo(texts))
+    with pytest.raises(KeyError):
+        AppRunRecord.from_dict(json.loads(run.encode()), memo=DecodeMemo(texts))
+
+
+def derived_case(case):
+    """``(run, visit, written)``: ``golden_run()`` and a visit changed as
+    ``case`` says, and the fields the run line and the visit line must
+    write of those a reader could derive (ids, response members, visit
+    fields at their defaults)."""
+    run = fixtures.golden_run()
+    visit = VisitRecord(client_id="c1", visit_id=3, ts=39, url="http://wiki.test/edit.php")
+    written = {"response": [1, 200, {}, {"sess": None}]}
+    if case == "client id differs from its header":
+        run.client_id = "c2"
+        written["client_id"] = "c2"
+    elif case == "visit id with no visit header":
+        del run.request.headers[VISIT_HEADER]
+        written["visit_id"] = 3
+    elif case == "ids None under their headers":
+        run.client_id = run.visit_id = run.request_id = None
+        written.update(client_id=None, visit_id=None, request_id=None)
+    elif case == "status 500, headers, no cookies set":
+        run.response = HttpResponse(500, "<p>boom</p>", {"X-Frame-Options": "DENY"}, {})
+        written["response"] = [1, 500, {"X-Frame-Options": "DENY"}]
+    elif case == "a cookie set to None":
+        run.response.set_cookies = {"sess": None, "seen": "1"}
+        written["response"] = [1, 200, {}, {"sess": None, "seen": "1"}]
+    elif case == "a response at its defaults":
+        run.response = HttpResponse(body="<p>ok</p>")
+        written["response"] = [1]
+    else:
+        assert case == "a visit with no field at its default"
+        visit = VisitRecord(
+            client_id="c1", visit_id=3, ts=39, url="http://wiki.test/edit.php",
+            method="POST", post_params={"title": "Home"}, parent_visit=2, framed=True,
+            events=[EventRecord("click", "/html/body/form/input[2]", {"x": 1})],
+            cookies_before={"http://wiki.test": {"sess": "tok-0"}},
+            cookies_after={"http://wiki.test": {"sess": "tok-1"}}, request_ids=[1],
+        )  # fmt: skip
+    visit_keys = set(visit.to_dict())
+    if case != "a visit with no field at its default":
+        visit_keys = {"client_id", "visit_id", "ts", "url", "cookies_after", "request_ids"}
+    return run, visit, written, visit_keys
+
+
+DERIVED_CASES = [
+    "client id differs from its header",
+    "visit id with no visit header",
+    "ids None under their headers",
+    "status 500, headers, no cookies set",
+    "a cookie set to None",
+    "a response at its defaults",
+    "a visit with no field at its default",
+]
+
+
+@pytest.mark.parametrize("case", DERIVED_CASES)
+def test_what_a_line_leaves_to_its_reader_comes_back(tmp_path, case):
+    """Each field a line may leave out — an id its header says, a response
+    member or a visit field at its default — is left out exactly when the
+    reader derives the same value, by type and value: decoding the line,
+    a save and load, and a WAL replay each give the record back."""
+    run, visit, written, visit_keys = derived_case(case)
+    texts = TextTable()
+    text = run.encode(texts)
+    line = json.loads(text)
+    for name in ("client_id", "visit_id", "request_id"):
+        assert line.get(name, "absent") == written.get(name, "absent"), name
+    body = texts.ids[run.response.body]
+    assert line["response"] == [body, *written["response"][1:]]
+    assert AppRunRecord.from_dict(line, text, DecodeMemo(texts)) == run
+    visit_line = json.loads(visit.encode())
+    assert set(visit_line) == visit_keys
+    assert VisitRecord.from_dict(visit_line) == visit
+
+    wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "snapshot.json")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    store.add_visit(visit)
+    store.add_run(unwritten_copy(run))
+    store.wal.close()
+    assert [json.loads(data) for kind, data in wal_lines(wal_path, "visit")] == [visit_line]
+    replayed = RecordStore.recover(wal_path=wal_path)
+    replayed.wal.close()
+    store.wal = None
+    store.save_snapshot(path)
+    for again in (replayed, RecordStore.recover(snapshot_path=path)):
+        assert again.runs == {7: run} and again.visits == {("c1", 3): visit}
+        assert again.to_snapshot() == store.to_snapshot()
+
+
+def wal_lines(path, kind):
+    """``(kind, data text)`` of every ``kind`` line of the log at ``path``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        decoded = [wal_module.decode_line(line) for line in fh]
+    return [(k, text) for k, _, text in decoded if k == kind]
 
 
 #: Each value's look-alike: equal to it (and hashing alike), of another type
@@ -474,13 +643,14 @@ def read_lines(path):
         return fh.readlines()
 
 
-def test_format5_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written at 812ecd4: it loads as the graph ``format1_workload()``
-    builds today, keeping every run's text; a save writes its record lines
-    back byte for byte; and its common.php repair gives the counters the
-    same workload has repaired to in every format since the first."""
-    fixture = fixtures.FORMAT5_SNAPSHOT
-    assert read_snapshot_header(fixture)["version"] == 5
+def test_format6_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written by the build that introduced format 6: it loads as the graph
+    ``format1_workload()`` builds today, keeping every run's text; a save
+    writes its record lines back byte for byte; and its common.php repair
+    gives the counters the same workload has repaired to in every format
+    since the first."""
+    fixture = fixtures.FORMAT6_SNAPSHOT
+    assert read_snapshot_header(fixture)["version"] == 6
     with open(fixtures.FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     original, _ = fixtures.format1_workload()
@@ -496,11 +666,11 @@ def test_format5_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     assert fixtures.repair_counters(warp) == expected
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, "missing"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, "missing"])
 def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
-    """Formats 1-4 — and a header with no version, which only format 1
+    """Formats 1-5 — and a header with no version, which only format 1
     wrote — are refused before anything is built, naming the file and the
-    commit that reads them and writes format 5."""
+    last commit that reads the format: no build converts one to format 6."""
     _, path, lines = saved
     header = json.loads(lines[0])
     if version == "missing":
@@ -509,11 +679,20 @@ def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
         header["version"] = version
     rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
     number = 1 if version == "missing" else version
-    named = rf"warp\.json.*format {number} is retired.*commit 812ecd4"
+    reader = "commit 0226ea7 is the last that reads format 5"
+    if number != 5:
+        reader = "commit 812ecd4 the last that reads formats 1-4"
+    named = rf"warp\.json.*format {number} is retired.*converts no older file.*{reader}"
     with pytest.raises(ReproError, match=named):
         WarpSystem.load(path)
     with pytest.raises(ReproError, match=named):
         RecordStore.recover(snapshot_path=path)
+
+
+def test_the_committed_format5_file_is_refused_by_name():
+    """``warp_format5.json`` (812ecd4) is kept as a refusal input only."""
+    with pytest.raises(ReproError, match=r"warp_format5\.json.*format 5 is retired.*0226ea7"):
+        WarpSystem.load(fixtures.FORMAT5_SNAPSHOT)
 
 
 def keyed_nondet_line(line, body=None):
@@ -533,22 +712,28 @@ def keyed_nondet_line(line, body=None):
 
 def retired_log(shape):
     """``(lines, number, why)``: a log holding a line in the retired
-    ``shape`` at line ``number``, and what the refusal says of it."""
+    ``shape`` at line ``number``, and what the refusal says of it.  Every
+    run line an older build wrote keys its request by name, and is refused
+    for that."""
     keyed = read_lines(fixtures.GOLDEN_LINES)
-    written = read_lines(fixtures.GOLDEN_TEXTS)  # five text entries, a run, a replace_run
+    format5 = read_lines(fixtures.GOLDEN_FORMAT5)  # five text entries, a run, a replace_run
+    written = read_lines(fixtures.GOLDEN_TEXTS)  # six text entries, a run, a replace_run
+    why = "its request is keyed"
     if shape == "keyed run line":
-        return keyed, 1, "its response body is inline"
+        return keyed, 1, why
     if shape == "row with its body inline":
-        return read_lines(fixtures.GOLDEN_ROWS), 1, "its response body is inline"
+        return read_lines(fixtures.GOLDEN_ROWS), 1, why
     if shape == "row with its payload inline":
-        return read_lines(fixtures.GOLDEN_FORMAT4), 4, "its queries are not rows of ids"
+        return read_lines(fixtures.GOLDEN_FORMAT4), 4, why
+    if shape == "format-5 run line":
+        return format5, 6, why
     if shape == "keyed-era line with no queries":
-        return [keyed_nondet_line(keyed[0])], 1, "its response body is inline"
+        return [keyed_nondet_line(keyed[0])], 1, why
     if shape == "no queries, keyed nondet, body an id":
         # Decoded as rows, the keyed entries would zip their keys into
         # func, seq and value without an error.
-        line = keyed_nondet_line(written[5], body=1)
-        return written[:5] + [line], 6, "its nondet entries are keyed"
+        line = keyed_nondet_line(format5[5], body=1)
+        return format5[:5] + [line], 6, why
     run = fixtures.golden_run()
     if shape == "run_replay entry":
         # What builds with the response cache journaled for a hit: the base
@@ -557,15 +742,16 @@ def retired_log(shape):
             "run_id": 8, "base_run_id": 7, "ts_start": 50, "qids": [13, 14],
             "ts": [51, 52], "request": run.request.to_dict(),
         }  # fmt: skip
-        return written + [entry_line("run_replay", json.dumps(data))], 8, "'run_replay'"
+        return written + [entry_line("run_replay", json.dumps(data))], 9, "'run_replay'"
     assert shape == "entry of unknown kind"
-    return written + [entry_line("no_such_kind", "{}")], 8, "'no_such_kind'"
+    return written + [entry_line("no_such_kind", "{}")], 9, "'no_such_kind'"
 
 
 RETIRED_SHAPES = [
     "keyed run line",
     "row with its body inline",
     "row with its payload inline",
+    "format-5 run line",
     "keyed-era line with no queries",
     "no queries, keyed nondet, body an id",
     "run_replay entry",
@@ -577,12 +763,12 @@ RETIRED_SHAPES = [
 def test_a_retired_wal_line_is_refused_by_name(tmp_path, shape):
     """Replaying a log stops at the first line this build does not write —
     no entry dropped, no record decoded wrong — naming the log, the line
-    and the upgrade route, and leaves the log byte for byte as it was, for
-    the build that can still read it."""
+    and the last commit that reads it, and leaves the log byte for byte as
+    it was, for the build that can still read it."""
     lines, number, why = retired_log(shape)
     path = str(tmp_path / "retired.wal")
     rewrite(path, lines)
-    named = rf"retired\.wal'? line {number}: .*{re.escape(why)}.*commit 812ecd4"
+    named = rf"retired\.wal'? line {number}: .*{re.escape(why)}.*commit 0226ea7"
     with pytest.raises(ReproError, match=named):
         RecordStore.recover(wal_path=path)
     with pytest.raises(ReproError, match=named):
@@ -595,8 +781,8 @@ def test_a_refused_entry_is_named_by_its_line_blank_ones_counted(tmp_path):
     which replay skips, count."""
     written = read_lines(fixtures.GOLDEN_TEXTS)
     path = str(tmp_path / "records.wal")
-    rewrite(path, written[:5] + ["\n", "\n"] + written[5:] + [entry_line("no_such_kind", "{}")])
-    with pytest.raises(ReproError, match=r"records\.wal'? line 10: an entry of unknown kind"):
+    rewrite(path, written[:6] + ["\n", "\n"] + written[6:] + [entry_line("no_such_kind", "{}")])
+    with pytest.raises(ReproError, match=r"records\.wal'? line 11: an entry of unknown kind"):
         RecordStore.recover(wal_path=path)
     rewrite(path, written)
     store = RecordStore.recover(wal_path=path)
@@ -628,9 +814,9 @@ def walked_maxima(store):
 
 @pytest.mark.parametrize("source", ["committed", "saved now"])
 def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, source):
-    snapshot = fixtures.FORMAT5_SNAPSHOT
+    snapshot = fixtures.FORMAT6_SNAPSHOT
     if source == "saved now":
-        snapshot = str(tmp_path / "format5.json")
+        snapshot = str(tmp_path / "format6.json")
         fixtures.format1_workload()[0].save(snapshot)
     loaded = WarpSystem.load(snapshot)
     store = loaded.graph.store
@@ -685,7 +871,7 @@ def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch
     store = RecordStore(wal=RecordWal(wal_path, durability="none"))
     for run_id in range(1, 9):
         store.add_run(bodied_run(run_id, f"<p>body {run_id % 5}</p>", ts=run_id * 10))
-    assert len(store.texts.by_id) == 5 + 2 + 2
+    assert len(store.texts.by_id) == 5 + 1 + 2 + 2  # bodies, loaded files, SQL, payloads
     store.gc(horizon_ts=45)  # runs 1-4 go; bodies 1-4 live on in runs 6-8
     path = str(tmp_path / "snapshot.json")
     monkeypatch.setattr(QueryRecord, "to_row", lambda *args: pytest.fail("a query re-encoded"))
@@ -694,8 +880,9 @@ def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch
     entries = record_lines(path, "text")
     assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
     golden = fixtures.golden_run().queries
-    assert {entry["text"] for entry in entries} == {
+    assert set(map(fixtures.entry_text, entries)) == {
         "<p>body 0</p>", "<p>body 1</p>", "<p>body 2</p>", "<p>body 3</p>",
+        '{"edit.php":2,"common.php":0}',
         golden[0].sql, golden[1].sql, payload_text(golden[0]), payload_text(golden[1]),
     }  # fmt: skip
     assert set(store.texts.by_id) == {entry["id"] for entry in entries}
@@ -715,12 +902,12 @@ def test_save_after_replace_run_drops_the_replaced_body(tmp_path):
     store.add_run(bodied_run(1, "<p>before</p>", ts=10))
     path = str(tmp_path / "snapshot.json")
     store.save_snapshot(path)
-    assert "<p>before</p>" in {entry["text"] for entry in record_lines(path, "text")}
+    assert "<p>before</p>" in set(map(fixtures.entry_text, record_lines(path, "text")))
     store.replace_run(1, bodied_run(1, "<p>after</p>", ts=10))
     store.save_snapshot(path)
     store.wal.close()
     entries = record_lines(path, "text")
-    assert "<p>before</p>" not in {entry["text"] for entry in entries}
+    assert "<p>before</p>" not in set(map(fixtures.entry_text, entries))
     assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
 
 
@@ -747,13 +934,14 @@ def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
     store.add_run(bodied_run(1, "<p>kept</p>", ts=10))
     store.add_run(bodied_run(2, "<p>dropped</p>", ts=5))
     dropped = store.texts.ids["<p>dropped</p>"]
-    assert dropped == store.texts.last_id == 6  # a body, two SQL texts, two payloads first
+    # A body, the loaded files, two SQL texts and two payloads first.
+    assert dropped == store.texts.last_id == 7
     store.gc(horizon_ts=8)
     store.save_snapshot(path)
     store.wal.close()
-    assert read_snapshot_header(path)["ids"] == {"text": 6}
+    assert read_snapshot_header(path)["ids"] == {"text": 7}
     assert dropped not in {entry["id"] for entry in record_lines(path, "text")}
-    for last in (6, 7):
+    for last in (7, 8):
         reloaded = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
         assert reloaded.texts.last_id == last
         body, ts = f"<p>new {last}</p>", reloaded.max_ts + 1
@@ -762,7 +950,7 @@ def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
         reloaded.save_snapshot(path)
         reloaded.wal.close()
     ids = [entry["id"] for entry in record_lines(path, "text")]
-    assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 8 and len(ids) == len(set(ids))
+    assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 9 and len(ids) == len(set(ids))
 
 
 def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_path):
@@ -799,8 +987,9 @@ def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_pat
     assert results[2].payload is payload
     warp.graph.store.wal.close()
     tail = [(kind, data) for kind, data in RecordWal.entries(wal_path) if kind != "snapshot_marker"]
-    assert [kind for kind, _ in tail] == ["text"] * 3 + ["run"]  # body, SQL, payload, run
-    assert [data["text"] for _, data in tail[1:3]] == [sql, payload.text]
+    # The body, the loaded files, the SQL text and the payload, then the run.
+    assert [kind for kind, _ in tail] == ["text"] * 4 + ["run"]
+    assert [fixtures.entry_text(data) for _, data in tail[2:4]] == [sql, payload.text]
     assert fixtures.undefined_refs(fixtures.segment(path, wal_path)) == []
     loaded = WarpSystem.load(path, wal_path=wal_path)
     loaded.graph.store.wal.close()
@@ -818,10 +1007,11 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
     kind pays for the text entries of its body, SQL texts and row payloads;
     its repeat pays for none when it reads what it read before (the form)
     and for the new body and the payloads that saw the new page text when
-    it does not (each edit).  (Format 4, payloads inline: 1573, 867, 1767,
-    1236; format 3, every text inline: 1461, 1464, 1842, 1841; before it,
-    keyed queries with every default spelled out: 2330 for the form and
-    3111 for an edit.)"""
+    it does not (each edit).  (Format 5, keyed request and response, ids
+    spelled out, payloads escaped: 1626, 424, 1476, 942; format 4, payloads
+    inline: 1573, 867, 1767, 1236; format 3, every text inline: 1461, 1464,
+    1842, 1841; before it, keyed queries with every default spelled out:
+    2330 for the form and 3111 for an edit.)"""
     warp = WarpSystem(seed=7, wal_path=str(tmp_path / "records.wal"), durability="none")
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -835,9 +1025,9 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
         return wal.appended_bytes - before
 
     form = client.request("GET", "/edit.php", {"title": "P"})
-    assert [cost(form), cost(form)] == [1626, 424]
+    assert [cost(form), cost(form)] == [1506, 283]
     append = client.request("POST", "/edit.php", {"title": "P", "append": "\none more line."})
-    assert [cost(append), cost(append)] == [1476, 942]
+    assert [cost(append), cost(append)] == [1275, 742]
     wal.close()
 
 
@@ -953,7 +1143,7 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 5
+        assert header["version"] == 6
         n_texts = len(record_lines(path, "text"))
         assert n_texts == len(referenced_ids(run_lines(path))) > 0
         assert header["records"] == {
@@ -1001,16 +1191,18 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
 
     def test_run_line_in_a_retired_shape(self, saved):
-        """A format-5 header over a run line as format 3 wrote it (every text
-        inline) is refused with the upgrade route, not decoded."""
+        """A format-6 header over a run line whose request is keyed, as
+        format 5 and every format before it wrote it, is refused with the
+        last commit that reads it, not decoded."""
         warp, path, lines = saved
         at = next(n for n, line in enumerate(lines) if line.startswith('{"kind":"run"'))
-        run = warp.graph.runs[json.loads(lines[at])["data"]["run_id"]]
-        inline = entry_line("run", run.encode())
-        rewrite(path, lines[:at] + [inline] + lines[at + 1 :])
-        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
+        data = json.loads(lines[at])["data"]
+        data["request"] = warp.graph.runs[data["run_id"]].request.to_dict()
+        keyed = entry_line("run", json.dumps(data, separators=COMPACT))
+        rewrite(path, lines[:at] + [keyed] + lines[at + 1 :])
+        with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
             WarpSystem.load(path)
-        with pytest.raises(ReproError, match="response body is inline.*commit 812ecd4"):
+        with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
             RecordStore.recover(snapshot_path=path)
 
     def test_a_refused_retired_file_leaves_the_sqlite_database_as_it_was(self, tmp_path):
@@ -1044,7 +1236,7 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         assert files() == before
 
-    @pytest.mark.parametrize("version", [0, 6, "5", None])
+    @pytest.mark.parametrize("version", [0, 7, "6", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])
@@ -1172,7 +1364,7 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
             elif kind == "text":
                 entries[data["id"]] = line
     assert len(texts) == 4
-    replaced_body = json.loads(texts[2])["response"]["body"]
+    replaced_body = json.loads(texts[2])["response"][RESPONSE_ROW.index("body")]
     assert "<!-- replaced -->" in entries[replaced_body]
 
     recovered = WarpSystem.load(None, wal_path=wal_path)
@@ -1214,9 +1406,9 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
     monkeypatch.setattr(wal_module, "decode_line", counting_decode)
     recovered = RecordStore.recover(wal_path=wal_path)
     assert sorted(recovered.runs) == [1, 2, 3, 4, 5]
-    # Once each (the torn line has no newline to get that far): the five
+    # Once each (the torn line has no newline to get that far): the six
     # text entries the first run defined, the five runs.
-    assert len(decoded) == 5 + 5
+    assert len(decoded) == 6 + 5
     monkeypatch.undo()
     # The attach dropped the torn tail without a second pass.
     assert RecordWal.repair(wal_path) == 0
