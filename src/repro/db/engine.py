@@ -42,8 +42,9 @@ Each table it returns is a ``Table``-shaped object providing:
 * **access paths** — ``candidate_row_ids`` (may return None: "no index,
   scan"), and optionally ``range_candidate_row_ids`` / ``ordered_groups``
   (the in-memory engine's ordered value index) or ``fetch_plan`` (the
-  SQLite engine's SQL-lowering fast path; see
-  :mod:`repro.db.sql.lower`);
+  SQLite engine's path: the plan's equality and range probes rendered
+  into one query, every fetched row rechecked by the compiled
+  predicate);
 * **bookkeeping** — ``allocate_row_id``, ``unique_conflict``, ``gc``,
   ``integrity_errors``, ``version_count``, ``schema``, ``to_dict``.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
-from repro.db.planner import MISSING, ExecPlan, build_plan, sort_key
+from repro.db.planner import MISSING, ExecPlan, build_plan, range_bounds, sort_key
 from repro.db.sql.parser import parse
 from repro.db.storage import Database, RowVersion, Table, order_key
 
@@ -174,13 +174,13 @@ class Executor:
         self, table: Table, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> List[RowVersion]:
         """Rows ``plan``'s WHERE clause selects at (ts, gen), in row-ID
-        order."""
+        order: the plan's probes narrow the rows, the compiled predicate
+        decides each one."""
         fetch = getattr(table, "fetch_plan", None)
         if fetch is not None:
-            # SQL-lowering engines fetch matched rows natively (lowered
-            # WHERE plus visibility in one query).
-            matched, _ = fetch(plan, params, ctx, self.versioned, False)
-            return matched
+            # The SQLite engine renders the probes and visibility into one
+            # query and rechecks what it fetches.
+            return fetch(plan, params, ctx, self.versioned)
         candidates = self._plan_candidates(table, plan, params)
         if candidates is not None:
             return self._match_candidates(table, candidates, plan, params, ctx)
@@ -202,17 +202,15 @@ class Executor:
                 best = rows
         if best is not None:
             return best
-        if plan.range_probe is not None:
-            column, lo_getter, lo_incl, hi_getter, hi_incl = plan.range_probe
-            lo = hi = None
-            if lo_getter is not None:
-                lo = lo_getter(params)
-                if lo is MISSING or lo is None:
-                    return None
-            if hi_getter is not None:
-                hi = hi_getter(params)
-                if hi is MISSING or hi is None:
-                    return None
+        for probe in plan.range_probes:
+            # The first range on a column the ordered index covers.
+            column, _, lo_incl, _, hi_incl = probe
+            if column not in table._indexed_columns:
+                continue
+            bounds = range_bounds(probe, params)
+            if bounds is None:
+                return None
+            lo, hi = bounds
             return table.range_candidate_row_ids(column, lo, lo_incl, hi, hi_incl)
         return None
 
@@ -272,29 +270,12 @@ class Executor:
     ) -> QueryResult:
         stmt = plan.stmt
         table = self.database.table(plan.table)
-        pre_sorted = False
-        fetch = getattr(table, "fetch_plan", None)
-        if fetch is not None:
-            matched, pre_sorted = fetch(
-                plan,
-                params,
-                ctx,
-                self.versioned,
-                bool(stmt.order_by) and not stmt.is_aggregate,
-            )
-        else:
-            candidates = self._plan_candidates(table, plan, params)
-            if candidates is not None:
-                matched = self._match_candidates(table, candidates, plan, params, ctx)
-            elif plan.order_index is not None and not stmt.is_aggregate:
-                ordered = self._ordered_matched(table, plan, params, ctx)
-                if ordered is not None:
-                    matched = ordered
-                    pre_sorted = True
-                else:
-                    matched = self._plan_scan(table, plan, params, ctx)
-            else:
-                matched = self._plan_scan(table, plan, params, ctx)
+        matched = None
+        if plan.order_index is not None and not stmt.is_aggregate:
+            matched = self._ordered_matched(table, plan, params, ctx)
+        pre_sorted = matched is not None
+        if matched is None:
+            matched = self._matching(table, plan, params, ctx)
 
         if stmt.is_aggregate:
             datas = [version.data for version in matched]

@@ -7,9 +7,10 @@ computed once and cached:
 
 * the WHERE predicate and SELECT projection as compiled closures
   (:mod:`repro.db.sql.compile`) — no per-row AST walking;
-* the access path: equality probes against the value index, a range
-  probe against the ordered index, or an index-ordered traversal for
-  ``ORDER BY`` on an indexed column;
+* the access path: equality and range probes — served by the memory
+  engine's value and ordered indexes, rendered by the SQLite engine into
+  its WHERE — or an index-ordered traversal for ``ORDER BY`` on an
+  indexed column;
 * compiled UPDATE assignments, INSERT row builders, ORDER BY sort keys
   and aggregate reducers.
 
@@ -39,7 +40,7 @@ equality index's caveat.)
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SqlError, StorageError
 from repro.db.sql import ast
@@ -69,7 +70,7 @@ class ExecPlan:
         "read_plan",
         "pred",
         "eq_probes",
-        "range_probe",
+        "range_probes",
         "order_index",
         "sort_items",
         "agg_items",
@@ -78,8 +79,6 @@ class ExecPlan:
         "insert_rows",
         "touches_indexed",
         "touches_partitions",
-        "lowered",
-        "lowered_order",
         "referenced",
     )
 
@@ -100,7 +99,10 @@ class ExecPlan:
         self.read_plan = None
         self.pred = None
         self.eq_probes: Tuple[Tuple[str, Getter], ...] = ()
-        self.range_probe: Optional[Tuple] = None
+        #: ``(column, lo, lo_inclusive, hi, hi_inclusive)`` per column a
+        #: top-level conjunct bounds, in first-mention order; ``lo`` and
+        #: ``hi`` are bound getters, None for an open side.
+        self.range_probes: Tuple[Tuple, ...] = ()
         self.order_index: Optional[Tuple[str, bool]] = None
         self.sort_items: Optional[Tuple[Tuple[Callable, bool], ...]] = None
         self.agg_items: Optional[Tuple[Tuple[str, Callable], ...]] = None
@@ -112,20 +114,17 @@ class ExecPlan:
         #: index entries / partition keys provably cover the new version.
         self.touches_indexed = True
         self.touches_partitions = True
-        #: SQL-lowering artifacts, populated only for tables advertising
-        #: ``sql_lowering`` (the SQLite engine): a bind-time-renderable
-        #: WHERE tree, the ORDER BY column list, and the referenced-column
-        #: set for projection pushdown (see :mod:`repro.db.sql.lower`).
-        self.lowered = None
-        self.lowered_order: Optional[Tuple[Tuple[str, bool], ...]] = None
-        self.referenced = None
+        #: Every column a SELECT references (None for ``SELECT *``), for
+        #: the projection pushdown of tables advertising ``sql_lowering``
+        #: (the SQLite engine).
+        self.referenced: Optional[FrozenSet[str]] = None
 
 
 def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
     schema = table.schema
     if isinstance(stmt, ast.Select):
         plan = ExecPlan("select", stmt, epoch)
-        _plan_where(plan, stmt.where, table)
+        _plan_where(plan, stmt.where)
         if stmt.is_aggregate:
             items = []
             for index, item in enumerate(stmt.items):
@@ -147,27 +146,25 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
                 (compile_expr(order.expr), order.descending)
                 for order in stmt.order_by
             )
+            indexed = table._indexed_columns
             if (
-                len(stmt.order_by) == 1
+                hasattr(table, "ordered_groups")
+                and len(stmt.order_by) == 1
                 and isinstance(stmt.order_by[0].expr, ast.ColumnRef)
-                and stmt.order_by[0].expr.name in table._indexed_columns
+                and stmt.order_by[0].expr.name in indexed
                 and schema.has_column(stmt.order_by[0].expr.name)
+                # An indexed probe narrows the rows instead.
+                and not any(
+                    probe[0] in indexed
+                    for probe in (*plan.eq_probes, *plan.range_probes)
+                )
             ):
                 plan.order_index = (
                     stmt.order_by[0].expr.name,
                     stmt.order_by[0].descending,
                 )
         if getattr(table, "sql_lowering", False):
-            from repro.db.sql.lower import build_lowering, referenced_columns
-
-            plan.lowered = build_lowering(stmt.where)
             plan.referenced = referenced_columns(stmt)
-            if stmt.order_by and all(
-                isinstance(order.expr, ast.ColumnRef) for order in stmt.order_by
-            ):
-                plan.lowered_order = tuple(
-                    (order.expr.name, order.descending) for order in stmt.order_by
-                )
         return plan
 
     if isinstance(stmt, ast.Update):
@@ -181,20 +178,12 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
         assigned = {column for column, _ in stmt.assignments}
         plan.touches_indexed = bool(assigned & table._indexed_columns)
         plan.touches_partitions = bool(assigned & set(schema.partition_columns))
-        _plan_where(plan, stmt.where, table)
-        if getattr(table, "sql_lowering", False):
-            from repro.db.sql.lower import build_lowering
-
-            plan.lowered = build_lowering(stmt.where)
+        _plan_where(plan, stmt.where)
         return plan
 
     if isinstance(stmt, ast.Delete):
         plan = ExecPlan("delete", stmt, epoch)
-        _plan_where(plan, stmt.where, table)
-        if getattr(table, "sql_lowering", False):
-            from repro.db.sql.lower import build_lowering
-
-            plan.lowered = build_lowering(stmt.where)
+        _plan_where(plan, stmt.where)
         return plan
 
     if isinstance(stmt, ast.Insert):
@@ -217,7 +206,7 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
 # -- access-path extraction ---------------------------------------------------
 
 
-def _plan_where(plan: ExecPlan, where: Optional[ast.Expr], table: Table) -> None:
+def _plan_where(plan: ExecPlan, where: Optional[ast.Expr]) -> None:
     plan.pred = compile_predicate(where)
     if where is None:
         return
@@ -246,10 +235,26 @@ def _plan_where(plan: ExecPlan, where: Optional[ast.Expr], table: Table) -> None
                         ranges, conjunct.operand.name, lo, True, hi, True
                     )
     plan.eq_probes = tuple(eq_probes)
-    for column, (lo, lo_incl, hi, hi_incl) in ranges.items():
-        if column in table._indexed_columns:
-            plan.range_probe = (column, lo, lo_incl, hi, hi_incl)
-            break
+    plan.range_probes = tuple(
+        (column, *bounds) for column, bounds in ranges.items()
+    )
+
+
+def range_bounds(probe: Tuple, params: Sequence[object]) -> Optional[Tuple]:
+    """``(lo, hi)`` of a range probe under ``params`` (None for an open
+    side), or None when a bound is NULL or its parameter is missing: no
+    probe is taken then, and the compiled predicate meets every row."""
+    _, lo_getter, _, hi_getter, _ = probe
+    lo = hi = None
+    if lo_getter is not None:
+        lo = lo_getter(params)
+        if lo is MISSING or lo is None:
+            return None
+    if hi_getter is not None:
+        hi = hi_getter(params)
+        if hi is MISSING or hi is None:
+            return None
+    return lo, hi
 
 
 def _conjuncts(expr: ast.Expr):
@@ -314,6 +319,50 @@ def _value_getter(expr: ast.Expr) -> Optional[Getter]:
 
         return getter
     return None
+
+
+def referenced_columns(stmt: ast.Select) -> Optional[FrozenSet[str]]:
+    """Every column name a SELECT's projection, WHERE and ORDER BY touch,
+    or None for ``SELECT *`` (needs full rows)."""
+    if stmt.is_star:
+        return None
+    out: set = set()
+    for item in stmt.items:
+        _collect_columns(item.expr, out)
+    for order in stmt.order_by:
+        _collect_columns(order.expr, out)
+    if stmt.where is not None:
+        _collect_columns(stmt.where, out)
+    return frozenset(out)
+
+
+def _collect_columns(expr: ast.Expr, out: set) -> None:
+    if isinstance(expr, ast.ColumnRef):
+        out.add(expr.name)
+    elif isinstance(expr, ast.BinaryOp):
+        _collect_columns(expr.left, out)
+        _collect_columns(expr.right, out)
+    elif isinstance(expr, ast.UnaryOp):
+        _collect_columns(expr.operand, out)
+    elif isinstance(expr, ast.InList):
+        _collect_columns(expr.needle, out)
+        for item in expr.items:
+            _collect_columns(item, out)
+    elif isinstance(expr, ast.Like):
+        _collect_columns(expr.operand, out)
+        _collect_columns(expr.pattern, out)
+    elif isinstance(expr, ast.Between):
+        _collect_columns(expr.operand, out)
+        _collect_columns(expr.low, out)
+        _collect_columns(expr.high, out)
+    elif isinstance(expr, ast.IsNull):
+        _collect_columns(expr.operand, out)
+    elif isinstance(expr, ast.FuncCall):
+        for arg in expr.args:
+            _collect_columns(arg, out)
+    elif isinstance(expr, ast.Aggregate):
+        if expr.arg is not None:
+            _collect_columns(expr.arg, out)
 
 
 # -- result shaping -------------------------------------------------------------

@@ -3,11 +3,9 @@
 The paper implements its time-travel database by *rewriting SQL queries*
 issued by the application against PostgreSQL (§4.4, §6).  This package is
 the front half of the substrate that replaces PostgreSQL, for the SQL
-subset the applications use: a lexer, a parser, the AST, the compiler
-from expressions to Python closures (:mod:`repro.db.sql.compile`, the one
-in-process evaluator) and the lowering of WHERE clauses to SQLite
-(:mod:`repro.db.sql.lower`).  Statements are planned and executed one
-level up (:mod:`repro.db.planner`, :mod:`repro.db.executor`).
+subset the applications use: a lexer, a parser, the AST and the
+compiler from expressions to Python closures (:mod:`repro.db.sql.compile`,
+the one evaluator).  Statements are planned and executed one level up (:mod:`repro.db.planner`, :mod:`repro.db.executor`).
 
 Supported statements::
 

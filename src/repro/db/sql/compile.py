@@ -9,12 +9,10 @@ only when the predicate is truthy (NULL is false at the filter boundary).
 COALESCE evaluates all its arguments; comparing incompatible types
 raises ``SqlError``.
 
-This module also owns the LIKE and text-coercion helpers the SQLite
-lowering (:mod:`repro.db.sql.lower`) shares with it.  The reference it
-is held to is a tree-walking evaluator kept on the test side
-(``tests/naive_executor.py``): ``tests/test_sql_eval.py`` runs the same
-unit cases through both and ``tests/test_executor_property.py`` compares
-whole workloads.
+The reference it is held to is a tree-walking evaluator kept on the test
+side (``tests/naive_executor.py``): ``tests/test_sql_eval.py`` runs the
+same unit cases through both and ``tests/test_executor_property.py``
+compares whole workloads.
 """
 
 from __future__ import annotations

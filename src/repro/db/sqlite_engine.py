@@ -4,12 +4,13 @@ Versioned rows live in *shadow tables*: one SQLite table per application
 table with the WARP interval columns (``__start_ts``/``__end_ts`` half-open
 time, ``__start_gen``/``__end_gen`` closed generations, paper §4.2) plus
 one untyped shadow column per schema column and a ``__data`` JSON blob.
-The blob is the fidelity source of truth — shadow columns exist so WHERE /
-ORDER BY / projections can run inside SQLite (:mod:`repro.db.sql.lower`);
-whenever a column has ever stored a value the shadow representation would
-misrepresent (huge ints, NaN, non-scalars), lowering consults the per-
-column :class:`~repro.db.sql.lower.ColumnState` flags and falls back to
-materializing rows and re-checking with the compiled Python predicate.
+The blob is the fidelity source of truth — shadow columns exist so the
+planner's equality and range probes narrow the fetched rows inside SQLite
+and projections skip the blob (:meth:`SqliteTable.fetch_plan`); the
+compiled Python predicate then decides every fetched row, as it does on
+the memory engine.  Per-column :class:`ColumnState` flags keep a probe off
+a column that has ever stored a value its shadow representation would
+misrepresent (huge ints, NaN, non-scalars).
 
 ``__vid INTEGER PRIMARY KEY AUTOINCREMENT`` is the engine-private version
 identity stamped into :attr:`RowVersion.vid` at materialization time.
@@ -55,15 +56,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
 from repro.core.errors import StorageError
-from repro.db.sql.lower import (
-    ColumnState,
-    bindable,
-    render_order,
-    render_where,
-    warp_desc_cmp,
-    warp_like,
-)
-from repro.db.storage import RowVersion, TableSchema
+from repro.db.planner import range_bounds
+from repro.db.storage import RowVersion, TableSchema, range_rank
 from repro.faults.plane import active as _active_plane
 
 #: Interval/identity columns every shadow table carries, in SELECT order.
@@ -88,6 +82,55 @@ _COUNTERS = ("version_count", "_next_row_id", "_max_ts", "_open_seq", "_multi_op
 _counters = attrgetter(*_COUNTERS)
 
 
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+
+class ColumnState:
+    """What a shadow column has ever stored — the monotone facts the
+    probe prefilter and projection pushdown consult.  Maintained by the
+    engine on every write (flags never reset, so a plan cached before a
+    poisoning write fetches correctly after it) and rebuilt from the rows
+    by ``restore``'s bulk load."""
+
+    __slots__ = ("ident", "ranks", "lossy", "has_nan", "has_bool")
+
+    def __init__(self, ident: str) -> None:
+        #: Quoted SQL identifier of the shadow column.
+        self.ident = ident
+        #: Order-key ranks (:func:`repro.db.storage.order_key`) of non-NULL
+        #: stored values.
+        self.ranks: set = set()
+        #: Ever stored a value the shadow column cannot represent
+        #: faithfully (huge int / non-scalar, both stored as text).
+        self.lossy = False
+        #: Ever stored a float NaN (bound as NULL).
+        self.has_nan = False
+        #: Ever stored a bool (bound as int; breaks str() round-trips).
+        self.has_bool = False
+
+    def clean(self) -> bool:
+        """SQL comparisons on the shadow column agree with Python's on
+        the stored values."""
+        return not (self.lossy or self.has_nan)
+
+    def faithful(self) -> bool:
+        """Shadow values are byte-identical to the stored Python values —
+        safe to materialize row data from, bypassing the JSON blob."""
+        return not (self.lossy or self.has_nan or self.has_bool)
+
+
+def bindable(value) -> bool:
+    """Values SQLite can bind without changing their comparison class."""
+    if value is None or isinstance(value, (str, bool)):
+        return True
+    if isinstance(value, int):
+        return _INT64_MIN <= value <= _INT64_MAX
+    if isinstance(value, float):
+        return value == value  # NaN binds as NULL — never bindable
+    return False
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
 
@@ -105,15 +148,15 @@ def _release(conns: dict, directory: str) -> None:
 
 def _json_encode(data: dict) -> str:
     # default=str keeps inserts of exotic values working (the column's
-    # ``lossy`` flag already forces Python evaluation for them).
+    # ``lossy`` flag already keeps probes off it).
     return json.dumps(data, default=str)
 
 
 class SqliteTable:
     """One application table's version store, in a file of its own."""
 
-    #: Capability flag: build_plan attaches lowering artifacts
-    #: (plan.lowered / lowered_order / referenced) for this table.
+    #: Capability flag: build_plan attaches ``plan.referenced`` (the
+    #: columns a SELECT touches) for projection pushdown.
     sql_lowering = True
 
     def __init__(self, engine: "SqliteEngine", schema: TableSchema):
@@ -137,7 +180,7 @@ class SqliteTable:
         #: each row's visibility winner first (window query).
         self._multi_open = False
         self._sql_name = f'"t_{_safe_name(schema.name)}"'
-        #: Column name -> (shadow ident, monotone lowering flags).
+        #: Column name -> (shadow ident, monotone probe flags).
         self._states: Dict[str, ColumnState] = {
             col.name: ColumnState(f'"c{index}"')
             for index, col in enumerate(schema.columns)
@@ -206,7 +249,7 @@ class SqliteTable:
 
     def _encode_value(self, name: str, value):
         """Shadow representation of ``value``, updating the column's
-        monotone flags so lowering knows what it can trust."""
+        monotone flags so probes know what they can trust."""
         state = self._states[name]
         if value is None:
             return None
@@ -216,7 +259,7 @@ class SqliteTable:
             return int(value)
         if isinstance(value, int):
             state.ranks.add(1)
-            if -(2**63) <= value <= 2**63 - 1:
+            if _INT64_MIN <= value <= _INT64_MAX:
                 return value
             state.lossy = True
             return str(value)
@@ -364,7 +407,7 @@ class SqliteTable:
         self, version: RowVersion, new_data: Dict[str, object], reindex: bool = True
     ) -> None:
         # The reindex fast-path flag is an in-memory-index concern; shadow
-        # columns and lowering flags must always be kept current.
+        # columns and probe flags must always be kept current.
         self.replace_data(version, new_data)
 
     def rehome_version(self, version: RowVersion, start_gen: int) -> None:
@@ -495,46 +538,51 @@ class SqliteTable:
     def candidate_row_ids(self, column: str, value) -> Optional[set]:
         return None  # no in-memory equality index: fetch_plan is the path
 
-    def fetch_plan(
-        self,
-        plan,
-        params: Sequence[object],
-        ctx,
-        versioned: bool,
-        want_order: bool,
-    ) -> Tuple[List[RowVersion], bool]:
-        """Matched rows for a compiled plan, straight from SQLite.
-
-        Lowers WHERE (superset or exact), visibility, ORDER BY and the
-        projection into one query; anything unlowerable falls back to the
-        compiled Python predicate over materialized rows.  Returns
-        ``(matched, pre_sorted)``; when not pre-sorted, rows are in row-ID
-        order exactly like every other access path.
-        """
+    def _prefilter(self, plan, params: Sequence[object]) -> Tuple[str, List[object]]:
+        """``(where, binds)`` narrowing to a superset of the rows ``plan``
+        selects ('' for none): each equality probe, and each range probe
+        under :func:`~repro.db.storage.range_rank`'s rule, on a known,
+        clean column with bindable values."""
         states = self._states
-        where_sql, where_binds, exact = render_where(plan.lowered, params, states)
-        need_recheck = plan.pred is not None and not exact
+        clauses: List[str] = []
+        binds: List[object] = []
+        for name, getter in plan.eq_probes:
+            state = states.get(name)
+            value = getter(params)
+            if state is not None and state.clean() and bindable(value):
+                clauses.append(f"{state.ident} = ?")
+                binds.append(value)
+        for probe in plan.range_probes:
+            state = states.get(probe[0])
+            if state is None or not state.clean():
+                continue
+            bounds = range_bounds(probe, params)
+            if bounds is None or range_rank(*bounds, state.ranks) is None:
+                continue
+            lo, hi = bounds
+            if not (bindable(lo) and bindable(hi)):
+                continue
+            _, _, lo_inclusive, _, hi_inclusive = probe
+            if lo is not None:
+                clauses.append(f"{state.ident} {'>=' if lo_inclusive else '>'} ?")
+                binds.append(lo)
+            if hi is not None:
+                clauses.append(f"{state.ident} {'<=' if hi_inclusive else '<'} ?")
+                binds.append(hi)
+        return " AND ".join(clauses), binds
 
-        order_sql = None
-        if want_order and plan.lowered_order is not None and not need_recheck:
-            # A non-exact prefilter re-checks rows with the Python
-            # predicate; doing that in row-ID order keeps which-row-raises
-            # behavior identical to the naive scan, so ORDER BY pushdown
-            # only engages when the WHERE is exact.
-            order_sql = render_order(plan.lowered_order, states)
-        pre_sorted = order_sql is not None
-
+    def fetch_plan(
+        self, plan, params: Sequence[object], ctx, versioned: bool
+    ) -> List[RowVersion]:
+        """Rows ``plan`` selects, in row-ID order: the probe prefilter,
+        visibility and the projection run as one query, and the compiled
+        predicate rechecks every fetched row."""
+        states = self._states
+        where_sql, where_binds = self._prefilter(plan, params)
         if versioned:
             vis_where, vis_binds, winner = self._vis(ctx.ts, ctx.gen)
         else:
             vis_where, vis_binds, winner = None, (), _PLAIN_WINNER
-        #: While no row has ever had two open versions, each row has at
-        #: most one visible version, so the lowered WHERE may filter
-        #: before winner selection.  Once ``_multi_open`` is set it must
-        #: filter winners only — a matching superseded version must not
-        #: resurface (same contract the memory engine gets from checking
-        #: only ``_visible_in_chain``'s pick).
-        winner_first = self._multi_open and where_sql is not None
 
         proj_names = None
         if plan.referenced is not None:
@@ -545,48 +593,34 @@ class SqliteTable:
                 # same "unknown column" the full dict would produce.
                 proj_names = names
 
-        if pre_sorted or winner_first:
-            # Window query: pick each row's visibility winner first, then
-            # filter / sort — deduping or filtering in any other order
-            # would pick the wrong version when a row has several visible
-            # ones.
-            cols = self._select_cols(proj_names)
-            inner = [vis_where] if vis_where else []
-            outer = ["__rn = 1"]
-            binds: List[object] = list(vis_binds)
-            if where_sql is not None:
-                if winner_first:
-                    # Only rows with a visible version satisfying the WHERE
-                    # can have a winner that does: partition those rows
-                    # (each with all its visible versions), not the table.
-                    inner.append(
-                        f"__row_id IN (SELECT __row_id FROM {self._sql_name} "
-                        f"WHERE {' AND '.join(inner + [f'({where_sql})'])})"
-                    )
-                    outer.append(f"({where_sql})")
-                    binds.extend((*vis_binds, *where_binds))
-                else:
-                    inner.append(where_sql)
-                binds.extend(where_binds)
-            order = (
-                f"{order_sql}, __row_id ASC" if pre_sorted else "__row_id ASC"
+        clauses = [vis_where] if vis_where else []
+        binds: List[object] = list(vis_binds)
+        if where_sql and self._multi_open:
+            # Window query.  While no row has ever had two open versions,
+            # each row has at most one visible version, so the prefilter
+            # may filter before winner selection.  Once ``_multi_open`` is
+            # set it must filter winners only — a matching superseded
+            # version must not resurface (the memory engine checks only
+            # ``_visible_in_chain``'s pick).  Only rows with a visible
+            # version passing the prefilter can have a winner that does:
+            # partition those rows (each with all its visible versions),
+            # not the table.
+            clauses.append(
+                f"__row_id IN (SELECT __row_id FROM {self._sql_name} "
+                f"WHERE {' AND '.join(clauses + [where_sql])})"
             )
+            binds.extend((*vis_binds, *where_binds))
             sql = (
-                f"SELECT {cols} FROM (SELECT *, ROW_NUMBER() OVER "
-                f"(PARTITION BY __row_id ORDER BY {winner}) AS __rn "
-                f"FROM {self._sql_name}"
-                + (f" WHERE {' AND '.join(inner)}" if inner else "")
-                + f") WHERE {' AND '.join(outer)} ORDER BY {order}"
+                f"SELECT {self._select_cols(proj_names)} FROM (SELECT *, "
+                f"ROW_NUMBER() OVER (PARTITION BY __row_id ORDER BY {winner}) "
+                f"AS __rn FROM {self._sql_name} WHERE {' AND '.join(clauses)}) "
+                f"WHERE __rn = 1 AND {where_sql} ORDER BY __row_id ASC"
             )
+            binds.extend(where_binds)
             rows = self._exec(sql, binds).fetchall()
             matched = [self._materialize(row, proj_names) for row in rows]
         else:
-            clauses = []
-            binds = []
-            if vis_where:
-                clauses.append(vis_where)
-                binds.extend(vis_binds)
-            if where_sql is not None:
+            if where_sql:
                 clauses.append(where_sql)
                 binds.extend(where_binds)
             fetched = self._fetch(
@@ -596,10 +630,10 @@ class SqliteTable:
                 proj_names,
             )
             matched = self._dedupe(fetched)
-        if need_recheck:
-            pred = plan.pred
-            matched = [v for v in matched if pred(v.data, params)]
-        return matched, pre_sorted
+        pred = plan.pred
+        if pred is None:
+            return matched
+        return [version for version in matched if pred(version.data, params)]
 
     # -- uniqueness ---------------------------------------------------------------
 
@@ -828,8 +862,6 @@ class SqliteEngine:
                 isolation_level=None,  # autocommit outside an ``atomic`` scope
                 cached_statements=256,
             )
-            conn.create_function("warp_like", 2, warp_like, deterministic=True)
-            conn.create_collation("warp_desc", warp_desc_cmp)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             self._conns[name] = conn

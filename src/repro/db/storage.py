@@ -68,6 +68,27 @@ def descending_order_key(rank: int, key) -> Tuple[int, object]:
     return (-rank, -key)
 
 
+def range_rank(lo, hi, ranks: Optional[Set[int]]) -> Optional[int]:
+    """The order-key rank of a range's bounds (``None`` for an absent
+    one) when narrowing a column's rows by the range is sound, else None.
+
+    Sound means some bound is present, both bounds share one rank, and
+    every value the column has stored (its ``ranks``) is NULL or of that
+    rank — so the range comparison on this column can never silently
+    skip a row it would have raised on (incomparable types).  Rows a
+    probe excludes are never evaluated at all, so *other* WHERE conjuncts
+    that would raise on them cannot — the same caveat the equality probe
+    has always had."""
+    if lo is None and hi is None:
+        return None
+    brank = order_key(lo if lo is not None else hi)[0]
+    if lo is not None and hi is not None and order_key(hi)[0] != brank:
+        return None
+    if ranks is None or not ranks <= {0, brank}:
+        return None
+    return brank
+
+
 @dataclass(frozen=True)
 class Column:
     """A column definition.  Types are advisory (the engine is dynamic)."""
@@ -522,23 +543,11 @@ class Table:
         """Row IDs that may satisfy a range predicate on ``column``
         (superset), or None when an index range scan would be unsound.
 
-        Soundness: the scan is only taken when every indexed value is NULL
-        or has the same order-key rank as the bounds — so the range
-        comparison *on this column* can never silently skip a row it would
-        have raised on (incomparable types).  Rows it excludes are never
-        evaluated at all, so *other* WHERE conjuncts that would raise on
-        them cannot — the same caveat the equality index has always had.
+        Soundness: :func:`range_rank` — the same rule the SQLite engine's
+        range prefilter applies to its shadow columns.
         """
-        if lo is None and hi is None:
-            return None
-        bound = lo if lo is not None else hi
-        brank, _ = order_key(bound)
-        if brank == 0:
-            return None
-        if lo is not None and hi is not None and order_key(hi)[0] != brank:
-            return None
-        ranks = self._value_ranks.get(column)
-        if ranks is None or not ranks <= {0, brank}:
+        brank = range_rank(lo, hi, self._value_ranks.get(column))
+        if brank is None:
             return None
         ordered = self._ordered_list(column)
         if ordered is None:

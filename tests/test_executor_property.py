@@ -14,7 +14,7 @@ store — must be identical across every instance.
 This is the snapshot-equivalence contract the planner and the storage
 engines document in DESIGN.md: dependency tracking and repair escalation
 must be byte-for-byte unchanged by plan caching, compiled predicates,
-index access paths, SQL lowering, and the storage backend.
+index access paths, the SQLite probe prefilter, and the storage backend.
 
 The suite honours ``REPRO_DB_BACKEND`` (see ``tests/conftest.py``): the
 planned-vs-naive seeds run on whichever engine the environment selects,
@@ -354,11 +354,11 @@ def test_planned_equals_naive_seed_4():
 #
 # Three instances run the identical workload: the planned executor on the
 # Python memory engine (the reference), the planned executor on the
-# SQLite engine (exercising SQL lowering, projection pushdown and ORDER
-# BY pushdown), and the naive executor on the SQLite engine (exercising
-# the engine's plain fetch paths).  Snapshots, row order, read/written
-# row IDs, partitions, error outcomes, version dumps, repair/rollback/
-# abort/finalize behaviour and GC counts must all agree.
+# SQLite engine (exercising the probe prefilter, the winner-first window
+# query and projection pushdown), and the naive executor on the SQLite
+# engine (exercising the engine's plain fetch paths).  Snapshots, row
+# order, read/written row IDs, partitions, error outcomes, version dumps,
+# repair/rollback/abort/finalize behaviour and GC counts must all agree.
 
 
 #: seed -> whether its workload left some SQLite table ``_multi_open``

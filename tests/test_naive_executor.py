@@ -43,7 +43,7 @@ STATEMENTS = (
     ),
     ("SELECT COUNT(*), MAX(score) FROM pages WHERE title LIKE ?", ("T%",)),
     ("UPDATE pages SET score = score + ? WHERE title = ?", (5, "T1")),
-    # LENGTH() is not lowered to SQLite: that engine re-checks with ``pred``.
+    # On SQLite only ``score > ?`` narrows the rows; ``pred`` decides each.
     ("DELETE FROM pages WHERE score > ? AND LENGTH(title) = ?", (2, 2)),
 )
 

@@ -183,8 +183,7 @@ class TestAccessPaths:
         plan = tt.executor.prepare(
             "SELECT * FROM pages WHERE score >= 5 AND score < 8"
         )
-        assert plan.range_probe is not None
-        assert plan.range_probe[0] == "score"
+        assert [probe[0] for probe in plan.range_probes] == ["score"]
         table = tt.database.table("pages")
         candidates = table.range_candidate_row_ids("score", 5, True, 8, False)
         assert candidates == {6, 7, 8}

@@ -12,6 +12,9 @@ timing.
     narrowed to the rows with a visible version satisfying the WHERE —
     returns what the memory engine and the naive executor
     (``tests/naive_executor.py``) return.
+(d) A range conjunct on an unindexed column reaches SQLite's WHERE while
+    the column has only stored values of the bound's rank, and stays out
+    of it — with the same rows and read set — once it has stored another.
 """
 
 import re
@@ -22,7 +25,6 @@ from repro.apps.wiki.schema import WIKI_TABLES
 from repro.core.clock import INFINITY
 from repro.db.engine import create_database
 from repro.db.executor import ExecContext, Executor
-from repro.db.sql.lower import render_where
 from repro.db.storage import Column, RowVersion, TableSchema
 
 from naive_executor import NaiveExecutor
@@ -256,7 +258,7 @@ VERSIONS = (
     (3, "x", 5, 5, INFINITY, 0, 0),
     (3, "w", 6, 5, INFINITY, 1, INFINITY),
     # Rows 4-6: ordinary rows for ORDER BY to arrange; row 6's b makes the
-    # column lossy, so lowering ``b`` needs the Python recheck.
+    # column lossy, so no probe on ``b`` reaches SQLite.
     (4, "x", 9, 6, INFINITY, 0, INFINITY),
     (5, "x", 7, 7, INFINITY, 0, INFINITY),
     (6, "x", HUGE, 9, INFINITY, 0, INFINITY),
@@ -272,6 +274,7 @@ QUERIES = (
     ("SELECT id FROM t WHERE a IN (?, ?) ORDER BY a, id DESC", ("x", "y")),
     ("SELECT id, a FROM t WHERE b = ?", (HUGE,)),
     ("SELECT id, a FROM t WHERE b < ? AND a = ?", (8, "x")),
+    ("SELECT id FROM t WHERE a = ? AND b >= ?", ("x", 1)),
     ("SELECT id FROM t WHERE a = ? OR b = ?", ("q", 2)),
     ("SELECT COUNT(*) FROM t WHERE a = ?", ("x",)),
     ("SELECT * FROM t WHERE c = ?", ("k2",)),
@@ -293,11 +296,15 @@ def test_narrowed_window_matches_the_memory_engine():
     memory, sqlite = build("python"), build("sqlite")
     table = sqlite.table("t")
     assert table._multi_open
-    plan = Executor(sqlite).prepare("SELECT id FROM t WHERE b = ?")
-    assert render_where(plan.lowered, (HUGE,), table._states)[2] is False
+    statements = record_statements(sqlite)
+    executor = Executor(sqlite)
+    ctx = ExecContext(ts=table._max_ts + 1, gen=0, current_gen=0)
+    executor.execute(executor.prepare("SELECT id FROM t WHERE b = ?"), (HUGE,), ctx)
+    # ``b`` is lossy: its probe stays out of SQLite, the predicate decides.
+    [(_, sql, _)] = statements
+    assert table._states["b"].ident not in sql.split(" WHERE ", 1)[1], sql
 
     windows = 0
-    statements = record_statements(sqlite)
     for versioned in (True, False):
         arms = (
             Executor(memory, versioned=versioned),
@@ -340,3 +347,51 @@ def test_narrowed_window_matches_the_memory_engine():
     assert ids("SELECT id FROM t WHERE a = ? ORDER BY b DESC", ("x",), now) == [
         6, 4, 5, 3, 1,
     ]
+
+
+# ---------------------------------------------------------------------------
+# (d) the range prefilter and its rank rule
+# ---------------------------------------------------------------------------
+
+SCORES = TableSchema(
+    name="scores",
+    columns=(Column("id", "int"), Column("score", "int")),
+    row_id_column="id",
+)
+
+
+def test_range_prefilter_follows_the_rank_rule():
+    memory, sqlite = create_database("python"), create_database("sqlite")
+    executors = [Executor(db) for db in (memory, sqlite)]
+    table = sqlite.create_table(SCORES)
+    memory.create_table(SCORES)
+    assert "score" not in table._indexed_columns
+    ident = table._states["score"].ident
+    statements = record_statements(sqlite)
+    ts = 0
+
+    def run(sql, params=()):
+        nonlocal ts
+        ts += 1
+        ctx = ExecContext(ts=ts, gen=0, current_gen=0)
+        del statements[:]
+        results = [ex.execute(ex.prepare(sql), params, ctx) for ex in executors]
+        assert results[1].rows == results[0].rows, sql
+        assert results[1].read_row_ids == results[0].read_row_ids, sql
+        return results[1]
+
+    for n in range(1, 7):
+        run("INSERT INTO scores (id, score) VALUES (?, ?)", (n, n * 10))
+    query = "SELECT id FROM scores WHERE score < ?"
+    assert [row["id"] for row in run(query, (35,)).rows] == [1, 2, 3]
+    [(_, sql, binds)] = statements
+    assert f"{ident} < ?" in sql and 35 in binds, sql
+
+    # A string once stored, even one no longer visible, makes the range
+    # unsound to push down: SQLite would order it against the integers.
+    run("INSERT INTO scores (id, score) VALUES (7, 'x')")
+    run("DELETE FROM scores WHERE id = 7")
+    assert table._states["score"].ranks == {1, 2}
+    assert [row["id"] for row in run(query, (35,)).rows] == [1, 2, 3]
+    [(_, sql, _)] = statements
+    assert ident not in sql.split(" WHERE ", 1)[1], sql
