@@ -78,7 +78,7 @@ class TextTable:
     Ids come from ``last_id``, which only grows: a run keeps the text it was
     written with, so an id once written must keep its meaning for as long
     as that text can be spliced.  Not locked: the record store touches it
-    under its records stripe only."""
+    under its lock only."""
 
     __slots__ = ("by_id", "ids", "rows", "last_id", "fresh", "_entries")
 

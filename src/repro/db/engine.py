@@ -39,12 +39,11 @@ Each table it returns is a ``Table``-shaped object providing:
   ``discard_version``, ``gc_superseded``, ``set_plain_data``;
 * **visibility** — ``visible_rows``, ``visible_version``,
   ``row_versions``, ``all_versions``, ``plain_rows``;
-* **access paths** — ``candidate_row_ids`` (may return None: "no index,
-  scan"), and optionally ``range_candidate_row_ids`` / ``ordered_groups``
-  (the in-memory engine's ordered value index) or ``fetch_plan`` (the
-  SQLite engine's path: the plan's equality and range probes rendered
-  into one query, every fetched row rechecked by the compiled
-  predicate);
+* **access paths** — one of ``candidate_row_ids`` (the in-memory
+  engine's equality value index; None means "no index, scan") or
+  ``fetch_plan`` (the SQLite engine's path: the plan's equality and range
+  probes rendered into one query, every fetched row rechecked by the
+  compiled predicate);
 * **bookkeeping** — ``allocate_row_id``, ``unique_conflict``, ``gc``,
   ``integrity_errors``, ``version_count``, ``schema``, ``to_dict``.
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.clock import INFINITY
-from repro.db.planner import MISSING, ExecPlan, build_plan, range_bounds, sort_key
+from repro.db.planner import MISSING, ExecPlan, build_plan, sort_key
 from repro.db.sql.parser import parse
-from repro.db.storage import Database, RowVersion, Table, order_key
+from repro.db.storage import Database, RowVersion, Table
 
 PartitionKey = Tuple[str, str, object]  # (table, column, value)
 
@@ -189,7 +189,8 @@ class Executor:
     def _plan_candidates(
         self, table: Table, plan: ExecPlan, params: Sequence[object]
     ) -> Optional[set]:
-        """Candidate row IDs from the best index probe, or None to scan."""
+        """Candidate row IDs from the smallest equality probe, or None to
+        scan."""
         best = None
         for column, getter in plan.eq_probes:
             value = getter(params)
@@ -200,19 +201,7 @@ class Executor:
                 continue
             if best is None or len(rows) < len(best):
                 best = rows
-        if best is not None:
-            return best
-        for probe in plan.range_probes:
-            # The first range on a column the ordered index covers.
-            column, _, lo_incl, _, hi_incl = probe
-            if column not in table._indexed_columns:
-                continue
-            bounds = range_bounds(probe, params)
-            if bounds is None:
-                return None
-            lo, hi = bounds
-            return table.range_candidate_row_ids(column, lo, lo_incl, hi, hi_incl)
-        return None
+        return best
 
     def _match_candidates(
         self, table, candidates, plan: ExecPlan, params, ctx
@@ -235,47 +224,13 @@ class Executor:
             if pred(version.data, params)
         ]
 
-    def _ordered_matched(
-        self, table: Table, plan: ExecPlan, params, ctx
-    ) -> Optional[List[RowVersion]]:
-        """Matched rows already in ORDER BY order, via the ordered value
-        index; equal-sort-key groups are merged and walked in row-ID order,
-        so the result matches a stable sort of the row-ID-ordered scan.
-
-        Deliberately no early termination at LIMIT: ``read_row_ids`` must
-        list *every* matched row (row-level read dependencies for the
-        taint baseline), so the traversal's win is skipping the sort, not
-        the scan."""
-        column, descending = plan.order_index
-        groups = table.ordered_groups(column, descending)
-        if groups is None:
-            return None
-        pred = plan.pred
-        matched = []
-        for group_key, row_ids in groups:
-            for row_id in row_ids:
-                version = self._version_of(table, row_id, ctx)
-                if version is None:
-                    continue
-                if order_key(version.data.get(column)) != group_key:
-                    continue  # stale index entry: row moved to another value
-                if pred is None or pred(version.data, params):
-                    matched.append(version)
-        return matched
-
     # -- SELECT ---------------------------------------------------------------
 
     def _select(
         self, plan: ExecPlan, params: Sequence[object], ctx: ExecContext
     ) -> QueryResult:
         stmt = plan.stmt
-        table = self.database.table(plan.table)
-        matched = None
-        if plan.order_index is not None and not stmt.is_aggregate:
-            matched = self._ordered_matched(table, plan, params, ctx)
-        pre_sorted = matched is not None
-        if matched is None:
-            matched = self._matching(table, plan, params, ctx)
+        matched = self._matching(self.database.table(plan.table), plan, params, ctx)
 
         if stmt.is_aggregate:
             datas = [version.data for version in matched]
@@ -290,7 +245,7 @@ class Executor:
                 read_row_ids=tuple(version.row_id for version in matched),
             )
 
-        if stmt.order_by and not pre_sorted:
+        if stmt.order_by:
             sort_items = plan.sort_items
             matched.sort(
                 key=lambda v: tuple(

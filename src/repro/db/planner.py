@@ -7,10 +7,10 @@ computed once and cached:
 
 * the WHERE predicate and SELECT projection as compiled closures
   (:mod:`repro.db.sql.compile`) — no per-row AST walking;
-* the access path: equality and range probes — served by the memory
-  engine's value and ordered indexes, rendered by the SQLite engine into
-  its WHERE — or an index-ordered traversal for ``ORDER BY`` on an
-  indexed column;
+* the access path: equality probes, served by the memory engine's value
+  index, and range probes, which only the SQLite engine renders (into
+  its WHERE, with the equality probes); without a usable probe the
+  table is scanned;
 * compiled UPDATE assignments, INSERT row builders, ORDER BY sort keys
   and aggregate reducers.
 
@@ -30,12 +30,11 @@ not depend on which access path ran.  The index access paths return
 candidate *supersets*; every candidate is still visibility- and
 WHERE-checked.  (One documented exception, inherited
 from the seed's equality index: a predicate that would *raise* on some
-row — e.g. comparing incompatible types — may not raise under any index
-plan that never evaluates that row, and index-ordered traversal may
-surface a different row's error first.  Range scans gate on the probed
-column's value-rank profile so the *range comparison itself* never
-silently skips a row it would have raised on; other conjuncts share the
-equality index's caveat.)
+row — e.g. comparing incompatible types — may not raise under any probe
+that never evaluates that row.  SQLite's range prefilter gates on the
+probed column's value-rank profile so the *range comparison itself*
+never silently skips a row it would have raised on; other conjuncts
+share the equality probe's caveat.)
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class ExecPlan:
         "pred",
         "eq_probes",
         "range_probes",
-        "order_index",
         "sort_items",
         "agg_items",
         "select_items",
@@ -103,7 +101,6 @@ class ExecPlan:
         #: top-level conjunct bounds, in first-mention order; ``lo`` and
         #: ``hi`` are bound getters, None for an open side.
         self.range_probes: Tuple[Tuple, ...] = ()
-        self.order_index: Optional[Tuple[str, bool]] = None
         self.sort_items: Optional[Tuple[Tuple[Callable, bool], ...]] = None
         self.agg_items: Optional[Tuple[Tuple[str, Callable], ...]] = None
         self.select_items: Optional[Tuple[Tuple[str, Callable], ...]] = None
@@ -115,8 +112,7 @@ class ExecPlan:
         self.touches_indexed = True
         self.touches_partitions = True
         #: Every column a SELECT references (None for ``SELECT *``), for
-        #: the projection pushdown of tables advertising ``sql_lowering``
-        #: (the SQLite engine).
+        #: the SQLite engine's projection pushdown.
         self.referenced: Optional[FrozenSet[str]] = None
 
 
@@ -146,25 +142,7 @@ def build_plan(stmt: ast.Statement, table: Table, epoch: int) -> ExecPlan:
                 (compile_expr(order.expr), order.descending)
                 for order in stmt.order_by
             )
-            indexed = table._indexed_columns
-            if (
-                hasattr(table, "ordered_groups")
-                and len(stmt.order_by) == 1
-                and isinstance(stmt.order_by[0].expr, ast.ColumnRef)
-                and stmt.order_by[0].expr.name in indexed
-                and schema.has_column(stmt.order_by[0].expr.name)
-                # An indexed probe narrows the rows instead.
-                and not any(
-                    probe[0] in indexed
-                    for probe in (*plan.eq_probes, *plan.range_probes)
-                )
-            ):
-                plan.order_index = (
-                    stmt.order_by[0].expr.name,
-                    stmt.order_by[0].descending,
-                )
-        if getattr(table, "sql_lowering", False):
-            plan.referenced = referenced_columns(stmt)
+        plan.referenced = referenced_columns(stmt)
         return plan
 
     if isinstance(stmt, ast.Update):
@@ -294,7 +272,7 @@ def _note_range(ranges, conjunct: ast.BinaryOp) -> None:
 
 def _merge_range(ranges, column, lo, lo_incl, hi, hi_incl) -> None:
     """Fill empty bound slots; the compiled predicate enforces the rest
-    (the index only needs *a* superset, not the tightest one)."""
+    (a prefilter only needs *a* superset, not the tightest one)."""
     current = ranges.get(column)
     if current is None:
         ranges[column] = [lo, lo_incl, hi, hi_incl]
@@ -378,8 +356,7 @@ def default_name(expr: ast.Expr, index: int) -> str:
 
 def sort_key(value, descending: bool):
     """ORDER BY sort key, derived from the storage layer's single
-    ordering definition so index traversal and in-memory sorts can never
-    drift apart."""
+    ordering definition (:func:`repro.db.storage.order_key`)."""
     pair = order_key(value)
     if descending:
         return descending_order_key(*pair)

@@ -52,12 +52,12 @@ import threading
 import weakref
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clock import INFINITY
 from repro.core.errors import StorageError
 from repro.db.planner import range_bounds
-from repro.db.storage import RowVersion, TableSchema, range_rank
+from repro.db.storage import RowVersion, TableSchema, order_key
 from repro.faults.plane import active as _active_plane
 
 #: Interval/identity columns every shadow table carries, in SELECT order.
@@ -131,6 +131,27 @@ def bindable(value) -> bool:
     return False
 
 
+def range_rank(lo, hi, ranks: Set[int]) -> Optional[int]:
+    """The order-key rank of a range's bounds (``None`` for an absent
+    one) when narrowing a column's rows by the range is sound, else None.
+
+    Sound means some bound is present, both bounds share one rank, and
+    every value the column has stored (its ``ranks``) is NULL or of that
+    rank — so the range comparison on this column can never silently
+    skip a row it would have raised on (incomparable types).  Rows a
+    probe excludes are never evaluated at all, so *other* WHERE conjuncts
+    that would raise on them cannot — the same caveat the equality probe
+    has always had."""
+    if lo is None and hi is None:
+        return None
+    brank = order_key(lo if lo is not None else hi)[0]
+    if lo is not None and hi is not None and order_key(hi)[0] != brank:
+        return None
+    if not ranks <= {0, brank}:
+        return None
+    return brank
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
 
@@ -154,10 +175,6 @@ def _json_encode(data: dict) -> str:
 
 class SqliteTable:
     """One application table's version store, in a file of its own."""
-
-    #: Capability flag: build_plan attaches ``plan.referenced`` (the
-    #: columns a SELECT touches) for projection pushdown.
-    sql_lowering = True
 
     def __init__(self, engine: "SqliteEngine", schema: TableSchema):
         self.engine = engine
@@ -535,14 +552,11 @@ class SqliteTable:
 
     # -- access paths -------------------------------------------------------------
 
-    def candidate_row_ids(self, column: str, value) -> Optional[set]:
-        return None  # no in-memory equality index: fetch_plan is the path
-
     def _prefilter(self, plan, params: Sequence[object]) -> Tuple[str, List[object]]:
         """``(where, binds)`` narrowing to a superset of the rows ``plan``
         selects ('' for none): each equality probe, and each range probe
-        under :func:`~repro.db.storage.range_rank`'s rule, on a known,
-        clean column with bindable values."""
+        under :func:`range_rank`'s rule, on a known, clean column with
+        bindable values."""
         states = self._states
         clauses: List[str] = []
         binds: List[object] = []

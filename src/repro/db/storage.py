@@ -21,12 +21,12 @@ Access paths (used by the query planner in :mod:`repro.db.planner`):
   timestamp``) never rescan dead history — all version closes/reopens
   must therefore go through :meth:`Table.close_version` /
   :meth:`Table.reopen_version`;
-* the equality ``_value_index`` additionally maintains a lazily built
-  **ordered** list of its distinct values per column, enabling range
-  scans and index-ordered traversal (``ORDER BY``).  Index entries are
-  purged when the last version carrying a value is removed
-  (``remove_version`` / ``gc``), so the index is bounded by live+retained
-  history instead of growing forever under churn.
+* the equality ``_value_index`` maps each indexed column's values to the
+  rows carrying them; it is the only index, so a range predicate or an
+  ``ORDER BY`` scans and sorts.  Index entries are purged when the last
+  version carrying a value is removed (``remove_version`` / ``gc``), so
+  the index is bounded by live+retained history instead of growing
+  forever under churn.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import bisect
 import contextlib
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.clock import INFINITY
 from repro.core.errors import StorageError
@@ -45,8 +45,8 @@ _START_TS = operator.attrgetter("start_ts")
 
 def order_key(value) -> Tuple[int, object]:
     """Total order across None/bool/int/float/str — the single source of
-    truth shared by ORDER BY sort keys (:func:`repro.db.planner.sort_key`)
-    and the ordered value index; both must sort identically."""
+    truth for ORDER BY sort keys (:func:`repro.db.planner.sort_key`) and
+    the SQLite engine's range-prefilter rule."""
     if value is None:
         return (0, 0)
     if isinstance(value, bool):
@@ -61,32 +61,11 @@ def descending_order_key(rank: int, key) -> Tuple[int, object]:
 
     Strings are inverted by negating each character's code point — which
     is *not* the reverse of the ascending order for prefix pairs (''
-    sorts before 'z' descending) — so index traversal and in-memory sorts
-    agree on the same quirk by construction."""
+    sorts before 'z' descending); the oracle's sort key in
+    ``tests/naive_executor.py`` has the same quirk."""
     if rank == 2:
         return (-2, tuple(-ord(ch) for ch in key))
     return (-rank, -key)
-
-
-def range_rank(lo, hi, ranks: Optional[Set[int]]) -> Optional[int]:
-    """The order-key rank of a range's bounds (``None`` for an absent
-    one) when narrowing a column's rows by the range is sound, else None.
-
-    Sound means some bound is present, both bounds share one rank, and
-    every value the column has stored (its ``ranks``) is NULL or of that
-    rank — so the range comparison on this column can never silently
-    skip a row it would have raised on (incomparable types).  Rows a
-    probe excludes are never evaluated at all, so *other* WHERE conjuncts
-    that would raise on them cannot — the same caveat the equality probe
-    has always had."""
-    if lo is None and hi is None:
-        return None
-    brank = order_key(lo if lo is not None else hi)[0]
-    if lo is not None and hi is not None and order_key(hi)[0] != brank:
-        return None
-    if ranks is None or not ranks <= {0, brank}:
-        return None
-    return brank
 
 
 @dataclass(frozen=True)
@@ -242,18 +221,6 @@ class Table:
         self._value_index: Dict[str, Dict[object, set]] = {
             column: {} for column in indexed
         }
-        #: Lazily built sorted (rank, key, value) triples per column, for
-        #: range predicates and index-ordered traversal.
-        self._ordered: Dict[str, List[Tuple[int, object, object]]] = {}
-        #: Columns that ever carried an unhashable or NaN value: the ordered
-        #: access paths are disabled for them (the equality index already
-        #: skips such values, so candidate sets would be incomplete).
-        self._unorderable: Set[str] = set()
-        #: Distinct order-key ranks seen per column (never shrinks).  Range
-        #: scans are only taken when every indexed value is NULL or of the
-        #: bound's rank, so an index range can never skip a row the naive
-        #: scan would have raised a type error on.
-        self._value_ranks: Dict[str, Set[int]] = {column: set() for column in indexed}
 
     # -- row id management ---------------------------------------------------
 
@@ -426,7 +393,7 @@ class Table:
         else:
             version.data = new_data
 
-    # -- equality / ordered index ----------------------------------------------
+    # -- equality index --------------------------------------------------------
 
     def _index_version_data(self, data: Dict[str, object], row_id: int) -> None:
         for column in self._indexed_columns:
@@ -436,28 +403,10 @@ class Table:
                 rows = bucket.get(value)
                 if rows is None:
                     bucket[value] = {row_id}
-                    self._note_new_value(column, value)
                 else:
                     rows.add(row_id)
             except TypeError:
-                # Unhashable value: not indexed; ordered paths unsafe.
-                self._unorderable.add(column)
-                self._ordered.pop(column, None)
-
-    def _note_new_value(self, column: str, value) -> None:
-        rank, key = order_key(value)
-        if value != value:  # NaN: unsortable, unfindable — poison ordering
-            self._unorderable.add(column)
-            self._ordered.pop(column, None)
-            return
-        self._value_ranks[column].add(rank)
-        ordered = self._ordered.get(column)
-        if ordered is not None:
-            try:
-                bisect.insort(ordered, (rank, key, value), key=_RANK_KEY)
-            except TypeError:  # pragma: no cover - defensive
-                self._unorderable.add(column)
-                del self._ordered[column]
+                pass  # unhashable value: not indexed
 
     def _unindex_version(
         self, version: RowVersion, remaining_chain: List[RowVersion]
@@ -487,20 +436,6 @@ class Table:
             rows.discard(row_id)
             if not rows:
                 del self._value_index[column][value]
-                self._drop_ordered_value(column, value)
-
-    def _drop_ordered_value(self, column: str, value) -> None:
-        ordered = self._ordered.get(column)
-        if ordered is None:
-            return
-        rank, key = order_key(value)
-        pos = bisect.bisect_left(ordered, (rank, key), key=_RANK_KEY)
-        while pos < len(ordered) and ordered[pos][0] == rank and ordered[pos][1] == key:
-            stored = ordered[pos][2]
-            if stored is value or stored == value:
-                ordered.pop(pos)
-                return
-            pos += 1
 
     def candidate_row_ids(self, column: str, value) -> Optional[set]:
         """Row IDs that may currently carry ``column == value`` (superset),
@@ -511,94 +446,6 @@ class Table:
             return self._value_index[column].get(value, set())
         except TypeError:
             return None
-
-    def _ordered_list(self, column: str):
-        if column in self._unorderable or column not in self._indexed_columns:
-            return None
-        ordered = self._ordered.get(column)
-        if ordered is None:
-            triples = []
-            for value in self._value_index[column]:
-                if value != value:  # NaN slipped in before ordering was asked
-                    self._unorderable.add(column)
-                    return None
-                rank, key = order_key(value)
-                triples.append((rank, key, value))
-            try:
-                triples.sort(key=_RANK_KEY)
-            except TypeError:  # pragma: no cover - defensive
-                self._unorderable.add(column)
-                return None
-            self._ordered[column] = ordered = triples
-        return ordered
-
-    def range_candidate_row_ids(
-        self,
-        column: str,
-        lo,
-        lo_inclusive: bool,
-        hi,
-        hi_inclusive: bool,
-    ) -> Optional[set]:
-        """Row IDs that may satisfy a range predicate on ``column``
-        (superset), or None when an index range scan would be unsound.
-
-        Soundness: :func:`range_rank` — the same rule the SQLite engine's
-        range prefilter applies to its shadow columns.
-        """
-        brank = range_rank(lo, hi, self._value_ranks.get(column))
-        if brank is None:
-            return None
-        ordered = self._ordered_list(column)
-        if ordered is None:
-            return None
-        if lo is None:
-            start = bisect.bisect_left(ordered, brank, key=_rank_only)
-        else:
-            probe = (brank, order_key(lo)[1])
-            if lo_inclusive:
-                start = bisect.bisect_left(ordered, probe, key=_RANK_KEY)
-            else:
-                start = bisect.bisect_right(ordered, probe, key=_RANK_KEY)
-        if hi is None:
-            stop = bisect.bisect_right(ordered, brank, key=_rank_only)
-        else:
-            probe = (brank, order_key(hi)[1])
-            if hi_inclusive:
-                stop = bisect.bisect_right(ordered, probe, key=_RANK_KEY)
-            else:
-                stop = bisect.bisect_left(ordered, probe, key=_RANK_KEY)
-        out: set = set()
-        bucket = self._value_index[column]
-        for index in range(start, stop):
-            out |= bucket[ordered[index][2]]
-        return out
-
-    def ordered_groups(self, column: str, descending: bool):
-        """Index-ordered traversal: ``[(order_key, sorted_row_ids), ...]``
-        with equal-key values merged (so traversal order matches a stable
-        sort of a row-ID-ordered scan), or None when unavailable."""
-        ordered = self._ordered_list(column)
-        if ordered is None:
-            return None
-        bucket = self._value_index[column]
-        groups = []
-        index = 0
-        total = len(ordered)
-        while index < total:
-            rank, key, value = ordered[index]
-            ids = bucket[value]
-            stop = index + 1
-            while stop < total and ordered[stop][0] == rank and ordered[stop][1] == key:
-                ids = ids | bucket[ordered[stop][2]]
-                stop += 1
-            groups.append(((rank, key), sorted(ids)))
-            index = stop
-        if descending:
-            # Matches ORDER BY ... DESC sort keys exactly rather than
-            # simply reversing the ascending order.
-            groups.sort(key=lambda group: descending_order_key(*group[0]))
-        return groups
 
     # -- visibility --------------------------------------------------------------
 
@@ -782,14 +629,6 @@ class Table:
             )
         table._next_row_id = data["next_row_id"]
         return table
-
-
-def _RANK_KEY(triple):
-    return (triple[0], triple[1])
-
-
-def _rank_only(triple):
-    return triple[0]
 
 
 def _visible_in_chain(

@@ -62,7 +62,7 @@ FAULT_KINDS = ("io", "disk_full", "error", "crash", "torn", "stall")
 FAULT_POINTS = (
     "wal.append",  # WAL batch write (by the waiter holding the I/O lock)
     "wal.fsync",  # fsync after a WAL write
-    "store.insert_run",  # record-store run insertion under stripe locks
+    "store.insert_run",  # record-store run insertion under the store lock
     "store.snapshot",  # snapshot file write (between marker and payload)
     "ttdb.finalize_switch",  # generation switch committing a repair
     "repair.phase_started",  # controller phase boundary

@@ -285,9 +285,9 @@ class HttpServer:
             except DurabilityError as exc:
                 return self._durability_failure(exc)
             if self.repair_active:
-                # Under striped store locks nothing serializes concurrent
-                # handlers here, so the once GIL-atomic bare append moved
-                # under the state lock.
+                # add_run has released the store lock, so nothing
+                # serializes concurrent handlers here: the append and its
+                # re-check run under the state lock.
                 with self._state_lock:
                     if self.repair_active:
                         self.pending_during_repair.append(record.run_id)

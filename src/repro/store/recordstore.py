@@ -24,7 +24,7 @@ Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 the store can be rebuilt after a crash from snapshot + WAL replay.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
-format 6): a run is encoded against it under the records stripe, and the
+format 6): a run is encoded against it under the store lock, and the
 ``text`` entries the encoding defined are journaled just before the run's
 line, so WAL order always puts an entry ahead of every line that refers to
 it, however many threads first-use the same body, SQL text or row payload
@@ -283,20 +283,12 @@ class RecordStore:
         #: flagged visit's state survives save/load and crash recovery.
         self.incidents: Dict[str, dict] = {}
 
-        # -- striped locking ---------------------------------------------------
-        # Lock-order contract (DESIGN.md "Striped store locking"): writers
-        # hold ``records`` for the whole mutation and take ``touch`` /
-        # ``qindex`` nested inside it; a thread holding several stripes must
-        # have acquired them in records → touch → qindex order (skipping
-        # stripes is fine, acquiring backwards is not).  Readers take the
-        # narrowest stripe covering every structure they read: TouchIndex
-        # walks need only ``touch``, partition-bucket merges need ``records``
-        # + ``qindex`` (a bucket build reads the TouchIndex and the runs,
-        # which only ``records`` holders mutate).  Reentrant: replay/gc
-        # call other mutators.
-        self._records_lock = threading.RLock()
-        self._touch_lock = threading.RLock()
-        self._qindex_lock = threading.RLock()
+        #: The store's one mutation lock.  Every writer holds it for the
+        #: whole mutation; a read path that must see runs and indexes
+        #: consistently while request threads append (the repair-plan
+        #: preview, which runs ungated during live traffic) takes it too.
+        #: Reentrant: replay/gc call other mutators.
+        self.lock = threading.RLock()
 
         self.wal = wal
         #: The ``text`` entries of the current log segment (snapshot format
@@ -319,14 +311,6 @@ class RecordStore:
         #: before declaring the mutation non-durable.
         self.durability_timeout: Optional[float] = None
         self.unsynced_mutations = 0
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The store's primary (``records``) mutation lock, for read paths
-        that must iterate runs/indexes consistently while request threads
-        append (e.g. the repair-plan preview, which runs ungated during
-        live traffic).  Every writer holds it for the whole mutation."""
-        return self._records_lock
 
     def touch_summary(self) -> dict:
         """Compact, JSON-serializable image of the touch index grouped by
@@ -397,9 +381,9 @@ class RecordStore:
     def _finish(
         self, ticket: Optional[CommitTicket], relaxed: Optional[bool] = None
     ) -> None:
-        """Wait (outside every stripe) until the mutation's journal entry
+        """Wait (outside the store lock) until the mutation's journal entry
         is durable.  This wait is where the entry is written and where
-        concurrent writers share one fsync; the stripes are never held
+        concurrent writers share one fsync; the lock is never held
         across it.
 
         A False from ``wait`` — timed-out group commit, closed log, or a
@@ -442,16 +426,16 @@ class RecordStore:
         self._finish(self._add_run_nowait(run), relaxed)
 
     def _add_run_nowait(self, run: AppRunRecord) -> Optional[CommitTicket]:
-        with self._records_lock:
+        with self.lock:
             self._insert_run(run)
             # Encoded once — the text is the WAL line's data now, the
-            # snapshot line's later — under the stripe, so the text entries
+            # snapshot line's later — under the lock, so the text entries
             # it defines are journaled before any line using them, and after
             # the insert, so an entry is never defined for a run not stored.
             if self.wal is not None:
                 self._encode(run)
             run.payloads = None  # encoded or not: a stored run refers into no cache
-            # Journaled under the records stripe so WAL order equals store
+            # Journaled under the store lock so WAL order equals store
             # order; the fsync wait happens in _finish, outside every lock.
             if self.wal is not None:
                 return self._journal_run("run", run.json_text)
@@ -486,16 +470,13 @@ class RecordStore:
             self._client_runs.setdefault(run.client_id, []).append(run.run_id)
         self._index_run_files(run)
         self._note_high_water(run)
-        with self._touch_lock:
-            for query in run.queries:
-                self.touch.index_query(query, run.run_id)
+        for query in run.queries:
+            self.touch.index_query(query, run.run_id)
         # Keep the buckets built so far fresh; one built later finds the
-        # run through the TouchIndex.  Tested outside ``qindex``: a bucket
-        # is only built under ``records``, which this holds.
+        # run through the TouchIndex.
         if self._buckets:
-            with self._qindex_lock:
-                for query in run.queries:
-                    self._index_query(query)
+            for query in run.queries:
+                self._index_query(query)
 
     def _note_high_water(self, run: AppRunRecord) -> None:
         ts, qid = max(self.max_ts, run.ts_end), self.max_qid
@@ -519,7 +500,7 @@ class RecordStore:
 
     def add_visit(self, visit: VisitRecord) -> None:
         ticket = None
-        with self._records_lock:
+        with self.lock:
             self.visits[(visit.client_id, visit.visit_id)] = visit
             self.max_ts = max(self.max_ts, visit.ts)
             self._client_visits.setdefault(visit.client_id, []).append(visit.visit_id)
@@ -558,7 +539,7 @@ class RecordStore:
         """Record that repair canceled (undid) this run — journaled so the
         cancellation survives recovery."""
         ticket = None
-        with self._records_lock:
+        with self.lock:
             run = self.runs.get(run_id)
             if run is None or run.canceled:
                 return
@@ -572,7 +553,7 @@ class RecordStore:
 
     def add_patch(self, patch: PatchRecord) -> None:
         ticket = None
-        with self._records_lock:
+        with self.lock:
             self.patches.append(patch)
             self.max_ts = max(self.max_ts, patch.apply_ts)
             if self.wal is not None:
@@ -585,7 +566,7 @@ class RecordStore:
         """Journal a request the online-repair gate queued; it must survive
         a crash until ``log_gate_apply`` records its re-application."""
         wal_ticket = None
-        with self._records_lock:
+        with self.lock:
             entry = {"ticket": ticket, "ts": ts, "request": request}
             self.pending_gate_queue[ticket] = entry
             if self.wal is not None:
@@ -595,7 +576,7 @@ class RecordStore:
     def next_gate_ticket(self) -> int:
         """First ticket number not yet used by a queued or applied gate
         entry (tickets must stay unique across crash recovery)."""
-        with self._records_lock:
+        with self.lock:
             highest = max(self.pending_gate_queue, default=0)
             highest = max(highest, max(self._applied_gate_tickets, default=0))
             return highest + 1
@@ -603,7 +584,7 @@ class RecordStore:
     def log_gate_apply(self, ticket: int) -> None:
         """Journal that a queued request was re-applied (exactly once)."""
         wal_ticket = None
-        with self._records_lock:
+        with self.lock:
             if ticket in self._applied_gate_tickets:
                 return
             self._applied_gate_tickets.add(ticket)
@@ -619,7 +600,7 @@ class RecordStore:
         until :meth:`log_repair_job_end` so an interrupted job is visible
         after recovery."""
         ticket = None
-        with self._records_lock:
+        with self.lock:
             entry = {"job_id": job_id, "spec": spec, "ts": ts}
             self.pending_repair_jobs[job_id] = entry
             if self.wal is not None:
@@ -629,7 +610,7 @@ class RecordStore:
     def log_repair_job_end(self, job_id: str, status: str) -> None:
         """Journal a job's terminal status (exactly once)."""
         ticket = None
-        with self._records_lock:
+        with self.lock:
             if job_id in self._ended_repair_jobs:
                 return
             self._ended_repair_jobs.add(job_id)
@@ -641,7 +622,7 @@ class RecordStore:
     def next_repair_job_seq(self) -> int:
         """First job sequence number not used by a pending or ended job
         (ids must stay unique across crash recovery)."""
-        with self._records_lock:
+        with self.lock:
             used = itertools.chain(self.pending_repair_jobs, self._ended_repair_jobs)
             return max(map(trailing_seq, used), default=0) + 1
 
@@ -653,7 +634,7 @@ class RecordStore:
         rule, derived spec, preview) is opaque to the store."""
         ticket = None
         relaxed = self.relaxed_durability  # before journaling, as add_run
-        with self._records_lock:
+        with self.lock:
             self.incidents[entry["incident_id"]] = dict(entry)
             if self.wal is not None:
                 ticket = self.wal.append("incident", entry)
@@ -665,7 +646,7 @@ class RecordStore:
         update can race a snapshot that never saw the incident."""
         ticket = None
         relaxed = self.relaxed_durability  # before journaling, as add_run
-        with self._records_lock:
+        with self.lock:
             record = self.incidents.get(incident_id)
             if record is None:
                 return
@@ -680,7 +661,7 @@ class RecordStore:
     def next_incident_seq(self) -> int:
         """First incident sequence number not used by any recorded
         incident (ids must stay unique across crash recovery)."""
-        with self._records_lock:
+        with self.lock:
             return max(map(trailing_seq, self.incidents), default=0) + 1
 
     def replace_run(self, run_id: int, record: AppRunRecord) -> Optional[AppRunRecord]:
@@ -695,7 +676,7 @@ class RecordStore:
         None if ``run_id`` is unknown.
         """
         ticket = None
-        with self._records_lock:
+        with self.lock:
             old = self.runs.get(run_id)
             if old is None:
                 return None
@@ -710,10 +691,9 @@ class RecordStore:
             self._unindex_run_files(old)
             self._index_run_files(record)
             self._note_high_water(record)
-            with self._touch_lock:
-                self.touch.unindex_run(old)
-                for query in record.queries:
-                    self.touch.index_query(query, run_id)
+            self.touch.unindex_run(old)
+            for query in record.queries:
+                self.touch.index_query(query, run_id)
             if self.wal is not None:
                 self._encode(record)
                 ticket = self._journal_run("replace_run", record.json_text)
@@ -723,7 +703,7 @@ class RecordStore:
     def invalidate_partition_indexes(self) -> None:
         """Drop the partition buckets (records changed under them); the
         next ``queries_touching`` rebuilds the ones it asks for."""
-        with self._qindex_lock:
+        with self.lock:
             self._buckets.clear()
 
     # ------------------------------------------------------------------ lookups
@@ -807,12 +787,9 @@ class RecordStore:
         """Candidate queries that may read or write the given partitions
         strictly after ``since_ts``, in timestamp order.  Buckets are kept
         time-ordered, so this is a heap merge of pre-sorted runs of
-        answers — no per-call sort.  Callers re-check precisely.
-
-        Takes ``records`` before ``qindex`` (lock-order contract): a bucket
-        build reads the TouchIndex and the runs, and acquiring records
-        *after* qindex would deadlock against a writer holding records."""
-        with self._records_lock, self._qindex_lock:
+        answers — no per-call sort.  Callers re-check precisely.  Under
+        the store lock: a bucket build reads the TouchIndex and the runs."""
+        with self.lock:
             if whole_table:
                 buckets = [self._bucket(table)]
             else:
@@ -888,7 +865,7 @@ class RecordStore:
         dropped in one pass per client (their server-side run records
         remain)."""
         ticket = None
-        with self._records_lock:
+        with self.lock:
             dropped, ticket = self._enforce_client_quota(max_visits_per_client)
         self._finish(ticket)
         return dropped
@@ -925,7 +902,7 @@ class RecordStore:
         the ``(client, visit)`` index instead of rescanning all runs.
         """
         ticket = None
-        with self._records_lock:
+        with self.lock:
             removed, ticket = self._gc(horizon_ts)
         self._finish(ticket)
         return removed
@@ -949,8 +926,7 @@ class RecordStore:
             del self.runs[run.run_id]
             self.query_count -= len(run.queries)
             self._unindex_run_files(run)
-            with self._touch_lock:
-                self.touch.unindex_run(run)
+            self.touch.unindex_run(run)
             if run.client_id is not None:
                 dead_runs_by_client.setdefault(run.client_id, set()).add(run.run_id)
             key = run.browser_key()
@@ -1017,7 +993,7 @@ class RecordStore:
         are derived state and are rebuilt on load).  This is the view
         tests and tools compare; :meth:`commit_snapshot` persists the same
         content without ever building it."""
-        with self._records_lock:
+        with self.lock:
             snapshot = {
                 "runs": [self.runs[run_id].to_dict() for run_id in self._run_order],
                 "visits": [visit.to_dict() for visit in self.visits.values()],
@@ -1113,7 +1089,7 @@ class RecordStore:
         marker and its snapshot write would make recovery skip entries
         that only the *first* snapshot (still on disk) lacks.
 
-        Runs under the records stripe so no mutation can journal between
+        Runs under the store lock so no mutation can journal between
         the pre-write marker and the truncation — an entry landing in that
         window would be dropped by the truncate without being in the
         snapshot (this is what makes a save under live traffic safe) — and
@@ -1124,7 +1100,7 @@ class RecordStore:
         disk would otherwise leave a WAL whose tail predates the snapshot
         with no marker tying them together, and recovery would refuse the
         pair."""
-        with self._records_lock:
+        with self.lock:
             snapshot_id = (
                 f"{len(self._run_order)}-{len(self.visits)}-{os.urandom(8).hex()}"
             )

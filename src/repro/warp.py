@@ -295,7 +295,7 @@ class WarpSystem:
         The file is a format-6 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
-        it — under its records stripe.
+        it — under its lock.
         """
         if self.ttdb.repair_gen is not None:
             raise RepairError("cannot save while a repair is in progress")

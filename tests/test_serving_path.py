@@ -9,7 +9,7 @@ satellites:
 * the per-partition statement cache: hits are indistinguishable from
   re-execution, invalidation is partition-precise, every visibility
   transition flushes;
-* striped record-store locking loses no append under 16 real threads;
+* the record store's one lock loses no append under 16 real threads;
 * one serving path: every request, repeat GETs included, runs its script
   and records exactly one run, so writes, script patches and repairs
   reach the next response;
@@ -501,21 +501,21 @@ class TestOneServingPath:
 
 
 # ---------------------------------------------------------------------------
-# striped store locks under contention (16 threads)
+# the store lock under contention (16 threads)
 # ---------------------------------------------------------------------------
 
 
 class TestStripedLocksUnderContention:
     def test_sixteen_threads_lose_no_append(self, tmp_path, monkeypatch):
-        # With a WAL, so that every append encodes its run — under the records
-        # stripe, where the text entries it defines are journaled ahead of
-        # every line that uses them (snapshot format 5).
+        # With a WAL, so that every append encodes its run — under the store
+        # lock, where the text entries it defines are journaled ahead of
+        # every line that uses them (snapshot format 6).
         deployment = WikiDeployment(n_users=0, seed=41, wal_path=str(tmp_path / "records.wal"))
         wiki, warp = deployment.wiki, deployment.warp
-        stripe, encode, under_stripe = warp.graph.store.lock, AppRunRecord.encode, []
+        lock, encode, under_lock = warp.graph.store.lock, AppRunRecord.encode, []
 
         def observed_encode(run, texts=None):
-            under_stripe.append(stripe._is_owned())
+            under_lock.append(lock._is_owned())
             return encode(run, texts)
 
         monkeypatch.setattr(AppRunRecord, "encode", observed_encode)
@@ -554,7 +554,7 @@ class TestStripedLocksUnderContention:
         for t in threads:
             t.join()
         assert not errors
-        assert len(under_stripe) >= n_threads * per_thread and all(under_stripe)
+        assert len(under_lock) >= n_threads * per_thread and all(under_lock)
         bodies = {}
         for worker in range(n_threads):
             res = warp.ttdb.execute(
