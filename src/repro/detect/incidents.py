@@ -44,6 +44,10 @@ from repro.repair.jobs import TERMINAL_STATUSES
 
 from repro.detect.rules import DetectionResult
 
+#: Longest pause the preview sweep takes between two incidents to let a
+#: writer parked on the store lock in (see ``refresh_once``).
+_MAX_BACKOFF_S = 0.05
+
 #: Incident statuses.  ``open`` and ``repairing`` previews keep
 #: refreshing; ``resolved``/``dismissed`` are terminal.
 OPEN_STATUSES = ("open", "repairing")
@@ -209,9 +213,11 @@ class IncidentManager:
             stamp = len(self.store.runs)
             if not force and entry.get("preview_stamp") == stamp:
                 continue
+            held_from = time.perf_counter()
             try:
                 spec = parse_spec(spec_data)
                 with self.store.lock:
+                    held_from = time.perf_counter()
                     # The fault point sits inside the critical section:
                     # a "stall" rule here models one slow compute_plan
                     # holding the lock — the starvation scenario the
@@ -219,26 +225,28 @@ class IncidentManager:
                     self.faults.fire("detect.preview", incident=incident_id)
                     plan = _compute_plan_locked(self.graph, self.ttdb, spec, None)
             except (ReproError, InjectedFault, OSError) as exc:
-                self.store.log_incident_update(
-                    incident_id, {"preview_error": str(exc)}
-                )
-                continue
-            self.store.log_incident_update(
-                incident_id,
-                {
+                update = {"preview_error": str(exc)}
+            else:
+                update = {
                     "preview": _compact_preview(plan),
                     "preview_stamp": stamp,
                     "preview_error": None,
-                },
-            )
-            refreshed += 1
+                }
+                refreshed += 1
+            held = time.perf_counter() - held_from
+            self.store.log_incident_update(incident_id, update)
             # Releasing the lock is not enough: CPython lock release does
             # not hand off, so without a pause here the sweep barges
             # straight back in and a writer parked on the store lock
-            # still waits out every plan.  A real (1 ms) sleep, not
-            # sleep(0): a bare GIL yield lets the parked writer run only
-            # most of the time (measured: ~1 sweep in 20 still barged).
-            time.sleep(0.001)
+            # still waits out every plan.  The parked writer has to be
+            # scheduled inside the pause, which a fixed 1 ms does not
+            # guarantee on a busy host (measured: a writer behind two
+            # 0.4 s plans waited out both in 3 runs of 10 with the CPUs
+            # oversubscribed).  So the sweep backs off as long as it just
+            # held the lock, between 1 ms and _MAX_BACKOFF_S: a slow plan
+            # buys a waiting writer a long window, a fast one costs the
+            # sweep little.
+            time.sleep(min(max(held, 0.001), _MAX_BACKOFF_S))
         return refreshed
 
     def status(self) -> dict:

@@ -68,11 +68,6 @@ class HttpServer:
         self.admin = RouteTable("/warp/admin")
         #: When set, admin requests must carry it in X-Warp-Admin-Token.
         self.admin_token: Optional[str] = None
-        #: Shard identity in worker mode (repro.shard): requests stamped
-        #: with a different ``X-Warp-Shard`` by the coordinator are refused
-        #: with 421 so a mis-route cannot silently split one logical
-        #: partition's history across two shards.  None = unsharded.
-        self.shard_id: Optional[int] = None
         #: Front-line detector (repro.detect.Detector); None scores
         #: nothing.  Flagged requests are still served — WARP's promise
         #: is recording + retroactive repair, not blocking — but they
@@ -161,15 +156,6 @@ class HttpServer:
         """Serve one request during normal operation.  ``bypass_gate`` is
         for the queue drain itself: a parked request being re-applied must
         not re-queue against the still-active gate."""
-        if self.shard_id is not None:
-            stamped = request.headers.get("X-Warp-Shard")
-            if stamped is not None and stamped != str(self.shard_id):
-                return HttpResponse(
-                    status=421,
-                    body=f"misdirected request: stamped for shard {stamped}, "
-                    f"this is shard {self.shard_id}",
-                    headers={"X-Warp-Shard": str(self.shard_id)},
-                )
         if self.admin.owns(request.path):
             # Control plane: privileged, unrecorded, ungated — and served
             # outside the suspend window so status polls work mid-switch.

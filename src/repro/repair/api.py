@@ -92,13 +92,6 @@ class RepairSpec:
     def validate(self) -> None:
         """Raise :class:`RepairError` when the spec is malformed."""
 
-    def routing_hints(self) -> dict:
-        """What a shard coordinator (repro.shard) can route by: the
-        client identities and code files this spec names.  Empty means
-        "no hint — plan against every shard" (e.g. a raw DB fix, whose
-        reach only preview can establish)."""
-        return {}
-
 
 @_register
 @dataclass
@@ -154,9 +147,6 @@ class PatchSpec(RepairSpec):
             "inline_exports": self.exports is not None,
         }
 
-    def routing_hints(self) -> dict:
-        return {"files": [self.file]} if self.file else {}
-
     @classmethod
     def _from_dict(cls, data: dict) -> "PatchSpec":
         # ``file`` is optional for catalog patches (the registration
@@ -196,9 +186,6 @@ class CancelVisitSpec(RepairSpec):
             "allow_conflicts": self.allow_conflicts,
         }
 
-    def routing_hints(self) -> dict:
-        return {"clients": [self.client_id]}
-
     @classmethod
     def _from_dict(cls, data: dict) -> "CancelVisitSpec":
         return cls(
@@ -223,9 +210,6 @@ class CancelClientSpec(RepairSpec):
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "client_id": self.client_id}
-
-    def routing_hints(self) -> dict:
-        return {"clients": [self.client_id]}
 
     @classmethod
     def _from_dict(cls, data: dict) -> "CancelClientSpec":
@@ -303,16 +287,6 @@ class RepairBatch(RepairSpec):
 
     def describe(self) -> dict:
         return {"kind": self.kind, "specs": [spec.describe() for spec in self.specs]}
-
-    def routing_hints(self) -> dict:
-        merged: dict = {}
-        for spec in self.specs:
-            for key, values in spec.routing_hints().items():
-                bucket = merged.setdefault(key, [])
-                for value in values:
-                    if value not in bucket:
-                        bucket.append(value)
-        return merged
 
     @classmethod
     def _from_dict(cls, data: dict) -> "RepairBatch":

@@ -6,10 +6,10 @@ tenant/partition key to N worker processes, each running its own
 :class:`~repro.warp.WarpSystem` (either storage backend), and runs
 distributed repair as a fan-out — per-shard
 :class:`~repro.repair.api.RepairSpec` jobs dispatched over the existing
-``/warp/admin`` JSON wire protocol, planned against the union of compact
-per-shard :class:`~repro.store.recordstore.TouchIndex` summaries, with
-the returned :class:`~repro.repair.stats.RepairStats` merged into one
-report.  See DESIGN.md "Sharding".
+``/warp/admin`` JSON wire protocol to the shards whose own repair
+preview finds damage, with the returned
+:class:`~repro.repair.stats.RepairStats` merged into one report.  See
+DESIGN.md "Sharding".
 """
 
 from repro.shard.cluster import ShardCluster

@@ -14,18 +14,17 @@ truth for job outcomes), never re-submitted.
 
 Distributed repair protocol (DESIGN.md "Sharding"):
 
-1. **Summarize** — pull each shard's compact touch summary and union
-   them into cross-shard taint clusters (:mod:`repro.shard.plan`).  The
-   union exists for *visibility* (which client stitched which shards
-   together); correctness does not depend on it because…
-2. **Preview** — the spec is previewed on every shard over the ordinary
-   ``/warp/admin/repair/preview`` wire.  Databases are disjoint, so a
-   shard whose preview finds no damaged runs provably has nothing to
-   repair: the dispatch target set = shards with non-empty previews.
-3. **Dispatch** — ``POST /warp/admin/repair`` per target (the PR 5 JSON
+1. **Preview** — the spec is previewed on every shard over the ordinary
+   ``/warp/admin/repair/preview`` wire; each shard plans it with the
+   same partition-level planner a single deployment uses.  Databases
+   are disjoint, so a shard whose preview finds no damaged runs provably
+   has nothing to repair: the dispatch target set = shards with
+   non-empty previews.  A client the previews of two or more shards
+   list as affected is reported as a cross-shard *handoff*.
+2. **Dispatch** — ``POST /warp/admin/repair`` per target (the PR 5 JSON
    wire protocol *is* the fan-out protocol), all dispatches first, then
    poll every job to a terminal state (shards repair concurrently).
-4. **Merge** — per-shard ``RepairStats`` images are merged by summation
+3. **Merge** — per-shard ``RepairStats`` images are merged by summation
    (:func:`repro.repair.stats.merge_stats_dicts`); the distributed
    repair is ``ok`` only if every shard's job settled ``done``.
 """
@@ -49,7 +48,6 @@ from repro.http.routes import NotFound, RouteTable
 from repro.repair.api import RepairSpec, parse_spec, spec_from_request
 from repro.repair.jobs import TERMINAL_STATUSES
 from repro.repair.stats import merge_stats_dicts
-from repro.shard.plan import merge_touch_summaries
 from repro.shard.routing import SHARD_HEADER, RoutingTable
 from repro.shard.wire import ShardClient, ShardWireError
 
@@ -73,7 +71,7 @@ class DistributedRepairResult:
     per_shard: Dict[int, dict] = field(default_factory=dict)
     #: Merged RepairStats image (summation semantics; see stats module).
     stats: Dict[str, object] = field(default_factory=dict)
-    #: The union-cluster plan the fan-out was launched under.
+    #: The plan the fan-out was launched under: targets and handoffs.
     plan: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -158,34 +156,23 @@ class ShardCoordinator:
 
     # -- planning ------------------------------------------------------------
 
-    def touch_summaries(self) -> Dict[int, dict]:
-        summaries: Dict[int, dict] = {}
-        for shard, client in sorted(self.clients.items()):
-            status, payload = client.admin_json("GET", "/warp/admin/shard/touch-summary")
-            if status != 200:
-                raise DistributedRepairError(
-                    f"shard {shard} touch-summary failed ({status}): {payload}"
-                )
-            summaries[shard] = payload
-        return summaries
-
     def plan(self, spec: RepairSpec) -> dict:
-        """Union-cluster view + per-shard previews + the dispatch set.
+        """Per-shard previews, the dispatch set, and the cross-shard handoffs.
 
         ``targets`` is the set of shards whose preview found work.  That
         set is *complete*: shard databases are disjoint, so data-flow
         taint cannot cross a shard boundary — the only cross-shard edge
         is a shared client identity, and a client's runs on shard S are
         found by S's own preview regardless of what the client did
-        elsewhere.  The union clusters report that connectivity (which
-        shards one intrusion stitched together) rather than discover
-        extra targets.
+        elsewhere.  ``handoffs`` reports that edge: each client the
+        previews of two or more shards list as affected, with those
+        shards.
         """
         spec.validate()
-        clusters = merge_touch_summaries(self.touch_summaries())
         spec_json = json.dumps(spec.to_dict())
         previews: Dict[int, dict] = {}
         targets: List[int] = []
+        client_shards: Dict[str, List[int]] = {}
         for shard, client in sorted(self.clients.items()):
             status, payload = client.admin_json(
                 "POST", "/warp/admin/repair/preview", {"spec": spec_json}
@@ -202,19 +189,14 @@ class ShardCoordinator:
                 or payload.get("futile")
             ):
                 targets.append(shard)
-        hints = spec.routing_hints()
+            for affected in payload.get("affected_clients") or ():
+                client_shards.setdefault(affected, []).append(shard)
         handoffs = [
-            handoff
-            for handoff in clusters.get("handoffs", [])
-            if not hints.get("clients") or handoff["client"] in hints["clients"]
+            {"client": affected, "shards": shards}
+            for affected, shards in sorted(client_shards.items())
+            if len(shards) > 1
         ]
-        return {
-            "clusters": clusters["clusters"],
-            "handoffs": handoffs,
-            "previews": previews,
-            "targets": targets,
-            "hints": hints,
-        }
+        return {"previews": previews, "targets": targets, "handoffs": handoffs}
 
     # -- the fan-out ---------------------------------------------------------
 
@@ -354,7 +336,7 @@ class ShardCoordinator:
             status=status_word,
             per_shard=per_shard,
             stats=stats,
-            plan={k: plan[k] for k in ("clusters", "handoffs", "targets")},
+            plan={k: plan[k] for k in ("handoffs", "targets")},
         )
         self._journal(
             {
@@ -517,6 +499,10 @@ class ShardCoordinator:
         }
 
     def _save_route(self, request: HttpRequest):
+        if "shard" in request.params:
+            # Addressed to one worker: its own row saves that shard alone.
+            _, client = self._addressed(request)
+            return client.admin_json("POST", "/warp/admin/shard/save")
         # Each worker writes its own snapshot, so all of them save at once:
         # the broadcast takes as long as the slowest shard, not their sum.
         shards = sorted(self.clients.items())
@@ -555,14 +541,19 @@ class ShardCoordinator:
         a worker's route.  Worker admin is shard-local — "list repair
         jobs" is a different question on every shard — so an explicit
         target is required (distributed views are the rows above)."""
-        raw = request.params.get("shard")
-        if raw is None:
+        if request.params.get("shard") is None:
             if request.path.startswith("/warp/admin/shard/"):
                 raise NotFound(f"unknown coordinator path {request.path}")
             raise ReproError(
                 "admin requests through the coordinator need a 'shard' "
                 "parameter (or use /warp/admin/shard/*)"
             )
+        shard, client = self._addressed(request)
+        return client.request(self._stamped(request, shard))
+
+    def _addressed(self, request: HttpRequest) -> Tuple[int, ShardClient]:
+        """The shard a request's ``shard`` parameter names, and its client."""
+        raw = request.params.get("shard")
         try:
             shard = int(raw)
         except (TypeError, ValueError):
@@ -570,7 +561,7 @@ class ShardCoordinator:
         client = self.clients.get(shard)
         if client is None:
             raise NotFound(f"no shard {shard}")
-        return client.request(self._stamped(request, shard))
+        return shard, client
 
     def _start_async(self, spec: RepairSpec) -> str:
         dist_id, plan = self._start(spec)

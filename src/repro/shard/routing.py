@@ -14,9 +14,9 @@ The routing contract (DESIGN.md "Sharding"):
   journal via ``to_dict``/``from_dict``.
 
 A request stamped with ``X-Warp-Shard`` by the coordinator is *checked*
-by the worker's :class:`~repro.http.server.HttpServer` (421 on a
-mismatch) — mis-routed writes are refused instead of silently splitting
-one logical partition across two shards.
+by :meth:`repro.shard.worker.ShardWorker.handle` (421 on a mismatch) —
+mis-routed writes are refused instead of silently splitting one logical
+partition across two shards.
 """
 
 from __future__ import annotations

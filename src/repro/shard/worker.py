@@ -1,8 +1,8 @@
 """Shard worker: one WarpSystem per process, serving wire frames.
 
 A worker is bootstrapped from a JSON-serializable :class:`ShardConfig`
-(so it can cross a ``spawn`` boundary): it builds — or reloads, using the
-per-shard save/load layout in :meth:`repro.warp.WarpSystem.shard_layout`
+(so it can cross a ``spawn`` boundary): it builds — or reloads, from the
+per-shard layout of :func:`shard_layout` (:func:`load_or_create_shard`)
 — its own :class:`~repro.warp.WarpSystem` with whatever storage backend
 ``REPRO_DB_BACKEND``/``warp_kwargs`` select, installs the application via
 an importable ``module:callable`` factory, and serves wire frames
@@ -10,9 +10,11 @@ an importable ``module:callable`` factory, and serves wire frames
 directly through a :class:`~repro.shard.wire.LocalShardClient`) or from
 a real process (:func:`worker_main` + :func:`spawn_worker`).
 
-The worker's :class:`~repro.http.server.HttpServer` carries the shard
-identity and refuses mis-stamped requests with a 421 (the routing
-contract's enforcement point).
+The shard identity lives here, not in the WarpSystem underneath:
+:meth:`ShardWorker.handle` refuses a request stamped for another shard
+with a 421 (the routing contract's enforcement point), and the worker
+mounts the one shard-only admin row, ``POST /warp/admin/shard/save``,
+which snapshots into the layout.
 
 The **application factory** contract: ``factory(warp, fresh, args)``
 installs (``fresh=True``: create tables, register code, seed) or
@@ -30,8 +32,11 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
-from repro.http.message import HttpRequest
+from repro.core.errors import RepairError
+from repro.http.message import HttpRequest, HttpResponse
+from repro.shard.routing import SHARD_HEADER
 from repro.warp import WarpSystem
 
 #: Fixed authkey prefix; the per-cluster secret rides in ShardConfig.
@@ -52,6 +57,49 @@ def socket_address(data_dir: str, shard_id: int) -> str:
 
 def authkey_for(secret: str) -> bytes:
     return _AUTH_PREFIX + secret.encode("utf-8")
+
+
+def shard_layout(root: str, shard_id: int) -> Dict[str, str]:
+    """Canonical on-disk layout of one shard under a cluster root.
+    Every path a shard persists lives in its own subdirectory, so
+    shards never contend on files and a shard can be copied or wiped
+    as a unit."""
+    shard_dir = os.path.join(root, f"shard-{shard_id}")
+    return {
+        "dir": shard_dir,
+        "snapshot": os.path.join(shard_dir, "snapshot.json"),
+        "wal": os.path.join(shard_dir, "records.wal"),
+        "db": os.path.join(shard_dir, "db"),
+    }
+
+
+def load_or_create_shard(
+    root: str, shard_id: int, **kwargs
+) -> Tuple[WarpSystem, bool]:
+    """Bring up one shard from its layout, recovering whatever state
+    survived: snapshot (+WAL tail) -> full reload; WAL alone -> the
+    crash-before-first-save recovery; neither -> a fresh system.
+
+    Returns ``(warp, fresh)`` where ``fresh`` tells the application
+    factory whether to install (create tables + seed) or merely
+    re-register code over recovered data.  WAL-only recovery reports
+    ``fresh=True`` because database rows start empty (see
+    :meth:`WarpSystem.load`) — the install re-creates them, and the
+    replayed graph still supports repair.  ``kwargs`` configure fresh
+    construction (storage backend, durability, admin token, ...);
+    ``db_path`` defaults into the shard's layout so the SQLite engine's
+    scratch directory lands inside the shard directory; a later boot
+    never reads it back — the snapshot and WAL are what it recovers.
+    """
+    layout = shard_layout(root, shard_id)
+    os.makedirs(layout["dir"], exist_ok=True)
+    kwargs.setdefault("db_path", layout["db"])
+    snapshot_path, wal_path = layout["snapshot"], layout["wal"]
+    if os.path.exists(snapshot_path):
+        return WarpSystem.load(snapshot_path, wal_path=wal_path), False
+    if os.path.exists(wal_path) and os.path.getsize(wal_path):
+        return WarpSystem.load(None, wal_path=wal_path, **kwargs), True
+    return WarpSystem(wal_path=wal_path, **kwargs), True
 
 
 def resolve_factory(spec: str):
@@ -106,19 +154,39 @@ class ShardWorker:
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
         self.shard_id = config.shard_id
-        self.warp, fresh = WarpSystem.load_or_create_shard(
+        self.snapshot_path = shard_layout(config.data_dir, config.shard_id)["snapshot"]
+        self.warp, fresh = load_or_create_shard(
             config.data_dir, config.shard_id, **dict(config.warp_kwargs)
         )
-        # Routing-contract enforcement: requests the coordinator stamped
-        # for a different shard bounce with 421 instead of executing.
-        self.warp.server.shard_id = config.shard_id
+        # What a coordinator asks a worker beyond the ordinary admin
+        # surface, over the same wire (API.md §8, worker-side routes).
+        self.warp.server.admin.add("POST", "/shard/save", self._save_route)
         factory = resolve_factory(config.app)
         self.app = factory(self.warp, fresh, dict(config.app_args))
 
     # -- request serving ---------------------------------------------------
 
-    def handle(self, request: HttpRequest):
+    def handle(self, request: HttpRequest) -> HttpResponse:
+        """Serve one request.  One the coordinator stamped for a different
+        shard is refused with 421 instead of executing, so a stale routing
+        table cannot split one partition's history across two shards."""
+        stamped = request.headers.get(SHARD_HEADER)
+        if stamped is not None and stamped != str(self.shard_id):
+            return HttpResponse(
+                status=421,
+                body=f"misdirected request: stamped for shard {stamped}, "
+                f"this is shard {self.shard_id}",
+                headers={SHARD_HEADER: str(self.shard_id)},
+            )
         return self.warp.server.handle(request)
+
+    def _save_route(self, request: HttpRequest):
+        # The snapshot holds every table, the users' included: a client
+        # must not choose where it is written.
+        if "path" in request.params:
+            raise RepairError("shard save takes no 'path': it writes the shard layout")
+        self.warp.save(self.snapshot_path)
+        return 200, {"saved": self.snapshot_path}
 
     def handle_frame(self, frame: dict) -> dict:
         """The wire protocol (one frame in, one reply out).  Shared by the

@@ -312,70 +312,6 @@ class RecordStore:
         self.durability_timeout: Optional[float] = None
         self.unsynced_mutations = 0
 
-    def touch_summary(self) -> dict:
-        """Compact, JSON-serializable image of the touch index grouped by
-        client — what a shard ships to the coordinator so distributed
-        repair can plan taint-connected clusters over the *union* of all
-        shards' connectivity without shipping run logs.
-
-        Partition keys travel as ``[table, column, value]`` triples;
-        ``reads`` holds every touched key (writers included — the planner
-        treats writes separately), ``all_reads``/``full_writes`` the
-        tables with un-narrowable read/write sets.  Runs recorded without
-        a client id cannot carry cross-shard taint (taint flows through
-        client identity once databases are disjoint) and are skipped.
-        """
-        with self.lock:
-            clients: Dict[str, dict] = {}
-
-            def bucket(client_id: str) -> dict:
-                return clients.setdefault(
-                    client_id,
-                    {
-                        "runs": 0,
-                        "writes": set(),
-                        "reads": set(),
-                        "all_reads": set(),
-                        "full_writes": set(),
-                        "tables_written": set(),
-                    },
-                )
-
-            for client_id, run_ids in self._client_runs.items():
-                if run_ids:
-                    bucket(client_id)["runs"] = len(run_ids)
-            touch = self.touch
-            for field, index in (
-                ("writes", touch.key_writers),
-                ("reads", touch.key_touchers),
-                ("all_reads", touch.table_all),
-                ("full_writes", touch.table_fullw),
-                ("tables_written", touch.table_writers),
-            ):
-                for key, run_ids in index.items():
-                    for run_id in run_ids:
-                        run = self.runs.get(run_id)
-                        if run is not None and run.client_id is not None:
-                            bucket(run.client_id)[field].add(key)
-            return {
-                "n_runs": len(self.runs),
-                "clients": {
-                    client_id: {
-                        "runs": entry["runs"],
-                        "writes": sorted(
-                            (list(key) for key in entry["writes"]), key=repr
-                        ),
-                        "reads": sorted(
-                            (list(key) for key in entry["reads"]), key=repr
-                        ),
-                        "all_reads": sorted(entry["all_reads"]),
-                        "full_writes": sorted(entry["full_writes"]),
-                        "tables_written": sorted(entry["tables_written"]),
-                    }
-                    for client_id, entry in clients.items()
-                },
-            }
-
     # -- commit plumbing ----------------------------------------------------
 
     def _finish(

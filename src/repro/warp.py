@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.ahg.graph import ActionHistoryGraph
 from repro.appserver.runtime import AppRuntime
@@ -155,41 +155,9 @@ class WarpSystem:
         #: Script versions the persisted deployment had (set by ``load``);
         #: repair refuses to run until re-registered code catches up.
         self._expected_script_versions: Dict[str, int] = {}
-        #: Shard identity (repro.shard): set by ``load_or_create_shard``
-        #: when this system is one shard of a multi-process deployment.
-        self.shard_id: Optional[int] = None
-        self.shard_snapshot_path: Optional[str] = None
-        # What a coordinator asks a worker, over the same wire as every
-        # other admin operation (API.md §8, worker-side routes).
-        self.server.admin.add("GET", "/shard/info", self._shard_info_route)
-        self.server.admin.add(
-            "GET", "/shard/touch-summary", self._shard_touch_summary_route
-        )
-        self.server.admin.add("POST", "/shard/save", self._shard_save_route)
 
     def _conflicts_route(self, request: HttpRequest):
         return 200, {"pending": [c.to_dict() for c in self.conflicts.pending()]}
-
-    def _shard_info_route(self, request: HttpRequest):
-        return 200, {
-            "shard_id": self.shard_id,
-            "backend": self.db_backend,
-            "n_runs": self.graph.n_runs,
-            "pid": os.getpid(),
-        }
-
-    def _shard_touch_summary_route(self, request: HttpRequest):
-        return 200, self.graph.store.touch_summary()
-
-    def _shard_save_route(self, request: HttpRequest):
-        # The snapshot holds every table, the users' included: a client
-        # must not choose where it is written.
-        if "path" in request.params:
-            raise RepairError("shard save takes no 'path': it writes the shard layout")
-        if self.shard_snapshot_path is None:
-            raise RepairError("not a shard: no snapshot path in a shard layout")
-        self.save(self.shard_snapshot_path)
-        return 200, {"saved": self.shard_snapshot_path}
 
     def _wire_wal_health(self) -> None:
         """Point the store's current WAL at the health monitor.  Called at
@@ -363,12 +331,11 @@ class WarpSystem:
         works as soon as the scripts exist again.
 
         ``ctor_kwargs`` configure the fresh system underneath WAL-only
-        recovery (``path=None``) — e.g. ``db_backend``/``db_path`` for a
-        shard's storage layout; its database starts empty whatever
-        ``db_path`` holds, since an engine never reads files it did not
-        write.  With a snapshot they are refused: the
-        snapshot's own repair/storage/serving config wins, and a silently
-        ignored override would be a debugging trap.
+        recovery (``path=None``) — e.g. ``db_backend``/``db_path``; its
+        database starts empty whatever ``db_path`` holds, since an engine
+        never reads files it did not write.  With a snapshot they are
+        refused: the snapshot's own repair/storage/serving config wins, and
+        a silently ignored override would be a debugging trap.
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
@@ -445,59 +412,6 @@ class WarpSystem:
         if detection_config.get("enabled"):
             warp.enable_detection()
         return warp
-
-    # -- per-shard persistence layout (repro.shard) --------------------------
-
-    @staticmethod
-    def shard_layout(root: str, shard_id: int) -> Dict[str, str]:
-        """Canonical on-disk layout of one shard under a cluster root.
-        Every path a shard persists lives in its own subdirectory, so
-        shards never contend on files and a shard can be copied or wiped
-        as a unit."""
-        shard_dir = os.path.join(root, f"shard-{shard_id}")
-        return {
-            "dir": shard_dir,
-            "snapshot": os.path.join(shard_dir, "snapshot.json"),
-            "wal": os.path.join(shard_dir, "records.wal"),
-            "db": os.path.join(shard_dir, "db"),
-        }
-
-    @classmethod
-    def load_or_create_shard(
-        cls, root: str, shard_id: int, **kwargs
-    ) -> Tuple["WarpSystem", bool]:
-        """Bring up one shard from its layout, recovering whatever state
-        survived: snapshot (+WAL tail) -> full reload; WAL alone -> the
-        crash-before-first-save recovery; neither -> a fresh system.
-
-        Returns ``(warp, fresh)`` where ``fresh`` tells the application
-        factory whether to install (create tables + seed) or merely
-        re-register code over recovered data.  WAL-only recovery reports
-        ``fresh=True`` because database rows start empty (see
-        :meth:`load`) — the install re-creates them, and the replayed
-        graph still supports repair.  ``kwargs`` configure fresh
-        construction (storage backend, durability, admin token, ...);
-        ``db_path`` defaults into the shard's layout so the SQLite engine's
-        scratch directory lands inside the shard directory; a later boot
-        never reads it back — the snapshot and WAL are what it recovers.
-        """
-        layout = cls.shard_layout(root, shard_id)
-        os.makedirs(layout["dir"], exist_ok=True)
-        kwargs.setdefault("db_path", layout["db"])
-        snapshot_path, wal_path = layout["snapshot"], layout["wal"]
-        if os.path.exists(snapshot_path):
-            warp = cls.load(snapshot_path, wal_path=wal_path)
-            fresh = False
-        elif os.path.exists(wal_path) and os.path.getsize(wal_path):
-            warp = cls.load(None, wal_path=wal_path, **kwargs)
-            fresh = True
-        else:
-            warp = cls(wal_path=wal_path, **kwargs)
-            fresh = True
-        warp.shard_id = shard_id
-        warp.shard_snapshot_path = snapshot_path
-        warp.server.shard_id = shard_id
-        return warp, fresh
 
     def _script_versions_for_save(self) -> Dict[str, int]:
         """Versions to persist: the live store's, floored by what a prior

@@ -1,9 +1,10 @@
 """The admin surface as data: one route table (repro.http.routes).
 
-Every check here is driven from ``table.routes()`` on three
-deployments — a plain ``WarpSystem``, one with detection enabled, and a
-2-shard ``local`` coordinator — so a row mounted tomorrow is covered
-without a new test, and API.md cannot drift from what is mounted.
+Every check here is driven from ``table.routes()`` on four
+deployments — a plain ``WarpSystem``, one with detection enabled, one
+shard worker, and a 2-shard ``local`` coordinator — so a row mounted
+tomorrow is covered without a new test, and API.md cannot drift from
+what is mounted.
 """
 
 import json
@@ -18,7 +19,7 @@ from repro.apps.wiki.app import WikiApp
 from repro.faults.plane import FaultPlane
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.routes import RouteTable
-from repro.shard import ShardCluster
+from repro.shard import ShardCluster, ShardConfig, ShardWorker
 from repro.warp import WarpSystem
 
 METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -91,6 +92,10 @@ def deployments(tmp_path_factory):
         if warp.incidents is not None:
             ids["incident_id"] = warp.incidents.list()[0]["incident_id"]
         out[name] = Deployment(name, warp.server.handle, warp.server.admin, [warp], ids)
+    worker = cluster.workers[0]
+    out["worker"] = Deployment(
+        "worker", worker.handle, worker.warp.server.admin, [worker.warp], {}
+    )
     out["coordinator"] = Deployment(
         "coordinator",
         cluster.handle,
@@ -116,7 +121,7 @@ def _json_body(response):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["plain", "detecting", "coordinator"])
+@pytest.mark.parametrize("name", ["plain", "detecting", "worker", "coordinator"])
 def test_every_row_answers_its_method_and_405s_the_others(deployments, name):
     deployment = deployments[name]
     routes = deployment.table.routes()
@@ -141,9 +146,18 @@ def test_every_row_answers_its_method_and_405s_the_others(deployments, name):
 
 
 def test_route_counts(deployments):
-    assert len(deployments["plain"].table.routes()) == 11
-    assert len(deployments["detecting"].table.routes()) == 15
+    assert len(deployments["plain"].table.routes()) == 8
+    assert len(deployments["detecting"].table.routes()) == 12
+    assert len(deployments["worker"].table.routes()) == 9
     assert len(deployments["coordinator"].table.routes()) == 7
+
+
+def test_a_plain_deployment_mounts_no_shard_row():
+    """Shard identity and the shard-only admin row belong to the worker
+    (repro.shard.worker): a WarpSystem on its own does not know shards."""
+    routes = WarpSystem().server.admin.routes()
+    assert routes
+    assert [path for _, path in routes if "/shard/" in path] == []
 
 
 def test_known_ids_answer_200(deployments):
@@ -170,19 +184,23 @@ def test_api_md_lists_exactly_the_mounted_rows(deployments):
             r"^\| `(/warp/admin[^`]*)` \| (GET|POST|PUT|DELETE) \|", text, re.M
         )
     )
-    # The detecting worker mounts everything the plain one does; the
-    # coordinator's `POST /shard/save` shadows the worker's, and API.md
-    # lists it once in each table.
-    assert set(deployments["plain"].table.routes()) <= set(
-        deployments["detecting"].table.routes()
+    # The detecting deployment and the shard worker each mount everything
+    # the plain one does; the worker adds `POST /shard/save`, which the
+    # coordinator's row of that name shadows, and API.md lists it once in
+    # each table.
+    plain = set(deployments["plain"].table.routes())
+    assert plain <= set(deployments["detecting"].table.routes())
+    assert plain <= set(deployments["worker"].table.routes())
+    worker_rows = set(deployments["detecting"].table.routes()) | set(
+        deployments["worker"].table.routes()
     )
     mounted = sorted(
         (method, re.sub(r"<\w+>", "<id>", path))
-        for name in ("detecting", "coordinator")
-        for method, path in deployments[name].table.routes()
+        for routes in (worker_rows, deployments["coordinator"].table.routes())
+        for method, path in routes
     )
     assert documented == mounted
-    assert len(mounted) == 22
+    assert len(mounted) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +304,13 @@ def test_unknown_admin_path_while_degraded_is_404(tmp_path):
 
 
 def _shard_warp(tmp_path):
-    """One shard's deployment in its layout, the one a worker runs, with a
-    fault plane of its own."""
+    """One shard worker's deployment in its layout, with a fault plane of
+    its own (the in-process worker hands ``warp_kwargs`` over as is)."""
     plane = FaultPlane()
-    warp, _ = WarpSystem.load_or_create_shard(str(tmp_path), 0, fault_plane=plane)
-    WikiApp(warp.ttdb, warp.scripts, warp.server).install()
-    return warp, plane
+    config = ShardConfig(
+        shard_id=0, data_dir=str(tmp_path), warp_kwargs={"fault_plane": plane}
+    )
+    return ShardWorker(config).warp, plane
 
 
 SHARD_SAVE = HttpRequest("POST", "/warp/admin/shard/save")
@@ -327,14 +346,15 @@ def test_io_fault_writing_the_snapshot_is_503_not_500(tmp_path):
 @pytest.mark.parametrize("shard", [True, False])
 def test_a_client_cannot_choose_where_a_snapshot_is_written(tmp_path, shard):
     """The snapshot holds every table, users and passwords included: a
-    ``path`` parameter is refused, on a shard and off one, and nothing is
-    written there."""
+    ``path`` parameter is refused on a shard, off one there is no save
+    row at all, and nothing is written there either way."""
     warp = _shard_warp(tmp_path)[0] if shard else _wiki_warp()
     target = tmp_path / "elsewhere.json"
     save = HttpRequest("POST", "/warp/admin/shard/save", params={"path": str(target)})
     response = warp.server.handle(save)
-    assert response.status == 400
-    assert "path" in _json_body(response)["error"]
+    assert response.status == (400 if shard else 404)
+    if shard:
+        assert "path" in _json_body(response)["error"]
     assert not target.exists()
 
 
@@ -428,7 +448,7 @@ def _check_answer(deployment, request):
     return response.status
 
 
-@pytest.mark.parametrize("name", ["plain", "detecting", "coordinator"])
+@pytest.mark.parametrize("name", ["plain", "detecting", "worker", "coordinator"])
 def test_fuzzed_admin_requests_answer_json_and_never_raise(deployments, name):
     deployment = deployments[name]
     routes = sorted(

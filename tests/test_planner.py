@@ -226,12 +226,14 @@ class TestAccessPaths:
         ):
             assert tt.execute(sql).rows == naive.execute(sql).rows, sql
 
-    def test_ordered_index_reflects_deletes(self):
+    def test_order_by_sorts_rows_inserted_out_of_order_after_a_delete(self):
         tt = make_ttdb()
-        for index in range(6):
+        # Row ids follow insertion, not title order: only the ORDER BY
+        # sort can put these back in order.
+        for page_id, index in enumerate((4, 1, 5, 0, 3, 2), start=1):
             tt.execute(
                 "INSERT INTO pages (page_id, title) VALUES (?, ?)",
-                (index + 1, f"T{index}"),
+                (page_id, f"T{index}"),
             )
         tt.execute("DELETE FROM pages WHERE title = 'T3'")
         rows = tt.execute("SELECT title FROM pages ORDER BY title").rows

@@ -19,7 +19,7 @@ import pytest
 
 import persistence_fixtures as fixtures
 from repro.http.message import HttpRequest
-from repro.repair.api import CancelClientSpec, RepairBatch, parse_spec
+from repro.repair.api import CancelClientSpec, DbFixSpec, RepairBatch, parse_spec
 from repro.repair.stats import merge_stats_dicts
 from repro.shard import (
     LocalShardClient,
@@ -29,9 +29,9 @@ from repro.shard import (
     ShardWorker,
     default_route_key,
 )
-from repro.shard.plan import merge_touch_summaries
 from repro.shard.routing import SHARD_HEADER, TENANT_HEADER
 from repro.shard.wire import ShardWireError
+from repro.shard.worker import load_or_create_shard, shard_layout
 from repro.store.snapshot import read_snapshot_header
 from repro.warp import WarpSystem
 
@@ -260,6 +260,24 @@ class TestWireAndWorker:
         )
         assert client.request(right).status == 200
 
+    def test_misrouted_write_is_refused_before_it_records(self, tmp_path):
+        worker = self.make_worker(tmp_path, shard_id=1)
+        client = LocalShardClient(worker)
+        text_before = page_text(worker, 0)
+        runs_before = worker.warp.graph.n_runs
+        wrong = HttpRequest(
+            "POST",
+            "/edit.php",
+            params={"title": "tenant0_wiki", "append": "\nmisrouted"},
+            headers={SHARD_HEADER: "0", TENANT_HEADER: "tenant0"},
+        )
+        assert client.request(wrong).status == 421
+        # Refused at the worker, before the server: no run was recorded
+        # and the page is untouched.
+        assert worker.warp.graph.n_runs == runs_before
+        assert page_text(worker, 0) == text_before
+        assert "misrouted" not in text_before
+
     def test_worker_reload_keeps_data(self, tmp_path):
         worker = self.make_worker(tmp_path)
         client = LocalShardClient(worker)
@@ -273,11 +291,7 @@ class TestWireAndWorker:
 
         reborn = self.make_worker(tmp_path)
         assert "persisted" in page_text(reborn, 0)
-        assert reborn.warp.shard_id == 0
-        status, info = LocalShardClient(reborn).admin_json(
-            "GET", "/warp/admin/shard/info"
-        )
-        assert status == 200 and info["shard_id"] == 0
+        assert LocalShardClient(reborn).ping()["shard"] == 0
 
     def test_a_sqlite_shard_restarts_from_its_wal_alone(self, tmp_path):
         """A SQLite shard that dies before its first save boots again from
@@ -328,7 +342,7 @@ class TestWireAndWorker:
             data_dir=str(tmp_path),
             app_args={"tenants": [0], "shared_users": [ATTACKER]},
         )
-        layout = WarpSystem.shard_layout(str(tmp_path), 0)
+        layout = shard_layout(str(tmp_path), 0)
 
         def assert_ids_resolve(warp):
             assert fixtures.undefined_refs(fixtures.segment(layout["snapshot"], layout["wal"])) == []
@@ -360,184 +374,18 @@ class TestWireAndWorker:
         reborn = ShardWorker(config)
         assert reborn.warp.graph.to_snapshot() == live
         live = serve_around_a_save(reborn)
-        warp, fresh = WarpSystem.load_or_create_shard(config.data_dir, 0)
+        warp, fresh = load_or_create_shard(config.data_dir, 0)
         assert fresh is False
         assert warp.graph.to_snapshot() == live
         assert_ids_resolve(warp)
 
 
 # ---------------------------------------------------------------------------
-# touch summaries + union planning
+# merging per-shard repair stats
 # ---------------------------------------------------------------------------
 
 
 class TestPlanning:
-    def test_touch_summary_shape(self, tmp_path):
-        worker = TestWireAndWorker().make_worker(tmp_path)
-        session = Session("t0_user1", worker)
-        session.login(0)
-        session.send("POST", "/edit.php", 0, title="tenant0_wiki", append="\nhi")
-        summary = worker.warp.graph.store.touch_summary()
-        json.dumps(summary)  # must be wire-safe
-        assert summary["n_runs"] >= 2
-        entry = summary["clients"]["t0_user1-c"]
-        assert entry["runs"] >= 2
-        assert ["pagecontent", "title", "tenant0_wiki"] in entry["writes"]
-        assert entry["tables_written"]
-
-    def test_touch_summary_is_the_document_the_runs_describe(self):
-        """The summary, byte for byte, recomputed from ``store.runs``
-        alone: per client (in first-appearance order) its run count, the
-        keys it wrote, every key it touched, and the tables it read or
-        wrote whole / wrote at all."""
-        from repro.workload.scenarios import run_multi_tenant_scenario
-
-        outcome = run_multi_tenant_scenario(
-            n_tenants=3, users_per_tenant=2, attacked_tenants=1, seed=4
-        )
-        store = outcome.warp.graph.store
-        clients = {}
-        for run in store.runs.values():
-            if run.client_id is None:
-                continue
-            entry = clients.setdefault(
-                run.client_id,
-                {
-                    "runs": 0,
-                    "writes": set(),
-                    "reads": set(),
-                    "all_reads": set(),
-                    "full_writes": set(),
-                    "tables_written": set(),
-                },
-            )
-            entry["runs"] += 1
-            for query in run.queries:
-                if query.is_write:
-                    entry["tables_written"].add(query.table)
-                    entry["writes"] |= set(query.written_partitions)
-                    entry["reads"] |= set(query.written_partitions)
-                    if query.full_table_write:
-                        entry["full_writes"].add(query.table)
-                if query.read_set.is_all:
-                    entry["all_reads"].add(query.table)
-                else:
-                    entry["reads"] |= {
-                        (query.table, column, value)
-                        for column, value in query.read_set.keys()
-                    }
-        expected = {
-            "n_runs": len(store.runs),
-            "clients": {
-                client_id: {
-                    "runs": entry["runs"],
-                    "writes": sorted((list(k) for k in entry["writes"]), key=repr),
-                    "reads": sorted((list(k) for k in entry["reads"]), key=repr),
-                    "all_reads": sorted(entry["all_reads"]),
-                    "full_writes": sorted(entry["full_writes"]),
-                    "tables_written": sorted(entry["tables_written"]),
-                }
-                for client_id, entry in clients.items()
-            },
-        }
-        assert len(expected["clients"]) > 3
-        assert all(entry["writes"] for entry in expected["clients"].values())
-        assert json.dumps(store.touch_summary()) == json.dumps(expected)
-
-    def test_union_joins_shards_only_through_shared_clients(self):
-        summaries = {
-            0: {
-                "clients": {
-                    "mallory-c": {
-                        "runs": 2,
-                        "writes": [["pagecontent", "title", "p0"]],
-                        "reads": [["pagecontent", "title", "p0"]],
-                        "all_reads": [],
-                        "full_writes": [],
-                        "tables_written": ["pagecontent"],
-                    },
-                    "alice-c": {
-                        "runs": 1,
-                        "writes": [],
-                        "reads": [["pagecontent", "title", "p0"]],
-                        "all_reads": [],
-                        "full_writes": [],
-                        "tables_written": [],
-                    },
-                }
-            },
-            1: {
-                "clients": {
-                    "mallory-c": {
-                        "runs": 1,
-                        "writes": [["pagecontent", "title", "p1"]],
-                        "reads": [],
-                        "all_reads": [],
-                        "full_writes": [],
-                        "tables_written": ["pagecontent"],
-                    },
-                    "bob-c": {
-                        "runs": 1,
-                        "writes": [["pagecontent", "title", "q1"]],
-                        "reads": [],
-                        "all_reads": [],
-                        "full_writes": [],
-                        "tables_written": ["pagecontent"],
-                    },
-                }
-            },
-        }
-        plan = merge_touch_summaries(summaries)
-        by_clients = {tuple(c["clients"]): c for c in plan["clusters"]}
-        # alice read what mallory wrote on shard 0; mallory also wrote on
-        # shard 1 -> one cluster spanning both shards.
-        joined = by_clients[("alice-c", "mallory-c")]
-        assert joined["shards"] == [0, 1]
-        # bob wrote an unrelated key on shard 1: independent cluster.
-        assert by_clients[("bob-c",)]["shards"] == [1]
-        assert plan["handoffs"] == [{"client": "mallory-c", "shards": [0, 1]}]
-
-    def test_pure_readers_of_the_same_key_stay_independent(self):
-        reader = {
-            "runs": 1,
-            "writes": [],
-            "reads": [["pagecontent", "title", "p"]],
-            "all_reads": [],
-            "full_writes": [],
-            "tables_written": [],
-        }
-        plan = merge_touch_summaries(
-            {0: {"clients": {"r1-c": dict(reader), "r2-c": dict(reader)}}}
-        )
-        assert len(plan["clusters"]) == 2  # no writer, no edge
-
-    def test_all_reader_joins_table_writers(self):
-        summaries = {
-            0: {
-                "clients": {
-                    "writer-c": {
-                        "runs": 1,
-                        "writes": [["pagecontent", "title", "p"]],
-                        "reads": [],
-                        "all_reads": [],
-                        "full_writes": [],
-                        "tables_written": ["pagecontent"],
-                    },
-                    "counter-c": {
-                        "runs": 1,
-                        "writes": [],
-                        "reads": [],
-                        "all_reads": ["pagecontent"],
-                        "full_writes": [],
-                        "tables_written": [],
-                    },
-                }
-            }
-        }
-        plan = merge_touch_summaries(summaries)
-        assert len(plan["clusters"]) == 1
-        assert plan["clusters"][0]["clients"] == ["counter-c", "writer-c"]
-
     def test_merge_stats_sums_and_tags_origin(self):
         a = {"runs_canceled": 2, "conflicts": 1, "groups": [{"runs": 2}],
              "gate": {"queued": 3}, "breakdown": {"total": 1.0}}
@@ -611,28 +459,26 @@ class TestCoordinator:
         assert response.status == 404
 
     def test_worker_shard_routes_reachable_through_coordinator(self, cluster):
-        # The workers mount /warp/admin/shard/{info,touch-summary} under
-        # the same prefix as the coordinator's own views; an explicit
-        # shard parameter must reach the worker, not 404 in the shadow.
+        # A worker mounts /warp/admin/shard/save under the same prefix as
+        # the coordinator's own views; an explicit shard parameter must
+        # reach the worker, not the coordinator's broadcast of that name.
         for shard in (0, 1):
             response = cluster.handle(
                 HttpRequest(
-                    "GET", "/warp/admin/shard/info", params={"shard": str(shard)}
+                    "POST", "/warp/admin/shard/save", params={"shard": str(shard)}
                 )
             )
             assert response.status == 200, response.body
-            info = json.loads(response.body)
-            assert info["shard_id"] == shard and info["pid"] > 0
-        response = cluster.handle(
-            HttpRequest(
-                "GET", "/warp/admin/shard/touch-summary", params={"shard": "0"}
-            )
-        )
-        assert response.status == 200
-        assert "clients" in json.loads(response.body)
-        # Without the parameter the coordinator's own 404 still applies.
-        response = cluster.handle(HttpRequest("GET", "/warp/admin/shard/info"))
-        assert response.status == 404
+            saved = json.loads(response.body)["saved"]
+            assert saved == shard_layout(cluster.root, shard)["snapshot"]
+            assert os.path.exists(saved)
+        # The identity and touch-summary rows are gone from the workers:
+        # ``ping`` carries the identity, the previews plan the repair.
+        for path in ("/warp/admin/shard/info", "/warp/admin/shard/touch-summary"):
+            response = cluster.handle(HttpRequest("GET", path, params={"shard": "0"}))
+            assert response.status == 404, path
+            response = cluster.handle(HttpRequest("GET", path))
+            assert response.status == 404, path
 
     def test_status_reports_every_shard(self, cluster):
         response = cluster.handle(HttpRequest("GET", "/warp/admin/shard/status"))
@@ -674,6 +520,23 @@ class TestCoordinator:
         # A client confined to one shard targets one shard.
         one = cluster.coordinator.plan(CancelClientSpec(client_id="t0_user1-c"))
         assert one["targets"] == [cluster.tenant_shards[0]]
+
+    def test_handoffs_come_from_the_previews(self, cluster):
+        """A handoff is a client the previews of two shards both list as
+        affected.  A DB fix on one tenant's page damages one shard only,
+        so it has none — although the attacker is active on both."""
+        apply_workload(cluster, generate_workload(5))
+        spec = DbFixSpec(
+            sql="UPDATE pagecontent SET old_text = ? WHERE title = ?",
+            params=["x", "tenant0_wiki"],
+            ts=1,
+        )
+        plan = cluster.coordinator.plan(spec)
+        home = cluster.tenant_shards[0]
+        assert f"{ATTACKER}-c" in plan["previews"][home]["affected_clients"]
+        assert plan["previews"][1 - home]["affected_clients"] == []
+        assert plan["handoffs"] == []
+        assert set(plan) == {"previews", "targets", "handoffs"}
 
     def test_fanout_repairs_every_shard(self, cluster):
         apply_workload(cluster, generate_workload(7))
