@@ -8,9 +8,10 @@ incident carries the derived :class:`~repro.repair.api.RepairSpec`
 presented), so the operator story is one hop: inspect the preview,
 ``POST .../repair``, done.
 
-Incidents are durable: records live in :class:`RecordStore.incidents`,
-journaled under the ``incident``/``incident_update`` WAL kinds, so they
-survive ``save``/``load`` and crash recovery exactly like runs do.
+Incidents are durable: records live in the store's ``incidents`` table
+(:class:`~repro.store.recordstore.JournaledTable`), journaled under the
+``incident``/``incident_update`` WAL kinds, so they survive ``save``/``load``
+and crash recovery exactly like runs do.
 
 Preview-refresh contract (the lock-starvation fix): ``refresh_once`` takes
 the store lock **per incident** — snapshot the open ids, then for each
@@ -108,39 +109,36 @@ class IncidentManager:
                 run_ids = list(existing.get("run_ids", ()))
                 if record.run_id not in run_ids:
                     run_ids.append(record.run_id)
-                self.store.log_incident_update(
+                self.store.incidents.update(
                     existing["incident_id"],
-                    {
-                        "score": max(existing.get("score", 0.0), result.score),
-                        "reasons": merged,
-                        "run_ids": run_ids,
-                    },
+                    score=max(existing.get("score", 0.0), result.score),
+                    reasons=merged,
+                    run_ids=run_ids,
                 )
-                return self.store.incidents[existing["incident_id"]]
-            incident_id = f"inc-{self.store.next_incident_seq()}"
-            entry = {
-                "incident_id": incident_id,
-                "ts": record.ts_start,
-                "client_id": client_id,
-                "visit_id": visit_id,
-                "run_ids": [record.run_id],
-                "path": record.request.path,
-                "script": record.script,
-                "score": result.score,
-                "reasons": reasons,
-                "status": "open",
-                "spec": self._derive_spec(client_id, visit_id),
-                "preview": None,
-                "preview_stamp": None,
-                "job_id": None,
-            }
-            self.store.log_incident(entry)
-            return self.store.incidents[incident_id]
+                return self.store.incidents.entries[existing["incident_id"]]
+            incident_id = f"inc-{self.store.incidents.next_seq()}"
+            self.store.incidents.put(
+                incident_id=incident_id,
+                ts=record.ts_start,
+                client_id=client_id,
+                visit_id=visit_id,
+                run_ids=[record.run_id],
+                path=record.request.path,
+                script=record.script,
+                score=result.score,
+                reasons=reasons,
+                status="open",
+                spec=self._derive_spec(client_id, visit_id),
+                preview=None,
+                preview_stamp=None,
+                job_id=None,
+            )
+            return self.store.incidents.entries[incident_id]
 
     def _open_for(self, client_id, visit_id) -> Optional[dict]:
         if client_id is None:
             return None
-        for entry in self.store.incidents.values():
+        for entry in self.store.incidents.entries.values():
             if (
                 entry.get("status") in OPEN_STATUSES
                 and entry.get("client_id") == client_id
@@ -165,14 +163,14 @@ class IncidentManager:
 
     def get(self, incident_id: str) -> Optional[dict]:
         with self.store.lock:
-            entry = self.store.incidents.get(incident_id)
+            entry = self.store.incidents.entries.get(incident_id)
             return dict(entry) if entry is not None else None
 
     def list(self, status: Optional[str] = None) -> List[dict]:
         with self.store.lock:
             entries = [
                 dict(entry)
-                for entry in self.store.incidents.values()
+                for entry in self.store.incidents.entries.values()
                 if status is None or entry.get("status") == status
             ]
         entries.sort(key=lambda e: trailing_seq(e["incident_id"]))
@@ -184,17 +182,13 @@ class IncidentManager:
     # -- lifecycle -----------------------------------------------------------
 
     def mark_repairing(self, incident_id: str, job_id: str) -> None:
-        self.store.log_incident_update(
-            incident_id, {"status": "repairing", "job_id": job_id}
-        )
+        self.store.incidents.update(incident_id, status="repairing", job_id=job_id)
 
     def resolve(self, incident_id: str, ok: bool) -> None:
-        self.store.log_incident_update(
-            incident_id, {"status": "resolved" if ok else "open"}
-        )
+        self.store.incidents.update(incident_id, status="resolved" if ok else "open")
 
     def dismiss(self, incident_id: str) -> None:
-        self.store.log_incident_update(incident_id, {"status": "dismissed"})
+        self.store.incidents.update(incident_id, status="dismissed")
 
     # -- preview refresh -----------------------------------------------------
 
@@ -234,7 +228,7 @@ class IncidentManager:
                 }
                 refreshed += 1
             held = time.perf_counter() - held_from
-            self.store.log_incident_update(incident_id, update)
+            self.store.incidents.update(incident_id, **update)
             # Releasing the lock is not enough: CPython lock release does
             # not hand off, so without a pause here the sweep barges
             # straight back in and a writer parked on the store lock
@@ -252,7 +246,7 @@ class IncidentManager:
     def status(self) -> dict:
         with self.store.lock:
             counts: Dict[str, int] = {}
-            for entry in self.store.incidents.values():
+            for entry in self.store.incidents.entries.values():
                 counts[entry.get("status", "open")] = (
                     counts.get(entry.get("status", "open"), 0) + 1
                 )

@@ -15,7 +15,7 @@ a snapshot), then simulate process death, reload with
    secondary indexes agree with the run log, and every table's version
    chains pass :meth:`~repro.ttdb.timetravel.TimeTravelDB.integrity_errors`.
 4. **Interrupted repair reported** — a repair the crash cut down is
-   listed in ``pending_repair_jobs`` after reload.
+   listed in the store's ``repair_jobs`` after reload.
 5. **Recovery serves** — a probe request against the reloaded system
    succeeds.
 
@@ -340,10 +340,10 @@ def _check_invariants(report, loaded, wiki2, interrupted_job_ids) -> None:
 
     # 4: a repair the crash interrupted must be reported after reload.
     for job_id in interrupted_job_ids:
-        if job_id not in store.pending_repair_jobs:
+        if job_id not in store.repair_jobs.entries:
             violations.append(
                 f"repair {job_id} was interrupted by the crash but is not "
-                "reported in pending_repair_jobs after reload"
+                "reported in repair_jobs after reload"
             )
 
     # 5: the recovered system serves.

@@ -143,6 +143,6 @@ class HealthMonitor:
         doc["faults"] = warp.faults.status()
         doc["repair"] = {
             "active": warp.ttdb.repair_gen is not None,
-            "interrupted_jobs": len(store.pending_repair_jobs),
+            "interrupted_jobs": len(store.repair_jobs.entries),
         }
         return doc

@@ -756,7 +756,7 @@ class RepairController:
             self._run_state[run_id] = "queued"
             self._schedule(run.ts_start, "run", run)
             return
-        if self.replayer.can_replay(visit):
+        if visit is not None:
             # Replay must start at the visit whose *events* generated this
             # request: a form POST's parameters come from replaying the
             # parent form page's DOM events (that is how merged text and

@@ -325,7 +325,7 @@ class RepairJobManager:
                 "(a repair is already in progress)"
             )
         with self._lock:
-            seq = self._warp.graph.store.next_repair_job_seq()
+            seq = self._warp.graph.store.repair_jobs.next_seq()
             taken = {job_id for job_id in self._jobs}
             while f"job-{seq}" in taken:
                 seq += 1
@@ -378,15 +378,15 @@ class RepairJobManager:
         # Snapshot under the store lock: the admin listing polls this
         # while job workers journal starts/ends concurrently.
         with store.lock:
-            pending = store.pending_repair_jobs
+            pending = store.repair_jobs.entries
             return [dict(pending[job_id]) for job_id in sorted(pending)]
 
     def acknowledge_interrupted(self, job_id: str) -> bool:
         """Clear one interrupted-job report (journals the end)."""
-        store = self._warp.graph.store
-        if job_id not in store.pending_repair_jobs:
+        jobs = self._warp.graph.store.repair_jobs
+        if job_id not in jobs.entries:
             return False
-        store.log_repair_job_end(job_id, "interrupted")
+        jobs.close(job_id, status="interrupted")
         return True
 
     # -- execution ---------------------------------------------------------
@@ -407,8 +407,8 @@ class RepairJobManager:
         store = self._warp.graph.store
         started = False
         try:
-            store.log_repair_job_start(
-                job.job_id, job.spec.describe(), self._warp.clock.now()
+            store.repair_jobs.put(
+                job_id=job.job_id, spec=job.spec.describe(), ts=self._warp.clock.now()
             )
             started = True
             self._run_with_retry(job, store)
@@ -509,7 +509,7 @@ class RepairJobManager:
         WAL and is flushed by ``heal()`` — and if the process dies first,
         the job is correctly reported as interrupted on reload."""
         try:
-            store.log_repair_job_end(job_id, status)
+            store.repair_jobs.close(job_id, status=status)
         except (DurabilityError, OSError):
             pass
 

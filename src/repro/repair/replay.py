@@ -34,8 +34,6 @@ from repro.http.message import (
 class ReplayConfig:
     """Browser re-execution feature switches (the Table 4 columns)."""
 
-    #: False models users without the WARP extension: no replay at all.
-    enabled: bool = True
     #: False disables three-way merge: typed input replays only onto an
     #: identical base value.
     text_merge: bool = True
@@ -182,11 +180,6 @@ class BrowserReplayer:
         #: client -> origin -> cookie overrides produced by earlier replays.
         self.cookie_overrides: Dict[str, Dict[str, Dict[str, Optional[str]]]] = {}
         self.diverged_clients: Set[str] = set()
-
-    # -- capability probe ---------------------------------------------------------
-
-    def can_replay(self, visit: Optional[VisitRecord]) -> bool:
-        return self.config.enabled and visit is not None
 
     # -- main entry -----------------------------------------------------------------
 

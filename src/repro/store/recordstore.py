@@ -21,7 +21,11 @@ maintained eagerly at append time.
 Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
 :class:`~repro.store.wal.RecordWal` is attached, each one is journaled so
-the store can be rebuilt after a crash from snapshot + WAL replay.
+the store can be rebuilt after a crash from snapshot + WAL replay
+(``WarpSystem.load``: :meth:`RecordStore.from_snapshot`, then
+:meth:`RecordStore.replay_wal`).  Side state that must outlive the process
+too — the gate queue, repair jobs, incidents — lives in three instances of
+one :class:`JournaledTable`.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
 format 6): a run is encoded against it under the store lock, and the
@@ -56,7 +60,7 @@ from repro.core.ids import trailing_seq
 from repro.core.serialize import UPGRADE_ROUTE, DecodeMemo, TextTable
 from repro.faults.plane import FaultPlane
 from repro.faults.plane import active as _active_plane
-from repro.store.snapshot import FORMAT, SnapshotReader, gc_paused, write_snapshot
+from repro.store.snapshot import FORMAT, write_snapshot
 from repro.store.wal import CommitTicket, RecordWal, entry_line
 
 PartitionKey = Tuple[str, str, object]
@@ -208,6 +212,74 @@ class TouchIndex:
         return self.table_fullw.get(table, _EMPTY_SET)
 
 
+class JournaledTable:
+    """Keyed side state that must outlive the process — the online gate's
+    queued requests, repair jobs, detector incidents — journaled through
+    the store's WAL and carried in its snapshot header under ``name``.
+
+    ``put`` stores an entry under its ``key`` field, ``update`` merges
+    fields over a stored entry and ``close`` drops one for good, each
+    journaled under the table's WAL kind for it.  Live mutations and
+    replay go through :meth:`apply`, so replaying a log over a snapshot
+    that already holds its entries converges."""
+
+    def __init__(self, store, name, key, put_kind, close_kind=None, update_kind=None):
+        self.store, self.name, self.key = store, name, key
+        self.put_kind, self.close_kind = put_kind, close_kind
+        self.update_kind = update_kind
+        self.kinds = tuple(k for k in (put_kind, close_kind, update_kind) if k)
+        self.entries: Dict[object, dict] = {}
+        self._closed: Set[object] = set()
+
+    def put(self, **entry) -> None:
+        self._journal(self.put_kind, entry)
+
+    def update(self, key, **fields) -> None:
+        self._journal(self.update_kind, {self.key: key, "fields": fields})
+
+    def close(self, key, **data) -> None:
+        self._journal(self.close_kind, {self.key: key, **data})
+
+    def next_seq(self) -> int:
+        """First sequence number no stored or closed key uses (ids must
+        stay unique across crash recovery)."""
+        with self.store.lock:
+            used = itertools.chain(self.entries, self._closed)
+            return max((trailing_seq(str(key)) for key in used), default=0) + 1
+
+    def apply(self, kind: str, data: dict) -> bool:
+        """The one replay rule: a closed key never reopens, and an update
+        to an unknown key (one a snapshot never saw) is ignored.  Returns
+        whether ``data`` changed anything."""
+        key = data[self.key]
+        if key in self._closed:
+            return False
+        if kind == self.close_kind:
+            self._closed.add(key)
+            self.entries.pop(key, None)
+        elif kind == self.put_kind:
+            self.entries[key] = dict(data)
+        else:
+            entry = self.entries.get(key)
+            if entry is None:
+                return False
+            entry.update(data["fields"])
+        return True
+
+    def _journal(self, kind: str, data: dict) -> None:
+        store = self.store
+        # Snapshot relaxed mode before journaling, as add_run: the append
+        # below may be the one that trips the WAL into the failed state.
+        relaxed = store.relaxed_durability
+        ticket = None
+        with store.lock:
+            if not self.apply(kind, data):
+                return
+            if store.wal is not None:
+                ticket = store.wal.append(kind, data)
+        store._finish(ticket, relaxed)
+
+
 class RecordStore:
     """Primary record maps plus the secondary indexes repair relies on."""
 
@@ -263,25 +335,29 @@ class RecordStore:
         self.index_build_queries = 0
 
         #: Requests the online-repair gate queued but has not re-applied
-        #: yet (ticket -> journaled entry); normally drained at finalize,
-        #: non-empty only after a crash mid-repair.
-        self.pending_gate_queue: Dict[int, dict] = {}
-        self._applied_gate_tickets: Set[int] = set()
-
-        #: Repair jobs that started but never recorded an end (job_id ->
-        #: journaled entry).  Normally empty — every terminal status logs
-        #: an end — so a survivor after reload means the process died
-        #: mid-repair and the administrator should re-submit the spec
-        #: (the aborted generation itself never becomes visible).
-        self.pending_repair_jobs: Dict[str, dict] = {}
-        self._ended_repair_jobs: Set[str] = set()
-
+        #: yet, by ticket; normally drained at finalize, non-empty only
+        #: after a crash mid-repair.
+        self.gate_queue = JournaledTable(
+            self, "gate_queue", "ticket", "gate_queue", close_kind="gate_apply"
+        )
+        #: Repair jobs that started but never ended, by job id: a survivor
+        #: after reload means the process died mid-repair, and the
+        #: administrator should re-submit the spec.
+        self.repair_jobs = JournaledTable(
+            self, "repair_jobs", "job_id", "job_start", close_kind="job_end"
+        )
         #: Detector incidents by id — full lifecycle records (``open`` →
         #: ``repairing`` → ``resolved``/``dismissed``) carrying the
         #: suspect visit, derived repair spec, and last blast-radius
-        #: preview.  Journaled (``incident``/``incident_update``) so a
-        #: flagged visit's state survives save/load and crash recovery.
-        self.incidents: Dict[str, dict] = {}
+        #: preview; they never close.
+        self.incidents = JournaledTable(
+            self, "incidents", "incident_id", "incident", update_kind="incident_update"
+        )
+        #: In snapshot header order.
+        self.tables = (self.gate_queue, self.repair_jobs, self.incidents)
+        self._table_of_kind = {
+            kind: table for table in self.tables for kind in table.kinds
+        }
 
         #: The store's one mutation lock.  Every writer holds it for the
         #: whole mutation; a read path that must see runs and indexes
@@ -495,110 +571,6 @@ class RecordStore:
             if self.wal is not None:
                 ticket = self.wal.append("patch", text=patch.encode())
         self._finish(ticket)
-
-    # ------------------------------------------------------------------ gate queue
-
-    def log_gate_queue(self, ticket: int, ts: int, request: dict) -> None:
-        """Journal a request the online-repair gate queued; it must survive
-        a crash until ``log_gate_apply`` records its re-application."""
-        wal_ticket = None
-        with self.lock:
-            entry = {"ticket": ticket, "ts": ts, "request": request}
-            self.pending_gate_queue[ticket] = entry
-            if self.wal is not None:
-                wal_ticket = self.wal.append("gate_queue", entry)
-        self._finish(wal_ticket)
-
-    def next_gate_ticket(self) -> int:
-        """First ticket number not yet used by a queued or applied gate
-        entry (tickets must stay unique across crash recovery)."""
-        with self.lock:
-            highest = max(self.pending_gate_queue, default=0)
-            highest = max(highest, max(self._applied_gate_tickets, default=0))
-            return highest + 1
-
-    def log_gate_apply(self, ticket: int) -> None:
-        """Journal that a queued request was re-applied (exactly once)."""
-        wal_ticket = None
-        with self.lock:
-            if ticket in self._applied_gate_tickets:
-                return
-            self._applied_gate_tickets.add(ticket)
-            self.pending_gate_queue.pop(ticket, None)
-            if self.wal is not None:
-                wal_ticket = self.wal.append("gate_apply", {"ticket": ticket})
-        self._finish(wal_ticket)
-
-    # ------------------------------------------------------------------ repair jobs
-
-    def log_repair_job_start(self, job_id: str, spec: dict, ts: int) -> None:
-        """Journal that a repair job began executing; it stays pending
-        until :meth:`log_repair_job_end` so an interrupted job is visible
-        after recovery."""
-        ticket = None
-        with self.lock:
-            entry = {"job_id": job_id, "spec": spec, "ts": ts}
-            self.pending_repair_jobs[job_id] = entry
-            if self.wal is not None:
-                ticket = self.wal.append("job_start", entry)
-        self._finish(ticket)
-
-    def log_repair_job_end(self, job_id: str, status: str) -> None:
-        """Journal a job's terminal status (exactly once)."""
-        ticket = None
-        with self.lock:
-            if job_id in self._ended_repair_jobs:
-                return
-            self._ended_repair_jobs.add(job_id)
-            self.pending_repair_jobs.pop(job_id, None)
-            if self.wal is not None:
-                ticket = self.wal.append("job_end", {"job_id": job_id, "status": status})
-        self._finish(ticket)
-
-    def next_repair_job_seq(self) -> int:
-        """First job sequence number not used by a pending or ended job
-        (ids must stay unique across crash recovery)."""
-        with self.lock:
-            used = itertools.chain(self.pending_repair_jobs, self._ended_repair_jobs)
-            return max(map(trailing_seq, used), default=0) + 1
-
-    # ------------------------------------------------------------------ incidents
-
-    def log_incident(self, entry: dict) -> None:
-        """Journal a new detector incident (full record upsert).  The
-        entry must carry ``incident_id``; everything else (suspect visit,
-        rule, derived spec, preview) is opaque to the store."""
-        ticket = None
-        relaxed = self.relaxed_durability  # before journaling, as add_run
-        with self.lock:
-            self.incidents[entry["incident_id"]] = dict(entry)
-            if self.wal is not None:
-                ticket = self.wal.append("incident", entry)
-        self._finish(ticket, relaxed)
-
-    def log_incident_update(self, incident_id: str, fields: dict) -> None:
-        """Journal a partial update (status flip, refreshed preview)
-        merged over the stored incident.  Unknown ids are ignored — an
-        update can race a snapshot that never saw the incident."""
-        ticket = None
-        relaxed = self.relaxed_durability  # before journaling, as add_run
-        with self.lock:
-            record = self.incidents.get(incident_id)
-            if record is None:
-                return
-            record.update(fields)
-            if self.wal is not None:
-                ticket = self.wal.append(
-                    "incident_update",
-                    {"incident_id": incident_id, "fields": fields},
-                )
-        self._finish(ticket, relaxed)
-
-    def next_incident_seq(self) -> int:
-        """First incident sequence number not used by any recorded
-        incident (ids must stay unique across crash recovery)."""
-        with self.lock:
-            return max(map(trailing_seq, self.incidents), default=0) + 1
 
     def replace_run(self, run_id: int, record: AppRunRecord) -> Optional[AppRunRecord]:
         """Swap the stored record for ``run_id`` with ``record`` in place.
@@ -905,24 +877,13 @@ class RecordStore:
     # ------------------------------------------------------------------ durability
 
     def _pending_snapshot(self) -> dict:
-        """The non-record state a snapshot carries (queued gate requests,
-        interrupted repair jobs, incidents).  Caller holds ``records``."""
-        pending = {}
-        if self.pending_gate_queue:
-            pending["gate_queue"] = [
-                self.pending_gate_queue[ticket]
-                for ticket in sorted(self.pending_gate_queue)
-            ]
-        if self.pending_repair_jobs:
-            pending["repair_jobs"] = [
-                self.pending_repair_jobs[job_id]
-                for job_id in sorted(self.pending_repair_jobs)
-            ]
-        if self.incidents:
-            pending["incidents"] = [
-                self.incidents[incident_id] for incident_id in sorted(self.incidents)
-            ]
-        return pending
+        """The non-record state a snapshot carries: each journaled table's
+        entries in key order.  Caller holds ``records``."""
+        return {
+            table.name: [table.entries[key] for key in sorted(table.entries)]
+            for table in self.tables
+            if table.entries
+        }
 
     def to_snapshot(self) -> dict:
         """Image of all primary records as one plain-JSON dict (indexes
@@ -966,19 +927,11 @@ class RecordStore:
                 memo.define(item, text)
             else:
                 raise ReproError(f"snapshot holds a record of unknown kind {kind!r}")
-        for item in data.get("gate_queue", ()):
-            store.pending_gate_queue[item["ticket"]] = item
-        for item in data.get("repair_jobs", ()):
-            store.pending_repair_jobs[item["job_id"]] = item
-        for item in data.get("incidents", ()):
-            store.incidents[item["incident_id"]] = dict(item)
+        for table in store.tables:
+            for item in data.get(table.name, ()):
+                table.entries[item[table.key]] = dict(item)
         store.wal = wal
         return store
-
-    def save_snapshot(self, path: str) -> None:
-        """Write a snapshot; the attached WAL (if any) is truncated since
-        the snapshot now covers everything it journaled."""
-        self.commit_snapshot(path, {})
 
     def _snapshot_texts(self) -> List[int]:
         """Give every run its text — a run that has none yet (appended
@@ -1087,28 +1040,6 @@ class RecordStore:
                     )
         return snapshot_id
 
-    @classmethod
-    def recover(
-        cls, snapshot_path: Optional[str] = None, wal_path: Optional[str] = None
-    ) -> "RecordStore":
-        """Rebuild a store from the last snapshot plus WAL replay."""
-        with gc_paused():
-            snapshot_id = None
-            if snapshot_path is not None and os.path.exists(snapshot_path):
-                with SnapshotReader(snapshot_path) as snapshot:
-                    header = snapshot.header
-                    store = cls.from_snapshot(
-                        header["graph"],
-                        records=snapshot.records(),
-                        last_text_id=header.get("ids", {}).get("text", 0),
-                    )
-                snapshot_id = header.get("snapshot_id")
-            else:
-                store = cls()
-            if wal_path is not None:
-                store.replay_wal(wal_path, snapshot_id=snapshot_id)
-        return store
-
     def replay_wal(
         self,
         wal_path: str,
@@ -1215,31 +1146,8 @@ class RecordStore:
             self.enforce_client_quota(data["max_visits_per_client"])
         elif kind == "gc":
             self.gc(data["horizon_ts"])
-        elif kind == "gate_queue":
-            # Idempotent: re-replaying over a snapshot that already applied
-            # (or already holds) the ticket must not resurrect/duplicate it.
-            ticket = data["ticket"]
-            if ticket not in self._applied_gate_tickets:
-                self.pending_gate_queue.setdefault(ticket, data)
-        elif kind == "gate_apply":
-            self._applied_gate_tickets.add(data["ticket"])
-            self.pending_gate_queue.pop(data["ticket"], None)
-        elif kind == "job_start":
-            # Idempotent: re-replay must not resurrect an ended job.
-            job_id = data["job_id"]
-            if job_id not in self._ended_repair_jobs:
-                self.pending_repair_jobs.setdefault(job_id, data)
-        elif kind == "job_end":
-            self._ended_repair_jobs.add(data["job_id"])
-            self.pending_repair_jobs.pop(data["job_id"], None)
-        elif kind == "incident":
-            # Upsert + chronological merge converge on re-replay over a
-            # snapshot that already holds the incident.
-            self.incidents[data["incident_id"]] = dict(data)
-        elif kind == "incident_update":
-            record = self.incidents.get(data["incident_id"])
-            if record is not None:
-                record.update(data["fields"])
+        elif kind in self._table_of_kind:
+            self._table_of_kind[kind].apply(kind, data)
         else:
             # No build writes it; builds with the response cache wrote one
             # more kind, for a hit.

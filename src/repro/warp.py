@@ -464,7 +464,7 @@ class WarpSystem:
         re-applied (journaled via the WAL / snapshot), as ``(ticket,
         HttpRequest)`` in arrival order.  Empty in normal operation —
         finalize and abort both drain the queue."""
-        pending = self.graph.store.pending_gate_queue
+        pending = self.graph.store.gate_queue.entries
         return [
             (entry["ticket"], HttpRequest.from_dict(entry["request"]))
             for entry in sorted(
@@ -486,7 +486,7 @@ class WarpSystem:
                     status=500,
                     body=f"script raised during recovered re-application: {exc!r}",
                 )
-            self.graph.store.log_gate_apply(ticket)
+            self.graph.store.gate_queue.close(ticket)
         return responses
 
     def resolve_conflict_by_cancel(self, conflict: Conflict) -> RepairResult:

@@ -56,6 +56,7 @@ from repro.apps.wiki.common import make_common
 from repro.http.message import HttpRequest, HttpResponse
 from repro.repair.api import PatchSpec
 from repro.store.recordstore import RecordStore
+from repro.store.snapshot import SnapshotReader
 from repro.store.wal import RecordWal
 from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
@@ -162,6 +163,34 @@ def golden_store(wal=None) -> RecordStore:
     store = RecordStore(wal=wal)
     store.add_run(golden_run())
     store.replace_run(7, golden_run())
+    return store
+
+
+def save_store(store: RecordStore, path: str) -> str:
+    """The store half of ``WarpSystem.save``: write ``store``'s snapshot
+    with an otherwise empty header (an attached WAL is truncated against
+    it) and return its id."""
+    return store.commit_snapshot(path, {})
+
+
+def recover_store(snapshot_path=None, wal_path=None) -> RecordStore:
+    """The store half of ``WarpSystem.load``: build a store from the
+    snapshot at ``snapshot_path`` when there is one, then replay (and
+    attach) the WAL at ``wal_path`` when given."""
+    snapshot_id = None
+    if snapshot_path is not None and os.path.exists(snapshot_path):
+        with SnapshotReader(snapshot_path) as snapshot:
+            header = snapshot.header
+            store = RecordStore.from_snapshot(
+                header["graph"],
+                records=snapshot.records(),
+                last_text_id=header["ids"].get("text", 0),
+            )
+        snapshot_id = header["snapshot_id"]
+    else:
+        store = RecordStore()
+    if wal_path is not None:
+        store.replay_wal(wal_path, snapshot_id=snapshot_id)
     return store
 
 

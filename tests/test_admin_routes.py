@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.wiki.app import WikiApp
+from repro.core.errors import DurabilityError
 from repro.faults.plane import FaultPlane
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.routes import RouteTable
@@ -358,18 +359,46 @@ def test_a_client_cannot_choose_where_a_snapshot_is_written(tmp_path, shard):
     assert not target.exists()
 
 
-def test_incident_transition_that_breaks_the_log_is_not_acknowledged(tmp_path):
-    warp, plane = _durable_warp(tmp_path, detect=True)
+def _dismiss_incident(warp):
     incident_id = warp.incidents.list()[0]["incident_id"]
-    plane.arm(point="wal.fsync", kind="io", times=None)
     response = warp.server.handle(
         HttpRequest("POST", f"/warp/admin/incidents/{incident_id}/dismiss")
     )
     assert response.status == 503, response.body
+    return lambda: warp.incidents.resolve(incident_id, ok=False)
+
+
+def _queue_gate_request(warp):
+    queue = warp.graph.store.gate_queue
+    with pytest.raises(DurabilityError):
+        queue.put(ticket=1, ts=1, request={})
+    return lambda: queue.close(1)
+
+
+def _start_repair_job(warp):
+    jobs = warp.graph.store.repair_jobs
+    with pytest.raises(DurabilityError):
+        jobs.put(job_id="job-1", spec={"kind": "batch"}, ts=1)
+    return lambda: jobs.close("job-1", status="failed")
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [_dismiss_incident, _queue_gate_request, _start_repair_job],
+    ids=["incident", "gate_queue", "repair_job"],
+)
+def test_incident_transition_that_breaks_the_log_is_not_acknowledged(
+    tmp_path, transition
+):
+    """A side-table mutation whose own commit breaks the log is refused,
+    whichever table it journals to."""
+    warp, plane = _durable_warp(tmp_path, detect=True)
+    plane.arm(point="wal.fsync", kind="io", times=None)
+    follow_up = transition(warp)
     assert warp.health.mode == "read_only"
     # Degradation excuses only what starts after it: bookkeeping that
     # begins while read-only parks instead of raising.
-    warp.incidents.resolve(incident_id, ok=False)
+    follow_up()
 
 
 # ---------------------------------------------------------------------------

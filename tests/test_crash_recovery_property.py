@@ -424,7 +424,7 @@ def test_every_crash_point_recovers_the_acked_prefix_with_every_id_defined(tmp_p
         path = str(tmp_path / f"cut-{cut}.wal")
         with open(path, "wb") as fh:
             fh.write(data[:cut])
-        recovered = RecordStore.recover(wal_path=path)
+        recovered = fixtures.recover_store(wal_path=path)
         expected = [snapshot for size, snapshot in acked if size <= cut][-1]
         assert recovered.to_snapshot() == expected, cut
         for run in recovered.runs.values():
@@ -434,6 +434,6 @@ def test_every_crash_point_recovers_the_acked_prefix_with_every_id_defined(tmp_p
             recovered.add_run(_variant(run_id, rng))
         recovered.wal.close()
         assert fixtures.undefined_refs(list(RecordWal.entries(path))) == []
-        again = RecordStore.recover(wal_path=path)
+        again = fixtures.recover_store(wal_path=path)
         again.wal.close()
         assert again.to_snapshot() == recovered.to_snapshot()

@@ -352,7 +352,7 @@ class TestIncidentDurability:
         # WAL-only recovery carries no snapshot config, so detection is
         # re-armed by the operator — over the replayed incident records.
         assert reloaded.detector is None
-        assert sorted(reloaded.graph.store.incidents) == sorted(
+        assert sorted(reloaded.graph.store.incidents.entries) == sorted(
             e["incident_id"] for e in before
         )
         reloaded.enable_detection()

@@ -573,7 +573,7 @@ class TestRepairUnderFaults:
         # ... and the report survives reload, because no end was journaled.
         warp.graph.store.wal._mark_crashed()
         loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
-        assert job.job_id in loaded.graph.store.pending_repair_jobs
+        assert job.job_id in loaded.graph.store.repair_jobs.entries
         assert loaded.repair.acknowledge_interrupted(job.job_id)
         assert loaded.repair.interrupted_jobs() == []
         loaded.graph.store.wal.close()
@@ -591,7 +591,7 @@ class TestRepairUnderFaults:
         assert "crashed before the repair started" in str(job.error)
         assert [event["point"] for event in plane.fired] == ["wal.append"]
         loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
-        assert loaded.graph.store.pending_repair_jobs == {}
+        assert loaded.graph.store.repair_jobs.entries == {}
         assert loaded.repair.interrupted_jobs() == []
         assert not any(run.canceled for run in loaded.graph.runs.values())
         loaded.graph.store.wal.close()

@@ -23,7 +23,6 @@ import persistence_fixtures as fixtures
 from repro.apps.wiki.app import WikiApp
 from repro.core.serialize import SHARED_TEXT_MAX
 from repro.repair.api import CancelClientSpec
-from repro.store.recordstore import RecordStore
 from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
 from repro.workload.loadgen import LoadGen, LoadStats, make_load_clients
@@ -89,12 +88,12 @@ def test_committed_fixture_shares_only_immutables(tmp_path, source):
     if source == "golden lines":
         wal_path = str(tmp_path / "golden.wal")
         shutil.copy(fixtures.GOLDEN_TEXTS, wal_path)
-        store = RecordStore.recover(wal_path=wal_path)
+        store = fixtures.recover_store(wal_path=wal_path)
         store.wal.close()
         assert store.runs == {7: fixtures.golden_run()}
     else:
         if source == "fixture via recover":
-            store = RecordStore.recover(snapshot_path=fixtures.FORMAT6_SNAPSHOT)
+            store = fixtures.recover_store(snapshot_path=fixtures.FORMAT6_SNAPSHOT)
         else:
             store = WarpSystem.load(fixtures.FORMAT6_SNAPSHOT).graph.store
         assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
@@ -125,7 +124,7 @@ def test_reloaded_runs_with_equal_bodies_share_one_string(history, tmp_path):
         lines = fh.readlines()[1:]
     with open(wal_path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
-    replayed = RecordStore.recover(wal_path=wal_path)
+    replayed = fixtures.recover_store(wal_path=wal_path)
     replayed.wal.close()
     for store in (WarpSystem.load(path).graph.store, replayed):
         runs = list(store.runs.values())

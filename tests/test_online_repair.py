@@ -18,6 +18,9 @@ Covers the tentpole and its satellites:
 * every request of those interleavings, whether served, queued or issued
   after the repair, is recorded as exactly one run with the response its
   client saw;
+* without the gate (the default), the same interleavings end in the same
+  visible versions and page texts as the quiesced reference, with every
+  request recorded as exactly one uncanceled run;
 * a real-thread stress smoke: 8 threads hammering the deployment during
   a repair, with every write applied exactly once and no 503s.
 """
@@ -132,7 +135,7 @@ class TestGateClassification:
         assert result.stats.gate["queued"] == 1
         assert result.stats.gate["applied"] == 1
         # The queue is journaled and fully consumed.
-        assert warp.graph.store.pending_gate_queue == {}
+        assert warp.graph.store.gate_queue.entries == {}
 
     def test_queued_script_raise_does_not_wedge_finalize(self):
         outcome, clients, cookies, pages, names = _stage(seed=13)
@@ -470,12 +473,13 @@ def _counts(result):
     )
 
 
-def _online_run(seed):
+def _online_run(seed, gated=True):
     rng = random.Random(seed * 6151 + 7)
     shape = {"n_tenants": rng.randint(2, 4), "users": 1, "edits": rng.randint(1, 2)}
     outcome, clients, cookies, pages, names = _stage(seed, **shape)
     warp = outcome.warp
-    warp.enable_online_repair()
+    if gated:
+        warp.enable_online_repair()
     ops = scripted_ops(
         random.Random(seed * 31 + 1), names, pages, n_ops=24, cookies=cookies
     )
@@ -526,9 +530,62 @@ def test_online_repair_equivalent_to_quiesced(seed):
         "graph records diverged"
     )
     # Every ticket was consumed exactly once.
-    assert online.warp.graph.store.pending_gate_queue == {}
+    assert online.warp.graph.store.gate_queue.entries == {}
     gate_stats = online_result.stats.gate
     assert gate_stats["applied"] == gate_stats["queued"]
+
+
+def _visible_versions(warp):
+    """``_canonical_db`` cut to the versions the final generation shows."""
+    dump = _canonical_db(warp)
+    for table in dump["tables"]:
+        table["versions"] = [version for version in table["versions"] if version[5]]
+    return dump
+
+
+def _page_texts(warp):
+    rows = warp.ttdb.execute("SELECT title, old_text FROM pagecontent").rows
+    return {row["title"]: row["old_text"] for row in rows}
+
+
+def _load_runs(outcome, ops):
+    """The recorded ``/edit.php`` runs of the load clients ``ops`` name."""
+    names = {f"{op.client_name}-load" for op in ops}
+    return [
+        run
+        for run in outcome.warp.graph.runs.values()
+        if run.request.path == "/edit.php"
+        and run.request.headers.get("X-Warp-Client") in names
+    ]
+
+
+def _request_entry(request):
+    return (
+        request.headers["X-Warp-Client"],
+        request.method,
+        sorted(request.params.items()),
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ungated_repair_under_traffic_matches_quiesced(seed):
+    """The default configuration, without the gate: every op is served
+    live during the repair, and finalize re-applies the runs the repair
+    changed (§4.3).  Clients may have seen responses the quiesced
+    reference does not give, and re-applied runs leave fenced versions
+    behind, so neither is compared; what the final generation shows is."""
+    shape, online, result, schedule, _ = _online_run(seed, gated=False)
+    assert result.ok and not schedule.queued
+    serialization = schedule.serialization()
+    ref, ref_result, _ = _reference_run(seed, shape, serialization)
+    assert ref_result.ok
+    assert _visible_versions(online.warp) == _visible_versions(ref.warp)
+    assert _page_texts(online.warp) == _page_texts(ref.warp)
+    runs = _load_runs(online, serialization)
+    assert sorted(_request_entry(run.request) for run in runs) == sorted(
+        _request_entry(op.request) for op in serialization
+    )
+    assert all(run.queries and not run.canceled for run in runs)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -540,24 +597,13 @@ def test_every_online_request_is_one_recorded_run(seed):
     _, outcome, result, schedule, responses = _online_run(seed)
     assert result.ok
     ops = schedule.serialization()
-    names = {f"{op.client_name}-load" for op in ops}
-
-    def entry(request, response_key):
-        return (
-            request.headers["X-Warp-Client"],
-            request.method,
-            sorted(request.params.items()),
-            response_key,
-        )
-
-    issued = sorted(entry(op.request, responses[op.index]) for op in ops)
-    runs = [
-        run
-        for run in outcome.warp.graph.runs.values()
-        if run.request.path == "/edit.php"
-        and run.request.headers.get("X-Warp-Client") in names
-    ]
-    recorded = sorted(entry(run.request, run.response.key()) for run in runs)
+    issued = sorted(
+        (_request_entry(op.request), responses[op.index]) for op in ops
+    )
+    runs = _load_runs(outcome, ops)
+    recorded = sorted(
+        (_request_entry(run.request), run.response.key()) for run in runs
+    )
     assert recorded == issued
     assert all(run.queries and not run.canceled for run in runs)
 

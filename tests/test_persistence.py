@@ -168,9 +168,9 @@ class TestWarpSystemPersistence:
         assert live.events and live.request_ids  # the login page interaction
 
         # Crash without ever saving a snapshot: recover from the WAL alone.
-        from repro.store.recordstore import RecordStore
+        from persistence_fixtures import recover_store
 
-        store = RecordStore.recover(wal_path=wal_path)
+        store = recover_store(wal_path=wal_path)
         restored = store.visits[("alice-laptop", 1)]
         assert [e.etype for e in restored.events] == [e.etype for e in live.events]
         assert restored.request_ids == live.request_ids
@@ -231,9 +231,9 @@ class TestWarpSystemPersistence:
         result = warp.repair.submit(CancelVisitSpec("bob-desktop", 1)).result()
         assert result.ok and result.stats.runs_canceled > 0
 
-        from repro.store.recordstore import RecordStore
+        from persistence_fixtures import recover_store
 
-        store = RecordStore.recover(wal_path=wal_path)
+        store = recover_store(wal_path=wal_path)
         canceled = [r.run_id for r in store.runs.values() if r.canceled]
         assert canceled == [
             r.run_id for r in warp.graph.runs.values() if r.canceled
@@ -463,7 +463,7 @@ class TestWarpSystemPersistence:
         controller.step_hook = hook
         result = controller.repair_batch([CancelClientSpec(attacker.client_id)])
         assert result.ok and queued_tickets
-        assert warp.graph.store.pending_gate_queue  # journaled, undrained
+        assert warp.graph.store.gate_queue.entries  # journaled, undrained
         monkeypatch.undo()
 
         # Fresh process: recover snapshot + WAL.
@@ -481,7 +481,7 @@ class TestWarpSystemPersistence:
         ).page_text("News")
         assert "DEFACED." not in text
         assert text.count("recover-me.") == 1
-        assert reloaded.graph.store.pending_gate_queue == {}
+        assert reloaded.graph.store.gate_queue.entries == {}
         assert reloaded.recovered_queued_requests() == []
 
         # WAL replay stays idempotent through the gate entries: another
@@ -536,7 +536,7 @@ class TestWarpSystemPersistence:
         controller.step_hook = hook
         assert controller.repair_batch([CancelClientSpec(attacker.client_id)]).ok
         assert queued_tickets
-        assert warp.graph.store.pending_gate_queue
+        assert warp.graph.store.gate_queue.entries
         monkeypatch.undo()
 
         # Fresh process, WAL only: the action log is rebuilt but the
@@ -551,14 +551,14 @@ class TestWarpSystemPersistence:
         responses = recovered.reapply_recovered_requests()
         assert set(responses) == set(queued_tickets)
         # Exactly once: the ticket is journaled applied and never re-pends.
-        assert recovered.graph.store.pending_gate_queue == {}
+        assert recovered.graph.store.gate_queue.entries == {}
         assert recovered.recovered_queued_requests() == []
         assert recovered.reapply_recovered_requests() == {}
 
         # Idempotent across another full WAL replay.
         again = WarpSystem.load(None, wal_path=wal_path)
         assert again.recovered_queued_requests() == []
-        assert again.graph.store.pending_gate_queue == {}
+        assert again.graph.store.gate_queue.entries == {}
 
     def test_repair_refuses_until_code_is_reregistered(self, tmp_path):
         from repro.core.errors import RepairError

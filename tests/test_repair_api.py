@@ -710,7 +710,7 @@ class TestRepairJobs:
         release.set()
         assert first.result(timeout=30).ok
         # The canceled job never executed: no job_start journaled for it.
-        assert second.job_id not in warp.graph.store.pending_repair_jobs
+        assert second.job_id not in warp.graph.store.repair_jobs.entries
 
     def test_jobs_run_fifo(self, monkeypatch):
         """Two quick jobs submitted back-to-back execute in order."""
@@ -782,7 +782,7 @@ class TestJobsJournal:
         outcome = run_multi_tenant_scenario(n_tenants=2, users_per_tenant=1, seed=4)
         warp = outcome.warp
         warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
-        assert warp.graph.store.pending_repair_jobs == {}
+        assert warp.graph.store.repair_jobs.entries == {}
         assert warp.repair.interrupted_jobs() == []
 
     def test_interrupted_job_reported_after_reload(self, tmp_path):
@@ -797,8 +797,8 @@ class TestJobsJournal:
         alice.open(f"{WIKI}/index.php?title=Main_Page")
         # Simulate the crash: the job start hits the WAL, the end never does.
         spec = CancelClientSpec("alice-laptop")
-        warp.graph.store.log_repair_job_start(
-            "job-1", spec.describe(), warp.clock.now()
+        warp.graph.store.repair_jobs.put(
+            job_id="job-1", spec=spec.describe(), ts=warp.clock.now()
         )
 
         recovered = WarpSystem.load(None, wal_path=wal_path)
@@ -806,7 +806,7 @@ class TestJobsJournal:
         assert [entry["job_id"] for entry in reports] == ["job-1"]
         assert reports[0]["spec"] == spec.describe()
         # New job ids never collide with the interrupted one.
-        assert recovered.graph.store.next_repair_job_seq() == 2
+        assert recovered.graph.store.repair_jobs.next_seq() == 2
         # Acknowledge clears the report durably.
         assert recovered.repair.acknowledge_interrupted("job-1")
         assert recovered.repair.interrupted_jobs() == []
@@ -817,7 +817,7 @@ class TestJobsJournal:
         warp = WarpSystem()
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
         wiki.install()
-        warp.graph.store.log_repair_job_start("job-3", {"kind": "batch"}, 7)
+        warp.graph.store.repair_jobs.put(job_id="job-3", spec={"kind": "batch"}, ts=7)
         path = str(tmp_path / "warp.json")
         warp.save(path)
         reloaded = WarpSystem.load(path)

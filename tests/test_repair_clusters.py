@@ -427,11 +427,11 @@ class TestComponentDiscovery:
         warp = outcome.warp
         outcome.repair()  # merges replacements through replace_run
         graph = warp.graph
-        from repro.store.recordstore import RecordStore
+        from persistence_fixtures import recover_store
 
         path = str(tmp_path / "warp.json")
         warp.save(path)
-        rebuilt = RecordStore.recover(snapshot_path=path)
+        rebuilt = recover_store(snapshot_path=path)
         for key, runs in graph.touch.key_writers.items():
             assert rebuilt.touch.key_writers.get(key) == runs, key
         for key, runs in rebuilt.touch.key_touchers.items():

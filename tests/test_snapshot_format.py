@@ -77,7 +77,7 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     store = RecordStore()
     store.add_run(fixtures.golden_run())
     path = str(tmp_path / "snapshot.json")
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert fh.readlines()[1:] == lines[:7]
     # Each fact once: no field name inside a query, the request or the
@@ -435,11 +435,11 @@ def test_what_a_line_leaves_to_its_reader_comes_back(tmp_path, case):
     store.add_run(unwritten_copy(run))
     store.wal.close()
     assert [json.loads(data) for kind, data in wal_lines(wal_path, "visit")] == [visit_line]
-    replayed = RecordStore.recover(wal_path=wal_path)
+    replayed = fixtures.recover_store(wal_path=wal_path)
     replayed.wal.close()
     store.wal = None
-    store.save_snapshot(path)
-    for again in (replayed, RecordStore.recover(snapshot_path=path)):
+    fixtures.save_store(store, path)
+    for again in (replayed, fixtures.recover_store(snapshot_path=path)):
         assert again.runs == {7: run} and again.visits == {("c1", 3): visit}
         assert again.to_snapshot() == store.to_snapshot()
 
@@ -495,9 +495,9 @@ def test_reload_is_type_exact_across_records(tmp_path_factory, run):
     source = RecordStore(wal=RecordWal(str(directory / "records.wal"), durability="none"))
     source.add_runs([run, twin])
     path = str(directory / "snapshot.json")
-    source.save_snapshot(path)
+    fixtures.save_store(source, path)
     source.wal.close()
-    reloaded = RecordStore.recover(snapshot_path=path)
+    reloaded = fixtures.recover_store(snapshot_path=path)
     assert reloaded.to_snapshot() == source.to_snapshot()
     for run_id, kept in source.runs.items():
         again = reloaded.runs[run_id]
@@ -612,8 +612,8 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path):
     store.mark_run_canceled(7)
     assert store.runs[7].json_text is None
     path = str(tmp_path / "snapshot.json")
-    store.save_snapshot(path)
-    assert RecordStore.recover(snapshot_path=path).runs[7].canceled
+    fixtures.save_store(store, path)
+    assert fixtures.recover_store(snapshot_path=path).runs[7].canceled
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +686,7 @@ def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
     with pytest.raises(ReproError, match=named):
         WarpSystem.load(path)
     with pytest.raises(ReproError, match=named):
-        RecordStore.recover(snapshot_path=path)
+        fixtures.recover_store(snapshot_path=path)
 
 
 def test_the_committed_format5_file_is_refused_by_name():
@@ -770,7 +770,7 @@ def test_a_retired_wal_line_is_refused_by_name(tmp_path, shape):
     rewrite(path, lines)
     named = rf"retired\.wal'? line {number}: .*{re.escape(why)}.*commit 0226ea7"
     with pytest.raises(ReproError, match=named):
-        RecordStore.recover(wal_path=path)
+        fixtures.recover_store(wal_path=path)
     with pytest.raises(ReproError, match=named):
         WarpSystem.load(None, wal_path=path)
     assert read_lines(path) == lines
@@ -783,9 +783,9 @@ def test_a_refused_entry_is_named_by_its_line_blank_ones_counted(tmp_path):
     path = str(tmp_path / "records.wal")
     rewrite(path, written[:6] + ["\n", "\n"] + written[6:] + [entry_line("no_such_kind", "{}")])
     with pytest.raises(ReproError, match=r"records\.wal'? line 11: an entry of unknown kind"):
-        RecordStore.recover(wal_path=path)
+        fixtures.recover_store(wal_path=path)
     rewrite(path, written)
-    store = RecordStore.recover(wal_path=path)
+    store = fixtures.recover_store(wal_path=path)
     store.wal.close()
     assert store.runs == {7: fixtures.golden_run()}
 
@@ -875,7 +875,7 @@ def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch
     store.gc(horizon_ts=45)  # runs 1-4 go; bodies 1-4 live on in runs 6-8
     path = str(tmp_path / "snapshot.json")
     monkeypatch.setattr(QueryRecord, "to_row", lambda *args: pytest.fail("a query re-encoded"))
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     monkeypatch.undo()
     entries = record_lines(path, "text")
     assert sorted(entry["id"] for entry in entries) == sorted(referenced_ids(run_lines(path)))
@@ -890,7 +890,7 @@ def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch
     store.add_run(bodied_run(9, "<p>body 1</p>", ts=90))
     store.wal.close()
     assert [kind for kind, _ in RecordWal.entries(wal_path)] == ["snapshot_marker", "run"]
-    recovered = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
+    recovered = fixtures.recover_store(snapshot_path=path, wal_path=wal_path)
     recovered.wal.close()
     assert recovered.to_snapshot() == store.to_snapshot()
 
@@ -901,10 +901,10 @@ def test_save_after_replace_run_drops_the_replaced_body(tmp_path):
     store = RecordStore(wal=RecordWal(str(tmp_path / "records.wal"), durability="none"))
     store.add_run(bodied_run(1, "<p>before</p>", ts=10))
     path = str(tmp_path / "snapshot.json")
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     assert "<p>before</p>" in set(map(fixtures.entry_text, record_lines(path, "text")))
     store.replace_run(1, bodied_run(1, "<p>after</p>", ts=10))
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     store.wal.close()
     entries = record_lines(path, "text")
     assert "<p>before</p>" not in set(map(fixtures.entry_text, entries))
@@ -919,7 +919,7 @@ def test_save_that_keeps_every_entry_leaves_the_table_as_it_is(tmp_path):
         store.add_run(bodied_run(run_id, f"<p>body {run_id % 2}</p>", ts=run_id * 10))
     by_id, ids = store.texts.by_id, store.texts.ids
     path = str(tmp_path / "snapshot.json")
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     store.wal.close()
     assert store.texts.by_id is by_id and store.texts.ids is ids
     assert sorted(entry["id"] for entry in record_lines(path, "text")) == sorted(by_id)
@@ -937,17 +937,17 @@ def test_a_text_id_is_never_reused_across_save_and_reload(tmp_path):
     # A body, the loaded files, two SQL texts and two payloads first.
     assert dropped == store.texts.last_id == 7
     store.gc(horizon_ts=8)
-    store.save_snapshot(path)
+    fixtures.save_store(store, path)
     store.wal.close()
     assert read_snapshot_header(path)["ids"] == {"text": 7}
     assert dropped not in {entry["id"] for entry in record_lines(path, "text")}
     for last in (7, 8):
-        reloaded = RecordStore.recover(snapshot_path=path, wal_path=wal_path)
+        reloaded = fixtures.recover_store(snapshot_path=path, wal_path=wal_path)
         assert reloaded.texts.last_id == last
         body, ts = f"<p>new {last}</p>", reloaded.max_ts + 1
         reloaded.add_run(bodied_run(ts, body, ts=ts))
         assert reloaded.texts.ids[body] == last + 1
-        reloaded.save_snapshot(path)
+        fixtures.save_store(reloaded, path)
         reloaded.wal.close()
     ids = [entry["id"] for entry in record_lines(path, "text")]
     assert read_snapshot_header(path)["ids"]["text"] == max(ids) == 9 and len(ids) == len(set(ids))
@@ -1176,7 +1176,7 @@ class TestRefusedSnapshots:
         with pytest.raises(ReproError, match="line 4 is not a complete record"):
             WarpSystem.load(path)
         with pytest.raises(ReproError, match="line 4"):
-            RecordStore.recover(snapshot_path=path)
+            fixtures.recover_store(snapshot_path=path)
 
     def test_record_of_unknown_kind(self, saved):
         """A snapshot line of a kind no build writes — ``run_replay``, what
@@ -1200,7 +1200,7 @@ class TestRefusedSnapshots:
         with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
             WarpSystem.load(path)
         with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
-            RecordStore.recover(snapshot_path=path)
+            fixtures.recover_store(snapshot_path=path)
 
     def test_a_refused_retired_file_leaves_the_sqlite_database_as_it_was(self, tmp_path):
         """The upgrade route loads the same files with an older build: a
@@ -1259,7 +1259,7 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         assert gc.isenabled()
         with pytest.raises(ReproError):
-            RecordStore.recover(snapshot_path=path)
+            fixtures.recover_store(snapshot_path=path)
         assert gc.isenabled()
 
     def test_collector_stays_off_if_the_caller_had_it_off(self, saved):
@@ -1401,7 +1401,7 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
         return real_decode(line)
 
     monkeypatch.setattr(wal_module, "decode_line", counting_decode)
-    recovered = RecordStore.recover(wal_path=wal_path)
+    recovered = fixtures.recover_store(wal_path=wal_path)
     assert sorted(recovered.runs) == [1, 2, 3, 4, 5]
     # Once each (the torn line has no newline to get that far): the six
     # text entries the first run defined, the five runs.

@@ -13,6 +13,8 @@ from repro.store.snapshot import read_snapshot_header
 from repro.store.wal import RecordWal
 from repro.ttdb.partitions import ReadSet
 
+from persistence_fixtures import recover_store, save_store
+
 
 def make_run(run_id, ts, files=None, client=None, visit=None, request_id=None, queries=()):
     run = AppRunRecord(
@@ -218,8 +220,8 @@ class TestDurability:
         store.add_patch(PatchRecord(file="a.php", new_version=1, apply_ts=3))
 
         path = str(tmp_path / "snapshot.json")
-        store.save_snapshot(path)
-        loaded = RecordStore.recover(snapshot_path=path)
+        save_store(store, path)
+        loaded = recover_store(snapshot_path=path)
 
         assert sorted(loaded.runs) == sorted(store.runs)
         assert set(loaded.visits) == set(store.visits)
@@ -238,11 +240,11 @@ class TestDurability:
         snap_path = str(tmp_path / "snapshot.json")
         store = RecordStore(wal=RecordWal(wal_path))
         store.add_run(make_run(1, 10))
-        store.save_snapshot(snap_path)  # truncates the WAL
+        save_store(store, snap_path)  # truncates the WAL
         store.add_run(make_run(2, 20))
         store.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
 
-        recovered = RecordStore.recover(snapshot_path=snap_path, wal_path=wal_path)
+        recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
         assert sorted(recovered.runs) == [1, 2]
         assert ("c1", 1) in recovered.visits
 
@@ -252,7 +254,7 @@ class TestDurability:
         store.add_run(make_run(1, 10))
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "run", "data": {"tr')  # crash mid-append
-        recovered = RecordStore.recover(wal_path=wal_path)
+        recovered = recover_store(wal_path=wal_path)
         assert sorted(recovered.runs) == [1]
 
     def test_valid_json_tail_without_newline_is_still_torn(self, tmp_path):
@@ -267,8 +269,8 @@ class TestDurability:
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write(run2_line.rstrip("\n"))  # complete JSON, missing newline
 
-        first = RecordStore.recover(wal_path=wal_path)
-        second = RecordStore.recover(wal_path=wal_path)
+        first = recover_store(wal_path=wal_path)
+        second = recover_store(wal_path=wal_path)
         assert sorted(first.runs) == sorted(second.runs) == [1]
 
     def test_torn_tail_is_truncated_before_new_appends(self, tmp_path):
@@ -281,10 +283,10 @@ class TestDurability:
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "run", "data": {"tr')  # crash mid-append
 
-        recovered = RecordStore.recover(wal_path=wal_path)
+        recovered = recover_store(wal_path=wal_path)
         recovered.add_run(make_run(2, 20))  # journaled after recovery
 
-        again = RecordStore.recover(wal_path=wal_path)
+        again = recover_store(wal_path=wal_path)
         assert sorted(again.runs) == [1, 2]
 
     def test_visit_delta_entries_replay_onto_base_record(self, tmp_path):
@@ -303,7 +305,7 @@ class TestDurability:
         visit.cookies_after = {"o": {"sess": "tok"}}
         store.log_visit_cookies("c1", 1, visit.cookies_after)
 
-        recovered = RecordStore.recover(wal_path=wal_path)
+        recovered = recover_store(wal_path=wal_path)
         restored = recovered.visits[("c1", 1)]
         assert [e.xpath for e in restored.events] == [e.xpath for e in visit.events]
         assert restored.request_ids == [7]
@@ -328,13 +330,13 @@ class TestDurability:
         store.wal.sync()
         with open(wal_path, "rb") as fh:
             journal = fh.read()
-        store.save_snapshot(snap_path)
+        save_store(store, snap_path)
         store.wal.close()
         # Crash before wal.truncate(), the pre-write marker not yet on disk.
         with open(wal_path, "wb") as fh:
             fh.write(journal)
 
-        recovered = RecordStore.recover(snapshot_path=snap_path, wal_path=wal_path)
+        recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
         assert len(recovered.runs_in_order()) == 1
         assert recovered.query_count == 1
         assert len(recovered.client_visits("c1")) == 1
@@ -344,11 +346,11 @@ class TestDurability:
         path = str(tmp_path / "snapshot.json")
         store = RecordStore()
         store.add_run(make_run(1, 10))
-        store.save_snapshot(path)
+        save_store(store, path)
         # No stray temp files; the snapshot parses.
         assert os.listdir(str(tmp_path)) == ["snapshot.json"]
         assert read_snapshot_header(path)["records"]["run"] == 1
-        assert len(RecordStore.recover(snapshot_path=path).runs) == 1
+        assert len(recover_store(snapshot_path=path).runs) == 1
 
     def test_recover_refuses_wal_truncated_against_other_snapshot(self, tmp_path):
         from repro.core.errors import ReproError
@@ -357,14 +359,14 @@ class TestDurability:
         store = RecordStore(wal=RecordWal(wal_path))
         store.add_run(make_run(1, 10))
         p1 = str(tmp_path / "one.json")
-        store.save_snapshot(p1)
+        save_store(store, p1)
         store.add_run(make_run(2, 20))
         p2 = str(tmp_path / "two.json")
-        store.save_snapshot(p2)  # truncates the WAL against snapshot two
+        save_store(store, p2)  # truncates the WAL against snapshot two
 
         with pytest.raises(ReproError, match="different snapshot"):
-            RecordStore.recover(snapshot_path=p1, wal_path=wal_path)
-        assert sorted(RecordStore.recover(snapshot_path=p2, wal_path=wal_path).runs) == [1, 2]
+            recover_store(snapshot_path=p1, wal_path=wal_path)
+        assert sorted(recover_store(snapshot_path=p2, wal_path=wal_path).runs) == [1, 2]
 
     def test_wal_journals_replace_and_gc(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
@@ -374,7 +376,65 @@ class TestDurability:
         store.replace_run(1, make_run(1, 10, files={"patched.php": 1}))
         store.gc(horizon_ts=50)
 
-        recovered = RecordStore.recover(wal_path=wal_path)
+        recovered = recover_store(wal_path=wal_path)
         assert sorted(recovered.runs) == [2]
         kinds = [kind for kind, _ in RecordWal.entries(wal_path) if kind != "text"]
         assert kinds == ["run", "run", "replace_run", "gc"]
+
+
+def _journaled_entry(name, seq):
+    """An entry of the journaled table ``name`` with sequence ``seq``,
+    shaped as its caller puts it."""
+    if name == "gate_queue":
+        return {"ticket": seq, "ts": seq, "request": {"method": "POST"}}
+    if name == "repair_jobs":
+        return {"job_id": f"job-{seq}", "spec": {"kind": "batch"}, "ts": seq}
+    return {"incident_id": f"inc-{seq}", "ts": seq, "status": "open"}
+
+
+@pytest.mark.parametrize("name", ["gate_queue", "repair_jobs", "incidents"])
+def test_journaled_table_protocol(tmp_path, name):
+    """One protocol for every side table: each mutation journals one
+    entry, replay over a snapshot that already holds the entries converges
+    however often it runs, a closed key never reopens, and a reloaded table
+    numbers past every key it closed."""
+    wal_path = str(tmp_path / "records.wal")
+    snap_path = str(tmp_path / "snapshot.json")
+    store = RecordStore(wal=RecordWal(wal_path))
+    table = getattr(store, name)
+    entries = [_journaled_entry(name, seq) for seq in (1, 2, 3)]
+    for entry in entries:
+        table.put(**entry)
+    last = entries[-1][table.key]
+    if table.close_kind:
+        close_data = {"status": "done"} if name == "repair_jobs" else {}
+        table.close(last, **close_data)
+        table.close(last, **close_data)  # exactly once
+        change_kind = table.close_kind
+    else:
+        table.update(last, status="dismissed")
+        table.update("inc-9", status="dismissed")  # unknown: ignored
+        change_kind = table.update_kind
+    kinds = [kind for kind, _ in RecordWal.entries(wal_path)]
+    assert kinds == [table.put_kind] * 3 + [change_kind]
+
+    # Crash after the snapshot is written, before the WAL is truncated:
+    # every entry the log holds, the snapshot holds too.
+    store.wal.sync()
+    with open(wal_path, "rb") as fh:
+        journal = fh.read()
+    save_store(store, snap_path)
+    store.wal.close()
+    with open(wal_path, "wb") as fh:
+        fh.write(journal)
+    recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
+    recovered.wal.close()
+    again = getattr(recovered, name)
+    assert again.entries == table.entries
+    for kind, data in RecordWal.entries(wal_path):
+        recovered.apply_logged(kind, data)
+    assert again.entries == table.entries
+    if table.close_kind:
+        recovered.apply_logged(table.put_kind, entries[-1])
+        assert last not in again.entries
+    assert again.next_seq() == 4
