@@ -83,9 +83,31 @@ _TREES = list(map(QUERY_ROW.index, ("params", "snapshot", "read_row_ids", "writt
 assert QUERY_ROW[:2] == ("qid", "ts")
 NONDET_ROW = ("func", "seq", "value")
 _nondet_row = attrgetter(*NONDET_ROW)
-#: ``json.dumps(tree, separators=COMPACT)``, the encoder built once and with no
-#: cycle check (a third of a small call; a cycle is a RecursionError either way).
-_dumps = json.JSONEncoder(separators=COMPACT, check_circular=False).encode
+#: ``json.dumps(tree, separators=COMPACT)`` with no cycle check (a third of a
+#: small call; a cycle is a RecursionError either way).  ``JSONEncoder.encode``
+#: builds a C encoder on every call; this one is built once, from exactly the
+#: arguments that call passes.  Without a cycle check it holds no per-call
+#: state (its markers are ``None``), so every thread can share it.
+_encoder = json.JSONEncoder(separators=COMPACT, check_circular=False)
+_encode_str = json.encoder.encode_basestring_ascii
+_c_encode = json.encoder.c_make_encoder(
+    None,
+    _encoder.default,
+    _encode_str,
+    _encoder.indent,
+    _encoder.key_separator,
+    _encoder.item_separator,
+    _encoder.sort_keys,
+    _encoder.skipkeys,
+    _encoder.allow_nan,
+)
+
+
+def _dumps(tree) -> str:
+    if isinstance(tree, str):  # a query's SQL: ``encode``'s own shortcut
+        return _encode_str(tree)
+    return "".join(_c_encode(tree, 0))
+
 
 #: The positions of a run's request row and of its response row.  Like a
 #: query's row, each stops after its last member not at its default (what a

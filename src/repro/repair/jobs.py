@@ -325,12 +325,12 @@ class RepairJobManager:
                 "(a repair is already in progress)"
             )
         with self._lock:
-            seq = self._warp.graph.store.repair_jobs.next_seq()
-            taken = {job_id for job_id in self._jobs}
-            while f"job-{seq}" in taken:
-                seq += 1
+            # A snapshot keeps only open jobs, but its header's ``ids``
+            # keep this counter; a job the WAL replayed counts as well.
+            ids = self._warp.ids
+            ids.advance_to("job", self._warp.graph.store.repair_jobs.next_seq() - 1)
             job = RepairJob(
-                f"job-{seq}", spec, submitted_ts=self._warp.clock.now()
+                f"job-{ids.next('job')}", spec, submitted_ts=self._warp.clock.now()
             )
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)

@@ -48,7 +48,7 @@ from repro.http.routes import NotFound, RouteTable
 from repro.repair.api import RepairSpec, parse_spec, spec_from_request
 from repro.repair.jobs import TERMINAL_STATUSES
 from repro.repair.stats import merge_stats_dicts
-from repro.shard.routing import SHARD_HEADER, RoutingTable
+from repro.shard.routing import RoutingTable
 from repro.shard.wire import ShardClient, ShardWireError
 
 #: How often a dispatched job is polled, and how long it may take to settle.
@@ -146,13 +146,7 @@ class ShardCoordinator:
         if self.admin.owns(request.path):
             return self.admin.dispatch(request)
         shard = self.shard_for(request)
-        return self.clients[shard].request(self._stamped(request, shard))
-
-    def _stamped(self, request: HttpRequest, shard: int) -> HttpRequest:
-        stamped = request.copy()
-        stamped.headers = dict(stamped.headers)
-        stamped.headers[SHARD_HEADER] = str(shard)
-        return stamped
+        return self.clients[shard].request(request, shard)
 
     # -- planning ------------------------------------------------------------
 
@@ -549,7 +543,7 @@ class ShardCoordinator:
                 "parameter (or use /warp/admin/shard/*)"
             )
         shard, client = self._addressed(request)
-        return client.request(self._stamped(request, shard))
+        return client.request(request, shard)
 
     def _addressed(self, request: HttpRequest) -> Tuple[int, ShardClient]:
         """The shard a request's ``shard`` parameter names, and its client."""

@@ -1,22 +1,32 @@
-"""Shard wire protocol: JSON frames carrying the HTTP message objects.
+"""Shard wire protocol: JSON frames carrying the HTTP message fields.
 
 One protocol for everything: a frame is a JSON object with an ``op``:
 
 * ``{"op": "http", "request": {...}}`` — serve one
-  :class:`~repro.http.message.HttpRequest` (its ``to_dict`` image) and
-  answer ``{"ok": true, "response": {...}}``.  Admin operations are not
-  special ops — they are plain requests to the existing ``/warp/admin``
-  paths, so the PR 5 JSON wire protocol *is* the repair fan-out protocol.
+  :class:`~repro.http.message.HttpRequest` (its ``method``, ``path``,
+  ``params``, ``cookies`` and ``headers``) and answer ``{"ok": true,
+  "response": {...}}`` (``status``, ``body``, ``headers``,
+  ``set_cookies``).  Admin operations are not special ops — they are
+  plain requests to the existing ``/warp/admin`` paths, so the admin
+  JSON protocol *is* the repair fan-out protocol.
 * ``{"op": "ping"}`` — liveness + shard identity.
 * ``{"op": "shutdown"}`` — graceful worker exit.
+
+On a socket a frame is the UTF-8 bytes of its JSON text, sent as one
+``multiprocessing.connection`` message (``send_bytes``: a length prefix
+and the bytes; nothing is pickled), so any peer that speaks that framing
+and its authkey handshake can talk to a worker.  Each side builds the
+frame from the message's own fields and builds the message from the
+dicts ``json.loads`` made: one encode and one decode per hop, no copies.
 
 Two transports implement the same :class:`ShardClient` interface:
 
 * :class:`ProcShardClient` — a real ``multiprocessing.connection`` socket
-  to a worker process (JSON text frames over the connection);
+  to a worker process;
 * :class:`LocalShardClient` — an in-process worker, with every frame
-  still forced through a JSON round-trip so tests exercise exactly the
-  bytes-on-the-wire semantics (no object sharing can sneak through).
+  and reply still encoded to those bytes and parsed back, so tests
+  exercise exactly what crosses the socket (no object sharing can sneak
+  through).
 """
 
 from __future__ import annotations
@@ -53,13 +63,32 @@ class ShardClient:
 
     # -- protocol ----------------------------------------------------------
 
-    def request(self, request: HttpRequest) -> HttpResponse:
-        reply = self.call({"op": "http", "request": request.to_dict()})
+    def request(
+        self, request: HttpRequest, shard: Optional[int] = None
+    ) -> HttpResponse:
+        """Serve ``request`` on this shard.  ``shard`` stamps the frame's
+        headers with ``X-Warp-Shard`` (the worker's 421 check); the
+        caller's request is never changed."""
+        headers = request.headers
+        if shard is not None:
+            headers = {**headers, SHARD_HEADER: str(shard)}
+        reply = self.call(
+            {
+                "op": "http",
+                "request": {
+                    "method": request.method,
+                    "path": request.path,
+                    "params": request.params,
+                    "cookies": request.cookies,
+                    "headers": headers,
+                },
+            }
+        )
         if not reply.get("ok"):
             raise ShardWireError(
                 f"shard {self.shard_id} refused request: {reply.get('error')}"
             )
-        return HttpResponse.from_dict(reply["response"])
+        return HttpResponse(**reply["response"])
 
     def ping(self) -> dict:
         return self.call({"op": "ping"})
@@ -71,11 +100,12 @@ class ShardClient:
         self, method: str, path: str, params: Optional[dict] = None
     ) -> HttpResponse:
         """One control-plane request (the ``/warp/admin`` surface)."""
-        headers = {SHARD_HEADER: str(self.shard_id)}
+        headers = {}
         if self.admin_token is not None:
             headers["X-Warp-Admin-Token"] = self.admin_token
         return self.request(
-            HttpRequest(method, path, params=dict(params or {}), headers=headers)
+            HttpRequest(method, path, params=params or {}, headers=headers),
+            self.shard_id,
         )
 
     def admin_json(
@@ -93,21 +123,21 @@ class ShardClient:
 
 
 class LocalShardClient(ShardClient):
-    """In-process transport with forced JSON round-trips.
+    """In-process transport that still crosses the wire encoding.
 
     Wraps a :class:`~repro.shard.worker.ShardWorker` living in this
     process (deterministic tests, the 1-worker bench arm).  Every frame
-    and reply passes through ``json.dumps``/``loads`` so the semantics —
-    what survives serialization, what types arrive — are identical to the
-    process transport."""
+    and reply is encoded to the UTF-8 JSON bytes the process transport
+    sends and parsed back from them, so what survives the wire and what
+    types arrive are identical to the process transport."""
 
     def __init__(self, worker, admin_token: Optional[str] = None) -> None:
         super().__init__(worker.shard_id, admin_token=admin_token)
         self._worker = worker
 
     def call(self, frame: dict) -> dict:
-        wire_frame = json.loads(json.dumps(frame))
-        return json.loads(json.dumps(self._worker.handle_frame(wire_frame)))
+        reply = self._worker.handle_frame(json.loads(json.dumps(frame).encode()))
+        return json.loads(json.dumps(reply).encode())
 
     def clone(self) -> "LocalShardClient":
         # The in-process worker serves concurrent callers itself (the
@@ -158,10 +188,11 @@ class ProcShardClient(ShardClient):
         )
 
     def call(self, frame: dict) -> dict:
+        data = json.dumps(frame).encode()
         with self._lock:
             try:
-                self._conn.send(json.dumps(frame))
-                raw = self._conn.recv()
+                self._conn.send_bytes(data)
+                raw = self._conn.recv_bytes()
             except (OSError, EOFError) as exc:
                 raise ShardWireError(
                     f"shard {self.shard_id} connection failed: {exc!r}"

@@ -8,7 +8,11 @@ per-shard layout of :func:`shard_layout` (:func:`load_or_create_shard`)
 an importable ``module:callable`` factory, and serves wire frames
 (:mod:`repro.shard.wire`) either in-process (:class:`ShardWorker` used
 directly through a :class:`~repro.shard.wire.LocalShardClient`) or from
-a real process (:func:`worker_main` + :func:`spawn_worker`).
+a real process (:func:`worker_main` + :func:`spawn_worker`).  The
+process reads each frame as the UTF-8 bytes of its JSON text
+(``recv_bytes``; nothing it receives is unpickled) and answers the same
+way; the request it serves is built from the dicts ``json.loads`` made,
+and the reply carries the response's own fields.
 
 The shard identity lives here, not in the WarpSystem underneath:
 :meth:`ShardWorker.handle` refuses a request stamped for another shard
@@ -192,7 +196,7 @@ class ShardWorker:
         """The wire protocol (one frame in, one reply out).  Shared by the
         local transport and the process accept loop, so both speak exactly
         the same protocol."""
-        op = frame.get("op")
+        op = frame.get("op") if isinstance(frame, dict) else None
         if op == "ping":
             return {
                 "ok": True,
@@ -203,8 +207,8 @@ class ShardWorker:
             }
         if op == "http":
             try:
-                request = HttpRequest.from_dict(frame["request"])
-            except (KeyError, TypeError, ValueError) as exc:
+                request = HttpRequest(**frame["request"])
+            except (KeyError, TypeError) as exc:
                 return {"ok": False, "error": f"malformed http frame: {exc!r}"}
             try:
                 response = self.handle(request)
@@ -212,7 +216,15 @@ class ShardWorker:
                 # The worker must survive any handler failure; the caller
                 # gets the error, the accept loop keeps serving.
                 return {"ok": False, "error": repr(exc)}
-            return {"ok": True, "response": response.to_dict()}
+            return {
+                "ok": True,
+                "response": {
+                    "status": response.status,
+                    "body": response.body,
+                    "headers": response.headers,
+                    "set_cookies": response.set_cookies,
+                },
+            }
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"unknown wire op {op!r}"}
@@ -242,12 +254,15 @@ def worker_main(config_json: str, address: str) -> None:
         try:
             while not stop.is_set():
                 try:
-                    raw = conn.recv()
+                    raw = conn.recv_bytes()
                 except (EOFError, OSError):
                     return
-                reply = worker.handle_frame(json.loads(raw))
                 try:
-                    conn.send(json.dumps(reply))
+                    reply = worker.handle_frame(json.loads(raw))
+                except ValueError as exc:  # not UTF-8 JSON text
+                    reply = {"ok": False, "error": f"malformed frame: {exc!r}"}
+                try:
+                    conn.send_bytes(json.dumps(reply).encode())
                 except (OSError, BrokenPipeError):
                     return
                 if reply.get("bye"):

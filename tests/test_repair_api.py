@@ -38,6 +38,7 @@ from repro.repair.jobs import RepairJobManager
 from repro.warp import WarpSystem
 from repro.workload.scenarios import (
     WIKI,
+    WikiDeployment,
     run_multi_tenant_scenario,
     run_scenario,
 )
@@ -812,6 +813,40 @@ class TestJobsJournal:
         assert recovered.repair.interrupted_jobs() == []
         again = WarpSystem.load(None, wal_path=wal_path)
         assert again.repair.interrupted_jobs() == []
+
+    def test_job_ids_do_not_repeat_after_save_and_reload(self, tmp_path):
+        """A snapshot keeps only open jobs, so ids come from the ``job``
+        counter its header carries (and from the jobs the WAL replays): a
+        finished ``job-1`` is not handed out again, and an incident saved
+        as repairing under it does not resolve when a later, unrelated
+        job finishes."""
+        wal_path = str(tmp_path / "records.wal")
+        path = str(tmp_path / "snapshot.json")
+        warp = WikiDeployment(n_users=2, seed=1, wal_path=wal_path).warp
+        first = warp.repair.submit(CancelClientSpec("nobody"))
+        first.result()
+        assert first.job_id == "job-1"
+        warp.enable_detection()
+        warp.graph.store.incidents.put(
+            incident_id="inc-1", ts=warp.clock.now(), status="repairing", job_id="job-1"
+        )
+        warp.save(path)
+
+        reloaded = WarpSystem.load(path, wal_path=wal_path)
+        WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server).register_code()
+        second = reloaded.repair.submit(CancelClientSpec("nobody"))
+        second.result()
+        assert second.job_id == "job-2"
+        incident = reloaded.server.handle(
+            HttpRequest("GET", "/warp/admin/incidents/inc-1")
+        )
+        assert json.loads(incident.body)["status"] == "repairing"
+        # job-2 finished after the snapshot: only the WAL knows it.
+        again = WarpSystem.load(path, wal_path=wal_path)
+        WikiApp(again.ttdb, again.scripts, again.server).register_code()
+        third = again.repair.submit(CancelClientSpec("nobody"))
+        third.result()
+        assert third.job_id == "job-3"
 
     def test_interrupted_job_survives_snapshot_round_trip(self, tmp_path):
         warp = WarpSystem()

@@ -30,8 +30,13 @@ from repro.shard import (
     default_route_key,
 )
 from repro.shard.routing import SHARD_HEADER, TENANT_HEADER
-from repro.shard.wire import ShardWireError
-from repro.shard.worker import load_or_create_shard, shard_layout
+from repro.shard.wire import ProcShardClient, ShardWireError
+from repro.shard.worker import (
+    authkey_for,
+    load_or_create_shard,
+    shard_layout,
+    spawn_worker,
+)
 from repro.store.snapshot import read_snapshot_header
 from repro.warp import WarpSystem
 
@@ -445,6 +450,28 @@ class TestCoordinator:
                 else:
                     assert text is None
 
+    def test_forwarding_leaves_the_callers_request_alone(self, cluster):
+        """The shard stamp rides on the frame: the worker sees it, and the
+        request the caller handed in is exactly as it was."""
+        home = cluster.tenant_shards[0]
+        request = HttpRequest(
+            "GET",
+            "/index.php",
+            params={"title": "tenant0_wiki"},
+            cookies={"sess": "nobody"},
+            headers={TENANT_HEADER: "tenant0", "X-Warp-Client": "reader-c"},
+        )
+        admin = HttpRequest("GET", "/warp/admin/repair", params={"shard": str(home)})
+        before = [request.copy(), admin.copy()]
+        assert cluster.handle(request).status == 200
+        assert cluster.handle(admin).status == 200
+        assert [request, admin] == before
+        assert SHARD_HEADER not in request.headers | admin.headers
+        runs = cluster.workers[home].warp.graph.runs
+        served = runs[max(runs)].request
+        assert served.params == request.params and served.cookies == request.cookies
+        assert served.headers == {**request.headers, SHARD_HEADER: str(home)}
+
     def test_admin_forwarding_needs_explicit_shard(self, cluster):
         response = cluster.handle(HttpRequest("GET", "/warp/admin/repair"))
         assert response.status == 400
@@ -667,3 +694,82 @@ def test_process_transport_end_to_end(tmp_path):
     # out the 10 s join (closing a listener does not wake accept()).
     assert closing_s < 2.0
     assert [process.exitcode for process in cluster.processes] == [0, 0]
+
+
+def wire_conversation(cluster):
+    """Log in, append non-ASCII text, read it back and log out through the
+    coordinator, with headers beyond the routing ones: each response as
+    the transport delivered it."""
+    headers = {
+        TENANT_HEADER: "tenant0",
+        "X-Warp-Client": "t0_user1-c",
+        "X-Note": "caf\u00e9 \u2603",
+    }
+    login = cluster.handle(
+        HttpRequest(
+            "POST",
+            "/login.php",
+            params={"wpName": "t0_user1", "wpPassword": "pw-t0_user1"},
+            headers=headers,
+        )
+    )
+    cookies = {"sess": login.set_cookies["sess"]}
+    steps = [
+        ("POST", "/edit.php", {"title": "tenant0_wiki", "append": "\n\u00e7a \u2603 \U0001d11e"}),
+        ("GET", "/index.php", {"title": "tenant0_wiki"}),
+        ("GET", "/logout.php", {}),
+    ]
+    responses = [login]
+    for method, path, params in steps:
+        request = HttpRequest(method, path, params=params, cookies=cookies, headers=headers)
+        responses.append(cluster.handle(request))
+    return responses
+
+
+def test_local_and_process_transports_answer_alike(tmp_path):
+    """The in-process transport encodes every frame to the same bytes the
+    socket carries, so both deliver the same responses: non-ASCII text,
+    and a cookie deletion (``None``) included."""
+    replies = {}
+    for transport in ("local", "proc"):
+        cluster = ShardCluster(
+            2, str(tmp_path / transport), transport=transport, tenants=[0, 4]
+        )
+        try:
+            replies[transport] = [
+                (r.status, r.body, r.headers, r.set_cookies)
+                for r in wire_conversation(cluster)
+            ]
+        finally:
+            cluster.close()
+    assert replies["local"] == replies["proc"]
+    login, edit, read, logout = replies["proc"]
+    assert login[3]["sess"] and logout[3] == {"sess": None}
+    assert edit[0] == 200 and "\u00e7a \u2603 \U0001d11e" in read[1]
+
+
+def test_a_worker_speaks_json_bytes_to_a_raw_connection(tmp_path):
+    """The wire is the UTF-8 JSON text of each frame with a length prefix,
+    nothing pickled: a bare connection that sends those bytes gets JSON
+    bytes back, and bytes that are not JSON get an error reply, not a
+    dropped connection."""
+    from multiprocessing.connection import Client
+
+    config = ShardConfig(shard_id=0, data_dir=str(tmp_path), app_args={"tenants": [0]})
+    process, address = spawn_worker(config)
+    client = ProcShardClient(address, authkey_for(config.secret), 0)  # waits for boot
+    try:
+        with Client(address, family="AF_UNIX", authkey=authkey_for(config.secret)) as raw:
+            raw.send_bytes(b'{"op":"ping"}')
+            reply = json.loads(raw.recv_bytes().decode("utf-8"))
+            assert reply["ok"] and reply["shard"] == 0 and reply["pid"] == process.pid
+            for garbage in (b"\x80 not json", b"[1]", b'{"op":"http","request":[]}'):
+                raw.send_bytes(garbage)
+                assert json.loads(raw.recv_bytes())["ok"] is False
+            raw.send_bytes(b'{"op":"ping"}')
+            assert json.loads(raw.recv_bytes())["ok"]
+    finally:
+        client.shutdown()
+        client.close()
+        process.join(timeout=10.0)
+    assert process.exitcode == 0
