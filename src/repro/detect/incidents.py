@@ -217,7 +217,7 @@ class IncidentManager:
                     # holding the lock — the starvation scenario the
                     # per-incident acquisition bounds.
                     self.faults.fire("detect.preview", incident=incident_id)
-                    plan = _compute_plan_locked(self.graph, self.ttdb, spec, None)
+                    plan = _compute_plan_locked(self.graph, self.ttdb, spec)
             except (ReproError, InjectedFault, OSError) as exc:
                 update = {"preview_error": str(exc)}
             else:

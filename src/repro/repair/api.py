@@ -20,8 +20,10 @@ repair starts:
   trip, computed **read-only** from the record store's
   :class:`~repro.store.recordstore.TouchIndex` — no repair generation is
   created and nothing is mutated;
-* :func:`spec_seed_runs` — which recorded runs a patch or cancel spec
-  damages, the one lookup the preview and the controller's staging share.
+* :func:`derive_damage` — what each member of a spec damages directly
+  (runs, canceled visits, a fix's symbolic partitions), the one
+  derivation the preview and the repair both plan components from, so a
+  preview reports the plan the repair runs.
 
 Specs are *descriptions*, not handles: submit one via
 ``warp.repair.submit(spec)`` (:mod:`repro.repair.jobs`) to get an
@@ -56,7 +58,9 @@ __all__ = [
     "RepairPlan",
     "parse_spec",
     "spec_from_request",
-    "spec_seed_runs",
+    "Damage",
+    "derive_damage",
+    "damage_seeds",
     "compute_plan",
 ]
 
@@ -362,6 +366,10 @@ class RepairPlan:
     #: Seed damage: directly attacked/canceled runs, a fix's partitions.
     seed_runs: int = 0
     seed_partitions: List[List[object]] = field(default_factory=list)
+    #: Rows the batch's fixes write at their ``ts`` in the live
+    #: generation: an INSERT's VALUES rows, the rows an UPDATE or DELETE
+    #: WHERE matches — work even when no recorded run touched them.
+    fix_rows: int = 0
     #: Taint-connected components (empty when futile).
     n_groups: int = 0
     groups: List[Dict[str, object]] = field(default_factory=list)
@@ -388,6 +396,7 @@ class RepairPlan:
             "futile": self.futile,
             "seed_runs": self.seed_runs,
             "seed_partitions": [list(key) for key in self.seed_partitions],
+            "fix_rows": self.fix_rows,
             "n_groups": self.n_groups,
             "groups": [dict(row) for row in self.groups],
             "affected_runs": self.affected_runs,
@@ -404,94 +413,122 @@ class RepairPlan:
 #: How many concrete partition keys a plan lists verbatim.
 _PLAN_KEY_SAMPLE = 16
 
+PartitionKey = Tuple[str, str, object]
 
-def spec_seed_runs(graph, spec: RepairSpec) -> List[int]:
-    """Ids of the recorded runs a patch or cancel spec damages directly,
-    read from the graph's indexes without mutating anything: the runs
-    that loaded the patched file (the patch itself is *not* applied), the
-    runs of a canceled visit and its descendants, every run of a canceled
-    client.  The one lookup both the preview (:func:`compute_plan`) and
-    the controller's staging (``repair_batch``) seed clustering from.  A
-    database fix damages partitions, not recorded runs, and is not
-    handled here."""
+
+@dataclass
+class Damage:
+    """What one member spec damages directly, derived read-only by
+    :func:`derive_damage`."""
+
+    spec: RepairSpec
+    #: Recorded runs: the runs that loaded a patched file (the patch
+    #: itself is not applied), a canceled visit's and its descendants'
+    #: runs, every run of a canceled client.
+    runs: List[int] = field(default_factory=list)
+    #: ``(client_id, visit_id)`` of every canceled visit.
+    visits: List[Tuple[str, int]] = field(default_factory=list)
+    #: A database fix's partitions and full tables, derived symbolically.
+    keys: List[PartitionKey] = field(default_factory=list)
+    full_tables: List[str] = field(default_factory=list)
+
+
+def derive_damage(graph, ttdb, spec: RepairSpec) -> List[Damage]:
+    """The direct damage of each member of ``spec`` (a batch is
+    flattened), read from the graph's indexes and the statement's plan
+    without mutating anything.  The one derivation both the preview
+    (:func:`compute_plan`) and the repair
+    (``RepairController.repair_batch``) seed components from, so the plan
+    a preview reports is the plan the repair runs.
+
+    A database fix's partitions are derived **symbolically** from the
+    statement — WHERE-clause equality constraints on partition columns,
+    an INSERT's partition-column values — not by executing it.  Keys its
+    execution writes beyond them count as its group's escapes.
+    """
+    members = spec.specs if isinstance(spec, RepairBatch) else [spec]
+    return [_member_damage(graph, ttdb, member) for member in members]
+
+
+def _member_damage(graph, ttdb, spec: RepairSpec) -> Damage:
+    damage = Damage(spec)
     if isinstance(spec, PatchSpec):
-        return [
+        damage.runs = [
             run.run_id for run in graph.runs_loading_file(spec.file, spec.apply_ts)
         ]
-    if isinstance(spec, CancelVisitSpec):
-        return [
-            run.run_id
-            for visit_id in graph.visit_and_descendants(spec.client_id, spec.visit_id)
-            for run in graph.runs_of_visit(spec.client_id, visit_id)
+    elif isinstance(spec, CancelVisitSpec):
+        for visit_id in graph.visit_and_descendants(spec.client_id, spec.visit_id):
+            damage.visits.append((spec.client_id, visit_id))
+            damage.runs.extend(
+                run.run_id for run in graph.runs_of_visit(spec.client_id, visit_id)
+            )
+    elif isinstance(spec, CancelClientSpec):
+        damage.runs = [run.run_id for run in graph.client_runs(spec.client_id)]
+        damage.visits = [
+            (spec.client_id, visit.visit_id)
+            for visit in graph.client_visits(spec.client_id)
         ]
-    if isinstance(spec, CancelClientSpec):
-        return [run.run_id for run in graph.client_runs(spec.client_id)]
-    raise RepairError(f"cannot repair spec of kind {getattr(spec, 'kind', '?')!r}")
-
-
-def _spec_seeds(graph, ttdb, spec: RepairSpec):
-    """Read-only seed extraction: (run_seeds, key_seed_groups) where each
-    key seed group is (keys, full_tables, ts) for one db-fix statement.
-
-    Run seeds come from :func:`spec_seed_runs`; a database fix's
-    partitions are derived **symbolically** from the statement
-    (WHERE-clause equality constraints on partition columns; INSERT
-    values) rather than by executing it — an approximation of the keys
-    the real fix's rollback would touch.
-    """
-    run_seeds: List[int] = []
-    key_groups: List[Tuple[List, List, int]] = []
-    if isinstance(spec, RepairBatch):
-        for member in spec.specs:
-            member_runs, member_keys = _spec_seeds(graph, ttdb, member)
-            run_seeds.extend(member_runs)
-            key_groups.extend(member_keys)
     elif isinstance(spec, DbFixSpec):
-        keys: List[Tuple[str, str, object]] = []
-        full_tables: List[str] = []
-        try:
-            plan = ttdb.prepare(spec.sql)
-        except SqlError as exc:
-            raise RepairError(f"cannot plan db fix: {exc}") from exc
-        if not plan.is_write:
-            raise RepairError("DbFixSpec must be a write statement")
-        table = plan.table
-        if plan.kind == "insert":
-            partition_cols = set(ttdb.schema(table).partition_columns)
-            for row in plan.insert_rows:
-                for column, value_fn in row:
-                    if column not in partition_cols:
-                        continue
-                    try:
-                        keys.append((table, column, value_fn({}, spec.params)))
-                    except SqlError:
-                        # Not computable without a row (a missing
-                        # parameter, a column reference): whole table.
-                        full_tables.append(table)
-        else:
-            read = plan.read_plan.instantiate(spec.params)
-            if read.is_all:
-                full_tables.append(table)
-            else:
-                for disjunct in read.disjuncts:
-                    for column, value in disjunct:
-                        keys.append((table, column, value))
-        key_groups.append((sorted(set(keys), key=repr), sorted(set(full_tables)), spec.ts))
+        damage.keys, damage.full_tables = _fix_partitions(ttdb, spec)
     else:
-        run_seeds.extend(spec_seed_runs(graph, spec))
-    return run_seeds, key_groups
+        raise RepairError(
+            f"cannot repair spec of kind {getattr(spec, 'kind', '?')!r}"
+        )
+    return damage
 
 
-def compute_plan(
-    graph, ttdb, spec: RepairSpec, futility_limit: Optional[int] = None
-) -> RepairPlan:
+def _fix_partitions(ttdb, spec: DbFixSpec) -> Tuple[List, List[str]]:
+    try:
+        plan = ttdb.prepare(spec.sql)
+    except SqlError as exc:
+        raise RepairError(f"cannot plan db fix: {exc}") from exc
+    if not plan.is_write:
+        raise RepairError("DbFixSpec must be a write statement")
+    keys: List[PartitionKey] = []
+    full_tables: List[str] = []
+    table = plan.table
+    if plan.kind == "insert":
+        partition_cols = set(ttdb.schema(table).partition_columns)
+        for row in plan.insert_rows:
+            for column, value_fn in row:
+                if column not in partition_cols:
+                    continue
+                try:
+                    keys.append((table, column, value_fn({}, spec.params)))
+                except SqlError:
+                    # Not computable without a row (a missing
+                    # parameter, a column reference): whole table.
+                    full_tables.append(table)
+    else:
+        read = plan.read_plan.instantiate(spec.params)
+        if read.is_all:
+            full_tables.append(table)
+        else:
+            for disjunct in read.disjuncts:
+                for column, value in disjunct:
+                    keys.append((table, column, value))
+    return sorted(set(keys), key=repr), sorted(set(full_tables))
+
+
+def damage_seeds(damage: List[Damage]) -> Tuple[List[int], List[Tuple]]:
+    """``(run_seeds, key_seed_groups)`` for
+    :func:`~repro.repair.clusters.compute_repair_groups`: every damaged
+    run, and one ``(keys, full_tables, ts)`` group per database fix."""
+    run_seeds = [run_id for member in damage for run_id in member.runs]
+    key_seed_groups = [
+        (member.keys, member.full_tables, member.spec.ts)
+        for member in damage
+        if isinstance(member.spec, DbFixSpec)
+    ]
+    return run_seeds, key_seed_groups
+
+
+def compute_plan(graph, ttdb, spec: RepairSpec) -> RepairPlan:
     """Dry-run a spec: what would this repair touch?
 
     Strictly read-only — no repair generation, no script patching, no
     statement execution, no graph mutation (the acceptance test asserts
     the version-store and graph dumps are byte-identical before/after).
-    ``futility_limit`` overrides the clustering bailout threshold (tests;
-    the default is the production one).
     """
     spec.validate()
     # The admin surface serves previews ungated during live traffic;
@@ -499,35 +536,34 @@ def compute_plan(
     # index a request thread is resizing.  Reentrant, read-only, and
     # O(component) — request threads stall at most briefly.
     with graph.store.lock:
-        return _compute_plan_locked(graph, ttdb, spec, futility_limit)
+        return _compute_plan_locked(graph, ttdb, spec)
 
 
-def _compute_plan_locked(
-    graph, ttdb, spec: RepairSpec, futility_limit: Optional[int]
-) -> RepairPlan:
+def _compute_plan_locked(graph, ttdb, spec: RepairSpec) -> RepairPlan:
     plan = RepairPlan(
         kind=spec.kind,
         total_runs=graph.n_runs,
         total_visits=graph.n_visits,
         total_queries=graph.n_queries,
     )
-    run_seeds, key_groups = _spec_seeds(graph, ttdb, spec)
+    damage = derive_damage(graph, ttdb, spec)
+    run_seeds, key_groups = damage_seeds(damage)
     plan.seed_runs = len(set(run_seeds))
     seed_keys: List = []
     for keys, full_tables, _ts in key_groups:
         seed_keys.extend(keys)
         seed_keys.extend((table, "*", "*") for table in full_tables)
     plan.seed_partitions = [list(key) for key in seed_keys[:_PLAN_KEY_SAMPLE]]
+    plan.fix_rows = sum(
+        ttdb.write_row_count(member.spec.sql, member.spec.params, member.spec.ts)
+        for member in damage
+        if isinstance(member.spec, DbFixSpec)
+    )
     if not run_seeds and not key_groups:
         return plan
     try:
         groups = compute_repair_groups(
-            graph,
-            run_seeds=run_seeds,
-            key_seed_groups=[
-                (keys, full_tables, ts) for keys, full_tables, ts in key_groups
-            ],
-            futility_limit=futility_limit,
+            graph, run_seeds=run_seeds, key_seed_groups=key_groups
         )
     except ClusteringFutile:
         plan.futile = True

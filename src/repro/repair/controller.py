@@ -20,10 +20,12 @@ There is one worklist: one heap in global ``(ts, seq)`` order, one set of
 run / visit state, one ``ModifiedPartitions``, and one partition index —
 the store's, whose buckets are built per key on first lookup.  What is
 **dependency-clustered** (:mod:`repro.repair.clusters`) is the accounting:
-the initial damage set is split into taint-connected components, and each
-heap entry carries the component (*scope*) its run belongs to, which
-counts the item's work and the keys it escapes to.  Discovery is always
-attempted; when it is futile
+the initial damage set — :func:`repro.repair.api.derive_damage`, the
+derivation the preview reports, so a preview's components are the
+repair's — is split into taint-connected components before anything
+executes, and each heap entry carries the component (*scope*) its run
+belongs to, which counts the item's work and the keys it escapes to.
+Discovery is always attempted; when it is futile
 (:class:`~repro.repair.clusters.ClusteringFutile`) every entry runs in
 global scope — the fallback the equivalence property test forces as its
 reference.  Both pop the same items in the same order.
@@ -57,10 +59,12 @@ from repro.http.message import HttpRequest, HttpResponse
 from repro.http.server import HttpServer
 from repro.repair.api import (
     CancelVisitSpec,
+    Damage,
     DbFixSpec,
     PatchSpec,
     RepairBatch,
-    spec_seed_runs,
+    damage_seeds,
+    derive_damage,
 )
 from repro.repair.clusters import (
     ClusteringFutile,
@@ -204,10 +208,6 @@ class RepairController:
         #: _plan_groups from the computed groups).
         self._run_home: Dict[int, RepairGroup] = {}
         self._client_home: Dict[str, RepairGroup] = {}
-        #: When set, _note_modification defers propagation and collects the
-        #: damage keys instead (used to seed clustering for a retroactive
-        #: database fix, whose footprint is only known after execution).
-        self._pending_damage: Optional[List[Tuple[str, Set, int, bool]]] = None
         self._replacements: Dict[int, AppRunRecord] = {}
         self._new_runs: List[AppRunRecord] = []
         self._active = False
@@ -257,32 +257,29 @@ class RepairController:
         only way a repair starts — ``warp.repair.submit(spec)`` ends here,
         a single spec as a batch of one.
 
-        The member specs' damage sets are unioned before cluster
-        discovery, so one planning pass computes the taint components of
-        the whole batch and every affected action re-executes *at most
-        once* — N sequential repairs would pay N generation switches, N
-        graph merges, and re-execute any action reached by several
-        attacks once per attack.
+        The member specs' damage comes from
+        :func:`repro.repair.api.derive_damage`, the derivation the preview
+        reports, and its union seeds cluster discovery once, before
+        anything executes: the plan a preview shows is the plan the repair
+        runs, and every affected action re-executes *at most once* — N
+        sequential repairs would pay N generation switches, N graph
+        merges, and re-execute any action reached by several attacks once
+        per attack.
 
-        Per-spec staging: patches are applied and their damaged runs
-        escalated, canceled visits/clients have their runs undone (both
-        seeded by :func:`repro.repair.api.spec_seed_runs`, the lookup
-        preview uses), and database fixes execute with
-        propagation deferred (their footprint seeds clustering, one key
-        group per statement).  A run both canceled and patched stays
-        canceled.  If any cancel spec is a non-admin undo, the §5.5 guard
-        applies: conflicts created for *other* clients abort the batch.
+        Then, in order: database fixes execute with ordinary propagation,
+        each in the scope of the component its symbolic keys seeded (keys
+        the execution writes beyond that component's coverage are its
+        escapes and widen the gate); canceled visits/clients have their
+        runs undone; patches' damaged runs escalate.  A run both canceled
+        and patched stays canceled.  If any cancel spec is a non-admin
+        undo, the §5.5 guard applies: conflicts created for *other*
+        clients abort the batch.
 
         ``PatchSpec``s must arrive with ``exports`` materialized — the
         job manager resolves ``patch_name`` through its catalog first.
         """
-        flat = []
-        for spec in specs:
-            if isinstance(spec, RepairBatch):
-                flat.extend(spec.specs)
-            else:
-                flat.append(spec)
-        if not flat:
+        batch = RepairBatch(specs=list(specs))
+        if not batch.specs:
             raise RepairError("repair batch needs at least one spec")
         started = _time.perf_counter()
         graph_before = self.graph.graph_load_seconds
@@ -295,46 +292,16 @@ class RepairController:
         staged_patches: List[Tuple[str, int, int]] = []
         try:
             self.stats.timer.push("init")
-            run_seeds: List[int] = []
+            damage = derive_damage(self.graph, self.ttdb, batch)
             escalate_runs: List[int] = []
-            cancel_run_ids: List[int] = []
-            cancel_visit_keys: List[Tuple[str, int]] = []
-            gate_clients: List[str] = []
-            key_seed_groups: List[Tuple[List, List, int]] = []
-            deferred_all: List[Tuple[str, Set, int, bool]] = []
+            cancels: List[Damage] = []
+            fixes: List[Damage] = []
             undo_guards: Set[str] = set()
-            for spec in flat:
+            for member in damage:
+                spec = member.spec
                 if isinstance(spec, DbFixSpec):
-                    # Footprint known only after execution: run with
-                    # propagation deferred, seed clustering from the
-                    # collected keys, replay the notes post-planning.
-                    deferred: List[Tuple[str, Set, int, bool]] = []
-                    self._pending_damage = deferred
-                    try:
-                        self.reexec_statement(
-                            spec.sql, tuple(spec.params), spec.ts, original=None
-                        )
-                    finally:
-                        self._pending_damage = None
-                    stmt_keys: Set[Tuple[str, str, object]] = set()
-                    stmt_tables: Set[str] = set()
-                    for table, keys, _mod_ts, whole_table in deferred:
-                        if whole_table:
-                            stmt_tables.add(table)
-                        stmt_keys |= keys
-                    key_seed_groups.append(
-                        (
-                            sorted(stmt_keys, key=repr),
-                            sorted(stmt_tables),
-                            spec.ts,
-                        )
-                    )
-                    deferred_all.extend(deferred)
-                    continue
-                # Same lookup preview uses (RepairError on an unknown kind).
-                damaged = spec_seed_runs(self.graph, spec)
-                run_seeds.extend(damaged)
-                if isinstance(spec, PatchSpec):
+                    fixes.append(member)
+                elif isinstance(spec, PatchSpec):
                     if spec.exports is None:
                         raise RepairError(
                             f"PatchSpec for {spec.file!r} has no exports — "
@@ -343,49 +310,36 @@ class RepairController:
                         )
                     new_version = self.scripts.patch(spec.file, spec.exports)
                     staged_patches.append((spec.file, new_version, spec.apply_ts))
-                    escalate_runs.extend(damaged)
-                    continue
-                cancel_run_ids.extend(damaged)
-                gate_clients.append(spec.client_id)
-                if isinstance(spec, CancelVisitSpec):
-                    cancel_visit_keys.extend(
-                        (spec.client_id, target_id)
-                        for target_id in self.graph.visit_and_descendants(
-                            spec.client_id, spec.visit_id
-                        )
-                    )
-                    if not spec.initiated_by_admin and not spec.allow_conflicts:
-                        undo_guards.add(spec.client_id)
+                    escalate_runs.extend(member.runs)
                 else:
-                    cancel_visit_keys.extend(
-                        (spec.client_id, visit.visit_id)
-                        for visit in self.graph.client_visits(spec.client_id)
-                    )
-            self._plan_groups(run_seeds=run_seeds, key_seed_groups=key_seed_groups)
+                    cancels.append(member)
+                    if isinstance(spec, CancelVisitSpec) and not (
+                        spec.initiated_by_admin or spec.allow_conflicts
+                    ):
+                        undo_guards.add(spec.client_id)
+            self._plan_groups(*damage_seeds(damage))
+            for member in fixes:
+                fix = member.spec
+                self._g = self._fix_scope(member)
+                self.reexec_statement(fix.sql, fix.params, fix.ts, original=None)
             if self.server.gate is not None:
-                for client_id in gate_clients:
-                    self.server.gate.note_client(client_id)
+                for member in cancels:
+                    self.server.gate.note_client(member.spec.client_id)
             # Cancels before escalations: a run that is both canceled and
             # patch-damaged stays canceled (matching sequential repairs,
             # where the cancel's undo wins regardless of order because a
             # canceled run is never re-executed).
-            seen_cancel: Set[int] = set()
-            for run_id in cancel_run_ids:
-                if run_id in seen_cancel:
-                    continue
-                seen_cancel.add(run_id)
-                run = self.graph.runs.get(run_id)
-                if run is None:
-                    continue
-                self._g = self._run_home.get(run_id, self._global)
-                self.cancel_run(run)
-            for key in cancel_visit_keys:
-                self._visit_state[key] = "canceled"
+            for member in cancels:
+                for run_id in member.runs:
+                    run = self.graph.runs.get(run_id)
+                    if run is None:
+                        continue
+                    self._g = self._run_home.get(run_id, self._global)
+                    self.cancel_run(run)
+                for key in member.visits:
+                    self._visit_state[key] = "canceled"
             for run_id in escalate_runs:
                 self._escalate(run_id)
-            for table, keys, mod_ts, whole_table in deferred_all:
-                self._g = self._group_covering(table, keys, whole_table)
-                self._note_modification(table, keys, mod_ts, whole_table)
             self.stats.timer.pop()
             self._process()
             if undo_guards:
@@ -426,18 +380,16 @@ class RepairController:
         for file, new_version, _apply_ts in reversed(staged_patches):
             self.scripts.revert_patch(file, new_version)
 
-    def _group_covering(self, table, keys, whole_table) -> RepairGroup:
-        """Scope for a deferred db-fix modification: the component whose
-        coverage holds the statement's keys (each statement seeded exactly
-        one build, so first match is the only match)."""
+    def _fix_scope(self, fix: Damage) -> RepairGroup:
+        """The component a database fix's symbolic keys seeded: the one
+        whose coverage holds them (each fix seeded one build, so the first
+        match is its own); the global scope when they seeded none."""
         for group in self._groups:
-            if not group.scoped:
-                continue
-            if whole_table and table in group.covered_tables:
+            if group.scoped and (
+                any(map(group.covers, fix.keys))
+                or any(table in group.covered_tables for table in fix.full_tables)
+            ):
                 return group
-            for key in keys:
-                if group.covers(key):
-                    return group
         return self._global
 
     def _result(
@@ -483,10 +435,10 @@ class RepairController:
             }
         orphan = self._global
         if scoped_any and (attributed < len(repair_conflicts) or any(orphan.counters.values())):
-            # Work in no component — a db-fix statement itself, runs and
-            # clients reached only through escaped propagation, §4.3
-            # re-applied arrivals — gets one row, so the per-group fold-in
-            # still reconciles with the repair-wide stats.
+            # Work in no component — runs and clients reached only through
+            # escaped propagation, §4.3 re-applied arrivals, a fix whose
+            # keys seeded no component — gets one row, so the per-group
+            # fold-in still reconciles with the repair-wide stats.
             row = {"group": 0, "orphan": True, "seconds": round(orphan.seconds, 6)}
             row.update(orphan.counters)
             row["conflicts"] = len(repair_conflicts) - attributed
@@ -555,16 +507,12 @@ class RepairController:
                     self._run_home[run_id] = group
                 for client_id in group.clients:
                     self._client_home[client_id] = group
-        self._sync_gate_scope(groups)
+        if self.server.gate is not None:
+            # Shrink the gate from own-everything to the planned scope (an
+            # unscoped group keeps it fully conservative).
+            self.server.gate.set_scope(groups)
         self._emit("groups_planned", n_groups=self.stats.n_groups, futile=futile)
         return groups
-
-    def _sync_gate_scope(self, groups) -> None:
-        """Shrink the online gate from own-everything to the planned
-        components' partitions/clients (no-op without a gate; an unscoped
-        group keeps the gate fully conservative)."""
-        if self.server.gate is not None:
-            self.server.gate.set_scope(groups)
 
     def _process(self) -> None:
         self._emit("phase_started", phase="process")
@@ -907,13 +855,6 @@ class RepairController:
     def _note_modification(
         self, table: str, keys, ts: int, whole_table: bool = False
     ) -> None:
-        if self._pending_damage is not None:
-            # Staging a retroactive fix: collect the damage footprint,
-            # cluster first, propagate after.  Replaying the deferred notes
-            # records them, so nothing is recorded here.
-            if keys or whole_table:
-                self._pending_damage.append((table, set(keys), ts, whole_table))
-            return
         if whole_table:
             self.mods.record_all(table, ts)
         if keys:
@@ -921,9 +862,9 @@ class RepairController:
         if not keys and not whole_table:
             return
         if self.server.gate is not None:
-            # Re-execution escaped the static footprint (or a retroactive
-            # fix's partitions just became known): widen the gate so new
-            # traffic conflicts with the freshly repaired partitions too.
+            # Re-execution (a retroactive fix's included) may write beyond
+            # the planned scope: widen the gate so new traffic conflicts
+            # with the freshly repaired partitions too.
             self.server.gate.note_modification(table, keys, whole_table)
         self._propagate(table, keys, ts, whole_table)
 

@@ -281,8 +281,8 @@ class RepairJobManager:
         return sorted(self._patch_catalog)
 
     def _resolve(self, spec: RepairSpec) -> RepairSpec:
-        """Materialize catalog patches into exports (copy, never mutate
-        the caller's spec)."""
+        """Materialize catalog patches into in-process exports (copy,
+        never mutate the caller's spec)."""
         if isinstance(spec, PatchSpec) and spec.patch_name is not None:
             entry = self._patch_catalog.get(spec.patch_name)
             if entry is None:
@@ -296,7 +296,7 @@ class RepairJobManager:
                     f"patch {spec.patch_name!r} targets {file!r}, "
                     f"spec says {spec.file!r}"
                 )
-            return _dc_replace(spec, file=file, exports=exports)
+            return _dc_replace(spec, file=file, exports=exports, patch_name=None)
         if isinstance(spec, RepairBatch):
             return RepairBatch(specs=[self._resolve(member) for member in spec.specs])
         return spec
@@ -343,23 +343,11 @@ class RepairJobManager:
 
     def preview(self, spec: RepairSpec) -> RepairPlan:
         """Dry-run impact estimate; mutates nothing (no generation, no
-        patching, no statement execution)."""
-        return compute_plan(
-            self._warp.graph, self._warp.ttdb, self._preview_resolve(spec)
-        )
-
-    def _preview_resolve(self, spec: RepairSpec) -> RepairSpec:
-        """Fill in a catalog patch's target file so its plan sees the
-        damaged runs (exports stay unmaterialized — preview never patches)."""
-        if isinstance(spec, PatchSpec) and spec.patch_name and not spec.file:
-            entry = self._patch_catalog.get(spec.patch_name)
-            if entry is not None:
-                return _dc_replace(spec, file=entry[0])
-        if isinstance(spec, RepairBatch):
-            return RepairBatch(
-                specs=[self._preview_resolve(member) for member in spec.specs]
-            )
-        return spec
+        patching, no statement execution).  The spec resolves as submit
+        resolves it, so an unknown ``patch_name`` is a RepairError here
+        too."""
+        spec.validate()
+        return compute_plan(self._warp.graph, self._warp.ttdb, self._resolve(spec))
 
     # -- observation -------------------------------------------------------
 

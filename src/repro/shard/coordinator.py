@@ -153,8 +153,10 @@ class ShardCoordinator:
     def plan(self, spec: RepairSpec) -> dict:
         """Per-shard previews, the dispatch set, and the cross-shard handoffs.
 
-        ``targets`` is the set of shards whose preview found work.  That
-        set is *complete*: shard databases are disjoint, so data-flow
+        ``targets`` is the set of shards whose preview found work:
+        affected or seed runs, a futile walk, or rows a fix writes
+        (``fix_rows`` — a fix on a row no recorded run touched is still
+        work; a fix's partitions alone are not).  That set is *complete*: shard databases are disjoint, so data-flow
         taint cannot cross a shard boundary — the only cross-shard edge
         is a shared client identity, and a client's runs on shard S are
         found by S's own preview regardless of what the client did
@@ -179,8 +181,8 @@ class ShardCoordinator:
             if (
                 payload.get("affected_runs")
                 or payload.get("seed_runs")
-                or payload.get("seed_partitions")
                 or payload.get("futile")
+                or payload.get("fix_rows")
             ):
                 targets.append(shard)
             for affected in payload.get("affected_clients") or ():

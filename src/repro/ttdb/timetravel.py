@@ -379,6 +379,18 @@ class TimeTravelDB:
             rows = self.executor.matching_rows(plan, tuple(params), ctx)
         return tuple(version.row_id for version in rows)
 
+    def write_row_count(self, sql: str, params: Sequence[object], ts: int) -> int:
+        """How many rows the write ``sql`` writes at ``ts`` in the live
+        generation: an INSERT's VALUES rows, or the rows its WHERE clause
+        matches.  Read-only, and the clock does not tick (a repair
+        preview's estimate of a retroactive fix)."""
+        plan = self.prepare(sql)
+        if plan.kind == "insert":
+            return len(plan.insert_rows)
+        with self._lock:
+            ctx = ExecContext(ts=ts, gen=self.current_gen, current_gen=self.current_gen)
+            return len(self.executor.matching_rows(plan, tuple(params), ctx))
+
     def peek(self, sql: str, params: Sequence[object] = ()) -> TTResult:
         """Execute a read-only statement at the current time in the current
         generation *without* advancing the clock or counting as workload.

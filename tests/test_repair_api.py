@@ -16,6 +16,7 @@ Acceptance coverage (ISSUE 5):
   availability.
 """
 
+import functools
 import json
 import threading
 
@@ -33,6 +34,7 @@ from repro.repair.api import (
     compute_plan,
     parse_spec,
 )
+from repro.repair.clusters import compute_repair_groups
 from repro.repair.controller import RepairController
 from repro.repair.jobs import RepairJobManager
 from repro.warp import WarpSystem
@@ -185,12 +187,16 @@ class TestPreview:
         # (the attacker rides with the attacked tenant's component).
         assert plan.n_groups == 3
 
-    def test_preview_reports_futility(self):
+    def test_preview_reports_futility(self, monkeypatch):
         outcome = run_scenario("stored-xss", n_users=4, n_victims=1, seed=3)
         warp = outcome.warp
         spec = PatchSpec(file="special_block.php", exports={"x": 1})
         before = dumps(warp)
-        plan = compute_plan(warp.graph, warp.ttdb, spec, futility_limit=3)
+        monkeypatch.setattr(
+            "repro.repair.api.compute_repair_groups",
+            functools.partial(compute_repair_groups, futility_limit=3),
+        )
+        plan = compute_plan(warp.graph, warp.ttdb, spec)
         assert plan.futile
         assert plan.affected_runs == plan.total_runs
         assert plan.estimated_reexec_fraction == 1.0
@@ -224,12 +230,99 @@ class TestPreview:
         assert ["pagecontent", "title", outcome.tenant_page(0)] in plan.seed_partitions
         assert plan.n_groups == 1
 
+    def test_preview_refuses_an_unknown_patch_name(self):
+        """Preview resolves a spec as submit does: an unregistered
+        ``patch_name`` is a RepairError (a 400 over HTTP), not an empty
+        plan."""
+        outcome = run_multi_tenant_scenario(n_tenants=2, users_per_tenant=1, seed=7)
+        warp = outcome.warp
+        spec = PatchSpec(file="edit.php", patch_name="nosuch")
+        with pytest.raises(RepairError, match="unknown patch 'nosuch'"):
+            warp.repair.preview(spec)
+        response = _admin(
+            warp, "POST", "/warp/admin/repair/preview", spec=json.dumps(spec.to_dict())
+        )
+        assert response.status == 400
+        assert "nosuch" in json.loads(response.body)["error"]
+
     def test_preview_rejects_read_only_db_fix(self):
         outcome = run_multi_tenant_scenario(n_tenants=2, users_per_tenant=1, seed=7)
         with pytest.raises(RepairError, match="write statement"):
             outcome.warp.repair.preview(
                 DbFixSpec(sql="SELECT * FROM pagecontent", ts=5)
             )
+
+
+# ---------------------------------------------------------------------------
+# property: the preview is the plan the repair runs
+# ---------------------------------------------------------------------------
+
+#: Per case: the re-execution counters (visits, runs and queries
+#: re-executed, runs canceled, runs pruned), as measured when the repair
+#: still seeded a fix from its executed keys.  Components set scope, never
+#: the worklist, so seeding from the preview's derivation must not move
+#: them.
+PREVIEW_CASES = {
+    "reflected-xss": (9, 9, 47, 3, 0),
+    "stored-xss": (11, 11, 55, 3, 0),
+    "csrf": (29, 29, 142, 0, 0),
+    "clickjacking": (50, 50, 188, 0, 0),
+    "sql-injection": (10, 10, 84, 0, 0),
+    "acl-error": (1, 2, 10, 1, 0),
+    "fix-keyed": (6, 6, 37, 0, 0),
+    "fix-rename": (6, 6, 37, 0, 0),
+    "fix-nonpartition": (0, 0, 1, 0, 0),
+}
+
+FIX_PROBES = {
+    "fix-keyed": "UPDATE pagecontent SET old_text = ? WHERE title = ?",
+    "fix-rename": "UPDATE pagecontent SET title = ? WHERE title = ?",
+    # password is no partition column: symbolically, the whole table.
+    "fix-nonpartition": "UPDATE users SET password = ? WHERE password = ?",
+}
+
+
+def _preview_case(case):
+    if case in FIX_PROBES:
+        outcome = run_multi_tenant_scenario(
+            n_tenants=4, users_per_tenant=2, attacked_tenants=1, seed=1
+        )
+        page = outcome.tenant_page(0)
+        params = {
+            "fix-keyed": ("fixed", page),
+            "fix-rename": (page + "_moved", page),
+            "fix-nonpartition": ("zz", "pw-t0_user1"),
+        }[case]
+        ts = outcome.warp.clock.now() // 3
+        return outcome, DbFixSpec(FIX_PROBES[case], params, ts=ts)
+    outcome = run_scenario(case, n_users=10, n_victims=3, seed=1)
+    if case == "acl-error":
+        return outcome, CancelVisitSpec(outcome.admin_client, outcome.acl_grant_visit)
+    info = patch_for(case)
+    return outcome, PatchSpec(info.file, exports=info.build())
+
+
+@pytest.mark.parametrize("case", list(PREVIEW_CASES))
+def test_preview_is_the_plan_the_repair_runs(case):
+    outcome, spec = _preview_case(case)
+    plan = outcome.warp.repair.preview(spec)
+    result = outcome.warp.repair.submit(spec).result()
+    stats = result.stats
+    assert result.ok
+    assert stats.n_groups == plan.n_groups >= 1
+    assert [row["runs"] for row in stats.groups if not row.get("orphan")] == [
+        row["runs"] for row in plan.groups
+    ]
+    assert (
+        stats.visits_reexecuted,
+        stats.runs_reexecuted,
+        stats.queries_reexecuted,
+        stats.runs_canceled,
+        stats.runs_pruned,
+    ) == PREVIEW_CASES[case]
+    # The renamed title is a key no recorded run wrote: the fix's own
+    # escape, one more than the repair's re-execution finds.
+    assert stats.escaped_keys == {"csrf": 25, "fix-rename": 2}.get(case, 0)
 
 
 # ---------------------------------------------------------------------------

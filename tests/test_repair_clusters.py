@@ -530,9 +530,12 @@ class TestGroupedRepairOnMultiTenant:
         ).result()
         assert result.ok
         assert result.stats.n_groups == 1
-        # The fix statement ran before any component existed: its work is
-        # on the orphan row, and the fold-in still reconciles.
-        assert [row for row in result.stats.groups if row.get("orphan")]
+        # The fix statement runs in the component its symbolic keys seeded:
+        # its work is on that group's row (no orphan row), and the fold-in
+        # still reconciles.
+        (row,) = result.stats.groups
+        assert row["group"] == 1 and not row.get("orphan")
+        assert row["queries_reexecuted"] == result.stats.queries_reexecuted >= 1
         for name in GROUP_COUNTER_FIELDS:
             folded = sum(row[name] for row in result.stats.groups)
             assert folded == getattr(result.stats, name), name

@@ -563,7 +563,35 @@ class TestCoordinator:
         assert f"{ATTACKER}-c" in plan["previews"][home]["affected_clients"]
         assert plan["previews"][1 - home]["affected_clients"] == []
         assert plan["handoffs"] == []
+        # The other shard's preview has the fix's partitions and nothing
+        # else — no run, no row — so it is no target.
+        assert plan["targets"] == [home]
         assert set(plan) == {"previews", "targets", "handoffs"}
+
+    def test_fix_on_a_row_no_run_touched_stays_a_target(self, cluster):
+        """A fix that writes a seeded row no recorded run touched has no
+        affected runs, but it is still work: its shard's ``fix_rows``
+        keeps it a target, and the repair applies the fix there only."""
+        apply_workload(cluster, generate_workload(5, tenants=[4, 5]))
+        home = cluster.tenant_shards[0]
+        warp = cluster.workers[home].warp
+        spec = DbFixSpec(
+            sql="UPDATE users SET password = ? WHERE name = ?",
+            params=["rotated", "t0_user1"],
+            ts=warp.clock.now(),
+        )
+        plan = cluster.coordinator.plan(spec)
+        preview = plan["previews"][home]
+        assert (preview["affected_runs"], preview["seed_runs"]) == (0, 0)
+        assert preview["fix_rows"] == 1
+        assert plan["previews"][1 - home]["fix_rows"] == 0
+        assert plan["targets"] == [home]
+        result = cluster.coordinator.repair(spec)
+        assert result.ok and sorted(result.per_shard) == [home]
+        row = warp.ttdb.execute(
+            "SELECT password FROM users WHERE name = 't0_user1'"
+        ).one()
+        assert row["password"] == "rotated"
 
     def test_fanout_repairs_every_shard(self, cluster):
         apply_workload(cluster, generate_workload(7))
