@@ -7,9 +7,9 @@ by :class:`repro.store.recordstore.RecordStore`'s secondary indexes
 (partition-index construction is what the paper's Table 7 reports as
 *Graph* loading time, and we time it the same way).
 
-The graph is a thin facade: it owns no record state of its own, so a
-store recovered from a snapshot + write-ahead log (see :mod:`repro.store`)
-can be swapped in to restore full repair capability after a restart.
+The graph is a thin facade: it owns no record state of its own.  A
+restart restores its store in place, from a snapshot and the write-ahead
+log (see :mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.ahg.records import (
     QueryRecord,
     VisitRecord,
 )
+from repro.core.serialize import DecodeMemo
 
 if TYPE_CHECKING:
     from repro.store.recordstore import RecordStore
@@ -206,13 +207,19 @@ class ActionHistoryGraph:
         return self.store.to_snapshot()
 
     def restore_snapshot(self, data: dict, records=(), last_text_id: int = 0) -> None:
-        """Replace the backing store with one rebuilt from a snapshot's
-        ``graph`` object and its stream of record lines (see
-        :meth:`RecordStore.from_snapshot`); the graph object keeps its
-        identity, so wired-up components — server, extensions,
-        controllers — see the restored records."""
-        from repro.store.recordstore import RecordStore
-
-        self.store = RecordStore.from_snapshot(
-            data, wal=self.store.wal, records=records, last_text_id=last_text_id
-        )
+        """Apply a snapshot's ``graph`` object and its stream of record
+        lines to the store, each line by the rule WAL replay uses
+        (:meth:`RecordStore.apply_logged`); one :class:`DecodeMemo` spans
+        the build.  ``last_text_id`` is the header's ``ids.text``: the
+        table's counter, which entries dropped since may have passed."""
+        store = self.store
+        store.texts.last_id = last_text_id
+        memo = DecodeMemo(store.texts)
+        for kind, item, text in records:
+            store.apply_logged(kind, item, text, memo)
+        for table in store.tables:
+            for item in data.get(table.name, ()):
+                table.apply(table.put_kind, item)
+        # The snapshot holds exactly the entries its runs refer to, so the
+        # next save need not re-read the run lines to find them.
+        store._texts_exact = True

@@ -79,6 +79,7 @@ class IncidentManager:
         """``repair`` is the job manager the one-click repair submits to;
         the four incident rows (API.md §9) are mounted on ``table``."""
         self.graph = graph
+        self.store = graph.store
         self.ttdb = ttdb
         self._repair = repair
         self.faults = fault_plane if fault_plane is not None else _active_plane()
@@ -87,12 +88,6 @@ class IncidentManager:
         table.add("GET", "/incidents/<incident_id>", self._incident_route)
         table.add("POST", "/incidents/<incident_id>/repair", self._repair_route)
         table.add("POST", "/incidents/<incident_id>/dismiss", self._dismiss_route)
-
-    @property
-    def store(self):
-        # Resolved through the graph on every use: ``restore_snapshot``
-        # swaps the backing store object, and incidents must follow it.
-        return self.graph.store
 
     # -- opening -------------------------------------------------------------
 

@@ -18,5 +18,4 @@ from repro.faults.plane import (  # noqa: F401
     SimulatedCrash,
     TornWrite,
     active,
-    install,
 )

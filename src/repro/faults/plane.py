@@ -311,19 +311,11 @@ class FaultPlane:
         return cls(rules, seed=schedule.get("seed"))
 
 
-#: Process-wide default plane.  Inert unless a test installs rules; every
-#: component that is not handed an explicit plane falls back to this one.
+#: Process-wide default plane, and inert: nothing in the package arms a
+#: rule on it and no API replaces it (rules are armed on a plane handed to
+#: a deployment).  Every component not handed a plane falls back to it.
 _ACTIVE = FaultPlane()
 
 
 def active() -> FaultPlane:
     return _ACTIVE
-
-
-def install(plane: Optional[FaultPlane]) -> FaultPlane:
-    """Replace the process-wide plane; returns the previous one so tests
-    can restore it."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = plane if plane is not None else FaultPlane()
-    return previous

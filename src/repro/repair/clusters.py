@@ -200,7 +200,7 @@ def compute_repair_groups(
     partitions retroactive database fixes write directly, one ``(keys,
     full_tables, damage_ts)`` entry per statement, so two fixes touching
     unrelated partitions keep their own components (they still merge if
-    taint connects them).
+    taint connects them, or if they write a common key or table).
 
     Deterministic: groups come back ordered by earliest damage timestamp
     (ties by smallest seed run id), with members discovered by BFS whose
@@ -352,6 +352,7 @@ def compute_repair_groups(
         parent.append(len(builds) - 1)
         grow(len(builds) - 1, deque([run_id]))
 
+    key_seeds: List[Tuple[int, Set[PartitionKey], Set[str]]] = []
     for stmt_keys, stmt_tables, stmt_ts in key_seed_groups:
         stmt_keys, stmt_tables = list(stmt_keys), list(stmt_tables)
         if not stmt_keys and not stmt_tables:
@@ -367,7 +368,19 @@ def compute_repair_groups(
             expand_write_key(build, key, frontier)
         for table in stmt_tables:
             expand_full_write(build, table, frontier)
-        grow(root, frontier)
+        root = grow(root, frontier)
+        # Fixes that write a common key or table are one component even
+        # when no recorded run touches it, so no member run joins them.
+        keys, tables = set(stmt_keys), set(stmt_tables)
+        for other, other_keys, other_tables in key_seeds:
+            if (
+                keys & other_keys
+                or tables & other_tables
+                or any(key[0] in other_tables for key in keys)
+                or any(key[0] in tables for key in other_keys)
+            ):
+                root = union(root, other)
+        key_seeds.append((root, keys, tables))
 
     finished = [
         builds[i]

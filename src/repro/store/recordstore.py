@@ -22,8 +22,9 @@ Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
 :class:`~repro.store.wal.RecordWal` is attached, each one is journaled so
 the store can be rebuilt after a crash from snapshot + WAL replay
-(``WarpSystem.load``: :meth:`RecordStore.from_snapshot`, then
-:meth:`RecordStore.replay_wal`).  Side state that must outlive the process
+(``WarpSystem.load``: the snapshot's record lines, then the WAL tail,
+each applied to the deployment's own store by
+:meth:`RecordStore.apply_logged`).  Side state that must outlive the process
 too — the gate queue, repair jobs, incidents — lives in three instances of
 one :class:`JournaledTable`.
 
@@ -899,40 +900,6 @@ class RecordStore:
             snapshot.update(self._pending_snapshot())
             return snapshot
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        data: dict,
-        wal: Optional[RecordWal] = None,
-        records: Iterable[Tuple[str, dict, Optional[str]]] = (),
-        last_text_id: int = 0,
-    ) -> "RecordStore":
-        """Build a store from a snapshot's ``graph`` object plus its
-        stream of ``(kind, data, text)`` record lines, inserting one record
-        at a time: visits come first, then text entries, then runs, then
-        patches; one :class:`DecodeMemo` spans the build.  ``last_text_id``
-        is the header's ``ids.text``: the table's counter, which entries
-        dropped since may have passed."""
-        store = cls()
-        store.texts.last_id = last_text_id
-        memo = DecodeMemo(store.texts)
-        for kind, item, text in records:
-            if kind == "run":
-                store.add_run(AppRunRecord.from_dict(item, text, memo))
-            elif kind == "visit":
-                store.add_visit(VisitRecord.from_dict(item, memo))
-            elif kind == "patch":
-                store.add_patch(PatchRecord.from_dict(item))
-            elif kind == "text":
-                memo.define(item, text)
-            else:
-                raise ReproError(f"snapshot holds a record of unknown kind {kind!r}")
-        for table in store.tables:
-            for item in data.get(table.name, ()):
-                table.entries[item[table.key]] = dict(item)
-        store.wal = wal
-        return store
-
     def _snapshot_texts(self) -> List[int]:
         """Give every run its text — a run that has none yet (appended
         without a WAL, canceled since)
@@ -1040,17 +1007,11 @@ class RecordStore:
                     )
         return snapshot_id
 
-    def replay_wal(
-        self,
-        wal_path: str,
-        snapshot_id: Optional[str] = None,
-        wal_options: Optional[dict] = None,
-    ) -> int:
-        """Replay journaled entries onto this store, then attach the WAL
-        for future appends (attachment must come last so replayed entries
-        are not re-journaled).  ``wal_options`` are passed to the fresh
-        :class:`RecordWal` (its durability survives a reload).
-        Returns the number of entries applied.
+    def replay_wal(self, wal_path: str, snapshot_id: Optional[str] = None) -> int:
+        """Apply the entries journaled in the log at ``wal_path`` to this
+        store, each by :meth:`apply_logged` (so nothing is re-journaled:
+        the deployment attaches its log afterwards), and return the byte
+        length of the log's intact prefix, for the log opened next.
 
         ``snapshot_id`` ties replay to the snapshot the store was built
         from: ``save`` journals a ``snapshot_marker`` both before writing
@@ -1061,7 +1022,7 @@ class RecordStore:
         the snapshot does not already contain.
         """
         # One decoding pass: the read that yields the entries also finds
-        # where the intact prefix ends, which is all the attach needs.
+        # where the intact prefix ends, which is all the log's opening needs.
         entries, intact_size = RecordWal.read(wal_path)
         start = 0
         marker_indexes = [
@@ -1079,7 +1040,6 @@ class RecordStore:
                     "different snapshot than the one being loaded"
                 )
             start = matching[-1] + 1
-        applied = 0
         memo = DecodeMemo(self.texts)
         for number, kind, data, text in entries[start:]:
             if kind == "snapshot_marker":
@@ -1088,14 +1048,13 @@ class RecordStore:
                 self.apply_logged(kind, data, text, memo)
             except ReproError as exc:
                 raise ReproError(f"write-ahead log {wal_path!r} line {number}: {exc}") from None
-            applied += 1
-        self.wal = RecordWal(wal_path, intact_size=intact_size, **(wal_options or {}))
-        return applied
+        return intact_size
 
     def apply_logged(
         self, kind: str, data: dict, text: Optional[str] = None, memo: Optional[DecodeMemo] = None
     ) -> None:
-        """Replay one WAL entry.  Replay must be idempotent: a crash
+        """Apply one journaled entry: a WAL line, or a snapshot's record
+        line (the same bytes).  Replay must be idempotent: a crash
         between snapshot write and WAL truncation leaves entries in the
         log that the snapshot already covers.  ``text`` is the JSON ``data``
         was decoded from (a run keeps it), ``memo`` the replay's."""

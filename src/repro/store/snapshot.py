@@ -51,6 +51,9 @@ from repro.store.wal import decode_line
 
 FORMAT = 6
 
+#: The kinds of line a snapshot holds after its header, in file order.
+RECORD_KINDS = ("visit", "text", "run", "patch")
+
 
 def write_snapshot(path: str, header: dict, lines: Iterable[str]) -> None:
     """Write ``header`` and the record ``lines`` to ``path`` via a temp
@@ -107,9 +110,9 @@ class SnapshotReader:
     def records(self) -> Iterator[Tuple[str, dict, Optional[str]]]:
         """``(kind, data, text)`` per record line, as
         :func:`~repro.store.wal.decode_line` reads it.  Raises
-        :class:`ReproError` on a line that is cut short or not an entry,
-        and — after the last line — if the file does not hold the records
-        its header promises."""
+        :class:`ReproError` on a line that is cut short, not an entry or
+        of a kind other than :data:`RECORD_KINDS`, and — after the last
+        line — if the file does not hold the records its header promises."""
         seen: Dict[str, int] = {}
         for number, line in enumerate(self._fh, start=2):
             try:
@@ -118,6 +121,9 @@ class SnapshotReader:
                 kind, data, text = decode_line(line)
             except (ValueError, KeyError, TypeError):
                 raise self._refuse(f"line {number} is not a complete record") from None
+            if kind not in RECORD_KINDS:
+                # A WAL-only kind is a refusal here, not an edit to apply.
+                raise self._refuse(f"line {number} holds a record of unknown kind {kind!r}")
             seen[kind] = seen.get(kind, 0) + 1
             yield kind, data, text
         expected = {k: n for k, n in self.header.get("records", {}).items() if n}

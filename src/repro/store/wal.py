@@ -554,7 +554,3 @@ class RecordWal:
         for entry, _ in RecordWal._intact_lines(path):
             if entry is not None:
                 yield entry[:2]
-
-
-def open_wal(path: Optional[str], **options) -> Optional[RecordWal]:
-    return RecordWal(path, **options) if path is not None else None

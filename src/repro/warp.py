@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import nullcontext
 from typing import Callable, Dict, Optional
 
 from repro.ahg.graph import ActionHistoryGraph
@@ -54,7 +55,7 @@ from repro.repair.jobs import RepairJobManager
 from repro.repair.replay import ReplayConfig
 from repro.store.recordstore import RecordStore
 from repro.store.snapshot import SnapshotReader, gc_paused
-from repro.store.wal import RecordWal, open_wal
+from repro.store.wal import RecordWal
 from repro.ttdb.timetravel import TimeTravelDB
 
 
@@ -83,24 +84,10 @@ class WarpSystem:
         self.faults = fault_plane if fault_plane is not None else _active_plane()
         #: Serving-path configuration (API.md "High-throughput serving").
         self.durability = durability
-        self._wal_options = {"durability": durability, "fault_plane": self.faults}
         self.clock = LogicalClock()
         self.ids = IdAllocator()
         self.rng = random.Random(seed)
 
-        if wal_path is not None and os.path.exists(wal_path):
-            # Drop a torn never-acknowledged fragment first: a log holding
-            # only that has no recoverable data and must not block a fresh
-            # start (load() needs a snapshot, so it cannot help there).
-            RecordWal.repair(wal_path)
-            if os.path.getsize(wal_path):
-                # A fresh system appending to a previous deployment's log
-                # would interleave two histories; recovery is load()'s job.
-                raise RepairError(
-                    f"write-ahead log {wal_path!r} already contains entries — "
-                    "recover with WarpSystem.load(snapshot_or_None, wal_path=...) "
-                    "or remove the file"
-                )
         #: Storage engine selection (repro.db.engine): explicit argument,
         #: then the ``REPRO_DB_BACKEND`` environment variable, then the
         #: in-memory engine.  ``db_path`` picks where the SQLite engine
@@ -115,12 +102,7 @@ class WarpSystem:
         self.ttdb = TimeTravelDB(
             self.database, self.clock, enabled=enabled, fault_plane=self.faults
         )
-        self.graph = ActionHistoryGraph(
-            RecordStore(
-                wal=open_wal(wal_path, **self._wal_options),
-                fault_plane=self.faults,
-            )
-        )
+        self.graph = ActionHistoryGraph(RecordStore(fault_plane=self.faults))
         self.scripts = ScriptStore()
         self.runtime = AppRuntime(
             self.scripts, self.ttdb, self.clock, self.ids, rng=self.rng
@@ -146,7 +128,20 @@ class WarpSystem:
         #: it — not only when an acknowledged write's wait surfaces it.
         self.health = HealthMonitor(self)
         self.server.health = self.health
-        self._wire_wal_health()
+        if wal_path is not None:
+            # Opening the log drops a torn never-acknowledged fragment: a log
+            # holding only that has no recoverable data and must not block a
+            # fresh start (load() needs a snapshot, so it cannot help there).
+            wal = self._open_log(wal_path)
+            if os.path.getsize(wal_path):
+                # A fresh system appending to a previous deployment's log
+                # would interleave two histories; recovery is load()'s job.
+                wal.close()
+                raise RepairError(
+                    f"write-ahead log {wal_path!r} already contains entries — "
+                    "recover with WarpSystem.load(snapshot_or_None, wal_path=...) "
+                    "or remove the file"
+                )
         #: Front-line detection (repro.detect), installed by
         #: :meth:`enable_detection`; inert (and zero-cost on the serve
         #: path) until then.
@@ -159,12 +154,16 @@ class WarpSystem:
     def _conflicts_route(self, request: HttpRequest):
         return 200, {"pending": [c.to_dict() for c in self.conflicts.pending()]}
 
-    def _wire_wal_health(self) -> None:
-        """Point the store's current WAL at the health monitor.  Called at
-        construction and again after ``replay_wal`` replaces the WAL."""
-        wal = self.graph.store.wal
-        if wal is not None:
-            wal.on_degrade = self.health.on_wal_degrade
+    def _open_log(self, wal_path: str, intact_size: Optional[int] = None) -> RecordWal:
+        """Open the deployment's write-ahead log with its own durability and
+        fault plane, report the log's durability failures to the health
+        monitor, and attach it to the store: the one place a deployment's
+        log is opened.  ``intact_size`` is where a replay that just read
+        the log found its intact prefix to end."""
+        wal = RecordWal(wal_path, self.durability, self.faults, intact_size)
+        wal.on_degrade = self.health.on_wal_degrade
+        self.graph.store.wal = wal
+        return wal
 
     def enable_online_repair(self) -> RepairGate:
         """Install the partition-scoped write gate (repro.repair.gate):
@@ -319,23 +318,24 @@ class WarpSystem:
     ) -> "WarpSystem":
         """Reconstruct a persisted deployment in a fresh process.
 
-        When ``wal_path`` is given, action records journaled after the
-        snapshot are replayed on top of it (the write-ahead log restores
-        the action history graph; database versions are only as fresh as
-        the snapshot).  ``path=None`` recovers from the WAL alone — the
-        crash-before-first-save case: the action history graph is rebuilt
-        but database rows, clock origin and counters start fresh, so the
-        application must be reinstalled, not just re-registered.  The
-        caller must re-register application scripts either way (code is
-        not serialized) — recorded routes are restored so request dispatch
-        works as soon as the scripts exist again.
+        One body serves both cases; they differ only in where the
+        configuration comes from.  With a snapshot at ``path`` its header
+        configures the deployment, and ``ctor_kwargs`` are refused (a
+        silently ignored override would be a debugging trap).  ``path=None``
+        recovers from the WAL alone — the crash-before-first-save case —
+        configured by ``ctor_kwargs`` as the constructor is (``durability``,
+        ``fault_plane``, ``db_backend``/``db_path``, ...): database rows
+        (whatever ``db_path`` holds), clock origin and counters start fresh,
+        so the application must be reinstalled, not just re-registered.
 
-        ``ctor_kwargs`` configure the fresh system underneath WAL-only
-        recovery (``path=None``) — e.g. ``db_backend``/``db_path``; its
-        database starts empty whatever ``db_path`` holds, since an engine
-        never reads files it did not write.  With a snapshot they are
-        refused: the snapshot's own repair/storage/serving config wins, and
-        a silently ignored override would be a debugging trap.
+        The snapshot's record lines, then the WAL entries journaled after
+        it, are applied to the deployment's own store by one rule
+        (:meth:`RecordStore.apply_logged`); the log is then opened for
+        appends, once, with the deployment's settings.  The WAL restores
+        the action history graph; database versions are only as fresh as
+        the snapshot.  Code is not serialized: the caller re-registers
+        application scripts either way, and recorded routes are restored
+        so dispatch works as soon as they exist again.
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
@@ -345,72 +345,52 @@ class WarpSystem:
         :class:`~repro.core.errors.ReproError` naming the file — an older
         format with the last commit that reads it (:mod:`repro.store.snapshot`).
         """
-        if path is None:
-            if wal_path is None:
-                raise RepairError("load needs a snapshot path, a wal_path, or both")
-            warp = cls(replay_config=replay_config, **ctor_kwargs)
-            with gc_paused():
-                warp.graph.store.replay_wal(wal_path)
-            warp._wire_wal_health()
-            warp._sync_id_counters()
-            warp._sync_clock()
-            return warp
-        if ctor_kwargs:
+        if path is None and wal_path is None:
+            raise RepairError("load needs a snapshot path, a wal_path, or both")
+        if path is not None and ctor_kwargs:
             raise RepairError(
                 "load from a snapshot takes its configuration from the "
                 f"snapshot; unexpected overrides: {sorted(ctor_kwargs)}"
             )
-        with gc_paused(), SnapshotReader(path) as snapshot:
-            return cls._from_snapshot(snapshot, replay_config, wal_path)
-
-    @classmethod
-    def _from_snapshot(
-        cls,
-        snapshot: SnapshotReader,
-        replay_config: Optional[ReplayConfig],
-        wal_path: Optional[str],
-    ) -> "WarpSystem":
-        state = snapshot.header
-        serving = state["serving_config"]
-        warp = cls(
-            origin=state["origin"],
-            enabled=state["enabled"],
-            replay_config=replay_config,
-            db_backend=snapshot_backend(state),
-            db_path=state["storage_config"]["db_path"],
-            durability=serving["durability"],
-        )
-        # The graph first: reading its record lines to the end is what
-        # proves the file whole, and a refused snapshot must not already
-        # have replaced the database.
-        warp.graph.restore_snapshot(
-            state["graph"], snapshot.records(), state["ids"].get("text", 0)
-        )
-        warp.clock.restore(state["clock"])
-        warp.ids.restore(state["ids"])
-        warp.rng.setstate(decode_tree(state["rng_state"]))
-        warp.database.restore(state["database"])
-        warp.ttdb.restore_state(state["ttdb"])
-        if wal_path is not None:
-            warp.graph.store.replay_wal(
-                wal_path,
-                snapshot_id=state.get("snapshot_id"),
-                wal_options=warp._wal_options,
-            )
-            warp._wire_wal_health()
-        warp._sync_id_counters()
-        warp._sync_clock()
-        warp.server.routes.update(state.get("routes", {}))
-        warp._expected_script_versions = dict(state.get("script_versions", {}))
-        warp.conflicts.restore(state.get("conflicts", []))
-        warp.server.cookie_invalidation.update(state.get("cookie_invalidation", ()))
-        repair_config = state.get("repair_config", {})
-        if repair_config.get("online_gate"):
-            warp.enable_online_repair()
-        warp.server.admin_token = repair_config.get("admin_token")
-        detection_config = state.get("detection_config", {})
-        if detection_config.get("enabled"):
-            warp.enable_detection()
+        with gc_paused(), (nullcontext() if path is None else SnapshotReader(path)) as snapshot:
+            state = {} if snapshot is None else snapshot.header
+            if snapshot is not None:
+                ctor_kwargs = {
+                    "origin": state["origin"],
+                    "enabled": state["enabled"],
+                    "admin_token": state.get("repair_config", {}).get("admin_token"),
+                    "db_backend": snapshot_backend(state),
+                    "db_path": state["storage_config"]["db_path"],
+                    "durability": state["serving_config"]["durability"],
+                }
+            warp = cls(replay_config=replay_config, **ctor_kwargs)
+            if snapshot is not None:
+                # The graph first: reading its record lines to the end is
+                # what proves the file whole, and a refused snapshot must not
+                # already have replaced the database.
+                warp.graph.restore_snapshot(
+                    state["graph"], snapshot.records(), state["ids"].get("text", 0)
+                )
+                warp.clock.restore(state["clock"])
+                warp.ids.restore(state["ids"])
+                warp.rng.setstate(decode_tree(state["rng_state"]))
+                warp.database.restore(state["database"])
+                warp.ttdb.restore_state(state["ttdb"])
+            if wal_path is not None:
+                intact_size = warp.graph.store.replay_wal(
+                    wal_path, snapshot_id=state.get("snapshot_id")
+                )
+                warp._open_log(wal_path, intact_size)
+            warp._sync_id_counters()
+            warp._sync_clock()
+            warp.server.routes.update(state.get("routes", {}))
+            warp._expected_script_versions = dict(state.get("script_versions", {}))
+            warp.conflicts.restore(state.get("conflicts", []))
+            warp.server.cookie_invalidation.update(state.get("cookie_invalidation", ()))
+            if state.get("repair_config", {}).get("online_gate"):
+                warp.enable_online_repair()
+            if state.get("detection_config", {}).get("enabled"):
+                warp.enable_detection()
         return warp
 
     def _script_versions_for_save(self) -> Dict[str, int]:

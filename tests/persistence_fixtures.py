@@ -50,6 +50,7 @@ import os
 import sys
 import tempfile
 
+from repro.ahg.graph import ActionHistoryGraph
 from repro.ahg.records import RESPONSE_ROW, AppRunRecord, NondetRecord, QueryRecord
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
@@ -174,23 +175,21 @@ def save_store(store: RecordStore, path: str) -> str:
 
 
 def recover_store(snapshot_path=None, wal_path=None) -> RecordStore:
-    """The store half of ``WarpSystem.load``: build a store from the
-    snapshot at ``snapshot_path`` when there is one, then replay (and
-    attach) the WAL at ``wal_path`` when given."""
+    """The store half of ``WarpSystem.load``: apply the snapshot at
+    ``snapshot_path`` to a fresh store when there is one, then replay the
+    WAL at ``wal_path`` when given and attach it for appends."""
+    store = RecordStore()
     snapshot_id = None
     if snapshot_path is not None and os.path.exists(snapshot_path):
         with SnapshotReader(snapshot_path) as snapshot:
             header = snapshot.header
-            store = RecordStore.from_snapshot(
-                header["graph"],
-                records=snapshot.records(),
-                last_text_id=header["ids"].get("text", 0),
+            ActionHistoryGraph(store).restore_snapshot(
+                header["graph"], snapshot.records(), header["ids"].get("text", 0)
             )
         snapshot_id = header["snapshot_id"]
-    else:
-        store = RecordStore()
     if wal_path is not None:
-        store.replay_wal(wal_path, snapshot_id=snapshot_id)
+        intact_size = store.replay_wal(wal_path, snapshot_id=snapshot_id)
+        store.wal = RecordWal(wal_path, intact_size=intact_size)
     return store
 
 

@@ -1,8 +1,9 @@
 """A reloaded history holds each distinct thing once — and nobody can tell.
 
-``RecordStore.from_snapshot`` and ``replay_wal`` decode through one
-``DecodeMemo``, so the records of a reloaded store share their SQL texts,
-read sets, params and snapshot tuples, header and cookie strings.  Pinned
+``ActionHistoryGraph.restore_snapshot`` and ``replay_wal`` each apply
+their lines to the deployment's store through one ``DecodeMemo``, so the
+records of a reloaded store share their SQL texts, read sets, params and
+snapshot tuples, header and cookie strings.  Pinned
 here: only immutable objects are ever shared; a read set is shared exactly
 when it is the same read set, type for type; repair on a store that shares
 gives the graph it gives on one that does not, whatever the repair scope

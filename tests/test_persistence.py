@@ -408,6 +408,34 @@ class TestWarpSystemPersistence:
         )
         assert recovered.ids.peek("run") == max(recovered.graph.runs)
 
+    def test_snapshotless_load_opens_the_log_with_its_own_settings(self, tmp_path):
+        """WAL-only recovery takes its configuration from its keywords, the
+        log's included: the recovered deployment appends with the
+        durability and fault plane it was given, not the defaults."""
+        from repro.faults.plane import FaultPlane
+        from repro.http.message import HttpRequest
+
+        wal_path = str(tmp_path / "records.wal")
+        warp, _ = build_workload(wal_path=wal_path)
+        warp.graph.store.wal.close()
+        plane = FaultPlane()
+        recovered = WarpSystem.load(
+            None, wal_path=wal_path, durability="none", fault_plane=plane
+        )
+        wal = recovered.graph.store.wal
+        assert recovered.durability == wal.durability == "none"
+        assert wal.faults is plane
+        assert wal.on_degrade == recovered.health.on_wal_degrade
+        # The next recorded request reaches the log through that plane.
+        wiki = WikiApp(recovered.ttdb, recovered.scripts, recovered.server)
+        wiki.install()
+        wiki.seed_page("Home", "welcome", "bob")
+        rule = plane.arm(point="wal.append", kind="io", times=1)
+        read = HttpRequest("GET", "/index.php", params={"title": "Home"})
+        assert recovered.server.handle(read).status == 200
+        assert rule.fired == 1
+        assert wal.retried_writes == 1 and not wal.failed
+
     def test_torn_only_wal_does_not_block_fresh_start(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
         with open(wal_path, "w", encoding="utf-8") as fh:

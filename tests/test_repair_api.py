@@ -272,6 +272,7 @@ PREVIEW_CASES = {
     "fix-keyed": (6, 6, 37, 0, 0),
     "fix-rename": (6, 6, 37, 0, 0),
     "fix-nonpartition": (0, 0, 1, 0, 0),
+    "fix-unrecorded-key-twice": (0, 0, 2, 0, 0),
 }
 
 FIX_PROBES = {
@@ -283,6 +284,12 @@ FIX_PROBES = {
 
 
 def _preview_case(case):
+    if case == "fix-unrecorded-key-twice":
+        # Two fixes of a partition key no recorded run touches: nothing in
+        # the history joins them, the key they share does.
+        outcome = run_multi_tenant_scenario(2, 1, seed=1)
+        sql = "UPDATE users SET password = ? WHERE name = 'ghost'"
+        return outcome, RepairBatch([DbFixSpec(sql, ["x"], ts=1), DbFixSpec(sql, ["x"], ts=1)])
     if case in FIX_PROBES:
         outcome = run_multi_tenant_scenario(
             n_tenants=4, users_per_tenant=2, attacked_tenants=1, seed=1
@@ -323,6 +330,11 @@ def test_preview_is_the_plan_the_repair_runs(case):
     # The renamed title is a key no recorded run wrote: the fix's own
     # escape, one more than the repair's re-execution finds.
     assert stats.escaped_keys == {"csrf": 25, "fix-rename": 2}.get(case, 0)
+    if case == "fix-unrecorded-key-twice":
+        # One component, billed with both fixes' statements.
+        assert [(row["queries_reexecuted"], row.get("orphan")) for row in stats.groups] == [
+            (2, None)
+        ]
 
 
 # ---------------------------------------------------------------------------

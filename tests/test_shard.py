@@ -18,6 +18,7 @@ import time
 import pytest
 
 import persistence_fixtures as fixtures
+from repro.apps.wiki.app import WikiApp
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec, DbFixSpec, RepairBatch, parse_spec
 from repro.repair.stats import merge_stats_dicts
@@ -383,6 +384,25 @@ class TestWireAndWorker:
         assert fresh is False
         assert warp.graph.to_snapshot() == live
         assert_ids_resolve(warp)
+
+    def test_a_wal_only_reboot_keeps_the_shard_settings(self, tmp_path):
+        """A shard that crashed before its first save reboots from its WAL
+        alone with the keywords it boots with: the log it appends to keeps
+        their durability."""
+        root = str(tmp_path)
+        warp, fresh = load_or_create_shard(root, 0, durability="none")
+        assert fresh and warp.graph.store.wal.durability == "none"
+        wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+        wiki.install()
+        wiki.seed_page("Home", "welcome", "admin")
+        read = HttpRequest("GET", "/index.php", params={"title": "Home"})
+        assert warp.server.handle(read).status == 200
+        warp.graph.store.wal.close()
+        assert not os.path.exists(shard_layout(root, 0)["snapshot"])
+
+        reborn, fresh = load_or_create_shard(root, 0, durability="none")
+        assert fresh and reborn.graph.n_runs == warp.graph.n_runs == 1
+        assert reborn.durability == reborn.graph.store.wal.durability == "none"
 
 
 # ---------------------------------------------------------------------------

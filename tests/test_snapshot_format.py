@@ -1233,6 +1233,42 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         assert files() == before
 
+    @pytest.mark.parametrize("kind", ["cancel_run", "gc", "replace_run"])
+    def test_a_wal_only_kind_in_a_snapshot_is_refused(self, tmp_path, kind):
+        """Snapshot lines and WAL lines are applied by one rule, but a
+        snapshot holds only visits, texts, runs and patches: a line of a
+        kind only the log writes is refused by the file's name, before
+        anything touches the database files."""
+        db_path = str(tmp_path / "db")
+        warp = WarpSystem(db_backend="sqlite", db_path=db_path)
+        wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
+        wiki.install()
+        wiki.seed_page("P", "seed\n", owner="admin")
+        read = HttpRequest("GET", "/index.php", params={"title": "P"})
+        assert warp.server.handle(read).status == 200
+        path = str(tmp_path / "warp.json")
+        warp.save(path)
+        lines = read_lines(path)
+        (run,) = run_lines(path)
+        data = {"cancel_run": {"run_id": run["run_id"]}, "gc": {"horizon_ts": 1}}
+        line = entry_line(kind, json.dumps(data.get(kind, run), separators=COMPACT))
+        rewrite(path, lines + [line])
+
+        def files():
+            found = {}
+            for directory, _, names in os.walk(warp.database.path):
+                for name in names:
+                    with open(os.path.join(directory, name), "rb") as fh:
+                        found[os.path.join(directory, name)] = fh.read()
+            return found
+
+        before = files()
+        assert before
+        refused = rf"warp\.json.*line {len(lines) + 1} holds a record of unknown kind '{kind}'"
+        with pytest.raises(ReproError, match=refused):
+            WarpSystem.load(path)
+        assert files() == before
+
     @pytest.mark.parametrize("version", [0, 7, "6", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
