@@ -160,7 +160,7 @@ def main() -> None:
     body = probe.body
     check("acked edits present exactly once", body.count("before-the-storm.") == 1)
     check("healed write present exactly once", body.count("after-the-storm.") == 1)
-    reloaded.graph.store.wal.close()
+    reloaded.close()
 
     print()
     if FAILURES:

@@ -185,10 +185,12 @@ class ActionHistoryGraph:
         keys: Iterable[PartitionKey],
         since_ts: int,
         whole_table: bool = False,
+        drained=None,
     ) -> List[QueryRecord]:
         """Candidate queries that may read or write the given partitions
-        strictly after ``since_ts``.  Callers re-check precisely."""
-        return self.store.queries_touching(table, keys, since_ts, whole_table)
+        strictly after ``since_ts``, less what a repair's ``drained`` marks
+        say it was handed already.  Callers re-check precisely."""
+        return self.store.queries_touching(table, keys, since_ts, whole_table, drained)
 
     # -- per-client log quota (paper §5.2) ----------------------------------------
 

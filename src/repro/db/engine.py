@@ -29,6 +29,9 @@ A storage engine is a ``Database``-shaped object:
     (``version_count`` and the like) say which.  Empty on the memory
     engine, which cannot fail halfway; one transaction per table file on
     SQLite, rolled back on any exception.
+``close()``
+    Release what the engine holds open (SQLite's connections and scratch
+    directory; nothing on the memory engine).  A second call is harmless.
 
 Each table it returns is a ``Table``-shaped object providing:
 

@@ -701,6 +701,10 @@ class Database:
         transaction per table file."""
         return _NO_SCOPE
 
+    def close(self) -> None:
+        """Release what the engine holds open.  Nothing here: the tables
+        are Python objects.  The SQLite engine closes its connections."""
+
     # -- persistence ------------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -188,9 +188,7 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
     try:
         _check_invariants(report, loaded, wiki2, interrupted_job_ids)
     finally:
-        loaded_wal = loaded.graph.store.wal
-        if loaded_wal is not None:
-            loaded_wal.close()
+        loaded.close()
     return report
 
 

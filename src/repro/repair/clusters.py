@@ -109,15 +109,17 @@ class RepairGroup:
         keys,
         since_ts: int,
         whole_table: bool = False,
+        drained=None,
     ) -> List[QueryRecord]:
         """Candidate queries for a modification, from the graph's partition
-        buckets; a key outside the group's coverage counts as an escape."""
+        buckets less what the repair's ``drained`` marks say it was handed
+        already; a key outside the group's coverage counts as an escape."""
         if self.scoped:
             if whole_table:
                 self.escaped_keys += table not in self.covered_tables
             else:
                 self.escaped_keys += sum(not self.covers(key) for key in keys)
-        return graph.queries_touching(table, keys, since_ts, whole_table)
+        return graph.queries_touching(table, keys, since_ts, whole_table, drained)
 
     def describe(self) -> Dict[str, object]:
         """One JSON-friendly per-group stats row."""

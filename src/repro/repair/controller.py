@@ -74,6 +74,7 @@ from repro.repair.clusters import (
 from repro.repair.conflicts import Conflict, ConflictQueue
 from repro.repair.replay import BrowserReplayer, ReplayConfig
 from repro.repair.stats import RepairStats
+from repro.store.recordstore import DrainMarks
 from repro.ttdb.partitions import ModifiedPartitions
 from repro.ttdb.timetravel import TimeTravelDB, TTResult, split_statements
 
@@ -193,6 +194,10 @@ class RepairController:
         self._run_state: Dict[int, str] = {}
         self._visit_state: Dict[Tuple[str, int], str] = {}
         self._scheduled_qids: Set[int] = set()
+        #: The store's drain marks for this repair's lookups: each bucket
+        #: hands an entry over once, and every entry handed over lands in
+        #: ``_scheduled_qids``.
+        self._drained: DrainMarks = {}
         self._counted_visits: Set[Tuple[str, int]] = set()
         #: Clients whose replay hit a conflict (paper §5.4).
         self._conflicted_clients: Set[str] = set()
@@ -871,11 +876,14 @@ class RepairController:
     def _propagate(self, table: str, keys, ts: int, whole_table: bool) -> None:
         """Queue every recorded query the modification may affect, each at
         most once per repair.  The store's buckets answer in every scope, so
-        the candidates are the same with or without groups.  The buckets a
-        lookup builds are timed as Table 7's "Graph", so that time is taken
-        out of the phase the lookup ran in."""
+        the candidates are the same with or without groups, and the drain
+        marks keep a bucket from handing over again what it already has.
+        The buckets a lookup builds are timed as Table 7's "Graph", so that
+        time is taken out of the phase the lookup ran in."""
         built = self.graph.graph_load_seconds
-        candidates = self._g.queries_touching(self.graph, table, keys, ts, whole_table)
+        candidates = self._g.queries_touching(
+            self.graph, table, keys, ts, whole_table, self._drained
+        )
         self.stats.timer.carve(self.graph.graph_load_seconds - built)
         for query in candidates:
             if query.qid not in self._scheduled_qids:

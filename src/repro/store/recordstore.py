@@ -16,7 +16,9 @@ index cost follows the keys it reaches, not the table's history.  The build
 time is accounted in ``index_build_seconds`` (the paper's Table 7 "Graph"
 column: loading the action history graph is part of repair cost).  An
 append updates only the buckets already built; everything else is
-maintained eagerly at append time.
+maintained eagerly at append time.  A repair's lookups share drain marks,
+so a bucket hands each entry to one repair once: a key the repair
+rewrites k times costs its tail once, not k times.
 
 Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
@@ -99,16 +101,31 @@ def touches_key(query: QueryRecord, key: PartitionKey) -> bool:
     )
 
 
-def merge_bucket_tails(buckets, since_ts: int) -> List[QueryRecord]:
+#: One repair's drain marks: bucket name -> ``(bucket, length, mark)``,
+#: the bucket list and its length when it had handed over every entry
+#: with ``ts > mark``.  See :meth:`RecordStore.queries_touching`.
+DrainMarks = Dict[object, Tuple[list, int, int]]
+
+
+def merge_bucket_tails(
+    named_buckets, since_ts: int, drained: DrainMarks
+) -> List[QueryRecord]:
     """Distinct queries with ``ts > since_ts`` across pre-sorted
-    ``(ts, qid, query)`` buckets, in timestamp order: bisect each bucket's
-    tail, heap-merge, dedupe by qid — never a re-sort."""
-    cut = (since_ts, _AFTER_ANY_QID)
+    ``(ts, qid, query)`` buckets, less what ``drained`` marks as handed
+    over, in timestamp order: bisect each bucket's undrained tail,
+    heap-merge, dedupe by qid — never a re-sort."""
     tails = []
-    for bucket in buckets:
-        start = bisect.bisect_right(bucket, cut)
-        if start < len(bucket):
-            tails.append(bucket[start:])
+    for name, bucket in named_buckets:
+        size = end = len(bucket)
+        held = drained.get(name)
+        if held is not None and held[0] is bucket and held[1] == size:
+            if since_ts >= held[2]:
+                continue
+            end = bisect.bisect_right(bucket, (held[2], _AFTER_ANY_QID))
+        drained[name] = (bucket, size, since_ts)
+        start = bisect.bisect_right(bucket, (since_ts, _AFTER_ANY_QID))
+        if start < end:
+            tails.append(bucket[start:end])
     seen: Set[int] = set()
     out: List[QueryRecord] = []
     for _, qid, query in heapq.merge(*tails):
@@ -692,19 +709,28 @@ class RecordStore:
         keys: Iterable[PartitionKey],
         since_ts: int,
         whole_table: bool = False,
+        drained: Optional[DrainMarks] = None,
     ) -> List[QueryRecord]:
         """Candidate queries that may read or write the given partitions
         strictly after ``since_ts``, in timestamp order.  Buckets are kept
         time-ordered, so this is a heap merge of pre-sorted runs of
         answers — no per-call sort.  Callers re-check precisely.  Under
-        the store lock: a bucket build reads the TouchIndex and the runs."""
+        the store lock: a bucket build reads the TouchIndex and the runs.
+
+        ``drained`` is one repair's drain marks, shared by all of its
+        lookups: a bucket hands over only entries in ``(since_ts, mark]``,
+        where ``mark`` is the lowest ``since_ts`` it answered before, and
+        nothing when ``since_ts >= mark`` — so a repair, which queues every
+        candidate it is handed, pays each bucket entry once.  An append
+        into the bucket, or its rebuild after ``invalidate_partition_indexes``
+        or ``gc``, voids the mark.  Without ``drained`` the lookup is a
+        repair's first: the full answer."""
+        if drained is None:
+            drained = {}
         with self.lock:
-            if whole_table:
-                buckets = [self._bucket(table)]
-            else:
-                buckets = [self._bucket(key) for key in keys]
-                buckets.append(self._bucket((table,)))
-            return merge_bucket_tails(buckets, since_ts)
+            names = [table] if whole_table else [*keys, (table,)]
+            named = [(name, self._bucket(name)) for name in names]
+            return merge_bucket_tails(named, since_ts, drained)
 
     def _bucket(self, name) -> List[Tuple[int, int, QueryRecord]]:
         """The bucket ``name`` (a partition key, ``(table,)`` or ``table``),

@@ -132,11 +132,11 @@ class WarpSystem:
             # Opening the log drops a torn never-acknowledged fragment: a log
             # holding only that has no recoverable data and must not block a
             # fresh start (load() needs a snapshot, so it cannot help there).
-            wal = self._open_log(wal_path)
+            self._open_log(wal_path)
             if os.path.getsize(wal_path):
                 # A fresh system appending to a previous deployment's log
                 # would interleave two histories; recovery is load()'s job.
-                wal.close()
+                self.close()
                 raise RepairError(
                     f"write-ahead log {wal_path!r} already contains entries — "
                     "recover with WarpSystem.load(snapshot_or_None, wal_path=...) "
@@ -154,7 +154,7 @@ class WarpSystem:
     def _conflicts_route(self, request: HttpRequest):
         return 200, {"pending": [c.to_dict() for c in self.conflicts.pending()]}
 
-    def _open_log(self, wal_path: str, intact_size: Optional[int] = None) -> RecordWal:
+    def _open_log(self, wal_path: str, intact_size: Optional[int] = None) -> None:
         """Open the deployment's write-ahead log with its own durability and
         fault plane, report the log's durability failures to the health
         monitor, and attach it to the store: the one place a deployment's
@@ -163,7 +163,15 @@ class WarpSystem:
         wal = RecordWal(wal_path, self.durability, self.faults, intact_size)
         wal.on_degrade = self.health.on_wal_degrade
         self.graph.store.wal = wal
-        return wal
+
+    def close(self) -> None:
+        """Release what the deployment holds open: its write-ahead log
+        (committing what is buffered first) and the storage engine's
+        connections.  A second call is harmless."""
+        wal = self.graph.store.wal
+        if wal is not None:
+            wal.close()
+        self.database.close()
 
     def enable_online_repair(self) -> RepairGate:
         """Install the partition-scoped write gate (repro.repair.gate):

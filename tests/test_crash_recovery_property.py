@@ -366,7 +366,7 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
     serving = False
     saver.join(60.0)
     assert not any(thread.is_alive() for thread in threads + [saver])
-    warp.graph.store.wal.close()
+    warp.close()
     assert statuses == [200] * n_threads * n_rounds
 
     entries = fixtures.segment(snap_path, wal_path)
@@ -374,7 +374,7 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
     texts = [fixtures.entry_text(data) for kind, data in entries if kind == "text"]
     assert len(set(texts)) == len(texts)  # each once
     loaded = WarpSystem.load(snap_path, wal_path=wal_path)
-    loaded.graph.store.wal.close()
+    loaded.close()
     assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
     assert loaded.graph.n_runs == n_threads * n_rounds
     shared = [

@@ -347,7 +347,7 @@ class TestSnapshotMarkerWindows:
         warp.graph.store.wal._mark_crashed()
         loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
         assert len(loaded.graph.store.runs) == runs_before
-        loaded.graph.store.wal.close()
+        loaded.close()
 
     def test_post_truncate_marker_failure_keeps_snapshot_usable(self, tmp_path):
         """Mismatch window on the other side: the WAL is truncated but
@@ -368,7 +368,7 @@ class TestSnapshotMarkerWindows:
         warp.graph.store.wal._mark_crashed()
         loaded = WarpSystem.load(snap, wal_path=warp.graph.store.wal.path)
         assert len(loaded.graph.store.runs) == runs_before
-        loaded.graph.store.wal.close()
+        loaded.close()
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +576,7 @@ class TestRepairUnderFaults:
         assert job.job_id in loaded.graph.store.repair_jobs.entries
         assert loaded.repair.acknowledge_interrupted(job.job_id)
         assert loaded.repair.interrupted_jobs() == []
-        loaded.graph.store.wal.close()
+        loaded.close()
 
     def test_crash_journaling_the_start_leaves_no_interrupted_job(self, tmp_path):
         """The process dies writing the job's start: the repair never
@@ -594,7 +594,7 @@ class TestRepairUnderFaults:
         assert loaded.graph.store.repair_jobs.entries == {}
         assert loaded.repair.interrupted_jobs() == []
         assert not any(run.canceled for run in loaded.graph.runs.values())
-        loaded.graph.store.wal.close()
+        loaded.close()
 
 
 # ---------------------------------------------------------------------------

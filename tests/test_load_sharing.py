@@ -54,7 +54,7 @@ def wiki_history(directory, backend="python", n_requests=500):
     assert stats.errors == 0
     path = str(directory / "warp.json")
     warp.save(path)
-    warp.graph.store.wal.close()
+    warp.close()
     return warp, path
 
 

@@ -223,7 +223,7 @@ class TestWarpSystemPersistence:
                 assert restored.cookies_before == visit.cookies_before, key
                 assert restored.cookies_after == visit.cookies_after, key
             assert any(v.cookies_after != v.cookies_before for v in live.graph.visits.values())
-            reloaded.graph.store.wal.close()
+            reloaded.close()
 
     def test_wal_preserves_cancellations(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
@@ -259,7 +259,8 @@ class TestWarpSystemPersistence:
         from repro.core.errors import RepairError
 
         wal_path = str(tmp_path / "records.wal")
-        build_workload(wal_path=wal_path)  # leaves entries in the log
+        warp, _ = build_workload(wal_path=wal_path)  # leaves entries in the log
+        warp.close()
         with pytest.raises(RepairError, match="already contains entries"):
             WarpSystem(wal_path=wal_path)
 
@@ -407,6 +408,8 @@ class TestWarpSystemPersistence:
             r.ts_end for r in recovered.graph.runs.values()
         )
         assert recovered.ids.peek("run") == max(recovered.graph.runs)
+        recovered.close()
+        warp.close()
 
     def test_snapshotless_load_opens_the_log_with_its_own_settings(self, tmp_path):
         """WAL-only recovery takes its configuration from its keywords, the
@@ -417,7 +420,7 @@ class TestWarpSystemPersistence:
 
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
-        warp.graph.store.wal.close()
+        warp.close()
         plane = FaultPlane()
         recovered = WarpSystem.load(
             None, wal_path=wal_path, durability="none", fault_plane=plane
@@ -435,6 +438,7 @@ class TestWarpSystemPersistence:
         assert recovered.server.handle(read).status == 200
         assert rule.fired == 1
         assert wal.retried_writes == 1 and not wal.failed
+        recovered.close()
 
     def test_torn_only_wal_does_not_block_fresh_start(self, tmp_path):
         wal_path = str(tmp_path / "records.wal")
@@ -587,6 +591,8 @@ class TestWarpSystemPersistence:
         again = WarpSystem.load(None, wal_path=wal_path)
         assert again.recovered_queued_requests() == []
         assert again.graph.store.gate_queue.entries == {}
+        for deployment in (warp, recovered, again):
+            deployment.close()
 
     def test_repair_refuses_until_code_is_reregistered(self, tmp_path):
         from repro.core.errors import RepairError

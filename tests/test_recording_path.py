@@ -60,7 +60,7 @@ def kv(tmp_path):
         HttpRequest("GET", "/probe.php", params={k: str(v) for k, v in params.items()})
     )
     yield warp
-    warp.graph.store.wal.close()
+    warp.close()
 
 
 SELECT_V = "SELECT v FROM t WHERE k = ?"

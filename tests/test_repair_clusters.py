@@ -33,6 +33,7 @@ from repro.repair.clusters import (
 )
 from repro.store import recordstore
 from repro.warp import WarpSystem
+from repro.workload.loadgen import make_load_clients
 from repro.workload.scenarios import (
     WIKI,
     WikiDeployment,
@@ -562,6 +563,45 @@ class TestIndexCostFollowsDamage:
         assert inspected[2] > 0
         assert inspected[16] == inspected[2]
 
+    def test_lookups_hand_over_each_bucket_entry_once(self, monkeypatch):
+        """Undoing a defacement re-executes every later edit of the page; a
+        key the repair rewrites k times must not have its bucket's tail
+        walked k times, so the candidates grow with the history, not with
+        its square."""
+        handed = {}
+        for n_pairs in (50, 100):
+            deployment = WikiDeployment(n_users=0, seed=1)
+            deployment.wiki.seed_page("News", "news", owner="admin")
+            mallory, alice = make_load_clients(
+                deployment.wiki, deployment.warp.server, ["mallory", "alice"]
+            )
+            edit = {"title": "News", "append": "\nDEFACED."}
+            assert mallory.send(mallory.request("POST", "/edit.php", edit)).status == 200
+            for i in range(n_pairs):
+                edit = {"title": "News", "append": f"\nline {i}."}
+                assert alice.send(alice.request("POST", "/edit.php", edit)).status == 200
+                view = alice.request("GET", "/edit.php", {"title": "News"})
+                assert alice.send(view).status == 200
+
+            store = deployment.warp.graph.store
+            lookup = store.queries_touching
+            counts = []
+
+            def spy_lookup(*args):
+                candidates = lookup(*args)
+                counts.append(len(candidates))
+                return candidates
+
+            monkeypatch.setattr(store, "queries_touching", spy_lookup)
+            result = deployment.warp.repair.submit(CancelClientSpec("mallory-load")).result()
+            assert result.ok
+            stats = result.stats
+            assert (stats.runs_reexecuted, stats.queries_reexecuted) == (2 * n_pairs, 14 * n_pairs)
+            text = deployment.wiki.page_text("News")
+            assert "DEFACED" not in text and f"line {n_pairs - 1}." in text
+            handed[n_pairs] = sum(counts)
+        assert handed[100] <= 2.2 * handed[50], handed
+
     def test_rebuild_after_invalidation_builds_only_reached_keys(self, monkeypatch):
         outcome = run_multi_tenant_scenario(
             n_tenants=4, users_per_tenant=2, attacked_tenants=1, seed=3
@@ -573,10 +613,10 @@ class TestIndexCostFollowsDamage:
         reached = set()
         lookup = store.queries_touching
 
-        def spy_lookup(table, keys, since_ts, whole_table=False):
+        def spy_lookup(table, keys, since_ts, whole_table=False, drained=None):
             keys = list(keys)
             reached.update([table] if whole_table else [*keys, (table,)])
-            return lookup(table, keys, since_ts, whole_table)
+            return lookup(table, keys, since_ts, whole_table, drained)
 
         built = []
         invalidate = store.invalidate_partition_indexes

@@ -397,7 +397,7 @@ class TestWireAndWorker:
         wiki.seed_page("Home", "welcome", "admin")
         read = HttpRequest("GET", "/index.php", params={"title": "Home"})
         assert warp.server.handle(read).status == 200
-        warp.graph.store.wal.close()
+        warp.close()
         assert not os.path.exists(shard_layout(root, 0)["snapshot"])
 
         reborn, fresh = load_or_create_shard(root, 0, durability="none")

@@ -602,7 +602,7 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
     tailed = WarpSystem.load(snap_path, wal_path=wal_path)
     assert tailed.graph.to_snapshot() == warp.graph.to_snapshot()
     assert_kept_text_is_fresh(tailed.graph.store)
-    tailed.graph.store.wal.close()
+    tailed.close()
 
 
 def test_canceling_a_run_drops_its_kept_text(tmp_path):
@@ -831,7 +831,7 @@ def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, 
     live.client("eve-tablet").open("http://wiki.test/index.php?title=Home")
     fixtures.repair_counters(live)
     live.client("eve-tablet").open("http://wiki.test/index.php?title=News")
-    live.graph.store.wal.close()
+    live.close()
 
     tailed = WarpSystem.load(snapshot, wal_path=wal_path)
     store = tailed.graph.store
@@ -844,7 +844,7 @@ def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, 
         max(at_snapshot[2], max_qid),
     )
     assert max_ts > at_snapshot[0] and max_qid > at_snapshot[2]  # the tail moved them
-    tailed.graph.store.wal.close()
+    tailed.close()
 
 
 # ---------------------------------------------------------------------------
@@ -985,14 +985,14 @@ def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_pat
 
     probe()  # a hit again — on a payload whose texts the segment lacks
     assert results[2].payload is payload
-    warp.graph.store.wal.close()
+    warp.close()
     tail = [(kind, data) for kind, data in RecordWal.entries(wal_path) if kind != "snapshot_marker"]
     # The body, the loaded files, the SQL text and the payload, then the run.
     assert [kind for kind, _ in tail] == ["text"] * 4 + ["run"]
     assert [fixtures.entry_text(data) for _, data in tail[2:4]] == [sql, payload.text]
     assert fixtures.undefined_refs(fixtures.segment(path, wal_path)) == []
     loaded = WarpSystem.load(path, wal_path=wal_path)
-    loaded.graph.store.wal.close()
+    loaded.close()
     assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
 
 
@@ -1091,7 +1091,7 @@ def test_a_rotation_bound_in_a_header_never_rotates_the_log(tmp_path):
     path, wal_path = str(tmp_path / "warp.json"), str(tmp_path / "records.wal")
     warp, _ = fixtures.format1_workload(wal_path=wal_path)
     warp.save(path)
-    warp.graph.store.wal.close()
+    warp.close()
     add_removed_config_keys(path)
     bound = read_snapshot_header(path)["serving_config"]["wal_rotate_bytes"]
     with open(path, "rb") as fh:
@@ -1338,7 +1338,7 @@ class TestPreviousSnapshotSurvives:
         warp.graph.store.wal._mark_crashed()
         loaded = WarpSystem.load(path, wal_path=str(tmp_path / "records.wal"))
         assert loaded.graph.n_runs == warp.graph.n_runs
-        loaded.graph.store.wal.close()
+        loaded.close()
 
     def test_crash_mid_write(self, tmp_path, monkeypatch):
         """The process dies while record lines are going out: the temp
@@ -1364,7 +1364,7 @@ class TestPreviousSnapshotSurvives:
         warp.graph.store.wal._mark_crashed()
         loaded = WarpSystem.load(path, wal_path=str(tmp_path / "records.wal"))
         assert loaded.graph.n_runs == warp.graph.n_runs
-        loaded.graph.store.wal.close()
+        loaded.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1386,7 +1386,7 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
     twin = unwritten_copy(warp.graph.runs[2])
     twin.response.body += "<!-- replaced -->"
     warp.graph.replace_run(2, twin)
-    warp.graph.store.wal.close()
+    warp.close()
     texts = {}  # run id -> the text of its last run / replace_run line
     entries = {}  # text id -> its entry's line
     with open(wal_path, "r", encoding="utf-8", newline="") as fh:
@@ -1409,7 +1409,7 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
     )
     path = str(tmp_path / "warp.json")
     recovered.save(path)
-    recovered.graph.store.wal.close()
+    recovered.close()
     # The entries the runs refer to, then the runs, spliced.
     used = sorted(referenced_ids([json.loads(text) for text in texts.values()]))
     with open(path, "r", encoding="utf-8", newline="") as fh:

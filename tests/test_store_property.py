@@ -174,6 +174,22 @@ def random_run(rng, run_id, ts, next_qid, request_counters):
     return run, next_qid + n_queries
 
 
+def replace_random_run(rng, store, naive, next_qid, request_counters):
+    """Swap a random stored run for a fresh one with its identity, the way
+    a repair's finalize does, and drop the buckets.  Returns the next qid."""
+    victim = rng.choice(sorted(store.runs))
+    old = store.runs[victim]
+    replacement, next_qid = random_run(rng, victim, old.ts_start, next_qid, request_counters)
+    replacement.ts_end = max(old.ts_end, replacement.ts_end)
+    replacement.client_id = old.client_id
+    replacement.visit_id = old.visit_id
+    replacement.request_id = old.request_id
+    store.replace_run(victim, replacement)
+    store.invalidate_partition_indexes()
+    naive.replace_run(victim, replacement)
+    return next_qid
+
+
 def assert_same_lookups(rng, store, naive):
     for client in CLIENTS:
         for visit in range(1, 7):
@@ -243,18 +259,7 @@ def test_indexed_lookups_match_naive_reference():
                     store.add_visit(visit)
                     naive.add_visit(visit)
             elif action < 0.88 and store.runs:
-                victim = rng.choice(sorted(store.runs))
-                old = store.runs[victim]
-                replacement, next_qid = random_run(
-                    rng, victim, old.ts_start, next_qid, request_counters
-                )
-                replacement.ts_end = max(old.ts_end, replacement.ts_end)
-                replacement.client_id = old.client_id
-                replacement.visit_id = old.visit_id
-                replacement.request_id = old.request_id
-                store.replace_run(victim, replacement)
-                store.invalidate_partition_indexes()
-                naive.replace_run(victim, replacement)
+                next_qid = replace_random_run(rng, store, naive, next_qid, request_counters)
             elif action < 0.94:
                 horizon = rng.randint(0, ts)
                 store.gc(horizon)
@@ -266,3 +271,67 @@ def test_indexed_lookups_match_naive_reference():
             if step % 20 == 19:
                 assert_same_lookups(rng, store, naive)
         assert_same_lookups(rng, store, naive)
+
+
+def test_lookups_sharing_drain_marks_hand_over_each_entry_once():
+    """One repair's lookups share drain marks.  Each answer is part of the
+    naive one and holds everything in it not handed over before, so
+    together the answers are the naive ones' union; a query appended into
+    a bucket a lookup already drained is handed over by the next lookup
+    that reaches it."""
+    for seed in range(5):
+        rng = random.Random(2000 + seed)
+        store = RecordStore()
+        naive = NaiveReference()
+        drained = {}
+        handed, wanted = set(), set()
+        # Queries appended into a drained bucket and not handed over yet.
+        fresh = set()
+        caught = got_total = want_total = 0
+        ts = 0
+        next_run_id = 1
+        next_qid = 1
+        request_counters = {}
+        for _ in range(300):
+            ts += rng.randint(1, 3)
+            action = rng.random()
+            if action < 0.35:
+                run, next_qid = random_run(rng, next_run_id, ts, next_qid, request_counters)
+                next_run_id += 1
+                store.add_run(run)
+                naive.add_run(run)
+                # Every query is in its table's whole-table bucket.
+                fresh.update(q.qid for q in run.queries if q.table in drained)
+            elif action < 0.40 and store.runs:
+                next_qid = replace_random_run(rng, store, naive, next_qid, request_counters)
+            elif action < 0.43:
+                horizon = rng.randint(0, ts // 2)
+                store.gc(horizon)
+                naive.gc(horizon)
+            else:
+                table = rng.choice(TABLES)
+                keys = {
+                    (table, "title", title)
+                    for title in rng.sample(TITLES, rng.randint(0, 3))
+                }
+                since = rng.randint(0, ts)
+                whole = rng.random() < 0.2
+                got = store.queries_touching(table, keys, since, whole, drained)
+                want = {q.qid for q in naive.queries_touching(table, keys, since, whole)}
+                got_ids = {q.qid for q in got}
+                call = f"queries_touching({table}, {keys}, {since}, {whole})"
+                assert len(got_ids) == len(got), call
+                assert [q.ts for q in got] == sorted(q.ts for q in got), call
+                assert want - handed <= got_ids <= want, call
+                caught += len(fresh & want)
+                assert fresh & want <= got_ids, call
+                fresh -= got_ids
+                handed |= got_ids
+                wanted |= want
+                got_total += len(got_ids)
+                want_total += len(want)
+        assert handed == wanted
+        # The marks did hold back what was handed before, and appends into
+        # drained buckets did happen.
+        assert got_total < want_total
+        assert caught > 0

@@ -2,6 +2,7 @@
 concurrent-repair re-application, repeated repairs, and log GC."""
 
 import json
+import os
 
 import pytest
 
@@ -227,3 +228,25 @@ class TestMetricsModule:
         assert report.no_warp_rate > 0
         assert report.warp_rate > 0
         assert report.storage is not None
+
+
+@pytest.mark.parametrize("backend", ["python", "sqlite"])
+def test_close_releases_the_log_and_the_engine(tmp_path, backend):
+    """``close`` commits and closes the deployment's log and releases
+    the engine's connections; a second call changes nothing."""
+    from repro.http.message import HttpRequest
+
+    wal_path = str(tmp_path / "records.wal")
+    warp = WarpSystem(wal_path=wal_path, durability="none", db_backend=backend)
+    WikiApp(warp.ttdb, warp.scripts, warp.server).install()
+    read = HttpRequest("GET", "/index.php", params={"title": "Home"})
+    assert warp.server.handle(read).status == 200
+    warp.close()
+    size = os.path.getsize(wal_path)
+    warp.close()
+    assert os.path.getsize(wal_path) == size > 0
+    if backend == "sqlite":
+        assert not os.path.exists(warp.database.path)
+    recovered = WarpSystem.load(None, wal_path=wal_path)
+    assert recovered.graph.n_runs == warp.graph.n_runs == 1
+    recovered.close()
