@@ -105,6 +105,11 @@ class ActionHistoryGraph:
         then describes the repaired timeline, enabling follow-up repairs)."""
         return self.store.replace_run(run_id, record)
 
+    def replace_runs(self, records: Iterable[AppRunRecord]) -> List[AppRunRecord]:
+        """Swap each record's run for it, as one batch (a repair's
+        results: one store lock hold, one journal wait)."""
+        return self.store.replace_runs(records)
+
     def invalidate_partition_indexes(self) -> None:
         self.store.invalidate_partition_indexes()
 

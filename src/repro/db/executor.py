@@ -485,8 +485,10 @@ class Executor:
         if ctx.repair and version.start_gen <= ctx.current_gen:
             preserved = version.copy()
             preserved.end_gen = ctx.current_gen
-            table.add_version(preserved)
+            # Re-homed first, so the two never share a generation (the
+            # SQLite engine's ``_multi_open`` rule).
             table.rehome_version(version, ctx.gen)
+            table.add_version(preserved)
             if ctx.journal is not None:
                 ctx.journal.note_fenced(table, preserved)
                 ctx.journal.note_created(table, version)

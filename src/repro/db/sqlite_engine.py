@@ -173,6 +173,48 @@ def _json_encode(data: dict) -> str:
     return json.dumps(data, default=str)
 
 
+def _json_decode(blob: str) -> dict:
+    return json.loads(blob)
+
+
+#: ``RowVersion``'s own ``data`` slot, which ``StoredVersion``'s property
+#: stores the decoded row in.
+_data_slot = RowVersion.data
+
+
+class StoredVersion(RowVersion):
+    """A version fetched with its ``__data`` blob (a full ``SELECT`` row:
+    the base columns, then the blob).  The blob is parsed on the first
+    read of ``data``, so a version a fetch drops, or a chain walk that
+    reads only intervals, costs no JSON decode."""
+
+    __slots__ = ("_blob",)
+
+    def __init__(self, row: tuple) -> None:
+        (
+            self.vid,
+            self.row_id,
+            self.start_ts,
+            self.end_ts,
+            self.start_gen,
+            self.end_gen,
+            self._blob,
+        ) = row
+
+    @property
+    def data(self) -> Dict[str, object]:
+        blob = self._blob
+        if blob is not None:
+            self._blob = None
+            _data_slot.__set__(self, _json_decode(blob))
+        return _data_slot.__get__(self)
+
+    @data.setter
+    def data(self, value: Dict[str, object]) -> None:
+        self._blob = None
+        _data_slot.__set__(self, value)
+
+
 class SqliteTable:
     """One application table's version store, in a file of its own."""
 
@@ -189,12 +231,15 @@ class SqliteTable:
         #: which decides the winner when a row anomalously has more than
         #: one open visible version (duplicate forced row IDs).
         self._open_seq = 0
-        #: Sticky: some row has (or once had) more than one simultaneously
-        #: open version — duplicate forced-row-id inserts, repair's
-        #: preserved copies, rollback re-extends.  Until then a row has at
-        #: most one visible version at any (ts, gen), so WHERE filters may
-        #: run before winner selection; once set, filtered fetches pick
-        #: each row's visibility winner first (window query).
+        #: Sticky: some row has (or once had) two open versions whose
+        #: generation ranges overlap — a duplicate forced-row-id insert, a
+        #: reopen or unfence into a generation another open version
+        #: covers.  Until then a row has at most one visible version at
+        #: any (ts, gen), so WHERE filters may run before winner
+        #: selection; once set, filtered fetches pick each row's
+        #: visibility winner first (window query).  A repair's fenced
+        #: original and its repair-generation copy share no generation
+        #: and leave the flag alone.
         self._multi_open = False
         self._sql_name = f'"t_{_safe_name(schema.name)}"'
         #: Column name -> (shadow ident, monotone probe flags).
@@ -220,6 +265,15 @@ class SqliteTable:
             + f", __open_seq) VALUES ({placeholders})"
         )
         self._full_cols = f"{_BASE_COLS}, __data"
+        #: Pairs ``(a, b)`` of distinct open versions of one row whose
+        #: generation ranges overlap — both visible at every (ts, gen) past
+        #: their starts in the shared generations.
+        self._overlap_sql = (
+            f"SELECT 1 FROM {self._sql_name} AS a JOIN {self._sql_name} AS b "
+            f"ON b.__row_id = a.__row_id AND b.__end_ts = {INFINITY} "
+            "AND b.__vid != a.__vid AND b.__start_gen <= a.__end_gen "
+            f"AND a.__start_gen <= b.__end_gen WHERE a.__end_ts = {INFINITY}"
+        )
 
     # -- DDL ------------------------------------------------------------------
 
@@ -312,11 +366,10 @@ class SqliteTable:
         self, row: tuple, proj_names: Optional[List[str]] = None
     ) -> RowVersion:
         if proj_names is None:
-            data = json.loads(row[6])
-        else:
-            # Projection pushdown: every projected column is faithful, so
-            # shadow values ARE the stored values — no JSON parse.
-            data = dict(zip(proj_names, row[6:]))
+            return StoredVersion(row)
+        # Projection pushdown: every projected column is faithful, so
+        # shadow values ARE the stored values — no JSON parse.
+        data = dict(zip(proj_names, row[6:]))
         version = RowVersion(row[1], data, row[2], row[3], row[4], row[5])
         version.vid = row[0]
         return version
@@ -359,15 +412,14 @@ class SqliteTable:
             self._max_ts = start_ts
         return seq
 
-    def _check_multi_open(self, row_id: int) -> None:
+    def _check_multi_open(self, vid: int) -> None:
+        """Set ``_multi_open`` if version ``vid`` is open and another open
+        version of its row shares a generation with it.  Run by every
+        write that adds an open version or widens one's ranges."""
         if self._multi_open:
             return
-        (count,) = self._exec(
-            f"SELECT COUNT(*) FROM {self._sql_name} "
-            f"WHERE __row_id = ? AND __end_ts = {INFINITY}",
-            (row_id,),
-        ).fetchone()
-        if count > 1:
+        sql = self._overlap_sql + " AND a.__vid = ? LIMIT 1"
+        if self._exec(sql, (vid,)).fetchone():
             self._multi_open = True
 
     def add_version(self, version: RowVersion, index_data: bool = True) -> None:
@@ -376,7 +428,7 @@ class SqliteTable:
         version.vid = cursor.lastrowid
         self.version_count += 1
         if seq:
-            self._check_multi_open(version.row_id)
+            self._check_multi_open(version.vid)
 
     def close_version(self, version: RowVersion, end_ts: int) -> None:
         self._exec(
@@ -396,7 +448,7 @@ class SqliteTable:
                 (INFINITY, self._open_seq, version.vid),
             )
             version.end_ts = INFINITY
-            self._check_multi_open(version.row_id)
+            self._check_multi_open(version.vid)
 
     def remove_version(self, version: RowVersion) -> None:
         cursor = self._exec(
@@ -449,6 +501,7 @@ class SqliteTable:
         )
         if cursor.rowcount:
             version.end_gen = INFINITY
+            self._check_multi_open(version.vid)
 
     def discard_version(self, version: RowVersion) -> bool:
         cursor = self._exec(
@@ -610,15 +663,15 @@ class SqliteTable:
         clauses = [vis_where] if vis_where else []
         binds: List[object] = list(vis_binds)
         if where_sql and self._multi_open:
-            # Window query.  While no row has ever had two open versions,
-            # each row has at most one visible version, so the prefilter
-            # may filter before winner selection.  Once ``_multi_open`` is
-            # set it must filter winners only — a matching superseded
-            # version must not resurface (the memory engine checks only
-            # ``_visible_in_chain``'s pick).  Only rows with a visible
-            # version passing the prefilter can have a winner that does:
-            # partition those rows (each with all its visible versions),
-            # not the table.
+            # Window query.  While no row has ever had two open versions
+            # in one generation, each row has at most one visible version,
+            # so the prefilter may filter before winner selection.  Once
+            # ``_multi_open`` is set it must filter winners only — a
+            # matching superseded version must not resurface (the memory
+            # engine checks only ``_visible_in_chain``'s pick).  Only rows
+            # with a visible version passing the prefilter can have a
+            # winner that does: partition those rows (each with all its
+            # visible versions), not the table.
             clauses.append(
                 f"__row_id IN (SELECT __row_id FROM {self._sql_name} "
                 f"WHERE {' AND '.join(clauses + [where_sql])})"
@@ -806,11 +859,7 @@ class SqliteTable:
         # (``restore``) instead of maintained per insert; a no-op otherwise.
         self.engine._run_ddl(self.schema.name, self._index_ddl())
         if not self._multi_open:
-            row = self._exec(
-                f"SELECT 1 FROM {self._sql_name} WHERE __end_ts = {INFINITY} "
-                "GROUP BY __row_id HAVING COUNT(*) > 1 LIMIT 1"
-            ).fetchone()
-            if row is not None:
+            if self._exec(self._overlap_sql + " LIMIT 1").fetchone():
                 self._multi_open = True
 
     def _flush_chunk(self, chunk: List[tuple]) -> None:

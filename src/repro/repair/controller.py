@@ -652,7 +652,9 @@ class RepairController:
 
     def _merge_replacements(self) -> None:
         """Fold re-executed runs back into the action history graph so the
-        graph describes the repaired timeline (enables follow-up repairs)."""
+        graph describes the repaired timeline (enables follow-up repairs),
+        as one batch: one store lock hold, one journal wait."""
+        records = []
         for old_id, new_record in self._replacements.items():
             old = self.graph.runs.get(old_id)
             if old is None:
@@ -665,7 +667,8 @@ class RepairController:
             new_record.request_id = old.request_id
             new_record.ts_start = old.ts_start
             new_record.ts_end = max(old.ts_end, new_record.ts_end)
-            self.graph.replace_run(old_id, new_record)
+            records.append(new_record)
+        self.graph.replace_runs(records)
         self.graph.add_runs(self._new_runs)
         if self._replacements:
             self.graph.invalidate_partition_indexes()

@@ -20,7 +20,7 @@ maintained eagerly at append time.  A repair's lookups share drain marks,
 so a bucket hands each entry to one repair once: a key the repair
 rewrites k times costs its tail once, not k times.
 
-Mutations (``add_run``/``add_visit``/``add_patch``/``replace_run``/``gc``/
+Mutations (``add_run``/``add_visit``/``add_patch``/``replace_runs``/``gc``/
 ``enforce_client_quota``) are the public write API; when a
 :class:`~repro.store.wal.RecordWal` is attached, each one is journaled so
 the store can be rebuilt after a crash from snapshot + WAL replay
@@ -80,7 +80,7 @@ _json_text = attrgetter("json_text")
 # partitions and read keys, whatever the statement's kind, and its table's
 # ALL bucket when ``in_all_bucket``.  A bucket built from the TouchIndex must
 # find every query an append would have put in it, so ``TouchIndex.
-# index_query`` / ``unindex_run``, the two helpers below and
+# index_query`` / ``_edges``, the two helpers below and
 # ``RecordStore._index_query`` all follow this rule.  Each spells it out for
 # speed (deriving the TouchIndex from one shared key set cost 2.7x on the
 # append path); ``test_indexed_lookups_match_naive_reference`` checks that
@@ -186,20 +186,42 @@ class TouchIndex:
         for column, value in query.read_set.keys():
             touchers.setdefault((table, column, value), set()).add(run_id)
 
-    def unindex_run(self, run: AppRunRecord) -> None:
-        """Drop every edge contributed by ``run`` (gc, replace_run)."""
-        run_id = run.run_id
+    @staticmethod
+    def _edges(run: AppRunRecord) -> Set[Tuple[str, object]]:
+        """``(index, key)`` of every set :meth:`index_query` lists ``run``
+        in, the index named by its attribute."""
+        edges: Set[Tuple[str, object]] = set()
+        add = edges.add
         for query in run.queries:
             table = query.table
-            self._discard(self.table_touchers, table, run_id)
-            self._discard(self.table_writers, table, run_id)
-            self._discard(self.table_all, table, run_id)
-            self._discard(self.table_fullw, table, run_id)
+            add(("table_touchers", table))
+            if query.is_write:
+                add(("table_writers", table))
             for key in query.written_partitions:
-                self._discard(self.key_writers, key, run_id)
-                self._discard(self.key_touchers, key, run_id)
+                add(("key_writers", key))
+                add(("key_touchers", key))
+            if query.full_table_write:
+                add(("table_fullw", table))
+            if query.read_set.is_all:
+                add(("table_all", table))
             for column, value in query.read_set.keys():
-                self._discard(self.key_touchers, (table, column, value), run_id)
+                add(("key_touchers", (table, column, value)))
+        return edges
+
+    def unindex_run(self, run: AppRunRecord) -> None:
+        """Drop every edge contributed by ``run`` (gc)."""
+        for name, key in self._edges(run):
+            self._discard(getattr(self, name), key, run.run_id)
+
+    def reindex_run(self, old: AppRunRecord, new: AppRunRecord) -> None:
+        """Move one run's edges from its ``old`` record to its ``new`` one
+        (a repair's replacement), touching only the sets that differ."""
+        run_id = new.run_id
+        before, after = self._edges(old), self._edges(new)
+        for name, key in before - after:
+            self._discard(getattr(self, name), key, run_id)
+        for name, key in after - before:
+            getattr(self, name).setdefault(key, set()).add(run_id)
 
     @staticmethod
     def _discard(buckets: Dict, key, run_id: int) -> None:
@@ -591,40 +613,51 @@ class RecordStore:
         self._finish(ticket)
 
     def replace_run(self, run_id: int, record: AppRunRecord) -> Optional[AppRunRecord]:
-        """Swap the stored record for ``run_id`` with ``record`` in place.
+        """:meth:`replace_runs` for one record that must carry ``run_id``;
+        returns the old record, or None if ``run_id`` is unknown."""
+        if record.run_id != run_id:
+            raise ValueError(
+                f"replacement record has run_id {record.run_id}, expected {run_id}"
+            )
+        replaced = self.replace_runs([record])
+        return replaced[0] if replaced else None
 
-        The caller must have already given ``record`` the old run's
+    def replace_runs(self, records: Iterable[AppRunRecord]) -> List[AppRunRecord]:
+        """Swap each stored run for the record carrying its run id, in
+        place: one lock hold for the batch and one wait, on its last
+        journal line — under group commit the batch shares one fsync.
+
+        The caller must have already given each record the old run's
         identity (run id, browser correlation, timestamps); the store
-        keeps the run's position in append order and refreshes the
-        file index.  Partition buckets referencing the old record stay
-        stale until :meth:`invalidate_partition_indexes` — callers batch
-        replacements and invalidate once.  Returns the old record, or
-        None if ``run_id`` is unknown.
+        keeps the run's position in append order and refreshes the file
+        and touch indexes.  Partition buckets referencing an old record
+        stay stale until :meth:`invalidate_partition_indexes` — callers
+        invalidate once, after the batch.  Returns the replaced records;
+        a record whose run id the store does not hold is skipped.
         """
+        relaxed = self.relaxed_durability
+        replaced: List[AppRunRecord] = []
         ticket = None
         with self.lock:
-            old = self.runs.get(run_id)
-            if old is None:
-                return None
-            if record.run_id != run_id:
-                raise ValueError(
-                    f"replacement record has run_id {record.run_id}, expected {run_id}"
-                )
-            self.runs[run_id] = record
-            record.payloads = None
-            self._texts_exact = False  # the old record's texts may go unused
-            self.query_count += len(record.queries) - len(old.queries)
-            self._unindex_run_files(old)
-            self._index_run_files(record)
-            self._note_high_water(record)
-            self.touch.unindex_run(old)
-            for query in record.queries:
-                self.touch.index_query(query, run_id)
-            if self.wal is not None:
-                self._encode(record)
-                ticket = self._journal_run("replace_run", record.json_text)
-        self._finish(ticket)
-        return old
+            for record in records:
+                run_id = record.run_id
+                old = self.runs.get(run_id)
+                if old is None:
+                    continue
+                self.runs[run_id] = record
+                record.payloads = None
+                self._texts_exact = False  # the old record's texts may go unused
+                self.query_count += len(record.queries) - len(old.queries)
+                self._unindex_run_files(old)
+                self._index_run_files(record)
+                self._note_high_water(record)
+                self.touch.reindex_run(old, record)
+                replaced.append(old)
+                if self.wal is not None:
+                    self._encode(record)
+                    ticket = self._journal_run("replace_run", record.json_text)
+        self._finish(ticket, relaxed)
+        return replaced
 
     def invalidate_partition_indexes(self) -> None:
         """Drop the partition buckets (records changed under them); the

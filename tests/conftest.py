@@ -34,6 +34,22 @@ def thaw_loaded_histories():
 
 
 @pytest.fixture
+def closing():
+    """``closing(thing)`` returns ``thing`` and closes it when the test
+    ends, last registered first — a deployment (``WarpSystem``) or a log
+    (``RecordWal``) holds its file open until then."""
+    opened = []
+
+    def register(thing):
+        opened.append(thing)
+        return thing
+
+    yield register
+    for thing in reversed(opened):
+        thing.close()
+
+
+@pytest.fixture
 def db_backend():
     """The storage backend name the suite is running against."""
     return resolve_backend()

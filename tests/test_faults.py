@@ -49,8 +49,8 @@ from repro.workload.loadgen import LoadClient, LoadStats
 PAGE = "Sandbox"
 
 
-def _wiki_warp(tmp_path, plane):
-    warp = WarpSystem(wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane)
+def _wiki_warp(tmp_path, plane, closing):
+    warp = closing(WarpSystem(wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane))
     warp.graph.store.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -253,12 +253,12 @@ class TestWalDegradation:
         wal.close()
         assert [d["n"] for _, d in RecordWal.entries(wal.path)] == [1, 2, 3, 4, 5]
 
-    def test_torn_group_commit_leader_write(self, tmp_path):
+    def test_torn_group_commit_leader_write(self, tmp_path, closing):
         """A torn write during the batch write of the waiter holding the
         I/O lock leaves a parseable prefix; ``RecordWal.repair`` drops the
         torn tail and recovery sees every earlier entry."""
         plane = FaultPlane()
-        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
+        wal = closing(RecordWal(str(tmp_path / "w.wal"), fault_plane=plane))
         assert wal.append("mark", {"n": 1}).wait(5.0)
         plane.arm(point="wal.append", kind="torn", times=1, fraction=0.5)
         ticket = wal.append("mark", {"n": 2})
@@ -267,16 +267,17 @@ class TestWalDegradation:
             # — the crash window under test.
             ticket.wait(5.0)
         # The file now ends in a torn fragment of entry 2.
-        raw = open(wal.path, "rb").read()
+        with open(wal.path, "rb") as fh:
+            raw = fh.read()
         assert raw.decode().count("\n") >= 1
         dropped = RecordWal.repair(wal.path)
         assert dropped > 0
         assert list(RecordWal.entries(wal.path)) == [("mark", {"n": 1})]
 
-    def test_crash_unblocks_other_waiters_with_false(self, tmp_path):
+    def test_crash_unblocks_other_waiters_with_false(self, tmp_path, closing):
         plane = FaultPlane()
         plane.arm(point="wal.fsync", kind="crash", times=1)
-        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
+        wal = closing(RecordWal(str(tmp_path / "w.wal"), fault_plane=plane))
         tickets = [wal.append("mark", {"n": 1}), wal.append("mark", {"n": 2})]
         outcomes = [None, None]
 
@@ -298,10 +299,10 @@ class TestWalDegradation:
         # other unblocked with False — nobody hangs on a dead log.
         assert sorted(outcomes, key=str) == [False, "crashed"]
 
-    def test_append_after_crash_is_refused(self, tmp_path):
+    def test_append_after_crash_is_refused(self, tmp_path, closing):
         plane = FaultPlane()
         plane.arm(point="wal.append", kind="crash", times=1)
-        wal = RecordWal(str(tmp_path / "w.wal"), fault_plane=plane)
+        wal = closing(RecordWal(str(tmp_path / "w.wal"), fault_plane=plane))
         ticket = wal.append("mark", {"n": 1})  # buffered: nothing written yet
         with pytest.raises(SimulatedCrash):
             ticket.wait(5.0)
@@ -315,9 +316,9 @@ class TestWalDegradation:
 
 
 class TestSnapshotMarkerWindows:
-    def test_pre_marker_failure_aborts_before_snapshot_write(self, tmp_path):
+    def test_pre_marker_failure_aborts_before_snapshot_write(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "m1.").status == 200
         snap = str(tmp_path / "snap.json")
         plane.arm(point="wal.append", kind="io", times=None)
@@ -331,12 +332,12 @@ class TestSnapshotMarkerWindows:
         warp.save(snap)
         assert os.path.exists(snap)
 
-    def test_crash_between_marker_and_snapshot_write_recovers(self, tmp_path):
+    def test_crash_between_marker_and_snapshot_write_recovers(self, tmp_path, closing):
         """The documented crash window: the pre-write marker is durable
         but the snapshot file never lands.  Recovery ignores the dangling
         marker and replays the full log."""
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "m1.").status == 200
         runs_before = len(warp.graph.store.runs)
         snap = str(tmp_path / "snap.json")
@@ -349,13 +350,15 @@ class TestSnapshotMarkerWindows:
         assert len(loaded.graph.store.runs) == runs_before
         loaded.close()
 
-    def test_post_truncate_marker_failure_keeps_snapshot_usable(self, tmp_path):
+    def test_post_truncate_marker_failure_keeps_snapshot_usable(
+        self, tmp_path, closing
+    ):
         """Mismatch window on the other side: the WAL is truncated but
         the post-truncate marker cannot be journaled.  ``save`` surfaces
         the durability failure, yet the written snapshot + truncated WAL
         still load (replaying nothing)."""
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "m1.").status == 200
         runs_before = len(warp.graph.store.runs)
         snap = str(tmp_path / "snap.json")
@@ -377,9 +380,9 @@ class TestSnapshotMarkerWindows:
 
 
 class TestDegradedServing:
-    def test_fsync_storm_degrades_to_read_only_then_self_heals(self, tmp_path):
+    def test_fsync_storm_degrades_to_read_only_then_self_heals(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "ok1.").status == 200
         # Budget: every failed write/probe burns 3 fsync hits (attempt +
         # _IO_RETRIES).  1 triggering write + 3 GET park-probes + 1 refused
@@ -416,9 +419,9 @@ class TestDegradedServing:
         kinds = [kind for kind, _ in RecordWal.entries(wal.path)]
         assert kinds.count("run") == len(warp.graph.store.runs)
 
-    def test_health_endpoint_and_admin_refusal_while_degraded(self, tmp_path):
+    def test_health_endpoint_and_admin_refusal_while_degraded(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
 
         def admin(method, path, params=None):
             return warp.server.handle(
@@ -456,9 +459,9 @@ class TestDegradedServing:
         assert _append(client, "y.").status == 200
         assert admin("GET", "/warp/admin/health").status == 200
 
-    def test_fault_storm_crashes_zero_serving_threads(self, tmp_path):
+    def test_fault_storm_crashes_zero_serving_threads(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         plane.arm(point="wal.fsync", kind="io", times=None)
         # Deterministic entry into read-only before the concurrent storm.
         assert _append(client, "trigger.").status == 503
@@ -505,8 +508,8 @@ class TestDegradedServing:
 # ---------------------------------------------------------------------------
 
 
-def _bob_runs(tmp_path, plane):
-    warp, wiki, alice = _wiki_warp(tmp_path, plane)
+def _bob_runs(tmp_path, plane, closing):
+    warp, wiki, alice = _wiki_warp(tmp_path, plane, closing)
     bob = LoadClient("bob", warp.server)
     assert bob.login("pw-bob").status == 200
     assert _append(bob, "bobwrite.").status == 200
@@ -514,9 +517,9 @@ def _bob_runs(tmp_path, plane):
 
 
 class TestRepairUnderFaults:
-    def test_transient_fault_is_retried_then_job_succeeds(self, tmp_path):
+    def test_transient_fault_is_retried_then_job_succeeds(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _ = _bob_runs(tmp_path, plane)
+        warp, _ = _bob_runs(tmp_path, plane, closing)
         plane.arm(point="repair.phase_started", kind="error", times=1)
         job = warp.repair.submit(CancelClientSpec(client_id="bob-load"))
         result = job.result(30.0)
@@ -524,9 +527,9 @@ class TestRepairUnderFaults:
         assert not result.aborted
         assert any(event == "retrying" for event, _ in job.events)
 
-    def test_retry_budget_exhaustion_fails_the_job(self, tmp_path):
+    def test_retry_budget_exhaustion_fails_the_job(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _ = _bob_runs(tmp_path, plane)
+        warp, _ = _bob_runs(tmp_path, plane, closing)
         plane.arm(point="repair.phase_started", kind="error", times=None)
         job = warp.repair.submit(CancelClientSpec(client_id="bob-load"))
         assert job.wait(30.0)
@@ -537,14 +540,14 @@ class TestRepairUnderFaults:
         # The job end was journaled: nothing reported as interrupted.
         assert warp.repair.interrupted_jobs() == []
 
-    def test_post_switch_fault_settles_done_without_retry(self, tmp_path):
+    def test_post_switch_fault_settles_done_without_retry(self, tmp_path, closing):
         """Regression: a transient fault firing *after* the generation
         switch (``repair.finalized``) leaves the repair committed, so a
         retry would re-apply the whole spec against already-repaired
         state and journal duplicate patch records.  The job settles as
         done-with-warning instead."""
         plane = FaultPlane()
-        warp, _ = _bob_runs(tmp_path, plane)
+        warp, _ = _bob_runs(tmp_path, plane, closing)
         patches_before = len(warp.graph.patches)
         plane.arm(point="repair.finalized", kind="error", times=1)
         job = warp.repair.submit(
@@ -560,9 +563,9 @@ class TestRepairUnderFaults:
         assert len(warp.graph.patches) == patches_before + 1
         assert warp.repair.interrupted_jobs() == []
 
-    def test_crash_mid_repair_is_reported_interrupted(self, tmp_path):
+    def test_crash_mid_repair_is_reported_interrupted(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _ = _bob_runs(tmp_path, plane)
+        warp, _ = _bob_runs(tmp_path, plane, closing)
         plane.arm(point="repair.group_done", kind="crash", times=1)
         job = warp.repair.submit(CancelClientSpec(client_id="bob-load"))
         assert job.wait(30.0)
@@ -578,12 +581,14 @@ class TestRepairUnderFaults:
         assert loaded.repair.interrupted_jobs() == []
         loaded.close()
 
-    def test_crash_journaling_the_start_leaves_no_interrupted_job(self, tmp_path):
+    def test_crash_journaling_the_start_leaves_no_interrupted_job(
+        self, tmp_path, closing
+    ):
         """The process dies writing the job's start: the repair never
         began, so a reload reports nothing interrupted and repaired
         nothing."""
         plane = FaultPlane()
-        warp, _ = _bob_runs(tmp_path, plane)
+        warp, _ = _bob_runs(tmp_path, plane, closing)
         plane.arm(point="wal.append", kind="crash", times=1)
         job = warp.repair.submit(CancelClientSpec(client_id="bob-load"))
         assert job.wait(30.0)
@@ -603,9 +608,9 @@ class TestRepairUnderFaults:
 
 
 class TestPointInstrumentation:
-    def test_gate_reapply_fault_leaves_entry_queued(self, tmp_path):
+    def test_gate_reapply_fault_leaves_entry_queued(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, _ = _wiki_warp(tmp_path, plane)
+        warp, _, _ = _wiki_warp(tmp_path, plane, closing)
         gate = warp.enable_online_repair()
         assert gate.faults is plane
         gate.active = True
@@ -617,9 +622,9 @@ class TestPointInstrumentation:
         assert gate.queue == ["sentinel"]
         assert gate.pop_next() == "sentinel"
 
-    def test_store_insert_run_fault_fires_before_mutation(self, tmp_path):
+    def test_store_insert_run_fault_fires_before_mutation(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, _, client = _wiki_warp(tmp_path, plane)
+        warp, _, client = _wiki_warp(tmp_path, plane, closing)
         runs_before = len(warp.graph.store.runs)
         plane.arm(point="store.insert_run", kind="error", times=1)
         with pytest.raises(InjectedError):

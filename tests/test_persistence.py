@@ -136,9 +136,10 @@ class TestWarpSystemPersistence:
         # Fresh run ids do not collide with restored ones.
         assert len(set(reloaded.graph.runs)) == reloaded.graph.n_runs
 
-    def test_wal_restores_post_snapshot_actions(self, tmp_path):
+    def test_wal_restores_post_snapshot_actions(self, tmp_path, closing):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         path = str(tmp_path / "warp.json")
         warp.save(path)  # snapshot truncates the WAL
 
@@ -146,7 +147,7 @@ class TestWarpSystemPersistence:
         eve.open("http://wiki.test/index.php?title=Home")
         n_total = warp.graph.n_runs
 
-        reloaded = WarpSystem.load(path, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(path, wal_path=wal_path))
         assert reloaded.graph.n_runs == n_total
         assert ("eve-tablet", 1) in reloaded.graph.visits
 
@@ -159,11 +160,12 @@ class TestWarpSystemPersistence:
         assert reloaded.graph.n_runs == n_total + 1
         assert len(set(reloaded.graph.runs)) == reloaded.graph.n_runs
 
-    def test_wal_preserves_visit_logs_accumulated_after_upload(self, tmp_path):
+    def test_wal_preserves_visit_logs_accumulated_after_upload(self, tmp_path, closing):
         """Events, request ids and cookie snapshots accumulate on the visit
         record after add_visit; crash recovery must see the full log."""
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         live = warp.graph.visits[("alice-laptop", 1)]
         assert live.events and live.request_ids  # the login page interaction
 
@@ -171,12 +173,15 @@ class TestWarpSystemPersistence:
         from persistence_fixtures import recover_store
 
         store = recover_store(wal_path=wal_path)
+        closing(store.wal)
         restored = store.visits[("alice-laptop", 1)]
         assert [e.etype for e in restored.events] == [e.etype for e in live.events]
         assert restored.request_ids == live.request_ids
         assert restored.cookies_after == live.cookies_after
 
-    def test_cookie_snapshots_are_journaled_on_change_and_replay_equal(self, tmp_path):
+    def test_cookie_snapshots_are_journaled_on_change_and_replay_equal(
+        self, tmp_path, closing
+    ):
         """The extension journals a visit's jar when it changed, not each
         time it looked: a browser scenario reloaded from snapshot + WAL
         tail holds every visit's cookies exactly as the live store does."""
@@ -186,6 +191,7 @@ class TestWarpSystemPersistence:
         wal_path = str(tmp_path / "records.wal")
         path = str(tmp_path / "warp.json")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         warp.save(path)
         # The WAL tail: bob logs in (the jar changes) and browses on (it
         # does not).  Beside it a whole attack scenario, recovered from its
@@ -194,6 +200,7 @@ class TestWarpSystemPersistence:
         outcome = run_scenario(
             "csrf", n_users=3, n_victims=1, wal_path=csrf_wal, durability="none"
         )
+        closing(outcome.warp)
         bob = warp.client("bob-desktop")
         bob.open("http://wiki.test/login.php")
         bob.type_into("input[name=wpName]", "bob")
@@ -216,24 +223,25 @@ class TestWarpSystemPersistence:
                     assert jars.get(key) != data["cookies_after"], "a repeated jar"
                     jars[key] = data["cookies_after"]
             assert jars
-            reloaded = WarpSystem.load(snapshot, wal_path=wal)
+            reloaded = closing(WarpSystem.load(snapshot, wal_path=wal))
             assert set(reloaded.graph.visits) == set(live.graph.visits)
             for key, visit in live.graph.visits.items():
                 restored = reloaded.graph.visits[key]
                 assert restored.cookies_before == visit.cookies_before, key
                 assert restored.cookies_after == visit.cookies_after, key
             assert any(v.cookies_after != v.cookies_before for v in live.graph.visits.values())
-            reloaded.close()
 
-    def test_wal_preserves_cancellations(self, tmp_path):
+    def test_wal_preserves_cancellations(self, tmp_path, closing):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         result = warp.repair.submit(CancelVisitSpec("bob-desktop", 1)).result()
         assert result.ok and result.stats.runs_canceled > 0
 
         from persistence_fixtures import recover_store
 
         store = recover_store(wal_path=wal_path)
+        closing(store.wal)
         canceled = [r.run_id for r in store.runs.values() if r.canceled]
         assert canceled == [
             r.run_id for r in warp.graph.runs.values() if r.canceled
@@ -305,40 +313,43 @@ class TestWarpSystemPersistence:
         assert "alice-laptop" not in reloaded.server.cookie_invalidation
         assert visit.response.headers.get("X-Warp-Conflicts") == "1"
 
-    def test_clock_advances_past_wal_replayed_records(self, tmp_path):
+    def test_clock_advances_past_wal_replayed_records(self, tmp_path, closing):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         path = str(tmp_path / "warp.json")
         warp.save(path)
         eve = warp.client("eve-tablet")
         eve.open("http://wiki.test/index.php?title=Home")
         ts_live = warp.clock.now()
 
-        reloaded = WarpSystem.load(path, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(path, wal_path=wal_path))
         assert reloaded.clock.now() >= ts_live
         # New actions timestamp strictly after everything recorded.
         assert reloaded.clock.tick() > max(
             r.ts_end for r in reloaded.graph.runs.values()
         )
 
-    def test_unnamed_client_tokens_do_not_collide_after_reload(self, tmp_path):
+    def test_unnamed_client_tokens_do_not_collide_after_reload(self, tmp_path, closing):
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         path = str(tmp_path / "warp.json")
         warp.save(path)
         anon = warp.client()  # token drawn after the save rewound state
         anon.open("http://wiki.test/index.php?title=Home")
 
-        reloaded = WarpSystem.load(path, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(path, wal_path=wal_path))
         WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server).register_code()
         anon_again = reloaded.client()  # rng rewound: would re-draw same token
         assert anon_again.extension.client_id != anon.extension.client_id
 
-    def test_load_refuses_wal_truncated_against_other_snapshot(self, tmp_path):
+    def test_load_refuses_wal_truncated_against_other_snapshot(self, tmp_path, closing):
         from repro.core.errors import ReproError
 
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         p1 = str(tmp_path / "one.json")
         warp.save(p1)
         eve = warp.client("eve-tablet")
@@ -348,15 +359,17 @@ class TestWarpSystemPersistence:
 
         with pytest.raises(ReproError, match="different snapshot"):
             WarpSystem.load(p1, wal_path=wal_path)
-        assert WarpSystem.load(p2, wal_path=wal_path).graph.n_runs == warp.graph.n_runs
+        reloaded = closing(WarpSystem.load(p2, wal_path=wal_path))
+        assert reloaded.graph.n_runs == warp.graph.n_runs
 
     def test_crash_between_snapshot_and_truncate_replays_nothing_twice(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, closing
     ):
         from repro.store.wal import RecordWal
 
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
+        closing(warp)
         warp.save(str(tmp_path / "one.json"))
         eve = warp.client("eve-tablet")
         eve.open("http://wiki.test/index.php?title=Home")
@@ -370,7 +383,7 @@ class TestWarpSystemPersistence:
             warp.save(p2)
         monkeypatch.undo()
 
-        reloaded = WarpSystem.load(p2, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(p2, wal_path=wal_path))
         assert reloaded.graph.n_runs == warp.graph.n_runs
         for key, visit in warp.graph.visits.items():
             assert len(reloaded.graph.visits[key].events) == len(visit.events)
@@ -440,15 +453,15 @@ class TestWarpSystemPersistence:
         assert wal.retried_writes == 1 and not wal.failed
         recovered.close()
 
-    def test_torn_only_wal_does_not_block_fresh_start(self, tmp_path):
+    def test_torn_only_wal_does_not_block_fresh_start(self, tmp_path, closing):
         wal_path = str(tmp_path / "records.wal")
         with open(wal_path, "w", encoding="utf-8") as fh:
             fh.write('{"kind": "run", "da')  # crash during the very first append
-        warp = WarpSystem(wal_path=wal_path)  # must not raise
+        warp = closing(WarpSystem(wal_path=wal_path))  # must not raise
         assert warp.graph.n_runs == 0
 
     def test_crash_between_switch_and_queue_drain_loses_no_queued_request(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, closing
     ):
         """Crash injection for the online-repair gate: the process dies
         after the generation switch but before ``repair_active`` clearing
@@ -461,6 +474,7 @@ class TestWarpSystemPersistence:
 
         wal_path = str(tmp_path / "records.wal")
         warp, wiki = build_workload(wal_path=wal_path)
+        closing(warp)
         attacker = LoadClient("attacker-lc", warp.server)
         wiki.seed_user("attacker-lc", "pw-attacker-lc")
         assert attacker.login("pw-attacker-lc").status == 200
@@ -499,7 +513,7 @@ class TestWarpSystemPersistence:
         monkeypatch.undo()
 
         # Fresh process: recover snapshot + WAL.
-        reloaded = WarpSystem.load(snapshot, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(snapshot, wal_path=wal_path))
         WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server).register_code()
         recovered = reloaded.recovered_queued_requests()
         assert [ticket for ticket, _ in recovered] == queued_tickets
@@ -518,7 +532,7 @@ class TestWarpSystemPersistence:
 
         # WAL replay stays idempotent through the gate entries: another
         # recovery sees the ticket consumed, never re-pending.
-        again = WarpSystem.load(snapshot, wal_path=wal_path)
+        again = closing(WarpSystem.load(snapshot, wal_path=wal_path))
         assert again.recovered_queued_requests() == []
 
     def test_snapshotless_crash_recovers_gate_queue_exactly_once(

@@ -420,13 +420,13 @@ class TestComponentDiscovery:
             )
 
     def test_touch_index_survives_replace_and_gc(self, tmp_path):
-        """The eager touch index stays consistent under replace_run/gc:
+        """The eager touch index stays consistent under replace_runs/gc:
         discovery from a fresh seed matches a rebuilt-from-scratch store."""
         outcome = run_multi_tenant_scenario(
             n_tenants=2, users_per_tenant=1, attacked_tenants=1, seed=7
         )
         warp = outcome.warp
-        outcome.repair()  # merges replacements through replace_run
+        outcome.repair()  # merges replacements through replace_runs
         graph = warp.graph
         from persistence_fixtures import recover_store
 

@@ -2,10 +2,13 @@
 query undo, run cancellation, input-change detection, and the merge of
 repaired runs back into the action history graph."""
 
+import os
+
 import pytest
 
 from repro.apps.wiki import WikiApp
 from repro.http.message import HttpRequest
+from repro.store.wal import RecordWal
 from repro.warp import WarpSystem
 
 WIKI = "http://wiki.test"
@@ -188,6 +191,38 @@ class TestGraphMerge:
         assert merged.ts_start == old_ts
         assert merged.client_id == "c1"
         assert warp.graph.run_for_request("c1", 3, 1).run_id == old_id
+
+    def test_merge_is_one_journal_wait(self, tmp_path, monkeypatch):
+        """Under group durability a repair folds its re-executed runs back
+        as one batch: their ``replace_run`` lines share one fsync."""
+        wal_path = str(tmp_path / "records.wal")
+        system = WarpSystem(origin=WIKI, wal_path=wal_path, durability="group")
+        try:
+            wiki = WikiApp(system.ttdb, system.scripts, system.server)
+            wiki.install()
+            wiki.seed_user("alice", "pw")
+            wiki.seed_page("P", "original", owner="alice")
+            token = login_session(system, "alice")
+            for n in range(5):
+                server_request(
+                    system, "/edit.php", {"title": "P", "wpTextbox": f"v{n}"},
+                    cookies={"sess": token},
+                )
+            runs = system.graph.runs_in_order()[-5:]
+            controller = system._controller()
+            controller._begin()
+            for run in runs:
+                controller._reexec_run(run, run.request, conflict_on_change=False)
+            fsyncs = []
+            fsync = os.fsync
+            monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or fsync(fd))
+            controller._finalize()
+            monkeypatch.undo()
+        finally:
+            system.close()
+        kinds = [kind for kind, _ in RecordWal.entries(wal_path)]
+        assert kinds.count("replace_run") == len(runs)
+        assert len(fsyncs) == 1
 
     def test_repair_stats_counts(self, warp):
         server_request(warp, "/index.php", {"title": "P"})

@@ -531,11 +531,13 @@ def edit(client, page, text):
 
 @pytest.mark.parametrize("backend", ["python", "sqlite"])
 @pytest.mark.parametrize("seed", range(4))
-def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
+def test_kept_text_survives_every_mutation(tmp_path, closing, backend, seed):
     rng = random.Random(seed)
     wal_path = str(tmp_path / "records.wal")
     snap_path = str(tmp_path / "warp.json")
-    warp = WarpSystem(seed=seed, wal_path=wal_path, durability="none", db_backend=backend)
+    warp = closing(
+        WarpSystem(seed=seed, wal_path=wal_path, durability="none", db_backend=backend)
+    )
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
     pages = [f"P{i}" for i in range(3)]
@@ -589,7 +591,7 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
     warp.save(snap_path)
     # Every live run has been written now, so every one keeps its text.
     assert all(run.json_text == run.encode(store.texts) for run in store.runs.values())
-    reloaded = WarpSystem.load(snap_path)
+    reloaded = closing(WarpSystem.load(snap_path))
     assert reloaded.graph.to_snapshot() == warp.graph.to_snapshot()
     assert_kept_text_is_fresh(reloaded.graph.store)
     assert all(run.json_text is not None for run in reloaded.graph.runs.values())
@@ -599,14 +601,15 @@ def test_kept_text_survives_every_mutation(tmp_path, backend, seed):
     cancel()
     serve()
     warp.graph.store.wal.sync()
-    tailed = WarpSystem.load(snap_path, wal_path=wal_path)
+    tailed = closing(WarpSystem.load(snap_path, wal_path=wal_path))
     assert tailed.graph.to_snapshot() == warp.graph.to_snapshot()
     assert_kept_text_is_fresh(tailed.graph.store)
-    tailed.close()
 
 
-def test_canceling_a_run_drops_its_kept_text(tmp_path):
-    store = RecordStore(wal=RecordWal(str(tmp_path / "w.wal"), durability="none"))
+def test_canceling_a_run_drops_its_kept_text(tmp_path, closing):
+    store = RecordStore(
+        wal=closing(RecordWal(str(tmp_path / "w.wal"), durability="none"))
+    )
     store.add_run(fixtures.golden_run())
     assert store.runs[7].json_text == fixtures.golden_run().encode(store.texts)
     store.mark_run_canceled(7)
@@ -1309,10 +1312,10 @@ class TestRefusedSnapshots:
 
 
 class TestPreviousSnapshotSurvives:
-    def _deployment(self, tmp_path, plane):
-        warp = WarpSystem(
+    def _deployment(self, tmp_path, plane, closing):
+        warp = closing(WarpSystem(
             wal_path=str(tmp_path / "records.wal"), durability="none", fault_plane=plane
-        )
+        ))
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
         wiki.install()
         wiki.seed_page("P", "seed\n", owner="admin")
@@ -1325,9 +1328,9 @@ class TestPreviousSnapshotSurvives:
         assert edit(client, "P", "two.").status == 200
         return warp, path, good
 
-    def test_store_snapshot_fault(self, tmp_path):
+    def test_store_snapshot_fault(self, tmp_path, closing):
         plane = FaultPlane()
-        warp, path, good = self._deployment(tmp_path, plane)
+        warp, path, good = self._deployment(tmp_path, plane, closing)
         plane.arm(point="store.snapshot", kind="crash", times=1)
         with pytest.raises(SimulatedCrash):
             warp.save(path)
@@ -1340,10 +1343,10 @@ class TestPreviousSnapshotSurvives:
         assert loaded.graph.n_runs == warp.graph.n_runs
         loaded.close()
 
-    def test_crash_mid_write(self, tmp_path, monkeypatch):
+    def test_crash_mid_write(self, tmp_path, monkeypatch, closing):
         """The process dies while record lines are going out: the temp
         file never becomes ``path``."""
-        warp, path, good = self._deployment(tmp_path, FaultPlane())
+        warp, path, good = self._deployment(tmp_path, FaultPlane(), closing)
         real_lines = RecordStore._record_lines
 
         def dying_lines(self, *args):
@@ -1453,11 +1456,12 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
     assert runs == [1, 2, 3, 4, 5, 6]
 
 
-def test_run_scenario_passes_warp_kwargs(tmp_path):
+def test_run_scenario_passes_warp_kwargs(tmp_path, closing):
     wal_path = str(tmp_path / "records.wal")
     outcome = run_scenario(
         "csrf", n_users=3, n_victims=1, wal_path=wal_path, durability="none"
     )
+    closing(outcome.warp)
     assert outcome.warp.graph.store.wal.path == wal_path
     assert sum(1 for kind, _ in RecordWal.entries(wal_path) if kind == "run") == (
         outcome.warp.graph.n_runs

@@ -8,24 +8,40 @@ timing.
     winner-first window query; likewise ``unique_conflict``'s probe.
 (b) SQLite VM steps for one title lookup do not grow with the length of
     the history the table keeps.
-(c) The window query that runs once a row has had two open versions —
-    narrowed to the rows with a visible version satisfying the WHERE —
-    returns what the memory engine and the naive executor
-    (``tests/naive_executor.py``) return.
+(c) The window query that runs once a row has had two open versions in
+    one generation — narrowed to the rows with a visible version
+    satisfying the WHERE — returns what the memory engine and the naive
+    executor (``tests/naive_executor.py``) return.
 (d) A range conjunct on an unindexed column reaches SQLite's WHERE while
     the column has only stored values of the bound's rank, and stays out
     of it — with the same rows and read set — once it has stored another.
+(e) ``_multi_open`` is set by two open versions of a row that share a
+    generation, and by nothing else: a repair's fenced original beside
+    its repair-generation copy leaves it alone — through the repair, after
+    ``finalize`` and across a snapshot reload — so a repaired wiki's
+    reads stay plain.
+(f) A fetched version's ``__data`` is decoded on its first read only:
+    ``rollback_row``'s chain walk and the versions a fetch's dedupe drops
+    parse no JSON.
 """
 
+import json
+import random
 import re
 
 import pytest
 
+import repro.db.sqlite_engine as sqlite_engine
 from repro.apps.wiki.schema import WIKI_TABLES
 from repro.core.clock import INFINITY
 from repro.db.engine import create_database
 from repro.db.executor import ExecContext, Executor
 from repro.db.storage import Column, RowVersion, TableSchema
+from repro.repair.api import CancelClientSpec
+from repro.ttdb.rollback import rollback_row
+from repro.warp import WarpSystem
+from repro.workload.loadgen import LoadClient, make_load_clients
+from repro.workload.scenarios import WikiDeployment
 
 from naive_executor import NaiveExecutor
 
@@ -395,3 +411,210 @@ def test_range_prefilter_follows_the_rank_rule():
     assert [row["id"] for row in run(query, (35,)).rows] == [1, 2, 3]
     [(_, sql, _)] = statements
     assert ident not in sql.split(" WHERE ", 1)[1], sql
+
+
+# ---------------------------------------------------------------------------
+# (e) the ``_multi_open`` rule: two open versions sharing a generation
+# ---------------------------------------------------------------------------
+
+
+def repaired_wiki(tmp_path):
+    """A SQLite wiki (the ``wiki_sqlite`` benchmark's shape, smaller): load
+    clients edit and view pages, an attacker appends to three of them,
+    and a repair cancels the attacker.  Returns the deployment, the
+    statements the engine ran during the repair, and the pages."""
+    deployment = WikiDeployment(
+        n_users=0, seed=1, db_backend="sqlite", db_path=str(tmp_path / "db")
+    )
+    warp, wiki = deployment.warp, deployment.wiki
+    pages = [f"Page{n}" for n in range(8)]
+    for page in pages:
+        wiki.seed_page(page, f"{page}\n", owner="admin")
+    clients = make_load_clients(wiki, warp.server, [f"c{n}" for n in range(4)])
+    wiki.seed_user("mallory", "pw-mallory")
+    mallory = LoadClient("mallory", warp.server)
+    assert mallory.login("pw-mallory").status == 200
+    rng = random.Random(1)
+
+    def traffic(n, tag):
+        for index in range(n):
+            page = rng.choice(pages)
+            client = clients[pages.index(page) % len(clients)]
+            params = {"title": page}
+            method = "POST" if rng.random() < 0.4 else "GET"
+            if method == "POST":
+                params["append"] = f"\n{tag}{index}"
+            response = client.send(client.request(method, "/edit.php", params))
+            assert response.status == 200
+
+    traffic(40, "before")
+    for page in pages[:3]:
+        params = {"title": page, "append": "\nEVIL"}
+        assert mallory.send(mallory.request("POST", "/edit.php", params)).status == 200
+    traffic(60, "after")
+    statements = record_statements(warp.ttdb.database)
+    result = warp.repair.submit(CancelClientSpec(client_id="mallory-load")).result()
+    assert result.ok and result.stats.queries_reexecuted > 0
+    return deployment, statements, pages
+
+
+def test_a_repair_leaves_reads_plain_through_finalize_and_reload(tmp_path, closing):
+    deployment, statements, pages = repaired_wiki(tmp_path)
+    warp = closing(deployment.warp)
+    engine = warp.ttdb.database
+    assert any(sql.startswith("SELECT") for _, sql, _ in statements)
+    assert not any("ROW_NUMBER" in sql for _, sql, _ in statements)
+    assert not any(table._multi_open for table in engine.tables.values())
+    # The repair left rows whose fenced original and repair copy are both
+    # open (in generations that do not meet).
+    table = engine.table("pagecontent")
+    pairs = table._exec(
+        f"SELECT __row_id FROM {table._sql_name} WHERE __end_ts = {INFINITY} "
+        "GROUP BY __row_id HAVING COUNT(*) > 1"
+    ).fetchall()
+    assert pairs
+
+    del statements[:]
+    assert deployment.wiki.page_text(pages[0]).startswith(pages[0])
+    [(_, sql, binds)] = statements
+    assert "ROW_NUMBER" not in sql
+    assert table._states["title"].ident in sql and pages[0] in binds
+    assert not any("EVIL" in deployment.wiki.page_text(page) for page in pages)
+
+    path = str(tmp_path / "warp.json")
+    warp.save(path)
+    tables = closing(WarpSystem.load(path)).ttdb.database.tables.values()
+    assert sum(t.version_count for t in tables) == engine.total_versions()
+    assert not any(t._multi_open for t in tables)
+
+
+def open_versions(*gens):
+    """A SQLite table holding one open version of row 1 per ``(start_gen,
+    end_gen)`` pair, started at consecutive timestamps."""
+    table = create_database("sqlite").create_table(SCORES)
+    versions = []
+    for start_ts, (start_gen, end_gen) in enumerate(gens, 1):
+        version = RowVersion(
+            1, {"id": 1, "score": start_ts}, start_ts,
+            start_gen=start_gen, end_gen=end_gen,
+        )
+        table.add_version(version)
+        versions.append(version)
+    return table, versions
+
+
+def test_open_versions_in_disjoint_generations_leave_the_flag_alone():
+    table, _ = open_versions((0, 0), (1, INFINITY))
+    assert not table._multi_open
+    table, _ = open_versions((0, 2), (3, 5), (6, INFINITY))
+    assert not table._multi_open
+
+
+def test_a_duplicate_forced_row_id_insert_sets_the_flag():
+    memory, sqlite = create_database("python"), create_database("sqlite")
+    executors = [Executor(db) for db in (memory, sqlite)]
+    for db in (memory, sqlite):
+        db.create_table(SCORES)
+    table = sqlite.table("scores")
+
+    def run(sql, params, ctx):
+        results = [ex.execute(ex.prepare(sql), params, ctx) for ex in executors]
+        assert results[1].rows == results[0].rows, (sql, params)
+        return results[1].rows
+
+    for ts in (1, 2):
+        ctx = ExecContext(ts=ts, gen=0, current_gen=0, forced_row_ids=(7,))
+        run("INSERT INTO scores (score) VALUES (?)", (ts,), ctx)
+        assert table._multi_open == (ts == 2)
+    # Winner first, as on the memory engine: one of the two scores is
+    # row 7's, and the other does not resurface.
+    ctx = ExecContext(ts=3, gen=0, current_gen=0)
+    found = [run("SELECT id FROM scores WHERE score = ?", (n,), ctx) for n in (1, 2)]
+    assert sorted(found) == [[], [{"id": 7}]]
+
+
+def test_an_unfence_into_a_shared_generation_sets_the_flag():
+    table, (fenced, copy) = open_versions((0, 0), (1, INFINITY))
+    table.unfence_version(fenced, if_end_gen=5)  # not the fence it has: no-op
+    assert fenced.end_gen == 0 and not table._multi_open
+    table.unfence_version(fenced, if_end_gen=0)
+    assert fenced.end_gen == INFINITY and table._multi_open
+
+
+def test_a_reopen_into_a_shared_generation_sets_the_flag():
+    table, [current] = open_versions((1, INFINITY))
+    earlier = RowVersion(1, {"id": 1, "score": 0}, 0, end_ts=1, start_gen=1)
+    table.add_version(earlier)
+    assert not table._multi_open  # a closed version beside the open one
+    table.reopen_version(earlier)
+    assert earlier.end_ts == INFINITY and table._multi_open
+
+
+@pytest.mark.parametrize("gens, flagged", [
+    (((0, 0), (1, INFINITY)), False),
+    (((0, 3), (2, INFINITY)), True),
+])
+def test_restore_probes_generation_overlap(gens, flagged):
+    versions = [
+        [1, {"id": 1, "score": n}, n, INFINITY, start_gen, end_gen]
+        for n, (start_gen, end_gen) in enumerate(gens, 1)
+    ]
+    engine = create_database("sqlite")
+    engine.restore({"tables": [
+        {"schema": SCORES.to_dict(), "versions": versions, "next_row_id": 2}
+    ]})
+    assert engine.table("scores")._multi_open == flagged
+
+
+# ---------------------------------------------------------------------------
+# (f) row images decoded on first read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The ``__data`` blobs parsed from here on."""
+    parsed = []
+    decode = sqlite_engine._json_decode
+
+    def counting(blob):
+        parsed.append(blob)
+        return decode(blob)
+
+    monkeypatch.setattr(sqlite_engine, "_json_decode", counting)
+    return parsed
+
+
+def chain_table(n_rows, n_versions):
+    """Rows 1..n_rows, each edited ``n_versions`` times: a closed chain
+    ending in an open version, all in generation 0."""
+    table = create_database("sqlite").create_table(SCORES)
+    for row_id in range(1, n_rows + 1):
+        for ts in range(1, n_versions + 1):
+            table.add_version(RowVersion(
+                row_id, {"id": row_id, "score": ts}, ts,
+                end_ts=ts + 1 if ts < n_versions else INFINITY,
+            ))
+    return table
+
+
+def test_rollback_parses_only_the_versions_it_reads(decodes):
+    table = chain_table(1, 10)
+    rollback_row(table, 1, ts=8, current_gen=0, repair_gen=1)
+    # Versions 8-10 are excluded (their partition keys read), version 7 is
+    # re-extended (copied); 1-6 are walked past on their intervals alone.
+    assert sorted(json.loads(blob)["score"] for blob in decodes) == [7, 8, 9, 10]
+    [copy] = [v for v in table.row_versions(1) if v.start_gen == 1]
+    assert copy.data == {"id": 1, "score": 7} and copy.end_ts == INFINITY
+
+
+def test_dedupe_parses_only_the_versions_it_keeps(decodes):
+    table = chain_table(3, 4)
+    kept = list(table.plain_rows())
+    assert [v.start_ts for v in kept] == [1, 1, 1] and decodes == []
+    assert [v.data["score"] for v in kept] == [1, 1, 1]
+    assert len(decodes) == 3  # of the 12 fetched versions
+    del decodes[:]
+    table, _ = open_versions((0, INFINITY), (0, INFINITY))
+    [winner] = table.visible_rows(ts=5, gen=0)
+    assert winner.data["score"] == 1 and len(decodes) == 1
