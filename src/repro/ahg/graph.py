@@ -113,9 +113,6 @@ class ActionHistoryGraph:
     def invalidate_partition_indexes(self) -> None:
         self.store.invalidate_partition_indexes()
 
-    def mark_run_canceled(self, run_id: int) -> None:
-        self.store.mark_run_canceled(run_id)
-
     # -- statistics -------------------------------------------------------------
 
     @property
@@ -197,17 +194,6 @@ class ActionHistoryGraph:
         say it was handed already.  Callers re-check precisely."""
         return self.store.queries_touching(table, keys, since_ts, whole_table, drained)
 
-    # -- per-client log quota (paper §5.2) ----------------------------------------
-
-    def enforce_client_quota(self, max_visits_per_client: int) -> int:
-        return self.store.enforce_client_quota(max_visits_per_client)
-
-    # -- garbage collection ----------------------------------------------------------
-
-    def gc(self, horizon_ts: int) -> int:
-        """Drop runs and visits that ended before ``horizon_ts``."""
-        return self.store.gc(horizon_ts)
-
     # -- durability -------------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
@@ -227,6 +213,8 @@ class ActionHistoryGraph:
         for table in store.tables:
             for item in data.get(table.name, ()):
                 table.apply(table.put_kind, item)
+        if "retained" in data:
+            store._restore_retained(data["retained"])
         # The snapshot holds exactly the entries its runs refer to, so the
         # next save need not re-read the run lines to find them.
         store._texts_exact = True

@@ -16,8 +16,7 @@ A storage engine is a ``Database``-shaped object:
     Stable identifier string recorded in snapshots (``"python"``,
     ``"sqlite"``).
 ``tables`` / ``ddl_epoch`` / ``create_table`` / ``table`` / ``has_table``
-    / ``drop_table`` / ``total_versions`` / ``gc`` / ``to_dict`` /
-    ``restore``
+    / ``drop_table`` / ``total_versions`` / ``to_dict`` / ``restore``
     DDL and whole-database operations, exactly as on
     :class:`repro.db.storage.Database`.  ``to_dict``/``restore`` use the
     backend-independent JSON shape, so snapshots are portable across

@@ -1028,9 +1028,6 @@ class SqliteEngine:
     def total_versions(self) -> int:
         return sum(table.version_count for table in self.tables.values())
 
-    def gc(self, horizon_ts: int) -> int:
-        return sum(table.gc(horizon_ts) for table in self.tables.values())
-
     # -- persistence ----------------------------------------------------------------
 
     def to_dict(self) -> dict:

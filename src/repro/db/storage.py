@@ -689,9 +689,6 @@ class Database:
     def total_versions(self) -> int:
         return sum(table.version_count for table in self.tables.values())
 
-    def gc(self, horizon_ts: int) -> int:
-        return sum(table.gc(horizon_ts) for table in self.tables.values())
-
     def atomic(self) -> contextlib.AbstractContextManager:
         """The scope in which one write statement, row rollback, repair
         abort or gc applies all of its version mutations or none (the

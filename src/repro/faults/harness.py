@@ -18,6 +18,8 @@ a snapshot), then simulate process death, reload with
    listed in the store's ``repair_jobs`` after reload.
 5. **Recovery serves** — a probe request against the reloaded system
    succeeds.
+6. **Retention agrees** — after a ``retain_at`` step (never drawn by
+   :func:`generate_schedule`), graph and database agree on the horizon.
 
 Recovery itself always runs fault-free (a reloaded system gets the inert
 default plane): the property under test is that *whatever* state an
@@ -116,6 +118,8 @@ class HarnessReport:
     notes: List[str] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     recovered_runs: int = 0
+    horizon: Optional[int] = None  # a retain_at step's
+    retired: List[str] = field(default_factory=list)  # acked before it
 
     @property
     def ok(self) -> bool:
@@ -214,6 +218,10 @@ def _drive(warp, schedule, clients, report, snap_path, interrupted_job_ids):
         if repair_at is not None and step == repair_at:
             if _run_repair(warp, report, interrupted_job_ids):
                 return
+        if step == schedule.get("retain_at"):
+            report.horizon = warp.clock.now()
+            report.retired = list(report.acked)
+            warp.retain(report.horizon)
         client = clients[step % len(clients)]
         if rng.random() < 0.6:
             marker = f"mk{report.seed}x{step}."
@@ -306,10 +314,10 @@ def _check_invariants(report, loaded, wiki2, interrupted_job_ids) -> None:
     violations = report.violations
 
     # 1 + 2: acked exactly once, unacked at most once — in the graph ...
-    acked = set(report.acked)
+    acked, retired = set(report.acked), set(report.retired)
     for marker in report.writes:
         count = _marker_count(store, marker)
-        if marker in acked and count != 1:
+        if marker in acked and count != 1 and not (count == 0 and marker in retired):
             violations.append(
                 f"acked write {marker!r} appears {count} times in the "
                 "recovered graph (must be exactly 1)"
@@ -353,6 +361,12 @@ def _check_invariants(report, loaded, wiki2, interrupted_job_ids) -> None:
         violations.append(
             f"post-recovery probe request failed with {response.status}"
         )
+
+    # 6: the graph recovered the horizon, the database is trimmed at it.
+    if report.horizon is not None and (
+        store.horizon_ts != report.horizon or loaded.retain(report.horizon)
+    ):
+        violations.append(f"graph and database disagree on horizon {report.horizon}")
 
 
 def _store_violations(store) -> List[str]:

@@ -60,6 +60,7 @@ __all__ = [
     "spec_from_request",
     "Damage",
     "derive_damage",
+    "check_retained",
     "damage_seeds",
     "compute_plan",
 ]
@@ -446,8 +447,32 @@ def derive_damage(graph, ttdb, spec: RepairSpec) -> List[Damage]:
     an INSERT's partition-column values — not by executing it.  Keys its
     execution writes beyond them count as its group's escapes.
     """
+    check_retained(graph, spec)
     members = spec.specs if isinstance(spec, RepairBatch) else [spec]
     return [_member_damage(graph, ttdb, member) for member in members]
+
+
+def check_retained(graph, spec: RepairSpec) -> None:
+    """Raise :class:`RepairError` when a member of ``spec`` directly damages
+    history ``WarpSystem.retain`` dropped (API.md §11): repairing it would
+    undo only what is left and report success."""
+    store = graph.store
+    horizon = store.horizon_ts
+    for member in spec.specs if isinstance(spec, RepairBatch) else [spec]:
+        if isinstance(member, PatchSpec):
+            dropped = member.apply_ts < horizon and member.file in store.dropped_files
+        elif isinstance(member, DbFixSpec):
+            dropped = member.ts < horizon
+        elif isinstance(member, CancelVisitSpec):
+            dropped = (member.client_id, member.visit_id) not in store.visits and (
+                member.visit_id <= store.trimmed_clients.get(member.client_id, 0)
+            )
+        else:
+            dropped = getattr(member, "client_id", None) in store.trimmed_clients
+        if dropped:
+            raise RepairError(
+                f"{member.kind} spec reaches history that retention dropped (horizon {horizon})"
+            )
 
 
 def _member_damage(graph, ttdb, spec: RepairSpec) -> Damage:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ahg.graph import ActionHistoryGraph
@@ -651,9 +651,12 @@ class RepairController:
             gate.record_applied(entry, response)
 
     def _merge_replacements(self) -> None:
-        """Fold re-executed runs back into the action history graph so the
-        graph describes the repaired timeline (enables follow-up repairs),
-        as one batch: one store lock hold, one journal wait."""
+        """Fold re-executed and canceled runs back into the graph so it
+        describes the repaired timeline (enables follow-up repairs), as one
+        batch — one store lock hold, one journal wait — on commit only."""
+        canceled = dict.fromkeys(
+            run_id for run_id, state in self._run_state.items() if state == "canceled"
+        )
         records = []
         for old_id, new_record in self._replacements.items():
             old = self.graph.runs.get(old_id)
@@ -667,7 +670,12 @@ class RepairController:
             new_record.request_id = old.request_id
             new_record.ts_start = old.ts_start
             new_record.ts_end = max(old.ts_end, new_record.ts_end)
+            new_record.canceled = old_id in canceled
             records.append(new_record)
+        for run_id in canceled:
+            old = self.graph.runs.get(run_id)
+            if old is not None and not old.canceled and run_id not in self._replacements:
+                records.append(replace(old, canceled=True, json_text=None))
         self.graph.replace_runs(records)
         self.graph.add_runs(self._new_runs)
         if self._replacements:
@@ -854,7 +862,6 @@ class RepairController:
         if self._run_state.get(run.run_id) == "canceled":
             return
         self._run_state[run.run_id] = "canceled"
-        self.graph.mark_run_canceled(run.run_id)
         self._bump("runs_canceled")
         for query in run.queries:
             if query.is_write:

@@ -51,6 +51,7 @@ from repro.repair.api import (
     RepairBatch,
     RepairPlan,
     RepairSpec,
+    check_retained,
     compute_plan,
     spec_from_request,
 )
@@ -311,9 +312,9 @@ class RepairJobManager:
         """
         spec.validate()
         # Fail fast with full resolution semantics (unknown patch_name,
-        # file/catalog mismatch); the result is discarded — execution
-        # re-resolves against the catalog as of its own start time.
-        self._resolve(spec)
+        # file/catalog mismatch, dropped history); the result is discarded —
+        # execution re-resolves against the catalog as of its own start time.
+        check_retained(self._warp.graph, self._resolve(spec))
         if threading.current_thread() is self._executing_thread:
             # submit().result() called from repair context — a step hook,
             # event subscriber, or controller listener runs on this very

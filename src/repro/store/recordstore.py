@@ -21,7 +21,8 @@ so a bucket hands each entry to one repair once: a key the repair
 rewrites k times costs its tail once, not k times.
 
 Mutations (``add_run``/``add_visit``/``add_patch``/``replace_runs``/``gc``/
-``enforce_client_quota``) are the public write API; when a
+``enforce_client_quota``, the graph half of ``WarpSystem.retain``) are
+the public write API; when a
 :class:`~repro.store.wal.RecordWal` is attached, each one is journaled so
 the store can be rebuilt after a crash from snapshot + WAL replay
 (``WarpSystem.load``: the snapshot's record lines, then the WAL tail,
@@ -352,6 +353,12 @@ class RecordStore:
         #: Highest visit id ever seen per client (survives gc/quota; a
         #: returning browser must never reuse a recorded visit id).
         self._client_visit_hwm: Dict[str, int] = {}
+        #: What retention dropped, for ``repro.repair.api.check_retained``:
+        #: the horizon, each trimmed client's last visit id when trimmed,
+        #: and the files the dropped runs loaded.
+        self.horizon_ts = 0
+        self.trimmed_clients: Dict[str, int] = {}
+        self.dropped_files: Set[str] = set()
         #: (client_id, parent_visit_id) -> child visit ids — visit
         #: cancellation walks the navigation tree in O(descendants).
         self._visit_children: Dict[Tuple[str, int], List[int]] = {}
@@ -588,8 +595,8 @@ class RecordStore:
             self._finish(self.wal.append(kind, data))
 
     def mark_run_canceled(self, run_id: int) -> None:
-        """Record that repair canceled (undid) this run — journaled so the
-        cancellation survives recovery."""
+        """Apply a ``cancel_run`` line (a repair records its cancels in its
+        finalize batch, :meth:`replace_runs`)."""
         ticket = None
         with self.lock:
             run = self.runs.get(run_id)
@@ -832,35 +839,25 @@ class RecordStore:
         entries (paper §5.2).  Oldest visit logs beyond the quota are
         dropped in one pass per client (their server-side run records
         remain)."""
-        ticket = None
+        dropped, ticket = 0, None
         with self.lock:
-            dropped, ticket = self._enforce_client_quota(max_visits_per_client)
+            for client_id, visit_ids in self._client_visits.items():
+                excess = len(visit_ids) - max_visits_per_client
+                if excess <= 0:
+                    continue
+                oldest = sorted(visit_ids, key=lambda vid: self.visits[(client_id, vid)].ts)
+                victims = set(oldest[:excess])
+                for visit_id in victims:
+                    self._unlink_child(self.visits.pop((client_id, visit_id)))
+                visit_ids[:] = [vid for vid in visit_ids if vid not in victims]
+                dropped += len(victims)
+                self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+            if dropped and self.wal is not None:
+                ticket = self.wal.append(
+                    "quota", {"max_visits_per_client": max_visits_per_client}
+                )
         self._finish(ticket)
         return dropped
-
-    def _enforce_client_quota(
-        self, max_visits_per_client: int
-    ) -> Tuple[int, Optional[CommitTicket]]:
-        dropped = 0
-        for client_id, visit_ids in self._client_visits.items():
-            excess = len(visit_ids) - max_visits_per_client
-            if excess <= 0:
-                continue
-            victims = set(
-                sorted(visit_ids, key=lambda vid: self.visits[(client_id, vid)].ts)[
-                    :excess
-                ]
-            )
-            for visit_id in victims:
-                self._unlink_child(self.visits.pop((client_id, visit_id)))
-            visit_ids[:] = [vid for vid in visit_ids if vid not in victims]
-            dropped += len(victims)
-        ticket = None
-        if dropped and self.wal is not None:
-            ticket = self.wal.append(
-                "quota", {"max_visits_per_client": max_visits_per_client}
-            )
-        return dropped, ticket
 
     def gc(self, horizon_ts: int) -> int:
         """Drop runs and visits that ended before ``horizon_ts``.
@@ -871,79 +868,94 @@ class RecordStore:
         """
         ticket = None
         with self.lock:
-            removed, ticket = self._gc(horizon_ts)
+            removed = 0
+            keep_order: List[int] = []
+            dead_runs: List[AppRunRecord] = []
+            for run_id in self._run_order:
+                run = self.runs[run_id]
+                if run.ts_end < horizon_ts:
+                    dead_runs.append(run)
+                else:
+                    keep_order.append(run_id)
+            self._run_order = keep_order
+            if dead_runs:
+                self._texts_exact = False
+            dead_runs_by_client: Dict[str, Set[int]] = {}
+            for run in dead_runs:
+                removed += 1
+                del self.runs[run.run_id]
+                self.query_count -= len(run.queries)
+                self._unindex_run_files(run)
+                self.dropped_files.update(run.loaded_files)
+                self.touch.unindex_run(run)
+                if run.client_id is not None:
+                    dead_runs_by_client.setdefault(run.client_id, set()).add(run.run_id)
+                key = run.browser_key()
+                if key is not None:
+                    ids = self._runs_by_visit.get(key)
+                    if ids is not None:
+                        ids.remove(run.run_id)
+                        if not ids:
+                            del self._runs_by_visit[key]
+                    if run.request_id is not None:
+                        map_key = key + (run.request_id,)
+                        if self.request_map.get(map_key) == run.run_id:
+                            del self.request_map[map_key]
+            for client_id, gone in dead_runs_by_client.items():
+                ids = self._client_runs.get(client_id, [])
+                ids[:] = [run_id for run_id in ids if run_id not in gone]
+                if not ids:
+                    self._client_runs.pop(client_id, None)
+                self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+
+            dead_by_client: Dict[str, Set[int]] = {}
+            for key, visit in list(self.visits.items()):
+                if visit.ts < horizon_ts and not self._runs_by_visit.get(key):
+                    del self.visits[key]
+                    self._unlink_child(visit)
+                    dead_by_client.setdefault(visit.client_id, set()).add(visit.visit_id)
+                    removed += 1
+            for client_id, gone in dead_by_client.items():
+                ids = self._client_visits.get(client_id, [])
+                ids[:] = [vid for vid in ids if vid not in gone]
+                if not ids:
+                    self._client_visits.pop(client_id, None)
+                self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+
+            # Partition buckets may reference dropped queries; rebuild lazily.
+            self.invalidate_partition_indexes()
+            # Journaled whenever the horizon moves: the database half trims at it.
+            if (removed or horizon_ts > self.horizon_ts) and self.wal is not None:
+                ticket = self.wal.append("gc", {"horizon_ts": horizon_ts})
+            self.horizon_ts = max(self.horizon_ts, horizon_ts)
         self._finish(ticket)
         return removed
 
-    def _gc(self, horizon_ts: int) -> Tuple[int, Optional[CommitTicket]]:
-        removed = 0
-        keep_order: List[int] = []
-        dead_runs: List[AppRunRecord] = []
-        for run_id in self._run_order:
-            run = self.runs[run_id]
-            if run.ts_end < horizon_ts:
-                dead_runs.append(run)
-            else:
-                keep_order.append(run_id)
-        self._run_order = keep_order
-        if dead_runs:
-            self._texts_exact = False
-        dead_runs_by_client: Dict[str, Set[int]] = {}
-        for run in dead_runs:
-            removed += 1
-            del self.runs[run.run_id]
-            self.query_count -= len(run.queries)
-            self._unindex_run_files(run)
-            self.touch.unindex_run(run)
-            if run.client_id is not None:
-                dead_runs_by_client.setdefault(run.client_id, set()).add(run.run_id)
-            key = run.browser_key()
-            if key is not None:
-                ids = self._runs_by_visit.get(key)
-                if ids is not None:
-                    ids.remove(run.run_id)
-                    if not ids:
-                        del self._runs_by_visit[key]
-                if run.request_id is not None:
-                    map_key = key + (run.request_id,)
-                    if self.request_map.get(map_key) == run.run_id:
-                        del self.request_map[map_key]
-        for client_id, gone in dead_runs_by_client.items():
-            ids = self._client_runs.get(client_id, [])
-            ids[:] = [run_id for run_id in ids if run_id not in gone]
-            if not ids:
-                self._client_runs.pop(client_id, None)
-
-        dead_by_client: Dict[str, Set[int]] = {}
-        for key, visit in list(self.visits.items()):
-            if visit.ts < horizon_ts and not self._runs_by_visit.get(key):
-                del self.visits[key]
-                self._unlink_child(visit)
-                dead_by_client.setdefault(visit.client_id, set()).add(visit.visit_id)
-                removed += 1
-        for client_id, gone in dead_by_client.items():
-            ids = self._client_visits.get(client_id, [])
-            ids[:] = [vid for vid in ids if vid not in gone]
-            if not ids:
-                self._client_visits.pop(client_id, None)
-
-        # Partition buckets may reference dropped queries; rebuild lazily.
-        self.invalidate_partition_indexes()
-        ticket = None
-        if removed and self.wal is not None:
-            ticket = self.wal.append("gc", {"horizon_ts": horizon_ts})
-        return removed, ticket
+    def _restore_retained(self, data: dict) -> None:
+        self.horizon_ts = max(self.horizon_ts, data["horizon_ts"])
+        for client_id, mark in data["clients"].items():
+            self._note_visit_id(client_id, mark)
+            self.trimmed_clients.setdefault(client_id, mark)
+        self.dropped_files.update(data["files"])
 
     # ------------------------------------------------------------------ durability
 
     def _pending_snapshot(self) -> dict:
         """The non-record state a snapshot carries: each journaled table's
-        entries in key order.  Caller holds ``records``."""
-        return {
+        entries in key order, and what retention dropped once it has run.
+        Caller holds ``records``."""
+        pending = {
             table.name: [table.entries[key] for key in sorted(table.entries)]
             for table in self.tables
             if table.entries
         }
+        if self.horizon_ts or self.trimmed_clients:
+            pending["retained"] = {
+                "horizon_ts": self.horizon_ts,
+                "clients": dict(sorted(self.trimmed_clients.items())),
+                "files": sorted(self.dropped_files),
+            }
+        return pending
 
     def to_snapshot(self) -> dict:
         """Image of all primary records as one plain-JSON dict (indexes

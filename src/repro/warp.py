@@ -256,6 +256,23 @@ class WarpSystem:
 
     # -- durability ---------------------------------------------------------------
 
+    def retain(
+        self,
+        horizon_ts: Optional[int] = None,
+        max_visits_per_client: Optional[int] = None,
+    ) -> int:
+        """Drop the runs, visits and row versions that ended before
+        ``horizon_ts`` and each client's visit logs beyond
+        ``max_visits_per_client`` (paper §4.2, §5.2); API.md §11."""
+        if self.ttdb.repair_gen is not None:
+            raise RepairError("cannot retain while a repair is in progress")
+        store, dropped = self.graph.store, 0
+        if horizon_ts is not None:
+            dropped += store.gc(horizon_ts) + self.ttdb.gc(horizon_ts)
+        if max_visits_per_client is not None:
+            dropped += store.enforce_client_quota(max_visits_per_client)
+        return dropped
+
     def save(self, path: str) -> None:
         """Persist everything repair capability depends on: the action
         history graph's records, the versioned database, the generation
@@ -341,9 +358,10 @@ class WarpSystem:
         (:meth:`RecordStore.apply_logged`); the log is then opened for
         appends, once, with the deployment's settings.  The WAL restores
         the action history graph; database versions are only as fresh as
-        the snapshot.  Code is not serialized: the caller re-registers
-        application scripts either way, and recorded routes are restored
-        so dispatch works as soon as they exist again.
+        the snapshot, trimmed at the graph's :meth:`retain` horizon.  Code is
+        not serialized: the caller re-registers application scripts either
+        way, and recorded routes are restored so dispatch works as soon as
+        they exist again.
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
@@ -389,6 +407,8 @@ class WarpSystem:
                     wal_path, snapshot_id=state.get("snapshot_id")
                 )
                 warp._open_log(wal_path, intact_size)
+            if warp.graph.store.horizon_ts:  # the database half of retain
+                warp.ttdb.gc(warp.graph.store.horizon_ts)
             warp._sync_id_counters()
             warp._sync_clock()
             warp.server.routes.update(state.get("routes", {}))

@@ -8,6 +8,7 @@ from repro.ahg.graph import ActionHistoryGraph
 from repro.ahg.records import AppRunRecord, QueryRecord, VisitRecord
 from repro.http.message import HttpRequest, HttpResponse
 from repro.ttdb.partitions import ReadSet
+from repro.warp import WarpSystem
 
 
 def make_run(run_id, ts, files=None, client=None, visit=None, request_id=None):
@@ -215,25 +216,32 @@ class TestQueryIndex:
 
 class TestGc:
     def test_gc_drops_old_runs_and_visits(self):
-        graph = ActionHistoryGraph()
+        warp = WarpSystem()
+        graph = warp.graph
         graph.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
-        graph.add_run(make_run(1, 5, client="c1", visit=1, request_id=1))
+        graph.add_run(make_run(1, 5, files={"a.php": 0}, client="c1", visit=1, request_id=1))
         graph.add_run(make_run(2, 100, client="c1", visit=2, request_id=1))
         graph.add_visit(VisitRecord("c1", 2, ts=100, url="/y"))
-        removed = graph.gc(horizon_ts=50)
+        removed = warp.retain(horizon_ts=50)
         assert removed >= 2
         assert 1 not in graph.runs
         assert 2 in graph.runs
         assert ("c1", 1) not in graph.visits
         assert ("c1", 2) in graph.visits
+        # What was dropped is kept, for the refusal at the horizon.
+        store = graph.store
+        assert store.horizon_ts == 50
+        assert store.trimmed_clients == {"c1": 2}
+        assert store.dropped_files == {"a.php"}
 
     def test_gc_rebuilds_indexes(self):
-        graph = ActionHistoryGraph()
+        warp = WarpSystem()
+        graph = warp.graph
         old = make_run(1, 5)
         old.queries = [make_query(1, 1, 6, reads=["A"])]
         graph.add_run(old)
         graph.queries_touching("pages", {("pages", "title", "A")}, 0)
-        graph.gc(horizon_ts=50)
+        warp.retain(horizon_ts=50)
         hits = graph.queries_touching("pages", {("pages", "title", "A")}, 0)
         assert hits == []
 

@@ -52,6 +52,23 @@ def test_crash_recovery_invariants(seed, tmp_path):
     )
 
 
+def test_crash_between_retain_and_the_next_save(tmp_path):
+    # Saved and retained at one step, then killed mid-append: the log's gc
+    # line trims the graph, and load trims the database at the horizon
+    # the graph recovers, so the two agree.
+    schedule = dict(
+        generate_schedule(5),
+        save_at=10,
+        retain_at=10,
+        repair_at=None,
+        faults=[{"point": "wal.append", "kind": "crash", "after": 30, "times": 1}],
+    )
+    report = run_schedule(schedule, str(tmp_path))
+    assert report.ok, report.violations
+    assert report.crashed and report.saved and report.horizon is not None
+    assert len(report.acked) > len(report.retired) > 0
+
+
 def test_schedule_is_a_pure_function_of_the_seed(tmp_path):
     # The replay contract: the same seed yields the same schedule, and a
     # schedule serialized to JSON drives an identical run.

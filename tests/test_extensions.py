@@ -7,6 +7,7 @@ import pytest
 from repro.ahg.records import VisitRecord
 from repro.repair.api import CancelClientSpec, DbFixSpec
 from repro.repair.replay import ReplayConfig
+from repro.store.wal import CommitTicket
 from repro.workload.scenarios import WIKI, WikiDeployment
 
 
@@ -73,7 +74,7 @@ class TestClientLogQuota:
         graph = deployment.warp.graph
         client = deployment.client_id(user)
         before = len(graph.client_visits(client))
-        dropped = graph.enforce_client_quota(max_visits_per_client=4)
+        dropped = deployment.warp.retain(max_visits_per_client=4)
         assert dropped == before - 4
         remaining = graph.client_visits(client)
         assert len(remaining) == 4
@@ -90,7 +91,7 @@ class TestClientLogQuota:
         for _ in range(10):
             deployment.read_page(chatty, "Main_Page")
         graph = deployment.warp.graph
-        graph.enforce_client_quota(max_visits_per_client=3)
+        deployment.warp.retain(max_visits_per_client=3)
         assert len(graph.client_visits(deployment.client_id(quiet))) >= 2
 
 
@@ -112,6 +113,37 @@ class TestCancelClient:
         assert "spam one" not in deployment.wiki.page_text("Main_Page")
         assert "spam two" not in deployment.wiki.page_text("Projects")
         assert "legit" in deployment.wiki.page_text(f"{user}_notes")
+
+    def test_commit_waits_do_not_grow_with_runs_canceled(
+        self, tmp_path, closing, monkeypatch
+    ):
+        """A repair records its cancels in its finalize batch: under group
+        commit, one wait for them all, not one fsync per canceled run."""
+        waits = []
+        real_wait = CommitTicket.wait
+
+        def counted_wait(ticket, timeout=None):
+            waits.append(ticket)
+            return real_wait(ticket, timeout)
+
+        monkeypatch.setattr(CommitTicket, "wait", counted_wait)
+        observed = {}
+        for n_spam in (1, 4):
+            deployment = WikiDeployment(
+                n_users=2, wal_path=str(tmp_path / f"{n_spam}.wal"), durability="group"
+            )
+            closing(deployment.warp)
+            deployment.login("attacker")
+            for index in range(n_spam):
+                deployment.append_to_page("attacker", "Main_Page", f"\nspam {index}")
+            del waits[:]
+            result = deployment.warp.repair.submit(
+                CancelClientSpec(deployment.client_id("attacker"))
+            ).result()
+            assert result.ok and "spam" not in deployment.wiki.page_text("Main_Page")
+            observed[n_spam] = (result.stats.runs_canceled, len(waits))
+        assert observed[4][0] > observed[1][0]
+        assert observed[4][1] == observed[1][1]
 
 
 class TestRetroactiveDbFix:

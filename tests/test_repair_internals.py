@@ -106,9 +106,10 @@ class TestTwoPhaseReexecution:
         controller = warp._controller()
         controller._begin()
         controller.cancel_run(run)
-        controller.ttdb.finalize_repair()
+        assert not run.canceled  # recorded on commit
+        controller._finalize()
         assert warp._wiki.page_text("NewPage") is None
-        assert run.canceled
+        assert warp.graph.runs[run.run_id].canceled
 
     def test_cancel_run_is_idempotent(self, warp):
         token = login_session(warp, "alice")

@@ -16,6 +16,19 @@ from repro.ttdb.partitions import ReadSet
 from persistence_fixtures import recover_store, save_store
 
 
+@pytest.fixture
+def recover(closing):
+    """``recover_store``, the log it attaches closed when the test ends."""
+
+    def recover_closing(**paths):
+        store = recover_store(**paths)
+        if store.wal is not None:
+            closing(store.wal)
+        return store
+
+    return recover_closing
+
+
 def make_run(run_id, ts, files=None, client=None, visit=None, request_id=None, queries=()):
     run = AppRunRecord(
         run_id=run_id,
@@ -211,7 +224,7 @@ class TestGcAndQuotaConsistency:
 
 
 class TestDurability:
-    def test_snapshot_round_trip(self, tmp_path):
+    def test_snapshot_round_trip(self, tmp_path, recover):
         store = RecordStore()
         store.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
         run = make_run(1, 10, client="c1", visit=1, request_id=1)
@@ -221,7 +234,7 @@ class TestDurability:
 
         path = str(tmp_path / "snapshot.json")
         save_store(store, path)
-        loaded = recover_store(snapshot_path=path)
+        loaded = recover(snapshot_path=path)
 
         assert sorted(loaded.runs) == sorted(store.runs)
         assert set(loaded.visits) == set(store.visits)
@@ -235,63 +248,63 @@ class TestDurability:
         assert restored.params == original.params
         assert [r.run_id for r in loaded.runs_loading_file("page.php", 0)] == [1]
 
-    def test_wal_replay_restores_post_snapshot_records(self, tmp_path):
+    def test_wal_replay_restores_post_snapshot_records(self, tmp_path, closing, recover):
         wal_path = str(tmp_path / "records.wal")
         snap_path = str(tmp_path / "snapshot.json")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         save_store(store, snap_path)  # truncates the WAL
         store.add_run(make_run(2, 20))
         store.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
 
-        recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
+        recovered = recover(snapshot_path=snap_path, wal_path=wal_path)
         assert sorted(recovered.runs) == [1, 2]
         assert ("c1", 1) in recovered.visits
 
-    def test_wal_replay_skips_torn_tail(self, tmp_path):
+    def test_wal_replay_skips_torn_tail(self, tmp_path, closing, recover):
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "run", "data": {"tr')  # crash mid-append
-        recovered = recover_store(wal_path=wal_path)
+        recovered = recover(wal_path=wal_path)
         assert sorted(recovered.runs) == [1]
 
-    def test_valid_json_tail_without_newline_is_still_torn(self, tmp_path):
+    def test_valid_json_tail_without_newline_is_still_torn(self, tmp_path, closing, recover):
         """A crash can cut a write exactly at the closing brace: valid
         JSON, no newline.  Replay must treat it as torn — repair()
         truncates it, and two recoveries of the same file must agree."""
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         with open(wal_path, "r", encoding="utf-8") as fh:
             run2_line = fh.readline().replace('"run_id": 1', '"run_id": 2')
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write(run2_line.rstrip("\n"))  # complete JSON, missing newline
 
-        first = recover_store(wal_path=wal_path)
-        second = recover_store(wal_path=wal_path)
+        first = recover(wal_path=wal_path)
+        second = recover(wal_path=wal_path)
         assert sorted(first.runs) == sorted(second.runs) == [1]
 
-    def test_torn_tail_is_truncated_before_new_appends(self, tmp_path):
+    def test_torn_tail_is_truncated_before_new_appends(self, tmp_path, closing, recover):
         """Appending after a torn fragment must not weld a valid entry onto
         it (that line would be unparseable forever, losing every entry
         journaled after the first crash)."""
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "run", "data": {"tr')  # crash mid-append
 
-        recovered = recover_store(wal_path=wal_path)
+        recovered = recover(wal_path=wal_path)
         recovered.add_run(make_run(2, 20))  # journaled after recovery
 
-        again = recover_store(wal_path=wal_path)
+        again = recover(wal_path=wal_path)
         assert sorted(again.runs) == [1, 2]
 
-    def test_visit_delta_entries_replay_onto_base_record(self, tmp_path):
+    def test_visit_delta_entries_replay_onto_base_record(self, tmp_path, closing, recover):
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         visit = VisitRecord("c1", 1, ts=5, url="/x")
         store.add_visit(visit)
         from repro.ahg.records import EventRecord
@@ -305,7 +318,7 @@ class TestDurability:
         visit.cookies_after = {"o": {"sess": "tok"}}
         store.log_visit_cookies("c1", 1, visit.cookies_after)
 
-        recovered = recover_store(wal_path=wal_path)
+        recovered = recover(wal_path=wal_path)
         restored = recovered.visits[("c1", 1)]
         assert [e.xpath for e in restored.events] == [e.xpath for e in visit.events]
         assert restored.request_ids == [7]
@@ -315,13 +328,13 @@ class TestDurability:
         assert kinds.count("visit") == 1
         assert kinds.count("visit_event") == 3
 
-    def test_replay_is_idempotent_over_snapshot_contents(self, tmp_path):
+    def test_replay_is_idempotent_over_snapshot_contents(self, tmp_path, closing, recover):
         """Crash window: snapshot written but WAL not yet truncated —
         replaying entries the snapshot already covers must not duplicate
         records."""
         wal_path = str(tmp_path / "records.wal")
         snap_path = str(tmp_path / "snapshot.json")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         run = make_run(1, 10, client="c1", visit=1, request_id=1)
         run.queries = [make_query(1, 1, 10)]
         store.add_run(run)
@@ -336,13 +349,13 @@ class TestDurability:
         with open(wal_path, "wb") as fh:
             fh.write(journal)
 
-        recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
+        recovered = recover(snapshot_path=snap_path, wal_path=wal_path)
         assert len(recovered.runs_in_order()) == 1
         assert recovered.query_count == 1
         assert len(recovered.client_visits("c1")) == 1
         assert len(recovered.patches) == 1
 
-    def test_save_snapshot_is_atomic(self, tmp_path):
+    def test_save_snapshot_is_atomic(self, tmp_path, recover):
         path = str(tmp_path / "snapshot.json")
         store = RecordStore()
         store.add_run(make_run(1, 10))
@@ -350,13 +363,13 @@ class TestDurability:
         # No stray temp files; the snapshot parses.
         assert os.listdir(str(tmp_path)) == ["snapshot.json"]
         assert read_snapshot_header(path)["records"]["run"] == 1
-        assert len(recover_store(snapshot_path=path).runs) == 1
+        assert len(recover(snapshot_path=path).runs) == 1
 
-    def test_recover_refuses_wal_truncated_against_other_snapshot(self, tmp_path):
+    def test_recover_refuses_wal_truncated_against_other_snapshot(self, tmp_path, closing, recover):
         from repro.core.errors import ReproError
 
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         p1 = str(tmp_path / "one.json")
         save_store(store, p1)
@@ -365,18 +378,18 @@ class TestDurability:
         save_store(store, p2)  # truncates the WAL against snapshot two
 
         with pytest.raises(ReproError, match="different snapshot"):
-            recover_store(snapshot_path=p1, wal_path=wal_path)
-        assert sorted(recover_store(snapshot_path=p2, wal_path=wal_path).runs) == [1, 2]
+            recover(snapshot_path=p1, wal_path=wal_path)
+        assert sorted(recover(snapshot_path=p2, wal_path=wal_path).runs) == [1, 2]
 
-    def test_wal_journals_replace_and_gc(self, tmp_path):
+    def test_wal_journals_replace_and_gc(self, tmp_path, closing, recover):
         wal_path = str(tmp_path / "records.wal")
-        store = RecordStore(wal=RecordWal(wal_path))
+        store = RecordStore(wal=closing(RecordWal(wal_path)))
         store.add_run(make_run(1, 10))
         store.add_run(make_run(2, 100))
         store.replace_run(1, make_run(1, 10, files={"patched.php": 1}))
         store.gc(horizon_ts=50)
 
-        recovered = recover_store(wal_path=wal_path)
+        recovered = recover(wal_path=wal_path)
         assert sorted(recovered.runs) == [2]
         kinds = [kind for kind, _ in RecordWal.entries(wal_path) if kind != "text"]
         assert kinds == ["run", "run", "replace_run", "gc"]
@@ -393,14 +406,14 @@ def _journaled_entry(name, seq):
 
 
 @pytest.mark.parametrize("name", ["gate_queue", "repair_jobs", "incidents"])
-def test_journaled_table_protocol(tmp_path, name):
+def test_journaled_table_protocol(tmp_path, name, closing, recover):
     """One protocol for every side table: each mutation journals one
     entry, replay over a snapshot that already holds the entries converges
     however often it runs, a closed key never reopens, and a reloaded table
     numbers past every key it closed."""
     wal_path = str(tmp_path / "records.wal")
     snap_path = str(tmp_path / "snapshot.json")
-    store = RecordStore(wal=RecordWal(wal_path))
+    store = RecordStore(wal=closing(RecordWal(wal_path)))
     table = getattr(store, name)
     entries = [_journaled_entry(name, seq) for seq in (1, 2, 3)]
     for entry in entries:
@@ -427,7 +440,7 @@ def test_journaled_table_protocol(tmp_path, name):
     store.wal.close()
     with open(wal_path, "wb") as fh:
         fh.write(journal)
-    recovered = recover_store(snapshot_path=snap_path, wal_path=wal_path)
+    recovered = recover(snapshot_path=snap_path, wal_path=wal_path)
     recovered.wal.close()
     again = getattr(recovered, name)
     assert again.entries == table.entries

@@ -9,6 +9,7 @@ is allowed.  Administrators may always proceed.
 import pytest
 
 from repro.repair.api import CancelVisitSpec
+from repro.store.wal import RecordWal
 from repro.workload.scenarios import WIKI, WikiDeployment
 
 
@@ -86,6 +87,24 @@ class TestAbortOnCascade:
         # Nothing changed: the repair generation was discarded.
         assert deployment.wiki.page_text("Projects") == before
         assert not deployment.warp.conflicts.pending()
+
+    def test_aborted_undo_marks_no_run_canceled(self, tmp_path, closing):
+        """A repair's cancels are recorded on commit: an abort leaves
+        neither a canceled run in the graph nor a cancel in the log, so
+        a later repair still processes those runs' queries."""
+        wal_path = str(tmp_path / "records.wal")
+        deployment = WikiDeployment(n_users=3, wal_path=wal_path)
+        closing(deployment.warp)
+        for user in deployment.users:
+            deployment.login(user)
+        user_a, _user_b, visit_a = self._entangle(deployment)
+        result = deployment.warp.repair.submit(
+            CancelVisitSpec(deployment.client_id(user_a), visit_a, initiated_by_admin=False)
+        ).result()
+        assert result.aborted and result.stats.runs_canceled > 0
+        assert not any(run.canceled for run in deployment.warp.graph.runs.values())
+        deployment.warp.close()
+        assert "cancel_run" not in {kind for kind, _ in RecordWal.entries(wal_path)}
 
     def test_admin_undo_proceeds_despite_conflicts(self, deployment):
         user_a, user_b, visit_a = self._entangle(deployment)

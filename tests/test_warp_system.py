@@ -1,5 +1,5 @@
 """Tests for the WarpSystem facade: clients, repair entry points,
-concurrent-repair re-application, repeated repairs, and log GC."""
+concurrent-repair re-application, repeated repairs, and retention."""
 
 import json
 import os
@@ -7,7 +7,9 @@ import os
 import pytest
 
 from repro.apps.wiki import WikiApp, patch_for
-from repro.repair.api import CancelVisitSpec, PatchSpec
+from repro.core.errors import RepairError
+from repro.http.message import HttpRequest
+from repro.repair.api import CancelClientSpec, CancelVisitSpec, DbFixSpec, PatchSpec
 from repro.warp import WarpSystem
 from repro.workload.scenarios import WIKI, WikiDeployment, run_scenario
 
@@ -123,10 +125,7 @@ class TestGarbageCollection:
         versions_before = warp.ttdb.total_versions()
         runs_before = warp.graph.n_runs
         horizon = warp.clock.now() + 1
-        removed_versions = warp.ttdb.gc(horizon)
-        removed_records = warp.graph.gc(horizon)
-        assert removed_versions > 0
-        assert removed_records > 0
+        assert warp.retain(horizon) > 0
         assert warp.ttdb.total_versions() < versions_before
         assert warp.graph.n_runs < runs_before
         # The current state is untouched by GC.
@@ -138,8 +137,7 @@ class TestGarbageCollection:
         deployment.login(user)
         deployment.read_page(user, "Main_Page")
         horizon = deployment.warp.clock.now() + 1
-        deployment.warp.ttdb.gc(horizon)
-        deployment.warp.graph.gc(horizon)
+        deployment.warp.retain(horizon)
         # Attack + repair entirely after the GC horizon.
         attacker = deployment.login("attacker")
         attacker.open(f"{WIKI}/special_block.php?ip=1.2.3.4")
@@ -155,6 +153,130 @@ class TestGarbageCollection:
         result = deployment.patch("stored-xss")
         assert result.ok
         assert "XSS" not in deployment.wiki.page_text(f"{user}_notes")
+
+
+XSS_REASON = (
+    "<script>var u = doc_text('#username');"
+    "http_post('/edit.php', {'title': u + '_notes', 'append': 'XSS'});"
+    "</script>"
+)
+
+BACKENDS = pytest.mark.parametrize("backend", ["python", "sqlite"])
+
+
+def _xss_past_the_horizon(closing, backend, **warp_kwargs):
+    """The stored XSS, planted and viewed, then retention at ``now + 1``:
+    every run of the attack is older than the horizon."""
+    deployment = WikiDeployment(n_users=3, db_backend=backend, **warp_kwargs)
+    closing(deployment.warp)
+    user = deployment.users[0]
+    deployment.login(user)
+    attacker = deployment.login("attacker")
+    attacker.open(f"{WIKI}/special_block.php?ip=1.2.3.4")
+    attacker.type_into("input[name=reason]", XSS_REASON)
+    attacker.click("input[name=report]")
+    deployment.browser(user).open(f"{WIKI}/special_block.php?ip=1.2.3.4")
+    assert "XSS" in deployment.wiki.page_text(f"{user}_notes")
+    return deployment
+
+
+def _past_horizon_specs(warp):
+    spec = patch_for("stored-xss")
+    warp.repair.register_patch("stored-xss", spec.file, spec.build())
+    return [
+        PatchSpec(spec.file, patch_name="stored-xss"),
+        CancelClientSpec("attacker-browser"),
+    ]
+
+
+def _assert_refused(warp, spec):
+    with pytest.raises(RepairError, match="retention dropped"):
+        warp.repair.preview(spec)
+    with pytest.raises(RepairError, match="retention dropped"):
+        warp.repair.submit(spec)
+    response = warp.server.handle(
+        HttpRequest(
+            "POST", "/warp/admin/repair", params={"spec": json.dumps(spec.to_dict())}
+        )
+    )
+    assert response.status == 400, response.body
+    assert "retention dropped" in response.body
+
+
+class TestRetention:
+    @BACKENDS
+    def test_repair_reaching_past_the_horizon_is_refused(self, backend, closing):
+        deployment = _xss_past_the_horizon(closing, backend)
+        warp = deployment.warp
+        assert warp.retain(warp.clock.now() + 1) > 0
+        victim_notes = f"{deployment.users[0]}_notes"
+        for spec in _past_horizon_specs(warp):
+            graph_before = json.dumps(warp.graph.to_snapshot(), sort_keys=True)
+            db_before = json.dumps(warp.database.to_dict(), sort_keys=True)
+            _assert_refused(warp, spec)
+            assert warp.repair.jobs() == []
+            assert "XSS" in deployment.wiki.page_text(victim_notes)
+            assert json.dumps(warp.graph.to_snapshot(), sort_keys=True) == graph_before
+            assert json.dumps(warp.database.to_dict(), sort_keys=True) == db_before
+
+    def test_refusal_covers_fixes_and_dropped_visits(self, closing):
+        deployment = _xss_past_the_horizon(closing, "python")
+        warp = deployment.warp
+        horizon = warp.clock.now() + 1
+        warp.retain(horizon)
+        fix = "UPDATE blocks SET reason = ? WHERE ip = ?"
+        for spec in (
+            DbFixSpec(fix, ("cleaned", "1.2.3.4"), ts=horizon - 1),
+            CancelVisitSpec("attacker-browser", 2),
+        ):
+            with pytest.raises(RepairError, match="retention dropped"):
+                warp.repair.preview(spec)
+        # Damage after the horizon is covered in full.
+        warp.repair.preview(DbFixSpec(fix, ("cleaned", "1.2.3.4"), ts=horizon))
+
+    def test_quota_trims_only_visit_logs(self, closing):
+        deployment = _xss_past_the_horizon(closing, "python")
+        warp = deployment.warp
+        client = deployment.client_id(deployment.users[0])
+        visits = [visit.visit_id for visit in warp.graph.client_visits(client)]
+        assert warp.retain(max_visits_per_client=1) > 0
+        assert warp.graph.store.horizon_ts == 0
+        with pytest.raises(RepairError, match="retention dropped"):
+            warp.repair.preview(CancelVisitSpec(client, visits[0]))
+        warp.repair.preview(CancelVisitSpec(client, visits[-1]))
+
+    def test_visit_high_water_mark_survives_reload(self, tmp_path, closing):
+        deployment = _xss_past_the_horizon(closing, "python")
+        warp = deployment.warp
+        assert warp.graph.last_visit_id("attacker-browser") == 4
+        warp.retain(warp.clock.now() + 1)
+        assert warp.graph.client_visits("attacker-browser") == []
+        path = str(tmp_path / "warp.json")
+        warp.save(path)
+        loaded = closing(WarpSystem.load(path))
+        assert loaded.graph.last_visit_id("attacker-browser") == 4
+        WikiApp(loaded.ttdb, loaded.scripts, loaded.server).register_code()
+        browser = loaded.client("attacker-browser")
+        assert browser.open(f"{WIKI}/index.php?title=Main_Page").visit_id == 5
+
+    @BACKENDS
+    @pytest.mark.parametrize("saved_after", [True, False])
+    def test_retention_survives_save_load_and_wal_replay(
+        self, backend, saved_after, tmp_path, closing
+    ):
+        path, wal_path = str(tmp_path / "warp.json"), str(tmp_path / "records.wal")
+        deployment = _xss_past_the_horizon(closing, backend, wal_path=wal_path)
+        warp = deployment.warp
+        if not saved_after:
+            warp.save(path)  # the retain below reaches only the log
+        warp.retain(warp.clock.now() + 1)
+        if saved_after:
+            warp.save(path)
+        loaded = closing(WarpSystem.load(path, wal_path=wal_path))
+        assert loaded.ttdb.total_versions() == warp.ttdb.total_versions()
+        assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+        for spec in _past_horizon_specs(loaded):
+            _assert_refused(loaded, spec)
 
 
 class TestMetricsModule:
