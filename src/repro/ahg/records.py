@@ -22,7 +22,7 @@ name the positions once), a row leaves out what the enclosing run says, a
 field at its default is not written, and neither is what another field says:
 a run's ids are written only where its ``X-Warp-*`` headers say otherwise.
 
-It says each fact once across runs too (snapshot format 6).  Encoded
+It says each fact once across runs too (snapshot formats 6 and 7).  Encoded
 against the store's :class:`~repro.core.serialize.TextTable`, a line holds
 ids where the response body and the loaded files were, and each query is a
 row ``[qid, ts, <sql id>, <row id>]``: ids of ``text`` entries the store
@@ -36,6 +36,13 @@ The reader takes that shape and no other: :func:`check_written_shape`
 refuses the lines older builds wrote, all of which key the request.  Encoded
 with no table, a run is its line with every text inline, which only the
 keyed view :meth:`AppRunRecord.to_dict` reads.
+
+A visit's lines follow the same rules (format 7): a visit is a row of its
+fields in order (:data:`VISIT_ROW`), its events rows (:data:`EVENT_ROW`),
+each line that extends it a row too (:data:`DELTA_ROWS`), trailing defaults
+left off, and its client id, URL and event xpaths ids of ``text`` entries.
+Format 6 and every format before it keyed a visit's lines; the reader
+refuses them by name.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ class QueryRecord:
         serializes: fields go in as they are — tuples are left for the
         encoder to flatten into arrays (no Python-level walk) — except the
         two that need converting, the second only if the row gets that far.
-        Against ``texts`` it is the format-6 row: the SQL text's id and the
+        Against ``texts`` it is the written row: the SQL text's id and the
         payload's row entry's (:func:`payload_text`)."""
         row = list(_row_attributes(self))
         while len(row) > _ROW_REQUIRED and not row[-1]:
@@ -221,7 +228,7 @@ class QueryRecord:
 
 def payload_text(query: QueryRecord) -> str:
     """The text of ``query``'s payload — its row after the SQL, as a
-    compact JSON array: a format-6 row's row entry, and what a
+    compact JSON array: a written row's row entry, and what a
     statement-cache hit's ``RecordedPayload`` keeps."""
     return _dumps(query.to_row()[_SQL + 1 :])
 
@@ -396,7 +403,7 @@ class AppRunRecord:
             ts_start=data["ts_start"],
             ts_end=data["ts_end"],
             script=text(data["script"]),
-            loaded_files=texts(memo.tree(data["loaded_files"])),
+            loaded_files=memo.mapping(data["loaded_files"]),
             request=request,
             response=response,
             queries=[
@@ -429,7 +436,7 @@ def check_written_shape(data: dict) -> None:
 
 def text_refs(data: dict) -> List[int]:
     """The ids of the ``text`` entries run line ``data`` refers to, as the
-    store writes it (format 6): its body's, its loaded files', then each
+    store writes it: its body's, its loaded files', then each
     row's SQL text's and payload's — read off the line, nothing re-encoded."""
     refs = [data["response"][_BODY], data["loaded_files"]]
     for row in data["queries"]:
@@ -437,9 +444,23 @@ def text_refs(data: dict) -> List[int]:
     return refs
 
 
+def _row(data) -> list:
+    """``data`` of a visit's line, which must be a row: format 6 and every
+    format before it keyed it."""
+    if not isinstance(data, list):
+        raise ReproError(f"a visit line is in a retired shape: it is keyed; {UPGRADE_ROUTE}")
+    return data
+
+
+def _jar(jar: dict, memo: DecodeMemo) -> Dict[str, Dict[str, str]]:
+    """A fresh copy of cookie jar ``jar`` (origin -> {name: value})."""
+    return {memo.text(origin): memo.texts(cookies) for origin, cookies in jar.items()}
+
+
 @dataclass
 class EventRecord:
-    """A DOM-level browser event (paper §5.2).
+    """A DOM-level browser event (paper §5.2).  On the wire a row of its
+    fields in order (:data:`EVENT_ROW`), the xpath an id.
 
     ``xpath`` addresses the target element; ``data`` carries event-type
     specific payload (for text input: the field's base value and the value
@@ -450,88 +471,149 @@ class EventRecord:
     xpath: str
     data: Dict[str, object] = field(default_factory=dict)
 
+    def to_row(self, texts: Optional[TextTable] = None) -> list:
+        """This event's row: its xpath an id against ``texts``."""
+        row = list(_event_row(self))
+        if texts is not None:
+            row[_XPATH] = texts.ref(row[_XPATH])
+        return _trimmed(row, _EVENT_DEFAULTS)
+
     def to_dict(self) -> dict:
-        return {"etype": self.etype, "xpath": self.xpath, "data": dict(self.data)}
+        return dict(zip(EVENT_ROW, (self.etype, self.xpath, dict(self.data))))
 
     @classmethod
-    def from_dict(cls, data: dict, memo: Optional[DecodeMemo] = None) -> "EventRecord":
-        memo = memo or DecodeMemo()
-        return cls(
-            etype=memo.text(data["etype"]),
-            xpath=memo.text(data["xpath"]),
-            data=memo.texts(data.get("data", {})),
-        )
-
-
-#: What a visit line leaves out, and :meth:`VisitRecord.from_dict` reads.
-_VISIT_DEFAULTS = {
-    "method": "GET", "post_params": {}, "parent_visit": None,
-    "framed": False, "events": [], "cookies_before": {},
-}  # fmt: skip
+    def from_row(cls, row: list, memo: DecodeMemo) -> "EventRecord":
+        """Rebuild an event from its row, its xpath an id of ``memo``'s: the
+        row's members are the fields in order, the ones it leaves out at
+        their defaults."""
+        event = cls(*row)
+        event.etype, event.xpath = memo.text(event.etype), memo.literal(event.xpath)
+        event.data = memo.texts(event.data)
+        return event
 
 
 @dataclass
 class VisitRecord:
-    """The uploaded client-side log for one page visit (paper §5.1)."""
+    """The uploaded client-side log for one page visit (paper §5.1).  On the
+    wire a row of its fields in order (:data:`VISIT_ROW`) — the order puts
+    last what a visit's first line leaves at its default — against a text
+    table its client id, URL and event xpaths ids.  The extension goes on
+    appending to it while the visit is live, and the store journals each
+    addition as a delta line (:data:`DELTA_ROWS`)."""
 
     client_id: str
     visit_id: int
     ts: int
     url: str
+    #: Cookie-jar snapshots (origin -> {name: value}) around the visit.
+    #: Inline on the wire: ``cookies_after`` is the one member a later line
+    #: replaces, and an entry it stopped referring to would stay in the
+    #: segment.
+    cookies_before: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    parent_visit: Optional[int] = None
     method: str = "GET"
     post_params: Dict[str, str] = field(default_factory=dict)
-    parent_visit: Optional[int] = None
     framed: bool = False
     events: List[EventRecord] = field(default_factory=list)
-    #: Cookie-jar snapshots (origin -> {name: value}) around the visit.
-    cookies_before: Dict[str, Dict[str, str]] = field(default_factory=dict)
     cookies_after: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    #: request ids issued during this visit, in order.
+    #: request ids issued during this visit, in order.  Nothing under
+    #: ``src/`` reads them back; they are journaled all the same.
     request_ids: List[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "visit_id": self.visit_id,
-            "ts": self.ts,
-            "url": self.url,
-            "method": self.method,
-            "post_params": dict(self.post_params),
-            "parent_visit": self.parent_visit,
-            "framed": self.framed,
-            "events": [event.to_dict() for event in self.events],
-            "cookies_before": {k: dict(v) for k, v in self.cookies_before.items()},
-            "cookies_after": {k: dict(v) for k, v in self.cookies_after.items()},
-            "request_ids": list(self.request_ids),
-        }
+    def to_row(self, texts: Optional[TextTable] = None) -> list:
+        """This visit's row as it stands (visit logs grow while the visit is
+        live: nothing is kept): against ``texts`` its client id, URL and
+        event xpaths are ids, without every text inline."""
+        row = list(_visit_row(self))
+        row[_EVENTS] = [event.to_row(texts) for event in self.events]
+        if texts is not None:
+            row[_CLIENT], row[_URL] = texts.ref(row[_CLIENT]), texts.ref(row[_URL])
+        return _trimmed(row, _VISIT_DEFAULTS)
 
-    def encode(self) -> str:
-        """Compact JSON text of this visit as it stands, no field at its
-        default (visit logs grow while the visit is live: nothing is kept)."""
-        data = self.to_dict()
-        for name, default in _VISIT_DEFAULTS.items():
-            if _same(data[name], default):
-                del data[name]
-        return _dumps(data)
+    def encode(self, texts: Optional[TextTable] = None) -> str:
+        """This visit's compact JSON row: the ``data`` of its WAL line and
+        of its snapshot line against the store's ``texts``."""
+        return _dumps(self.to_row(texts))
+
+    def to_dict(self) -> dict:
+        """The keyed view (plain JSON, fresh containers): every member by
+        its :data:`VISIT_ROW` name, each event's by its :data:`EVENT_ROW`
+        name, whether or not the row spells it out."""
+        data = dict(zip(VISIT_ROW, _visit_row(self)))
+        data["events"] = [event.to_dict() for event in self.events]
+        return json.loads(_dumps(data))
 
     @classmethod
-    def from_dict(cls, data: dict, memo: Optional[DecodeMemo] = None) -> "VisitRecord":
+    def from_row(cls, row: list, memo: Optional[DecodeMemo] = None) -> "VisitRecord":
+        """Rebuild a visit from the row :meth:`encode` writes against a text
+        table; ``memo`` holds the ``text`` entries it refers to."""
         memo = memo or DecodeMemo()
-        text, texts = memo.text, memo.texts
-        return cls(
-            client_id=text(data["client_id"]),
-            visit_id=data["visit_id"],
-            ts=data["ts"],
-            url=text(data["url"]),
-            method=text(data.get("method", "GET")),
-            post_params=texts(data.get("post_params", {})),
-            parent_visit=data.get("parent_visit"),
-            framed=data.get("framed", False),
-            events=[EventRecord.from_dict(item, memo) for item in data.get("events", ())],
-            cookies_before={k: texts(v) for k, v in data.get("cookies_before", {}).items()},
-            cookies_after={k: texts(v) for k, v in data.get("cookies_after", {}).items()},
-            request_ids=list(data.get("request_ids", ())),
-        )
+        visit = cls(*_row(row))
+        visit.client_id, visit.url = memo.literal(visit.client_id), memo.literal(visit.url)
+        visit.method, visit.post_params = memo.text(visit.method), memo.texts(visit.post_params)
+        visit.events = [EventRecord.from_row(item, memo) for item in visit.events]
+        visit.cookies_before = _jar(visit.cookies_before, memo)
+        visit.cookies_after = _jar(visit.cookies_after, memo)
+        return visit
+
+
+#: The positions of an event's row and of a visit's: their fields in order,
+#: so the writer, the reader and the keyed view share one layout.  Like the
+#: rows above, each row stops after its last member not at its default
+#: (what a fresh record holds).
+EVENT_ROW = tuple(f.name for f in fields(EventRecord))
+VISIT_ROW = tuple(f.name for f in fields(VisitRecord))
+#: The row of each line that extends a journaled visit (a *delta*): the
+#: visit's client id and visit id, then what the line adds to it.
+DELTA_ROWS = {
+    "visit_event": ("client_id", "visit_id", *EVENT_ROW),
+    "visit_request": ("client_id", "visit_id", "request_id"),
+    "visit_cookies": ("client_id", "visit_id", "cookies_after"),
+}
+assert all(layout[:2] == VISIT_ROW[:2] for layout in DELTA_ROWS.values())
+#: Every line kind that is a row, by its layout.
+ROW_LAYOUTS = {"visit": VISIT_ROW, **DELTA_ROWS}
+_event_row, _visit_row = attrgetter(*EVENT_ROW), attrgetter(*VISIT_ROW)
+_CLIENT, _URL, _EVENTS = map(VISIT_ROW.index, ("client_id", "url", "events"))
+_XPATH = EVENT_ROW.index("xpath")
+_EVENT_DEFAULTS = _event_row(EventRecord("", ""))[_XPATH + 1 :]
+_VISIT_DEFAULTS = _visit_row(VisitRecord("", 0, 0, ""))[_URL + 1 :]
+
+
+def encode_delta(kind: str, client_id: str, visit_id: int, delta, texts: TextTable) -> str:
+    """The row of a ``kind`` delta line (:data:`DELTA_ROWS`) adding
+    ``delta`` — an :class:`EventRecord`, a request id or a cookie jar — to
+    visit ``(client_id, visit_id)``, against ``texts``."""
+    added = delta.to_row(texts) if kind == "visit_event" else [delta]
+    return _dumps([texts.ref(client_id), visit_id, *added])
+
+
+def decode_delta(kind: str, row: list, memo: DecodeMemo) -> Tuple[Tuple[str, int], object]:
+    """``((client_id, visit_id), delta)`` of a ``kind`` delta line's row,
+    :func:`encode_delta` undone."""
+    client_id, visit_id, *added = _row(row)
+    if kind == "visit_event":
+        delta = EventRecord.from_row(added, memo)
+    else:
+        (delta,) = added
+        if kind == "visit_cookies":
+            delta = _jar(delta, memo)
+    return (memo.literal(client_id), visit_id), delta
+
+
+def visit_text_refs(row: list) -> List[int]:
+    """The ids of the ``text`` entries a visit line's row refers to: its
+    client id's, its URL's and each of its events' xpaths'."""
+    events = row[_EVENTS] if len(row) > _EVENTS else ()
+    return [row[_CLIENT], row[_URL], *(event[_XPATH] for event in events)]
+
+
+def keyed_line(kind: str, data):
+    """``data`` of a ``kind`` line as a tool reads it: a row by the names
+    its layout gives the members it writes (ids as written); any other
+    line's data as it is."""
+    layout = ROW_LAYOUTS.get(kind)
+    return dict(zip(layout, data)) if layout and isinstance(data, list) else data
 
 
 @dataclass

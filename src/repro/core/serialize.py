@@ -5,7 +5,7 @@ bool, None) arranged in tuples, frozensets and dicts.  JSON has no tuple
 or set, so encoding flattens both to lists and decoding rebuilds the
 original container shapes; the record types know *which* shape each field
 expects and call the matching decoder.  The text table and decode memo
-below are snapshot format 6's, the one format a build reads.
+below are snapshot format 7's, the one format a build reads.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def decode_pairs(items: Iterable[list]) -> frozenset:
 
 
 #: What a refusal of a file or line in a retired shape says about it: which
-#: build still reads it.  No build converts a file to format 6.
+#: build still reads it.  No build converts a file to format 7.
 UPGRADE_ROUTE = (
-    "this build reads format 6 only and converts no older file; commit 0226ea7 "
-    "is the last that reads format 5, commit 812ecd4 the last that reads formats 1-4"
+    "this build reads format 7 only and converts no older file; commit 37f403a "
+    "is the last that reads format 6, commit 0226ea7 the last that reads format 5, "
+    "commit 812ecd4 the last that reads formats 1-4"
 )
 
 #: A :class:`DecodeMemo` shares strings up to this long.  Longer ones (page
@@ -66,10 +67,11 @@ def exact_key(raw) -> bytes:
 
 
 class TextTable:
-    """The ``text`` entries of one log segment (snapshot format 6, DESIGN.md
+    """The ``text`` entries of one log segment (snapshot format 7, DESIGN.md
     "Durability"): each distinct response body, set of loaded files, SQL
     text and row payload (a query's fields after its SQL, as a compact JSON
-    array) a run line needs, under an integer id.  A segment — a snapshot
+    array) a run line needs, and each client id, URL and event xpath a visit
+    line or a visit's delta line needs, under an integer id.  A segment — a snapshot
     plus the WAL after its marker — writes each entry once, before the first
     line that refers to it; every line after that writes the id where the
     text was.  A payload's entry is a *row* entry, ``{"id":N,"row":[...]}``:
@@ -160,9 +162,10 @@ class DecodeMemo:
     (DESIGN.md "Durability").  Whoever decodes many records — a snapshot
     load, a WAL replay — opens one and passes it down; a decoder called
     without one opens its own.  Only immutable objects go through it
-    (``str``, ``tuple``, ``frozenset``, frozen dataclasses — never a dict or
-    list) and only under type-exact keys: a memo keyed by equality would
-    hand ``1`` back for ``True``, and the next encode write it so.
+    (``str``, ``tuple``, ``frozenset``, frozen dataclasses — a dict only as
+    copies, :meth:`mapping`) and only under type-exact keys: a memo keyed by
+    equality would hand ``1`` back for ``True``, and the next encode write
+    it so.
 
     ``table`` holds the ``text`` entries read so far (the store's own, so a
     WAL replayed over a snapshot resolves the snapshot's ids); every record
@@ -175,8 +178,9 @@ class DecodeMemo:
         self.table = table if table is not None else TextTable()
         self._texts: dict = {}
         #: ``(what, ..., exact_key(raw))`` -> what :meth:`once`, or a decoder
-        #: whose building needs the memo, built from ``raw``; a format-6
-        #: row's payload under ``(QueryRecord, sql id, row id)``.
+        #: whose building needs the memo, built from ``raw``; a row's payload
+        #: under ``(QueryRecord, sql id, row id)``, an entry's object under
+        #: ``(DecodeMemo.mapping, id)``.
         self.built: dict = {}
         #: id -> the array a row entry's line decoded to, until it is used.
         self._rows: dict = {}
@@ -199,8 +203,8 @@ class DecodeMemo:
         return value
 
     def literal(self, ident: int) -> str:
-        """The response body, SQL text or row payload a line refers to by
-        the id of its ``text`` entry."""
+        """The response body, SQL text, row payload, client id, URL or
+        xpath a line refers to by the id of its ``text`` entry."""
         return self.table.by_id[ident]
 
     def tree(self, ident: int):
@@ -214,6 +218,17 @@ class DecodeMemo:
         """A fresh dict of ``mapping``, keys and values through :meth:`text`."""
         text = self.text
         return {text(key): text(value) for key, value in mapping.items()}
+
+    def mapping(self, ident: int) -> dict:
+        """A fresh dict of the JSON object entry ``ident`` holds — a run's
+        loaded files — keys and values through :meth:`text`.  Decoded once
+        per memo, however many lines refer to it; the memo keeps that dict
+        and hands out copies."""
+        key = (DecodeMemo.mapping, ident)
+        decoded = self.built.get(key)
+        if decoded is None:
+            decoded = self.built[key] = self.texts(self.tree(ident))
+        return dict(decoded)
 
     def once(self, build, *raw):
         """``build(*raw)`` for decoded JSON ``raw``, built once per distinct

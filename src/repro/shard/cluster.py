@@ -160,6 +160,8 @@ class ShardCluster:
                 client.close()
             except Exception:
                 pass
+        for worker in self.workers:  # local transport: the deployments are ours
+            worker.warp.close()
         for process in self.processes:
             process.join(timeout=10.0)
             if process.is_alive():  # pragma: no cover - hung worker

@@ -32,11 +32,11 @@ too — the gate queue, repair jobs, incidents — lives in three instances of
 one :class:`JournaledTable`.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
-format 6): a run is encoded against it under the store lock, and the
-``text`` entries the encoding defined are journaled just before the run's
-line, so WAL order always puts an entry ahead of every line that refers to
-it, however many threads first-use the same body, SQL text or row payload
-at once.
+format 7): a run, a visit or a visit's delta is encoded against it under the
+store lock, and the ``text`` entries the encoding defined are journaled just
+before its line, so WAL order always puts an entry ahead of every line that
+refers to it, however many threads first-use the same body, SQL text, row
+payload, client id, URL or xpath at once.
 """
 
 from __future__ import annotations
@@ -52,12 +52,16 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ahg.records import (
+    DELTA_ROWS,
     AppRunRecord,
     EventRecord,
     PatchRecord,
     QueryRecord,
     VisitRecord,
+    decode_delta,
+    encode_delta,
     text_refs,
+    visit_text_refs,
 )
 from repro.core.errors import DurabilityError, ReproError
 from repro.core.ids import trailing_seq
@@ -415,13 +419,15 @@ class RecordStore:
 
         self.wal = wal
         #: The ``text`` entries of the current log segment (snapshot format
-        #: 6): guarded by ``records``, rebuilt by every snapshot to exactly
-        #: the entries its runs refer to.
+        #: 7): guarded by ``records``, rebuilt by every snapshot to exactly
+        #: the entries its runs and visits refer to.
         self.texts = TextTable()
-        #: Whether every entry of ``texts`` is one a stored run refers to —
-        #: so that a snapshot need not read the runs' lines to know which
-        #: entries to write.  Dropped by whatever may leave an entry unused
-        #: (runs removed, entries replayed), restored by the next snapshot.
+        #: Whether every entry of ``texts`` is one a stored run or visit
+        #: refers to — so that a snapshot need not read the runs' lines to
+        #: know which entries to write.  A visit only ever gains references
+        #: (its jars are inline).  Dropped by whatever may leave an entry
+        #: unused (runs or visits removed, entries replayed), restored by the
+        #: next snapshot.
         self._texts_exact = True
         #: Degraded read-only serving (health monitor): journal entries
         #: that cannot reach disk are parked in the WAL instead of raising
@@ -497,7 +503,7 @@ class RecordStore:
             # Journaled under the store lock so WAL order equals store
             # order; the fsync wait happens in _finish, outside every lock.
             if self.wal is not None:
-                return self._journal_run("run", run.json_text)
+                return self._journal_line("run", run.json_text)
         return None
 
     def _encode(self, run: AppRunRecord) -> None:
@@ -507,9 +513,9 @@ class RecordStore:
         run.json_text = run.encode(self.texts)
         run.response.body = self.texts.shared(run.response.body)
 
-    def _journal_run(self, kind: str, text: str) -> CommitTicket:
-        """Append a run line and, first, the ``text`` entries its encoding
-        defined.  Caller holds ``records``."""
+    def _journal_line(self, kind: str, text: str) -> CommitTicket:
+        """Append a run or visit line and, first, the ``text`` entries its
+        encoding defined.  Caller holds ``records``."""
         for ident in self.texts.take_fresh():
             self.wal.append("text", text=self.texts.entry(ident))
         return self.wal.append(kind, text=text)
@@ -557,8 +563,14 @@ class RecordStore:
                 last = ticket
         self._finish(last, relaxed)
 
+    # A visit and its deltas are appended without a wait: the extension
+    # uploads its log with the requests it makes, so the request's run is
+    # the unit of durability.  The next commit on the log — that run's, a
+    # ``sync``, a save's pre-write marker or ``close`` — writes them, WAL
+    # order making a later wait cover every earlier line; a crash loses
+    # only the lines no commit followed.
+
     def add_visit(self, visit: VisitRecord) -> None:
-        ticket = None
         with self.lock:
             self.visits[(visit.client_id, visit.visit_id)] = visit
             self.max_ts = max(self.max_ts, visit.ts)
@@ -569,8 +581,7 @@ class RecordStore:
                     (visit.client_id, visit.parent_visit), []
                 ).append(visit.visit_id)
             if self.wal is not None:
-                ticket = self.wal.append("visit", text=visit.encode())
-        self._finish(ticket)
+                self._journal_line("visit", visit.encode(self.texts))
 
     # The extension keeps appending to an uploaded visit's record (events,
     # request ids, cookie snapshots) while the visit is live; it shares the
@@ -580,19 +591,21 @@ class RecordStore:
     # delta onto the base "visit" entry (or onto the snapshot's copy).
 
     def log_visit_event(self, client_id: str, visit_id: int, event: EventRecord) -> None:
-        self._log_visit_delta("visit_event", client_id, visit_id, event=event.to_dict())
+        self._log_visit_delta("visit_event", client_id, visit_id, event)
 
     def log_visit_request(self, client_id: str, visit_id: int, request_id: int) -> None:
-        self._log_visit_delta("visit_request", client_id, visit_id, request_id=request_id)
+        self._log_visit_delta("visit_request", client_id, visit_id, request_id)
 
     def log_visit_cookies(self, client_id: str, visit_id: int, cookies_after) -> None:
-        self._log_visit_delta("visit_cookies", client_id, visit_id, cookies_after=cookies_after)
+        self._log_visit_delta("visit_cookies", client_id, visit_id, cookies_after)
 
-    def _log_visit_delta(self, kind: str, client_id: str, visit_id: int, **delta) -> None:
-        # Encoded by the append, so the live record may go on changing.
-        if self.wal is not None and (client_id, visit_id) in self.visits:
-            data = {"client_id": client_id, "visit_id": visit_id, **delta}
-            self._finish(self.wal.append(kind, data))
+    def _log_visit_delta(self, kind: str, client_id: str, visit_id: int, delta) -> None:
+        # Encoded now, so the live record may go on changing; under the lock,
+        # so the text entries it defines are journaled ahead of it.
+        with self.lock:
+            if self.wal is not None and (client_id, visit_id) in self.visits:
+                text = encode_delta(kind, client_id, visit_id, delta, self.texts)
+                self._journal_line(kind, text)
 
     def mark_run_canceled(self, run_id: int) -> None:
         """Apply a ``cancel_run`` line (a repair records its cancels in its
@@ -662,7 +675,7 @@ class RecordStore:
                 replaced.append(old)
                 if self.wal is not None:
                     self._encode(record)
-                    ticket = self._journal_run("replace_run", record.json_text)
+                    ticket = self._journal_line("replace_run", record.json_text)
         self._finish(ticket, relaxed)
         return replaced
 
@@ -852,6 +865,8 @@ class RecordStore:
                 visit_ids[:] = [vid for vid in visit_ids if vid not in victims]
                 dropped += len(victims)
                 self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+            if dropped:
+                self._texts_exact = False  # the dropped visits' texts may go unused
             if dropped and self.wal is not None:
                 ticket = self.wal.append(
                     "quota", {"max_visits_per_client": max_visits_per_client}
@@ -915,6 +930,7 @@ class RecordStore:
                     self._unlink_child(visit)
                     dead_by_client.setdefault(visit.client_id, set()).add(visit.visit_id)
                     removed += 1
+                    self._texts_exact = False
             for client_id, gone in dead_by_client.items():
                 ids = self._client_visits.get(client_id, [])
                 ids[:] = [vid for vid in ids if vid not in gone]
@@ -971,39 +987,43 @@ class RecordStore:
             snapshot.update(self._pending_snapshot())
             return snapshot
 
-    def _snapshot_texts(self) -> List[int]:
-        """Give every run its text — a run that has none yet (appended
-        without a WAL, canceled since)
-        is encoded now — and return the ids of exactly the text entries
-        the runs refer to, in order.  Caller holds ``records``."""
+    def _snapshot_texts(self) -> Tuple[List[int], List[str]]:
+        """Encode every visit as it stands, and give every run its text — a
+        run that has none yet (appended without a WAL, canceled since) is
+        encoded now; return the ids of exactly the text entries the
+        runs and visits refer to, in order, and the visits' rows.  Caller
+        holds ``records``."""
+        visits = [visit.encode(self.texts) for visit in self.visits.values()]
         runs = self.runs.values()
         for run in runs:
             if run.json_text is None:
                 self._encode(run)
         if self._texts_exact:
-            return sorted(self.texts.by_id)
+            return sorted(self.texts.by_id), visits
         # Read off the kept lines (one C parse each), not re-encoded: a save
         # after gc, replace_run or a replay visits each line of the history.
         used = set()
         for line in map(json.loads, map(_json_text, runs)):
             used.update(text_refs(line))
-        return sorted(used)
+        for row in map(json.loads, visits):
+            used.update(visit_text_refs(row))
+        return sorted(used), visits
 
-    def _record_lines(self, text_ids: List[int]) -> Iterator[str]:
-        """Every record as its snapshot line: visits, the text entries
-        ``text_ids``, then the runs, each spliced from the text kept since
-        it was appended — its bytes are written once — then patches."""
-        for visit in self.visits.values():
-            yield entry_line("visit", visit.encode())
+    def _record_lines(self, text_ids: List[int], visits: List[str]) -> Iterator[str]:
+        """Every record as its snapshot line: the text entries ``text_ids``,
+        the ``visits`` rows, then the runs, each spliced from the text kept
+        since it was appended — its bytes are written once — then patches."""
         for ident in text_ids:
             yield entry_line("text", self.texts.entry(ident))
+        for row in visits:
+            yield entry_line("visit", row)
         for run_id in self._run_order:
             yield entry_line("run", self.runs[run_id].json_text)
         for patch in self.patches:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-6 snapshot (:mod:`repro.store.snapshot`) — the
+        """Write a format-7 snapshot (:mod:`repro.store.snapshot`) — the
         header is ``payload`` plus a fresh ``snapshot_id``, the text-id
         counter (``ids.text``), the pending state and the record counts,
         the lines are the records — under the
@@ -1043,7 +1063,7 @@ class RecordStore:
                         "snapshot marker did not reach the log; snapshot aborted"
                     )
             self.faults.fire("store.snapshot", path=path)
-            text_ids = self._snapshot_texts()
+            text_ids, visits = self._snapshot_texts()
             header = {
                 "version": FORMAT,
                 **payload,
@@ -1051,13 +1071,13 @@ class RecordStore:
                 "snapshot_id": snapshot_id,
                 "graph": self._pending_snapshot(),
                 "records": {
-                    "visit": len(self.visits),
                     "text": len(text_ids),
+                    "visit": len(visits),
                     "run": len(self._run_order),
                     "patch": len(self.patches),
                 },
             }
-            write_snapshot(path, header, self._record_lines(text_ids))
+            write_snapshot(path, header, self._record_lines(text_ids, visits))
             # The file holds a new segment's entries: the table follows only
             # now, so a failed write leaves every entry the WAL still needs.
             self.texts.keep(text_ids)
@@ -1142,26 +1162,19 @@ class RecordStore:
             # Upsert: over a snapshot that already holds the visit, replay
             # resets it to the base record and the delta entries that
             # follow rebuild the accumulated state — convergent either way.
-            record = VisitRecord.from_dict(data, memo)
+            record = VisitRecord.from_row(data, memo)
             key = (record.client_id, record.visit_id)
             if key in self.visits:
                 self.visits[key] = record
             else:
                 self.add_visit(record)
-        elif kind == "visit_event":
-            record = self.visits.get((data["client_id"], data["visit_id"]))
-            if record is not None:
-                record.events.append(EventRecord.from_dict(data["event"], memo))
-        elif kind == "visit_request":
-            record = self.visits.get((data["client_id"], data["visit_id"]))
-            if record is not None:
-                record.request_ids.append(data["request_id"])
-        elif kind == "visit_cookies":
-            record = self.visits.get((data["client_id"], data["visit_id"]))
-            if record is not None:
-                record.cookies_after = {
-                    k: dict(v) for k, v in data["cookies_after"].items()
-                }
+        elif kind in DELTA_ROWS:
+            key, delta = decode_delta(kind, data, memo)
+            record = self.visits.get(key)
+            if record is not None and kind == "visit_cookies":
+                record.cookies_after = delta
+            elif record is not None:
+                (record.events if kind == "visit_event" else record.request_ids).append(delta)
         elif kind == "cancel_run":
             self.mark_run_canceled(data["run_id"])
         elif kind == "patch":

@@ -16,7 +16,8 @@ return.  A lone committer pays exactly one fsync, N concurrent
 committers share one, and the log starts no thread: an entry nobody
 waits on is written by the next waiter's commit or by ``close()``.  The
 record store waits on every ticket before acknowledging a mutation, so
-an acknowledged mutation is on disk.
+an acknowledged mutation is on disk; the browser extension's visit
+entries are the ones it does not wait on (they ride the next commit).
 
 ``durability`` decides only the fsync: ``"group"`` (the default) fsyncs
 every commit; ``"none"`` writes and flushes only (survives process death
@@ -36,7 +37,7 @@ once the fault clears; while the disk stays sick the commit parks its
 batch behind the earlier ones.  A commit that fails any other way (an
 injected in-process error) raises to its waiter and leaves its batch
 buffered, so no entry is ever dropped while the process lives — a later
-line may refer to it (a ``text`` entry, snapshot format 6).
+line may refer to it (a ``text`` entry, snapshot format 7).
 
 Fault points fired here: ``wal.append`` (before each physical write) and
 ``wal.fsync`` (before each fsync).  A ``torn`` fault persists a prefix
@@ -55,6 +56,7 @@ import threading
 from time import sleep as _sleep
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
+from repro.ahg.records import keyed_line
 from repro.core.serialize import COMPACT
 from repro.faults.plane import FaultPlane, SimulatedCrash, TornWrite
 from repro.faults.plane import active as _active_plane
@@ -357,11 +359,17 @@ class RecordWal:
             self._fh = open(os.devnull, "a", encoding="utf-8")
 
     def _mark_crashed(self) -> None:
-        """Injected process death: buffered entries are lost and every
-        waiter gets False, exactly as if the process had been killed."""
+        """Injected process death: buffered entries are lost, every waiter
+        gets False and the file handle is released, exactly as if the
+        process had been killed.  Every write is flushed as it is made, so
+        the close writes nothing more."""
         with self._lock:
             self._closed = True
             self._buffer = []
+        try:
+            self._fh.close()
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------ degradation
 
@@ -550,7 +558,9 @@ class RecordWal:
     @staticmethod
     def entries(path: str) -> Iterator[Tuple[str, dict]]:
         """Yield ``(kind, data)`` for every intact entry in ``path`` —
-        "intact" meaning exactly what :meth:`repair` keeps."""
+        "intact" meaning exactly what :meth:`repair` keeps — a visit's line
+        keyed by its row's layout (:func:`~repro.ahg.records.keyed_line`),
+        for a reader that is not the store."""
         for entry, _ in RecordWal._intact_lines(path):
             if entry is not None:
-                yield entry[:2]
+                yield entry[0], keyed_line(*entry[:2])

@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.ahg.records import text_refs
+from repro.ahg.records import text_refs, visit_text_refs
 from repro.core.serialize import COMPACT
 from repro.store.wal import entry_line
 from repro.workload.scenarios import WIKI, WikiDeployment
@@ -31,15 +31,19 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     each ``text`` entry they refer to, once.  A visit's line is the browser
     log; a run's line is split where the codec splits it: the ``queries``
     member (the rows) is the database log, the line around it the
-    application log.  A response body's and a set of loaded files' entries
-    are billed to the application log; an SQL text's and a row payload's to
-    the database log."""
-    for visit in graph.visits.values():
-        yield "browser", entry_line("visit", visit.encode())
-    # A copy: a run the store has not written yet is encoded as it would
+    application log.  A client id's, a URL's and an xpath's entries are
+    billed to the browser log; a response body's and a set of loaded files'
+    to the application log; an SQL text's and a row payload's to the
+    database log."""
+    # A copy: a record the store has not written yet is encoded as it would
     # be, without defining entries in the store's own table.
     texts = graph.store.texts.copy()
     billed: Dict[int, str] = {}
+    for visit in graph.visits.values():
+        row = visit.encode(texts)
+        for ident in visit_text_refs(json.loads(row)):
+            billed.setdefault(ident, "browser")
+        yield "browser", entry_line("visit", row)
     for run in graph.runs_in_order():
         line = json.loads(run.json_text or run.encode(texts))
         body, loaded, *refs = text_refs(line)

@@ -6,10 +6,11 @@ byte, once per shape the codec has written:
 * ``fixtures/wal_run_lines.format6.golden`` — the lines this build writes:
   the ``text`` entries of the body, the loaded files, the two SQL texts and
   the two row payloads (row entries, their arrays raw), then a run line of
-  ids and rows that writes nothing its reader can derive.  The one fixture
-  this module can still write: ``python tests/persistence_fixtures.py``
-  regenerates it, and ``--check`` (a tier-1 CI step) regenerates it into a
-  temporary directory and fails, naming the file, unless it is
+  ids and rows that writes nothing its reader can derive.  Format 7 left a
+  run's lines as format 6 wrote them, so the file keeps its name.
+  ``python tests/persistence_fixtures.py`` regenerates it and the visit
+  golden below, and ``--check`` (a tier-1 CI step) regenerates both into a
+  temporary directory and fails, naming the file, unless each is
   byte-identical to the committed one — so a codec change cannot land
   without its golden, nor a golden without a codec change.
 * ``fixtures/wal_run_lines.format5.golden`` — the lines format 5 wrote:
@@ -29,17 +30,24 @@ byte, once per shape the codec has written:
 Nothing writes the last four any more, and this build reads none of them:
 they are the inputs its refusal of a retired line shape is tested on.
 
-``format1_workload()`` is the small wiki deployment whose format-6
-snapshot is committed as ``fixtures/warp_format6.json`` (written by
+``golden_visit()`` is the fixed visit whose journal lines, as the extension
+uploads it — the visit, then its deltas — are pinned the same way in
+``fixtures/wal_visit_lines.format7.golden``: the ``text`` entries of its
+client id, URL and xpaths, each just before the first line that refers to
+it, and positional rows that spell no key.
+
+``format1_workload()`` is the small wiki deployment whose format-7
+snapshot is committed as ``fixtures/warp_format7.json`` (written by
 running ``format1_workload()[0].save(...)`` with the build that
-introduced format 6), with the ``RepairStats`` counters its common.php
+introduced format 7), with the ``RepairStats`` counters its common.php
 repair produced in ``fixtures/warp_format1.counters.json`` — the counters
 the same workload has repaired to in every format since ebe3011 wrote it
 as format 1.  ``--check`` loads the snapshot and fails unless it holds the
 graph ``format1_workload()`` builds today and repairs to those counters,
-so a change that stops a committed format-6 file from loading, or changes
-what it repairs to, fails by name.  ``fixtures/warp_format5.json`` (the
-same workload saved at 812ecd4) is kept as a refusal input only.
+so a change that stops a committed format-7 file from loading, or changes
+what it repairs to, fails by name.  ``fixtures/warp_format6.json`` (the
+same workload saved at 37f403a) and ``fixtures/warp_format5.json`` (saved
+at 812ecd4) are kept as refusal inputs only.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -51,7 +59,16 @@ import sys
 import tempfile
 
 from repro.ahg.graph import ActionHistoryGraph
-from repro.ahg.records import RESPONSE_ROW, AppRunRecord, NondetRecord, QueryRecord
+from repro.ahg.records import (
+    EVENT_ROW,
+    RESPONSE_ROW,
+    AppRunRecord,
+    EventRecord,
+    NondetRecord,
+    QueryRecord,
+    VisitRecord,
+    keyed_line,
+)
 from repro.apps.wiki.app import WikiApp
 from repro.apps.wiki.common import make_common
 from repro.http.message import HttpRequest, HttpResponse
@@ -73,6 +90,9 @@ GOLDEN_FORMAT4 = os.path.join(HERE, "wal_run_lines.format4.golden")
 GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 #: ... and as PRs 11-17 wrote it (keyed objects).
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
+#: ``golden_visit_lines()`` as this build writes it.
+GOLDEN_VISIT = os.path.join(HERE, "wal_visit_lines.format7.golden")
+FORMAT7_SNAPSHOT = os.path.join(HERE, "warp_format7.json")
 FORMAT6_SNAPSHOT = os.path.join(HERE, "warp_format6.json")
 FORMAT5_SNAPSHOT = os.path.join(HERE, "warp_format5.json")
 FORMAT1_COUNTERS = os.path.join(HERE, "warp_format1.counters.json")
@@ -158,6 +178,71 @@ def golden_run() -> AppRunRecord:
     )
 
 
+def golden_visit() -> VisitRecord:
+    """A visit with no member at its default: a framed POST from a parent
+    visit, events whose data holds every JSON type (``1``, ``1.0`` and
+    ``True`` apart) and none, cookie jars before and after, two request
+    ids, and non-ASCII text with quotes and backslashes."""
+    return VisitRecord(
+        client_id="c1-☃",
+        visit_id=3,
+        ts=39,
+        url='http://wiki.test/edit.php?title=Caf\u00e9&q="a\\b"',
+        method="POST",
+        post_params={"title": "Home", "wpTextbox": 'say "hi"\nlínea'},
+        parent_visit=2,
+        framed=True,
+        events=[
+            EventRecord(
+                "input",
+                "/html[1]/body[1]/form[1]/textarea[1]",
+                {"base": "", "value": "línea", "n": 1, "f": 1.0, "b": True, "none": None},
+            ),
+            EventRecord("click", "/html[1]/body[1]/form[1]/input[2]"),
+        ],
+        cookies_before={"http://wiki.test": {"sess": "tok-0"}},
+        cookies_after={"http://wiki.test": {"sess": "tok-1"}, "http://attacker.test": {}},
+        request_ids=[1, 2],
+    )
+
+
+def upload_visit(store: RecordStore, visit: VisitRecord) -> VisitRecord:
+    """What the extension does with ``visit``: upload it as it begins (no
+    event, request or jar after yet), then journal each addition as it
+    happens — a request id, the events, a second request id, the jar after
+    — on the one record the store shares.  Returns that record."""
+    live = VisitRecord(
+        visit.client_id, visit.visit_id, visit.ts, visit.url, visit.cookies_before,
+        visit.parent_visit, visit.method, dict(visit.post_params), visit.framed,
+    )
+    store.add_visit(live)
+    key = (visit.client_id, visit.visit_id)
+    requests = list(visit.request_ids)
+    if requests:
+        live.request_ids.append(requests[0])
+        store.log_visit_request(*key, requests.pop(0))
+    for event in visit.events:
+        live.events.append(event)
+        store.log_visit_event(*key, event)
+    for request_id in requests:
+        live.request_ids.append(request_id)
+        store.log_visit_request(*key, request_id)
+    if visit.cookies_after:
+        live.cookies_after = visit.cookies_after
+        store.log_visit_cookies(*key, visit.cookies_after)
+    return live
+
+
+def golden_visit_lines(directory: str) -> bytes:
+    """The journal bytes of ``golden_visit()`` uploaded to a fresh store."""
+    wal_path = os.path.join(directory, "golden_visit.wal")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    upload_visit(store, golden_visit())
+    store.wal.close()
+    with open(wal_path, "rb") as fh:
+        return fh.read()
+
+
 def golden_store(wal=None) -> RecordStore:
     """``add_run(golden_run())`` followed by a ``replace_run`` with the
     same record."""
@@ -202,14 +287,20 @@ def golden_lines(directory: str) -> bytes:
 
 
 def text_refs(kind: str, data: dict) -> set:
-    """The text ids a journal entry refers to: a run line's body and loaded
-    files, and the SQL text and payload of each row."""
-    if kind not in ("run", "replace_run"):
+    """The text ids a journal entry, keyed as ``RecordWal.entries`` reads it,
+    refers to: a run line's body and loaded files, and the SQL text and
+    payload of each row; a visit line's or a delta's client id, a visit's
+    URL and the xpath of each event it holds or adds."""
+    if kind in ("run", "replace_run"):
+        items = {data["response"][RESPONSE_ROW.index("body")], data["loaded_files"]}
+        for row in data["queries"]:
+            items.update(row[2:])
+        return items
+    if kind not in ("visit", "visit_event", "visit_request", "visit_cookies"):
         return set()
-    items = {data["response"][RESPONSE_ROW.index("body")], data["loaded_files"]}
-    for row in data["queries"]:
-        items.update(row[2:])
-    return items
+    items = {data["client_id"], data.get("url"), data.get("xpath")} - {None}
+    xpath = EVENT_ROW.index("xpath")
+    return items | {event[xpath] for event in data.get("events", ())}
 
 
 def entry_text(data: dict) -> str:
@@ -237,7 +328,10 @@ def segment(snapshot_path: str, wal_path: str) -> list:
     form: the snapshot's record lines, then the WAL after its marker."""
     with open(snapshot_path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        entries = [(entry["kind"], entry["data"]) for entry in map(json.loads, fh)]
+        entries = [
+            (entry["kind"], keyed_line(entry["kind"], entry["data"]))
+            for entry in map(json.loads, fh)
+        ]
     tail = list(RecordWal.entries(wal_path))
     markers = [
         index
@@ -280,23 +374,31 @@ def repair_counters(warp) -> dict:
     return {name: getattr(result.stats, name) for name in COUNTERS}
 
 
+#: Each golden, and what writes its bytes.
+GOLDENS = {
+    GOLDEN_TEXTS: (golden_lines, "golden_run()"),
+    GOLDEN_VISIT: (golden_visit_lines, "golden_visit()"),
+}
+
+
 def check(directory: str) -> list:
     """Every way the committed fixtures disagree with the code, by name."""
     problems = []
-    with open(GOLDEN_TEXTS, "rb") as fh:
-        if fh.read() != golden_lines(directory):
-            problems.append(
-                f"{GOLDEN_TEXTS}: not the bytes the codec writes for golden_run(); "
-                "a codec change needs `python tests/persistence_fixtures.py`, "
-                "a regenerated golden needs a codec change"
-            )
-    warp = WarpSystem.load(FORMAT6_SNAPSHOT)
+    for path, (lines, source) in GOLDENS.items():
+        with open(path, "rb") as fh:
+            if fh.read() != lines(directory):
+                problems.append(
+                    f"{path}: not the bytes the codec writes for {source}; "
+                    "a codec change needs `python tests/persistence_fixtures.py`, "
+                    "a regenerated golden needs a codec change"
+                )
+    warp = WarpSystem.load(FORMAT7_SNAPSHOT)
     if warp.graph.to_snapshot() != format1_workload()[0].graph.to_snapshot():
-        problems.append(f"{FORMAT6_SNAPSHOT}: no longer loads as format1_workload()")
+        problems.append(f"{FORMAT7_SNAPSHOT}: no longer loads as format1_workload()")
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     with open(FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         if repair_counters(warp) != json.load(fh):
-            problems.append(f"{FORMAT6_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
+            problems.append(f"{FORMAT7_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
     return problems
 
 
@@ -306,8 +408,9 @@ def main(argv) -> int:
             problems = check(directory)
             print("\n".join(problems) or "persistence fixtures match the code")
             return 1 if problems else 0
-        with open(GOLDEN_TEXTS, "wb") as fh:
-            fh.write(golden_lines(directory))
+        for path, (lines, _) in GOLDENS.items():
+            with open(path, "wb") as fh:
+                fh.write(lines(directory))
     return 0
 
 

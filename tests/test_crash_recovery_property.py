@@ -454,3 +454,89 @@ def test_every_crash_point_recovers_the_acked_prefix_with_every_id_defined(tmp_p
         again = fixtures.recover_store(wal_path=path)
         again.wal.close()
         assert again.to_snapshot() == recovered.to_snapshot()
+
+
+# ---------------------------------------------------------------------------
+# visit entries nobody waits on (format 7): the next commit on the log writes
+# them, so a crash loses only the ones no commit followed
+# ---------------------------------------------------------------------------
+
+from repro.workload.scenarios import WikiDeployment  # noqa: E402
+
+
+def _browsing(tmp_path, plane):
+    """A two-user wiki over a group-commit log, with ``states`` filled with
+    the graph as it stood each time a run was acknowledged."""
+    deployment = WikiDeployment(
+        n_users=2, seed=1, wal_path=str(tmp_path / "records.wal"), fault_plane=plane
+    )
+    store = deployment.warp.graph.store
+    states = []
+    acknowledge = store.add_run
+
+    def add_run(run):
+        acknowledge(run)
+        states.append(store.to_snapshot())
+
+    store.add_run = add_run
+    return deployment, states
+
+
+def test_a_crash_on_the_commit_after_unwaited_visit_entries_loses_only_them(tmp_path, closing):
+    """The commit that would have written a request's run, its visit and the
+    deltas logged since the last acknowledged run dies before it writes:
+    recovery holds every visit entry logged before that run, and nothing
+    else is missing."""
+    plane = FaultPlane()
+    deployment, states = _browsing(tmp_path, plane)
+    deployment.login("user1")
+    browser = deployment.browser("user1")
+    browser.open("http://wiki.test/edit.php?title=user1_notes")
+    browser.type_into("textarea", "typed, never sent")  # events no run follows
+    wal = deployment.warp.graph.store.wal
+    assert wal.status()["buffered_entries"] > 0
+    plane.arm(point="wal.append", kind="crash", times=1)
+    with pytest.raises(SimulatedCrash):
+        deployment.read_page("user1", "Projects")
+    loaded = closing(WarpSystem.load(None, wal_path=wal.path))
+    assert loaded.graph.to_snapshot() == states[-1]
+    live = deployment.warp.graph.visits
+    restored = loaded.graph.visits[("user1-browser", 3)]
+    assert len(restored.events) < len(live[("user1-browser", 3)].events)
+    assert ("user1-browser", 4) in live and ("user1-browser", 4) not in loaded.graph.visits
+
+
+@pytest.mark.parametrize("where", ["before the write", "before the truncation"])
+def test_a_crash_inside_a_save_after_unwaited_visit_entries_replays_each_once(
+    tmp_path, monkeypatch, closing, where
+):
+    """Deltas nobody waited on, then a save that dies: its pre-write
+    marker's wait wrote them.  Recovery — the earlier snapshot and the whole
+    tail, or the new snapshot and nothing after its marker — applies each
+    delta once."""
+    deployment, _ = _browsing(tmp_path, FaultPlane())
+    warp = deployment.warp
+    deployment.login("user1")
+    path = str(tmp_path / "warp.json")
+    warp.save(path)
+    deployment.read_page("user1", "Main_Page")
+    browser = deployment.browser("user1")
+    browser.open("http://wiki.test/edit.php?title=user1_notes")
+    browser.type_into("textarea", "typed, never sent")
+    assert warp.graph.store.wal.status()["buffered_entries"] > 0
+    if where == "before the write":
+        warp.graph.store.faults.arm(point="store.snapshot", kind="crash", times=1)
+    else:
+
+        def die(self):
+            raise SimulatedCrash("died before the truncation")
+
+        monkeypatch.setattr(RecordWal, "truncate", die)
+    with pytest.raises(SimulatedCrash):
+        warp.save(path)
+    monkeypatch.undo()
+    warp.graph.store.wal._mark_crashed()
+    loaded = closing(WarpSystem.load(path, wal_path=warp.graph.store.wal.path))
+    assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
+    events = loaded.graph.visits[("user1-browser", 4)].events
+    assert [event.data["value"] for event in events] == ["typed, never sent"]

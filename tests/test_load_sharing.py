@@ -84,7 +84,7 @@ def history(tmp_path_factory):
 def test_committed_fixture_shares_only_immutables(tmp_path, source):
     """The format-6 golden lines — a ``run`` and a ``replace_run`` of one
     run, so the replacement is decoded through the memo the original
-    filled — and the committed format-6 snapshot, through both of the
+    filled — and the committed format-7 snapshot, through both of the
     store's entry points."""
     if source == "golden lines":
         wal_path = str(tmp_path / "golden.wal")
@@ -94,9 +94,9 @@ def test_committed_fixture_shares_only_immutables(tmp_path, source):
         assert store.runs == {7: fixtures.golden_run()}
     else:
         if source == "fixture via recover":
-            store = fixtures.recover_store(snapshot_path=fixtures.FORMAT6_SNAPSHOT)
+            store = fixtures.recover_store(snapshot_path=fixtures.FORMAT7_SNAPSHOT)
         else:
-            store = WarpSystem.load(fixtures.FORMAT6_SNAPSHOT).graph.store
+            store = WarpSystem.load(fixtures.FORMAT7_SNAPSHOT).graph.store
         assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
     assert_shares_only_immutables(store)
 
@@ -185,3 +185,31 @@ def test_repair_over_shared_records_is_scope_and_engine_independent(
     reference = graphs["python", "off"][1]
     for arm, (_, graph) in graphs.items():
         assert graph == reference, arm
+
+
+def test_a_loaded_files_entry_is_decoded_once_and_each_run_gets_its_own_dict(
+    history, monkeypatch
+):
+    """Reloaded runs whose lines refer to one loaded-files entry hold equal,
+    distinct dicts, and the entry's text is decoded once per load, not once
+    per run."""
+    from repro.core.serialize import DecodeMemo
+
+    decoded = []
+    tree = DecodeMemo.tree
+
+    def counting_tree(self, ident):
+        decoded.append(ident)
+        return tree(self, ident)
+
+    monkeypatch.setattr(DecodeMemo, "tree", counting_tree)
+    _, path = history
+    store = WarpSystem.load(path).graph.store
+    by_entry = {}
+    for run in store.runs.values():
+        by_entry.setdefault(json.loads(run.json_text)["loaded_files"], []).append(run)
+    first, second, *_ = max(by_entry.values(), key=len)
+    assert first.loaded_files == second.loaded_files
+    assert first.loaded_files is not second.loaded_files
+    assert all(decoded.count(ident) == 1 for ident in by_entry)
+    assert len(store.runs) > 10 * len(by_entry)

@@ -641,3 +641,49 @@ class TestWarpSystemPersistence:
         # Re-applying the pre-save patch restores repair capability.
         reloaded.scripts.patch("common.php", make_common(send_frame_options=True))
         assert reloaded.repair.submit(CancelClientSpec("bob-desktop")).result().ok
+
+
+class TestCommitsPerRecordedRun:
+    """At the shipped ``durability="group"`` a recorded run costs one fsync:
+    its own commit, which also writes the visit and the deltas the extension
+    logged before it (nothing waits on those)."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return calls
+
+    def test_a_headerless_drive_fsyncs_once_per_run(self, tmp_path, closing, fsyncs):
+        from repro.workload.loadgen import make_load_clients
+        from repro.workload.scenarios import WikiDeployment
+
+        deployment = WikiDeployment(n_users=2, seed=1, wal_path=str(tmp_path / "records.wal"))
+        warp = closing(deployment.warp)
+        clients = make_load_clients(deployment.wiki, warp.server, deployment.users)
+        runs, calls = warp.graph.n_runs, len(fsyncs)
+        for index in range(24):
+            client = clients[index % 2]
+            page = f"{client.name}_notes"
+            params = {"title": page} if index % 3 else {"title": page, "append": f"\n{index}."}
+            request = client.request("GET" if index % 3 else "POST", "/edit.php", params)
+            assert client.send(request).status == 200
+        assert warp.graph.n_runs - runs == 24
+        assert (len(fsyncs) - calls) / (warp.graph.n_runs - runs) == 1.0
+
+    def test_a_browser_scenario_fsyncs_about_once_per_run(self, tmp_path, closing, fsyncs):
+        from repro.workload.scenarios import run_scenario
+
+        outcome = run_scenario(
+            "csrf", n_users=20, n_victims=2, seed=1, wal_path=str(tmp_path / "records.wal")
+        )
+        warp = closing(outcome.warp)
+        assert warp.graph.n_visits > 0 and warp.graph.store.wal.durability == "group"
+        warp.close()  # writes the deltas the last run did not
+        assert len(fsyncs) / warp.graph.n_runs <= 1.05

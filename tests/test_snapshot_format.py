@@ -1,4 +1,4 @@
-"""Snapshot format 6 and the one-codec contract behind it.
+"""Snapshot format 7 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
 of its WAL line and of its snapshot line, and it says each fact once:
@@ -12,7 +12,9 @@ derived field, the kept-text invariant across every mutation the store
 offers, the committed format-6 snapshot, the refusal — by name, with the
 last commit that reads it — of every file and line in a shape older builds
 wrote, the text entries a snapshot holds, the bytes one request may cost,
-and the refusal of files that are not whole.
+and the refusal of files that are not whole.  A visit and its deltas
+follow the same rules (format 7): positional rows, no default written, the
+client id, URL and each xpath a ``text`` entry.
 """
 
 import copy
@@ -33,17 +35,19 @@ from repro.ahg.records import (
     QUERY_ROW,
     REQUEST_ROW,
     RESPONSE_ROW,
+    VISIT_ROW,
     AppRunRecord,
     EventRecord,
     NondetRecord,
     QueryRecord,
     VisitRecord,
+    keyed_line,
     payload_text,
     query_payload,
 )
 from repro.apps.wiki.app import WikiApp
 from repro.core.errors import ReproError
-from repro.core.serialize import COMPACT, DecodeMemo, TextTable
+from repro.core.serialize import COMPACT, UPGRADE_ROUTE, DecodeMemo, TextTable
 from repro.db.storage import Column, TableSchema
 from repro.faults.plane import FaultPlane, SimulatedCrash
 from repro.http.message import CLIENT_HEADER, REQUEST_HEADER, VISIT_HEADER
@@ -113,6 +117,37 @@ def test_the_keyed_view_is_the_keyed_golden_line():
     for _, data in entries:
         assert isinstance(data["queries"][0], dict) and data["canceled"] is False
         assert fixtures.golden_run().to_dict() == data
+
+
+def test_visit_lines_match_golden_bytes(tmp_path):
+    """A visit uploaded as the extension uploads it: each text entry just
+    before the first line that needs it, then rows that name no member,
+    leave out every trailing default and keep ``1``, ``1.0`` and ``True``
+    apart; replayed, they give the visit back."""
+    with open(fixtures.GOLDEN_VISIT, "rb") as fh:
+        golden = fh.read()
+    assert fixtures.golden_visit_lines(str(tmp_path)) == golden
+    lines = golden.decode("utf-8").splitlines(keepends=True)
+    assert [json.loads(line)["kind"] for line in lines] == [
+        "text", "text", "visit", "visit_request", "text", "visit_event", "text",
+        "visit_event", "visit_request", "visit_cookies",
+    ]  # fmt: skip
+    assert not re.search(VISIT_KEYS, golden.decode("utf-8"))
+    assert '"n":1,"f":1.0,"b":true' in lines[5]
+    assert lines[7] == entry_line("visit_event", "[1,3,\"click\",4]")
+    path = str(tmp_path / "golden.wal")
+    rewrite(path, lines)
+    store = fixtures.recover_store(wal_path=path)
+    store.wal.close()
+    assert store.visits == {("c1-☃", 3): fixtures.golden_visit()}
+
+
+#: What no format-7 visit line may hold (the CI step greps the visit golden
+#: for it): a member spelled out by name.  (``"data":`` frames every line.)
+VISIT_KEYS = (
+    r'"(client_id|visit_id|ts|url|method|post_params|parent_visit|framed|events'
+    r'|cookies_before|cookies_after|request_ids?|event|etype|xpath)":'
+)
 
 
 # -- round trip, as a property -------------------------------------------------
@@ -359,10 +394,10 @@ def test_only_the_written_line_decodes(run):
 
 
 def derived_case(case):
-    """``(run, visit, written)``: ``golden_run()`` and a visit changed as
-    ``case`` says, and the fields the run line and the visit line must
-    write of those a reader could derive (ids, response members, visit
-    fields at their defaults)."""
+    """``(run, visit, written, members)``: ``golden_run()`` and a visit
+    changed as ``case`` says, the fields the run line must write of those a
+    reader could derive (ids, response members), and how many members the
+    visit's row writes (none after its last one not at its default)."""
     run = fixtures.golden_run()
     visit = VisitRecord(client_id="c1", visit_id=3, ts=39, url="http://wiki.test/edit.php")
     written = {"response": [1, 200, {}, {"sess": None}]}
@@ -393,10 +428,8 @@ def derived_case(case):
             cookies_before={"http://wiki.test": {"sess": "tok-0"}},
             cookies_after={"http://wiki.test": {"sess": "tok-1"}}, request_ids=[1],
         )  # fmt: skip
-    visit_keys = set(visit.to_dict())
-    if case != "a visit with no field at its default":
-        visit_keys = {"client_id", "visit_id", "ts", "url", "cookies_after", "request_ids"}
-    return run, visit, written, visit_keys
+    members = len(VISIT_ROW) if case == "a visit with no field at its default" else 4
+    return run, visit, written, members
 
 
 DERIVED_CASES = [
@@ -416,7 +449,7 @@ def test_what_a_line_leaves_to_its_reader_comes_back(tmp_path, case):
     member or a visit field at its default — is left out exactly when the
     reader derives the same value, by type and value: decoding the line,
     a save and load, and a WAL replay each give the record back."""
-    run, visit, written, visit_keys = derived_case(case)
+    run, visit, written, members = derived_case(case)
     texts = TextTable()
     text = run.encode(texts)
     line = json.loads(text)
@@ -425,9 +458,10 @@ def test_what_a_line_leaves_to_its_reader_comes_back(tmp_path, case):
     body = texts.ids[run.response.body]
     assert line["response"] == [body, *written["response"][1:]]
     assert AppRunRecord.from_dict(line, text, DecodeMemo(texts)) == run
-    visit_line = json.loads(visit.encode())
-    assert set(visit_line) == visit_keys
-    assert VisitRecord.from_dict(visit_line) == visit
+    visit_texts = TextTable()
+    visit_line = json.loads(visit.encode(visit_texts))
+    assert len(visit_line) == members
+    assert VisitRecord.from_row(visit_line, DecodeMemo(visit_texts)) == visit
 
     wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "snapshot.json")
     store = RecordStore(wal=RecordWal(wal_path, durability="none"))
@@ -502,6 +536,79 @@ def test_reload_is_type_exact_across_records(tmp_path_factory, run):
     for run_id, kept in source.runs.items():
         again = reloaded.runs[run_id]
         assert again.encode(reloaded.texts) == again.json_text == kept.json_text
+
+
+#: Text a visit holds: non-ASCII, quotes, backslashes, control characters.
+hostile = st.text(st.sampled_from(["a", '"', "\\", "é", "☃", "\n", " ", "\x00", "𝄞"]), max_size=8)
+#: What an event's data may hold: every JSON type, ``1``, ``1.0`` and ``True`` apart.
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(hostile, inner, max_size=3),
+    max_leaves=8,
+)
+jars = st.dictionaries(hostile, st.dictionaries(hostile, hostile, max_size=2), max_size=2)
+
+
+@st.composite
+def visit_records(draw):
+    events = st.builds(
+        EventRecord,
+        st.sampled_from(["input", "click", "submit"]),
+        hostile,
+        st.dictionaries(hostile, json_values, max_size=3),
+    )
+    return VisitRecord(
+        client_id=draw(hostile | st.text(max_size=8)),
+        visit_id=draw(st.integers(0, 10**6)),
+        ts=draw(st.integers(0, 10**6)),
+        url=draw(hostile),
+        method=draw(st.sampled_from(["GET", "POST", "PUT"])),
+        post_params=draw(st.dictionaries(hostile, hostile, max_size=3)),
+        parent_visit=draw(st.none() | st.integers(0, 10**6)),
+        framed=draw(st.booleans()),
+        events=draw(st.lists(events, max_size=3)),
+        cookies_before=draw(jars),
+        cookies_after=draw(jars),
+        request_ids=draw(st.lists(st.integers(0, 99), max_size=3)),
+    )
+
+
+def typed(view) -> str:
+    """``view`` as text that tells ``1``, ``1.0`` and ``True`` apart."""
+    return json.dumps(view)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    visits=st.lists(
+        visit_records(), min_size=1, max_size=3, unique_by=lambda v: (v.client_id, v.visit_id)
+    )
+)
+def test_a_visit_journaled_live_comes_back_from_the_log_and_from_a_save(
+    tmp_path_factory, visits
+):
+    """Each visit is uploaded as the extension uploads it — the row as it
+    begins, then each request id, event and jar as a delta — and recovered
+    two ways, from the log alone and by a save and a load: both give every
+    visit's keyed view back, type for type."""
+    directory = tmp_path_factory.mktemp("visits")
+    wal_path, path = str(directory / "records.wal"), str(directory / "snapshot.json")
+    store = RecordStore(wal=RecordWal(wal_path, durability="none"))
+    for visit in visits:
+        fixtures.upload_visit(store, visit)
+    store.wal.sync()
+    assert fixtures.undefined_refs(list(RecordWal.entries(wal_path))) == []
+    from_log = fixtures.recover_store(wal_path=wal_path)
+    from_log.wal.close()
+    fixtures.save_store(store, path)
+    store.wal.close()
+    from_save = fixtures.recover_store(snapshot_path=path)
+    expected = [typed(visit.to_dict()) for visit in visits]
+    for again in (from_log, from_save):
+        assert [typed(visit.to_dict()) for visit in again.visits.values()] == expected
+        assert list(again.visits.values()) == visits
+        assert again.to_snapshot() == store.to_snapshot()
+    assert set(visits[0].to_dict()) == set(VISIT_ROW)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +745,15 @@ def run_lines(path):
     return record_lines(path, "run")
 
 
-def referenced_ids(lines):
-    """Every text id the run lines ``lines`` refer to."""
-    return set().union(*(fixtures.text_refs("run", line) for line in lines))
+def visit_lines(path):
+    return [keyed_line("visit", row) for row in record_lines(path, "visit")]
+
+
+def referenced_ids(lines, visits=()):
+    """Every text id the run lines ``lines`` and the keyed visit lines
+    ``visits`` refer to."""
+    refs = [fixtures.text_refs("run", line) for line in lines]
+    return set().union(*refs, *(fixtures.text_refs("visit", line) for line in visits))
 
 
 def read_lines(path):
@@ -648,14 +761,14 @@ def read_lines(path):
         return fh.readlines()
 
 
-def test_format6_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written by the build that introduced format 6: it loads as the graph
+def test_format7_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written by the build that introduced format 7: it loads as the graph
     ``format1_workload()`` builds today, keeping every run's text; a save
     writes its record lines back byte for byte; and its common.php repair
     gives the counters the same workload has repaired to in every format
     since the first."""
-    fixture = fixtures.FORMAT6_SNAPSHOT
-    assert read_snapshot_header(fixture)["version"] == 6
+    fixture = fixtures.FORMAT7_SNAPSHOT
+    assert read_snapshot_header(fixture)["version"] == 7
     with open(fixtures.FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     original, _ = fixtures.format1_workload()
@@ -671,11 +784,11 @@ def test_format6_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     assert fixtures.repair_counters(warp) == expected
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, "missing"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, "missing"])
 def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
-    """Formats 1-5 — and a header with no version, which only format 1
+    """Formats 1-6 — and a header with no version, which only format 1
     wrote — are refused before anything is built, naming the file and the
-    last commit that reads the format: no build converts one to format 6."""
+    last commit that reads the format: no build converts one to format 7."""
     _, path, lines = saved
     header = json.loads(lines[0])
     if version == "missing":
@@ -684,9 +797,10 @@ def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
         header["version"] = version
     rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
     number = 1 if version == "missing" else version
-    reader = "commit 0226ea7 is the last that reads format 5"
-    if number != 5:
-        reader = "commit 812ecd4 the last that reads formats 1-4"
+    reader = {
+        6: "commit 37f403a is the last that reads format 6",
+        5: "commit 0226ea7 the last that reads format 5",
+    }.get(number, "commit 812ecd4 the last that reads formats 1-4")
     named = rf"warp\.json.*format {number} is retired.*converts no older file.*{reader}"
     with pytest.raises(ReproError, match=named):
         WarpSystem.load(path)
@@ -698,6 +812,14 @@ def test_the_committed_format5_file_is_refused_by_name():
     """``warp_format5.json`` (812ecd4) is kept as a refusal input only."""
     with pytest.raises(ReproError, match=r"warp_format5\.json.*format 5 is retired.*0226ea7"):
         WarpSystem.load(fixtures.FORMAT5_SNAPSHOT)
+
+
+def test_the_committed_format6_file_is_refused_by_name():
+    """``warp_format6.json``, the format-7 fixture's workload saved by the
+    build that introduced format 6, is kept as a refusal input only: its
+    visit lines are keyed."""
+    with pytest.raises(ReproError, match=r"warp_format6\.json.*format 6 is retired.*37f403a"):
+        WarpSystem.load(fixtures.FORMAT6_SNAPSHOT)
 
 
 def keyed_nondet_line(line, body=None):
@@ -748,6 +870,11 @@ def retired_log(shape):
             "ts": [51, 52], "request": run.request.to_dict(),
         }  # fmt: skip
         return written + [entry_line("run_replay", json.dumps(data))], 9, "'run_replay'"
+    if shape == "format-6 visit line":
+        # Keyed, every id and text spelled out, as format 6 wrote it.
+        data = {"client_id": "c1", "visit_id": 1, "ts": 4, "url": "http://wiki.test/"}
+        why = "a visit line is in a retired shape: it is keyed; " + UPGRADE_ROUTE.split(",")[0]
+        return written + [entry_line("visit", json.dumps(data))], 9, why
     assert shape == "entry of unknown kind"
     return written + [entry_line("no_such_kind", "{}")], 9, "'no_such_kind'"
 
@@ -761,6 +888,7 @@ RETIRED_SHAPES = [
     "no queries, keyed nondet, body an id",
     "run_replay entry",
     "entry of unknown kind",
+    "format-6 visit line",
 ]
 
 
@@ -819,9 +947,9 @@ def walked_maxima(store):
 
 @pytest.mark.parametrize("source", ["committed", "saved now"])
 def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, source):
-    snapshot = fixtures.FORMAT6_SNAPSHOT
+    snapshot = fixtures.FORMAT7_SNAPSHOT
     if source == "saved now":
-        snapshot = str(tmp_path / "format6.json")
+        snapshot = str(tmp_path / "format7.json")
         fixtures.format1_workload()[0].save(snapshot)
     loaded = WarpSystem.load(snapshot)
     store = loaded.graph.store
@@ -898,6 +1026,22 @@ def test_gc_then_save_keeps_exactly_the_referenced_entries(tmp_path, monkeypatch
     recovered = fixtures.recover_store(snapshot_path=path, wal_path=wal_path)
     recovered.wal.close()
     assert recovered.to_snapshot() == store.to_snapshot()
+
+
+def test_a_save_after_dropping_visits_keeps_exactly_the_referenced_entries(tmp_path):
+    """A visit's URL and xpaths are entries no run refers to: once quota
+    drops the visit, the next save leaves them out."""
+    warp, _ = fixtures.format1_workload()
+    urls = {visit.url for visit in warp.graph.visits.values()}
+    path = str(tmp_path / "warp.json")
+    warp.save(path)  # the table holds every visit's entries now
+    assert warp.retain(max_visits_per_client=1) > 0
+    warp.save(path)
+    entries = record_lines(path, "text")
+    referenced = referenced_ids(run_lines(path), visit_lines(path))
+    assert sorted(entry["id"] for entry in entries) == sorted(referenced)
+    kept = {visit.url for visit in warp.graph.visits.values()}
+    assert kept < urls and not (urls - kept) & {entry.get("text") for entry in entries}
 
 
 def test_save_after_replace_run_drops_the_replaced_body(tmp_path):
@@ -1147,15 +1291,17 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 6
+        assert header["version"] == 7
         n_texts = len(record_lines(path, "text"))
-        assert n_texts == len(referenced_ids(run_lines(path))) > 0
-        assert header["records"] == {
-            "visit": warp.graph.n_visits,
-            "text": n_texts,
-            "run": warp.graph.n_runs,
-            "patch": 0,
-        }
+        assert n_texts == len(referenced_ids(run_lines(path), visit_lines(path))) > 0
+        assert list(header["records"].items()) == [
+            ("text", n_texts),
+            ("visit", warp.graph.n_visits),
+            ("run", warp.graph.n_runs),
+            ("patch", 0),
+        ]
+        kinds = [json.loads(line)["kind"] for line in lines[1:]]
+        assert kinds == sorted(kinds, key=["text", "visit", "run"].index)
         assert len(lines) == 1 + warp.graph.n_visits + n_texts + warp.graph.n_runs
         assert "runs" not in header["graph"]
 
@@ -1276,7 +1422,7 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         assert files() == before
 
-    @pytest.mark.parametrize("version", [0, 7, "6", None])
+    @pytest.mark.parametrize("version", [0, 8, "7", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])

@@ -256,6 +256,7 @@ class TestDurability:
         save_store(store, snap_path)  # truncates the WAL
         store.add_run(make_run(2, 20))
         store.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
+        store.wal.sync()  # a visit waits for the next commit on the log
 
         recovered = recover(snapshot_path=snap_path, wal_path=wal_path)
         assert sorted(recovered.runs) == [1, 2]
@@ -317,6 +318,7 @@ class TestDurability:
         store.log_visit_request("c1", 1, 7)
         visit.cookies_after = {"o": {"sess": "tok"}}
         store.log_visit_cookies("c1", 1, visit.cookies_after)
+        store.wal.sync()  # nothing waited on the visit or its deltas
 
         recovered = recover(wal_path=wal_path)
         restored = recovered.visits[("c1", 1)]
