@@ -34,7 +34,7 @@ def main() -> None:
     warp.enable_online_repair()
     pages = [outcome.tenant_page(t) for t in range(16)]
     print(
-        f"staged 16-tenant wiki: {warp.graph.n_visits} page visits, "
+        f"staged 16-tenant wiki: {len(warp.graph.visits)} page visits, "
         f"{warp.graph.n_runs} runs recorded; tenant 0 is defaced"
     )
     assert "DEFACED" in outcome.wiki.page_text(pages[0])

@@ -55,7 +55,7 @@ def main() -> None:
     wal_path = os.path.join(workdir, "warp.wal")
     plane = FaultPlane(seed=7)
     warp = WarpSystem(wal_path=wal_path, fault_plane=plane)
-    warp.graph.store.durability_timeout = 5.0
+    warp.graph.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
     wiki.seed_user("alice", "alice-pw")
@@ -110,7 +110,7 @@ def main() -> None:
     status, doc = health(warp)
     check("health back to 200/normal", status == 200 and doc["mode"] == "normal")
     check("exactly one heal recorded", doc["heals"] == 1)
-    wal = warp.graph.store.wal
+    wal = warp.graph.wal
     check("parked backlog flushed to disk", wal.sync(5.0) and not wal.failed)
 
     availability = stats.availability()
@@ -128,7 +128,7 @@ def main() -> None:
     warp.save(snap_path)
     check("baseline snapshot saved", os.path.exists(snap_path))
     check("write after the snapshot acknowledged", post("post-snapshot.").status == 200)
-    runs_before = len(warp.graph.store.runs)
+    runs_before = len(warp.graph.runs)
     plane.arm(point="store.snapshot", kind="crash", times=1)
     snap2_path = os.path.join(workdir, "snap2.json")
     try:
@@ -138,16 +138,16 @@ def main() -> None:
         crashed = True
     check("process crashed mid-save", crashed)
     check("no partial snapshot left behind", not os.path.exists(snap2_path))
-    warp.graph.store.wal._mark_crashed()  # the rest of the process dies too
+    warp.graph.wal._mark_crashed()  # the rest of the process dies too
 
     reloaded = WarpSystem.load(snap_path, wal_path=wal_path)
     check(
         "every acknowledged write survives the crash (history graph)",
-        len(reloaded.graph.store.runs) == runs_before,
+        len(reloaded.graph.runs) == runs_before,
     )
     post_snapshot_runs = [
         run
-        for run in reloaded.graph.store.runs.values()
+        for run in reloaded.graph.runs.values()
         if getattr(run, "request", None) is not None
         and run.request.params.get("append") == "\npost-snapshot."
     ]

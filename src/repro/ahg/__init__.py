@@ -3,9 +3,10 @@
 Nodes represent parts of the system over time (database partitions, source
 files, HTTP exchanges, browser page visits); actions (application runs,
 SQL queries, browser events) carry input and output dependencies on those
-nodes.  During normal execution the repair managers append records here;
-during repair the controller consults the graph's time-ordered indexes to
-find what must be rolled back and re-executed.
+nodes.  This package holds the record types; the graph itself is the
+indexed record store (:class:`repro.store.recordstore.RecordStore`), which
+the repair managers append to during normal execution and the repair
+controller queries for what must be rolled back and re-executed.
 """
 
 from repro.ahg.records import (
@@ -16,10 +17,8 @@ from repro.ahg.records import (
     QueryRecord,
     VisitRecord,
 )
-from repro.ahg.graph import ActionHistoryGraph
 
 __all__ = [
-    "ActionHistoryGraph",
     "AppRunRecord",
     "QueryRecord",
     "NondetRecord",

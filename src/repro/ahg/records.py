@@ -288,9 +288,9 @@ class AppRunRecord:
     #: Set during repair when the request was undone.
     canceled: bool = False
     #: ``encode()`` of this run as last written by the store (None until
-    #: then).  Runs are immutable once appended, so the text stays true;
-    #: ``RecordStore.mark_run_canceled`` — the one in-place mutation —
-    #: drops it.  Owned by the store; not part of the record's value.
+    #: then).  Runs are immutable once appended — a repair swaps in a new
+    #: record, canceled or re-executed — so the text stays true.  Owned by
+    #: the store; not part of the record's value.
     json_text: Optional[str] = field(default=None, repr=False, compare=False)
     #: Per query, the statement-cache payload it was recorded from (None
     #: where there was none), whose ``text`` :meth:`encode` splices.  Set by

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Set, Tuple
 
-from repro.ahg.graph import ActionHistoryGraph
+from repro.store.recordstore import RecordStore
 
 Row = Tuple[str, int]  # (table, row_id)
 
@@ -131,7 +131,7 @@ class RowTaintScorer:
 class TaintAnalysis:
     """Offline row-level taint propagation over WARP's recorded log."""
 
-    def __init__(self, graph: ActionHistoryGraph, whitelist: Iterable[str] = ()) -> None:
+    def __init__(self, graph: RecordStore, whitelist: Iterable[str] = ()) -> None:
         self.graph = graph
         self.whitelist = frozenset(whitelist)
         self.scorer = RowTaintScorer(whitelist)

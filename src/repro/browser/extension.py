@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.ahg.graph import ActionHistoryGraph
 from repro.ahg.records import EventRecord, VisitRecord
 from repro.browser.html import Element
 from repro.browser.xpath import identifying_attrs, xpath_of
 from repro.core.clock import LogicalClock
 from repro.http.message import CLIENT_HEADER, REQUEST_HEADER, VISIT_HEADER, HttpRequest
+from repro.store.recordstore import RecordStore
 
 
 class WarpExtension:
@@ -34,7 +34,7 @@ class WarpExtension:
     def __init__(
         self,
         client_id: str,
-        graph: ActionHistoryGraph,
+        graph: RecordStore,
         clock: LogicalClock,
         upload: bool = True,
     ) -> None:

@@ -70,7 +70,7 @@ def _compact_preview(plan) -> dict:
 
 
 class IncidentManager:
-    """Owns the incident records in the graph's store: opening, preview
+    """Owns the incident records in the graph: opening, preview
     refresh, lifecycle transitions, and spec derivation."""
 
     def __init__(
@@ -79,7 +79,6 @@ class IncidentManager:
         """``repair`` is the job manager the one-click repair submits to;
         the four incident rows (API.md §9) are mounted on ``table``."""
         self.graph = graph
-        self.store = graph.store
         self.ttdb = ttdb
         self._repair = repair
         self.faults = fault_plane if fault_plane is not None else _active_plane()
@@ -97,22 +96,22 @@ class IncidentManager:
         client_id = record.client_id
         visit_id = record.visit_id
         reasons = sorted(set(result.reasons))
-        with self._open_lock, self.store.lock:
+        with self._open_lock, self.graph.lock:
             existing = self._open_for(client_id, visit_id)
             if existing is not None:
                 merged = sorted(set(existing.get("reasons", ())) | set(reasons))
                 run_ids = list(existing.get("run_ids", ()))
                 if record.run_id not in run_ids:
                     run_ids.append(record.run_id)
-                self.store.incidents.update(
+                self.graph.incidents.update(
                     existing["incident_id"],
                     score=max(existing.get("score", 0.0), result.score),
                     reasons=merged,
                     run_ids=run_ids,
                 )
-                return self.store.incidents.entries[existing["incident_id"]]
-            incident_id = f"inc-{self.store.incidents.next_seq()}"
-            self.store.incidents.put(
+                return self.graph.incidents.entries[existing["incident_id"]]
+            incident_id = f"inc-{self.graph.incidents.next_seq()}"
+            self.graph.incidents.put(
                 incident_id=incident_id,
                 ts=record.ts_start,
                 client_id=client_id,
@@ -128,12 +127,12 @@ class IncidentManager:
                 preview_stamp=None,
                 job_id=None,
             )
-            return self.store.incidents.entries[incident_id]
+            return self.graph.incidents.entries[incident_id]
 
     def _open_for(self, client_id, visit_id) -> Optional[dict]:
         if client_id is None:
             return None
-        for entry in self.store.incidents.entries.values():
+        for entry in self.graph.incidents.entries.values():
             if (
                 entry.get("status") in OPEN_STATUSES
                 and entry.get("client_id") == client_id
@@ -157,15 +156,15 @@ class IncidentManager:
     # -- queries -------------------------------------------------------------
 
     def get(self, incident_id: str) -> Optional[dict]:
-        with self.store.lock:
-            entry = self.store.incidents.entries.get(incident_id)
+        with self.graph.lock:
+            entry = self.graph.incidents.entries.get(incident_id)
             return dict(entry) if entry is not None else None
 
     def list(self, status: Optional[str] = None) -> List[dict]:
-        with self.store.lock:
+        with self.graph.lock:
             entries = [
                 dict(entry)
-                for entry in self.store.incidents.entries.values()
+                for entry in self.graph.incidents.entries.values()
                 if status is None or entry.get("status") == status
             ]
         entries.sort(key=lambda e: trailing_seq(e["incident_id"]))
@@ -177,13 +176,13 @@ class IncidentManager:
     # -- lifecycle -----------------------------------------------------------
 
     def mark_repairing(self, incident_id: str, job_id: str) -> None:
-        self.store.incidents.update(incident_id, status="repairing", job_id=job_id)
+        self.graph.incidents.update(incident_id, status="repairing", job_id=job_id)
 
     def resolve(self, incident_id: str, ok: bool) -> None:
-        self.store.incidents.update(incident_id, status="resolved" if ok else "open")
+        self.graph.incidents.update(incident_id, status="resolved" if ok else "open")
 
     def dismiss(self, incident_id: str) -> None:
-        self.store.incidents.update(incident_id, status="dismissed")
+        self.graph.incidents.update(incident_id, status="dismissed")
 
     # -- preview refresh -----------------------------------------------------
 
@@ -199,13 +198,13 @@ class IncidentManager:
             spec_data = entry.get("spec")
             if not spec_data:
                 continue
-            stamp = len(self.store.runs)
+            stamp = len(self.graph.runs)
             if not force and entry.get("preview_stamp") == stamp:
                 continue
             held_from = time.perf_counter()
             try:
                 spec = parse_spec(spec_data)
-                with self.store.lock:
+                with self.graph.lock:
                     held_from = time.perf_counter()
                     # The fault point sits inside the critical section:
                     # a "stall" rule here models one slow compute_plan
@@ -223,7 +222,7 @@ class IncidentManager:
                 }
                 refreshed += 1
             held = time.perf_counter() - held_from
-            self.store.incidents.update(incident_id, **update)
+            self.graph.incidents.update(incident_id, **update)
             # Releasing the lock is not enough: CPython lock release does
             # not hand off, so without a pause here the sweep barges
             # straight back in and a writer parked on the store lock
@@ -239,9 +238,9 @@ class IncidentManager:
         return refreshed
 
     def status(self) -> dict:
-        with self.store.lock:
+        with self.graph.lock:
             counts: Dict[str, int] = {}
-            for entry in self.store.incidents.entries.values():
+            for entry in self.graph.incidents.entries.values():
                 counts[entry.get("status", "open")] = (
                     counts.get(entry.get("status", "open"), 0) + 1
                 )

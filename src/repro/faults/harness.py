@@ -165,7 +165,7 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
         warp.enable_online_repair()
     # Never hang a schedule on a sick log: a group commit that cannot
     # complete surfaces as DurabilityError within the timeout.
-    warp.graph.store.durability_timeout = 5.0
+    warp.graph.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
     wiki.seed_user("alice", "pw-alice")
@@ -184,7 +184,7 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
 
     # Process death: the old deployment's WAL handle is dead, its
     # unflushed buffer is gone, and nothing it held in memory survives.
-    wal = warp.graph.store.wal
+    wal = warp.graph.wal
     if wal is not None:
         wal._mark_crashed()
 
@@ -243,7 +243,7 @@ def _drive(warp, schedule, clients, report, snap_path, interrupted_job_ids):
             # another thread (a repair job's commit) — stop driving, the
             # process is dead.
             report.notes.append(f"step {step}: {exc!r}")
-            wal = warp.graph.store.wal
+            wal = warp.graph.wal
             if wal is not None and wal._closed:
                 report.crashed = True
                 return
@@ -309,7 +309,7 @@ def _marker_count(store, marker: str) -> int:
 
 
 def _check_invariants(report, loaded, wiki2, interrupted_job_ids) -> None:
-    store = loaded.graph.store
+    store = loaded.graph
     report.recovered_runs = len(store.runs)
     violations = report.violations
 

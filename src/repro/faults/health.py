@@ -69,15 +69,15 @@ class HealthMonitor:
             # together, or a racing heal could leave read_only serving
             # with strict durability (read-path bookkeeping would raise
             # DurabilityError instead of parking).
-            self._warp.graph.store.relaxed_durability = True
+            self._warp.graph.relaxed_durability = True
 
     # The WAL reports degradation with the same payload.
     on_wal_degrade = on_durability_error
 
     def try_heal(self) -> bool:
         """Probe the disk; True when serving is (back to) normal."""
-        store = self._warp.graph.store
-        wal = store.wal
+        graph = self._warp.graph
+        wal = graph.wal
         if wal is not None and not wal.heal():
             return False
         with self._lock:
@@ -90,7 +90,7 @@ class HealthMonitor:
             # on_durability_error): a concurrent durability error either
             # runs before this block (its relaxed=True is overwritten
             # along with its mode) or after (it re-degrades both).
-            store.relaxed_durability = False
+            graph.relaxed_durability = False
         return True
 
     # -- serving policy --------------------------------------------------------
@@ -127,8 +127,7 @@ class HealthMonitor:
         """The ``/warp/admin/health`` document: mode, WAL lag, last fault,
         and enough counters to see the degradation history."""
         warp = self._warp
-        store = warp.graph.store
-        wal = store.wal
+        wal = warp.graph.wal
         with self._lock:
             doc = {
                 "mode": self.mode,
@@ -138,11 +137,11 @@ class HealthMonitor:
                 "heals": self.heals,
                 "last_error": self.last_error,
             }
-        doc["unsynced_mutations"] = store.unsynced_mutations
+        doc["unsynced_mutations"] = warp.graph.unsynced_mutations
         doc["wal"] = wal.status() if wal is not None else None
         doc["faults"] = warp.faults.status()
         doc["repair"] = {
             "active": warp.ttdb.repair_gen is not None,
-            "interrupted_jobs": len(store.repair_jobs.entries),
+            "interrupted_jobs": len(warp.graph.repair_jobs.entries),
         }
         return doc

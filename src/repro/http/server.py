@@ -20,11 +20,11 @@ import hmac
 import threading
 from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.ahg.graph import ActionHistoryGraph
 from repro.appserver.runtime import AppRuntime
 from repro.core.errors import DurabilityError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.routes import RouteTable
+from repro.store.recordstore import RecordStore
 
 if TYPE_CHECKING:
     from repro.repair.gate import RepairGate
@@ -41,7 +41,7 @@ class HttpServer:
     def __init__(
         self,
         runtime: AppRuntime,
-        graph: ActionHistoryGraph,
+        graph: RecordStore,
         origin: str = "http://wiki.test",
     ) -> None:
         self.runtime = runtime

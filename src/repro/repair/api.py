@@ -456,19 +456,18 @@ def check_retained(graph, spec: RepairSpec) -> None:
     """Raise :class:`RepairError` when a member of ``spec`` directly damages
     history ``WarpSystem.retain`` dropped (API.md §11): repairing it would
     undo only what is left and report success."""
-    store = graph.store
-    horizon = store.horizon_ts
+    horizon = graph.horizon_ts
     for member in spec.specs if isinstance(spec, RepairBatch) else [spec]:
         if isinstance(member, PatchSpec):
-            dropped = member.apply_ts < horizon and member.file in store.dropped_files
+            dropped = member.apply_ts < horizon and member.file in graph.dropped_files
         elif isinstance(member, DbFixSpec):
             dropped = member.ts < horizon
         elif isinstance(member, CancelVisitSpec):
-            dropped = (member.client_id, member.visit_id) not in store.visits and (
-                member.visit_id <= store.trimmed_clients.get(member.client_id, 0)
+            dropped = (member.client_id, member.visit_id) not in graph.visits and (
+                member.visit_id <= graph.trimmed_clients.get(member.client_id, 0)
             )
         else:
-            dropped = getattr(member, "client_id", None) in store.trimmed_clients
+            dropped = getattr(member, "client_id", None) in graph.trimmed_clients
         if dropped:
             raise RepairError(
                 f"{member.kind} spec reaches history that retention dropped (horizon {horizon})"
@@ -560,7 +559,7 @@ def compute_plan(graph, ttdb, spec: RepairSpec) -> RepairPlan:
     # hold the store's lock so the component walk never iterates an
     # index a request thread is resizing.  Reentrant, read-only, and
     # O(component) — request threads stall at most briefly.
-    with graph.store.lock:
+    with graph.lock:
         return _compute_plan_locked(graph, ttdb, spec)
 
 
@@ -568,8 +567,8 @@ def _compute_plan_locked(graph, ttdb, spec: RepairSpec) -> RepairPlan:
     plan = RepairPlan(
         kind=spec.kind,
         total_runs=graph.n_runs,
-        total_visits=graph.n_visits,
-        total_queries=graph.n_queries,
+        total_visits=len(graph.visits),
+        total_queries=graph.query_count,
     )
     damage = derive_damage(graph, ttdb, spec)
     run_seeds, key_groups = damage_seeds(damage)

@@ -39,7 +39,6 @@ import time as _time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.ahg.graph import ActionHistoryGraph
 from repro.ahg.records import (
     AppRunRecord,
     EventRecord,
@@ -74,7 +73,7 @@ from repro.repair.clusters import (
 from repro.repair.conflicts import Conflict, ConflictQueue
 from repro.repair.replay import BrowserReplayer, ReplayConfig
 from repro.repair.stats import RepairStats
-from repro.store.recordstore import DrainMarks
+from repro.store.recordstore import DrainMarks, RecordStore
 from repro.ttdb.partitions import ModifiedPartitions
 from repro.ttdb.timetravel import TimeTravelDB, TTResult, split_statements
 
@@ -160,7 +159,7 @@ class RepairController:
     def __init__(
         self,
         ttdb: TimeTravelDB,
-        graph: ActionHistoryGraph,
+        graph: RecordStore,
         scripts: ScriptStore,
         runtime: AppRuntime,
         server: HttpServer,
@@ -287,7 +286,7 @@ class RepairController:
         if not batch.specs:
             raise RepairError("repair batch needs at least one spec")
         started = _time.perf_counter()
-        graph_before = self.graph.graph_load_seconds
+        graph_before = self.graph.index_build_seconds
         self._begin()
         #: Patches installed by this batch's staging, as (file, version,
         #: apply_ts).  Their durable PatchRecords are journaled only on
@@ -405,10 +404,10 @@ class RepairController:
         conflicts: Optional[List[Conflict]] = None,
     ) -> RepairResult:
         self.stats.total_seconds = _time.perf_counter() - started
-        self.stats.graph_seconds = self.graph.graph_load_seconds - graph_before
-        self.stats.total_visits = self.graph.n_visits
+        self.stats.graph_seconds = self.graph.index_build_seconds - graph_before
+        self.stats.total_visits = len(self.graph.visits)
         self.stats.total_runs = self.graph.n_runs
-        self.stats.total_queries = self.graph.n_queries
+        self.stats.total_queries = self.graph.query_count
         # Repair-scoped conflict accounting: only conflicts *this* repair
         # created count (and, for an aborted undo, the list captured before
         # the abort resolved them) — stale conflicts queued by an earlier
@@ -890,11 +889,11 @@ class RepairController:
         marks keep a bucket from handing over again what it already has.
         The buckets a lookup builds are timed as Table 7's "Graph", so that
         time is taken out of the phase the lookup ran in."""
-        built = self.graph.graph_load_seconds
+        built = self.graph.index_build_seconds
         candidates = self._g.queries_touching(
             self.graph, table, keys, ts, whole_table, self._drained
         )
-        self.stats.timer.carve(self.graph.graph_load_seconds - built)
+        self.stats.timer.carve(self.graph.index_build_seconds - built)
         for query in candidates:
             if query.qid not in self._scheduled_qids:
                 self._scheduled_qids.add(query.qid)

@@ -433,7 +433,7 @@ class RepairGate:
             # its tickets resolvable forever).
             self.stats = GateStats()
             self.results = {}
-            self._next_ticket = self.graph.store.gate_queue.next_seq()
+            self._next_ticket = self.graph.gate_queue.next_seq()
             # Templates go stale across repairs (new runs were recorded).
             self.footprints = FootprintIndex(self.graph, self.ttdb)
 
@@ -548,7 +548,7 @@ class RepairGate:
             self.results[ticket] = entry
             self.stats.queued += 1
         # Journal outside the gate lock (the store has its own).
-        self.graph.store.gate_queue.put(
+        self.graph.gate_queue.put(
             ticket=entry.ticket, ts=entry.ts, request=entry.request.to_dict()
         )
         return entry
@@ -624,7 +624,7 @@ class RepairGate:
         entry.applied = True
         with self._lock:
             self.stats.applied += 1
-        self.graph.store.gate_queue.close(entry.ticket)
+        self.graph.gate_queue.close(entry.ticket)
 
     def record_failed(self, entry: QueuedRequest, reason: str) -> None:
         """The queued script raised during re-application: the ticket is
@@ -635,7 +635,7 @@ class RepairGate:
         with self._lock:
             self.stats.applied += 1
             self.stats.apply_errors += 1
-        self.graph.store.gate_queue.close(entry.ticket)
+        self.graph.gate_queue.close(entry.ticket)
 
     def response_for(self, ticket: int) -> Optional[HttpResponse]:
         entry = self.results.get(ticket)

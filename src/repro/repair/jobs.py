@@ -329,7 +329,7 @@ class RepairJobManager:
             # A snapshot keeps only open jobs, but its header's ``ids``
             # keep this counter; a job the WAL replayed counts as well.
             ids = self._warp.ids
-            ids.advance_to("job", self._warp.graph.store.repair_jobs.next_seq() - 1)
+            ids.advance_to("job", self._warp.graph.repair_jobs.next_seq() - 1)
             job = RepairJob(
                 f"job-{ids.next('job')}", spec, submitted_ts=self._warp.clock.now()
             )
@@ -363,7 +363,7 @@ class RepairJobManager:
         """Jobs journaled as started but never ended — a deployment
         reloaded after a crash reports what was mid-repair (the repair
         generation itself died with the process; re-submit the spec)."""
-        store = self._warp.graph.store
+        store = self._warp.graph
         # Snapshot under the store lock: the admin listing polls this
         # while job workers journal starts/ends concurrently.
         with store.lock:
@@ -372,7 +372,7 @@ class RepairJobManager:
 
     def acknowledge_interrupted(self, job_id: str) -> bool:
         """Clear one interrupted-job report (journals the end)."""
-        jobs = self._warp.graph.store.repair_jobs
+        jobs = self._warp.graph.repair_jobs
         if job_id not in jobs.entries:
             return False
         jobs.close(job_id, status="interrupted")
@@ -393,7 +393,7 @@ class RepairJobManager:
             self._executing = job.job_id
             self._executing_thread = threading.current_thread()
             job._status = "running"
-        store = self._warp.graph.store
+        store = self._warp.graph
         started = False
         try:
             store.repair_jobs.put(

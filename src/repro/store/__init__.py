@@ -1,4 +1,4 @@
-"""The record-store layer under the action history graph.
+"""The action history graph (paper §2.1): the indexed record store.
 
 An append-oriented store for WARP's recorded actions (application runs,
 page visits, retroactive patches) with maintained secondary indexes — by

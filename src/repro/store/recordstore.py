@@ -1,7 +1,11 @@
-"""Append-oriented record store with maintained secondary indexes.
+"""The action history graph (paper §2.1): an append-oriented record store
+with maintained secondary indexes.
 
-The store owns the primary record maps (runs, visits, patches) and every
-index the repair controller's dependency questions need:
+During normal execution recording appends to it; during repair the
+controller asks it questions like "which runs loaded file F after time T?"
+and "which recorded queries could read partition K after time T?".  The
+store owns the primary record maps (runs, visits, patches) and every index
+those questions need:
 
 * ``(client_id, visit_id) -> run ids`` — ``runs_of_visit`` in O(answers);
 * ``source file -> (ts_end, run_id)`` sorted by time — ``runs_loading_file``
@@ -342,7 +346,7 @@ class RecordStore:
         #: (client_id, visit_id, request_id) -> run_id
         self.request_map: Dict[Tuple[str, int, int], int] = {}
         self.patches: List[PatchRecord] = []
-        #: Running total of recorded queries (kept so ``n_queries`` is O(1)).
+        #: Running total of recorded queries (kept so reading it is O(1)).
         self.query_count = 0
         #: Highest timestamp and query id of any record ever inserted: what
         #: a reloaded deployment's clock and id counter must move past,
@@ -607,22 +611,6 @@ class RecordStore:
                 text = encode_delta(kind, client_id, visit_id, delta, self.texts)
                 self._journal_line(kind, text)
 
-    def mark_run_canceled(self, run_id: int) -> None:
-        """Apply a ``cancel_run`` line (a repair records its cancels in its
-        finalize batch, :meth:`replace_runs`)."""
-        ticket = None
-        with self.lock:
-            run = self.runs.get(run_id)
-            if run is None or run.canceled:
-                return
-            run.canceled = True
-            # The one in-place mutation of an appended run, hence the one
-            # place its kept text goes stale; the next save re-encodes it.
-            run.json_text = None
-            if self.wal is not None:
-                ticket = self.wal.append("cancel_run", {"run_id": run_id})
-        self._finish(ticket)
-
     def add_patch(self, patch: PatchRecord) -> None:
         ticket = None
         with self.lock:
@@ -687,6 +675,18 @@ class RecordStore:
 
     # ------------------------------------------------------------------ lookups
 
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
+
+    @property
+    def store(self) -> "RecordStore":
+        """This store.  Kept only for ``benchmarks/e2e/lifecycle.py``,
+        which reads the log as ``.store.wal`` of ``WarpSystem.graph``, a
+        spelling from before the graph and the store were one object;
+        nothing else may use it."""
+        return self
+
     def runs_in_order(self) -> List[AppRunRecord]:
         return [self.runs[run_id] for run_id in self._run_order]
 
@@ -724,6 +724,26 @@ class RecordStore:
             for child_id in ids
             if (client_id, child_id) in self.visits
         ]
+
+    def visit_and_descendants(self, client_id: str, visit_id: int) -> List[int]:
+        """Canceling a page visit undoes all of its HTTP requests — which
+        includes the navigations (form posts, link follows) its events
+        caused, i.e. its descendant visits.  Shared by repair execution
+        and the dry-run planner so both walk the same damage set, in
+        O(descendants) through the parent→children index."""
+        out = [visit_id]
+        seen = {visit_id}
+        frontier = [visit_id]
+        while frontier:
+            next_frontier = []
+            for parent_id in frontier:
+                for record in self.child_visits(client_id, parent_id):
+                    if record.visit_id not in seen:
+                        seen.add(record.visit_id)
+                        out.append(record.visit_id)
+                        next_frontier.append(record.visit_id)
+            frontier = next_frontier
+        return out
 
     def last_visit_id(self, client_id: str) -> int:
         """Highest visit id ever recorded for this client (0 if none)."""
@@ -947,13 +967,6 @@ class RecordStore:
         self._finish(ticket)
         return removed
 
-    def _restore_retained(self, data: dict) -> None:
-        self.horizon_ts = max(self.horizon_ts, data["horizon_ts"])
-        for client_id, mark in data["clients"].items():
-            self._note_visit_id(client_id, mark)
-            self.trimmed_clients.setdefault(client_id, mark)
-        self.dropped_files.update(data["files"])
-
     # ------------------------------------------------------------------ durability
 
     def _pending_snapshot(self) -> dict:
@@ -989,7 +1002,7 @@ class RecordStore:
 
     def _snapshot_texts(self) -> Tuple[List[int], List[str]]:
         """Encode every visit as it stands, and give every run its text — a
-        run that has none yet (appended without a WAL, canceled since) is
+        run that has none yet (appended or replaced without a WAL) is
         encoded now; return the ids of exactly the text entries the
         runs and visits refer to, in order, and the visits' rows.  Caller
         holds ``records``."""
@@ -1098,6 +1111,30 @@ class RecordStore:
                     )
         return snapshot_id
 
+    def restore_snapshot(self, data: dict, records=(), last_text_id: int = 0) -> None:
+        """Apply a snapshot's ``graph`` object and its stream of record
+        lines, each line by the rule WAL replay uses (:meth:`apply_logged`);
+        one :class:`DecodeMemo` spans the build.  ``last_text_id`` is the
+        header's ``ids.text``: the table's counter, which entries dropped
+        since may have passed."""
+        self.texts.last_id = last_text_id
+        memo = DecodeMemo(self.texts)
+        for kind, item, text in records:
+            self.apply_logged(kind, item, text, memo)
+        for table in self.tables:
+            for item in data.get(table.name, ()):
+                table.apply(table.put_kind, item)
+        retained = data.get("retained")
+        if retained is not None:
+            self.horizon_ts = max(self.horizon_ts, retained["horizon_ts"])
+            for client_id, mark in retained["clients"].items():
+                self._note_visit_id(client_id, mark)
+                self.trimmed_clients.setdefault(client_id, mark)
+            self.dropped_files.update(retained["files"])
+        # The snapshot holds exactly the entries its runs refer to, so the
+        # next save need not re-read the run lines to find them.
+        self._texts_exact = True
+
     def replay_wal(self, wal_path: str, snapshot_id: Optional[str] = None) -> int:
         """Apply the entries journaled in the log at ``wal_path`` to this
         store, each by :meth:`apply_logged` (so nothing is re-journaled:
@@ -1175,8 +1212,6 @@ class RecordStore:
                 record.cookies_after = delta
             elif record is not None:
                 (record.events if kind == "visit_event" else record.request_ids).append(delta)
-        elif kind == "cancel_run":
-            self.mark_run_canceled(data["run_id"])
         elif kind == "patch":
             record = PatchRecord.from_dict(data)
             if record not in self.patches:
@@ -1192,6 +1227,7 @@ class RecordStore:
         elif kind in self._table_of_kind:
             self._table_of_kind[kind].apply(kind, data)
         else:
-            # No build writes it; builds with the response cache wrote one
-            # more kind, for a hit.
+            # No build writes it: builds up to 37f403a journaled a repair's
+            # cancels as ``cancel_run``, and builds with the response cache
+            # wrote one more kind, for a hit.
             raise ReproError(f"an entry of unknown kind {kind!r}; {UPGRADE_ROUTE}")

@@ -32,7 +32,6 @@ import random
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional
 
-from repro.ahg.graph import ActionHistoryGraph
 from repro.appserver.runtime import AppRuntime
 from repro.appserver.scripts import ScriptStore
 from repro.browser.browser import Browser, Network
@@ -102,7 +101,7 @@ class WarpSystem:
         self.ttdb = TimeTravelDB(
             self.database, self.clock, enabled=enabled, fault_plane=self.faults
         )
-        self.graph = ActionHistoryGraph(RecordStore(fault_plane=self.faults))
+        self.graph = RecordStore(fault_plane=self.faults)
         self.scripts = ScriptStore()
         self.runtime = AppRuntime(
             self.scripts, self.ttdb, self.clock, self.ids, rng=self.rng
@@ -162,13 +161,13 @@ class WarpSystem:
         the log found its intact prefix to end."""
         wal = RecordWal(wal_path, self.durability, self.faults, intact_size)
         wal.on_degrade = self.health.on_wal_degrade
-        self.graph.store.wal = wal
+        self.graph.wal = wal
 
     def close(self) -> None:
         """Release what the deployment holds open: its write-ahead log
         (committing what is buffered first) and the storage engine's
         connections.  A second call is harmless."""
-        wal = self.graph.store.wal
+        wal = self.graph.wal
         if wal is not None:
             wal.close()
         self.database.close()
@@ -266,11 +265,11 @@ class WarpSystem:
         ``max_visits_per_client`` (paper §4.2, §5.2); API.md §11."""
         if self.ttdb.repair_gen is not None:
             raise RepairError("cannot retain while a repair is in progress")
-        store, dropped = self.graph.store, 0
+        dropped = 0
         if horizon_ts is not None:
-            dropped += store.gc(horizon_ts) + self.ttdb.gc(horizon_ts)
+            dropped += self.graph.gc(horizon_ts) + self.ttdb.gc(horizon_ts)
         if max_visits_per_client is not None:
-            dropped += store.enforce_client_quota(max_visits_per_client)
+            dropped += self.graph.enforce_client_quota(max_visits_per_client)
         return dropped
 
     def save(self, path: str) -> None:
@@ -331,7 +330,7 @@ class WarpSystem:
                 "durability": self.durability,
             },
         }
-        self.graph.store.commit_snapshot(path, state)
+        self.graph.commit_snapshot(path, state)
 
     @classmethod
     def load(
@@ -403,12 +402,12 @@ class WarpSystem:
                 warp.database.restore(state["database"])
                 warp.ttdb.restore_state(state["ttdb"])
             if wal_path is not None:
-                intact_size = warp.graph.store.replay_wal(
+                intact_size = warp.graph.replay_wal(
                     wal_path, snapshot_id=state.get("snapshot_id")
                 )
                 warp._open_log(wal_path, intact_size)
-            if warp.graph.store.horizon_ts:  # the database half of retain
-                warp.ttdb.gc(warp.graph.store.horizon_ts)
+            if warp.graph.horizon_ts:  # the database half of retain
+                warp.ttdb.gc(warp.graph.horizon_ts)
             warp._sync_id_counters()
             warp._sync_clock()
             warp.server.routes.update(state.get("routes", {}))
@@ -454,16 +453,15 @@ class WarpSystem:
         replay restores records that postdate the snapshot's clock, and a
         reused timestamp would interleave new actions into the middle of
         the already-recorded timeline."""
-        self.clock.restore(max(self.clock.now(), self.graph.store.max_ts))
+        self.clock.restore(max(self.clock.now(), self.graph.max_ts))
 
     def _sync_id_counters(self) -> None:
         """Advance run/query id allocation past every restored record —
         WAL-replayed records postdate the snapshot's persisted counters,
         and a fresh id colliding with a restored one would silently
         overwrite that record in the graph."""
-        store = self.graph.store
-        self.ids.advance_to("run", max(store.runs, default=0))
-        self.ids.advance_to("query", store.max_qid)
+        self.ids.advance_to("run", max(self.graph.runs, default=0))
+        self.ids.advance_to("query", self.graph.max_qid)
 
     # -- crash recovery of gate-queued requests ----------------------------------
 
@@ -472,7 +470,7 @@ class WarpSystem:
         re-applied (journaled via the WAL / snapshot), as ``(ticket,
         HttpRequest)`` in arrival order.  Empty in normal operation —
         finalize and abort both drain the queue."""
-        pending = self.graph.store.gate_queue.entries
+        pending = self.graph.gate_queue.entries
         return [
             (entry["ticket"], HttpRequest.from_dict(entry["request"]))
             for entry in sorted(
@@ -494,7 +492,7 @@ class WarpSystem:
                     status=500,
                     body=f"script raised during recovered re-application: {exc!r}",
                 )
-            self.graph.store.gate_queue.close(ticket)
+            self.graph.gate_queue.close(ticket)
         return responses
 
     def resolve_conflict_by_cancel(self, conflict: Conflict) -> RepairResult:

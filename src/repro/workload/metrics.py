@@ -37,7 +37,7 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     database log."""
     # A copy: a record the store has not written yet is encoded as it would
     # be, without defining entries in the store's own table.
-    texts = graph.store.texts.copy()
+    texts = graph.texts.copy()
     billed: Dict[int, str] = {}
     for visit in graph.visits.values():
         row = visit.encode(texts)
@@ -84,7 +84,7 @@ class StorageReport:
 
 def storage_report(deployment: WikiDeployment) -> StorageReport:
     graph = deployment.warp.graph
-    n_visits = max(1, graph.n_visits)
+    n_visits = max(1, len(graph.visits))
     raw = dict.fromkeys(LAYERS, 0)
     compressed = dict.fromkeys(LAYERS, 0)
     for layer, text in record_log_texts(graph):

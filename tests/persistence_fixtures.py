@@ -58,7 +58,6 @@ import os
 import sys
 import tempfile
 
-from repro.ahg.graph import ActionHistoryGraph
 from repro.ahg.records import (
     EVENT_ROW,
     RESPONSE_ROW,
@@ -268,7 +267,7 @@ def recover_store(snapshot_path=None, wal_path=None) -> RecordStore:
     if snapshot_path is not None and os.path.exists(snapshot_path):
         with SnapshotReader(snapshot_path) as snapshot:
             header = snapshot.header
-            ActionHistoryGraph(store).restore_snapshot(
+            store.restore_snapshot(
                 header["graph"], snapshot.records(), header["ids"].get("text", 0)
             )
         snapshot_id = header["snapshot_id"]

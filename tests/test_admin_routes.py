@@ -279,16 +279,16 @@ def test_script_beside_the_admin_prefix_is_reachable(tmp_path):
         cluster.close()
 
 
-def _durable_warp(tmp_path, detect=False):
+def _durable_warp(tmp_path, closing, detect=False):
     plane = FaultPlane()
     warp = _wiki_warp(
         detect=detect, wal_path=str(tmp_path / "records.wal"), fault_plane=plane
     )
-    return warp, plane
+    return closing(warp), plane
 
 
-def test_unknown_admin_path_while_degraded_is_404(tmp_path):
-    warp, plane = _durable_warp(tmp_path)
+def test_unknown_admin_path_while_degraded_is_404(tmp_path, closing):
+    warp, plane = _durable_warp(tmp_path, closing)
     plane.arm(point="wal.fsync", kind="io", times=None)
     edit = HttpRequest("POST", "/edit.php", params={"title": "Home", "append": "x"})
     assert warp.server.handle(edit).status == 503
@@ -304,21 +304,21 @@ def test_unknown_admin_path_while_degraded_is_404(tmp_path):
     assert cancel.status == 404
 
 
-def _shard_warp(tmp_path):
+def _shard_warp(tmp_path, closing):
     """One shard worker's deployment in its layout, with a fault plane of
     its own (the in-process worker hands ``warp_kwargs`` over as is)."""
     plane = FaultPlane()
     config = ShardConfig(
         shard_id=0, data_dir=str(tmp_path), warp_kwargs={"fault_plane": plane}
     )
-    return ShardWorker(config).warp, plane
+    return closing(ShardWorker(config).warp), plane
 
 
 SHARD_SAVE = HttpRequest("POST", "/warp/admin/shard/save")
 
 
-def test_sick_log_on_shard_save_is_503_not_400(tmp_path):
-    warp, plane = _shard_warp(tmp_path)
+def test_sick_log_on_shard_save_is_503_not_400(tmp_path, closing):
+    warp, plane = _shard_warp(tmp_path, closing)
     plane.arm(point="wal.append", kind="io", times=None)
     response = warp.server.handle(SHARD_SAVE)
     assert response.status == 503
@@ -332,8 +332,8 @@ def test_sick_log_on_shard_save_is_503_not_400(tmp_path):
     assert warp.health.mode == "normal"
 
 
-def test_io_fault_writing_the_snapshot_is_503_not_500(tmp_path):
-    warp, plane = _shard_warp(tmp_path)
+def test_io_fault_writing_the_snapshot_is_503_not_500(tmp_path, closing):
+    warp, plane = _shard_warp(tmp_path, closing)
     plane.arm(point="store.snapshot", kind="io", times=None)
     response = warp.server.handle(SHARD_SAVE)
     assert response.status == 503
@@ -345,11 +345,11 @@ def test_io_fault_writing_the_snapshot_is_503_not_500(tmp_path):
 
 
 @pytest.mark.parametrize("shard", [True, False])
-def test_a_client_cannot_choose_where_a_snapshot_is_written(tmp_path, shard):
+def test_a_client_cannot_choose_where_a_snapshot_is_written(tmp_path, closing, shard):
     """The snapshot holds every table, users and passwords included: a
     ``path`` parameter is refused on a shard, off one there is no save
     row at all, and nothing is written there either way."""
-    warp = _shard_warp(tmp_path)[0] if shard else _wiki_warp()
+    warp = _shard_warp(tmp_path, closing)[0] if shard else _wiki_warp()
     target = tmp_path / "elsewhere.json"
     save = HttpRequest("POST", "/warp/admin/shard/save", params={"path": str(target)})
     response = warp.server.handle(save)
@@ -369,14 +369,14 @@ def _dismiss_incident(warp):
 
 
 def _queue_gate_request(warp):
-    queue = warp.graph.store.gate_queue
+    queue = warp.graph.gate_queue
     with pytest.raises(DurabilityError):
         queue.put(ticket=1, ts=1, request={})
     return lambda: queue.close(1)
 
 
 def _start_repair_job(warp):
-    jobs = warp.graph.store.repair_jobs
+    jobs = warp.graph.repair_jobs
     with pytest.raises(DurabilityError):
         jobs.put(job_id="job-1", spec={"kind": "batch"}, ts=1)
     return lambda: jobs.close("job-1", status="failed")
@@ -388,11 +388,11 @@ def _start_repair_job(warp):
     ids=["incident", "gate_queue", "repair_job"],
 )
 def test_incident_transition_that_breaks_the_log_is_not_acknowledged(
-    tmp_path, transition
+    tmp_path, closing, transition
 ):
     """A side-table mutation whose own commit breaks the log is refused,
     whichever table it journals to."""
-    warp, plane = _durable_warp(tmp_path, detect=True)
+    warp, plane = _durable_warp(tmp_path, closing, detect=True)
     plane.arm(point="wal.fsync", kind="io", times=None)
     follow_up = transition(warp)
     assert warp.health.mode == "read_only"

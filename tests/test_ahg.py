@@ -164,7 +164,7 @@ class TestQueryIndex:
         """A lookup for K builds K's bucket and its table's ALL bucket, from
         the runs the TouchIndex lists for K — no other run is looked at."""
         graph = ActionHistoryGraph()
-        store = graph.store
+        store = graph
         ts = 10
         for run_id in range(1, 41):
             run = make_run(run_id, ts)
@@ -209,9 +209,9 @@ class TestQueryIndex:
         run = make_run(1, 10)
         run.queries = [make_query(1, 1, 11, reads=["A"])]
         graph.add_run(run)
-        assert graph.graph_load_seconds == 0.0
+        assert graph.index_build_seconds == 0.0
         graph.queries_touching("pages", {("pages", "title", "A")}, 0)
-        assert graph.graph_load_seconds > 0.0
+        assert graph.index_build_seconds > 0.0
 
 
 class TestGc:
@@ -229,7 +229,7 @@ class TestGc:
         assert ("c1", 1) not in graph.visits
         assert ("c1", 2) in graph.visits
         # What was dropped is kept, for the refusal at the horizon.
-        store = graph.store
+        store = graph
         assert store.horizon_ts == 50
         assert store.trimmed_clients == {"c1": 2}
         assert store.dropped_files == {"a.php"}
@@ -252,5 +252,5 @@ class TestGc:
         graph.add_run(run)
         graph.add_visit(VisitRecord("c1", 1, ts=5, url="/x"))
         assert graph.n_runs == 1
-        assert graph.n_queries == 2
-        assert graph.n_visits == 1
+        assert graph.query_count == 2
+        assert len(graph.visits) == 1

@@ -470,7 +470,7 @@ def _browsing(tmp_path, plane):
     deployment = WikiDeployment(
         n_users=2, seed=1, wal_path=str(tmp_path / "records.wal"), fault_plane=plane
     )
-    store = deployment.warp.graph.store
+    store = deployment.warp.graph
     states = []
     acknowledge = store.add_run
 
@@ -493,7 +493,7 @@ def test_a_crash_on_the_commit_after_unwaited_visit_entries_loses_only_them(tmp_
     browser = deployment.browser("user1")
     browser.open("http://wiki.test/edit.php?title=user1_notes")
     browser.type_into("textarea", "typed, never sent")  # events no run follows
-    wal = deployment.warp.graph.store.wal
+    wal = deployment.warp.graph.wal
     assert wal.status()["buffered_entries"] > 0
     plane.arm(point="wal.append", kind="crash", times=1)
     with pytest.raises(SimulatedCrash):
@@ -523,9 +523,9 @@ def test_a_crash_inside_a_save_after_unwaited_visit_entries_replays_each_once(
     browser = deployment.browser("user1")
     browser.open("http://wiki.test/edit.php?title=user1_notes")
     browser.type_into("textarea", "typed, never sent")
-    assert warp.graph.store.wal.status()["buffered_entries"] > 0
+    assert warp.graph.wal.status()["buffered_entries"] > 0
     if where == "before the write":
-        warp.graph.store.faults.arm(point="store.snapshot", kind="crash", times=1)
+        warp.graph.faults.arm(point="store.snapshot", kind="crash", times=1)
     else:
 
         def die(self):
@@ -535,8 +535,8 @@ def test_a_crash_inside_a_save_after_unwaited_visit_entries_replays_each_once(
     with pytest.raises(SimulatedCrash):
         warp.save(path)
     monkeypatch.undo()
-    warp.graph.store.wal._mark_crashed()
-    loaded = closing(WarpSystem.load(path, wal_path=warp.graph.store.wal.path))
+    warp.graph.wal._mark_crashed()
+    loaded = closing(WarpSystem.load(path, wal_path=warp.graph.wal.path))
     assert loaded.graph.to_snapshot() == warp.graph.to_snapshot()
     events = loaded.graph.visits[("user1-browser", 4)].events
     assert [event.data["value"] for event in events] == ["typed, never sent"]

@@ -309,15 +309,16 @@ class TestIncidentPipeline:
 
 
 class TestIncidentDurability:
-    def test_incidents_and_previews_survive_save_load(self, tmp_path):
+    def test_incidents_and_previews_survive_save_load(self, tmp_path, closing):
         warp, _, clients = _detect_warp(wal_path=str(tmp_path / "wal.jsonl"))
+        closing(warp)
         _inject(clients["alice"])
         assert warp.incidents.refresh_once(force=True) == 1
         before = warp.incidents.list()
         snap = str(tmp_path / "snap.json")
         warp.save(snap)
 
-        reloaded = WarpSystem.load(snap, wal_path=str(tmp_path / "wal.jsonl"))
+        reloaded = closing(WarpSystem.load(snap, wal_path=str(tmp_path / "wal.jsonl")))
         # detection_config travels in the snapshot: the detector and the
         # incident manager come back without any caller wiring.
         assert reloaded.detector is not None
@@ -337,7 +338,7 @@ class TestIncidentDurability:
         _inject(evil)
         assert len(reloaded.incidents.list()) == 2
 
-    def test_incidents_survive_crash_reload_from_wal(self, tmp_path):
+    def test_incidents_survive_crash_reload_from_wal(self, tmp_path, closing):
         plane = FaultPlane()
         warp, _, clients = _detect_warp(
             plane=plane, wal_path=str(tmp_path / "wal.jsonl")
@@ -346,13 +347,13 @@ class TestIncidentDurability:
         _inject(clients["bob"], UNION_PAYLOAD)
         before = warp.incidents.list()
         assert len(before) == 2
-        warp.graph.store.wal._mark_crashed()
+        warp.graph.wal._mark_crashed()
 
-        reloaded = WarpSystem.load(None, wal_path=str(tmp_path / "wal.jsonl"))
+        reloaded = closing(WarpSystem.load(None, wal_path=str(tmp_path / "wal.jsonl")))
         # WAL-only recovery carries no snapshot config, so detection is
         # re-armed by the operator — over the replayed incident records.
         assert reloaded.detector is None
-        assert sorted(reloaded.graph.store.incidents.entries) == sorted(
+        assert sorted(reloaded.graph.incidents.entries) == sorted(
             e["incident_id"] for e in before
         )
         reloaded.enable_detection()

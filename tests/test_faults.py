@@ -51,7 +51,7 @@ PAGE = "Sandbox"
 
 def _wiki_warp(tmp_path, plane, closing):
     warp = closing(WarpSystem(wal_path=str(tmp_path / "wal.jsonl"), fault_plane=plane))
-    warp.graph.store.durability_timeout = 5.0
+    warp.graph.durability_timeout = 5.0
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
     wiki.seed_user("alice", "pw-alice")
@@ -339,15 +339,15 @@ class TestSnapshotMarkerWindows:
         plane = FaultPlane()
         warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "m1.").status == 200
-        runs_before = len(warp.graph.store.runs)
+        runs_before = len(warp.graph.runs)
         snap = str(tmp_path / "snap.json")
         plane.arm(point="store.snapshot", kind="crash", times=1)
         with pytest.raises(SimulatedCrash):
             warp.save(snap)
         assert not os.path.exists(snap)
-        warp.graph.store.wal._mark_crashed()
-        loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
-        assert len(loaded.graph.store.runs) == runs_before
+        warp.graph.wal._mark_crashed()
+        loaded = WarpSystem.load(None, wal_path=warp.graph.wal.path)
+        assert len(loaded.graph.runs) == runs_before
         loaded.close()
 
     def test_post_truncate_marker_failure_keeps_snapshot_usable(
@@ -360,7 +360,7 @@ class TestSnapshotMarkerWindows:
         plane = FaultPlane()
         warp, _, client = _wiki_warp(tmp_path, plane, closing)
         assert _append(client, "m1.").status == 200
-        runs_before = len(warp.graph.store.runs)
+        runs_before = len(warp.graph.runs)
         snap = str(tmp_path / "snap.json")
         # Hit 1 is the pre-write marker (allowed through); every later
         # append — the post-truncate marker — fails.
@@ -368,9 +368,9 @@ class TestSnapshotMarkerWindows:
         with pytest.raises(DurabilityError, match="post-truncate"):
             warp.save(snap)
         assert os.path.exists(snap)
-        warp.graph.store.wal._mark_crashed()
-        loaded = WarpSystem.load(snap, wal_path=warp.graph.store.wal.path)
-        assert len(loaded.graph.store.runs) == runs_before
+        warp.graph.wal._mark_crashed()
+        loaded = WarpSystem.load(snap, wal_path=warp.graph.wal.path)
+        assert len(loaded.graph.runs) == runs_before
         loaded.close()
 
 
@@ -395,7 +395,7 @@ class TestDegradedServing:
         assert refused.headers.get("X-Warp-Degraded") == "durability"
         assert refused.headers.get("Retry-After")
         assert warp.health.mode == "read_only"
-        assert warp.graph.store.relaxed_durability
+        assert warp.graph.relaxed_durability
 
         # Reads keep flowing while degraded (their journal entries park).
         for _ in range(3):
@@ -411,13 +411,13 @@ class TestDegradedServing:
         assert healed.status == 200
         assert warp.health.mode == "normal"
         assert warp.health.heals == 1
-        assert not warp.graph.store.relaxed_durability
-        wal = warp.graph.store.wal
+        assert not warp.graph.relaxed_durability
+        wal = warp.graph.wal
         assert not wal.failed
         assert wal.sync(5.0)
         # Nothing acknowledged was lost; parked read-side entries made it.
         kinds = [kind for kind, _ in RecordWal.entries(wal.path)]
-        assert kinds.count("run") == len(warp.graph.store.runs)
+        assert kinds.count("run") == len(warp.graph.runs)
 
     def test_health_endpoint_and_admin_refusal_while_degraded(self, tmp_path, closing):
         plane = FaultPlane()
@@ -574,9 +574,9 @@ class TestRepairUnderFaults:
         interrupted = warp.repair.interrupted_jobs()
         assert [item["job_id"] for item in interrupted] == [job.job_id]
         # ... and the report survives reload, because no end was journaled.
-        warp.graph.store.wal._mark_crashed()
-        loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
-        assert job.job_id in loaded.graph.store.repair_jobs.entries
+        warp.graph.wal._mark_crashed()
+        loaded = WarpSystem.load(None, wal_path=warp.graph.wal.path)
+        assert job.job_id in loaded.graph.repair_jobs.entries
         assert loaded.repair.acknowledge_interrupted(job.job_id)
         assert loaded.repair.interrupted_jobs() == []
         loaded.close()
@@ -595,8 +595,8 @@ class TestRepairUnderFaults:
         assert job.status == "failed"
         assert "crashed before the repair started" in str(job.error)
         assert [event["point"] for event in plane.fired] == ["wal.append"]
-        loaded = WarpSystem.load(None, wal_path=warp.graph.store.wal.path)
-        assert loaded.graph.store.repair_jobs.entries == {}
+        loaded = WarpSystem.load(None, wal_path=warp.graph.wal.path)
+        assert loaded.graph.repair_jobs.entries == {}
         assert loaded.repair.interrupted_jobs() == []
         assert not any(run.canceled for run in loaded.graph.runs.values())
         loaded.close()
@@ -625,12 +625,12 @@ class TestPointInstrumentation:
     def test_store_insert_run_fault_fires_before_mutation(self, tmp_path, closing):
         plane = FaultPlane()
         warp, _, client = _wiki_warp(tmp_path, plane, closing)
-        runs_before = len(warp.graph.store.runs)
+        runs_before = len(warp.graph.runs)
         plane.arm(point="store.insert_run", kind="error", times=1)
         with pytest.raises(InjectedError):
             _append(client, "never.")
         # Fired before any index was touched: store state is unchanged.
-        assert len(warp.graph.store.runs) == runs_before
+        assert len(warp.graph.runs) == runs_before
         assert _append(client, "after.").status == 200
 
 

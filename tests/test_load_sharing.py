@@ -1,7 +1,7 @@
 """A reloaded history holds each distinct thing once — and nobody can tell.
 
-``ActionHistoryGraph.restore_snapshot`` and ``replay_wal`` each apply
-their lines to the deployment's store through one ``DecodeMemo``, so the
+``RecordStore.restore_snapshot`` and ``replay_wal`` each apply their
+lines to the deployment's store through one ``DecodeMemo``, so the
 records of a reloaded store share their SQL texts, read sets, params and
 snapshot tuples, header and cookie strings.  Pinned
 here: only immutable objects are ever shared; a read set is shared exactly
@@ -96,14 +96,14 @@ def test_committed_fixture_shares_only_immutables(tmp_path, source):
         if source == "fixture via recover":
             store = fixtures.recover_store(snapshot_path=fixtures.FORMAT7_SNAPSHOT)
         else:
-            store = WarpSystem.load(fixtures.FORMAT7_SNAPSHOT).graph.store
+            store = WarpSystem.load(fixtures.FORMAT7_SNAPSHOT).graph
         assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
     assert_shares_only_immutables(store)
 
 
 def test_reloaded_history_shares_only_immutables(history):
     live, path = history
-    reloaded = WarpSystem.load(path).graph.store
+    reloaded = WarpSystem.load(path).graph
     assert len(reloaded.runs) > 500
     assert_shares_only_immutables(reloaded)
     # ... and it does share: far fewer read sets than queries hold one.
@@ -127,7 +127,7 @@ def test_reloaded_runs_with_equal_bodies_share_one_string(history, tmp_path):
         fh.writelines(lines)
     replayed = fixtures.recover_store(wal_path=wal_path)
     replayed.wal.close()
-    for store in (WarpSystem.load(path).graph.store, replayed):
+    for store in (WarpSystem.load(path).graph, replayed):
         runs = list(store.runs.values())
         by_body = {}
         for run in runs:
@@ -153,7 +153,7 @@ def test_heap_per_run_stays_under_the_format5_measure(history):
     format 3; sharing bodies and keeping shorter lines, 5.1 KB at format
     4; keeping each distinct row payload once, in the text table, less."""
     _, path = history
-    store = WarpSystem.load(path).graph.store
+    store = WarpSystem.load(path).graph
     assert heapcensus.heap_bytes(store) <= HEAP_BYTES_PER_RUN_AT_FORMAT5 * len(store.runs)
 
 
@@ -204,7 +204,7 @@ def test_a_loaded_files_entry_is_decoded_once_and_each_run_gets_its_own_dict(
 
     monkeypatch.setattr(DecodeMemo, "tree", counting_tree)
     _, path = history
-    store = WarpSystem.load(path).graph.store
+    store = WarpSystem.load(path).graph
     by_entry = {}
     for run in store.runs.values():
         by_entry.setdefault(json.loads(run.json_text)["loaded_files"], []).append(run)

@@ -135,7 +135,7 @@ class TestGateClassification:
         assert result.stats.gate["queued"] == 1
         assert result.stats.gate["applied"] == 1
         # The queue is journaled and fully consumed.
-        assert warp.graph.store.gate_queue.entries == {}
+        assert warp.graph.gate_queue.entries == {}
 
     def test_queued_script_raise_does_not_wedge_finalize(self):
         outcome, clients, cookies, pages, names = _stage(seed=13)
@@ -530,7 +530,7 @@ def test_online_repair_equivalent_to_quiesced(seed):
         "graph records diverged"
     )
     # Every ticket was consumed exactly once.
-    assert online.warp.graph.store.gate_queue.entries == {}
+    assert online.warp.graph.gate_queue.entries == {}
     gate_stats = online_result.stats.gate
     assert gate_stats["applied"] == gate_stats["queued"]
 

@@ -215,7 +215,7 @@ class TestWarpSystemPersistence:
             (warp, path, wal_path),
             (outcome.warp, None, csrf_wal),
         ):
-            live.graph.store.wal.sync()
+            live.graph.wal.sync()
             jars = {}
             for kind, data in RecordWal.entries(wal):
                 if kind == "visit_cookies":
@@ -411,11 +411,11 @@ class TestWarpSystemPersistence:
         recoverable with load(None, wal_path=...)."""
         wal_path = str(tmp_path / "records.wal")
         warp, _ = build_workload(wal_path=wal_path)
-        n_runs, n_visits = warp.graph.n_runs, warp.graph.n_visits
+        n_runs, n_visits = warp.graph.n_runs, len(warp.graph.visits)
 
         recovered = WarpSystem.load(None, wal_path=wal_path)
         assert recovered.graph.n_runs == n_runs
-        assert recovered.graph.n_visits == n_visits
+        assert len(recovered.graph.visits) == n_visits
         # Counters and clock continue past the recovered records.
         assert recovered.clock.now() >= max(
             r.ts_end for r in recovered.graph.runs.values()
@@ -438,7 +438,7 @@ class TestWarpSystemPersistence:
         recovered = WarpSystem.load(
             None, wal_path=wal_path, durability="none", fault_plane=plane
         )
-        wal = recovered.graph.store.wal
+        wal = recovered.graph.wal
         assert recovered.durability == wal.durability == "none"
         assert wal.faults is plane
         assert wal.on_degrade == recovered.health.on_wal_degrade
@@ -509,7 +509,7 @@ class TestWarpSystemPersistence:
         controller.step_hook = hook
         result = controller.repair_batch([CancelClientSpec(attacker.client_id)])
         assert result.ok and queued_tickets
-        assert warp.graph.store.gate_queue.entries  # journaled, undrained
+        assert warp.graph.gate_queue.entries  # journaled, undrained
         monkeypatch.undo()
 
         # Fresh process: recover snapshot + WAL.
@@ -527,7 +527,7 @@ class TestWarpSystemPersistence:
         ).page_text("News")
         assert "DEFACED." not in text
         assert text.count("recover-me.") == 1
-        assert reloaded.graph.store.gate_queue.entries == {}
+        assert reloaded.graph.gate_queue.entries == {}
         assert reloaded.recovered_queued_requests() == []
 
         # WAL replay stays idempotent through the gate entries: another
@@ -582,7 +582,7 @@ class TestWarpSystemPersistence:
         controller.step_hook = hook
         assert controller.repair_batch([CancelClientSpec(attacker.client_id)]).ok
         assert queued_tickets
-        assert warp.graph.store.gate_queue.entries
+        assert warp.graph.gate_queue.entries
         monkeypatch.undo()
 
         # Fresh process, WAL only: the action log is rebuilt but the
@@ -597,14 +597,14 @@ class TestWarpSystemPersistence:
         responses = recovered.reapply_recovered_requests()
         assert set(responses) == set(queued_tickets)
         # Exactly once: the ticket is journaled applied and never re-pends.
-        assert recovered.graph.store.gate_queue.entries == {}
+        assert recovered.graph.gate_queue.entries == {}
         assert recovered.recovered_queued_requests() == []
         assert recovered.reapply_recovered_requests() == {}
 
         # Idempotent across another full WAL replay.
         again = WarpSystem.load(None, wal_path=wal_path)
         assert again.recovered_queued_requests() == []
-        assert again.graph.store.gate_queue.entries == {}
+        assert again.graph.gate_queue.entries == {}
         for deployment in (warp, recovered, again):
             deployment.close()
 
@@ -684,6 +684,6 @@ class TestCommitsPerRecordedRun:
             "csrf", n_users=20, n_victims=2, seed=1, wal_path=str(tmp_path / "records.wal")
         )
         warp = closing(outcome.warp)
-        assert warp.graph.n_visits > 0 and warp.graph.store.wal.durability == "group"
+        assert len(warp.graph.visits) > 0 and warp.graph.wal.durability == "group"
         warp.close()  # writes the deltas the last run did not
         assert len(fsyncs) / warp.graph.n_runs <= 1.05

@@ -13,6 +13,7 @@ json.dumps(to_wire())``) is ``test_snapshot_format.py::test_encode_is_the_dump_o
 """
 
 import json
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -29,7 +30,7 @@ from repro.workload.scenarios import WikiDeployment
 def walked(run, warp) -> str:
     """``run``'s line encoded from scratch against ``warp``'s text table:
     the tree walk, no fragment."""
-    return json.dumps(run.to_wire(warp.graph.store.texts), separators=COMPACT)
+    return json.dumps(run.to_wire(warp.graph.texts), separators=COMPACT)
 
 
 def wal_run_texts(path):
@@ -92,8 +93,8 @@ class TestCacheKey:
         order = ["int", "bool", "float", "float", "int", "bool"]  # misses, then hits
         for name in order:
             assert kv.get(**{"as": name}).status == 200
-        lines = [json.loads(text) for text in wal_run_texts(kv.graph.store.wal.path)]
-        payloads = [kv.graph.store.texts.by_id[line["queries"][0][3]] for line in lines[-len(order) :]]
+        lines = [json.loads(text) for text in wal_run_texts(kv.graph.wal.path)]
+        payloads = [kv.graph.texts.by_id[line["queries"][0][3]] for line in lines[-len(order) :]]
         written = [json.loads(text)[0] for text in payloads]
         assert [repr(params) for params in written] == [
             repr([self.LOOK_ALIKES[name]]) for name in order
@@ -149,7 +150,7 @@ class TestPayloadSharing:
         for run in (first, second):
             assert run.payloads is None  # a stored run refers into no cache
             assert run.json_text == walked(run, kv)
-            row_id = kv.graph.store.texts.ids[payload.text]
+            row_id = kv.graph.texts.ids[payload.text]
             assert [row[3] for row in json.loads(run.json_text)["queries"]] == [row_id] * 2
 
     def test_write_between_identical_selects_yields_a_fresh_payload(self, kv):
@@ -197,17 +198,21 @@ class TestPayloadSharing:
         kv.probe = lambda ctx: ctx.query(SELECT_V, (1,))
         for _ in range(3):
             kv.get()
-        store = kv.graph.store
         run = kv.graph.runs_in_order()[-1]
         kept = run.json_text
-        store.mark_run_canceled(run.run_id)
-        assert run.json_text is None and run.payloads is None
+        # A repair cancels a run by replacing it with a canceled copy, which
+        # carries no cache payload: its line is walked from the tree.
+        kv.graph.replace_runs([replace(run, canceled=True, json_text=None)])
+        canceled = kv.graph.runs[run.run_id]
+        assert canceled.canceled and canceled.payloads is None
+        assert canceled.json_text == walked(canceled, kv) == kept[:-1] + ',"canceled":true}'
         path = str(tmp_path / "snapshot.json")
         kv.save(path)
-        assert run.json_text == walked(run, kv) == kept[:-1] + ',"canceled":true}'
+        assert canceled.json_text == walked(canceled, kv)
         reloaded = WarpSystem.load(path)
-        again = reloaded.graph.store.runs[run.run_id]
-        assert again.canceled and again.json_text == run.json_text == again.encode(reloaded.graph.store.texts)
+        again = reloaded.graph.runs[run.run_id]
+        assert again.canceled
+        assert again.json_text == canceled.json_text == again.encode(reloaded.graph.texts)
 
     def test_a_run_with_fifty_nondet_calls_numbers_them_per_function(self, kv):
         def probe(ctx):
@@ -248,7 +253,7 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
                 if method == "POST":
                     params["append"] = f"\nedit {step}."
                 assert client.send(client.request(method, "/edit.php", params)).status == 200
-    store = warp.graph.store
+    store = warp.graph
     store.wal.sync()
     lines = {json.loads(text)["run_id"]: text for text in wal_run_texts(wal_path)}
     assert len(lines) == len(store.runs) > 60
@@ -270,7 +275,7 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
     warp.save(snapshot)
     store.wal.close()
     reloaded = WarpSystem.load(snapshot)
-    texts = reloaded.graph.store.texts
-    for run_id, run in reloaded.graph.store.runs.items():
+    texts = reloaded.graph.texts
+    for run_id, run in reloaded.graph.runs.items():
         assert run.encode(texts) == run.json_text == store.runs[run_id].json_text
         assert run.json_text == walked(run, reloaded)

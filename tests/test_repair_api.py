@@ -816,7 +816,7 @@ class TestRepairJobs:
         release.set()
         assert first.result(timeout=30).ok
         # The canceled job never executed: no job_start journaled for it.
-        assert second.job_id not in warp.graph.store.repair_jobs.entries
+        assert second.job_id not in warp.graph.repair_jobs.entries
 
     def test_jobs_run_fifo(self, monkeypatch):
         """Two quick jobs submitted back-to-back execute in order."""
@@ -888,14 +888,14 @@ class TestJobsJournal:
         outcome = run_multi_tenant_scenario(n_tenants=2, users_per_tenant=1, seed=4)
         warp = outcome.warp
         warp.repair.submit(CancelClientSpec(outcome.attacker_client)).result()
-        assert warp.graph.store.repair_jobs.entries == {}
+        assert warp.graph.repair_jobs.entries == {}
         assert warp.repair.interrupted_jobs() == []
 
-    def test_interrupted_job_reported_after_reload(self, tmp_path):
+    def test_interrupted_job_reported_after_reload(self, tmp_path, closing):
         """A job journaled as started but never ended (the process died
         mid-repair) is reported by the reloaded deployment."""
         wal_path = str(tmp_path / "records.wal")
-        warp = WarpSystem(wal_path=wal_path)
+        warp = closing(WarpSystem(wal_path=wal_path))
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
         wiki.install()
         wiki.seed_user("alice", "pw")
@@ -903,23 +903,23 @@ class TestJobsJournal:
         alice.open(f"{WIKI}/index.php?title=Main_Page")
         # Simulate the crash: the job start hits the WAL, the end never does.
         spec = CancelClientSpec("alice-laptop")
-        warp.graph.store.repair_jobs.put(
+        warp.graph.repair_jobs.put(
             job_id="job-1", spec=spec.describe(), ts=warp.clock.now()
         )
 
-        recovered = WarpSystem.load(None, wal_path=wal_path)
+        recovered = closing(WarpSystem.load(None, wal_path=wal_path))
         reports = recovered.repair.interrupted_jobs()
         assert [entry["job_id"] for entry in reports] == ["job-1"]
         assert reports[0]["spec"] == spec.describe()
         # New job ids never collide with the interrupted one.
-        assert recovered.graph.store.repair_jobs.next_seq() == 2
+        assert recovered.graph.repair_jobs.next_seq() == 2
         # Acknowledge clears the report durably.
         assert recovered.repair.acknowledge_interrupted("job-1")
         assert recovered.repair.interrupted_jobs() == []
-        again = WarpSystem.load(None, wal_path=wal_path)
+        again = closing(WarpSystem.load(None, wal_path=wal_path))
         assert again.repair.interrupted_jobs() == []
 
-    def test_job_ids_do_not_repeat_after_save_and_reload(self, tmp_path):
+    def test_job_ids_do_not_repeat_after_save_and_reload(self, tmp_path, closing):
         """A snapshot keeps only open jobs, so ids come from the ``job``
         counter its header carries (and from the jobs the WAL replays): a
         finished ``job-1`` is not handed out again, and an incident saved
@@ -927,17 +927,17 @@ class TestJobsJournal:
         job finishes."""
         wal_path = str(tmp_path / "records.wal")
         path = str(tmp_path / "snapshot.json")
-        warp = WikiDeployment(n_users=2, seed=1, wal_path=wal_path).warp
+        warp = closing(WikiDeployment(n_users=2, seed=1, wal_path=wal_path).warp)
         first = warp.repair.submit(CancelClientSpec("nobody"))
         first.result()
         assert first.job_id == "job-1"
         warp.enable_detection()
-        warp.graph.store.incidents.put(
+        warp.graph.incidents.put(
             incident_id="inc-1", ts=warp.clock.now(), status="repairing", job_id="job-1"
         )
         warp.save(path)
 
-        reloaded = WarpSystem.load(path, wal_path=wal_path)
+        reloaded = closing(WarpSystem.load(path, wal_path=wal_path))
         WikiApp(reloaded.ttdb, reloaded.scripts, reloaded.server).register_code()
         second = reloaded.repair.submit(CancelClientSpec("nobody"))
         second.result()
@@ -947,7 +947,7 @@ class TestJobsJournal:
         )
         assert json.loads(incident.body)["status"] == "repairing"
         # job-2 finished after the snapshot: only the WAL knows it.
-        again = WarpSystem.load(path, wal_path=wal_path)
+        again = closing(WarpSystem.load(path, wal_path=wal_path))
         WikiApp(again.ttdb, again.scripts, again.server).register_code()
         third = again.repair.submit(CancelClientSpec("nobody"))
         third.result()
@@ -957,7 +957,7 @@ class TestJobsJournal:
         warp = WarpSystem()
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
         wiki.install()
-        warp.graph.store.repair_jobs.put(job_id="job-3", spec={"kind": "batch"}, ts=7)
+        warp.graph.repair_jobs.put(job_id="job-3", spec={"kind": "batch"}, ts=7)
         path = str(tmp_path / "warp.json")
         warp.save(path)
         reloaded = WarpSystem.load(path)

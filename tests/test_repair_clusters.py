@@ -556,7 +556,7 @@ class TestIndexCostFollowsDamage:
             outcome = run_multi_tenant_scenario(
                 n_tenants=n_tenants, users_per_tenant=2, attacked_tenants=1, seed=1
             )
-            store = outcome.warp.graph.store
+            store = outcome.warp.graph
             assert store.index_build_queries == 0
             assert outcome.repair().ok
             inspected[n_tenants] = store.index_build_queries
@@ -583,7 +583,7 @@ class TestIndexCostFollowsDamage:
                 view = alice.request("GET", "/edit.php", {"title": "News"})
                 assert alice.send(view).status == 200
 
-            store = deployment.warp.graph.store
+            store = deployment.warp.graph
             lookup = store.queries_touching
             counts = []
 
@@ -606,7 +606,7 @@ class TestIndexCostFollowsDamage:
         outcome = run_multi_tenant_scenario(
             n_tenants=4, users_per_tenant=2, attacked_tenants=1, seed=3
         )
-        store = outcome.warp.graph.store
+        store = outcome.warp.graph
         assert outcome.repair().ok
         assert store._buckets == {}  # finalize dropped them
 

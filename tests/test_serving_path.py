@@ -506,13 +506,13 @@ class TestOneServingPath:
 
 
 class TestStripedLocksUnderContention:
-    def test_sixteen_threads_lose_no_append(self, tmp_path, monkeypatch):
+    def test_sixteen_threads_lose_no_append(self, tmp_path, monkeypatch, closing):
         # With a WAL, so that every append encodes its run — under the store
         # lock, where the text entries it defines are journaled ahead of
         # every line that uses them (snapshot format 6).
         deployment = WikiDeployment(n_users=0, seed=41, wal_path=str(tmp_path / "records.wal"))
-        wiki, warp = deployment.wiki, deployment.warp
-        lock, encode, under_lock = warp.graph.store.lock, AppRunRecord.encode, []
+        wiki, warp = deployment.wiki, closing(deployment.warp)
+        lock, encode, under_lock = warp.graph.lock, AppRunRecord.encode, []
 
         def observed_encode(run, texts=None):
             under_lock.append(lock._is_owned())

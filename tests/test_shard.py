@@ -208,17 +208,25 @@ class TestRouting:
 
 
 class TestWireAndWorker:
-    def make_worker(self, tmp_path, shard_id=0, tenants=(0,)):
-        return ShardWorker(
-            ShardConfig(
-                shard_id=shard_id,
-                data_dir=str(tmp_path),
-                app_args={"tenants": list(tenants), "shared_users": [ATTACKER]},
-            )
-        )
+    @pytest.fixture
+    def make_worker(self, tmp_path, closing):
+        """A worker over ``tmp_path``, its deployment closed at teardown."""
 
-    def test_frames_round_trip_json(self, tmp_path):
-        worker = self.make_worker(tmp_path)
+        def make(shard_id=0, tenants=(0,)):
+            worker = ShardWorker(
+                ShardConfig(
+                    shard_id=shard_id,
+                    data_dir=str(tmp_path),
+                    app_args={"tenants": list(tenants), "shared_users": [ATTACKER]},
+                )
+            )
+            closing(worker.warp)
+            return worker
+
+        return make
+
+    def test_frames_round_trip_json(self, make_worker):
+        worker = make_worker()
         client = LocalShardClient(worker)
         ping = client.ping()
         assert ping["ok"] and ping["shard"] == 0
@@ -233,8 +241,8 @@ class TestWireAndWorker:
         assert response.status == 200
         assert "tenant 0" in response.body
 
-    def test_unknown_op_and_handler_errors_stay_on_the_wire(self, tmp_path):
-        worker = self.make_worker(tmp_path)
+    def test_unknown_op_and_handler_errors_stay_on_the_wire(self, make_worker):
+        worker = make_worker()
         client = LocalShardClient(worker)
         assert not worker.handle_frame({"op": "nope"})["ok"]
         assert not worker.handle_frame({"op": "http"})["ok"]
@@ -246,8 +254,8 @@ class TestWireAndWorker:
             client.request(HttpRequest("GET", "/index.php"))
         assert client.ping()["ok"]  # still serving
 
-    def test_misrouted_request_answers_421(self, tmp_path):
-        worker = self.make_worker(tmp_path, shard_id=1)
+    def test_misrouted_request_answers_421(self, make_worker):
+        worker = make_worker(shard_id=1)
         client = LocalShardClient(worker)
         wrong = HttpRequest(
             "GET",
@@ -266,8 +274,8 @@ class TestWireAndWorker:
         )
         assert client.request(right).status == 200
 
-    def test_misrouted_write_is_refused_before_it_records(self, tmp_path):
-        worker = self.make_worker(tmp_path, shard_id=1)
+    def test_misrouted_write_is_refused_before_it_records(self, make_worker):
+        worker = make_worker(shard_id=1)
         client = LocalShardClient(worker)
         text_before = page_text(worker, 0)
         runs_before = worker.warp.graph.n_runs
@@ -284,8 +292,8 @@ class TestWireAndWorker:
         assert page_text(worker, 0) == text_before
         assert "misrouted" not in text_before
 
-    def test_worker_reload_keeps_data(self, tmp_path):
-        worker = self.make_worker(tmp_path)
+    def test_worker_reload_keeps_data(self, make_worker):
+        worker = make_worker()
         client = LocalShardClient(worker)
         session = Session("t0_user1", worker)
         session.login(0)
@@ -295,11 +303,11 @@ class TestWireAndWorker:
         status, payload = client.admin_json("POST", "/warp/admin/shard/save")
         assert status == 200 and payload["saved"].endswith("snapshot.json")
 
-        reborn = self.make_worker(tmp_path)
+        reborn = make_worker()
         assert "persisted" in page_text(reborn, 0)
         assert LocalShardClient(reborn).ping()["shard"] == 0
 
-    def test_a_sqlite_shard_restarts_from_its_wal_alone(self, tmp_path):
+    def test_a_sqlite_shard_restarts_from_its_wal_alone(self, tmp_path, closing):
         """A SQLite shard that dies before its first save boots again from
         its WAL: the second boot installs into a database of its own (the
         first boot's files are never read back) and its replayed graph
@@ -318,9 +326,10 @@ class TestWireAndWorker:
         )
         assert response.status == 200
         acknowledged = set(first.warp.graph.runs)
-        first.warp.graph.store.wal._mark_crashed()
+        first.warp.graph.wal._mark_crashed()
 
         reborn = ShardWorker(config)
+        closing(reborn.warp)
         assert reborn.warp.database.backend == "sqlite"
         assert reborn.warp.database.path != first.warp.database.path
         assert acknowledged <= set(reborn.warp.graph.runs)
@@ -338,7 +347,7 @@ class TestWireAndWorker:
         assert len(set(written) - set(kept)) == 2
         assert kept == {key: written[key] for key in kept}
 
-    def test_a_save_mid_traffic_keeps_the_shard_history(self, tmp_path):
+    def test_a_save_mid_traffic_keeps_the_shard_history(self, tmp_path, closing):
         """Writes before and after a shard save: the next start reloads the
         snapshot plus the WAL tail behind it as the live graph, and every
         text id the snapshot and that tail refer to resolves within them
@@ -352,13 +361,14 @@ class TestWireAndWorker:
 
         def assert_ids_resolve(warp):
             assert fixtures.undefined_refs(fixtures.segment(layout["snapshot"], layout["wal"])) == []
-            store = warp.graph.store
+            store = warp.graph
             for run in store.runs.values():
                 if run.json_text is not None:
                     refs = fixtures.text_refs("run", json.loads(run.json_text))
                     assert refs <= set(store.texts.by_id)
 
         def serve_around_a_save(worker):
+            closing(worker.warp)
             session = Session("t0_user1", worker)
             session.login(0)
             for i in range(24):
@@ -381,17 +391,18 @@ class TestWireAndWorker:
         assert reborn.warp.graph.to_snapshot() == live
         live = serve_around_a_save(reborn)
         warp, fresh = load_or_create_shard(config.data_dir, 0)
+        closing(warp)
         assert fresh is False
         assert warp.graph.to_snapshot() == live
         assert_ids_resolve(warp)
 
-    def test_a_wal_only_reboot_keeps_the_shard_settings(self, tmp_path):
+    def test_a_wal_only_reboot_keeps_the_shard_settings(self, tmp_path, closing):
         """A shard that crashed before its first save reboots from its WAL
         alone with the keywords it boots with: the log it appends to keeps
         their durability."""
         root = str(tmp_path)
         warp, fresh = load_or_create_shard(root, 0, durability="none")
-        assert fresh and warp.graph.store.wal.durability == "none"
+        assert fresh and warp.graph.wal.durability == "none"
         wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
         wiki.install()
         wiki.seed_page("Home", "welcome", "admin")
@@ -401,8 +412,9 @@ class TestWireAndWorker:
         assert not os.path.exists(shard_layout(root, 0)["snapshot"])
 
         reborn, fresh = load_or_create_shard(root, 0, durability="none")
+        closing(reborn)
         assert fresh and reborn.graph.n_runs == warp.graph.n_runs == 1
-        assert reborn.durability == reborn.graph.store.wal.durability == "none"
+        assert reborn.durability == reborn.graph.wal.durability == "none"
 
 
 # ---------------------------------------------------------------------------

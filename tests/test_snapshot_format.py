@@ -18,6 +18,7 @@ client id, URL and each xpath a ``text`` entry.
 """
 
 import copy
+import dataclasses
 import gc
 import json
 import os
@@ -652,7 +653,7 @@ def test_kept_text_survives_every_mutation(tmp_path, closing, backend, seed):
         wiki.seed_page(page, f"{page}\n", owner="admin")
     clients = make_load_clients(wiki, warp.server, [f"u{i}" for i in range(4)])
     browser = warp.client("walker")
-    store = warp.graph.store
+    store = warp.graph
     repaired = set()
 
     def serve():
@@ -665,7 +666,8 @@ def test_kept_text_survives_every_mutation(tmp_path, closing, backend, seed):
             assert status == (403 if client.name in repaired else 200)
 
     def cancel():
-        store.mark_run_canceled(rng.choice(sorted(store.runs)))
+        run = store.runs[rng.choice(sorted(store.runs))]
+        store.replace_runs([dataclasses.replace(run, canceled=True, json_text=None)])
 
     def replace():
         run_id = rng.choice(sorted(store.runs))
@@ -702,17 +704,17 @@ def test_kept_text_survives_every_mutation(tmp_path, closing, backend, seed):
     assert all(run.json_text == run.encode(store.texts) for run in store.runs.values())
     reloaded = closing(WarpSystem.load(snap_path))
     assert reloaded.graph.to_snapshot() == warp.graph.to_snapshot()
-    assert_kept_text_is_fresh(reloaded.graph.store)
+    assert_kept_text_is_fresh(reloaded.graph)
     assert all(run.json_text is not None for run in reloaded.graph.runs.values())
 
     # A WAL tail on top of the snapshot converges on the same graph.
     serve()
     cancel()
     serve()
-    warp.graph.store.wal.sync()
+    warp.graph.wal.sync()
     tailed = closing(WarpSystem.load(snap_path, wal_path=wal_path))
     assert tailed.graph.to_snapshot() == warp.graph.to_snapshot()
-    assert_kept_text_is_fresh(tailed.graph.store)
+    assert_kept_text_is_fresh(tailed.graph)
 
 
 def test_canceling_a_run_drops_its_kept_text(tmp_path, closing):
@@ -720,12 +722,14 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path, closing):
         wal=closing(RecordWal(str(tmp_path / "w.wal"), durability="none"))
     )
     store.add_run(fixtures.golden_run())
-    assert store.runs[7].json_text == fixtures.golden_run().encode(store.texts)
-    store.mark_run_canceled(7)
-    assert store.runs[7].json_text is None
+    kept = store.runs[7].json_text
+    assert kept == fixtures.golden_run().encode(store.texts)
+    store.replace_runs([dataclasses.replace(store.runs[7], canceled=True, json_text=None)])
+    assert store.runs[7].json_text == kept[:-1] + ',"canceled":true}'
     path = str(tmp_path / "snapshot.json")
     fixtures.save_store(store, path)
-    assert fixtures.recover_store(snapshot_path=path).runs[7].canceled
+    recovered = fixtures.recover_store(snapshot_path=path).runs[7]
+    assert recovered.canceled and recovered.json_text == store.runs[7].json_text
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +780,7 @@ def test_format7_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     warp = WarpSystem.load(fixture)
     assert warp.graph.to_snapshot() == original.graph.to_snapshot()
     assert all(run.json_text is not None for run in warp.graph.runs.values())
-    assert_kept_text_is_fresh(warp.graph.store)
+    assert_kept_text_is_fresh(warp.graph)
     saved_again = str(tmp_path / "saved_again.json")
     warp.save(saved_again)
     assert read_lines(saved_again)[1:] == read_lines(fixture)[1:]
@@ -875,6 +879,10 @@ def retired_log(shape):
         data = {"client_id": "c1", "visit_id": 1, "ts": 4, "url": "http://wiki.test/"}
         why = "a visit line is in a retired shape: it is keyed; " + UPGRADE_ROUTE.split(",")[0]
         return written + [entry_line("visit", json.dumps(data))], 9, why
+    if shape == "cancel_run entry":
+        # What a repair journaled per canceled run up to 37f403a; a repair
+        # now journals a canceled copy of the run as a replace_run line.
+        return written + [entry_line("cancel_run", json.dumps({"run_id": 7}))], 9, "'cancel_run'"
     assert shape == "entry of unknown kind"
     return written + [entry_line("no_such_kind", "{}")], 9, "'no_such_kind'"
 
@@ -889,6 +897,7 @@ RETIRED_SHAPES = [
     "run_replay entry",
     "entry of unknown kind",
     "format-6 visit line",
+    "cancel_run entry",
 ]
 
 
@@ -952,7 +961,7 @@ def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, 
         snapshot = str(tmp_path / "format7.json")
         fixtures.format1_workload()[0].save(snapshot)
     loaded = WarpSystem.load(snapshot)
-    store = loaded.graph.store
+    store = loaded.graph
     assert (store.max_ts, max(store.runs), store.max_qid) == walked_maxima(store)
     at_snapshot = (loaded.clock.now(), loaded.ids.peek("run"), loaded.ids.peek("query"))
 
@@ -967,7 +976,7 @@ def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, 
     live.close()
 
     tailed = WarpSystem.load(snapshot, wal_path=wal_path)
-    store = tailed.graph.store
+    store = tailed.graph
     assert tailed.graph.to_snapshot() == live.graph.to_snapshot()
     max_ts, max_run_id, max_qid = walked_maxima(store)
     assert (store.max_ts, store.max_qid) == (max_ts, max_qid)
@@ -1127,11 +1136,13 @@ def test_a_cached_statement_whose_entry_left_the_segment_writes_it_again(tmp_pat
     probe()  # a hit: the payload has its text now
     payload = results[0].payload
     assert results[1].payload is payload and payload.text is not None
-    # The store's half of retention alone: the database half would flush
-    # the statement cache whose hit this test needs.
-    warp.graph.store.gc(warp.clock.now() + 1)
+    # The store's half of retention alone, on purpose (WarpSystem.retain
+    # pairs it with the database half, which would flush the statement
+    # cache whose hit this test needs).
+    store = warp.graph
+    store.gc(warp.clock.now() + 1)
     warp.save(path)
-    assert warp.graph.n_runs == 0 and sql not in warp.graph.store.texts.ids
+    assert store.n_runs == 0 and sql not in store.texts.ids
     assert not record_lines(path, "text")
 
     probe()  # a hit again — on a payload whose texts the segment lacks
@@ -1168,7 +1179,7 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
     wiki.install()
     wiki.seed_page("P", "seed\n", owner="admin")
     (client,) = make_load_clients(wiki, warp.server, ["u"])
-    wal = warp.graph.store.wal
+    wal = warp.graph.wal
 
     def cost(request):
         before = wal.appended_bytes
@@ -1250,7 +1261,7 @@ def test_a_rotation_bound_in_a_header_never_rotates_the_log(tmp_path):
 
     loaded = WarpSystem.load(path, wal_path=wal_path)
     WikiApp(loaded.ttdb, loaded.scripts, loaded.server).register_code()
-    wal = loaded.graph.store.wal
+    wal = loaded.graph.wal
     read = HttpRequest("GET", "/index.php", params={"title": "Home"})
     for _ in range(200):
         if wal.appended_bytes > bound:
@@ -1296,13 +1307,13 @@ class TestRefusedSnapshots:
         assert n_texts == len(referenced_ids(run_lines(path), visit_lines(path))) > 0
         assert list(header["records"].items()) == [
             ("text", n_texts),
-            ("visit", warp.graph.n_visits),
+            ("visit", len(warp.graph.visits)),
             ("run", warp.graph.n_runs),
             ("patch", 0),
         ]
         kinds = [json.loads(line)["kind"] for line in lines[1:]]
         assert kinds == sorted(kinds, key=["text", "visit", "run"].index)
-        assert len(lines) == 1 + warp.graph.n_visits + n_texts + warp.graph.n_runs
+        assert len(lines) == 1 + len(warp.graph.visits) + n_texts + warp.graph.n_runs
         assert "runs" not in header["graph"]
 
     def test_cut_mid_line(self, saved):
@@ -1488,7 +1499,7 @@ class TestPreviousSnapshotSurvives:
             assert fh.read() == good
         assert os.listdir(str(tmp_path)).count("warp.json") == 1
         assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")]
-        warp.graph.store.wal._mark_crashed()
+        warp.graph.wal._mark_crashed()
         loaded = WarpSystem.load(path, wal_path=str(tmp_path / "records.wal"))
         assert loaded.graph.n_runs == warp.graph.n_runs
         loaded.close()
@@ -1514,7 +1525,7 @@ class TestPreviousSnapshotSurvives:
         assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")]
         # The dangling pre-write marker is ignored; the WAL still holds
         # everything the old snapshot lacks.
-        warp.graph.store.wal._mark_crashed()
+        warp.graph.wal._mark_crashed()
         loaded = WarpSystem.load(path, wal_path=str(tmp_path / "records.wal"))
         assert loaded.graph.n_runs == warp.graph.n_runs
         loaded.close()
@@ -1612,8 +1623,8 @@ def test_run_scenario_passes_warp_kwargs(tmp_path, closing):
         "csrf", n_users=3, n_victims=1, wal_path=wal_path, durability="none"
     )
     closing(outcome.warp)
-    assert outcome.warp.graph.store.wal.path == wal_path
+    assert outcome.warp.graph.wal.path == wal_path
     assert sum(1 for kind, _ in RecordWal.entries(wal_path) if kind == "run") == (
         outcome.warp.graph.n_runs
     )
-    assert run_scenario("csrf", n_users=3, n_victims=1).warp.graph.store.wal is None
+    assert run_scenario("csrf", n_users=3, n_victims=1).warp.graph.wal is None

@@ -223,6 +223,43 @@ class TestGcAndQuotaConsistency:
         }
 
 
+class TestVisitAndDescendants:
+    """The damage walk repair and the preview share: a visit, then the
+    visits its events navigated to, breadth first, within one client."""
+
+    @staticmethod
+    def tree():
+        """c1: 1 -> 2 -> 4 and the sibling branch 1 -> 3 -> 6, recorded out
+        of breadth-first order; c2 reuses c1's ids, with 1 -> 2 -> 5.  The
+        middle visit c1/2 is the client's oldest, so quota drops it first."""
+        store = RecordStore()
+        c1 = [(1, None, 10), (2, 1, 5), (4, 2, 30), (3, 1, 40), (6, 3, 50)]
+        c2 = [(1, None, 1), (2, 1, 2), (5, 2, 3)]
+        for client_id, visits in (("c1", c1), ("c2", c2)):
+            for visit_id, parent, ts in visits:
+                store.add_visit(
+                    VisitRecord(client_id, visit_id, ts=ts, url="/x", parent_visit=parent)
+                )
+        return store
+
+    def test_walks_the_subtree_breadth_first(self):
+        store = self.tree()
+        assert store.visit_and_descendants("c1", 1) == [1, 2, 3, 4, 6]
+        # Neither the sibling branch nor c2's visit 5, a child of c2's
+        # visit 2, is reached from c1's visit 2.
+        assert store.visit_and_descendants("c1", 2) == [2, 4]
+        assert store.visit_and_descendants("c2", 2) == [2, 5]
+        assert store.visit_and_descendants("c1", 6) == [6]
+
+    def test_a_visit_quota_dropped_cuts_the_walk(self):
+        store = self.tree()
+        assert store.enforce_client_quota(max_visits_per_client=4) == 1
+        assert ("c1", 2) not in store.visits
+        assert store.visit_and_descendants("c1", 1) == [1, 3, 6]
+        assert store.visit_and_descendants("c1", 4) == [4]
+        assert store.visit_and_descendants("c2", 2) == [2, 5]
+
+
 class TestDurability:
     def test_snapshot_round_trip(self, tmp_path, recover):
         store = RecordStore()

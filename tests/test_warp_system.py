@@ -240,7 +240,7 @@ class TestRetention:
         client = deployment.client_id(deployment.users[0])
         visits = [visit.visit_id for visit in warp.graph.client_visits(client)]
         assert warp.retain(max_visits_per_client=1) > 0
-        assert warp.graph.store.horizon_ts == 0
+        assert warp.graph.horizon_ts == 0
         with pytest.raises(RepairError, match="retention dropped"):
             warp.repair.preview(CancelVisitSpec(client, visits[0]))
         warp.repair.preview(CancelVisitSpec(client, visits[-1]))
@@ -304,7 +304,7 @@ class TestMetricsModule:
         n_texts = json.loads(header)["records"]["text"]
         assert n_texts > 0
         graph = deployment.warp.graph
-        assert lines.count(b"\n") == graph.n_visits + n_texts + graph.n_runs
+        assert lines.count(b"\n") == len(graph.visits) + n_texts + graph.n_runs
         assert set(report.raw_bytes) == {"browser", "app", "db"}
         assert sum(report.raw_bytes.values()) == len(lines)
         # ... and compressed (record by record, like the paper) they are smaller.
@@ -328,7 +328,7 @@ class TestMetricsModule:
             params = {"title": "P"} if index % 3 else {"title": "P", "append": f"\n{index}."}
             method = "GET" if index % 3 else "POST"
             assert client.send(client.request(method, "/edit.php", params)).status == 200
-        wal = warp.graph.store.wal
+        wal = warp.graph.wal
         wal.sync()
         raw = dict.fromkeys(("browser", "app", "db"), 0)
         entries = {}
@@ -338,7 +338,7 @@ class TestMetricsModule:
             if kind == "text":
                 entries[data["id"]] = layer
         assert sum(raw.values()) == wal.appended_bytes
-        texts = warp.graph.store.texts.by_id
+        texts = warp.graph.texts.by_id
         payloads = [ident for ident in entries if texts[ident].startswith("[")]
         assert payloads and all(entries[ident] == "db" for ident in payloads)
         wal.close()
