@@ -33,7 +33,6 @@ def run_one(seed):
         n_tenants=N_TENANTS, users_per_tenant=1, attacked_tenants=1, seed=seed
     )
     warp = outcome.warp
-    warp.enable_online_repair()
     clients = make_load_clients(
         outcome.wiki, warp.server, [f"lg{i}" for i in range(N_TENANTS)]
     )

@@ -4,8 +4,8 @@
 WARP's repair generations let the site keep serving users while a repair
 rewrites history: normal execution continues in the *current* generation,
 repair builds the *next* one, and a brief suspend at the end switches them
-atomically.  With the partition-scoped write gate (repro.repair.gate),
-"keep serving" means actual concurrent threads:
+atomically.  Every deployment's partition-scoped write gate
+(repro.repair.gate) makes "keep serving" mean actual concurrent threads:
 
 * 8 loadgen threads hammer a 16-tenant wiki while ``cancel_client``
   undoes an attacker's defacement of tenant 0 on the main thread;
@@ -31,7 +31,6 @@ def main() -> None:
         n_tenants=16, users_per_tenant=1, attacked_tenants=1, seed=3
     )
     warp = outcome.warp
-    warp.enable_online_repair()
     pages = [outcome.tenant_page(t) for t in range(16)]
     print(
         f"staged 16-tenant wiki: {len(warp.graph.visits)} page visits, "

@@ -91,9 +91,9 @@ def generate_schedule(seed: int) -> dict:
         if kind == "torn":
             fault["fraction"] = rng.choice((0.25, 0.5, 0.75))
         faults.append(fault)
+    rng.random()  # the retired gate draw: keeps every later field as it was
     return {
         "seed": seed,
-        "online_gate": rng.random() < 0.3,
         "repair_at": rng.randint(8, 20) if rng.random() < 0.6 else None,
         "save_at": rng.randint(6, 24) if rng.random() < 0.5 else None,
         "requests": 36,
@@ -157,12 +157,10 @@ def run_schedule(schedule, workdir: str) -> HarnessReport:
 
     plane = FaultPlane.from_schedule(schedule)
     report = HarnessReport(seed=seed, schedule=schedule)
-    # A schedule saved when durability or a response cache was drawn
-    # still carries the key; every schedule runs on the default group
-    # commit, without a cache.
+    # A schedule saved when durability, a response cache or the gate was
+    # drawn still carries the key; every schedule runs on the default
+    # group commit, without a cache, with the gate every deployment has.
     warp = WarpSystem(wal_path=wal_path, fault_plane=plane)
-    if schedule.get("online_gate"):
-        warp.enable_online_repair()
     # Never hang a schedule on a sick log: a group commit that cannot
     # complete surfaces as DurabilityError within the timeout.
     warp.graph.durability_timeout = 5.0

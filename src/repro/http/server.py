@@ -6,12 +6,13 @@ pending conflicts to returning clients (paper §5.4), and — while a repair
 is underway — remembers which runs arrived concurrently so the repair
 controller can re-apply them to the next generation at finalize (§4.3).
 
-With an online-repair gate installed (:mod:`repro.repair.gate`), requests
-whose footprint is disjoint from the repair are served from real
-concurrent threads while conflicting ones are queued with a ticket; the
-brief generation-switch window *drains* in-flight requests and blocks new
-arrivals on a condition variable instead of 503ing them.  A bare
-``suspended = True`` (no gate) keeps the legacy 503 behavior.
+Every server holds one online-repair gate (:mod:`repro.repair.gate`):
+during a repair whose plan is bounded, requests whose footprint is
+disjoint from it are served from real concurrent threads while
+conflicting ones are queued with a ticket; during one that cannot be
+bounded, every request is served.  The brief generation-switch window
+*drains* in-flight requests and blocks new arrivals on a condition
+variable instead of 503ing them.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ class HttpServer:
         self,
         runtime: AppRuntime,
         graph: RecordStore,
+        gate: "RepairGate",
         origin: str = "http://wiki.test",
     ) -> None:
         self.runtime = runtime
         self.graph = graph
+        #: Online-repair gate: queues what a bounded repair owns.
+        self.gate = gate
         self.origin = origin
         self.routes: Dict[str, str] = {}
         #: Clients whose cookies must be deleted on next contact.
@@ -59,8 +63,6 @@ class HttpServer:
         self.suspended = False
         #: Toggle for recording (the "No WARP" baseline disables it).
         self.recording = True
-        #: Online-repair gate; None keeps the legacy serve-everything flow.
-        self.gate: Optional["RepairGate"] = None
         #: Privileged control-plane surface: each subsystem mounts its
         #: rows here (API.md §4) and requests the table owns are
         #: dispatched to it — never recorded, never gated, served even
@@ -122,25 +124,18 @@ class HttpServer:
             self.suspended = False
             self._state_cond.notify_all()
 
-    def _enter(self) -> Optional[str]:
-        """Admit one request past the suspend window.  ``None`` admits;
-        otherwise the refusal reason: ``"switch"`` (transient — the
-        generation-switch window, retry shortly) or ``"wedged"`` (the
-        switch never completed within the drain bound — a repair script
-        is probably stuck and an operator must intervene)."""
+    def _enter(self) -> bool:
+        """Admit one request past the suspend window, waiting out a
+        generation switch.  False when the switch never completed within
+        the drain bound — a repair script is probably stuck and an
+        operator must intervene."""
         with self._state_cond:
-            if self.suspended:
-                if self.gate is None:
-                    # Legacy behavior: a manual suspend 503s immediately —
-                    # the switch window is a handful of dict operations,
-                    # so an immediate retry succeeds.
-                    return "switch"
-                if not self._state_cond.wait_for(
-                    lambda: not self.suspended, timeout=self.switch_wait_seconds
-                ):
-                    return "wedged"
+            if self.suspended and not self._state_cond.wait_for(
+                lambda: not self.suspended, timeout=self.switch_wait_seconds
+            ):
+                return False
             self._in_flight += 1
-            return None
+            return True
 
     def _exit(self) -> None:
         with self._state_cond:
@@ -170,17 +165,7 @@ class HttpServer:
                     status=403, body="admin endpoints require X-Warp-Admin-Token"
                 )
             return self.admin.dispatch(request)
-        refused = self._enter()
-        if refused is not None:
-            if refused == "switch":
-                # Transient: the generation-switch window. Safe to retry
-                # almost immediately.
-                return HttpResponse(
-                    status=503,
-                    body="server briefly suspended for repair "
-                    "(generation switch window; retry shortly)",
-                    headers={"Retry-After": "1", "X-Warp-Suspended": "switch"},
-                )
+        if not self._enter():
             # Wedged: the switch never completed within the drain bound.
             # Load generators should back off; an operator must look.
             return HttpResponse(
@@ -224,13 +209,10 @@ class HttpServer:
         # (or clients) under repair is queued for ordered re-application
         # after the generation switch.  The check precedes every side
         # effect — a queued request consumes nothing.
-        gate = self.gate
-        if gate is not None and gate.active and not bypass_gate:
-            queued = gate.admit(script_name, request)
+        if self.gate.active and not bypass_gate:
+            queued = self.gate.admit(script_name, request)
             if queued is not None:
-                from repro.repair.gate import queued_response
-
-                return queued_response(queued)
+                return queued
 
         client_id = request.client_id
         invalidated = client_id is not None and client_id in self.cookie_invalidation

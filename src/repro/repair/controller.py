@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ahg.records import (
@@ -326,9 +326,8 @@ class RepairController:
                 fix = member.spec
                 self._g = self._fix_scope(member)
                 self.reexec_statement(fix.sql, fix.params, fix.ts, original=None)
-            if self.server.gate is not None:
-                for member in cancels:
-                    self.server.gate.note_client(member.spec.client_id)
+            for member in cancels:
+                self.server.gate.note_client(member.spec.client_id)
             # Cancels before escalations: a run that is both canceled and
             # patch-damaged stays canceled (matching sequential repairs,
             # where the cancel's undo wins regardless of order because a
@@ -429,14 +428,7 @@ class RepairController:
             attributed += row["conflicts"]
             self.stats.groups.append(row)
             self.stats.escaped_keys += group.escaped_keys
-        if self.server.gate is not None:
-            gate_stats = self.server.gate.stats
-            self.stats.gate = {
-                "served": gate_stats.served,
-                "queued": gate_stats.queued,
-                "applied": gate_stats.applied,
-                "apply_errors": gate_stats.apply_errors,
-            }
+        self.stats.gate = asdict(self.server.gate.stats)
         orphan = self._global
         if scoped_any and (attributed < len(repair_conflicts) or any(orphan.counters.values())):
             # Work in no component — runs and clients reached only through
@@ -467,10 +459,9 @@ class RepairController:
         # Conflicts pending from earlier repairs are out of scope for this
         # one: they must survive an abort and never trigger one.
         self._prior_conflict_ids = {id(c) for c in self.conflicts.pending()}
-        if self.server.gate is not None:
-            # Unscoped until the damage components are planned: the gate
-            # serves every request, since nothing has been modified yet.
-            self.server.gate.begin()
+        # Unscoped until the damage components are planned: the gate
+        # serves every request, since nothing has been modified yet.
+        self.server.gate.begin()
 
     def _repair_conflicts(self) -> List[Conflict]:
         """Unresolved conflicts created by *this* repair."""
@@ -511,10 +502,9 @@ class RepairController:
                     self._run_home[run_id] = group
                 for client_id in group.clients:
                     self._client_home[client_id] = group
-        if self.server.gate is not None:
-            # Shrink the gate from own-everything to the planned scope (an
-            # unscoped group keeps it fully conservative).
-            self.server.gate.set_scope(groups)
+        # Scope the gate to the plan; an unscoped group leaves it serving
+        # everything, and finalize re-applies what the repair changed.
+        self.server.gate.set_scope(groups)
         self._emit("groups_planned", n_groups=self.stats.n_groups, futile=futile)
         return groups
 
@@ -557,9 +547,9 @@ class RepairController:
 
     def _finalize(self) -> None:
         self._emit("phase_started", phase="finalize")
-        # Briefly suspend: new arrivals block (or 503 without a gate) and
-        # in-flight requests drain, so the pending re-application below
-        # sees a stable run list and the switch is atomic per-request.
+        # Briefly suspend: new arrivals block and in-flight requests
+        # drain, so the pending re-application below sees a stable run
+        # list and the switch is atomic per-request.
         self.server.begin_switch()
         try:
             # Re-apply requests that arrived while repair was running
@@ -634,8 +624,6 @@ class RepairController:
         queue is empty (see ``RepairGate.pop_next``), so the drain runs
         ungated."""
         gate = self.server.gate
-        if gate is None:
-            return
         while True:
             entry = gate.pop_next()
             if entry is None:
@@ -875,11 +863,10 @@ class RepairController:
             self.mods.record(table, keys, ts)
         if not keys and not whole_table:
             return
-        if self.server.gate is not None:
-            # Re-execution (a retroactive fix's included) may write beyond
-            # the planned scope: widen the gate so new traffic conflicts
-            # with the freshly repaired partitions too.
-            self.server.gate.note_modification(table, keys, whole_table)
+        # Re-execution (a retroactive fix's included) may write beyond the
+        # planned scope: widen the gate so new traffic conflicts with the
+        # freshly repaired partitions too.
+        self.server.gate.note_modification(table, keys, whole_table)
         self._propagate(table, keys, ts, whole_table)
 
     def _propagate(self, table: str, keys, ts: int, whole_table: bool) -> None:

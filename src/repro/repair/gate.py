@@ -12,6 +12,12 @@ the repair owns —
   execute exactly once against the repaired state instead of being 503'd
   or served a timeline that is about to be rewritten.
 
+Every deployment has a gate, and the repair's own plan picks the policy:
+a plan whose damage components are all bounded queues only what they own,
+while one that cannot be bounded (a futile clustering, the global
+worklist) owns nothing — every request is served live and the §4.3
+finalize pass re-applies whatever the repair changed under it.
+
 Classification needs the request's *footprint* before executing it.  The
 :class:`FootprintIndex` learns one footprint template per entry script
 from the recorded runs in the action history graph:
@@ -392,21 +398,21 @@ class RepairGate:
     """Decides, per request, whether live service can proceed during
     repair: a footprint-vs-owned-partitions check."""
 
-    def __init__(self, ttdb, graph) -> None:
+    def __init__(self, ttdb, graph, fault_plane=None) -> None:
         self.ttdb = ttdb
         self.graph = graph
-        #: Fault plane (repro.faults); WarpSystem points this at its own.
-        self.faults = _active_plane()
+        #: Fault plane (repro.faults): the deployment's, else the
+        #: process-wide default.
+        self.faults = fault_plane if fault_plane is not None else _active_plane()
         self.footprints = FootprintIndex(graph, ttdb)
         self.stats = GateStats()
         self.active = False
-        #: Set once the repair's damage components are planned; before
-        #: that, the gate *serves* everything (the repair has made no
-        #: modification yet, so every request is trivially disjoint — the
-        #: finalize re-application pass covers any request that touched
-        #: what the repair later owns).
+        #: Set once the repair's damage components are planned and every
+        #: one of them is bounded; until then — and for the whole repair
+        #: when its plan cannot be bounded — the gate *serves* everything,
+        #: and the finalize re-application pass covers any request that
+        #: touched what the repair changed.
         self.scoped = False
-        self.own_all = True
         self.owned_keys: Set[PartitionKey] = set()
         self.owned_tables: Set[str] = set()
         self.owned_columns: Set[Tuple[str, str]] = set()
@@ -422,7 +428,6 @@ class RepairGate:
         with self._lock:
             self.active = True
             self.scoped = False
-            self.own_all = True
             self.owned_keys.clear()
             self.owned_tables.clear()
             self.owned_columns.clear()
@@ -450,17 +455,15 @@ class RepairGate:
         reach one of its partitions later, the finalize re-application
         pass still catches any request served in the window.
 
-        An unscoped (global-worklist) group cannot be bounded — everything
-        stays owned, which degrades to the conservative global suspend.
+        An unscoped group (a futile plan, the global worklist) cannot be
+        bounded: the gate stays unscoped and serves every request, and
+        the finalize pass re-applies whatever the repair changed under it.
         """
+        if not groups or not all(group.scoped for group in groups):
+            return
         with self._lock:
             self.scoped = True
-            scoped = [group for group in groups if group.scoped]
-            if not scoped or len(scoped) != len(groups):
-                self.own_all = True
-                return
-            self.own_all = False
-            for group in scoped:
+            for group in groups:
                 for key in group.seed_keys:
                     self._own_key(key)
                 for run_id in group.seed_runs:
@@ -479,7 +482,7 @@ class RepairGate:
         """Repair touched partitions outside the static scope (escapes,
         re-execution writing new keys): widen ownership so later requests
         gate against them."""
-        if not self.active or self.own_all:
+        if not self.active or not self.scoped:
             return
         with self._lock:
             if whole_table:
@@ -523,8 +526,9 @@ class RepairGate:
 
     # -- admission (request threads) --------------------------------------
 
-    def admit(self, script_name: str, request: HttpRequest) -> Optional[QueuedRequest]:
-        """``None`` — serve the request now; otherwise the queued ticket."""
+    def admit(self, script_name: str, request: HttpRequest) -> Optional[HttpResponse]:
+        """``None`` — serve the request now; otherwise the 202 its client
+        receives for the queued ticket."""
         reason = self._conflict(script_name, request)
         if reason is None:
             with self._lock:
@@ -551,16 +555,18 @@ class RepairGate:
         self.graph.gate_queue.put(
             ticket=entry.ticket, ts=entry.ts, request=entry.request.to_dict()
         )
-        return entry
+        return HttpResponse(
+            status=202,
+            body="request queued: the partitions it touches are under repair",
+            headers={"X-Warp-Queued": str(entry.ticket), "Retry-After": "1"},
+        )
 
     def _conflict(self, script_name: str, request: HttpRequest) -> Optional[str]:
         with self._lock:
             if not self.scoped:
-                # Damage components not planned yet: nothing has been
-                # modified, so nothing can conflict.
+                # No bounded plan (yet): serve, and let the finalize pass
+                # re-apply what the repair changed.
                 return None
-            if self.own_all:
-                return "repair owns the whole application"
             client_id = request.client_id
             if client_id is not None and client_id in self.owned_clients:
                 return f"client {client_id!r} is under repair"
@@ -641,14 +647,3 @@ class RepairGate:
         entry = self.results.get(ticket)
         return entry.response if entry else None
 
-
-def queued_response(entry: QueuedRequest) -> HttpResponse:
-    """The 202 a queued request's client receives immediately."""
-    return HttpResponse(
-        status=202,
-        body="request queued: the partitions it touches are under repair",
-        headers={
-            "X-Warp-Queued": str(entry.ticket),
-            "Retry-After": "1",
-        },
-    )

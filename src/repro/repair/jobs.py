@@ -247,7 +247,7 @@ class RepairJobManager:
 
     Jobs execute one at a time in submission order; each runs on its own
     daemon worker thread so the submitting thread (and the request
-    threads the PR 4 gate keeps serving) never block inside the repair.
+    threads the online gate keeps serving) never block inside the repair.
     """
 
     def __init__(self, warp) -> None:

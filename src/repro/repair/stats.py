@@ -70,7 +70,7 @@ class RepairStats:
     groups: List[Dict[str, object]] = field(default_factory=list)
     #: Online-repair gate counters (repro.repair.gate): requests served
     #: live during the repair, queued with a ticket, re-applied after the
-    #: switch, and apply-time script failures.  Empty without a gate.
+    #: switch, and apply-time script failures.
     gate: Dict[str, int] = field(default_factory=dict)
 
     def breakdown(self) -> Dict[str, float]:

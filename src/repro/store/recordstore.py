@@ -755,16 +755,27 @@ class RecordStore:
         if visit_id > self._client_visit_hwm.get(client_id, 0):
             self._client_visit_hwm[client_id] = visit_id
 
-    def _unlink_child(self, visit: VisitRecord) -> None:
-        if visit.parent_visit is None:
-            return
-        key = (visit.client_id, visit.parent_visit)
-        children = self._visit_children.get(key)
-        if children is not None:
-            if visit.visit_id in children:
-                children.remove(visit.visit_id)
-            if not children:
-                del self._visit_children[key]
+    def _drop_visits(self, client_id: str, gone: Set[int]) -> None:
+        """Forget some of one client's visits (quota, gc): the records,
+        their place in their parents' child lists and in the client's
+        list.  A dropped visit's own child list stays while a child of it
+        survives: a reload rebuilds it from that child's ``parent_visit``.
+        Caller holds ``lock``."""
+        for visit_id in gone:
+            visit = self.visits.pop((client_id, visit_id))
+            parent = (client_id, visit.parent_visit)
+            children = self._visit_children.get(parent)
+            if children is not None:
+                if visit_id in children:
+                    children.remove(visit_id)
+                if not children:
+                    del self._visit_children[parent]
+        ids = self._client_visits.get(client_id, [])
+        ids[:] = [vid for vid in ids if vid not in gone]
+        if not ids:
+            self._client_visits.pop(client_id, None)
+        self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+        self._texts_exact = False  # the dropped visits' texts may go unused
 
     def runs_loading_file(self, file: str, since_ts: int) -> List[AppRunRecord]:
         """Runs whose input dependencies include source file ``file`` with
@@ -874,19 +885,13 @@ class RecordStore:
         remain)."""
         dropped, ticket = 0, None
         with self.lock:
-            for client_id, visit_ids in self._client_visits.items():
+            for client_id, visit_ids in list(self._client_visits.items()):
                 excess = len(visit_ids) - max_visits_per_client
                 if excess <= 0:
                     continue
                 oldest = sorted(visit_ids, key=lambda vid: self.visits[(client_id, vid)].ts)
-                victims = set(oldest[:excess])
-                for visit_id in victims:
-                    self._unlink_child(self.visits.pop((client_id, visit_id)))
-                visit_ids[:] = [vid for vid in visit_ids if vid not in victims]
-                dropped += len(victims)
-                self.trimmed_clients[client_id] = self.last_visit_id(client_id)
-            if dropped:
-                self._texts_exact = False  # the dropped visits' texts may go unused
+                self._drop_visits(client_id, set(oldest[:excess]))
+                dropped += excess
             if dropped and self.wal is not None:
                 ticket = self.wal.append(
                     "quota", {"max_visits_per_client": max_visits_per_client}
@@ -944,19 +949,12 @@ class RecordStore:
                 self.trimmed_clients[client_id] = self.last_visit_id(client_id)
 
             dead_by_client: Dict[str, Set[int]] = {}
-            for key, visit in list(self.visits.items()):
+            for key, visit in self.visits.items():
                 if visit.ts < horizon_ts and not self._runs_by_visit.get(key):
-                    del self.visits[key]
-                    self._unlink_child(visit)
                     dead_by_client.setdefault(visit.client_id, set()).add(visit.visit_id)
-                    removed += 1
-                    self._texts_exact = False
             for client_id, gone in dead_by_client.items():
-                ids = self._client_visits.get(client_id, [])
-                ids[:] = [vid for vid in ids if vid not in gone]
-                if not ids:
-                    self._client_visits.pop(client_id, None)
-                self.trimmed_clients[client_id] = self.last_visit_id(client_id)
+                self._drop_visits(client_id, gone)
+                removed += len(gone)
 
             # Partition buckets may reference dropped queries; rebuild lazily.
             self.invalidate_partition_indexes()

@@ -23,6 +23,13 @@ This is the public API a downstream user programs against::
 (``.result()`` blocks for the outcome).  The full surface — spec JSON,
 job lifecycle, progress events and the ``/warp/admin/repair`` HTTP
 endpoints — is documented in API.md.
+
+A repair runs while the deployment keeps serving (paper §4.3).  The
+server's one gate (:mod:`repro.repair.gate`) takes its policy from the
+repair's plan: a bounded plan queues only the requests that touch what
+it owns (202 and a ticket, re-applied after the generation switch), and
+an unbounded one serves every request and re-applies at finalize the
+runs whose inputs it changed.  Nothing configures this.
 """
 
 from __future__ import annotations
@@ -107,7 +114,12 @@ class WarpSystem:
             self.scripts, self.ttdb, self.clock, self.ids, rng=self.rng
         )
         self.runtime.recording = enabled
-        self.server = HttpServer(self.runtime, self.graph, origin=origin)
+        self.server = HttpServer(
+            self.runtime,
+            self.graph,
+            RepairGate(self.ttdb, self.graph, fault_plane=self.faults),
+            origin=origin,
+        )
         self.server.recording = enabled
         self.network = Network()
         self.network.register(origin, self.server.handle)
@@ -171,17 +183,6 @@ class WarpSystem:
         if wal is not None:
             wal.close()
         self.database.close()
-
-    def enable_online_repair(self) -> RepairGate:
-        """Install the partition-scoped write gate (repro.repair.gate):
-        while a repair runs, requests whose footprint is disjoint from the
-        repair are served live and conflicting ones are queued (202) and
-        re-applied exactly once after the generation switch.  Without
-        this, repairs keep the legacy behavior: serve everything live and
-        re-apply affected runs at finalize."""
-        self.server.gate = RepairGate(self.ttdb, self.graph)
-        self.server.gate.faults = self.faults
-        return self.server.gate
 
     def enable_detection(self):
         """Install the front-line detector (repro.detect): every routed
@@ -302,13 +303,11 @@ class WarpSystem:
             "script_versions": self._script_versions_for_save(),
             "conflicts": self.conflicts.state_list(),
             "cookie_invalidation": sorted(self.server.cookie_invalidation),
-            # Repair configuration must survive reload: a deployment that
-            # gated live traffic during repairs keeps doing so, and a
-            # token-protected admin surface must not silently reopen.
-            # (The snapshot already holds the full database — seeded user
-            # passwords included — so the token adds no new secrecy tier.)
+            # Repair configuration must survive reload: a token-protected
+            # admin surface must not silently reopen.  (The snapshot
+            # already holds the full database — seeded user passwords
+            # included — so the token adds no new secrecy tier.)
             "repair_config": {
-                "online_gate": self.server.gate is not None,
                 "admin_token": self.server.admin_token,
             },
             # The storage engine underneath survives reload too: a
@@ -414,8 +413,6 @@ class WarpSystem:
             warp._expected_script_versions = dict(state.get("script_versions", {}))
             warp.conflicts.restore(state.get("conflicts", []))
             warp.server.cookie_invalidation.update(state.get("cookie_invalidation", ()))
-            if state.get("repair_config", {}).get("online_gate"):
-                warp.enable_online_repair()
             if state.get("detection_config", {}).get("enabled"):
                 warp.enable_detection()
         return warp

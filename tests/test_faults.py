@@ -611,7 +611,7 @@ class TestPointInstrumentation:
     def test_gate_reapply_fault_leaves_entry_queued(self, tmp_path, closing):
         plane = FaultPlane()
         warp, _, _ = _wiki_warp(tmp_path, plane, closing)
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
         assert gate.faults is plane
         gate.active = True
         gate.queue.append("sentinel")

@@ -70,8 +70,12 @@ class TestRouting:
 
 class TestSuspension:
     def test_suspended_server_returns_503(self, warp):
+        # A switch that never ends within the drain bound is wedged.
         warp.server.suspended = True
-        assert warp.server.handle(request("/index.php")).status == 503
+        warp.server.switch_wait_seconds = 0.05
+        response = warp.server.handle(request("/index.php"))
+        assert response.status == 503
+        assert response.headers["X-Warp-Suspended"] == "wedged"
 
     def test_resumes_after_suspension(self, warp):
         warp.server.suspended = True

@@ -110,7 +110,7 @@ class TestPartitionKeyShape:
             def repair():
                 fixtures.repair_counters(warp)
 
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
         controllers = []
         make_controller = warp._controller
 

@@ -3,9 +3,11 @@
 Covers the tentpole and its satellites:
 
 * footprint learning and gate classification (served vs queued);
-* a mid-repair request to an untouched partition is served, one to a
-  repaired partition is queued (202 + ticket) and visibly re-applied
-  exactly once after the generation switch;
+* every deployment has the gate, and the repair's plan picks its policy:
+  during a bounded repair a mid-repair request to an untouched partition
+  is served, one to a repaired partition is queued (202 + ticket) and
+  visibly re-applied exactly once after the generation switch; during an
+  unbounded one every request is served and finalize re-applies it;
 * a queued request whose script raises is consumed as a 500 and does not
   wedge the finalize path;
 * ``pending_during_repair`` re-application follows the arrival-ts order
@@ -18,9 +20,10 @@ Covers the tentpole and its satellites:
 * every request of those interleavings, whether served, queued or issued
   after the repair, is recorded as exactly one run with the response its
   client saw;
-* without the gate (the default), the same interleavings end in the same
-  visible versions and page texts as the quiesced reference, with every
-  request recorded as exactly one uncanceled run;
+* under an unbounded plan (clustering forced futile), the same
+  interleavings are all served live and end in the same visible versions
+  and page texts as the quiesced reference, with every request recorded
+  as exactly one uncanceled run;
 * a real-thread stress smoke: 8 threads hammering the deployment during
   a repair, with every write applied exactly once and no 503s.
 """
@@ -33,7 +36,7 @@ import pytest
 
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec
-from repro.repair.gate import RepairGate
+from repro.repair.gate import FootprintIndex
 from repro.workload.loadgen import LoadClient, LoadGen, make_load_clients
 from repro.workload.scenarios import run_multi_tenant_scenario
 
@@ -90,7 +93,6 @@ class TestGateClassification:
     def test_untouched_partition_served_during_repair(self):
         outcome, clients, cookies, pages, names = _stage(seed=11)
         warp = outcome.warp
-        warp.enable_online_repair()
         statuses = []
 
         def hook():
@@ -110,7 +112,7 @@ class TestGateClassification:
     def test_repaired_partition_queued_then_reapplied_exactly_once(self):
         outcome, clients, cookies, pages, names = _stage(seed=12)
         warp = outcome.warp
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
         tickets = []
 
         def hook():
@@ -140,7 +142,7 @@ class TestGateClassification:
     def test_queued_script_raise_does_not_wedge_finalize(self):
         outcome, clients, cookies, pages, names = _stage(seed=13)
         warp = outcome.warp
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
 
         def explode(ctx):
             raise RuntimeError("boom at re-application time")
@@ -190,7 +192,6 @@ class TestGateClassification:
         RepairResult (regression: GateStats survived across begin())."""
         outcome, clients, cookies, pages, names = _stage(seed=18)
         warp = outcome.warp
-        warp.enable_online_repair()
 
         def hook():
             clients["lg1"].send(_request("lg1", cookies, pages[1], marker="a"))
@@ -211,36 +212,54 @@ class TestGateClassification:
             "apply_errors": 0,
         }
 
-    def test_global_policy_queues_disjoint_requests(self, futile_clustering):
+    def test_global_policy_serves_and_reapplies(self, futile_clustering):
         """An unscoped (monolithic) worklist cannot be bounded, so the
-        gate owns the whole application and queues every request."""
+        gate owns nothing: every request is served live, and the finalize
+        pass re-applies the write whose inputs the repair changed."""
         outcome, clients, cookies, pages, names = _stage(seed=14)
         warp = outcome.warp
-        warp.enable_online_repair()
         statuses = []
 
         def hook():
-            if len(statuses) < 2:
-                response = clients["lg1"].send(
-                    _request("lg1", cookies, pages[1], marker="g")
+            if not statuses:
+                statuses.append(
+                    clients["lg1"].send(
+                        _request("lg1", cookies, pages[1], marker="g")
+                    ).status
                 )
-                statuses.append(response.status)
+                # The attacked tenant's page: the repair rewrites it.
+                statuses.append(
+                    clients["lg0"].send(
+                        _request("lg0", cookies, pages[0], append="\nserved-mark.")
+                    ).status
+                )
 
         controller = warp._controller()
         controller.step_hook = hook
         result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
         assert result.ok
-        assert statuses and all(status == 202 for status in statuses)
-        assert result.stats.gate["served"] == 0
-        assert result.stats.gate["applied"] == result.stats.gate["queued"]
+        assert statuses == [200, 200]
+        assert result.stats.gate == {
+            "served": 2,
+            "queued": 0,
+            "applied": 0,
+            "apply_errors": 0,
+        }
+        # Served against the defaced text, re-applied onto the repaired one.
+        text = outcome.wiki.page_text(pages[0])
+        assert text.count("served-mark.") == 1
+        assert "DEFACED" not in text
 
     def test_no_footprint_means_conservative(self):
         outcome, clients, cookies, pages, names = _stage(seed=15)
         warp = outcome.warp
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
         gate.begin()
-        gate.set_scope([])  # empty plan -> own everything
-        assert gate._conflict("never-recorded.php", HttpRequest("GET", "/x")) is not None
+        unknown = HttpRequest("GET", "/x")
+        gate.set_scope([])  # no bounded plan: serve everything
+        assert gate._conflict("never-recorded.php", unknown) is None
+        gate.scoped = True  # a bounded plan that owns nothing yet
+        assert gate._conflict("never-recorded.php", unknown) is not None
         gate.active = False
 
     def test_footprint_template_resolves_wiki_sources(self):
@@ -249,8 +268,7 @@ class TestGateClassification:
         affix, and the page's current editor through a probe."""
         outcome, clients, cookies, pages, names = _stage(seed=16)
         warp = outcome.warp
-        gate = RepairGate(warp.ttdb, warp.graph)
-        predicted = gate.footprints.predict(
+        predicted = FootprintIndex(warp.graph, warp.ttdb).predict(
             "edit.php", _request("lg1", cookies, pages[1], append="\nx.")
         )
         assert predicted is not None
@@ -287,7 +305,6 @@ class TestGateClassification:
         import types
 
         from repro.db.sql.parser import parse
-        from repro.repair.gate import FootprintIndex
         from repro.ttdb.partitions import ParamToken, read_partitions
 
         outcome, clients, cookies, pages, names = _stage(seed=16, users=2, edits=2)
@@ -353,7 +370,7 @@ class TestGateClassification:
             assert canon(got) == canon(reference.predict(script, request))
 
         del statement_analyses[:]
-        gate = warp.enable_online_repair()
+        gate = warp.server.gate
         for _ in range(2):
             gate.begin()
             for script, request in requests:
@@ -364,19 +381,72 @@ class TestGateClassification:
         assert statement_analyses == ["plan", "template"]
 
 
+class TestOnePolicy:
+    def test_a_default_deployment_gates_by_its_plan(self, request):
+        """A plain ``WarpSystem()`` that configures nothing: during a
+        bounded repair a conflicting write is queued (202 + ticket) and
+        applied exactly once after the switch; once clustering is futile,
+        every mid-repair request is served."""
+        outcome, clients, cookies, pages, names = _stage(seed=19)
+        tickets = []
+
+        def queue_one():
+            if not tickets:
+                response = clients["lg0"].send(
+                    _request("lg0", cookies, pages[0], append="\nplain-mark.")
+                )
+                assert response.status == 202
+                tickets.append(int(response.headers["X-Warp-Queued"]))
+
+        controller = outcome.warp._controller()
+        controller.step_hook = queue_one
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
+        assert result.ok and tickets
+        assert outcome.warp.server.gate.response_for(tickets[0]).status == 200
+        assert outcome.wiki.page_text(pages[0]).count("plain-mark.") == 1
+        assert result.stats.gate["queued"] == result.stats.gate["applied"] == 1
+
+        request.getfixturevalue("futile_clustering")
+        outcome, clients, cookies, pages, names = _stage(seed=19)
+        statuses = []
+
+        def serve_each_page():
+            if len(statuses) < len(pages):
+                i = len(statuses)
+                response = clients[names[i]].send(
+                    _request(names[i], cookies, pages[i], append=f"\nmid-{i}.")
+                )
+                statuses.append(response.status)
+
+        controller = outcome.warp._controller()
+        controller.step_hook = serve_each_page
+        result = controller.repair_batch([CancelClientSpec(outcome.attacker_client)])
+        assert result.ok
+        assert statuses == [200] * len(pages)
+        assert result.stats.gate["queued"] == 0
+        for i, page in enumerate(pages):
+            assert outcome.wiki.page_text(page).count(f"mid-{i}.") == 1
+        assert "DEFACED" not in outcome.wiki.page_text(pages[0])
+
+
 # ---------------------------------------------------------------------------
 # pending_during_repair ordering contract (satellite)
 # ---------------------------------------------------------------------------
 
 
 class TestPendingReapplicationOrder:
-    def test_reapplied_in_arrival_ts_order_even_if_list_is_shuffled(self):
+    def test_reapplied_in_arrival_ts_order_even_if_list_is_shuffled(
+        self, futile_clustering
+    ):
         """The §4.3 re-application pass must follow arrival-ts order: the
         list is appended by request threads, so list order carries no
         guarantee.  Two appends to one page re-applied out of order would
         resurrect the first append's text over the second's."""
         outcome, clients, cookies, pages, names = _stage(seed=17)
-        warp = outcome.warp  # no gate: legacy serve-everything mode
+        # An unbounded plan: the gate serves both mid-repair appends to
+        # the attacked page (a bounded one would queue them with a
+        # ticket), so they reach the re-application pass under test.
+        warp = outcome.warp
         controller = warp._controller()
         controller._begin()
         try:
@@ -473,13 +543,11 @@ def _counts(result):
     )
 
 
-def _online_run(seed, gated=True):
+def _online_run(seed):
     rng = random.Random(seed * 6151 + 7)
     shape = {"n_tenants": rng.randint(2, 4), "users": 1, "edits": rng.randint(1, 2)}
     outcome, clients, cookies, pages, names = _stage(seed, **shape)
     warp = outcome.warp
-    if gated:
-        warp.enable_online_repair()
     ops = scripted_ops(
         random.Random(seed * 31 + 1), names, pages, n_ops=24, cookies=cookies
     )
@@ -568,14 +636,15 @@ def _request_entry(request):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_ungated_repair_under_traffic_matches_quiesced(seed):
-    """The default configuration, without the gate: every op is served
-    live during the repair, and finalize re-applies the runs the repair
-    changed (§4.3).  Clients may have seen responses the quiesced
+def test_unbounded_repair_under_traffic_matches_quiesced(seed, futile_clustering):
+    """A plan that cannot be bounded: the gate owns nothing, every op is
+    served live during the repair, and finalize re-applies the runs the
+    repair changed (§4.3).  Clients may have seen responses the quiesced
     reference does not give, and re-applied runs leave fenced versions
     behind, so neither is compared; what the final generation shows is."""
-    shape, online, result, schedule, _ = _online_run(seed, gated=False)
+    shape, online, result, schedule, _ = _online_run(seed)
     assert result.ok and not schedule.queued
+    assert result.stats.gate["queued"] == 0
     serialization = schedule.serialization()
     ref, ref_result, _ = _reference_run(seed, shape, serialization)
     assert ref_result.ok
@@ -619,7 +688,6 @@ class TestThreadStress:
             n_tenants=16, users_per_tenant=1, attacked_tenants=1, seed=77
         )
         warp = outcome.warp
-        warp.enable_online_repair()
         clients = make_load_clients(
             outcome.wiki, warp.server, [f"lg{i}" for i in range(16)]
         )

@@ -487,7 +487,6 @@ class TestWarpSystemPersistence:
         snapshot = str(tmp_path / "warp.json")
         warp.save(snapshot)
 
-        warp.enable_online_repair()
         queued_tickets = []
 
         def hook():
@@ -558,7 +557,6 @@ class TestWarpSystemPersistence:
             )
         ).status == 200
 
-        warp.enable_online_repair()
         (bystander,) = make_load_clients(wiki, warp.server, ["bys"])
         queued_tickets = []
 

@@ -1228,7 +1228,6 @@ def test_removed_config_keys_in_a_header_are_ignored(saved):
     """A snapshot written before the removed options went still loads, on
     the one path each of them now has."""
     warp, path, _ = saved
-    warp.enable_online_repair()
     warp.enable_detection()
     warp.save(path)
     add_removed_config_keys(path)

@@ -258,6 +258,37 @@ class TestVisitAndDescendants:
         assert store.visit_and_descendants("c1", 1) == [1, 3, 6]
         assert store.visit_and_descendants("c1", 4) == [4]
         assert store.visit_and_descendants("c2", 2) == [2, 5]
+        # The surviving child keeps its parent link.
+        assert store.visit_and_descendants("c1", 2) == [2, 4]
+
+    def test_a_visit_gc_dropped_cuts_the_walk(self):
+        store = self.tree()
+        # Before ts 6: c1's visit 2 and every visit of c2 (none has a run).
+        assert store.gc(horizon_ts=6) == 4
+        assert ("c1", 2) not in store.visits and "c2" not in store._client_visits
+        assert store.visit_and_descendants("c1", 1) == [1, 3, 6]
+        assert store.visit_and_descendants("c1", 2) == [2, 4]
+        assert store.visit_and_descendants("c1", 4) == [4]
+        assert not [key for key in store._visit_children if key[0] == "c2"]
+
+    @pytest.mark.parametrize(
+        "drop", [lambda s: s.enforce_client_quota(4), lambda s: s.gc(6)], ids=["quota", "gc"]
+    )
+    def test_a_trimmed_tree_walks_the_same_after_reload(self, drop, tmp_path, recover):
+        """Live and reloaded stores agree on every walk, from a dropped
+        visit's id too: the reload rebuilds child lists from the surviving
+        visits' ``parent_visit``, and the drop keeps what that rebuilds."""
+        store = self.tree()
+        drop(store)
+        path = str(tmp_path / "snapshot.json")
+        save_store(store, path)
+        loaded = recover(snapshot_path=path)
+        for client_id in ("c1", "c2"):
+            for visit_id in range(1, 7):
+                assert loaded.visit_and_descendants(
+                    client_id, visit_id
+                ) == store.visit_and_descendants(client_id, visit_id)
+        assert loaded._visit_children == store._visit_children
 
 
 class TestDurability:

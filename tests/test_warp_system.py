@@ -80,7 +80,10 @@ class TestRepeatedRepairs:
 
 
 class TestConcurrentRepair:
-    def test_mid_repair_requests_served_and_reapplied(self):
+    def test_mid_repair_requests_served_and_reapplied(self, futile_clustering):
+        # An unbounded plan: the gate serves every mid-repair request, and
+        # finalize re-applies them.  A bounded one would queue the edit of
+        # the page the repair rewrites (tests/test_online_repair.py).
         outcome = run_scenario("csrf", n_users=10, n_victims=2)
         deployment = outcome.deployment
         live_user = deployment.users[-1]
