@@ -16,38 +16,47 @@ line, byte for byte.  The store encodes a run once, when it is appended,
 and keeps the text on the record (``json_text``) so a snapshot splices it
 instead of walking the record again.
 
-The text says each fact once: a run's queries, request and response are
-positional rows (:data:`QUERY_ROW`, :data:`REQUEST_ROW`, :data:`RESPONSE_ROW`
-name the positions once), a row leaves out what the enclosing run says, a
-field at its default is not written, and neither is what another field says:
-a run's ids are written only where its ``X-Warp-*`` headers say otherwise.
+The text says each fact once (snapshot format 8): a run's line is a
+positional row of its fields (:data:`RUN_ROW`), and its queries, request
+and response are rows too (:data:`QUERY_ROW`, :data:`REQUEST_ROW`,
+:data:`RESPONSE_ROW` name the positions once).  A row leaves out what the
+enclosing run says, a field at its default is not written, and neither is
+what another field says: the members after a run's queries — its end time,
+its nondet records, its ids and whether it was canceled — are written only
+up to the last that is not what its reader derives: the end time
+``AppRuntime.execute`` gives a run, none, what its ``X-Warp-*`` headers say,
+not canceled.
 
-It says each fact once across runs too (snapshot formats 6 and 7).  Encoded
-against the store's :class:`~repro.core.serialize.TextTable`, a line holds
-ids where the response body and the loaded files were, and each query is a
-row ``[qid, ts, <sql id>, <row id>]``: ids of ``text`` entries the store
-writes once, before the first line that needs them, in the same segment
-(the snapshot plus the WAL after its marker).  The row id names the row
-entry holding the row's *payload* (params to write sets), a raw JSON array
-— so the lookups and page reads a history repeats are written once per
-segment, not once per run.  Records hold the full values; only lines refer.
+It says each fact once across runs too.  Encoded against the store's
+:class:`~repro.core.serialize.TextTable`, a line holds ids where the
+response body and the loaded files were, and each query is a row
+``[qid, ts, <sql id>, <row id>]`` — or ``[<sql id>, <row id>]`` after the
+first when its qid and its ts are each one more than the previous row's,
+as they are in a run served alone; runs that interleave keep full rows.
+The ids are of ``text`` entries the store writes once, before the first
+line that needs them, in the same segment (the snapshot plus the WAL after
+its marker).  The row id names the row entry holding the row's *payload*
+(params to write sets), a raw JSON array — so the lookups and page reads a
+history repeats are written once per segment, not once per run.  Records
+hold the full values; only lines refer.
 
-The reader takes that shape and no other: :func:`check_written_shape`
-refuses the lines older builds wrote, all of which key the request.  Encoded
-with no table, a run is its line with every text inline, which only the
+The reader takes that shape and no other: a keyed run line, which every
+format before 8 wrote, is refused by name.  Encoded with no table, a run is
+its line with every text inline and every row's qid and ts, which only the
 keyed view :meth:`AppRunRecord.to_dict` reads.
 
-A visit's lines follow the same rules (format 7): a visit is a row of its
-fields in order (:data:`VISIT_ROW`), its events rows (:data:`EVENT_ROW`),
-each line that extends it a row too (:data:`DELTA_ROWS`), trailing defaults
-left off, and its client id, URL and event xpaths ids of ``text`` entries.
-Format 6 and every format before it keyed a visit's lines; the reader
-refuses them by name.
+A visit's lines follow the same rules (format 7, which format 8 kept): a
+visit is a row of its fields in order (:data:`VISIT_ROW`), its events rows
+(:data:`EVENT_ROW`), each line that extends it a row too
+(:data:`DELTA_ROWS`), trailing defaults left off, and its client id, URL
+and event xpaths ids of ``text`` entries.  Format 6 and every format before
+it keyed a visit's lines; the reader refuses them by name.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -125,8 +134,23 @@ _request_row, _response_row = attrgetter(*REQUEST_ROW), attrgetter(*RESPONSE_ROW
 _BODY = RESPONSE_ROW.index("body")
 _REQUEST_DEFAULTS = _request_row(HttpRequest("GET", "/"))[REQUEST_ROW.index("params") :]
 _RESPONSE_DEFAULTS = _response_row(HttpResponse())[_BODY + 1 :]
-#: The ids a line writes only where they differ from :func:`_header_ids`.
-_IDS = ("client_id", "visit_id", "request_id")
+
+#: The positions of a run's line (format 8): the one place a run's layout is
+#: written — writer, reader and keyed view all go through it, each name
+#: spelled here only.  Every line writes the members up to its queries'
+#: rows; the ones after them a run usually leaves at what its reader derives
+#: (:func:`_derived`), and the line stops after the last that is not.
+RUN_ROW = (
+    "run_id", "ts_start", "script", "loaded_files", "request", "response", "queries",
+    "ts_end", "nondet", "client_id", "visit_id", "request_id", "canceled",
+)  # fmt: skip
+_run_row = attrgetter(*RUN_ROW)
+#: Each member's position, by its name.
+_AT = namedtuple("RunPositions", RUN_ROW)(*range(len(RUN_ROW)))
+_LOADED, _REQUEST, _RESPONSE = _AT.loaded_files, _AT.request, _AT.response
+_QUERIES, _NONDET = _AT.queries, _AT.nondet
+#: The members a line may leave to its reader, as :func:`_derived` gives them.
+_Derived = namedtuple("RunDerived", RUN_ROW[_QUERIES + 1 :])
 
 
 def _same(value, default) -> bool:
@@ -150,6 +174,28 @@ def _header_ids(request: HttpRequest) -> tuple:
         return request.client_id, request.visit_id, request.request_id
     except (TypeError, ValueError):
         return None, None, None
+
+
+def _derived(ts_start: int, queries: list, request: HttpRequest) -> tuple:
+    """What the reader of a run line takes each member after the queries'
+    rows to be when the line stops before it: the end time
+    ``AppRuntime.execute`` gives a run (its queries' ts only grow), no
+    nondet record, the ids the request's headers say, not canceled."""
+    client_id, visit_id, request_id = _header_ids(request)
+    return _Derived(
+        ts_end=max(ts_start, queries[-1].ts) if queries else ts_start,
+        nondet=[],
+        client_id=client_id,
+        visit_id=visit_id,
+        request_id=request_id,
+        canceled=False,
+    )
+
+
+def _follows(query: "QueryRecord", previous: Optional["QueryRecord"]) -> bool:
+    """Whether ``query``'s row may leave out its qid and ts: each is one
+    more than the ``previous`` row's."""
+    return previous is not None and query.qid == previous.qid + 1 and query.ts == previous.ts + 1
 
 
 def _keyed_query(row: list, run_id: int, seq: int) -> dict:
@@ -211,13 +257,15 @@ class QueryRecord:
         return [*row[:_SQL], texts.ref(row[_SQL]), texts.ref(_dumps(row[_SQL + 1 :]), row=True)]
 
     @classmethod
-    def from_wire(cls, row: list, run_id: int, seq: int, memo: DecodeMemo) -> "QueryRecord":
-        """Rebuild a query from a row of a run's ``queries``,
-        ``[qid, ts, <sql id>, <row id>]``: ``run_id`` and ``seq`` are the
-        enclosing run's id and the row's index.  Queries decoded through
-        one ``memo`` share everything but their identity: the payload is
-        built once per distinct ``(sql id, row id)``."""
-        qid, ts, sql, ref = row
+    def from_wire(
+        cls, qid: int, ts: int, row: list, run_id: int, seq: int, memo: DecodeMemo
+    ) -> "QueryRecord":
+        """Rebuild query ``qid`` at ``ts`` from a row of a run's ``queries``,
+        whose last two members are ``<sql id>, <row id>``: ``run_id`` and
+        ``seq`` are the enclosing run's id and the row's index.  Queries
+        decoded through one ``memo`` share everything but their identity:
+        the payload is built once per distinct ``(sql id, row id)``."""
+        sql, ref = row[-2], row[-1]
         key = (cls, sql, ref)
         payload = memo.built.get(key)
         if payload is None:
@@ -302,53 +350,43 @@ class AppRunRecord:
             return (self.client_id, self.visit_id)
         return None
 
-    def _frame(self, rows: list, texts: Optional[TextTable]) -> Tuple[dict, dict]:
-        """The line's members up to ``queries`` — which is ``rows`` — and
-        the five after it, written only when they say something the rest of
-        the line does not: the one place a run's key order is written."""
-        loaded = self.loaded_files
+    def _line(self, rows: list, texts: Optional[TextTable]) -> list:
+        """This run's line as a :data:`RUN_ROW` row, ``rows`` where its
+        queries' rows go: the request and response as rows, against
+        ``texts`` the body's and the loaded files' ids, and no member after
+        the rows that its reader derives the same (:func:`_derived`)."""
+        line = list(_run_row(self))
+        request = _trimmed(list(_request_row(self.request)), _REQUEST_DEFAULTS)
         response = _trimmed(list(_response_row(self.response)), _RESPONSE_DEFAULTS)
         if texts is not None:
             response[_BODY] = texts.ref(response[_BODY])
-            loaded = texts.ref(_dumps(loaded))
-        head = {
-            "run_id": self.run_id,
-            "ts_start": self.ts_start,
-            "ts_end": self.ts_end,
-            "script": self.script,
-            "loaded_files": loaded,
-            "request": _trimmed(list(_request_row(self.request)), _REQUEST_DEFAULTS),
-            "response": response,
-            "queries": rows,
-        }
-        tail = {}
-        if self.nondet:
-            tail["nondet"] = [list(_nondet_row(record)) for record in self.nondet]
-        for name, said in zip(_IDS, _header_ids(self.request)):
-            if not _same(value := getattr(self, name), said):
-                tail[name] = value
-        if self.canceled:
-            tail["canceled"] = True
-        return head, tail
+            line[_LOADED] = texts.ref(_dumps(line[_LOADED]))
+        line[_REQUEST], line[_RESPONSE], line[_QUERIES] = request, response, rows
+        line[_NONDET] = [list(_nondet_row(record)) for record in self.nondet]
+        return _trimmed(line, _derived(self.ts_start, self.queries, self.request))
 
-    def to_wire(self, texts: Optional[TextTable] = None) -> dict:
+    def to_wire(self, texts: Optional[TextTable] = None) -> list:
         """The tree whose ``json.dumps`` is :meth:`encode` — no defensive
         copies, tuples left for the encoder (see :meth:`QueryRecord.to_row`)."""
-        head, tail = self._frame(rows := [], texts)  # the body's id first, as encode
-        rows.extend(query.to_row(texts) for query in self.queries)
-        return {**head, **tail}
+        line = self._line(rows := [], texts)  # the body's id first, as encode
+        previous = None
+        for query in self.queries:
+            row = query.to_row(texts)
+            rows.append(row[_SQL:] if texts is not None and _follows(query, previous) else row)
+            previous = query
+        return line
 
     def encode(self, texts: Optional[TextTable] = None) -> str:
         """This run's compact JSON text: the ``data`` of its WAL line and
         of its snapshot line against the store's ``texts``; without, the
-        line with every text inline (what :meth:`to_dict` reads).
-        Assembled: a row is its qid, ts and SQL, then its payload text —
-        which queries recorded from one statement-cache payload share:
-        encoded for the first, kept with the payload, so a hit encodes
-        nothing — and the rows are spliced between the members around
-        ``queries``."""
-        head, tail = self._frame([], texts)
-        parts = []
+        line with every text inline and every row's qid and ts (what
+        :meth:`to_dict` reads).  Assembled: a row is its qid, ts and SQL,
+        then its payload text — which queries recorded from one
+        statement-cache payload share: encoded for the first, kept with the
+        payload, so a hit encodes nothing — and the rows are spliced between
+        the members around ``queries``."""
+        line = self._line([], texts)
+        parts, previous = [], None
         for query, payload in zip(self.queries, self.payloads or repeat(None)):
             if payload is None:
                 text = payload_text(query)
@@ -359,96 +397,91 @@ class AppRunRecord:
             if texts is None:
                 parts.append(f"[{query.qid},{query.ts},{_dumps(query.sql)},{text[1:]}")
             else:
-                sql = texts.ref(query.sql)
-                parts.append(f"[{query.qid},{query.ts},{sql},{texts.ref(text, row=True)}]")
-        line = _dumps(head)[:-2] + ",".join(parts)  # head ends with an empty queries member
-        return line + ("]," + _dumps(tail)[1:] if tail else "]}")
+                refs = f"{texts.ref(query.sql)},{texts.ref(text, row=True)}]"
+                follows = _follows(query, previous)
+                parts.append("[" + refs if follows else f"[{query.qid},{query.ts},{refs}")
+            previous = query
+        head, tail = line[: _QUERIES + 1], line[_QUERIES + 1 :]
+        text = _dumps(head)[:-2] + ",".join(parts)  # head ends with the empty rows member
+        return text + ("]," + _dumps(tail)[1:] if tail else "]]")
 
     def to_dict(self) -> dict:
         """The keyed, self-describing view (plain JSON, fresh containers):
         what the text says with every field by name — all thirteen run
         keys, all fourteen of each query, the request's and response's
         members — whether or not the text spells them out."""
-        data = {"nondet": [], "canceled": False}
-        data.update(json.loads(self.encode()))
-        data.update((name, getattr(self, name)) for name in _IDS)
-        data["request"], data["response"] = self.request.to_dict(), self.response.to_dict()
-        rows = data["queries"]
-        data["queries"] = [_keyed_query(row, self.run_id, seq) for seq, row in enumerate(rows)]
-        data["nondet"] = [dict(zip(NONDET_ROW, row)) for row in data["nondet"]]
-        return data
+        line = json.loads(self.encode())
+        line += [getattr(self, name) for name in RUN_ROW[len(line) :]]  # what it derives
+        line[_REQUEST], line[_RESPONSE] = self.request.to_dict(), self.response.to_dict()
+        line[_QUERIES] = [
+            _keyed_query(row, self.run_id, seq) for seq, row in enumerate(line[_QUERIES])
+        ]
+        line[_NONDET] = [dict(zip(NONDET_ROW, row)) for row in line[_NONDET]]
+        return dict(zip(RUN_ROW, line))
 
     @classmethod
     def from_dict(
-        cls, data: dict, json_text: Optional[str] = None, memo: Optional[DecodeMemo] = None
+        cls, data: list, json_text: Optional[str] = None, memo: Optional[DecodeMemo] = None
     ) -> "AppRunRecord":
-        """Rebuild a run from its decoded line, which must be in the shape
-        :meth:`encode` writes against a text table
-        (:func:`check_written_shape`).  ``json_text`` is the text ``data``
-        was decoded from, when the caller still has it, and is kept.
-        ``memo`` is the caller's when it decodes many records, which then
-        share what they have in common — and holds the ``text`` entries the
-        line refers to."""
-        check_written_shape(data)
+        """Rebuild a run from its decoded line, which must be the row
+        :meth:`encode` writes against a text table: a keyed line, which
+        every format before 8 wrote, is refused by name.  ``json_text`` is
+        the text ``data`` was decoded from, when the caller still has it,
+        and is kept.  ``memo`` is the caller's when it decodes many records,
+        which then share what they have in common — and holds the ``text``
+        entries the line refers to."""
+        line = _row(data, "run")
         memo = memo or DecodeMemo()
-        text, texts, run_id = memo.text, memo.texts, data["run_id"]
-        request = HttpRequest.from_dict(dict(zip(REQUEST_ROW, data["request"])), texts)
-        response = HttpResponse.from_dict(dict(zip(RESPONSE_ROW, data["response"])), texts)
+        text, texts, run_id = memo.text, memo.texts, line[_AT.run_id]
+        request = HttpRequest.from_dict(dict(zip(REQUEST_ROW, line[_REQUEST])), texts)
+        response = HttpResponse.from_dict(dict(zip(RESPONSE_ROW, line[_RESPONSE])), texts)
         response.body = memo.literal(response.body)
-        client_id, visit_id, request_id = [
-            data.get(name, said) for name, said in zip(_IDS, _header_ids(request))
-        ]
+        queries, qid, ts = [], None, None
+        for seq, row in enumerate(line[_QUERIES]):
+            if len(row) == 2:  # its two text ids alone: it follows the previous row
+                qid, ts = qid + 1, ts + 1
+            else:
+                qid, ts = row[0], row[1]
+            queries.append(QueryRecord.from_wire(qid, ts, row, run_id, seq, memo))
+        tail = _derived(line[_AT.ts_start], queries, request)
+        if len(line) > _QUERIES + 1:
+            tail = _Derived(*line[_QUERIES + 1 :], *tail[len(line) - _QUERIES - 1 :])
         return cls(
             run_id=run_id,
-            ts_start=data["ts_start"],
-            ts_end=data["ts_end"],
-            script=text(data["script"]),
-            loaded_files=memo.mapping(data["loaded_files"]),
+            ts_start=line[_AT.ts_start],
+            ts_end=tail.ts_end,
+            script=text(line[_AT.script]),
+            loaded_files=memo.mapping(line[_LOADED]),
             request=request,
             response=response,
-            queries=[
-                QueryRecord.from_wire(row, run_id, seq, memo)
-                for seq, row in enumerate(data["queries"])
-            ],
+            queries=queries,
             nondet=[
-                NondetRecord(func, seq, decode_tree(value))
-                for func, seq, value in data.get("nondet", ())
+                NondetRecord(func, seq, decode_tree(value)) for func, seq, value in tail.nondet
             ],
-            client_id=text(client_id),
-            visit_id=visit_id,
-            request_id=request_id,
-            canceled=data.get("canceled", False),
+            client_id=text(tail.client_id),
+            visit_id=tail.visit_id,
+            request_id=tail.request_id,
+            canceled=tail.canceled,
             json_text=json_text,
         )
 
 
-def check_written_shape(data: dict) -> None:
-    """Refuse run line ``data`` unless it is in the shape
-    :meth:`AppRunRecord.encode` writes against a text table.  Every run
-    line of formats 1-5 keys its request; read as a row, its keys would be
-    taken for the method and the path."""
-    if isinstance(data["request"], dict):
-        raise ReproError(
-            f"run {data['run_id']!r} is in a retired shape: its request is keyed; "
-            f"{UPGRADE_ROUTE}"
-        )
-
-
-def text_refs(data: dict) -> List[int]:
+def text_refs(data: list) -> List[int]:
     """The ids of the ``text`` entries run line ``data`` refers to, as the
-    store writes it: its body's, its loaded files', then each
-    row's SQL text's and payload's — read off the line, nothing re-encoded."""
-    refs = [data["response"][_BODY], data["loaded_files"]]
-    for row in data["queries"]:
-        refs += row[_SQL:]
+    store writes it: its body's, its loaded files', then each row's SQL
+    text's and payload's (a row's last two members) — read off the line,
+    nothing re-encoded."""
+    refs = [data[_RESPONSE][_BODY], data[_LOADED]]
+    for row in data[_QUERIES]:
+        refs += row[-2:]
     return refs
 
 
-def _row(data) -> list:
-    """``data`` of a visit's line, which must be a row: format 6 and every
-    format before it keyed it."""
+def _row(data, kind: str = "visit") -> list:
+    """``data`` of a ``kind`` line, which must be a row: every format before
+    8 keyed a run's line, and format 6 and every one before it a visit's."""
     if not isinstance(data, list):
-        raise ReproError(f"a visit line is in a retired shape: it is keyed; {UPGRADE_ROUTE}")
+        raise ReproError(f"a {kind} line is in a retired shape: it is keyed; {UPGRADE_ROUTE}")
     return data
 
 
@@ -572,7 +605,7 @@ DELTA_ROWS = {
 }
 assert all(layout[:2] == VISIT_ROW[:2] for layout in DELTA_ROWS.values())
 #: Every line kind that is a row, by its layout.
-ROW_LAYOUTS = {"visit": VISIT_ROW, **DELTA_ROWS}
+ROW_LAYOUTS = {"run": RUN_ROW, "replace_run": RUN_ROW, "visit": VISIT_ROW, **DELTA_ROWS}
 _event_row, _visit_row = attrgetter(*EVENT_ROW), attrgetter(*VISIT_ROW)
 _CLIENT, _URL, _EVENTS = map(VISIT_ROW.index, ("client_id", "url", "events"))
 _XPATH = EVENT_ROW.index("xpath")

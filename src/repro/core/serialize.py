@@ -5,7 +5,7 @@ bool, None) arranged in tuples, frozensets and dicts.  JSON has no tuple
 or set, so encoding flattens both to lists and decoding rebuilds the
 original container shapes; the record types know *which* shape each field
 expects and call the matching decoder.  The text table and decode memo
-below are snapshot format 7's, the one format a build reads.
+below are snapshot format 8's, the one format a build reads.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ def decode_pairs(items: Iterable[list]) -> frozenset:
 
 
 #: What a refusal of a file or line in a retired shape says about it: which
-#: build still reads it.  No build converts a file to format 7.
+#: build still reads it.  No build converts a file to format 8.
 UPGRADE_ROUTE = (
-    "this build reads format 7 only and converts no older file; commit 37f403a "
-    "is the last that reads format 6, commit 0226ea7 the last that reads format 5, "
-    "commit 812ecd4 the last that reads formats 1-4"
+    "this build reads format 8 only and converts no older file; commit 58a6dff "
+    "is the last that reads format 7, commit 37f403a the last that reads format 6, "
+    "commit 0226ea7 the last that reads format 5, commit 812ecd4 the last that "
+    "reads formats 1-4"
 )
 
 #: A :class:`DecodeMemo` shares strings up to this long.  Longer ones (page
@@ -67,7 +68,7 @@ def exact_key(raw) -> bytes:
 
 
 class TextTable:
-    """The ``text`` entries of one log segment (snapshot format 7, DESIGN.md
+    """The ``text`` entries of one log segment (snapshot format 8, DESIGN.md
     "Durability"): each distinct response body, set of loaded files, SQL
     text and row payload (a query's fields after its SQL, as a compact JSON
     array) a run line needs, and each client id, URL and event xpath a visit

@@ -36,7 +36,7 @@ too — the gate queue, repair jobs, incidents — lives in three instances of
 one :class:`JournaledTable`.
 
 The store owns the log's :class:`~repro.core.serialize.TextTable` (snapshot
-format 7): a run, a visit or a visit's delta is encoded against it under the
+format 8): a run, a visit or a visit's delta is encoded against it under the
 store lock, and the ``text`` entries the encoding defined are journaled just
 before its line, so WAL order always puts an entry ahead of every line that
 refers to it, however many threads first-use the same body, SQL text, row
@@ -1034,7 +1034,7 @@ class RecordStore:
             yield entry_line("patch", patch.encode())
 
     def commit_snapshot(self, path: str, payload: dict) -> str:
-        """Write a format-7 snapshot (:mod:`repro.store.snapshot`) — the
+        """Write a format-8 snapshot (:mod:`repro.store.snapshot`) — the
         header is ``payload`` plus a fresh ``snapshot_id``, the text-id
         counter (``ids.text``), the pending state and the record counts,
         the lines are the records — under the

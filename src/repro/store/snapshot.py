@@ -1,14 +1,14 @@
 """Snapshot files: one header line, then one journal-shaped line per record.
 
-**Format 7** (what :meth:`RecordStore.commit_snapshot` writes)::
+**Format 8** (what :meth:`RecordStore.commit_snapshot` writes)::
 
-    {"version":7,...,"ids":{...,"text":N},...,"records":{"text":T,"visit":V,"run":R,"patch":P}}
+    {"version":8,...,"ids":{...,"text":N},...,"records":{"text":T,"visit":V,"run":R,"patch":P}}
     {"kind":"text","data":{"id":1,"text":"<html>..."}}
     {"kind":"text","data":{"id":2,"text":"{\\"edit.php\\":0}"}}
     {"kind":"text","data":{"id":4,"row":[["Home"],"select",...]}}
     {"kind":"text","data":{"id":5,"text":"alice-laptop"}}
     {"kind":"visit","data":[5,1,4,6,{"http://wiki.test":{}},2,"GET",{},false,[["click",7]]]}
-    {"kind":"run","data":{...,"loaded_files":2,"request":["GET","/edit.php",...],"response":[1],"queries":[[q,ts,3,4]]}}
+    {"kind":"run","data":[9,40,"edit.php",2,["GET","/edit.php",...],[1],[[q,ts,3,4],[3,8]]]}
     {"kind":"patch","data":{...}}
 
 The header is an ordinary JSON object (the C ``json.dumps``, one call);
@@ -22,24 +22,27 @@ cut short at a line boundary is refused like one cut mid-line.
 Each response body, set of loaded files, SQL text and row payload, and
 each client id, URL and event xpath, is written once, as a ``text`` entry,
 and a run or visit line holds its id instead (:mod:`repro.ahg.records`,
-which also leaves out whatever its reader can derive): a row is
-``[qid, ts, <sql id>, <row id>]``, the row id naming the *row* entry whose
-array is the payload, written raw; a visit is a positional row
-(:data:`~repro.ahg.records.VISIT_ROW`).  The **segment invariant**: every
+which also leaves out whatever its reader can derive): a run is a
+positional row (:data:`~repro.ahg.records.RUN_ROW`), and so is each of
+its queries, ``[qid, ts, <sql id>, <row id>]`` — ``[<sql id>, <row id>]``
+when its qid and ts each follow the previous row's by one — the row id
+naming the *row* entry whose array is the payload, written raw; a visit
+is a positional row (:data:`~repro.ahg.records.VISIT_ROW`).  The **segment invariant**: every
 id a line refers to is defined by an entry earlier in the same segment —
 the snapshot plus the WAL after its marker.  The snapshot holds exactly the
 entries its runs and visits refer to, before the visit and run lines; the
 WAL journals an entry just before the first line after the marker that
 needs it.  Ids are never reused: ``ids.text`` in the header is the counter.
 On the ``wiki_py`` benchmark workload format 4 took the WAL from 1,898 to
-1,356 bytes per request, format 5 to 899 and format 6 to 724; format 7
-left run lines as format 6 wrote them and took ``browser_csrf`` from 1,590
-to 1,283.
+1,356 bytes per request, format 5 to 899, format 6 to 724 and format 8
+to 594; format 7 left run lines as format 6 wrote them and took
+``browser_csrf`` from 1,590 to 1,283.
 
-A build reads the format it writes: formats 1-6 are refused by version,
-and no build converts a file to format 7.  Commit 37f403a is the last that
-reads format 6, commit 0226ea7 the last that reads format 5 and commit
-812ecd4 the last that reads formats 1-4.
+A build reads the format it writes: formats 1-7 are refused by version,
+and no build converts a file to format 8.  Commit 58a6dff is the last that
+reads format 7, commit 37f403a the last that reads format 6, commit
+0226ea7 the last that reads format 5 and commit 812ecd4 the last that
+reads formats 1-4.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from repro.core.errors import ReproError
 from repro.core.serialize import COMPACT, UPGRADE_ROUTE
 from repro.store.wal import decode_line
 
-FORMAT = 7
+FORMAT = 8
 
 #: The kinds of line a snapshot holds after its header, in file order.
 RECORD_KINDS = ("text", "visit", "run", "patch")
@@ -107,7 +110,7 @@ class SnapshotReader:
             raise self._refuse("the header line is not a JSON object")
         # Only a bare store's format-1 image predates the version field.
         version = header.get("version", 1)
-        if version in (1, 2, 3, 4, 5, 6):
+        if version in (1, 2, 3, 4, 5, 6, 7):
             raise self._refuse(f"format {version} is retired; {UPGRADE_ROUTE}")
         if version != FORMAT:
             raise self._refuse(f"unsupported format version {version!r}")

@@ -37,7 +37,7 @@ once the fault clears; while the disk stays sick the commit parks its
 batch behind the earlier ones.  A commit that fails any other way (an
 injected in-process error) raises to its waiter and leaves its batch
 buffered, so no entry is ever dropped while the process lives — a later
-line may refer to it (a ``text`` entry, snapshot format 7).
+line may refer to it (a ``text`` entry, snapshot format 8).
 
 Fault points fired here: ``wal.append`` (before each physical write) and
 ``wal.fsync`` (before each fsync).  A ``torn`` fault persists a prefix
@@ -558,9 +558,10 @@ class RecordWal:
     @staticmethod
     def entries(path: str) -> Iterator[Tuple[str, dict]]:
         """Yield ``(kind, data)`` for every intact entry in ``path`` —
-        "intact" meaning exactly what :meth:`repair` keeps — a visit's line
-        keyed by its row's layout (:func:`~repro.ahg.records.keyed_line`),
-        for a reader that is not the store."""
+        "intact" meaning exactly what :meth:`repair` keeps — a run's or a
+        visit's line keyed by its row's layout
+        (:func:`~repro.ahg.records.keyed_line`), for a reader that is not
+        the store."""
         for entry, _ in RecordWal._intact_lines(path):
             if entry is not None:
                 yield entry[0], keyed_line(*entry[:2])

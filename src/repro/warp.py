@@ -284,7 +284,7 @@ class WarpSystem:
         repairing.  Saving while a repair generation is active is refused:
         an in-flight repair does not survive a restart, it is re-run.
 
-        The file is a format-7 snapshot (:mod:`repro.store.snapshot`):
+        The file is a format-8 snapshot (:mod:`repro.store.snapshot`):
         the state below is its header line, and the store appends the
         graph — pending state into the header, one line per record after
         it — under its lock.
@@ -363,7 +363,7 @@ class WarpSystem:
 
         The history is built with the cyclic collector paused
         (:func:`repro.store.snapshot.gc_paused`) and a snapshot's records
-        are streamed in one line at a time.  A file that is not a format-7
+        are streamed in one line at a time.  A file that is not a format-8
         snapshot, or does not hold the records its header promises, and a
         WAL line this build does not write raise
         :class:`~repro.core.errors.ReproError` naming the file — an older

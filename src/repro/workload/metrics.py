@@ -16,21 +16,23 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.ahg.records import text_refs, visit_text_refs
+from repro.ahg.records import RUN_ROW, text_refs, visit_text_refs
 from repro.core.serialize import COMPACT
 from repro.store.wal import entry_line
 from repro.workload.scenarios import WIKI, WikiDeployment
 
 #: The three logs of Table 6's storage column.
 LAYERS = ("browser", "app", "db")
+#: Where a run line's member the database log is billed for sits in its row.
+_QUERIES = RUN_ROW.index("queries")
 
 
 def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
     """``(layer, text)`` for every byte the store writes for ``graph``'s
     visits and runs — their snapshot lines, which are their WAL lines, and
     each ``text`` entry they refer to, once.  A visit's line is the browser
-    log; a run's line is split where the codec splits it: the ``queries``
-    member (the rows) is the database log, the line around it the
+    log; a run's line is split where the codec splits it: its ``queries``
+    member (the rows) is the database log, the row around it the
     application log.  A client id's, a URL's and an xpath's entries are
     billed to the browser log; a response body's and a set of loaded files'
     to the application log; an SQL text's and a row payload's to the
@@ -51,10 +53,10 @@ def record_log_texts(graph) -> Iterator[Tuple[str, str]]:
         billed.setdefault(loaded, "app")
         for ident in refs:
             billed.setdefault(ident, "db")
-        rows = json.dumps(line.pop("queries"), separators=COMPACT)
+        rows = json.dumps(line.pop(_QUERIES), separators=COMPACT)
         yield "app", entry_line("run", json.dumps(line, separators=COMPACT))
-        # The member, and the comma that joined it to its neighbours.
-        yield "db", f'"queries":{rows},'
+        # The member, and the comma that joined it to a neighbour.
+        yield "db", f"{rows},"
     for ident, layer in billed.items():
         yield layer, entry_line("text", texts.entry(ident))
 

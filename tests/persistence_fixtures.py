@@ -3,16 +3,22 @@
 ``golden_run()`` is the fixed run whose journal lines are pinned byte for
 byte, once per shape the codec has written:
 
-* ``fixtures/wal_run_lines.format6.golden`` — the lines this build writes:
+* ``fixtures/wal_run_lines.format8.golden`` — the lines this build writes:
   the ``text`` entries of the body, the loaded files, the two SQL texts and
-  the two row payloads (row entries, their arrays raw), then a run line of
-  ids and rows that writes nothing its reader can derive.  Format 7 left a
-  run's lines as format 6 wrote them, so the file keeps its name.
-  ``python tests/persistence_fixtures.py`` regenerates it and the visit
-  golden below, and ``--check`` (a tier-1 CI step) regenerates both into a
-  temporary directory and fails, naming the file, unless each is
-  byte-identical to the committed one — so a codec change cannot land
-  without its golden, nor a golden without a codec change.
+  the two row payloads (row entries, their arrays raw), then a run line
+  that is a positional row of ids and rows (``records.RUN_ROW``) and writes
+  nothing its reader can derive: no member name, no id the request headers
+  say, no end time the queries say, and no qid or ts of a row that follows
+  the one before it by one.  ``python tests/persistence_fixtures.py``
+  regenerates it and the visit golden below, and ``--check`` (a tier-1 CI
+  step) regenerates both into a temporary directory and fails, naming the
+  file, unless each is byte-identical to the committed one — so a codec
+  change cannot land without its golden, nor a golden without a codec
+  change.
+* ``fixtures/wal_run_lines.format6.golden`` — the lines formats 6 and 7
+  wrote: keyed run lines, every query row ``[qid, ts, <sql id>, <row id>]``
+  (written at 00ace47, which introduced format 6, and unchanged up to
+  58a6dff, the last commit to write it).
 * ``fixtures/wal_run_lines.format5.golden`` — the lines format 5 wrote:
   keyed request and response, every id spelled out, payloads as escaped
   strings (written at a3652cd, which introduced it, and unchanged up to
@@ -27,27 +33,29 @@ byte, once per shape the codec has written:
 * ``fixtures/wal_run_lines.golden`` — the keyed lines ebe3011–29d2bb9
   wrote (written at ebe3011).
 
-Nothing writes the last four any more, and this build reads none of them:
+Nothing writes the last five any more, and this build reads none of them:
 they are the inputs its refusal of a retired line shape is tested on.
 
 ``golden_visit()`` is the fixed visit whose journal lines, as the extension
 uploads it — the visit, then its deltas — are pinned the same way in
 ``fixtures/wal_visit_lines.format7.golden``: the ``text`` entries of its
 client id, URL and xpaths, each just before the first line that refers to
-it, and positional rows that spell no key.
+it, and positional rows that spell no key.  Format 8 left a visit's lines
+as format 7 wrote them, so the file keeps its name.
 
-``format1_workload()`` is the small wiki deployment whose format-7
-snapshot is committed as ``fixtures/warp_format7.json`` (written by
+``format1_workload()`` is the small wiki deployment whose format-8
+snapshot is committed as ``fixtures/warp_format8.json`` (written by
 running ``format1_workload()[0].save(...)`` with the build that
-introduced format 7), with the ``RepairStats`` counters its common.php
+introduced format 8), with the ``RepairStats`` counters its common.php
 repair produced in ``fixtures/warp_format1.counters.json`` — the counters
 the same workload has repaired to in every format since ebe3011 wrote it
 as format 1.  ``--check`` loads the snapshot and fails unless it holds the
 graph ``format1_workload()`` builds today and repairs to those counters,
-so a change that stops a committed format-7 file from loading, or changes
-what it repairs to, fails by name.  ``fixtures/warp_format6.json`` (the
-same workload saved at 37f403a) and ``fixtures/warp_format5.json`` (saved
-at 812ecd4) are kept as refusal inputs only.
+so a change that stops a committed format-8 file from loading, or changes
+what it repairs to, fails by name.  ``fixtures/warp_format7.json`` (the
+same workload saved at 58a6dff), ``fixtures/warp_format6.json`` (saved at
+37f403a) and ``fixtures/warp_format5.json`` (saved at 812ecd4) are kept as
+refusal inputs only.
 
 Tests import the builders from here so the inputs cannot drift from the
 files.
@@ -79,8 +87,10 @@ from repro.ttdb.partitions import ReadSet
 from repro.warp import WarpSystem
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-#: ``golden_lines()`` as this build writes it (text entries, rows of ids) ...
-GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format6.golden")
+#: ``golden_lines()`` as this build writes it (text entries, a positional row) ...
+GOLDEN_TEXTS = os.path.join(HERE, "wal_run_lines.format8.golden")
+#: ... as formats 6 and 7 wrote it (keyed run line, rows of ids) ...
+GOLDEN_FORMAT6 = os.path.join(HERE, "wal_run_lines.format6.golden")
 #: ... as format 5 wrote it (keyed request, payloads escaped) ...
 GOLDEN_FORMAT5 = os.path.join(HERE, "wal_run_lines.format5.golden")
 #: ... as format 4 wrote it (body and SQL ids, payloads inline) ...
@@ -91,6 +101,7 @@ GOLDEN_ROWS = os.path.join(HERE, "wal_run_lines.format3.golden")
 GOLDEN_LINES = os.path.join(HERE, "wal_run_lines.golden")
 #: ``golden_visit_lines()`` as this build writes it.
 GOLDEN_VISIT = os.path.join(HERE, "wal_visit_lines.format7.golden")
+FORMAT8_SNAPSHOT = os.path.join(HERE, "warp_format8.json")
 FORMAT7_SNAPSHOT = os.path.join(HERE, "warp_format7.json")
 FORMAT6_SNAPSHOT = os.path.join(HERE, "warp_format6.json")
 FORMAT5_SNAPSHOT = os.path.join(HERE, "warp_format5.json")
@@ -288,12 +299,12 @@ def golden_lines(directory: str) -> bytes:
 def text_refs(kind: str, data: dict) -> set:
     """The text ids a journal entry, keyed as ``RecordWal.entries`` reads it,
     refers to: a run line's body and loaded files, and the SQL text and
-    payload of each row; a visit line's or a delta's client id, a visit's
-    URL and the xpath of each event it holds or adds."""
+    payload of each row (its last two members); a visit line's or a delta's
+    client id, a visit's URL and the xpath of each event it holds or adds."""
     if kind in ("run", "replace_run"):
         items = {data["response"][RESPONSE_ROW.index("body")], data["loaded_files"]}
         for row in data["queries"]:
-            items.update(row[2:])
+            items.update(row[-2:])
         return items
     if kind not in ("visit", "visit_event", "visit_request", "visit_cookies"):
         return set()
@@ -391,13 +402,13 @@ def check(directory: str) -> list:
                     "a codec change needs `python tests/persistence_fixtures.py`, "
                     "a regenerated golden needs a codec change"
                 )
-    warp = WarpSystem.load(FORMAT7_SNAPSHOT)
+    warp = WarpSystem.load(FORMAT8_SNAPSHOT)
     if warp.graph.to_snapshot() != format1_workload()[0].graph.to_snapshot():
-        problems.append(f"{FORMAT7_SNAPSHOT}: no longer loads as format1_workload()")
+        problems.append(f"{FORMAT8_SNAPSHOT}: no longer loads as format1_workload()")
     WikiApp(warp.ttdb, warp.scripts, warp.server).register_code()
     with open(FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         if repair_counters(warp) != json.load(fh):
-            problems.append(f"{FORMAT7_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
+            problems.append(f"{FORMAT8_SNAPSHOT}: no longer repairs to {FORMAT1_COUNTERS}")
     return problems
 
 

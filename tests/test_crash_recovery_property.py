@@ -317,6 +317,7 @@ import sys  # noqa: E402
 import threading  # noqa: E402
 
 import persistence_fixtures as fixtures  # noqa: E402
+from repro.ahg.records import keyed_line  # noqa: E402
 from repro.db.storage import Column, TableSchema  # noqa: E402
 from repro.store.recordstore import RecordStore  # noqa: E402
 from repro.store.wal import RecordWal  # noqa: E402
@@ -398,7 +399,7 @@ def test_sixteen_threads_first_using_one_text_journal_its_entry_first(
         run.json_text for run in loaded.graph.runs.values() if "shared" in run.queries[1].sql
     ]
     assert len(shared) == n_threads * n_rounds
-    rows = {json.dumps(json.loads(text)["queries"][1][2:]) for text in shared}
+    rows = {json.dumps(keyed_line("run", json.loads(text))["queries"][1][-2:]) for text in shared}
     assert len(rows) == n_rounds  # per round one SQL text and one payload, shared
 
 
@@ -445,7 +446,8 @@ def test_every_crash_point_recovers_the_acked_prefix_with_every_id_defined(tmp_p
         expected = [snapshot for size, snapshot in acked if size <= cut][-1]
         assert recovered.to_snapshot() == expected, cut
         for run in recovered.runs.values():
-            assert fixtures.text_refs("run", json.loads(run.json_text)) <= set(recovered.texts.by_id)
+            line = keyed_line("run", json.loads(run.json_text))
+            assert fixtures.text_refs("run", line) <= set(recovered.texts.by_id)
         # Every body and SQL text again: each must resolve in the reopened log.
         for run_id in range(101, 105):
             recovered.add_run(_variant(run_id, rng))

@@ -21,6 +21,7 @@ import pytest
 
 import heapcensus
 import persistence_fixtures as fixtures
+from repro.ahg.records import keyed_line
 from repro.apps.wiki.app import WikiApp
 from repro.core.serialize import SHARED_TEXT_MAX
 from repro.repair.api import CancelClientSpec
@@ -82,9 +83,9 @@ def history(tmp_path_factory):
 
 @pytest.mark.parametrize("source", ["golden lines", "fixture via recover", "fixture via load"])
 def test_committed_fixture_shares_only_immutables(tmp_path, source):
-    """The format-6 golden lines — a ``run`` and a ``replace_run`` of one
+    """The format-8 golden lines — a ``run`` and a ``replace_run`` of one
     run, so the replacement is decoded through the memo the original
-    filled — and the committed format-7 snapshot, through both of the
+    filled — and the committed format-8 snapshot, through both of the
     store's entry points."""
     if source == "golden lines":
         wal_path = str(tmp_path / "golden.wal")
@@ -94,9 +95,9 @@ def test_committed_fixture_shares_only_immutables(tmp_path, source):
         assert store.runs == {7: fixtures.golden_run()}
     else:
         if source == "fixture via recover":
-            store = fixtures.recover_store(snapshot_path=fixtures.FORMAT7_SNAPSHOT)
+            store = fixtures.recover_store(snapshot_path=fixtures.FORMAT8_SNAPSHOT)
         else:
-            store = WarpSystem.load(fixtures.FORMAT7_SNAPSHOT).graph
+            store = WarpSystem.load(fixtures.FORMAT8_SNAPSHOT).graph
         assert store.to_snapshot() == fixtures.format1_workload()[0].graph.to_snapshot()
     assert_shares_only_immutables(store)
 
@@ -207,7 +208,8 @@ def test_a_loaded_files_entry_is_decoded_once_and_each_run_gets_its_own_dict(
     store = WarpSystem.load(path).graph
     by_entry = {}
     for run in store.runs.values():
-        by_entry.setdefault(json.loads(run.json_text)["loaded_files"], []).append(run)
+        line = keyed_line("run", json.loads(run.json_text))
+        by_entry.setdefault(line["loaded_files"], []).append(run)
     first, second, *_ = max(by_entry.values(), key=len)
     assert first.loaded_files == second.loaded_files
     assert first.loaded_files is not second.loaded_files

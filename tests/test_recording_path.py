@@ -18,6 +18,7 @@ from decimal import Decimal
 
 import pytest
 
+from repro.ahg.records import keyed_line
 from repro.core.serialize import COMPACT
 from repro.db.storage import Column, TableSchema
 from repro.http.message import HttpRequest
@@ -31,6 +32,11 @@ def walked(run, warp) -> str:
     """``run``'s line encoded from scratch against ``warp``'s text table:
     the tree walk, no fragment."""
     return json.dumps(run.to_wire(warp.graph.texts), separators=COMPACT)
+
+
+def run_line(text) -> dict:
+    """Run line ``text`` keyed by its row's layout."""
+    return keyed_line("run", json.loads(text))
 
 
 def wal_run_texts(path):
@@ -93,8 +99,8 @@ class TestCacheKey:
         order = ["int", "bool", "float", "float", "int", "bool"]  # misses, then hits
         for name in order:
             assert kv.get(**{"as": name}).status == 200
-        lines = [json.loads(text) for text in wal_run_texts(kv.graph.wal.path)]
-        payloads = [kv.graph.texts.by_id[line["queries"][0][3]] for line in lines[-len(order) :]]
+        lines = [run_line(text) for text in wal_run_texts(kv.graph.wal.path)]
+        payloads = [kv.graph.texts.by_id[line["queries"][0][-1]] for line in lines[-len(order) :]]
         written = [json.loads(text)[0] for text in payloads]
         assert [repr(params) for params in written] == [
             repr([self.LOOK_ALIKES[name]]) for name in order
@@ -151,7 +157,7 @@ class TestPayloadSharing:
             assert run.payloads is None  # a stored run refers into no cache
             assert run.json_text == walked(run, kv)
             row_id = kv.graph.texts.ids[payload.text]
-            assert [row[3] for row in json.loads(run.json_text)["queries"]] == [row_id] * 2
+            assert [row[-1] for row in run_line(run.json_text)["queries"]] == [row_id] * 2
 
     def test_write_between_identical_selects_yields_a_fresh_payload(self, kv):
         seen = []
@@ -205,7 +211,9 @@ class TestPayloadSharing:
         kv.graph.replace_runs([replace(run, canceled=True, json_text=None)])
         canceled = kv.graph.runs[run.run_id]
         assert canceled.canceled and canceled.payloads is None
-        assert canceled.json_text == walked(canceled, kv) == kept[:-1] + ',"canceled":true}'
+        # The row runs on to its last member: what comes before it is written too.
+        tail = f",{run.ts_end},[],null,null,null,true]"
+        assert canceled.json_text == walked(canceled, kv) == kept[:-1] + tail
         path = str(tmp_path / "snapshot.json")
         kv.save(path)
         assert canceled.json_text == walked(canceled, kv)
@@ -255,7 +263,7 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
                 assert client.send(client.request(method, "/edit.php", params)).status == 200
     store = warp.graph
     store.wal.sync()
-    lines = {json.loads(text)["run_id"]: text for text in wal_run_texts(wal_path)}
+    lines = {run_line(text)["run_id"]: text for text in wal_run_texts(wal_path)}
     assert len(lines) == len(store.runs) > 60
     for run_id, run in store.runs.items():
         assert run.payloads is None
@@ -265,7 +273,9 @@ def test_wal_of_served_traffic_equals_walked_lines(tmp_path):
         for entry in warp.ttdb._stmt_cache.values()
         if entry[0].payload.text in store.texts.ids
     }
-    spliced = sum(row[3] in kept_ids for text in lines.values() for row in json.loads(text)["queries"])
+    spliced = sum(
+        row[-1] in kept_ids for text in lines.values() for row in run_line(text)["queries"]
+    )
     assert spliced > 50  # the traffic did hit the statement cache
 
     assert warp.repair.submit(CancelClientSpec(f"{names[0]}-load")).result().ok

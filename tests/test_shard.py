@@ -18,6 +18,7 @@ import time
 import pytest
 
 import persistence_fixtures as fixtures
+from repro.ahg.records import keyed_line
 from repro.apps.wiki.app import WikiApp
 from repro.http.message import HttpRequest
 from repro.repair.api import CancelClientSpec, DbFixSpec, RepairBatch, parse_spec
@@ -364,7 +365,8 @@ class TestWireAndWorker:
             store = warp.graph
             for run in store.runs.values():
                 if run.json_text is not None:
-                    refs = fixtures.text_refs("run", json.loads(run.json_text))
+                    line = keyed_line("run", json.loads(run.json_text))
+                    refs = fixtures.text_refs("run", line)
                     assert refs <= set(store.texts.by_id)
 
         def serve_around_a_save(worker):

@@ -1,20 +1,22 @@
-"""Snapshot format 7 and the one-codec contract behind it.
+"""Snapshot format 8 and the one-codec contract behind it.
 
 A run is encoded once, when the store appends it; that text is the data
-of its WAL line and of its snapshot line, and it says each fact once:
-queries, request and response as positional rows, nothing the enclosing
-run or another field of the line says (ids its request headers carry), no
+of its WAL line and of its snapshot line, and it says each fact once: the
+line is a positional row (``RUN_ROW``), its queries, request and response
+rows too, and it writes nothing the enclosing run or another member of the
+line says (ids its request headers carry, an end time its queries carry,
+the qid and ts of a query that follows the one before it by one), no
 defaults — and no response body, loaded files, SQL text or row payload
 another line of the segment already wrote: those are ``text`` entries,
 referred to by id, a payload's with its array raw.  These tests pin the
 bytes this build writes, the round trip of both views and of every
 derived field, the kept-text invariant across every mutation the store
-offers, the committed format-6 snapshot, the refusal — by name, with the
+offers, the committed format-8 snapshot, the refusal — by name, with the
 last commit that reads it — of every file and line in a shape older builds
 wrote, the text entries a snapshot holds, the bytes one request may cost,
 and the refusal of files that are not whole.  A visit and its deltas
-follow the same rules (format 7): positional rows, no default written, the
-client id, URL and each xpath a ``text`` entry.
+follow the same rules (format 7, which format 8 kept): positional rows, no
+default written, the client id, URL and each xpath a ``text`` entry.
 """
 
 import copy
@@ -24,6 +26,7 @@ import json
 import os
 import random
 import re
+import shutil
 import threading
 
 import pytest
@@ -36,6 +39,7 @@ from repro.ahg.records import (
     QUERY_ROW,
     REQUEST_ROW,
     RESPONSE_ROW,
+    RUN_ROW,
     VISIT_ROW,
     AppRunRecord,
     EventRecord,
@@ -85,27 +89,35 @@ def test_wal_lines_match_golden_bytes(tmp_path):
     fixtures.save_store(store, path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert fh.readlines()[1:] == lines[:7]
-    # Each fact once: no field name inside a query, the request or the
-    # response, no default spelled out, no id the request headers say, no
-    # body, loaded files, SQL text or payload — a text entry says each.
-    assert '"sql"' not in run_line and run_line.count('"run_id"') == 1
-    assert '"canceled"' not in run_line and "false" not in run_line
+    # Each fact once: no member name in the run, a query, the request or
+    # the response, no default spelled out, no id the request headers say,
+    # no body, loaded files, SQL text or payload — a text entry says each.
+    assert '"sql"' not in run_line and "false" not in run_line
     assert not re.search(DERIVED_OR_DEFAULT, golden.decode("utf-8"))
     assert "<p>ok" not in run_line and "SELECT" not in run_line and "UPDATE" not in run_line
     assert '"select"' not in run_line and "pages" not in run_line and "1.5" not in run_line
-    assert '"loaded_files":2,' in run_line and '"response":[1,200,{},{"sess":null}]' in run_line
-    assert '"request":["POST","/edit.php",{' in run_line
-    assert '"queries":[[11,41,3,4],[12,42,5,6]]' in run_line
+    line = keyed_line("run", json.loads(run_line)["data"])
+    assert line["loaded_files"] == 2 and line["response"] == [1, 200, {}, {"sess": None}]
+    assert line["request"][:2] == ["POST", "/edit.php"]
+    # The second query follows the first by one in qid and in ts: its row
+    # is its two text ids alone.
+    assert line["queries"] == [[11, 41, 3, 4], [5, 6]]
+    # The row stops after its nondet rows (the end time before them is
+    # written for its position): its ids are what its headers say, and it
+    # is not canceled.
+    assert list(line) == list(RUN_ROW[: RUN_ROW.index("nondet") + 1])
     # A payload's entry holds its array raw, not escaped into a string.
     for ident, query in [(4, fixtures.golden_run().queries[0]), (6, fixtures.golden_run().queries[1])]:
         assert lines[ident - 1] == entry_line("text", f'{{"id":{ident},"row":{payload_text(query)}}}')
 
 
-#: What no format-6 line of ``golden_run()`` may hold (the CI step greps the
-#: golden for it): its ids equal what its headers say, so a match is a
-#: derived field, or a default spelled out.
+#: What no format-8 line of ``golden_run()`` may hold (the CI step greps the
+#: golden for it): a run line is a row, so a match is a member spelled out
+#: by name, or a default.
 DERIVED_OR_DEFAULT = (
-    r'"(params|cookies|headers|set_cookies)":\{\}|"status":200|"(client_id|visit_id|request_id)":'
+    r'"(params|cookies|headers|set_cookies)":\{\}|"status":200'
+    r'|"(run_id|ts_start|script|loaded_files|request|response|queries|ts_end|nondet'
+    r'|client_id|visit_id|request_id|canceled)":'
 )
 
 
@@ -201,13 +213,33 @@ def query_records(draw):
     )
 
 
+def ended(run):
+    """The end time ``AppRuntime.execute`` gives ``run``: its last query's
+    ts, or its start if later."""
+    return max(run.ts_start, run.queries[-1].ts) if run.queries else run.ts_start
+
+
+#: How a query's qid or ts may step from the previous query's: one more (a
+#: run served alone — its row may leave both out), a gap (a run interleaved
+#: with another), the same, and back.
+steps = st.sampled_from([1, 1, 1, 2, 0, -1])
+
+
 @st.composite
 def run_records(draw):
     run = fixtures.golden_run()
     run.run_id = draw(st.integers(1, 10**6))
-    run.queries = draw(st.lists(query_records(), max_size=3))
+    run.queries = draw(st.lists(query_records(), max_size=4))
     for seq, query in enumerate(run.queries):
         query.run_id, query.seq = run.run_id, seq
+        if seq and draw(st.booleans()):
+            previous = run.queries[seq - 1]
+            query.qid, query.ts = previous.qid + draw(steps), previous.ts + draw(steps)
+    # The end time the runtime gives a run (derived, not written), the
+    # largest ts where the ts go back, later, or any.
+    largest = max([run.ts_start, *(query.ts for query in run.queries)])
+    ends = [ended(run), ended(run), largest, ended(run) + 1]
+    run.ts_end = draw(st.sampled_from(ends) | st.integers(0, 10**6))
     run.nondet = draw(
         st.lists(st.builds(NondetRecord, names, st.integers(0, 9), trees), max_size=2)
     )
@@ -251,21 +283,33 @@ def said_ids(request):
     return dict(zip(["client_id", "visit_id", "request_id"], ids))
 
 
-def written_ids(run):
-    """The ids a run line must write: those its headers do not say."""
-    said = said_ids(run.request)
-    return {
-        name
-        for name, value in said.items()
-        if type(getattr(run, name)) is not type(value) or getattr(run, name) != value
-    }
-
-
 RUN_KEYS = {
     "run_id", "ts_start", "ts_end", "script", "loaded_files", "request", "response",
     "queries", "nondet", "client_id", "visit_id", "request_id", "canceled",
 }  # fmt: skip
 QUERY_KEYS = (set(QUERY_ROW) - {"disjuncts"}) | {"run_id", "seq", "read_set"}
+
+
+def same(value, other):
+    """By type and value, as the codec compares a member with its default."""
+    return type(value) is type(other) and value == other
+
+
+def derived_members(run):
+    """What a reader of ``run``'s line takes each member after its queries'
+    rows to be when the line stops before it."""
+    return {"ts_end": ended(run), "nondet": [], **said_ids(run.request), "canceled": False}
+
+
+def written_members(run):
+    """The members ``run``'s line writes: every one up to its queries' rows,
+    then up to the last that is not what its reader derives."""
+    derived = derived_members(run)
+    differ = [
+        at for at, name in enumerate(RUN_ROW)
+        if name in derived and not same(getattr(run, name), derived[name])
+    ]  # fmt: skip
+    return list(RUN_ROW[: max(differ, default=RUN_ROW.index("queries")) + 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,13 +340,14 @@ def test_codec_views_agree(run):
     for record, item in zip(run.nondet, keyed["nondet"]):
         assert set(item) == {"func", "seq", "value"} and item["func"] == record.func
     # What the text may leave out, and only that; the texts it refers to.
-    line = json.loads(text)
+    line = keyed_line("run", json.loads(text))
     assert texts.by_id[line["response"][0]] == run.response.body
     assert texts.by_id[line["loaded_files"]] == json.dumps(run.loaded_files, separators=COMPACT)
-    assert [texts.by_id[row[2]] for row in line["queries"]] == [q.sql for q in run.queries]
-    assert set(line) == RUN_KEYS - {
-        name for name, default in [("nondet", []), ("canceled", False)] if keyed[name] == default
-    } - ({"client_id", "visit_id", "request_id"} - written_ids(run))
+    assert [texts.by_id[row[-2]] for row in line["queries"]] == [q.sql for q in run.queries]
+    assert list(line) == written_members(run)
+    for name in list(line)[RUN_ROW.index("queries") + 1 :]:
+        if name != "nondet":  # rows, checked by the keyed view above
+            assert same(line[name], getattr(run, name)), name
     # The request and response rows: the keyed members in layout order,
     # stopping after the last one that is not what a fresh object holds.
     for row, names, item, fresh, required in [
@@ -315,11 +360,17 @@ def test_codec_views_agree(run):
         for name, value in zip(names, row + defaults[len(row) :]):
             if name != "body":  # an id, resolved above
                 assert item[name] == value
+    previous = None
     for row, item, query in zip(line["queries"], keyed["queries"], run.queries):
-        assert row[:2] == [query.qid, query.ts] and len(row) == 4
-        assert texts.by_id[row[3]] == payload_text(query)
-        assert texts.entry(row[3]) == f'{{"id":{row[3]},"row":{payload_text(query)}}}'
-        row = row[:3] + json.loads(texts.by_id[row[3]])
+        # A row says its qid and ts unless each is one more than the last row's.
+        follows = previous is not None and (query.qid, query.ts) == (
+            previous.qid + 1, previous.ts + 1
+        )
+        assert row[:-2] == ([] if follows else [query.qid, query.ts])
+        previous, (sql, ref) = query, row[-2:]
+        assert texts.by_id[ref] == payload_text(query)
+        assert texts.entry(ref) == f'{{"id":{ref},"row":{payload_text(query)}}}'
+        row = [query.qid, query.ts, sql] + json.loads(texts.by_id[ref])
         assert 8 <= len(row) <= len(QUERY_ROW)
         assert len(row) == 8 or row[-1] not in ([], False)
         for name, value in list(zip(QUERY_ROW, row))[8:]:
@@ -382,44 +433,50 @@ def test_encode_is_the_dump_of_to_wire(run):
 @example(run=fixtures.golden_run())
 def test_only_the_written_line_decodes(run):
     """Whatever a run holds, the two other shapes it has are never decoded:
-    the keyed view (a keyed request, as every older format wrote) is
-    refused by name, with the last commit that reads it; the line with
-    every text inline, which no build writes to a log, fails on the first
-    text where an id goes — even against a table holding every text."""
+    the keyed view (a keyed line, as every older format wrote) is refused
+    by name, with the last commit that reads it; the line with every text
+    inline, which no build writes to a log, fails on the first text where
+    an id goes — even against a table holding every text."""
     texts = TextTable()
     run.encode(texts)
-    with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
+    with pytest.raises(ReproError, match="a run line is in a retired shape: it is keyed.*58a6dff"):
         AppRunRecord.from_dict(run.to_dict(), memo=DecodeMemo(texts))
     with pytest.raises(KeyError):
         AppRunRecord.from_dict(json.loads(run.encode()), memo=DecodeMemo(texts))
 
 
 def derived_case(case):
-    """``(run, visit, written, members)``: ``golden_run()`` and a visit
-    changed as ``case`` says, the fields the run line must write of those a
-    reader could derive (ids, response members), and how many members the
-    visit's row writes (none after its last one not at its default)."""
+    """``(run, visit, response, last, members)``: ``golden_run()`` and a
+    visit changed as ``case`` says, the response row the run line must
+    write, the last member it writes (none after it is what its reader
+    derives) and how many members the visit's row writes (none after its
+    last one not at its default)."""
     run = fixtures.golden_run()
     visit = VisitRecord(client_id="c1", visit_id=3, ts=39, url="http://wiki.test/edit.php")
-    written = {"response": [1, 200, {}, {"sess": None}]}
+    response, last = [1, 200, {}, {"sess": None}], "nondet"
     if case == "client id differs from its header":
-        run.client_id = "c2"
-        written["client_id"] = "c2"
+        run.client_id, last = "c2", "client_id"
     elif case == "visit id with no visit header":
         del run.request.headers[VISIT_HEADER]
-        written["visit_id"] = 3
+        last = "visit_id"
     elif case == "ids None under their headers":
         run.client_id = run.visit_id = run.request_id = None
-        written.update(client_id=None, visit_id=None, request_id=None)
+        last = "request_id"
+    elif case == "canceled":
+        run.canceled, last = True, "canceled"
+    elif case == "no nondet, the end time its queries say":
+        run.nondet, last = [], "queries"
+    elif case == "no nondet, an end time its queries do not say":
+        run.nondet, run.ts_end, last = [], 45, "ts_end"
     elif case == "status 500, headers, no cookies set":
         run.response = HttpResponse(500, "<p>boom</p>", {"X-Frame-Options": "DENY"}, {})
-        written["response"] = [1, 500, {"X-Frame-Options": "DENY"}]
+        response = [1, 500, {"X-Frame-Options": "DENY"}]
     elif case == "a cookie set to None":
         run.response.set_cookies = {"sess": None, "seen": "1"}
-        written["response"] = [1, 200, {}, {"sess": None, "seen": "1"}]
+        response = [1, 200, {}, {"sess": None, "seen": "1"}]
     elif case == "a response at its defaults":
         run.response = HttpResponse(body="<p>ok</p>")
-        written["response"] = [1]
+        response = [1]
     else:
         assert case == "a visit with no field at its default"
         visit = VisitRecord(
@@ -430,13 +487,16 @@ def derived_case(case):
             cookies_after={"http://wiki.test": {"sess": "tok-1"}}, request_ids=[1],
         )  # fmt: skip
     members = len(VISIT_ROW) if case == "a visit with no field at its default" else 4
-    return run, visit, written, members
+    return run, visit, response, last, members
 
 
 DERIVED_CASES = [
     "client id differs from its header",
     "visit id with no visit header",
     "ids None under their headers",
+    "canceled",
+    "no nondet, the end time its queries say",
+    "no nondet, an end time its queries do not say",
     "status 500, headers, no cookies set",
     "a cookie set to None",
     "a response at its defaults",
@@ -446,19 +506,22 @@ DERIVED_CASES = [
 
 @pytest.mark.parametrize("case", DERIVED_CASES)
 def test_what_a_line_leaves_to_its_reader_comes_back(tmp_path, case):
-    """Each field a line may leave out — an id its header says, a response
-    member or a visit field at its default — is left out exactly when the
-    reader derives the same value, by type and value: decoding the line,
-    a save and load, and a WAL replay each give the record back."""
-    run, visit, written, members = derived_case(case)
+    """Each field a line may leave out — an id its header says, the end
+    time its queries say, a response member or a visit field at its
+    default — is left out exactly when the reader derives the same value,
+    by type and value, and no member before it is: decoding the line, a
+    save and load, and a WAL replay each give the record back."""
+    run, visit, response, last, members = derived_case(case)
     texts = TextTable()
     text = run.encode(texts)
-    line = json.loads(text)
-    for name in ("client_id", "visit_id", "request_id"):
-        assert line.get(name, "absent") == written.get(name, "absent"), name
+    line = keyed_line("run", json.loads(text))
+    assert list(line) == list(RUN_ROW[: RUN_ROW.index(last) + 1]) == written_members(run)
+    for name in list(line)[RUN_ROW.index("ts_end") :]:
+        if name != "nondet":
+            assert same(line[name], getattr(run, name)), name
     body = texts.ids[run.response.body]
-    assert line["response"] == [body, *written["response"][1:]]
-    assert AppRunRecord.from_dict(line, text, DecodeMemo(texts)) == run
+    assert line["response"] == [body, *response[1:]]
+    assert AppRunRecord.from_dict(json.loads(text), text, DecodeMemo(texts)) == run
     visit_texts = TextTable()
     visit_line = json.loads(visit.encode(visit_texts))
     assert len(visit_line) == members
@@ -725,15 +788,80 @@ def test_canceling_a_run_drops_its_kept_text(tmp_path, closing):
     kept = store.runs[7].json_text
     assert kept == fixtures.golden_run().encode(store.texts)
     store.replace_runs([dataclasses.replace(store.runs[7], canceled=True, json_text=None)])
-    assert store.runs[7].json_text == kept[:-1] + ',"canceled":true}'
+    # The row runs on to its last member: the ids before it are written too.
+    assert store.runs[7].json_text == kept[:-1] + ',"c1",3,1,true]'
     path = str(tmp_path / "snapshot.json")
     fixtures.save_store(store, path)
     recovered = fixtures.recover_store(snapshot_path=path).runs[7]
     assert recovered.canceled and recovered.json_text == store.runs[7].json_text
 
 
+def test_runs_that_interleave_write_full_rows_and_reload_every_qid_and_ts(tmp_path, closing):
+    """Two threads' runs take turns query by query, so no query of either
+    follows its run's previous one by one: every row writes its qid and ts.
+    A run served alone writes them in its first row only.  The log and a
+    save each give every query back its ``(qid, ts)``."""
+    wal_path, path = str(tmp_path / "records.wal"), str(tmp_path / "warp.json")
+    warp = closing(WarpSystem(wal_path=wal_path, durability="none"))
+    warp.ttdb.create_table(
+        TableSchema("t", (Column("k", "int"), Column("v")), partition_columns=("k",))
+    )
+    warp.ttdb.execute("INSERT INTO t (k, v) VALUES (?, ?)", (1, "one"))
+    turns, taken = threading.Condition(), [0]
+
+    def probe(ctx):
+        me = int(ctx.param("n", "0"))
+        for _ in range(3):
+            if ctx.param("alone"):
+                ctx.query("SELECT v FROM t WHERE k = ?", (1,))
+                continue
+            with turns:
+                assert turns.wait_for(lambda: taken[0] % 2 == me, 10.0)
+            ctx.query("SELECT v FROM t WHERE k = ?", (1,))
+            with turns:
+                taken[0] += 1
+                turns.notify_all()
+
+    warp.scripts.register("probe.php", {"handle": probe})
+    warp.server.route("/probe.php", "probe.php")
+
+    def serve(**params):
+        assert warp.server.handle(HttpRequest("GET", "/probe.php", params=params)).status == 200
+
+    threads = [threading.Thread(target=serve, kwargs={"n": str(n)}) for n in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    serve(alone="1")
+    warp.graph.wal.sync()
+
+    def identities(deployment):
+        runs = deployment.graph.runs
+        return {run_id: [(q.qid, q.ts) for q in run.queries] for run_id, run in runs.items()}
+
+    live = identities(warp)
+    *interleaved, alone = [live[run_id] for run_id in sorted(live)]
+    for queries in interleaved:
+        assert [b[0] - a[0] for a, b in zip(queries, queries[1:])] == [2, 2]
+    assert [b[0] - a[0] for a, b in zip(alone, alone[1:])] == [1, 1]
+    rows = {
+        data["run_id"]: [len(row) for row in data["queries"]]
+        for kind, data in RecordWal.entries(wal_path)
+        if kind == "run"
+    }
+    assert sorted(rows.values()) == [[4, 2, 2], [4, 4, 4], [4, 4, 4]]
+    copy = str(tmp_path / "copy.wal")
+    shutil.copy(wal_path, copy)
+    from_log = closing(WarpSystem.load(None, wal_path=copy))
+    warp.save(path)
+    for again in (from_log, closing(WarpSystem.load(path))):
+        assert identities(again) == live
+
+
 # ---------------------------------------------------------------------------
-# (c) the committed format-5 snapshot loads and repairs; every file and line
+# (c) the committed format-8 snapshot loads and repairs; every file and line
 # in a retired shape is refused by name, with the upgrade route
 # ---------------------------------------------------------------------------
 
@@ -746,7 +874,7 @@ def record_lines(path, kind):
 
 
 def run_lines(path):
-    return record_lines(path, "run")
+    return [keyed_line("run", row) for row in record_lines(path, "run")]
 
 
 def visit_lines(path):
@@ -765,14 +893,14 @@ def read_lines(path):
         return fh.readlines()
 
 
-def test_format7_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
-    """Written by the build that introduced format 7: it loads as the graph
+def test_format8_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
+    """Written by the build that introduced format 8: it loads as the graph
     ``format1_workload()`` builds today, keeping every run's text; a save
     writes its record lines back byte for byte; and its common.php repair
     gives the counters the same workload has repaired to in every format
     since the first."""
-    fixture = fixtures.FORMAT7_SNAPSHOT
-    assert read_snapshot_header(fixture)["version"] == 7
+    fixture = fixtures.FORMAT8_SNAPSHOT
+    assert read_snapshot_header(fixture)["version"] == 8
     with open(fixtures.FORMAT1_COUNTERS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     original, _ = fixtures.format1_workload()
@@ -788,11 +916,11 @@ def test_format7_fixture_loads_and_repairs_to_the_same_counters(tmp_path):
     assert fixtures.repair_counters(warp) == expected
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, "missing"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, "missing"])
 def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
-    """Formats 1-6 — and a header with no version, which only format 1
+    """Formats 1-7 — and a header with no version, which only format 1
     wrote — are refused before anything is built, naming the file and the
-    last commit that reads the format: no build converts one to format 7."""
+    last commit that reads the format: no build converts one to format 8."""
     _, path, lines = saved
     header = json.loads(lines[0])
     if version == "missing":
@@ -802,7 +930,8 @@ def test_a_retired_snapshot_version_is_refused_by_name(saved, version):
     rewrite(path, [json.dumps(header) + "\n"] + lines[1:])
     number = 1 if version == "missing" else version
     reader = {
-        6: "commit 37f403a is the last that reads format 6",
+        7: "commit 58a6dff is the last that reads format 7",
+        6: "commit 37f403a the last that reads format 6",
         5: "commit 0226ea7 the last that reads format 5",
     }.get(number, "commit 812ecd4 the last that reads formats 1-4")
     named = rf"warp\.json.*format {number} is retired.*converts no older file.*{reader}"
@@ -819,11 +948,21 @@ def test_the_committed_format5_file_is_refused_by_name():
 
 
 def test_the_committed_format6_file_is_refused_by_name():
-    """``warp_format6.json``, the format-7 fixture's workload saved by the
+    """``warp_format6.json``, the format-8 fixture's workload saved by the
     build that introduced format 6, is kept as a refusal input only: its
     visit lines are keyed."""
     with pytest.raises(ReproError, match=r"warp_format6\.json.*format 6 is retired.*37f403a"):
         WarpSystem.load(fixtures.FORMAT6_SNAPSHOT)
+
+
+def test_the_committed_format7_file_is_refused_by_name():
+    """``warp_format7.json``, the same workload saved by the build that
+    introduced format 7, is kept as a refusal input only: its run lines
+    are keyed."""
+    with pytest.raises(ReproError, match=r"warp_format7\.json.*format 7 is retired.*58a6dff"):
+        WarpSystem.load(fixtures.FORMAT7_SNAPSHOT)
+    with pytest.raises(ReproError, match=r"warp_format7\.json.*format 7 is retired.*58a6dff"):
+        fixtures.recover_store(snapshot_path=fixtures.FORMAT7_SNAPSHOT)
 
 
 def keyed_nondet_line(line, body=None):
@@ -844,14 +983,18 @@ def keyed_nondet_line(line, body=None):
 def retired_log(shape):
     """``(lines, number, why)``: a log holding a line in the retired
     ``shape`` at line ``number``, and what the refusal says of it.  Every
-    run line an older build wrote keys its request by name, and is refused
+    run line an older build wrote is keyed by member name, and is refused
     for that."""
     keyed = read_lines(fixtures.GOLDEN_LINES)
     format5 = read_lines(fixtures.GOLDEN_FORMAT5)  # five text entries, a run, a replace_run
     written = read_lines(fixtures.GOLDEN_TEXTS)  # six text entries, a run, a replace_run
-    why = "its request is keyed"
+    why = "a run line is in a retired shape: it is keyed; " + UPGRADE_ROUTE.split(",")[0]
     if shape == "keyed run line":
         return keyed, 1, why
+    if shape == "format-7 run line":
+        # Its text entries are the ones this build writes; the run line
+        # keys its members and writes each row's qid and ts.
+        return read_lines(fixtures.GOLDEN_FORMAT6), 7, why
     if shape == "row with its body inline":
         return read_lines(fixtures.GOLDEN_ROWS), 1, why
     if shape == "row with its payload inline":
@@ -889,6 +1032,7 @@ def retired_log(shape):
 
 RETIRED_SHAPES = [
     "keyed run line",
+    "format-7 run line",
     "row with its body inline",
     "row with its payload inline",
     "format-5 run line",
@@ -956,9 +1100,9 @@ def walked_maxima(store):
 
 @pytest.mark.parametrize("source", ["committed", "saved now"])
 def test_clock_and_id_counters_after_load_match_a_walk_of_the_history(tmp_path, source):
-    snapshot = fixtures.FORMAT7_SNAPSHOT
+    snapshot = fixtures.FORMAT8_SNAPSHOT
     if source == "saved now":
-        snapshot = str(tmp_path / "format7.json")
+        snapshot = str(tmp_path / "format8.json")
         fixtures.format1_workload()[0].save(snapshot)
     loaded = WarpSystem.load(snapshot)
     store = loaded.graph
@@ -1169,11 +1313,13 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
     kind pays for the text entries of its body, SQL texts and row payloads;
     its repeat pays for none when it reads what it read before (the form)
     and for the new body and the payloads that saw the new page text when
-    it does not (each edit).  (Format 5, keyed request and response, ids
-    spelled out, payloads escaped: 1626, 424, 1476, 942; format 4, payloads
-    inline: 1573, 867, 1767, 1236; format 3, every text inline: 1461, 1464,
-    1842, 1841; before it, keyed queries with every default spelled out:
-    2330 for the form and 3111 for an edit.)"""
+    it does not (each edit).  (Formats 6 and 7, a keyed run line with every
+    row's qid and ts and the end time: 1506, 283, 1275, 742; format 5, keyed
+    request and response, ids spelled out, payloads escaped: 1626, 424,
+    1476, 942; format 4, payloads inline: 1573, 867, 1767, 1236; format 3,
+    every text inline: 1461, 1464, 1842, 1841; before it, keyed queries
+    with every default spelled out: 2330 for the form and 3111 for an
+    edit.)"""
     warp = WarpSystem(seed=7, wal_path=str(tmp_path / "records.wal"), durability="none")
     wiki = WikiApp(warp.ttdb, warp.scripts, warp.server)
     wiki.install()
@@ -1187,9 +1333,9 @@ def test_wal_bytes_of_one_edit_form_and_one_edit(tmp_path):
         return wal.appended_bytes - before
 
     form = client.request("GET", "/edit.php", {"title": "P"})
-    assert [cost(form), cost(form)] == [1506, 283]
+    assert [cost(form), cost(form)] == [1404, 180]
     append = client.request("POST", "/edit.php", {"title": "P", "append": "\none more line."})
-    assert [cost(append), cost(append)] == [1275, 742]
+    assert [cost(append), cost(append)] == [1158, 625]
     wal.close()
 
 
@@ -1301,7 +1447,7 @@ class TestRefusedSnapshots:
     def test_header_counts_the_record_lines(self, saved):
         warp, path, lines = saved
         header = read_snapshot_header(path)
-        assert header["version"] == 7
+        assert header["version"] == 8
         n_texts = len(record_lines(path, "text"))
         assert n_texts == len(referenced_ids(run_lines(path), visit_lines(path))) > 0
         assert list(header["records"].items()) == [
@@ -1351,18 +1497,18 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
 
     def test_run_line_in_a_retired_shape(self, saved):
-        """A format-6 header over a run line whose request is keyed, as
-        format 5 and every format before it wrote it, is refused with the
-        last commit that reads it, not decoded."""
-        warp, path, lines = saved
+        """A format-8 header over a run line keyed by member name, as format
+        7 and every format before it wrote it, is refused with the last
+        commit that reads it, not decoded."""
+        _, path, lines = saved
         at = next(n for n, line in enumerate(lines) if line.startswith('{"kind":"run"'))
-        data = json.loads(lines[at])["data"]
-        data["request"] = warp.graph.runs[data["run_id"]].request.to_dict()
+        data = keyed_line("run", json.loads(lines[at])["data"])
         keyed = entry_line("run", json.dumps(data, separators=COMPACT))
         rewrite(path, lines[:at] + [keyed] + lines[at + 1 :])
-        with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
+        refused = "a run line is in a retired shape: it is keyed.*commit 58a6dff"
+        with pytest.raises(ReproError, match=refused):
             WarpSystem.load(path)
-        with pytest.raises(ReproError, match="its request is keyed.*commit 0226ea7"):
+        with pytest.raises(ReproError, match=refused):
             fixtures.recover_store(snapshot_path=path)
 
     def test_a_refused_retired_file_leaves_the_sqlite_database_as_it_was(self, tmp_path):
@@ -1432,7 +1578,7 @@ class TestRefusedSnapshots:
             WarpSystem.load(path)
         assert files() == before
 
-    @pytest.mark.parametrize("version", [0, 8, "7", None])
+    @pytest.mark.parametrize("version", [0, 9, "8", None])
     def test_unknown_version(self, saved, version):
         _, path, lines = saved
         header = json.loads(lines[0])
@@ -1556,11 +1702,11 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
         for line in fh:
             kind, data, text = wal_module.decode_line(line)
             if kind in ("run", "replace_run"):
-                texts[data["run_id"]] = text
+                texts[keyed_line(kind, data)["run_id"]] = text
             elif kind == "text":
                 entries[data["id"]] = line
     assert len(texts) == 4
-    replaced_body = json.loads(texts[2])["response"][RESPONSE_ROW.index("body")]
+    replaced_body = keyed_line("run", json.loads(texts[2]))["response"][RESPONSE_ROW.index("body")]
     assert "<!-- replaced -->" in entries[replaced_body]
 
     recovered = WarpSystem.load(None, wal_path=wal_path)
@@ -1574,7 +1720,7 @@ def test_runs_replayed_from_the_wal_keep_their_text(tmp_path, monkeypatch):
     recovered.save(path)
     recovered.close()
     # The entries the runs refer to, then the runs, spliced.
-    used = sorted(referenced_ids([json.loads(text) for text in texts.values()]))
+    used = sorted(referenced_ids([keyed_line("run", json.loads(text)) for text in texts.values()]))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         assert fh.readlines()[1:] == [entries[ident] for ident in used] + [
             entry_line("run", text) for text in texts.values()
@@ -1590,7 +1736,7 @@ def test_replay_decodes_each_wal_line_once(tmp_path, monkeypatch):
         store.add_run(run)
     store.wal.close()
     with open(wal_path, "a", encoding="utf-8") as fh:
-        fh.write('{"kind":"run","data":{"run_id":6')  # torn tail
+        fh.write('{"kind":"run","data":[6,40')  # torn tail
 
     decoded = []
     real_decode = wal_module.decode_line

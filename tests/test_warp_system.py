@@ -317,6 +317,7 @@ class TestMetricsModule:
         """Each ``text`` entry is billed to one log, once: the three logs'
         raw bytes are exactly what the store journaled — every run line and
         every entry, among them the row payloads the database log pays."""
+        from repro.ahg.records import keyed_line
         from repro.store.wal import decode_line
         from repro.workload.loadgen import make_load_clients
         from repro.workload.metrics import record_log_texts
@@ -334,13 +335,21 @@ class TestMetricsModule:
         wal = warp.graph.wal
         wal.sync()
         raw = dict.fromkeys(("browser", "app", "db"), 0)
-        entries = {}
+        entries, rows = {}, []
         for layer, text in record_log_texts(warp.graph):
             raw[layer] += len(text.encode("utf-8"))
             kind, data, _ = decode_line(text) if text.startswith("{") else (None, None, None)
             if kind == "text":
                 entries[data["id"]] = layer
+            elif kind is None:
+                rows.append((layer, text))
         assert sum(raw.values()) == wal.appended_bytes
+        # A run line's queries member is the database log; the row around it
+        # is the application log.
+        runs = warp.graph.runs_in_order()
+        lines = [keyed_line("run", json.loads(run.json_text)) for run in runs]
+        compact = (",", ":")
+        assert rows == [("db", json.dumps(line["queries"], separators=compact) + ",") for line in lines]
         texts = warp.graph.texts.by_id
         payloads = [ident for ident in entries if texts[ident].startswith("[")]
         assert payloads and all(entries[ident] == "db" for ident in payloads)
